@@ -18,7 +18,8 @@
 //! join rows/sec, and the indexed/seqscan speedup per scale
 //! (`BENCH_idxbench.json`). `opbench` is the per-operator throughput
 //! microbenchmark: one query per executor kernel (filter, hash build,
-//! hash probe, semi join, global and grouped aggregation), each timed
+//! hash probe, semi join, global and grouped aggregation, DISTINCT,
+//! UNION ALL), each timed
 //! with the vectorized columnar kernels on and off, reporting rows/sec
 //! over the driving table and the batch/row speedup
 //! (`BENCH_opbench.json`). `recover` benchmarks the durable-storage crash-recovery
@@ -856,6 +857,31 @@ fn opbench(args: &Args) -> Json {
             driving: "lineitem",
             sql: "select l_orderkey, count(*), sum(l_quantity) from lineitem l \
                   group by l_orderkey",
+        },
+        // `conq_unfiltered`'s shape: the conflict-group key plus the
+        // query's grouping columns, MIN/MAX pairs per aggregate.
+        OpSpec {
+            op: "aggregate.group.wide",
+            driving: "lineitem",
+            sql: "select l_orderkey, l_linenumber, l_returnflag, l_linestatus, \
+                  min(l_quantity), max(l_quantity), \
+                  min(l_extendedprice), max(l_extendedprice), \
+                  min(l_discount), max(l_discount), min(l_tax), max(l_tax) \
+                  from lineitem l \
+                  group by l_orderkey, l_linenumber, l_returnflag, l_linestatus",
+        },
+        OpSpec {
+            op: "distinct",
+            driving: "lineitem",
+            sql: "select distinct l_orderkey, l_linenumber, l_returnflag, l_linestatus \
+                  from lineitem l",
+        },
+        OpSpec {
+            op: "union_all",
+            driving: "lineitem",
+            sql: "select l_orderkey, l_quantity, l_returnflag from lineitem l \
+                  union all \
+                  select l_orderkey, l_quantity, l_returnflag from lineitem l2",
         },
     ];
 

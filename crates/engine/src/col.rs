@@ -100,6 +100,19 @@ impl Bitmap {
     pub fn byte_size(&self) -> usize {
         self.words.len() * 8
     }
+
+    /// The validity bitmap for per-row flags, or `None` when every flag is
+    /// set (the all-valid representation chunks use).
+    pub fn from_flags(flags: &[bool]) -> Option<Bitmap> {
+        if flags.iter().all(|&f| f) {
+            return None;
+        }
+        let mut bm = Bitmap::with_capacity(flags.len());
+        for &f in flags {
+            bm.push(f);
+        }
+        Some(bm)
+    }
 }
 
 /// Dictionary for a text column: code → interned string, plus the reverse
@@ -372,6 +385,135 @@ impl ColumnChunk {
         };
         data + self.validity.as_ref().map_or(0, Bitmap::byte_size)
     }
+
+    /// Bytes one more row costs in this chunk's layout (dictionary strings
+    /// are shared, so a text row is its code).
+    pub fn row_bytes(&self) -> usize {
+        match &self.data {
+            ColumnData::Int(_) | ColumnData::Float(_) => 8,
+            ColumnData::Date(_) | ColumnData::Text { .. } => 4,
+            ColumnData::Bool(_) => 1,
+            ColumnData::Any(_) => std::mem::size_of::<Value>(),
+        }
+    }
+
+    /// A chunk holding exactly `values`, laid out for the first non-NULL
+    /// value's type (later mismatches demote to `Any`, as [`push`] does);
+    /// an all-NULL column is an `Any` chunk of NULLs.
+    ///
+    /// [`push`]: ColumnChunk::push
+    pub fn from_values(values: impl IntoIterator<Item = Value>) -> ColumnChunk {
+        let mut leading_nulls = 0usize;
+        let mut chunk: Option<ColumnChunk> = None;
+        for v in values {
+            match &mut chunk {
+                Some(c) => c.push(v),
+                None if v.is_null() => leading_nulls += 1,
+                None => {
+                    let ty = match &v {
+                        Value::Int(_) => DataType::Integer,
+                        Value::Float(_) => DataType::Float,
+                        Value::Date(_) => DataType::Date,
+                        Value::Bool(_) => DataType::Boolean,
+                        Value::Str(_) => DataType::Text,
+                        Value::Null => DataType::Any,
+                    };
+                    let mut c = ColumnChunk::for_type(ty);
+                    for _ in 0..leading_nulls {
+                        c.push(Value::Null);
+                    }
+                    c.push(v);
+                    chunk = Some(c);
+                }
+            }
+        }
+        chunk.unwrap_or_else(|| ColumnChunk {
+            data: ColumnData::Any(vec![Value::Null; leading_nulls]),
+            validity: None,
+        })
+    }
+
+    /// `parts` laid end to end. Parts sharing one typed layout concatenate
+    /// their vectors (text parts with different dictionaries are re-coded
+    /// into the first part's, extended); any layout mismatch demotes the
+    /// result to `Any`, keeping every value exact.
+    pub fn concat(parts: &[&ColumnChunk]) -> ColumnChunk {
+        let total: usize = parts.iter().map(|p| p.len()).sum();
+        macro_rules! typed {
+            ($variant:ident) => {{
+                let mut out = Vec::with_capacity(total);
+                for p in parts {
+                    match &p.data {
+                        ColumnData::$variant(xs) => out.extend_from_slice(xs),
+                        _ => return ColumnChunk::concat_any(parts, total),
+                    }
+                }
+                ColumnData::$variant(out)
+            }};
+        }
+        let data = match parts.first().map(|p| &p.data) {
+            None => ColumnData::Any(Vec::new()),
+            Some(ColumnData::Int(_)) => typed!(Int),
+            Some(ColumnData::Float(_)) => typed!(Float),
+            Some(ColumnData::Date(_)) => typed!(Date),
+            Some(ColumnData::Bool(_)) => typed!(Bool),
+            Some(ColumnData::Any(_)) => return ColumnChunk::concat_any(parts, total),
+            Some(ColumnData::Text { dict: first, .. }) => {
+                let mut dict = Arc::clone(first);
+                let mut out: Vec<u32> = Vec::with_capacity(total);
+                for p in parts {
+                    let ColumnData::Text {
+                        codes,
+                        dict: theirs,
+                    } = &p.data
+                    else {
+                        return ColumnChunk::concat_any(parts, total);
+                    };
+                    if Arc::ptr_eq(&dict, theirs) || Arc::ptr_eq(first, theirs) {
+                        out.extend_from_slice(codes);
+                        continue;
+                    }
+                    // Re-code through the merged dictionary, translating
+                    // each of their codes once (`u32::MAX` = not yet).
+                    let merged = Arc::make_mut(&mut dict);
+                    let mut recode = vec![u32::MAX; theirs.len()];
+                    for (i, &code) in codes.iter().enumerate() {
+                        if p.is_null(i) {
+                            out.push(0);
+                            continue;
+                        }
+                        let slot = &mut recode[code as usize];
+                        if *slot == u32::MAX {
+                            *slot = merged.intern(theirs.get(code));
+                        }
+                        out.push(*slot);
+                    }
+                }
+                ColumnData::Text { codes: out, dict }
+            }
+        };
+        let validity = parts.iter().any(|p| p.validity.is_some()).then(|| {
+            let mut bm = Bitmap::with_capacity(total);
+            for p in parts {
+                for i in 0..p.len() {
+                    bm.push(!p.is_null(i));
+                }
+            }
+            bm
+        });
+        ColumnChunk { data, validity }
+    }
+
+    fn concat_any(parts: &[&ColumnChunk], total: usize) -> ColumnChunk {
+        let mut out = Vec::with_capacity(total);
+        for p in parts {
+            out.extend((0..p.len()).map(|i| p.value_at(i)));
+        }
+        ColumnChunk {
+            data: ColumnData::Any(out),
+            validity: None,
+        }
+    }
 }
 
 /// A batch of rows in columnar layout, plus a lazily computed row-pivot
@@ -412,6 +554,7 @@ impl ColBatch {
     /// Build from materialized rows; the rows seed the pivot cache so a
     /// later `rows()` is free. Rows must all match the schema arity.
     pub fn from_rows(schema: &Schema, rows: Vec<Row>) -> ColBatch {
+        note_pivot("exec.pivot.to_cols", rows.len());
         let mut batch = ColBatch::from_schema(schema);
         for row in &rows {
             debug_assert_eq!(row.len(), batch.cols.len());
@@ -472,15 +615,35 @@ impl ColBatch {
 
     /// All rows, pivoted once and cached for subsequent callers.
     pub fn rows(&self) -> &[Row] {
-        self.rows_cache
-            .get_or_init(|| (0..self.len).map(|i| self.row_at(i)).collect())
+        self.rows_cache.get_or_init(|| self.pivot())
     }
 
     /// Consume into rows, reusing the pivot cache when populated.
     pub fn into_rows(mut self) -> Vec<Row> {
         match self.rows_cache.take() {
             Some(rows) => rows,
-            None => (0..self.len).map(|i| self.row_at(i)).collect(),
+            None => self.pivot(),
+        }
+    }
+
+    fn pivot(&self) -> Vec<Row> {
+        note_pivot("exec.pivot.to_rows", self.len);
+        (0..self.len).map(|i| self.row_at(i)).collect()
+    }
+
+    /// `self`'s rows followed by `other`'s (same width), column by column
+    /// through [`ColumnChunk::concat`].
+    pub fn concat(&self, other: &ColBatch) -> ColBatch {
+        debug_assert_eq!(self.width(), other.width());
+        ColBatch {
+            len: self.len + other.len,
+            cols: self
+                .cols
+                .iter()
+                .zip(&other.cols)
+                .map(|(a, b)| Arc::new(ColumnChunk::concat(&[a, b])))
+                .collect(),
+            rows_cache: OnceLock::new(),
         }
     }
 
@@ -489,15 +652,6 @@ impl ColBatch {
         ColBatch {
             len: sel.len(),
             cols: self.cols.iter().map(|c| Arc::new(c.gather(sel))).collect(),
-            rows_cache: OnceLock::new(),
-        }
-    }
-
-    /// Zero-copy column projection: the picked chunks are shared.
-    pub fn select_columns(&self, idxs: &[usize]) -> ColBatch {
-        ColBatch {
-            len: self.len,
-            cols: idxs.iter().map(|&i| Arc::clone(&self.cols[i])).collect(),
             rows_cache: OnceLock::new(),
         }
     }
@@ -513,6 +667,16 @@ impl ColBatch {
     /// populated, is accounted separately by callers that trigger it).
     pub fn byte_size(&self) -> usize {
         self.cols.iter().map(|c| c.byte_size()).sum()
+    }
+}
+
+/// Count `rows` rows crossing the row/column boundary in the process-wide
+/// `exec.pivot.to_rows` / `exec.pivot.to_cols` counters, so a plan that
+/// starts pivoting where it used to stay columnar shows up in `/metrics`
+/// and `\stats` (and in the pivot-count test) rather than only in timings.
+fn note_pivot(counter: &'static str, rows: usize) {
+    if rows > 0 {
+        conquer_obs::registry().counter(counter).add(rows as u64);
     }
 }
 
@@ -649,7 +813,7 @@ mod tests {
     }
 
     #[test]
-    fn gather_and_select_columns() {
+    fn gather_and_head() {
         let s = schema(&[DataType::Integer, DataType::Text]);
         let rows: Vec<Row> = (0..10)
             .map(|i| {
@@ -674,12 +838,65 @@ mod tests {
         } else {
             panic!("expected text chunks");
         }
-        let picked = batch.select_columns(&[1]);
-        assert_eq!(picked.width(), 1);
-        assert!(Arc::ptr_eq(&picked.cols()[0], &batch.cols()[1]));
         let h = batch.head(3);
         assert_eq!(h.len(), 3);
         assert_eq!(h.row_at(2), rows[2]);
+    }
+
+    #[test]
+    fn concat_merges_dictionaries_and_demotes_on_mismatch() {
+        let s = schema(&[DataType::Integer, DataType::Text, DataType::Float]);
+        let a = ColBatch::from_rows(
+            &s,
+            vec![
+                vec![Value::Int(1), Value::str("x"), Value::Float(0.5)],
+                vec![Value::Int(2), Value::str("y"), Value::Float(1.5)],
+            ],
+        );
+        let s2 = schema(&[DataType::Integer, DataType::Text, DataType::Integer]);
+        let b = ColBatch::from_rows(
+            &s2,
+            vec![
+                vec![Value::Null, Value::str("y"), Value::Int(7)],
+                vec![Value::Int(4), Value::Null, Value::Null],
+                vec![Value::Int(5), Value::str("z"), Value::Int(8)],
+            ],
+        );
+        let u = a.concat(&b);
+        assert_eq!(u.len(), 5);
+        let expected: Vec<Row> = a.rows().iter().chain(b.rows()).cloned().collect();
+        for (i, row) in expected.iter().enumerate() {
+            assert_eq!(&u.row_at(i), row);
+        }
+        // Same layout: typed, with a validity bitmap grown for the side
+        // that had none. Two dictionaries: one, coding each string once.
+        assert!(matches!(u.col(0).data, ColumnData::Int(_)));
+        assert!(u.col(0).is_null(2) && !u.col(0).is_null(0));
+        let ColumnData::Text { codes, dict } = &u.col(1).data else {
+            panic!("text stays dictionary-coded");
+        };
+        assert_eq!(dict.len(), 3);
+        assert_eq!(codes[1], codes[2], "'y' has one code on both sides");
+        // Float against integer: `Any`, every value exact.
+        assert!(matches!(u.col(2).data, ColumnData::Any(_)));
+        assert!(matches!(u.col(2).value_at(2), Value::Int(7)));
+        // A part sharing the first part's dictionary is appended as is.
+        let twice = ColumnChunk::concat(&[a.col(1), a.col(1)]);
+        assert_eq!(twice.len(), 4);
+        assert_eq!(twice.value_at(3), Value::str("y"));
+    }
+
+    #[test]
+    fn from_values_picks_the_first_values_layout() {
+        let c = ColumnChunk::from_values([Value::Null, Value::Float(1.5), Value::Null]);
+        assert!(matches!(c.data, ColumnData::Float(_)));
+        assert!(c.is_null(0) && !c.is_null(1) && c.is_null(2));
+        let c = ColumnChunk::from_values([Value::Int(1), Value::Float(2.0)]);
+        assert!(matches!(c.data, ColumnData::Any(_)));
+        assert!(matches!(c.value_at(0), Value::Int(1)));
+        let c = ColumnChunk::from_values([Value::Null, Value::Null]);
+        assert_eq!((c.len(), c.is_null(1)), (2, true));
+        assert!(ColumnChunk::from_values([]).is_empty());
     }
 
     #[test]

@@ -23,8 +23,11 @@
 //! reassembled in morsel order, so every operator reproduces the serial
 //! processing order exactly. Hash joins partition the build side by key
 //! hash into one table per worker and route probe lookups to the matching
-//! partition; aggregation and DISTINCT build per-worker partial tables
-//! that are merged with SQL NULL/three-valued-logic semantics preserved;
+//! partition; aggregation and DISTINCT over columnar input hash-partition
+//! the *groups* across workers ([`crate::groupkey`]: nothing to merge,
+//! groups come out ordered by first row), and over row-shaped input build
+//! per-worker partial tables that are merged with SQL
+//! NULL/three-valued-logic semantics preserved;
 //! ORDER BY sorts per-worker runs and k-way merges them with the global
 //! row index as tie-break, reproducing the serial stable sort. Float
 //! SUM/AVG accumulate in an exact superaccumulator ([`crate::fsum`]), so
@@ -54,6 +57,7 @@ use crate::expr::{BoundExpr, Env};
 use crate::faults;
 use crate::fsum::ExactSum;
 use crate::governor::Governor;
+use crate::groupkey::{AggInput, KeyCols, Partition};
 use crate::kernels;
 use crate::plan::{AggFunc, AggSpec, JoinType, Plan};
 use crate::schema::Schema;
@@ -683,17 +687,21 @@ fn exec_node(
         } => {
             faults::trip("project")?;
             let child = execute_ctx(input, outer, child_stats(stats, 0), ctx)?;
-            // Kernel path: a projection that is a pure column pick reorders
-            // chunk pointers — no per-row expression evaluation, no copy.
+            // Kernel path: a compiled projection shares the chunks of plain
+            // column picks (no copy) and computes the rest column at a
+            // time. A value-level error surfaces as `None`: the attempt is
+            // dropped and the row loop below replays it.
             if ctx.columnar {
-                if let (Batch::Col { cols, .. }, Some(idxs)) =
-                    (&child, kernels::column_indices(exprs))
-                {
-                    ticks(gov, cols.len() as u64, "project")?;
-                    return Ok(Batch::Col {
-                        cols: Arc::new(cols.select_columns(&idxs)),
-                        schema: schema.clone(),
-                    });
+                if let Batch::Col { cols, .. } = &child {
+                    if let Some(projection) = kernels::compile_projection(exprs, cols) {
+                        ticks(gov, cols.len() as u64, "project")?;
+                        if let Some(chunks) = projection.eval(cols) {
+                            return Ok(Batch::Col {
+                                cols: Arc::new(ColBatch::from_chunks(cols.len(), chunks)),
+                                schema: schema.clone(),
+                            });
+                        }
+                    }
                 }
             }
             let rows = child.rows();
@@ -788,7 +796,7 @@ fn exec_node(
         } => {
             faults::trip("aggregate.group")?;
             let child = execute_ctx(input, outer, child_stats(stats, 0), ctx)?;
-            Ok(Batch::Owned(exec_aggregate(
+            exec_aggregate(
                 child,
                 group_exprs,
                 aggs,
@@ -796,13 +804,34 @@ fn exec_node(
                 outer,
                 stats.as_deref_mut(),
                 ctx,
-            )?))
+            )
         }
         Plan::Distinct { input } => {
             faults::trip("distinct")?;
             let child = execute_ctx(input, outer, child_stats(stats, 0), ctx)?;
             let workers = par_workers(child.len(), ctx.threads);
             note_threads(stats, workers);
+            // Kernel path: every column is a key column; the output is the
+            // first row of each group, gathered (or the input itself when
+            // nothing repeats).
+            if ctx.columnar {
+                if let Batch::Col { cols, schema } = &child {
+                    let all: Vec<usize> = (0..cols.width()).collect();
+                    if let Some(g) = group_kernel(cols, &all, &[], workers, gov, "distinct")? {
+                        if let Some(s) = stats.as_deref_mut() {
+                            s.build_rows += cols.len() as u64;
+                            s.est_mem_bytes += g.mem_bytes;
+                        }
+                        if g.first_rows.len() == cols.len() {
+                            return Ok(child);
+                        }
+                        return Ok(Batch::Col {
+                            cols: Arc::new(cols.gather(&g.first_rows)),
+                            schema: schema.clone(),
+                        });
+                    }
+                }
+            }
             let (out, set_bytes) = exec_distinct(&child, workers, gov)?;
             if let Some(s) = stats.as_deref_mut() {
                 s.build_rows += child.len() as u64;
@@ -817,11 +846,23 @@ fn exec_node(
             faults::trip("union")?;
             let l = execute_ctx(left, outer, child_stats(stats, 0), ctx)?;
             let r = execute_ctx(right, outer, child_stats(stats, 1), ctx)?;
-            let mut rows = l.into_rows();
-            match r {
-                Batch::Owned(o) => rows.rows.extend(o.rows),
-                Batch::Col { cols, .. } => rows.rows.extend(cols.rows().iter().cloned()),
+            // Kernel path: with a columnar side, concatenate chunks (a
+            // row-shaped other side is pivoted into columns first); an
+            // empty side passes the other one through untouched.
+            if ctx.columnar && (l.cols().is_some() || r.cols().is_some()) {
+                let schema = l.schema().clone();
+                let cols = if r.is_empty() {
+                    l.into_schema_cols().1
+                } else if l.is_empty() {
+                    r.into_schema_cols().1
+                } else {
+                    let (l, r) = (l.into_schema_cols().1, r.into_schema_cols().1);
+                    Arc::new(l.concat(&r))
+                };
+                return Ok(Batch::Col { cols, schema });
             }
+            let mut rows = l.into_rows();
+            rows.rows.extend(r.into_rows().rows);
             Ok(Batch::Owned(rows))
         }
         Plan::Sort { input, keys } => {
@@ -865,28 +906,38 @@ fn concat_rows(chunks: Vec<Vec<Row>>) -> Vec<Row> {
     out
 }
 
-/// DISTINCT: serial for one worker; otherwise workers pre-deduplicate the
-/// morsels they claim against a per-worker set (each worker's morsels are
-/// claimed in increasing order, so a worker always keeps its earliest
-/// occurrence), and a sequential pass over the surviving rows in global
-/// row order picks the true first occurrence of each key — the same row,
-/// with the same payload, the serial path keeps. Returns the output rows
-/// and the estimated footprint of the dedup sets.
+/// DISTINCT on the row path: serial for one worker; otherwise workers
+/// pre-deduplicate the morsels they claim against a per-worker set (each
+/// worker's morsels are claimed in increasing order, so a worker always
+/// keeps its earliest occurrence), and a sequential pass over the
+/// surviving rows in global row order picks the true first occurrence of
+/// each key — the same row, with the same payload, the serial path keeps.
+/// Returns the output rows and the bytes charged for the dedup sets and
+/// the rows kept: table slots as the sets grow, and per kept key its
+/// `width` heap cells plus the output row cloned beside it.
 fn exec_distinct(child: &Batch, workers: usize, gov: Option<&Governor>) -> Result<(Vec<Row>, u64)> {
     let rows = child.rows();
+    let width = child.schema().len();
+    let key_heap = (width * mem::size_of::<KeyValue>()) as u64;
+    let row_bytes = (mem::size_of::<Row>() + width * mem::size_of::<Value>()) as u64;
+    let slot_bytes = mem::size_of::<Key>() as u64;
+    let reserve = |bytes: u64| match gov {
+        Some(g) => g.reserve_mem(bytes, "distinct"),
+        None => Ok(()),
+    };
     if workers == 1 {
         let mut seen: HashSet<Key> = HashSet::with_capacity(rows.len());
-        if let Some(g) = gov {
-            g.reserve_mem((seen.capacity() * mem::size_of::<Key>()) as u64, "distinct")?;
-        }
+        reserve(seen.capacity() as u64 * slot_bytes)?;
         let mut out = Vec::new();
         for row in rows {
             tick(gov, "distinct")?;
             if seen.insert(Key::from_values(row)) {
+                reserve(key_heap + row_bytes)?;
                 out.push(row.clone());
             }
         }
-        return Ok((out, (seen.capacity() * mem::size_of::<Key>()) as u64));
+        let bytes = seen.capacity() as u64 * slot_bytes + out.len() as u64 * (key_heap + row_bytes);
+        return Ok((out, bytes));
     }
 
     struct DistinctPartial {
@@ -908,16 +959,12 @@ fn exec_distinct(child: &Batch, workers: usize, gov: Option<&Governor>) -> Resul
                 tick(gov, "distinct")?;
                 let key = Key::from_values(&rows[idx]);
                 if acc.seen.insert(key.clone()) {
+                    // One copy of the key in the set, one with the survivor.
+                    reserve(2 * key_heap)?;
                     acc.survivors.push((idx, key));
                 }
                 if acc.seen.capacity() > acc.reserved_cap {
-                    if let Some(g) = gov {
-                        g.reserve_mem(
-                            ((acc.seen.capacity() - acc.reserved_cap) * mem::size_of::<Key>())
-                                as u64,
-                            "distinct",
-                        )?;
-                    }
+                    reserve((acc.seen.capacity() - acc.reserved_cap) as u64 * slot_bytes)?;
                     acc.reserved_cap = acc.seen.capacity();
                 }
             }
@@ -925,9 +972,9 @@ fn exec_distinct(child: &Batch, workers: usize, gov: Option<&Governor>) -> Resul
         },
     )?;
 
-    let set_bytes: u64 = partials
+    let mut bytes: u64 = partials
         .iter()
-        .map(|p| (p.seen.capacity() * mem::size_of::<Key>()) as u64)
+        .map(|p| p.seen.capacity() as u64 * slot_bytes + p.survivors.len() as u64 * 2 * key_heap)
         .sum();
     let mut survivors: Vec<(usize, Key)> = partials.into_iter().flat_map(|p| p.survivors).collect();
     survivors.sort_unstable_by_key(|(idx, _)| *idx);
@@ -935,10 +982,12 @@ fn exec_distinct(child: &Batch, workers: usize, gov: Option<&Governor>) -> Resul
     let mut out = Vec::new();
     for (idx, key) in survivors {
         if global.insert(key) {
+            reserve(row_bytes)?;
             out.push(rows[idx].clone());
         }
     }
-    Ok((out, set_bytes))
+    bytes += out.len() as u64 * row_bytes;
+    Ok((out, bytes))
 }
 
 /// Reborrow the stats node for child `i` of the current operator, keeping
@@ -1643,7 +1692,7 @@ fn exec_nested_loop_join(
 /// Float sums use [`ExactSum`], so SUM/AVG results depend only on the input
 /// multiset — never on accumulation or merge order.
 #[derive(Debug, Clone)]
-enum Accumulator {
+pub(crate) enum Accumulator {
     Count(i64),
     SumInt { sum: i64, seen: bool },
     SumFloat { sum: Box<ExactSum>, seen: bool },
@@ -1652,7 +1701,7 @@ enum Accumulator {
 }
 
 impl Accumulator {
-    fn new(func: AggFunc) -> Accumulator {
+    pub(crate) fn new(func: AggFunc) -> Accumulator {
         match func {
             AggFunc::Count => Accumulator::Count(0),
             AggFunc::Sum => Accumulator::SumInt {
@@ -1674,7 +1723,7 @@ impl Accumulator {
         }
     }
 
-    fn update(&mut self, value: &Value) -> Result<()> {
+    pub(crate) fn update(&mut self, value: &Value) -> Result<()> {
         if value.is_null() {
             // SQL aggregates skip NULL inputs (COUNT(e) counts non-NULL).
             return Ok(());
@@ -1922,7 +1971,7 @@ impl Accumulator {
         Ok(())
     }
 
-    fn finish(self) -> Value {
+    pub(crate) fn finish(self) -> Value {
         match self {
             Accumulator::Count(n) => Value::Int(n),
             Accumulator::SumInt { sum, seen } => {
@@ -1999,33 +2048,6 @@ impl GroupState {
         }
         Ok(())
     }
-
-    /// Columnar twin of [`GroupState::update`]: aggregate arguments are
-    /// read straight from their column chunks (`argidx[k]` is the chunk
-    /// index for spec `k`, `None` for `COUNT(*)`).
-    fn update_cols(
-        &mut self,
-        aggs: &[AggSpec],
-        argidx: &[Option<usize>],
-        cols: &ColBatch,
-        i: usize,
-    ) -> Result<()> {
-        for (k, _spec) in aggs.iter().enumerate() {
-            match argidx[k] {
-                None => self.accs[k].count_row(),
-                Some(ci) => {
-                    let v = cols.col(ci).value_at(i);
-                    if let Some(seen) = &mut self.distinct_seen[k] {
-                        if v.is_null() || !seen.insert(KeyValue::from(&v)) {
-                            continue;
-                        }
-                    }
-                    self.accs[k].update(&v)?;
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
 fn exec_aggregate(
@@ -2036,98 +2058,69 @@ fn exec_aggregate(
     outer: Option<&Env<'_>>,
     mut stats: Option<&mut NodeStats>,
     ctx: ExecCtx<'_>,
-) -> Result<Rows> {
-    let gov = ctx.gov;
+) -> Result<Batch> {
     let workers = par_workers(input.len(), ctx.threads);
     if let Some(s) = stats.as_deref_mut() {
         s.threads_used = s.threads_used.max(workers as u64);
     }
     // Kernel path: plain-column group keys and aggregate arguments over a
-    // columnar input run without pivoting (typed bulk loops for global
-    // aggregates, chunk reads for grouped ones).
+    // columnar input run without pivoting. `None` means not applicable —
+    // or a value-level error, which replays on the row path so the
+    // reported error is the one the serial row-major scan hits first.
     if ctx.columnar {
-        match exec_aggregate_columnar(
-            &input,
-            group_exprs,
-            aggs,
-            schema,
-            stats.as_deref_mut(),
-            ctx,
-            workers,
-        ) {
-            Ok(Some(rows)) => return Ok(rows),
-            Ok(None) => {}
-            // Value-level errors replay on the row path so the reported
-            // error is the one the serial row-major scan hits first (the
-            // columnar path visits values column-major).
-            Err(EngineError::TypeError(_) | EngineError::Eval(_)) => {}
-            Err(e) => return Err(e),
+        if let Some(cols) = input.cols() {
+            let out = exec_aggregate_columnar(
+                cols,
+                group_exprs,
+                aggs,
+                schema,
+                stats.as_deref_mut(),
+                ctx,
+                workers,
+            )?;
+            if let Some(out) = out {
+                return Ok(out);
+            }
         }
     }
     let rows = input.rows();
-    if workers > 1 {
-        return aggregate_parallel(
-            rows.len(),
-            workers,
-            aggs,
-            group_exprs.is_empty(),
-            schema,
-            gov,
-            stats,
-            |i| project_row(&rows[i], group_exprs, outer, ctx),
-            |pg, i| pg.update(aggs, &rows[i], i, outer, ctx),
-        );
-    }
-    aggregate_serial(
-        rows.len(),
-        aggs,
-        group_exprs.is_empty(),
-        schema,
-        gov,
-        stats,
-        |i| project_row(&rows[i], group_exprs, outer, ctx),
-        |state, i| state.update(aggs, &rows[i], outer, ctx),
-    )
+    let out = if workers > 1 {
+        aggregate_parallel(rows, workers, group_exprs, aggs, schema, outer, stats, ctx)?
+    } else {
+        aggregate_serial(rows, group_exprs, aggs, schema, outer, stats, ctx)?
+    };
+    Ok(Batch::Owned(out))
 }
 
-/// Serial grouped aggregation over `n` input positions. `group_vals_at`
-/// yields the group-key values for a position and `update` folds a
-/// position into its group's state; the two closures are the row/columnar
-/// switch (expression evaluation over pivoted rows vs direct chunk reads).
-/// Group output order is first-seen order, deterministic either way.
-#[allow(clippy::too_many_arguments)]
-fn aggregate_serial<GV, UP>(
-    n: usize,
+/// Serial grouped aggregation on the row path. Group output order is
+/// first-seen order.
+fn aggregate_serial(
+    rows: &[Row],
+    group_exprs: &[BoundExpr],
     aggs: &[AggSpec],
-    group_is_empty: bool,
     schema: &Schema,
-    gov: Option<&Governor>,
+    outer: Option<&Env<'_>>,
     stats: Option<&mut NodeStats>,
-    group_vals_at: GV,
-    mut update: UP,
-) -> Result<Rows>
-where
-    GV: Fn(usize) -> Result<Row>,
-    UP: FnMut(&mut GroupState, usize) -> Result<()>,
-{
+    ctx: ExecCtx<'_>,
+) -> Result<Rows> {
+    let gov = ctx.gov;
     let mut groups: HashMap<Key, (Row, GroupState)> = HashMap::new();
     // Preserve first-seen group order for deterministic output.
     let mut order: Vec<Key> = Vec::new();
-    // Group table footprint: per-group key, group values, accumulators.
-    let per_group = group_footprint(aggs);
+    let per_group = group_footprint(aggs, group_exprs.len());
     // Reserve memory as the group table grows, so a high-cardinality GROUP
     // BY trips the budget while building rather than after.
     let mut reserved_cap = 0usize;
 
-    for i in 0..n {
+    for row in rows {
         tick(gov, "aggregate")?;
-        let group_vals = group_vals_at(i)?;
+        let group_vals = project_row(row, group_exprs, outer, ctx)?;
         let key = Key::from_values(&group_vals);
         match groups.entry(key.clone()) {
-            Entry::Occupied(mut e) => update(&mut e.get_mut().1, i)?,
+            Entry::Occupied(mut e) => e.get_mut().1.update(aggs, row, outer, ctx)?,
             Entry::Vacant(e) => {
                 let mut state = GroupState::new(aggs);
-                update(&mut state, i)?;
+                state.update(aggs, row, outer, ctx)?;
                 e.insert((group_vals, state));
                 order.push(key);
             }
@@ -2144,13 +2137,13 @@ where
     }
 
     if let Some(s) = stats {
-        s.build_rows += n as u64;
+        s.build_rows += rows.len() as u64;
         s.est_mem_bytes += (groups.capacity() * per_group) as u64;
     }
 
     // A global aggregate (no GROUP BY) over zero rows yields one row of
     // "empty" aggregate values.
-    if group_is_empty && groups.is_empty() {
+    if group_exprs.is_empty() && groups.is_empty() {
         return Ok(Rows {
             schema: schema.clone(),
             rows: vec![empty_aggregate_row(aggs)],
@@ -2172,117 +2165,232 @@ where
     })
 }
 
-/// The columnar aggregation dispatch: `Ok(None)` means "not applicable,
-/// run the row path" (row-shaped input, or a group key / aggregate
-/// argument that is not a plain column).
+/// The columnar aggregation dispatch: `Ok(None)` means "run the row path"
+/// (a group key or aggregate argument that is not a plain column, or a
+/// value-level error to replay).
 fn exec_aggregate_columnar(
-    input: &Batch,
+    cols: &ColBatch,
     group_exprs: &[BoundExpr],
     aggs: &[AggSpec],
     schema: &Schema,
     mut stats: Option<&mut NodeStats>,
     ctx: ExecCtx<'_>,
     workers: usize,
-) -> Result<Option<Rows>> {
+) -> Result<Option<Batch>> {
     let gov = ctx.gov;
-    let Some(cols) = input.cols() else {
-        return Ok(None);
-    };
     let Some(gidx) = kernels::column_indices(group_exprs) else {
         return Ok(None);
     };
-    let mut argidx: Vec<Option<usize>> = Vec::with_capacity(aggs.len());
+    let mut inputs: Vec<AggInput> = Vec::with_capacity(aggs.len());
     for spec in aggs {
-        match &spec.arg {
-            None => argidx.push(None),
-            Some(BoundExpr::Column { depth: 0, index }) => argidx.push(Some(*index)),
+        let col = match &spec.arg {
+            None => None,
+            Some(BoundExpr::Column { depth: 0, index }) => Some(*index),
             Some(_) => return Ok(None),
-        }
+        };
+        inputs.push(AggInput {
+            func: spec.func,
+            col,
+            distinct: spec.distinct,
+        });
     }
     let n = cols.len();
 
     // Global aggregates without DISTINCT: one typed bulk pass per argument
     // column ([`Accumulator::update_column`]), morsel-parallel partials
-    // merged exactly like the row path's.
+    // merged exactly like the row path's. Value-level errors replay.
     if gidx.is_empty() && aggs.iter().all(|a| !a.distinct) {
         let run = |accs: &mut Vec<Accumulator>, range: Range<usize>| -> Result<()> {
             ticks(gov, range.len() as u64, "aggregate")?;
-            for (acc, ai) in accs.iter_mut().zip(&argidx) {
-                match ai {
+            for (acc, input) in accs.iter_mut().zip(&inputs) {
+                match input.col {
                     None => acc.count_rows(range.len() as i64),
-                    Some(ci) => acc.update_column(cols.col(*ci), range.clone())?,
+                    Some(ci) => acc.update_column(cols.col(ci), range.clone())?,
                 }
             }
             Ok(())
         };
-        let mut accs: Vec<Accumulator> = aggs.iter().map(|a| Accumulator::new(a.func)).collect();
-        if workers == 1 {
-            run(&mut accs, 0..n)?;
+        let fresh =
+            || -> Vec<Accumulator> { aggs.iter().map(|a| Accumulator::new(a.func)).collect() };
+        let folded = if workers == 1 {
+            let mut accs = fresh();
+            run(&mut accs, 0..n).map(|()| accs)
         } else {
-            let partials = parallel_fold(
-                n,
-                workers,
-                || {
-                    aggs.iter()
-                        .map(|a| Accumulator::new(a.func))
-                        .collect::<Vec<_>>()
-                },
-                |acc, range| run(acc, range),
-            )?;
-            for partial in partials {
-                for (acc, part) in accs.iter_mut().zip(partial) {
-                    acc.merge(part)?;
+            parallel_fold(n, workers, fresh, |acc, range| run(acc, range)).and_then(|partials| {
+                let mut accs = fresh();
+                for partial in partials {
+                    for (acc, part) in accs.iter_mut().zip(partial) {
+                        acc.merge(part)?;
+                    }
                 }
-            }
-        }
+                Ok(accs)
+            })
+        };
+        let accs = match folded {
+            Ok(accs) => accs,
+            Err(EngineError::TypeError(_) | EngineError::Eval(_)) => return Ok(None),
+            Err(e) => return Err(e),
+        };
         if let Some(s) = stats.as_deref_mut() {
             s.build_rows += n as u64;
         }
         let row: Row = accs.into_iter().map(Accumulator::finish).collect();
         // Over zero rows the fresh accumulators finish to exactly the
         // "empty" aggregate row the row path emits.
-        return Ok(Some(Rows {
+        return Ok(Some(Batch::Owned(Rows {
             schema: schema.clone(),
             rows: vec![row],
+        })));
+    }
+
+    // Grouped (or DISTINCT) aggregation: the group-key kernel. Key columns
+    // come out as a gather of each group's first row, aggregate columns
+    // typed from the kernel's state vectors — the result stays columnar.
+    let Some(g) = group_kernel(cols, &gidx, &inputs, workers, gov, "aggregate")? else {
+        return Ok(None);
+    };
+    if let Some(s) = stats {
+        s.build_rows += n as u64;
+        s.est_mem_bytes += g.mem_bytes;
+    }
+    let mut chunks: Vec<Arc<ColumnChunk>> = gidx
+        .iter()
+        .map(|&c| Arc::new(cols.col(c).gather(&g.first_rows)))
+        .collect();
+    chunks.extend(g.agg_cols.into_iter().map(Arc::new));
+    Ok(Some(Batch::Col {
+        cols: Arc::new(ColBatch::from_chunks(g.groups, chunks)),
+        schema: schema.clone(),
+    }))
+}
+
+/// What [`group_kernel`] hands back: per group, in first-seen order, the
+/// row its key values live at and one value per aggregate.
+struct Grouped {
+    /// First input row of each group, ascending. Empty for a global
+    /// aggregate (no key columns), which is one group all the same.
+    first_rows: Vec<u32>,
+    groups: usize,
+    agg_cols: Vec<ColumnChunk>,
+    /// Bytes of table and state charged to the governor.
+    mem_bytes: u64,
+}
+
+/// Drive the typed group-key kernel ([`crate::groupkey`]) over `cols`:
+/// group on `key_idx`, fold `aggs`. Serially one [`Partition`] sees every
+/// row, a morsel at a time. With `workers > 1` the key hashes are computed
+/// morsel-parallel, then worker `p` folds — in row order — exactly the
+/// rows whose hash routes to partition `p`; partitions never share a
+/// group, so there is nothing to merge, only to order by first row.
+/// `Ok(None)` is a value-level error: replay on the row path.
+fn group_kernel(
+    cols: &ColBatch,
+    key_idx: &[usize],
+    aggs: &[AggInput],
+    workers: usize,
+    gov: Option<&Governor>,
+    op: &'static str,
+) -> Result<Option<Grouped>> {
+    let n = cols.len();
+    if u32::try_from(n).is_err() || (key_idx.is_empty() && aggs.is_empty()) {
+        return Ok(None);
+    }
+    let keys = KeyCols::new(cols, key_idx);
+    // One partition's whole fold. `hashes` are precomputed for all rows in
+    // a parallel run and computed per morsel in a serial one.
+    let fold = |part: Option<(usize, usize)>, hashes: Option<&[u64]>| {
+        let mut partition = Partition::new(&keys, cols, aggs);
+        let mut scratch = Vec::new();
+        let mut charged = 0u64;
+        for lo in (0..n).step_by(MORSEL_ROWS) {
+            let block = lo..n.min(lo + MORSEL_ROWS);
+            let block_hashes = match hashes {
+                Some(all) => &all[block.clone()],
+                None => {
+                    if !keys.is_empty() {
+                        keys.hash_range(block.clone(), &mut scratch);
+                    }
+                    &scratch[..]
+                }
+            };
+            let Some(folded) = partition.consume(block, block_hashes, part) else {
+                return Ok(None);
+            };
+            ticks(gov, folded as u64, op)?;
+            // Charge table and state as they grow, so a high-cardinality
+            // key trips the budget while building rather than after.
+            if let Some(g) = gov {
+                let now = partition.bytes();
+                g.reserve_mem(now - charged, op)?;
+                charged = now;
+            }
+        }
+        Ok(Some((partition.bytes(), partition.finish())))
+    };
+
+    if workers == 1 || keys.is_empty() {
+        let Some((mem_bytes, out)) = fold(None, None)? else {
+            return Ok(None);
+        };
+        return Ok(Some(Grouped {
+            groups: if keys.is_empty() {
+                1
+            } else {
+                out.first_rows.len()
+            },
+            first_rows: out.first_rows,
+            agg_cols: out.agg_cols,
+            mem_bytes,
         }));
     }
 
-    // Grouped (or DISTINCT) aggregation: group keys read from the key
-    // chunks, arguments from theirs — the same first-seen-order machinery
-    // as the row path, minus the pivot.
-    let group_vals_at =
-        |i: usize| -> Result<Row> { Ok(gidx.iter().map(|&c| cols.col(c).value_at(i)).collect()) };
-    let out = if workers > 1 {
-        aggregate_parallel(
-            n,
-            workers,
-            aggs,
-            group_exprs.is_empty(),
-            schema,
-            gov,
-            stats,
-            group_vals_at,
-            |pg, i| pg.update_cols(aggs, &argidx, cols, i),
-        )?
-    } else {
-        aggregate_serial(
-            n,
-            aggs,
-            group_exprs.is_empty(),
-            schema,
-            gov,
-            stats,
-            group_vals_at,
-            |state, i| state.update_cols(aggs, &argidx, cols, i),
-        )?
+    let hashes: Vec<u64> = parallel_morsels(n, workers, |_, range| {
+        ticks(gov, range.len() as u64, op)?;
+        let mut out = Vec::new();
+        keys.hash_range(range, &mut out);
+        Ok(out)
+    })?
+    .concat();
+    let parts = parallel_tasks((0..workers).collect(), |_, p| {
+        fold(Some((p, workers)), Some(&hashes))
+    })?;
+    let Some(parts) = parts.into_iter().collect::<Option<Vec<_>>>() else {
+        return Ok(None);
     };
-    Ok(Some(out))
+    // Order the partitions' groups by first row: `order[k]` is the k-th
+    // group's (first row, index into the partitions laid end to end).
+    let mut order: Vec<(u32, u32)> = Vec::new();
+    for (_, part) in &parts {
+        let base = order.len() as u32;
+        order.extend(
+            part.first_rows
+                .iter()
+                .zip(base..)
+                .map(|(&row, at)| (row, at)),
+        );
+    }
+    order.sort_unstable();
+    let perm: Vec<u32> = order.iter().map(|&(_, at)| at).collect();
+    let agg_cols = (0..aggs.len())
+        .map(|a| {
+            let per_part: Vec<&ColumnChunk> = parts.iter().map(|(_, p)| &p.agg_cols[a]).collect();
+            ColumnChunk::concat(&per_part).gather(&perm)
+        })
+        .collect();
+    Ok(Some(Grouped {
+        groups: order.len(),
+        first_rows: order.iter().map(|&(row, _)| row).collect(),
+        agg_cols,
+        mem_bytes: parts.iter().map(|(bytes, _)| bytes).sum(),
+    }))
 }
 
-/// Group table footprint: per-group key, group values, accumulators.
-fn group_footprint(aggs: &[AggSpec]) -> usize {
+/// Row-path group table footprint: per-group key and group values (each
+/// with its `group_cols` heap cells), and accumulators.
+fn group_footprint(aggs: &[AggSpec], group_cols: usize) -> usize {
     mem::size_of::<Key>()
         + mem::size_of::<(Row, GroupState)>()
+        + group_cols * (mem::size_of::<KeyValue>() + mem::size_of::<Value>())
         + aggs.len() * mem::size_of::<Accumulator>()
 }
 
@@ -2358,33 +2466,6 @@ impl PartialGroup {
         Ok(())
     }
 
-    /// Columnar twin of [`PartialGroup::update`]: arguments come from
-    /// their column chunks instead of a pivoted row.
-    fn update_cols(
-        &mut self,
-        aggs: &[AggSpec],
-        argidx: &[Option<usize>],
-        cols: &ColBatch,
-        row_idx: usize,
-    ) -> Result<()> {
-        for (k, _spec) in aggs.iter().enumerate() {
-            match argidx[k] {
-                None => self.accs[k].count_row(),
-                Some(ci) => {
-                    let v = cols.col(ci).value_at(row_idx);
-                    if let Some(seen) = &mut self.distinct[k] {
-                        if !v.is_null() {
-                            seen.entry(KeyValue::from(&v)).or_insert((row_idx, v));
-                        }
-                    } else {
-                        self.accs[k].update(&v)?;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Fold `other` (same group, another worker) into `self`.
     fn merge(&mut self, other: PartialGroup) -> Result<()> {
         if other.first_idx < self.first_idx {
@@ -2431,27 +2512,25 @@ fn finish_partial_group(mut pg: PartialGroup) -> Result<Row> {
     Ok(row)
 }
 
-/// Morsel-parallel aggregation: each worker folds the morsels it claims
-/// into a private partial group table; the coordinator merges the partial
-/// tables ([`Accumulator::merge`]) and emits groups ordered by global
-/// first-seen row index — the exact group order of the serial path.
+/// Morsel-parallel aggregation on the row path: each worker folds the
+/// morsels it claims into a private partial group table; the coordinator
+/// merges the partial tables ([`Accumulator::merge`]) and emits groups
+/// ordered by global first-seen row index — the exact group order of the
+/// serial path.
 #[allow(clippy::too_many_arguments)]
-fn aggregate_parallel<GV, UP>(
-    n: usize,
+fn aggregate_parallel(
+    rows: &[Row],
     workers: usize,
+    group_exprs: &[BoundExpr],
     aggs: &[AggSpec],
-    group_is_empty: bool,
     schema: &Schema,
-    gov: Option<&Governor>,
+    outer: Option<&Env<'_>>,
     stats: Option<&mut NodeStats>,
-    group_vals_at: GV,
-    update: UP,
-) -> Result<Rows>
-where
-    GV: Fn(usize) -> Result<Row> + Sync,
-    UP: Fn(&mut PartialGroup, usize) -> Result<()> + Sync,
-{
-    let per_group = group_footprint(aggs);
+    ctx: ExecCtx<'_>,
+) -> Result<Rows> {
+    let gov = ctx.gov;
+    let n = rows.len();
+    let per_group = group_footprint(aggs, group_exprs.len());
 
     struct WorkerTable {
         groups: HashMap<Key, PartialGroup>,
@@ -2467,15 +2546,16 @@ where
         |acc, range| {
             for idx in range {
                 tick(gov, "aggregate")?;
-                let group_vals = group_vals_at(idx)?;
+                let row = &rows[idx];
+                let group_vals = project_row(row, group_exprs, outer, ctx)?;
                 let key = Key::from_values(&group_vals);
                 match acc.groups.entry(key) {
                     Entry::Occupied(mut e) => {
-                        update(e.get_mut(), idx)?;
+                        e.get_mut().update(aggs, row, idx, outer, ctx)?;
                     }
                     Entry::Vacant(e) => {
                         let pg = e.insert(PartialGroup::new(idx, group_vals, aggs));
-                        update(pg, idx)?;
+                        pg.update(aggs, row, idx, outer, ctx)?;
                     }
                 }
                 if acc.groups.capacity() > acc.reserved_cap {
@@ -2515,7 +2595,7 @@ where
         }
     }
 
-    if group_is_empty && merged.is_empty() {
+    if group_exprs.is_empty() && merged.is_empty() {
         return Ok(Rows {
             schema: schema.clone(),
             rows: vec![empty_aggregate_row(aggs)],

@@ -1,0 +1,935 @@
+//! The typed group-key kernel: GROUP BY and DISTINCT straight off the key
+//! *columns* of a [`ColBatch`].
+//!
+//! Keys are hashed with one typed loop per key column ([`KeyCols::hash_range`]),
+//! dense `u32` group ids come from an open-addressing table whose candidates
+//! are compared against the key columns at the group's first row
+//! ([`GroupTable`]), and aggregate state is one typed vector per aggregate,
+//! indexed by group id ([`Partition`]). No `Value`, `Key` or row is built
+//! per input row on the typed paths.
+//!
+//! # Invariants
+//!
+//! Each is pinned by a test here or in `tests/group_kernel.rs`.
+//!
+//! 1. **Key equality is exactly [`KeyValue`]'s.** `Int(2)` and `Float(2.0)`
+//!    are one key (they can only meet in an `Any` column), `-0.0` and `0.0`
+//!    are one key, NaNs group by bit pattern, NULL groups with NULL, and
+//!    values of different types never match. Text is compared — and hashed —
+//!    by string, never by dictionary code alone, so rows that came from
+//!    chunks with different [`TextDict`](crate::col::TextDict)s (the two
+//!    sides of a `UNION ALL`) land in one group.
+//! 2. **Output is in first-seen order and bit-identical to the row path**
+//!    (`ExecOptions::with_columnar(false)`) at every thread count: a
+//!    group's key values are those of its first row, MIN/MAX keep the
+//!    first of equal candidates, DISTINCT aggregates fold the first
+//!    occurrence of each value, float SUM/AVG go through [`ExactSum`].
+//! 3. **Parallel runs partition by hash.** Every worker owns the groups
+//!    whose hash routes to it and folds their rows in row order, so no
+//!    partial state is ever merged; the caller orders the partitions'
+//!    groups by first row id.
+//! 4. **Value-level errors discard and replay.** Integer overflow in SUM,
+//!    a NaN reaching MIN/MAX, SUM over text: [`Partition::consume`]
+//!    returns `None`, the caller drops all kernel state and re-runs the
+//!    operator on the row path, which reports the error the row-major scan
+//!    hits first (or, for an order-dependent overflow, its own verdict).
+
+use std::collections::hash_map::RandomState;
+use std::collections::HashSet;
+use std::hash::BuildHasher;
+use std::mem::size_of;
+use std::ops::Range;
+
+use crate::col::{Bitmap, ColBatch, ColumnChunk, ColumnData};
+use crate::exec::Accumulator;
+use crate::fsum::ExactSum;
+use crate::plan::AggFunc;
+use crate::value::{float_key, KeyValue, Value};
+
+/// Hash payload standing in for NULL (any constant works: equality, not
+/// the hash, separates NULL from a value that happens to collide).
+const NULL_PAYLOAD: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// One folded-multiply mixing step (the `ahash` fallback round): fast,
+/// and with `k` drawn per query from [`RandomState`] not steerable by
+/// whoever chose the data.
+#[inline]
+fn mix(h: u64, x: u64, k: u64) -> u64 {
+    let m = u128::from(h ^ x).wrapping_mul(u128::from(k));
+    (m as u64) ^ ((m >> 64) as u64)
+}
+
+fn hash_str(s: &str, k: u64) -> u64 {
+    let mut h = s.len() as u64;
+    for part in s.as_bytes().chunks(8) {
+        let mut word = [0u8; 8];
+        word[..part.len()].copy_from_slice(part);
+        h = mix(h, u64::from_le_bytes(word), k);
+    }
+    h
+}
+
+#[inline]
+fn float_payload(f: f64) -> u64 {
+    match float_key(f) {
+        Ok(i) => i as u64,
+        Err(bits) => bits,
+    }
+}
+
+/// A borrowed [`KeyValue`]: what an `Any` cell is compared and hashed as.
+#[derive(PartialEq)]
+enum Canon<'a> {
+    Null,
+    Bool(bool),
+    Int(i64),
+    FloatBits(u64),
+    Str(&'a str),
+    Date(i32),
+}
+
+fn canon(v: &Value) -> Canon<'_> {
+    match v {
+        Value::Null => Canon::Null,
+        Value::Bool(b) => Canon::Bool(*b),
+        Value::Int(i) => Canon::Int(*i),
+        Value::Float(f) => match float_key(*f) {
+            Ok(i) => Canon::Int(i),
+            Err(bits) => Canon::FloatBits(bits),
+        },
+        Value::Str(s) => Canon::Str(s),
+        Value::Date(d) => Canon::Date(*d),
+    }
+}
+
+struct KeyCol<'a> {
+    chunk: &'a ColumnChunk,
+    /// Text columns whose dictionary is no larger than the batch: the
+    /// string hash of every dictionary entry, computed once. (A small
+    /// batch over a huge shared dictionary hashes per row instead.)
+    code_hashes: Option<Vec<u64>>,
+}
+
+/// The key columns of one batch, ready to hash and compare.
+pub struct KeyCols<'a> {
+    cols: Vec<KeyCol<'a>>,
+    k0: u64,
+    k1: u64,
+}
+
+impl<'a> KeyCols<'a> {
+    pub fn new(batch: &'a ColBatch, key_idx: &[usize]) -> KeyCols<'a> {
+        let seed = RandomState::new();
+        let (k0, k1) = (seed.hash_one(0u8), seed.hash_one(1u8) | 1);
+        let cols = key_idx
+            .iter()
+            .map(|&c| {
+                let chunk = batch.col(c);
+                let code_hashes = match &chunk.data {
+                    ColumnData::Text { dict, .. } if dict.len() <= batch.len() => {
+                        Some(dict.strings().iter().map(|s| hash_str(s, k1)).collect())
+                    }
+                    _ => None,
+                };
+                KeyCol { chunk, code_hashes }
+            })
+            .collect();
+        KeyCols { cols, k0, k1 }
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.cols.is_empty()
+    }
+
+    /// Key hashes of the rows in `range` into `out` (cleared first), one
+    /// typed pass per key column.
+    pub fn hash_range(&self, range: Range<usize>, out: &mut Vec<u64>) {
+        out.clear();
+        out.resize(range.len(), self.k0);
+        let k = self.k1;
+        for col in &self.cols {
+            let chunk = col.chunk;
+            // One loop shape for every layout: `$payload` maps a row index
+            // to the hashed word; the validity test is hoisted out for
+            // all-valid chunks.
+            macro_rules! fold {
+                (|$i:ident| $payload:expr) => {
+                    match &chunk.validity {
+                        None => {
+                            for (h, $i) in out.iter_mut().zip(range.clone()) {
+                                *h = mix(*h, $payload, k);
+                            }
+                        }
+                        Some(bm) => {
+                            for (h, $i) in out.iter_mut().zip(range.clone()) {
+                                let x = if bm.get($i) { $payload } else { NULL_PAYLOAD };
+                                *h = mix(*h, x, k);
+                            }
+                        }
+                    }
+                };
+            }
+            match &chunk.data {
+                ColumnData::Int(xs) => fold!(|i| xs[i] as u64),
+                ColumnData::Float(xs) => fold!(|i| float_payload(xs[i])),
+                ColumnData::Date(xs) => fold!(|i| xs[i] as u64),
+                ColumnData::Bool(xs) => fold!(|i| u64::from(xs[i])),
+                ColumnData::Text { codes, dict } => match &col.code_hashes {
+                    Some(hashes) => fold!(|i| hashes[codes[i] as usize]),
+                    None => fold!(|i| hash_str(dict.get(codes[i]), k)),
+                },
+                ColumnData::Any(vs) => fold!(|i| match canon(&vs[i]) {
+                    Canon::Null => NULL_PAYLOAD,
+                    Canon::Bool(b) => u64::from(b),
+                    Canon::Int(v) => v as u64,
+                    Canon::FloatBits(bits) => bits,
+                    Canon::Str(s) => hash_str(s, k),
+                    Canon::Date(d) => d as u64,
+                }),
+            }
+        }
+    }
+
+    /// Do rows `a` and `b` carry the same key (invariant 1)?
+    #[inline]
+    fn rows_equal(&self, a: usize, b: usize) -> bool {
+        self.cols.iter().all(|col| {
+            let chunk = col.chunk;
+            if let Some(bm) = &chunk.validity {
+                let (va, vb) = (bm.get(a), bm.get(b));
+                if !va || !vb {
+                    return va == vb;
+                }
+            }
+            match &chunk.data {
+                ColumnData::Int(xs) => xs[a] == xs[b],
+                // Equal as numbers (so `-0.0` meets `0.0`) or bit for bit
+                // (so a NaN meets itself): exactly `float_key` equality.
+                ColumnData::Float(xs) => xs[a] == xs[b] || xs[a].to_bits() == xs[b].to_bits(),
+                ColumnData::Date(xs) => xs[a] == xs[b],
+                ColumnData::Bool(xs) => xs[a] == xs[b],
+                ColumnData::Text { codes, dict } => {
+                    codes[a] == codes[b] || dict.get(codes[a]) == dict.get(codes[b])
+                }
+                ColumnData::Any(vs) => canon(&vs[a]) == canon(&vs[b]),
+            }
+        })
+    }
+}
+
+/// Which of `of` partitions owns hash `h`. Uses the high half of the hash;
+/// [`GroupTable`] indexes slots with the low bits.
+#[inline]
+fn route(h: u64, of: usize) -> usize {
+    (((h >> 32) * of as u64) >> 32) as usize
+}
+
+/// Open-addressing (linear probing, load ≤ ½) map from key to dense group
+/// id. A slot holds `group id + 1`; the key itself stays in the batch, at
+/// the group's first row.
+struct GroupTable {
+    slots: Vec<u32>,
+    /// First row of each group, ascending (rows arrive in order).
+    first_rows: Vec<u32>,
+    /// Hash of each group's key: rejects most non-matching candidates
+    /// without touching the key columns, and lets the table grow without
+    /// re-hashing.
+    hashes: Vec<u64>,
+}
+
+/// Bytes one group costs in [`GroupTable`]: first row, hash, two slots.
+const TABLE_BYTES_PER_GROUP: usize = 4 + 8 + 2 * 4;
+
+impl GroupTable {
+    fn new() -> GroupTable {
+        GroupTable {
+            slots: vec![0; 64],
+            first_rows: Vec::new(),
+            hashes: Vec::new(),
+        }
+    }
+
+    #[inline]
+    fn group_of(&mut self, keys: &KeyCols<'_>, row: u32, h: u64) -> u32 {
+        let mask = self.slots.len() - 1;
+        let mut slot = h as usize & mask;
+        loop {
+            let s = self.slots[slot];
+            if s == 0 {
+                break;
+            }
+            let g = (s - 1) as usize;
+            if self.hashes[g] == h && keys.rows_equal(self.first_rows[g] as usize, row as usize) {
+                return g as u32;
+            }
+            slot = (slot + 1) & mask;
+        }
+        let g = self.first_rows.len() as u32;
+        self.first_rows.push(row);
+        self.hashes.push(h);
+        self.slots[slot] = g + 1;
+        if self.first_rows.len() * 2 > self.slots.len() {
+            self.grow();
+        }
+        g
+    }
+
+    fn grow(&mut self) {
+        let mask = self.slots.len() * 2 - 1;
+        let mut slots = vec![0u32; mask + 1];
+        for (g, &h) in self.hashes.iter().enumerate() {
+            let mut slot = h as usize & mask;
+            while slots[slot] != 0 {
+                slot = (slot + 1) & mask;
+            }
+            slots[slot] = g as u32 + 1;
+        }
+        self.slots = slots;
+    }
+}
+
+/// One aggregate the kernel computes: `col` is the argument's column in
+/// the batch (`None` for `COUNT(*)`).
+#[derive(Debug, Clone, Copy)]
+pub struct AggInput {
+    pub func: AggFunc,
+    pub col: Option<usize>,
+    pub distinct: bool,
+}
+
+/// MIN or MAX over a typed column: the running best per group.
+struct MinMax<'a, T> {
+    vals: &'a [T],
+    validity: Option<&'a Bitmap>,
+    is_min: bool,
+    best: Vec<T>,
+    seen: Vec<bool>,
+}
+
+impl<T: Copy + PartialOrd + Default> MinMax<'_, T> {
+    fn update(&mut self, rows: &[u32], gids: &[u32]) -> Option<()> {
+        for (&i, &g) in rows.iter().zip(gids) {
+            let (i, g) = (i as usize, g as usize);
+            if self.validity.is_some_and(|bm| !bm.get(i)) {
+                continue;
+            }
+            let v = self.vals[i];
+            if !self.seen[g] {
+                self.seen[g] = true;
+                self.best[g] = v;
+                continue;
+            }
+            // `None` is a NaN on either side: the row path's error.
+            let ord = v.partial_cmp(&self.best[g])?;
+            if if self.is_min {
+                ord.is_lt()
+            } else {
+                ord.is_gt()
+            } {
+                self.best[g] = v;
+            }
+        }
+        Some(())
+    }
+
+    fn finish(self, wrap: fn(Vec<T>) -> ColumnData) -> ColumnChunk {
+        ColumnChunk {
+            data: wrap(self.best),
+            validity: Bitmap::from_flags(&self.seen),
+        }
+    }
+}
+
+enum NumSrc<'a> {
+    Int(&'a [i64]),
+    Float(&'a [f64]),
+}
+
+/// Per-aggregate state, indexed by group id.
+enum AggState<'a> {
+    /// `COUNT(*)` (`col` absent) or `COUNT(col)`.
+    Count {
+        col: Option<&'a ColumnChunk>,
+        counts: Vec<i64>,
+    },
+    /// `SUM` over an integer column.
+    SumInt {
+        vals: &'a [i64],
+        validity: Option<&'a Bitmap>,
+        sums: Vec<i64>,
+        seen: Vec<bool>,
+    },
+    /// `SUM` over a float column, `AVG` over either: an exact sum boxed
+    /// when the group meets its first non-NULL value.
+    Exact {
+        src: NumSrc<'a>,
+        validity: Option<&'a Bitmap>,
+        avg: bool,
+        sums: Vec<Option<Box<ExactSum>>>,
+        counts: Vec<i64>,
+        boxed: usize,
+    },
+    MinMaxInt(MinMax<'a, i64>),
+    MinMaxFloat(MinMax<'a, f64>),
+    MinMaxDate(MinMax<'a, i32>),
+    /// Everything else — `Any` and text arguments, DISTINCT aggregates,
+    /// type errors waiting to happen: the row path's own accumulator per
+    /// group, fed values read from the chunk.
+    Generic {
+        col: &'a ColumnChunk,
+        func: AggFunc,
+        accs: Vec<Accumulator>,
+        distinct: Option<Vec<HashSet<KeyValue>>>,
+        distinct_values: usize,
+    },
+}
+
+impl<'a> AggState<'a> {
+    fn new(spec: AggInput, batch: &'a ColBatch) -> AggState<'a> {
+        let Some(c) = spec.col else {
+            return AggState::Count {
+                col: None,
+                counts: Vec::new(),
+            };
+        };
+        let col = batch.col(c);
+        let validity = col.validity.as_ref();
+        let min_max = |is_min| -> Option<AggState<'a>> {
+            macro_rules! state {
+                ($variant:ident, $vals:expr) => {
+                    AggState::$variant(MinMax {
+                        vals: $vals,
+                        validity,
+                        is_min,
+                        best: Vec::new(),
+                        seen: Vec::new(),
+                    })
+                };
+            }
+            Some(match &col.data {
+                ColumnData::Int(xs) => state!(MinMaxInt, xs),
+                ColumnData::Float(xs) => state!(MinMaxFloat, xs),
+                ColumnData::Date(xs) => state!(MinMaxDate, xs),
+                _ => return None,
+            })
+        };
+        let exact = |src, avg| AggState::Exact {
+            src,
+            validity,
+            avg,
+            sums: Vec::new(),
+            counts: Vec::new(),
+            boxed: 0,
+        };
+        let typed = match (spec.distinct, spec.func, &col.data) {
+            (true, ..) => None,
+            (_, AggFunc::Count, _) => Some(AggState::Count {
+                col: Some(col),
+                counts: Vec::new(),
+            }),
+            (_, AggFunc::Sum, ColumnData::Int(xs)) => Some(AggState::SumInt {
+                vals: xs,
+                validity,
+                sums: Vec::new(),
+                seen: Vec::new(),
+            }),
+            (_, AggFunc::Sum, ColumnData::Float(xs)) => Some(exact(NumSrc::Float(xs), false)),
+            (_, AggFunc::Avg, ColumnData::Int(xs)) => Some(exact(NumSrc::Int(xs), true)),
+            (_, AggFunc::Avg, ColumnData::Float(xs)) => Some(exact(NumSrc::Float(xs), true)),
+            (_, AggFunc::Min, _) => min_max(true),
+            (_, AggFunc::Max, _) => min_max(false),
+            _ => None,
+        };
+        typed.unwrap_or_else(|| AggState::Generic {
+            col,
+            func: spec.func,
+            accs: Vec::new(),
+            distinct: spec.distinct.then(Vec::new),
+            distinct_values: 0,
+        })
+    }
+
+    /// Make room for group ids below `groups`.
+    fn grow(&mut self, groups: usize) {
+        match self {
+            AggState::Count { counts, .. } => counts.resize(groups, 0),
+            AggState::SumInt { sums, seen, .. } => {
+                sums.resize(groups, 0);
+                seen.resize(groups, false);
+            }
+            AggState::Exact { sums, counts, .. } => {
+                sums.resize_with(groups, || None);
+                counts.resize(groups, 0);
+            }
+            AggState::MinMaxInt(m) => {
+                m.best.resize(groups, 0);
+                m.seen.resize(groups, false);
+            }
+            AggState::MinMaxFloat(m) => {
+                m.best.resize(groups, 0.0);
+                m.seen.resize(groups, false);
+            }
+            AggState::MinMaxDate(m) => {
+                m.best.resize(groups, 0);
+                m.seen.resize(groups, false);
+            }
+            AggState::Generic {
+                func,
+                accs,
+                distinct,
+                ..
+            } => {
+                accs.resize_with(groups, || Accumulator::new(*func));
+                if let Some(sets) = distinct {
+                    sets.resize_with(groups, HashSet::new);
+                }
+            }
+        }
+    }
+
+    /// Fold rows `rows[k]` into groups `gids[k]`. `None` is a value-level
+    /// error (invariant 4).
+    fn update(&mut self, rows: &[u32], gids: &[u32]) -> Option<()> {
+        let pairs = || {
+            rows.iter()
+                .zip(gids)
+                .map(|(&i, &g)| (i as usize, g as usize))
+        };
+        match self {
+            AggState::Count { col, counts } => match col {
+                Some(c) if c.validity.is_some() || matches!(c.data, ColumnData::Any(_)) => {
+                    for (i, g) in pairs() {
+                        counts[g] += i64::from(!c.is_null(i));
+                    }
+                }
+                _ => {
+                    for &g in gids {
+                        counts[g as usize] += 1;
+                    }
+                }
+            },
+            AggState::SumInt {
+                vals,
+                validity,
+                sums,
+                seen,
+            } => {
+                for (i, g) in pairs() {
+                    if validity.is_some_and(|bm| !bm.get(i)) {
+                        continue;
+                    }
+                    sums[g] = sums[g].checked_add(vals[i])?;
+                    seen[g] = true;
+                }
+            }
+            AggState::Exact {
+                src,
+                validity,
+                sums,
+                counts,
+                boxed,
+                ..
+            } => {
+                for (i, g) in pairs() {
+                    if validity.is_some_and(|bm| !bm.get(i)) {
+                        continue;
+                    }
+                    let sum = sums[g].get_or_insert_with(|| {
+                        *boxed += 1;
+                        Box::new(ExactSum::new())
+                    });
+                    match src {
+                        NumSrc::Int(xs) => sum.add_i64(xs[i]),
+                        NumSrc::Float(xs) => sum.add(xs[i]),
+                    }
+                    counts[g] += 1;
+                }
+            }
+            AggState::MinMaxInt(m) => m.update(rows, gids)?,
+            AggState::MinMaxFloat(m) => m.update(rows, gids)?,
+            AggState::MinMaxDate(m) => m.update(rows, gids)?,
+            AggState::Generic {
+                col,
+                accs,
+                distinct,
+                distinct_values,
+                ..
+            } => {
+                for (i, g) in pairs() {
+                    let v = col.value_at(i);
+                    if v.is_null() {
+                        continue;
+                    }
+                    if let Some(sets) = distinct {
+                        if !sets[g].insert(KeyValue::from(&v)) {
+                            continue;
+                        }
+                        *distinct_values += 1;
+                    }
+                    accs[g].update(&v).ok()?;
+                }
+            }
+        }
+        Some(())
+    }
+
+    /// The aggregate's output column, one row per group.
+    fn finish(self) -> ColumnChunk {
+        let floats = |vals: Vec<f64>, valid: Vec<bool>| ColumnChunk {
+            data: ColumnData::Float(vals),
+            validity: Bitmap::from_flags(&valid),
+        };
+        match self {
+            AggState::Count { counts, .. } => ColumnChunk {
+                data: ColumnData::Int(counts),
+                validity: None,
+            },
+            AggState::SumInt { sums, seen, .. } => ColumnChunk {
+                data: ColumnData::Int(sums),
+                validity: Bitmap::from_flags(&seen),
+            },
+            AggState::Exact {
+                avg, sums, counts, ..
+            } => {
+                let valid = sums.iter().map(Option::is_some).collect();
+                let vals = sums
+                    .into_iter()
+                    .zip(counts)
+                    .map(|(sum, n)| match sum {
+                        // One exact sum, one rounding, one division.
+                        Some(mut s) if avg => s.to_f64() / n as f64,
+                        Some(mut s) => s.to_f64(),
+                        None => 0.0,
+                    })
+                    .collect();
+                floats(vals, valid)
+            }
+            AggState::MinMaxInt(m) => m.finish(ColumnData::Int),
+            AggState::MinMaxFloat(m) => m.finish(ColumnData::Float),
+            AggState::MinMaxDate(m) => m.finish(ColumnData::Date),
+            AggState::Generic { accs, .. } => {
+                ColumnChunk::from_values(accs.into_iter().map(Accumulator::finish))
+            }
+        }
+    }
+
+    /// Bytes of state one group costs.
+    fn group_bytes(&self) -> usize {
+        match self {
+            AggState::Count { .. } => 8,
+            AggState::SumInt { .. } => 8 + 1,
+            AggState::Exact { .. } => size_of::<Option<Box<ExactSum>>>() + 8,
+            AggState::MinMaxInt(_) | AggState::MinMaxFloat(_) => 8 + 1,
+            AggState::MinMaxDate(_) => 4 + 1,
+            AggState::Generic { distinct, .. } => {
+                size_of::<Accumulator>()
+                    + distinct
+                        .as_ref()
+                        .map_or(0, |_| size_of::<HashSet<KeyValue>>())
+            }
+        }
+    }
+
+    /// Bytes of state allocated per value rather than per group.
+    fn heap_bytes(&self) -> usize {
+        match self {
+            AggState::Exact { boxed, .. } => boxed * size_of::<ExactSum>(),
+            AggState::Generic {
+                distinct_values, ..
+            } => distinct_values * (size_of::<KeyValue>() + 8),
+            _ => 0,
+        }
+    }
+}
+
+/// What one partition hands back: its groups' first rows (ascending) and
+/// one column per aggregate, both in local group-id order.
+pub struct PartOut {
+    pub first_rows: Vec<u32>,
+    pub agg_cols: Vec<ColumnChunk>,
+}
+
+/// The group table and aggregate state of one hash partition (the only
+/// one, in a serial run).
+pub struct Partition<'a> {
+    keys: &'a KeyCols<'a>,
+    table: GroupTable,
+    aggs: Vec<AggState<'a>>,
+    /// Bytes one group costs: table entry, its key values in the output,
+    /// its slice of every state vector.
+    group_bytes: usize,
+    /// Per-block scratch: the rows this partition owns and their groups.
+    rows: Vec<u32>,
+    gids: Vec<u32>,
+}
+
+impl<'a> Partition<'a> {
+    pub fn new(keys: &'a KeyCols<'a>, batch: &'a ColBatch, aggs: &[AggInput]) -> Partition<'a> {
+        let mut aggs: Vec<AggState<'a>> = aggs.iter().map(|&a| AggState::new(a, batch)).collect();
+        if keys.is_empty() {
+            // A global aggregate is one group, present even over no rows.
+            aggs.iter_mut().for_each(|a| a.grow(1));
+        }
+        let group_bytes = TABLE_BYTES_PER_GROUP
+            + keys.cols.iter().map(|c| c.chunk.row_bytes()).sum::<usize>()
+            + aggs.iter().map(AggState::group_bytes).sum::<usize>();
+        Partition {
+            keys,
+            table: GroupTable::new(),
+            aggs,
+            group_bytes,
+            rows: Vec::new(),
+            gids: Vec::new(),
+        }
+    }
+
+    fn groups(&self) -> usize {
+        if self.keys.is_empty() {
+            1
+        } else {
+            self.table.first_rows.len()
+        }
+    }
+
+    /// Fold the rows of `block` — those whose hash routes to partition
+    /// `part.0` of `part.1`, or all of them — into their groups, in row
+    /// order. `hashes[k]` is the key hash of row `block.start + k`
+    /// (unused without key columns). Returns how many rows were folded,
+    /// or `None` on a value-level error (invariant 4).
+    pub fn consume(
+        &mut self,
+        block: Range<usize>,
+        hashes: &[u64],
+        part: Option<(usize, usize)>,
+    ) -> Option<usize> {
+        self.rows.clear();
+        self.gids.clear();
+        if self.keys.is_empty() {
+            self.rows.extend(block.map(|i| i as u32));
+            self.gids.resize(self.rows.len(), 0);
+        } else {
+            for (i, &h) in block.zip(hashes) {
+                if part.is_some_and(|(p, of)| route(h, of) != p) {
+                    continue;
+                }
+                let g = self.table.group_of(self.keys, i as u32, h);
+                self.rows.push(i as u32);
+                self.gids.push(g);
+            }
+            let groups = self.table.first_rows.len();
+            self.aggs.iter_mut().for_each(|a| a.grow(groups));
+        }
+        for agg in &mut self.aggs {
+            agg.update(&self.rows, &self.gids)?;
+        }
+        Some(self.rows.len())
+    }
+
+    /// Bytes held now: what the governor is charged as the partition grows
+    /// and what `EXPLAIN ANALYZE` reports. A function of the data alone,
+    /// so the sum over partitions does not depend on how rows were routed.
+    pub fn bytes(&self) -> u64 {
+        let heap: usize = self.aggs.iter().map(AggState::heap_bytes).sum();
+        (self.groups() * self.group_bytes + heap) as u64
+    }
+
+    pub fn finish(self) -> PartOut {
+        PartOut {
+            first_rows: self.table.first_rows,
+            agg_cols: self.aggs.into_iter().map(AggState::finish).collect(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::schema::{Column, DataType, Schema};
+    use crate::table::Row;
+    use crate::value::Key;
+    use std::collections::HashMap;
+
+    fn batch(tys: &[DataType], rows: Vec<Row>) -> ColBatch {
+        let schema = Schema::new(
+            tys.iter()
+                .enumerate()
+                .map(|(i, &ty)| Column::bare(&format!("c{i}"), ty))
+                .collect(),
+        );
+        ColBatch::from_rows(&schema, rows)
+    }
+
+    /// Group ids of every row of `b` keyed on all its columns, serially.
+    fn group_ids(b: &ColBatch) -> Vec<u32> {
+        let idx: Vec<usize> = (0..b.width()).collect();
+        let keys = KeyCols::new(b, &idx);
+        let mut hashes = Vec::new();
+        keys.hash_range(0..b.len(), &mut hashes);
+        let mut table = GroupTable::new();
+        (0..b.len())
+            .map(|i| table.group_of(&keys, i as u32, hashes[i]))
+            .collect()
+    }
+
+    /// The same through `Key`/`KeyValue`: the definition of invariant 1.
+    fn reference_ids(b: &ColBatch) -> Vec<u32> {
+        let mut seen: HashMap<Key, u32> = HashMap::new();
+        b.rows()
+            .iter()
+            .map(|row| {
+                let next = seen.len() as u32;
+                *seen.entry(Key::from_values(row)).or_insert(next)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn key_equality_is_key_values() {
+        let nan2 = f64::from_bits(f64::NAN.to_bits() ^ 1);
+        let floats = [
+            0.0,
+            -0.0,
+            2.0,
+            2.5,
+            -2.0,
+            f64::NAN,
+            nan2,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            9.3e18,
+            -9.3e18,
+            (1u64 << 53) as f64,
+            f64::MIN_POSITIVE,
+        ];
+        // A typed float column (with a NULL), each value twice.
+        let rows: Vec<Row> = floats
+            .iter()
+            .chain(&floats)
+            .map(|&f| vec![Value::Float(f)])
+            .chain([vec![Value::Null], vec![Value::Null]])
+            .collect();
+        let b = batch(&[DataType::Float], rows);
+        assert!(matches!(b.col(0).data, ColumnData::Float(_)));
+        assert_eq!(group_ids(&b), reference_ids(&b));
+
+        // An `Any` column mixing every type, where Int(2) must meet
+        // Float(2.0) and Int(5), Date(5), Bool(true), Int(1) stay apart.
+        let mixed = vec![
+            Value::Int(2),
+            Value::Float(2.0),
+            Value::Float(-0.0),
+            Value::Int(0),
+            Value::Int(5),
+            Value::Date(5),
+            Value::Bool(true),
+            Value::Int(1),
+            Value::str("5"),
+            Value::Null,
+            Value::Float(f64::NAN),
+            Value::Float(nan2),
+            Value::Null,
+            Value::str("5"),
+            Value::Float(2.5),
+        ];
+        let b = batch(
+            &[DataType::Any],
+            mixed.into_iter().map(|v| vec![v]).collect(),
+        );
+        assert!(matches!(b.col(0).data, ColumnData::Any(_)));
+        let ids = group_ids(&b);
+        assert_eq!(ids, reference_ids(&b));
+        assert_eq!(ids[0], ids[1], "Int(2) and Float(2.0) are one key");
+        assert_eq!(ids[2], ids[3], "-0.0 and Int(0) are one key");
+        assert_ne!(ids[10], ids[11], "NaNs group by bits");
+    }
+
+    #[test]
+    fn text_keys_compare_by_string_across_dictionaries() {
+        // Two chunks, two dictionaries coding the same strings differently.
+        let a = batch(
+            &[DataType::Text],
+            vec![
+                vec![Value::str("x")],
+                vec![Value::str("y")],
+                vec![Value::Null],
+            ],
+        );
+        let b = batch(
+            &[DataType::Text],
+            vec![
+                vec![Value::str("y")],
+                vec![Value::str("z")],
+                vec![Value::str("x")],
+            ],
+        );
+        // Hashes agree across the two dictionaries under one seed.
+        let (ka, mut kb) = (KeyCols::new(&a, &[0]), KeyCols::new(&b, &[0]));
+        (kb.k0, kb.k1) = (ka.k0, ka.k1);
+        kb.cols[0].code_hashes = None; // hash per row under the shared seed
+        let (mut ha, mut hb) = (Vec::new(), Vec::new());
+        ka.hash_range(0..3, &mut ha);
+        kb.hash_range(0..3, &mut hb);
+        assert_eq!(ha[0], hb[2], "'x' hashes alike");
+        assert_eq!(ha[1], hb[0], "'y' hashes alike");
+        // And the concatenation groups by string.
+        let u = a.concat(&b);
+        assert_eq!(group_ids(&u), reference_ids(&u));
+        assert_eq!(group_ids(&u), vec![0, 1, 2, 1, 3, 0]);
+    }
+
+    #[test]
+    fn table_grows_and_keeps_first_seen_ids() {
+        let rows: Vec<Row> = (0..5000)
+            .map(|i| vec![Value::Int(i % 1700), Value::str(format!("s{}", i % 3))])
+            .collect();
+        let b = batch(&[DataType::Integer, DataType::Text], rows);
+        assert_eq!(group_ids(&b), reference_ids(&b));
+    }
+
+    #[test]
+    fn partitions_cover_every_group_once() {
+        let rows: Vec<Row> = (0..3000).map(|i| vec![Value::Int(i % 257)]).collect();
+        let b = batch(&[DataType::Integer], rows);
+        let keys = KeyCols::new(&b, &[0]);
+        let mut hashes = Vec::new();
+        keys.hash_range(0..b.len(), &mut hashes);
+        let aggs = [AggInput {
+            func: AggFunc::Count,
+            col: None,
+            distinct: false,
+        }];
+        let mut total_groups = 0;
+        let mut total_rows = 0;
+        for p in 0..3 {
+            let mut part = Partition::new(&keys, &b, &aggs);
+            total_rows += part.consume(0..b.len(), &hashes, Some((p, 3))).unwrap();
+            let out = part.finish();
+            assert!(out.first_rows.windows(2).all(|w| w[0] < w[1]));
+            total_groups += out.first_rows.len();
+        }
+        assert_eq!((total_groups, total_rows), (257, 3000));
+    }
+
+    #[test]
+    fn value_errors_ask_for_replay() {
+        let b = batch(
+            &[DataType::Integer, DataType::Integer, DataType::Float],
+            vec![
+                vec![Value::Int(1), Value::Int(i64::MAX), Value::Float(1.0)],
+                vec![Value::Int(1), Value::Int(1), Value::Float(f64::NAN)],
+            ],
+        );
+        let keys = KeyCols::new(&b, &[0]);
+        let mut hashes = Vec::new();
+        keys.hash_range(0..2, &mut hashes);
+        for (func, col) in [(AggFunc::Sum, 1), (AggFunc::Min, 2)] {
+            let aggs = [AggInput {
+                func,
+                col: Some(col),
+                distinct: false,
+            }];
+            let mut part = Partition::new(&keys, &b, &aggs);
+            assert!(part.consume(0..2, &hashes, None).is_none());
+        }
+    }
+}

@@ -1,4 +1,4 @@
-//! Vectorized predicate kernels over [`ColBatch`].
+//! Vectorized predicate and projection kernels over [`ColBatch`].
 //!
 //! A bound predicate is *compiled* against a specific batch (column chunk
 //! layouts are runtime properties — a demoted `Any` column compiles to
@@ -15,16 +15,25 @@
 //! message is the row path's own. Compilation returns `None` for any
 //! shape it can't reproduce exactly — subqueries, arithmetic, `Any`
 //! columns, cross-type comparisons — and the executor falls back to rows.
+//!
+//! Projections compile the same way ([`compile_projection`]): lists made
+//! of columns, literals, `+ - *` over numeric columns, `COALESCE(e, lit)`
+//! and `CASE WHEN <leaf predicate> THEN e ELSE e END` evaluate column at a
+//! time into fresh chunks (plain columns are shared, not copied). Their
+//! error rule is coarser than the predicates': any value-level error
+//! (integer overflow, a NaN in a CASE condition) makes [`Projection::eval`]
+//! return `None`, and the executor discards the attempt and replays the
+//! whole projection on the row path, whose row-major scan owns the error.
 
 use std::ops::Range;
 use std::sync::Arc;
 
 use conquer_sql::ast::BinaryOp;
 
-use crate::col::{ColBatch, ColumnData};
+use crate::col::{Bitmap, ColBatch, ColumnChunk, ColumnData, TextDict};
 use crate::error::{EngineError, Result};
-use crate::expr::{like_match, BoundExpr, Env};
-use crate::value::{cmp_i64_f64, Value};
+use crate::expr::{like_match, BoundExpr, Env, ScalarFunc};
+use crate::value::{cmp_i64_f64, ArithOp, Value};
 
 /// Extract plain current-row column indices from expressions, or `None`
 /// if any expression is not a depth-0 column reference. Used to route
@@ -752,6 +761,360 @@ impl<'a> Pred<'a> {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Projection kernels
+// ---------------------------------------------------------------------------
+
+/// One projection expression compiled for a specific batch.
+enum ColExpr {
+    Col(usize),
+    Lit(Value),
+    /// `+ - *` over numeric operands.
+    Arith {
+        op: ArithOp,
+        left: Box<ColExpr>,
+        right: Box<ColExpr>,
+    },
+    /// `COALESCE(expr, default)`.
+    Coalesce {
+        expr: Box<ColExpr>,
+        default: Value,
+    },
+    /// `CASE WHEN cond THEN then ELSE otherwise END`; several branches
+    /// nest through `otherwise`.
+    Case {
+        cond: Node,
+        then: Box<ColExpr>,
+        otherwise: Box<ColExpr>,
+    },
+}
+
+/// A projection list compiled for one batch.
+pub struct Projection {
+    exprs: Vec<ColExpr>,
+}
+
+/// Compile a projection list against `batch`'s column layout, or `None`
+/// if any expression is outside the shapes listed in the module docs.
+pub fn compile_projection(exprs: &[BoundExpr], batch: &ColBatch) -> Option<Projection> {
+    let exprs = exprs
+        .iter()
+        .map(|e| compile_col_expr(e, batch))
+        .collect::<Option<Vec<_>>>()?;
+    Some(Projection { exprs })
+}
+
+fn compile_col_expr(e: &BoundExpr, batch: &ColBatch) -> Option<ColExpr> {
+    match e {
+        BoundExpr::Column { depth: 0, index } => Some(ColExpr::Col(*index)),
+        BoundExpr::Literal(v) => Some(ColExpr::Lit(v.clone())),
+        BoundExpr::Binary { op, left, right } => {
+            let op = match op {
+                BinaryOp::Plus => ArithOp::Add,
+                BinaryOp::Minus => ArithOp::Sub,
+                BinaryOp::Multiply => ArithOp::Mul,
+                _ => return None,
+            };
+            let left = compile_col_expr(left, batch)?;
+            let right = compile_col_expr(right, batch)?;
+            (is_numeric(&left, batch) && is_numeric(&right, batch)).then(|| ColExpr::Arith {
+                op,
+                left: Box::new(left),
+                right: Box::new(right),
+            })
+        }
+        BoundExpr::Func {
+            func: ScalarFunc::Coalesce,
+            args,
+        } => match args.as_slice() {
+            [expr, BoundExpr::Literal(default)] => Some(ColExpr::Coalesce {
+                expr: Box::new(compile_col_expr(expr, batch)?),
+                default: default.clone(),
+            }),
+            _ => None,
+        },
+        BoundExpr::Case {
+            branches,
+            else_expr,
+        } => {
+            let mut out = match else_expr {
+                Some(e) => compile_col_expr(e, batch)?,
+                None => ColExpr::Lit(Value::Null),
+            };
+            for (cond, value) in branches.iter().rev() {
+                // The row path evaluates a CASE condition as a *value*,
+                // where AND/OR do not short-circuit past errors the way
+                // the predicate kernels do; only leaf predicates (one
+                // comparison, IS NULL, IN, LIKE) mean the same both ways.
+                if matches!(
+                    cond,
+                    BoundExpr::Not(_)
+                        | BoundExpr::Binary {
+                            op: BinaryOp::And | BinaryOp::Or,
+                            ..
+                        }
+                ) {
+                    return None;
+                }
+                out = ColExpr::Case {
+                    cond: compile_node(cond, batch)?,
+                    then: Box::new(compile_col_expr(value, batch)?),
+                    otherwise: Box::new(out),
+                };
+            }
+            Some(out)
+        }
+        _ => None,
+    }
+}
+
+/// Can `e` be an arithmetic operand: does it evaluate to integers or
+/// floats (NULLs aside)?
+fn is_numeric(e: &ColExpr, batch: &ColBatch) -> bool {
+    match e {
+        ColExpr::Col(i) => matches!(
+            batch.col(*i).data,
+            ColumnData::Int(_) | ColumnData::Float(_)
+        ),
+        ColExpr::Lit(v) => matches!(v, Value::Int(_) | Value::Float(_)),
+        ColExpr::Arith { .. } => true,
+        ColExpr::Coalesce { expr, default } => {
+            is_numeric(expr, batch)
+                && matches!(default, Value::Int(_) | Value::Float(_) | Value::Null)
+        }
+        ColExpr::Case { .. } => false,
+    }
+}
+
+/// An evaluated expression: a column, or one value standing for all rows.
+enum Evaluated {
+    Chunk(Arc<ColumnChunk>),
+    Scalar(Value),
+}
+
+/// A numeric operand viewed without copying.
+#[derive(Clone, Copy)]
+enum Num<'a> {
+    Ints(&'a [i64]),
+    Floats(&'a [f64]),
+    Int(i64),
+    Float(f64),
+}
+
+impl Num<'_> {
+    fn is_int(self) -> bool {
+        matches!(self, Num::Ints(_) | Num::Int(_))
+    }
+
+    #[inline]
+    fn int_at(self, i: usize) -> i64 {
+        match self {
+            Num::Ints(xs) => xs[i],
+            Num::Int(x) => x,
+            Num::Floats(_) | Num::Float(_) => 0,
+        }
+    }
+
+    #[inline]
+    fn float_at(self, i: usize) -> f64 {
+        match self {
+            Num::Ints(xs) => xs[i] as f64,
+            Num::Floats(xs) => xs[i],
+            Num::Int(x) => x as f64,
+            Num::Float(x) => x,
+        }
+    }
+}
+
+impl Evaluated {
+    /// The numeric view and validity of this operand, if it is numeric.
+    fn num(&self) -> Option<(Num<'_>, Option<&Bitmap>)> {
+        match self {
+            Evaluated::Scalar(Value::Int(x)) => Some((Num::Int(*x), None)),
+            Evaluated::Scalar(Value::Float(x)) => Some((Num::Float(*x), None)),
+            Evaluated::Scalar(_) => None,
+            Evaluated::Chunk(c) => match &c.data {
+                ColumnData::Int(xs) => Some((Num::Ints(xs), c.validity.as_ref())),
+                ColumnData::Float(xs) => Some((Num::Floats(xs), c.validity.as_ref())),
+                _ => None,
+            },
+        }
+    }
+
+    fn value_at(&self, i: usize) -> Value {
+        match self {
+            Evaluated::Chunk(c) => c.value_at(i),
+            Evaluated::Scalar(v) => v.clone(),
+        }
+    }
+
+    /// As a column of `n` rows.
+    fn into_chunk(self, n: usize) -> Arc<ColumnChunk> {
+        let data = match self {
+            Evaluated::Chunk(c) => return c,
+            Evaluated::Scalar(Value::Int(x)) => ColumnData::Int(vec![x; n]),
+            Evaluated::Scalar(Value::Float(x)) => ColumnData::Float(vec![x; n]),
+            Evaluated::Scalar(Value::Date(x)) => ColumnData::Date(vec![x; n]),
+            Evaluated::Scalar(Value::Bool(x)) => ColumnData::Bool(vec![x; n]),
+            Evaluated::Scalar(Value::Str(s)) => {
+                let mut dict = TextDict::new();
+                let code = dict.intern(&s);
+                ColumnData::Text {
+                    codes: vec![code; n],
+                    dict: Arc::new(dict),
+                }
+            }
+            Evaluated::Scalar(Value::Null) => ColumnData::Any(vec![Value::Null; n]),
+        };
+        Arc::new(ColumnChunk {
+            data,
+            validity: None,
+        })
+    }
+}
+
+/// Row-wise AND of two optional validity bitmaps over `n` rows.
+fn and_validity(a: Option<&Bitmap>, b: Option<&Bitmap>, n: usize) -> Option<Bitmap> {
+    if a.is_none() && b.is_none() {
+        return None;
+    }
+    let mut out = Bitmap::with_capacity(n);
+    for i in 0..n {
+        out.push(a.is_none_or(|bm| bm.get(i)) && b.is_none_or(|bm| bm.get(i)));
+    }
+    Some(out)
+}
+
+impl Projection {
+    /// Evaluate every expression over the whole batch. `None` means a
+    /// value-level error (or a layout only visible at run time, such as a
+    /// COALESCE that had to mix types inside arithmetic): discard and
+    /// replay on the row path.
+    pub fn eval(&self, batch: &ColBatch) -> Option<Vec<Arc<ColumnChunk>>> {
+        let n = batch.len();
+        self.exprs
+            .iter()
+            .map(|e| Some(eval_col_expr(e, batch)?.into_chunk(n)))
+            .collect()
+    }
+}
+
+fn eval_col_expr(e: &ColExpr, batch: &ColBatch) -> Option<Evaluated> {
+    let n = batch.len();
+    match e {
+        ColExpr::Col(i) => Some(Evaluated::Chunk(Arc::clone(&batch.cols()[*i]))),
+        ColExpr::Lit(v) => Some(Evaluated::Scalar(v.clone())),
+        ColExpr::Arith { op, left, right } => {
+            let (l, r) = (eval_col_expr(left, batch)?, eval_col_expr(right, batch)?);
+            if let (Evaluated::Scalar(a), Evaluated::Scalar(b)) = (&l, &r) {
+                return Some(Evaluated::Scalar(a.arith(*op, b).ok()?));
+            }
+            let ((a, va), (b, vb)) = (l.num()?, r.num()?);
+            let validity = and_validity(va, vb, n);
+            let data = if a.is_int() && b.is_int() {
+                let mut out = Vec::with_capacity(n);
+                for i in 0..n {
+                    let (x, y) = (a.int_at(i), b.int_at(i));
+                    let v = match op {
+                        ArithOp::Add => x.checked_add(y),
+                        ArithOp::Sub => x.checked_sub(y),
+                        _ => x.checked_mul(y),
+                    };
+                    match v {
+                        Some(v) => out.push(v),
+                        // Overflow under a NULL is just its placeholder.
+                        None if validity.as_ref().is_some_and(|bm| !bm.get(i)) => out.push(0),
+                        None => return None,
+                    }
+                }
+                ColumnData::Int(out)
+            } else {
+                let f: fn(f64, f64) -> f64 = match op {
+                    ArithOp::Add => |x, y| x + y,
+                    ArithOp::Sub => |x, y| x - y,
+                    _ => |x, y| x * y,
+                };
+                ColumnData::Float((0..n).map(|i| f(a.float_at(i), b.float_at(i))).collect())
+            };
+            Some(Evaluated::Chunk(Arc::new(ColumnChunk { data, validity })))
+        }
+        ColExpr::Coalesce { expr, default } => {
+            let chunk = match eval_col_expr(expr, batch)? {
+                Evaluated::Scalar(Value::Null) => return Some(Evaluated::Scalar(default.clone())),
+                scalar @ Evaluated::Scalar(_) => return Some(scalar),
+                Evaluated::Chunk(c) => c,
+            };
+            if default.is_null() || chunk.null_count_range(0, n) == 0 {
+                return Some(Evaluated::Chunk(chunk));
+            }
+            macro_rules! fill {
+                ($variant:ident, $xs:expr, $d:expr) => {
+                    ColumnChunk {
+                        data: ColumnData::$variant(
+                            (0..n)
+                                .map(|i| if chunk.is_null(i) { $d } else { $xs[i] })
+                                .collect(),
+                        ),
+                        validity: None,
+                    }
+                };
+            }
+            let filled = match (&chunk.data, default) {
+                (ColumnData::Int(xs), Value::Int(d)) => fill!(Int, xs, *d),
+                (ColumnData::Float(xs), Value::Float(d)) => fill!(Float, xs, *d),
+                (ColumnData::Date(xs), Value::Date(d)) => fill!(Date, xs, *d),
+                (ColumnData::Bool(xs), Value::Bool(d)) => fill!(Bool, xs, *d),
+                // The default is of another type than the column: keep
+                // each value exact.
+                _ => ColumnChunk::from_values((0..n).map(|i| match chunk.value_at(i) {
+                    Value::Null => default.clone(),
+                    v => v,
+                })),
+            };
+            Some(Evaluated::Chunk(Arc::new(filled)))
+        }
+        ColExpr::Case {
+            cond,
+            then,
+            otherwise,
+        } => {
+            let mask = cond.eval(batch, 0..n)?;
+            if mask.e.iter().any(|&w| w != 0) {
+                return None;
+            }
+            let (t, o) = (
+                eval_col_expr(then, batch)?,
+                eval_col_expr(otherwise, batch)?,
+            );
+            let pick = |i: usize| if mask.get(&mask.t, i) { &t } else { &o };
+            let chunk = match (t.num(), o.num()) {
+                (Some((a, va)), Some((b, vb))) if a.is_int() == b.is_int() => {
+                    let valid: Vec<bool> = (0..n)
+                        .map(|i| {
+                            let v = if mask.get(&mask.t, i) { va } else { vb };
+                            v.is_none_or(|bm| bm.get(i))
+                        })
+                        .collect();
+                    let side = |i: usize| if mask.get(&mask.t, i) { a } else { b };
+                    let data = if a.is_int() {
+                        ColumnData::Int((0..n).map(|i| side(i).int_at(i)).collect())
+                    } else {
+                        ColumnData::Float((0..n).map(|i| side(i).float_at(i)).collect())
+                    };
+                    ColumnChunk {
+                        data,
+                        validity: Bitmap::from_flags(&valid),
+                    }
+                }
+                // Branches of different types (or non-numeric ones): pick
+                // value by value, keeping each exact.
+                _ => ColumnChunk::from_values((0..n).map(|i| pick(i).value_at(i))),
+            };
+            Some(Evaluated::Chunk(Arc::new(chunk)))
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1055,6 +1418,217 @@ mod tests {
         assert!(
             compile_predicate(&cmp(BinaryOp::Eq, col(0), lit(Value::Int(1))), &batch).is_none()
         );
+    }
+
+    /// Exact identity: same variant, floats bit for bit.
+    fn same_value(a: &Value, b: &Value) -> bool {
+        match (a, b) {
+            (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+            (Value::Int(x), Value::Int(y)) => x == y,
+            (Value::Null, Value::Null) => true,
+            (Value::Str(x), Value::Str(y)) => x == y,
+            (Value::Date(x), Value::Date(y)) => x == y,
+            (Value::Bool(x), Value::Bool(y)) => x == y,
+            _ => false,
+        }
+    }
+
+    /// Assert the compiled projection agrees with row-at-a-time `eval`:
+    /// the same values exactly, or `None` where the row path errors.
+    fn assert_projection_matches(exprs: &[BoundExpr], sch: &Schema, rows: Vec<Row>) {
+        let batch = ColBatch::from_rows(sch, rows.clone());
+        let projection = compile_projection(exprs, &batch).expect("projection should compile");
+        let reference: Result<Vec<Row>> = rows
+            .iter()
+            .map(|row| exprs.iter().map(|e| e.eval(&Env::root(row))).collect())
+            .collect();
+        match (projection.eval(&batch), reference) {
+            (Some(chunks), Ok(expected)) => {
+                assert_eq!(chunks.len(), exprs.len());
+                // A plain column is the input's chunk, not a copy of it.
+                for (e, chunk) in exprs.iter().zip(&chunks) {
+                    if let Some(i) = col_index(e) {
+                        assert!(Arc::ptr_eq(chunk, &batch.cols()[i]));
+                    }
+                }
+                for (r, row) in expected.iter().enumerate() {
+                    for (c, want) in row.iter().enumerate() {
+                        let got = chunks[c].value_at(r);
+                        assert!(
+                            same_value(&got, want),
+                            "row {r} expr {c}: {got:?} vs {want:?}"
+                        );
+                    }
+                }
+            }
+            (None, Err(_)) => {}
+            (got, want) => panic!("kernel {:?} vs row path {want:?}", got.map(|c| c.len())),
+        }
+    }
+
+    fn arith(op: BinaryOp, l: BoundExpr, r: BoundExpr) -> BoundExpr {
+        cmp(op, l, r)
+    }
+
+    fn coalesce(e: BoundExpr, default: Value) -> BoundExpr {
+        BoundExpr::Func {
+            func: ScalarFunc::Coalesce,
+            args: vec![e, lit(default)],
+        }
+    }
+
+    fn case(cond: BoundExpr, then: BoundExpr, otherwise: Option<BoundExpr>) -> BoundExpr {
+        BoundExpr::Case {
+            branches: vec![(cond, then)],
+            else_expr: otherwise.map(Box::new),
+        }
+    }
+
+    fn numeric_rows() -> (Schema, Vec<Row>) {
+        let s = schema(&[DataType::Integer, DataType::Float, DataType::Float]);
+        let rows = (0..150)
+            .map(|i| {
+                vec![
+                    if i % 7 == 0 {
+                        Value::Null
+                    } else {
+                        Value::Int(i - 70)
+                    },
+                    if i % 5 == 0 {
+                        Value::Null
+                    } else {
+                        Value::Float(i as f64 / 4.0 - 9.0)
+                    },
+                    Value::Float(if i == 3 { -0.0 } else { 0.01 * i as f64 }),
+                ]
+            })
+            .collect();
+        (s, rows)
+    }
+
+    #[test]
+    fn projection_arithmetic_coalesce_and_case_match_row_path() {
+        let (s, rows) = numeric_rows();
+        // The whole of the rewritings' `conq_base` list, and then some.
+        let price_disc = arith(
+            BinaryOp::Multiply,
+            col(1),
+            arith(BinaryOp::Minus, lit(Value::Int(1)), col(2)),
+        );
+        let is_null = |c| BoundExpr::IsNull {
+            expr: Box::new(col(c)),
+            negated: false,
+        };
+        let exprs = vec![
+            col(0),
+            lit(Value::Int(1)),
+            lit(Value::str("tag")),
+            lit(Value::Null),
+            arith(BinaryOp::Plus, col(0), col(0)),
+            arith(BinaryOp::Minus, col(0), lit(Value::Float(0.5))),
+            arith(BinaryOp::Multiply, col(0), col(1)),
+            arith(BinaryOp::Plus, lit(Value::Int(2)), lit(Value::Int(3))),
+            price_disc.clone(),
+            arith(
+                BinaryOp::Multiply,
+                price_disc.clone(),
+                arith(BinaryOp::Plus, lit(Value::Int(1)), col(2)),
+            ),
+            // Same type as the column, another type, no NULLs to fill.
+            coalesce(col(0), Value::Int(0)),
+            coalesce(col(1), Value::Int(0)),
+            coalesce(col(1), Value::Float(0.0)),
+            coalesce(col(2), Value::Int(0)),
+            coalesce(col(0), Value::Null),
+            coalesce(price_disc, Value::Int(0)),
+            coalesce(lit(Value::Null), Value::Int(4)),
+            case(is_null(1), lit(Value::Int(0)), Some(lit(Value::Int(1)))),
+            case(is_null(0), lit(Value::Int(0)), None),
+            // The shape of `conq_filtered`: an integer branch against a
+            // float column, picked value by value.
+            case(
+                cmp(BinaryOp::Gt, col(1), lit(Value::Int(0))),
+                lit(Value::Int(0)),
+                Some(col(1)),
+            ),
+            case(
+                cmp(BinaryOp::Lt, col(0), lit(Value::Int(0))),
+                col(0),
+                Some(arith(BinaryOp::Multiply, col(0), lit(Value::Int(2)))),
+            ),
+            BoundExpr::Case {
+                branches: vec![
+                    (
+                        cmp(BinaryOp::Lt, col(0), lit(Value::Int(-10))),
+                        lit(Value::str("low")),
+                    ),
+                    (
+                        cmp(BinaryOp::Lt, col(0), lit(Value::Int(10))),
+                        lit(Value::str("mid")),
+                    ),
+                ],
+                else_expr: None,
+            },
+        ];
+        assert_projection_matches(&exprs, &s, rows);
+        assert_projection_matches(&exprs, &s, vec![]);
+    }
+
+    #[test]
+    fn projection_errors_ask_for_replay() {
+        let s = schema(&[DataType::Integer, DataType::Float]);
+        let rows = vec![
+            vec![Value::Int(1), Value::Float(1.0)],
+            vec![Value::Int(i64::MAX), Value::Float(f64::NAN)],
+        ];
+        // Integer overflow, and a NaN reaching a CASE condition.
+        let overflow = arith(BinaryOp::Plus, col(0), lit(Value::Int(1)));
+        assert_projection_matches(&[overflow], &s, rows.clone());
+        let nan_cond = case(
+            cmp(BinaryOp::Gt, col(1), lit(Value::Int(0))),
+            lit(Value::Int(0)),
+            Some(col(1)),
+        );
+        assert_projection_matches(&[nan_cond], &s, rows.clone());
+        // An overflow under a NULL is no error on either path.
+        let rows = vec![vec![Value::Null, Value::Float(1.0)]];
+        let times = arith(BinaryOp::Multiply, col(0), lit(Value::Int(i64::MAX)));
+        assert_projection_matches(&[times], &s, rows);
+    }
+
+    #[test]
+    fn uncompilable_projections_fall_back() {
+        let s = schema(&[DataType::Integer, DataType::Date, DataType::Text]);
+        let batch = ColBatch::from_rows(
+            &s,
+            vec![vec![Value::Int(1), Value::Date(3), Value::str("x")]],
+        );
+        let rejected = [
+            // Division can fail per value; dates and text are not numeric.
+            arith(BinaryOp::Divide, col(0), lit(Value::Int(2))),
+            arith(BinaryOp::Plus, col(1), lit(Value::Int(2))),
+            arith(BinaryOp::Plus, col(2), lit(Value::Int(2))),
+            arith(BinaryOp::Plus, col(0), lit(Value::Null)),
+            // A CASE condition that is not a leaf predicate evaluates
+            // without short-circuit on the row path.
+            case(
+                cmp(
+                    BinaryOp::And,
+                    cmp(BinaryOp::Gt, col(0), lit(Value::Int(0))),
+                    cmp(BinaryOp::Lt, col(0), lit(Value::Int(9))),
+                ),
+                lit(Value::Int(1)),
+                None,
+            ),
+            BoundExpr::Neg(Box::new(col(0))),
+            BoundExpr::Column { depth: 1, index: 0 },
+        ];
+        for e in rejected {
+            assert!(
+                compile_projection(std::slice::from_ref(&e), &batch).is_none(),
+                "{e:?} should not compile"
+            );
+        }
     }
 
     #[test]

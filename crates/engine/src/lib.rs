@@ -49,6 +49,7 @@ pub mod expr;
 pub mod faults;
 pub mod fsum;
 pub mod governor;
+pub mod groupkey;
 pub mod index;
 pub mod kernels;
 pub mod opt;

@@ -297,17 +297,28 @@ impl From<&Value> for KeyValue {
             Value::Null => KeyValue::Null,
             Value::Bool(b) => KeyValue::Bool(*b),
             Value::Int(i) => KeyValue::Int(*i),
-            Value::Float(f) => {
-                let norm = if *f == 0.0 { 0.0 } else { *f };
-                if norm.fract() == 0.0 && norm.abs() < 9.2e18 && (norm as i64) as f64 == norm {
-                    KeyValue::Int(norm as i64)
-                } else {
-                    KeyValue::FloatBits(norm.to_bits())
-                }
-            }
+            Value::Float(f) => match float_key(*f) {
+                Ok(i) => KeyValue::Int(i),
+                Err(bits) => KeyValue::FloatBits(bits),
+            },
             Value::Str(s) => KeyValue::Str(Arc::clone(s)),
             Value::Date(d) => KeyValue::Date(*d),
         }
+    }
+}
+
+/// The key normalization of a float, shared by [`KeyValue`] and the typed
+/// group-key kernel ([`crate::groupkey`]) so both agree on which floats are
+/// one key: `Ok(i)` when the float is exactly the integer `i` (so it groups
+/// with `Int(i)`; `-0.0` is `0`), otherwise `Err` of its raw bits (NaNs
+/// group by payload).
+#[inline]
+pub(crate) fn float_key(f: f64) -> std::result::Result<i64, u64> {
+    let norm = if f == 0.0 { 0.0 } else { f };
+    if norm.fract() == 0.0 && norm.abs() < 9.2e18 && (norm as i64) as f64 == norm {
+        Ok(norm as i64)
+    } else {
+        Err(norm.to_bits())
     }
 }
 

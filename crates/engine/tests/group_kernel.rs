@@ -1,0 +1,406 @@
+//! Differential suite for the typed group-key kernel (`engine::groupkey`)
+//! and the operators built on it: GROUP BY, DISTINCT, `UNION ALL`.
+//!
+//! Every query runs on the row-at-a-time reference path
+//! (`with_columnar(false)`, serial — the oracle) and on the kernel path at
+//! `threads ∈ {1, 2, 8}`; answers must agree value for value, *variant
+//! for variant* (an `Int(2)` is not a `Float(2.0)`) and float bit for bit,
+//! in the same row order — the kernel's first-seen order is the row
+//! path's. Inputs are seeded random tables over every column layout
+//! (`Int`, `Float`, `Date`, `Bool`, dictionary `Text`, and `Any` both as a
+//! float column holding integers and as a freely mixed column), NULL-heavy,
+//! all-duplicate and all-distinct keys, and sizes on both sides of the
+//! executor's 4096-row parallel threshold.
+
+use conquer_engine::{DataType, Database, ExecOptions, Rows, Table, Value};
+
+const THREADS: [usize; 3] = [1, 2, 8];
+/// The executor's `PAR_THRESHOLD` (4 morsels of 1024 rows).
+const PAR_THRESHOLD: usize = 4096;
+
+fn row_opts(threads: usize) -> ExecOptions {
+    ExecOptions::default()
+        .with_threads(threads)
+        .with_columnar(false)
+}
+
+fn col_opts(threads: usize) -> ExecOptions {
+    ExecOptions::default().with_threads(threads)
+}
+
+struct Lcg(u64);
+
+impl Lcg {
+    fn next(&mut self) -> u64 {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        self.0 >> 33
+    }
+
+    /// `v`, or NULL one time in `one_in`.
+    fn nullable(&mut self, one_in: u64, v: Value) -> Value {
+        if self.next().is_multiple_of(one_in) {
+            Value::Null
+        } else {
+            v
+        }
+    }
+}
+
+fn assert_same(oracle: &Rows, got: &Rows, context: &str) {
+    assert_eq!(oracle.rows.len(), got.rows.len(), "row count: {context}");
+    for (r, (a, b)) in oracle.rows.iter().zip(&got.rows).enumerate() {
+        assert_eq!(a.len(), b.len(), "width: {context}");
+        for (x, y) in a.iter().zip(b) {
+            let same = match (x, y) {
+                (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+                (Value::Int(x), Value::Int(y)) => x == y,
+                (Value::Null, Value::Null) => true,
+                (Value::Bool(x), Value::Bool(y)) => x == y,
+                (Value::Date(x), Value::Date(y)) => x == y,
+                (Value::Str(x), Value::Str(y)) => x == y,
+                _ => false,
+            };
+            assert!(same, "row {r}: {x:?} vs {y:?}: {context}");
+        }
+    }
+}
+
+/// Oracle (row path, serial) against the kernel path at every thread
+/// count. Errors must agree too, message for message.
+fn check(db: &Database, sql: &str) {
+    let oracle = db.query_with(sql, &row_opts(1));
+    for threads in THREADS {
+        let got = db.query_with(sql, &col_opts(threads));
+        let context = format!("threads={threads}: {sql}");
+        match (&oracle, &got) {
+            (Ok(a), Ok(b)) => assert_same(a, b, &context),
+            (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{context}"),
+            (a, b) => panic!("row path {a:?} vs kernel {b:?}: {context}"),
+        }
+    }
+}
+
+const WORDS: [&str; 6] = [
+    "alpha",
+    "bravo",
+    "",
+    "delta",
+    "Ünïcode",
+    "a-much-longer-text-key",
+];
+
+/// `t(ki, kf, kt, kd, kb, km, ka, vi, vf, vt)` with `n` seeded random rows.
+/// `domain` bounds the key values (1 = all duplicates, `>= n` ≈ all
+/// distinct); one value in `null_in` is NULL. `kf` is a typed float key
+/// (with `-0.0`/`0.0` twins), `km` a float column that also holds integers
+/// (so it is stored as `Any`, and `2` must group with `2.0`), `ka` a
+/// freely mixed `Any` column.
+fn fixture(n: usize, domain: u64, null_in: u64, seed: u64) -> Database {
+    let mut rng = Lcg(seed);
+    let mut t = Table::new(
+        "t",
+        vec![
+            ("ki", DataType::Integer),
+            ("kf", DataType::Float),
+            ("kt", DataType::Text),
+            ("kd", DataType::Date),
+            ("kb", DataType::Boolean),
+            ("km", DataType::Float),
+            ("ka", DataType::Any),
+            ("vi", DataType::Integer),
+            ("vf", DataType::Float),
+            ("vt", DataType::Text),
+        ],
+    );
+    for _ in 0..n {
+        let k = rng.next() % domain;
+        let kf = match k % 4 {
+            0 => 0.0,
+            1 => -0.0,
+            _ => k as f64 / 2.0,
+        };
+        let km = if k.is_multiple_of(2) {
+            Value::Int((k / 2) as i64)
+        } else {
+            Value::Float((k / 2) as f64)
+        };
+        let ka = match k % 5 {
+            0 => Value::Int(k as i64),
+            1 => Value::Float(k as f64 - 1.0), // meets the Int one below it
+            2 => Value::str(WORDS[(k % 6) as usize]),
+            3 => Value::Date(k as i32),
+            _ => Value::Bool(k.is_multiple_of(2)),
+        };
+        let r = rng.next();
+        let row = vec![
+            rng.nullable(null_in, Value::Int(k as i64 - 3)),
+            rng.nullable(null_in, Value::Float(kf)),
+            rng.nullable(null_in, Value::str(WORDS[(k % 6) as usize])),
+            rng.nullable(null_in, Value::Date(10_000 + (k % 400) as i32)),
+            rng.nullable(null_in, Value::Bool(k.is_multiple_of(3))),
+            rng.nullable(null_in, km),
+            rng.nullable(null_in, ka),
+            rng.nullable(null_in, Value::Int((r % 2001) as i64 - 1000)),
+            rng.nullable(null_in, Value::Float((r % 997) as f64 / 8.0 - 60.0)),
+            rng.nullable(null_in, Value::str(WORDS[(r % 6) as usize])),
+        ];
+        t.push(row).expect("fixture row fits its schema");
+    }
+    let db = Database::new();
+    db.register(t).expect("register fixture");
+    db
+}
+
+const KEYS: [&str; 7] = ["ki", "kf", "kt", "kd", "kb", "km", "ka"];
+
+fn check_all_shapes(db: &Database) {
+    // Every aggregate over every single-column key layout.
+    for k in KEYS {
+        check(
+            db,
+            &format!(
+                "select {k}, count(*), count(vi), sum(vi), avg(vi), min(vi), max(vi), \
+                 sum(vf), avg(vf), min(vf), max(vf), min(vt), max(vt), min(kd), max(kd), \
+                 count(ka), min(kb) from t group by {k}"
+            ),
+        );
+        check(db, &format!("select distinct {k} from t"));
+        check(
+            db,
+            &format!(
+                "select {k}, count(distinct vi), sum(distinct vi), avg(distinct vf), \
+                 count(distinct vt), count(distinct km), sum(distinct km) from t group by {k}"
+            ),
+        );
+    }
+    // Multi-column keys mixing layouts, HAVING on the kernel's output, and
+    // the column-pick projection above it.
+    check(
+        db,
+        "select kt, ki, kb, count(*), max(vf) from t group by kt, ki, kb",
+    );
+    check(
+        db,
+        "select km, ka, sum(vi) from t group by km, ka having count(*) > 1",
+    );
+    check(db, "select distinct kt, kd, kb from t");
+    check(db, "select distinct ki, kf, kt, kd, kb, km, ka from t");
+    check(db, "select distinct vi, vf, vt from t");
+    // Global DISTINCT aggregates run through the kernel as one group.
+    check(
+        db,
+        "select count(distinct ki), sum(distinct vi), avg(distinct vf), count(distinct ka), \
+         count(*) from t",
+    );
+    // A grouped aggregate feeding another through a CTE: the kernel's
+    // typed output columns are the next kernel's input.
+    check(
+        db,
+        "with g as (select ki as ki, kt as kt, min(vf) as lo, max(vf) as hi, count(*) as n \
+         from t group by ki, kt) \
+         select kt, sum(lo), sum(hi), sum(n), count(*) from g group by kt",
+    );
+}
+
+#[test]
+fn random_batches_match_row_path_at_every_size() {
+    for (i, n) in [
+        0,
+        1,
+        PAR_THRESHOLD - 1,
+        PAR_THRESHOLD,
+        PAR_THRESHOLD + 1,
+        3 * PAR_THRESHOLD + 17,
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let db = fixture(n, 97, 11, 0xC0FFEE + i as u64);
+        check_all_shapes(&db);
+    }
+}
+
+#[test]
+fn null_heavy_all_duplicate_and_all_distinct_keys() {
+    let n = PAR_THRESHOLD + 500;
+    // Every other value NULL.
+    check_all_shapes(&fixture(n, 13, 2, 1));
+    // One key value (plus NULL): every row a duplicate.
+    check_all_shapes(&fixture(n, 1, 7, 2));
+    // A domain far past `n`: nearly every row its own group, so the group
+    // table grows through many doublings and DISTINCT keeps (almost)
+    // everything.
+    check_all_shapes(&fixture(n, 1 << 40, 1 << 30, 3));
+}
+
+#[test]
+fn union_all_inputs_with_two_dictionaries_group_by_string() {
+    let db = Database::new();
+    // Two tables whose text dictionaries code the same strings in
+    // different orders, one with NULLs; big enough to go parallel.
+    let mut a = Table::new("a", vec![("s", DataType::Text), ("v", DataType::Integer)]);
+    let mut b = Table::new("b", vec![("s", DataType::Text), ("v", DataType::Float)]);
+    for i in 0..3000usize {
+        a.push(vec![Value::str(WORDS[i % 6]), Value::Int(i as i64 % 50)])
+            .unwrap();
+        b.push(vec![
+            if i % 7 == 0 {
+                Value::Null
+            } else {
+                Value::str(WORDS[5 - i % 6])
+            },
+            Value::Float((i % 50) as f64),
+        ])
+        .unwrap();
+    }
+    db.register(a).unwrap();
+    db.register(b).unwrap();
+    // Same-typed text columns: dictionaries merge, groups are by string.
+    check(
+        &db,
+        "select s, count(*) from (select s from a union all select s from b) u group by s",
+    );
+    check(
+        &db,
+        "select distinct s from (select s from b union all select s from a) u",
+    );
+    // Integer against float: the merged column demotes to `Any`, and
+    // `Int(7)` groups with `Float(7.0)` under the first-seen one's name.
+    check(
+        &db,
+        "select v, count(*), min(s), max(s) from \
+         (select s, v from a union all select s, v from b) u group by v",
+    );
+    check(
+        &db,
+        "select v, count(*) from \
+         (select s, v from b union all select s, v from a) u group by v",
+    );
+    // Three-way, a side filtered to nothing, and the union as the result.
+    check(
+        &db,
+        "select s, sum(v) from (select s, v from a union all select s, v from a \
+         union all select s, v from a where v < 0) u group by s",
+    );
+    check(&db, "select s, v from a union all select s, v from b");
+}
+
+#[test]
+fn float_and_mixed_keys_keep_key_value_equality() {
+    let db = Database::new();
+    let nan_a = f64::NAN;
+    let nan_b = f64::from_bits(f64::NAN.to_bits() ^ 1);
+    let mut t = Table::new(
+        "t",
+        vec![
+            ("f", DataType::Float),
+            ("m", DataType::Float),
+            ("tag", DataType::Integer),
+        ],
+    );
+    let floats = [
+        -0.0,
+        0.0,
+        2.0,
+        nan_a,
+        nan_b,
+        nan_a,
+        2.5,
+        -0.0,
+        f64::INFINITY,
+        9.3e18,
+        9.3e18,
+        f64::NEG_INFINITY,
+    ];
+    for (i, f) in floats.into_iter().enumerate() {
+        // `m` stores whole floats as integers every other row, so it is an
+        // `Any` column where `Int(2)` and `Float(2.0)` are one key.
+        let m = if i % 2 == 0 && f.fract() == 0.0 && f.abs() < 1e9 {
+            Value::Int(f as i64)
+        } else {
+            Value::Float(f)
+        };
+        t.push(vec![Value::Float(f), m, Value::Int(i as i64)])
+            .unwrap();
+    }
+    t.push(vec![Value::Null, Value::Null, Value::Int(99)])
+        .unwrap();
+    t.push(vec![Value::Null, Value::Int(2), Value::Int(100)])
+        .unwrap();
+    db.register(t).unwrap();
+    check(
+        &db,
+        "select f, count(*), min(tag), max(tag) from t group by f",
+    );
+    check(
+        &db,
+        "select m, count(*), min(tag), max(tag) from t group by m",
+    );
+    check(&db, "select distinct f from t");
+    check(&db, "select distinct m from t");
+    check(&db, "select distinct f, m from t");
+    // The representative of the zero group is the first seen, `-0.0`.
+    let rows = db
+        .query_with("select f, count(*) from t group by f", &col_opts(1))
+        .unwrap();
+    match (&rows.rows[0][0], &rows.rows[0][1]) {
+        (Value::Float(z), Value::Int(3)) => assert!(z.is_sign_negative() && *z == 0.0),
+        other => panic!("zero group came out as {other:?}"),
+    }
+}
+
+#[test]
+fn value_errors_replay_on_the_row_path() {
+    let db = Database::new();
+    let mut t = Table::new(
+        "t",
+        vec![
+            ("k", DataType::Integer),
+            ("big", DataType::Integer),
+            ("f", DataType::Float),
+            ("s", DataType::Text),
+        ],
+    );
+    // Past the parallel threshold, every group overflowing whatever the
+    // order its rows are summed in.
+    for i in 0..(PAR_THRESHOLD + 100) as i64 {
+        t.push(vec![
+            Value::Int(i % 5),
+            Value::Int(i64::MAX - i),
+            if i == 4000 {
+                Value::Float(f64::NAN)
+            } else {
+                Value::Float(i as f64)
+            },
+            Value::str("x"),
+        ])
+        .unwrap();
+    }
+    db.register(t).unwrap();
+    for sql in [
+        "select k, sum(big) from t group by k",
+        "select k, count(*), sum(big) from t group by k",
+        "select k, min(f) from t group by k",
+        "select k, max(f), count(*) from t group by k",
+        "select k, sum(s) from t group by k",
+        "select k, avg(s) from t group by k",
+        "select count(distinct k), sum(distinct big) from t",
+    ] {
+        let oracle = db.query_with(sql, &row_opts(1));
+        assert!(oracle.is_err(), "fixture must make this fail: {sql}");
+        check(&db, sql);
+    }
+    // The same table answers normally when the failing aggregate is not
+    // asked for, and a lone NaN is a fine MIN of its own group.
+    check(
+        &db,
+        "select k, min(big), max(big), count(f) from t group by k",
+    );
+    check(
+        &db,
+        "select f, min(f) from t where f > 3999 or k < 0 group by f",
+    );
+}

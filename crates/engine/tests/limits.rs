@@ -107,6 +107,52 @@ fn memory_limit_trips_on_aggregation_build() {
 }
 
 #[test]
+fn memory_limit_charges_distinct_by_key_width() {
+    // 4 000 distinct rows, six integer columns wide. DISTINCT used to
+    // charge `size_of::<Key>()` = 24 B per hash-set slot whatever the key
+    // width — 7 168 slots, 172 032 B — and sailed through a 200 000 B
+    // budget while really holding six cells per key, twice (set and
+    // output). Both paths now charge what they keep: the row path its
+    // slots plus twelve 24 B cells a key, the kernel its table entry plus
+    // the six gathered 8 B values (68 B a key, 272 000 B).
+    let db = Database::new();
+    let rows: Vec<String> = (0..4_000)
+        .map(|i| format!("({i}, {i}, {i}, {i}, {i}, {i})"))
+        .collect();
+    db.run_script(&format!(
+        "create table w (a integer, b integer, c integer, d integer, e integer, f integer);\n\
+         insert into w values {};",
+        rows.join(", ")
+    ))
+    .expect("build wide fixture");
+    let budget = ResourceLimits::unlimited().with_max_memory_bytes(200_000);
+    for columnar in [false, true] {
+        let options = ExecOptions::default()
+            .with_limits(budget)
+            .with_columnar(columnar);
+        let err = db
+            .query_with("select distinct a, b, c, d, e, f from w", &options)
+            .expect_err("a six-column DISTINCT holds more than 200 000 B");
+        match &err {
+            EngineError::MemoryExceeded(trip) => {
+                assert_eq!(trip.operator, "distinct", "columnar={columnar}");
+                assert!(trip.mem_bytes > 200_000);
+            }
+            other => panic!("columnar={columnar}: expected MemoryExceeded, got {other:?}"),
+        }
+    }
+    // The charge follows the key width: one column of the same table fits
+    // the same budget on the kernel path (28 B a key).
+    let rows = db
+        .query_with(
+            "select distinct a from w",
+            &ExecOptions::default().with_limits(budget),
+        )
+        .expect("a one-column DISTINCT fits");
+    assert_eq!(rows.len(), 4_000);
+}
+
+#[test]
 fn cancellation_from_another_thread_stops_promptly() {
     let db = cross_join_db(2_000);
     let token = CancellationToken::new();

@@ -546,6 +546,15 @@ fn stats_json(shared: &Shared, state: &SessionState) -> Json {
                     }),
             ),
         ),
+        (
+            // Rows that crossed the row/column boundary, process-wide:
+            // which way, not where — `EXPLAIN ANALYZE` has the operators.
+            "pivots",
+            Json::obj(["to_rows", "to_cols"].map(|dir| {
+                let counter = conquer_obs::registry().counter(&format!("exec.pivot.{dir}"));
+                (dir, Json::UInt(counter.get()))
+            })),
+        ),
         ("obs", conquer_obs::registry().snapshot_json()),
     ])
 }

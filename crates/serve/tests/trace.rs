@@ -243,6 +243,17 @@ fn metrics_endpoint_serves_prometheus_text_and_traces() {
         "query counter missing:\n{body}"
     );
     assert!(body.contains("serve_in_flight"), "gauges missing:\n{body}");
+    // Seeding the fixture pivoted its columns to rows (table statistics
+    // read rows), so the pivot counter is on the page — and in `\stats`,
+    // beside its row -> column twin, under their own heading.
+    assert!(
+        body.contains("exec_pivot_to_rows_total"),
+        "pivot counter missing:\n{body}"
+    );
+    let stats = client.stats().expect("stats");
+    let pivots = stats.get("pivots").expect("stats has a pivots section");
+    assert!(as_u64(pivots.get("to_rows").expect("to_rows")) >= ROWS as u64);
+    assert!(pivots.get("to_cols").is_some());
 
     let (head, body) = http_get(metrics_addr, "/metrics.json");
     assert!(head.starts_with("HTTP/1.1 200"), "head: {head}");

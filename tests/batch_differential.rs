@@ -101,9 +101,10 @@ fn engine_op_shapes_match_row_vs_columnar() {
     // over the dictionary), fused column projection vs computed
     // projection, typed global aggregates with and without DISTINCT,
     // grouped aggregation, hash joins into key and non-key columns, the
-    // semi/anti gather kernel, nested-loop residuals, UNION ALL, CTE
-    // materialization, ORDER BY with LIMIT, and correlated subqueries
-    // (which inherit the enclosing query's mode).
+    // semi/anti gather kernel, nested-loop residuals, UNION ALL (alone and
+    // feeding GROUP BY), CTE materialization (plain and computed), ORDER
+    // BY with LIMIT, and correlated subqueries (which inherit the enclosing
+    // query's mode).
     let shapes = [
         "select o_orderkey from orders o where o_totalprice > 1000 and o_shippriority = 0",
         "select o_orderkey from orders o where o_totalprice > 100000 or o_orderkey < 50",
@@ -134,6 +135,25 @@ fn engine_op_shapes_match_row_vs_columnar() {
          limit 25",
         "select c.c_custkey from customer c where c.c_acctbal > \
          (select avg(c2.c_acctbal) from customer c2)",
+        // UNION ALL of two tables (two text dictionaries, differently
+        // typed key columns) feeding GROUP BY: chunks concatenate and the
+        // group-key kernel compares text by string.
+        "select u.seg, count(*), min(u.k), max(u.bal) from \
+         (select c_mktsegment as seg, c_custkey as k, c_acctbal as bal from customer c \
+          union all \
+          select o_orderpriority as seg, o_orderkey as k, o_totalprice as bal from orders o) u \
+         group by u.seg",
+        // A computed-projection CTE in the shape of the rewritings'
+        // `conq_base` (COALESCE, `+ - *`, CASE WHEN .. IS NULL), then
+        // per-key MIN/MAX, then an outer SUM — RewriteAgg end to end.
+        "with base as (select o.o_custkey as k, o.o_orderstatus as st, \
+                  coalesce(o.o_totalprice, 0) as e1, \
+                  coalesce(o.o_totalprice * (1 - 0.05) * (1 + o.o_shippriority), 0) as e2, \
+                  case when o.o_totalprice is null then 0 else 1 end as c1, \
+                  1 as one from orders o where o.o_orderdate <= date '1998-09-02'), \
+              per_key as (select b.k as k, b.st as st, min(b.e1) as lo, max(b.e2) as hi, \
+                  min(b.c1) as cmin, max(b.one) as n from base b group by b.k, b.st) \
+         select p.st, sum(p.lo), sum(p.hi), sum(p.cmin), sum(p.n) from per_key p group by p.st",
     ];
     for sql in shapes {
         let oracle = w.db.query_with(sql, &row_opts(1)).unwrap();

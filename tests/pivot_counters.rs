@@ -1,0 +1,93 @@
+//! Pins where the rewritings of Q1 still cross the row/column boundary.
+//!
+//! `exec.pivot.to_rows` / `exec.pivot.to_cols` count the rows every
+//! `ColBatch` pivot moves. Since GROUP BY, DISTINCT, `UNION ALL` and the
+//! computed projections of `RewriteAgg` stay columnar, a warm run of
+//! rewritten or annotated Q1 pivots in exactly two places: the hash join
+//! inside `conq_qg_filter` (inner, with a residual — still a row-path
+//! operator: its probe side is pivoted to rows, its row-shaped output back
+//! to columns at the `UNION ALL`) and the final ≤ 4-row result. A change
+//! that makes any other operator of the rewriting pivot again moves these
+//! counters, not just a timing.
+//!
+//! One test only: the counters are process-wide.
+
+use conquer::engine::{NodeStats, Plan};
+use conquer::sql::ast::Query;
+use conquer::tpch::{build_workload, WorkloadConfig, Q1};
+use conquer::{parse_query, rewrite, ExecOptions, RewriteOptions};
+
+/// Probe-side input rows and output rows of every hash join in the plan.
+fn join_rows(plan: &Plan, stats: &NodeStats, probe: &mut u64, out: &mut u64) {
+    if matches!(plan, Plan::HashJoin { .. }) {
+        *probe += stats.probe_rows;
+        *out += stats.rows_out;
+    }
+    for (child, child_stats) in plan.children().into_iter().zip(&stats.children) {
+        join_rows(child, child_stats, probe, out);
+    }
+}
+
+/// `query` cut down to the body of its CTE `name`, over the CTEs before it.
+fn cte_as_query(query: &Query, name: &str) -> Query {
+    let at = query
+        .ctes
+        .iter()
+        .position(|c| c.name == name)
+        .expect("the rewriting has this CTE");
+    let mut cut = query.ctes[at].query.clone();
+    cut.ctes = query.ctes[..at].to_vec();
+    cut
+}
+
+#[test]
+fn rewritten_q1_pivots_only_the_filter_join_and_the_result() {
+    let w = build_workload(&WorkloadConfig {
+        scale_factor: 0.005,
+        annotate: true,
+        ..WorkloadConfig::default()
+    });
+    let options = ExecOptions::default();
+    let registry = conquer_obs::registry();
+    let pivots = || {
+        (
+            registry.counter("exec.pivot.to_rows").get(),
+            registry.counter("exec.pivot.to_cols").get(),
+        )
+    };
+    let q1 = parse_query(Q1.sql).unwrap();
+    for annotated in [false, true] {
+        let rewritten = rewrite(
+            &q1,
+            &w.sigma,
+            &RewriteOptions {
+                annotated,
+                ..RewriteOptions::default()
+            },
+        )
+        .unwrap();
+        // What the one row-path join reads and writes.
+        let (_, plan, stats) =
+            w.db.execute_query_traced(&cte_as_query(&rewritten, "conq_qg_filter"), &options)
+                .unwrap();
+        let (mut probe, mut joined) = (0, 0);
+        join_rows(&plan, &stats, &mut probe, &mut joined);
+        assert!(probe > 0, "the filter join probes the candidates");
+        // The runs above warmed the base table's shared row view (the
+        // join's build side); now count one whole execution.
+        let before = pivots();
+        let answer = w.db.execute_query_with(&rewritten, &options).unwrap();
+        let after = pivots();
+        assert!(answer.rows.len() <= 4);
+        assert_eq!(
+            after.0 - before.0,
+            probe + answer.rows.len() as u64,
+            "annotated={annotated}: rows pivoted column -> row"
+        );
+        assert_eq!(
+            after.1 - before.1,
+            joined,
+            "annotated={annotated}: rows pivoted row -> column"
+        );
+    }
+}
