@@ -72,10 +72,15 @@
 //! total-open-connection counts: each point holds that many connections
 //! open — `min(concurrency, point)` of them driving the closed loop, the
 //! rest idle — so the report shows how the serving core behaves as
-//! connection count grows past the worker pool. The report
+//! connection count grows past the worker pool. `--churn-ms <N>` runs
+//! every point twice, first quiet and then beside one more connection that
+//! inserts a row into a scratch table no query reads every N ms — the
+//! traffic that used to empty the statement cache and, with per-table
+//! revalidation, should cost the readers nothing. The report
 //! (`BENCH_serve.json`) carries, per trajectory point, per-strategy
-//! p50/p95/p99/mean latency, aggregate throughput, busy-retry counts, and
-//! the post-warmup rewrite/plan-cache hit rate.
+//! p50/p95/p99/mean latency, aggregate throughput, busy-retry counts, the
+//! post-warmup rewrite/plan-cache hit rate and, for a churn phase, its
+//! interval and the inserts acknowledged.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -119,6 +124,9 @@ struct Args {
     connections: Vec<usize>,
     /// `serve` mode: rounds over the full query × strategy grid per worker.
     rounds: usize,
+    /// `serve` mode: also run each point beside a writer connection that
+    /// inserts into a scratch table every this many milliseconds.
+    churn_ms: Option<u64>,
     /// `plancost` mode: path to a checked-in threshold file (`<query>
     /// <max_ratio>` lines); a rewritten/original cost ratio above its
     /// threshold fails the run.
@@ -171,6 +179,7 @@ fn parse_args() -> Args {
         concurrency: 16,
         connections: Vec::new(),
         rounds: 3,
+        churn_ms: None,
         cost_threshold_file: None,
         sql: None,
         strategy: Strategy::Rewritten,
@@ -254,6 +263,14 @@ fn parse_args() -> Args {
                     .filter(|n| *n >= 1)
                     .unwrap_or_else(|| die("--rounds requires a positive integer"));
             }
+            "--churn-ms" => {
+                args.churn_ms = Some(
+                    it.next()
+                        .and_then(|v| v.parse().ok())
+                        .filter(|n| *n >= 1)
+                        .unwrap_or_else(|| die("--churn-ms requires a positive integer")),
+                );
+            }
             "--cost-threshold-file" => {
                 args.cost_threshold_file = Some(
                     it.next()
@@ -298,7 +315,7 @@ fn die(msg: &str) -> ! {
          [--sf F] [--runs N] [--json PATH] [--quiet] \
          [--timeout-ms N] [--mem-limit BYTES] [--threads N] \
          [--serve-port P] [--concurrency N] [--connections N,M,...] [--rounds R] \
-         [--cost-threshold-file PATH]\n       \
+         [--churn-ms N] [--cost-threshold-file PATH]\n       \
          harness trace \"<sql>\" [--strategy original|rewritten|annotated] \
          [--sf F] [--threads N] [--json PATH]"
     );
@@ -1190,6 +1207,7 @@ fn trace_cmd(args: &Args) -> Json {
         status,
         error: error.clone(),
         cached: false,
+        cache: "miss".into(),
         elapsed_us,
         rows_out,
         rows_in: 0,
@@ -1336,15 +1354,15 @@ fn serve_cmd(args: &Args) -> Json {
         die("the server answered no benchmark query under any strategy");
     }
     // One sweep step per connection point: open the idle connections, run
-    // the closed loop, report, tear the idle connections back down.
+    // the closed loop (quiet, then beside the churn writer when asked),
+    // report, tear the idle connections back down.
+    let phases: Vec<Option<u64>> = std::iter::once(None)
+        .chain(args.churn_ms.map(Some))
+        .collect();
     let mut trajectory = Vec::new();
     for &point in &points {
         let active = point.min(args.concurrency);
         let idle_count = point - active;
-        say!(
-            args,
-            "### {point} connections ({active} active, {idle_count} idle)\n"
-        );
         // The idle connections cost the server registration + readiness
         // sweeping — exactly the pressure this axis is meant to measure.
         let mut idle = Vec::new();
@@ -1354,105 +1372,142 @@ fn serve_cmd(args: &Args) -> Json {
                 Err(e) => die(&format!("idle connection {i} of {idle_count}: {e}")),
             }
         }
-        let (hits0, misses0) = cache_counters(&warm.stats().unwrap_or(Json::Null));
-        let t_loop = Instant::now();
-        let worker_results = serve_point(addr, &pairs, args.rounds, active);
-        let wall = t_loop.elapsed();
+        for &churn_ms in &phases {
+            let churn_note = churn_ms.map_or(String::new(), |ms| {
+                format!(", one writer inserting into {CHURN_TABLE} every {ms} ms")
+            });
+            say!(
+                args,
+                "### {point} connections ({active} active, {idle_count} idle{churn_note})\n"
+            );
+            let (hits0, misses0) = cache_counters(&warm.stats().unwrap_or(Json::Null));
+            let stop = AtomicBool::new(false);
+            let (worker_results, wall, inserts) = std::thread::scope(|scope| {
+                let stop = &stop;
+                let writer = churn_ms.map(|ms| scope.spawn(move || churn_writer(addr, ms, stop)));
+                let t_loop = Instant::now();
+                let results = serve_point(addr, &pairs, args.rounds, active);
+                let wall = t_loop.elapsed();
+                stop.store(true, Ordering::Release);
+                let inserts = writer.map(|w| w.join().expect("churn writer"));
+                (results, wall, inserts)
+            });
+            let inserts = inserts.map(|outcome| {
+                outcome.unwrap_or_else(|e| {
+                    FAILED.store(true, Ordering::Relaxed);
+                    eprintln!("harness: churn writer error: {e}");
+                    0
+                })
+            });
+
+            let mut busy_total = 0u64;
+            let mut all_samples: Vec<(Strategy, u64)> = Vec::new();
+            for (samples, busy, errors) in worker_results {
+                busy_total += busy;
+                all_samples.extend(samples);
+                for e in errors {
+                    FAILED.store(true, Ordering::Relaxed);
+                    eprintln!("harness: serve worker error: {e}");
+                }
+            }
+
+            // Per-phase cache delta: everything after warmup should be a
+            // hit, writer or no writer — nothing reads its table.
+            let (hits1, misses1) = cache_counters(&warm.stats().unwrap_or(Json::Null));
+            let (dh, dm) = (hits1 - hits0, misses1 - misses0);
+            let hit_rate = if dh + dm > 0.0 { dh / (dh + dm) } else { 0.0 };
+
+            say!(
+                args,
+                "| Strategy | queries | p50 (ms) | p95 (ms) | p99 (ms) | mean (ms) |"
+            );
+            say!(
+                args,
+                "|----------|--------:|---------:|---------:|---------:|----------:|"
+            );
+            let mut strategy_reports = Vec::new();
+            for &strategy in &STRATEGIES {
+                let mut lat: Vec<u64> = all_samples
+                    .iter()
+                    .filter(|(s, _)| *s == strategy)
+                    .map(|&(_, us)| us)
+                    .collect();
+                if lat.is_empty() {
+                    continue;
+                }
+                lat.sort_unstable();
+                let (p50, p95, p99) = (
+                    conquer_bench::percentile(&lat, 0.50),
+                    conquer_bench::percentile(&lat, 0.95),
+                    conquer_bench::percentile(&lat, 0.99),
+                );
+                let mean = lat.iter().sum::<u64>() / lat.len() as u64;
+                say!(
+                    args,
+                    "| {} | {} | {:.2} | {:.2} | {:.2} | {:.2} |",
+                    strategy.label(),
+                    lat.len(),
+                    p50 as f64 / 1e3,
+                    p95 as f64 / 1e3,
+                    p99 as f64 / 1e3,
+                    mean as f64 / 1e3,
+                );
+                strategy_reports.push(Json::obj([
+                    ("strategy", Json::from(strategy.label())),
+                    ("count", Json::UInt(lat.len() as u64)),
+                    ("p50_us", Json::UInt(p50)),
+                    ("p95_us", Json::UInt(p95)),
+                    ("p99_us", Json::UInt(p99)),
+                    ("mean_us", Json::UInt(mean)),
+                ]));
+            }
+            let throughput = all_samples.len() as f64 / wall.as_secs_f64().max(1e-9);
+            say!(
+                args,
+                "\nthroughput: {throughput:.0} queries/s, busy retries: {busy_total}, \
+                 post-warmup cache hit rate: {:.1}%{}\n",
+                hit_rate * 100.0,
+                inserts.map_or(String::new(), |n| format!(", inserts acknowledged: {n}"))
+            );
+
+            let mut entry = Json::obj([
+                ("connections", Json::UInt(point as u64)),
+                ("active", Json::UInt(active as u64)),
+                ("idle", Json::UInt(idle_count as u64)),
+                ("strategies", Json::Arr(strategy_reports)),
+                (
+                    "totals",
+                    Json::obj([
+                        ("queries", Json::UInt(all_samples.len() as u64)),
+                        ("busy_retries", Json::UInt(busy_total)),
+                        ("wall_ms", Json::Float(wall.as_secs_f64() * 1e3)),
+                        ("throughput_qps", Json::Float(throughput)),
+                    ]),
+                ),
+                (
+                    "cache",
+                    Json::obj([
+                        ("post_warmup_hit_rate", Json::Float(hit_rate)),
+                        ("hits", Json::Float(dh)),
+                        ("misses", Json::Float(dm)),
+                    ]),
+                ),
+            ]);
+            if let (Some(ms), Some(n)) = (churn_ms, inserts) {
+                entry.push(
+                    "churn",
+                    Json::obj([
+                        ("interval_ms", Json::UInt(ms)),
+                        ("table", Json::from(CHURN_TABLE)),
+                        ("inserts", Json::UInt(n)),
+                    ]),
+                );
+            }
+            trajectory.push(entry);
+        }
         for client in idle {
             let _ = client.quit();
         }
-
-        let mut busy_total = 0u64;
-        let mut all_samples: Vec<(Strategy, u64)> = Vec::new();
-        for (samples, busy, errors) in worker_results {
-            busy_total += busy;
-            all_samples.extend(samples);
-            for e in errors {
-                FAILED.store(true, Ordering::Relaxed);
-                eprintln!("harness: serve worker error: {e}");
-            }
-        }
-
-        // Per-point cache delta: everything after warmup should be a hit.
-        let (hits1, misses1) = cache_counters(&warm.stats().unwrap_or(Json::Null));
-        let (dh, dm) = (hits1 - hits0, misses1 - misses0);
-        let hit_rate = if dh + dm > 0.0 { dh / (dh + dm) } else { 0.0 };
-
-        say!(
-            args,
-            "| Strategy | queries | p50 (ms) | p95 (ms) | p99 (ms) | mean (ms) |"
-        );
-        say!(
-            args,
-            "|----------|--------:|---------:|---------:|---------:|----------:|"
-        );
-        let mut strategy_reports = Vec::new();
-        for &strategy in &STRATEGIES {
-            let mut lat: Vec<u64> = all_samples
-                .iter()
-                .filter(|(s, _)| *s == strategy)
-                .map(|&(_, us)| us)
-                .collect();
-            if lat.is_empty() {
-                continue;
-            }
-            lat.sort_unstable();
-            let (p50, p95, p99) = (
-                conquer_bench::percentile(&lat, 0.50),
-                conquer_bench::percentile(&lat, 0.95),
-                conquer_bench::percentile(&lat, 0.99),
-            );
-            let mean = lat.iter().sum::<u64>() / lat.len() as u64;
-            say!(
-                args,
-                "| {} | {} | {:.2} | {:.2} | {:.2} | {:.2} |",
-                strategy.label(),
-                lat.len(),
-                p50 as f64 / 1e3,
-                p95 as f64 / 1e3,
-                p99 as f64 / 1e3,
-                mean as f64 / 1e3,
-            );
-            strategy_reports.push(Json::obj([
-                ("strategy", Json::from(strategy.label())),
-                ("count", Json::UInt(lat.len() as u64)),
-                ("p50_us", Json::UInt(p50)),
-                ("p95_us", Json::UInt(p95)),
-                ("p99_us", Json::UInt(p99)),
-                ("mean_us", Json::UInt(mean)),
-            ]));
-        }
-        let throughput = all_samples.len() as f64 / wall.as_secs_f64().max(1e-9);
-        say!(
-            args,
-            "\nthroughput: {throughput:.0} queries/s, busy retries: {busy_total}, \
-             post-warmup cache hit rate: {:.1}%\n",
-            hit_rate * 100.0
-        );
-
-        trajectory.push(Json::obj([
-            ("connections", Json::UInt(point as u64)),
-            ("active", Json::UInt(active as u64)),
-            ("idle", Json::UInt(idle_count as u64)),
-            ("strategies", Json::Arr(strategy_reports)),
-            (
-                "totals",
-                Json::obj([
-                    ("queries", Json::UInt(all_samples.len() as u64)),
-                    ("busy_retries", Json::UInt(busy_total)),
-                    ("wall_ms", Json::Float(wall.as_secs_f64() * 1e3)),
-                    ("throughput_qps", Json::Float(throughput)),
-                ]),
-            ),
-            (
-                "cache",
-                Json::obj([
-                    ("post_warmup_hit_rate", Json::Float(hit_rate)),
-                    ("hits", Json::Float(dh)),
-                    ("misses", Json::Float(dm)),
-                ]),
-            ),
-        ]));
     }
 
     let _ = warm.quit();
@@ -1465,6 +1520,9 @@ fn serve_cmd(args: &Args) -> Json {
     report.push("in_process", Json::Bool(args.serve_port.is_none()));
     report.push("concurrency", Json::UInt(args.concurrency as u64));
     report.push("rounds", Json::UInt(args.rounds as u64));
+    if let Some(ms) = args.churn_ms {
+        report.push("churn_ms", Json::UInt(ms));
+    }
     report.push(
         "connections",
         Json::Arr(points.iter().map(|&n| Json::UInt(n as u64)).collect()),
@@ -1474,6 +1532,37 @@ fn serve_cmd(args: &Args) -> Json {
         report.push("skipped", Json::Arr(skipped));
     }
     report
+}
+
+/// The table `--churn-ms` writes to; no benchmark query reads it.
+const CHURN_TABLE: &str = "harness_churn";
+
+/// The `--churn-ms` writer: one connection inserting a row into
+/// [`CHURN_TABLE`] every `interval_ms` until `stop` is set. Returns how
+/// many inserts the server acknowledged.
+fn churn_writer(
+    addr: std::net::SocketAddr,
+    interval_ms: u64,
+    stop: &AtomicBool,
+) -> Result<u64, String> {
+    let mut client = conquer_serve::Client::connect(addr).map_err(|e| e.to_string())?;
+    // An external server may still hold the table from an earlier run.
+    if let Err(e) = client.script(&format!("create table {CHURN_TABLE} (seq integer)")) {
+        if !e.to_string().contains("already exists") {
+            return Err(e.to_string());
+        }
+    }
+    let mut inserts = 0u64;
+    while !stop.load(Ordering::Acquire) {
+        match client.script(&format!("insert into {CHURN_TABLE} values ({inserts})")) {
+            Ok(()) => inserts += 1,
+            Err(e) if e.is_busy() => {}
+            Err(e) => return Err(e.to_string()),
+        }
+        std::thread::sleep(Duration::from_millis(interval_ms));
+    }
+    let _ = client.quit();
+    Ok(inserts)
 }
 
 /// What one closed-loop worker brings home: `(strategy, latency_us)`

@@ -130,8 +130,10 @@ pub fn possible_answers(db: &Database, sql: &str) -> Result<Rows> {
 /// prepared statements can share them across sessions without re-parsing or
 /// re-running the analysis. The rewriting depends only on the SQL text, the
 /// constraint set, and the rewrite options — never on the database contents
-/// — so a `PreparedRewrite` stays valid across data changes (plans built
-/// from it do not; see `Database::catalog_epoch`).
+/// — so a `PreparedRewrite` stays valid across data changes. Plans built
+/// from it do not: a plan is current only while every table it read keeps
+/// its version (see `Database::plan_with_reads` and
+/// `Database::first_moved`).
 #[derive(Debug, Clone)]
 pub struct PreparedRewrite {
     /// The query as written.

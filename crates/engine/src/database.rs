@@ -38,27 +38,6 @@ fn write_lock<T>(lock: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
     lock.write().unwrap_or_else(|e| e.into_inner())
 }
 
-/// An in-memory database: thread-safe catalog of tables.
-///
-/// Reads (queries) take a read lock only long enough to snapshot `Arc`s to
-/// the tables they touch, so concurrent query execution over a shared
-/// `&Database` is cheap. Scan-ready row batches are cached per table and
-/// invalidated on registration, so repeated references to a table (within
-/// one query or across queries) share a single `Arc<Rows>`.
-///
-/// The database is `Send + Sync` and designed to be shared as
-/// `Arc<Database>` across many session threads (the read-mostly contract
-/// `conquer-serve` relies on): all interior mutability is behind the two
-/// `RwLock`ed catalog maps plus the [catalog epoch](Database::catalog_epoch)
-/// atomic, queries never hold a lock across execution, and writers
-/// (`register`/`drop_table`) swap whole `Arc<Table>`s, so in-flight queries
-/// keep the snapshot they planned against.
-///
-/// Statement-level mutations (`CREATE TABLE`'s existence check, `INSERT`'s
-/// clone-push-register) are read-modify-write sequences, not single swaps;
-/// they serialize on the dedicated `mutation` mutex so concurrent scripts
-/// from different sessions can neither lose rows nor both "create" the
-/// same table.
 /// One declared secondary index: the key column names, plus the built
 /// postings once the lazy build has run. `built` always refers to a batch
 /// the scan cache handed out; `Arc::ptr_eq` against the current cached
@@ -69,6 +48,55 @@ struct IndexSlot {
     built: Option<Arc<Index>>,
 }
 
+/// The base tables one planning pass read, each with the
+/// [version](Database::table_version) it was read at. The planner records
+/// an entry at its single base-table resolution point, which also sees
+/// tables referenced only inside CTE bodies and subqueries — those are
+/// executed at plan time and leave no trace in the finished [`Plan`]. A
+/// plan (with the snapshots and CTE results it embeds) is current exactly
+/// while [`Database::first_moved`] finds none of its reads moved.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TableReads(Vec<(String, u64)>);
+
+impl TableReads {
+    /// Record one resolved table reference. A table referenced twice at
+    /// the same version is kept once; two versions of one table (a write
+    /// raced the planning pass) are both kept, so the plan is already
+    /// stale — which is the truth.
+    pub(crate) fn record(&mut self, table: &str, version: u64) {
+        if !self.0.iter().any(|(t, v)| t == table && *v == version) {
+            self.0.push((table.to_string(), version));
+        }
+    }
+
+    /// `(table, version)` in first-reference order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
+        self.0.iter().map(|(t, v)| (t.as_str(), *v))
+    }
+}
+
+/// An in-memory database: thread-safe catalog of tables.
+///
+/// Reads (queries) take a read lock only long enough to snapshot `Arc`s to
+/// the tables they touch, so concurrent query execution over a shared
+/// `&Database` is cheap. Scan-ready row batches are cached per table and
+/// invalidated on registration, so repeated references to a table (within
+/// one query or across queries) share a single `Arc<Rows>`.
+///
+/// The database is `Send + Sync` and designed to be shared as
+/// `Arc<Database>` across many session threads (the read-mostly contract
+/// `conquer-serve` relies on): all interior mutability is behind the
+/// `RwLock`ed catalog maps plus the epoch atomic that
+/// [table versions](Database::table_version) are drawn from, queries never
+/// hold a lock across execution, and writers
+/// (`register`/`drop_table`) swap whole `Arc<Table>`s, so in-flight queries
+/// keep the snapshot they planned against.
+///
+/// Statement-level mutations (`CREATE TABLE`'s existence check, `INSERT`'s
+/// clone-push-register) are read-modify-write sequences, not single swaps;
+/// they serialize on the dedicated `mutation` mutex so concurrent scripts
+/// from different sessions can neither lose rows nor both "create" the
+/// same table.
 #[derive(Default)]
 pub struct Database {
     tables: RwLock<BTreeMap<String, Arc<Table>>>,
@@ -85,13 +113,14 @@ pub struct Database {
     /// TABLE`). Plain `register`/`drop_table` are single atomic swaps and
     /// don't need it.
     mutation: Mutex<()>,
-    /// Bumped on every catalog mutation (`register`, `drop_table`); plan
-    /// and rewrite caches key on this to invalidate stale artifacts.
+    /// Bumped on every catalog mutation (`register`, `drop_table`,
+    /// `create_index`). Each bump's value becomes the mutated table's
+    /// version, so versions are unique across tables and never reused.
     epoch: AtomicU64,
-    /// Bumped alongside `epoch`, after the stats map is updated: a plan
-    /// cache entry stamped with this value was costed against statistics
-    /// that are current for that stamp.
-    stats_epoch: AtomicU64,
+    /// The version each live table was last mutated at (see
+    /// [`Database::table_version`]). Written *last* in every mutation,
+    /// after the table swap, the scan-cache clear and the index unbuild.
+    versions: RwLock<BTreeMap<String, u64>>,
     /// The durable half, when this database was opened with
     /// [`Database::open`]: every catalog mutation is logged to the WAL
     /// before it is applied, and checkpoints snapshot the catalog into
@@ -137,14 +166,14 @@ impl Database {
                 db.apply_create_index(&name, cols);
             }
         }
-        // Epochs as of the checkpoint: serve-layer plan/rewrite caches key
-        // on these, so recovery must not restart them from zero (a stale
-        // cache entry stamped with a "fresh" epoch would serve old data).
+        // The epoch as of the checkpoint, so the counter is continuous
+        // across restarts. `fetch_max` because the segment loads above
+        // already drew versions from it and none may ever be reissued.
+        // Other keys (manifests written before table versions carry a
+        // `stats_epoch`) are ignored.
         for (key, value) in &recovered.meta {
-            match key.as_str() {
-                "catalog_epoch" => db.epoch.store(*value, Ordering::Release),
-                "stats_epoch" => db.stats_epoch.store(*value, Ordering::Release),
-                _ => {}
+            if key == "catalog_epoch" {
+                db.epoch.fetch_max(*value, Ordering::AcqRel);
             }
         }
         // Then the WAL tail. Each record replays as exactly one apply (one
@@ -172,7 +201,7 @@ impl Database {
         self.durability.as_ref().map(|d| d.store.status())
     }
 
-    /// Register (or replace) a table. Bumps the catalog epoch; on a
+    /// Register (or replace) a table. Bumps the table's version; on a
     /// durable database the full table is logged (as a snapshot record)
     /// before the in-memory swap, so annotation recomputes and bulk loads
     /// survive a crash.
@@ -197,8 +226,9 @@ impl Database {
         self.maybe_auto_checkpoint()
     }
 
-    /// Remove a table; returns it if present. Bumps the catalog epoch when
-    /// the table existed; logged write-ahead on durable databases.
+    /// Remove a table; returns it if present. Bumps the catalog epoch and
+    /// retires the table's version when the table existed; logged
+    /// write-ahead on durable databases.
     pub fn drop_table(&self, name: &str) -> Result<Option<Arc<Table>>> {
         let _mutation = self.mutation_lock();
         if !read_lock(&self.tables).contains_key(name) {
@@ -220,10 +250,11 @@ impl Database {
     /// `Arc<Table>` either inserts its rows before the clear (and the clear
     /// wipes them) or revalidates after the swap (and sees the table
     /// changed, so it skips the insert — see `table_cols`). Either way no
-    /// pre-swap rows can sit in the scan cache once the new epoch is
-    /// observable, which is what lets plan caches trust the epoch check.
-    /// Stats are installed before the swap is observable for the same
-    /// reason.
+    /// pre-swap rows can sit in the scan cache once the table's new
+    /// version is observable, which is what lets plan caches trust the
+    /// version check. Stats are installed before the version for the same
+    /// reason: a plan that recorded the new version was costed against the
+    /// new statistics.
     fn apply_register(&self, table: Table, stats: Arc<TableStats>) {
         let name = table.name().to_string();
         write_lock(&self.tables).insert(name.clone(), Arc::new(table));
@@ -239,8 +270,16 @@ impl Database {
                 slot.built = None;
             }
         }
-        self.stats_epoch.fetch_add(1, Ordering::Release);
-        self.epoch.fetch_add(1, Ordering::Release);
+        self.bump_version(&name);
+    }
+
+    /// Publish a mutation of `table`: draw the next value of the epoch
+    /// counter and make it the table's version. Every mutation calls this
+    /// last, so a reader that observes the new version also observes
+    /// everything the mutation wrote.
+    fn bump_version(&self, table: &str) {
+        let version = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
+        write_lock(&self.versions).insert(table.to_string(), version);
     }
 
     /// Apply a drop to the in-memory catalog. Same swap-then-clear
@@ -252,8 +291,8 @@ impl Database {
         // Dropping a table drops its index declarations with it.
         write_lock(&self.indexes).remove(name);
         if dropped.is_some() {
-            self.stats_epoch.fetch_add(1, Ordering::Release);
-            self.epoch.fetch_add(1, Ordering::Release);
+            self.epoch.fetch_add(1, Ordering::AcqRel);
+            write_lock(&self.versions).remove(name);
         }
         dropped
     }
@@ -390,10 +429,7 @@ impl Database {
                 )
             })
             .collect();
-        let meta = [
-            ("catalog_epoch".to_string(), self.catalog_epoch()),
-            ("stats_epoch".to_string(), self.stats_epoch()),
-        ];
+        let meta = [("catalog_epoch".to_string(), self.catalog_epoch())];
         d.store
             .checkpoint(&payloads, &meta)
             .map_err(durable::storage_err)
@@ -417,21 +453,50 @@ impl Database {
         Ok(())
     }
 
-    /// The catalog epoch: a counter bumped on every `register`/`drop_table`.
-    /// Cached plans and rewritings are valid only for the epoch they were
-    /// built under — plans embed `Arc<Rows>` snapshots of the tables they
-    /// scan, so an epoch mismatch means the snapshot may be stale.
+    /// The catalog epoch: a counter bumped on every catalog mutation, of
+    /// any table. A coarse "did anything change" signal for status
+    /// endpoints; plan caches validate per table with
+    /// [`Database::first_moved`] instead.
     pub fn catalog_epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
     }
 
-    /// The statistics epoch: bumped with every catalog mutation, after the
-    /// stats map has been updated. A plan costed under stats epoch `e` is
-    /// only as good as its estimates while `stats_epoch() == e`; plan
-    /// caches stamp entries with it so re-costed plans are rebuilt when the
-    /// data distribution changes.
-    pub fn stats_epoch(&self) -> u64 {
-        self.stats_epoch.load(Ordering::Acquire)
+    /// The version of a table: the value the epoch counter took at the
+    /// table's last mutation (`register`/`INSERT`, `CREATE INDEX`), `None`
+    /// when no such table exists. Versions are never reused, so a table
+    /// dropped and re-created under the same name has a strictly greater
+    /// version than it ever had before. Statistics are collected inside
+    /// `register`, so the version covers them too.
+    pub fn table_version(&self, name: &str) -> Option<u64> {
+        read_lock(&self.versions).get(name).copied()
+    }
+
+    /// The first table in `reads` whose version is no longer the recorded
+    /// one (mutated, dropped, or dropped and re-created), `None` when
+    /// every plan built from those reads is still current. One lock
+    /// acquisition however many tables were read.
+    pub fn first_moved<'r>(&self, reads: &'r TableReads) -> Option<&'r str> {
+        let versions = read_lock(&self.versions);
+        reads
+            .0
+            .iter()
+            .find(|(name, version)| versions.get(name) != Some(version))
+            .map(|(name, _)| name.as_str())
+    }
+
+    /// One base-table read for the planner: the table, its scan-ready
+    /// batch, and a version that is never newer than either. The version
+    /// is read *first* and mutations publish theirs *last*, so a racing
+    /// mutation can only make the recorded version older than the data
+    /// planned against — the plan is then rebuilt once more than needed,
+    /// never served stale.
+    pub(crate) fn scan_snapshot(&self, name: &str) -> Result<(Arc<Table>, Arc<ColBatch>, u64)> {
+        let version = self
+            .table_version(name)
+            .ok_or_else(|| EngineError::UnknownTable(name.to_string()))?;
+        let table = self.table(name)?;
+        let cols = self.table_cols(name)?;
+        Ok((table, cols, version))
     }
 
     /// Statistics for a table, as collected at its last registration.
@@ -466,8 +531,9 @@ impl Database {
     /// The postings are *not* built here. The first query that plans
     /// against the table builds them lazily (see
     /// [`Database::indexes_by_scan`]); the declaration itself is a
-    /// durable, epoch-bumping catalog mutation like any other DDL, so
-    /// serve-layer plan caches stamped with the old epoch are invalidated.
+    /// durable catalog mutation that bumps the table's version like any
+    /// other DDL, so cached plans that read the table are rebuilt and get
+    /// to consider the new access path.
     pub fn create_index(&self, table: &str, cols: &[&str]) -> Result<bool> {
         let _mutation = self.mutation_lock();
         let t = self.table(table)?;
@@ -501,8 +567,7 @@ impl Database {
             }
             slots.push(IndexSlot { cols, built: None });
         }
-        self.stats_epoch.fetch_add(1, Ordering::Release);
-        self.epoch.fetch_add(1, Ordering::Release);
+        self.bump_version(table);
     }
 
     /// Declared index key-column lists for a table, built or not.
@@ -710,7 +775,7 @@ impl Database {
         options: &ExecOptions,
         gov: Option<&Governor>,
     ) -> Result<Rows> {
-        let plan = self.plan_governed(query, options, gov)?;
+        let (plan, _) = self.plan_governed(query, options, gov)?;
         let mut span = conquer_obs::span("execute").field("threads", options.threads);
         let rows =
             exec::execute_columnar_threads(&plan, None, gov, options.threads, options.columnar)?
@@ -728,7 +793,7 @@ impl Database {
     ) -> Result<(Rows, Plan, crate::stats::NodeStats)> {
         let _trace = options.trace.as_ref().map(|t| t.install());
         let gov = Governor::for_options(options);
-        let plan = self.plan_governed(query, options, gov.as_ref())?;
+        let (plan, _) = self.plan_governed(query, options, gov.as_ref())?;
         let mut span = conquer_obs::span("execute").field("threads", options.threads);
         let (rows, mut stats) = exec::execute_traced_threads(
             &plan,
@@ -748,6 +813,17 @@ impl Database {
     /// Plan a query without executing it (CTEs are still materialized, under
     /// the options' resource budget).
     pub fn plan(&self, query: &Query, options: &ExecOptions) -> Result<Plan> {
+        Ok(self.plan_with_reads(query, options)?.0)
+    }
+
+    /// [`Database::plan`], also returning the tables the planner read and
+    /// the version of each — what a plan cache needs to decide later
+    /// whether the plan is still current ([`Database::first_moved`]).
+    pub fn plan_with_reads(
+        &self,
+        query: &Query,
+        options: &ExecOptions,
+    ) -> Result<(Plan, TableReads)> {
         let _trace = options.trace.as_ref().map(|t| t.install());
         let gov = Governor::for_options(options);
         self.plan_governed(query, options, gov.as_ref())
@@ -755,8 +831,9 @@ impl Database {
 
     /// Execute an already-built plan under the given options. This is the
     /// entry point for plan caches (`conquer-serve`): the plan embeds the
-    /// table snapshots it was built against, so callers must validate the
-    /// [catalog epoch](Database::catalog_epoch) before reusing a plan. The
+    /// table snapshots (and CTE results) it was built against, so callers
+    /// reusing a plan must first check, with [`Database::first_moved`],
+    /// that none of the [`TableReads`] it was planned from has moved. The
     /// options' resource budget and cancellation token cover execution
     /// only — parse and plan time were paid when the plan was built.
     pub fn execute_plan_with(&self, plan: &Plan, options: &ExecOptions) -> Result<Rows> {
@@ -780,14 +857,16 @@ impl Database {
         query: &Query,
         options: &ExecOptions,
         gov: Option<&Governor>,
-    ) -> Result<Plan> {
-        let plan = {
+    ) -> Result<(Plan, TableReads)> {
+        let (plan, reads) = {
             let _span = conquer_obs::span("plan")
                 .field("materialize_ctes", options.materialize_ctes)
                 .field("pushdown", options.pushdown_filters);
-            Planner::with_governor(self, options, gov).plan_query(query)?
+            let planner = Planner::with_governor(self, options, gov);
+            let plan = planner.plan_query(query)?;
+            (plan, planner.into_reads())
         };
-        Ok(if options.pushdown_filters {
+        let plan = if options.pushdown_filters {
             let _span = conquer_obs::span("optimize");
             if options.use_stats {
                 let est = self.estimator_for(options);
@@ -797,7 +876,8 @@ impl Database {
             }
         } else {
             plan
-        })
+        };
+        Ok((plan, reads))
     }
 
     /// The cost estimator for one planning pass. With `use_indexes` (and
@@ -1114,17 +1194,83 @@ mod tests {
         assert_eq!(db.table_names(), vec!["t".to_string()]);
     }
 
-    /// Stress the `register` vs `table_rows` race: rows read while the
-    /// epoch is stable must never be older than that epoch (a stale
-    /// scan-cache entry surviving a `register` would violate this and make
-    /// epoch-checked plan caches serve old data).
     #[test]
-    fn scan_cache_never_lags_a_stable_epoch() {
+    fn table_versions_move_only_with_their_table() {
+        let db = Database::new();
+        assert_eq!(db.table_version("t"), None);
+        db.run_script("create table t (a integer); create table u (a integer)")
+            .unwrap();
+        let (t0, u0) = (
+            db.table_version("t").unwrap(),
+            db.table_version("u").unwrap(),
+        );
+        assert_ne!(t0, u0, "versions come from one counter");
+
+        db.run_script("insert into u values (1)").unwrap();
+        assert_eq!(db.table_version("t"), Some(t0), "a write to u leaves t");
+        let u1 = db.table_version("u").unwrap();
+        assert!(u1 > u0);
+
+        // CREATE INDEX is a mutation of its table; re-declaring is not.
+        assert!(db.create_index("t", &["a"]).unwrap());
+        let t1 = db.table_version("t").unwrap();
+        assert!(t1 > t0);
+        assert!(!db.create_index("t", &["a"]).unwrap());
+        assert_eq!(db.table_version("t"), Some(t1), "re-declare bumps nothing");
+        assert_eq!(db.table_version("u"), Some(u1));
+    }
+
+    #[test]
+    fn recreated_table_never_reuses_a_version() {
+        let db = Database::new();
+        db.run_script("create table t (a integer); insert into t values (1)")
+            .unwrap();
+        let query = conquer_sql::parse_query("select a from t").unwrap();
+        let (_, reads) = db.plan_with_reads(&query, &ExecOptions::default()).unwrap();
+        let old = db.table_version("t").unwrap();
+        assert_eq!(reads.iter().collect::<Vec<_>>(), vec![("t", old)]);
+        assert_eq!(db.first_moved(&reads), None);
+
+        db.drop_table("t").unwrap();
+        assert_eq!(db.table_version("t"), None);
+        assert_eq!(db.first_moved(&reads), Some("t"), "dropped");
+        db.run_script("create table t (a integer)").unwrap();
+        assert!(db.table_version("t").unwrap() > old);
+        assert_eq!(db.first_moved(&reads), Some("t"), "same name, new table");
+    }
+
+    #[test]
+    fn reads_cover_tables_that_leave_no_scan_in_the_plan() {
+        let db = Database::new();
+        db.run_script(
+            "create table t (a integer); create table in_cte (a integer);
+             create table in_exists (a integer); create table untouched (a integer);",
+        )
+        .unwrap();
+        let query = conquer_sql::parse_query(
+            "with c as (select a from in_cte) \
+             select t.a from t, c where t.a = c.a \
+             and exists (select * from in_exists e where e.a = t.a)",
+        )
+        .unwrap();
+        let (_, reads) = db.plan_with_reads(&query, &ExecOptions::default()).unwrap();
+        let mut tables: Vec<&str> = reads.iter().map(|(t, _)| t).collect();
+        tables.sort_unstable();
+        assert_eq!(tables, vec!["in_cte", "in_exists", "t"]);
+    }
+
+    /// Stress the `register` vs `scan_snapshot` race: the rows a planner
+    /// is handed must never be older than the version it records beside
+    /// them (a stale scan-cache entry surviving a `register` would violate
+    /// this and make version-checked plan caches serve old data). Newer is
+    /// fine: that plan fails its next version check and is rebuilt.
+    #[test]
+    fn scan_snapshot_never_lags_its_version() {
         const VERSIONS: u64 = 1000;
         let db = Database::new();
         db.run_script("create table t (a integer); insert into t values (0)")
             .unwrap();
-        let e0 = db.catalog_epoch(); // version 0 is current at e0
+        let v0 = db.table_version("t").unwrap(); // row value 0 is current at v0
         std::thread::scope(|scope| {
             scope.spawn(|| {
                 for i in 1..=VERSIONS {
@@ -1134,27 +1280,20 @@ mod tests {
                 }
             });
             scope.spawn(|| loop {
-                let before = db.catalog_epoch();
-                let rows = db.table_cols("t").unwrap();
-                let after = db.catalog_epoch();
-                if before == after {
-                    // Version (before - e0) registered at epoch `before`;
-                    // seeing anything older means the cache served stale
-                    // rows under this epoch. (Fresher is fine: the writer
-                    // may already have swapped without us observing the
-                    // bump yet.)
-                    let expect = (before - e0) as i64;
-                    let got = match rows.rows()[0][0] {
-                        Value::Int(v) => v,
-                        ref other => panic!("unexpected value {other:?}"),
-                    };
-                    assert!(
-                        got >= expect,
-                        "scan cache served version {got} at stable epoch {before} \
-                         (expected at least {expect})"
-                    );
-                }
-                if after >= e0 + VERSIONS {
+                let (_, rows, version) = db.scan_snapshot("t").unwrap();
+                // `t` is the only table mutated, so its versions are
+                // consecutive: value i was registered at version v0 + i.
+                let expect = (version - v0) as i64;
+                let got = match rows.rows()[0][0] {
+                    Value::Int(v) => v,
+                    ref other => panic!("unexpected value {other:?}"),
+                };
+                assert!(
+                    got >= expect,
+                    "scan snapshot holds value {got} beside version {version} \
+                     (expected at least {expect})"
+                );
+                if version >= v0 + VERSIONS {
                     return;
                 }
             });

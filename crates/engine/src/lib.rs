@@ -62,7 +62,7 @@ pub mod value;
 pub use col::{ColBatch, ColumnChunk, ColumnData, TextDict};
 pub use conquer_storage::{StoreStatus, SyncPolicy};
 pub use cost::Estimator;
-pub use database::Database;
+pub use database::{Database, TableReads};
 pub use durable::{Checkpointer, DurabilityOptions};
 pub use error::{EngineError, Result};
 pub use explain::{explain, explain_analyze, explain_estimated, stats_json};

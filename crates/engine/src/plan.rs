@@ -7,6 +7,7 @@
 //! into hash semi/anti joins; a second flag disables that and falls back to
 //! per-row nested-loop evaluation.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -17,7 +18,7 @@ use conquer_sql::ast::{
 use conquer_sql::Literal;
 
 use crate::col::ColBatch;
-use crate::database::Database;
+use crate::database::{Database, TableReads};
 use crate::error::{EngineError, Result};
 use crate::exec;
 use crate::expr::{BoundExpr, ScalarFunc, SubqueryKind};
@@ -782,15 +783,14 @@ pub struct Planner<'a> {
     /// materialization executes at plan time, so planning is governed by
     /// the same budget as execution.
     gov: Option<&'a Governor>,
+    /// Every base table resolved so far, with the version it was read at
+    /// (see [`Planner::plan_table_ref`]).
+    reads: RefCell<TableReads>,
 }
 
 impl<'a> Planner<'a> {
     pub fn new(db: &'a Database, options: &'a ExecOptions) -> Planner<'a> {
-        Planner {
-            db,
-            options,
-            gov: None,
-        }
+        Planner::with_governor(db, options, None)
     }
 
     /// A planner whose plan-time work (CTE materialization) runs under
@@ -800,7 +800,19 @@ impl<'a> Planner<'a> {
         options: &'a ExecOptions,
         gov: Option<&'a Governor>,
     ) -> Planner<'a> {
-        Planner { db, options, gov }
+        Planner {
+            db,
+            options,
+            gov,
+            reads: RefCell::default(),
+        }
+    }
+
+    /// The base tables this planner resolved, each at the version it read:
+    /// everything the plans it produced (and the CTE results and subquery
+    /// plans inside them) depend on.
+    pub fn into_reads(self) -> TableReads {
+        self.reads.into_inner()
     }
 
     /// The cost estimator the options call for: index-aware when
@@ -1046,9 +1058,13 @@ impl<'a> Planner<'a> {
                         schema,
                     });
                 }
-                let table = self.db.table(name)?;
+                // The one place a base table enters a plan, whether the
+                // reference sits in the query body, a CTE body that is
+                // about to be executed, or a subquery: record what was
+                // read so plan caches can revalidate per table.
+                let (table, cols, version) = self.db.scan_snapshot(name)?;
+                self.reads.borrow_mut().record(name, version);
                 let schema = table.schema().qualified(binding);
-                let cols = self.db.table_cols(name)?;
                 Ok(Plan::Scan { cols, schema })
             }
             TableRef::Subquery { query, alias } => {

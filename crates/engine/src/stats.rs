@@ -9,8 +9,10 @@
 //! [`TableStats`] / [`ColumnStats`] are collected eagerly whenever a table
 //! is registered (`CREATE TABLE` + every `INSERT` re-registers, so stats
 //! are never stale) and exposed through the catalog
-//! ([`crate::Database::table_stats`]); the stats epoch advances with the
-//! catalog epoch so plan caches can detect staleness. The estimation
+//! ([`crate::Database::table_stats`]); they are installed before the
+//! table's new [version](crate::Database::table_version) is published, so
+//! plan caches that check versions never keep a plan costed against older
+//! statistics. The estimation
 //! formulas that consume them live in [`crate::cost`].
 
 use std::collections::HashSet;

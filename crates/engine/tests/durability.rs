@@ -58,9 +58,9 @@ fn create_insert_survive_reopen_via_wal_replay() {
 }
 
 #[test]
-fn checkpoint_then_reopen_loads_segments_with_verbatim_stats_and_epochs() {
+fn checkpoint_then_reopen_loads_segments_with_verbatim_stats_and_epoch() {
     let dir = temp_dir("checkpoint");
-    let (epochs, stats_before);
+    let (epoch, stats_before);
     {
         let db = open(&dir);
         db.run_script(
@@ -69,7 +69,7 @@ fn checkpoint_then_reopen_loads_segments_with_verbatim_stats_and_epochs() {
         )
         .unwrap();
         assert!(db.checkpoint().unwrap(), "first checkpoint must run");
-        epochs = (db.catalog_epoch(), db.stats_epoch());
+        epoch = db.catalog_epoch();
         stats_before = format!("{:?}", db.table_stats("t").expect("stats"));
         // A clean checkpoint folds the WAL down to just its magic header.
         let status = db.storage_status().unwrap();
@@ -79,13 +79,60 @@ fn checkpoint_then_reopen_loads_segments_with_verbatim_stats_and_epochs() {
     let db = open(&dir);
     assert_eq!(ints(&db, "select x from t order by x"), vec![1, 2, 3, 3]);
     // Stats come back verbatim from the segment, not recomputed — and the
-    // epochs land exactly where they were, so plan caches keyed on them
-    // stay sound across a restart.
+    // epoch lands exactly where it was, so table versions keep growing
+    // across a restart instead of starting over.
     assert_eq!(
         format!("{:?}", db.table_stats("t").expect("stats")),
         stats_before
     );
-    assert_eq!((db.catalog_epoch(), db.stats_epoch()), epochs);
+    assert_eq!(db.catalog_epoch(), epoch);
+    assert!(db.table_version("t").is_some_and(|v| v <= epoch));
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Manifests written before per-table versions carry a `stats_epoch` meta
+/// key next to `catalog_epoch`. Such a directory must still open: the key
+/// is ignored, the data and the epoch come back.
+#[test]
+fn manifest_with_legacy_stats_epoch_key_opens() {
+    use conquer_storage::{Store, StoreOptions};
+
+    let dir = temp_dir("legacy-meta");
+    let epoch;
+    {
+        let db = open(&dir);
+        db.run_script("create table t (x integer); insert into t values (1), (2)")
+            .unwrap();
+        db.checkpoint().unwrap();
+        epoch = db.catalog_epoch();
+    }
+    {
+        // Re-commit the same segments under the old manifest shape.
+        let options = StoreOptions {
+            sync: SyncPolicy::Always,
+        };
+        let (store, recovered) = Store::open(&dir, options).expect("open store");
+        let tables: Vec<(String, Vec<u8>)> = recovered
+            .segments
+            .into_iter()
+            .map(|seg| (seg.table, seg.payload))
+            .collect();
+        let mut meta = recovered.meta;
+        assert!(meta.iter().all(|(key, _)| key == "catalog_epoch"));
+        meta.push(("stats_epoch".to_string(), 7));
+        store.checkpoint(&tables, &meta).expect("legacy checkpoint");
+    }
+    let db = open(&dir);
+    assert_eq!(ints(&db, "select x from t order by x"), vec![1, 2]);
+    assert_eq!(db.catalog_epoch(), epoch);
+    // And it keeps working: the next checkpoint drops the key again.
+    db.run_script("insert into t values (3)").unwrap();
+    db.checkpoint().unwrap();
+    drop(db);
+    assert_eq!(
+        ints(&open(&dir), "select x from t order by x"),
+        vec![1, 2, 3]
+    );
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -159,8 +159,10 @@ fn create_index_is_idempotent_ddl_and_bumps_the_epoch() {
     assert!(db.create_index("t", &["k"]).unwrap());
     let e1 = db.catalog_epoch();
     assert!(e1 > e0, "declare is a catalog mutation");
+    assert_eq!(db.table_version("t"), Some(e1), "of the indexed table");
     assert!(!db.create_index("t", &["k"]).unwrap());
     assert_eq!(db.catalog_epoch(), e1, "re-declare bumps nothing");
+    assert_eq!(db.table_version("t"), Some(e1));
     assert!(db.create_index("missing", &["k"]).is_err());
     assert!(db.create_index("t", &["nope"]).is_err());
     assert_eq!(

@@ -13,6 +13,7 @@
 //! lines when a query is slower than the configured threshold, trips a
 //! resource limit, or errors (see [`log_slow_query`]).
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -98,6 +99,10 @@ pub struct QueryTrace {
     pub error: Option<String>,
     /// Whether the rewrite/plan cache served this statement.
     pub cached: bool,
+    /// How the cache lookup went: `hit`, `miss` (no entry), or
+    /// `stale:<table>` — an entry existed but `<table>` had been written,
+    /// indexed, dropped or re-created since it was built.
+    pub cache: Cow<'static, str>,
     pub elapsed_us: u64,
     /// Rows produced by the query (0 on error).
     pub rows_out: u64,
@@ -137,6 +142,7 @@ impl QueryTrace {
             ("strategy", Json::from(self.strategy)),
             ("status", Json::from(self.status)),
             ("cached", Json::Bool(self.cached)),
+            ("cache", Json::Str(self.cache.to_string())),
             ("elapsed_us", Json::UInt(self.elapsed_us)),
             ("rows_out", Json::UInt(self.rows_out)),
             ("rows_in", Json::UInt(self.rows_in)),
@@ -290,6 +296,7 @@ mod tests {
             status: "ok",
             error: None,
             cached: false,
+            cache: Cow::Borrowed("stale:orders"),
             elapsed_us: 1250,
             rows_out: 4,
             rows_in: 100,
@@ -355,6 +362,7 @@ mod tests {
         }];
         let json = t.summary_json();
         assert_eq!(json.get("status"), Some(&Json::Str("timeout".into())));
+        assert_eq!(json.get("cache"), Some(&Json::Str("stale:orders".into())));
         assert!(json.get("trip").is_some());
         let phases = json.get("phase_us").expect("phase totals present");
         assert_eq!(phases.get("execute"), Some(&Json::UInt(900)));

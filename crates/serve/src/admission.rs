@@ -272,7 +272,10 @@ mod tests {
                 });
             }
         });
-        assert!(!over_width.load(Ordering::Relaxed), "semaphore overcommitted");
+        assert!(
+            !over_width.load(Ordering::Relaxed),
+            "semaphore overcommitted"
+        );
         let stats = admission.stats();
         assert_eq!(stats.in_flight, 0, "every permit must be released");
         assert_eq!(stats.queue_depth, 0, "no waiter may be left registered");

@@ -10,7 +10,7 @@
 //! \prepare SELECT ...       prepare; prints the statement id
 //! \execute 1                execute a prepared statement
 //! \close 1                  drop a prepared statement
-//! \script CREATE TABLE ...  DDL/DML script (bumps the catalog epoch)
+//! \script CREATE TABLE ...  DDL/DML script (invalidates readers of its tables)
 //! \stats                    server statistics (JSON)
 //! \ping                     liveness probe
 //! \shutdown                 stop the server

@@ -1,23 +1,36 @@
-//! The rewrite/plan cache: LRU over (SQL text, strategy, catalog epoch).
+//! The rewrite/plan cache: LRU over (SQL text, strategy), revalidated per
+//! table read.
 //!
 //! A cache entry holds everything the parse → rewrite → plan pipeline
 //! produces: the parsed AST, the ConQuer rewriting (identity for the
-//! `original` strategy), and the physical [`Plan`]. Plans embed `Arc<Rows>`
+//! `original` strategy), and the physical [`Plan`]. Plans embed `Arc`
 //! snapshots of the tables they scan *and* the materialized CTE results the
 //! rewritings lean on (Section 6.1 of the paper), so a warm hit skips the
 //! entire pipeline including CTE materialization — and, equally, a stale
-//! plan would silently serve old data. Entries are therefore valid only for
-//! the [catalog epoch](conquer_engine::Database::catalog_epoch) they were
-//! built under: any `CREATE`/`INSERT`/`DROP` bumps the epoch and the next
-//! lookup rebuilds (`invalidations` counter), so stale plans are never
-//! served.
+//! plan would silently serve old data.
+//!
+//! Validity is one rule: an entry is current iff every base table its
+//! build read still has the [version](Database::table_version) it was read
+//! at ([`CachedStatement::is_current`]). The planner records those reads
+//! where it resolves a table name, so tables that only feed a CTE body or a
+//! subquery — executed at plan time, gone from the finished plan — are
+//! covered like any other. A write therefore invalidates the statements
+//! that read the written table and nobody else: under a stream of inserts
+//! into `t`, statements over other tables keep hitting. A stale entry is
+//! dropped at its next lookup, counted in `invalidations` and, by the
+//! table that moved, in `invalidated_by`. Statistics are collected inside
+//! `register` and an index declaration bumps its table's version, so the
+//! same rule also retires plans whose cost-based choices went stale.
 //!
 //! Concurrency: lookups and inserts take one short mutex; statement
 //! *builds* run outside the lock, so a miss never blocks other sessions'
 //! hits. Two sessions missing on the same key may both build — the second
 //! insert wins, which is wasted work but never wrong (documented
 //! thundering-herd tradeoff; the bench workload's hit rate makes it
-//! irrelevant after warmup).
+//! irrelevant after warmup). A write racing a build can only make the
+//! recorded version *older* than the data planned against (the engine reads
+//! the version first and publishes it last), so such an entry fails its
+//! next check and is rebuilt — never the reverse.
 //!
 //! Build options: entries are shared across sessions but built by
 //! whichever session misses first, so the `ExecOptions` passed to
@@ -27,12 +40,13 @@
 //! plan), never the session's own `SET` limits. Per-session limits govern
 //! execution of the cached plan, not its construction.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use conquer_core::{is_annotated, prepare_rewrite, ConstraintSet, RewriteOptions};
-use conquer_engine::{Database, Estimator, ExecOptions, Plan};
+use conquer_engine::{Database, Estimator, ExecOptions, Plan, TableReads};
 use conquer_sql::ast::Query;
 use conquer_sql::parse_query;
 
@@ -45,14 +59,9 @@ use crate::protocol::Strategy;
 pub struct CachedStatement {
     pub sql: String,
     pub strategy: Strategy,
-    /// Catalog epoch the plan was built under.
-    pub epoch: u64,
-    /// Table-statistics epoch the plan was built under. Plans embed
-    /// cost-based decisions (join order, build sides, right-side filter
-    /// pushes), so a plan built from old statistics may be slow even when
-    /// its data snapshots are still current; the stats epoch completes the
-    /// staleness check.
-    pub stats_epoch: u64,
+    /// Every base table the build read — in the query body, CTE bodies and
+    /// subqueries alike — with the version it was read at.
+    pub reads: TableReads,
     /// The query as parsed.
     pub ast: Arc<Query>,
     /// What actually executes: the ConQuer rewriting, or `ast` for
@@ -68,9 +77,22 @@ pub struct CachedStatement {
     pub est_rows: Option<u64>,
 }
 
-/// Build a statement from scratch (the cache-miss path). The epoch is read
-/// *before* planning: if the catalog changes mid-build the entry records
-/// the older epoch and the next lookup rebuilds — never the reverse.
+impl CachedStatement {
+    /// The validity rule, for the cache and for prepared statements alike:
+    /// the plan may be served iff no table it read has moved since.
+    pub fn is_current(&self, db: &Database) -> bool {
+        self.moved_table(db).is_none()
+    }
+
+    /// Why [`is_current`](CachedStatement::is_current) fails: the first
+    /// table read whose version changed (written, indexed, dropped or
+    /// re-created).
+    pub fn moved_table(&self, db: &Database) -> Option<&str> {
+        db.first_moved(&self.reads)
+    }
+}
+
+/// Build a statement from scratch (the cache-miss path).
 pub fn build_statement(
     db: &Database,
     sigma: &ConstraintSet,
@@ -78,8 +100,6 @@ pub fn build_statement(
     strategy: Strategy,
     options: &ExecOptions,
 ) -> Result<CachedStatement, ServeError> {
-    let epoch = db.catalog_epoch();
-    let stats_epoch = db.stats_epoch();
     let (ast, exec_query) = match strategy {
         Strategy::Original => {
             let ast = Arc::new(parse_query(sql).map_err(ServeError::Parse)?);
@@ -107,7 +127,9 @@ pub fn build_statement(
             (prepared.original, prepared.rewritten)
         }
     };
-    let plan = db.plan(&exec_query, options).map_err(ServeError::Engine)?;
+    let (plan, reads) = db
+        .plan_with_reads(&exec_query, options)
+        .map_err(ServeError::Engine)?;
     let base_rows = plan.base_rows();
     let est_rows = options.use_stats.then(|| {
         let est = Estimator::from_db(db).est_rows(&plan);
@@ -120,8 +142,7 @@ pub fn build_statement(
     Ok(CachedStatement {
         sql: sql.to_string(),
         strategy,
-        epoch,
-        stats_epoch,
+        reads,
         ast,
         exec_query,
         plan: Arc::new(plan),
@@ -130,13 +151,41 @@ pub fn build_statement(
     })
 }
 
+/// How the cache answered one lookup.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Lookup {
+    /// A current entry was served.
+    Hit,
+    /// No entry for this (SQL, strategy).
+    Miss,
+    /// An entry existed but the named table had moved since it was built;
+    /// the entry was dropped.
+    Stale(String),
+}
+
+impl Lookup {
+    pub fn is_hit(&self) -> bool {
+        matches!(self, Lookup::Hit)
+    }
+
+    /// `hit`, `miss` or `stale:<table>` — the flight recorder's `cache`
+    /// field.
+    pub fn label(&self) -> Cow<'static, str> {
+        match self {
+            Lookup::Hit => Cow::Borrowed("hit"),
+            Lookup::Miss => Cow::Borrowed("miss"),
+            Lookup::Stale(table) => Cow::Owned(format!("stale:{table}")),
+        }
+    }
+}
+
 struct Entry {
     stmt: Arc<CachedStatement>,
     last_used: u64,
 }
 
 /// Point-in-time cache counters (per instance, not the global registry).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CacheStats {
     pub entries: usize,
     pub capacity: usize,
@@ -144,6 +193,9 @@ pub struct CacheStats {
     pub misses: u64,
     pub invalidations: u64,
     pub evictions: u64,
+    /// `invalidations` split by the table whose move caused each one
+    /// (the total is their sum).
+    pub invalidated_by: BTreeMap<String, u64>,
 }
 
 impl CacheStats {
@@ -158,16 +210,38 @@ impl CacheStats {
     }
 }
 
-/// The shared statement cache. Keys are `(SQL text, strategy)`; the stored
-/// epoch completes the `(sql, strategy, epoch)` cache key from the design —
-/// an epoch mismatch is a miss that also drops the stale entry.
+const STRATEGIES: usize = 3;
+
+fn slot(strategy: Strategy) -> usize {
+    match strategy {
+        Strategy::Original => 0,
+        Strategy::Rewritten => 1,
+        Strategy::Annotated => 2,
+    }
+}
+
+#[derive(Default)]
+struct Inner {
+    /// One map per strategy, keyed by SQL text alone, so a lookup probes
+    /// with the `&str` it was given instead of building an owned key.
+    by_strategy: [HashMap<String, Entry>; STRATEGIES],
+    invalidated_by: BTreeMap<String, u64>,
+}
+
+impl Inner {
+    fn len(&self) -> usize {
+        self.by_strategy.iter().map(HashMap::len).sum()
+    }
+}
+
+/// The shared statement cache, keyed by `(SQL text, strategy)`. An entry
+/// whose reads have moved is a miss that also drops the entry.
 pub struct StatementCache {
-    entries: Mutex<HashMap<(String, Strategy), Entry>>,
+    inner: Mutex<Inner>,
     capacity: usize,
     tick: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
-    invalidations: AtomicU64,
     evictions: AtomicU64,
 }
 
@@ -188,90 +262,99 @@ fn strategy_counter(hit: bool, strategy: Strategy) -> &'static str {
 impl StatementCache {
     pub fn new(capacity: usize) -> StatementCache {
         StatementCache {
-            entries: Mutex::new(HashMap::new()),
+            inner: Mutex::new(Inner::default()),
             capacity: capacity.max(1),
             tick: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<(String, Strategy), Entry>> {
-        self.entries.lock().unwrap_or_else(|e| e.into_inner())
+    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Look up a statement valid at `epoch` + `stats_epoch`. A
-    /// present-but-stale entry is removed and counted as an invalidation
-    /// (plus the miss).
+    /// Look up a statement that is current against `db`.
     pub fn get(
         &self,
+        db: &Database,
         sql: &str,
         strategy: Strategy,
-        epoch: u64,
-        stats_epoch: u64,
     ) -> Option<Arc<CachedStatement>> {
-        let key = (sql.to_string(), strategy);
-        let mut entries = self.lock();
-        match entries.get_mut(&key) {
-            Some(entry) if entry.stmt.epoch == epoch && entry.stmt.stats_epoch == stats_epoch => {
-                entry.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
-                let stmt = Arc::clone(&entry.stmt);
-                drop(entries);
+        self.lookup(db, sql, strategy).ok()
+    }
+
+    /// [`StatementCache::get`] with the reason for a miss. A
+    /// present-but-stale entry is removed and counted as an invalidation
+    /// (plus the miss), under the table that moved.
+    fn lookup(
+        &self,
+        db: &Database,
+        sql: &str,
+        strategy: Strategy,
+    ) -> Result<Arc<CachedStatement>, Lookup> {
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        let entries = &mut inner.by_strategy[slot(strategy)];
+        let outcome = match entries.get_mut(sql) {
+            Some(entry) => match entry.stmt.moved_table(db) {
+                None => {
+                    entry.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
+                    Ok(Arc::clone(&entry.stmt))
+                }
+                Some(table) => {
+                    let table = table.to_string();
+                    entries.remove(sql);
+                    *inner.invalidated_by.entry(table.clone()).or_default() += 1;
+                    Err(Lookup::Stale(table))
+                }
+            },
+            None => Err(Lookup::Miss),
+        };
+        drop(guard);
+        let registry = conquer_obs::registry();
+        match &outcome {
+            Ok(_) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                let registry = conquer_obs::registry();
                 registry.counter("serve.cache.hit").inc();
-                registry.counter(strategy_counter(true, strategy)).inc();
-                Some(stmt)
             }
-            Some(_) => {
-                entries.remove(&key);
-                drop(entries);
-                self.invalidations.fetch_add(1, Ordering::Relaxed);
+            Err(miss) => {
+                if matches!(miss, Lookup::Stale(_)) {
+                    registry.counter("serve.cache.invalidation").inc();
+                }
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                let registry = conquer_obs::registry();
-                registry.counter("serve.cache.invalidation").inc();
                 registry.counter("serve.cache.miss").inc();
-                registry.counter(strategy_counter(false, strategy)).inc();
-                None
-            }
-            None => {
-                drop(entries);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                let registry = conquer_obs::registry();
-                registry.counter("serve.cache.miss").inc();
-                registry.counter(strategy_counter(false, strategy)).inc();
-                None
             }
         }
+        registry
+            .counter(strategy_counter(outcome.is_ok(), strategy))
+            .inc();
+        outcome
     }
 
     /// Insert (or replace) a built statement, evicting the least-recently
     /// used entry when over capacity.
     pub fn insert(&self, stmt: Arc<CachedStatement>) {
-        let key = (stmt.sql.clone(), stmt.strategy);
-        let mut entries = self.lock();
-        entries.insert(
-            key,
-            Entry {
-                stmt,
-                last_used: self.tick.fetch_add(1, Ordering::Relaxed),
-            },
-        );
+        let mut inner = self.lock();
+        let last_used = self.tick.fetch_add(1, Ordering::Relaxed);
+        inner.by_strategy[slot(stmt.strategy)].insert(stmt.sql.clone(), Entry { stmt, last_used });
         let mut evicted = 0u64;
-        while entries.len() > self.capacity {
-            let Some(oldest) = entries
+        while inner.len() > self.capacity {
+            let Some((oldest_slot, oldest_sql)) = inner
+                .by_strategy
                 .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
+                .enumerate()
+                .flat_map(|(i, entries)| entries.iter().map(move |(sql, e)| (e.last_used, i, sql)))
+                .min_by_key(|(last_used, ..)| *last_used)
+                .map(|(_, i, sql)| (i, sql.clone()))
             else {
                 break;
             };
-            entries.remove(&oldest);
+            inner.by_strategy[oldest_slot].remove(&oldest_sql);
             evicted += 1;
         }
-        drop(entries);
+        drop(inner);
         if evicted > 0 {
             self.evictions.fetch_add(evicted, Ordering::Relaxed);
             conquer_obs::registry()
@@ -280,9 +363,9 @@ impl StatementCache {
         }
     }
 
-    /// The cache-or-build path sessions use. Returns the statement and
-    /// whether it was a hit. Builds run outside the cache lock, under
-    /// `options` — which must be session-independent (see module docs).
+    /// The cache-or-build path sessions use. Returns the statement and how
+    /// the lookup went. Builds run outside the cache lock, under `options`
+    /// — which must be session-independent (see module docs).
     pub fn get_or_build(
         &self,
         db: &Database,
@@ -290,25 +373,30 @@ impl StatementCache {
         sql: &str,
         strategy: Strategy,
         options: &ExecOptions,
-    ) -> Result<(Arc<CachedStatement>, bool), ServeError> {
-        let epoch = db.catalog_epoch();
-        let stats_epoch = db.stats_epoch();
-        if let Some(stmt) = self.get(sql, strategy, epoch, stats_epoch) {
-            return Ok((stmt, true));
+    ) -> Result<(Arc<CachedStatement>, Lookup), ServeError> {
+        match self.lookup(db, sql, strategy) {
+            Ok(stmt) => Ok((stmt, Lookup::Hit)),
+            Err(miss) => {
+                let stmt = Arc::new(build_statement(db, sigma, sql, strategy, options)?);
+                self.insert(Arc::clone(&stmt));
+                Ok((stmt, miss))
+            }
         }
-        let stmt = Arc::new(build_statement(db, sigma, sql, strategy, options)?);
-        self.insert(Arc::clone(&stmt));
-        Ok((stmt, false))
     }
 
     pub fn stats(&self) -> CacheStats {
+        let (entries, invalidated_by) = {
+            let inner = self.lock();
+            (inner.len(), inner.invalidated_by.clone())
+        };
         CacheStats {
-            entries: self.lock().len(),
+            entries,
             capacity: self.capacity,
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
+            invalidations: invalidated_by.values().sum(),
             evictions: self.evictions.load(Ordering::Relaxed),
+            invalidated_by,
         }
     }
 }
@@ -321,7 +409,8 @@ mod tests {
         let db = Database::new();
         db.run_script(
             "create table customer (custkey text, acctbal float);
-             insert into customer values ('c1', 2000), ('c1', 100), ('c2', 2500);",
+             insert into customer values ('c1', 2000), ('c1', 100), ('c2', 2500);
+             create table audit (note text);",
         )
         .unwrap();
         let sigma = ConstraintSet::new().with_key("customer", ["custkey"]);
@@ -331,33 +420,48 @@ mod tests {
     const Q: &str = "select custkey from customer where acctbal > 1000";
 
     #[test]
-    fn hit_after_build_and_invalidation_on_epoch_bump() {
+    fn hit_after_build_and_invalidation_when_a_read_table_moves() {
         let (db, sigma) = tiny_db();
         let cache = StatementCache::new(8);
         let options = ExecOptions::default();
 
-        let (first, hit) = cache
+        let (first, lookup) = cache
             .get_or_build(&db, &sigma, Q, Strategy::Rewritten, &options)
             .unwrap();
-        assert!(!hit);
-        let (second, hit) = cache
+        assert_eq!(lookup, Lookup::Miss);
+        let (second, lookup) = cache
             .get_or_build(&db, &sigma, Q, Strategy::Rewritten, &options)
             .unwrap();
-        assert!(hit);
+        assert_eq!(lookup, Lookup::Hit);
         assert!(Arc::ptr_eq(&first, &second));
 
-        // Catalog change: the entry is stale, the rebuild sees new data.
-        db.run_script("insert into customer values ('c9', 9000)")
-            .unwrap();
-        let (third, hit) = cache
+        // A write to a table the statement never read changes nothing.
+        db.run_script("insert into audit values ('x')").unwrap();
+        let (same, lookup) = cache
             .get_or_build(&db, &sigma, Q, Strategy::Rewritten, &options)
             .unwrap();
-        assert!(!hit);
+        assert_eq!(lookup, Lookup::Hit);
+        assert!(Arc::ptr_eq(&first, &same));
+
+        // A write to the table it read: the entry is stale, the rebuild
+        // sees the new data, and the cause is on record.
+        db.run_script("insert into customer values ('c9', 9000)")
+            .unwrap();
+        assert!(!first.is_current(&db));
+        let (third, lookup) = cache
+            .get_or_build(&db, &sigma, Q, Strategy::Rewritten, &options)
+            .unwrap();
+        assert_eq!(lookup, Lookup::Stale("customer".to_string()));
+        assert_eq!(lookup.label(), "stale:customer");
         assert!(!Arc::ptr_eq(&first, &third));
         let stats = cache.stats();
-        assert_eq!(stats.hits, 1);
+        assert_eq!(stats.hits, 2);
         assert_eq!(stats.misses, 2);
         assert_eq!(stats.invalidations, 1);
+        assert_eq!(
+            stats.invalidated_by,
+            BTreeMap::from([("customer".to_string(), 1)])
+        );
     }
 
     #[test]
@@ -368,60 +472,38 @@ mod tests {
         cache
             .get_or_build(&db, &sigma, Q, Strategy::Original, &options)
             .unwrap();
-        let (_, hit) = cache
+        let (_, lookup) = cache
             .get_or_build(&db, &sigma, Q, Strategy::Rewritten, &options)
             .unwrap();
-        assert!(!hit, "rewritten must not hit the original entry");
+        assert!(
+            !lookup.is_hit(),
+            "rewritten must not hit the original entry"
+        );
         assert_eq!(cache.stats().entries, 2);
     }
 
     #[test]
-    fn lru_eviction_keeps_recent_entries() {
+    fn lru_eviction_keeps_recent_entries_across_strategies() {
         let (db, sigma) = tiny_db();
         let cache = StatementCache::new(2);
         let options = ExecOptions::default();
-        let queries = [
-            "select custkey from customer",
-            "select acctbal from customer",
-            "select custkey, acctbal from customer",
+        let builds = [
+            ("select custkey from customer", Strategy::Original),
+            ("select acctbal from customer", Strategy::Rewritten),
+            ("select custkey, acctbal from customer", Strategy::Original),
         ];
-        for q in &queries {
+        for (q, strategy) in builds {
             cache
-                .get_or_build(&db, &sigma, q, Strategy::Original, &options)
+                .get_or_build(&db, &sigma, q, strategy, &options)
                 .unwrap();
         }
         let stats = cache.stats();
         assert_eq!(stats.entries, 2);
         assert_eq!(stats.evictions, 1);
-        // The oldest entry is gone, the newest is a hit.
-        let epoch = db.catalog_epoch();
-        let stats_epoch = db.stats_epoch();
-        assert!(cache
-            .get(queries[0], Strategy::Original, epoch, stats_epoch)
-            .is_none());
-        assert!(cache
-            .get(queries[2], Strategy::Original, epoch, stats_epoch)
-            .is_some());
-    }
-
-    #[test]
-    fn stats_epoch_mismatch_invalidates() {
-        let (db, sigma) = tiny_db();
-        let cache = StatementCache::new(8);
-        let stmt = Arc::new(
-            build_statement(&db, &sigma, Q, Strategy::Original, &ExecOptions::default()).unwrap(),
-        );
-        cache.insert(Arc::clone(&stmt));
-        let epoch = db.catalog_epoch();
-        assert!(cache
-            .get(Q, Strategy::Original, epoch, db.stats_epoch())
-            .is_some());
-        // Same catalog epoch, newer statistics: the plan's cost-based
-        // choices are stale, so the entry must drop.
-        assert!(cache
-            .get(Q, Strategy::Original, epoch, db.stats_epoch() + 1)
-            .is_none());
-        assert_eq!(cache.stats().invalidations, 1);
+        // The oldest entry is gone, the newer two are hits.
+        assert!(cache.get(&db, builds[0].0, builds[0].1).is_none());
+        assert!(cache.get(&db, builds[1].0, builds[1].1).is_some());
+        assert!(cache.get(&db, builds[2].0, builds[2].1).is_some());
     }
 
     #[test]

@@ -190,7 +190,8 @@ impl Client {
         })
     }
 
-    /// Run a `;`-separated DDL/DML script (bumps the catalog epoch).
+    /// Run a `;`-separated DDL/DML script (bumps the version of every
+    /// table it touches, so cached statements that read them rebuild).
     pub fn script(&mut self, sql: &str) -> Result<(), ClientError> {
         self.expect_ok(&Request::Script {
             sql: sql.to_string(),

@@ -244,10 +244,12 @@ impl RunQueue {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn push(&self, job: Job) -> Result<(), Job> {
+    /// Queue a job; a closed queue hands it back (boxed: only the
+    /// shutdown path pays, and `Result` stays small on the hot one).
+    fn push(&self, job: Job) -> Result<(), Box<Job>> {
         let mut state = self.lock();
         if state.closed {
-            return Err(job);
+            return Err(Box::new(job));
         }
         state.jobs.push_back(job);
         drop(state);
@@ -376,7 +378,13 @@ pub(crate) fn worker_loop(shared: Arc<Shared>, queue: Arc<RunQueue>) {
         if job.conn.lock().dead {
             continue;
         }
-        let response = run_heavy(&shared, &mut job.session, &job.op, &job.token, job.queued_at);
+        let response = run_heavy(
+            &shared,
+            &mut job.session,
+            &job.op,
+            &job.token,
+            job.queued_at,
+        );
         let mut state = job.conn.lock();
         if state.dead {
             continue;
@@ -392,7 +400,12 @@ pub(crate) fn worker_loop(shared: Arc<Shared>, queue: Arc<RunQueue>) {
 /// Take ownership of a freshly accepted connection: nonblocking mode plus
 /// the `Hello` greeting queued on the (nonblocking) output buffer, so a
 /// connected-but-never-reading peer can't wedge anything.
-fn adopt(shared: &Arc<Shared>, stream: TcpStream, id: u64, waker: &Arc<Waker>) -> Option<Arc<Conn>> {
+fn adopt(
+    shared: &Arc<Shared>,
+    stream: TcpStream,
+    id: u64,
+    waker: &Arc<Waker>,
+) -> Option<Arc<Conn>> {
     stream.set_nonblocking(true).ok()?;
     let mut state = ConnState {
         session: Some(SessionState::new(shared, id)),
@@ -411,7 +424,9 @@ fn adopt(shared: &Arc<Shared>, stream: TcpStream, id: u64, waker: &Arc<Waker>) -
         session: id,
         version: SERVER_VERSION.to_string(),
     };
-    state.out.extend_from_slice(&encode_frame(&hello.to_json()).ok()?);
+    state
+        .out
+        .extend_from_slice(&encode_frame(&hello.to_json()).ok()?);
     Some(Arc::new(Conn {
         stream,
         driver: Arc::clone(waker),
@@ -646,7 +661,9 @@ fn dispatch(shared: &Arc<Shared>, queue: &Arc<RunQueue>, conn: &Arc<Conn>, state
 /// semaphore timeout gets — timely overload behavior must not depend on a
 /// worker freeing up.
 fn expire_job(shared: &Shared, job: Job) {
-    shared.admission.record_queue_rejection(job.queued_at.elapsed());
+    shared
+        .admission
+        .record_queue_rejection(job.queued_at.elapsed());
     let stats = shared.admission.stats();
     let response = error_response(&ServeError::Busy(format!(
         "{} queries in flight (max {}), queue wait exceeded; retry later",

@@ -22,10 +22,12 @@
 //! * **Admission control** ([`admission`]) — a semaphore-bounded run queue
 //!   with a queue-wait deadline; overload degrades to a structured `busy`
 //!   error instead of a hang.
-//! * **Rewrite/plan cache** ([`cache`]) — an LRU over
-//!   `(SQL, strategy, catalog epoch)` caching the parsed AST, the ConQuer
-//!   rewriting, and the physical plan (CTEs materialized). Catalog
-//!   mutations bump the epoch; stale plans are never served.
+//! * **Rewrite/plan cache** ([`cache`]) — an LRU over `(SQL, strategy)`
+//!   caching the parsed AST, the ConQuer rewriting, and the physical plan
+//!   (CTEs materialized). An entry remembers the version of every table
+//!   its build read and is served only while all of them stand: a write
+//!   invalidates the statements that read the written table, nobody
+//!   else's, and stale plans are never served.
 //!
 //! ```no_run
 //! use std::sync::Arc;

@@ -140,8 +140,7 @@ fn read_request_path(stream: &mut TcpStream) -> Option<String> {
 fn head_complete(buf: &[u8], scanned: &mut usize) -> bool {
     let start = scanned.saturating_sub(3);
     let tail = &buf[start..];
-    let hit =
-        tail.windows(4).any(|w| w == b"\r\n\r\n") || tail.windows(2).any(|w| w == b"\n\n");
+    let hit = tail.windows(4).any(|w| w == b"\r\n\r\n") || tail.windows(2).any(|w| w == b"\n\n");
     *scanned = buf.len();
     hit
 }

@@ -213,8 +213,9 @@ pub enum Request {
     /// Set a session option: `threads`, `timeout_ms`, `mem_limit`,
     /// `max_rows` (0 clears a limit), or `strategy`.
     Set { name: String, value: Json },
-    /// Run a `;`-separated DDL/DML script (`CREATE TABLE` / `INSERT`);
-    /// bumps the catalog epoch, invalidating cached plans.
+    /// Run a `;`-separated DDL/DML script (`CREATE TABLE` / `INSERT` /
+    /// `DROP TABLE` / `CREATE INDEX`); invalidates the cached plans that
+    /// read the tables it touches.
     Script { sql: String },
     /// Server + session statistics snapshot.
     Stats,
@@ -773,7 +774,10 @@ mod tests {
             decoded.push(json);
         }
         assert_eq!(decoded, docs);
-        assert!(frames.buffered() > 0, "partial trailing frame stays buffered");
+        assert!(
+            frames.buffered() > 0,
+            "partial trailing frame stays buffered"
+        );
         frames.extend(&tail[split..]);
         assert_eq!(frames.next_frame().unwrap(), Some(extra));
         assert_eq!(frames.buffered(), 0);

@@ -52,7 +52,9 @@ use conquer_obs::Json;
 
 use crate::protocol::{read_frame, write_frame, ErrorCode, Request, Response};
 use crate::server::Shared;
-use crate::state::{classify, handle_control, run_heavy, RequestClass, SessionState, SERVER_VERSION};
+use crate::state::{
+    classify, handle_control, run_heavy, RequestClass, SessionState, SERVER_VERSION,
+};
 
 /// Poll interval of the disconnect watchdog; bounds how long a dropped
 /// connection's query keeps running past the governor's cooperative check.
@@ -250,10 +252,9 @@ fn request_loop(
             RequestClass::Heavy(op) => {
                 let queued_at = Instant::now();
                 let token = CancellationToken::new();
-                let response =
-                    with_watch(watch, stream, &token, || {
-                        run_heavy(shared, state, &op, &token, queued_at)
-                    });
+                let response = with_watch(watch, stream, &token, || {
+                    run_heavy(shared, state, &op, &token, queued_at)
+                });
                 if write_frame(stream, &response.to_json()).is_err() {
                     return false;
                 }

@@ -19,7 +19,7 @@
 //! Both modes call the *same* functions with the same inputs (a
 //! [`Shared`], a `SessionState`, and a pre-created per-query
 //! [`CancellationToken`] the caller arms for disconnect cancellation), so
-//! the wire protocol, `SET` semantics, statement-cache epoch checks,
+//! the wire protocol, `SET` semantics, statement-cache validity checks,
 //! slow-query logging, and flight-recorder entries are identical bit for
 //! bit across modes — the property the soak test's differential oracle
 //! (`io_threads: 0`) checks over real sockets.
@@ -32,7 +32,7 @@ use conquer_core::RewriteError;
 use conquer_engine::{CancellationToken, EngineError, ExecOptions, Rows};
 use conquer_obs::{flight_recorder, Json, QueryTrace, TraceContext, TripSnapshot};
 
-use crate::cache::CachedStatement;
+use crate::cache::{CachedStatement, Lookup};
 use crate::error::ServeError;
 use crate::protocol::{ErrorCode, QueryOutcome, Request, Response, Strategy};
 use crate::server::Shared;
@@ -105,7 +105,11 @@ pub(crate) fn classify(request: Request, state: &SessionState) -> RequestClass {
 /// Answer a control request inline. Callers handle the connection-level
 /// consequences of `Quit`/`Shutdown` (close after flush, server shutdown)
 /// themselves; this only produces the response frame.
-pub(crate) fn handle_control(shared: &Shared, state: &mut SessionState, request: &Request) -> Response {
+pub(crate) fn handle_control(
+    shared: &Shared,
+    state: &mut SessionState,
+    request: &Request,
+) -> Response {
     match request {
         Request::Ping | Request::Quit | Request::Shutdown => Response::Ok,
         Request::Set { name, value } => match set_option(state, name, value) {
@@ -216,7 +220,7 @@ fn run_query(
         // Installed here (not just via options.trace) so cache-build
         // spans — parse, rewrite, plan, optimize — are captured too.
         let _trace = trace.install();
-        let (stmt, cached) =
+        let (stmt, lookup) =
             shared
                 .cache
                 .get_or_build(&shared.db, &shared.sigma, sql, strategy, &build_options)?;
@@ -224,7 +228,7 @@ fn run_query(
             .db
             .execute_plan_with(&stmt.plan, &options)
             .map_err(ServeError::Engine)?;
-        Ok((stmt, rows, cached))
+        Ok((stmt, rows, lookup))
     })();
     let elapsed_us = queued_at.elapsed().as_micros() as u64;
     finish_query(
@@ -237,10 +241,10 @@ fn run_query(
         options.threads,
         &result,
     );
-    let (_stmt, rows, cached) = result?;
+    let (_stmt, rows, lookup) = result?;
     Ok(QueryOutcome {
         rows,
-        cached,
+        cached: lookup.is_hit(),
         elapsed_us,
     })
 }
@@ -256,7 +260,7 @@ fn prepare(
     // goes through admission like any other heavy work. The build runs
     // under server-level options: the entry is shared across sessions.
     let _permit = admit(shared, queued_at)?;
-    let (stmt, _cached) = shared.cache.get_or_build(
+    let (stmt, _lookup) = shared.cache.get_or_build(
         &shared.db,
         &shared.sigma,
         sql,
@@ -290,13 +294,11 @@ fn run_execute(
     let build_options = shared.build_options(Some(token));
     let result = (|| {
         let _trace = trace.install();
-        // A catalog or statistics change since `prepare` makes the
-        // bound plan stale: re-resolve through the cache so stale
-        // plans are never served.
-        let (stmt, cached) = if bound.epoch == shared.db.catalog_epoch()
-            && bound.stats_epoch == shared.db.stats_epoch()
-        {
-            (Arc::clone(&bound), true)
+        // A change to any table the bound plan read since `prepare`
+        // makes it stale: re-resolve through the cache so stale plans
+        // are never served.
+        let (stmt, lookup) = if bound.is_current(&shared.db) {
+            (Arc::clone(&bound), Lookup::Hit)
         } else {
             shared.cache.get_or_build(
                 &shared.db,
@@ -310,7 +312,7 @@ fn run_execute(
             .db
             .execute_plan_with(&stmt.plan, &options)
             .map_err(ServeError::Engine)?;
-        Ok((stmt, rows, cached))
+        Ok((stmt, rows, lookup))
     })();
     let elapsed_us = queued_at.elapsed().as_micros() as u64;
     finish_query(
@@ -323,12 +325,12 @@ fn run_execute(
         options.threads,
         &result,
     );
-    let (stmt, rows, cached) = result?;
-    // Refresh the binding so the next `execute` hits the epoch check.
+    let (stmt, rows, lookup) = result?;
+    // Refresh the binding so the next `execute` passes the validity check.
     state.statements.insert(statement_id, stmt);
     Ok(QueryOutcome {
         rows,
-        cached,
+        cached: lookup.is_hit(),
         elapsed_us,
     })
 }
@@ -347,7 +349,8 @@ fn set_option(state: &mut SessionState, name: &str, value: &Json) -> Result<(), 
             _ => None,
         }
     }
-    let bad = |what: &str| ServeError::Protocol(format!("`set {name}` expects {what}, got {value:?}"));
+    let bad =
+        |what: &str| ServeError::Protocol(format!("`set {name}` expects {what}, got {value:?}"));
     match name {
         "threads" => {
             let v = uint(value)
@@ -399,7 +402,7 @@ fn finish_query(
     start_unix_ms: u64,
     elapsed_us: u64,
     threads: usize,
-    result: &Result<(Arc<CachedStatement>, Rows, bool), ServeError>,
+    result: &Result<(Arc<CachedStatement>, Rows, Lookup), ServeError>,
 ) {
     let spans = trace.take_records();
     record_query(elapsed_us);
@@ -409,11 +412,13 @@ fn finish_query(
             .histogram(&format!("serve.phase.{name}.us"))
             .record(wall.as_micros() as u64);
     }
-    let (status, error, cached, rows_out, rows_in, est_rows, trip) = match result {
-        Ok((stmt, rows, cached)) => (
+    // A request that failed never got as far as being served from the cache.
+    let miss = Lookup::Miss;
+    let (status, error, lookup, rows_out, rows_in, est_rows, trip) = match result {
+        Ok((stmt, rows, lookup)) => (
             "ok",
             None,
-            *cached,
+            lookup,
             rows.rows.len() as u64,
             stmt.base_rows,
             stmt.est_rows,
@@ -422,7 +427,7 @@ fn finish_query(
         Err(e) => (
             e.code().label(),
             Some(e.to_string()),
-            false,
+            &miss,
             0,
             0,
             None,
@@ -438,7 +443,8 @@ fn finish_query(
         strategy: strategy.label(),
         status,
         error,
-        cached,
+        cached: lookup.is_hit(),
+        cache: lookup.label(),
         elapsed_us,
         rows_out,
         rows_in,
@@ -487,6 +493,16 @@ fn stats_json(shared: &Shared, state: &SessionState) -> Json {
                 ("hits", Json::UInt(cache.hits)),
                 ("misses", Json::UInt(cache.misses)),
                 ("invalidations", Json::UInt(cache.invalidations)),
+                (
+                    "invalidated_by",
+                    Json::Obj(
+                        cache
+                            .invalidated_by
+                            .iter()
+                            .map(|(table, n)| (table.clone(), Json::UInt(*n)))
+                            .collect(),
+                    ),
+                ),
                 ("evictions", Json::UInt(cache.evictions)),
                 ("hit_rate", Json::Float(cache.hit_rate())),
             ]),

@@ -46,7 +46,8 @@ const SLOW: &str = "select count(*) from big a \
 
 fn start_big(rows: usize, config: ServerConfig) -> ServerHandle {
     let db = Database::new();
-    db.run_script("create table big (k text, v int)").expect("create");
+    db.run_script("create table big (k text, v int)")
+        .expect("create");
     let mut insert = String::from("insert into big values ");
     for i in 0..rows {
         let sep = if i + 1 < rows { "," } else { ";" };
@@ -285,7 +286,10 @@ fn soak_256_connections_wire_identical_with_bounded_threads() {
             let cust = i % 60;
             let price = (i * 17 % 400) as f64 + 0.25;
             let sep = if i + 1 < 90 { "," } else { ";" };
-            sql.push_str(&format!("('o{i}', 'c{cust}', {price}, {}){sep}\n", i % 7 + 1));
+            sql.push_str(&format!(
+                "('o{i}', 'c{cust}', {price}, {}){sep}\n",
+                i % 7 + 1
+            ));
         }
         sql
     };
@@ -331,10 +335,10 @@ fn soak_256_connections_wire_identical_with_bounded_threads() {
                             let outcome = client
                                 .query_with(sql, Some(strategy))
                                 .expect("workload query");
-                            results.lock().expect("results").push((
-                                (worker, qi, si),
-                                rows_to_json(&outcome.rows).render(),
-                            ));
+                            results
+                                .lock()
+                                .expect("results")
+                                .push(((worker, qi, si), rows_to_json(&outcome.rows).render()));
                         }
                     }
                     client.quit().expect("workload quit");

@@ -53,7 +53,7 @@ pub(crate) struct Manifest {
     /// segments; replay skips them. This is what makes a crash between
     /// manifest rename and WAL truncation harmless.
     pub covered_seq: u64,
-    /// Application metadata (the engine stores its epochs here).
+    /// Application metadata (the engine stores its catalog epoch here).
     pub meta: Vec<(String, u64)>,
     pub segments: Vec<SegmentEntry>,
 }
@@ -226,7 +226,7 @@ mod tests {
         Manifest {
             generation: 7,
             covered_seq: 42,
-            meta: vec![("catalog_epoch".into(), 13), ("stats_epoch".into(), 9)],
+            meta: vec![("catalog_epoch".into(), 13), ("unknown_key".into(), 9)],
             segments: vec![
                 SegmentEntry {
                     file: "seg-7-orders.seg".into(),

@@ -1,6 +1,6 @@
 //! Start a conquer-serve server in-process, talk to it over loopback, and
 //! show the session features: strategies, SET, prepared statements, the
-//! plan cache, and catalog-epoch invalidation.
+//! plan cache, and its per-table invalidation.
 //!
 //! ```sh
 //! cargo run --example serve
@@ -61,8 +61,9 @@ fn main() {
         executed.rows.rows.len()
     );
 
-    // A catalog change bumps the epoch; the statement transparently
-    // replans, so the new row shows up instead of a stale cached answer.
+    // A write to a table the statement read bumps that table's version;
+    // the statement transparently replans, so the new row shows up
+    // instead of a stale cached answer.
     client
         .script("insert into customer values ('c9', 9000)")
         .expect("script");
