@@ -79,8 +79,13 @@
 //! revalidation, should cost the readers nothing. The report
 //! (`BENCH_serve.json`) carries, per trajectory point, per-strategy
 //! p50/p95/p99/mean latency, aggregate throughput, busy-retry counts, the
-//! post-warmup rewrite/plan-cache hit rate and, for a churn phase, its
-//! interval and the inserts acknowledged.
+//! post-warmup rewrite/plan-cache hit rate, for a churn phase its
+//! interval and the inserts acknowledged, and the *wire floor*: `ping`
+//! p50/p95 and the round trip of the cheapest cached statement on an
+//! otherwise idle connection — what the serving core itself costs at that
+//! connection count, before any query work.
+
+#![forbid(unsafe_code)]
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -1382,15 +1387,16 @@ fn serve_cmd(args: &Args) -> Json {
             );
             let (hits0, misses0) = cache_counters(&warm.stats().unwrap_or(Json::Null));
             let stop = AtomicBool::new(false);
-            let (worker_results, wall, inserts) = std::thread::scope(|scope| {
+            let (floor, worker_results, wall, inserts) = std::thread::scope(|scope| {
                 let stop = &stop;
                 let writer = churn_ms.map(|ms| scope.spawn(move || churn_writer(addr, ms, stop)));
+                let floor = wire_floor(args, &mut warm, &pairs);
                 let t_loop = Instant::now();
                 let results = serve_point(addr, &pairs, args.rounds, active);
                 let wall = t_loop.elapsed();
                 stop.store(true, Ordering::Release);
                 let inserts = writer.map(|w| w.join().expect("churn writer"));
-                (results, wall, inserts)
+                (floor, results, wall, inserts)
             });
             let inserts = inserts.map(|outcome| {
                 outcome.unwrap_or_else(|e| {
@@ -1474,6 +1480,7 @@ fn serve_cmd(args: &Args) -> Json {
                 ("connections", Json::UInt(point as u64)),
                 ("active", Json::UInt(active as u64)),
                 ("idle", Json::UInt(idle_count as u64)),
+                ("wire_floor", floor),
                 ("strategies", Json::Arr(strategy_reports)),
                 (
                     "totals",
@@ -1532,6 +1539,90 @@ fn serve_cmd(args: &Args) -> Json {
         report.push("skipped", Json::Arr(skipped));
     }
     report
+}
+
+/// The wire floor at one trajectory point (ROADMAP 1(d)): what a round
+/// trip costs when the server has next to nothing to do. `ping` is
+/// answered inline by the connection's IO driver; the cheapest cached
+/// statement adds the run queue, a worker, admission, a cache hit and its
+/// (small) execution. Both are timed on one otherwise idle connection
+/// before the closed loop starts — beside the churn writer in its phase.
+fn wire_floor(
+    args: &Args,
+    client: &mut conquer_serve::Client,
+    pairs: &[(&BenchmarkQuery, Strategy)],
+) -> Json {
+    const SAMPLES: usize = 200;
+    let fail = |what: &str, e: &dyn std::fmt::Display| {
+        FAILED.store(true, Ordering::Relaxed);
+        eprintln!("harness: wire floor {what}: {e}");
+    };
+    // (p50, p95) in microseconds, from nanosecond samples.
+    let quantiles = |mut ns: Vec<u64>| {
+        ns.sort_unstable();
+        let us = |q| conquer_bench::percentile(&ns, q) as f64 / 1e3;
+        (us(0.50), us(0.95))
+    };
+
+    let mut pings = Vec::with_capacity(SAMPLES);
+    for _ in 0..SAMPLES {
+        let t0 = Instant::now();
+        match client.ping() {
+            Ok(()) => pings.push(t0.elapsed().as_nanos() as u64),
+            Err(e) => fail("ping", &e),
+        }
+    }
+    let (ping_p50, ping_p95) = quantiles(pings);
+
+    // The cheapest statement by the server's own clock, one cached run each.
+    let mut cheapest: Option<(u64, &BenchmarkQuery, Strategy)> = None;
+    for &(q, strategy) in pairs {
+        match client.query_with(q.sql, Some(wire_strategy(strategy))) {
+            Ok(outcome) => match cheapest {
+                Some((us, ..)) if us <= outcome.elapsed_us => {}
+                _ => cheapest = Some((outcome.elapsed_us, q, strategy)),
+            },
+            Err(e) => fail(&q.name(), &e),
+        }
+    }
+    let mut floor = Json::obj([
+        ("samples", Json::UInt(SAMPLES as u64)),
+        ("ping_p50_us", Json::Float(ping_p50)),
+        ("ping_p95_us", Json::Float(ping_p95)),
+    ]);
+    let Some((_, q, strategy)) = cheapest else {
+        return floor;
+    };
+    let (mut rtt, mut server) = (Vec::with_capacity(SAMPLES), Vec::with_capacity(SAMPLES));
+    for _ in 0..SAMPLES {
+        let t0 = Instant::now();
+        match client.query_with(q.sql, Some(wire_strategy(strategy))) {
+            Ok(outcome) => {
+                rtt.push(t0.elapsed().as_nanos() as u64);
+                server.push(outcome.elapsed_us * 1_000);
+            }
+            Err(e) => fail(&q.name(), &e),
+        }
+    }
+    let ((rtt_p50, rtt_p95), (server_p50, _)) = (quantiles(rtt), quantiles(server));
+    say!(
+        args,
+        "wire floor: ping p50 {ping_p50:.1} / p95 {ping_p95:.1} us; cheapest cached statement \
+         {} [{}] p50 {rtt_p50:.1} / p95 {rtt_p95:.1} us, of which server {server_p50:.0} us\n",
+        q.name(),
+        strategy.label(),
+    );
+    floor.push(
+        "cheapest_statement",
+        Json::obj([
+            ("query", Json::from(q.name())),
+            ("strategy", Json::from(strategy.label())),
+            ("p50_us", Json::Float(rtt_p50)),
+            ("p95_us", Json::Float(rtt_p95)),
+            ("server_p50_us", Json::Float(server_p50)),
+        ]),
+    );
+    floor
 }
 
 /// The table `--churn-ms` writes to; no benchmark query reads it.

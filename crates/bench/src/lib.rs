@@ -9,6 +9,8 @@
 //! annotation-aware, sweeps over `p`, `n`, and database size — retain their
 //! shape. See EXPERIMENTS.md for the paper-vs-measured record.
 
+#![forbid(unsafe_code)]
+
 use std::time::{Duration, Instant};
 
 use conquer::tpch::{build_workload, BenchmarkQuery, Workload, WorkloadConfig};

@@ -28,6 +28,8 @@
 //! assert_eq!(rows.len(), 1); // only c2 is certain
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use conquer_core as core;
 pub use conquer_engine as engine;
 pub use conquer_repair as repair;

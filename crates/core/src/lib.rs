@@ -40,6 +40,8 @@
 //! assert_eq!(answers, vec!["c2", "c3"]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod analyze;
 pub mod annotations;
 pub mod api;

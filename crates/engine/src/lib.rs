@@ -33,6 +33,7 @@
 //! a structured [`EngineError`] carrying a [`LimitTrip`] snapshot. See
 //! [`governor`] and `DESIGN.md` §7.
 
+#![forbid(unsafe_code)]
 // The query path must never panic on user input: unwrap/expect are banned
 // in shipping code (tests are exempt — unit-test modules compile under
 // cfg(test); integration tests and benches are separate crates).

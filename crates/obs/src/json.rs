@@ -52,6 +52,14 @@ impl Json {
         }
     }
 
+    /// Look up a key in an object, for in-place extension.
+    pub fn get_mut(&mut self, key: &str) -> Option<&mut Json> {
+        match self {
+            Json::Obj(pairs) => pairs.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
     /// The value as an f64, when numeric.
     pub fn as_f64(&self) -> Option<f64> {
         match self {

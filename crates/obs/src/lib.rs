@@ -50,6 +50,8 @@
 //! assert!(spans[1].wall >= spans[0].wall);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod flight;
 pub mod json;
 pub mod metrics;
@@ -62,7 +64,8 @@ pub use flight::{
 };
 pub use json::{Json, JsonParseError};
 pub use metrics::{
-    bucket_index, bucket_upper_bound, registry, Counter, Histogram, HistogramSnapshot, Registry,
+    bucket_index, bucket_upper_bound, registry, Counter, Gauge, Histogram, HistogramSnapshot,
+    Registry,
 };
 pub use prom::{prometheus_text, push_gauge, sanitize_metric_name};
 pub use span::{

@@ -1,4 +1,5 @@
-//! A global metrics registry: named counters and log-scale histograms.
+//! A global metrics registry: named counters, gauges and log-scale
+//! histograms.
 //!
 //! Everything is lock-free on the hot path: looking a metric up by name
 //! takes a mutex, but the returned handle is an `Arc` the caller keeps and
@@ -8,7 +9,7 @@
 //! two atomic adds.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::json::Json;
@@ -30,6 +31,28 @@ impl Counter {
 
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
+    }
+}
+
+/// A value that goes up and down: something currently open, queued or
+/// held. Moved by whoever opens and closes, so reading it takes no lock.
+#[derive(Debug, Default)]
+pub struct Gauge {
+    value: AtomicI64,
+}
+
+impl Gauge {
+    pub fn inc(&self) {
+        self.value.fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub fn dec(&self) {
+        self.value.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// The current level; a `dec` observed ahead of its `inc` reads as 0.
+    pub fn get(&self) -> u64 {
+        self.value.load(Ordering::Relaxed).max(0) as u64
     }
 }
 
@@ -140,10 +163,12 @@ impl HistogramSnapshot {
     }
 }
 
-/// The registry: a process-wide namespace of counters and histograms.
+/// The registry: a process-wide namespace of counters, gauges and
+/// histograms.
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
+    gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
 }
 
@@ -159,6 +184,12 @@ impl Registry {
                 c
             }
         }
+    }
+
+    /// Get or create a gauge.
+    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
+        let mut gauges = self.gauges.lock().unwrap_or_else(|e| e.into_inner());
+        Arc::clone(gauges.entry(name.to_string()).or_default())
     }
 
     /// Get or create a histogram.
@@ -189,6 +220,15 @@ impl Registry {
             .collect()
     }
 
+    /// Name-sorted `(name, level)` of every gauge.
+    pub fn gauges_snapshot(&self) -> Vec<(String, u64)> {
+        let gauges = self.gauges.lock().unwrap_or_else(|e| e.into_inner());
+        gauges
+            .iter()
+            .map(|(name, g)| (name.clone(), g.get()))
+            .collect()
+    }
+
     /// Name-sorted `Arc` handles of every histogram, cloned under the lock
     /// like [`counters_snapshot`](Registry::counters_snapshot).
     pub fn histograms_snapshot(&self) -> Vec<(String, Arc<Histogram>)> {
@@ -200,7 +240,8 @@ impl Registry {
     }
 
     /// Snapshot every metric as a JSON object:
-    /// `{"counters": {...}, "histograms": {name: {count, sum, ...}}}`.
+    /// `{"counters": {...}, "gauges": {...}, "histograms": {name: {count,
+    /// sum, ...}}}`.
     /// The registry locks are released before any serialization happens,
     /// so a scrape never stalls concurrent metric registration.
     pub fn snapshot_json(&self) -> Json {
@@ -209,6 +250,11 @@ impl Registry {
             .into_iter()
             .map(|(name, c)| (name, Json::UInt(c.get())))
             .collect::<Vec<_>>();
+        let gauges = self
+            .gauges_snapshot()
+            .into_iter()
+            .map(|(name, level)| (name, Json::UInt(level)))
+            .collect::<Vec<_>>();
         let histograms = self
             .histograms_snapshot()
             .into_iter()
@@ -216,6 +262,7 @@ impl Registry {
             .collect::<Vec<_>>();
         Json::obj([
             ("counters", Json::Obj(counters)),
+            ("gauges", Json::Obj(gauges)),
             ("histograms", Json::Obj(histograms)),
         ])
     }
@@ -237,6 +284,20 @@ mod tests {
         r.counter("q").inc();
         r.counter("q").add(4);
         assert_eq!(r.counter("q").get(), 5);
+    }
+
+    #[test]
+    fn gauges_move_both_ways_and_land_in_the_snapshot() {
+        let r = Registry::default();
+        r.gauge("open").inc();
+        r.gauge("open").inc();
+        r.gauge("open").dec();
+        assert_eq!(r.gauge("open").get(), 1);
+        r.gauge("early").dec();
+        assert_eq!(r.gauge("early").get(), 0, "never reads negative");
+        let snap = r.snapshot_json();
+        let open = snap.get("gauges").and_then(|g| g.get("open"));
+        assert_eq!(open, Some(&Json::UInt(1)));
     }
 
     #[test]

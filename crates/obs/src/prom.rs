@@ -1,6 +1,7 @@
 //! Prometheus text exposition (format version 0.0.4) over the registry.
 //!
-//! Counters render as `<name>_total`; histograms render with cumulative
+//! Counters render as `<name>_total`, gauges under their own name;
+//! histograms render with cumulative
 //! `_bucket{le="..."}` lines derived from the log-scale buckets via
 //! [`bucket_upper_bound`], plus `_sum` and `_count`. Metric names are
 //! sanitized to the Prometheus charset (`[a-zA-Z_:][a-zA-Z0-9_:]*`), so
@@ -22,9 +23,9 @@ pub fn sanitize_metric_name(name: &str) -> String {
     out
 }
 
-/// Append one gauge (`# TYPE` line plus a sample) to `out`. Used by the
-/// exposition endpoint for point-in-time values (in-flight queries, queue
-/// depth) that are not registry counters.
+/// Append one gauge (`# TYPE` line plus a sample) to `out`. Also used by
+/// the exposition endpoint for point-in-time values (in-flight queries,
+/// queue depth) it derives at scrape time.
 pub fn push_gauge(out: &mut String, name: &str, value: u64) {
     let name = sanitize_metric_name(name);
     out.push_str(&format!("# TYPE {name} gauge\n{name} {value}\n"));
@@ -44,6 +45,9 @@ pub fn prometheus_text(registry: &Registry) -> String {
             "# TYPE {name} counter\n{name} {}\n",
             counter.get()
         ));
+    }
+    for (name, level) in registry.gauges_snapshot() {
+        push_gauge(&mut out, &name, level);
     }
     for (name, histogram) in registry.histograms_snapshot() {
         let name = sanitize_metric_name(&name);
@@ -118,6 +122,7 @@ mod tests {
     fn counters_and_histograms_parse() {
         let r = Registry::default();
         r.counter("serve.queries").add(3);
+        r.gauge("serve.conns.open").inc();
         let h = r.histogram("serve.query.us");
         for v in [1u64, 5, 5, 100, 100_000] {
             h.record(v);
@@ -127,6 +132,10 @@ mod tests {
         assert!(samples
             .iter()
             .any(|(n, l, v)| n == "serve_queries_total" && l.is_none() && *v == 3.0));
+        assert!(samples
+            .iter()
+            .any(|(n, l, v)| n == "serve_conns_open" && l.is_none() && *v == 1.0));
+        assert!(text.contains("# TYPE serve_conns_open gauge\n"));
         assert!(samples
             .iter()
             .any(|(n, _, v)| n == "serve_query_us_sum" && *v == 100_111.0));

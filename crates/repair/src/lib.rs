@@ -14,6 +14,8 @@
 //! which is precisely the point the paper makes: rewriting-based answering
 //! scales where materializing repairs cannot.
 
+#![forbid(unsafe_code)]
+
 pub mod probabilistic;
 
 pub use probabilistic::{answer_probabilities, most_probable_answers, ProbableAnswer};

@@ -17,6 +17,8 @@
 //! \quit                     close the session
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::io::{self, BufRead, Write};
 use std::process::ExitCode;
 

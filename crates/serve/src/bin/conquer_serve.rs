@@ -31,6 +31,8 @@
 //! catalog is non-empty, `--tpch-sf`/`--script` seeding is skipped — the
 //! disk is the source of truth.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;

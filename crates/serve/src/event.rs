@@ -1,5 +1,5 @@
-//! The multiplexed serving core: a readiness-polled event loop over
-//! nonblocking sockets, std-only.
+//! The multiplexed serving core: an event loop that blocks in `poll(2)`
+//! over nonblocking sockets, std plus one FFI declaration ([`crate::poll`]).
 //!
 //! Thread-per-connection (PR 4) spends one OS thread — stack, scheduler
 //! slot, watchdog sibling — per client, which caps realistic connection
@@ -7,17 +7,38 @@
 //! replaces it with a fixed topology, independent of connection count:
 //!
 //! * **IO drivers** (`io_threads`, named `conquer-io-N`): each owns a
-//!   disjoint set of connections and sweeps them level-triggered — flush
-//!   pending output, drain readable bytes into an incremental
-//!   [`FrameBuf`], dispatch complete requests. `std` exposes no
-//!   `epoll`/`poll`, so readiness is discovered by the sweep itself
-//!   (nonblocking reads that return `WouldBlock` when idle) with a short
-//!   condvar nap between sweeps; accepts and query completions cut the
-//!   nap short via [`Waker`].
+//!   disjoint set of connections and blocks in `poll` until one of them —
+//!   or its waker, or a deadline — needs it. It then touches only the
+//!   connections that were reported ready or flagged by a completion:
+//!   flush pending output, drain readable bytes into an incremental
+//!   [`FrameBuf`], dispatch complete requests. An idle server makes no
+//!   system calls at all.
 //! * **Query workers** (`workers`, named `conquer-worker-N`): pull
 //!   admission-gated jobs from the shared [`RunQueue`] and run them via
 //!   [`crate::state::run_heavy`] — the same code the fallback mode runs
-//!   on session threads, so responses are wire-identical across modes.
+//!   on session threads, so responses are wire-identical across modes. A
+//!   worker writes its response to the socket itself and involves the
+//!   driver only when something is left over.
+//!
+//! **Interest set.** A connection polls for `POLLIN` while the driver may
+//! read from it (fewer than [`PENDING_CAP`] undispatched requests, not
+//! closing) and for `POLLOUT` only while a flush attempt left bytes in
+//! `out`; the driver recomputes both whenever it services the connection,
+//! under the lock it already holds. `POLLHUP`/`POLLERR` arrive unasked and
+//! mean the peer is gone. The waker's read end is always in the set.
+//!
+//! **Timeout.** The nearest real deadline: the run queue's front job
+//! (`queued_at + queue_wait`, so a client still gets its `busy` on time
+//! when every worker is wedged) or a closing connection's `flush_deadline`
+//! (so a peer that stopped reading is dropped after [`FLUSH_GRACE`]).
+//! With neither pending the driver waits indefinitely.
+//!
+//! **Who wakes whom.** A byte on the driver's [`Waker`] is written by the
+//! accept loop (a connection in the mailbox), by a worker or an expiring
+//! driver whose completion left bytes unflushed, pipelined requests
+//! undispatched or a close unresolved (the connection's slot in the
+//! mailbox), and by shutdown. Posting to a mailbox that already holds
+//! something skips the byte — the driver empties the mailbox whole.
 //!
 //! Session state is an explicit per-connection struct ([`SessionState`]
 //! inside [`ConnState`]), not thread-stack state. The protocol is strictly
@@ -38,19 +59,26 @@
 //! directions: a worker that picks a job up passes the job's *enqueue*
 //! time to [`Admission::try_admit_from`], so run-queue wait counts against
 //! the same deadline as semaphore wait; and when every worker is wedged
-//! behind slow queries, the drivers' sweep expires over-deadline jobs
-//! straight out of the run queue so the client still gets its `busy`
-//! within the deadline instead of whenever a worker frees up.
+//! behind slow queries, the drivers expire over-deadline jobs straight out
+//! of the run queue so the client still gets its `busy` within the
+//! deadline instead of whenever a worker frees up.
+//!
+//! `poll` exists on unix only; elsewhere this module is compiled out and
+//! [`crate::server::serve`] gives every connection a session thread
+//! ([`crate::session`]) whatever `io_threads` says.
 
 use std::collections::VecDeque;
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use conquer_engine::CancellationToken;
+use conquer_obs::{Counter, Gauge};
 
 use crate::error::ServeError;
+use crate::poll::{self, PollFd, Waker, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
 use crate::protocol::{encode_frame, ErrorCode, FrameBuf, Request, Response};
 use crate::server::Shared;
 use crate::state::{
@@ -58,17 +86,12 @@ use crate::state::{
     SERVER_VERSION,
 };
 
-/// Upper bound on a driver's nap between sweeps. Readiness is discovered
-/// by the sweep (no `epoll` in std), so this bounds added request latency;
-/// wakeups from accepts and query completions usually cut it short.
-const POLL_INTERVAL: Duration = Duration::from_millis(1);
-
 /// Per-connection cap on parsed-but-undispatched requests. Past this the
 /// driver stops reading the socket (TCP backpressure does the rest), which
 /// bounds the memory a hostile pipeliner can pin server-side.
 const PENDING_CAP: usize = 64;
 
-/// Read granularity of the driver sweep.
+/// Read granularity of a driver; one buffer of this size per driver.
 const READ_CHUNK: usize = 16 * 1024;
 
 /// How long a closing connection (after `quit`/`shutdown`/a protocol
@@ -76,86 +99,115 @@ const READ_CHUNK: usize = 16 * 1024;
 /// the driver closes the socket regardless.
 const FLUSH_GRACE: Duration = Duration::from_secs(2);
 
-/// Wakeup latch for one driver: `wake` is sticky, so a notification that
-/// arrives while the driver is mid-sweep is consumed by the next `wait`
-/// instead of being lost.
-pub(crate) struct Waker {
-    flag: Mutex<bool>,
-    cond: Condvar,
+/// The event loop's registry metrics, resolved once: each is bumped where
+/// its event happens, on paths too hot for a by-name lookup.
+struct LoopMetrics {
+    /// Returns from `poll`, whatever the reason.
+    polls: Arc<Counter>,
+    /// Connections a `poll` reported readable (or hung up).
+    wake_readable: Arc<Counter>,
+    /// Connections a `poll` reported writable.
+    wake_writable: Arc<Counter>,
+    /// Connections a completion flagged for their driver.
+    wake_completion: Arc<Counter>,
+    /// Connections adopted from the accept loop.
+    wake_accept: Arc<Counter>,
+    /// `poll`s that ran into their timeout.
+    wake_deadline: Arc<Counter>,
+    frames_in: Arc<Counter>,
+    frames_out: Arc<Counter>,
+    bytes_in: Arc<Counter>,
+    bytes_out: Arc<Counter>,
+    /// Times a connection reached [`PENDING_CAP`] and reading paused.
+    pending_cap: Arc<Counter>,
+    conns_open: Arc<Gauge>,
+    run_queue_depth: Arc<Gauge>,
 }
 
-impl Waker {
-    pub(crate) fn new() -> Waker {
-        Waker {
-            flag: Mutex::new(false),
-            cond: Condvar::new(),
+fn metrics() -> &'static LoopMetrics {
+    static METRICS: OnceLock<LoopMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| {
+        let registry = conquer_obs::registry();
+        LoopMetrics {
+            polls: registry.counter("serve.loop.polls"),
+            wake_readable: registry.counter("serve.loop.wake.readable"),
+            wake_writable: registry.counter("serve.loop.wake.writable"),
+            wake_completion: registry.counter("serve.loop.wake.completion"),
+            wake_accept: registry.counter("serve.loop.wake.accept"),
+            wake_deadline: registry.counter("serve.loop.wake.deadline"),
+            frames_in: registry.counter("serve.frames.in"),
+            frames_out: registry.counter("serve.frames.out"),
+            bytes_in: registry.counter("serve.bytes.in"),
+            bytes_out: registry.counter("serve.bytes.out"),
+            pending_cap: registry.counter("serve.backpressure.pending_cap"),
+            conns_open: registry.gauge("serve.conns.open"),
+            run_queue_depth: registry.gauge("serve.run_queue.depth"),
         }
-    }
-
-    pub(crate) fn wake(&self) {
-        let mut flag = self.flag.lock().unwrap_or_else(|e| e.into_inner());
-        *flag = true;
-        drop(flag);
-        self.cond.notify_all();
-    }
-
-    fn wait(&self, timeout: Duration) {
-        let mut flag = self.flag.lock().unwrap_or_else(|e| e.into_inner());
-        if !*flag {
-            let (guard, _) = self
-                .cond
-                .wait_timeout(flag, timeout)
-                .unwrap_or_else(|e| e.into_inner());
-            flag = guard;
-        }
-        *flag = false;
-    }
+    })
 }
 
-/// Hand-off slot from the accept loop to one driver.
-pub(crate) struct Inbox {
-    state: Mutex<InboxState>,
+/// What other threads leave for one driver: its waker and its mailbox.
+pub(crate) struct DriverShared {
+    waker: Waker,
+    mail: Mutex<Mail>,
 }
 
-struct InboxState {
+#[derive(Default)]
+struct Mail {
+    /// Accepted connections waiting for adoption.
     arrivals: Vec<(TcpStream, u64)>,
+    /// Slots of connections whose completion left the driver work to do.
+    flagged: Vec<usize>,
+    /// The driver has exited; arrivals bounce back to the accept loop.
     closed: bool,
 }
 
-impl Inbox {
-    pub(crate) fn new() -> Inbox {
-        Inbox {
-            state: Mutex::new(InboxState {
-                arrivals: Vec::new(),
-                closed: false,
-            }),
-        }
+impl DriverShared {
+    fn lock(&self) -> MutexGuard<'_, Mail> {
+        self.mail.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn lock(&self) -> MutexGuard<'_, InboxState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    /// Post to the mailbox and wake the driver — unless the mailbox already
+    /// held something: whoever put that there wakes (or woke) the driver,
+    /// and the driver takes the whole mailbox after draining its waker.
+    fn post(&self, mut mail: MutexGuard<'_, Mail>, put: impl FnOnce(&mut Mail)) {
+        let first = mail.arrivals.is_empty() && mail.flagged.is_empty();
+        put(&mut mail);
+        drop(mail);
+        if first {
+            self.waker.wake();
+        }
     }
 
     /// Queue an accepted connection for the driver. `Err` returns the
     /// stream when the driver has already shut down — the accept loop then
     /// unwinds the session bookkeeping itself.
-    pub(crate) fn push(&self, stream: TcpStream, id: u64) -> Result<(), TcpStream> {
-        let mut state = self.lock();
-        if state.closed {
+    fn hand_off(&self, stream: TcpStream, id: u64) -> Result<(), TcpStream> {
+        let mail = self.lock();
+        if mail.closed {
             return Err(stream);
         }
-        state.arrivals.push((stream, id));
+        self.post(mail, |mail| mail.arrivals.push((stream, id)));
         Ok(())
     }
 
-    fn drain(&self) -> Vec<(TcpStream, u64)> {
-        std::mem::take(&mut self.lock().arrivals)
+    /// Ask the driver to service the connection in `slot`.
+    fn flag(&self, slot: usize) {
+        self.post(self.lock(), |mail| mail.flagged.push(slot));
+    }
+
+    fn take(&self) -> (Vec<(TcpStream, u64)>, Vec<usize>) {
+        let mut mail = self.lock();
+        (
+            std::mem::take(&mut mail.arrivals),
+            std::mem::take(&mut mail.flagged),
+        )
     }
 
     fn close_and_drain(&self) -> Vec<(TcpStream, u64)> {
-        let mut state = self.lock();
-        state.closed = true;
-        std::mem::take(&mut state.arrivals)
+        let mut mail = self.lock();
+        mail.closed = true;
+        std::mem::take(&mut mail.arrivals)
     }
 }
 
@@ -190,10 +242,24 @@ struct ConnState {
     torn_down: bool,
 }
 
+impl ConnState {
+    fn may_read(&self) -> bool {
+        self.pending.len() < PENDING_CAP && !self.close_after_flush
+    }
+
+    /// Stop reading and close once `out` is flushed or the grace runs out.
+    fn close_after_flush(&mut self) {
+        self.close_after_flush = true;
+        self.flush_deadline = Some(Instant::now() + FLUSH_GRACE);
+    }
+}
+
 pub(crate) struct Conn {
     stream: TcpStream,
-    /// The owning driver's waker, so workers can nudge it on completion.
-    driver: Arc<Waker>,
+    /// The owning driver, so completions can flag this connection for it.
+    driver: Arc<DriverShared>,
+    /// This connection's index in its driver's tables, for its lifetime.
+    slot: usize,
     state: Mutex<ConnState>,
 }
 
@@ -230,7 +296,7 @@ struct RunQueueState {
 }
 
 impl RunQueue {
-    pub(crate) fn new() -> Arc<RunQueue> {
+    fn new() -> Arc<RunQueue> {
         Arc::new(RunQueue {
             state: Mutex::new(RunQueueState {
                 jobs: VecDeque::new(),
@@ -253,6 +319,7 @@ impl RunQueue {
         }
         state.jobs.push_back(job);
         drop(state);
+        metrics().run_queue_depth.inc();
         self.cond.notify_one();
         Ok(())
     }
@@ -264,6 +331,7 @@ impl RunQueue {
         let mut state = self.lock();
         loop {
             if let Some(job) = state.jobs.pop_front() {
+                metrics().run_queue_depth.dec();
                 return Some(job);
             }
             if state.closed {
@@ -281,35 +349,96 @@ impl RunQueue {
         let mut expired = Vec::new();
         while state.jobs.front().is_some_and(|job| now >= job.deadline) {
             expired.push(state.jobs.pop_front().expect("front checked"));
+            metrics().run_queue_depth.dec();
         }
         expired
     }
 
-    pub(crate) fn close(&self) {
+    /// When the next [`expire`](RunQueue::expire) will have work.
+    fn front_deadline(&self) -> Option<Instant> {
+        self.lock().jobs.front().map(|job| job.deadline)
+    }
+
+    fn close(&self) {
         self.lock().closed = true;
         self.cond.notify_all();
     }
 
-    pub(crate) fn depth(&self) -> usize {
+    fn depth(&self) -> usize {
         self.lock().jobs.len()
     }
 }
 
-/// Per-driver handles the accept loop and `request_shutdown` need.
-pub(crate) struct DriverShared {
-    pub(crate) waker: Arc<Waker>,
-    pub(crate) inbox: Arc<Inbox>,
-}
-
 /// The event-mode plumbing hung off [`Shared`] once at startup.
 pub(crate) struct EventCore {
-    pub(crate) run_queue: Arc<RunQueue>,
-    pub(crate) drivers: Vec<DriverShared>,
+    run_queue: Arc<RunQueue>,
+    drivers: Vec<Arc<DriverShared>>,
 }
 
-/// What a sweep decided about one connection.
+impl EventCore {
+    /// Spawn `io_threads` drivers and `workers` query workers over a fresh
+    /// run queue; the handles are the caller's to join.
+    pub(crate) fn start(
+        shared: &Arc<Shared>,
+        io_threads: usize,
+        workers: usize,
+    ) -> io::Result<(EventCore, Vec<JoinHandle<()>>)> {
+        metrics(); // every loop metric is exposed from the start, at zero
+        let run_queue = RunQueue::new();
+        let mut pool = Vec::new();
+        let mut drivers = Vec::new();
+        for i in 0..io_threads {
+            let me = Arc::new(DriverShared {
+                waker: Waker::new()?,
+                mail: Mutex::new(Mail::default()),
+            });
+            drivers.push(Arc::clone(&me));
+            let driver = Driver::new(Arc::clone(shared), Arc::clone(&run_queue), me);
+            pool.push(
+                std::thread::Builder::new()
+                    .name(format!("conquer-io-{i}"))
+                    .spawn(move || driver.run())?,
+            );
+        }
+        for i in 0..workers {
+            let shared = Arc::clone(shared);
+            let queue = Arc::clone(&run_queue);
+            pool.push(
+                std::thread::Builder::new()
+                    .name(format!("conquer-worker-{i}"))
+                    .spawn(move || worker_loop(shared, queue))?,
+            );
+        }
+        Ok((EventCore { run_queue, drivers }, pool))
+    }
+
+    /// Hand an accepted connection to a driver, round-robin by session id.
+    /// `Err` returns the stream when that driver has already shut down.
+    pub(crate) fn hand_off(&self, stream: TcpStream, id: u64) -> Result<(), TcpStream> {
+        self.drivers[id as usize % self.drivers.len()].hand_off(stream, id)
+    }
+
+    /// Stop handing out jobs and wake every driver to see the shutdown flag.
+    pub(crate) fn shutdown(&self) {
+        self.run_queue.close();
+        for driver in &self.drivers {
+            driver.waker.wake();
+        }
+    }
+
+    pub(crate) fn run_queue_depth(&self) -> usize {
+        self.run_queue.depth()
+    }
+}
+
+/// What servicing a connection decided about it.
 enum Outcome {
-    Alive,
+    /// Keep it, polling for `events`; `flush_deadline` is set while it is
+    /// closing with output still owed.
+    Alive {
+        events: i16,
+        flush_deadline: Option<Instant>,
+    },
     /// Close without disconnect semantics (quit, shutdown, flush-deadline,
     /// internal error).
     Close,
@@ -322,58 +451,200 @@ enum Outcome {
     CloseAndShutdown,
 }
 
-/// Body of one `conquer-io-N` thread.
-pub(crate) fn driver_loop(
+/// One `conquer-io-N` thread's state.
+struct Driver {
     shared: Arc<Shared>,
     queue: Arc<RunQueue>,
-    inbox: Arc<Inbox>,
-    waker: Arc<Waker>,
-) {
-    let mut conns: Vec<Arc<Conn>> = Vec::new();
-    loop {
-        for (stream, id) in inbox.drain() {
-            match adopt(&shared, stream, id, &waker) {
-                Some(conn) => conns.push(conn),
-                None => shared.session_closed(),
+    me: Arc<DriverShared>,
+    /// Owned connections by slot; a slot is reused once its connection is
+    /// gone, so a stale flag can at worst service a stranger for nothing.
+    conns: Vec<Option<Arc<Conn>>>,
+    free: Vec<usize>,
+    /// The interest set: the waker, then slot `i` at `fds[i + 1]` (vacant
+    /// while the slot is free).
+    fds: Vec<PollFd>,
+    /// Closing connections with output still owed, and when to give up.
+    closing: Vec<(usize, Instant)>,
+    /// The read buffer every connection of this driver fills through.
+    buf: Vec<u8>,
+}
+
+impl Driver {
+    fn new(shared: Arc<Shared>, queue: Arc<RunQueue>, me: Arc<DriverShared>) -> Driver {
+        let fds = vec![PollFd::new(&me.waker, POLLIN)];
+        Driver {
+            shared,
+            queue,
+            me,
+            conns: Vec::new(),
+            free: Vec::new(),
+            fds,
+            closing: Vec::new(),
+            buf: vec![0; READ_CHUNK],
+        }
+    }
+
+    /// Body of the thread.
+    fn run(mut self) {
+        let m = metrics();
+        while !self.shared.is_shutting_down() {
+            let timeout = self
+                .next_deadline()
+                .map(|deadline| deadline.saturating_duration_since(Instant::now()));
+            let mut ready = match poll::wait(&mut self.fds, timeout) {
+                Ok(ready) => ready,
+                Err(_) => {
+                    // Nothing a retry would fix (the interest set itself
+                    // was refused); a driver that cannot wait cannot serve.
+                    conquer_obs::registry()
+                        .counter("serve.loop.poll_failed")
+                        .inc();
+                    self.shared.request_shutdown();
+                    break;
+                }
+            };
+            m.polls.inc();
+            if ready == 0 {
+                m.wake_deadline.inc();
+            }
+            if self.fds[0].revents() != 0 {
+                self.me.waker.drain();
+                ready -= 1;
+            }
+            let (arrivals, flagged) = self.me.take();
+            for (stream, id) in arrivals {
+                m.wake_accept.inc();
+                self.adopt(stream, id);
+            }
+            for slot in flagged {
+                m.wake_completion.inc();
+                self.service(slot, false);
+            }
+            let mut index = 1;
+            while ready > 0 && index < self.fds.len() {
+                let revents = self.fds[index].revents();
+                if revents != 0 {
+                    ready -= 1;
+                    if revents & POLLOUT != 0 {
+                        m.wake_writable.inc();
+                    }
+                    if revents & !POLLOUT != 0 {
+                        m.wake_readable.inc();
+                    }
+                    self.service(index - 1, revents & (POLLERR | POLLHUP | POLLNVAL) != 0);
+                }
+                index += 1;
+            }
+            let now = Instant::now();
+            for job in self.queue.expire(now) {
+                expire_job(&self.shared, job);
+            }
+            let overdue: Vec<usize> = self
+                .closing
+                .iter()
+                .filter(|(_, deadline)| *deadline <= now)
+                .map(|(slot, _)| *slot)
+                .collect();
+            for slot in overdue {
+                self.service(slot, false);
             }
         }
-        if shared.is_shutting_down() {
-            // Bounce anything racing in, then tear down owned connections:
-            // cancel in-flight work, close sockets, drain the counts.
-            for (stream, _id) in inbox.close_and_drain() {
-                drop(stream);
-                shared.session_closed();
-            }
-            for conn in conns.drain(..) {
-                teardown(&shared, &conn, false);
+        // Bounce anything racing in, then tear down owned connections:
+        // cancel in-flight work, close sockets, drain the counts.
+        for (stream, _id) in self.me.close_and_drain() {
+            drop(stream);
+            self.shared.session_closed();
+        }
+        for conn in self.conns.drain(..).flatten() {
+            teardown(&self.shared, &conn, false);
+        }
+    }
+
+    /// The nearest instant at which this driver has work no descriptor
+    /// will announce.
+    fn next_deadline(&self) -> Option<Instant> {
+        let closing = self.closing.iter().map(|(_, deadline)| *deadline).min();
+        match (self.queue.front_deadline(), closing) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
+
+    /// Take ownership of a freshly accepted connection: nonblocking mode
+    /// plus the `Hello` greeting queued on the (nonblocking) output buffer,
+    /// so a connected-but-never-reading peer can't wedge anything.
+    fn adopt(&mut self, stream: TcpStream, id: u64) {
+        if stream.set_nonblocking(true).is_err() {
+            self.shared.session_closed();
+            return;
+        }
+        let mut state = ConnState {
+            session: Some(SessionState::new(&self.shared, id)),
+            frames: FrameBuf::new(),
+            pending: VecDeque::new(),
+            out: Vec::new(),
+            out_pos: 0,
+            in_flight: None,
+            dead: false,
+            close_after_flush: false,
+            shutdown_after_flush: false,
+            flush_deadline: None,
+            torn_down: false,
+        };
+        let hello = Response::Hello {
+            session: id,
+            version: SERVER_VERSION.to_string(),
+        };
+        push_frame(&mut state, &hello);
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.conns.push(None);
+            self.fds.push(PollFd::vacant());
+            self.conns.len() - 1
+        });
+        self.fds[slot + 1] = PollFd::new(&stream, POLLIN);
+        self.conns[slot] = Some(Arc::new(Conn {
+            stream,
+            driver: Arc::clone(&self.me),
+            slot,
+            state: Mutex::new(state),
+        }));
+        metrics().conns_open.inc();
+        self.service(slot, false);
+    }
+
+    /// Service the connection in `slot` and act on the outcome: update its
+    /// interest, or tear it down and free the slot.
+    fn service(&mut self, slot: usize, hangup: bool) {
+        let Some(conn) = self.conns.get(slot).and_then(Option::as_ref) else {
+            return;
+        };
+        let outcome = sweep(&self.shared, &self.queue, conn, &mut self.buf, hangup);
+        if let Outcome::Alive {
+            events,
+            flush_deadline,
+        } = outcome
+        {
+            self.fds[slot + 1].set_events(events);
+            if let Some(deadline) = flush_deadline {
+                if !self.closing.iter().any(|(closing, _)| *closing == slot) {
+                    self.closing.push((slot, deadline));
+                }
             }
             return;
         }
-        conns.retain(|conn| match sweep(&shared, &queue, conn) {
-            Outcome::Alive => true,
-            Outcome::Close => {
-                teardown(&shared, conn, false);
-                false
-            }
-            Outcome::Disconnect => {
-                teardown(&shared, conn, true);
-                false
-            }
-            Outcome::CloseAndShutdown => {
-                teardown(&shared, conn, false);
-                shared.request_shutdown();
-                false
-            }
-        });
-        for job in queue.expire(Instant::now()) {
-            expire_job(&shared, job);
+        teardown(&self.shared, conn, matches!(outcome, Outcome::Disconnect));
+        self.conns[slot] = None;
+        self.fds[slot + 1] = PollFd::vacant();
+        self.closing.retain(|(closing, _)| *closing != slot);
+        self.free.push(slot);
+        if matches!(outcome, Outcome::CloseAndShutdown) {
+            self.shared.request_shutdown();
         }
-        waker.wait(POLL_INTERVAL);
     }
 }
 
 /// Body of one `conquer-worker-N` thread.
-pub(crate) fn worker_loop(shared: Arc<Shared>, queue: Arc<RunQueue>) {
+fn worker_loop(shared: Arc<Shared>, queue: Arc<RunQueue>) {
     while let Some(mut job) = queue.pop() {
         if job.conn.lock().dead {
             continue;
@@ -385,53 +656,31 @@ pub(crate) fn worker_loop(shared: Arc<Shared>, queue: Arc<RunQueue>) {
             &job.token,
             job.queued_at,
         );
-        let mut state = job.conn.lock();
-        if state.dead {
-            continue;
-        }
-        state.session = Some(job.session);
-        state.in_flight = None;
-        push_frame(&mut state, &response);
-        drop(state);
-        job.conn.driver.wake();
+        complete(&job.conn, job.session, &response);
     }
 }
 
-/// Take ownership of a freshly accepted connection: nonblocking mode plus
-/// the `Hello` greeting queued on the (nonblocking) output buffer, so a
-/// connected-but-never-reading peer can't wedge anything.
-fn adopt(
-    shared: &Arc<Shared>,
-    stream: TcpStream,
-    id: u64,
-    waker: &Arc<Waker>,
-) -> Option<Arc<Conn>> {
-    stream.set_nonblocking(true).ok()?;
-    let mut state = ConnState {
-        session: Some(SessionState::new(shared, id)),
-        frames: FrameBuf::new(),
-        pending: VecDeque::new(),
-        out: Vec::new(),
-        out_pos: 0,
-        in_flight: None,
-        dead: false,
-        close_after_flush: false,
-        shutdown_after_flush: false,
-        flush_deadline: None,
-        torn_down: false,
-    };
-    let hello = Response::Hello {
-        session: id,
-        version: SERVER_VERSION.to_string(),
-    };
-    state
-        .out
-        .extend_from_slice(&encode_frame(&hello.to_json()).ok()?);
-    Some(Arc::new(Conn {
-        stream,
-        driver: Arc::clone(waker),
-        state: Mutex::new(state),
-    }))
+/// Hand a job's session state and response back to its connection and try
+/// to put the response on the wire from this thread. The driver is flagged
+/// only for what this thread cannot finish: bytes the socket would not
+/// take, pipelined requests to dispatch, a close to resolve.
+fn complete(conn: &Conn, session: SessionState, response: &Response) {
+    let mut state = conn.lock();
+    if state.dead {
+        return;
+    }
+    state.session = Some(session);
+    state.in_flight = None;
+    push_frame(&mut state, response);
+    let settled = flush(conn, &mut state)
+        && state.out.is_empty()
+        && state.pending.is_empty()
+        && !state.close_after_flush
+        && !state.dead;
+    drop(state);
+    if !settled {
+        conn.driver.flag(conn.slot);
+    }
 }
 
 /// Final teardown: cancel in-flight work, close the socket, release the
@@ -459,12 +708,21 @@ fn teardown(shared: &Shared, conn: &Conn, disconnect: bool) {
             .inc();
     }
     let _ = conn.stream.shutdown(Shutdown::Both);
+    metrics().conns_open.dec();
     shared.session_closed();
 }
 
 /// One level-triggered pass over a connection: flush, read, dispatch,
-/// flush again.
-fn sweep(shared: &Arc<Shared>, queue: &Arc<RunQueue>, conn: &Arc<Conn>) -> Outcome {
+/// flush again. `hangup` says `poll` reported the peer gone, so a read
+/// that finds nothing wrong must not leave the connection open (its
+/// `POLLHUP` would be reported again at once, forever).
+fn sweep(
+    shared: &Arc<Shared>,
+    queue: &Arc<RunQueue>,
+    conn: &Arc<Conn>,
+    buf: &mut [u8],
+    hangup: bool,
+) -> Outcome {
     let mut state = conn.lock();
     if state.dead {
         return Outcome::Close;
@@ -472,11 +730,17 @@ fn sweep(shared: &Arc<Shared>, queue: &Arc<RunQueue>, conn: &Arc<Conn>) -> Outco
     if !flush(conn, &mut state) {
         return Outcome::Disconnect;
     }
-    if state.close_after_flush {
-        return resolve_closing(&mut state);
+    if let Some(outcome) = resolve_closing(&state) {
+        return outcome;
     }
-    match fill(conn, &mut state) {
-        ReadStatus::Open => {}
+    let status = if state.may_read() {
+        fill(conn, &mut state, buf)
+    } else {
+        ReadStatus::Open
+    };
+    match status {
+        ReadStatus::Open if !hangup => {}
+        ReadStatus::Open | ReadStatus::Error => return Outcome::Disconnect,
         ReadStatus::Eof => {
             // The structural disconnect fix: a FIN is seen here even when
             // pipelined frames arrived ahead of it, because the driver
@@ -489,11 +753,9 @@ fn sweep(shared: &Arc<Shared>, queue: &Arc<RunQueue>, conn: &Arc<Conn>) -> Outco
                 conquer_obs::registry()
                     .counter("serve.disconnect_cancel")
                     .inc();
-                return Outcome::Close; // cancellation already accounted
             }
-            return Outcome::Close;
+            return Outcome::Close; // any cancellation is already accounted
         }
-        ReadStatus::Error => return Outcome::Disconnect,
     }
     dispatch(shared, queue, conn, &mut state);
     if state.dead {
@@ -502,46 +764,66 @@ fn sweep(shared: &Arc<Shared>, queue: &Arc<RunQueue>, conn: &Arc<Conn>) -> Outco
     if !flush(conn, &mut state) {
         return Outcome::Disconnect;
     }
-    if state.close_after_flush {
-        return resolve_closing(&mut state);
+    if let Some(outcome) = resolve_closing(&state) {
+        return outcome;
     }
-    Outcome::Alive
+    let mut events = 0;
+    if state.may_read() {
+        events |= POLLIN;
+    }
+    if !state.out.is_empty() {
+        events |= POLLOUT;
+    }
+    Outcome::Alive {
+        events,
+        flush_deadline: state.flush_deadline,
+    }
 }
 
-/// A connection in the flush-then-close state: close once the final bytes
-/// are out (or the grace deadline passes with a non-reading peer).
-fn resolve_closing(state: &mut ConnState) -> Outcome {
-    let flushed = state.out_pos == state.out.len();
+/// A connection in the flush-then-close state closes once the final bytes
+/// are out (or the grace deadline passes with a non-reading peer); `None`
+/// while it is not closing or still has time to flush.
+fn resolve_closing(state: &ConnState) -> Option<Outcome> {
+    if !state.close_after_flush {
+        return None;
+    }
     let expired = state
         .flush_deadline
         .is_some_and(|deadline| Instant::now() >= deadline);
-    if flushed || expired {
-        if state.shutdown_after_flush {
-            Outcome::CloseAndShutdown
-        } else {
-            Outcome::Close
-        }
-    } else {
-        Outcome::Alive
+    if !state.out.is_empty() && !expired {
+        return None;
     }
+    Some(if state.shutdown_after_flush {
+        Outcome::CloseAndShutdown
+    } else {
+        Outcome::Close
+    })
 }
 
-/// Write as much of `out` as the socket will take. `false` = hard error.
+/// Write as much of `out` as the socket will take; `out` is empty
+/// afterwards exactly when nothing is owed. `false` = hard error.
 fn flush(conn: &Conn, state: &mut ConnState) -> bool {
-    while state.out_pos < state.out.len() {
-        match (&conn.stream).write(&state.out[state.out_pos..]) {
-            Ok(0) => return false,
-            Ok(n) => state.out_pos += n,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return false,
+    let start = state.out_pos;
+    let ok = loop {
+        if state.out_pos == state.out.len() {
+            break true;
         }
+        match (&conn.stream).write(&state.out[state.out_pos..]) {
+            Ok(0) => break false,
+            Ok(n) => state.out_pos += n,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break true,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => break false,
+        }
+    };
+    if state.out_pos > start {
+        metrics().bytes_out.add((state.out_pos - start) as u64);
     }
-    if state.out_pos == state.out.len() && state.out_pos > 0 {
+    if state.out_pos == state.out.len() {
         state.out.clear();
         state.out_pos = 0;
     }
-    true
+    ok
 }
 
 enum ReadStatus {
@@ -550,19 +832,22 @@ enum ReadStatus {
     Error,
 }
 
-/// Drain readable bytes into the frame buffer and parse complete frames
-/// into the pending FIFO. Stops at `WouldBlock` (level-triggered: the next
-/// sweep resumes), the pending cap (backpressure), EOF, or an error.
-fn fill(conn: &Conn, state: &mut ConnState) -> ReadStatus {
-    let mut chunk = [0u8; READ_CHUNK];
-    while state.pending.len() < PENDING_CAP && !state.close_after_flush {
-        match (&conn.stream).read(&mut chunk) {
+/// Drain readable bytes through `buf` into the frame buffer and parse
+/// complete frames into the pending FIFO. Stops at `WouldBlock`
+/// (level-triggered: the next `POLLIN` resumes), the pending cap
+/// (backpressure), EOF, or an error.
+fn fill(conn: &Conn, state: &mut ConnState, buf: &mut [u8]) -> ReadStatus {
+    let m = metrics();
+    while state.may_read() {
+        match (&conn.stream).read(buf) {
             Ok(0) => return ReadStatus::Eof,
             Ok(n) => {
-                state.frames.extend(&chunk[..n]);
+                m.bytes_in.add(n as u64);
+                state.frames.extend(&buf[..n]);
                 loop {
                     match state.frames.next_frame() {
                         Ok(Some(json)) => {
+                            m.frames_in.inc();
                             state.pending.push_back(Request::from_json(&json));
                         }
                         Ok(None) => break,
@@ -574,15 +859,17 @@ fn fill(conn: &Conn, state: &mut ConnState) -> ReadStatus {
                                 message: "malformed frame".to_string(),
                             };
                             push_frame(state, &resp);
-                            state.close_after_flush = true;
-                            state.flush_deadline = Some(Instant::now() + FLUSH_GRACE);
+                            state.close_after_flush();
                             return ReadStatus::Open;
                         }
                     }
                 }
+                if state.pending.len() >= PENDING_CAP {
+                    m.pending_cap.inc();
+                }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => return ReadStatus::Error,
         }
     }
@@ -618,14 +905,10 @@ fn dispatch(shared: &Arc<Shared>, queue: &Arc<RunQueue>, conn: &Arc<Conn>, state
                 let response = handle_control(shared, session, &request);
                 push_frame(state, &response);
                 match request {
-                    Request::Quit => {
-                        state.close_after_flush = true;
-                        state.flush_deadline = Some(Instant::now() + FLUSH_GRACE);
-                    }
+                    Request::Quit => state.close_after_flush(),
                     Request::Shutdown => {
-                        state.close_after_flush = true;
+                        state.close_after_flush();
                         state.shutdown_after_flush = true;
-                        state.flush_deadline = Some(Instant::now() + FLUSH_GRACE);
                     }
                     _ => {}
                 }
@@ -669,15 +952,7 @@ fn expire_job(shared: &Shared, job: Job) {
         "{} queries in flight (max {}), queue wait exceeded; retry later",
         stats.in_flight, stats.max_concurrent
     )));
-    let mut state = job.conn.lock();
-    if state.dead {
-        return;
-    }
-    state.session = Some(job.session);
-    state.in_flight = None;
-    push_frame(&mut state, &response);
-    drop(state);
-    job.conn.driver.wake();
+    complete(&job.conn, job.session, &response);
 }
 
 /// Queue one response frame on the connection's output buffer. An encode
@@ -685,7 +960,10 @@ fn expire_job(shared: &Shared, job: Job) {
 /// the client would otherwise wait forever for a frame that cannot exist.
 fn push_frame(state: &mut ConnState, response: &Response) {
     match encode_frame(&response.to_json()) {
-        Ok(bytes) => state.out.extend_from_slice(&bytes),
+        Ok(bytes) => {
+            metrics().frames_out.inc();
+            state.out.extend_from_slice(&bytes);
+        }
         Err(_) => state.dead = true,
     }
 }

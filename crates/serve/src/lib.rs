@@ -8,17 +8,17 @@
 //!   [`Strategy`]; responses carry schema-complete result sets whose
 //!   values round-trip bit-identically (tagged dates and non-finite
 //!   floats).
-//! * **Serving core** ([`server`], `event`) — a readiness-polled event
-//!   loop: a fixed pool of `io_threads` drivers multiplexes every
-//!   connection over nonblocking sockets, and a fixed pool of query
-//!   workers executes admission-gated requests from a bounded run queue.
+//! * **Serving core** ([`server`], `event`) — an event loop driven by
+//!   `poll(2)`: a fixed pool of `io_threads` drivers sleeps until one of
+//!   its nonblocking sockets is ready, and a fixed pool of query workers
+//!   executes admission-gated requests from a bounded run queue.
 //!   Session state (per-connection `ExecOptions` via `SET` — `threads`,
 //!   `timeout_ms`, `mem_limit`, `max_rows`, `strategy` — plus prepared
 //!   statements) lives in explicit per-connection structs (`state`);
 //!   client disconnects surface as EOF on the driver and cancel in-flight
 //!   queries through the governor. `io_threads: 0` selects the legacy
-//!   thread-per-connection mode (`session`), kept one release as a
-//!   differential oracle.
+//!   thread-per-connection mode (`session`), kept as a differential
+//!   oracle and as the only mode where `poll` does not exist (non-unix).
 //! * **Admission control** ([`admission`]) — a semaphore-bounded run queue
 //!   with a queue-wait deadline; overload degrades to a structured `busy`
 //!   error instead of a hang.
@@ -46,12 +46,19 @@
 //! client.quit().unwrap();
 //! ```
 
+// The one FFI call (`poll`) lives in `poll`; nothing else may be unsafe.
+#![deny(unsafe_code)]
+
 pub mod admission;
 pub mod cache;
 pub mod client;
 pub mod error;
+#[cfg(unix)]
 mod event;
 mod metrics_http;
+#[cfg(unix)]
+#[allow(unsafe_code)]
+mod poll;
 pub mod protocol;
 pub mod server;
 mod session;

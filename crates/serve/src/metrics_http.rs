@@ -5,10 +5,12 @@
 //! state, no chunking, and no framing beyond `Content-Length`:
 //!
 //! * `/metrics` — Prometheus text format (version 0.0.4): every registry
-//!   counter and histogram (cumulative `_bucket` lines derived from the
-//!   log-scale buckets), plus point-in-time server gauges (in-flight
-//!   queries, admission queue depth, active sessions, cache entries).
-//! * `/metrics.json` — the registry's JSON snapshot plus the same gauges.
+//!   counter, gauge and histogram (cumulative `_bucket` lines derived from
+//!   the log-scale buckets), plus server gauges derived at scrape time
+//!   (in-flight queries, admission queue depth, active sessions, cache
+//!   entries).
+//! * `/metrics.json` — the registry's JSON snapshot with the same derived
+//!   gauges added to its `gauges` object.
 //! * `/traces` — the flight-recorder dump (`?limit=N` caps the entries).
 //!
 //! Requests are served inline on the single metrics thread: scrapes are
@@ -167,7 +169,7 @@ fn respond(
     stream.flush()
 }
 
-/// Point-in-time server gauges, shared by both exposition formats.
+/// Server gauges derived at scrape time, shared by both exposition formats.
 fn server_gauges(shared: &Arc<Shared>) -> Vec<(&'static str, u64)> {
     let admission = shared.admission.stats();
     let cache = shared.cache.stats();
@@ -192,12 +194,12 @@ fn metrics_text(shared: &Arc<Shared>) -> String {
 }
 
 fn metrics_json(shared: &Arc<Shared>) -> Json {
-    let gauges = server_gauges(shared)
-        .into_iter()
-        .map(|(name, value)| (name.to_string(), Json::UInt(value)))
-        .collect::<Vec<_>>();
     let mut obj = registry().snapshot_json();
-    obj.push("gauges", Json::Obj(gauges));
+    if let Some(gauges) = obj.get_mut("gauges") {
+        for (name, value) in server_gauges(shared) {
+            gauges.push(name, Json::UInt(value));
+        }
+    }
     obj
 }
 

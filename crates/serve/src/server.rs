@@ -7,15 +7,15 @@
 //!
 //! Two serving modes share it:
 //!
-//! * **Event loop** (default, `io_threads > 0`): accepted connections are
-//!   handed round-robin to a fixed pool of IO drivers that multiplex them
-//!   over nonblocking sockets, with heavy work on a fixed pool of query
-//!   workers ([`crate::event`]). Total thread count is
+//! * **Event loop** (default, `io_threads > 0`, unix): accepted
+//!   connections are handed round-robin to a fixed pool of IO drivers that
+//!   wait for them in `poll(2)`, with heavy work on a fixed pool of query
+//!   workers (`crate::event`). Total thread count is
 //!   `io_threads + workers + 2` (accept + metrics), independent of
 //!   connection count.
-//! * **Thread-per-connection fallback** (`io_threads == 0`): the PR-4
-//!   design — one session thread plus a disconnect watchdog per
-//!   connection ([`crate::session`]) — kept for one release as the
+//! * **Thread-per-connection fallback** (`io_threads == 0`, and every
+//!   target without `poll`): the PR-4 design — one session thread plus a
+//!   disconnect watchdog per connection ([`crate::session`]) — kept as the
 //!   differential oracle the soak test compares wire output against.
 //!
 //! Either way the connection count is capped (`max_sessions`) and
@@ -35,7 +35,7 @@ use std::collections::HashMap;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -44,7 +44,8 @@ use conquer_engine::{CancellationToken, Database, ExecOptions};
 
 use crate::admission::Admission;
 use crate::cache::StatementCache;
-use crate::event::{driver_loop, worker_loop, DriverShared, EventCore, Inbox, RunQueue, Waker};
+#[cfg(unix)]
+use crate::event::EventCore;
 use crate::protocol::{write_frame, ErrorCode, Response};
 use crate::session::run_session;
 
@@ -84,8 +85,8 @@ pub struct ServerConfig {
     pub slow_query_us: u64,
     /// IO driver threads multiplexing the connections. `0` selects the
     /// legacy thread-per-connection fallback (one session thread + one
-    /// watchdog per connection), kept for one release as a differential
-    /// oracle.
+    /// watchdog per connection), kept as a differential oracle and as the
+    /// only mode on targets without `poll(2)`.
     pub io_threads: usize,
     /// Query worker threads executing admission-gated requests in event
     /// mode. `0` means "match `max_concurrent`" — more would idle behind
@@ -143,9 +144,10 @@ pub struct Shared {
     /// threads. The accept loop reaps finished handles opportunistically so
     /// the vector stays proportional to live sessions.
     session_threads: Mutex<Vec<JoinHandle<()>>>,
-    /// Event-mode plumbing (run queue + per-driver inbox/waker), installed
-    /// once by [`serve`] when `io_threads > 0`.
-    event: OnceLock<Arc<EventCore>>,
+    /// Event-mode plumbing (run queue + per-driver mailbox/waker),
+    /// installed once by [`serve`] when `io_threads > 0`.
+    #[cfg(unix)]
+    event: std::sync::OnceLock<EventCore>,
 }
 
 impl Shared {
@@ -170,7 +172,11 @@ impl Shared {
     /// Requests currently waiting in the event loop's run queue for a free
     /// query worker (0 in fallback mode, which has no run queue).
     pub fn run_queue_depth(&self) -> usize {
-        self.event.get().map_or(0, |core| core.run_queue.depth())
+        #[cfg(unix)]
+        if let Some(core) = self.event.get() {
+            return core.run_queue_depth();
+        }
+        0
     }
 
     fn lock_conns(&self) -> std::sync::MutexGuard<'_, HashMap<u64, TcpStream>> {
@@ -284,11 +290,9 @@ impl Shared {
         if let Some(metrics_addr) = self.metrics_addr {
             let _ = TcpStream::connect(metrics_addr);
         }
+        #[cfg(unix)]
         if let Some(core) = self.event.get() {
-            core.run_queue.close();
-            for driver in &core.drivers {
-                driver.waker.wake();
-            }
+            core.shutdown();
         }
         for (_, conn) in self.lock_conns().iter() {
             let _ = conn.shutdown(Shutdown::Both);
@@ -302,8 +306,8 @@ pub struct ServerHandle {
     shared: Arc<Shared>,
     accept: Option<JoinHandle<()>>,
     metrics: Option<JoinHandle<()>>,
-    drivers: Vec<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    /// Event-mode IO drivers and query workers.
+    pool: Vec<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -346,11 +350,8 @@ impl ServerHandle {
         // the last teardown), then collect the pools.
         self.shared.drain_sessions(None);
         self.shared.join_session_threads();
-        for driver in self.drivers.drain(..) {
-            let _ = driver.join();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
+        for thread in self.pool.drain(..) {
+            let _ = thread.join();
         }
     }
 }
@@ -373,11 +374,8 @@ impl Drop for ServerHandle {
         if drained {
             self.shared.join_session_threads();
         }
-        for driver in self.drivers.drain(..) {
-            let _ = driver.join();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
+        for thread in self.pool.drain(..) {
+            let _ = thread.join();
         }
     }
 }
@@ -421,47 +419,17 @@ pub fn serve(
         shutdown: AtomicBool::new(false),
         conns: Mutex::new(HashMap::new()),
         session_threads: Mutex::new(Vec::new()),
-        event: OnceLock::new(),
+        #[cfg(unix)]
+        event: std::sync::OnceLock::new(),
     });
-    let mut drivers = Vec::new();
-    let mut workers = Vec::new();
-    if config.io_threads > 0 {
-        let worker_count = if config.workers > 0 {
-            config.workers
-        } else {
-            config.max_concurrent.max(1)
-        };
-        let run_queue = RunQueue::new();
-        let mut driver_shared = Vec::new();
-        for i in 0..config.io_threads {
-            let inbox = Arc::new(Inbox::new());
-            let waker = Arc::new(Waker::new());
-            driver_shared.push(DriverShared {
-                waker: Arc::clone(&waker),
-                inbox: Arc::clone(&inbox),
-            });
-            let shared = Arc::clone(&shared);
-            let queue = Arc::clone(&run_queue);
-            drivers.push(
-                std::thread::Builder::new()
-                    .name(format!("conquer-io-{i}"))
-                    .spawn(move || driver_loop(shared, queue, inbox, waker))?,
-            );
-        }
-        for i in 0..worker_count {
-            let shared = Arc::clone(&shared);
-            let queue = Arc::clone(&run_queue);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("conquer-worker-{i}"))
-                    .spawn(move || worker_loop(shared, queue))?,
-            );
-        }
-        let _ = shared.event.set(Arc::new(EventCore {
-            run_queue,
-            drivers: driver_shared,
-        }));
-    }
+    // One worker per admission slot unless told otherwise: more would idle
+    // behind the semaphore, fewer would leave admitted slots unused.
+    let workers = if config.workers > 0 {
+        config.workers
+    } else {
+        config.max_concurrent.max(1)
+    };
+    let pool = start_event_mode(&shared, config.io_threads, workers)?;
     let accept = {
         let shared = Arc::clone(&shared);
         std::thread::Builder::new()
@@ -484,9 +452,33 @@ pub fn serve(
         shared,
         accept: Some(accept),
         metrics,
-        drivers,
-        workers,
+        pool,
     })
+}
+
+/// Start the event loop's thread pool when `io_threads > 0`.
+#[cfg(unix)]
+fn start_event_mode(
+    shared: &Arc<Shared>,
+    io_threads: usize,
+    workers: usize,
+) -> io::Result<Vec<JoinHandle<()>>> {
+    if io_threads == 0 {
+        return Ok(Vec::new());
+    }
+    let (core, pool) = EventCore::start(shared, io_threads, workers)?;
+    let _ = shared.event.set(core);
+    Ok(pool)
+}
+
+/// No `poll(2)` on this target: every connection gets a session thread.
+#[cfg(not(unix))]
+fn start_event_mode(
+    _shared: &Arc<Shared>,
+    _io_threads: usize,
+    _workers: usize,
+) -> io::Result<Vec<JoinHandle<()>>> {
+    Ok(Vec::new())
 }
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
@@ -504,24 +496,20 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             continue;
         }
         let id = shared.next_session.fetch_add(1, Ordering::Relaxed);
-        match shared.event.get() {
-            Some(core) => {
-                // Event mode: hand the socket to a driver round-robin. The
-                // driver writes the Hello greeting from its nonblocking
-                // flusher, so no write timeout is needed here.
-                shared.session_opened();
-                let driver = &core.drivers[id as usize % core.drivers.len()];
-                match driver.inbox.push(stream, id) {
-                    Ok(()) => driver.waker.wake(),
-                    Err(stream) => {
-                        // Driver already shut down (shutdown race): undo.
-                        drop(stream);
-                        shared.session_closed();
-                    }
-                }
+        #[cfg(unix)]
+        if let Some(core) = shared.event.get() {
+            // Event mode: hand the socket to a driver round-robin. The
+            // driver writes the Hello greeting from its nonblocking
+            // flusher, so no write timeout is needed here.
+            shared.session_opened();
+            if let Err(stream) = core.hand_off(stream, id) {
+                // Driver already shut down (shutdown race): undo.
+                drop(stream);
+                shared.session_closed();
             }
-            None => spawn_session_thread(&shared, stream, id),
+            continue;
         }
+        spawn_session_thread(&shared, stream, id);
     }
 }
 

@@ -1,10 +1,15 @@
 //! Event-loop serving mode: the structural disconnect fix, accept-path
-//! liveness against non-reading peers, post-`wait()` quiescence, and the
+//! liveness against non-reading peers, post-`wait()` quiescence, the
 //! 256-connection soak with a thread census and a wire-identity
-//! differential against the thread-per-connection fallback.
+//! differential against the thread-per-connection fallback — and the
+//! `poll(2)` drivers' own contract, asserted on the loop's counters so it
+//! holds on a one-CPU runner: an idle server polls nothing, a request
+//! costs a bounded number of wake-ups, deadlines fire with no socket
+//! traffic to ride on, and an over-full socket drains through `POLLOUT`.
 
+use std::io::Read;
 use std::net::TcpStream;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use conquer_core::ConstraintSet;
@@ -395,4 +400,259 @@ fn soak_256_connections_wire_identical_with_bounded_threads() {
         conquer_threads().is_empty(),
         "threads survived wait() after the soak"
     );
+}
+
+fn counter(name: &str) -> u64 {
+    conquer_obs::registry().counter(name).get()
+}
+
+/// Block until `done()` or panic at `limit`. In-process polling: it puts
+/// no traffic on the server's sockets.
+fn wait_until(what: &str, limit: Duration, mut done: impl FnMut() -> bool) {
+    let start = Instant::now();
+    while !done() {
+        assert!(start.elapsed() < limit, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// An idle server makes no system calls: drivers sleep in `poll` with no
+/// timeout however many connections are open (the sweep-and-nap loop this
+/// replaced woke every millisecond, ~300 times per driver here) — and
+/// `request_shutdown` still reaches them there.
+#[test]
+fn idle_connections_cost_no_polls_and_shutdown_still_wakes_the_drivers() {
+    let _guard = serial();
+    const IO_THREADS: u64 = 2;
+    let server = start_big(
+        16,
+        ServerConfig {
+            io_threads: IO_THREADS as usize,
+            ..ServerConfig::default()
+        },
+    );
+    // `connect` returns once the greeting is read, i.e. after adoption.
+    let idle: Vec<Client> = (0..32)
+        .map(|i| Client::connect(server.addr()).unwrap_or_else(|e| panic!("idle conn {i}: {e}")))
+        .collect();
+    assert_eq!(
+        conquer_obs::registry().gauge("serve.conns.open").get(),
+        32,
+        "serve.conns.open does not count the adopted connections"
+    );
+    let before = counter("serve.loop.polls");
+    std::thread::sleep(Duration::from_millis(300));
+    let polls = counter("serve.loop.polls") - before;
+    assert!(
+        polls <= 4 * IO_THREADS,
+        "{polls} polls over 300 idle ms on {IO_THREADS} drivers"
+    );
+
+    let shared = Arc::clone(server.shared());
+    let (stopped, wait) = mpsc::channel();
+    server.shutdown();
+    std::thread::spawn(move || {
+        server.wait();
+        let _ = stopped.send(());
+    });
+    wait.recv_timeout(Duration::from_secs(10))
+        .expect("drivers blocked in poll never saw the shutdown");
+    assert_eq!(shared.active_sessions(), 0);
+    assert_eq!(conquer_obs::registry().gauge("serve.conns.open").get(), 0);
+    drop(idle);
+}
+
+/// A control request costs its driver one wake-up: the readable socket.
+/// The response is written in the same pass, so nothing else polls.
+#[test]
+fn a_ping_costs_a_bounded_number_of_polls() {
+    let _guard = serial();
+    let server = start_big(16, ServerConfig::default());
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let (polls, frames_in, frames_out) = (
+        counter("serve.loop.polls"),
+        counter("serve.frames.in"),
+        counter("serve.frames.out"),
+    );
+    for _ in 0..200 {
+        client.ping().expect("ping");
+    }
+    let polls = counter("serve.loop.polls") - polls;
+    assert!(polls <= 3 * 200, "{polls} polls for 200 sequential pings");
+    assert_eq!(counter("serve.frames.in") - frames_in, 200);
+    assert_eq!(counter("serve.frames.out") - frames_out, 200);
+    client.quit().expect("quit");
+    server.shutdown();
+    server.wait();
+}
+
+/// With the only worker wedged and nothing arriving on any socket, the
+/// driver's `poll` timeout is the one thing that can answer a queued
+/// request: it must fire at the job's queue-wait deadline.
+#[test]
+fn queue_wait_deadline_fires_from_a_driver_blocked_in_poll() {
+    let _guard = serial();
+    const QUEUE_WAIT: Duration = Duration::from_millis(200);
+    let server = start_big(
+        128,
+        ServerConfig {
+            max_concurrent: 1,
+            queue_wait: QUEUE_WAIT,
+            io_threads: 1,
+            ..ServerConfig::default()
+        },
+    );
+    let addr = server.addr();
+    let mut wedge = TcpStream::connect(addr).expect("connect wedge");
+    let _hello = read_frame(&mut wedge).expect("hello").expect("frame");
+    let slow = Request::Query {
+        sql: SLOW.to_string(),
+        strategy: Some(Strategy::Original),
+    };
+    write_frame(&mut wedge, &slow.to_json()).expect("send slow");
+    let mut observer = Client::connect(addr).expect("observer");
+    assert!(
+        wait_for_in_flight(&mut observer, 1, Duration::from_secs(10)),
+        "slow query never became in-flight"
+    );
+    let mut client = Client::connect(addr).expect("connect");
+
+    // From here on the observer is silent: no request reaches the driver
+    // but the one that will sit in the run queue.
+    let deadline_wakes = counter("serve.loop.wake.deadline");
+    let asked = Instant::now();
+    let err = client
+        .query_with("select v from big where v = 1", Some(Strategy::Original))
+        .expect_err("the only worker is wedged");
+    let waited = asked.elapsed();
+    assert!(err.is_busy(), "expected busy, got {err}");
+    assert!(waited >= QUEUE_WAIT, "busy after {waited:?}: early");
+    assert!(
+        waited < QUEUE_WAIT + Duration::from_millis(50),
+        "busy after {waited:?}: the poll timeout missed the queue-wait deadline"
+    );
+    assert!(
+        counter("serve.loop.wake.deadline") > deadline_wakes,
+        "busy was not produced by a poll timeout"
+    );
+    drop(wedge);
+    server.shutdown();
+    server.wait();
+}
+
+/// The product of this table with itself renders to ~16 MB: more than a
+/// loopback connection's send and receive buffers hold between them.
+const WIDE: &str = "select a.pad, b.pad from wide a, wide b";
+
+fn start_wide() -> (ServerHandle, Arc<Database>) {
+    let db = Database::new();
+    db.run_script("create table wide (k int, pad text)")
+        .expect("create");
+    let mut insert = String::from("insert into wide values ");
+    for i in 0..200 {
+        let sep = if i + 1 < 200 { "," } else { ";" };
+        insert.push_str(&format!("({i}, '{}'){sep}", format!("{i:04}").repeat(50)));
+    }
+    db.run_script(&insert).expect("insert");
+    let db = Arc::new(db);
+    let sigma = ConstraintSet::new().with_key("wide", ["k"]);
+    let server = serve(Arc::clone(&db), sigma, ServerConfig::default()).expect("bind");
+    (server, db)
+}
+
+/// Send `WIDE` (and `then`, pipelined behind it) on a fresh raw connection
+/// and return once the worker has queued the response — by which time the
+/// socket has taken what it can and the rest waits in `out`.
+fn send_wide(server: &ServerHandle, then: Option<Request>) -> TcpStream {
+    let mut raw = TcpStream::connect(server.addr()).expect("connect");
+    let _hello = read_frame(&mut raw).expect("hello").expect("frame");
+    let frames_out = counter("serve.frames.out");
+    let wide = Request::Query {
+        sql: WIDE.to_string(),
+        strategy: Some(Strategy::Original),
+    };
+    write_frame(&mut raw, &wide.to_json()).expect("send wide");
+    if let Some(then) = then {
+        write_frame(&mut raw, &then.to_json()).expect("send pipelined");
+    }
+    wait_until("the response frame", Duration::from_secs(30), || {
+        counter("serve.frames.out") > frames_out
+    });
+    raw
+}
+
+/// A `Read` that hands out at most 1 KiB per call.
+struct Trickle(TcpStream);
+
+impl Read for Trickle {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = buf.len().min(1024);
+        self.0.read(&mut buf[..n])
+    }
+}
+
+/// A response that does not fit the socket reaches a slow reader whole:
+/// the worker writes what the socket takes, and the driver sends the rest
+/// as `POLLOUT` reports room — with `POLLOUT` in the interest set only
+/// while bytes are owed.
+#[test]
+fn oversized_response_drains_through_pollout_to_a_slow_reader() {
+    let _guard = serial();
+    let (server, db) = start_wide();
+    let expected = rows_to_json(&db.query(WIDE).expect("in-process")).render();
+    assert!(
+        expected.len() > 16_000_000,
+        "fixture shrank: {}",
+        expected.len()
+    );
+
+    let writable = counter("serve.loop.wake.writable");
+    let raw = send_wide(&server, None);
+    let frame = read_frame(&mut Trickle(raw.try_clone().expect("clone")))
+        .expect("response")
+        .expect("frame");
+    let got = frame.get("result").expect("result").render();
+    assert!(got == expected, "response differs from the in-process rows");
+    assert!(
+        counter("serve.loop.wake.writable") > writable,
+        "16 MB crossed the socket without a single POLLOUT wake-up"
+    );
+
+    // Nothing is owed any more, so the connection polls for input only:
+    // an idle writable socket must not spin the driver.
+    let polls = counter("serve.loop.polls");
+    std::thread::sleep(Duration::from_millis(100));
+    let polls = counter("serve.loop.polls") - polls;
+    assert!(polls <= 4, "{polls} polls while idle after the flush");
+    drop(raw);
+    server.shutdown();
+    server.wait();
+}
+
+/// A closing connection whose peer never reads is dropped when its flush
+/// grace (2 s) runs out — by the `poll` timeout, there being no traffic.
+#[test]
+fn non_reading_peer_is_closed_at_the_flush_deadline() {
+    let _guard = serial();
+    let (server, _db) = start_wide();
+    let shared = Arc::clone(server.shared());
+    let deadline_wakes = counter("serve.loop.wake.deadline");
+    let sent = Instant::now();
+    let raw = send_wide(&server, Some(Request::Quit));
+    assert_eq!(shared.active_sessions(), 1);
+    wait_until("the flush deadline", Duration::from_secs(15), || {
+        shared.active_sessions() == 0
+    });
+    assert!(
+        sent.elapsed() >= Duration::from_secs(2),
+        "closed after {:?}: before the flush grace ran out",
+        sent.elapsed()
+    );
+    assert!(
+        counter("serve.loop.wake.deadline") > deadline_wakes,
+        "the close was not produced by a poll timeout"
+    );
+    drop(raw);
+    server.shutdown();
+    server.wait();
 }

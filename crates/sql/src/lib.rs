@@ -20,6 +20,7 @@
 //! assert_eq!(q.to_string(), "SELECT custkey FROM customer WHERE acctbal > 1000");
 //! ```
 
+#![forbid(unsafe_code)]
 // The front end parses untrusted SQL text: like the engine, library code
 // must surface structured `ParseError`s, never panic. Tests may unwrap.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]

@@ -17,6 +17,8 @@
 //! assert!(workload.injection.iter().any(|s| s.inconsistent_tuples > 0));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod gen;
 pub mod inject;
 pub mod queries;
