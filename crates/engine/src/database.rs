@@ -776,12 +776,7 @@ impl Database {
         gov: Option<&Governor>,
     ) -> Result<Rows> {
         let (plan, _) = self.plan_governed(query, options, gov)?;
-        let mut span = conquer_obs::span("execute").field("threads", options.threads);
-        let rows =
-            exec::execute_columnar_threads(&plan, None, gov, options.threads, options.columnar)?
-                .into_rows();
-        span.record("rows", rows.rows.len());
-        Ok(rows)
+        run_plan(&plan, options, gov, None)
     }
 
     /// Run a parsed query, collecting per-operator runtime stats
@@ -794,15 +789,8 @@ impl Database {
         let _trace = options.trace.as_ref().map(|t| t.install());
         let gov = Governor::for_options(options);
         let (plan, _) = self.plan_governed(query, options, gov.as_ref())?;
-        let mut span = conquer_obs::span("execute").field("threads", options.threads);
-        let (rows, mut stats) = exec::execute_traced_threads(
-            &plan,
-            None,
-            gov.as_ref(),
-            options.threads,
-            options.columnar,
-        )?;
-        span.record("rows", rows.rows.len());
+        let mut stats = crate::stats::NodeStats::for_plan(&plan);
+        let rows = run_plan(&plan, options, gov.as_ref(), Some(&mut stats))?;
         if options.use_stats {
             let est = self.estimator_for(options);
             crate::cost::annotate(&est, &plan, &mut stats);
@@ -839,17 +827,7 @@ impl Database {
     pub fn execute_plan_with(&self, plan: &Plan, options: &ExecOptions) -> Result<Rows> {
         let _trace = options.trace.as_ref().map(|t| t.install());
         let gov = Governor::for_options(options);
-        let mut span = conquer_obs::span("execute").field("threads", options.threads);
-        let rows = exec::execute_columnar_threads(
-            plan,
-            None,
-            gov.as_ref(),
-            options.threads,
-            options.columnar,
-        )?
-        .into_rows();
-        span.record("rows", rows.rows.len());
-        Ok(rows)
+        run_plan(plan, options, gov.as_ref(), None)
     }
 
     fn plan_governed(
@@ -1061,6 +1039,22 @@ impl Database {
         self.maybe_auto_checkpoint()?;
         Ok(())
     }
+}
+
+/// Execute `plan` to owned rows under an `execute` span, filling `stats`
+/// (shaped by [`NodeStats::for_plan`](crate::stats::NodeStats::for_plan))
+/// when present.
+fn run_plan(
+    plan: &Plan,
+    options: &ExecOptions,
+    gov: Option<&Governor>,
+    stats: Option<&mut crate::stats::NodeStats>,
+) -> Result<Rows> {
+    let mut span = conquer_obs::span("execute").field("threads", options.threads);
+    let rows =
+        exec::execute_plan(plan, None, gov, options.threads, options.columnar, stats)?.into_rows();
+    span.record("rows", rows.rows.len());
+    Ok(rows)
 }
 
 /// Evaluate a constant expression (INSERT values).

@@ -8,39 +8,46 @@
 //!
 //! Every operator is governed: hot loops call [`Governor::tick`]
 //! cooperatively, joins account each emitted row ([`Governor::emit_row`]),
-//! hash tables / group tables / distinct sets reserve their estimated
-//! footprint, and non-join operators batch-commit their output row counts.
+//! hash tables / group tables / distinct sets reserve their footprint as
+//! they grow, and non-join operators batch-commit their output row counts.
 //! Row and memory accounting is therefore *cumulative over intermediate
 //! results* (a budget on total work), not an instantaneous peak.
 //!
-//! # Morsel-parallel execution
+//! # One body per operator, one morsel driver
 //!
-//! When [`ExecOptions::threads`](crate::plan::ExecOptions) is above 1, the
-//! row-at-a-time operator loops run *morsel-parallel* on scoped std
-//! threads ([`std::thread::scope`] + atomics; no external crates): inputs
-//! are split into fixed-size morsels ([`MORSEL_ROWS`] rows), workers claim
-//! morsels from a shared atomic cursor, and per-morsel outputs are
-//! reassembled in morsel order, so every operator reproduces the serial
-//! processing order exactly. Hash joins partition the build side by key
-//! hash into one table per worker and route probe lookups to the matching
-//! partition; aggregation and DISTINCT over columnar input hash-partition
-//! the *groups* across workers ([`crate::groupkey`]: nothing to merge,
-//! groups come out ordered by first row), and over row-shaped input build
-//! per-worker partial tables that are merged with SQL
-//! NULL/three-valued-logic semantics preserved;
-//! ORDER BY sorts per-worker runs and k-way merges them with the global
-//! row index as tie-break, reproducing the serial stable sort. Float
-//! SUM/AVG accumulate in an exact superaccumulator ([`crate::fsum`]), so
-//! aggregates are bit-identical to serial at every thread count — there is
-//! no floating-point divergence between the parallel and serial paths.
+//! Every operator loop is written once, as a closure over a range of input
+//! rows, and handed to the morsel driver ([`fold_morsels`], [`for_morsels`],
+//! [`fan_out`]) together with the operator's worker count
+//! ([`par_workers`]: 1 for inputs under [`PAR_THRESHOLD`] rows or
+//! [`ExecOptions::threads`](crate::plan::ExecOptions) `= 1`). With **one
+//! worker the driver calls the closure once over `0..n` on the calling
+//! thread** — no scoped thread, no atomic cursor, no per-morsel vectors.
+//! With more, the input is split into [`MORSEL_ROWS`]-row morsels that
+//! workers on scoped std threads claim from a shared atomic cursor, and
+//! per-morsel outputs are reassembled in morsel order. There is no second,
+//! "serial" copy of any operator: `threads = 1` is the one-worker case of
+//! the same code, so answers, errors and budget accounting cannot drift
+//! between thread counts.
+//!
+//! What each operator does so that its result does not depend on how the
+//! input was split: hash joins partition the build side by key hash into
+//! one table per worker and route probe lookups to the matching partition;
+//! aggregation and DISTINCT over columnar input hash-partition the *groups*
+//! across workers ([`crate::groupkey`]: nothing to merge, groups come out
+//! ordered by first row), and over row-shaped input fold per-worker partial
+//! tables keyed by global first-seen row index, merged with SQL
+//! NULL/three-valued-logic semantics preserved; ORDER BY sorts per-worker
+//! runs under a (keys, row index) total order and merges them — a stable
+//! sort by construction. Float SUM/AVG accumulate in an exact
+//! superaccumulator ([`crate::fsum`]), so aggregates are bit-identical at
+//! every thread count.
 //!
 //! The [`Governor`] is shared by all workers (its counters are atomics):
 //! every worker loop calls `tick`, and the first trip or error aborts the
 //! remaining workers at their next morsel boundary. When several workers
 //! fail, the error from the lowest-numbered morsel wins, keeping failures
-//! deterministic. Correlated subqueries evaluated inside worker loops stay
-//! serial (no nested fan-out). Operators fall back to the serial path for
-//! inputs under [`PAR_THRESHOLD`] rows, so small queries pay nothing.
+//! deterministic. Correlated subqueries evaluated inside worker loops run
+//! with one worker (no nested fan-out).
 
 use std::collections::hash_map::{Entry, RandomState};
 use std::collections::{HashMap, HashSet};
@@ -48,7 +55,7 @@ use std::hash::BuildHasher;
 use std::mem;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use crate::col::{self, ColBatch, ColumnChunk, ColumnData};
@@ -64,6 +71,7 @@ use crate::schema::Schema;
 use crate::stats::NodeStats;
 use crate::table::{Row, Rows};
 use crate::value::{Key, KeyValue, Value};
+use conquer_obs::Counter;
 
 /// An operator's output: owned rows, or a shared column batch plus the
 /// schema it is viewed under (scans re-qualify the stored schema per
@@ -152,105 +160,39 @@ struct ExecCtx<'g> {
     columnar: bool,
 }
 
-/// Execute a plan to fully-owned rows. `outer` is the enclosing row
-/// environment for correlated subquery plans; `None` at the top level. The
-/// governor, if any, is inherited from `outer` — correlated subqueries stay
-/// under the enclosing query's budget. Always serial: per-row subqueries
-/// must not fan out nested thread pools.
+/// Execute a correlated subquery plan to fully-owned rows. `outer` is the
+/// enclosing row environment; the governor and the row/columnar mode are
+/// inherited from it, so a subquery stays under the enclosing query's
+/// budget and a row-mode differential run stays row-mode all the way down.
+/// One worker: per-row subqueries must not fan out nested thread pools.
 pub fn execute(plan: &Plan, outer: Option<&Env<'_>>) -> Result<Rows> {
     let gov = outer.and_then(|e| e.gov);
-    // Correlated subqueries inherit the enclosing query's row/columnar
-    // mode, so a row-mode differential run stays row-mode all the way down.
     let columnar = outer.is_none_or(|e| e.columnar);
-    let ctx = ExecCtx {
-        gov,
-        threads: 1,
-        columnar,
-    };
-    Ok(execute_ctx(plan, outer, None, ctx)?.into_rows())
+    Ok(execute_plan(plan, outer, gov, 1, columnar, None)?.into_rows())
 }
 
-/// Execute a plan to fully-owned rows under an explicit resource governor
-/// (serial).
-pub fn execute_governed(
-    plan: &Plan,
-    outer: Option<&Env<'_>>,
-    gov: Option<&Governor>,
-) -> Result<Rows> {
-    execute_governed_threads(plan, outer, gov, 1)
-}
-
-/// Execute a plan to fully-owned rows with up to `threads` morsel-parallel
-/// workers. `threads <= 1` is exactly the serial path.
-pub fn execute_governed_threads(
-    plan: &Plan,
-    outer: Option<&Env<'_>>,
-    gov: Option<&Governor>,
-    threads: usize,
-) -> Result<Rows> {
-    Ok(execute_columnar_threads(plan, outer, gov, threads, true)?.into_rows())
-}
-
-/// Execute a plan to a [`Batch`] with explicit thread and columnar-kernel
-/// settings — the entry point `Database` query execution and CTE
-/// materialization use (the latter adopts a columnar output batch without
-/// pivoting).
-pub fn execute_columnar_threads(
+/// Execute a plan to a [`Batch`] with up to `threads` morsel workers per
+/// operator — the entry point of `Database` query execution, CTE
+/// materialization (which adopts a columnar output batch without
+/// pivoting) and `EXPLAIN ANALYZE`. `stats`, when present, must mirror
+/// the plan's shape ([`NodeStats::for_plan`]) and is filled with
+/// per-operator runtime counters; per-worker counters are merged into
+/// the single node of each operator, and `threads_used` records the
+/// widest fan-out each one ran with.
+pub fn execute_plan(
     plan: &Plan,
     outer: Option<&Env<'_>>,
     gov: Option<&Governor>,
     threads: usize,
     columnar: bool,
+    stats: Option<&mut NodeStats>,
 ) -> Result<Batch> {
     let ctx = ExecCtx {
         gov,
         threads: threads.max(1),
         columnar,
     };
-    execute_ctx(plan, outer, None, ctx)
-}
-
-/// Execute a plan, sharing pre-materialized rows where possible (serial).
-pub fn execute_batch(plan: &Plan, outer: Option<&Env<'_>>) -> Result<Batch> {
-    let gov = outer.and_then(|e| e.gov);
-    execute_batch_stats(plan, outer, None, gov)
-}
-
-/// Execute a plan, additionally collecting per-operator runtime stats into
-/// a [`NodeStats`] tree shaped like the plan (`EXPLAIN ANALYZE`; serial).
-pub fn execute_traced(
-    plan: &Plan,
-    outer: Option<&Env<'_>>,
-    gov: Option<&Governor>,
-) -> Result<(Rows, NodeStats)> {
-    execute_traced_threads(plan, outer, gov, 1, true)
-}
-
-/// [`execute_traced`] with up to `threads` morsel-parallel workers.
-/// Per-worker counters are merged into the single stats node of each
-/// operator, so the tree keeps the serial shape; `threads_used` records
-/// the widest fan-out of each operator.
-pub fn execute_traced_threads(
-    plan: &Plan,
-    outer: Option<&Env<'_>>,
-    gov: Option<&Governor>,
-    threads: usize,
-    columnar: bool,
-) -> Result<(Rows, NodeStats)> {
-    let mut stats = NodeStats::for_plan(plan);
-    let ctx = ExecCtx {
-        gov,
-        threads: threads.max(1),
-        columnar,
-    };
-    let rows = execute_ctx(plan, outer, Some(&mut stats), ctx)?.into_rows();
-    Ok((rows, stats))
-}
-
-/// Rough footprint of a materialized row set (used when reserving memory
-/// for CTEs and join outputs).
-pub fn rows_bytes(rows: &Rows) -> u64 {
-    est_row_bytes(&rows.schema) * rows.rows.len() as u64
+    execute_ctx(plan, outer, stats, ctx)
 }
 
 /// Estimated bytes for one row under `schema`, grounded in the columnar
@@ -261,28 +203,6 @@ pub fn rows_bytes(rows: &Rows) -> u64 {
 /// `EXPLAIN ANALYZE`.
 fn est_row_bytes(schema: &Schema) -> u64 {
     col::batch_row_bytes(schema) as u64
-}
-
-/// Execute a plan, filling `stats` (when present) for this operator and
-/// everything below it. `stats` must mirror the plan's shape — build it
-/// with [`NodeStats::for_plan`]. Serial entry point, kept for callers that
-/// manage their own stats tree.
-pub fn execute_batch_stats(
-    plan: &Plan,
-    outer: Option<&Env<'_>>,
-    stats: Option<&mut NodeStats>,
-    gov: Option<&Governor>,
-) -> Result<Batch> {
-    execute_ctx(
-        plan,
-        outer,
-        stats,
-        ExecCtx {
-            gov,
-            threads: 1,
-            columnar: true,
-        },
-    )
 }
 
 /// The recursive executor: times the operator, runs it, and commits its
@@ -356,20 +276,20 @@ fn ticks(gov: Option<&Governor>, n: u64, op: &'static str) -> Result<()> {
 }
 
 // ---------------------------------------------------------------------------
-// Morsel-parallel primitives
+// The morsel driver
 // ---------------------------------------------------------------------------
 
 /// Rows per morsel: large enough to amortize the atomic cursor claim,
 /// small enough that work stealing balances skewed operators.
 const MORSEL_ROWS: usize = 1024;
 
-/// Inputs below this many rows run serially even when `threads > 1`: the
-/// thread-spawn cost outweighs any parallel win on small batches.
+/// Inputs below this many rows run on one worker even when `threads > 1`:
+/// the thread-spawn cost outweighs any parallel win on small batches.
 const PAR_THRESHOLD: usize = 4 * MORSEL_ROWS;
 
-/// Effective worker count for an operator over `n` input rows: 1 (serial)
-/// for small inputs or a serial context, otherwise capped by the morsel
-/// count so no worker is spawned without work.
+/// Worker count for an operator over `n` input rows: 1 (run inline) for
+/// small inputs or `threads = 1`, otherwise capped by the morsel count so
+/// no worker is spawned without work.
 fn par_workers(n: usize, threads: usize) -> usize {
     if threads <= 1 || n < PAR_THRESHOLD {
         1
@@ -385,189 +305,162 @@ struct MorselError {
     error: EngineError,
 }
 
-/// Map an unwound worker into a structured error. Workers are panic-free
-/// by policy (`deny(unwrap_used)`), so this is defense in depth.
-fn join_worker<T>(res: std::thread::Result<T>) -> Result<T> {
-    res.map_err(|_| EngineError::Execution("parallel worker panicked".into()))
+/// Registry handles for the fan-out counters, resolved once: the driver is
+/// the only place a query leaves its calling thread, so these count every
+/// thread the executor ever spawns.
+struct FanoutMetrics {
+    /// [`fan_out`] calls that spawned (more than one worker).
+    fanouts: Arc<Counter>,
+    /// Scoped threads those calls spawned.
+    workers_spawned: Arc<Counter>,
 }
 
-/// Of all worker failures, return the one from the lowest-numbered morsel:
-/// the failure the serial path would have hit first.
-fn first_error(errors: Vec<MorselError>) -> Option<EngineError> {
-    errors.into_iter().min_by_key(|e| e.morsel).map(|e| e.error)
+fn fanout_metrics() -> &'static FanoutMetrics {
+    static METRICS: OnceLock<FanoutMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| {
+        let registry = conquer_obs::registry();
+        FanoutMetrics {
+            fanouts: registry.counter("exec.morsel.fanouts"),
+            workers_spawned: registry.counter("exec.morsel.workers_spawned"),
+        }
+    })
 }
 
-/// Run `f` once per morsel of `0..n` on `workers` scoped threads and
-/// return the per-morsel results *in morsel order* — callers that
-/// concatenate them observe exactly the serial processing order. Workers
-/// claim morsels from a shared atomic cursor (dynamic work stealing); the
-/// first error flips an abort flag that stops the other workers at their
-/// next morsel boundary, and the error from the lowest morsel wins.
-fn parallel_morsels<T, F>(n: usize, workers: usize, f: F) -> Result<Vec<T>>
+/// Run `body` once per element of `inputs` and return the results in input
+/// order; of several failures the lowest-numbered input's wins. A single
+/// input runs inline on the calling thread. More run on one scoped thread
+/// each — the only `thread::scope` in the executor — which adopts the
+/// spawning thread's trace so worker spans land in the query's collectors
+/// (a no-op when nothing is being traced).
+fn fan_out<It, W, F>(inputs: It, body: F) -> Result<Vec<W>>
 where
-    T: Send,
-    F: Fn(usize, Range<usize>) -> Result<T> + Sync,
+    It: IntoIterator,
+    It::IntoIter: ExactSizeIterator,
+    It::Item: Send,
+    W: Send,
+    F: Fn(It::Item) -> Result<W> + Sync,
 {
-    type WorkerOut<T> = (Vec<(usize, T)>, Option<MorselError>);
-    let morsels = n.div_ceil(MORSEL_ROWS);
-    let cursor = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    // Workers adopt the spawning thread's trace so their spans land in the
-    // query's collectors (a no-op when nothing is being traced).
+    let inputs = inputs.into_iter();
+    if inputs.len() <= 1 {
+        return inputs.map(body).collect();
+    }
+    let metrics = fanout_metrics();
+    metrics.fanouts.inc();
+    metrics.workers_spawned.add(inputs.len() as u64);
     let trace = conquer_obs::current_trace();
-    let worker_results: Vec<WorkerOut<T>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let trace = &trace;
-                let cursor = &cursor;
-                let abort = &abort;
-                let f = &f;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = inputs
+            .enumerate()
+            .map(|(w, input)| {
+                let (trace, body) = (&trace, &body);
                 scope.spawn(move || {
                     let _trace = trace.adopt_worker(w);
-                    let mut out: Vec<(usize, T)> = Vec::new();
-                    let mut failed = None;
-                    while !abort.load(Ordering::Relaxed) {
-                        let m = cursor.fetch_add(1, Ordering::Relaxed);
-                        if m >= morsels {
-                            break;
-                        }
-                        let lo = m * MORSEL_ROWS;
-                        let hi = n.min(lo + MORSEL_ROWS);
-                        match f(m, lo..hi) {
-                            Ok(t) => out.push((m, t)),
-                            Err(error) => {
-                                abort.store(true, Ordering::Relaxed);
-                                failed = Some(MorselError { morsel: m, error });
-                                break;
-                            }
-                        }
-                    }
-                    (out, failed)
+                    body(input)
                 })
             })
             .collect();
-        handles
+        // Join every worker before looking at any result. Workers are
+        // panic-free by policy (`deny(unwrap_used)`); mapping an unwound
+        // one to a structured error is defense in depth.
+        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+        joined
             .into_iter()
-            .map(|h| join_worker(h.join()))
-            .collect::<Result<Vec<_>>>()
-    })?;
-
-    let mut errors = Vec::new();
-    let mut tagged: Vec<(usize, T)> = Vec::with_capacity(morsels);
-    for (out, failed) in worker_results {
-        tagged.extend(out);
-        errors.extend(failed);
-    }
-    if let Some(e) = first_error(errors) {
-        return Err(e);
-    }
-    tagged.sort_unstable_by_key(|(m, _)| *m);
-    Ok(tagged.into_iter().map(|(_, t)| t).collect())
+            .map(|res| {
+                res.map_err(|_| EngineError::Execution("parallel worker panicked".into()))?
+            })
+            .collect()
+    })
 }
 
-/// Like [`parallel_morsels`], but each *worker* carries one accumulator
-/// across all the morsels it claims (per-worker partial hash tables for
-/// aggregation/DISTINCT). Returns the per-worker accumulators in no
-/// particular order — the fold must be merge-order-insensitive, which the
-/// callers guarantee by tracking global first-seen row indexes.
-fn parallel_fold<T, I, F>(n: usize, workers: usize, init: I, step: F) -> Result<Vec<T>>
+/// Fold `step` over the rows `0..n` into one accumulator per worker and
+/// return the accumulators — the primitive every operator loop runs on.
+///
+/// One worker: `step` is called once, over `0..n`, on the calling thread.
+/// More: workers claim [`MORSEL_ROWS`]-row morsels from a shared atomic
+/// cursor (dynamic work stealing), each folding the morsels it claims — in
+/// increasing order — into its own accumulator; the first error flips an
+/// abort flag that stops the others at their next morsel boundary, and the
+/// error from the lowest morsel wins. Accumulators come back in no
+/// particular order, so what callers do with them must not depend on which
+/// worker saw which morsel; they guarantee that by tracking global row
+/// indexes.
+fn fold_morsels<T, I, F>(n: usize, workers: usize, init: I, step: F) -> Result<Vec<T>>
 where
     T: Send,
     I: Fn() -> T + Sync,
     F: Fn(&mut T, Range<usize>) -> Result<()> + Sync,
 {
+    if workers == 1 {
+        let mut acc = init();
+        step(&mut acc, 0..n)?;
+        return Ok(vec![acc]);
+    }
     let morsels = n.div_ceil(MORSEL_ROWS);
     let cursor = AtomicUsize::new(0);
     let abort = AtomicBool::new(false);
-    let trace = conquer_obs::current_trace();
-    let worker_results: Vec<(T, Option<MorselError>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let trace = &trace;
-                let cursor = &cursor;
-                let abort = &abort;
-                let init = &init;
-                let step = &step;
-                scope.spawn(move || {
-                    let _trace = trace.adopt_worker(w);
-                    let mut acc = init();
-                    let mut failed = None;
-                    while !abort.load(Ordering::Relaxed) {
-                        let m = cursor.fetch_add(1, Ordering::Relaxed);
-                        if m >= morsels {
-                            break;
-                        }
-                        let lo = m * MORSEL_ROWS;
-                        let hi = n.min(lo + MORSEL_ROWS);
-                        if let Err(error) = step(&mut acc, lo..hi) {
-                            abort.store(true, Ordering::Relaxed);
-                            failed = Some(MorselError { morsel: m, error });
-                            break;
-                        }
-                    }
-                    (acc, failed)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| join_worker(h.join()))
-            .collect::<Result<Vec<_>>>()
+    let results = fan_out(0..workers, |_| {
+        let mut acc = init();
+        let mut failed = None;
+        while !abort.load(Ordering::Relaxed) {
+            let m = cursor.fetch_add(1, Ordering::Relaxed);
+            if m >= morsels {
+                break;
+            }
+            let lo = m * MORSEL_ROWS;
+            if let Err(error) = step(&mut acc, lo..n.min(lo + MORSEL_ROWS)) {
+                abort.store(true, Ordering::Relaxed);
+                failed = Some(MorselError { morsel: m, error });
+                break;
+            }
+        }
+        Ok((acc, failed))
     })?;
-
-    let mut errors = Vec::new();
-    let mut accs = Vec::with_capacity(workers);
-    for (acc, failed) in worker_results {
-        accs.push(acc);
-        errors.extend(failed);
+    let (accs, errors): (Vec<T>, Vec<Option<MorselError>>) = results.into_iter().unzip();
+    match errors.into_iter().flatten().min_by_key(|e| e.morsel) {
+        Some(first) => Err(first.error),
+        None => Ok(accs),
     }
-    if let Some(e) = first_error(errors) {
-        return Err(e);
-    }
-    Ok(accs)
 }
 
-/// Run one independent task per element of `inputs` on scoped threads
-/// (hash-join partition builds, per-run sorts). Task index is the
-/// deterministic error tie-break.
-fn parallel_tasks<T, U, F>(inputs: Vec<T>, f: F) -> Result<Vec<U>>
+/// Map `f` over the morsels of `0..n` and return the per-morsel results
+/// *in row order* (one result, over `0..n`, with one worker) — callers
+/// that concatenate them observe exactly the order a single pass produces.
+fn for_morsels<T, F>(n: usize, workers: usize, f: F) -> Result<Vec<T>>
 where
     T: Send,
-    U: Send,
-    F: Fn(usize, T) -> Result<U> + Sync,
+    F: Fn(Range<usize>) -> Result<T> + Sync,
 {
-    let trace = conquer_obs::current_trace();
-    let results: Vec<(usize, Result<U>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = inputs
-            .into_iter()
-            .enumerate()
-            .map(|(i, input)| {
-                let f = &f;
-                let trace = &trace;
-                scope.spawn(move || {
-                    let _trace = trace.adopt_worker(i);
-                    (i, f(i, input))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| join_worker(h.join()))
-            .collect::<Result<Vec<_>>>()
-    })?;
-    let mut errors = Vec::new();
-    let mut out: Vec<(usize, U)> = Vec::with_capacity(results.len());
-    for (i, res) in results {
-        match res {
-            Ok(u) => out.push((i, u)),
-            Err(error) => errors.push(MorselError { morsel: i, error }),
-        }
+    let mut tagged: Vec<(usize, T)> = fold_morsels(n, workers, Vec::new, |out, range| {
+        out.push((range.start, f(range)?));
+        Ok(())
+    })?
+    .into_iter()
+    .flatten()
+    .collect();
+    tagged.sort_unstable_by_key(|(start, _)| *start);
+    Ok(tagged.into_iter().map(|(_, t)| t).collect())
+}
+
+/// Concatenate per-morsel output chunks (already in row order); a single
+/// chunk — the one-worker case — passes through uncopied.
+fn concat<T>(mut chunks: Vec<Vec<T>>) -> Vec<T> {
+    if chunks.len() == 1 {
+        return chunks.pop().unwrap_or_default();
     }
-    if let Some(e) = first_error(errors) {
-        return Err(e);
+    let mut out = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
+    for chunk in chunks {
+        out.extend(chunk);
     }
-    out.sort_unstable_by_key(|(i, _)| *i);
-    Ok(out.into_iter().map(|(_, u)| u).collect())
+    out
+}
+
+/// [`concat`] for morsel outputs that carry a counter beside their rows.
+fn concat_counted<T>(chunks: Vec<(Vec<T>, u64)>) -> (Vec<T>, u64) {
+    let count = chunks.iter().map(|(_, c)| c).sum();
+    (
+        concat(chunks.into_iter().map(|(out, _)| out).collect()),
+        count,
+    )
 }
 
 /// Record the fan-out an operator ran with.
@@ -634,20 +527,12 @@ fn exec_node(
                         let n = cols.len();
                         let workers = par_workers(n, ctx.threads);
                         note_threads(stats, workers);
-                        let sel: Vec<u32> = if workers == 1 {
-                            ticks(gov, n as u64, "filter")?;
+                        let sel: Vec<u32> = concat(for_morsels(n, workers, |range| {
+                            ticks(gov, range.len() as u64, "filter")?;
                             let mut sel = Vec::new();
-                            pred.select_into(cols, 0..n, &mut sel)?;
-                            sel
-                        } else {
-                            parallel_morsels(n, workers, |_, range| {
-                                ticks(gov, range.len() as u64, "filter")?;
-                                let mut sel = Vec::new();
-                                pred.select_into(cols, range, &mut sel)?;
-                                Ok(sel)
-                            })?
-                            .concat()
-                        };
+                            pred.select_into(cols, range, &mut sel)?;
+                            Ok(sel)
+                        })?);
                         return Ok(Batch::Col {
                             cols: Arc::new(cols.gather(&sel)),
                             schema: schema.clone(),
@@ -658,7 +543,7 @@ fn exec_node(
             let rows = child.rows();
             let workers = par_workers(rows.len(), ctx.threads);
             note_threads(stats, workers);
-            let filter_morsel = |range: Range<usize>| -> Result<Vec<Row>> {
+            let out = concat(for_morsels(rows.len(), workers, |range| {
                 let mut out = Vec::new();
                 for row in &rows[range] {
                     tick(gov, "filter")?;
@@ -667,14 +552,7 @@ fn exec_node(
                     }
                 }
                 Ok(out)
-            };
-            let out = if workers == 1 {
-                filter_morsel(0..rows.len())?
-            } else {
-                concat_rows(parallel_morsels(rows.len(), workers, |_, range| {
-                    filter_morsel(range)
-                })?)
-            };
+            })?);
             Ok(Batch::Owned(Rows {
                 schema: child.schema().clone(),
                 rows: out,
@@ -707,21 +585,14 @@ fn exec_node(
             let rows = child.rows();
             let workers = par_workers(rows.len(), ctx.threads);
             note_threads(stats, workers);
-            let project_morsel = |range: Range<usize>| -> Result<Vec<Row>> {
+            let out = concat(for_morsels(rows.len(), workers, |range| {
                 let mut out = Vec::with_capacity(range.len());
                 for row in &rows[range] {
                     tick(gov, "project")?;
                     out.push(project_row(row, exprs, outer, ctx)?);
                 }
                 Ok(out)
-            };
-            let out = if workers == 1 {
-                project_morsel(0..rows.len())?
-            } else {
-                concat_rows(parallel_morsels(rows.len(), workers, |_, range| {
-                    project_morsel(range)
-                })?)
-            };
+            })?);
             Ok(Batch::Owned(Rows {
                 schema: schema.clone(),
                 rows: out,
@@ -896,102 +767,84 @@ fn exec_node(
     }
 }
 
-/// Concatenate per-morsel output chunks (already in morsel order).
-fn concat_rows(chunks: Vec<Vec<Row>>) -> Vec<Row> {
-    let total = chunks.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    for chunk in chunks {
-        out.extend(chunk);
-    }
-    out
+/// A DISTINCT dedup set that charges the governor as it grows: table slots
+/// whenever the capacity steps up, and per key kept its heap cells.
+#[derive(Default)]
+struct DedupSet {
+    keys: HashSet<Key>,
+    charged_cap: usize,
+    charged: u64,
 }
 
-/// DISTINCT on the row path: serial for one worker; otherwise workers
-/// pre-deduplicate the morsels they claim against a per-worker set (each
-/// worker's morsels are claimed in increasing order, so a worker always
-/// keeps its earliest occurrence), and a sequential pass over the
-/// surviving rows in global row order picks the true first occurrence of
-/// each key — the same row, with the same payload, the serial path keeps.
-/// Returns the output rows and the bytes charged for the dedup sets and
-/// the rows kept: table slots as the sets grow, and per kept key its
-/// `width` heap cells plus the output row cloned beside it.
+impl DedupSet {
+    /// Insert `key` (of `key_heap` heap bytes); `true` when it was new.
+    fn insert(&mut self, key: Key, key_heap: u64, gov: Option<&Governor>) -> Result<bool> {
+        let new = self.keys.insert(key);
+        let grown = self.keys.capacity() - self.charged_cap;
+        if new || grown > 0 {
+            let bytes = (grown * mem::size_of::<Key>()) as u64 + if new { key_heap } else { 0 };
+            if let Some(g) = gov {
+                g.reserve_mem(bytes, "distinct")?;
+            }
+            self.charged_cap = self.keys.capacity();
+            self.charged += bytes;
+        }
+        Ok(new)
+    }
+}
+
+/// DISTINCT on the row path. Each worker deduplicates the morsels it
+/// claims against its own set and keeps the row index of every key's
+/// first occurrence there (a worker's morsels arrive in increasing order,
+/// so its earliest wins). One worker's survivors are the answer; several
+/// workers' are merged by a sequential pass in global row order that keeps
+/// the true first occurrence of each key — the same row, with the same
+/// payload, at any worker count. Returns the output rows and the bytes
+/// charged for the sets and the rows kept.
 fn exec_distinct(child: &Batch, workers: usize, gov: Option<&Governor>) -> Result<(Vec<Row>, u64)> {
     let rows = child.rows();
     let width = child.schema().len();
     let key_heap = (width * mem::size_of::<KeyValue>()) as u64;
     let row_bytes = (mem::size_of::<Row>() + width * mem::size_of::<Value>()) as u64;
-    let slot_bytes = mem::size_of::<Key>() as u64;
-    let reserve = |bytes: u64| match gov {
-        Some(g) => g.reserve_mem(bytes, "distinct"),
-        None => Ok(()),
-    };
-    if workers == 1 {
-        let mut seen: HashSet<Key> = HashSet::with_capacity(rows.len());
-        reserve(seen.capacity() as u64 * slot_bytes)?;
-        let mut out = Vec::new();
-        for row in rows {
-            tick(gov, "distinct")?;
-            if seen.insert(Key::from_values(row)) {
-                reserve(key_heap + row_bytes)?;
-                out.push(row.clone());
-            }
-        }
-        let bytes = seen.capacity() as u64 * slot_bytes + out.len() as u64 * (key_heap + row_bytes);
-        return Ok((out, bytes));
-    }
-
-    struct DistinctPartial {
-        seen: HashSet<Key>,
-        /// Surviving `(global row index, key)` pairs, per-worker-deduped.
-        survivors: Vec<(usize, Key)>,
-        reserved_cap: usize,
-    }
-    let partials = parallel_fold(
+    let partials = fold_morsels(
         rows.len(),
         workers,
-        || DistinctPartial {
-            seen: HashSet::new(),
-            survivors: Vec::new(),
-            reserved_cap: 0,
-        },
-        |acc, range| {
+        || (DedupSet::default(), Vec::new()),
+        |(seen, first), range| {
             for idx in range {
                 tick(gov, "distinct")?;
-                let key = Key::from_values(&rows[idx]);
-                if acc.seen.insert(key.clone()) {
-                    // One copy of the key in the set, one with the survivor.
-                    reserve(2 * key_heap)?;
-                    acc.survivors.push((idx, key));
-                }
-                if acc.seen.capacity() > acc.reserved_cap {
-                    reserve((acc.seen.capacity() - acc.reserved_cap) as u64 * slot_bytes)?;
-                    acc.reserved_cap = acc.seen.capacity();
+                if seen.insert(Key::from_values(&rows[idx]), key_heap, gov)? {
+                    first.push(idx);
                 }
             }
             Ok(())
         },
     )?;
-
-    let mut bytes: u64 = partials
-        .iter()
-        .map(|p| p.seen.capacity() as u64 * slot_bytes + p.survivors.len() as u64 * 2 * key_heap)
-        .sum();
-    let mut survivors: Vec<(usize, Key)> = partials.into_iter().flat_map(|p| p.survivors).collect();
-    survivors.sort_unstable_by_key(|(idx, _)| *idx);
-    let mut global: HashSet<Key> = HashSet::with_capacity(survivors.len());
-    let mut out = Vec::new();
-    for (idx, key) in survivors {
-        if global.insert(key) {
-            reserve(row_bytes)?;
-            out.push(rows[idx].clone());
+    let mut bytes: u64 = partials.iter().map(|(seen, _)| seen.charged).sum();
+    let merging = partials.len() > 1;
+    let mut first: Vec<usize> = concat(partials.into_iter().map(|(_, first)| first).collect());
+    if merging {
+        first.sort_unstable();
+        let mut seen = DedupSet::default();
+        let mut unique = Vec::new();
+        for idx in first {
+            if seen.insert(Key::from_values(&rows[idx]), key_heap, gov)? {
+                unique.push(idx);
+            }
         }
+        bytes += seen.charged;
+        first = unique;
     }
-    bytes += out.len() as u64 * row_bytes;
-    Ok((out, bytes))
+    let out_bytes = first.len() as u64 * row_bytes;
+    if let Some(g) = gov {
+        g.reserve_mem(out_bytes, "distinct")?;
+    }
+    let out = first.into_iter().map(|idx| rows[idx].clone()).collect();
+    Ok((out, bytes + out_bytes))
 }
 
 /// Reborrow the stats node for child `i` of the current operator, keeping
-/// the `Option` shape `execute_batch_stats` expects.
+/// the `Option` shape [`execute_ctx`] expects.
 fn child_stats<'a>(stats: &'a mut Option<&mut NodeStats>, i: usize) -> Option<&'a mut NodeStats> {
     stats.as_deref_mut().map(|s| &mut s.children[i])
 }
@@ -1039,27 +892,25 @@ fn project_row(
 /// The build side of a hash join, hash-partitioned into `parts.len()`
 /// disjoint tables. Build and probe route a key to its partition through
 /// the same shared [`RandomState`], so lookups hit exactly one table. One
-/// partition (serial build) degenerates to the classic single hash table.
+/// partition (a one-worker build) is the classic single hash table, and
+/// routing to it costs no hash.
 struct PartitionedTable {
     hasher: RandomState,
     parts: Vec<HashMap<Key, Vec<usize>>>,
 }
 
+/// Which of `nparts` partitions owns `key`.
+fn route(hasher: &RandomState, nparts: usize, key: &Key) -> usize {
+    if nparts == 1 {
+        0
+    } else {
+        (hasher.hash_one(key) as usize) % nparts
+    }
+}
+
 impl PartitionedTable {
-    fn route(&self, key: &Key) -> usize {
-        if self.parts.len() == 1 {
-            0
-        } else {
-            (self.hasher.hash_one(key) as usize) % self.parts.len()
-        }
-    }
-
     fn get(&self, key: &Key) -> Option<&Vec<usize>> {
-        self.parts[self.route(key)].get(key)
-    }
-
-    fn is_empty(&self) -> bool {
-        self.parts.iter().all(HashMap::is_empty)
+        self.parts[route(&self.hasher, self.parts.len(), key)].get(key)
     }
 
     fn bytes(&self) -> u64 {
@@ -1136,13 +987,12 @@ impl<'a> KeySource<'a> {
     }
 }
 
-/// Build the join hash table over the build side, partitioned across
-/// `workers` threads when above the parallel threshold. Workers extract
-/// keys per morsel and route `(key, row index)` pairs into per-partition
-/// buckets; a morsel-order transpose then hands each partition's pairs —
-/// in global row order — to one builder thread, so every key's index list
-/// is identical to the serial build's. NULL keys are skipped (SQL equality
-/// never matches them).
+/// Build the join hash table over the build side, one partition per
+/// worker. Workers extract keys per morsel and route `(key, row index)`
+/// pairs into per-partition buckets; a morsel-order transpose then hands
+/// each partition's pairs — in global row order — to one builder, so every
+/// key's index list is in build-row order at any worker count. NULL keys
+/// are skipped (SQL equality never matches them).
 fn build_join_table(
     input: &Batch,
     keys: &[BoundExpr],
@@ -1151,48 +1001,33 @@ fn build_join_table(
     ctx: ExecCtx<'_>,
 ) -> Result<PartitionedTable> {
     let gov = ctx.gov;
-    let n = input.len();
     let source = KeySource::for_batch(input, keys, ctx);
     let hasher = RandomState::new();
-    if workers == 1 {
-        let mut table: HashMap<Key, Vec<usize>> = HashMap::with_capacity(n);
-        for i in 0..n {
-            tick(gov, "hash_join")?;
-            let key = source.key_at(i, outer, ctx)?;
-            if key.has_null() {
-                continue;
-            }
-            table.entry(key).or_default().push(i);
-        }
-        return Ok(PartitionedTable {
-            hasher,
-            parts: vec![table],
-        });
-    }
-
     let nparts = workers;
-    let morsel_buckets: Vec<Vec<Vec<(Key, usize)>>> = parallel_morsels(n, workers, |_, range| {
-        let mut buckets: Vec<Vec<(Key, usize)>> = (0..nparts).map(|_| Vec::new()).collect();
+    let morsel_buckets = for_morsels(input.len(), workers, |range| {
+        let mut buckets: Vec<Vec<(Key, usize)>> = (0..nparts)
+            .map(|_| Vec::with_capacity(range.len().div_ceil(nparts)))
+            .collect();
         for idx in range {
             tick(gov, "hash_join")?;
             let key = source.key_at(idx, outer, ctx)?;
             if key.has_null() {
                 continue;
             }
-            let p = (hasher.hash_one(&key) as usize) % nparts;
-            buckets[p].push((key, idx));
+            buckets[route(&hasher, nparts, &key)].push((key, idx));
         }
         Ok(buckets)
     })?;
     // Transpose morsel-major to partition-major; iterating morsels in order
     // keeps each partition's pairs in global row order.
-    let mut per_part: Vec<Vec<(Key, usize)>> = (0..nparts).map(|_| Vec::new()).collect();
+    let mut per_part: Vec<Vec<Vec<(Key, usize)>>> = (0..nparts).map(|_| Vec::new()).collect();
     for buckets in morsel_buckets {
-        for (p, bucket) in buckets.into_iter().enumerate() {
-            per_part[p].extend(bucket);
+        for (part, bucket) in per_part.iter_mut().zip(buckets) {
+            part.push(bucket);
         }
     }
-    let parts = parallel_tasks(per_part, |_, entries| {
+    let parts = fan_out(per_part, |buckets| {
+        let entries = concat(buckets);
         let mut table: HashMap<Key, Vec<usize>> = HashMap::with_capacity(entries.len());
         for (key, idx) in entries {
             tick(gov, "hash_join")?;
@@ -1293,29 +1128,31 @@ fn exec_hash_join(
         }));
     }
 
-    // Inner joins build the hash table on the smaller side; the output
-    // column order (left ++ right) is preserved when emitting. An attached
-    // index pins the build to the right side: probing a prebuilt structure
-    // beats re-hashing the smaller input.
-    if kind == JoinType::Inner
+    // The table is built over the right side and probed with the left —
+    // except that an inner join builds on the smaller side. Swapped, rows
+    // come out in original-right (probe) order; the output column order
+    // (left ++ right) is the same either way. An attached index pins the
+    // build to the right side: probing a prebuilt structure beats
+    // re-hashing the smaller input.
+    let swap = kind == JoinType::Inner
         && left.len() < right.len()
         && residual.is_none()
-        && prebuilt.is_none()
-    {
-        return Ok(Batch::Owned(exec_hash_join_inner_swapped(
-            right, left, right_keys, left_keys, schema, outer, stats, ctx,
-        )?));
-    }
+        && prebuilt.is_none();
+    let (build, build_keys, probe, probe_keys) = if swap {
+        (&left, left_keys, &right, right_keys)
+    } else {
+        (&right, right_keys, &left, left_keys)
+    };
 
-    // Build on the right side, hash-partitioned across workers when large —
-    // unless the optimizer attached a prebuilt index, which skips the build
-    // entirely. Both paths fire the `join.build` fault point.
+    // Hash-partition the build side across workers when large — unless the
+    // optimizer attached a prebuilt index, which skips the build entirely.
+    // Both paths fire the `join.build` fault point.
     faults::trip("join.build")?;
     let (table, build_workers) = match prebuilt {
         Some(idx) => (JoinTable::Indexed(idx), 1),
         None => {
-            let workers = par_workers(right.len(), ctx.threads);
-            let built = build_join_table(&right, right_keys, workers, outer, ctx)?;
+            let workers = par_workers(build.len(), ctx.threads);
+            let built = build_join_table(build, build_keys, workers, outer, ctx)?;
             (JoinTable::Built(built), workers)
         }
     };
@@ -1330,11 +1167,9 @@ fn exec_hash_join(
     }
 
     faults::trip("join.probe")?;
-    let probe_workers = par_workers(left.len(), ctx.threads);
-    if let Some(s) = stats.as_deref_mut() {
-        s.threads_used = s.threads_used.max(build_workers.max(probe_workers) as u64);
-    }
-    let left_source = KeySource::for_batch(&left, left_keys, ctx);
+    let probe_workers = par_workers(probe.len(), ctx.threads);
+    note_threads(&mut stats, build_workers.max(probe_workers));
+    let probe_source = KeySource::for_batch(probe, probe_keys, ctx);
 
     // Kernel path for semi/anti joins without residuals: probe straight
     // off the key chunks, collect the surviving left row indices, and
@@ -1342,18 +1177,18 @@ fn exec_hash_join(
     // is the hot shape of ConQuer's rewritings (decorrelated EXISTS /
     // NOT EXISTS).
     if matches!(kind, JoinType::Semi | JoinType::Anti) && residual.is_none() && ctx.columnar {
-        if let Some(lcols) = left.cols() {
-            let probe_sel = |range: Range<usize>| -> Result<(Vec<u32>, u64)> {
+        if let Some(pcols) = probe.cols() {
+            let chunks = for_morsels(probe.len(), probe_workers, |range| {
                 let mut comparisons = 0u64;
                 let mut out = Vec::new();
                 for i in range {
                     tick(gov, "hash_join")?;
-                    let key = left_source.key_at(i, outer, ctx)?;
+                    let key = probe_source.key_at(i, outer, ctx)?;
                     let matched = if key.has_null() {
                         false
                     } else if table.get(&key).is_some() {
-                        // The serial row path inspects exactly one
-                        // candidate before the semi/anti short-circuit.
+                        // The row path inspects exactly one candidate
+                        // before the semi/anti short-circuit.
                         comparisons += 1;
                         true
                     } else {
@@ -1365,48 +1200,42 @@ fn exec_hash_join(
                     }
                 }
                 Ok((out, comparisons))
-            };
-            let (sel, comparisons) = if probe_workers == 1 {
-                probe_sel(0..left.len())?
-            } else {
-                let chunks =
-                    parallel_morsels(left.len(), probe_workers, |_, range| probe_sel(range))?;
-                let comparisons = chunks.iter().map(|(_, c)| c).sum();
-                (
-                    chunks
-                        .into_iter()
-                        .flat_map(|(sel, _)| sel)
-                        .collect::<Vec<u32>>(),
-                    comparisons,
-                )
-            };
+            })?;
+            let (sel, comparisons) = concat_counted(chunks);
             if let Some(s) = stats {
                 s.comparisons += comparisons;
             }
             return Ok(Batch::Col {
-                cols: Arc::new(lcols.gather(&sel)),
+                cols: Arc::new(pcols.gather(&sel)),
                 schema: schema.clone(),
             });
         }
     }
 
-    // Inner/outer output rows splice in right-side values; semi/anti with
+    // Inner/outer output rows splice in build-side values; semi/anti with
     // a residual evaluate it over the concatenated pair. Either way both
     // sides pivot here (once, cached).
-    let left_rows = left.rows();
-    let right_rows = right.rows();
-    let right_width = right.schema().len();
-    // One probe morsel: the per-row matching logic is identical at any
-    // thread count, and morsel outputs concatenate back to the serial
-    // emission order (probe rows in order; per-key build indexes in global
-    // build order).
-    let probe_morsel = |range: Range<usize>| -> Result<(Vec<Row>, u64)> {
+    let probe_rows = probe.rows();
+    let build_rows = build.rows();
+    let build_width = build.schema().len();
+    // A matched pair laid out left ++ right, whichever side was probed.
+    let pair = |prow: &Row, brow: &Row| -> Row {
+        let (first, second) = if swap { (brow, prow) } else { (prow, brow) };
+        let mut combined = Vec::with_capacity(first.len() + second.len());
+        combined.extend(first.iter().cloned());
+        combined.extend(second.iter().cloned());
+        combined
+    };
+    // The per-row matching logic is the same at any worker count, and
+    // morsel outputs concatenate back to one pass's emission order (probe
+    // rows in order; per-key build indexes in global build order).
+    let chunks = for_morsels(probe_rows.len(), probe_workers, |range| {
         let mut comparisons = 0u64;
         let mut out = Vec::new();
-        for li in range {
-            let lrow = &left_rows[li];
+        for pi in range {
+            let prow = &probe_rows[pi];
             tick(gov, "hash_join")?;
-            let key = left_source.key_at(li, outer, ctx)?;
+            let key = probe_source.key_at(pi, outer, ctx)?;
             let matches = if key.has_null() {
                 None
             } else {
@@ -1414,15 +1243,14 @@ fn exec_hash_join(
             };
             let mut matched = false;
             if let Some(idxs) = matches {
-                for &ri in idxs {
+                for &bi in idxs {
                     comparisons += 1;
                     // Residual conditions are part of the ON clause: they
                     // decide whether this candidate pair is a match.
                     let pass = match residual {
                         None => true,
                         Some(res) => {
-                            let mut combined = lrow.clone();
-                            combined.extend(right_rows[ri].iter().cloned());
+                            let combined = pair(prow, &build_rows[bi]);
                             eval_predicate_on_row(res, &combined, outer, ctx)? == Some(true)
                         }
                     };
@@ -1433,9 +1261,7 @@ fn exec_hash_join(
                     match kind {
                         JoinType::Inner | JoinType::LeftOuter => {
                             emit(1)?;
-                            let mut combined = lrow.clone();
-                            combined.extend(right_rows[ri].iter().cloned());
-                            out.push(combined);
+                            out.push(pair(prow, &build_rows[bi]));
                         }
                         JoinType::Semi | JoinType::Anti => break,
                     }
@@ -1444,35 +1270,24 @@ fn exec_hash_join(
             match kind {
                 JoinType::LeftOuter if !matched => {
                     emit(1)?;
-                    let mut combined = lrow.clone();
-                    combined.extend(std::iter::repeat_n(Value::Null, right_width));
+                    let mut combined = prow.clone();
+                    combined.extend(std::iter::repeat_n(Value::Null, build_width));
                     out.push(combined);
                 }
                 JoinType::Semi if matched => {
                     emit(1)?;
-                    out.push(lrow.clone());
+                    out.push(prow.clone());
                 }
                 JoinType::Anti if !matched => {
                     emit(1)?;
-                    out.push(lrow.clone());
+                    out.push(prow.clone());
                 }
                 _ => {}
             }
         }
         Ok((out, comparisons))
-    };
-    let (out, comparisons) = if probe_workers == 1 {
-        probe_morsel(0..left_rows.len())?
-    } else {
-        let chunks = parallel_morsels(left_rows.len(), probe_workers, |_, range| {
-            probe_morsel(range)
-        })?;
-        let comparisons = chunks.iter().map(|(_, c)| c).sum();
-        (
-            concat_rows(chunks.into_iter().map(|(rows, _)| rows).collect()),
-            comparisons,
-        )
-    };
+    })?;
+    let (out, comparisons) = concat_counted(chunks);
     if let Some(s) = stats {
         s.comparisons += comparisons;
     }
@@ -1490,98 +1305,9 @@ fn hash_table_bytes(table: &HashMap<Key, Vec<usize>>) -> u64 {
     (table.capacity() * entry + indices * mem::size_of::<usize>()) as u64
 }
 
-/// Inner hash join probing with the *larger* side: `probe` is the original
-/// right input, `build` the original left. Output rows still lay out
-/// original-left columns first.
-///
-/// Note the emission-order divergence from the unswapped shape: rows come
-/// out in probe (original-right) order. The parallel path reproduces
-/// exactly this order, morsel by morsel.
-#[allow(clippy::too_many_arguments)]
-fn exec_hash_join_inner_swapped(
-    probe: Batch,
-    build: Batch,
-    probe_keys: &[BoundExpr],
-    build_keys: &[BoundExpr],
-    schema: &Schema,
-    outer: Option<&Env<'_>>,
-    mut stats: Option<&mut NodeStats>,
-    ctx: ExecCtx<'_>,
-) -> Result<Rows> {
-    let gov = ctx.gov;
-    faults::trip("join.build")?;
-    let row_bytes = est_row_bytes(schema);
-    let build_workers = par_workers(build.len(), ctx.threads);
-    let table = build_join_table(&build, build_keys, build_workers, outer, ctx)?;
-    let build_rows = build.rows();
-    if let Some(g) = gov {
-        g.reserve_mem(table.bytes(), "hash_join")?;
-    }
-    if let Some(s) = stats.as_deref_mut() {
-        s.est_mem_bytes += table.bytes();
-    }
-    if table.is_empty() {
-        return Ok(Rows {
-            schema: schema.clone(),
-            rows: Vec::new(),
-        });
-    }
-    faults::trip("join.probe")?;
-    let probe_source = KeySource::for_batch(&probe, probe_keys, ctx);
-    let probe_rows = probe.rows();
-    let probe_workers = par_workers(probe_rows.len(), ctx.threads);
-    if let Some(s) = stats.as_deref_mut() {
-        s.threads_used = s.threads_used.max(build_workers.max(probe_workers) as u64);
-    }
-    let probe_morsel = |range: Range<usize>| -> Result<(Vec<Row>, u64)> {
-        let mut comparisons = 0u64;
-        let mut out = Vec::new();
-        for pi in range {
-            let prow = &probe_rows[pi];
-            tick(gov, "hash_join")?;
-            let key = probe_source.key_at(pi, outer, ctx)?;
-            if key.has_null() {
-                continue;
-            }
-            if let Some(idxs) = table.get(&key) {
-                for &bi in idxs {
-                    comparisons += 1;
-                    if let Some(g) = gov {
-                        g.emit_rows(1, row_bytes, "hash_join")?;
-                    }
-                    let mut combined = Vec::with_capacity(build_rows[bi].len() + prow.len());
-                    combined.extend(build_rows[bi].iter().cloned());
-                    combined.extend(prow.iter().cloned());
-                    out.push(combined);
-                }
-            }
-        }
-        Ok((out, comparisons))
-    };
-    let (out, comparisons) = if probe_workers == 1 {
-        probe_morsel(0..probe_rows.len())?
-    } else {
-        let chunks = parallel_morsels(probe_rows.len(), probe_workers, |_, range| {
-            probe_morsel(range)
-        })?;
-        let comparisons = chunks.iter().map(|(_, c)| c).sum();
-        (
-            concat_rows(chunks.into_iter().map(|(rows, _)| rows).collect()),
-            comparisons,
-        )
-    };
-    if let Some(s) = stats {
-        s.comparisons += comparisons;
-    }
-    Ok(Rows {
-        schema: schema.clone(),
-        rows: out,
-    })
-}
-
-/// Nested-loop join. The outer (left) loop is morsel-parallel: each probe
-/// row's inner scan is independent, and concatenating morsel outputs
-/// reproduces the serial emission order for every join kind.
+/// Nested-loop join. The outer (left) loop is what the morsel driver
+/// splits: each left row's inner scan is independent, and concatenating
+/// morsel outputs gives one pass's emission order for every join kind.
 #[allow(clippy::too_many_arguments)]
 fn exec_nested_loop_join(
     left: Batch,
@@ -1605,15 +1331,12 @@ fn exec_nested_loop_join(
     let right_rows = right.rows();
     let right_width = right.schema().len();
     // Gate on the total pair count (the actual work), but the split
-    // granularity is left-side morsels — a left under one morsel runs
-    // serially regardless of how large the right side is.
+    // granularity is left-side morsels — a left under one morsel runs on
+    // one worker regardless of how large the right side is.
     let pairs = left_rows.len().saturating_mul(right_rows.len());
-    let workers = if ctx.threads <= 1 || pairs < PAR_THRESHOLD {
-        1
-    } else {
-        ctx.threads.min(left_rows.len().div_ceil(MORSEL_ROWS))
-    };
-    let outer_morsel = |range: Range<usize>| -> Result<(Vec<Row>, u64)> {
+    let workers = par_workers(pairs, ctx.threads).min(left_rows.len().div_ceil(MORSEL_ROWS).max(1));
+    note_threads(&mut stats, workers);
+    let chunks = for_morsels(left_rows.len(), workers, |range| {
         let mut comparisons = 0u64;
         let mut out = Vec::new();
         for lrow in &left_rows[range] {
@@ -1658,20 +1381,8 @@ fn exec_nested_loop_join(
             }
         }
         Ok((out, comparisons))
-    };
-    if let Some(s) = stats.as_deref_mut() {
-        s.threads_used = s.threads_used.max(workers as u64);
-    }
-    let (out, comparisons) = if workers == 1 {
-        outer_morsel(0..left_rows.len())?
-    } else {
-        let chunks = parallel_morsels(left_rows.len(), workers, |_, range| outer_morsel(range))?;
-        let comparisons = chunks.iter().map(|(_, c)| c).sum();
-        (
-            concat_rows(chunks.into_iter().map(|(rows, _)| rows).collect()),
-            comparisons,
-        )
-    };
+    })?;
+    let (out, comparisons) = concat_counted(chunks);
     if let Some(s) = stats {
         s.build_rows += right.len() as u64;
         s.probe_rows += left.len() as u64;
@@ -1897,11 +1608,11 @@ impl Accumulator {
         Ok(())
     }
 
-    /// Fold another partial state for the same aggregate spec into `self`
-    /// (morsel-parallel aggregation). NULL-skipping semantics are encoded
-    /// in the partial states already (`seen` flags, `count`s), so merging
-    /// is pure arithmetic; mixed Int/Float SUM partials promote to float
-    /// exactly as the serial accumulator does on its first float input.
+    /// Fold another worker's partial state for the same aggregate spec
+    /// into `self`. NULL-skipping semantics are encoded in the partial
+    /// states already (`seen` flags, `count`s), so merging is pure
+    /// arithmetic; mixed Int/Float SUM partials promote to float exactly
+    /// as [`Accumulator::update`] does on its first float input.
     /// Float SUM/AVG partials merge exactly ([`ExactSum`]), so the merge
     /// order never changes the result.
     fn merge(&mut self, other: Accumulator) -> Result<()> {
@@ -2002,54 +1713,6 @@ impl Accumulator {
     }
 }
 
-/// State for one group: accumulators plus per-aggregate distinct filters.
-struct GroupState {
-    accs: Vec<Accumulator>,
-    distinct_seen: Vec<Option<HashSet<KeyValue>>>,
-}
-
-impl GroupState {
-    fn new(aggs: &[AggSpec]) -> GroupState {
-        GroupState {
-            accs: aggs.iter().map(|a| Accumulator::new(a.func)).collect(),
-            distinct_seen: aggs
-                .iter()
-                .map(|a| {
-                    if a.distinct {
-                        Some(HashSet::new())
-                    } else {
-                        None
-                    }
-                })
-                .collect(),
-        }
-    }
-
-    fn update(
-        &mut self,
-        aggs: &[AggSpec],
-        row: &[Value],
-        outer: Option<&Env<'_>>,
-        ctx: ExecCtx<'_>,
-    ) -> Result<()> {
-        for (i, spec) in aggs.iter().enumerate() {
-            match &spec.arg {
-                None => self.accs[i].count_row(),
-                Some(arg) => {
-                    let v = eval_on_row(arg, row, outer, ctx)?;
-                    if let Some(seen) = &mut self.distinct_seen[i] {
-                        if v.is_null() || !seen.insert(KeyValue::from(&v)) {
-                            continue;
-                        }
-                    }
-                    self.accs[i].update(&v)?;
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
 fn exec_aggregate(
     input: Batch,
     group_exprs: &[BoundExpr],
@@ -2060,13 +1723,11 @@ fn exec_aggregate(
     ctx: ExecCtx<'_>,
 ) -> Result<Batch> {
     let workers = par_workers(input.len(), ctx.threads);
-    if let Some(s) = stats.as_deref_mut() {
-        s.threads_used = s.threads_used.max(workers as u64);
-    }
+    note_threads(&mut stats, workers);
     // Kernel path: plain-column group keys and aggregate arguments over a
     // columnar input run without pivoting. `None` means not applicable —
     // or a value-level error, which replays on the row path so the
-    // reported error is the one the serial row-major scan hits first.
+    // reported error is the one a row-major scan hits first.
     if ctx.columnar {
         if let Some(cols) = input.cols() {
             let out = exec_aggregate_columnar(
@@ -2083,86 +1744,17 @@ fn exec_aggregate(
             }
         }
     }
-    let rows = input.rows();
-    let out = if workers > 1 {
-        aggregate_parallel(rows, workers, group_exprs, aggs, schema, outer, stats, ctx)?
-    } else {
-        aggregate_serial(rows, group_exprs, aggs, schema, outer, stats, ctx)?
-    };
+    let out = aggregate_rows(
+        input.rows(),
+        workers,
+        group_exprs,
+        aggs,
+        schema,
+        outer,
+        stats,
+        ctx,
+    )?;
     Ok(Batch::Owned(out))
-}
-
-/// Serial grouped aggregation on the row path. Group output order is
-/// first-seen order.
-fn aggregate_serial(
-    rows: &[Row],
-    group_exprs: &[BoundExpr],
-    aggs: &[AggSpec],
-    schema: &Schema,
-    outer: Option<&Env<'_>>,
-    stats: Option<&mut NodeStats>,
-    ctx: ExecCtx<'_>,
-) -> Result<Rows> {
-    let gov = ctx.gov;
-    let mut groups: HashMap<Key, (Row, GroupState)> = HashMap::new();
-    // Preserve first-seen group order for deterministic output.
-    let mut order: Vec<Key> = Vec::new();
-    let per_group = group_footprint(aggs, group_exprs.len());
-    // Reserve memory as the group table grows, so a high-cardinality GROUP
-    // BY trips the budget while building rather than after.
-    let mut reserved_cap = 0usize;
-
-    for row in rows {
-        tick(gov, "aggregate")?;
-        let group_vals = project_row(row, group_exprs, outer, ctx)?;
-        let key = Key::from_values(&group_vals);
-        match groups.entry(key.clone()) {
-            Entry::Occupied(mut e) => e.get_mut().1.update(aggs, row, outer, ctx)?,
-            Entry::Vacant(e) => {
-                let mut state = GroupState::new(aggs);
-                state.update(aggs, row, outer, ctx)?;
-                e.insert((group_vals, state));
-                order.push(key);
-            }
-        }
-        if groups.capacity() > reserved_cap {
-            if let Some(g) = gov {
-                g.reserve_mem(
-                    ((groups.capacity() - reserved_cap) * per_group) as u64,
-                    "aggregate",
-                )?;
-            }
-            reserved_cap = groups.capacity();
-        }
-    }
-
-    if let Some(s) = stats {
-        s.build_rows += rows.len() as u64;
-        s.est_mem_bytes += (groups.capacity() * per_group) as u64;
-    }
-
-    // A global aggregate (no GROUP BY) over zero rows yields one row of
-    // "empty" aggregate values.
-    if group_exprs.is_empty() && groups.is_empty() {
-        return Ok(Rows {
-            schema: schema.clone(),
-            rows: vec![empty_aggregate_row(aggs)],
-        });
-    }
-
-    let mut out = Vec::with_capacity(groups.len());
-    for key in order {
-        let Some((group_vals, state)) = groups.remove(&key) else {
-            continue; // defensive: order and groups are built in lockstep
-        };
-        let mut row = group_vals;
-        row.extend(state.accs.into_iter().map(Accumulator::finish));
-        out.push(row);
-    }
-    Ok(Rows {
-        schema: schema.clone(),
-        rows: out,
-    })
 }
 
 /// The columnar aggregation dispatch: `Ok(None)` means "run the row path"
@@ -2197,35 +1789,34 @@ fn exec_aggregate_columnar(
     let n = cols.len();
 
     // Global aggregates without DISTINCT: one typed bulk pass per argument
-    // column ([`Accumulator::update_column`]), morsel-parallel partials
+    // column ([`Accumulator::update_column`]) into per-worker partials,
     // merged exactly like the row path's. Value-level errors replay.
     if gidx.is_empty() && aggs.iter().all(|a| !a.distinct) {
-        let run = |accs: &mut Vec<Accumulator>, range: Range<usize>| -> Result<()> {
-            ticks(gov, range.len() as u64, "aggregate")?;
-            for (acc, input) in accs.iter_mut().zip(&inputs) {
-                match input.col {
-                    None => acc.count_rows(range.len() as i64),
-                    Some(ci) => acc.update_column(cols.col(ci), range.clone())?,
-                }
-            }
-            Ok(())
-        };
-        let fresh =
-            || -> Vec<Accumulator> { aggs.iter().map(|a| Accumulator::new(a.func)).collect() };
-        let folded = if workers == 1 {
-            let mut accs = fresh();
-            run(&mut accs, 0..n).map(|()| accs)
-        } else {
-            parallel_fold(n, workers, fresh, |acc, range| run(acc, range)).and_then(|partials| {
-                let mut accs = fresh();
-                for partial in partials {
-                    for (acc, part) in accs.iter_mut().zip(partial) {
-                        acc.merge(part)?;
+        let folded = fold_morsels(
+            n,
+            workers,
+            || fresh_accumulators(aggs),
+            |accs, range| {
+                ticks(gov, range.len() as u64, "aggregate")?;
+                for (acc, input) in accs.iter_mut().zip(&inputs) {
+                    match input.col {
+                        None => acc.count_rows(range.len() as i64),
+                        Some(ci) => acc.update_column(cols.col(ci), range.clone())?,
                     }
                 }
-                Ok(accs)
-            })
-        };
+                Ok(())
+            },
+        )
+        .and_then(|partials| {
+            let mut partials = partials.into_iter();
+            let mut accs = partials.next().unwrap_or_else(|| fresh_accumulators(aggs));
+            for partial in partials {
+                for (acc, part) in accs.iter_mut().zip(partial) {
+                    acc.merge(part)?;
+                }
+            }
+            Ok(accs)
+        });
         let accs = match folded {
             Ok(accs) => accs,
             Err(EngineError::TypeError(_) | EngineError::Eval(_)) => return Ok(None),
@@ -2277,12 +1868,12 @@ struct Grouped {
 }
 
 /// Drive the typed group-key kernel ([`crate::groupkey`]) over `cols`:
-/// group on `key_idx`, fold `aggs`. Serially one [`Partition`] sees every
-/// row, a morsel at a time. With `workers > 1` the key hashes are computed
-/// morsel-parallel, then worker `p` folds — in row order — exactly the
-/// rows whose hash routes to partition `p`; partitions never share a
-/// group, so there is nothing to merge, only to order by first row.
-/// `Ok(None)` is a value-level error: replay on the row path.
+/// group on `key_idx`, fold `aggs`. The key hashes are computed by the
+/// morsel driver, then worker `p` folds — in row order — exactly the rows
+/// whose hash routes to partition `p`; partitions never share a group, so
+/// there is nothing to merge, only to order by first row. One worker is
+/// one partition that owns every row. `Ok(None)` is a value-level error:
+/// replay on the row path.
 fn group_kernel(
     cols: &ColBatch,
     key_idx: &[usize],
@@ -2296,24 +1887,21 @@ fn group_kernel(
         return Ok(None);
     }
     let keys = KeyCols::new(cols, key_idx);
-    // One partition's whole fold. `hashes` are precomputed for all rows in
-    // a parallel run and computed per morsel in a serial one.
-    let fold = |part: Option<(usize, usize)>, hashes: Option<&[u64]>| {
+    // Without key columns (a global DISTINCT aggregate) there is one group
+    // and nothing to partition on.
+    let nparts = if keys.is_empty() { 1 } else { workers };
+    let hashes: Vec<u64> = concat(for_morsels(n, nparts, |range| {
+        ticks(gov, range.len() as u64, op)?;
+        let mut out = Vec::new();
+        keys.hash_range(range, &mut out);
+        Ok(out)
+    })?);
+    let parts = fan_out(0..nparts, |p| {
         let mut partition = Partition::new(&keys, cols, aggs);
-        let mut scratch = Vec::new();
         let mut charged = 0u64;
         for lo in (0..n).step_by(MORSEL_ROWS) {
             let block = lo..n.min(lo + MORSEL_ROWS);
-            let block_hashes = match hashes {
-                Some(all) => &all[block.clone()],
-                None => {
-                    if !keys.is_empty() {
-                        keys.hash_range(block.clone(), &mut scratch);
-                    }
-                    &scratch[..]
-                }
-            };
-            let Some(folded) = partition.consume(block, block_hashes, part) else {
+            let Some(folded) = partition.consume(block.clone(), &hashes[block], (p, nparts)) else {
                 return Ok(None);
             };
             ticks(gov, folded as u64, op)?;
@@ -2326,13 +1914,14 @@ fn group_kernel(
             }
         }
         Ok(Some((partition.bytes(), partition.finish())))
+    })?;
+    let Some(mut parts) = parts.into_iter().collect::<Option<Vec<_>>>() else {
+        return Ok(None);
     };
-
-    if workers == 1 || keys.is_empty() {
-        let Some((mem_bytes, out)) = fold(None, None)? else {
-            return Ok(None);
-        };
-        return Ok(Some(Grouped {
+    // One partition's groups are already in first-row order (and a global
+    // aggregate's single group has no first row to order by).
+    if parts.len() == 1 {
+        return Ok(parts.pop().map(|(mem_bytes, out)| Grouped {
             groups: if keys.is_empty() {
                 1
             } else {
@@ -2343,20 +1932,6 @@ fn group_kernel(
             mem_bytes,
         }));
     }
-
-    let hashes: Vec<u64> = parallel_morsels(n, workers, |_, range| {
-        ticks(gov, range.len() as u64, op)?;
-        let mut out = Vec::new();
-        keys.hash_range(range, &mut out);
-        Ok(out)
-    })?
-    .concat();
-    let parts = parallel_tasks((0..workers).collect(), |_, p| {
-        fold(Some((p, workers)), Some(&hashes))
-    })?;
-    let Some(parts) = parts.into_iter().collect::<Option<Vec<_>>>() else {
-        return Ok(None);
-    };
     // Order the partitions' groups by first row: `order[k]` is the k-th
     // group's (first row, index into the partitions laid end to end).
     let mut order: Vec<(u32, u32)> = Vec::new();
@@ -2389,33 +1964,30 @@ fn group_kernel(
 /// with its `group_cols` heap cells), and accumulators.
 fn group_footprint(aggs: &[AggSpec], group_cols: usize) -> usize {
     mem::size_of::<Key>()
-        + mem::size_of::<(Row, GroupState)>()
+        + mem::size_of::<PartialGroup>()
         + group_cols * (mem::size_of::<KeyValue>() + mem::size_of::<Value>())
         + aggs.len() * mem::size_of::<Accumulator>()
 }
 
-/// The one output row of a global aggregate over zero input rows.
-fn empty_aggregate_row(aggs: &[AggSpec]) -> Row {
-    GroupState::new(aggs)
-        .accs
-        .into_iter()
-        .map(Accumulator::finish)
-        .collect()
+/// One untouched accumulator per aggregate. Finished as they are, they
+/// are the one output row of a global aggregate over zero input rows.
+fn fresh_accumulators(aggs: &[AggSpec]) -> Vec<Accumulator> {
+    aggs.iter().map(|a| Accumulator::new(a.func)).collect()
 }
 
 /// One group's partial state on one worker.
 struct PartialGroup {
     /// Global index of the first input row seen for this group — the merge
-    /// key for both output ordering (serial first-seen order) and picking
-    /// the representative group values.
+    /// key for both output ordering (first-seen order) and picking the
+    /// representative group values.
     first_idx: usize,
     group_vals: Row,
     accs: Vec<Accumulator>,
     /// For DISTINCT aggregates: distinct input value -> (global index of
     /// its first occurrence, that first value). The accumulator for such a
     /// spec stays untouched until [`finish_partial_group`] replays the
-    /// merged distinct values in first-occurrence order — reproducing the
-    /// serial fold exactly (including which of `2` / `2.0` survives).
+    /// merged distinct values in first-occurrence order — what one pass
+    /// over the rows would fold (including which of `2` / `2.0` survives).
     distinct: Vec<Option<HashMap<KeyValue, (usize, Value)>>>,
 }
 
@@ -2424,7 +1996,7 @@ impl PartialGroup {
         PartialGroup {
             first_idx,
             group_vals,
-            accs: aggs.iter().map(|a| Accumulator::new(a.func)).collect(),
+            accs: fresh_accumulators(aggs),
             distinct: aggs
                 .iter()
                 .map(|a| {
@@ -2512,13 +2084,14 @@ fn finish_partial_group(mut pg: PartialGroup) -> Result<Row> {
     Ok(row)
 }
 
-/// Morsel-parallel aggregation on the row path: each worker folds the
-/// morsels it claims into a private partial group table; the coordinator
-/// merges the partial tables ([`Accumulator::merge`]) and emits groups
-/// ordered by global first-seen row index — the exact group order of the
-/// serial path.
+/// Aggregation on the row path: each worker folds the morsels it claims
+/// into its own partial group table, reserving memory as the table grows
+/// so a high-cardinality GROUP BY trips the budget while building rather
+/// than after; the other workers' tables are then merged into the first
+/// ([`Accumulator::merge`]) and groups are emitted ordered by global
+/// first-seen row index.
 #[allow(clippy::too_many_arguments)]
-fn aggregate_parallel(
+fn aggregate_rows(
     rows: &[Row],
     workers: usize,
     group_exprs: &[BoundExpr],
@@ -2532,60 +2105,52 @@ fn aggregate_parallel(
     let n = rows.len();
     let per_group = group_footprint(aggs, group_exprs.len());
 
+    #[derive(Default)]
     struct WorkerTable {
         groups: HashMap<Key, PartialGroup>,
         reserved_cap: usize,
     }
-    let tables = parallel_fold(
-        n,
-        workers,
-        || WorkerTable {
-            groups: HashMap::new(),
-            reserved_cap: 0,
-        },
-        |acc, range| {
-            for idx in range {
-                tick(gov, "aggregate")?;
-                let row = &rows[idx];
-                let group_vals = project_row(row, group_exprs, outer, ctx)?;
-                let key = Key::from_values(&group_vals);
-                match acc.groups.entry(key) {
-                    Entry::Occupied(mut e) => {
-                        e.get_mut().update(aggs, row, idx, outer, ctx)?;
-                    }
-                    Entry::Vacant(e) => {
-                        let pg = e.insert(PartialGroup::new(idx, group_vals, aggs));
-                        pg.update(aggs, row, idx, outer, ctx)?;
-                    }
+    let tables = fold_morsels(n, workers, WorkerTable::default, |acc, range| {
+        for idx in range {
+            tick(gov, "aggregate")?;
+            let row = &rows[idx];
+            let group_vals = project_row(row, group_exprs, outer, ctx)?;
+            let key = Key::from_values(&group_vals);
+            match acc.groups.entry(key) {
+                Entry::Occupied(mut e) => {
+                    e.get_mut().update(aggs, row, idx, outer, ctx)?;
                 }
-                if acc.groups.capacity() > acc.reserved_cap {
-                    if let Some(g) = gov {
-                        g.reserve_mem(
-                            ((acc.groups.capacity() - acc.reserved_cap) * per_group) as u64,
-                            "aggregate",
-                        )?;
-                    }
-                    acc.reserved_cap = acc.groups.capacity();
+                Entry::Vacant(e) => {
+                    let pg = e.insert(PartialGroup::new(idx, group_vals, aggs));
+                    pg.update(aggs, row, idx, outer, ctx)?;
                 }
             }
-            Ok(())
-        },
-    )?;
+            if acc.groups.capacity() > acc.reserved_cap {
+                if let Some(g) = gov {
+                    g.reserve_mem(
+                        ((acc.groups.capacity() - acc.reserved_cap) * per_group) as u64,
+                        "aggregate",
+                    )?;
+                }
+                acc.reserved_cap = acc.groups.capacity();
+            }
+        }
+        Ok(())
+    })?;
 
-    let est_mem: u64 = tables
-        .iter()
-        .map(|t| (t.groups.capacity() * per_group) as u64)
-        .sum();
     if let Some(s) = stats {
         s.build_rows += n as u64;
-        s.est_mem_bytes += est_mem;
+        s.est_mem_bytes += tables
+            .iter()
+            .map(|t| (t.groups.capacity() * per_group) as u64)
+            .sum::<u64>();
     }
 
-    // Merge worker tables; first-seen indexes make the merge order
-    // irrelevant.
-    let mut merged: HashMap<Key, PartialGroup> = HashMap::new();
+    // First-seen indexes make the merge order irrelevant.
+    let mut tables = tables.into_iter().map(|t| t.groups);
+    let mut merged = tables.next().unwrap_or_default();
     for table in tables {
-        for (key, pg) in table.groups {
+        for (key, pg) in table {
             match merged.entry(key) {
                 Entry::Occupied(mut e) => e.get_mut().merge(pg)?,
                 Entry::Vacant(e) => {
@@ -2595,10 +2160,16 @@ fn aggregate_parallel(
         }
     }
 
+    // A global aggregate (no GROUP BY) over zero rows yields one row of
+    // "empty" aggregate values.
     if group_exprs.is_empty() && merged.is_empty() {
+        let row = fresh_accumulators(aggs)
+            .into_iter()
+            .map(Accumulator::finish)
+            .collect();
         return Ok(Rows {
             schema: schema.clone(),
-            rows: vec![empty_aggregate_row(aggs)],
+            rows: vec![row],
         });
     }
 
@@ -2642,11 +2213,11 @@ fn cmp_key_vecs(a: &[Value], b: &[Value], keys: &[(BoundExpr, bool)]) -> std::cm
 /// up front (decorate–sort–undecorate), so the comparator never re-runs
 /// key expressions.
 ///
-/// With `workers > 1` the decoration is morsel-parallel and the sort runs
-/// as per-worker `sort_unstable_by` over contiguous runs followed by a
-/// k-way merge. The comparator is extended with the original row index as
-/// the final tie-break, which makes the unstable per-run sorts and the
-/// merge reproduce the serial *stable* sort bit for bit.
+/// The decoration runs on the morsel driver, and the sort as one
+/// `sort_unstable_by` per worker over contiguous runs followed by a k-way
+/// merge. The comparator is extended with the original row index as the
+/// final tie-break: a total order, under which the unstable per-run sorts
+/// and the merge are a *stable* sort, bit for bit, at any worker count.
 fn exec_sort(
     mut input: Rows,
     keys: &[(BoundExpr, bool)],
@@ -2655,26 +2226,8 @@ fn exec_sort(
     workers: usize,
 ) -> Result<Rows> {
     let gov = ctx.gov;
-    if workers == 1 {
-        let mut decorated: Vec<(Vec<Value>, Row)> = Vec::with_capacity(input.rows.len());
-        for row in input.rows.drain(..) {
-            tick(gov, "sort")?;
-            let mut kv = Vec::with_capacity(keys.len());
-            for (expr, _) in keys {
-                kv.push(eval_on_row(expr, &row, outer, ctx)?);
-            }
-            decorated.push((kv, row));
-        }
-        decorated.sort_by(|(a, _), (b, _)| cmp_key_vecs(a, b, keys));
-        input.rows = decorated.into_iter().map(|(_, r)| r).collect();
-        return Ok(input);
-    }
-
-    // Evaluate the key vectors in parallel, then decorate each row with
-    // (keys, original index) — the index doubles as the stability
-    // tie-break below.
     let rows = mem::take(&mut input.rows);
-    let chunks = parallel_morsels(rows.len(), workers, |_, range| {
+    let key_vecs = concat(for_morsels(rows.len(), workers, |range| {
         let mut out = Vec::with_capacity(range.len());
         for idx in range {
             tick(gov, "sort")?;
@@ -2685,19 +2238,18 @@ fn exec_sort(
             out.push(kv);
         }
         Ok(out)
-    })?;
+    })?);
     type Decorated = (Vec<Value>, usize, Row);
-    let decorated: Vec<Decorated> = chunks
+    let decorated: Vec<Decorated> = key_vecs
         .into_iter()
-        .flatten()
         .zip(rows)
         .enumerate()
         .map(|(idx, (kv, row))| (kv, idx, row))
         .collect();
 
-    // Split into contiguous runs and sort each on its own thread. The
-    // (keys, index) comparator is a total order, so unstable sorting is
-    // deterministic.
+    // Split into one contiguous run per worker and sort each on its own.
+    // The (keys, index) comparator is a total order, so unstable sorting
+    // is deterministic.
     let run_len = decorated.len().div_ceil(workers).max(1);
     let mut runs: Vec<Vec<Decorated>> = Vec::with_capacity(workers);
     let mut rest = decorated;
@@ -2709,7 +2261,7 @@ fn exec_sort(
     if !rest.is_empty() {
         runs.push(rest);
     }
-    let mut sorted_runs: Vec<Vec<Decorated>> = parallel_tasks(runs, |_, mut run| {
+    let mut sorted_runs: Vec<Vec<Decorated>> = fan_out(runs, |mut run| {
         run.sort_unstable_by(|(a, ai, _), (b, bi, _)| cmp_key_vecs(a, b, keys).then(ai.cmp(bi)));
         Ok(run)
     })?;

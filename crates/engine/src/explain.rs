@@ -2,7 +2,7 @@
 //!
 //! `EXPLAIN` renders the operator tree one indented line per node.
 //! `EXPLAIN ANALYZE` runs the plan first (via
-//! [`exec::execute_traced`](crate::exec::execute_traced)) and annotates
+//! [`exec::execute_plan`](crate::exec::execute_plan)) and annotates
 //! each line with the measured [`NodeStats`]: rows out, inclusive wall
 //! time, and operator-specific counters. [`stats_json`] renders the same
 //! tree as a JSON object for machine consumers (the bench harness).
@@ -30,7 +30,7 @@ pub fn explain_estimated(plan: &Plan, stats: &NodeStats) -> String {
 }
 
 /// Render a plan annotated with the runtime stats collected by
-/// [`execute_traced`](crate::exec::execute_traced). The stats tree must
+/// [`execute_plan`](crate::exec::execute_plan). The stats tree must
 /// mirror the plan's shape. When the stats carry planner estimates,
 /// `est_rows=` prints next to the measured `rows=` so the estimation
 /// error is visible per operator.
@@ -289,8 +289,9 @@ mod tests {
         let query =
             conquer_sql::parse_query("select e.id from emp e, emp f where e.id = f.id").unwrap();
         let plan = db.plan(&query, &Default::default()).unwrap();
-        let (rows, stats) = crate::exec::execute_traced(&plan, None, None).unwrap();
-        assert_eq!(rows.rows.len(), 3);
+        let mut stats = NodeStats::for_plan(&plan);
+        let rows = crate::exec::execute_plan(&plan, None, None, 1, true, Some(&mut stats)).unwrap();
+        assert_eq!(rows.len(), 3);
         let json = stats_json(&plan, &stats);
         assert_eq!(json.get("rows_out"), Some(&Json::UInt(3)));
         let rendered = json.render();

@@ -6,7 +6,7 @@
 //! *exact* — no rounding happens until the final `to_f64`. An exact sum is a
 //! pure function of the input multiset: it does not depend on the order
 //! values arrive, how they are grouped into partial sums, or how partials are
-//! merged. That is what makes parallel SUM/AVG bit-identical to serial at any
+//! merged. That is what makes SUM/AVG bit-identical at any
 //! thread count, which compensated (Kahan) schemes cannot guarantee once the
 //! morsel→worker assignment is dynamic.
 //!

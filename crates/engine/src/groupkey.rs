@@ -650,7 +650,7 @@ pub struct PartOut {
 }
 
 /// The group table and aggregate state of one hash partition (the only
-/// one, in a serial run).
+/// one, partition 0 of 1, in a one-worker run).
 pub struct Partition<'a> {
     keys: &'a KeyCols<'a>,
     table: GroupTable,
@@ -691,8 +691,8 @@ impl<'a> Partition<'a> {
         }
     }
 
-    /// Fold the rows of `block` — those whose hash routes to partition
-    /// `part.0` of `part.1`, or all of them — into their groups, in row
+    /// Fold the rows of `block` whose hash routes to partition `part.0` of
+    /// `part.1` — all of them for `(0, 1)` — into their groups, in row
     /// order. `hashes[k]` is the key hash of row `block.start + k`
     /// (unused without key columns). Returns how many rows were folded,
     /// or `None` on a value-level error (invariant 4).
@@ -700,7 +700,7 @@ impl<'a> Partition<'a> {
         &mut self,
         block: Range<usize>,
         hashes: &[u64],
-        part: Option<(usize, usize)>,
+        (p, of): (usize, usize),
     ) -> Option<usize> {
         self.rows.clear();
         self.gids.clear();
@@ -709,7 +709,7 @@ impl<'a> Partition<'a> {
             self.gids.resize(self.rows.len(), 0);
         } else {
             for (i, &h) in block.zip(hashes) {
-                if part.is_some_and(|(p, of)| route(h, of) != p) {
+                if route(h, of) != p {
                     continue;
                 }
                 let g = self.table.group_of(self.keys, i as u32, h);
@@ -902,7 +902,7 @@ mod tests {
         let mut total_rows = 0;
         for p in 0..3 {
             let mut part = Partition::new(&keys, &b, &aggs);
-            total_rows += part.consume(0..b.len(), &hashes, Some((p, 3))).unwrap();
+            total_rows += part.consume(0..b.len(), &hashes, (p, 3)).unwrap();
             let out = part.finish();
             assert!(out.first_rows.windows(2).all(|w| w[0] < w[1]));
             total_groups += out.first_rows.len();
@@ -929,7 +929,7 @@ mod tests {
                 distinct: false,
             }];
             let mut part = Partition::new(&keys, &b, &aggs);
-            assert!(part.consume(0..2, &hashes, None).is_none());
+            assert!(part.consume(0..2, &hashes, (0, 1)).is_none());
         }
     }
 }

@@ -8,8 +8,8 @@
 //! in ascending row order with NULL keys excluded, which makes them
 //! *bit-compatible* with both consumers:
 //!
-//! * a hash join's build table (`exec::build_join_table` inserts rows
-//!   serially in the same order and skips NULL keys the same way), so an
+//! * a hash join's build table (`exec::build_join_table` lists each key's
+//!   rows in the same order and skips NULL keys the same way), so an
 //!   [`IndexLookupJoin`](crate::plan::Plan::HashJoin) substitutes the
 //!   prebuilt postings for the per-query build without changing a single
 //!   emitted row;

@@ -53,8 +53,9 @@ pub struct ExecOptions {
     /// thread, and the running query unwinds with
     /// [`EngineError::Cancelled`](crate::EngineError).
     pub cancellation: Option<CancellationToken>,
-    /// Worker threads for morsel-parallel execution. `1` is the serial
-    /// path (the oracle the differential tests compare against); the
+    /// Worker threads per operator for the morsel driver. `1` runs every
+    /// operator body inline, once over its whole input — the same code
+    /// the fan-out runs per morsel, with no thread spawned; the
     /// default is [`std::thread::available_parallelism`], overridable via
     /// the `CONQUER_THREADS` environment variable (which lets CI run the
     /// whole test suite at a fixed thread count).
@@ -906,12 +907,13 @@ impl<'a> Planner<'a> {
             // kernel-filtered scans) is adopted as-is; row-shaped outputs
             // are pivoted into a fresh batch once, here, so every reference
             // scans columns.
-            let batch = exec::execute_columnar_threads(
+            let batch = exec::execute_plan(
                 &plan,
                 None,
                 self.gov,
                 self.options.threads,
                 self.options.columnar,
+                None,
             )?;
             let (schema, cols) = batch.into_schema_cols();
             if let Some(gov) = self.gov {

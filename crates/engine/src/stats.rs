@@ -48,10 +48,10 @@ pub struct NodeStats {
     /// Rough in-memory footprint of operator state (hash table / group
     /// table), in bytes. An estimate, not an allocator measurement.
     pub est_mem_bytes: u64,
-    /// Widest morsel-parallel fan-out any invocation of this operator ran
-    /// with. `0` or `1` means the operator only ever ran serially.
-    /// Per-worker counters are summed into this node, so the tree keeps
-    /// the serial shape at any thread count.
+    /// Widest morsel fan-out any invocation of this operator ran with.
+    /// `0` or `1` means the operator only ever ran inline, on one worker.
+    /// Per-worker counters are summed into this node, so the tree is
+    /// shaped like the plan at any thread count.
     pub threads_used: u64,
     /// Planner cardinality estimate for this operator's output, filled in
     /// by [`crate::cost::annotate`] when table statistics are available.

@@ -1,14 +1,19 @@
-//! Morsel-parallel execution vs the serial oracle.
+//! Thread-count invariance of the morsel driver.
 //!
-//! Every test runs the same query at `threads = 1` (the unchanged serial
-//! path) and at `threads ∈ {2, 8}`, asserting the parallel executor
-//! reproduces the serial result *exactly* — including row order, which the
-//! executor reconstructs from morsel order even where SQL leaves it free.
-//! The one documented exception is floating-point SUM/AVG, where the
-//! parallel merge re-associates addition; those use a relative tolerance.
+//! Every test runs the same query at `threads = 1` (each operator body
+//! called once, inline) and at `threads ∈ {2, 8}` (the same bodies fanned
+//! out over morsels), asserting the results are *exactly* equal —
+//! including row order, which the executor reconstructs from morsel order
+//! even where SQL leaves it free. Since both sides run one body, equality
+//! alone cannot catch a bug they share: the tests whose result depends on
+//! an order the executor must reconstruct (first-seen group order, which
+//! duplicate a DISTINCT keeps, stable sort ties) also compare against an
+//! expectation folded naively from the fixture rows, on the kernel and the
+//! row path. Float SUM/AVG are exact ([`conquer_engine::fsum`]); the one
+//! test that predates that still uses a relative tolerance.
 //!
 //! Tables are sized past the executor's parallel threshold (4 × 1024-row
-//! morsels) so the parallel code paths actually engage.
+//! morsels) so the fan-out actually runs.
 
 use conquer_engine::{
     CancellationToken, DataType, Database, EngineError, ExecOptions, ResourceLimits, Rows, Table,
@@ -28,10 +33,12 @@ impl Lcg {
     }
 }
 
-/// `t(k, v, s, f)` with `n` rows: `k` near-unique, `v` low-cardinality
-/// (many groups with many rows each), `s` a 7-way skewed text column with
-/// ties for sort-stability checks, `f` a float. Plus `u(k, w)` with `n/8`
-/// rows sharing `k`'s domain so joins hit and miss.
+/// `t(k, v, s, f, m)` with `n` rows: `k` unique, `v` low-cardinality
+/// (many groups with many rows each) and sometimes NULL, `s` a 7-way
+/// skewed text column with ties for sort-stability checks, `f` a float,
+/// `m` five numbers each stored now as `Int(x)`, now as `Float(x)` (one
+/// DISTINCT value, two representations). Plus `u(k, w)` with `n/8` rows
+/// sharing `k`'s domain so joins hit and miss.
 fn fixture(n: usize) -> Database {
     let db = Database::new();
     let mut rng = Lcg(0xC0FFEE);
@@ -42,6 +49,7 @@ fn fixture(n: usize) -> Database {
             ("v", DataType::Integer),
             ("s", DataType::Text),
             ("f", DataType::Float),
+            ("m", DataType::Float),
         ],
     );
     for i in 0..n {
@@ -65,6 +73,11 @@ fn fixture(n: usize) -> Database {
             },
             Value::str(s),
             Value::Float((r % 1000) as f64 / 8.0 - 60.0),
+            if r.is_multiple_of(3) {
+                Value::Int((r % 5) as i64)
+            } else {
+                Value::Float((r % 5) as f64)
+            },
         ];
         t.push(row).unwrap();
     }
@@ -99,6 +112,58 @@ fn assert_thread_invariant(db: &Database, sql: &str) {
             serial.rows, parallel.rows,
             "threads={threads} diverged from serial on: {sql}"
         );
+    }
+}
+
+/// Assert the query returns exactly `expected` — an answer folded naively
+/// from the fixture rows, owing nothing to the executor — at 1, 2 and 8
+/// threads, through the columnar kernels and on the row path. Rows are
+/// compared by their `Debug` form: `Value`'s `==` takes `Int(2)` for
+/// `Float(2.0)`, and which of the two comes out is part of the answer.
+fn assert_matches_naive(db: &Database, sql: &str, expected: &[Vec<Value>]) {
+    for columnar in [true, false] {
+        for threads in [1, 2, 8] {
+            let options = ExecOptions::default()
+                .with_threads(threads)
+                .with_columnar(columnar);
+            let got = db.query_with(sql, &options).unwrap().rows;
+            let differs = (0..got.len().max(expected.len()))
+                .find(|&i| format!("{:?}", got.get(i)) != format!("{:?}", expected.get(i)));
+            if let Some(i) = differs {
+                panic!(
+                    "threads={threads} columnar={columnar} row {i}: got {:?}, naive fold says {:?}, on: {sql}",
+                    got.get(i),
+                    expected.get(i)
+                );
+            }
+        }
+    }
+}
+
+/// The fixture's `t` rows, read back without running a query.
+fn t_rows(db: &Database) -> Vec<Vec<Value>> {
+    db.table("t").unwrap().rows().to_vec()
+}
+
+/// Position of `key` in `groups`, appended when new: groups stay in
+/// first-seen order, found by plain equality (no hashing to share a bug
+/// with).
+fn group_at<K: PartialEq, S: Default>(groups: &mut Vec<(K, S)>, key: K) -> &mut S {
+    let at = match groups.iter().position(|(k, _)| *k == key) {
+        Some(at) => at,
+        None => {
+            groups.push((key, S::default()));
+            groups.len() - 1
+        }
+    };
+    &mut groups[at].1
+}
+
+fn as_f64(v: &Value) -> f64 {
+    match v {
+        Value::Int(i) => *i as f64,
+        Value::Float(f) => *f,
+        other => panic!("not a number: {other:?}"),
     }
 }
 
@@ -173,6 +238,51 @@ fn aggregation_matches_serial_including_group_order() {
     );
     // Global aggregate (no GROUP BY) over an input that fans out.
     assert_thread_invariant(&db, "select count(*), sum(t.k) from t");
+
+    // The same answers folded naively: groups in first-seen order.
+    #[derive(Default)]
+    struct Agg {
+        count: i64,
+        sum: i64,
+        min: Option<i64>,
+        max: Option<i64>,
+    }
+    let mut groups: Vec<(Value, Agg)> = Vec::new();
+    let (mut count, mut sum) = (0, 0);
+    for row in t_rows(&db) {
+        let Value::Int(k) = row[0] else { panic!() };
+        let agg = group_at(&mut groups, row[1].clone());
+        agg.count += 1;
+        agg.sum += k;
+        agg.min = Some(agg.min.map_or(k, |m| m.min(k)));
+        agg.max = Some(agg.max.map_or(k, |m| m.max(k)));
+        count += 1;
+        sum += k;
+    }
+    let expected: Vec<Vec<Value>> = groups
+        .into_iter()
+        .map(|(v, a)| {
+            let int = |x: Option<i64>| x.map_or(Value::Null, Value::Int);
+            vec![
+                v,
+                int(Some(a.count)),
+                int(Some(a.sum)),
+                int(a.min),
+                int(a.max),
+            ]
+        })
+        .collect();
+    assert!(expected.len() == 98, "97 values of v, and NULL");
+    assert_matches_naive(
+        &db,
+        "select t.v, count(*), sum(t.k), min(t.k), max(t.k) from t group by t.v",
+        &expected,
+    );
+    assert_matches_naive(
+        &db,
+        "select count(*), sum(t.k) from t",
+        &[vec![Value::Int(count), Value::Int(sum)]],
+    );
 }
 
 #[test]
@@ -182,6 +292,42 @@ fn distinct_aggregates_match_serial() {
         &db,
         "select t.v, count(distinct t.s), min(t.s) from t group by t.v",
     );
+
+    // `m` stores each of its five numbers both as `Int(x)` and `Float(x)`:
+    // one DISTINCT value, and the aggregate must fold whichever a group saw
+    // first — so MIN/MAX come out as `0` or `0.0`, `4` or `4.0` by group.
+    let sql = "select t.v, count(distinct t.m), min(distinct t.m), max(distinct t.m) \
+               from t group by t.v";
+    assert_thread_invariant(&db, sql);
+    let mut groups: Vec<(Value, Vec<Value>)> = Vec::new();
+    for row in t_rows(&db) {
+        let kept = group_at(&mut groups, row[1].clone());
+        if !kept.iter().any(|k| as_f64(k) == as_f64(&row[4])) {
+            kept.push(row[4].clone());
+        }
+    }
+    let expected: Vec<Vec<Value>> = groups
+        .into_iter()
+        .map(|(v, kept)| {
+            let by = |a: &&Value, b: &&Value| as_f64(a).total_cmp(&as_f64(b));
+            let (min, max) = (kept.iter().min_by(by), kept.iter().max_by(by));
+            vec![
+                v,
+                Value::Int(kept.len() as i64),
+                min.unwrap().clone(),
+                max.unwrap().clone(),
+            ]
+        })
+        .collect();
+    let ints = expected
+        .iter()
+        .filter(|row| matches!(row[2], Value::Int(_)))
+        .count();
+    assert!(
+        0 < ints && ints < expected.len(),
+        "the fixture exercises both variants"
+    );
+    assert_matches_naive(&db, sql, &expected);
 }
 
 #[test]
@@ -195,6 +341,15 @@ fn distinct_preserves_first_occurrence_order() {
     let db = fixture(12_000);
     assert_thread_invariant(&db, "select distinct t.v from t");
     assert_thread_invariant(&db, "select distinct t.s, t.v from t");
+
+    // The same answer folded naively: each pair where it first occurs.
+    let mut firsts: Vec<(Vec<Value>, ())> = Vec::new();
+    for row in t_rows(&db) {
+        group_at(&mut firsts, vec![row[2].clone(), row[1].clone()]);
+    }
+    let expected: Vec<Vec<Value>> = firsts.into_iter().map(|(pair, ())| pair).collect();
+    assert!(expected.len() > 600, "most of the 7 x 98 pairs occur");
+    assert_matches_naive(&db, "select distinct t.s, t.v from t", &expected);
 }
 
 #[test]
@@ -205,6 +360,45 @@ fn sort_preserves_stable_tie_order() {
     assert_thread_invariant(&db, "select t.s, t.k from t order by t.s");
     assert_thread_invariant(&db, "select t.s, t.v, t.k from t order by t.s, t.v desc");
     assert_thread_invariant(&db, "select t.v, t.k from t order by t.v desc limit 100");
+
+    // The same answers sorted naively — one pass over the input per key
+    // value, in key order, which is stable by construction: rows of a tie
+    // run keep their input order, NULL `v`s come last even descending.
+    let rows = t_rows(&db);
+    let mut by_s: Vec<&Value> = Vec::new();
+    let mut by_v: Vec<i64> = Vec::new();
+    for row in &rows {
+        if !by_s.contains(&&row[2]) {
+            by_s.push(&row[2]);
+        }
+        if let Value::Int(v) = row[1] {
+            if !by_v.contains(&v) {
+                by_v.push(v);
+            }
+        }
+    }
+    by_s.sort_by_key(|s| s.to_string());
+    by_v.sort_unstable_by(|a, b| b.cmp(a));
+    let mut v_desc_nulls_last: Vec<Value> = by_v.into_iter().map(Value::Int).collect();
+    v_desc_nulls_last.push(Value::Null);
+    let (mut by_s_only, mut by_s_then_v) = (Vec::new(), Vec::new());
+    for s in by_s {
+        let run = || rows.iter().filter(|row| row[2] == *s);
+        by_s_only.extend(run().map(|row| vec![row[2].clone(), row[0].clone()]));
+        for v in &v_desc_nulls_last {
+            by_s_then_v.extend(
+                run()
+                    .filter(|row| row[1] == *v)
+                    .map(|row| vec![row[2].clone(), row[1].clone(), row[0].clone()]),
+            );
+        }
+    }
+    assert_matches_naive(&db, "select t.s, t.k from t order by t.s", &by_s_only);
+    assert_matches_naive(
+        &db,
+        "select t.s, t.v, t.k from t order by t.s, t.v desc",
+        &by_s_then_v,
+    );
 }
 
 #[test]
@@ -259,6 +453,52 @@ fn memory_limit_trips_identically_at_any_thread_count() {
             "threads={threads}: expected MemoryExceeded, got {err:?}"
         );
     }
+
+    // Row-path operators fed by a join (20 000 join rows, 10 distinct):
+    // whether a budget trips must not depend on the thread count. DISTINCT
+    // once charged its one-worker set for every input row up front and
+    // tripped at 800 000 B where two workers passed.
+    let mut a = Table::new("a", vec![("k", DataType::Integer)]);
+    for i in 0..20_000 {
+        a.push(vec![Value::Int(i % 10)]).unwrap();
+    }
+    db.register(a).unwrap();
+    let mut b = Table::new(
+        "b",
+        vec![("k", DataType::Integer), ("w", DataType::Integer)],
+    );
+    for i in 0..10 {
+        b.push(vec![Value::Int(i), Value::Int(i * 7)]).unwrap();
+    }
+    db.register(b).unwrap();
+    for sql in [
+        "select distinct a.k, b.w from a join b on a.k = b.k",
+        "select a.k, b.w, count(*) from a join b on a.k = b.k group by a.k, b.w",
+        "select a.k, b.w from a join b on a.k = b.k order by b.w, a.k",
+    ] {
+        for budget in [800_000, 2_000_000] {
+            let outcome = |threads: usize| {
+                let options = ExecOptions {
+                    limits: ResourceLimits::default().with_max_memory_bytes(budget),
+                    ..ExecOptions::default()
+                }
+                .with_threads(threads);
+                match db.query_with(sql, &options) {
+                    Ok(rows) => Ok(rows.rows.len()),
+                    Err(EngineError::MemoryExceeded(_)) => Err(()),
+                    Err(other) => panic!("threads={threads} budget={budget}: {other:?}\n{sql}"),
+                }
+            };
+            let one = outcome(1);
+            for threads in [2, 8] {
+                assert_eq!(
+                    one,
+                    outcome(threads),
+                    "budget={budget}: threads=1 and threads={threads} disagree on: {sql}"
+                );
+            }
+        }
+    }
 }
 
 #[test]
@@ -306,8 +546,12 @@ fn explain_analyze_reports_thread_fanout() {
 
 #[test]
 fn small_inputs_fall_back_to_serial() {
-    // Below the morsel threshold the parallel executor must not spawn; we
-    // can't observe threads directly, but EXPLAIN ANALYZE exposes fan-out.
+    // Below the morsel threshold the driver must not spawn. EXPLAIN ANALYZE
+    // exposes the fan-out per operator; the spawn counters themselves
+    // (`exec.morsel.fanouts`, `exec.morsel.workers_spawned`) are
+    // process-wide, so their zero-delta checks — threads = 1, and a
+    // sub-threshold input at threads = 8 — live in the one-test binary
+    // `tests/pivot_counters.rs`, where no concurrent test can move them.
     let db = fixture(512);
     let (_, text) = db
         .explain_analyze_with(

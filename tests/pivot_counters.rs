@@ -10,6 +10,12 @@
 //! that makes any other operator of the rewriting pivot again moves these
 //! counters, not just a timing.
 //!
+//! The same warm query then pins the morsel driver's counters:
+//! `exec.morsel.fanouts` / `exec.morsel.workers_spawned` are bumped in the
+//! one place the executor spawns threads, so `threads = 1` — every
+//! operator body called once, inline — must leave both untouched, as must
+//! any input under the parallel threshold whatever the thread count.
+//!
 //! One test only: the counters are process-wide.
 
 use conquer::engine::{NodeStats, Plan};
@@ -90,4 +96,35 @@ fn rewritten_q1_pivots_only_the_filter_join_and_the_result() {
             "annotated={annotated}: rows pivoted row -> column"
         );
     }
+
+    let fanned_out = |query: &Query, threads: usize| {
+        let counts = || {
+            (
+                registry.counter("exec.morsel.fanouts").get(),
+                registry.counter("exec.morsel.workers_spawned").get(),
+            )
+        };
+        let before = counts();
+        w.db.execute_query_with(query, &options.clone().with_threads(threads))
+            .unwrap();
+        let after = counts();
+        (after.0 - before.0, after.1 - before.1)
+    };
+    let rewritten = rewrite(&q1, &w.sigma, &RewriteOptions::default()).unwrap();
+    assert_eq!(
+        fanned_out(&rewritten, 1),
+        (0, 0),
+        "threads = 1 spawns nothing"
+    );
+    let (fanouts, spawned) = fanned_out(&rewritten, 4);
+    assert!(
+        fanouts > 0 && spawned >= 2 * fanouts && spawned <= 4 * fanouts,
+        "threads = 4 fans out, 2 to 4 workers at a time: {fanouts} fan-outs, {spawned} workers"
+    );
+    let small = parse_query("select n_regionkey, count(*) from nation group by n_regionkey");
+    assert_eq!(
+        fanned_out(&small.unwrap(), 8),
+        (0, 0),
+        "25 rows are under the parallel threshold"
+    );
 }
