@@ -988,11 +988,13 @@ fn opbench(args: &Args) -> Json {
     report
 }
 
-/// `idxbench` — what secondary indexes buy. Two access-path-sensitive
+/// `idxbench` — what secondary indexes buy. Three access-path-sensitive
 /// shapes over the standard workload's `orders` table (whose conflict
 /// group key `o_orderkey` gets an auto-declared index): a batch of keyed
-/// point lookups and the key self-join the ConQuer rewriting is built
-/// from. Each is timed with the planner index-aware (default options)
+/// point lookups, the key self-join the ConQuer rewriting is built from,
+/// and the violated keys (`conq_conflicts`: index-only off the conflict
+/// list vs the group-key kernel). Each is timed with the planner
+/// index-aware (default options)
 /// and index-blind (`with_indexes(false)`, exactly the pre-index plans),
 /// at `--sf` and 4×`--sf` — the defaults land on SF 0.05 and 0.2, the
 /// scales the index acceptance criteria are stated at. Point lookups are
@@ -1003,6 +1005,8 @@ fn idxbench(args: &Args) -> Json {
     const JOIN_SQL: &str = "select a.o_orderkey from orders a, orders b \
                             where a.o_orderkey = b.o_orderkey \
                             and a.o_totalprice < b.o_totalprice";
+    const CONFLICTS_SQL: &str = "select o_orderkey from orders o \
+                                 group by o_orderkey having count(*) > 1";
 
     say!(
         args,
@@ -1070,9 +1074,11 @@ fn idxbench(args: &Args) -> Json {
         );
         let mut ops = Vec::new();
         let join_sqls = [JOIN_SQL.to_string()];
-        let cells: [(&str, &[String], usize); 2] = [
+        let conflict_sqls = [CONFLICTS_SQL.to_string()];
+        let cells: [(&str, &[String], usize); 3] = [
             ("point_lookup", &lookup_sqls, keys.len()),
             ("key_self_join", &join_sqls, orders_rows),
+            ("conflict_keys", &conflict_sqls, orders_rows),
         ];
         for (op, sqls, units) in cells {
             let mut entry = Json::obj([

@@ -38,13 +38,13 @@ pub use conquer_tpch as tpch;
 
 pub use conquer_core::{
     analyze, annotate_database, consistent_answers, consistent_answers_annotated,
-    consistent_answers_annotated_with, consistent_answers_with, is_annotated, possible_answers,
-    prepare_rewrite, rewrite, rewrite_sql, rewrite_tree, AnnotationStats, ConstraintSet,
-    KeyConstraint, PreparedRewrite, RewriteError, RewriteOptions, TreeQuery,
+    consistent_answers_annotated_with, consistent_answers_with, declare_key_indexes, is_annotated,
+    possible_answers, prepare_rewrite, rewrite, rewrite_sql, rewrite_tree, AnnotationStats,
+    ConstraintSet, KeyConstraint, PreparedRewrite, RewriteError, RewriteOptions, TreeQuery,
 };
 pub use conquer_engine::{
-    CancellationToken, Checkpointer, Database, DurabilityOptions, EngineError, ExecOptions,
-    LimitTrip, ResourceLimits, Rows, StoreStatus, SyncPolicy, Table, Value,
+    CancellationToken, Checkpointer, ConflictSummary, Database, DurabilityOptions, EngineError,
+    ExecOptions, LimitTrip, ResourceLimits, Rows, StoreStatus, SyncPolicy, Table, Value,
 };
 pub use conquer_repair::{
     answers_with_support, consistent_answers_oracle, possible_answers_oracle,

@@ -9,7 +9,7 @@ use conquer_sql::parse_query;
 
 use crate::analyze::{analyze, TreeQuery};
 use crate::annotations::is_annotated;
-use crate::constraints::ConstraintSet;
+use crate::constraints::{ConstraintSet, KeyConstraint};
 use crate::error::{Result, RewriteError};
 use crate::rewrite_agg::rewrite_agg;
 use crate::rewrite_join::{rewrite_join, RewriteOptions};
@@ -18,11 +18,12 @@ use crate::rewrite_join::{rewrite_join, RewriteOptions};
 /// (queries without aggregation, Theorem 1) or range-consistent answers
 /// (queries with grouping/aggregation, Theorem 2).
 pub fn rewrite(query: &Query, sigma: &ConstraintSet, opts: &RewriteOptions) -> Result<Query> {
-    let tq = {
-        let _span = conquer_obs::span("analyze");
-        analyze(query, sigma)?
-    };
-    rewrite_tree(&tq, opts)
+    rewrite_tree(&analyze_spanned(query, sigma)?, opts)
+}
+
+fn analyze_spanned(query: &Query, sigma: &ConstraintSet) -> Result<TreeQuery> {
+    let _span = conquer_obs::span("analyze");
+    analyze(query, sigma)
 }
 
 /// Rewrite an already-analysed tree query.
@@ -63,8 +64,9 @@ pub fn consistent_answers_with(
     sigma: &ConstraintSet,
     options: &ExecOptions,
 ) -> Result<Rows> {
-    let query = parse_sql_spanned(sql)?;
-    let rewritten = rewrite(&query, sigma, &RewriteOptions::default())?;
+    let tq = analyze_spanned(&parse_sql_spanned(sql)?, sigma)?;
+    declare_keys(db, read_keys(&tq));
+    let rewritten = rewrite_tree(&tq, &RewriteOptions::default())?;
     Ok(db.execute_query_with(&rewritten, options)?)
 }
 
@@ -91,12 +93,13 @@ pub fn consistent_answers_annotated_with(
             "database is not annotated; call annotate_database first".into(),
         ));
     }
-    let query = parse_sql_spanned(sql)?;
+    let tq = analyze_spanned(&parse_sql_spanned(sql)?, sigma)?;
+    declare_keys(db, read_keys(&tq));
     let opts = RewriteOptions {
         annotated: true,
         ..RewriteOptions::default()
     };
-    let rewritten = rewrite(&query, sigma, &opts)?;
+    let rewritten = rewrite_tree(&tq, &opts)?;
     Ok(db.execute_query_with(&rewritten, options)?)
 }
 
@@ -107,15 +110,33 @@ pub fn consistent_answers_annotated_with(
 /// are skipped. Returns how many *new* declarations were made; the
 /// postings themselves are built lazily by the first query that plans
 /// against each table.
+///
+/// [`consistent_answers_with`], [`consistent_answers_annotated_with`] and
+/// [`PreparedRewrite::execute_on`] declare the keys of the relations their
+/// query reads themselves (re-declaring is a read-locked no-op), so calling
+/// this is only needed to have the declarations in place — durably, on a
+/// durable database — before the first query, or for relations no query
+/// has read yet.
 pub fn declare_key_indexes(db: &Database, sigma: &ConstraintSet) -> usize {
-    let mut created = 0;
-    for kc in sigma.iter() {
-        let cols: Vec<&str> = kc.key.iter().map(String::as_str).collect();
-        if matches!(db.create_index(&kc.relation, &cols), Ok(true)) {
-            created += 1;
-        }
-    }
-    created
+    let all: Vec<KeyConstraint> = sigma.iter().collect();
+    declare_keys(db, all.iter().map(|kc| (&*kc.relation, &*kc.key)))
+}
+
+fn declare_keys<'k>(
+    db: &Database,
+    keys: impl IntoIterator<Item = (&'k str, &'k [String])>,
+) -> usize {
+    keys.into_iter()
+        .filter(|(relation, key)| {
+            let cols: Vec<&str> = key.iter().map(String::as_str).collect();
+            matches!(db.create_index(relation, &cols), Ok(true))
+        })
+        .count()
+}
+
+/// The relations a tree query reads, each with its key.
+fn read_keys(tq: &TreeQuery) -> impl Iterator<Item = (&str, &[String])> {
+    tq.relations.iter().map(|r| (&*r.table, &*r.key))
 }
 
 /// The *possible* answers of a monotone query are the answers of the
@@ -142,11 +163,16 @@ pub struct PreparedRewrite {
     pub rewritten: Arc<Query>,
     /// Whether the annotation-aware rewriting (Section 5) was used.
     pub annotated: bool,
+    /// The key constraints of the relations the query reads: the indexes
+    /// the rewriting's self-joins and conflict scan run on.
+    pub keys: Arc<[KeyConstraint]>,
 }
 
 impl PreparedRewrite {
-    /// Execute the rewriting against a database under explicit options.
+    /// Execute the rewriting against a database under explicit options,
+    /// declaring the key indexes of the relations it reads first.
     pub fn execute_on(&self, db: &Database, options: &ExecOptions) -> Result<Rows> {
+        declare_keys(db, self.keys.iter().map(|kc| (&*kc.relation, &*kc.key)));
         Ok(db.execute_query_with(&self.rewritten, options)?)
     }
 }
@@ -161,10 +187,17 @@ pub fn prepare_rewrite(
     opts: &RewriteOptions,
 ) -> Result<PreparedRewrite> {
     let original = parse_sql_spanned(sql)?;
-    let rewritten = rewrite(&original, sigma, opts)?;
+    let tq = analyze_spanned(&original, sigma)?;
+    let rewritten = rewrite_tree(&tq, opts)?;
     Ok(PreparedRewrite {
         original: Arc::new(original),
         rewritten: Arc::new(rewritten),
         annotated: opts.annotated,
+        keys: read_keys(&tq)
+            .map(|(relation, key)| KeyConstraint {
+                relation: relation.to_string(),
+                key: key.to_vec(),
+            })
+            .collect(),
     })
 }

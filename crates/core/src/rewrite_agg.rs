@@ -33,7 +33,7 @@ use conquer_sql::ast::{
 use crate::analyze::{AggKind, ProjItem, TreeQuery};
 use crate::error::{Result, RewriteError};
 use crate::rewrite_join::{
-    build_filter, choose_item_aliases, not_exists_filter, original_from, original_where,
+    build_filter, choose_item_aliases, key_match, not_exists_filter, original_from, original_where,
     RewriteOptions, CONS_COLUMN,
 };
 
@@ -105,19 +105,9 @@ pub fn rewrite_agg(tq: &TreeQuery, opts: &RewriteOptions) -> Result<Query> {
     });
 
     // --- qg_filter (joins candidates back to the raw relations) --------------
-    let filter_body = build_filter(&qg, opts, QG_CANDIDATES, &key_aliases)?;
-    let has_filter = filter_body.is_some();
-    if let Some(body) = filter_body {
-        ctes.push(Cte {
-            name: QG_FILTER.to_string(),
-            query: Query {
-                ctes: Vec::new(),
-                body,
-                order_by: Vec::new(),
-                limit: None,
-            },
-        });
-    }
+    let filter = build_filter(&qg, opts, QG_CANDIDATES, QG_FILTER, &key_aliases)?;
+    let has_filter = !filter.is_empty();
+    ctes.extend(filter);
 
     // --- QGCons: the consistent answers of q_G -------------------------------
     let needs_qg_cons = has_filter && !tq.group_by.is_empty();
@@ -408,21 +398,7 @@ fn candidates_from_base(
 
 /// `[NOT] EXISTS (SELECT * FROM conq_qg_filter f WHERE b.k1 = f.conq_k1 ...)`.
 fn key_filter_exists(key_aliases: &[String], positive: bool) -> Expr {
-    let on = Expr::conjoin(key_aliases.iter().map(|alias| {
-        Expr::eq(
-            Expr::col(BASE_BINDING, alias.clone()),
-            Expr::col(FILTER_BINDING, alias.clone()),
-        )
-    }))
-    .expect("keys are non-empty");
-    let subquery = Query::from_select(Select {
-        distinct: false,
-        projection: vec![SelectItem::Wildcard],
-        from: vec![TableRef::aliased(QG_FILTER, FILTER_BINDING)],
-        selection: Some(on),
-        group_by: Vec::new(),
-        having: None,
-    });
+    let subquery = key_match(BASE_BINDING, QG_FILTER, FILTER_BINDING, key_aliases);
     if positive {
         Expr::exists(subquery)
     } else {

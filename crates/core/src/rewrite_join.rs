@@ -22,6 +22,26 @@
 //! beyond the root key (Example 4 vs Example 3), and the whole filter is
 //! omitted for queries that nothing can filter (key-only projections with
 //! no selections and no outer joins).
+//!
+//! Over a **single relation** (and without annotations) the Filter reads
+//! only the candidates whose key is *violated*:
+//!
+//! ```sql
+//! conq_conflicts AS (
+//!   SELECT Kroot FROM Rroot GROUP BY Kroot HAVING COUNT(*) > 1),
+//! conq_suspects AS (
+//!   SELECT Kroot FROM conq_candidates C
+//!   WHERE EXISTS (SELECT * FROM conq_conflicts V WHERE C.Kroot = V.Kroot)),
+//! conq_filter AS (... both branches FROM conq_suspects ...)
+//! ```
+//!
+//! A candidate whose key group is a singleton was produced by the only
+//! tuple with that key; that tuple satisfies every selection, so the first
+//! branch cannot emit its key, and it is the key's only candidate, so the
+//! second cannot either. `conq_conflicts` is a plain `GROUP BY … HAVING`
+//! that an engine with an index on the key answers from the index alone
+//! (see `conquer_engine::index`); `conq_filter` itself is unchanged, row
+//! for row.
 
 use conquer_sql::ast::{
     BinaryOp, ColumnRef, Cte, Expr, Literal, Query, Select, SelectItem, SetExpr, TableRef,
@@ -37,8 +57,11 @@ pub const CONS_COLUMN: &str = "cons";
 /// bindings and the rewriting never collides with anything else.
 pub const CANDIDATES_CTE: &str = "conq_candidates";
 pub const FILTER_CTE: &str = "conq_filter";
+pub const CONFLICTS_CTE: &str = "conq_conflicts";
+pub const SUSPECTS_CTE: &str = "conq_suspects";
 const CAND_BINDING: &str = "conq_cand";
 const FILTER_BINDING: &str = "conq_f";
+const CONFLICT_BINDING: &str = "conq_v";
 const CONSCAND: &str = "conq_conscand";
 
 /// Options controlling the rewriting.
@@ -60,7 +83,9 @@ pub struct RewriteOptions {
 /// The reusable pieces of a join rewriting; `RewriteAgg` embeds these.
 pub(crate) struct JoinRewriteParts {
     pub candidates: Cte,
-    pub filter: Option<Cte>,
+    /// The Filter CTE, last, after the CTEs it reads; empty when nothing
+    /// can filter a candidate.
+    pub filter: Vec<Cte>,
     /// Aliases of the root-key columns inside the candidates CTE.
     pub key_aliases: Vec<String>,
     /// Aliases of the projected items inside the candidates CTE, parallel
@@ -86,10 +111,8 @@ pub fn rewrite_join(tq: &TreeQuery, opts: &RewriteOptions) -> Result<Query> {
             SelectItem::aliased(Expr::col(CAND_BINDING, alias.clone()), item.name())
         })
         .collect();
-    let selection = parts
-        .filter
-        .as_ref()
-        .map(|f| not_exists_filter(&f.name, &parts.key_aliases));
+    let selection =
+        (!parts.filter.is_empty()).then(|| not_exists_filter(FILTER_CTE, &parts.key_aliases));
 
     let mut ctes = vec![parts.candidates];
     ctes.extend(parts.filter);
@@ -133,15 +156,7 @@ pub(crate) fn build_parts(
         query: Query::from_select(candidates_select(tq, opts, &key_aliases, &item_aliases)),
     };
 
-    let filter = build_filter(tq, opts, cand_name, &key_aliases)?.map(|body| Cte {
-        name: filter_name.to_string(),
-        query: Query {
-            ctes: Vec::new(),
-            body,
-            order_by: Vec::new(),
-            limit: None,
-        },
-    });
+    let filter = build_filter(tq, opts, cand_name, filter_name, &key_aliases)?;
 
     Ok(JoinRewriteParts {
         candidates,
@@ -262,32 +277,110 @@ fn candidates_select(
     }
 }
 
-/// Build the Filter body: the outer-join branch plus the multiplicity
-/// branch, either of which may be unnecessary.
+/// Build the Filter CTE `filter_name` — the outer-join branch plus the
+/// multiplicity branch, either of which may be unnecessary — preceded by
+/// the CTEs it reads. Empty when neither branch is needed.
+///
+/// Both branches read the candidates `cand_name`; over a single relation
+/// without annotations they read only the *suspects*, the candidates whose
+/// key is violated (see the module docs for why no other can be filtered).
+/// The annotated rewriting already skips proven-consistent candidates with
+/// its `conscand` guard, and with more relations the candidates' join back
+/// to the base tables dominates whichever candidates enter the Filter.
 pub(crate) fn build_filter(
     tq: &TreeQuery,
     opts: &RewriteOptions,
     cand_name: &str,
+    filter_name: &str,
     key_aliases: &[String],
-) -> Result<Option<SetExpr>> {
+) -> Result<Vec<Cte>> {
     let needs_join_branch = !tq.loj_joins.is_empty() || !tq.selection.is_empty();
     let needs_multiplicity_branch = !tq.projection_within_root_key();
+    let via_suspects = tq.relations.len() == 1 && !opts.annotated;
+    let source = if via_suspects {
+        SUSPECTS_CTE
+    } else {
+        cand_name
+    };
 
     let join_branch = needs_join_branch
-        .then(|| filter_join_branch(tq, opts, cand_name, key_aliases))
+        .then(|| filter_join_branch(tq, opts, source, key_aliases))
         .transpose()?;
     let multiplicity_branch =
-        needs_multiplicity_branch.then(|| filter_multiplicity_branch(cand_name, key_aliases));
+        needs_multiplicity_branch.then(|| filter_multiplicity_branch(source, key_aliases));
+    let Some(body) = [join_branch, multiplicity_branch]
+        .into_iter()
+        .flatten()
+        .map(|branch| SetExpr::Select(Box::new(branch)))
+        .reduce(|a, b| SetExpr::UnionAll(Box::new(a), Box::new(b)))
+    else {
+        return Ok(Vec::new());
+    };
 
-    Ok(match (join_branch, multiplicity_branch) {
-        (Some(a), Some(b)) => Some(SetExpr::UnionAll(
-            Box::new(SetExpr::Select(Box::new(a))),
-            Box::new(SetExpr::Select(Box::new(b))),
-        )),
-        (Some(a), None) => Some(SetExpr::Select(Box::new(a))),
-        (None, Some(b)) => Some(SetExpr::Select(Box::new(b))),
-        (None, None) => None,
-    })
+    let mut ctes = Vec::new();
+    if via_suspects {
+        ctes.push(Cte {
+            name: CONFLICTS_CTE.to_string(),
+            query: Query::from_select(conflicts_select(tq, key_aliases)),
+        });
+        ctes.push(Cte {
+            name: SUSPECTS_CTE.to_string(),
+            query: Query::from_select(suspects_select(cand_name, key_aliases)),
+        });
+    }
+    ctes.push(Cte {
+        name: filter_name.to_string(),
+        query: Query {
+            ctes: Vec::new(),
+            body,
+            order_by: Vec::new(),
+            limit: None,
+        },
+    });
+    Ok(ctes)
+}
+
+/// The violated keys of the root relation:
+/// `SELECT Kroot FROM Rroot GROUP BY Kroot HAVING COUNT(*) > 1`.
+fn conflicts_select(tq: &TreeQuery, key_aliases: &[String]) -> Select {
+    let key_columns: Vec<Expr> = tq
+        .root_key_columns()
+        .into_iter()
+        .map(Expr::Column)
+        .collect();
+    Select {
+        distinct: false,
+        projection: key_columns
+            .iter()
+            .zip(key_aliases)
+            .map(|(k, alias)| SelectItem::aliased(k.clone(), alias.clone()))
+            .collect(),
+        from: vec![relation_ref(tq, tq.root)],
+        selection: None,
+        group_by: key_columns,
+        having: Some(Expr::binary(Expr::count_star(), BinaryOp::Gt, Expr::int(1))),
+    }
+}
+
+/// The candidates whose key is violated, keys only (all either Filter
+/// branch reads): `cand_name` semi-joined to [`CONFLICTS_CTE`] on the key.
+fn suspects_select(cand_name: &str, key_aliases: &[String]) -> Select {
+    Select {
+        distinct: false,
+        projection: key_aliases
+            .iter()
+            .map(|alias| SelectItem::aliased(Expr::col(CAND_BINDING, alias.clone()), alias.clone()))
+            .collect(),
+        from: vec![TableRef::aliased(cand_name, CAND_BINDING)],
+        selection: Some(Expr::exists(key_match(
+            CAND_BINDING,
+            CONFLICTS_CTE,
+            CONFLICT_BINDING,
+            key_aliases,
+        ))),
+        group_by: Vec::new(),
+        having: None,
+    }
 }
 
 /// First Filter branch: candidates joined back to the relations with the
@@ -385,21 +478,32 @@ fn filter_multiplicity_branch(cand_name: &str, key_aliases: &[String]) -> Select
 
 /// `NOT EXISTS (SELECT * FROM <filter> conq_f WHERE conq_cand.k = conq_f.k ...)`.
 pub(crate) fn not_exists_filter(filter_name: &str, key_aliases: &[String]) -> Expr {
+    Expr::not_exists(key_match(
+        CAND_BINDING,
+        filter_name,
+        FILTER_BINDING,
+        key_aliases,
+    ))
+}
+
+/// `SELECT * FROM <cte> <binding> WHERE <outer>.k = <binding>.k AND ...`:
+/// the correlated key match under every `[NOT] EXISTS` the rewritings emit.
+pub(crate) fn key_match(outer: &str, cte: &str, binding: &str, key_aliases: &[String]) -> Query {
     let on = Expr::conjoin(key_aliases.iter().map(|alias| {
         Expr::eq(
-            Expr::col(CAND_BINDING, alias.clone()),
-            Expr::col(FILTER_BINDING, alias.clone()),
+            Expr::col(outer, alias.clone()),
+            Expr::col(binding, alias.clone()),
         )
     }))
     .expect("keys are non-empty");
-    Expr::not_exists(Query::from_select(Select {
+    Query::from_select(Select {
         distinct: false,
         projection: vec![SelectItem::Wildcard],
-        from: vec![TableRef::aliased(filter_name, FILTER_BINDING)],
+        from: vec![TableRef::aliased(cte, binding)],
         selection: Some(on),
         group_by: Vec::new(),
         having: None,
-    }))
+    })
 }
 
 /// A relation as a FROM factor with its original binding.

@@ -3,7 +3,10 @@
 //! produces, on the plans the rewriting generates (CTEs, anti joins,
 //! aggregation).
 
-use conquer_core::{consistent_answers, rewrite, ConstraintSet, RewriteOptions};
+use conquer_core::{
+    annotate_database, consistent_answers, consistent_answers_annotated, prepare_rewrite, rewrite,
+    rewrite_sql, ConstraintSet, RewriteOptions,
+};
 use conquer_engine::stats::NodeStats;
 use conquer_engine::{explain_analyze, stats_json, Database, ExecOptions, Value};
 use conquer_sql::parse_query;
@@ -134,4 +137,57 @@ fn explain_lists_the_rewritten_plan_without_running_it() {
         !text.contains("wall=") && !text.contains("(rows="),
         "plain explain must not claim measurements:\n{text}"
     );
+}
+
+/// The entry points declare the key indexes of the relations their query
+/// reads (DESIGN.md §14), so a caller who never heard of
+/// `declare_key_indexes` still gets the indexed plans: on a fresh database
+/// `EXPLAIN` of the rewriting shows the sequential plan before the first
+/// call and both index access paths — the conflict scan and the key
+/// self-join — after it, through each of the three doors.
+#[test]
+fn entry_points_declare_the_keys_their_query_reads() {
+    type Call = fn(&Database);
+    let calls: [(&str, Call); 3] = [
+        ("consistent_answers", |db| {
+            consistent_answers(db, QUERY, &sigma()).unwrap();
+        }),
+        ("consistent_answers_annotated", |db| {
+            annotate_database(db, &sigma()).unwrap();
+            consistent_answers_annotated(db, QUERY, &sigma()).unwrap();
+        }),
+        ("PreparedRewrite::execute_on", |db| {
+            prepare_rewrite(QUERY, &sigma(), &RewriteOptions::default())
+                .unwrap()
+                .execute_on(db, &ExecOptions::default())
+                .unwrap();
+        }),
+    ];
+    let rewritten = rewrite_sql(QUERY, &sigma(), &RewriteOptions::default()).unwrap();
+    // EXPLAIN of a CTE query shows the body only; inline the CTEs to see
+    // the base-table access paths.
+    let inline = ExecOptions {
+        materialize_ctes: false,
+        ..ExecOptions::default()
+    };
+    for (door, call) in calls {
+        let db = inconsistent_db();
+        let before = db.explain_with(&rewritten, &inline).unwrap();
+        assert!(!before.contains("access=index"), "{door}:\n{before}");
+        call(&db);
+        assert_eq!(db.declared_indexes("emp"), vec![vec!["id".to_string()]]);
+        let after = db.explain_with(&rewritten, &inline).unwrap();
+        assert!(
+            after.contains("access=index(id conflicts)"),
+            "{door}:\n{after}"
+        );
+        assert!(
+            after.contains("+residual] access=index(id)"),
+            "{door}:\n{after}"
+        );
+        // Declared once: the second call changes nothing.
+        let version = db.table_version("emp");
+        consistent_answers(&db, QUERY, &sigma()).unwrap();
+        assert_eq!(db.table_version("emp"), version, "{door}");
+    }
 }

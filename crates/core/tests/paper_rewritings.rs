@@ -335,6 +335,80 @@ fn key_only_projection_needs_no_filter_at_all() {
     assert!(sql.contains("SELECT DISTINCT"), "{sql}");
 }
 
+// --- single relation: the Filter reads only the violated keys -------------------
+
+#[test]
+fn single_relation_filter_reads_the_suspects() {
+    let sigma = ConstraintSet::new().with_key("customer", ["custkey"]);
+    let plain = RewriteOptions::default();
+    // Both branches (a selection, a projection beyond the key) over an
+    // aliased relation: two CTEs ahead of the Filter, and every Filter
+    // branch reads the second.
+    let sql = rewrite_sql(
+        "select c.acctbal from customer c where c.acctbal > 1000",
+        &sigma,
+        &plain,
+    )
+    .unwrap();
+    for piece in [
+        "conq_conflicts AS (SELECT c.custkey AS conq_k1 FROM customer c \
+         GROUP BY c.custkey HAVING count(*) > 1)",
+        "conq_suspects AS (SELECT conq_cand.conq_k1 AS conq_k1 FROM conq_candidates conq_cand \
+         WHERE EXISTS (SELECT * FROM conq_conflicts conq_v \
+         WHERE conq_cand.conq_k1 = conq_v.conq_k1))",
+        "FROM conq_suspects conq_cand JOIN customer c ON conq_cand.conq_k1 = c.custkey",
+        "UNION ALL SELECT conq_k1 FROM conq_suspects GROUP BY conq_k1 HAVING count(*) > 1",
+        "NOT EXISTS (SELECT * FROM conq_filter",
+    ] {
+        assert!(sql.contains(piece), "missing {piece:?} in:\n{sql}");
+    }
+    parse_query(&sql).unwrap();
+
+    // RewriteAgg takes the same Filter over q_G's candidates.
+    let sql = rewrite_sql(
+        "select sum(acctbal) as s from customer where acctbal > 0",
+        &sigma,
+        &plain,
+    )
+    .unwrap();
+    assert!(sql.contains("conq_conflicts AS ("), "{sql}");
+    assert!(
+        sql.contains(
+            "conq_suspects AS (SELECT conq_cand.conq_k1 AS conq_k1 FROM conq_qg_candidates"
+        ),
+        "{sql}"
+    );
+    assert!(
+        sql.contains("FROM conq_suspects conq_cand JOIN customer"),
+        "{sql}"
+    );
+
+    // Nothing to filter, nothing to precompute; the annotated rewriting
+    // keeps its `conscand` guard; more relations keep Figure 5 as printed.
+    let annotated = RewriteOptions {
+        annotated: true,
+        ..plain
+    };
+    for (q, sigma, opts) in [
+        ("select custkey from customer", &sigma, &plain),
+        (
+            "select acctbal from customer where acctbal > 1000",
+            &sigma,
+            &annotated,
+        ),
+        (
+            "select o.clerk from customer c, orders o
+             where c.acctbal > 1000 and o.custfk = c.custkey",
+            &figure2_sigma(),
+            &plain,
+        ),
+    ] {
+        let sql = rewrite_sql(q, sigma, opts).unwrap();
+        assert!(!sql.contains("conq_conflicts"), "{sql}");
+        assert!(!sql.contains("conq_suspects"), "{sql}");
+    }
+}
+
 // --- three-relation chains and composite keys ----------------------------------
 
 #[test]

@@ -225,17 +225,14 @@ impl<'a> Estimator<'a> {
             }
             Plan::IndexScan {
                 cols,
-                schema,
                 index,
                 access,
+                ..
             } => {
                 let stats = self.scan_stats(cols);
                 let n = cols.len() as f64;
-                let base: Vec<ColEst> = schema
-                    .columns
-                    .iter()
-                    .enumerate()
-                    .map(|(i, _)| match stats.columns.get(i) {
+                let base: Vec<ColEst> = (0..cols.width())
+                    .map(|i| match stats.columns.get(i) {
                         Some(c) => ColEst {
                             ndv: (c.ndv as f64).max(1.0),
                             null_frac: c.null_fraction(stats.row_count),
@@ -247,7 +244,14 @@ impl<'a> Estimator<'a> {
                     .collect();
                 let sel = self.index_access_selectivity(index, access, &base);
                 let rows = (n * sel).max(0.0);
-                let cols = base.iter().map(|c| c.capped(rows)).collect();
+                let cols = match access {
+                    IndexAccess::Conflicts { project, .. } => {
+                        project.iter().map(|&c| base[c].capped(rows)).collect()
+                    }
+                    IndexAccess::Eq(_) | IndexAccess::Range { .. } => {
+                        base.iter().map(|c| c.capped(rows)).collect()
+                    }
+                };
                 Derived { rows, cols }
             }
             Plan::Filter { input, predicate } => {
@@ -290,7 +294,26 @@ impl<'a> Estimator<'a> {
             } => {
                 let l = self.derive(left);
                 let r = self.derive(right);
-                self.join_cardinality(&l, &r, *kind, left_keys, right_keys, residual.as_ref())
+                let mut joined =
+                    self.join_cardinality(&l, &r, *kind, left_keys, right_keys, residual.as_ref());
+                // An existence test against an index's conflict scan on
+                // the whole key: the share of keys that are violated is
+                // counted, where per-column NDVs would call a composite
+                // key's every value present.
+                if let Some((index, _, _)) = right.as_conflict_scan() {
+                    let violated = r.rows / index.distinct_keys().max(1) as f64;
+                    let matched = match kind {
+                        JoinType::Semi => Some(violated),
+                        JoinType::Anti => Some(1.0 - violated),
+                        JoinType::Inner | JoinType::LeftOuter => None,
+                    };
+                    let whole_key = residual.is_none() && right_keys.len() == index.cols().len();
+                    if let Some(share) = matched.filter(|_| whole_key) {
+                        joined.rows = l.rows * share;
+                        joined.cols = l.cols.iter().map(|c| c.capped(joined.rows)).collect();
+                    }
+                }
+                joined
             }
             Plan::NestedLoopJoin {
                 left,
@@ -440,7 +463,8 @@ impl<'a> Estimator<'a> {
     /// observed range), linear interpolation over `[min, max]` for a
     /// range probe — the same model the equivalent `Filter` predicate
     /// would get, so `IndexScan` vs `SeqScan`+`Filter` compare on cost,
-    /// not on cardinality artifacts.
+    /// not on cardinality artifacts. A conflict scan is not estimated: the
+    /// index holds the list, so its share of the table is counted.
     fn index_access_selectivity(
         &self,
         index: &Index,
@@ -475,6 +499,10 @@ impl<'a> Estimator<'a> {
                 let lo_f = lo.as_ref().and_then(|(v, _)| frac(v)).unwrap_or(0.0);
                 let hi_f = hi.as_ref().and_then(|(v, _)| frac(v)).unwrap_or(1.0);
                 (hi_f - lo_f).clamp(0.0, 1.0)
+            }
+            IndexAccess::Conflicts { min_group, .. } => {
+                let groups = index.conflict_rows(*min_group).count();
+                groups as f64 / index.batch().len().max(1) as f64
             }
         }
     }
@@ -652,11 +680,17 @@ impl<'a> Estimator<'a> {
             } => {
                 // Probe side scans once; the build side pays hash-table
                 // construction (heavier per row); plus emission. A
-                // prebuilt index build side skips construction entirely.
-                let build = if build_index.is_some() {
-                    0.0
-                } else {
-                    2.0 * self.est_rows(right)
+                // prebuilt index build side skips construction entirely —
+                // but standing in for its own conflict scan it makes every
+                // probe search the postings of all keys where the built
+                // table would hold the listed few (cache-resident: ~2x per
+                // probe measured, EXPERIMENTS.md), so there each probe
+                // counts twice and the index wins only while probes are
+                // fewer than two per listed key.
+                let build = match (build_index, right.as_conflict_scan()) {
+                    (Some(_), Some(_)) => self.est_rows(left),
+                    (Some(_), None) => 0.0,
+                    (None, _) => 2.0 * self.est_rows(right),
                 };
                 self.est_rows(left) + build + out
             }

@@ -20,7 +20,7 @@ use crate::durable::{
 use crate::error::{EngineError, Result};
 use crate::exec;
 use crate::governor::Governor;
-use crate::index::Index;
+use crate::index::{ConflictSummary, Index};
 use crate::plan::{literal_value, ExecOptions, Plan, Planner};
 use crate::schema::DataType;
 use crate::stats::TableStats;
@@ -535,16 +535,23 @@ impl Database {
     /// other DDL, so cached plans that read the table are rebuilt and get
     /// to consider the new access path.
     pub fn create_index(&self, table: &str, cols: &[&str]) -> Result<bool> {
+        let col_names: Vec<String> = cols.iter().map(|c| (*c).to_string()).collect();
+        let declared = || {
+            read_lock(&self.indexes)
+                .get(table)
+                .is_some_and(|slots| slots.iter().any(|s| s.cols == col_names))
+        };
+        // Read paths re-declare on every call (`consistent_answers*`):
+        // answer them without queueing behind a writer.
+        if declared() {
+            return Ok(false);
+        }
         let _mutation = self.mutation_lock();
         let t = self.table(table)?;
         for c in cols {
             t.column_index(c)?;
         }
-        let col_names: Vec<String> = cols.iter().map(|c| (*c).to_string()).collect();
-        if read_lock(&self.indexes)
-            .get(table)
-            .is_some_and(|slots| slots.iter().any(|s| s.cols == col_names))
-        {
+        if declared() {
             return Ok(false);
         }
         if self.durability.is_some() {
@@ -598,6 +605,17 @@ impl Database {
                     .collect::<Vec<_>>()
             })
             .collect()
+    }
+
+    /// How inconsistent `table` is under the key its (first) declared index
+    /// is over: violated keys, the tuples in their groups and the
+    /// group-size histogram, read off the index's conflict list — which
+    /// `INSERT` keeps current, so this costs a lookup, not a scan. Builds
+    /// the index if no query has planned against the table's current
+    /// contents yet. `None` for a table without a declared index.
+    pub fn conflict_summary(&self, table: &str) -> Option<ConflictSummary> {
+        let batch = self.table_cols(table).ok()?;
+        Some(self.index_over(table, &batch)?.conflict_summary())
     }
 
     /// Snapshot mapping each cached scan batch (by `Arc<ColBatch>` pointer

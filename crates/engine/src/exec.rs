@@ -65,6 +65,7 @@ use crate::faults;
 use crate::fsum::ExactSum;
 use crate::governor::Governor;
 use crate::groupkey::{AggInput, KeyCols, Partition};
+use crate::index::{Index, IndexAccess};
 use crate::kernels;
 use crate::plan::{AggFunc, AggSpec, JoinType, Plan};
 use crate::schema::Schema;
@@ -501,10 +502,25 @@ fn exec_node(
             // point fires whichever access path the optimizer picked.
             faults::trip("scan")?;
             let sel = index.select(access);
-            conquer_obs::registry().counter("index.probe").inc();
             ticks(gov, sel.len() as u64, "index_scan")?;
+            let gathered = match access {
+                // Index-only: the selection is one row per violated key,
+                // and only its key columns are read.
+                IndexAccess::Conflicts { project, .. } => {
+                    conquer_obs::registry().counter("index.conflict_scan").inc();
+                    let chunks = project
+                        .iter()
+                        .map(|&c| Arc::new(cols.col(c).gather(&sel)))
+                        .collect();
+                    ColBatch::from_chunks(sel.len(), chunks)
+                }
+                IndexAccess::Eq(_) | IndexAccess::Range { .. } => {
+                    conquer_obs::registry().counter("index.probe").inc();
+                    cols.gather(&sel)
+                }
+            };
             Ok(Batch::Col {
-                cols: Arc::new(cols.gather(&sel)),
+                cols: Arc::new(gathered),
                 schema: schema.clone(),
             })
         }
@@ -624,6 +640,27 @@ fn exec_node(
         } => {
             let l = execute_ctx(left, outer, child_stats(stats, 0), ctx)?;
             let r = execute_ctx(right, outer, child_stats(stats, 1), ctx)?;
+            // An attached index stands in for the build only while it
+            // describes the build side: its postings when the right child
+            // produced the exact batch they were built over (snapshot
+            // semantics), or — for the existence tests of semi/anti joins
+            // — its postings of at least `min_group` rows when the right
+            // child is that index's own conflict scan. Anything else —
+            // pivoted rows, a different version's batch — falls back to
+            // building a table for this query.
+            let prebuilt =
+                build_index
+                    .as_ref()
+                    .and_then(|idx| match (right.as_conflict_scan(), &r) {
+                        (Some((index, min_group, _)), _) => (Arc::ptr_eq(index, idx)
+                            && matches!(kind, JoinType::Semi | JoinType::Anti)
+                            && residual.is_none())
+                        .then_some((&**idx, min_group)),
+                        (None, Batch::Col { cols, .. }) => {
+                            Arc::ptr_eq(cols, idx.batch()).then_some((&**idx, 1))
+                        }
+                        (None, Batch::Owned(_)) => None,
+                    });
             exec_hash_join(
                 l,
                 r,
@@ -631,7 +668,7 @@ fn exec_node(
                 left_keys,
                 right_keys,
                 residual.as_ref(),
-                build_index.as_ref(),
+                prebuilt,
                 schema,
                 outer,
                 stats.as_deref_mut(),
@@ -925,14 +962,22 @@ impl PartitionedTable {
 /// probe and emission path downstream is identical.
 enum JoinTable<'a> {
     Built(PartitionedTable),
-    Indexed(&'a crate::index::Index),
+    /// The index's postings of at least `min_group` rows: every key's
+    /// (`1`), or — standing in for the index's conflict scan — only the
+    /// violated keys' (`≥ 2`).
+    Indexed {
+        index: &'a Index,
+        min_group: usize,
+    },
 }
 
 impl JoinTable<'_> {
     fn get(&self, key: &Key) -> Option<&Vec<usize>> {
         match self {
             JoinTable::Built(t) => t.get(key),
-            JoinTable::Indexed(idx) => idx.get(key),
+            JoinTable::Indexed { index, min_group } => {
+                index.get(key).filter(|rows| rows.len() >= *min_group)
+            }
         }
     }
 
@@ -941,7 +986,7 @@ impl JoinTable<'_> {
     fn query_bytes(&self) -> u64 {
         match self {
             JoinTable::Built(t) => t.bytes(),
-            JoinTable::Indexed(_) => 0,
+            JoinTable::Indexed { .. } => 0,
         }
     }
 }
@@ -1046,23 +1091,13 @@ fn exec_hash_join(
     left_keys: &[BoundExpr],
     right_keys: &[BoundExpr],
     residual: Option<&BoundExpr>,
-    build_index: Option<&Arc<crate::index::Index>>,
+    prebuilt: Option<(&Index, usize)>,
     schema: &Schema,
     outer: Option<&Env<'_>>,
     mut stats: Option<&mut NodeStats>,
     ctx: ExecCtx<'_>,
 ) -> Result<Batch> {
     let gov = ctx.gov;
-    // A prebuilt index is only sound if the right child still produced the
-    // exact batch the index was built over (snapshot semantics); anything
-    // else — pivoted rows, a different epoch's batch — falls back to
-    // building a table for this query.
-    let prebuilt: Option<&crate::index::Index> = build_index
-        .filter(|idx| match &right {
-            Batch::Col { cols, .. } => Arc::ptr_eq(cols, idx.batch()),
-            Batch::Owned(_) => false,
-        })
-        .map(Arc::as_ref);
     if let Some(s) = stats.as_deref_mut() {
         s.build_rows += right.len() as u64;
         s.probe_rows += left.len() as u64;
@@ -1149,7 +1184,7 @@ fn exec_hash_join(
     // Both paths fire the `join.build` fault point.
     faults::trip("join.build")?;
     let (table, build_workers) = match prebuilt {
-        Some(idx) => (JoinTable::Indexed(idx), 1),
+        Some((index, min_group)) => (JoinTable::Indexed { index, min_group }, 1),
         None => {
             let workers = par_workers(build.len(), ctx.threads);
             let built = build_join_table(build, build_keys, workers, outer, ctx)?;
@@ -1162,7 +1197,7 @@ fn exec_hash_join(
     if let Some(s) = stats.as_deref_mut() {
         s.est_mem_bytes += table.query_bytes();
     }
-    if matches!(table, JoinTable::Indexed(_)) {
+    if matches!(table, JoinTable::Indexed { .. }) {
         conquer_obs::registry().counter("index.probe").inc();
     }
 

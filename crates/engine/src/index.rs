@@ -25,8 +25,23 @@
 //! need no re-check: [`Key`] normalization (`Float(1.0)` → `Int(1)`) agrees
 //! with SQL equality for every literal the planner is allowed to attach
 //! (see `opt::select_access_paths`).
+//!
+//! # The conflict set
+//!
+//! Over a key's columns, a posting list of length ≥ 2 *is* a violated key
+//! group, so the index also keeps the list of those groups — `(first row,
+//! size)`, ordered by first row — and the number of rows it skipped for a
+//! NULL key. [`Index::build`] derives the list from the finished postings,
+//! [`Index::extended`] patches it as keys go 1 → 2 and n → n + 1, and both
+//! must agree (`extended_matches_full_rebuild`). The list answers
+//! `SELECT K FROM R GROUP BY K HAVING count(*) > c` index-only
+//! ([`IndexAccess::Conflicts`]): [`Key`] equality is the group-key kernel's
+//! equality and both order groups by first row, so the rows and their order
+//! are the kernel's — provided no row was skipped, because `GROUP BY` gives
+//! NULL keys groups of their own and the postings do not hold them. The
+//! planner checks [`Index::null_key_rows`] and keeps the kernel otherwise.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::mem;
 use std::sync::Arc;
@@ -48,16 +63,41 @@ pub enum IndexAccess {
         lo: Option<(Value, bool)>,
         hi: Option<(Value, bool)>,
     },
+    /// Index-only: one row per key group of at least `min_group` rows (≥ 2),
+    /// in first-row order, carrying the batch columns `project` (each a key
+    /// column) — `SELECT K FROM R GROUP BY K HAVING count(*) >= min_group`
+    /// without reading `R`.
+    Conflicts {
+        min_group: usize,
+        project: Vec<usize>,
+    },
 }
 
 impl IndexAccess {
-    /// Short label for `EXPLAIN` (`eq` / `range`).
+    /// Short label for `EXPLAIN` (`eq` / `range` / `conflicts`).
     pub fn label(&self) -> &'static str {
         match self {
             IndexAccess::Eq(_) => "eq",
             IndexAccess::Range { .. } => "range",
+            IndexAccess::Conflicts { .. } => "conflicts",
         }
     }
+}
+
+/// What an index over a relation's key says about its inconsistency: the
+/// `p` and `n` of the paper's §6.1, observed instead of injected.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConflictSummary {
+    /// The indexed (key) columns the groups are over.
+    pub key: Vec<String>,
+    /// Key values held by more than one tuple.
+    pub violated_keys: u64,
+    /// Tuples in those groups.
+    pub tuples_in_violated_groups: u64,
+    /// `(group size, number of groups)` for sizes ≥ 2, ascending by size.
+    pub group_sizes: Vec<(u64, u64)>,
+    /// Tuples with a NULL key attribute: in no group, never in conflict.
+    pub null_key_rows: u64,
 }
 
 /// A built secondary index over one columnar batch. Immutable once built;
@@ -76,6 +116,11 @@ pub struct Index {
     /// all numeric: `(numeric value, row id)` sorted ascending. `None`
     /// for multi-column or non-numeric keys — no range support then.
     ordered: Option<Vec<(f64, usize)>>,
+    /// Violated groups — postings of length ≥ 2 — as `(first row, size)`,
+    /// ascending by first row.
+    conflicts: Vec<(u32, u32)>,
+    /// Rows left out of `map` for a NULL key.
+    null_key_rows: usize,
 }
 
 impl fmt::Debug for Index {
@@ -86,6 +131,7 @@ impl fmt::Debug for Index {
             .field("rows", &self.batch.len())
             .field("keys", &self.map.len())
             .field("ordered", &self.ordered.is_some())
+            .field("conflicts", &self.conflicts.len())
             .finish()
     }
 }
@@ -107,6 +153,7 @@ impl Index {
         let mut map: HashMap<Key, Vec<usize>> = HashMap::new();
         let mut numeric = cols.len() == 1;
         let mut ordered: Vec<(f64, usize)> = Vec::new();
+        let mut null_key_rows = 0;
         let mut vals: Vec<Value> = Vec::with_capacity(cols.len());
         for i in 0..n {
             vals.clear();
@@ -124,11 +171,18 @@ impl Index {
             }
             let key = Key::from_values(&vals);
             if key.has_null() {
+                null_key_rows += 1;
                 continue;
             }
             map.entry(key).or_default().push(i);
         }
         ordered.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let mut conflicts: Vec<(u32, u32)> = map
+            .values()
+            .filter(|rows| rows.len() >= 2)
+            .map(|rows| (rows[0] as u32, rows.len() as u32))
+            .collect();
+        conflicts.sort_unstable();
         Ok(Index {
             table: table.to_string(),
             col_names: col_names.to_vec(),
@@ -136,6 +190,8 @@ impl Index {
             batch: Arc::clone(batch),
             map,
             ordered: numeric.then_some(ordered),
+            conflicts,
+            null_key_rows,
         })
     }
 
@@ -156,6 +212,8 @@ impl Index {
             .collect();
         let mut map = self.map.clone();
         let mut ordered = self.ordered.clone();
+        let mut conflicts = self.conflicts.clone();
+        let mut null_key_rows = self.null_key_rows;
         let mut vals: Vec<Value> = Vec::with_capacity(self.cols.len());
         for i in old_n..new_batch.len() {
             vals.clear();
@@ -172,9 +230,21 @@ impl Index {
             }
             let key = Key::from_values(&vals);
             if key.has_null() {
+                null_key_rows += 1;
                 continue;
             }
-            map.entry(key).or_default().push(i);
+            let rows = map.entry(key).or_default();
+            rows.push(i);
+            // A group's first row never changes under appends, so it is
+            // both the sort key of the conflict list and the handle on the
+            // group's entry.
+            let first = rows[0] as u32;
+            let at = conflicts.partition_point(|&(f, _)| f < first);
+            match rows.len() {
+                1 => {}
+                2 => conflicts.insert(at, (first, 2)),
+                _ => conflicts[at].1 += 1,
+            }
         }
         if let Some(ord) = &mut ordered {
             ord.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
@@ -186,6 +256,8 @@ impl Index {
             batch: Arc::clone(new_batch),
             map,
             ordered,
+            conflicts,
+            null_key_rows,
         })
     }
 
@@ -214,6 +286,37 @@ impl Index {
         self.map.len()
     }
 
+    /// Rows the postings leave out because a key column is NULL. While this
+    /// is zero the conflict list covers every `GROUP BY` group of size ≥ 2.
+    pub fn null_key_rows(&self) -> usize {
+        self.null_key_rows
+    }
+
+    /// First rows of the key groups with at least `min_group` (≥ 2) rows,
+    /// ascending — the order the group-key kernel emits them in.
+    pub fn conflict_rows(&self, min_group: usize) -> impl Iterator<Item = u32> + '_ {
+        self.conflicts
+            .iter()
+            .filter(move |&&(_, size)| size as usize >= min_group)
+            .map(|&(first, _)| first)
+    }
+
+    /// Violated keys, the tuples in their groups and the group-size
+    /// histogram, read off the conflict list.
+    pub fn conflict_summary(&self) -> ConflictSummary {
+        let mut sizes: BTreeMap<u64, u64> = BTreeMap::new();
+        for &(_, size) in &self.conflicts {
+            *sizes.entry(u64::from(size)).or_default() += 1;
+        }
+        ConflictSummary {
+            key: self.col_names.clone(),
+            violated_keys: self.conflicts.len() as u64,
+            tuples_in_violated_groups: sizes.iter().map(|(size, groups)| size * groups).sum(),
+            group_sizes: sizes.into_iter().collect(),
+            null_key_rows: self.null_key_rows as u64,
+        }
+    }
+
     /// Whether range probes are supported (single numeric key column).
     pub fn supports_range(&self) -> bool {
         self.ordered.is_some()
@@ -234,12 +337,15 @@ impl Index {
             .ordered
             .as_ref()
             .map_or(0, |o| o.len() * mem::size_of::<(f64, usize)>());
-        (self.map.capacity() * entry + postings * mem::size_of::<usize>() + ordered) as u64
+        let conflicts = self.conflicts.len() * mem::size_of::<(u32, u32)>();
+        (self.map.capacity() * entry + postings * mem::size_of::<usize>() + ordered + conflicts)
+            as u64
     }
 
     /// Resolve an access into an ascending selection vector over the
     /// index's batch — exactly the rows the equivalent `Filter` over a
-    /// full `Scan` would keep, in the same order.
+    /// full `Scan` would keep (for a conflict scan: the first row of each
+    /// group the equivalent `GROUP BY … HAVING` keeps), in the same order.
     pub fn select(&self, access: &IndexAccess) -> Vec<u32> {
         match access {
             IndexAccess::Eq(values) => {
@@ -253,6 +359,7 @@ impl Index {
                 }
             }
             IndexAccess::Range { lo, hi } => self.select_range(lo.as_ref(), hi.as_ref()),
+            IndexAccess::Conflicts { min_group, .. } => self.conflict_rows(*min_group).collect(),
         }
     }
 
@@ -414,9 +521,55 @@ mod tests {
             })
         );
         assert_eq!(ext.distinct_keys(), rebuilt.distinct_keys());
+        // The conflict list is patched, not rebuilt, and must come out the
+        // same: key 3 went 2 -> 3, a second NULL-key row was skipped.
+        assert_eq!(ext.conflicts, vec![(0, 3)]);
+        assert_eq!(ext.conflicts, rebuilt.conflicts);
+        assert_eq!(ext.null_key_rows(), 2);
+        assert_eq!(ext.conflict_summary(), rebuilt.conflict_summary());
         assert!(Arc::ptr_eq(ext.batch(), &grown));
         // A shrunk batch is not an extension.
         assert!(ext.extended(&b).is_none());
+    }
+
+    #[test]
+    fn conflict_list_orders_groups_by_first_row_through_inserts() {
+        let rows = |keys: &[i64]| {
+            batch(
+                keys.iter()
+                    .map(|&k| vec![Value::Int(k), Value::str("x")])
+                    .collect(),
+            )
+        };
+        // Groups: 5 at rows {0, 3}, 7 at rows {1, 2, 4}; 6 is single.
+        let keys = [5, 7, 7, 5, 7, 6];
+        let mut idx = build(&rows(&keys));
+        assert_eq!(idx.conflict_rows(2).collect::<Vec<_>>(), vec![0, 1]);
+        assert_eq!(idx.conflict_rows(3).collect::<Vec<_>>(), vec![1]);
+        assert_eq!(
+            idx.select(&IndexAccess::Conflicts {
+                min_group: 3,
+                project: vec![0],
+            }),
+            vec![1]
+        );
+        // One row at a time: 6 goes 1 -> 2 (entering between nothing — its
+        // first row, 5, sorts last), 5 goes 2 -> 3, 4 arrives alone, then
+        // 6 again and 4 again.
+        let mut grown = keys.to_vec();
+        for k in [6, 5, 4, 6, 4] {
+            grown.push(k);
+            let batch = rows(&grown);
+            idx = idx.extended(&batch).expect("extends");
+            let rebuilt = build(&batch);
+            assert_eq!(idx.conflicts, rebuilt.conflicts, "after {grown:?}");
+            assert_eq!(idx.conflict_summary(), rebuilt.conflict_summary());
+        }
+        assert_eq!(idx.conflicts, vec![(0, 3), (1, 3), (5, 3), (8, 2)]);
+        let summary = idx.conflict_summary();
+        assert_eq!(summary.violated_keys, 4);
+        assert_eq!(summary.tuples_in_violated_groups, 11);
+        assert_eq!(summary.group_sizes, vec![(2, 1), (3, 3)]);
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub use durable::{Checkpointer, DurabilityOptions};
 pub use error::{EngineError, Result};
 pub use explain::{explain, explain_analyze, explain_estimated, stats_json};
 pub use governor::{CancellationToken, Governor, LimitTrip, ResourceLimits};
-pub use index::{Index, IndexAccess};
+pub use index::{ConflictSummary, Index, IndexAccess};
 pub use plan::{ExecOptions, Plan};
 pub use schema::{Column, DataType, Schema};
 pub use stats::{ColumnStats, NodeStats, TableStats};

@@ -27,7 +27,9 @@
 use crate::cost::Estimator;
 use crate::expr::{BoundExpr, SubqueryKind};
 use crate::index::{Index, IndexAccess};
-use crate::plan::{JoinType, Plan};
+use crate::kernels;
+use crate::plan::{AggFunc, AggSpec, JoinType, Plan};
+use crate::schema::Schema;
 use crate::value::Value;
 
 /// Push a conjunct below the right side of an inner join only when its
@@ -429,9 +431,12 @@ fn maybe_swap_build(plan: Plan, est: &Estimator<'_>) -> Plan {
 /// filter's key-equality or range conjuncts *and* the cost model prices
 /// the probe below the sequential scan, and serve hash-join build sides
 /// from a prebuilt index whenever the build keys are exactly the index's
-/// key columns. Only runs with an estimator (`use_stats`), and only sees
-/// indexes the estimator carries (`use_indexes`) — without either, plans
-/// are untouched.
+/// key columns. A `GROUP BY … HAVING count(*) > c` over exactly an index's
+/// key columns is read off the index's conflict list
+/// ([`try_conflict_scan`]), and a semi/anti join against such a scan probes
+/// the postings' lengths instead of hashing the scan's rows. Only runs with
+/// an estimator (`use_stats`), and only sees indexes the estimator carries
+/// (`use_indexes`) — without either, plans are untouched.
 fn select_access_paths(plan: Plan, est: &Estimator<'_>) -> Plan {
     let plan = match plan {
         Plan::Filter { input, predicate } => {
@@ -452,10 +457,13 @@ fn select_access_paths(plan: Plan, est: &Estimator<'_>) -> Plan {
             input,
             exprs,
             schema,
-        } => Plan::Project {
-            input: Box::new(select_access_paths(*input, est)),
-            exprs,
-            schema,
+        } => match try_conflict_scan(&input, &exprs, &schema, est) {
+            Some(scan) => scan,
+            None => Plan::Project {
+                input: Box::new(select_access_paths(*input, est)),
+                exprs,
+                schema,
+            },
         },
         Plan::Rename { input, schema } => Plan::Rename {
             input: Box::new(select_access_paths(*input, est)),
@@ -474,16 +482,48 @@ fn select_access_paths(plan: Plan, est: &Estimator<'_>) -> Plan {
             let left = Box::new(select_access_paths(*left, est));
             let right = Box::new(select_access_paths(*right, est));
             if build_index.is_none() {
-                if let Plan::Scan { cols, .. } = &*right {
-                    if let Some(index) = est.index_for(cols) {
-                        if let Some(perm) = key_permutation(index, &right_keys) {
-                            // Reorder both key vectors into the index's
-                            // column order so probe keys hash exactly the
-                            // keys the postings were built from.
-                            left_keys = perm.iter().map(|&j| left_keys[j].clone()).collect();
-                            right_keys = perm.iter().map(|&j| right_keys[j].clone()).collect();
-                            build_index = Some(std::sync::Arc::clone(index));
-                        }
+                // The build side's keys as columns of the indexed batch: a
+                // bare scan's own, a conflict scan's through its
+                // projection. A conflict scan holds one row per violated
+                // key, which only existence tests can read off postings.
+                let existence_test =
+                    matches!(kind, JoinType::Semi | JoinType::Anti) && residual.is_none();
+                let indexed = match (&*right, right.as_conflict_scan()) {
+                    (Plan::Scan { cols, .. }, _) => est
+                        .index_for(cols)
+                        .zip(kernels::column_indices(&right_keys)),
+                    (_, Some((index, _, project))) if existence_test => {
+                        Some(index).zip(compose_columns(&right_keys, project))
+                    }
+                    _ => None,
+                };
+                if let Some((index, key_cols)) = indexed {
+                    if let Some(perm) = key_permutation(index, &key_cols) {
+                        // Reorder both key vectors into the index's
+                        // column order so probe keys hash exactly the
+                        // keys the postings were built from.
+                        left_keys = perm.iter().map(|&j| left_keys[j].clone()).collect();
+                        right_keys = perm.iter().map(|&j| right_keys[j].clone()).collect();
+                        build_index = Some(std::sync::Arc::clone(index));
+                    }
+                }
+                // Postings over a scan replace the build outright. Against
+                // a conflict scan they replace a build of the few listed
+                // keys with probes into the postings of *all* keys, which
+                // only pays while the probe side is small: priced.
+                if build_index.is_some() && right.as_conflict_scan().is_some() {
+                    let join = |build_index| Plan::HashJoin {
+                        left: left.clone(),
+                        right: right.clone(),
+                        kind,
+                        left_keys: left_keys.clone(),
+                        right_keys: right_keys.clone(),
+                        residual: None,
+                        build_index,
+                        schema: schema.clone(),
+                    };
+                    if est.cost(&join(build_index.clone())) >= est.cost(&join(None)) {
+                        build_index = None;
                     }
                 }
             }
@@ -503,7 +543,9 @@ fn select_access_paths(plan: Plan, est: &Estimator<'_>) -> Plan {
                     } = &**input
                     {
                         if let Some(index) = est.index_for(cols) {
-                            if let Some(perm) = key_permutation(index, &right_keys) {
+                            if let Some(perm) = kernels::column_indices(&right_keys)
+                                .and_then(|key_cols| key_permutation(index, &key_cols))
+                            {
                                 let mut hoisted = predicate.clone();
                                 let w_l = left.schema().len();
                                 map_row_refs(&mut hoisted, 0, &mut |i| i + w_l);
@@ -598,6 +640,83 @@ fn select_access_paths(plan: Plan, est: &Estimator<'_>) -> Plan {
         leaf @ (Plan::Scan { .. } | Plan::IndexScan { .. } | Plan::Unit) => leaf,
     };
     plan
+}
+
+/// `SELECT K' FROM R GROUP BY K HAVING count(*) > c` — as planned, a
+/// `Project` of group columns over the `HAVING` filter over the aggregate
+/// over a bare scan — where `K` is exactly the key of a built index on `R`
+/// and at least two rows must share a key: the index's conflict list *is*
+/// the answer, rows and order, and the plan becomes an index-only scan. Not
+/// priced against the aggregate it replaces: listing at most `|R| / 2`
+/// counted groups is never dearer than grouping `|R|` rows. Refused when
+/// the index skipped NULL-key rows, which `GROUP BY` would have grouped.
+fn try_conflict_scan(
+    input: &Plan,
+    exprs: &[BoundExpr],
+    schema: &Schema,
+    est: &Estimator<'_>,
+) -> Option<Plan> {
+    let Plan::Filter { input, predicate } = input else {
+        return None;
+    };
+    let Plan::Aggregate {
+        input,
+        group_exprs,
+        aggs,
+        ..
+    } = &**input
+    else {
+        return None;
+    };
+    let Plan::Scan { cols, .. } = &**input else {
+        return None;
+    };
+    let [AggSpec {
+        func: AggFunc::Count,
+        arg: None,
+        distinct: false,
+    }] = aggs.as_slice()
+    else {
+        return None;
+    };
+    let index = est.index_for(cols)?;
+    if index.null_key_rows() > 0 {
+        return None;
+    }
+    let group_cols = kernels::column_indices(group_exprs)?;
+    key_permutation(index, &group_cols)?;
+    // `count(*) > c` or `count(*) >= c` over the one aggregate slot.
+    let BoundExpr::Binary { op, left, right } = predicate else {
+        return None;
+    };
+    let (
+        BoundExpr::Column {
+            depth: 0,
+            index: slot,
+        },
+        BoundExpr::Literal(Value::Int(c)),
+    ) = (&**left, &**right)
+    else {
+        return None;
+    };
+    if *slot != group_exprs.len() {
+        return None;
+    }
+    let min_group = match op {
+        conquer_sql::BinaryOp::Gt => c.checked_add(1)?,
+        conquer_sql::BinaryOp::GtEq => *c,
+        _ => return None,
+    };
+    let min_group = usize::try_from(min_group).ok().filter(|m| *m >= 2)?;
+    // Every output column must be a group column (slot `group_cols.len()`
+    // is the count, which the index-only scan does not produce).
+    let project = compose_columns(exprs, &group_cols)?;
+    Some(Plan::IndexScan {
+        cols: std::sync::Arc::clone(cols),
+        schema: schema.clone(),
+        index: std::sync::Arc::clone(index),
+        access: IndexAccess::Conflicts { min_group, project },
+    })
 }
 
 /// Attempt to serve a filtered scan through `index`, pricing the candidate
@@ -762,20 +881,13 @@ fn literal_type_ok(lit: &Value, ty: crate::schema::DataType) -> bool {
     }
 }
 
-/// If every build key is a plain depth-0 column and the key set is
-/// exactly a permutation of the index's key columns, return the
-/// permutation `perm` with `keys[perm[p]]` covering `index.cols()[p]`.
-fn key_permutation(index: &Index, right_keys: &[BoundExpr]) -> Option<Vec<usize>> {
-    if right_keys.len() != index.cols().len() {
+/// If the key columns `key_cols` are exactly a permutation of the index's
+/// key columns, return the permutation `perm` with `key_cols[perm[p]]`
+/// covering `index.cols()[p]`.
+fn key_permutation(index: &Index, key_cols: &[usize]) -> Option<Vec<usize>> {
+    if key_cols.len() != index.cols().len() {
         return None;
     }
-    let key_cols: Vec<usize> = right_keys
-        .iter()
-        .map(|k| match k {
-            BoundExpr::Column { depth: 0, index } => Some(*index),
-            _ => None,
-        })
-        .collect::<Option<_>>()?;
     let mut used = vec![false; key_cols.len()];
     let mut perm = Vec::with_capacity(key_cols.len());
     for &c in index.cols() {
@@ -788,6 +900,17 @@ fn key_permutation(index: &Index, right_keys: &[BoundExpr]) -> Option<Vec<usize>
         perm.push(j);
     }
     Some(perm)
+}
+
+/// The columns of `through` that the plain depth-0 column expressions
+/// `exprs` pick: where `exprs[i]` is column `j`, the result holds
+/// `through[j]`. `None` when an expression is not a plain column or points
+/// past `through`.
+fn compose_columns(exprs: &[BoundExpr], through: &[usize]) -> Option<Vec<usize>> {
+    kernels::column_indices(exprs)?
+        .into_iter()
+        .map(|j| through.get(j).copied())
+        .collect()
 }
 
 fn wrap_filter(plan: Plan, conjuncts: Vec<BoundExpr>) -> Plan {

@@ -24,6 +24,7 @@ use crate::exec;
 use crate::expr::{BoundExpr, ScalarFunc, SubqueryKind};
 use crate::faults;
 use crate::governor::{CancellationToken, Governor, ResourceLimits};
+use crate::index::IndexAccess;
 use crate::schema::{Column, DataType, Schema};
 use crate::value::Value;
 
@@ -209,7 +210,10 @@ pub enum Plan {
     /// [`Index`] directly (snapshot semantics, like `Scan` holds its
     /// batch): execution never consults the catalog, so concurrent
     /// `INSERT`/`DROP` cannot skew a running query. The planner only
-    /// attaches an index whose stamp `Arc::ptr_eq`s `cols`.
+    /// attaches an index whose stamp `Arc::ptr_eq`s `cols`. Under
+    /// [`IndexAccess::Conflicts`] the scan is index-only: one row per
+    /// violated key group, of the key columns the access projects, and
+    /// `schema` describes that output rather than `cols`.
     IndexScan {
         cols: Arc<ColBatch>,
         schema: Schema,
@@ -246,7 +250,10 @@ pub enum Plan {
         /// the "IndexLookupJoin" access path. The optimizer only attaches
         /// an index whose stamp `Arc::ptr_eq`s the right child's scan
         /// batch and whose key columns match `right_keys` exactly; probing
-        /// and row emission are byte-identical to the built table.
+        /// and row emission are byte-identical to the built table. When
+        /// the right child is the index's own conflict scan (semi/anti
+        /// joins without a residual only), a probe matches where the
+        /// postings hold at least the scan's `min_group` rows.
         build_index: Option<Arc<crate::index::Index>>,
         schema: Schema,
     },
@@ -303,6 +310,21 @@ impl Plan {
             | Plan::NestedLoopJoin { schema, .. }
             | Plan::Aggregate { schema, .. } => schema,
             Plan::UnionAll { left, .. } => left.schema(),
+        }
+    }
+
+    /// When this node is an index's conflict scan (seen through renames,
+    /// which move no column): the index, the smallest group size listed and
+    /// the batch column behind each output column.
+    pub fn as_conflict_scan(&self) -> Option<(&Arc<crate::index::Index>, usize, &[usize])> {
+        match self {
+            Plan::Rename { input, .. } => input.as_conflict_scan(),
+            Plan::IndexScan {
+                index,
+                access: IndexAccess::Conflicts { min_group, project },
+                ..
+            } => Some((index, *min_group, project)),
+            _ => None,
         }
     }
 
@@ -736,9 +758,12 @@ fn shift_plan_above(plan: &mut Plan, min_depth: usize, delta: usize) {
 /// CTE bindings visible while planning a query.
 #[derive(Debug, Clone, Default)]
 struct CteEnv {
-    /// Materialized CTE results: the output schema (unqualified) plus the
-    /// shared column batch each reference scans.
-    materialized: HashMap<String, (Schema, Arc<ColBatch>)>,
+    /// Materialized CTE results, as the leaf each reference scans under its
+    /// own binding: a [`Plan::Scan`] of the result batch (unqualified
+    /// schema) — or, for a CTE the optimizer answered index-only, the
+    /// conflict scan itself, whose result the index already holds and which
+    /// a semi join can only probe while it is still a plan node.
+    materialized: HashMap<String, Plan>,
     /// Inline CTE definitions (when materialization is disabled).
     inline: HashMap<String, Arc<Query>>,
 }
@@ -903,23 +928,33 @@ impl<'a> Planner<'a> {
             if let Some(keep) = keep {
                 plan = prune_projection(plan, keep);
             }
-            // Execute to a batch: a columnar output (scan pass-throughs,
-            // kernel-filtered scans) is adopted as-is; row-shaped outputs
-            // are pivoted into a fresh batch once, here, so every reference
-            // scans columns.
-            let batch = exec::execute_plan(
-                &plan,
-                None,
-                self.gov,
-                self.options.threads,
-                self.options.columnar,
-                None,
-            )?;
-            let (schema, cols) = batch.into_schema_cols();
-            if let Some(gov) = self.gov {
-                gov.reserve_mem(cols.byte_size() as u64, "cte.materialize")?;
+            let conflict_scan = matches!(
+                plan,
+                Plan::IndexScan {
+                    access: IndexAccess::Conflicts { .. },
+                    ..
+                }
+            );
+            if !conflict_scan {
+                // Execute to a batch: a columnar output (scan
+                // pass-throughs, kernel-filtered scans) is adopted as-is;
+                // row-shaped outputs are pivoted into a fresh batch once,
+                // here, so every reference scans columns.
+                let batch = exec::execute_plan(
+                    &plan,
+                    None,
+                    self.gov,
+                    self.options.threads,
+                    self.options.columnar,
+                    None,
+                )?;
+                let (schema, cols) = batch.into_schema_cols();
+                if let Some(gov) = self.gov {
+                    gov.reserve_mem(cols.byte_size() as u64, "cte.materialize")?;
+                }
+                plan = Plan::Scan { cols, schema };
             }
-            env.materialized.insert(cte.name.clone(), (schema, cols));
+            env.materialized.insert(cte.name.clone(), plan);
         } else {
             env.inline
                 .insert(cte.name.clone(), Arc::new(cte.query.clone()));
@@ -1044,12 +1079,12 @@ impl<'a> Planner<'a> {
                 let binding = alias.as_deref().unwrap_or(name);
                 self.check_binding(binding, bindings)?;
                 // CTEs shadow base tables.
-                if let Some((cte_schema, cols)) = env.materialized.get(name) {
-                    let schema = cte_schema.qualified(binding);
-                    return Ok(Plan::Scan {
-                        cols: Arc::clone(cols),
-                        schema,
-                    });
+                if let Some(leaf) = env.materialized.get(name) {
+                    let mut leaf = leaf.clone();
+                    if let Plan::Scan { schema, .. } | Plan::IndexScan { schema, .. } = &mut leaf {
+                        *schema = schema.qualified(binding);
+                    }
+                    return Ok(leaf);
                 }
                 if let Some(query) = env.inline.get(name) {
                     // Re-plan the CTE body at each reference (ablation mode).

@@ -554,10 +554,17 @@ fn stats_json(shared: &Shared, state: &SessionState) -> Json {
                     .index_status()
                     .into_iter()
                     .map(|(table, cols, built)| {
+                        // The conflict set is the index's by-product:
+                        // reported once built, never built for a report.
+                        let conflicts = built
+                            .then(|| shared.db.conflict_summary(&table))
+                            .flatten()
+                            .filter(|c| c.key == cols);
                         Json::obj([
                             ("table", Json::from(table.as_str())),
                             ("columns", Json::from(cols.join(",").as_str())),
                             ("built", Json::Bool(built)),
+                            ("conflicts", conflicts.map_or(Json::Null, conflicts_json)),
                         ])
                     }),
             ),
@@ -572,6 +579,24 @@ fn stats_json(shared: &Shared, state: &SessionState) -> Json {
             })),
         ),
         ("obs", conquer_obs::registry().snapshot_json()),
+    ])
+}
+
+/// A table's observed inconsistency: the `p` and `n` of the paper's §6.1.
+fn conflicts_json(c: conquer_engine::ConflictSummary) -> Json {
+    Json::obj([
+        ("violated_keys", Json::UInt(c.violated_keys)),
+        (
+            "tuples_in_violated_groups",
+            Json::UInt(c.tuples_in_violated_groups),
+        ),
+        (
+            "group_sizes",
+            Json::arr(c.group_sizes.into_iter().map(|(size, groups)| {
+                Json::obj([("size", Json::UInt(size)), ("groups", Json::UInt(groups))])
+            })),
+        ),
+        ("null_key_rows", Json::UInt(c.null_key_rows)),
     ])
 }
 

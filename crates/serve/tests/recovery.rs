@@ -138,6 +138,14 @@ fn recovered_indexes_build_lazily_on_first_query() {
     );
     let server = start(Arc::clone(&db));
     let mut client = Client::connect(server.addr()).unwrap();
+    // The `stats` op reports the conflict set off a built index and never
+    // builds one to report it.
+    let conflicts_of = |stats: &Json| match lookup(stats, "indexes") {
+        Some(Json::Arr(rows)) => lookup(&rows[0], "conflicts").cloned(),
+        other => panic!("indexes section missing: {other:?}"),
+    };
+    assert_eq!(conflicts_of(&client.stats().unwrap()), Some(Json::Null));
+    assert!(!db.index_status()[0].2, "stats must not build the index");
     let out = client.query("select v from t where k = 'a'").unwrap();
     assert_eq!(out.rows.rows.len(), 2);
     assert!(
@@ -146,6 +154,15 @@ fn recovered_indexes_build_lazily_on_first_query() {
             .any(|(t, _, built)| t == "t" && *built),
         "first query over the wire triggers the lazy rebuild"
     );
+    // Key 'a' is held by two of the three tuples.
+    let conflicts = conflicts_of(&client.stats().unwrap()).expect("conflicts entry");
+    for (field, want) in [("violated_keys", 1), ("tuples_in_violated_groups", 2)] {
+        match lookup(&conflicts, field) {
+            Some(Json::UInt(n)) => assert_eq!(*n, want, "{field}"),
+            Some(Json::Int(n)) => assert_eq!(*n, want as i64, "{field}"),
+            other => panic!("{field} missing or mistyped: {other:?}"),
+        }
+    }
     server.shutdown();
     server.wait();
     let _ = fs::remove_dir_all(&dir);

@@ -6,7 +6,10 @@
 
 use std::collections::BTreeSet;
 
-use conquer::{annotate_database, consistent_answers, possible_answers, ConstraintSet, Database};
+use conquer::{
+    annotate_database, consistent_answers, declare_key_indexes, possible_answers, ConstraintSet,
+    Database,
+};
 
 fn main() {
     let db = Database::new();
@@ -26,13 +29,31 @@ fn main() {
         .with_key("customer", ["custkey"]);
 
     // 1. Where is the database inconsistent at all? The annotation pass
-    //    doubles as a profiler.
+    //    doubles as a profiler — and so does the key index every rewriting
+    //    runs on: its conflict list holds the same numbers online, kept
+    //    current by INSERT, plus the group sizes (the paper's n).
     let stats = annotate_database(&db, &sigma).expect("annotate");
+    declare_key_indexes(&db, &sigma);
     println!("Constraint-violation profile:");
     for s in &stats {
+        let conflicts = db.conflict_summary(&s.relation).expect("key index");
+        assert_eq!(conflicts.violated_keys, s.violated_keys as u64);
+        assert_eq!(
+            conflicts.tuples_in_violated_groups,
+            s.inconsistent_tuples as u64
+        );
+        let sizes: Vec<String> = conflicts
+            .group_sizes
+            .iter()
+            .map(|(size, groups)| format!("{groups} of {size}"))
+            .collect();
         println!(
-            "  {:<9} {} of {} tuples inconsistent across {} keys",
-            s.relation, s.inconsistent_tuples, s.total_tuples, s.violated_keys
+            "  {:<9} {} of {} tuples inconsistent across {} keys (groups: {})",
+            s.relation,
+            s.inconsistent_tuples,
+            s.total_tuples,
+            s.violated_keys,
+            sizes.join(", ")
         );
     }
 

@@ -8,6 +8,11 @@
 //! access-path layer — index scans, index-backed hash-join builds, and
 //! the SeqScan fallback — to the original executor.
 //!
+//! The one index-only path — `GROUP BY K HAVING count(*) > c` read off the
+//! key index's conflict list — is held to more: the same rows in the same
+//! *order* as the group-key kernel it replaces
+//! (`conflict_scan_is_the_group_kernel_rows_and_order`).
+//!
 //! Rows compare as canonically sorted multisets: an index-backed join
 //! keeps its declared build side (the runtime inner-swap is skipped), so
 //! unordered results may stream back in a different — still deterministic
@@ -269,4 +274,259 @@ fn drop_and_insert_invalidation_matches_blind_plans() {
     // The old declaration died with the table; re-declare and re-check.
     db.create_index("t", &["k"]).unwrap();
     check("after drop and recreate");
+}
+
+/// `create table t (…); insert …` for `rows` of already-rendered SQL
+/// literals, in batches small enough for one statement each.
+fn load(db: &Database, ddl: &str, rows: &[String]) {
+    db.run_script(ddl).unwrap();
+    for chunk in rows.chunks(500) {
+        db.run_script(&format!("insert into t values {}", chunk.join(", ")))
+            .unwrap();
+    }
+}
+
+/// The `HAVING` shapes the conflict scan answers, on `key`.
+fn conflict_queries(key: &str) -> Vec<String> {
+    ["count(*) > 1", "count(*) >= 2", "count(*) > 2"]
+        .iter()
+        .map(|having| format!("select {key} from t group by {key} having {having}"))
+        .collect()
+}
+
+/// Indexed answers equal the index-blind group kernel's, row for row in
+/// delivered order, at every thread count; `index_only` says whether the
+/// plan must (or must not) read the conflict list.
+fn assert_conflicts_match(db: &Database, key: &str, index_only: bool, label: &str) {
+    for sql in conflict_queries(key) {
+        let plan = db.explain_with(&sql, &indexed_opts(1)).unwrap();
+        assert_eq!(
+            plan.contains("conflicts)"),
+            index_only,
+            "{label}: {sql}\n{plan}"
+        );
+        for threads in THREADS {
+            let blind = db.query_with(&sql, &blind_opts(threads)).unwrap();
+            let indexed = db.query_with(&sql, &indexed_opts(threads)).unwrap();
+            assert_rows_match(
+                &blind,
+                &indexed,
+                &format!("{label} threads={threads}: {sql}"),
+            );
+        }
+        // The rewritings' use of it: rows of `t` whose key is (not) in the
+        // conflict set. Whether the semi/anti join tests posting lengths
+        // on the index or hashes the scan's rows is the cost model's call
+        // (`conflict_probe_is_priced_against_hashing_the_list`); the rows
+        // are the same.
+        let on: Vec<String> = key.split(", ").map(|k| format!("v.{k} = t.{k}")).collect();
+        for quantifier in ["exists", "not exists"] {
+            let probe = format!(
+                "with v as ({sql}) select * from t where {quantifier} \
+                 (select * from v where {})",
+                on.join(" and ")
+            );
+            for threads in THREADS {
+                let blind = db.query_with(&probe, &blind_opts(threads)).unwrap();
+                let indexed = db.query_with(&probe, &indexed_opts(threads)).unwrap();
+                assert_rows_match(
+                    &blind,
+                    &indexed,
+                    &format!("{label} threads={threads}: {probe}"),
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn conflict_scan_is_the_group_kernel_rows_and_order() {
+    // 6 000 rows (past the 4 096-row parallel threshold, so the blind
+    // kernel hash-partitions at threads > 1) whose key repeats with period
+    // 2 500: keys 0..1000 come up three times, 1000..2500 twice — and the
+    // tail below adds singletons. First-row order is not key order: the
+    // keys are scrambled by a multiplier coprime to the period.
+    let key_of = |i: usize| (i % 2500) * 7 % 2500;
+    let int_rows: Vec<String> = (0..6000)
+        .map(|i| format!("({}, {i})", key_of(i)))
+        .chain((0..50).map(|i| format!("({}, 0)", 10_000 + i)))
+        .collect();
+    let db = Database::new();
+    load(&db, "create table t (k integer, v integer)", &int_rows);
+    db.create_index("t", &["k"]).unwrap();
+    assert_conflicts_match(&db, "k", true, "integer key, groups of 1/2/3");
+    // Other shapes over the same table stay on the kernel: a count in the
+    // projection, a threshold every group passes, extra group columns.
+    for sql in [
+        "select k, count(*) from t group by k having count(*) > 1",
+        "select k from t group by k having count(*) > 0",
+        "select k, v from t group by k, v having count(*) > 1",
+    ] {
+        let plan = db.explain_with(sql, &indexed_opts(1)).unwrap();
+        assert!(!plan.contains("conflicts)"), "{sql}\n{plan}");
+        let blind = db.query_with(sql, &blind_opts(1)).unwrap();
+        let indexed = db.query_with(sql, &indexed_opts(2)).unwrap();
+        assert_rows_match(&blind, &indexed, sql);
+    }
+
+    // Text key, and a two-column (integer, text) key declared in the
+    // opposite order to the GROUP BY.
+    let text_rows: Vec<String> = (0..6000)
+        .map(|i| {
+            format!(
+                "('k{}', {}, 'p{}')",
+                key_of(i),
+                key_of(i) % 50,
+                key_of(i) / 50
+            )
+        })
+        .collect();
+    let db = Database::new();
+    load(
+        &db,
+        "create table t (s text, a integer, b text)",
+        &text_rows,
+    );
+    db.create_index("t", &["s"]).unwrap();
+    assert_conflicts_match(&db, "s", true, "text key");
+    let db = Database::new();
+    load(
+        &db,
+        "create table t (s text, a integer, b text)",
+        &text_rows,
+    );
+    db.create_index("t", &["b", "a"]).unwrap();
+    assert_conflicts_match(&db, "a, b", true, "two-column key");
+
+    // All-consistent and all-duplicate tables.
+    let db = Database::new();
+    let unique: Vec<String> = (0..100).map(|i| format!("({i}, 0)")).collect();
+    load(&db, "create table t (k integer, v integer)", &unique);
+    db.create_index("t", &["k"]).unwrap();
+    assert_conflicts_match(&db, "k", true, "all consistent");
+    let db = Database::new();
+    let doubled: Vec<String> = (0..100).map(|i| format!("({}, {i})", i % 50)).collect();
+    load(&db, "create table t (k integer, v integer)", &doubled);
+    db.create_index("t", &["k"]).unwrap();
+    assert_conflicts_match(&db, "k", true, "all duplicate");
+
+    // NULL-key rows: GROUP BY gives them a group, the postings do not hold
+    // them, so the rule steps aside — and the NULL group is in the answer.
+    db.run_script("insert into t (v) values (1000), (1001)")
+        .unwrap();
+    assert_conflicts_match(&db, "k", false, "null keys");
+    let nulls = db
+        .query_with(&conflict_queries("k")[0], &indexed_opts(1))
+        .unwrap();
+    assert!(nulls.rows.iter().any(|r| r[0] == Value::Null));
+}
+
+#[test]
+fn conflict_probe_is_priced_against_hashing_the_list() {
+    // 1 000 of 10 000 keys are doubled. A semi/anti join against the
+    // conflict scan may test posting lengths on the index instead of
+    // hashing the 1 000 listed keys — which pays for a probe side of a few
+    // hundred rows and not for the whole table (each probe then searches
+    // the postings of all 10 000 keys, not a cache-resident table of 1 000).
+    let rows: Vec<String> = (0..11_000)
+        .map(|i| format!("({}, {i})", i % 10_000))
+        .collect();
+    let db = Database::new();
+    load(&db, "create table t (k integer, v integer)", &rows);
+    db.create_index("t", &["k"]).unwrap();
+    let with_v = "with v as (select k from t group by k having count(*) > 1) select v from t";
+    for (filter, on_index) in [("v < 300 and", true), ("", false)] {
+        for quantifier in ["exists", "not exists"] {
+            let sql =
+                format!("{with_v} where {filter} {quantifier} (select * from v where v.k = t.k)");
+            let plan = db.explain_with(&sql, &indexed_opts(1)).unwrap();
+            let join = plan
+                .lines()
+                .find(|l| l.contains("HashJoin"))
+                .unwrap_or_else(|| panic!("no join:\n{plan}"));
+            assert_eq!(
+                join.contains("access=index(k conflicts)"),
+                on_index,
+                "{sql}\n{plan}"
+            );
+            // Either way the build side is the index-only scan.
+            assert!(plan.contains("cols] access=index(k conflicts)"), "{plan}");
+            for threads in THREADS {
+                let blind = db.query_with(&sql, &blind_opts(threads)).unwrap();
+                let indexed = db.query_with(&sql, &indexed_opts(threads)).unwrap();
+                assert_rows_match(&blind, &indexed, &format!("threads={threads}: {sql}"));
+            }
+        }
+    }
+}
+
+#[test]
+fn conflict_scan_follows_inserts_and_drops() {
+    // The conflict list is extended by INSERT, not rebuilt: a key going
+    // 1 -> 2 enters it (at its first row's place, ahead of later groups), a
+    // key going 2 -> 3 crosses `> 2`, a fresh key changes nothing — and
+    // each state answers exactly like a database loaded in one go.
+    let db = Database::new();
+    db.run_script(
+        "create table t (k integer, s text);
+         insert into t values (1, 'a'), (2, 'b'), (3, 'c'), (3, 'd'), (4, 'e');",
+    )
+    .unwrap();
+    db.create_index("t", &["k"]).unwrap();
+    let mut all = vec!["(1, 'a')", "(2, 'b')", "(3, 'c')", "(3, 'd')", "(4, 'e')"];
+    assert_conflicts_match(&db, "k", true, "initial build");
+    for (label, rows) in [
+        ("1 -> 2 ahead of an older group", vec!["(1, 'f')"]),
+        ("2 -> 3", vec!["(3, 'g')"]),
+        (
+            "fresh key, then 1 -> 2 -> 3 in one statement",
+            vec!["(9, 'h')", "(4, 'i')", "(4, 'j')"],
+        ),
+    ] {
+        db.run_script(&format!("insert into t values {}", rows.join(", ")))
+            .unwrap();
+        all.extend(rows);
+        assert_conflicts_match(&db, "k", true, label);
+        let rebuilt = Database::new();
+        rebuilt
+            .run_script(&format!(
+                "create table t (k integer, s text); insert into t values {}",
+                all.join(", ")
+            ))
+            .unwrap();
+        rebuilt.create_index("t", &["k"]).unwrap();
+        for sql in conflict_queries("k") {
+            let fresh = rebuilt.query_with(&sql, &indexed_opts(1)).unwrap();
+            let extended = db.query_with(&sql, &indexed_opts(1)).unwrap();
+            assert_rows_match(
+                &fresh,
+                &extended,
+                &format!("{label}, incremental vs rebuild: {sql}"),
+            );
+        }
+        assert_eq!(
+            db.conflict_summary("t"),
+            rebuilt.conflict_summary("t"),
+            "{label}"
+        );
+    }
+    let summary = db.conflict_summary("t").unwrap();
+    assert_eq!(
+        (summary.violated_keys, summary.tuples_in_violated_groups),
+        (3, 8)
+    );
+    assert_eq!(summary.group_sizes, vec![(2, 1), (3, 2)]);
+
+    db.drop_table("t").unwrap();
+    assert_eq!(db.conflict_summary("t"), None);
+    db.run_script(
+        "create table t (k integer, s text);
+         insert into t values (7, 'x'), (7, 'y'), (8, 'z');",
+    )
+    .unwrap();
+    // The declaration died with the table: the kernel answers until it is
+    // re-declared.
+    assert_conflicts_match(&db, "k", false, "recreated, undeclared");
+    db.create_index("t", &["k"]).unwrap();
+    assert_conflicts_match(&db, "k", true, "recreated, re-declared");
 }

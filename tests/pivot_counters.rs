@@ -10,6 +10,13 @@
 //! that makes any other operator of the rewriting pivot again moves these
 //! counters, not just a timing.
 //!
+//! What that join probes is pinned too. The plain rewriting's Filter reads
+//! `conq_suspects` — the candidates whose key is violated, found by a
+//! columnar semi join against the key index's conflict list — so the join
+//! pivots at most two rows per violated candidate key (the injected groups
+//! hold two tuples), where it used to pivot every candidate (29 374). The
+//! annotated rewriting has no such CTE: its `conscand` guard does that job.
+//!
 //! The same warm query then pins the morsel driver's counters:
 //! `exec.morsel.fanouts` / `exec.morsel.workers_spawned` are bumped in the
 //! one place the executor spawns threads, so `threads = 1` — every
@@ -79,6 +86,30 @@ fn rewritten_q1_pivots_only_the_filter_join_and_the_result() {
         let (mut probe, mut joined) = (0, 0);
         join_rows(&plan, &stats, &mut probe, &mut joined);
         assert!(probe > 0, "the filter join probes the candidates");
+        let has_suspects = rewritten.ctes.iter().any(|c| c.name == "conq_suspects");
+        assert_eq!(has_suspects, !annotated);
+        if has_suspects {
+            let rows_of = |cte: &str| {
+                w.db.execute_query_with(&cte_as_query(&rewritten, cte), &options)
+                    .unwrap()
+                    .rows
+            };
+            let suspects = rows_of("conq_suspects");
+            let mut violated_keys = suspects.clone();
+            violated_keys.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
+            violated_keys.dedup();
+            assert_eq!(probe, suspects.len() as u64, "the join probes the suspects");
+            assert!(
+                probe <= 2 * violated_keys.len() as u64,
+                "{probe} probes for {} violated candidate keys",
+                violated_keys.len()
+            );
+            let candidates = rows_of("conq_qg_candidates").len() as u64;
+            assert!(
+                probe * 10 < candidates,
+                "{probe} of {candidates} candidates reach the Filter"
+            );
+        }
         // The runs above warmed the base table's shared row view (the
         // join's build side); now count one whole execution.
         let before = pivots();

@@ -318,6 +318,89 @@ fn annotated_rewriting_agrees_with_plain() {
     }
 }
 
+/// `query` cut down to the body of its CTE `name`, over the CTEs before
+/// it, with `edit` applied to that body's SQL text.
+fn cte_rows(
+    db: &Database,
+    query: &conquer::sql::ast::Query,
+    name: &str,
+    edit: impl Fn(String) -> String,
+) -> conquer::Rows {
+    let at = query
+        .ctes
+        .iter()
+        .position(|c| c.name == name)
+        .unwrap_or_else(|| panic!("the rewriting has no CTE {name}:\n{query}"));
+    let mut cut = conquer::parse_query(&edit(query.ctes[at].query.to_string())).unwrap();
+    cut.ctes = query.ctes[..at].to_vec();
+    db.execute_query(&cut).unwrap()
+}
+
+/// Over a single relation the Filter reads `conq_suspects` — the
+/// candidates whose key is violated — in place of all candidates. Checked
+/// three ways per instance: the Filter emits only suspect keys; reading
+/// every candidate instead (the shape of Figs. 5/8, recovered by renaming
+/// the CTE in the Filter's text) emits the same rows; and by definition —
+/// against repair enumeration — every candidate that is *not* a suspect is
+/// an answer in every repair, so no Filter may remove it.
+#[test]
+fn suspects_cover_everything_the_filter_can_emit() {
+    for case in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(0x5A5B_0000 + case);
+        let rows = table_r(&mut rng);
+        let threshold = rng.gen_range(0..4i64);
+        let db = build_db(&rows, None);
+        let sigma = sigma_r();
+        for (q, candidates, filter) in [
+            (
+                format!("select r.k, r.a from r where r.b > {threshold}"),
+                "conq_candidates",
+                "conq_filter",
+            ),
+            (
+                format!("select r.a, sum(r.b) as x from r where r.b >= {threshold} group by r.a"),
+                "conq_qg_candidates",
+                "conq_qg_filter",
+            ),
+        ] {
+            let parsed = conquer::parse_query(&q).unwrap();
+            let rewritten =
+                conquer::rewrite(&parsed, &sigma, &conquer::RewriteOptions::default()).unwrap();
+            let suspects = sorted(&cte_rows(&db, &rewritten, "conq_suspects", |sql| sql));
+            let filtered = sorted(&cte_rows(&db, &rewritten, filter, |sql| sql));
+            for key in &filtered {
+                assert!(
+                    suspects.contains(key),
+                    "{q} (case {case}): filtered key {key:?} is no suspect"
+                );
+            }
+            let over_all_candidates = cte_rows(&db, &rewritten, filter, |sql| {
+                sql.replace("conq_suspects", candidates)
+            });
+            assert_eq!(
+                filtered,
+                sorted(&over_all_candidates),
+                "{q} (case {case}): the Filter over suspects vs over every candidate"
+            );
+            if candidates == "conq_candidates" {
+                let certain = sorted(&consistent_answers_oracle(&db, &q, &sigma).unwrap());
+                for cand in cte_rows(&db, &rewritten, candidates, |sql| sql).rows {
+                    let cand: Vec<String> = cand.iter().map(ToString::to_string).collect();
+                    // Candidates are (key, projected items); the query
+                    // projects the key first, so a candidate minus its
+                    // leading key column is an answer row.
+                    if !suspects.contains(&cand[..1].to_vec()) {
+                        assert!(
+                            certain.contains(&cand[1..].to_vec()),
+                            "{q} (case {case}): {cand:?} is no suspect, yet not certain"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// The SQL printer round-trips every rewriting this family produces.
 #[test]
 fn rewriting_sql_round_trips() {
