@@ -165,7 +165,7 @@ fn pushdown_off_still_produces_identical_answers() {
         .execute_query_with(
             &query,
             &ExecOptions {
-                pushdown_filters: false,
+                optimize: false,
                 ..Default::default()
             },
         )

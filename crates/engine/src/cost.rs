@@ -139,16 +139,6 @@ impl<'a> Estimator<'a> {
         }
     }
 
-    /// A standalone estimator carrying explicit indexes (tests).
-    pub fn standalone_with_indexes(indexes: Vec<Arc<Index>>) -> Estimator<'static> {
-        let mut est = Estimator::standalone();
-        est.indexes = indexes
-            .into_iter()
-            .map(|i| (Arc::as_ptr(i.batch()) as *const () as usize, i))
-            .collect();
-        est
-    }
-
     /// The built index over a scanned batch, if one is known. Keyed by
     /// `Arc` pointer — the same snapshot identity the plan's scan holds —
     /// so a stale index (built over a batch an `INSERT` has since

@@ -809,10 +809,7 @@ impl Database {
         let (plan, _) = self.plan_governed(query, options, gov.as_ref())?;
         let mut stats = crate::stats::NodeStats::for_plan(&plan);
         let rows = run_plan(&plan, options, gov.as_ref(), Some(&mut stats))?;
-        if options.use_stats {
-            let est = self.estimator_for(options);
-            crate::cost::annotate(&est, &plan, &mut stats);
-        }
+        crate::cost::annotate(&self.estimator_for(options), &plan, &mut stats);
         Ok((rows, plan, stats))
     }
 
@@ -854,34 +851,25 @@ impl Database {
         options: &ExecOptions,
         gov: Option<&Governor>,
     ) -> Result<(Plan, TableReads)> {
-        let (plan, reads) = {
+        let planner = Planner::with_governor(self, options, gov);
+        let plan = {
             let _span = conquer_obs::span("plan")
                 .field("materialize_ctes", options.materialize_ctes)
-                .field("pushdown", options.pushdown_filters);
-            let planner = Planner::with_governor(self, options, gov);
-            let plan = planner.plan_query(query)?;
-            (plan, planner.into_reads())
+                .field("optimize", options.optimize);
+            planner.plan_query(query)?
         };
-        let plan = if options.pushdown_filters {
+        let plan = {
             let _span = conquer_obs::span("optimize");
-            if options.use_stats {
-                let est = self.estimator_for(options);
-                crate::opt::optimize_with(plan, Some(&est))
-            } else {
-                crate::opt::optimize(plan)
-            }
-        } else {
-            plan
+            planner.optimize(plan)
         };
-        Ok((plan, reads))
+        Ok((plan, planner.into_reads()))
     }
 
-    /// The cost estimator for one planning pass. With `use_indexes` (and
-    /// `use_stats`) on, built secondary indexes become visible as
-    /// access-path candidates; off, the estimator is index-blind and the
-    /// planner produces exactly the pre-index plans — the differential
-    /// testing oracle.
-    fn estimator_for(&self, options: &ExecOptions) -> crate::cost::Estimator<'_> {
+    /// The cost estimator for one planning pass. With `use_indexes` on,
+    /// built secondary indexes become visible as access-path candidates;
+    /// off, the estimator is index-blind and the optimizer produces exactly
+    /// the pre-index plans — the differential testing oracle.
+    pub(crate) fn estimator_for(&self, options: &ExecOptions) -> crate::cost::Estimator<'_> {
         if options.use_indexes {
             crate::cost::Estimator::from_db_with_indexes(self)
         } else {
@@ -901,14 +889,9 @@ impl Database {
     pub fn explain_with(&self, sql: &str, options: &ExecOptions) -> Result<String> {
         let query = parse_query(sql)?;
         let plan = self.plan(&query, options)?;
-        if options.use_stats {
-            let est = self.estimator_for(options);
-            let mut stats = crate::stats::NodeStats::for_plan(&plan);
-            crate::cost::annotate(&est, &plan, &mut stats);
-            Ok(crate::explain::explain_estimated(&plan, &stats))
-        } else {
-            Ok(crate::explain::explain(&plan))
-        }
+        let mut stats = crate::stats::NodeStats::for_plan(&plan);
+        crate::cost::annotate(&self.estimator_for(options), &plan, &mut stats);
+        Ok(crate::explain::explain_estimated(&plan, &stats))
     }
 
     /// Run a SQL query and return its rows together with the plan listing

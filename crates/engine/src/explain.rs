@@ -1,6 +1,7 @@
 //! Plan pretty-printing: `EXPLAIN` and `EXPLAIN ANALYZE`.
 //!
-//! `EXPLAIN` renders the operator tree one indented line per node.
+//! `EXPLAIN` renders the operator tree one indented line per node, each
+//! with its estimated cardinality.
 //! `EXPLAIN ANALYZE` runs the plan first (via
 //! [`exec::execute_plan`](crate::exec::execute_plan)) and annotates
 //! each line with the measured [`NodeStats`]: rows out, inclusive wall
@@ -12,17 +13,10 @@ use conquer_obs::Json;
 use crate::plan::{JoinType, Plan};
 use crate::stats::NodeStats;
 
-/// Render a plan as an indented operator tree.
-pub fn explain(plan: &Plan) -> String {
-    let mut out = String::new();
-    walk(plan, None, false, 0, &mut out);
-    out
-}
-
-/// Render a plan with the planner's cardinality estimates
-/// (`est_rows=` per operator, from [`crate::cost::annotate`]) but no
-/// runtime measurements — this is what plain `EXPLAIN` shows when table
-/// statistics are available.
+/// Render a plan as an indented operator tree with the planner's
+/// cardinality estimates (`est_rows=` per operator, from
+/// [`crate::cost::annotate`]) but no runtime measurements — plain
+/// `EXPLAIN`.
 pub fn explain_estimated(plan: &Plan, stats: &NodeStats) -> String {
     let mut out = String::new();
     walk(plan, Some(stats), false, 0, &mut out);

@@ -4,8 +4,11 @@
 //! Binding happens once at plan time against a chain of scopes (the current
 //! operator's schema plus any enclosing query scopes, for correlated
 //! subqueries). Evaluation is then a cheap index-based tree walk.
-
-use std::sync::Arc;
+//!
+//! [`BoundExpr::children`] / [`BoundExpr::children_mut`] are the one
+//! description of an expression's shape; traversals that do not compute
+//! something per variant (depth analysis, column re-indexing, aggregate
+//! slot resolution) are written over them.
 
 use conquer_sql::ast;
 
@@ -188,92 +191,73 @@ impl BoundExpr {
         BoundExpr::Column { depth: 0, index }
     }
 
-    /// Maximum scope depth referenced anywhere in the expression (0 when the
-    /// expression only touches the current row). Subquery plans track their
-    /// own depths relative to their inner scope, which sits one level below,
-    /// so a plan referencing depth `d` contributes `d - 1` here.
-    pub fn max_depth(&self) -> usize {
+    /// The direct sub-expressions, in evaluation order. A `Subquery`'s plan
+    /// is not among them — its expressions live one scope deeper, so every
+    /// traversal handles it as its own case — but an `IN` subquery's needle
+    /// is: it is evaluated against the current row.
+    pub fn children(&self) -> Vec<&BoundExpr> {
         use BoundExpr::*;
         match self {
-            Column { depth, .. } => *depth,
-            Literal(_) | AggRef { .. } => 0,
-            Binary { left, right, .. } => left.max_depth().max(right.max_depth()),
-            Not(e) | Neg(e) => e.max_depth(),
-            IsNull { expr, .. } => expr.max_depth(),
-            InList { expr, list, .. } => list
-                .iter()
-                .map(BoundExpr::max_depth)
-                .max()
-                .unwrap_or(0)
-                .max(expr.max_depth()),
-            Like { expr, pattern, .. } => expr.max_depth().max(pattern.max_depth()),
+            Column { .. } | Literal(_) | AggRef { .. } => Vec::new(),
+            Binary { left, right, .. } => vec![left, right],
+            Not(e) | Neg(e) | IsNull { expr: e, .. } => vec![e],
+            InList { expr, list, .. } => std::iter::once(&**expr).chain(list).collect(),
+            Like { expr, pattern, .. } => vec![expr, pattern],
             Case {
                 branches,
                 else_expr,
             } => branches
                 .iter()
-                .map(|(c, v)| c.max_depth().max(v.max_depth()))
-                .chain(else_expr.iter().map(|e| e.max_depth()))
-                .max()
-                .unwrap_or(0),
-            Func { args, .. } => args.iter().map(BoundExpr::max_depth).max().unwrap_or(0),
-            Subquery { plan, kind } => {
-                let inner = plan.max_outer_depth().saturating_sub(1);
-                match kind {
-                    SubqueryKind::In { expr, .. } => inner.max(expr.max_depth()),
-                    _ => inner,
-                }
-            }
+                .flat_map(|(c, v)| [c, v])
+                .chain(else_expr.as_deref())
+                .collect(),
+            Func { args, .. } => args.iter().collect(),
+            Subquery { kind, .. } => match kind {
+                SubqueryKind::In { expr, .. } => vec![expr],
+                SubqueryKind::Exists { .. } | SubqueryKind::Scalar => Vec::new(),
+            },
         }
     }
 
-    /// Shift every column reference's depth by `delta` (used when an
-    /// expression bound in one scope is re-used one subquery level deeper).
-    pub fn shift_depth(&mut self, delta: usize) {
+    /// [`BoundExpr::children`], mutably and in the same order.
+    pub fn children_mut(&mut self) -> Vec<&mut BoundExpr> {
         use BoundExpr::*;
         match self {
-            Column { depth, .. } => *depth += delta,
-            Literal(_) | AggRef { .. } => {}
-            Binary { left, right, .. } => {
-                left.shift_depth(delta);
-                right.shift_depth(delta);
-            }
-            Not(e) | Neg(e) => e.shift_depth(delta),
-            IsNull { expr, .. } => expr.shift_depth(delta),
-            InList { expr, list, .. } => {
-                expr.shift_depth(delta);
-                for e in list {
-                    e.shift_depth(delta);
-                }
-            }
-            Like { expr, pattern, .. } => {
-                expr.shift_depth(delta);
-                pattern.shift_depth(delta);
-            }
+            Column { .. } | Literal(_) | AggRef { .. } => Vec::new(),
+            Binary { left, right, .. } => vec![left, right],
+            Not(e) | Neg(e) | IsNull { expr: e, .. } => vec![e],
+            InList { expr, list, .. } => std::iter::once(&mut **expr).chain(list).collect(),
+            Like { expr, pattern, .. } => vec![expr, pattern],
             Case {
                 branches,
                 else_expr,
-            } => {
-                for (c, v) in branches {
-                    c.shift_depth(delta);
-                    v.shift_depth(delta);
-                }
-                if let Some(e) = else_expr {
-                    e.shift_depth(delta);
-                }
-            }
-            Func { args, .. } => {
-                for a in args {
-                    a.shift_depth(delta);
-                }
-            }
-            Subquery { plan, kind } => {
-                plan.shift_outer_depths(delta);
-                if let SubqueryKind::In { expr, .. } = kind {
-                    expr.shift_depth(delta);
-                }
-            }
+            } => branches
+                .iter_mut()
+                .flat_map(|(c, v)| [c, v])
+                .chain(else_expr.as_deref_mut())
+                .collect(),
+            Func { args, .. } => args.iter_mut().collect(),
+            Subquery { kind, .. } => match kind {
+                SubqueryKind::In { expr, .. } => vec![expr],
+                SubqueryKind::Exists { .. } | SubqueryKind::Scalar => Vec::new(),
+            },
         }
+    }
+
+    /// Maximum scope depth referenced anywhere in the expression (0 when the
+    /// expression only touches the current row). Subquery plans track their
+    /// own depths relative to their inner scope, which sits one level below,
+    /// so a plan referencing depth `d` contributes `d - 1` here.
+    pub fn max_depth(&self) -> usize {
+        let own = match self {
+            BoundExpr::Column { depth, .. } => *depth,
+            BoundExpr::Subquery { plan, .. } => plan.max_outer_depth().saturating_sub(1),
+            _ => 0,
+        };
+        self.children()
+            .into_iter()
+            .map(BoundExpr::max_depth)
+            .fold(own, usize::max)
     }
 }
 
@@ -689,12 +673,6 @@ pub fn like_match(s: &str, pattern: &str) -> bool {
     pi == p.len()
 }
 
-/// Helper shared with the planner: a thin wrapper to keep `Arc<str>`
-/// construction in one place.
-pub fn str_value(s: &str) -> Value {
-    Value::Str(Arc::from(s))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -828,14 +806,157 @@ mod tests {
         assert_eq!(g.eval(&env).unwrap(), Value::Int(2));
     }
 
+    /// A marker sub-expression no other slot of the same expression holds.
+    fn m(n: i64) -> Box<BoundExpr> {
+        Box::new(BoundExpr::Literal(Value::Int(n)))
+    }
+
+    fn subquery(kind: SubqueryKind) -> BoundExpr {
+        BoundExpr::Subquery {
+            plan: Box::new(Plan::Unit),
+            kind,
+        }
+    }
+
     #[test]
-    fn shift_depth_moves_references() {
-        let mut e = BoundExpr::Binary {
-            op: ast::BinaryOp::Eq,
-            left: Box::new(BoundExpr::Column { depth: 0, index: 1 }),
-            right: Box::new(BoundExpr::Column { depth: 1, index: 0 }),
+    fn children_list_every_sub_expression_in_evaluation_order() {
+        // Position of a variant in the enum. No wildcard: a new variant
+        // fails to compile here until it is listed, and then fails the
+        // count below until a specimen is added.
+        fn variant(e: &BoundExpr) -> usize {
+            match e {
+                BoundExpr::Column { .. } => 0,
+                BoundExpr::Literal(_) => 1,
+                BoundExpr::Binary { .. } => 2,
+                BoundExpr::Not(_) => 3,
+                BoundExpr::Neg(_) => 4,
+                BoundExpr::IsNull { .. } => 5,
+                BoundExpr::InList { .. } => 6,
+                BoundExpr::Like { .. } => 7,
+                BoundExpr::Case { .. } => 8,
+                BoundExpr::Func { .. } => 9,
+                BoundExpr::AggRef { .. } => 10,
+                BoundExpr::Subquery { .. } => 11,
+            }
+        }
+        let specimens: Vec<(BoundExpr, Vec<i64>)> = vec![
+            (BoundExpr::column(3), vec![]),
+            (*m(0), vec![]),
+            (
+                BoundExpr::Binary {
+                    op: ast::BinaryOp::Plus,
+                    left: m(1),
+                    right: m(2),
+                },
+                vec![1, 2],
+            ),
+            (BoundExpr::Not(m(1)), vec![1]),
+            (BoundExpr::Neg(m(1)), vec![1]),
+            (
+                BoundExpr::IsNull {
+                    expr: m(1),
+                    negated: true,
+                },
+                vec![1],
+            ),
+            (
+                BoundExpr::InList {
+                    expr: m(1),
+                    list: vec![*m(2), *m(3)],
+                    negated: false,
+                },
+                vec![1, 2, 3],
+            ),
+            (
+                BoundExpr::Like {
+                    expr: m(1),
+                    pattern: m(2),
+                    negated: false,
+                },
+                vec![1, 2],
+            ),
+            (
+                BoundExpr::Case {
+                    branches: vec![(*m(1), *m(2)), (*m(3), *m(4))],
+                    else_expr: Some(m(5)),
+                },
+                vec![1, 2, 3, 4, 5],
+            ),
+            (
+                BoundExpr::Func {
+                    func: ScalarFunc::Coalesce,
+                    args: vec![*m(1), *m(2)],
+                },
+                vec![1, 2],
+            ),
+            (BoundExpr::AggRef { index: 0 }, vec![]),
+            (subquery(SubqueryKind::Exists { negated: false }), vec![]),
+            (subquery(SubqueryKind::Scalar), vec![]),
+            (
+                subquery(SubqueryKind::In {
+                    expr: m(1),
+                    negated: false,
+                }),
+                vec![1],
+            ),
+        ];
+        let mut variants: Vec<usize> = specimens.iter().map(|(e, _)| variant(e)).collect();
+        variants.dedup();
+        assert_eq!(variants, (0..12).collect::<Vec<_>>(), "one per variant");
+        for (mut e, markers) in specimens {
+            let expected: Vec<BoundExpr> = markers.into_iter().map(|n| *m(n)).collect();
+            let by_ref: Vec<BoundExpr> = e.children().into_iter().cloned().collect();
+            assert_eq!(by_ref, expected, "children of {e:?}");
+            let by_mut: Vec<BoundExpr> = e.children_mut().into_iter().map(|c| c.clone()).collect();
+            assert_eq!(by_mut, expected, "children_mut of {e:?}");
+        }
+    }
+
+    /// `needle IN (SELECT … WHERE EXISTS (SELECT … WHERE x = <outer>))`
+    /// with the outer reference `depth` scopes above the innermost row.
+    fn in_over_exists(depth: usize, needle: BoundExpr) -> (BoundExpr, Plan, Plan) {
+        let innermost = Plan::Filter {
+            input: Box::new(Plan::Unit),
+            predicate: BoundExpr::Binary {
+                op: ast::BinaryOp::Eq,
+                left: Box::new(BoundExpr::column(0)),
+                right: Box::new(BoundExpr::Column { depth, index: 0 }),
+            },
         };
-        e.shift_depth(1);
+        let middle = Plan::Filter {
+            input: Box::new(Plan::Unit),
+            predicate: BoundExpr::Subquery {
+                plan: Box::new(innermost.clone()),
+                kind: SubqueryKind::Exists { negated: false },
+            },
+        };
+        let outer = BoundExpr::Subquery {
+            plan: Box::new(middle.clone()),
+            kind: SubqueryKind::In {
+                expr: Box::new(needle),
+                negated: false,
+            },
+        };
+        (outer, middle, innermost)
+    }
+
+    /// Depths through two subquery levels: each level an expression sits
+    /// below the scope it names takes one off.
+    #[test]
+    fn depths_through_two_levels_of_correlated_subqueries() {
+        // Depth 2 from the innermost plan is the row the IN is evaluated
+        // against: correlated all the way down, closed at the top.
+        let (e, middle, innermost) = in_over_exists(2, BoundExpr::column(1));
+        assert_eq!(innermost.max_outer_depth(), 2);
+        assert_eq!(middle.max_outer_depth(), 1);
+        assert_eq!(e.max_depth(), 0);
+        // One scope further out escapes the IN's own row too.
+        let (e, middle, innermost) = in_over_exists(3, BoundExpr::column(1));
+        assert_eq!(innermost.max_outer_depth(), 3);
+        assert_eq!(middle.max_outer_depth(), 2);
+        assert_eq!(e.max_depth(), 1);
+        // The needle is evaluated in the IN's scope, not the subquery's.
+        let (e, _, _) = in_over_exists(2, BoundExpr::Column { depth: 2, index: 0 });
         assert_eq!(e.max_depth(), 2);
     }
 }

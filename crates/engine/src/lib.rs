@@ -66,7 +66,7 @@ pub use cost::Estimator;
 pub use database::{Database, TableReads};
 pub use durable::{Checkpointer, DurabilityOptions};
 pub use error::{EngineError, Result};
-pub use explain::{explain, explain_analyze, explain_estimated, stats_json};
+pub use explain::{explain_analyze, explain_estimated, stats_json};
 pub use governor::{CancellationToken, Governor, LimitTrip, ResourceLimits};
 pub use index::{ConflictSummary, Index, IndexAccess};
 pub use plan::{ExecOptions, Plan};

@@ -1,5 +1,5 @@
 //! Post-planning optimizations: filter pushdown through joins and renames,
-//! plus cost-based build-side selection.
+//! cost-based build-side selection, and access-path selection.
 //!
 //! ConQuer's Section 5 relies on the host optimizer evaluating the
 //! `conscand > 0` guard *before* the Filter's joins ("it is up to the query
@@ -8,24 +8,28 @@
 //! plays that role: conjuncts of a `Filter` that reference only one side of
 //! a join move below it, eventually fusing with the base-table scan.
 //!
-//! With a cost [`Estimator`] (the default; see [`crate::cost`]) the pass
-//! additionally:
+//! [`optimize`] is the one entry point, and it always has a cost
+//! [`Estimator`] (see [`crate::cost`]); `ExecOptions::optimize = false`
+//! skips it altogether and runs the plan as the planner wrote it. Three
+//! passes, each "rewrite my inputs, then my own node" over
+//! [`Plan::map_children`], naming only the operators it rewrites:
 //!
-//! * pushes *right-side* conjuncts below inner joins when their estimated
+//! * `pushdown` sinks left-side conjuncts below any join, and
+//!   *right-side* conjuncts below inner joins when their estimated
 //!   selectivity is at most [`RIGHT_PUSH_MAX_SEL`] — re-indexing them with
 //!   `remap_row_refs`. Unselective right-side predicates (ConQuer's NSC
 //!   disjunctions) stay above the join, where they run over far fewer rows;
-//! * swaps the sides of inner hash joins *with residuals* so the estimated
-//!   smaller input becomes the hash-build side, restoring the original
-//!   column order with a projection. (Residual-free inner joins are swapped
-//!   at runtime on actual sizes, which is strictly better information, so
-//!   the pass leaves them alone.)
-//!
-//! Without an estimator (`ExecOptions::use_stats = false`) the pass reduces
-//! to the original left-side-only pushdown.
+//! * `orient_build_sides` swaps the sides of inner hash joins *with
+//!   residuals* so the estimated smaller input becomes the hash-build side,
+//!   restoring the original column order with a projection. (Residual-free
+//!   inner joins are swapped at runtime on actual sizes, which is strictly
+//!   better information, so the pass leaves them alone.)
+//! * `select_access_paths` turns filtered scans into index scans, serves
+//!   hash-join builds from prebuilt indexes and reads conflict sets off
+//!   them, each priced against the sequential plan.
 
 use crate::cost::Estimator;
-use crate::expr::{BoundExpr, SubqueryKind};
+use crate::expr::BoundExpr;
 use crate::index::{Index, IndexAccess};
 use crate::kernels;
 use crate::plan::{AggFunc, AggSpec, JoinType, Plan};
@@ -37,109 +41,28 @@ use crate::value::Value;
 /// pass-through predicates stay above the (smaller) join output.
 pub const RIGHT_PUSH_MAX_SEL: f64 = 0.75;
 
-/// Optimize a plan tree without statistics: left-side filter pushdown only.
-pub fn optimize(plan: Plan) -> Plan {
-    optimize_with(plan, None)
+/// Optimize a plan tree: filter pushdown (both sides where the estimator
+/// deems it profitable), then cost-based build-side selection, then
+/// access-path selection over the final shape.
+pub fn optimize(plan: Plan, est: &Estimator<'_>) -> Plan {
+    select_access_paths(orient_build_sides(pushdown(plan, est), est), est)
 }
 
-/// Optimize a plan tree: filter pushdown (both sides when an estimator
-/// deems it profitable), then cost-based build-side selection.
-pub fn optimize_with(plan: Plan, est: Option<&Estimator<'_>>) -> Plan {
-    let pushed = pushdown(plan, est);
-    match est {
-        Some(est) => select_access_paths(orient_build_sides(pushed, est), est),
-        None => pushed,
-    }
-}
-
-/// Filter-pushdown walk. Currently: pushes filter conjuncts through
-/// `Rename`, `Filter`, inner `HashJoin`/`NestedLoopJoin` (both sides),
-/// left-outer joins (left side only), and semi/anti joins (left side).
-fn pushdown(plan: Plan, est: Option<&Estimator<'_>>) -> Plan {
-    match plan {
+/// Filter-pushdown walk: pushes filter conjuncts through `Rename`,
+/// `Filter`, inner `HashJoin`/`NestedLoopJoin` (both sides), left-outer
+/// joins (left side only), and semi/anti joins (left side).
+fn pushdown(plan: Plan, est: &Estimator<'_>) -> Plan {
+    match plan.map_children(|child| pushdown(child, est)) {
         Plan::Filter { input, predicate } => {
-            let input = pushdown(*input, est);
-            let conjuncts = split_bound_conjuncts(predicate);
-            push_filter(input, conjuncts, est)
+            push_filter(*input, split_bound_conjuncts(predicate), est)
         }
-        Plan::Project {
-            input,
-            exprs,
-            schema,
-        } => Plan::Project {
-            input: Box::new(pushdown(*input, est)),
-            exprs,
-            schema,
-        },
-        Plan::Rename { input, schema } => Plan::Rename {
-            input: Box::new(pushdown(*input, est)),
-            schema,
-        },
-        Plan::HashJoin {
-            left,
-            right,
-            kind,
-            left_keys,
-            right_keys,
-            residual,
-            build_index,
-            schema,
-        } => Plan::HashJoin {
-            left: Box::new(pushdown(*left, est)),
-            right: Box::new(pushdown(*right, est)),
-            kind,
-            left_keys,
-            right_keys,
-            residual,
-            build_index,
-            schema,
-        },
-        Plan::NestedLoopJoin {
-            left,
-            right,
-            kind,
-            on,
-            schema,
-        } => Plan::NestedLoopJoin {
-            left: Box::new(pushdown(*left, est)),
-            right: Box::new(pushdown(*right, est)),
-            kind,
-            on,
-            schema,
-        },
-        Plan::Aggregate {
-            input,
-            group_exprs,
-            aggs,
-            schema,
-        } => Plan::Aggregate {
-            input: Box::new(pushdown(*input, est)),
-            group_exprs,
-            aggs,
-            schema,
-        },
-        Plan::Distinct { input } => Plan::Distinct {
-            input: Box::new(pushdown(*input, est)),
-        },
-        Plan::UnionAll { left, right } => Plan::UnionAll {
-            left: Box::new(pushdown(*left, est)),
-            right: Box::new(pushdown(*right, est)),
-        },
-        Plan::Sort { input, keys } => Plan::Sort {
-            input: Box::new(pushdown(*input, est)),
-            keys,
-        },
-        Plan::Limit { input, n } => Plan::Limit {
-            input: Box::new(pushdown(*input, est)),
-            n,
-        },
-        leaf @ (Plan::Scan { .. } | Plan::IndexScan { .. } | Plan::Unit) => leaf,
+        other => other,
     }
 }
 
 /// Push a set of conjuncts as deep as possible above `input`, rebuilding a
 /// `Filter` for whatever cannot sink further.
-fn push_filter(input: Plan, conjuncts: Vec<BoundExpr>, est: Option<&Estimator<'_>>) -> Plan {
+fn push_filter(input: Plan, conjuncts: Vec<BoundExpr>, est: &Estimator<'_>) -> Plan {
     if conjuncts.is_empty() {
         return input;
     }
@@ -165,51 +88,22 @@ fn push_filter(input: Plan, conjuncts: Vec<BoundExpr>, est: Option<&Estimator<'_
             }
         }
         Plan::HashJoin {
-            left,
-            right,
+            ref left,
+            ref right,
             kind,
-            left_keys,
-            right_keys,
-            residual,
-            build_index,
-            schema,
-        } => {
-            let left_width = left.schema().len();
-            let (sink_left, sink_right, keep) =
-                split_by_side(conjuncts, left_width, kind, est, &right);
-            let left = push_filter(*left, sink_left, est);
-            let right = push_filter(*right, sink_right, est);
-            let joined = Plan::HashJoin {
-                left: Box::new(left),
-                right: Box::new(right),
-                kind,
-                left_keys,
-                right_keys,
-                residual,
-                build_index,
-                schema,
-            };
-            wrap_filter(joined, keep)
+            ..
         }
-        Plan::NestedLoopJoin {
-            left,
-            right,
+        | Plan::NestedLoopJoin {
+            ref left,
+            ref right,
             kind,
-            on,
-            schema,
+            ..
         } => {
-            let left_width = left.schema().len();
             let (sink_left, sink_right, keep) =
-                split_by_side(conjuncts, left_width, kind, est, &right);
-            let left = push_filter(*left, sink_left, est);
-            let right = push_filter(*right, sink_right, est);
-            let joined = Plan::NestedLoopJoin {
-                left: Box::new(left),
-                right: Box::new(right),
-                kind,
-                on,
-                schema,
-            };
+                split_by_side(conjuncts, left.schema().len(), kind, est, right);
+            let mut sinks = [sink_left, sink_right].into_iter();
+            let joined =
+                input.map_children(|side| push_filter(side, sinks.next().unwrap_or_default(), est));
             wrap_filter(joined, keep)
         }
         other => wrap_filter(other, conjuncts),
@@ -223,7 +117,7 @@ fn split_by_side(
     conjuncts: Vec<BoundExpr>,
     left_width: usize,
     kind: JoinType,
-    est: Option<&Estimator<'_>>,
+    est: &Estimator<'_>,
     right_child: &Plan,
 ) -> (Vec<BoundExpr>, Vec<BoundExpr>, Vec<BoundExpr>) {
     let mut left = Vec::new();
@@ -249,18 +143,15 @@ fn split_by_side(
         // predicate actually filters: in ConQuer's Filter CTEs the right
         // side is a base table and the right-side conjunct is the
         // low-selectivity NSC disjunction, far cheaper to evaluate on the
-        // join's (small) output. The estimator arbitrates: no estimator, no
-        // right pushes.
+        // join's (small) output. The estimator arbitrates.
         let all_right = refs.iter().all(|i| *i >= left_width);
         if all_right && kind == JoinType::Inner {
-            if let Some(est) = est {
-                let mut remapped = conjunct.clone();
-                remap_row_refs(&mut remapped, 0, left_width);
-                let derived = right_derived.get_or_insert_with(|| est.derive(right_child));
-                if est.selectivity(&remapped, derived) <= RIGHT_PUSH_MAX_SEL {
-                    right.push(remapped);
-                    continue;
-                }
+            let mut remapped = conjunct.clone();
+            remap_row_refs(&mut remapped, 0, left_width);
+            let derived = right_derived.get_or_insert_with(|| est.derive(right_child));
+            if est.selectivity(&remapped, derived) <= RIGHT_PUSH_MAX_SEL {
+                right.push(remapped);
+                continue;
             }
         }
         keep.push(conjunct);
@@ -275,86 +166,11 @@ fn split_by_side(
 /// restoring the original layout; row order changes, which the engine
 /// already permits for inner joins (the runtime swap does the same).
 fn orient_build_sides(plan: Plan, est: &Estimator<'_>) -> Plan {
-    // Recurse first so child estimates reflect final child shapes.
-    let plan = match plan {
-        Plan::Filter { input, predicate } => Plan::Filter {
-            input: Box::new(orient_build_sides(*input, est)),
-            predicate,
-        },
-        Plan::Project {
-            input,
-            exprs,
-            schema,
-        } => Plan::Project {
-            input: Box::new(orient_build_sides(*input, est)),
-            exprs,
-            schema,
-        },
-        Plan::Rename { input, schema } => Plan::Rename {
-            input: Box::new(orient_build_sides(*input, est)),
-            schema,
-        },
-        Plan::HashJoin {
-            left,
-            right,
-            kind,
-            left_keys,
-            right_keys,
-            residual,
-            build_index,
-            schema,
-        } => Plan::HashJoin {
-            left: Box::new(orient_build_sides(*left, est)),
-            right: Box::new(orient_build_sides(*right, est)),
-            kind,
-            left_keys,
-            right_keys,
-            residual,
-            build_index,
-            schema,
-        },
-        Plan::NestedLoopJoin {
-            left,
-            right,
-            kind,
-            on,
-            schema,
-        } => Plan::NestedLoopJoin {
-            left: Box::new(orient_build_sides(*left, est)),
-            right: Box::new(orient_build_sides(*right, est)),
-            kind,
-            on,
-            schema,
-        },
-        Plan::Aggregate {
-            input,
-            group_exprs,
-            aggs,
-            schema,
-        } => Plan::Aggregate {
-            input: Box::new(orient_build_sides(*input, est)),
-            group_exprs,
-            aggs,
-            schema,
-        },
-        Plan::Distinct { input } => Plan::Distinct {
-            input: Box::new(orient_build_sides(*input, est)),
-        },
-        Plan::UnionAll { left, right } => Plan::UnionAll {
-            left: Box::new(orient_build_sides(*left, est)),
-            right: Box::new(orient_build_sides(*right, est)),
-        },
-        Plan::Sort { input, keys } => Plan::Sort {
-            input: Box::new(orient_build_sides(*input, est)),
-            keys,
-        },
-        Plan::Limit { input, n } => Plan::Limit {
-            input: Box::new(orient_build_sides(*input, est)),
-            n,
-        },
-        leaf @ (Plan::Scan { .. } | Plan::IndexScan { .. } | Plan::Unit) => leaf,
-    };
-    maybe_swap_build(plan, est)
+    // Inputs first, so child estimates reflect final child shapes.
+    maybe_swap_build(
+        plan.map_children(|child| orient_build_sides(child, est)),
+        est,
+    )
 }
 
 /// If `plan` is an inner hash join with a residual whose left side is
@@ -365,30 +181,28 @@ fn maybe_swap_build(plan: Plan, est: &Estimator<'_>) -> Plan {
         left,
         right,
         kind: JoinType::Inner,
+        residual: Some(_),
+        ..
+    } = &plan
+    else {
+        return plan;
+    };
+    if est.est_rows(left) >= est.est_rows(right) {
+        // Build side (right) already the smaller estimate: keep as-is.
+        return plan;
+    }
+    let Plan::HashJoin {
+        left,
+        right,
         left_keys,
         right_keys,
         residual: Some(mut residual),
-        build_index,
         schema,
+        ..
     } = plan
     else {
         return plan;
     };
-    let l_rows = est.est_rows(&left);
-    let r_rows = est.est_rows(&right);
-    if l_rows >= r_rows {
-        // Build side (right) already the smaller estimate: keep as-is.
-        return Plan::HashJoin {
-            left,
-            right,
-            kind: JoinType::Inner,
-            left_keys,
-            right_keys,
-            residual: Some(residual),
-            build_index,
-            schema,
-        };
-    }
     let w_l = left.schema().len();
     let w_r = right.schema().len();
     // The residual is bound over [L, R]; the swapped join concatenates
@@ -434,41 +248,33 @@ fn maybe_swap_build(plan: Plan, est: &Estimator<'_>) -> Plan {
 /// key columns. A `GROUP BY … HAVING count(*) > c` over exactly an index's
 /// key columns is read off the index's conflict list
 /// ([`try_conflict_scan`]), and a semi/anti join against such a scan probes
-/// the postings' lengths instead of hashing the scan's rows. Only runs with
-/// an estimator (`use_stats`), and only sees indexes the estimator carries
-/// (`use_indexes`) — without either, plans are untouched.
+/// the postings' lengths instead of hashing the scan's rows. Only sees the
+/// indexes the estimator carries (`use_indexes`) — without them, plans are
+/// untouched.
 fn select_access_paths(plan: Plan, est: &Estimator<'_>) -> Plan {
-    let plan = match plan {
+    // The conflict scan replaces a whole `Project(Filter(Aggregate(Scan)))`
+    // subtree, so it is matched before anything below it is rewritten.
+    if let Plan::Project {
+        input,
+        exprs,
+        schema,
+    } = &plan
+    {
+        if let Some(scan) = try_conflict_scan(input, exprs, schema, est) {
+            return scan;
+        }
+    }
+    match plan.map_children(|child| select_access_paths(child, est)) {
         Plan::Filter { input, predicate } => {
-            let input = select_access_paths(*input, est);
-            if let Plan::Scan { cols, schema } = &input {
+            if let Plan::Scan { cols, schema } = &*input {
                 if let Some(index) = est.index_for(cols) {
                     if let Some(rewritten) = try_index_scan(cols, schema, index, &predicate, est) {
                         return rewritten;
                     }
                 }
             }
-            Plan::Filter {
-                input: Box::new(input),
-                predicate,
-            }
+            Plan::Filter { input, predicate }
         }
-        Plan::Project {
-            input,
-            exprs,
-            schema,
-        } => match try_conflict_scan(&input, &exprs, &schema, est) {
-            Some(scan) => scan,
-            None => Plan::Project {
-                input: Box::new(select_access_paths(*input, est)),
-                exprs,
-                schema,
-            },
-        },
-        Plan::Rename { input, schema } => Plan::Rename {
-            input: Box::new(select_access_paths(*input, est)),
-            schema,
-        },
         Plan::HashJoin {
             left,
             right,
@@ -479,8 +285,6 @@ fn select_access_paths(plan: Plan, est: &Estimator<'_>) -> Plan {
             mut build_index,
             schema,
         } => {
-            let left = Box::new(select_access_paths(*left, est));
-            let right = Box::new(select_access_paths(*right, est));
             if build_index.is_none() {
                 // The build side's keys as columns of the indexed batch: a
                 // bare scan's own, a conflict scan's through its
@@ -598,48 +402,8 @@ fn select_access_paths(plan: Plan, est: &Estimator<'_>) -> Plan {
                 schema,
             }
         }
-        Plan::NestedLoopJoin {
-            left,
-            right,
-            kind,
-            on,
-            schema,
-        } => Plan::NestedLoopJoin {
-            left: Box::new(select_access_paths(*left, est)),
-            right: Box::new(select_access_paths(*right, est)),
-            kind,
-            on,
-            schema,
-        },
-        Plan::Aggregate {
-            input,
-            group_exprs,
-            aggs,
-            schema,
-        } => Plan::Aggregate {
-            input: Box::new(select_access_paths(*input, est)),
-            group_exprs,
-            aggs,
-            schema,
-        },
-        Plan::Distinct { input } => Plan::Distinct {
-            input: Box::new(select_access_paths(*input, est)),
-        },
-        Plan::UnionAll { left, right } => Plan::UnionAll {
-            left: Box::new(select_access_paths(*left, est)),
-            right: Box::new(select_access_paths(*right, est)),
-        },
-        Plan::Sort { input, keys } => Plan::Sort {
-            input: Box::new(select_access_paths(*input, est)),
-            keys,
-        },
-        Plan::Limit { input, n } => Plan::Limit {
-            input: Box::new(select_access_paths(*input, est)),
-            n,
-        },
-        leaf @ (Plan::Scan { .. } | Plan::IndexScan { .. } | Plan::Unit) => leaf,
-    };
-    plan
+        other => other,
+    }
 }
 
 /// `SELECT K' FROM R GROUP BY K HAVING count(*) > c` — as planned, a
@@ -951,111 +715,31 @@ fn conjoin_bound(conjuncts: Vec<BoundExpr>) -> Option<BoundExpr> {
 /// `depth == level`, including references from inside nested subquery plans
 /// (where the row sits one scope deeper per nesting level).
 fn collect_row_refs(e: &BoundExpr, level: usize, out: &mut Vec<usize>) {
-    use BoundExpr::*;
     match e {
-        Column { depth, index } => {
-            if *depth == level {
-                out.push(*index);
-            }
+        BoundExpr::Column { depth, index } if *depth == level => out.push(*index),
+        BoundExpr::Subquery { plan, .. } => {
+            plan.visit_exprs(&mut |inner| collect_row_refs(inner, level + 1, out));
         }
-        Literal(_) | AggRef { .. } => {}
-        Binary { left, right, .. } => {
-            collect_row_refs(left, level, out);
-            collect_row_refs(right, level, out);
-        }
-        Not(x) | Neg(x) => collect_row_refs(x, level, out),
-        IsNull { expr, .. } => collect_row_refs(expr, level, out),
-        InList { expr, list, .. } => {
-            collect_row_refs(expr, level, out);
-            for x in list {
-                collect_row_refs(x, level, out);
-            }
-        }
-        Like { expr, pattern, .. } => {
-            collect_row_refs(expr, level, out);
-            collect_row_refs(pattern, level, out);
-        }
-        Case {
-            branches,
-            else_expr,
-        } => {
-            for (c, v) in branches {
-                collect_row_refs(c, level, out);
-                collect_row_refs(v, level, out);
-            }
-            if let Some(x) = else_expr {
-                collect_row_refs(x, level, out);
-            }
-        }
-        Func { args, .. } => {
-            for x in args {
-                collect_row_refs(x, level, out);
-            }
-        }
-        Subquery { plan, kind } => {
-            collect_plan_row_refs(plan, level + 1, out);
-            if let SubqueryKind::In { expr, .. } = kind {
-                collect_row_refs(expr, level, out);
-            }
-        }
+        _ => {}
     }
-}
-
-fn collect_plan_row_refs(plan: &Plan, level: usize, out: &mut Vec<usize>) {
-    plan.visit_exprs(&mut |e| collect_row_refs(e, level, out));
+    for child in e.children() {
+        collect_row_refs(child, level, out);
+    }
 }
 
 /// Rewrite every row-level (depth == level) column index through `f`,
 /// including references from inside nested subquery plans (where the row
 /// sits one scope deeper per nesting level).
 fn map_row_refs(e: &mut BoundExpr, level: usize, f: &mut dyn FnMut(usize) -> usize) {
-    use BoundExpr::*;
     match e {
-        Column { depth, index } => {
-            if *depth == level {
-                *index = f(*index);
-            }
+        BoundExpr::Column { depth, index } if *depth == level => *index = f(*index),
+        BoundExpr::Subquery { plan, .. } => {
+            plan.visit_exprs_mut(&mut |inner| map_row_refs(inner, level + 1, f));
         }
-        Literal(_) | AggRef { .. } => {}
-        Binary { left, right, .. } => {
-            map_row_refs(left, level, f);
-            map_row_refs(right, level, f);
-        }
-        Not(x) | Neg(x) => map_row_refs(x, level, f),
-        IsNull { expr, .. } => map_row_refs(expr, level, f),
-        InList { expr, list, .. } => {
-            map_row_refs(expr, level, f);
-            for x in list {
-                map_row_refs(x, level, f);
-            }
-        }
-        Like { expr, pattern, .. } => {
-            map_row_refs(expr, level, f);
-            map_row_refs(pattern, level, f);
-        }
-        Case {
-            branches,
-            else_expr,
-        } => {
-            for (c, v) in branches {
-                map_row_refs(c, level, f);
-                map_row_refs(v, level, f);
-            }
-            if let Some(x) = else_expr {
-                map_row_refs(x, level, f);
-            }
-        }
-        Func { args, .. } => {
-            for x in args {
-                map_row_refs(x, level, f);
-            }
-        }
-        Subquery { plan, kind } => {
-            plan.visit_exprs_mut(&mut |ex| map_row_refs(ex, level + 1, f));
-            if let SubqueryKind::In { expr, .. } = kind {
-                map_row_refs(expr, level, f);
-            }
-        }
+        _ => {}
+    }
+    for child in e.children_mut() {
+        map_row_refs(child, level, f);
     }
 }
 
@@ -1069,6 +753,7 @@ fn remap_row_refs(e: &mut BoundExpr, level: usize, delta: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expr::SubqueryKind;
     use crate::value::Value;
 
     fn col(i: usize) -> BoundExpr {
@@ -1121,9 +806,12 @@ mod tests {
 
     #[test]
     fn side_split_classifies_by_column_range() {
-        let conjuncts = vec![gt(col(0), 1), gt(col(5), 2), gt(and(col(0), col(5)), 0)];
-        // Without an estimator, right-side pushes stay disabled.
-        let (l, r, keep) = split_by_side(conjuncts, 3, JoinType::Inner, None, &right_child());
+        let est = Estimator::standalone();
+        // Left-only sinks left whatever it filters; right-only (`c2 > 0`
+        // keeps ~9 of 10 rows, so it is not worth sinking) and mixed-side
+        // conjuncts stay above.
+        let conjuncts = vec![gt(col(0), 1), gt(col(5), 0), gt(and(col(0), col(5)), 0)];
+        let (l, r, keep) = split_by_side(conjuncts, 3, JoinType::Inner, &est, &right_child());
         assert_eq!(l.len(), 1);
         assert!(r.is_empty());
         assert_eq!(keep.len(), 2);
@@ -1134,7 +822,7 @@ mod tests {
         let est = Estimator::standalone();
         // col(5) maps to right column 2: `c2 > 8` keeps ~1 of 10 rows.
         let conjuncts = vec![gt(col(5), 8), gt(and(col(0), col(5)), 0)];
-        let (l, r, keep) = split_by_side(conjuncts, 3, JoinType::Inner, Some(&est), &right_child());
+        let (l, r, keep) = split_by_side(conjuncts, 3, JoinType::Inner, &est, &right_child());
         assert!(l.is_empty());
         assert_eq!(r.len(), 1, "selective right conjunct must sink");
         assert_eq!(keep.len(), 1);
@@ -1149,7 +837,7 @@ mod tests {
         let est = Estimator::standalone();
         // `c2 > 0` keeps ~9 of 10 rows: pushing buys nothing.
         let conjuncts = vec![gt(col(5), 0)];
-        let (l, r, keep) = split_by_side(conjuncts, 3, JoinType::Inner, Some(&est), &right_child());
+        let (l, r, keep) = split_by_side(conjuncts, 3, JoinType::Inner, &est, &right_child());
         assert!(l.is_empty());
         assert!(r.is_empty());
         assert_eq!(keep.len(), 1);
@@ -1159,13 +847,7 @@ mod tests {
     fn left_outer_join_keeps_right_conjuncts_above() {
         let est = Estimator::standalone();
         let conjuncts = vec![gt(col(0), 1), gt(col(5), 8)];
-        let (l, r, keep) = split_by_side(
-            conjuncts,
-            3,
-            JoinType::LeftOuter,
-            Some(&est),
-            &right_child(),
-        );
+        let (l, r, keep) = split_by_side(conjuncts, 3, JoinType::LeftOuter, &est, &right_child());
         assert_eq!(l.len(), 1);
         assert!(r.is_empty(), "outer joins must never sink right conjuncts");
         assert_eq!(keep.len(), 1);
@@ -1217,7 +899,7 @@ mod tests {
         // for left_width 3 — so the whole conjunct may sink, but only if
         // the depth-1 reference inside the subquery plan is remapped too.
         let conjuncts = vec![correlated_exists(5)];
-        let (l, r, keep) = split_by_side(conjuncts, 3, JoinType::Inner, Some(&est), &right_child());
+        let (l, r, keep) = split_by_side(conjuncts, 3, JoinType::Inner, &est, &right_child());
         assert!(l.is_empty());
         assert!(keep.is_empty());
         assert_eq!(r.len(), 1, "correlated EXISTS on the right side must sink");
@@ -1236,7 +918,7 @@ mod tests {
             left: Box::new(correlated_exists(5)),
             right: Box::new(gt(col(1), 0)),
         }];
-        let (l, r, keep) = split_by_side(mixed, 3, JoinType::Inner, Some(&est), &right_child());
+        let (l, r, keep) = split_by_side(mixed, 3, JoinType::Inner, &est, &right_child());
         assert!(l.is_empty());
         assert!(r.is_empty());
         assert_eq!(keep.len(), 1, "mixed-side conjunct must stay above");
@@ -1266,7 +948,7 @@ mod tests {
     /// End-to-end regression for the audit in ISSUE 5: a pushed right-side
     /// conjunct containing an `EXISTS` that references the outer row. The
     /// push happens (plan shape) and the depth-1 remap is correct (results
-    /// match the unoptimized plan exactly).
+    /// match the hand-computed rows and the plan as written).
     #[test]
     fn pushed_exists_conjunct_is_correct_end_to_end() {
         let db = crate::Database::new();
@@ -1280,46 +962,43 @@ mod tests {
              insert into lookup values (100), (999);",
         )
         .unwrap();
+        // The correlation is a pair of inequalities, which semi-join
+        // decorrelation refuses: the EXISTS stays a per-row subquery, so
+        // the optimizer sees a pushable subquery conjunct.
         let sql = "select big.lk, small.ry from big, small \
                    where big.lk = small.rk \
-                   and exists (select 1 from lookup where lookup.cx = small.ry)";
+                   and exists (select 1 from lookup \
+                               where lookup.cx >= small.ry and lookup.cx <= small.ry)";
         let query = conquer_sql::parse_query(sql).unwrap();
+        let optimizing = crate::ExecOptions::default().with_threads(1);
+        let mut as_written = optimizing.clone();
+        as_written.optimize = false;
 
-        // Keep the EXISTS a per-row subquery (no semi-join decorrelation)
-        // so the optimizer sees a pushable subquery conjunct.
-        let mut stats_on = crate::ExecOptions::default().with_threads(1);
-        stats_on.decorrelate_exists = false;
-        let mut stats_off = stats_on.clone();
-        stats_off.use_stats = false;
-        let mut unoptimized = stats_off.clone();
-        unoptimized.pushdown_filters = false;
-
-        // Plan shape: with statistics, `small` is the build (right) side
-        // (3 rows vs 8) and the EXISTS sinks below the join, so no
-        // subquery filter remains above it. Without statistics the seed
-        // behaviour keeps right-side conjuncts above the join.
-        let optimized = db.plan(&query, &stats_on).unwrap();
+        // Plan shape: the optimizer makes `small` the build (right) side
+        // (3 rows vs 8) and sinks the EXISTS below the join, so no subquery
+        // filter remains above it. As written, it stays above the join.
+        let optimized = db.plan(&query, &optimizing).unwrap();
         assert!(
             !subquery_filter_above_join(&optimized),
-            "EXISTS must sink below the join with statistics: {optimized:?}"
+            "EXISTS must sink below the join when optimizing: {optimized:?}"
         );
-        let seed = db.plan(&query, &stats_off).unwrap();
+        let written = db.plan(&query, &as_written).unwrap();
         assert!(
-            subquery_filter_above_join(&seed),
-            "without statistics the EXISTS must stay above the join"
+            subquery_filter_above_join(&written),
+            "as written the EXISTS must stay above the join"
         );
 
-        // Results: identical across all three plans. A wrong remap of the
-        // depth-1 outer reference would read the wrong column (or fall out
-        // of bounds) in the pushed plan.
+        // Results: identical, and equal to the rows computed by hand. A
+        // wrong remap of the depth-1 outer reference would read the wrong
+        // column (or fall out of bounds) in the pushed plan.
         let expected = vec![
             vec![Value::Int(1), Value::Int(100)],
             vec![Value::Int(3), Value::Int(999)],
         ];
-        for options in [&stats_on, &stats_off, &unoptimized] {
+        for options in [&optimizing, &as_written] {
             let mut rows = db.query_with(sql, options).unwrap().rows;
             rows.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
-            assert_eq!(rows, expected, "use_stats={}", options.use_stats);
+            assert_eq!(rows, expected, "optimize={}", options.optimize);
         }
     }
 }

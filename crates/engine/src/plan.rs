@@ -5,7 +5,18 @@
 //! [`ExecOptions`] flag re-inlines them instead, for the ablation study.
 //! Equality-correlated `EXISTS`/`NOT EXISTS` predicates are decorrelated
 //! into hash semi/anti joins; a second flag disables that and falls back to
-//! per-row nested-loop evaluation.
+//! per-row nested-loop evaluation. A third, [`ExecOptions::optimize`],
+//! turns the optimizer off as a whole — join order as written, no
+//! [`crate::opt`] pass over query or CTE bodies (`Planner::optimize` is
+//! the one place it runs), no CTE pruning — which is the reference plan the
+//! planner differential compares production against.
+//!
+//! This module is also the one place that knows the layout of a [`Plan`]
+//! node: [`Plan::children`] / [`Plan::children_mut`] /
+//! [`Plan::map_children`] give a node's inputs and [`Plan::exprs`] /
+//! [`Plan::exprs_mut`] its own expressions, and every traversal elsewhere
+//! (depth analysis, the optimizer passes, `EXPLAIN`, runtime stats) is
+//! written over those instead of matching on the variants.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -38,15 +49,15 @@ pub struct ExecOptions {
     /// Rewrite equality-correlated `EXISTS`/`NOT EXISTS` into hash
     /// semi/anti joins. When `false`, they run as per-row nested loops.
     pub decorrelate_exists: bool,
-    /// Push filter conjuncts below joins after planning (the host-optimizer
-    /// behaviour Section 5 of the paper relies on for the `conscand` guard).
-    pub pushdown_filters: bool,
-    /// Use table statistics for cost-based planning: greedy join ordering,
-    /// hash build-side selection, selectivity-gated right-side filter
-    /// pushes, and CTE projection pruning. When `false`, planning is purely
-    /// syntactic (the pre-statistics behaviour, kept for ablation and
-    /// differential testing).
-    pub use_stats: bool,
+    /// Run the optimizer: cost-based greedy join ordering, then filter
+    /// pushdown below joins (the host-optimizer behaviour Section 5 of the
+    /// paper relies on for the `conscand` guard), hash build-side selection
+    /// and access-path selection over every query and CTE body, and
+    /// projection pruning of materialized CTEs. When `false` the plan runs
+    /// as written — first-connected join order, every post-join predicate
+    /// above its join, sequential scans — which is the reference the
+    /// planner differential and the ablation study compare against.
+    pub optimize: bool,
     /// Resource budget for the query (unlimited by default). Covers plan
     /// time too: CTE materialization runs under the same governor.
     pub limits: ResourceLimits,
@@ -77,7 +88,7 @@ pub struct ExecOptions {
     pub columnar: bool,
     /// Consider secondary indexes when choosing access paths (index point
     /// and range scans, index-backed hash-join build sides). Requires
-    /// `use_stats`; when `false`, plans are identical to the pre-index
+    /// `optimize`; when `false`, plans are identical to the pre-index
     /// planner — the oracle the index differential suite compares
     /// against. Answers are the same either way.
     pub use_indexes: bool,
@@ -88,8 +99,7 @@ impl Default for ExecOptions {
         ExecOptions {
             materialize_ctes: true,
             decorrelate_exists: true,
-            pushdown_filters: true,
-            use_stats: true,
+            optimize: true,
             limits: ResourceLimits::default(),
             cancellation: None,
             threads: default_threads(),
@@ -355,403 +365,121 @@ impl Plan {
         }
     }
 
-    /// Maximum outer-scope depth referenced by any expression in the plan,
-    /// from the perspective of rows flowing through this plan (0 = no
-    /// correlation).
-    pub fn max_outer_depth(&self) -> usize {
-        // Expressions inside a plan evaluate against that plan's own rows at
-        // depth 0; anything deeper refers to enclosing query scopes.
+    /// [`Plan::children`], mutably and in the same order.
+    pub fn children_mut(&mut self) -> Vec<&mut Plan> {
         match self {
-            Plan::Scan { .. } | Plan::IndexScan { .. } | Plan::Unit => 0,
-            Plan::Filter { input, predicate } => input.max_outer_depth().max(predicate.max_depth()),
-            Plan::Project { input, exprs, .. } => input
-                .max_outer_depth()
-                .max(exprs.iter().map(BoundExpr::max_depth).max().unwrap_or(0)),
-            Plan::Rename { input, .. } | Plan::Distinct { input } | Plan::Limit { input, .. } => {
-                input.max_outer_depth()
-            }
-            Plan::Sort { input, keys } => input
-                .max_outer_depth()
-                .max(keys.iter().map(|(e, _)| e.max_depth()).max().unwrap_or(0)),
-            Plan::HashJoin {
-                left,
-                right,
-                left_keys,
-                right_keys,
-                residual,
-                ..
-            } => left
-                .max_outer_depth()
-                .max(right.max_outer_depth())
-                .max(
-                    left_keys
-                        .iter()
-                        .map(BoundExpr::max_depth)
-                        .max()
-                        .unwrap_or(0),
-                )
-                .max(
-                    right_keys
-                        .iter()
-                        .map(BoundExpr::max_depth)
-                        .max()
-                        .unwrap_or(0),
-                )
-                .max(residual.as_ref().map(|e| e.max_depth()).unwrap_or(0)),
-            Plan::NestedLoopJoin {
-                left, right, on, ..
-            } => left
-                .max_outer_depth()
-                .max(right.max_outer_depth())
-                .max(on.as_ref().map(|e| e.max_depth()).unwrap_or(0)),
-            Plan::Aggregate {
-                input,
-                group_exprs,
-                aggs,
-                ..
-            } => input
-                .max_outer_depth()
-                .max(
-                    group_exprs
-                        .iter()
-                        .map(BoundExpr::max_depth)
-                        .max()
-                        .unwrap_or(0),
-                )
-                .max(
-                    aggs.iter()
-                        .filter_map(|a| a.arg.as_ref())
-                        .map(BoundExpr::max_depth)
-                        .max()
-                        .unwrap_or(0),
-                ),
-            Plan::UnionAll { left, right } => left.max_outer_depth().max(right.max_outer_depth()),
+            Plan::Scan { .. } | Plan::IndexScan { .. } | Plan::Unit => Vec::new(),
+            Plan::Filter { input, .. }
+            | Plan::Project { input, .. }
+            | Plan::Rename { input, .. }
+            | Plan::Aggregate { input, .. }
+            | Plan::Distinct { input }
+            | Plan::Sort { input, .. }
+            | Plan::Limit { input, .. } => vec![input],
+            Plan::HashJoin { left, right, .. }
+            | Plan::NestedLoopJoin { left, right, .. }
+            | Plan::UnionAll { left, right } => vec![left, right],
         }
     }
 
-    /// Visit every expression embedded in this plan tree (immutably).
-    pub fn visit_exprs(&self, f: &mut impl FnMut(&BoundExpr)) {
+    /// This node with every input replaced by `f(input)`, left before
+    /// right — the recursion step of a rewriting pass.
+    pub fn map_children(mut self, mut f: impl FnMut(Plan) -> Plan) -> Plan {
+        for child in self.children_mut() {
+            *child = f(std::mem::replace(child, Plan::Unit));
+        }
+        self
+    }
+
+    /// The expressions this node itself evaluates (not its inputs'), in a
+    /// fixed order: join keys left then right, then the residual; group
+    /// keys, then aggregate arguments.
+    pub fn exprs(&self) -> Vec<&BoundExpr> {
         match self {
-            Plan::Scan { .. } | Plan::IndexScan { .. } | Plan::Unit => {}
-            Plan::Filter { input, predicate } => {
-                f(predicate);
-                input.visit_exprs(f);
-            }
-            Plan::Project { input, exprs, .. } => {
-                exprs.iter().for_each(&mut *f);
-                input.visit_exprs(f);
-            }
-            Plan::Rename { input, .. } | Plan::Distinct { input } | Plan::Limit { input, .. } => {
-                input.visit_exprs(f)
-            }
-            Plan::Sort { input, keys } => {
-                keys.iter().for_each(|(e, _)| f(e));
-                input.visit_exprs(f);
-            }
+            Plan::Scan { .. }
+            | Plan::IndexScan { .. }
+            | Plan::Unit
+            | Plan::Rename { .. }
+            | Plan::Distinct { .. }
+            | Plan::UnionAll { .. }
+            | Plan::Limit { .. } => Vec::new(),
+            Plan::Filter { predicate, .. } => vec![predicate],
+            Plan::Project { exprs, .. } => exprs.iter().collect(),
             Plan::HashJoin {
-                left,
-                right,
                 left_keys,
                 right_keys,
                 residual,
                 ..
-            } => {
-                left_keys.iter().chain(right_keys).for_each(&mut *f);
-                if let Some(r) = residual {
-                    f(r);
-                }
-                left.visit_exprs(f);
-                right.visit_exprs(f);
-            }
-            Plan::NestedLoopJoin {
-                left, right, on, ..
-            } => {
-                if let Some(o) = on {
-                    f(o);
-                }
-                left.visit_exprs(f);
-                right.visit_exprs(f);
-            }
+            } => left_keys.iter().chain(right_keys).chain(residual).collect(),
+            Plan::NestedLoopJoin { on, .. } => on.iter().collect(),
             Plan::Aggregate {
-                input,
-                group_exprs,
-                aggs,
+                group_exprs, aggs, ..
+            } => group_exprs
+                .iter()
+                .chain(aggs.iter().filter_map(|a| a.arg.as_ref()))
+                .collect(),
+            Plan::Sort { keys, .. } => keys.iter().map(|(e, _)| e).collect(),
+        }
+    }
+
+    /// [`Plan::exprs`], mutably and in the same order.
+    pub fn exprs_mut(&mut self) -> Vec<&mut BoundExpr> {
+        match self {
+            Plan::Scan { .. }
+            | Plan::IndexScan { .. }
+            | Plan::Unit
+            | Plan::Rename { .. }
+            | Plan::Distinct { .. }
+            | Plan::UnionAll { .. }
+            | Plan::Limit { .. } => Vec::new(),
+            Plan::Filter { predicate, .. } => vec![predicate],
+            Plan::Project { exprs, .. } => exprs.iter_mut().collect(),
+            Plan::HashJoin {
+                left_keys,
+                right_keys,
+                residual,
                 ..
-            } => {
-                group_exprs.iter().for_each(&mut *f);
-                aggs.iter().filter_map(|a| a.arg.as_ref()).for_each(&mut *f);
-                input.visit_exprs(f);
-            }
-            Plan::UnionAll { left, right } => {
-                left.visit_exprs(f);
-                right.visit_exprs(f);
-            }
+            } => left_keys
+                .iter_mut()
+                .chain(right_keys)
+                .chain(residual)
+                .collect(),
+            Plan::NestedLoopJoin { on, .. } => on.iter_mut().collect(),
+            Plan::Aggregate {
+                group_exprs, aggs, ..
+            } => group_exprs
+                .iter_mut()
+                .chain(aggs.iter_mut().filter_map(|a| a.arg.as_mut()))
+                .collect(),
+            Plan::Sort { keys, .. } => keys.iter_mut().map(|(e, _)| e).collect(),
+        }
+    }
+
+    /// Visit every expression embedded in this plan tree (immutably): a
+    /// node's own before its inputs'.
+    pub fn visit_exprs(&self, f: &mut impl FnMut(&BoundExpr)) {
+        self.exprs().into_iter().for_each(&mut *f);
+        for child in self.children() {
+            child.visit_exprs(f);
         }
     }
 
     /// Visit every expression embedded in this plan tree (mutably).
     pub fn visit_exprs_mut(&mut self, f: &mut impl FnMut(&mut BoundExpr)) {
-        match self {
-            Plan::Scan { .. } | Plan::IndexScan { .. } | Plan::Unit => {}
-            Plan::Filter { input, predicate } => {
-                f(predicate);
-                input.visit_exprs_mut(f);
-            }
-            Plan::Project { input, exprs, .. } => {
-                exprs.iter_mut().for_each(&mut *f);
-                input.visit_exprs_mut(f);
-            }
-            Plan::Rename { input, .. } | Plan::Distinct { input } | Plan::Limit { input, .. } => {
-                input.visit_exprs_mut(f)
-            }
-            Plan::Sort { input, keys } => {
-                keys.iter_mut().for_each(|(e, _)| f(e));
-                input.visit_exprs_mut(f);
-            }
-            Plan::HashJoin {
-                left,
-                right,
-                left_keys,
-                right_keys,
-                residual,
-                ..
-            } => {
-                left_keys
-                    .iter_mut()
-                    .chain(right_keys.iter_mut())
-                    .for_each(&mut *f);
-                if let Some(r) = residual {
-                    f(r);
-                }
-                left.visit_exprs_mut(f);
-                right.visit_exprs_mut(f);
-            }
-            Plan::NestedLoopJoin {
-                left, right, on, ..
-            } => {
-                if let Some(o) = on {
-                    f(o);
-                }
-                left.visit_exprs_mut(f);
-                right.visit_exprs_mut(f);
-            }
-            Plan::Aggregate {
-                input,
-                group_exprs,
-                aggs,
-                ..
-            } => {
-                group_exprs.iter_mut().for_each(&mut *f);
-                aggs.iter_mut()
-                    .filter_map(|a| a.arg.as_mut())
-                    .for_each(&mut *f);
-                input.visit_exprs_mut(f);
-            }
-            Plan::UnionAll { left, right } => {
-                left.visit_exprs_mut(f);
-                right.visit_exprs_mut(f);
-            }
+        self.exprs_mut().into_iter().for_each(&mut *f);
+        for child in self.children_mut() {
+            child.visit_exprs_mut(f);
         }
     }
 
-    /// Shift every outer-scope reference in the plan by `delta`.
-    pub fn shift_outer_depths(&mut self, delta: usize) {
-        match self {
-            Plan::Scan { .. } | Plan::IndexScan { .. } | Plan::Unit => {}
-            Plan::Filter { input, predicate } => {
-                input.shift_outer_depths(delta);
-                shift_if_outer(predicate, delta);
-            }
-            Plan::Project { input, exprs, .. } => {
-                input.shift_outer_depths(delta);
-                for e in exprs {
-                    shift_if_outer(e, delta);
-                }
-            }
-            Plan::Rename { input, .. } | Plan::Distinct { input } | Plan::Limit { input, .. } => {
-                input.shift_outer_depths(delta)
-            }
-            Plan::Sort { input, keys } => {
-                input.shift_outer_depths(delta);
-                for (e, _) in keys {
-                    shift_if_outer(e, delta);
-                }
-            }
-            Plan::HashJoin {
-                left,
-                right,
-                left_keys,
-                right_keys,
-                residual,
-                ..
-            } => {
-                left.shift_outer_depths(delta);
-                right.shift_outer_depths(delta);
-                for e in left_keys.iter_mut().chain(right_keys.iter_mut()) {
-                    shift_if_outer(e, delta);
-                }
-                if let Some(e) = residual {
-                    shift_if_outer(e, delta);
-                }
-            }
-            Plan::NestedLoopJoin {
-                left, right, on, ..
-            } => {
-                left.shift_outer_depths(delta);
-                right.shift_outer_depths(delta);
-                if let Some(e) = on {
-                    shift_if_outer(e, delta);
-                }
-            }
-            Plan::Aggregate {
-                input,
-                group_exprs,
-                aggs,
-                ..
-            } => {
-                input.shift_outer_depths(delta);
-                for e in group_exprs {
-                    shift_if_outer(e, delta);
-                }
-                for a in aggs {
-                    if let Some(e) = &mut a.arg {
-                        shift_if_outer(e, delta);
-                    }
-                }
-            }
-            Plan::UnionAll { left, right } => {
-                left.shift_outer_depths(delta);
-                right.shift_outer_depths(delta);
-            }
-        }
-    }
-}
-
-/// Shift only references that escape the current plan scope (depth >= 1).
-fn shift_if_outer(e: &mut BoundExpr, delta: usize) {
-    shift_above(e, 1, delta);
-}
-
-fn shift_above(e: &mut BoundExpr, min_depth: usize, delta: usize) {
-    use BoundExpr::*;
-    match e {
-        Column { depth, .. } => {
-            if *depth >= min_depth {
-                *depth += delta;
-            }
-        }
-        Literal(_) | AggRef { .. } => {}
-        Binary { left, right, .. } => {
-            shift_above(left, min_depth, delta);
-            shift_above(right, min_depth, delta);
-        }
-        Not(x) | Neg(x) => shift_above(x, min_depth, delta),
-        IsNull { expr, .. } => shift_above(expr, min_depth, delta),
-        InList { expr, list, .. } => {
-            shift_above(expr, min_depth, delta);
-            for x in list {
-                shift_above(x, min_depth, delta);
-            }
-        }
-        Like { expr, pattern, .. } => {
-            shift_above(expr, min_depth, delta);
-            shift_above(pattern, min_depth, delta);
-        }
-        Case {
-            branches,
-            else_expr,
-        } => {
-            for (c, v) in branches {
-                shift_above(c, min_depth, delta);
-                shift_above(v, min_depth, delta);
-            }
-            if let Some(x) = else_expr {
-                shift_above(x, min_depth, delta);
-            }
-        }
-        Func { args, .. } => {
-            for x in args {
-                shift_above(x, min_depth, delta);
-            }
-        }
-        Subquery { plan, kind } => {
-            // Inside the subquery plan, our depth-1 is its depth-2, etc.
-            shift_plan_above(plan, min_depth + 1, delta);
-            if let SubqueryKind::In { expr, .. } = kind {
-                shift_above(expr, min_depth, delta);
-            }
-        }
-    }
-}
-
-fn shift_plan_above(plan: &mut Plan, min_depth: usize, delta: usize) {
-    match plan {
-        Plan::Scan { .. } | Plan::IndexScan { .. } | Plan::Unit => {}
-        Plan::Filter { input, predicate } => {
-            shift_plan_above(input, min_depth, delta);
-            shift_above(predicate, min_depth, delta);
-        }
-        Plan::Project { input, exprs, .. } => {
-            shift_plan_above(input, min_depth, delta);
-            for e in exprs {
-                shift_above(e, min_depth, delta);
-            }
-        }
-        Plan::Rename { input, .. } | Plan::Distinct { input } | Plan::Limit { input, .. } => {
-            shift_plan_above(input, min_depth, delta)
-        }
-        Plan::Sort { input, keys } => {
-            shift_plan_above(input, min_depth, delta);
-            for (e, _) in keys {
-                shift_above(e, min_depth, delta);
-            }
-        }
-        Plan::HashJoin {
-            left,
-            right,
-            left_keys,
-            right_keys,
-            residual,
-            ..
-        } => {
-            shift_plan_above(left, min_depth, delta);
-            shift_plan_above(right, min_depth, delta);
-            for e in left_keys.iter_mut().chain(right_keys.iter_mut()) {
-                shift_above(e, min_depth, delta);
-            }
-            if let Some(e) = residual {
-                shift_above(e, min_depth, delta);
-            }
-        }
-        Plan::NestedLoopJoin {
-            left, right, on, ..
-        } => {
-            shift_plan_above(left, min_depth, delta);
-            shift_plan_above(right, min_depth, delta);
-            if let Some(e) = on {
-                shift_above(e, min_depth, delta);
-            }
-        }
-        Plan::Aggregate {
-            input,
-            group_exprs,
-            aggs,
-            ..
-        } => {
-            shift_plan_above(input, min_depth, delta);
-            for e in group_exprs {
-                shift_above(e, min_depth, delta);
-            }
-            for a in aggs {
-                if let Some(e) = &mut a.arg {
-                    shift_above(e, min_depth, delta);
-                }
-            }
-        }
-        Plan::UnionAll { left, right } => {
-            shift_plan_above(left, min_depth, delta);
-            shift_plan_above(right, min_depth, delta);
-        }
+    /// Maximum outer-scope depth referenced by any expression in the plan,
+    /// from the perspective of rows flowing through this plan (0 = no
+    /// correlation): expressions inside a plan evaluate against that plan's
+    /// own rows at depth 0; anything deeper refers to enclosing query scopes.
+    pub fn max_outer_depth(&self) -> usize {
+        let mut depth = 0;
+        self.visit_exprs(&mut |e| depth = depth.max(e.max_depth()));
+        depth
     }
 }
 
@@ -815,10 +543,6 @@ pub struct Planner<'a> {
 }
 
 impl<'a> Planner<'a> {
-    pub fn new(db: &'a Database, options: &'a ExecOptions) -> Planner<'a> {
-        Planner::with_governor(db, options, None)
-    }
-
     /// A planner whose plan-time work (CTE materialization) runs under
     /// `gov`.
     pub fn with_governor(
@@ -841,14 +565,14 @@ impl<'a> Planner<'a> {
         self.reads.into_inner()
     }
 
-    /// The cost estimator the options call for: index-aware when
-    /// secondary indexes are enabled, plain statistics otherwise.
-    fn estimator(&self) -> crate::cost::Estimator<'a> {
-        if self.options.use_indexes {
-            crate::cost::Estimator::from_db_with_indexes(self.db)
-        } else {
-            crate::cost::Estimator::from_db(self.db)
+    /// Run the optimizer over a planned query or CTE body — the one place
+    /// it is invoked — or hand the plan back as written when the options
+    /// turn it off.
+    pub(crate) fn optimize(&self, plan: Plan) -> Plan {
+        if !self.options.optimize {
+            return plan;
         }
+        crate::opt::optimize(plan, &self.db.estimator_for(self.options))
     }
 
     /// Plan (and, for CTEs, partially execute) a full query.
@@ -870,7 +594,7 @@ impl<'a> Planner<'a> {
             // BY) can reference. Matching is by column name, which is
             // conservative — any name mentioned anywhere downstream keeps
             // the column — and a wildcard anywhere keeps everything.
-            let prune = if self.options.use_stats && self.options.materialize_ctes {
+            let prune = if self.options.optimize && self.options.materialize_ctes {
                 let mut scan = ColRefScan::default();
                 for later in &query.ctes[i + 1..] {
                     scan.query(&later.query);
@@ -916,15 +640,7 @@ impl<'a> Planner<'a> {
         if self.options.materialize_ctes {
             faults::trip("cte.materialize")?;
             // CTEs cannot be correlated: plan and run with no outer scope.
-            let mut plan = self.plan_query_in(&cte.query, env, None)?;
-            if self.options.pushdown_filters {
-                if self.options.use_stats {
-                    let est = self.estimator();
-                    plan = crate::opt::optimize_with(plan, Some(&est));
-                } else {
-                    plan = crate::opt::optimize(plan);
-                }
-            }
+            let mut plan = self.optimize(self.plan_query_in(&cte.query, env, None)?);
             if let Some(keep) = keep {
                 plan = prune_projection(plan, keep);
             }
@@ -1261,11 +977,14 @@ impl<'a> Planner<'a> {
 
         // Greedy join ordering: repeatedly merge two components connected by
         // a pending conjunct; fall back to a cross join when none connects.
-        // With statistics, every connected pair is tried (estimated-smaller
-        // side oriented as the hash-build input, i.e. the right child) and
-        // the merge with the smallest estimated output wins; without, the
+        // Optimizing, every connected pair is tried (estimated-smaller side
+        // oriented as the hash-build input, i.e. the right child) and the
+        // merge with the smallest estimated output wins; as written, the
         // first connected pair in factor order merges, left-to-right.
-        let est = self.options.use_stats.then(|| self.estimator());
+        let est = self
+            .options
+            .optimize
+            .then(|| self.db.estimator_for(self.options));
         let mut components: Vec<(std::collections::BTreeSet<usize>, Plan)> = factors
             .into_iter()
             .enumerate()
@@ -2241,49 +1960,11 @@ impl<'a> Planner<'a> {
 /// Replace `AggRef { index }` with a column reference at
 /// `n_groups + index` (the slot layout of the Aggregate operator output).
 fn resolve_agg_refs(e: &mut BoundExpr, n_groups: usize) {
-    use BoundExpr::*;
-    match e {
-        AggRef { index } => {
-            *e = BoundExpr::Column {
-                depth: 0,
-                index: n_groups + *index,
-            }
-        }
-        Column { .. } | Literal(_) => {}
-        Binary { left, right, .. } => {
-            resolve_agg_refs(left, n_groups);
-            resolve_agg_refs(right, n_groups);
-        }
-        Not(x) | Neg(x) => resolve_agg_refs(x, n_groups),
-        IsNull { expr, .. } => resolve_agg_refs(expr, n_groups),
-        InList { expr, list, .. } => {
-            resolve_agg_refs(expr, n_groups);
-            for x in list {
-                resolve_agg_refs(x, n_groups);
-            }
-        }
-        Like { expr, pattern, .. } => {
-            resolve_agg_refs(expr, n_groups);
-            resolve_agg_refs(pattern, n_groups);
-        }
-        Case {
-            branches,
-            else_expr,
-        } => {
-            for (c, v) in branches {
-                resolve_agg_refs(c, n_groups);
-                resolve_agg_refs(v, n_groups);
-            }
-            if let Some(x) = else_expr {
-                resolve_agg_refs(x, n_groups);
-            }
-        }
-        Func { args, .. } => {
-            for x in args {
-                resolve_agg_refs(x, n_groups);
-            }
-        }
-        Subquery { .. } => {}
+    if let BoundExpr::AggRef { index } = e {
+        *e = BoundExpr::column(n_groups + *index);
+    }
+    for child in e.children_mut() {
+        resolve_agg_refs(child, n_groups);
     }
 }
 
@@ -2467,5 +2148,210 @@ impl GroupContext<'_, '_> {
             }
         };
         Ok(BoundExpr::AggRef { index })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::index::Index;
+
+    /// A marker expression no other slot of the same plan carries.
+    fn m(n: i64) -> BoundExpr {
+        BoundExpr::Literal(Value::Int(n))
+    }
+
+    /// A marker input: recognisable by its limit.
+    fn input(n: u64) -> Box<Plan> {
+        Box::new(Plan::Limit {
+            input: Box::new(Plan::Unit),
+            n,
+        })
+    }
+
+    fn limit_of(plan: &Plan) -> u64 {
+        match plan {
+            Plan::Limit { n, .. } => *n,
+            other => panic!("not a marker input: {other:?}"),
+        }
+    }
+
+    /// Position of a variant in the enum. No wildcard: a new variant fails
+    /// to compile here until it is listed — and then fails
+    /// `accessors_list_every_field_in_execution_order` until `specimens`
+    /// builds one.
+    fn variant(plan: &Plan) -> usize {
+        match plan {
+            Plan::Scan { .. } => 0,
+            Plan::IndexScan { .. } => 1,
+            Plan::Unit => 2,
+            Plan::Filter { .. } => 3,
+            Plan::Project { .. } => 4,
+            Plan::Rename { .. } => 5,
+            Plan::HashJoin { .. } => 6,
+            Plan::NestedLoopJoin { .. } => 7,
+            Plan::Aggregate { .. } => 8,
+            Plan::Distinct { .. } => 9,
+            Plan::UnionAll { .. } => 10,
+            Plan::Sort { .. } => 11,
+            Plan::Limit { .. } => 12,
+        }
+    }
+
+    /// One plan per variant with the expressions and inputs it must list,
+    /// by marker, in order.
+    fn specimens() -> Vec<(Plan, Vec<i64>, Vec<u64>)> {
+        let schema = Schema::new(vec![Column::bare("k", DataType::Integer)]);
+        let cols = Arc::new(ColBatch::from_rows(&schema, vec![vec![Value::Int(1)]]));
+        let index = Arc::new(Index::build("t", &["k".to_string()], vec![0], &cols).unwrap());
+        let count = |arg| AggSpec {
+            func: AggFunc::Count,
+            arg,
+            distinct: false,
+        };
+        vec![
+            (
+                Plan::Scan {
+                    cols: Arc::clone(&cols),
+                    schema: schema.clone(),
+                },
+                vec![],
+                vec![],
+            ),
+            (
+                Plan::IndexScan {
+                    cols,
+                    schema: schema.clone(),
+                    index,
+                    access: IndexAccess::Eq(vec![Value::Int(1)]),
+                },
+                vec![],
+                vec![],
+            ),
+            (Plan::Unit, vec![], vec![]),
+            (
+                Plan::Filter {
+                    input: input(1),
+                    predicate: m(10),
+                },
+                vec![10],
+                vec![1],
+            ),
+            (
+                Plan::Project {
+                    input: input(1),
+                    exprs: vec![m(10), m(11)],
+                    schema: schema.clone(),
+                },
+                vec![10, 11],
+                vec![1],
+            ),
+            (
+                Plan::Rename {
+                    input: input(1),
+                    schema: schema.clone(),
+                },
+                vec![],
+                vec![1],
+            ),
+            (
+                Plan::HashJoin {
+                    left: input(1),
+                    right: input(2),
+                    kind: JoinType::Inner,
+                    left_keys: vec![m(10), m(11)],
+                    right_keys: vec![m(12), m(13)],
+                    residual: Some(m(14)),
+                    build_index: None,
+                    schema: schema.clone(),
+                },
+                vec![10, 11, 12, 13, 14],
+                vec![1, 2],
+            ),
+            (
+                Plan::NestedLoopJoin {
+                    left: input(1),
+                    right: input(2),
+                    kind: JoinType::LeftOuter,
+                    on: Some(m(10)),
+                    schema: schema.clone(),
+                },
+                vec![10],
+                vec![1, 2],
+            ),
+            (
+                Plan::Aggregate {
+                    input: input(1),
+                    group_exprs: vec![m(10), m(11)],
+                    aggs: vec![count(Some(m(12))), count(None), count(Some(m(13)))],
+                    schema,
+                },
+                vec![10, 11, 12, 13],
+                vec![1],
+            ),
+            (Plan::Distinct { input: input(1) }, vec![], vec![1]),
+            (
+                Plan::UnionAll {
+                    left: input(1),
+                    right: input(2),
+                },
+                vec![],
+                vec![1, 2],
+            ),
+            (
+                Plan::Sort {
+                    input: input(1),
+                    keys: vec![(m(10), false), (m(11), true)],
+                },
+                vec![10, 11],
+                vec![1],
+            ),
+            (
+                Plan::Limit {
+                    input: input(1),
+                    n: 7,
+                },
+                vec![],
+                vec![1],
+            ),
+        ]
+    }
+
+    #[test]
+    fn accessors_list_every_field_in_execution_order() {
+        let specimens = specimens();
+        let variants: Vec<usize> = specimens.iter().map(|(p, _, _)| variant(p)).collect();
+        assert_eq!(variants, (0..13).collect::<Vec<_>>(), "one per variant");
+        for (mut plan, exprs, inputs) in specimens {
+            let exprs: Vec<BoundExpr> = exprs.into_iter().map(m).collect();
+            let by_ref: Vec<BoundExpr> = plan.exprs().into_iter().cloned().collect();
+            assert_eq!(by_ref, exprs, "exprs of {plan:?}");
+            let by_mut: Vec<BoundExpr> = plan.exprs_mut().into_iter().map(|e| e.clone()).collect();
+            assert_eq!(by_mut, exprs, "exprs_mut of {plan:?}");
+
+            let by_ref: Vec<u64> = plan.children().into_iter().map(limit_of).collect();
+            assert_eq!(by_ref, inputs, "children of {plan:?}");
+            let by_mut: Vec<u64> = plan
+                .children_mut()
+                .into_iter()
+                .map(|c| limit_of(c))
+                .collect();
+            assert_eq!(by_mut, inputs, "children_mut of {plan:?}");
+            // By value: visited in the same order, each result put back in
+            // its input's place, nothing else about the node touched.
+            let which = variant(&plan);
+            let mut visited = Vec::new();
+            let mapped = plan.map_children(|c| {
+                visited.push(limit_of(&c));
+                *input(limit_of(&c) + 100)
+            });
+            assert_eq!(visited, inputs);
+            assert_eq!(variant(&mapped), which);
+            let after: Vec<u64> = mapped.children().into_iter().map(limit_of).collect();
+            let moved: Vec<u64> = inputs.iter().map(|n| n + 100).collect();
+            assert_eq!(after, moved, "map_children of {mapped:?}");
+            let kept: Vec<BoundExpr> = mapped.exprs().into_iter().cloned().collect();
+            assert_eq!(kept, exprs, "map_children moved an expression");
+        }
     }
 }

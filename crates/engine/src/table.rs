@@ -115,18 +115,6 @@ impl Table {
         }
     }
 
-    pub fn with_rows(
-        name: impl Into<String>,
-        columns: Vec<(&str, DataType)>,
-        rows: Vec<Row>,
-    ) -> Result<Table> {
-        let mut t = Table::new(name, columns);
-        for row in rows {
-            t.push(row)?;
-        }
-        Ok(t)
-    }
-
     /// Reassemble a table from decoded parts (durable recovery). The
     /// batch is trusted: rows were validated by `push` before being
     /// logged, and the storage layer checksum-verified them on the way
@@ -159,12 +147,6 @@ impl Table {
     /// Row `i`, materialized on the fly (no pivot cache involved).
     pub fn row_at(&self, i: usize) -> Row {
         self.cols.row_at(i)
-    }
-
-    /// Rows `start..end`, materialized on the fly (used when logging an
-    /// appended range to the WAL).
-    pub fn rows_range(&self, start: usize, end: usize) -> Vec<Row> {
-        (start..end).map(|i| self.cols.row_at(i)).collect()
     }
 
     pub fn len(&self) -> usize {

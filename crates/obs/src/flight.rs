@@ -108,7 +108,8 @@ pub struct QueryTrace {
     pub rows_out: u64,
     /// Total base-table rows the plan reads (its scan inputs).
     pub rows_in: u64,
-    /// Planner cardinality estimate for the root, when stats were on.
+    /// Planner cardinality estimate for the root; `None` when the request
+    /// failed before it had a plan.
     pub est_rows: Option<u64>,
     /// Thread budget the query ran with.
     pub threads: usize,

@@ -466,11 +466,6 @@ impl TraceContext {
     pub fn take_records(&self) -> Vec<SpanRecord> {
         std::mem::take(&mut *lock_collector(&self.collector))
     }
-
-    /// Copy everything collected so far without draining.
-    pub fn snapshot_records(&self) -> Vec<SpanRecord> {
-        lock_collector(&self.collector).clone()
-    }
 }
 
 /// Uninstalls a [`TraceContext`] from the current thread on drop.

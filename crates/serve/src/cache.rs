@@ -72,9 +72,9 @@ pub struct CachedStatement {
     /// Total base-table (and materialized-CTE) rows the plan scans —
     /// the "rows in" reported by query traces.
     pub base_rows: u64,
-    /// Planner cardinality estimate for the plan root, when the build ran
-    /// with statistics on; traces report it against actual rows out.
-    pub est_rows: Option<u64>,
+    /// Planner cardinality estimate for the plan root; traces report it
+    /// against actual rows out.
+    pub est_rows: u64,
 }
 
 impl CachedStatement {
@@ -131,14 +131,12 @@ pub fn build_statement(
         .plan_with_reads(&exec_query, options)
         .map_err(ServeError::Engine)?;
     let base_rows = plan.base_rows();
-    let est_rows = options.use_stats.then(|| {
-        let est = Estimator::from_db(db).est_rows(&plan);
-        if est.is_finite() && est >= 0.0 {
-            est.round() as u64
-        } else {
-            0
-        }
-    });
+    let est = Estimator::from_db(db).est_rows(&plan);
+    let est_rows = if est.is_finite() && est >= 0.0 {
+        est.round() as u64
+    } else {
+        0
+    };
     Ok(CachedStatement {
         sql: sql.to_string(),
         strategy,

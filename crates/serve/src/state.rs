@@ -421,7 +421,7 @@ fn finish_query(
             lookup,
             rows.rows.len() as u64,
             stmt.base_rows,
-            stmt.est_rows,
+            Some(stmt.est_rows),
             None,
         ),
         Err(e) => (

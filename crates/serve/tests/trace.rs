@@ -108,11 +108,11 @@ fn socket_queries_are_retrievable_with_phase_totals_and_worker_spans() {
                 .any(|(name, us)| name == "execute" && as_u64(us) > 0),
             "execute phase total must be non-zero: {phases:?}"
         );
-        // Planner estimate vs actual: stats are on by default, so the
-        // estimate must be recorded (its value is the planner's business).
+        // Planner estimate vs actual: every served statement records one
+        // (its value is the planner's business).
         assert!(
             !matches!(trace.get("est_rows"), None | Some(Json::Null)),
-            "est_rows missing with stats on: {trace:?}"
+            "est_rows missing: {trace:?}"
         );
         assert!(as_u64(trace.get("rows_in").expect("rows_in")) >= ROWS as u64);
     }

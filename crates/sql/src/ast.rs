@@ -479,16 +479,6 @@ impl TableRef {
             on: Some(on),
         }
     }
-
-    /// The alias by which this table is referenced, or the table name when
-    /// unaliased. `None` for joins.
-    pub fn binding_name(&self) -> Option<&str> {
-        match self {
-            TableRef::Table { name, alias } => Some(alias.as_deref().unwrap_or(name)),
-            TableRef::Subquery { alias, .. } => Some(alias),
-            TableRef::Join { .. } => None,
-        }
-    }
 }
 
 /// A `SELECT` block (one operand of a set expression).

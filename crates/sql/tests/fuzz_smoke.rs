@@ -167,17 +167,17 @@ fn sorted_rows(rows: &conquer_engine::Rows) -> Vec<Vec<String>> {
 }
 
 /// Differential: every fuzz case that parses must produce the same result
-/// with cost-based planning on and off (`ExecOptions::use_stats`). This is
-/// the repair-oracle pattern from `tests/oracle_equivalence.rs` applied to
-/// the optimizer: the syntactic seed planner is the oracle, the
-/// statistics-driven planner (join reordering, build-side swaps,
-/// selectivity-gated right-side pushes, CTE pruning) is under test.
+/// with the optimizer on and off (`ExecOptions::optimize`). This is the
+/// repair-oracle pattern from `tests/oracle_equivalence.rs` applied to the
+/// optimizer: the plan as written is the oracle, everything the optimizer
+/// does (join reordering, filter pushdown to either side, build-side
+/// swaps, access paths, CTE pruning) is under test.
 #[test]
 fn fuzz_cases_agree_with_and_without_cost_based_planning() {
     let db = fixture();
-    let stats_on = ExecOptions::default().with_threads(1);
-    let mut stats_off = stats_on.clone();
-    stats_off.use_stats = false;
+    let optimizing = ExecOptions::default().with_threads(1);
+    let mut as_written = optimizing.clone();
+    as_written.optimize = false;
 
     let mut rng = Rng::new(0x5EED_CAFE);
     let mut compared = 0u64;
@@ -190,8 +190,8 @@ fn fuzz_cases_agree_with_and_without_cost_based_planning() {
         let Ok(query) = parse_query(&sql) else {
             continue;
         };
-        let on = db.query_with(&sql, &stats_on);
-        let off = db.query_with(&sql, &stats_off);
+        let on = db.query_with(&sql, &optimizing);
+        let off = db.query_with(&sql, &as_written);
         match (on, off) {
             (Ok(a), Ok(b)) => {
                 if query.limit.is_some() {
@@ -206,14 +206,14 @@ fn fuzz_cases_agree_with_and_without_cost_based_planning() {
                     assert_eq!(
                         sorted_rows(&a),
                         sorted_rows(&b),
-                        "case {i}: stats-on vs stats-off diverged: {sql:?}"
+                        "case {i}: optimized vs as-written diverged: {sql:?}"
                     );
                 }
                 compared += 1;
             }
             (Err(_), Err(_)) => {}
             (on, off) => panic!(
-                "case {i}: planners disagree on success (stats-on ok={}, stats-off ok={}): {sql:?}",
+                "case {i}: planners disagree on success (optimized ok={}, as-written ok={}): {sql:?}",
                 on.is_ok(),
                 off.is_ok()
             ),
