@@ -868,6 +868,24 @@ fn opbench(args: &Args) -> Json {
             sql: "select o.o_orderkey from orders o where exists \
                   (select l.l_orderkey from lineitem l where l.l_orderkey = o.o_orderkey)",
         },
+        // The rewritings' existence tests: a two-column key (the conflict
+        // group key of `lineitem`; every probe row survives, so the output
+        // is the probe batch), and a NOT EXISTS that keeps about half of a
+        // wide probe side, which is then gathered.
+        OpSpec {
+            op: "semi_join.key2",
+            driving: "lineitem",
+            sql: "select l.l_orderkey from lineitem l where exists \
+                  (select l2.l_orderkey from lineitem l2 where l2.l_orderkey = l.l_orderkey \
+                   and l2.l_linenumber = l.l_linenumber)",
+        },
+        OpSpec {
+            op: "anti_join",
+            driving: "lineitem",
+            sql: "select l.l_orderkey from lineitem l where not exists \
+                  (select o.o_orderkey from orders o where o.o_orderkey = l.l_orderkey \
+                   and o.o_orderstatus = 'F')",
+        },
         OpSpec {
             op: "aggregate.global",
             driving: "lineitem",

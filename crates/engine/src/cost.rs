@@ -290,7 +290,7 @@ impl<'a> Estimator<'a> {
                 // the whole key: the share of keys that are violated is
                 // counted, where per-column NDVs would call a composite
                 // key's every value present.
-                if let Some((index, _, _)) = right.as_conflict_scan() {
+                if let Some(index) = right.as_conflict_scan() {
                     let violated = r.rows / index.distinct_keys().max(1) as f64;
                     let matched = match kind {
                         JoinType::Semi => Some(violated),
@@ -670,17 +670,11 @@ impl<'a> Estimator<'a> {
             } => {
                 // Probe side scans once; the build side pays hash-table
                 // construction (heavier per row); plus emission. A
-                // prebuilt index build side skips construction entirely —
-                // but standing in for its own conflict scan it makes every
-                // probe search the postings of all keys where the built
-                // table would hold the listed few (cache-resident: ~2x per
-                // probe measured, EXPERIMENTS.md), so there each probe
-                // counts twice and the index wins only while probes are
-                // fewer than two per listed key.
-                let build = match (build_index, right.as_conflict_scan()) {
-                    (Some(_), Some(_)) => self.est_rows(left),
-                    (Some(_), None) => 0.0,
-                    (None, _) => 2.0 * self.est_rows(right),
+                // prebuilt index build side skips construction entirely.
+                let build = if build_index.is_some() {
+                    0.0
+                } else {
+                    2.0 * self.est_rows(right)
                 };
                 self.est_rows(left) + build + out
             }

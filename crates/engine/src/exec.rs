@@ -7,7 +7,8 @@
 //! them, so a scan feeding a join never clones the whole table.
 //!
 //! Every operator is governed: hot loops call [`Governor::tick`]
-//! cooperatively, joins account each emitted row ([`Governor::emit_row`]),
+//! cooperatively (kernels once per morsel, [`Governor::ticks`]), joins
+//! account the rows they emit as they emit them ([`Governor::emit_rows`]),
 //! hash tables / group tables / distinct sets reserve their footprint as
 //! they grow, and non-join operators batch-commit their output row counts.
 //! Row and memory accounting is therefore *cumulative over intermediate
@@ -31,10 +32,12 @@
 //!
 //! What each operator does so that its result does not depend on how the
 //! input was split: hash joins partition the build side by key hash into
-//! one table per worker and route probe lookups to the matching partition;
-//! aggregation and DISTINCT over columnar input hash-partition the *groups*
-//! across workers ([`crate::groupkey`]: nothing to merge, groups come out
-//! ordered by first row), and over row-shaped input fold per-worker partial
+//! one table per worker and route probe lookups to the matching partition
+//! (existence joins over columnar input keep only the build side's distinct
+//! keys, in [`crate::groupkey`]'s table); aggregation and DISTINCT over
+//! columnar input hash-partition the *groups* across workers
+//! ([`crate::groupkey`]: nothing to merge, groups come out ordered by first
+//! row), and over row-shaped input fold per-worker partial
 //! tables keyed by global first-seen row index, merged with SQL
 //! NULL/three-valued-logic semantics preserved; ORDER BY sorts per-worker
 //! runs under a (keys, row index) total order and merges them — a stable
@@ -64,7 +67,7 @@ use crate::expr::{BoundExpr, Env};
 use crate::faults;
 use crate::fsum::ExactSum;
 use crate::governor::Governor;
-use crate::groupkey::{AggInput, KeyCols, Partition};
+use crate::groupkey::{AggInput, HashPartition, KeyCols, KeyPartition, KeySet, Partition};
 use crate::index::{Index, IndexAccess};
 use crate::kernels;
 use crate::plan::{AggFunc, AggSpec, JoinType, Plan};
@@ -641,26 +644,14 @@ fn exec_node(
             let l = execute_ctx(left, outer, child_stats(stats, 0), ctx)?;
             let r = execute_ctx(right, outer, child_stats(stats, 1), ctx)?;
             // An attached index stands in for the build only while it
-            // describes the build side: its postings when the right child
-            // produced the exact batch they were built over (snapshot
-            // semantics), or — for the existence tests of semi/anti joins
-            // — its postings of at least `min_group` rows when the right
-            // child is that index's own conflict scan. Anything else —
-            // pivoted rows, a different version's batch — falls back to
-            // building a table for this query.
-            let prebuilt =
-                build_index
-                    .as_ref()
-                    .and_then(|idx| match (right.as_conflict_scan(), &r) {
-                        (Some((index, min_group, _)), _) => (Arc::ptr_eq(index, idx)
-                            && matches!(kind, JoinType::Semi | JoinType::Anti)
-                            && residual.is_none())
-                        .then_some((&**idx, min_group)),
-                        (None, Batch::Col { cols, .. }) => {
-                            Arc::ptr_eq(cols, idx.batch()).then_some((&**idx, 1))
-                        }
-                        (None, Batch::Owned(_)) => None,
-                    });
+            // describes the build side: the right child produced the exact
+            // batch its postings were built over (snapshot semantics).
+            // Anything else — pivoted rows, a different version's batch —
+            // falls back to building a table for this query.
+            let prebuilt = build_index.as_deref().filter(|idx| match &r {
+                Batch::Col { cols, .. } => Arc::ptr_eq(cols, idx.batch()),
+                Batch::Owned(_) => false,
+            });
             exec_hash_join(
                 l,
                 r,
@@ -962,22 +953,14 @@ impl PartitionedTable {
 /// probe and emission path downstream is identical.
 enum JoinTable<'a> {
     Built(PartitionedTable),
-    /// The index's postings of at least `min_group` rows: every key's
-    /// (`1`), or — standing in for the index's conflict scan — only the
-    /// violated keys' (`≥ 2`).
-    Indexed {
-        index: &'a Index,
-        min_group: usize,
-    },
+    Indexed(&'a Index),
 }
 
 impl JoinTable<'_> {
     fn get(&self, key: &Key) -> Option<&Vec<usize>> {
         match self {
             JoinTable::Built(t) => t.get(key),
-            JoinTable::Indexed { index, min_group } => {
-                index.get(key).filter(|rows| rows.len() >= *min_group)
-            }
+            JoinTable::Indexed(index) => index.get(key),
         }
     }
 
@@ -986,7 +969,7 @@ impl JoinTable<'_> {
     fn query_bytes(&self) -> u64 {
         match self {
             JoinTable::Built(t) => t.bytes(),
-            JoinTable::Indexed { .. } => 0,
+            JoinTable::Indexed(_) => 0,
         }
     }
 }
@@ -1091,7 +1074,7 @@ fn exec_hash_join(
     left_keys: &[BoundExpr],
     right_keys: &[BoundExpr],
     residual: Option<&BoundExpr>,
-    prebuilt: Option<(&Index, usize)>,
+    prebuilt: Option<&Index>,
     schema: &Schema,
     outer: Option<&Env<'_>>,
     mut stats: Option<&mut NodeStats>,
@@ -1163,6 +1146,44 @@ fn exec_hash_join(
         }));
     }
 
+    // Every build — typed, hashed or prebuilt — fires `join.build`.
+    faults::trip("join.build")?;
+
+    // Existence joins (decorrelated EXISTS / NOT EXISTS, the hot shape of
+    // ConQuer's rewritings) over columnar sides keyed on plain columns go
+    // through the typed kernel: neither side is pivoted, no key is
+    // materialized. A residual, an expression key, a row-shaped side or an
+    // attached index takes the general path below.
+    if matches!(kind, JoinType::Semi | JoinType::Anti)
+        && residual.is_none()
+        && prebuilt.is_none()
+        && ctx.columnar
+    {
+        if let (
+            Batch::Col { cols: probe, .. },
+            Batch::Col { cols: build, .. },
+            Some(probe_idx),
+            Some(build_idx),
+        ) = (
+            &left,
+            &right,
+            kernels::column_indices(left_keys),
+            kernels::column_indices(right_keys),
+        ) {
+            if u32::try_from(probe.len().max(build.len())).is_ok() {
+                return exec_existence_join(
+                    (probe, &probe_idx),
+                    (build, &build_idx),
+                    kind == JoinType::Semi,
+                    schema,
+                    &emit,
+                    stats,
+                    ctx,
+                );
+            }
+        }
+    }
+
     // The table is built over the right side and probed with the left —
     // except that an inner join builds on the smaller side. Swapped, rows
     // come out in original-right (probe) order; the output column order
@@ -1181,10 +1202,8 @@ fn exec_hash_join(
 
     // Hash-partition the build side across workers when large — unless the
     // optimizer attached a prebuilt index, which skips the build entirely.
-    // Both paths fire the `join.build` fault point.
-    faults::trip("join.build")?;
     let (table, build_workers) = match prebuilt {
-        Some((index, min_group)) => (JoinTable::Indexed { index, min_group }, 1),
+        Some(index) => (JoinTable::Indexed(index), 1),
         None => {
             let workers = par_workers(build.len(), ctx.threads);
             let built = build_join_table(build, build_keys, workers, outer, ctx)?;
@@ -1197,7 +1216,7 @@ fn exec_hash_join(
     if let Some(s) = stats.as_deref_mut() {
         s.est_mem_bytes += table.query_bytes();
     }
-    if matches!(table, JoinTable::Indexed { .. }) {
+    if matches!(table, JoinTable::Indexed(_)) {
         conquer_obs::registry().counter("index.probe").inc();
     }
 
@@ -1206,50 +1225,10 @@ fn exec_hash_join(
     note_threads(&mut stats, build_workers.max(probe_workers));
     let probe_source = KeySource::for_batch(probe, probe_keys, ctx);
 
-    // Kernel path for semi/anti joins without residuals: probe straight
-    // off the key chunks, collect the surviving left row indices, and
-    // gather them into a columnar output — neither side is pivoted. This
-    // is the hot shape of ConQuer's rewritings (decorrelated EXISTS /
-    // NOT EXISTS).
-    if matches!(kind, JoinType::Semi | JoinType::Anti) && residual.is_none() && ctx.columnar {
-        if let Some(pcols) = probe.cols() {
-            let chunks = for_morsels(probe.len(), probe_workers, |range| {
-                let mut comparisons = 0u64;
-                let mut out = Vec::new();
-                for i in range {
-                    tick(gov, "hash_join")?;
-                    let key = probe_source.key_at(i, outer, ctx)?;
-                    let matched = if key.has_null() {
-                        false
-                    } else if table.get(&key).is_some() {
-                        // The row path inspects exactly one candidate
-                        // before the semi/anti short-circuit.
-                        comparisons += 1;
-                        true
-                    } else {
-                        false
-                    };
-                    if matched == (kind == JoinType::Semi) {
-                        emit(1)?;
-                        out.push(i as u32);
-                    }
-                }
-                Ok((out, comparisons))
-            })?;
-            let (sel, comparisons) = concat_counted(chunks);
-            if let Some(s) = stats {
-                s.comparisons += comparisons;
-            }
-            return Ok(Batch::Col {
-                cols: Arc::new(pcols.gather(&sel)),
-                schema: schema.clone(),
-            });
-        }
-    }
-
-    // Inner/outer output rows splice in build-side values; semi/anti with
-    // a residual evaluate it over the concatenated pair. Either way both
-    // sides pivot here (once, cached).
+    // Inner/outer output rows splice in build-side values; the semi/anti
+    // joins that reach here evaluate a residual over the concatenated pair
+    // or a key expression over the row. Either way both sides pivot here
+    // (once, cached).
     let probe_rows = probe.rows();
     let build_rows = build.rows();
     let build_width = build.schema().len();
@@ -1330,6 +1309,68 @@ fn exec_hash_join(
         schema: schema.clone(),
         rows: out,
     }))
+}
+
+/// The existence-join kernel: which rows of `probe` have (`keep_matched`,
+/// a semi join) or lack (an anti join) a row of `build` with an equal
+/// non-NULL key, read straight off both sides' key *columns*
+/// ([`crate::groupkey`]). The build side is reduced to the DISTINCT of its
+/// key columns, hash-partitioned across workers like GROUP BY; every probe
+/// morsel is then hashed under the same seed, looked up, and the surviving
+/// row ids gathered — the probe batch itself when every row survives.
+/// Governor work is per morsel: one `ticks`, one `emit`. A probe row that
+/// finds its key counts one comparison, as on the row path.
+#[allow(clippy::too_many_arguments)]
+fn exec_existence_join(
+    (probe, probe_idx): (&Arc<ColBatch>, &[usize]),
+    (build, build_idx): (&ColBatch, &[usize]),
+    keep_matched: bool,
+    schema: &Schema,
+    emit: &(impl Fn(usize) -> Result<()> + Sync),
+    mut stats: Option<&mut NodeStats>,
+    ctx: ExecCtx<'_>,
+) -> Result<Batch> {
+    let gov = ctx.gov;
+    let build_workers = par_workers(build.len(), ctx.threads);
+    let keys = KeyCols::new(build, build_idx);
+    let parts = fold_partitions(&keys, build.len(), build_workers, gov, "hash_join", || {
+        KeyPartition::new(&keys)
+    })?
+    .ok_or_else(|| EngineError::Execution("collecting join keys cannot fail on a value".into()))?;
+    if let Some(s) = stats.as_deref_mut() {
+        s.est_mem_bytes += parts.iter().map(HashPartition::bytes).sum::<u64>();
+    }
+    let set = KeySet::new(&keys, parts);
+
+    faults::trip("join.probe")?;
+    let n = probe.len();
+    let probe_workers = par_workers(n, ctx.threads);
+    note_threads(&mut stats, build_workers.max(probe_workers));
+    let probe_keys = keys.seeded_like(probe, probe_idx);
+    let chunks = for_morsels(n, probe_workers, |range| {
+        let (mut sel, mut hashes, mut comparisons) = (Vec::new(), Vec::new(), 0);
+        for lo in range.clone().step_by(MORSEL_ROWS) {
+            let block = lo..range.end.min(lo + MORSEL_ROWS);
+            ticks(gov, block.len() as u64, "hash_join")?;
+            probe_keys.hash_range(block.clone(), &mut hashes);
+            let kept = sel.len();
+            comparisons += set.select_into(&probe_keys, block, &hashes, keep_matched, &mut sel);
+            emit(sel.len() - kept)?;
+        }
+        Ok((sel, comparisons))
+    })?;
+    let (sel, comparisons) = concat_counted(chunks);
+    if let Some(s) = stats {
+        s.comparisons += comparisons;
+    }
+    Ok(Batch::Col {
+        cols: if sel.len() == n {
+            Arc::clone(probe)
+        } else {
+            Arc::new(probe.gather(&sel))
+        },
+        schema: schema.clone(),
+    })
 }
 
 /// Rough footprint of a join hash table: map entry overhead plus one
@@ -1903,12 +1944,11 @@ struct Grouped {
 }
 
 /// Drive the typed group-key kernel ([`crate::groupkey`]) over `cols`:
-/// group on `key_idx`, fold `aggs`. The key hashes are computed by the
-/// morsel driver, then worker `p` folds — in row order — exactly the rows
-/// whose hash routes to partition `p`; partitions never share a group, so
-/// there is nothing to merge, only to order by first row. One worker is
-/// one partition that owns every row. `Ok(None)` is a value-level error:
-/// replay on the row path.
+/// group on `key_idx`, fold `aggs`, one hash partition per worker
+/// ([`fold_partitions`]); partitions never share a group, so there is
+/// nothing to merge, only to order by first row. One worker is one
+/// partition that owns every row. `Ok(None)` is a value-level error: replay
+/// on the row path.
 fn group_kernel(
     cols: &ColBatch,
     key_idx: &[usize],
@@ -1925,34 +1965,13 @@ fn group_kernel(
     // Without key columns (a global DISTINCT aggregate) there is one group
     // and nothing to partition on.
     let nparts = if keys.is_empty() { 1 } else { workers };
-    let hashes: Vec<u64> = concat(for_morsels(n, nparts, |range| {
-        ticks(gov, range.len() as u64, op)?;
-        let mut out = Vec::new();
-        keys.hash_range(range, &mut out);
-        Ok(out)
-    })?);
-    let parts = fan_out(0..nparts, |p| {
-        let mut partition = Partition::new(&keys, cols, aggs);
-        let mut charged = 0u64;
-        for lo in (0..n).step_by(MORSEL_ROWS) {
-            let block = lo..n.min(lo + MORSEL_ROWS);
-            let Some(folded) = partition.consume(block.clone(), &hashes[block], (p, nparts)) else {
-                return Ok(None);
-            };
-            ticks(gov, folded as u64, op)?;
-            // Charge table and state as they grow, so a high-cardinality
-            // key trips the budget while building rather than after.
-            if let Some(g) = gov {
-                let now = partition.bytes();
-                g.reserve_mem(now - charged, op)?;
-                charged = now;
-            }
-        }
-        Ok(Some((partition.bytes(), partition.finish())))
-    })?;
-    let Some(mut parts) = parts.into_iter().collect::<Option<Vec<_>>>() else {
+    let Some(parts) = fold_partitions(&keys, n, nparts, gov, op, || {
+        Partition::new(&keys, cols, aggs)
+    })?
+    else {
         return Ok(None);
     };
+    let mut parts: Vec<_> = parts.into_iter().map(|p| (p.bytes(), p.finish())).collect();
     // One partition's groups are already in first-row order (and a global
     // aggregate's single group has no first row to order by).
     if parts.len() == 1 {
@@ -1993,6 +2012,47 @@ fn group_kernel(
         agg_cols,
         mem_bytes: parts.iter().map(|(bytes, _)| bytes).sum(),
     }))
+}
+
+/// Fold the rows `0..n` into `nparts` hash partitions of `keys`, one worker
+/// each. The key hashes are computed by the morsel driver; worker `p` is
+/// then handed every block in row order and folds the rows whose hash routes
+/// to partition `p`, ticking per row folded and charging the partition's
+/// bytes as they grow — so a high-cardinality key trips the budget while
+/// building rather than after, and what is charged in total does not depend
+/// on `nparts`. `Ok(None)` is a partition's value-level error.
+fn fold_partitions<P: HashPartition + Send>(
+    keys: &KeyCols<'_>,
+    n: usize,
+    nparts: usize,
+    gov: Option<&Governor>,
+    op: &'static str,
+    init: impl Fn() -> P + Sync,
+) -> Result<Option<Vec<P>>> {
+    let hashes: Vec<u64> = concat(for_morsels(n, nparts, |range| {
+        ticks(gov, range.len() as u64, op)?;
+        let mut out = Vec::new();
+        keys.hash_range(range, &mut out);
+        Ok(out)
+    })?);
+    let parts = fan_out(0..nparts, |p| {
+        let mut partition = init();
+        let mut charged = 0u64;
+        for lo in (0..n).step_by(MORSEL_ROWS) {
+            let block = lo..n.min(lo + MORSEL_ROWS);
+            let Some(folded) = partition.consume(block.clone(), &hashes[block], (p, nparts)) else {
+                return Ok(None);
+            };
+            ticks(gov, folded as u64, op)?;
+            if let Some(g) = gov {
+                let now = partition.bytes();
+                g.reserve_mem(now - charged, op)?;
+                charged = now;
+            }
+        }
+        Ok(Some(partition))
+    })?;
+    Ok(parts.into_iter().collect())
 }
 
 /// Row-path group table footprint: per-group key and group values (each

@@ -127,21 +127,14 @@ pub fn node_label(plan: &Plan) -> String {
             format!("Rename -> {name}")
         }
         Plan::HashJoin {
-            right,
             kind,
             left_keys,
             residual,
             build_index,
             ..
         } => {
-            // Against the index's own conflict scan the probe tests posting
-            // lengths, which the scan's label names.
-            let over = match right.as_conflict_scan() {
-                Some(_) => " conflicts",
-                None => "",
-            };
             let access = match build_index {
-                Some(idx) => format!(" access=index({}{over})", idx.col_names().join(",")),
+                Some(idx) => format!(" access=index({})", idx.col_names().join(",")),
                 None => String::new(),
             };
             format!(

@@ -245,12 +245,12 @@ fn maybe_swap_build(plan: Plan, est: &Estimator<'_>) -> Plan {
 /// filter's key-equality or range conjuncts *and* the cost model prices
 /// the probe below the sequential scan, and serve hash-join build sides
 /// from a prebuilt index whenever the build keys are exactly the index's
-/// key columns. A `GROUP BY … HAVING count(*) > c` over exactly an index's
-/// key columns is read off the index's conflict list
-/// ([`try_conflict_scan`]), and a semi/anti join against such a scan probes
-/// the postings' lengths instead of hashing the scan's rows. Only sees the
-/// indexes the estimator carries (`use_indexes`) — without them, plans are
-/// untouched.
+/// key columns — joins that emit build rows, that is: a residual-free
+/// semi/anti join only tests keys for existence, which the executor does
+/// off the key columns of whatever its build input is. A `GROUP BY …
+/// HAVING count(*) > c` over exactly an index's key columns is read off the
+/// index's conflict list ([`try_conflict_scan`]). Only sees the indexes the
+/// estimator carries (`use_indexes`) — without them, plans are untouched.
 fn select_access_paths(plan: Plan, est: &Estimator<'_>) -> Plan {
     // The conflict scan replaces a whole `Project(Filter(Aggregate(Scan)))`
     // subtree, so it is matched before anything below it is rewritten.
@@ -285,49 +285,27 @@ fn select_access_paths(plan: Plan, est: &Estimator<'_>) -> Plan {
             mut build_index,
             schema,
         } => {
-            if build_index.is_none() {
-                // The build side's keys as columns of the indexed batch: a
-                // bare scan's own, a conflict scan's through its
-                // projection. A conflict scan holds one row per violated
-                // key, which only existence tests can read off postings.
-                let existence_test =
-                    matches!(kind, JoinType::Semi | JoinType::Anti) && residual.is_none();
-                let indexed = match (&*right, right.as_conflict_scan()) {
-                    (Plan::Scan { cols, .. }, _) => est
+            // Postings replace the build of a join that emits build rows.
+            // An existence test without a residual asks only whether a key
+            // is there, which the executor's typed kernel answers from the
+            // build side's key columns — postings would make every probe
+            // materialize a key to search with.
+            let existence_test =
+                matches!(kind, JoinType::Semi | JoinType::Anti) && residual.is_none();
+            if build_index.is_none() && !existence_test {
+                if let Plan::Scan { cols, .. } = &*right {
+                    let indexed = est
                         .index_for(cols)
-                        .zip(kernels::column_indices(&right_keys)),
-                    (_, Some((index, _, project))) if existence_test => {
-                        Some(index).zip(compose_columns(&right_keys, project))
-                    }
-                    _ => None,
-                };
-                if let Some((index, key_cols)) = indexed {
-                    if let Some(perm) = key_permutation(index, &key_cols) {
-                        // Reorder both key vectors into the index's
-                        // column order so probe keys hash exactly the
-                        // keys the postings were built from.
-                        left_keys = perm.iter().map(|&j| left_keys[j].clone()).collect();
-                        right_keys = perm.iter().map(|&j| right_keys[j].clone()).collect();
-                        build_index = Some(std::sync::Arc::clone(index));
-                    }
-                }
-                // Postings over a scan replace the build outright. Against
-                // a conflict scan they replace a build of the few listed
-                // keys with probes into the postings of *all* keys, which
-                // only pays while the probe side is small: priced.
-                if build_index.is_some() && right.as_conflict_scan().is_some() {
-                    let join = |build_index| Plan::HashJoin {
-                        left: left.clone(),
-                        right: right.clone(),
-                        kind,
-                        left_keys: left_keys.clone(),
-                        right_keys: right_keys.clone(),
-                        residual: None,
-                        build_index,
-                        schema: schema.clone(),
-                    };
-                    if est.cost(&join(build_index.clone())) >= est.cost(&join(None)) {
-                        build_index = None;
+                        .zip(kernels::column_indices(&right_keys));
+                    if let Some((index, key_cols)) = indexed {
+                        if let Some(perm) = key_permutation(index, &key_cols) {
+                            // Reorder both key vectors into the index's
+                            // column order so probe keys hash exactly the
+                            // keys the postings were built from.
+                            left_keys = perm.iter().map(|&j| left_keys[j].clone()).collect();
+                            right_keys = perm.iter().map(|&j| right_keys[j].clone()).collect();
+                            build_index = Some(std::sync::Arc::clone(index));
+                        }
                     }
                 }
             }

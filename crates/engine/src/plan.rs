@@ -260,10 +260,10 @@ pub enum Plan {
         /// the "IndexLookupJoin" access path. The optimizer only attaches
         /// an index whose stamp `Arc::ptr_eq`s the right child's scan
         /// batch and whose key columns match `right_keys` exactly; probing
-        /// and row emission are byte-identical to the built table. When
-        /// the right child is the index's own conflict scan (semi/anti
-        /// joins without a residual only), a probe matches where the
-        /// postings hold at least the scan's `min_group` rows.
+        /// and row emission are byte-identical to the built table. Never
+        /// attached to a residual-free semi/anti join: an existence test
+        /// reads no postings (the executor's typed kernel needs only the
+        /// build side's key columns).
         build_index: Option<Arc<crate::index::Index>>,
         schema: Schema,
     },
@@ -323,17 +323,16 @@ impl Plan {
         }
     }
 
-    /// When this node is an index's conflict scan (seen through renames,
-    /// which move no column): the index, the smallest group size listed and
-    /// the batch column behind each output column.
-    pub fn as_conflict_scan(&self) -> Option<(&Arc<crate::index::Index>, usize, &[usize])> {
+    /// The index whose conflict list this node scans, when it is such a
+    /// scan (seen through renames, which move no column).
+    pub fn as_conflict_scan(&self) -> Option<&Arc<crate::index::Index>> {
         match self {
             Plan::Rename { input, .. } => input.as_conflict_scan(),
             Plan::IndexScan {
                 index,
-                access: IndexAccess::Conflicts { min_group, project },
+                access: IndexAccess::Conflicts { .. },
                 ..
-            } => Some((index, *min_group, project)),
+            } => Some(index),
             _ => None,
         }
     }
@@ -1913,8 +1912,20 @@ impl<'a> Planner<'a> {
                 ));
             };
             let rewritten = ctx.bind(expr)?;
+            // A group column passes through with its type and a count is an
+            // integer, so operators downstream keep those columns typed
+            // (the rewritings' key columns reach their NOT EXISTS joins this
+            // way); what other aggregates and expressions produce depends on
+            // the values.
+            let ty = match &rewritten {
+                BoundExpr::Column { depth: 0, index } => group_cols[*index].ty,
+                BoundExpr::AggRef { index } if ctx.aggs[*index].func == AggFunc::Count => {
+                    DataType::Integer
+                }
+                _ => DataType::Any,
+            };
             let name = output_name(expr, alias.as_deref(), i);
-            out_cols.push(Column::bare(&name, DataType::Any));
+            out_cols.push(Column::bare(&name, ty));
             out_exprs.push(rewritten);
         }
         let having = match &select.having {

@@ -15,6 +15,15 @@ const POINT_QUERIES: &[(&str, &str)] = &[
     ("rename", "select t.x from (select x from a) t"),
     ("join.build", "select a.x from a join b on a.x = b.y"),
     ("join.probe", "select a.x from a join b on a.x = b.y"),
+    // The same two points inside the typed existence-join kernel.
+    (
+        "join.build",
+        "select x from a where exists (select y from b where b.y = a.x)",
+    ),
+    (
+        "join.probe",
+        "select x from a where not exists (select y from b where b.y = a.x)",
+    ),
     ("nested_loop", "select a.x from a join b on a.x > b.y"),
     ("aggregate.group", "select x, count(*) from a group by x"),
     ("distinct", "select distinct x from a"),

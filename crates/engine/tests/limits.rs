@@ -153,6 +153,42 @@ fn memory_limit_charges_distinct_by_key_width() {
 }
 
 #[test]
+fn memory_limit_charges_existence_join_by_distinct_key() {
+    // 9 000 build rows holding 3 000 distinct keys, probed by 10 rows. The
+    // typed existence kernel keeps one 20 B table entry per distinct key —
+    // 60 000 B, the keys themselves staying in the build batch — so it
+    // trips 40 000 B while building and fits 70 000 B; the row path's
+    // `Key`-per-entry table fits neither.
+    let db = Database::new();
+    let build: Vec<String> = (0..9_000).map(|i| format!("({})", i % 3_000)).collect();
+    db.run_script(&format!(
+        "create table a (x integer);\ncreate table b (y integer);\n\
+         insert into a values (0), (1), (2), (3), (4), (5000), (5001), (5002), (5003), (5004);\n\
+         insert into b values {};",
+        build.join(", ")
+    ))
+    .expect("build semi-join fixture");
+    let sql = "select x from a where exists (select y from b where b.y = a.x)";
+    let run = |bytes: u64, columnar: bool| {
+        let options = ExecOptions::default()
+            .with_limits(ResourceLimits::unlimited().with_max_memory_bytes(bytes))
+            .with_columnar(columnar);
+        db.query_with(sql, &options)
+    };
+    for (bytes, columnar) in [(40_000, true), (40_000, false), (70_000, false)] {
+        match run(bytes, columnar) {
+            Err(EngineError::MemoryExceeded(trip)) => {
+                assert_eq!(trip.operator, "hash_join", "columnar={columnar}");
+                assert!(trip.mem_bytes > bytes);
+            }
+            other => panic!("{bytes} B, columnar={columnar}: expected MemoryExceeded: {other:?}"),
+        }
+    }
+    assert_eq!(run(70_000, true).expect("60 000 B of keys fit").len(), 5);
+    assert_usable(&db);
+}
+
+#[test]
 fn cancellation_from_another_thread_stops_promptly() {
     let db = cross_join_db(2_000);
     let token = CancellationToken::new();

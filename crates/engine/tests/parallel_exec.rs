@@ -420,18 +420,31 @@ fn union_all_feeding_parallel_operators_matches_serial() {
 #[test]
 fn row_limit_trips_identically_at_any_thread_count() {
     let db = fixture(12_000);
-    let sql = "select t.k, u.w from t, u where t.k = u.k";
-    for threads in [1, 2, 8] {
-        let options = ExecOptions {
-            limits: ResourceLimits::default().with_max_rows(500),
-            ..ExecOptions::default()
+    for sql in [
+        "select t.k, u.w from t, u where t.k = u.k",
+        // The typed existence kernel emits per morsel, not per row: the
+        // scans commit 13 500 rows, the join's ~750 survivors go over.
+        "select t.k from t where exists (select u.k from u where u.k = t.k)",
+    ] {
+        for (max_rows, trips) in [(500, true), (13_600, true), (1_000_000, false)] {
+            for threads in [1, 2, 8] {
+                let options = ExecOptions {
+                    limits: ResourceLimits::default().with_max_rows(max_rows),
+                    ..ExecOptions::default()
+                }
+                .with_threads(threads);
+                match db.query_with(sql, &options) {
+                    Err(EngineError::RowLimitExceeded(_)) if trips => {}
+                    Ok(_) if !trips => {}
+                    other => {
+                        panic!(
+                        "threads={threads} max_rows={max_rows}: expected {}, got {other:?}\n{sql}",
+                        if trips { "RowLimitExceeded" } else { "an answer" }
+                    )
+                    }
+                }
+            }
         }
-        .with_threads(threads);
-        let err = db.query_with(sql, &options).unwrap_err();
-        assert!(
-            matches!(err, EngineError::RowLimitExceeded(_)),
-            "threads={threads}: expected RowLimitExceeded, got {err:?}"
-        );
     }
     // The database stays fully usable after governed parallel failures.
     assert_eq!(run_at(&db, "select count(*) from u", 8).rows.len(), 1);
@@ -471,12 +484,17 @@ fn memory_limit_trips_identically_at_any_thread_count() {
         b.push(vec![Value::Int(i), Value::Int(i * 7)]).unwrap();
     }
     db.register(b).unwrap();
+    // And the typed existence join, whose key table is hash-partitioned
+    // across workers: 1 500 build keys of `u` at 20 B, then 16 B a
+    // surviving row of the 12 000 probed.
     for sql in [
         "select distinct a.k, b.w from a join b on a.k = b.k",
         "select a.k, b.w, count(*) from a join b on a.k = b.k group by a.k, b.w",
         "select a.k, b.w from a join b on a.k = b.k order by b.w, a.k",
+        "select t.k, t.v from t where exists (select u.k from u where u.k = t.k)",
+        "select t.k, t.v from t where not exists (select u.k from u where u.k = t.k)",
     ] {
-        for budget in [800_000, 2_000_000] {
+        for budget in [20_000, 35_000, 800_000, 2_000_000] {
             let outcome = |threads: usize| {
                 let options = ExecOptions {
                     limits: ResourceLimits::default().with_max_memory_bytes(budget),

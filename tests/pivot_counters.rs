@@ -11,8 +11,10 @@
 //! counters, not just a timing.
 //!
 //! What that join probes is pinned too. The plain rewriting's Filter reads
-//! `conq_suspects` — the candidates whose key is violated, found by a
-//! columnar semi join against the key index's conflict list — so the join
+//! `conq_suspects` — the candidates whose key is violated, found by the
+//! typed existence kernel (like every `EXISTS` / `NOT EXISTS` of the
+//! rewriting: key columns in, row ids out, nothing pivoted) with the key
+//! index's conflict list as its build input — so the join
 //! pivots at most two rows per violated candidate key (the injected groups
 //! hold two tuples), where it used to pivot every candidate (29 374). The
 //! annotated rewriting has no such CTE: its `conscand` guard does that job.
