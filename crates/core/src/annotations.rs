@@ -57,8 +57,11 @@ pub fn annotate_database(db: &Database, sigma: &ConstraintSet) -> Result<Vec<Ann
         // First pass: count occurrences of each key value.
         let mut counts: HashMap<conquer_engine::value::Key, u32> =
             HashMap::with_capacity(table.len());
-        for row in table.rows() {
-            let key_vals: Vec<Value> = key_indices.iter().map(|i| row[*i].clone()).collect();
+        for row in 0..table.len() {
+            let key_vals: Vec<Value> = key_indices
+                .iter()
+                .map(|i| table.cols().col(*i).value_at(row))
+                .collect();
             *counts
                 .entry(conquer_engine::value::Key::from_values(&key_vals))
                 .or_insert(0) += 1;

@@ -165,11 +165,7 @@ impl<'a> Estimator<'a> {
             return Arc::clone(s);
         }
         let n = cols.len().min(SAMPLE_ROWS);
-        let width = cols.width();
-        // Pivot only the sample prefix; a full-table pivot just to sample
-        // would defeat the columnar scan cache.
-        let sample: Vec<_> = (0..n).map(|i| cols.row_at(i)).collect();
-        let mut stats = TableStats::collect(&sample, width);
+        let mut stats = TableStats::collect(&cols.head(n));
         if n < cols.len() && n > 0 {
             // Scale the sample up: row-linear counters scale linearly, NDV
             // scales linearly but is capped by the true row count.

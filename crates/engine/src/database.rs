@@ -214,7 +214,7 @@ impl Database {
     /// `INSERT`/`CREATE` paths and recovery hold it across their whole
     /// read-modify-write sequence).
     fn register_locked(&self, table: Table) -> Result<()> {
-        let stats = Arc::new(TableStats::collect(table.rows(), table.schema().len()));
+        let stats = Arc::new(TableStats::collect(table.cols()));
         if self.durability.is_some() {
             let decls = self.declared_indexes(table.name());
             self.log(
@@ -304,7 +304,7 @@ impl Database {
                 let (name, schema) = durable::decode_create(&record.payload)?;
                 let cols = ColBatch::from_schema(&schema);
                 let table = Table::from_parts(name, schema, cols);
-                let stats = Arc::new(TableStats::collect(table.rows(), table.schema().len()));
+                let stats = Arc::new(TableStats::collect(table.cols()));
                 self.apply_register(table, stats);
                 Ok(())
             }
@@ -320,7 +320,7 @@ impl Database {
                 for row in rows {
                     table.push(row)?;
                 }
-                let stats = Arc::new(TableStats::collect(table.rows(), table.schema().len()));
+                let stats = Arc::new(TableStats::collect(table.cols()));
                 self.apply_register(table, stats);
                 Ok(())
             }
@@ -421,7 +421,7 @@ impl Database {
                     .get(name)
                     .map(Arc::as_ref)
                     .cloned()
-                    .unwrap_or_else(|| TableStats::collect(table.rows(), table.schema().len()));
+                    .unwrap_or_else(|| TableStats::collect(table.cols()));
                 let decls = self.declared_indexes(name);
                 (
                     name.clone(),
@@ -941,7 +941,7 @@ impl Database {
                 if self.durability.is_some() {
                     self.log(KIND_CREATE, &durable::encode_create(name, table.schema()))?;
                 }
-                let stats = Arc::new(TableStats::collect(table.rows(), table.schema().len()));
+                let stats = Arc::new(TableStats::collect(table.cols()));
                 self.apply_register(table, stats);
                 self.maybe_auto_checkpoint()?;
                 Ok(None)
@@ -1004,13 +1004,12 @@ impl Database {
         if self.durability.is_some() {
             // Log only the newly appended rows, not the whole table: the
             // base rows are already covered by earlier records/segments.
-            let appended = &new_table.rows()[current.len()..];
-            self.log(KIND_INSERT, &durable::encode_insert(name, appended))?;
+            let appended: Vec<Row> = (current.len()..new_table.len())
+                .map(|i| new_table.row_at(i))
+                .collect();
+            self.log(KIND_INSERT, &durable::encode_insert(name, &appended))?;
         }
-        let stats = Arc::new(TableStats::collect(
-            new_table.rows(),
-            new_table.schema().len(),
-        ));
+        let stats = Arc::new(TableStats::collect(new_table.cols()));
         // Built indexes describe the pre-insert batch; capture them before
         // the register unbuilds the slots so they can be extended (rather
         // than rebuilt) over the appended rows. Sound because the mutation

@@ -597,7 +597,7 @@ mod tests {
         let mut table = Table::new("t", vec![("a", DataType::Integer), ("b", DataType::Text)]);
         table.push(vec![Value::Int(1), Value::str("x")]).unwrap();
         table.push(vec![Value::Int(2), Value::Null]).unwrap();
-        let stats = TableStats::collect(table.rows(), 2);
+        let stats = TableStats::collect(table.cols());
         let decls = vec![vec!["a".to_string()]];
         let payload = encode_snapshot(&table, &stats, &decls);
         let (decoded, decoded_stats, decoded_decls) = decode_snapshot(&payload).unwrap();
@@ -614,7 +614,7 @@ mod tests {
     fn decoders_reject_corruption_without_panicking() {
         let mut table = Table::new("t", vec![("a", DataType::Integer)]);
         table.push(vec![Value::Int(1)]).unwrap();
-        let stats = TableStats::collect(table.rows(), 1);
+        let stats = TableStats::collect(table.cols());
         let payload = encode_snapshot(&table, &stats, &[vec!["a".to_string()]]);
         for cut in 0..payload.len() {
             assert!(decode_snapshot(&payload[..cut]).is_err());

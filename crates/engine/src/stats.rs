@@ -18,8 +18,8 @@
 use std::collections::HashSet;
 use std::time::Duration;
 
+use crate::col::ColBatch;
 use crate::plan::Plan;
-use crate::table::Row;
 use crate::value::{KeyValue, Value};
 
 /// Runtime counters for one plan operator.
@@ -139,46 +139,47 @@ pub(crate) fn numeric_of(v: &Value) -> Option<f64> {
 }
 
 impl TableStats {
-    /// Collect statistics over a full row batch in one pass per column
-    /// value: NDV (hash-set, capped), null count, numeric min/max.
-    pub fn collect(rows: &[Row], width: usize) -> TableStats {
-        let mut columns: Vec<ColumnStats> = (0..width)
-            .map(|_| ColumnStats {
-                ndv: 0,
-                null_count: 0,
-                min: None,
-                max: None,
-            })
-            .collect();
-        let mut distinct: Vec<Option<HashSet<KeyValue>>> =
-            (0..width).map(|_| Some(HashSet::new())).collect();
-        for row in rows {
-            for (i, v) in row.iter().enumerate().take(width) {
-                let col = &mut columns[i];
-                if v.is_null() {
-                    col.null_count += 1;
-                    continue;
-                }
-                if let Some(set) = &mut distinct[i] {
-                    set.insert(KeyValue::from(v));
-                    if set.len() > NDV_CAP {
-                        distinct[i] = None;
+    /// Collect statistics over a batch, one pass per column: NDV
+    /// (hash-set, capped), null count, numeric min/max. Reads the columns
+    /// in place — a row pivot of a stored table would stay cached in it.
+    pub fn collect(batch: &ColBatch) -> TableStats {
+        let row_count = batch.len() as u64;
+        let columns = batch
+            .cols()
+            .iter()
+            .map(|chunk| {
+                let mut col = ColumnStats {
+                    ndv: 0,
+                    null_count: 0,
+                    min: None,
+                    max: None,
+                };
+                let mut distinct = Some(HashSet::new());
+                for i in 0..batch.len() {
+                    let v = chunk.value_at(i);
+                    if v.is_null() {
+                        col.null_count += 1;
+                        continue;
+                    }
+                    if let Some(set) = &mut distinct {
+                        set.insert(KeyValue::from(&v));
+                        if set.len() > NDV_CAP {
+                            distinct = None;
+                        }
+                    }
+                    if let Some(n) = numeric_of(&v) {
+                        col.min = Some(col.min.map_or(n, |m| m.min(n)));
+                        col.max = Some(col.max.map_or(n, |m| m.max(n)));
                     }
                 }
-                if let Some(n) = numeric_of(v) {
-                    col.min = Some(col.min.map_or(n, |m| m.min(n)));
-                    col.max = Some(col.max.map_or(n, |m| m.max(n)));
-                }
-            }
-        }
-        let row_count = rows.len() as u64;
-        for (col, set) in columns.iter_mut().zip(distinct) {
-            col.ndv = match set {
-                Some(set) => set.len() as u64,
-                // Cap blown: assume key-like (every non-null value distinct).
-                None => row_count - col.null_count,
-            };
-        }
+                col.ndv = match distinct {
+                    Some(set) => set.len() as u64,
+                    // Cap blown: assume key-like (every non-null value distinct).
+                    None => row_count - col.null_count,
+                };
+                col
+            })
+            .collect();
         TableStats { row_count, columns }
     }
 }
@@ -214,13 +215,21 @@ mod tests {
 
     #[test]
     fn table_stats_collects_ndv_nulls_and_range() {
+        use crate::schema::{Column, DataType, Schema};
         use crate::value::Value;
+        let batch = |types: &[DataType], rows| {
+            let columns = types.iter().map(|&ty| Column::bare("c", ty)).collect();
+            ColBatch::from_rows(&Schema::new(columns), rows)
+        };
         let rows = vec![
             vec![Value::Int(1), Value::str("a"), Value::Float(2.5)],
             vec![Value::Int(1), Value::str("b"), Value::Null],
             vec![Value::Int(3), Value::Null, Value::Float(-1.0)],
         ];
-        let s = TableStats::collect(&rows, 3);
+        let s = TableStats::collect(&batch(
+            &[DataType::Integer, DataType::Text, DataType::Float],
+            rows,
+        ));
         assert_eq!(s.row_count, 3);
         assert_eq!(s.columns[0].ndv, 2);
         assert_eq!(s.columns[0].null_count, 0);
@@ -235,9 +244,10 @@ mod tests {
         assert_eq!(s.columns[2].max, Some(2.5));
         // Int(1) and Float(1.0) normalize to the same distinct value.
         let rows = vec![vec![Value::Int(1)], vec![Value::Float(1.0)]];
-        assert_eq!(TableStats::collect(&rows, 1).columns[0].ndv, 1);
+        let mixed = batch(&[DataType::Any], rows);
+        assert_eq!(TableStats::collect(&mixed).columns[0].ndv, 1);
         // Empty tables produce empty-but-valid stats.
-        let s = TableStats::collect(&[], 2);
+        let s = TableStats::collect(&batch(&[DataType::Integer, DataType::Text], vec![]));
         assert_eq!(s.row_count, 0);
         assert_eq!(s.columns.len(), 2);
         assert_eq!(s.columns[0].null_fraction(0), 0.0);

@@ -228,15 +228,6 @@ impl Table {
     pub fn batch(&self) -> ColBatch {
         self.cols.clone()
     }
-
-    /// View the table as a scan result under a binding name (row form;
-    /// kept for tests and tooling — the executor scans batches).
-    pub fn scan(self: &Arc<Table>, binding: &str) -> Rows {
-        Rows {
-            schema: self.schema.qualified(binding),
-            rows: self.cols.rows().to_vec(),
-        }
-    }
 }
 
 fn type_compatible(value: &Value, ty: DataType) -> bool {
@@ -284,13 +275,6 @@ mod tests {
         });
         assert_eq!(t2.rows()[0], vec![Value::Int(5), Value::Int(10)]);
         assert_eq!(t2.schema().columns[1].name, "doubled");
-    }
-
-    #[test]
-    fn scan_qualifies_columns() {
-        let t = Arc::new(Table::new("customer", vec![("custkey", DataType::Integer)]));
-        let rows = t.scan("c");
-        assert_eq!(rows.schema.columns[0].qualifier.as_deref(), Some("c"));
     }
 
     #[test]

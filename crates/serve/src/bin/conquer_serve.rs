@@ -7,8 +7,8 @@
 //!               [--data-dir DIR [--sync always|interval:<ms>|never]
 //!                [--checkpoint-wal-bytes N] [--checkpoint-interval-ms N]]
 //!               [--max-sessions N] [--admit N] [--queue-wait-ms N]
-//!               [--io-threads N] [--workers N]
-//!               [--cache N] [--metrics-port N] [--slow-query-us N]
+//!               [--io-threads N] [--cache N] [--metrics-port N]
+//!               [--slow-query-us N]
 //! ```
 //!
 //! Data comes from exactly one of `--tpch-sf` (generate + inject TPC-H) or
@@ -20,9 +20,8 @@
 //! `/metrics.json`, `/traces`). `--slow-query-us` sets the default
 //! slow-query log threshold (JSON lines on stderr; 0 disables).
 //!
-//! `--io-threads` sizes the event loop's connection-driver pool
-//! (`--io-threads 0` selects the legacy thread-per-connection mode) and
-//! `--workers` the query-worker pool (0 means match `--admit`).
+//! `--io-threads` sizes the event loop's connection-driver pool (at least
+//! 1); the query-worker pool has one thread per `--admit` slot.
 //!
 //! `--data-dir` makes the catalog durable: mutations are write-ahead
 //! logged, a background checkpointer folds the WAL into immutable
@@ -57,7 +56,6 @@ struct Args {
     admit: usize,
     queue_wait_ms: u64,
     io_threads: usize,
-    workers: usize,
     cache: usize,
     metrics_port: Option<u16>,
     slow_query_us: u64,
@@ -82,7 +80,6 @@ impl Default for Args {
             admit: defaults.max_concurrent,
             queue_wait_ms: defaults.queue_wait.as_millis() as u64,
             io_threads: defaults.io_threads,
-            workers: defaults.workers,
             cache: defaults.cache_capacity,
             metrics_port: None,
             slow_query_us: defaults.slow_query_us,
@@ -95,8 +92,8 @@ const USAGE: &str = "usage: conquer-serve [--port N] [--tpch-sf F [--inconsisten
                      [--data-dir DIR [--sync always|interval:<ms>|never]
                       [--checkpoint-wal-bytes N] [--checkpoint-interval-ms N]]
                      [--max-sessions N] [--admit N] [--queue-wait-ms N]
-                     [--io-threads N] [--workers N] [--cache N]
-                     [--metrics-port N] [--slow-query-us N]";
+                     [--io-threads N] [--cache N] [--metrics-port N]
+                     [--slow-query-us N]";
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args::default();
@@ -154,12 +151,10 @@ fn parse_args() -> Result<Args, String> {
             "--io-threads" => {
                 args.io_threads = value("--io-threads")?
                     .parse()
-                    .map_err(|e| format!("--io-threads: {e}"))?
-            }
-            "--workers" => {
-                args.workers = value("--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?
+                    .map_err(|e| format!("--io-threads: {e}"))?;
+                if args.io_threads < 1 {
+                    return Err("--io-threads: must be at least 1".to_string());
+                }
             }
             "--cache" => {
                 args.cache = value("--cache")?
@@ -298,7 +293,6 @@ fn main() -> ExitCode {
         max_concurrent: args.admit,
         queue_wait: Duration::from_millis(args.queue_wait_ms),
         io_threads: args.io_threads,
-        workers: args.workers,
         cache_capacity: args.cache,
         metrics_addr: args.metrics_port.map(|p| format!("127.0.0.1:{p}")),
         slow_query_us: args.slow_query_us,

@@ -1,10 +1,9 @@
-//! The multiplexed serving core: an event loop that blocks in `poll(2)`
-//! over nonblocking sockets, std plus one FFI declaration ([`crate::poll`]).
+//! The serving core: an event loop that blocks in `poll(2)` over
+//! nonblocking sockets, std plus one FFI declaration ([`crate::poll`]).
 //!
-//! Thread-per-connection (PR 4) spends one OS thread — stack, scheduler
-//! slot, watchdog sibling — per client, which caps realistic connection
-//! counts orders of magnitude below the ROADMAP's target. This module
-//! replaces it with a fixed topology, independent of connection count:
+//! One OS thread per client — stack, scheduler slot — would cap realistic
+//! connection counts orders of magnitude below the ROADMAP's target, so the
+//! topology is fixed, independent of connection count:
 //!
 //! * **IO drivers** (`io_threads`, named `conquer-io-N`): each owns a
 //!   disjoint set of connections and blocks in `poll` until one of them —
@@ -13,12 +12,11 @@
 //!   flush pending output, drain readable bytes into an incremental
 //!   [`FrameBuf`], dispatch complete requests. An idle server makes no
 //!   system calls at all.
-//! * **Query workers** (`workers`, named `conquer-worker-N`): pull
-//!   admission-gated jobs from the shared [`RunQueue`] and run them via
-//!   [`crate::state::run_heavy`] — the same code the fallback mode runs
-//!   on session threads, so responses are wire-identical across modes. A
-//!   worker writes its response to the socket itself and involves the
-//!   driver only when something is left over.
+//! * **Query workers** (one per admission slot, named
+//!   `conquer-worker-N`): pull admission-gated jobs from the shared
+//!   [`RunQueue`] and run them via [`crate::state::run_heavy`]. A worker
+//!   writes its response to the socket itself and involves the driver
+//!   only when something is left over.
 //!
 //! **Interest set.** A connection polls for `POLLIN` while the driver may
 //! read from it (fewer than [`PENDING_CAP`] undispatched requests, not
@@ -46,12 +44,11 @@
 //! parsed-but-undispatched requests wait in a per-connection FIFO, which
 //! keeps responses in order without any reordering machinery.
 //!
-//! **Disconnect detection** is structural here rather than bolted on: the
-//! driver actually *drains* the socket, so a FIN is seen as `read() == 0`
-//! even when pipelined frames precede it — the exact case the fallback
-//! watchdog's `peek` could never see (its `Ok(n)` arm can't distinguish
-//! "bytes then more bytes" from "bytes then FIN"). EOF or a hard socket
-//! error cancels the in-flight query's [`CancellationToken`], bumps
+//! **Disconnect detection** is structural: the driver actually *drains*
+//! the socket, so a FIN is seen as `read() == 0` even when pipelined
+//! frames precede it (a `peek` would see only the queued bytes and never
+//! the FIN behind them). EOF or a hard socket error cancels the in-flight
+//! query's [`CancellationToken`], bumps
 //! `serve.disconnect_cancel`, discards undispatched pipelined requests,
 //! and tears the connection down.
 //!
@@ -62,10 +59,6 @@
 //! behind slow queries, the drivers expire over-deadline jobs straight out
 //! of the run queue so the client still gets its `busy` within the
 //! deadline instead of whenever a worker frees up.
-//!
-//! `poll` exists on unix only; elsewhere this module is compiled out and
-//! [`crate::server::serve`] gives every connection a session thread
-//! ([`crate::session`]) whatever `io_threads` says.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -369,31 +362,47 @@ impl RunQueue {
     }
 }
 
-/// The event-mode plumbing hung off [`Shared`] once at startup.
+/// What the rest of the server reaches the event loop through: the run
+/// queue and each driver's mailbox and waker. Part of [`Shared`].
 pub(crate) struct EventCore {
     run_queue: Arc<RunQueue>,
     drivers: Vec<Arc<DriverShared>>,
 }
 
 impl EventCore {
-    /// Spawn `io_threads` drivers and `workers` query workers over a fresh
-    /// run queue; the handles are the caller's to join.
-    pub(crate) fn start(
-        shared: &Arc<Shared>,
-        io_threads: usize,
-        workers: usize,
-    ) -> io::Result<(EventCore, Vec<JoinHandle<()>>)> {
+    /// A fresh run queue and the mailboxes of `io_threads` drivers; no
+    /// thread runs until [`spawn`](EventCore::spawn).
+    pub(crate) fn new(io_threads: usize) -> io::Result<EventCore> {
         metrics(); // every loop metric is exposed from the start, at zero
-        let run_queue = RunQueue::new();
+        let drivers = (0..io_threads)
+            .map(|_| {
+                Ok(Arc::new(DriverShared {
+                    waker: Waker::new()?,
+                    mail: Mutex::new(Mail::default()),
+                }))
+            })
+            .collect::<io::Result<_>>()?;
+        Ok(EventCore {
+            run_queue: RunQueue::new(),
+            drivers,
+        })
+    }
+
+    /// Spawn one driver per mailbox and `workers` query workers, all over
+    /// `shared` (which owns this core); the handles are the caller's to
+    /// join.
+    pub(crate) fn spawn(
+        &self,
+        shared: &Arc<Shared>,
+        workers: usize,
+    ) -> io::Result<Vec<JoinHandle<()>>> {
         let mut pool = Vec::new();
-        let mut drivers = Vec::new();
-        for i in 0..io_threads {
-            let me = Arc::new(DriverShared {
-                waker: Waker::new()?,
-                mail: Mutex::new(Mail::default()),
-            });
-            drivers.push(Arc::clone(&me));
-            let driver = Driver::new(Arc::clone(shared), Arc::clone(&run_queue), me);
+        for (i, me) in self.drivers.iter().enumerate() {
+            let driver = Driver::new(
+                Arc::clone(shared),
+                Arc::clone(&self.run_queue),
+                Arc::clone(me),
+            );
             pool.push(
                 std::thread::Builder::new()
                     .name(format!("conquer-io-{i}"))
@@ -402,14 +411,14 @@ impl EventCore {
         }
         for i in 0..workers {
             let shared = Arc::clone(shared);
-            let queue = Arc::clone(&run_queue);
+            let queue = Arc::clone(&self.run_queue);
             pool.push(
                 std::thread::Builder::new()
                     .name(format!("conquer-worker-{i}"))
                     .spawn(move || worker_loop(shared, queue))?,
             );
         }
-        Ok((EventCore { run_queue, drivers }, pool))
+        Ok(pool)
     }
 
     /// Hand an accepted connection to a driver, round-robin by session id.
@@ -852,8 +861,7 @@ fn fill(conn: &Conn, state: &mut ConnState, buf: &mut [u8]) -> ReadStatus {
                         }
                         Ok(None) => break,
                         Err(_) => {
-                            // Framing is lost; report once and close —
-                            // the same contract as the blocking path.
+                            // Framing is lost; report once and close.
                             let resp = Response::Error {
                                 code: ErrorCode::Protocol,
                                 message: "malformed frame".to_string(),

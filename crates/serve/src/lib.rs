@@ -16,9 +16,7 @@
 //!   `timeout_ms`, `mem_limit`, `max_rows`, `strategy` — plus prepared
 //!   statements) lives in explicit per-connection structs (`state`);
 //!   client disconnects surface as EOF on the driver and cancel in-flight
-//!   queries through the governor. `io_threads: 0` selects the legacy
-//!   thread-per-connection mode (`session`), kept as a differential
-//!   oracle and as the only mode where `poll` does not exist (non-unix).
+//!   queries through the governor.
 //! * **Admission control** ([`admission`]) — a semaphore-bounded run queue
 //!   with a queue-wait deadline; overload degrades to a structured `busy`
 //!   error instead of a hang.
@@ -61,7 +59,6 @@ mod metrics_http;
 mod poll;
 pub mod protocol;
 pub mod server;
-mod session;
 mod state;
 
 pub use admission::{Admission, AdmissionStats, Permit};

@@ -25,25 +25,14 @@ pub const MAX_FRAME_BYTES: usize = 64 << 20;
 
 /// Write one frame: 4-byte big-endian length, then the rendered JSON.
 pub fn write_frame(w: &mut impl Write, payload: &Json) -> io::Result<()> {
-    let body = payload.render();
-    if body.len() > MAX_FRAME_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "frame of {} bytes exceeds the {MAX_FRAME_BYTES}-byte cap",
-                body.len()
-            ),
-        ));
-    }
-    w.write_all(&(body.len() as u32).to_be_bytes())?;
-    w.write_all(body.as_bytes())?;
+    w.write_all(&encode_frame(payload)?)?;
     w.flush()
 }
 
 /// Encode one frame to bytes: 4-byte big-endian length, then the rendered
 /// JSON. The event loop appends this to a connection's output buffer and
 /// lets the nonblocking flusher drain it; errors only on an oversized
-/// payload (the same cap [`write_frame`] enforces).
+/// payload.
 pub fn encode_frame(payload: &Json) -> io::Result<Vec<u8>> {
     let body = payload.render();
     if body.len() > MAX_FRAME_BYTES {
@@ -61,6 +50,26 @@ pub fn encode_frame(payload: &Json) -> io::Result<Vec<u8>> {
     Ok(out)
 }
 
+/// The payload length a frame's prefix announces, checked against the cap.
+fn decode_len(prefix: [u8; 4]) -> io::Result<usize> {
+    let len = u32::from_be_bytes(prefix) as usize;
+    if len > MAX_FRAME_BYTES {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("frame length {len} exceeds the {MAX_FRAME_BYTES}-byte cap"),
+        ));
+    }
+    Ok(len)
+}
+
+/// A frame's payload as JSON.
+fn decode_body(body: &[u8]) -> io::Result<Json> {
+    let text = std::str::from_utf8(body)
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not UTF-8"))?;
+    Json::parse(text)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad frame: {e}")))
+}
+
 /// Incremental frame decoder for nonblocking sockets.
 ///
 /// [`read_frame`] assumes a blocking stream: it can sit in `read_exact`
@@ -68,10 +77,9 @@ pub fn encode_frame(payload: &Json) -> io::Result<Vec<u8>> {
 /// arbitrary chunks — half a length prefix now, three frames at once
 /// later — so it feeds whatever arrived into [`extend`](FrameBuf::extend)
 /// and drains complete frames with [`next_frame`](FrameBuf::next_frame).
-/// Decoding is identical to `read_frame` (same length cap, same UTF-8 and
-/// JSON validation); a decode error poisons the stream — the connection is
-/// no longer at a known frame boundary and must close, exactly like the
-/// blocking path.
+/// Both decode through the same length and body checks; a decode error
+/// poisons the stream — the connection is no longer at a known frame
+/// boundary and must close.
 #[derive(Default)]
 pub struct FrameBuf {
     buf: Vec<u8>,
@@ -107,21 +115,11 @@ impl FrameBuf {
         if avail.len() < 4 {
             return Ok(None);
         }
-        let len = u32::from_be_bytes([avail[0], avail[1], avail[2], avail[3]]) as usize;
-        if len > MAX_FRAME_BYTES {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("frame length {len} exceeds the {MAX_FRAME_BYTES}-byte cap"),
-            ));
-        }
+        let len = decode_len([avail[0], avail[1], avail[2], avail[3]])?;
         if avail.len() < 4 + len {
             return Ok(None);
         }
-        let body = &avail[4..4 + len];
-        let text = std::str::from_utf8(body)
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not UTF-8"))?;
-        let json = Json::parse(text)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad frame: {e}")))?;
+        let json = decode_body(&avail[4..4 + len])?;
         self.pos += 4 + len;
         if self.pos == self.buf.len() {
             self.buf.clear();
@@ -138,26 +136,15 @@ impl FrameBuf {
 /// a mid-frame EOF, an oversized length prefix, or undecodable JSON is an
 /// error (the connection is no longer at a known boundary and must close).
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Json>> {
-    let mut len_buf = [0u8; 4];
-    match r.read_exact(&mut len_buf) {
+    let mut prefix = [0u8; 4];
+    match r.read_exact(&mut prefix) {
         Ok(()) => {}
         Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
         Err(e) => return Err(e),
     }
-    let len = u32::from_be_bytes(len_buf) as usize;
-    if len > MAX_FRAME_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds the {MAX_FRAME_BYTES}-byte cap"),
-        ));
-    }
-    let mut body = vec![0u8; len];
+    let mut body = vec![0u8; decode_len(prefix)?];
     r.read_exact(&mut body)?;
-    let text = String::from_utf8(body)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not UTF-8"))?;
-    Json::parse(&text)
-        .map(Some)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad frame: {e}")))
+    decode_body(&body).map(Some)
 }
 
 /// How a session executes SQL: the three strategies of the paper's

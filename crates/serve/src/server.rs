@@ -1,39 +1,29 @@
-//! The server proper: listener, accept loop, serving-mode wiring, shutdown.
+//! The server proper: listener, accept loop, event-loop wiring, shutdown.
 //!
 //! One [`Shared`] struct carries everything request handling touches — the
 //! `Arc<Database>` (read-mostly: queries never lock, scripts copy-on-write
 //! behind the catalog mutex, see DESIGN.md §4), the constraint set, the
-//! statement cache, and the admission semaphore.
+//! statement cache, the admission semaphore and the event loop's handles.
 //!
-//! Two serving modes share it:
+//! Accepted connections are handed round-robin to a fixed pool of IO
+//! drivers that wait for them in `poll(2)`, with heavy work on a fixed pool
+//! of query workers, one per admission slot (`crate::event`). Total thread
+//! count is `io_threads + max_concurrent + 2` (accept + metrics),
+//! independent of connection count.
 //!
-//! * **Event loop** (default, `io_threads > 0`, unix): accepted
-//!   connections are handed round-robin to a fixed pool of IO drivers that
-//!   wait for them in `poll(2)`, with heavy work on a fixed pool of query
-//!   workers (`crate::event`). Total thread count is
-//!   `io_threads + workers + 2` (accept + metrics), independent of
-//!   connection count.
-//! * **Thread-per-connection fallback** (`io_threads == 0`, and every
-//!   target without `poll`): the PR-4 design — one session thread plus a
-//!   disconnect watchdog per connection ([`crate::session`]) — kept as the
-//!   differential oracle the soak test compares wire output against.
-//!
-//! Either way the connection count is capped (`max_sessions`) and
-//! connections past the cap are greeted with a `busy` error frame (under a
-//! write timeout — a never-reading peer must not wedge the accept loop)
-//! and closed.
+//! The connection count is capped (`max_sessions`) and connections past
+//! the cap are greeted with a `busy` error frame (under a write timeout —
+//! a never-reading peer must not wedge the accept loop) and closed.
 //!
 //! Shutdown (either [`ServerHandle::shutdown`] or a client `shutdown`
 //! request) sets a flag, wakes the accept loop with a loopback connect,
-//! closes the run queue and wakes every driver (event mode) or half-closes
-//! every live session socket (fallback), then waits for the live-session
-//! count to drain — a condvar signaled by the last connection teardown,
-//! not a bounded sleep-spin, so [`ServerHandle::wait`] returning means the
-//! server is actually quiescent.
+//! closes the run queue and wakes every driver, then waits for the
+//! live-session count to drain — a condvar signaled by the last connection
+//! teardown, not a bounded sleep-spin, so [`ServerHandle::wait`] returning
+//! means the server is actually quiescent.
 
-use std::collections::HashMap;
 use std::io;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -47,12 +37,11 @@ use crate::cache::StatementCache;
 #[cfg(unix)]
 use crate::event::EventCore;
 use crate::protocol::{write_frame, ErrorCode, Response};
-use crate::session::run_session;
 
-/// Write timeout for accept-path greetings (the over-capacity `busy` frame
-/// and the fallback mode's `Hello`): a peer that connects and never reads
-/// gets its socket dropped instead of wedging the accept path once the
-/// kernel buffer fills.
+/// Write timeout for the over-capacity `busy` greeting, the one frame the
+/// accept thread writes itself: a peer that connects and never reads gets
+/// its socket dropped instead of wedging the accept path once the kernel
+/// buffer fills.
 const GREETING_WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Tunables for [`serve`]. The defaults suit tests and small deployments.
@@ -62,7 +51,8 @@ pub struct ServerConfig {
     pub addr: String,
     /// Connection cap; further connects get a `busy` greeting and a close.
     pub max_sessions: usize,
-    /// Queries allowed to run at once (admission semaphore width).
+    /// Queries allowed to run at once: the admission semaphore's width and
+    /// the size of the query-worker pool.
     pub max_concurrent: usize,
     /// How long a query may queue for admission before `busy`.
     pub queue_wait: Duration,
@@ -83,15 +73,8 @@ pub struct ServerConfig {
     /// lines to the slow-query sink. `0` disables the log. Sessions can
     /// override their own threshold with `SET slow_query_us`.
     pub slow_query_us: u64,
-    /// IO driver threads multiplexing the connections. `0` selects the
-    /// legacy thread-per-connection fallback (one session thread + one
-    /// watchdog per connection), kept as a differential oracle and as the
-    /// only mode on targets without `poll(2)`.
+    /// IO driver threads multiplexing the connections (at least one).
     pub io_threads: usize,
-    /// Query worker threads executing admission-gated requests in event
-    /// mode. `0` means "match `max_concurrent`" — more would idle behind
-    /// the admission semaphore, fewer would leave admitted slots unused.
-    pub workers: usize,
 }
 
 impl Default for ServerConfig {
@@ -106,12 +89,11 @@ impl Default for ServerConfig {
             metrics_addr: None,
             slow_query_us: 0,
             io_threads: 2,
-            workers: 0,
         }
     }
 }
 
-/// State shared by the accept loop and every connection, in either mode.
+/// State shared by the accept loop and every connection.
 pub struct Shared {
     pub db: Arc<Database>,
     pub sigma: ConstraintSet,
@@ -134,20 +116,8 @@ pub struct Shared {
     active: AtomicUsize,
     next_session: AtomicU64,
     shutdown: AtomicBool,
-    /// `try_clone`s of live session sockets, for forced close on shutdown.
-    /// Fallback mode only: event-mode drivers close their own sockets when
-    /// they observe the shutdown flag, which also halves the fd budget.
-    conns: Mutex<HashMap<u64, TcpStream>>,
-    /// Fallback-mode session thread handles. The condvar drain proves every
-    /// session *signalled* teardown; joining these proves the threads are
-    /// actually gone, which is what lets `wait()` promise zero server
-    /// threads. The accept loop reaps finished handles opportunistically so
-    /// the vector stays proportional to live sessions.
-    session_threads: Mutex<Vec<JoinHandle<()>>>,
-    /// Event-mode plumbing (run queue + per-driver mailbox/waker),
-    /// installed once by [`serve`] when `io_threads > 0`.
-    #[cfg(unix)]
-    event: std::sync::OnceLock<EventCore>,
+    /// The event loop's run queue and per-driver mailboxes/wakers.
+    event: EventCore,
 }
 
 impl Shared {
@@ -169,62 +139,12 @@ impl Shared {
         self.shutdown.load(Ordering::Acquire)
     }
 
-    /// Requests currently waiting in the event loop's run queue for a free
-    /// query worker (0 in fallback mode, which has no run queue).
+    /// Requests currently waiting in the run queue for a free query worker.
     pub fn run_queue_depth(&self) -> usize {
-        #[cfg(unix)]
-        if let Some(core) = self.event.get() {
-            return core.run_queue_depth();
-        }
-        0
+        self.event.run_queue_depth()
     }
 
-    fn lock_conns(&self) -> std::sync::MutexGuard<'_, HashMap<u64, TcpStream>> {
-        self.conns.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Register a fallback session thread, reaping any that have already
-    /// finished (joins happen outside the lock and are instantaneous for a
-    /// finished thread).
-    fn track_session_thread(&self, handle: JoinHandle<()>) {
-        let finished = {
-            let mut threads = self
-                .session_threads
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            let mut finished = Vec::new();
-            let mut i = 0;
-            while i < threads.len() {
-                if threads[i].is_finished() {
-                    finished.push(threads.swap_remove(i));
-                } else {
-                    i += 1;
-                }
-            }
-            threads.push(handle);
-            finished
-        };
-        for thread in finished {
-            let _ = thread.join();
-        }
-    }
-
-    /// Join every tracked session thread. Callers must have completed the
-    /// condvar drain first, so each join only waits out a thread's final
-    /// few instructions (the teardown signal fires from inside the thread).
-    fn join_session_threads(&self) {
-        let threads = std::mem::take(
-            &mut *self
-                .session_threads
-                .lock()
-                .unwrap_or_else(|e| e.into_inner()),
-        );
-        for thread in threads {
-            let _ = thread.join();
-        }
-    }
-
-    /// Account one accepted connection (either mode).
+    /// Account one accepted connection.
     pub(crate) fn session_opened(&self) {
         let mut sessions = self.sessions.lock().unwrap_or_else(|e| e.into_inner());
         *sessions += 1;
@@ -250,8 +170,8 @@ impl Shared {
     }
 
     /// Block until every live session has torn down, or `deadline` passes
-    /// (`None` waits indefinitely). Returns whether the drain completed.
-    fn drain_sessions(&self, deadline: Option<Instant>) -> bool {
+    /// (`None` waits indefinitely).
+    fn drain_sessions(&self, deadline: Option<Instant>) {
         let mut sessions = self.sessions.lock().unwrap_or_else(|e| e.into_inner());
         while *sessions > 0 {
             match deadline {
@@ -264,7 +184,7 @@ impl Shared {
                 Some(deadline) => {
                     let now = Instant::now();
                     if now >= deadline {
-                        return false;
+                        return;
                     }
                     let (guard, _) = self
                         .sessions_cond
@@ -274,12 +194,11 @@ impl Shared {
                 }
             }
         }
-        true
     }
 
     /// Initiate shutdown from any thread: flag, wake the accept loop, stop
-    /// the event loop's queue/drivers, and half-close fallback sockets so
-    /// blocked session reads see EOF.
+    /// the run queue and wake the drivers (which tear their connections
+    /// down on seeing the flag).
     pub fn request_shutdown(&self) {
         if self.shutdown.swap(true, Ordering::AcqRel) {
             return; // already underway
@@ -290,13 +209,7 @@ impl Shared {
         if let Some(metrics_addr) = self.metrics_addr {
             let _ = TcpStream::connect(metrics_addr);
         }
-        #[cfg(unix)]
-        if let Some(core) = self.event.get() {
-            core.shutdown();
-        }
-        for (_, conn) in self.lock_conns().iter() {
-            let _ = conn.shutdown(Shutdown::Both);
-        }
+        self.event.shutdown();
     }
 }
 
@@ -306,7 +219,7 @@ pub struct ServerHandle {
     shared: Arc<Shared>,
     accept: Option<JoinHandle<()>>,
     metrics: Option<JoinHandle<()>>,
-    /// Event-mode IO drivers and query workers.
+    /// IO drivers and query workers.
     pool: Vec<JoinHandle<()>>,
 }
 
@@ -349,7 +262,6 @@ impl ServerHandle {
         // tearing connections down. Wait on the drain condvar (signaled by
         // the last teardown), then collect the pools.
         self.shared.drain_sessions(None);
-        self.shared.join_session_threads();
         for thread in self.pool.drain(..) {
             let _ = thread.join();
         }
@@ -368,12 +280,8 @@ impl Drop for ServerHandle {
         // Generous but bounded: `Drop` must not hang forever on a wedged
         // session, but in-flight queries get cancelled at teardown and the
         // governor unwinds them within its check interval.
-        let drained = self
-            .shared
+        self.shared
             .drain_sessions(Some(Instant::now() + Duration::from_secs(30)));
-        if drained {
-            self.shared.join_session_threads();
-        }
         for thread in self.pool.drain(..) {
             let _ = thread.join();
         }
@@ -382,6 +290,7 @@ impl Drop for ServerHandle {
 
 /// Bind and start serving `db` under constraints `sigma`. Returns once the
 /// listener is bound and accepting.
+#[cfg(unix)]
 pub fn serve(
     db: Arc<Database>,
     sigma: ConstraintSet,
@@ -417,19 +326,11 @@ pub fn serve(
         active: AtomicUsize::new(0),
         next_session: AtomicU64::new(1),
         shutdown: AtomicBool::new(false),
-        conns: Mutex::new(HashMap::new()),
-        session_threads: Mutex::new(Vec::new()),
-        #[cfg(unix)]
-        event: std::sync::OnceLock::new(),
+        event: EventCore::new(config.io_threads.max(1))?,
     });
-    // One worker per admission slot unless told otherwise: more would idle
-    // behind the semaphore, fewer would leave admitted slots unused.
-    let workers = if config.workers > 0 {
-        config.workers
-    } else {
-        config.max_concurrent.max(1)
-    };
-    let pool = start_event_mode(&shared, config.io_threads, workers)?;
+    // One worker per admission slot: more would idle behind the semaphore,
+    // fewer would leave admitted slots unused.
+    let pool = shared.event.spawn(&shared, config.max_concurrent.max(1))?;
     let accept = {
         let shared = Arc::clone(&shared);
         std::thread::Builder::new()
@@ -456,29 +357,37 @@ pub fn serve(
     })
 }
 
-/// Start the event loop's thread pool when `io_threads > 0`.
-#[cfg(unix)]
-fn start_event_mode(
-    shared: &Arc<Shared>,
-    io_threads: usize,
-    workers: usize,
-) -> io::Result<Vec<JoinHandle<()>>> {
-    if io_threads == 0 {
-        return Ok(Vec::new());
-    }
-    let (core, pool) = EventCore::start(shared, io_threads, workers)?;
-    let _ = shared.event.set(core);
-    Ok(pool)
+/// No `poll(2)`, no server: nothing is bound and no [`Shared`] is built.
+#[cfg(not(unix))]
+pub fn serve(
+    _db: Arc<Database>,
+    _sigma: ConstraintSet,
+    _config: ServerConfig,
+) -> io::Result<ServerHandle> {
+    Err(io::Error::new(
+        io::ErrorKind::Unsupported,
+        "conquer-serve needs poll(2): serving is unix-only",
+    ))
 }
 
-/// No `poll(2)` on this target: every connection gets a session thread.
+/// What [`Shared`] holds where the event loop does not exist: a type with
+/// no values, so the code around it type-checks and none of it can run.
 #[cfg(not(unix))]
-fn start_event_mode(
-    _shared: &Arc<Shared>,
-    _io_threads: usize,
-    _workers: usize,
-) -> io::Result<Vec<JoinHandle<()>>> {
-    Ok(Vec::new())
+enum EventCore {}
+
+#[cfg(not(unix))]
+impl EventCore {
+    fn hand_off(&self, _stream: TcpStream, _id: u64) -> Result<(), TcpStream> {
+        match *self {}
+    }
+
+    fn shutdown(&self) {
+        match *self {}
+    }
+
+    fn run_queue_depth(&self) -> usize {
+        match *self {}
+    }
 }
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
@@ -496,49 +405,13 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             continue;
         }
         let id = shared.next_session.fetch_add(1, Ordering::Relaxed);
-        #[cfg(unix)]
-        if let Some(core) = shared.event.get() {
-            // Event mode: hand the socket to a driver round-robin. The
-            // driver writes the Hello greeting from its nonblocking
-            // flusher, so no write timeout is needed here.
-            shared.session_opened();
-            if let Err(stream) = core.hand_off(stream, id) {
-                // Driver already shut down (shutdown race): undo.
-                drop(stream);
-                shared.session_closed();
-            }
-            continue;
-        }
-        spawn_session_thread(&shared, stream, id);
-    }
-}
-
-/// Fallback mode: one session thread per connection (plus its watchdog).
-fn spawn_session_thread(shared: &Arc<Shared>, stream: TcpStream, id: u64) {
-    shared.session_opened();
-    if let Ok(clone) = stream.try_clone() {
-        shared.lock_conns().insert(id, clone);
-    }
-    // The session thread writes the Hello greeting with a blocking write;
-    // cap it so a connected-but-never-reading peer can't pin the thread
-    // (the session restores untimed writes once the greeting is out).
-    let _ = stream.set_write_timeout(Some(GREETING_WRITE_TIMEOUT));
-    let session_shared = Arc::clone(shared);
-    let spawned = std::thread::Builder::new()
-        .name(format!("conquer-session-{id}"))
-        .spawn(move || {
-            let wants_shutdown = run_session(Arc::clone(&session_shared), stream, id);
-            session_shared.lock_conns().remove(&id);
-            session_shared.session_closed();
-            if wants_shutdown {
-                session_shared.request_shutdown();
-            }
-        });
-    match spawned {
-        Ok(handle) => shared.track_session_thread(handle),
-        Err(_) => {
-            // Could not spawn a thread: undo the bookkeeping, drop the conn.
-            shared.lock_conns().remove(&id);
+        // Hand the socket to a driver round-robin. The driver writes the
+        // Hello greeting from its nonblocking flusher, so no write timeout
+        // is needed here.
+        shared.session_opened();
+        if let Err(stream) = shared.event.hand_off(stream, id) {
+            // Driver already shut down (shutdown race): undo.
+            drop(stream);
             shared.session_closed();
         }
     }

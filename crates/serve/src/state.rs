@@ -1,28 +1,18 @@
-//! The per-connection session state machine, shared by both serving modes.
+//! The per-connection session state machine.
 //!
-//! PR 4's server kept session state (options, prepared statements, the
-//! current strategy) as stack state of a dedicated connection thread. The
-//! event loop multiplexes many connections over a fixed pool of threads,
-//! so that state now lives in an explicit [`SessionState`] struct owned by
-//! the connection, and the request logic is split by *where it may run*:
+//! The event loop multiplexes many connections over a fixed pool of
+//! threads, so session state (options, prepared statements, the current
+//! strategy) lives in an explicit [`SessionState`] struct owned by the
+//! connection, and the request logic is split by *where it may run*:
 //!
 //! * [`handle_control`] — cheap, never-blocking requests (`set`, `stats`,
-//!   `ping`, traces, `close_statement`) answered inline wherever the
-//!   request was parsed: on the IO driver in event-loop mode, on the
-//!   session thread in thread-per-connection mode. `stats`/`ping` keep
-//!   their admission bypass, so a loaded server stays observable.
+//!   `ping`, traces, `close_statement`) answered inline on the IO driver
+//!   that parsed the request. `stats`/`ping` keep their admission bypass,
+//!   so a loaded server stays observable.
 //! * [`run_heavy`] — admission-gated work (`query`, `prepare`, `execute`,
 //!   `script`) that parses/plans/executes and may block for the queue-wait
-//!   deadline. The event loop runs it on a query worker; the fallback runs
-//!   it on the session thread under the disconnect watchdog.
-//!
-//! Both modes call the *same* functions with the same inputs (a
-//! [`Shared`], a `SessionState`, and a pre-created per-query
-//! [`CancellationToken`] the caller arms for disconnect cancellation), so
-//! the wire protocol, `SET` semantics, statement-cache validity checks,
-//! slow-query logging, and flight-recorder entries are identical bit for
-//! bit across modes — the property the soak test's differential oracle
-//! (`io_threads: 0`) checks over real sockets.
+//!   deadline; it runs on a query worker, with a pre-created per-query
+//!   [`CancellationToken`] the driver fires on disconnect.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -148,9 +138,8 @@ pub(crate) fn handle_control(
 
 /// Run one admission-gated request to completion and produce its response.
 ///
-/// `token` is the query's cancellation token — the caller arms disconnect
-/// detection on it (the event-loop driver holds it as the connection's
-/// in-flight token; the fallback session arms the watchdog) before calling.
+/// `token` is the query's cancellation token — the driver holds it as the
+/// connection's in-flight token and fires it on disconnect.
 /// `queued_at` is when the request was dequeued for service; the admission
 /// queue-wait deadline counts from there, so time spent waiting for a free
 /// query worker counts against the deadline exactly like time spent

@@ -1,8 +1,8 @@
-//! Event-loop serving mode: the structural disconnect fix, accept-path
-//! liveness against non-reading peers, post-`wait()` quiescence, the
-//! 256-connection soak with a thread census and a wire-identity
-//! differential against the thread-per-connection fallback — and the
-//! `poll(2)` drivers' own contract, asserted on the loop's counters so it
+//! The event loop: disconnect detection through pipelined bytes,
+//! accept-path liveness against non-reading peers, post-`wait()`
+//! quiescence, the 256-connection soak with a thread census and every wire
+//! answer compared with the in-process one — and the `poll(2)` drivers'
+//! own contract, asserted on the loop's counters so it
 //! holds on a one-CPU runner: an idle server polls nothing, a request
 //! costs a bounded number of wake-ups, deadlines fire with no socket
 //! traffic to ride on, and an over-full socket drains through `POLLOUT`.
@@ -12,8 +12,8 @@ use std::net::TcpStream;
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use conquer_core::ConstraintSet;
-use conquer_engine::Database;
+use conquer_core::{consistent_answers_with, ConstraintSet};
+use conquer_engine::{Database, ExecOptions};
 use conquer_obs::Json;
 use conquer_serve::protocol::{read_frame, rows_to_json, write_frame};
 use conquer_serve::{serve, Client, Request, ServerConfig, ServerHandle, Strategy};
@@ -80,15 +80,14 @@ fn wait_for_in_flight(client: &mut Client, want: u64, deadline: Duration) -> boo
     false
 }
 
-/// **The regression the event loop exists to fix.** A client pipelines an
-/// extra frame behind a slow query and then disconnects. Under the PR-4
-/// watchdog the queued bytes make `peek` return `Ok(n)` forever — the FIN
-/// behind them is invisible (`session.rs`'s `Ok(_)` arm just sleeps), so
-/// the query is never cancelled and burns its full runtime holding the
-/// admission slot. The event loop drains the socket, so the FIN surfaces
-/// as `read() == 0` regardless of what preceded it: the in-flight query
-/// must be cancelled and `serve.disconnect_cancel` must tick within the
-/// governor's cooperative check interval, not the query's natural runtime.
+/// A client pipelines an extra frame behind a slow query and then
+/// disconnects. A server that only `peek`ed at the socket would see the
+/// queued bytes forever and never the FIN behind them, so the query would
+/// burn its full runtime holding the admission slot. The driver drains the
+/// socket, so the FIN surfaces as `read() == 0` regardless of what
+/// preceded it: the in-flight query must be cancelled and
+/// `serve.disconnect_cancel` must tick within the governor's cooperative
+/// check interval, not the query's natural runtime.
 #[test]
 fn pipelined_disconnect_is_seen_through_queued_bytes() {
     let _guard = serial();
@@ -108,8 +107,8 @@ fn pipelined_disconnect_is_seen_through_queued_bytes() {
     assert!(hello.get("session").is_some());
 
     // One burst: the slow query plus a pipelined ping that will still be
-    // sitting unread in the server-side buffer at disconnect time — the
-    // exact bytes that blind the fallback watchdog's peek.
+    // sitting unread in the server-side buffer at disconnect time, ahead
+    // of the FIN.
     let slow = Request::Query {
         sql: SLOW.to_string(),
         strategy: Some(Strategy::Original),
@@ -204,14 +203,14 @@ fn non_reading_clients_do_not_wedge_the_accept_path() {
 
 /// `wait()` returning must mean actual quiescence — zero live sessions and
 /// zero server threads — even when shutdown lands while a query is in
-/// flight. The PR-4 drain was a bounded sleep-spin that could return with
-/// sessions (and their watchdogs) still alive.
-fn assert_quiescent_after_wait(io_threads: usize) {
+/// flight.
+#[test]
+fn wait_returns_only_after_quiescence_event_mode() {
+    let _guard = serial();
     let server = start_big(
         128,
         ServerConfig {
             max_concurrent: 2,
-            io_threads,
             ..ServerConfig::default()
         },
     );
@@ -239,33 +238,43 @@ fn assert_quiescent_after_wait(io_threads: usize) {
     assert_eq!(
         shared.active_sessions(),
         0,
-        "wait() returned with sessions still live (mode io_threads={io_threads})"
+        "wait() returned with sessions still live"
     );
     let leftovers = conquer_threads();
     assert!(
         leftovers.is_empty(),
-        "wait() returned with server threads still running \
-         (mode io_threads={io_threads}): {leftovers:?}"
+        "wait() returned with server threads still running: {leftovers:?}"
     );
 }
 
+/// `io_threads: 0` is not a mode: it is clamped to one driver, like
+/// `max_sessions: 0` to one session.
 #[test]
-fn wait_returns_only_after_quiescence_event_mode() {
+fn zero_io_threads_is_clamped_to_one_driver() {
     let _guard = serial();
-    assert_quiescent_after_wait(2);
+    let server = start_big(
+        16,
+        ServerConfig {
+            io_threads: 0,
+            ..ServerConfig::default()
+        },
+    );
+    let mut client = Client::connect(server.addr()).expect("connect");
+    client.ping().expect("ping");
+    let drivers = conquer_threads()
+        .iter()
+        .filter(|name| name.starts_with("conquer-io-"))
+        .count();
+    assert_eq!(drivers, 1);
+    client.quit().expect("quit");
+    server.shutdown();
+    server.wait();
 }
 
-#[test]
-fn wait_returns_only_after_quiescence_fallback_mode() {
-    let _guard = serial();
-    assert_quiescent_after_wait(0);
-}
-
-/// The soak: 256 concurrent connections on the event loop, served by a
-/// fixed thread topology (census-verified: at most `io_threads + workers +
-/// 2` server threads, where thread-per-connection would need 512+), with
-/// every response wire-identical to the `io_threads: 0` fallback — the
-/// PR-4 design kept one release precisely to be this differential oracle.
+/// The soak: 256 concurrent connections served by a fixed thread topology
+/// (census-verified: at most `io_threads + max_concurrent + 2` server
+/// threads), with every response equal to the in-process answer to the
+/// same statement rendered through the same `rows_to_json`.
 #[test]
 fn soak_256_connections_wire_identical_with_bounded_threads() {
     let _guard = serial();
@@ -308,74 +317,73 @@ fn soak_256_connections_wire_identical_with_bounded_threads() {
     let sigma = ConstraintSet::new()
         .with_key("customer", ["ckey"])
         .with_key("orders", ["okey"]);
-    let start = |io_threads: usize, workers: usize| {
-        let db = Database::new();
-        db.run_script(&seed).expect("seed");
-        serve(
-            Arc::new(db),
-            sigma.clone(),
-            ServerConfig {
-                max_sessions: 300,
-                max_concurrent: 8,
-                io_threads,
-                workers,
-                ..ServerConfig::default()
-            },
-        )
-        .expect("bind")
+    const IO_THREADS: usize = 2;
+    const MAX_CONCURRENT: usize = 4;
+    const ACTIVE: usize = 8;
+    let db = Arc::new(Database::new());
+    db.run_script(&seed).expect("seed");
+
+    // The oracle: each statement answered in-process, no server involved.
+    let options = ExecOptions::default();
+    let oracle = |sql: &str, strategy: Strategy| {
+        let rows = match strategy {
+            Strategy::Original => db.query_with(sql, &options).expect("in-process original"),
+            _ => consistent_answers_with(&db, sql, &sigma, &options).expect("in-process rewritten"),
+        };
+        rows_to_json(&rows).render()
     };
-    // Run the full workload over `active` closed-loop connections and
-    // return every response in deterministic order.
-    let run_workload = |addr: std::net::SocketAddr, active: usize| -> Vec<String> {
+
+    let server = serve(
+        Arc::clone(&db),
+        sigma.clone(),
+        ServerConfig {
+            max_sessions: 300,
+            max_concurrent: MAX_CONCURRENT,
+            io_threads: IO_THREADS,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+    let addr = server.addr();
+    let mut idle: Vec<Client> = Vec::new();
+    for i in 0..248 {
+        idle.push(Client::connect(addr).unwrap_or_else(|e| panic!("idle conn {i}: {e}")));
+    }
+    // 248 idle + 8 workload = 256 concurrent connections, the workload
+    // ones closed-loop over every (statement, strategy) pair.
+    let served = {
         let results = Mutex::new(Vec::new());
         std::thread::scope(|scope| {
-            for worker in 0..active {
+            for worker in 0..ACTIVE {
                 let results = &results;
-                let queries = &queries;
-                let strategies = &strategies;
                 scope.spawn(move || {
                     let mut client = Client::connect(addr).expect("workload connect");
-                    for (qi, sql) in queries.iter().enumerate() {
-                        for (si, &strategy) in strategies.iter().enumerate() {
+                    for sql in queries {
+                        for strategy in strategies {
                             let outcome = client
                                 .query_with(sql, Some(strategy))
                                 .expect("workload query");
+                            let got = rows_to_json(&outcome.rows).render();
                             results
                                 .lock()
                                 .expect("results")
-                                .push(((worker, qi, si), rows_to_json(&outcome.rows).render()));
+                                .push((worker, sql, strategy, got));
                         }
                     }
                     client.quit().expect("workload quit");
                 });
             }
         });
-        let mut results = results.into_inner().expect("results");
-        results.sort();
-        results.into_iter().map(|(_, canon)| canon).collect()
+        results.into_inner().expect("results")
     };
-
-    // Phase A — the differential oracle: thread-per-connection fallback.
-    let oracle_server = start(0, 0);
-    let oracle = run_workload(oracle_server.addr(), 8);
-    oracle_server.shutdown();
-    oracle_server.wait();
-
-    // Phase B — the event loop under 256 live connections.
-    const IO_THREADS: usize = 2;
-    const WORKERS: usize = 4;
-    let server = start(IO_THREADS, WORKERS);
-    let addr = server.addr();
-    let mut idle: Vec<Client> = Vec::new();
-    for i in 0..248 {
-        idle.push(Client::connect(addr).unwrap_or_else(|e| panic!("idle conn {i}: {e}")));
+    assert_eq!(served.len(), ACTIVE * queries.len() * strategies.len());
+    for (worker, sql, strategy, got) in &served {
+        assert!(
+            *got == oracle(sql, *strategy),
+            "connection {worker}: `{sql}` ({}) differs from the in-process answer",
+            strategy.label()
+        );
     }
-    // 248 idle + 8 workload = 256 concurrent connections.
-    let served = run_workload(addr, 8);
-    assert_eq!(
-        served, oracle,
-        "event-loop responses diverged from the thread-per-connection oracle"
-    );
 
     // Census while all 248 idle connections are still up and no query is
     // in flight (engine worker threads are scoped to a query, and would
@@ -386,7 +394,7 @@ fn soak_256_connections_wire_identical_with_bounded_threads() {
         "census found no server threads at all — /proc not readable?"
     );
     assert!(
-        threads.len() <= IO_THREADS + WORKERS + 2,
+        threads.len() <= IO_THREADS + MAX_CONCURRENT + 2,
         "{} server threads for 256 connections — not a fixed topology: {threads:?}",
         threads.len()
     );

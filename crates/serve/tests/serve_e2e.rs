@@ -349,3 +349,23 @@ fn session_cap_greets_with_busy() {
         .expect("quit");
     server.shutdown();
 }
+
+/// There is one server: `--io-threads 0` no longer selects another one,
+/// and the worker pool has no flag of its own. Both are usage errors,
+/// reported before anything is bound.
+#[test]
+fn binary_rejects_zero_io_threads_and_the_workers_flag() {
+    for (flags, complaint) in [
+        (["--io-threads", "0"], "--io-threads: must be at least 1"),
+        (["--workers", "4"], "unknown flag `--workers`"),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_conquer-serve"))
+            .args(flags)
+            .output()
+            .expect("run conquer-serve");
+        assert!(!out.status.success(), "{flags:?} was accepted");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(complaint), "{flags:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{flags:?} got as far as listening");
+    }
+}

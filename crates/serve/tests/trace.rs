@@ -220,9 +220,10 @@ fn metrics_endpoint_serves_prometheus_text_and_traces() {
     let server = start(true);
     let metrics_addr = server.metrics_addr().expect("metrics endpoint enabled");
     let mut client = Client::connect(server.addr()).expect("connect");
-    client
-        .query("select max(v) from big where v < 9004")
+    let answer = client
+        .query("select v from big where v < 9004")
         .expect("query");
+    assert_eq!(answer.rows.rows.len(), ROWS);
 
     let (head, body) = http_get(metrics_addr, "/metrics");
     assert!(head.starts_with("HTTP/1.1 200"), "head: {head}");
@@ -243,9 +244,9 @@ fn metrics_endpoint_serves_prometheus_text_and_traces() {
         "query counter missing:\n{body}"
     );
     assert!(body.contains("serve_in_flight"), "gauges missing:\n{body}");
-    // Seeding the fixture pivoted its columns to rows (table statistics
-    // read rows), so the pivot counter is on the page — and in `\stats`,
-    // beside its row -> column twin, under their own heading.
+    // The answer left the engine as rows (the wire encodes rows), so the
+    // pivot counter is on the page — and in `\stats`, beside its row ->
+    // column twin, under their own heading.
     assert!(
         body.contains("exec_pivot_to_rows_total"),
         "pivot counter missing:\n{body}"

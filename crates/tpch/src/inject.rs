@@ -86,18 +86,17 @@ pub fn inject_table(
     let mut new_table = Table::new(relation.to_string(), columns);
 
     // Keep victims and survivors.
-    let rows = table.rows();
     for &i in victims.iter().chain(survivors) {
-        new_table.extend_unchecked([rows[i].clone()]);
+        new_table.extend_unchecked([table.row_at(i)]);
     }
     // Add n-1 conflicting tuples per victim: victim's key, donor's non-keys.
     let donor_pool: Vec<usize> = victims.iter().chain(survivors).copied().collect();
     for &v in victims {
         for _ in 0..n - 1 {
             let donor = donor_pool[rng.gen_range(0..donor_pool.len())];
-            let mut row = rows[donor].clone();
+            let mut row = table.row_at(donor);
             for &ki in &key_idx {
-                row[ki] = rows[v][ki].clone();
+                row[ki] = table.cols().col(ki).value_at(v);
             }
             new_table.extend_unchecked([row]);
         }

@@ -25,12 +25,59 @@
 //! operator body called once, inline — must leave both untouched, as must
 //! any input under the parallel threshold whatever the thread count.
 //!
-//! One test only: the counters are process-wide.
+//! Storing a table pivots nothing at all: statistics are collected column
+//! by column and an `INSERT`'s WAL record is built from the appended rows,
+//! so neither `register`, `CREATE TABLE`, `INSERT` nor recovery leaves a
+//! row copy of the table cached inside the table the catalog keeps.
+//!
+//! The counters are process-wide, so the tests take turns.
 
-use conquer::engine::{NodeStats, Plan};
+use std::sync::{Mutex, MutexGuard};
+
+use conquer::engine::{DataType, NodeStats, Plan, Table, Value};
 use conquer::sql::ast::Query;
 use conquer::tpch::{build_workload, WorkloadConfig, Q1};
-use conquer::{parse_query, rewrite, ExecOptions, RewriteOptions};
+use conquer::{parse_query, rewrite, Database, DurabilityOptions, ExecOptions, RewriteOptions};
+
+fn turn() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+#[test]
+fn storing_and_recovering_a_table_pivots_nothing() {
+    let _turn = turn();
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("pivot_counters_store");
+    let _ = std::fs::remove_dir_all(&dir);
+    let to_rows = conquer_obs::registry().counter("exec.pivot.to_rows");
+    let before = to_rows.get();
+    let count = |db: &Database| db.table("t").expect("t").len() + db.table("u").expect("u").len();
+    {
+        let db = Database::open(&dir, DurabilityOptions::default()).expect("open");
+        let mut t = Table::new("t", vec![("k", DataType::Integer), ("v", DataType::Text)]);
+        for i in 0..100 {
+            t.push(vec![Value::Int(i), Value::str("x")]).expect("push");
+        }
+        db.register(t).expect("register");
+        db.run_script(
+            "create table u (k int, v float);
+             insert into u values (1, 0.5), (2, null);
+             insert into t values (100, 'y'), (101, null);",
+        )
+        .expect("script");
+        assert_eq!(count(&db), 104);
+    }
+    // Once from the WAL (snapshot, create and insert records), once from
+    // the segments a checkpoint folds it into.
+    let db = Database::open(&dir, DurabilityOptions::default()).expect("reopen from the WAL");
+    assert_eq!(count(&db), 104);
+    db.checkpoint().expect("checkpoint");
+    drop(db);
+    let db = Database::open(&dir, DurabilityOptions::default()).expect("reopen from segments");
+    assert_eq!(count(&db), 104);
+    assert_eq!(to_rows.get() - before, 0, "rows pivoted while storing");
+    let _ = std::fs::remove_dir_all(&dir);
+}
 
 /// Probe-side input rows and output rows of every hash join in the plan.
 fn join_rows(plan: &Plan, stats: &NodeStats, probe: &mut u64, out: &mut u64) {
@@ -57,6 +104,7 @@ fn cte_as_query(query: &Query, name: &str) -> Query {
 
 #[test]
 fn rewritten_q1_pivots_only_the_filter_join_and_the_result() {
+    let _turn = turn();
     let w = build_workload(&WorkloadConfig {
         scale_factor: 0.005,
         annotate: true,
