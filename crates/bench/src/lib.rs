@@ -179,24 +179,29 @@ pub fn phase_breakdown(w: &Workload, q: &BenchmarkQuery, strategy: Strategy) -> 
     ])
 }
 
-/// The per-operator stats tree (`EXPLAIN ANALYZE` as JSON) for the plan a
-/// strategy actually executes, under the given engine options (so a
-/// parallel run's tree carries the per-operator `threads` fan-out).
+/// `EXPLAIN ANALYZE` as JSON for the plan a strategy actually executes,
+/// under the given engine options (so a parallel run's tree carries the
+/// per-operator `threads` fan-out): the body's per-operator stats tree,
+/// and one entry per materialized CTE — where a rewriting's time goes —
+/// in the order they ran (`[]` for the originals, which have none).
 pub fn operator_breakdown(
     w: &Workload,
     q: &BenchmarkQuery,
     strategy: Strategy,
     options: &ExecOptions,
-) -> conquer_obs::Json {
+) -> (conquer_obs::Json, conquer_obs::Json) {
     let query = match strategy {
         Strategy::Original => parse_query(q.sql).expect("benchmark query parses"),
         Strategy::Rewritten => rewritten_query(q, &w.sigma, false),
         Strategy::Annotated => rewritten_query(q, &w.sigma, true),
     };
-    let (_, plan, stats) =
-        w.db.execute_query_traced(&query, options)
+    let (_, plan, stats, ctes) =
+        w.db.execute_query_traced_with_ctes(&query, options)
             .expect("benchmark query executes");
-    conquer::engine::stats_json(&plan, &stats)
+    (
+        conquer::engine::stats_json(&plan, &stats),
+        conquer::engine::ctes_json(&ctes),
+    )
 }
 
 /// Overhead of a rewriting relative to the original query, as the paper

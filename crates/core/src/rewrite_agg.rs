@@ -16,7 +16,9 @@
 //! computed several times"), the expensive common subexpression — the
 //! original query's satisfying rows — is factored into a `conq_base` CTE
 //! that the candidates and both bound queries read, so the base relations
-//! are scanned once rather than three times.
+//! are scanned once rather than three times. With more relations than one
+//! its rows also carry the other relations' keys, by which `q_G`'s Filter
+//! finds the only candidates it needs to read (`rewrite_join`'s suspects).
 //!
 //! Aggregate support: `SUM`, `MIN`, `MAX` (Theorem 2), plus `COUNT(*)` and
 //! `COUNT(e)` (exact, via 0/1 contributions) and `AVG` (sound but not tight
@@ -33,17 +35,16 @@ use conquer_sql::ast::{
 use crate::analyze::{AggKind, ProjItem, TreeQuery};
 use crate::error::{Result, RewriteError};
 use crate::rewrite_join::{
-    build_filter, choose_item_aliases, key_match, not_exists_filter, original_from, original_where,
-    RewriteOptions, CONS_COLUMN,
+    build_filter, choose_item_aliases, distinct_from_base, key_match, not_exists_filter,
+    original_from, original_where, witness_items, witness_keys, RewriteOptions, WitnessKey,
+    BASE_BINDING, BASE_CTE as BASE, CONS_COLUMN,
 };
 
-const BASE: &str = "conq_base";
 const QG_CANDIDATES: &str = "conq_qg_candidates";
 const QG_FILTER: &str = "conq_qg_filter";
 const QG_CONS: &str = "conq_qg_cons";
 const UNFILTERED: &str = "conq_unfiltered";
 const FILTERED: &str = "conq_filtered";
-const BASE_BINDING: &str = "conq_b";
 const CAND_BINDING: &str = "conq_cand";
 const FILTER_BINDING: &str = "conq_f";
 const CONS_BINDING: &str = "conq_g";
@@ -93,9 +94,17 @@ pub fn rewrite_agg(tq: &TreeQuery, opts: &RewriteOptions) -> Result<Query> {
         .collect();
 
     // --- conq_base: the original query's satisfying rows, scanned once ------
+    let witness = witness_keys(&qg, opts);
     let mut ctes = vec![Cte {
         name: BASE.to_string(),
-        query: Query::from_select(base_select(tq, opts, &key_aliases, &g_aliases, &agg_items)),
+        query: Query::from_select(base_select(
+            tq,
+            opts,
+            &key_aliases,
+            &g_aliases,
+            &agg_items,
+            &witness,
+        )),
     }];
 
     // --- qg_candidates over the base ----------------------------------------
@@ -105,7 +114,7 @@ pub fn rewrite_agg(tq: &TreeQuery, opts: &RewriteOptions) -> Result<Query> {
     });
 
     // --- qg_filter (joins candidates back to the raw relations) --------------
-    let filter = build_filter(&qg, opts, QG_CANDIDATES, QG_FILTER, &key_aliases)?;
+    let filter = build_filter(&qg, opts, &witness, QG_CANDIDATES, QG_FILTER, &key_aliases)?;
     let has_filter = !filter.is_empty();
     ctes.extend(filter);
 
@@ -275,14 +284,16 @@ fn check_unique(aliases: &[String]) -> Result<()> {
 }
 
 /// The shared base CTE: root keys, grouped attributes, per-aggregate
-/// effective expressions, and (annotated) the per-row violation flag, over
-/// the original FROM/WHERE.
+/// effective expressions, the other relations' keys the Filter finds its
+/// suspects by, and (annotated) the per-row violation flag, over the
+/// original FROM/WHERE.
 fn base_select(
     tq: &TreeQuery,
     opts: &RewriteOptions,
     key_aliases: &[String],
     g_aliases: &[String],
     agg_items: &[(usize, AggKind, Option<&Expr>, &str)],
+    witness: &[WitnessKey],
 ) -> Select {
     let mut projection = Vec::new();
     for (col, alias) in tq.root_key_columns().iter().zip(key_aliases) {
@@ -330,6 +341,7 @@ fn base_select(
             }
         }
     }
+    projection.extend(witness_items(witness));
     if opts.annotated {
         let any_inconsistent = Expr::disjoin(
             tq.relations
@@ -362,38 +374,20 @@ fn candidates_from_base(
     key_aliases: &[String],
     g_aliases: &[String],
 ) -> Select {
-    let mut projection: Vec<SelectItem> = key_aliases
-        .iter()
-        .chain(g_aliases)
-        .map(|a| SelectItem::aliased(Expr::col(BASE_BINDING, a.clone()), a.clone()))
-        .collect();
-    if !opts.annotated {
-        return Select {
-            distinct: true,
-            projection,
-            from: vec![TableRef::aliased(BASE, BASE_BINDING)],
-            selection: None,
-            group_by: Vec::new(),
-            having: None,
-        };
+    let aliases: Vec<String> = key_aliases.iter().chain(g_aliases).cloned().collect();
+    let mut select = distinct_from_base(&aliases);
+    if opts.annotated {
+        select.distinct = false;
+        select.projection.push(SelectItem::aliased(
+            Expr::func("sum", vec![Expr::col(BASE_BINDING, VIOL)]),
+            CONSCAND,
+        ));
+        select.group_by = aliases
+            .into_iter()
+            .map(|a| Expr::col(BASE_BINDING, a))
+            .collect();
     }
-    projection.push(SelectItem::aliased(
-        Expr::func("sum", vec![Expr::col(BASE_BINDING, VIOL)]),
-        CONSCAND,
-    ));
-    let group_by: Vec<Expr> = key_aliases
-        .iter()
-        .chain(g_aliases)
-        .map(|a| Expr::col(BASE_BINDING, a.clone()))
-        .collect();
-    Select {
-        distinct: false,
-        projection,
-        from: vec![TableRef::aliased(BASE, BASE_BINDING)],
-        selection: None,
-        group_by,
-        having: None,
-    }
+    select
 }
 
 /// `[NOT] EXISTS (SELECT * FROM conq_qg_filter f WHERE b.k1 = f.conq_k1 ...)`.

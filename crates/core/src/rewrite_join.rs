@@ -23,8 +23,10 @@
 //! omitted for queries that nothing can filter (key-only projections with
 //! no selections and no outer joins).
 //!
-//! Over a **single relation** (and without annotations) the Filter reads
-//! only the candidates whose key is *violated*:
+//! Without annotations the Filter reads only the **suspects**: the
+//! candidates one of whose witnesses — the join trees that produce them —
+//! holds a tuple with a *violated* key. Over a single relation that is the
+//! candidates whose own key is violated:
 //!
 //! ```sql
 //! conq_conflicts AS (
@@ -35,13 +37,37 @@
 //! conq_filter AS (... both branches FROM conq_suspects ...)
 //! ```
 //!
-//! A candidate whose key group is a singleton was produced by the only
-//! tuple with that key; that tuple satisfies every selection, so the first
-//! branch cannot emit its key, and it is the key's only candidate, so the
-//! second cannot either. `conq_conflicts` is a plain `GROUP BY … HAVING`
-//! that an engine with an index on the key answers from the index alone
-//! (see `conquer_engine::index`); `conq_filter` itself is unchanged, row
-//! for row.
+//! With more relations the Candidates are computed in two steps, as
+//! `RewriteAgg` has them — `conq_base`, the satisfying rows, each also
+//! carrying the key of every non-root relation's tuple in it
+//! (`conq_r<i>k<j>`), then the `SELECT DISTINCT Kroot, S` over it — and the
+//! violated keys of every relation are looked up in those rows:
+//!
+//! ```sql
+//! conq_conflicts_<i> AS (
+//!   SELECT Ki FROM Ri GROUP BY Ki HAVING COUNT(*) > 1),      -- per relation
+//! conq_suspect_keys AS (
+//!   SELECT Kroot FROM conq_conflicts
+//!   UNION ALL SELECT B.Kroot FROM conq_base B                  -- per relation
+//!     WHERE EXISTS (SELECT * FROM conq_conflicts_<i> V WHERE B.Ki = V.Ki)),
+//! conq_suspects AS (
+//!   SELECT Kroot FROM conq_candidates C
+//!   WHERE EXISTS (SELECT * FROM conq_suspect_keys V WHERE C.Kroot = V.Kroot))
+//! ```
+//!
+//! No other candidate can be filtered. If no key on any witness of a
+//! candidate is violated — its root key included — every tuple on the
+//! witness is the only one with its key, so the root tuple is the key's
+//! only tuple and each join (to the *full* key of the child) can reach
+//! only the tuple the witness holds: the witness is the candidate's only
+//! join tree. It satisfies every join and every selection, so the first
+//! branch cannot emit the key, and it yields one `S`, so the second cannot
+//! either. One relation is the case with nothing to union. Each
+//! `conq_conflicts*` is a plain `GROUP BY … HAVING` that an engine with an
+//! index on the key answers from the index alone (see
+//! `conquer_engine::index`); `conq_filter` itself is unchanged, row for
+//! row (but for a NULL key, which matches no candidate), and so is every
+//! answer.
 
 use conquer_sql::ast::{
     BinaryOp, ColumnRef, Cte, Expr, Literal, Query, Select, SelectItem, SetExpr, TableRef,
@@ -59,6 +85,9 @@ pub const CANDIDATES_CTE: &str = "conq_candidates";
 pub const FILTER_CTE: &str = "conq_filter";
 pub const CONFLICTS_CTE: &str = "conq_conflicts";
 pub const SUSPECTS_CTE: &str = "conq_suspects";
+pub const SUSPECT_KEYS_CTE: &str = "conq_suspect_keys";
+pub(crate) const BASE_CTE: &str = "conq_base";
+pub(crate) const BASE_BINDING: &str = "conq_b";
 const CAND_BINDING: &str = "conq_cand";
 const FILTER_BINDING: &str = "conq_f";
 const CONFLICT_BINDING: &str = "conq_v";
@@ -82,7 +111,8 @@ pub struct RewriteOptions {
 
 /// The reusable pieces of a join rewriting; `RewriteAgg` embeds these.
 pub(crate) struct JoinRewriteParts {
-    pub candidates: Cte,
+    /// The Candidates CTE, last, after `conq_base` when it reads one.
+    pub candidates: Vec<Cte>,
     /// The Filter CTE, last, after the CTEs it reads; empty when nothing
     /// can filter a candidate.
     pub filter: Vec<Cte>,
@@ -114,7 +144,7 @@ pub fn rewrite_join(tq: &TreeQuery, opts: &RewriteOptions) -> Result<Query> {
     let selection =
         (!parts.filter.is_empty()).then(|| not_exists_filter(FILTER_CTE, &parts.key_aliases));
 
-    let mut ctes = vec![parts.candidates];
+    let mut ctes = parts.candidates;
     ctes.extend(parts.filter);
     Ok(Query {
         ctes,
@@ -131,8 +161,8 @@ pub fn rewrite_join(tq: &TreeQuery, opts: &RewriteOptions) -> Result<Query> {
     })
 }
 
-/// Build the Candidates and Filter CTEs for a tree query. Shared between
-/// `RewriteJoin` and `RewriteAgg` (which applies it to `q_G`).
+/// Build the Candidates and Filter CTEs of `RewriteJoin`. (`RewriteAgg`
+/// has its own Candidates over `conq_base` and shares [`build_filter`].)
 pub(crate) fn build_parts(
     tq: &TreeQuery,
     opts: &RewriteOptions,
@@ -151,12 +181,28 @@ pub(crate) fn build_parts(
         .collect();
     let item_aliases = choose_item_aliases(tq);
 
-    let candidates = Cte {
+    let witness = witness_keys(tq, opts);
+    let mut select = candidates_select(tq, opts, &key_aliases, &item_aliases);
+    let mut candidates = Vec::new();
+    if !witness.is_empty() {
+        // The Candidates of Figure 5 in two steps, as `RewriteAgg` has
+        // them: the satisfying rows with their witnesses' keys, then the
+        // DISTINCT (key, S) pairs.
+        select.distinct = false;
+        select.projection.extend(witness_items(&witness));
+        candidates.push(Cte {
+            name: BASE_CTE.to_string(),
+            query: Query::from_select(select),
+        });
+        let aliases: Vec<String> = key_aliases.iter().chain(&item_aliases).cloned().collect();
+        select = distinct_from_base(&aliases);
+    }
+    candidates.push(Cte {
         name: cand_name.to_string(),
-        query: Query::from_select(candidates_select(tq, opts, &key_aliases, &item_aliases)),
-    };
+        query: Query::from_select(select),
+    });
 
-    let filter = build_filter(tq, opts, cand_name, filter_name, &key_aliases)?;
+    let filter = build_filter(tq, opts, &witness, cand_name, filter_name, &key_aliases)?;
 
     Ok(JoinRewriteParts {
         candidates,
@@ -277,109 +323,228 @@ fn candidates_select(
     }
 }
 
+/// The key of one relation of the query as a CTE carries it: the columns
+/// and their aliases — `conq_r<rel>k<j>` in `conq_base` for a non-root
+/// relation, the candidates' `conq_k<j>` for the root.
+pub(crate) struct WitnessKey {
+    rel: usize,
+    columns: Vec<ColumnRef>,
+    aliases: Vec<String>,
+}
+
+/// The non-root keys the Filter's suspects are found by, which `conq_base`
+/// must therefore carry. Empty when there is nothing to find them for: no
+/// Filter, an annotated rewriting (its `conscand` guard is that test), or
+/// a single relation (the root key is already a candidate column).
+pub(crate) fn witness_keys(tq: &TreeQuery, opts: &RewriteOptions) -> Vec<WitnessKey> {
+    if opts.annotated || !(needs_join_branch(tq) || needs_multiplicity_branch(tq)) {
+        return Vec::new();
+    }
+    let relations = tq.relations.iter().enumerate();
+    relations
+        .filter(|(rel, _)| *rel != tq.root)
+        .map(|(rel, r)| WitnessKey {
+            rel,
+            columns: r
+                .key
+                .iter()
+                .map(|k| ColumnRef::new(r.binding.clone(), k.clone()))
+                .collect(),
+            aliases: (1..=r.key.len())
+                .map(|j| format!("conq_r{rel}k{j}"))
+                .collect(),
+        })
+        .collect()
+}
+
+/// The witness keys as `conq_base` projects them.
+pub(crate) fn witness_items(witness: &[WitnessKey]) -> impl Iterator<Item = SelectItem> + '_ {
+    witness.iter().flat_map(|w| {
+        w.columns
+            .iter()
+            .zip(&w.aliases)
+            .map(|(c, alias)| SelectItem::aliased(Expr::Column(c.clone()), alias.clone()))
+    })
+}
+
+/// `SELECT DISTINCT conq_b.a AS a, ... FROM conq_base conq_b`: the
+/// Candidates, read off the satisfying rows.
+pub(crate) fn distinct_from_base(aliases: &[String]) -> Select {
+    Select {
+        distinct: true,
+        projection: aliased_columns(BASE_BINDING, aliases),
+        from: vec![TableRef::aliased(BASE_CTE, BASE_BINDING)],
+        selection: None,
+        group_by: Vec::new(),
+        having: None,
+    }
+}
+
+/// `<binding>.a AS a, ...`.
+fn aliased_columns(binding: &str, aliases: &[String]) -> Vec<SelectItem> {
+    aliases
+        .iter()
+        .map(|alias| SelectItem::aliased(Expr::col(binding, alias.clone()), alias.clone()))
+        .collect()
+}
+
+fn needs_join_branch(tq: &TreeQuery) -> bool {
+    !tq.loj_joins.is_empty() || !tq.selection.is_empty()
+}
+
+fn needs_multiplicity_branch(tq: &TreeQuery) -> bool {
+    !tq.projection_within_root_key()
+}
+
 /// Build the Filter CTE `filter_name` — the outer-join branch plus the
 /// multiplicity branch, either of which may be unnecessary — preceded by
 /// the CTEs it reads. Empty when neither branch is needed.
 ///
-/// Both branches read the candidates `cand_name`; over a single relation
-/// without annotations they read only the *suspects*, the candidates whose
-/// key is violated (see the module docs for why no other can be filtered).
-/// The annotated rewriting already skips proven-consistent candidates with
-/// its `conscand` guard, and with more relations the candidates' join back
-/// to the base tables dominates whichever candidates enter the Filter.
+/// Both branches read the candidates `cand_name`; without annotations they
+/// read only the *suspects*, the candidates some witness of which holds a
+/// tuple with a violated key (see the module docs for why no other can be
+/// filtered). The annotated rewriting already skips proven-consistent
+/// candidates with its `conscand` guard.
 pub(crate) fn build_filter(
     tq: &TreeQuery,
     opts: &RewriteOptions,
+    witness: &[WitnessKey],
     cand_name: &str,
     filter_name: &str,
     key_aliases: &[String],
 ) -> Result<Vec<Cte>> {
-    let needs_join_branch = !tq.loj_joins.is_empty() || !tq.selection.is_empty();
-    let needs_multiplicity_branch = !tq.projection_within_root_key();
-    let via_suspects = tq.relations.len() == 1 && !opts.annotated;
-    let source = if via_suspects {
-        SUSPECTS_CTE
-    } else {
+    let source = if opts.annotated {
         cand_name
+    } else {
+        SUSPECTS_CTE
     };
 
-    let join_branch = needs_join_branch
+    let join_branch = needs_join_branch(tq)
         .then(|| filter_join_branch(tq, opts, source, key_aliases))
         .transpose()?;
     let multiplicity_branch =
-        needs_multiplicity_branch.then(|| filter_multiplicity_branch(source, key_aliases));
-    let Some(body) = [join_branch, multiplicity_branch]
-        .into_iter()
-        .flatten()
-        .map(|branch| SetExpr::Select(Box::new(branch)))
-        .reduce(|a, b| SetExpr::UnionAll(Box::new(a), Box::new(b)))
-    else {
+        needs_multiplicity_branch(tq).then(|| filter_multiplicity_branch(source, key_aliases));
+    let Some(body) = union_all([join_branch, multiplicity_branch].into_iter().flatten()) else {
         return Ok(Vec::new());
     };
 
     let mut ctes = Vec::new();
-    if via_suspects {
-        ctes.push(Cte {
-            name: CONFLICTS_CTE.to_string(),
-            query: Query::from_select(conflicts_select(tq, key_aliases)),
-        });
-        ctes.push(Cte {
-            name: SUSPECTS_CTE.to_string(),
-            query: Query::from_select(suspects_select(cand_name, key_aliases)),
-        });
+    if !opts.annotated {
+        ctes.extend(suspects_ctes(tq, witness, cand_name, key_aliases));
     }
     ctes.push(Cte {
         name: filter_name.to_string(),
-        query: Query {
-            ctes: Vec::new(),
-            body,
-            order_by: Vec::new(),
-            limit: None,
-        },
+        query: body,
     });
     Ok(ctes)
 }
 
-/// The violated keys of the root relation:
-/// `SELECT Kroot FROM Rroot GROUP BY Kroot HAVING COUNT(*) > 1`.
-fn conflicts_select(tq: &TreeQuery, key_aliases: &[String]) -> Select {
-    let key_columns: Vec<Expr> = tq
-        .root_key_columns()
-        .into_iter()
-        .map(Expr::Column)
-        .collect();
+/// `a UNION ALL b UNION ALL ...` as a query; `None` of no branches.
+fn union_all(branches: impl Iterator<Item = Select>) -> Option<Query> {
+    let body = branches
+        .map(|branch| SetExpr::Select(Box::new(branch)))
+        .reduce(|a, b| SetExpr::UnionAll(Box::new(a), Box::new(b)))?;
+    Some(Query {
+        ctes: Vec::new(),
+        body,
+        order_by: Vec::new(),
+        limit: None,
+    })
+}
+
+/// [`SUSPECTS_CTE`] and what it reads: the violated keys of every relation
+/// (`conq_conflicts` for the root, `conq_conflicts_<rel>` for the others)
+/// and, with more relations than one, [`SUSPECT_KEYS_CTE`] — the root keys
+/// those reach through `conq_base`'s witnesses.
+fn suspects_ctes(
+    tq: &TreeQuery,
+    witness: &[WitnessKey],
+    cand_name: &str,
+    key_aliases: &[String],
+) -> Vec<Cte> {
+    let root = WitnessKey {
+        rel: tq.root,
+        columns: tq.root_key_columns(),
+        aliases: key_aliases.to_vec(),
+    };
+    let mut ctes = vec![Cte {
+        name: CONFLICTS_CTE.to_string(),
+        query: Query::from_select(conflicts_select(tq, &root)),
+    }];
+    let mut suspect_keys = vec![Select {
+        distinct: false,
+        projection: key_aliases
+            .iter()
+            .map(|alias| SelectItem::expr(Expr::bare_col(alias.clone())))
+            .collect(),
+        from: vec![TableRef::table(CONFLICTS_CTE)],
+        selection: None,
+        group_by: Vec::new(),
+        having: None,
+    }];
+    for w in witness {
+        let name = format!("{CONFLICTS_CTE}_{}", w.rel);
+        suspect_keys.push(Select {
+            distinct: false,
+            projection: aliased_columns(BASE_BINDING, key_aliases),
+            from: vec![TableRef::aliased(BASE_CTE, BASE_BINDING)],
+            selection: Some(Expr::exists(key_match(
+                BASE_BINDING,
+                &name,
+                CONFLICT_BINDING,
+                &w.aliases,
+            ))),
+            group_by: Vec::new(),
+            having: None,
+        });
+        ctes.push(Cte {
+            name,
+            query: Query::from_select(conflicts_select(tq, w)),
+        });
+    }
+    let violated = if witness.is_empty() {
+        CONFLICTS_CTE
+    } else {
+        ctes.push(Cte {
+            name: SUSPECT_KEYS_CTE.to_string(),
+            query: union_all(suspect_keys.into_iter()).expect("the root's member"),
+        });
+        SUSPECT_KEYS_CTE
+    };
+    ctes.push(Cte {
+        name: SUSPECTS_CTE.to_string(),
+        query: Query::from_select(Select {
+            distinct: false,
+            projection: aliased_columns(CAND_BINDING, key_aliases),
+            from: vec![TableRef::aliased(cand_name, CAND_BINDING)],
+            selection: Some(Expr::exists(key_match(
+                CAND_BINDING,
+                violated,
+                CONFLICT_BINDING,
+                key_aliases,
+            ))),
+            group_by: Vec::new(),
+            having: None,
+        }),
+    });
+    ctes
+}
+
+/// The violated keys of one relation:
+/// `SELECT K FROM R GROUP BY K HAVING COUNT(*) > 1`.
+fn conflicts_select(tq: &TreeQuery, key: &WitnessKey) -> Select {
+    let key_columns: Vec<Expr> = key.columns.iter().cloned().map(Expr::Column).collect();
     Select {
         distinct: false,
         projection: key_columns
             .iter()
-            .zip(key_aliases)
+            .zip(&key.aliases)
             .map(|(k, alias)| SelectItem::aliased(k.clone(), alias.clone()))
             .collect(),
-        from: vec![relation_ref(tq, tq.root)],
+        from: vec![relation_ref(tq, key.rel)],
         selection: None,
         group_by: key_columns,
         having: Some(Expr::binary(Expr::count_star(), BinaryOp::Gt, Expr::int(1))),
-    }
-}
-
-/// The candidates whose key is violated, keys only (all either Filter
-/// branch reads): `cand_name` semi-joined to [`CONFLICTS_CTE`] on the key.
-fn suspects_select(cand_name: &str, key_aliases: &[String]) -> Select {
-    Select {
-        distinct: false,
-        projection: key_aliases
-            .iter()
-            .map(|alias| SelectItem::aliased(Expr::col(CAND_BINDING, alias.clone()), alias.clone()))
-            .collect(),
-        from: vec![TableRef::aliased(cand_name, CAND_BINDING)],
-        selection: Some(Expr::exists(key_match(
-            CAND_BINDING,
-            CONFLICTS_CTE,
-            CONFLICT_BINDING,
-            key_aliases,
-        ))),
-        group_by: Vec::new(),
-        having: None,
     }
 }
 
@@ -446,10 +611,7 @@ fn filter_join_branch(
 
     Ok(Select {
         distinct: false,
-        projection: key_aliases
-            .iter()
-            .map(|alias| SelectItem::aliased(Expr::col(CAND_BINDING, alias.clone()), alias.clone()))
-            .collect(),
+        projection: aliased_columns(CAND_BINDING, key_aliases),
         from: vec![from],
         selection,
         group_by: Vec::new(),

@@ -111,6 +111,76 @@ fn explain_analyze_inner_cardinalities_are_consistent() {
     );
 }
 
+/// CTEs run at plan time, so the body's tree holds only scans of their
+/// results; `EXPLAIN ANALYZE` lists each materialized CTE above it, in the
+/// order it ran, with its rows and wall time — and the traced entry point
+/// hands the same blocks out as data.
+#[test]
+fn explain_analyze_lists_the_materialized_ctes() {
+    let db = inconsistent_db();
+    consistent_answers(&db, QUERY, &sigma()).unwrap(); // declares the key index
+    let rewritten = rewrite(
+        &parse_query(QUERY).unwrap(),
+        &sigma(),
+        &RewriteOptions::default(),
+    )
+    .unwrap();
+    let options = ExecOptions::default();
+    let (rows, text) = db
+        .explain_analyze_with(&rewritten.to_string(), &options)
+        .unwrap();
+    let headers: Vec<&str> = text.lines().filter(|l| l.starts_with("CTE ")).collect();
+    // `conq_conflicts` is answered by the key index and never materialized:
+    // it shows as the build side of `conq_suspects`' semi join.
+    let names: Vec<&str> = headers
+        .iter()
+        .map(|l| l.split_whitespace().nth(1).unwrap())
+        .collect();
+    assert_eq!(names, ["conq_candidates", "conq_suspects", "conq_filter"]);
+    for header in &headers {
+        assert!(
+            header.contains("(rows=") && header.contains("wall=") && header.contains("est_cost="),
+            "{header}"
+        );
+    }
+    assert!(headers[0].contains("(rows=4 "), "{text}"); // (1,eng) (2,eng) (3,ops) (3,sales)
+    assert!(headers[1].contains("(rows=3 "), "{text}"); // keys 1 and 3 are violated
+    assert!(text.contains("access=index(id conflicts)"), "{text}");
+    // CTE blocks are indented under their header; the body follows, its
+    // root flush left.
+    let flush_left: Vec<&str> = text.lines().filter(|l| !l.starts_with(' ')).collect();
+    assert_eq!(flush_left.len(), headers.len() + 1, "{text}");
+    assert!(!flush_left[headers.len()].starts_with("CTE "), "{text}");
+    for line in text.lines() {
+        assert!(line.contains("rows="), "unannotated line: {line}");
+    }
+
+    let (traced_rows, plan, stats, ctes) = db
+        .execute_query_traced_with_ctes(&rewritten, &options)
+        .unwrap();
+    assert_eq!(traced_rows.rows, rows.rows);
+    assert_eq!(
+        ctes.iter().map(|c| c.name.as_str()).collect::<Vec<_>>(),
+        names
+    );
+    let json = conquer_engine::ctes_json(&ctes);
+    let conquer_obs::Json::Arr(entries) = &json else {
+        panic!("not an array: {}", json.render())
+    };
+    assert_eq!(
+        entries[0].get("rows_out"),
+        Some(&conquer_obs::Json::UInt(4))
+    );
+    assert!(entries[0].get("plan").is_some() && entries[0].get("est_cost").is_some());
+    // Asked for nothing, the planner records nothing — and the body is the
+    // same plan either way.
+    let (_, plain_plan, plain_stats) = db.execute_query_traced(&rewritten, &options).unwrap();
+    assert_eq!(
+        explain_analyze(&plain_plan, &plain_stats).lines().count(),
+        explain_analyze(&plan, &stats).lines().count()
+    );
+}
+
 #[test]
 fn explain_lists_the_rewritten_plan_without_running_it() {
     let db = inconsistent_db();

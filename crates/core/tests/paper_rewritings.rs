@@ -125,13 +125,10 @@ fn example3_rewriting_structure_matches_figure3() {
         },
     )
     .unwrap();
-    // Two CTEs, a left outer join, the IS NULL check, the negated selection,
-    // and NOT EXISTS — and, since only the root key is projected, no
-    // multiplicity (count(*) > 1) branch.
-    assert!(
-        sql.contains("WITH conq_candidates AS (SELECT DISTINCT"),
-        "{sql}"
-    );
+    // Candidates and Filter, a left outer join, the IS NULL check, the
+    // negated selection, and NOT EXISTS — and, since only the root key is
+    // projected, no multiplicity (count(*) > 1) branch.
+    assert!(sql.contains("conq_candidates AS (SELECT DISTINCT"), "{sql}");
     assert!(sql.contains("conq_filter AS ("), "{sql}");
     assert!(
         sql.contains("LEFT OUTER JOIN customer c ON o.custfk = c.custkey"),
@@ -140,7 +137,7 @@ fn example3_rewriting_structure_matches_figure3() {
     assert!(sql.contains("c.custkey IS NULL"), "{sql}");
     assert!(sql.contains("c.acctbal <= 1000"), "{sql}");
     assert!(sql.contains("NOT EXISTS"), "{sql}");
-    assert!(!sql.contains("count(*) > 1"), "{sql}");
+    assert!(!sql.contains("GROUP BY conq_k1"), "{sql}");
     // The generated SQL re-parses.
     parse_query(&sql).unwrap();
 }
@@ -384,28 +381,234 @@ fn single_relation_filter_reads_the_suspects() {
     );
 
     // Nothing to filter, nothing to precompute; the annotated rewriting
-    // keeps its `conscand` guard; more relations keep Figure 5 as printed.
+    // keeps its `conscand` guard.
     let annotated = RewriteOptions {
         annotated: true,
         ..plain
     };
-    for (q, sigma, opts) in [
-        ("select custkey from customer", &sigma, &plain),
+    for (q, opts) in [
+        ("select custkey from customer", &plain),
         (
             "select acctbal from customer where acctbal > 1000",
-            &sigma,
             &annotated,
         ),
-        (
-            "select o.clerk from customer c, orders o
-             where c.acctbal > 1000 and o.custfk = c.custkey",
-            &figure2_sigma(),
-            &plain,
-        ),
     ] {
-        let sql = rewrite_sql(q, sigma, opts).unwrap();
+        let sql = rewrite_sql(q, &sigma, opts).unwrap();
         assert!(!sql.contains("conq_conflicts"), "{sql}");
         assert!(!sql.contains("conq_suspects"), "{sql}");
+    }
+
+    // One relation is the one-member case of the suspects' union: the text
+    // of PR 16, to the byte.
+    let sql = rewrite_sql(
+        "select custkey from customer where acctbal > 1000",
+        &sigma,
+        &plain,
+    )
+    .unwrap();
+    assert_eq!(
+        sql,
+        "WITH conq_candidates AS (SELECT DISTINCT customer.custkey AS conq_k1, \
+         custkey AS custkey FROM customer WHERE acctbal > 1000), \
+         conq_conflicts AS (SELECT customer.custkey AS conq_k1 FROM customer \
+         GROUP BY customer.custkey HAVING count(*) > 1), \
+         conq_suspects AS (SELECT conq_cand.conq_k1 AS conq_k1 FROM conq_candidates conq_cand \
+         WHERE EXISTS (SELECT * FROM conq_conflicts conq_v \
+         WHERE conq_cand.conq_k1 = conq_v.conq_k1)), \
+         conq_filter AS (SELECT conq_cand.conq_k1 AS conq_k1 FROM conq_suspects conq_cand \
+         JOIN customer ON conq_cand.conq_k1 = customer.custkey \
+         WHERE NOT coalesce(acctbal > 1000, FALSE)) \
+         SELECT conq_cand.custkey AS custkey FROM conq_candidates conq_cand \
+         WHERE NOT EXISTS (SELECT * FROM conq_filter conq_f \
+         WHERE conq_cand.conq_k1 = conq_f.conq_k1)"
+    );
+}
+
+// --- more relations: suspects are found through the witnesses' keys -------------
+
+/// The CTEs of `sql`, `name AS (body)` each, in order.
+fn ctes(sql: &str) -> Vec<String> {
+    let query = parse_query(sql).unwrap();
+    query
+        .ctes
+        .iter()
+        .map(|c| format!("{} AS ({})", c.name, c.query))
+        .collect()
+}
+
+#[test]
+fn two_relation_filter_reads_the_suspects_of_both_relations() {
+    // Example 4's query: `conq_base` keeps each satisfying row's customer
+    // key beside the Candidates' columns; a candidate is a suspect when its
+    // order key is violated or one of its rows holds a violated customer.
+    let sql = rewrite_sql(
+        "select o.clerk from customer c, orders o
+         where c.acctbal > 1000 and o.custfk = c.custkey",
+        &figure2_sigma(),
+        &RewriteOptions::default(),
+    )
+    .unwrap();
+    assert_eq!(
+        ctes(&sql),
+        [
+            "conq_base AS (SELECT o.orderkey AS conq_k1, o.clerk AS clerk, \
+             c.custkey AS conq_r0k1 FROM customer c, orders o \
+             WHERE o.custfk = c.custkey AND c.acctbal > 1000)",
+            "conq_candidates AS (SELECT DISTINCT conq_b.conq_k1 AS conq_k1, \
+             conq_b.clerk AS clerk FROM conq_base conq_b)",
+            "conq_conflicts AS (SELECT o.orderkey AS conq_k1 FROM orders o \
+             GROUP BY o.orderkey HAVING count(*) > 1)",
+            "conq_conflicts_0 AS (SELECT c.custkey AS conq_r0k1 FROM customer c \
+             GROUP BY c.custkey HAVING count(*) > 1)",
+            "conq_suspect_keys AS (SELECT conq_k1 FROM conq_conflicts \
+             UNION ALL SELECT conq_b.conq_k1 AS conq_k1 FROM conq_base conq_b \
+             WHERE EXISTS (SELECT * FROM conq_conflicts_0 conq_v \
+             WHERE conq_b.conq_r0k1 = conq_v.conq_r0k1))",
+            "conq_suspects AS (SELECT conq_cand.conq_k1 AS conq_k1 \
+             FROM conq_candidates conq_cand \
+             WHERE EXISTS (SELECT * FROM conq_suspect_keys conq_v \
+             WHERE conq_cand.conq_k1 = conq_v.conq_k1))",
+            "conq_filter AS (SELECT conq_cand.conq_k1 AS conq_k1 FROM conq_suspects conq_cand \
+             JOIN orders o ON conq_cand.conq_k1 = o.orderkey \
+             LEFT OUTER JOIN customer c ON o.custfk = c.custkey \
+             WHERE c.custkey IS NULL OR NOT coalesce(c.acctbal > 1000, FALSE) \
+             UNION ALL SELECT conq_k1 FROM conq_suspects GROUP BY conq_k1 HAVING count(*) > 1)",
+        ]
+    );
+    // The answers are Example 4's (checked above); the body is Figure 5's.
+    assert!(
+        sql.ends_with(
+            "SELECT conq_cand.clerk AS clerk FROM conq_candidates conq_cand \
+             WHERE NOT EXISTS (SELECT * FROM conq_filter conq_f \
+             WHERE conq_cand.conq_k1 = conq_f.conq_k1)"
+        ),
+        "{sql}"
+    );
+}
+
+fn chain_sigma() -> ConstraintSet {
+    ConstraintSet::new()
+        .with_key("li", ["ok", "ln"])
+        .with_key("ord", ["ok"])
+        .with_key("cust", ["ck"])
+        .with_key("nat", ["nk"])
+}
+
+const CHAIN_QUERY: &str = "select c.ck, n.name, sum(l.qty) as q from li l, ord o, cust c, nat n
+     where l.ok = o.ok and o.ck = c.ck and c.nk = n.nk and l.qty > 1
+     group by c.ck, n.name";
+
+#[test]
+fn four_relation_aggregate_reads_the_suspects_of_every_relation() {
+    let sql = rewrite_sql(CHAIN_QUERY, &chain_sigma(), &RewriteOptions::default()).unwrap();
+    let ctes = ctes(&sql);
+    let names: Vec<&str> = ctes.iter().map(|c| c.split(' ').next().unwrap()).collect();
+    assert_eq!(
+        names,
+        [
+            "conq_base",
+            "conq_qg_candidates",
+            "conq_conflicts",
+            "conq_conflicts_1",
+            "conq_conflicts_2",
+            "conq_conflicts_3",
+            "conq_suspect_keys",
+            "conq_suspects",
+            "conq_qg_filter",
+            "conq_qg_cons",
+            "conq_unfiltered",
+            "conq_filtered",
+        ]
+    );
+    assert_eq!(
+        ctes[0],
+        "conq_base AS (SELECT l.ok AS conq_k1, l.ln AS conq_k2, c.ck AS ck, n.name AS name, \
+         coalesce(l.qty, 0) AS conq_e2, o.ok AS conq_r1k1, c.ck AS conq_r2k1, n.nk AS conq_r3k1 \
+         FROM li l, ord o, cust c, nat n \
+         WHERE l.ok = o.ok AND o.ck = c.ck AND c.nk = n.nk AND l.qty > 1)"
+    );
+    assert_eq!(
+        ctes[2..8],
+        [
+            "conq_conflicts AS (SELECT l.ok AS conq_k1, l.ln AS conq_k2 FROM li l \
+             GROUP BY l.ok, l.ln HAVING count(*) > 1)",
+            "conq_conflicts_1 AS (SELECT o.ok AS conq_r1k1 FROM ord o \
+             GROUP BY o.ok HAVING count(*) > 1)",
+            "conq_conflicts_2 AS (SELECT c.ck AS conq_r2k1 FROM cust c \
+             GROUP BY c.ck HAVING count(*) > 1)",
+            "conq_conflicts_3 AS (SELECT n.nk AS conq_r3k1 FROM nat n \
+             GROUP BY n.nk HAVING count(*) > 1)",
+            "conq_suspect_keys AS (SELECT conq_k1, conq_k2 FROM conq_conflicts \
+             UNION ALL SELECT conq_b.conq_k1 AS conq_k1, conq_b.conq_k2 AS conq_k2 \
+             FROM conq_base conq_b WHERE EXISTS (SELECT * FROM conq_conflicts_1 conq_v \
+             WHERE conq_b.conq_r1k1 = conq_v.conq_r1k1) \
+             UNION ALL SELECT conq_b.conq_k1 AS conq_k1, conq_b.conq_k2 AS conq_k2 \
+             FROM conq_base conq_b WHERE EXISTS (SELECT * FROM conq_conflicts_2 conq_v \
+             WHERE conq_b.conq_r2k1 = conq_v.conq_r2k1) \
+             UNION ALL SELECT conq_b.conq_k1 AS conq_k1, conq_b.conq_k2 AS conq_k2 \
+             FROM conq_base conq_b WHERE EXISTS (SELECT * FROM conq_conflicts_3 conq_v \
+             WHERE conq_b.conq_r3k1 = conq_v.conq_r3k1))",
+            "conq_suspects AS (SELECT conq_cand.conq_k1 AS conq_k1, conq_cand.conq_k2 AS conq_k2 \
+             FROM conq_qg_candidates conq_cand \
+             WHERE EXISTS (SELECT * FROM conq_suspect_keys conq_v \
+             WHERE conq_cand.conq_k1 = conq_v.conq_k1 AND conq_cand.conq_k2 = conq_v.conq_k2))",
+        ]
+    );
+    assert!(
+        ctes[8].starts_with(
+            "conq_qg_filter AS (SELECT conq_cand.conq_k1 AS conq_k1, conq_cand.conq_k2 AS conq_k2 \
+             FROM conq_suspects conq_cand JOIN li l ON"
+        ) && ctes[8].ends_with(
+            "UNION ALL SELECT conq_k1, conq_k2 FROM conq_suspects \
+             GROUP BY conq_k1, conq_k2 HAVING count(*) > 1)"
+        ),
+        "{}",
+        ctes[8]
+    );
+}
+
+#[test]
+fn no_suspects_where_nothing_reads_them() {
+    // Annotated: the `conscand` guard is the test, `conq_base` stays as
+    // narrow as Section 5 has it.
+    let annotated = RewriteOptions {
+        annotated: true,
+        ..RewriteOptions::default()
+    };
+    let sql = rewrite_sql(CHAIN_QUERY, &chain_sigma(), &annotated).unwrap();
+    for absent in ["conq_conflicts", "conq_suspect", "conq_r1k1", "conq_r2k1"] {
+        assert!(!sql.contains(absent), "{absent} in:\n{sql}");
+    }
+    assert!(
+        sql.contains("FROM conq_qg_candidates conq_cand JOIN li l"),
+        "{sql}"
+    );
+    let sql = rewrite_sql(
+        "select o.clerk from customer c, orders o where o.custfk = c.custkey",
+        &figure2_sigma(),
+        &annotated,
+    )
+    .unwrap();
+    assert!(
+        sql.starts_with("WITH conq_candidates AS (SELECT o.orderkey"),
+        "{sql}"
+    );
+    assert!(!sql.contains("conq_base"), "{sql}");
+
+    // A key-to-key join projecting the key, no selection: no Filter is
+    // emitted, so no relation's key rides along and Figure 5's Candidates
+    // stand alone.
+    let sigma = ConstraintSet::new()
+        .with_key("a", ["k"])
+        .with_key("b", ["k"]);
+    for q in [
+        "select a.k from a, b where a.k = b.k",
+        "select count(*) as n from a, b where a.k = b.k",
+    ] {
+        let sql = rewrite_sql(q, &sigma, &RewriteOptions::default()).unwrap();
+        for absent in ["conq_conflicts", "conq_suspect", "conq_r", "_filter"] {
+            assert!(!sql.contains(absent), "{absent} in:\n{sql}");
+        }
     }
 }
 

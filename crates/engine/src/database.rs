@@ -21,7 +21,7 @@ use crate::error::{EngineError, Result};
 use crate::exec;
 use crate::governor::Governor;
 use crate::index::{ConflictSummary, Index};
-use crate::plan::{literal_value, ExecOptions, Plan, Planner};
+use crate::plan::{literal_value, CteTrace, ExecOptions, Plan, Planner};
 use crate::schema::DataType;
 use crate::stats::TableStats;
 use crate::table::{Row, Rows, Table};
@@ -804,13 +804,38 @@ impl Database {
         query: &Query,
         options: &ExecOptions,
     ) -> Result<(Rows, Plan, crate::stats::NodeStats)> {
+        let (rows, plan, stats, _) = self.run_traced(query, options, false)?;
+        Ok((rows, plan, stats))
+    }
+
+    /// [`Database::execute_query_traced`], with the CTEs traced too: one
+    /// [`CteTrace`] per materialized CTE, in the order they ran (at plan
+    /// time — so for a rewriting this is where the work shows).
+    pub fn execute_query_traced_with_ctes(
+        &self,
+        query: &Query,
+        options: &ExecOptions,
+    ) -> Result<(Rows, Plan, crate::stats::NodeStats, Vec<CteTrace>)> {
+        self.run_traced(query, options, true)
+    }
+
+    fn run_traced(
+        &self,
+        query: &Query,
+        options: &ExecOptions,
+        trace_ctes: bool,
+    ) -> Result<(Rows, Plan, crate::stats::NodeStats, Vec<CteTrace>)> {
         let _trace = options.trace.as_ref().map(|t| t.install());
         let gov = Governor::for_options(options);
-        let (plan, _) = self.plan_governed(query, options, gov.as_ref())?;
+        let mut planner = Planner::with_governor(self, options, gov.as_ref());
+        if trace_ctes {
+            planner = planner.tracing_ctes();
+        }
+        let plan = plan_and_optimize(&planner, query, options)?;
         let mut stats = crate::stats::NodeStats::for_plan(&plan);
         let rows = run_plan(&plan, options, gov.as_ref(), Some(&mut stats))?;
         crate::cost::annotate(&self.estimator_for(options), &plan, &mut stats);
-        Ok((rows, plan, stats))
+        Ok((rows, plan, stats, planner.take_cte_traces()))
     }
 
     /// Plan a query without executing it (CTEs are still materialized, under
@@ -852,16 +877,7 @@ impl Database {
         gov: Option<&Governor>,
     ) -> Result<(Plan, TableReads)> {
         let planner = Planner::with_governor(self, options, gov);
-        let plan = {
-            let _span = conquer_obs::span("plan")
-                .field("materialize_ctes", options.materialize_ctes)
-                .field("optimize", options.optimize);
-            planner.plan_query(query)?
-        };
-        let plan = {
-            let _span = conquer_obs::span("optimize");
-            planner.optimize(plan)
-        };
+        let plan = plan_and_optimize(&planner, query, options)?;
         Ok((plan, planner.into_reads()))
     }
 
@@ -895,7 +911,8 @@ impl Database {
     }
 
     /// Run a SQL query and return its rows together with the plan listing
-    /// annotated with measured per-operator stats.
+    /// annotated with measured per-operator stats: one `CTE <name>` block
+    /// per materialized CTE, in the order they ran, then the body.
     pub fn explain_analyze(&self, sql: &str) -> Result<(Rows, String)> {
         self.explain_analyze_with(sql, &ExecOptions::default())
     }
@@ -906,8 +923,8 @@ impl Database {
             let _span = conquer_obs::span("parse").field("bytes", sql.len());
             parse_query(sql)?
         };
-        let (rows, plan, stats) = self.execute_query_traced(&query, options)?;
-        let text = crate::explain::explain_analyze(&plan, &stats);
+        let (rows, plan, stats, ctes) = self.execute_query_traced_with_ctes(&query, options)?;
+        let text = crate::explain::explain_analyze_ctes(&ctes, &plan, &stats);
         Ok((rows, text))
     }
 
@@ -1039,6 +1056,19 @@ impl Database {
         self.maybe_auto_checkpoint()?;
         Ok(())
     }
+}
+
+/// Plan a query on `planner` (materializing its CTEs) and optimize the
+/// body, each under its span.
+fn plan_and_optimize(planner: &Planner<'_>, query: &Query, options: &ExecOptions) -> Result<Plan> {
+    let plan = {
+        let _span = conquer_obs::span("plan")
+            .field("materialize_ctes", options.materialize_ctes)
+            .field("optimize", options.optimize);
+        planner.plan_query(query)?
+    };
+    let _span = conquer_obs::span("optimize");
+    Ok(planner.optimize(plan))
 }
 
 /// Execute `plan` to owned rows under an `execute` span, filling `stats`

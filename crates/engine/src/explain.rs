@@ -7,10 +7,13 @@
 //! each line with the measured [`NodeStats`]: rows out, inclusive wall
 //! time, and operator-specific counters. [`stats_json`] renders the same
 //! tree as a JSON object for machine consumers (the bench harness).
+//! CTEs run at plan time, so the body's tree shows only scans of their
+//! results; [`explain_analyze_ctes`] / [`ctes_json`] put one block per
+//! [`CteTrace`] above it.
 
 use conquer_obs::Json;
 
-use crate::plan::{JoinType, Plan};
+use crate::plan::{CteTrace, JoinType, Plan};
 use crate::stats::NodeStats;
 
 /// Render a plan as an indented operator tree with the planner's
@@ -30,6 +33,25 @@ pub fn explain_estimated(plan: &Plan, stats: &NodeStats) -> String {
 /// error is visible per operator.
 pub fn explain_analyze(plan: &Plan, stats: &NodeStats) -> String {
     let mut out = String::new();
+    walk(plan, Some(stats), true, 0, &mut out);
+    out
+}
+
+/// [`explain_analyze`] with the materialized CTEs listed first, in the
+/// order they ran: a `CTE <name>  (rows=… wall=… est_cost=…)` line, then
+/// the CTE's own annotated tree one level in.
+pub fn explain_analyze_ctes(ctes: &[CteTrace], plan: &Plan, stats: &NodeStats) -> String {
+    let mut out = String::new();
+    for cte in ctes {
+        out.push_str(&format!(
+            "CTE {}  (rows={} wall={:.3}ms est_cost={:.0})\n",
+            cte.name,
+            cte.stats.rows_out,
+            cte.stats.wall.as_secs_f64() * 1e3,
+            cte.est_cost,
+        ));
+        walk(&cte.plan, Some(&cte.stats), true, 1, &mut out);
+    }
     walk(plan, Some(stats), true, 0, &mut out);
     out
 }
@@ -223,6 +245,21 @@ pub fn stats_json(plan: &Plan, stats: &NodeStats) -> Json {
         obj.push("children", Json::Arr(children));
     }
     obj
+}
+
+/// The traced CTEs as a JSON array, in the order they ran:
+/// `[{"name", "rows_out", "wall_us", "est_cost", "plan": <stats_json>}]`.
+pub fn ctes_json(ctes: &[CteTrace]) -> Json {
+    let entries = ctes.iter().map(|cte| {
+        Json::obj([
+            ("name", Json::from(cte.name.clone())),
+            ("rows_out", Json::UInt(cte.stats.rows_out)),
+            ("wall_us", Json::UInt(cte.stats.wall.as_micros() as u64)),
+            ("est_cost", Json::Float(cte.est_cost)),
+            ("plan", stats_json(&cte.plan, &cte.stats)),
+        ])
+    });
+    Json::Arr(entries.collect())
 }
 
 #[cfg(test)]

@@ -66,10 +66,12 @@ pub use cost::Estimator;
 pub use database::{Database, TableReads};
 pub use durable::{Checkpointer, DurabilityOptions};
 pub use error::{EngineError, Result};
-pub use explain::{explain_analyze, explain_estimated, stats_json};
+pub use explain::{
+    ctes_json, explain_analyze, explain_analyze_ctes, explain_estimated, stats_json,
+};
 pub use governor::{CancellationToken, Governor, LimitTrip, ResourceLimits};
 pub use index::{ConflictSummary, Index, IndexAccess};
-pub use plan::{ExecOptions, Plan};
+pub use plan::{CteTrace, ExecOptions, Plan};
 pub use schema::{Column, DataType, Schema};
 pub use stats::{ColumnStats, NodeStats, TableStats};
 pub use table::{Row, Rows, Table};

@@ -37,6 +37,7 @@ use crate::faults;
 use crate::governor::{CancellationToken, Governor, ResourceLimits};
 use crate::index::IndexAccess;
 use crate::schema::{Column, DataType, Schema};
+use crate::stats::NodeStats;
 use crate::value::Value;
 
 /// Planner/executor options; the defaults match the paper's configuration.
@@ -528,6 +529,20 @@ impl<'a> BindScope<'a> {
     }
 }
 
+/// One materialized CTE as it ran at plan time — what `EXPLAIN ANALYZE`
+/// lists above the body, where a rewriting spends nearly all of its time.
+#[derive(Debug, Clone)]
+pub struct CteTrace {
+    pub name: String,
+    /// The CTE's optimized plan, over the results of the CTEs before it.
+    pub plan: Plan,
+    /// Measured per-operator stats, with the planner's estimates beside.
+    pub stats: NodeStats,
+    /// The cost model's estimate for `plan` (its inputs are materialized,
+    /// so their sizes are exact).
+    pub est_cost: f64,
+}
+
 /// The planner: holds the database catalog and options.
 pub struct Planner<'a> {
     db: &'a Database,
@@ -539,6 +554,9 @@ pub struct Planner<'a> {
     /// Every base table resolved so far, with the version it was read at
     /// (see [`Planner::plan_table_ref`]).
     reads: RefCell<TableReads>,
+    /// One entry per CTE materialized so far, kept only when a caller
+    /// asked ([`Planner::tracing_ctes`]).
+    cte_traces: Option<RefCell<Vec<CteTrace>>>,
 }
 
 impl<'a> Planner<'a> {
@@ -554,7 +572,24 @@ impl<'a> Planner<'a> {
             options,
             gov,
             reads: RefCell::default(),
+            cte_traces: None,
         }
+    }
+
+    /// Have this planner run its CTEs with per-operator stats and keep a
+    /// [`CteTrace`] of each.
+    pub fn tracing_ctes(mut self) -> Planner<'a> {
+        self.cte_traces = Some(RefCell::default());
+        self
+    }
+
+    /// The traces of the CTEs materialized so far, in the order they ran;
+    /// empty unless [`Planner::tracing_ctes`] asked for them.
+    pub fn take_cte_traces(&self) -> Vec<CteTrace> {
+        self.cte_traces
+            .as_ref()
+            .map(RefCell::take)
+            .unwrap_or_default()
     }
 
     /// The base tables this planner resolved, each at the version it read:
@@ -655,19 +690,30 @@ impl<'a> Planner<'a> {
                 // pass-throughs, kernel-filtered scans) is adopted as-is;
                 // row-shaped outputs are pivoted into a fresh batch once,
                 // here, so every reference scans columns.
+                let mut stats = self.cte_traces.as_ref().map(|_| NodeStats::for_plan(&plan));
                 let batch = exec::execute_plan(
                     &plan,
                     None,
                     self.gov,
                     self.options.threads,
                     self.options.columnar,
-                    None,
+                    stats.as_mut(),
                 )?;
                 let (schema, cols) = batch.into_schema_cols();
                 if let Some(gov) = self.gov {
                     gov.reserve_mem(cols.byte_size() as u64, "cte.materialize")?;
                 }
-                plan = Plan::Scan { cols, schema };
+                let body = std::mem::replace(&mut plan, Plan::Scan { cols, schema });
+                if let (Some(traces), Some(mut stats)) = (&self.cte_traces, stats) {
+                    let est = self.db.estimator_for(self.options);
+                    crate::cost::annotate(&est, &body, &mut stats);
+                    traces.borrow_mut().push(CteTrace {
+                        name: cte.name.clone(),
+                        est_cost: est.cost(&body),
+                        plan: body,
+                        stats,
+                    });
+                }
             }
             env.materialized.insert(cte.name.clone(), plan);
         } else {

@@ -23,6 +23,37 @@ fn assert_matches_oracle(db: &Database, q: &str, sigma: &ConstraintSet) {
     assert_eq!(sorted(&rewritten), sorted(&oracle), "query: {q}");
 }
 
+/// The plain rewriting, the annotated rewriting (on `annotated_db`, the same
+/// data annotated) and the plain rewriting planned index-blind — so every
+/// `conq_conflicts*` is grouped, not read off a key index — give one answer.
+fn assert_strategies_agree(db: &Database, annotated_db: &Database, q: &str, sigma: &ConstraintSet) {
+    let plain = consistent_answers(db, q, sigma).unwrap();
+    let annotated = consistent_answers_annotated(annotated_db, q, sigma).unwrap();
+    assert_eq!(sorted(&plain), sorted(&annotated), "annotated, query: {q}");
+    let index_blind = ExecOptions::default().with_indexes(false);
+    let blind = conquer::consistent_answers_with(db, q, sigma, &index_blind).unwrap();
+    assert_eq!(sorted(&plain), sorted(&blind), "index-blind, query: {q}");
+}
+
+/// A query grouped by its first column with one aggregate: the rewriting's
+/// `(group, min, max)` rows are the range oracle's.
+fn assert_matches_range_oracle(db: &Database, q: &str, sigma: &ConstraintSet) {
+    let rewritten = consistent_answers(db, q, sigma).unwrap();
+    let oracle = range_consistent_oracle(db, q, sigma, 1).unwrap();
+    let mut ranges: Vec<Vec<String>> = oracle
+        .iter()
+        .map(|a| {
+            vec![
+                a.group[0].to_string(),
+                a.ranges[0].0.to_string(),
+                a.ranges[0].1.to_string(),
+            ]
+        })
+        .collect();
+    ranges.sort();
+    assert_eq!(sorted(&rewritten), ranges, "query: {q}");
+}
+
 #[test]
 fn dangling_foreign_keys() {
     let db = Database::new();
@@ -101,40 +132,66 @@ fn single_relation_filter_over_violated_keys_only() {
             "select distinct t.g from t where t.v > 25",
         ] {
             assert_matches_oracle(&db, q, &sigma);
-            let plain = consistent_answers(&db, q, &sigma).unwrap();
-            let annotated = consistent_answers_annotated(&annotated_db, q, &sigma).unwrap();
-            assert_eq!(sorted(&plain), sorted(&annotated), "annotated, query: {q}");
-            let blind = conquer::consistent_answers_with(
-                &db,
-                q,
-                &sigma,
-                &ExecOptions::default().with_indexes(false),
-            )
-            .unwrap();
-            assert_eq!(sorted(&plain), sorted(&blind), "index-blind, query: {q}");
+            assert_strategies_agree(&db, &annotated_db, q, &sigma);
         }
         let q = "select t.g, sum(t.v) as s from t where t.v > 10 group by t.g";
-        let rewritten = consistent_answers(&db, q, &sigma).unwrap();
-        let annotated = consistent_answers_annotated(&annotated_db, q, &sigma).unwrap();
-        assert_eq!(
-            sorted(&rewritten),
-            sorted(&annotated),
-            "annotated, query: {q}"
-        );
-        let oracle = range_consistent_oracle(&db, q, &sigma, 1).unwrap();
-        let mut ranges: Vec<Vec<String>> = oracle
-            .iter()
-            .map(|a| {
-                vec![
-                    a.group[0].to_string(),
-                    a.ranges[0].0.to_string(),
-                    a.ranges[0].1.to_string(),
-                ]
-            })
-            .collect();
-        ranges.sort();
-        assert_eq!(sorted(&rewritten), ranges, "query: {q}");
+        assert_strategies_agree(&db, &annotated_db, q, &sigma);
+        assert_matches_range_oracle(&db, q, &sigma);
     }
+}
+
+/// With more relations the Filter reads the candidates some witness of
+/// which holds a tuple with a violated key, whichever relation it is in.
+/// Conflicts in the root (`li`, a group of two and one of three), one hop
+/// down (`ord`) and two hops down (`cust`, again two and three), a dangling
+/// and a NULL foreign key: a `RewriteJoin` query with and without the
+/// multiplicity branch and a three-relation aggregate agree with repair
+/// enumeration, and plain, annotated and index-blind agree with each other.
+#[test]
+fn multi_relation_filter_over_suspects_only() {
+    const DATA: &str = "create table li (ok integer, ln integer, qty integer);
+         insert into li values
+           (1, 1, 10), (1, 2, 20), (1, 2, 25), (2, 1, 5), (3, 1, 7), (4, 1, 9), (5, 1, 11),
+           (6, 1, 3), (6, 1, 4), (6, 1, 8), (7, 1, 6), (8, 1, 2), (9, 1, 12);
+         create table ord (ok integer, ck integer);
+         insert into ord values
+           (1, 100), (2, 200), (2, 300), (3, 300), (4, 400), (5, null), (6, 100), (8, 500),
+           (9, 600);
+         create table cust (ck integer, seg text);
+         insert into cust values
+           (100, 'a'), (200, 'b'), (300, 'b'), (400, 'a'), (400, 'c'),
+           (500, 'c'), (500, 'c'), (500, 'a'), (600, 'c');";
+    let sigma = ConstraintSet::new()
+        .with_key("li", ["ok", "ln"])
+        .with_key("ord", ["ok"])
+        .with_key("cust", ["ck"]);
+    let load = || {
+        let db = Database::new();
+        db.run_script(DATA).unwrap();
+        db
+    };
+    let db = load();
+    let annotated_db = load();
+    annotate_database(&annotated_db, &sigma).unwrap();
+    const FROM: &str = "from li l, ord o, cust c where l.ok = o.ok and o.ck = c.ck";
+    for q in [
+        format!("select l.ok, l.ln {FROM}"),
+        format!("select l.ok, l.ln {FROM} and l.qty > 4"),
+        format!("select l.qty {FROM} and c.seg = 'b'"),
+        format!("select l.ok, c.seg {FROM} and l.qty > 2"),
+        format!("select distinct c.seg {FROM}"),
+    ] {
+        assert_matches_oracle(&db, &q, &sigma);
+        assert_strategies_agree(&db, &annotated_db, &q, &sigma);
+    }
+    let q = format!("select c.seg, sum(l.qty) as total {FROM} and l.qty > 2 group by c.seg");
+    assert_strategies_agree(&db, &annotated_db, &q, &sigma);
+    assert_matches_range_oracle(&db, &q, &sigma);
+    // Every segment is a consistent group; `a` and `c` hold filtered keys.
+    assert_eq!(
+        sorted(&consistent_answers(&db, &q, &sigma).unwrap()),
+        [["a", "33", "52"], ["b", "12", "12"], ["c", "12", "21"]]
+    );
 }
 
 #[test]

@@ -336,68 +336,187 @@ fn cte_rows(
     db.execute_query(&cut).unwrap()
 }
 
-/// Over a single relation the Filter reads `conq_suspects` — the
-/// candidates whose key is violated — in place of all candidates. Checked
-/// three ways per instance: the Filter emits only suspect keys; reading
-/// every candidate instead (the shape of Figs. 5/8, recovered by renaming
-/// the CTE in the Filter's text) emits the same rows; and by definition —
-/// against repair enumeration — every candidate that is *not* a suspect is
-/// an answer in every repair, so no Filter may remove it.
+/// The Filter reads `conq_suspects` — the candidates one of whose
+/// witnesses holds a tuple with a violated key — in place of all
+/// candidates. Checked three ways on one instance and query: the Filter
+/// emits only suspect keys; reading every candidate instead (the shape of
+/// Figs. 5/8, recovered by renaming the CTE in the Filter's text) emits the
+/// same rows; and, for a query whose answer rows are its candidates minus
+/// the `key_len` leading key columns, by definition — against repair
+/// enumeration — every candidate that is *not* a suspect is an answer in
+/// every repair, so no Filter may remove it.
+///
+/// A Filter row holding a NULL matches no candidate (`=` is never true of
+/// NULL), so such rows are left out of the comparison: over all candidates
+/// the multiplicity branch can emit one, over the suspects it cannot.
+fn check_suspects(
+    db: &Database,
+    sigma: &ConstraintSet,
+    q: &str,
+    (candidates, filter): (&str, &str),
+    key_len: Option<usize>,
+    case: u64,
+) {
+    let parsed = conquer::parse_query(q).unwrap();
+    let rewritten = conquer::rewrite(&parsed, sigma, &conquer::RewriteOptions::default()).unwrap();
+    let non_null = |rows: &conquer::Rows| -> Vec<Vec<String>> {
+        let mut kept = sorted(rows);
+        kept.retain(|row| !row.iter().any(|v| v == "NULL"));
+        kept
+    };
+    let suspects = sorted(&cte_rows(db, &rewritten, "conq_suspects", |sql| sql));
+    let filtered = cte_rows(db, &rewritten, filter, |sql| sql);
+    for key in non_null(&filtered) {
+        assert!(
+            suspects.contains(&key),
+            "{q} (case {case}): filtered key {key:?} is no suspect"
+        );
+    }
+    let over_all_candidates = cte_rows(db, &rewritten, filter, |sql| {
+        sql.replace("conq_suspects", candidates)
+    });
+    assert_eq!(
+        non_null(&filtered),
+        non_null(&over_all_candidates),
+        "{q} (case {case}): the Filter over suspects vs over every candidate"
+    );
+    let Some(key_len) = key_len else { return };
+    let certain = sorted(&consistent_answers_oracle(db, q, sigma).unwrap());
+    for cand in sorted(&cte_rows(db, &rewritten, candidates, |sql| sql)) {
+        let (key, answer) = cand.split_at(key_len);
+        if !key.iter().any(|v| v == "NULL") && !suspects.contains(&key.to_vec()) {
+            assert!(
+                certain.contains(&answer.to_vec()),
+                "{q} (case {case}): {cand:?} is no suspect, yet not certain"
+            );
+        }
+    }
+}
+
+/// A random instance of the join tree `r → s → u` with the key-to-key
+/// co-root `t` of `r`: `r(k, a, b)`, `s(k, c, f)`, `u(k, d)`, `t(k, e)`,
+/// `b` and `f` the foreign keys. Every relation starts consistent; the
+/// scenario then places the conflicts — and the NULLs — where one rule of
+/// the suspects' argument is the only one at work.
+fn tree_db(rng: &mut StdRng, scenario: u64) -> Database {
+    const R: usize = 0;
+    const S: usize = 1;
+    const U: usize = 2;
+    const T: usize = 3;
+    let widths = [3, 3, 2, 2];
+    let mut tables: Vec<Vec<Vec<Value>>> = widths
+        .iter()
+        .map(|width| {
+            (0..rng.gen_range(2..5i64))
+                .map(|k| {
+                    let mut row = vec![Value::Int(k)];
+                    row.extend((1..*width).map(|_| Value::Int(rng.gen_range(0..4i64))));
+                    row
+                })
+                .collect()
+        })
+        .collect();
+    // `copies` more tuples under the key of a random tuple of `rel`.
+    let mut violate = |tables: &mut Vec<Vec<Vec<Value>>>, rel: usize, copies: usize| {
+        let at = rng.gen_range(0..tables[rel].len());
+        for _ in 0..copies {
+            let mut row = vec![tables[rel][at][0].clone()];
+            row.extend((1..widths[rel]).map(|_| Value::Int(rng.gen_range(0..4i64))));
+            tables[rel].push(row);
+        }
+    };
+    match scenario {
+        0 => violate(&mut tables, R, 1),
+        1 => violate(&mut tables, U, 1), // a leaf two hops from the root
+        2 => violate(&mut tables, T, 1), // the co-root
+        3 => {
+            // Groups of three.
+            violate(&mut tables, S, 2);
+            violate(&mut tables, R, 2);
+        }
+        _ => {
+            for rel in [R, S, U, T] {
+                violate(&mut tables, rel, 1);
+            }
+        }
+    }
+    if scenario == 5 {
+        // NULL foreign keys: a tuple that joins nothing.
+        tables[R][0][2] = Value::Null;
+        let last = tables[S].len() - 1;
+        tables[S][last][2] = Value::Null;
+    }
+    if scenario == 6 {
+        // NULL key attributes, the root's included: tuples in no key group.
+        for rel in [R, S, U, T] {
+            let at = rng.gen_range(0..tables[rel].len());
+            tables[rel][at][0] = Value::Null;
+        }
+        let mut row = tables[R][0].clone();
+        row[0] = Value::Null;
+        tables[R].push(row);
+    }
+    let db = Database::new();
+    let names = [
+        ("r", ["k", "a", "b"].as_slice()),
+        ("s", ["k", "c", "f"].as_slice()),
+        ("u", ["k", "d"].as_slice()),
+        ("t", ["k", "e"].as_slice()),
+    ];
+    for ((name, columns), rows) in names.into_iter().zip(tables) {
+        let columns = columns.iter().map(|c| (*c, DataType::Integer)).collect();
+        let mut table = Table::new(name, columns);
+        table.extend_unchecked(rows);
+        db.register(table).unwrap();
+    }
+    db
+}
+
+const TREE_SCENARIOS: u64 = 7;
+
+/// [`check_suspects`] over a single relation and over random trees of two
+/// to four relations.
 #[test]
 fn suspects_cover_everything_the_filter_can_emit() {
+    const JOIN: (&str, &str) = ("conq_candidates", "conq_filter");
+    const AGG: (&str, &str) = ("conq_qg_candidates", "conq_qg_filter");
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0x5A5B_0000 + case);
         let rows = table_r(&mut rng);
         let threshold = rng.gen_range(0..4i64);
         let db = build_db(&rows, None);
         let sigma = sigma_r();
-        for (q, candidates, filter) in [
-            (
-                format!("select r.k, r.a from r where r.b > {threshold}"),
-                "conq_candidates",
-                "conq_filter",
-            ),
-            (
-                format!("select r.a, sum(r.b) as x from r where r.b >= {threshold} group by r.a"),
-                "conq_qg_candidates",
-                "conq_qg_filter",
+        let q = format!("select r.k, r.a from r where r.b > {threshold}");
+        check_suspects(&db, &sigma, &q, JOIN, Some(1), case);
+        let q = format!("select r.a, sum(r.b) as x from r where r.b >= {threshold} group by r.a");
+        check_suspects(&db, &sigma, &q, AGG, None, case);
+    }
+
+    let sigma = ["r", "s", "u", "t"]
+        .into_iter()
+        .fold(ConstraintSet::new(), |sigma, rel| {
+            sigma.with_key(rel, ["k"])
+        });
+    for case in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(0x5A5C_0000 + case);
+        let db = tree_db(&mut rng, case % TREE_SCENARIOS);
+        let th = rng.gen_range(0..4i64);
+        for q in [
+            format!("select r.k, r.a from r, s where r.b = s.k and s.c > {th}"),
+            format!("select r.k, r.a from r, t where r.k = t.k and t.e > {th}"),
+            format!("select r.k, r.a from r, s, u where r.b = s.k and s.f = u.k and u.d >= {th}"),
+            format!(
+                "select r.k, r.a, u.d from r, t, s, u \
+                 where r.k = t.k and r.b = s.k and s.f = u.k and t.e >= {th}"
             ),
         ] {
-            let parsed = conquer::parse_query(&q).unwrap();
-            let rewritten =
-                conquer::rewrite(&parsed, &sigma, &conquer::RewriteOptions::default()).unwrap();
-            let suspects = sorted(&cte_rows(&db, &rewritten, "conq_suspects", |sql| sql));
-            let filtered = sorted(&cte_rows(&db, &rewritten, filter, |sql| sql));
-            for key in &filtered {
-                assert!(
-                    suspects.contains(key),
-                    "{q} (case {case}): filtered key {key:?} is no suspect"
-                );
-            }
-            let over_all_candidates = cte_rows(&db, &rewritten, filter, |sql| {
-                sql.replace("conq_suspects", candidates)
-            });
-            assert_eq!(
-                filtered,
-                sorted(&over_all_candidates),
-                "{q} (case {case}): the Filter over suspects vs over every candidate"
-            );
-            if candidates == "conq_candidates" {
-                let certain = sorted(&consistent_answers_oracle(&db, &q, &sigma).unwrap());
-                for cand in cte_rows(&db, &rewritten, candidates, |sql| sql).rows {
-                    let cand: Vec<String> = cand.iter().map(ToString::to_string).collect();
-                    // Candidates are (key, projected items); the query
-                    // projects the key first, so a candidate minus its
-                    // leading key column is an answer row.
-                    if !suspects.contains(&cand[..1].to_vec()) {
-                        assert!(
-                            certain.contains(&cand[1..].to_vec()),
-                            "{q} (case {case}): {cand:?} is no suspect, yet not certain"
-                        );
-                    }
-                }
-            }
+            check_suspects(&db, &sigma, &q, JOIN, Some(1), case);
         }
+        let q = format!(
+            "select r.a, sum(u.d) as x from r, s, u \
+             where r.b = s.k and s.f = u.k and s.c >= {th} group by r.a"
+        );
+        check_suspects(&db, &sigma, &q, AGG, None, case);
     }
 }
 
