@@ -9,8 +9,15 @@
 //! ```
 //!
 //! Subcommands: `fig10`, `fig11`, `fig12`, `fig13`, `fig14`, `baseline`,
-//! `serve`, `plancost`, `opbench`, `idxbench`, `trace`, `recover`, `all`
-//! (`all` runs the six figures; the rest are explicit-only). `idxbench`
+//! `serve`, `plancost`, `opbench`, `idxbench`, `trace`, `recover`, `load`,
+//! `all` (`all` runs the six figures; the rest are explicit-only). `load`
+//! times what precedes every figure — §6.1's generate, inject (p = 5 %,
+//! n = 2), annotate, then declaring the key indexes and a first pass of the
+//! six queries under the three strategies — at `--sf` and 4×`--sf`, median
+//! of `--runs`, with tuples per second, resident column bytes per tuple and
+//! the process's peak RSS (`BENCH_load.json`); `--before <path>` embeds an
+//! earlier report of the same subcommand (the parent commit's) and the
+//! speed-up against it. `idxbench`
 //! measures what secondary indexes buy: point-lookup and key-self-join
 //! throughput with the access-path planner index-aware vs index-blind
 //! (`with_indexes(false)`, the pre-index plans), at `--sf` and 4×`--sf`
@@ -102,9 +109,9 @@ use conquer_obs::Json;
 /// the sweep and writes every report before exiting nonzero.
 static FAILED: AtomicBool = AtomicBool::new(false);
 
-const COMMANDS: [&str; 13] = [
+const COMMANDS: [&str; 14] = [
     "fig10", "fig11", "fig12", "fig13", "fig14", "baseline", "serve", "plancost", "opbench",
-    "idxbench", "trace", "recover", "all",
+    "idxbench", "trace", "recover", "load", "all",
 ];
 
 struct Args {
@@ -136,6 +143,8 @@ struct Args {
     /// <max_ratio>` lines); a rewritten/original cost ratio above its
     /// threshold fails the run.
     cost_threshold_file: Option<String>,
+    /// `load` mode: an earlier `BENCH_load.json` to report against.
+    before: Option<String>,
     /// `trace` mode: the SQL to trace (the positional after the command).
     sql: Option<String>,
     /// `trace` mode: which answering strategy to run the SQL under.
@@ -186,6 +195,7 @@ fn parse_args() -> Args {
         rounds: 3,
         churn_ms: None,
         cost_threshold_file: None,
+        before: None,
         sql: None,
         strategy: Strategy::Rewritten,
     };
@@ -282,6 +292,9 @@ fn parse_args() -> Args {
                         .unwrap_or_else(|| die("--cost-threshold-file requires a path")),
                 );
             }
+            "--before" => {
+                args.before = Some(it.next().unwrap_or_else(|| die("--before requires a path")));
+            }
             "--strategy" => {
                 let v = it
                     .next()
@@ -316,11 +329,11 @@ fn parse_args() -> Args {
 fn die(msg: &str) -> ! {
     eprintln!("harness: {msg}");
     eprintln!(
-        "usage: harness [fig10|fig11|fig12|fig13|fig14|baseline|serve|plancost|opbench|idxbench|recover|all] \
+        "usage: harness [fig10|fig11|fig12|fig13|fig14|baseline|serve|plancost|opbench|idxbench|recover|load|all] \
          [--sf F] [--runs N] [--json PATH] [--quiet] \
          [--timeout-ms N] [--mem-limit BYTES] [--threads N] \
          [--serve-port P] [--concurrency N] [--connections N,M,...] [--rounds R] \
-         [--churn-ms N] [--cost-threshold-file PATH]\n       \
+         [--churn-ms N] [--cost-threshold-file PATH] [--before PATH]\n       \
          harness trace \"<sql>\" [--strategy original|rewritten|annotated] \
          [--sf F] [--threads N] [--json PATH]"
     );
@@ -349,6 +362,7 @@ fn main() {
             "idxbench" => idxbench(&args),
             "trace" => trace_cmd(&args),
             "recover" => recover_cmd(&args),
+            "load" => load_cmd(&args),
             _ => unreachable!("command validated in parse_args"),
         };
         report.push("metrics", conquer_obs::registry().snapshot_json());
@@ -1887,5 +1901,138 @@ fn recover_cmd(args: &Args) -> Json {
     report.push("load_us", Json::UInt(load_us));
     report.push("replay_wal_us", Json::UInt(replay_wal_us));
     report.push("replay_segments_us", Json::UInt(replay_segments_us));
+    report
+}
+
+/// `VmHWM` of this process in bytes (0 where `/proc` has none).
+fn peak_rss_bytes() -> u64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+            line.split_whitespace().nth(1)?.parse::<u64>().ok()
+        })
+        .map_or(0, |kib| kib * 1024)
+}
+
+/// Set-up cost: the steps of §6.1's protocol that precede every figure,
+/// each timed on its own, at `--sf` and 4×`--sf`.
+fn load_cmd(args: &Args) -> Json {
+    use conquer::tpch::{
+        benchmark_constraints, generate_database, inject_database, GenConfig, TABLES,
+    };
+    use conquer::{annotate_database, declare_key_indexes};
+    use conquer_bench::try_run_query;
+
+    const STEPS: [&str; 4] = ["generate", "inject", "annotate", "first_pass"];
+    say!(
+        args,
+        "## load — generate, inject (p = 5 %, n = 2), annotate, first pass \
+         (threads {}, median of {})\n",
+        args.threads,
+        args.runs
+    );
+    say!(
+        args,
+        "| SF | tuples | generate (ms) | inject (ms) | annotate (ms) | declare + first pass (ms) \
+         | tuples/s | B/tuple | peak RSS (MiB) |"
+    );
+    say!(args, "|---|---:|---:|---:|---:|---:|---:|---:|---:|");
+    let before = args.before.as_ref().map(|path| {
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
+        Json::parse(&text).unwrap_or_else(|e| die(&format!("{path}: {e:?}")))
+    });
+    let mut scales = Vec::new();
+    for sf in [args.sf, args.sf * 4.0] {
+        let mut samples: [Vec<u64>; 4] = Default::default();
+        let (mut tuples, mut bytes) = (0u64, 0u64);
+        for _ in 0..args.runs.max(1) {
+            let mut lap = Instant::now();
+            let mut step = |samples: &mut [Vec<u64>; 4], i: usize| {
+                samples[i].push(lap.elapsed().as_micros() as u64);
+                lap = Instant::now();
+            };
+            let db = generate_database(&GenConfig {
+                scale_factor: sf,
+                seed: 0xC09E_5EED,
+                threads: args.threads,
+            });
+            step(&mut samples, 0);
+            let sigma = benchmark_constraints();
+            let injection = inject_database(&db, &sigma, 0.05, 2, 0xC09E_5EED);
+            step(&mut samples, 1);
+            let annotation = annotate_database(&db, &sigma)
+                .unwrap_or_else(|e| die(&format!("load: annotate: {e}")));
+            step(&mut samples, 2);
+            declare_key_indexes(&db, &sigma);
+            let w = Workload {
+                db,
+                sigma,
+                injection,
+                annotation: Some(annotation),
+            };
+            for q in all_queries() {
+                for strategy in [Strategy::Original, Strategy::Rewritten, Strategy::Annotated] {
+                    if let Err(e) = try_run_query(&w, &q, strategy, &args.options()) {
+                        FAILED.store(true, Ordering::Relaxed);
+                        eprintln!("harness: load: {} [{}]: {e}", q.name(), strategy.label());
+                    }
+                }
+            }
+            step(&mut samples, 3);
+            let tables = TABLES.iter().filter_map(|t| w.db.table(t).ok());
+            (tuples, bytes) = tables.fold((0, 0), |(n, b), t| {
+                (n + t.len() as u64, b + t.cols().byte_size() as u64)
+            });
+        }
+        samples.iter_mut().for_each(|s| s.sort_unstable());
+        let median = |i: usize| conquer_bench::percentile(&samples[i], 0.5);
+        let load_us = median(0) + median(1) + median(2);
+        let tuples_per_sec = tuples as f64 / (load_us as f64 / 1e6);
+        let bytes_per_tuple = bytes as f64 / tuples as f64;
+        let peak = peak_rss_bytes();
+        say!(
+            args,
+            "| {sf} | {tuples} | {:.1} | {:.1} | {:.1} | {:.1} | {:.0} | {:.1} | {:.1} |",
+            median(0) as f64 / 1e3,
+            median(1) as f64 / 1e3,
+            median(2) as f64 / 1e3,
+            median(3) as f64 / 1e3,
+            tuples_per_sec,
+            bytes_per_tuple,
+            peak as f64 / (1 << 20) as f64
+        );
+        let mut entry = Json::obj([("sf", Json::Float(sf)), ("tuples", Json::UInt(tuples))]);
+        for (i, name) in STEPS.iter().enumerate() {
+            entry.push(format!("{name}_us"), Json::UInt(median(i)));
+        }
+        entry.push("load_us", Json::UInt(load_us));
+        entry.push("tuples_per_sec", Json::Float(tuples_per_sec));
+        entry.push("resident_bytes", Json::UInt(bytes));
+        entry.push("bytes_per_tuple", Json::Float(bytes_per_tuple));
+        // Peak of the process so far: the larger scale runs second.
+        entry.push("peak_rss_bytes", Json::UInt(peak));
+        let earlier = before.as_ref().and_then(|b| match b.get("scales")? {
+            Json::Arr(scales) => scales
+                .iter()
+                .find(|s| s.get("sf").and_then(Json::as_f64) == Some(sf)),
+            _ => None,
+        });
+        if let Some(was) = earlier.and_then(|s| s.get("load_us")?.as_f64()) {
+            let speedup = was / load_us as f64;
+            say!(args, "|   | before: {:.1} ms generate + inject + annotate, {speedup:.2}x | | | | | | | |", was / 1e3);
+            entry.push("load_speedup", Json::Float(speedup));
+        }
+        scales.push(entry);
+    }
+    say!(args, "");
+    let mut report = report_header("load", args);
+    report.push("p", Json::Float(0.05));
+    report.push("n", Json::UInt(2));
+    report.push("scales", Json::arr(scales));
+    if let Some(scales) = before.as_ref().and_then(|b| b.get("scales")) {
+        report.push("before", Json::obj([("scales", scales.clone())]));
+    }
     report
 }

@@ -8,10 +8,17 @@
 //! small) inconsistent portion of the database — an optimization a generic
 //! query optimizer cannot discover because it is unaware of the semantics
 //! of consistent query answering.
+//!
+//! The flag is the size of the tuple's key group: the engine's group-key
+//! kernel counts the groups in one typed pass over the key columns
+//! ([`group_sizes`]), and `cons` is stored as a dictionary column over the
+//! two flags beside the relation's existing columns, which are shared with
+//! the unannotated table, not copied.
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
-use conquer_engine::{DataType, Database, Value};
+use conquer_engine::groupkey::group_sizes;
+use conquer_engine::{ColumnChunk, DataType, Database, Table, TextDict};
 
 use crate::constraints::ConstraintSet;
 use crate::error::{Result, RewriteError};
@@ -32,9 +39,15 @@ pub struct AnnotationStats {
 /// each table with a copy carrying the extra `cons` column.
 ///
 /// Errors when a constrained relation is missing from the database, already
-/// has a `cons` column, or lacks one of its key attributes.
+/// has a `cons` column, or lacks one of its key attributes — and then
+/// leaves the database as it was: every constraint is checked and every
+/// annotated table built before the first one is registered.
 pub fn annotate_database(db: &Database, sigma: &ConstraintSet) -> Result<Vec<AnnotationStats>> {
-    let mut stats = Vec::new();
+    let mut flags = TextDict::new();
+    let (consistent, inconsistent) = (flags.intern("y"), flags.intern("n"));
+    let flags = Arc::new(flags);
+
+    let mut annotated: Vec<(Table, AnnotationStats)> = Vec::new();
     for constraint in sigma.iter() {
         let table = db.table(&constraint.relation).map_err(|_| {
             RewriteError::MissingKey(format!(
@@ -54,41 +67,30 @@ pub fn annotate_database(db: &Database, sigma: &ConstraintSet) -> Result<Vec<Ann
             .map(|k| table.column_index(k).map_err(RewriteError::Engine))
             .collect::<Result<_>>()?;
 
-        // First pass: count occurrences of each key value.
-        let mut counts: HashMap<conquer_engine::value::Key, u32> =
-            HashMap::with_capacity(table.len());
-        for row in 0..table.len() {
-            let key_vals: Vec<Value> = key_indices
-                .iter()
-                .map(|i| table.cols().col(*i).value_at(row))
-                .collect();
-            *counts
-                .entry(conquer_engine::value::Key::from_values(&key_vals))
-                .or_insert(0) += 1;
-        }
-        let violated_keys = counts.values().filter(|c| **c > 1).count();
-
-        // Second pass: attach the flag.
-        let mut inconsistent = 0usize;
-        let annotated = table.with_computed_column(CONS_COLUMN, DataType::Text, |row| {
-            let key_vals: Vec<Value> = key_indices.iter().map(|i| row[*i].clone()).collect();
-            let unique = counts[&conquer_engine::value::Key::from_values(&key_vals)] == 1;
-            if unique {
-                Value::str("y")
-            } else {
-                inconsistent += 1;
-                Value::str("n")
-            }
-        });
-        db.register(annotated)?;
-        stats.push(AnnotationStats {
-            relation: constraint.relation.clone(),
+        let sizes = group_sizes(table.cols(), &key_indices);
+        let codes: Vec<u32> = sizes
+            .per_row
+            .iter()
+            .map(|&size| if size == 1 { consistent } else { inconsistent })
+            .collect();
+        let violated = sizes.per_group.iter().filter(|&&size| size > 1);
+        let stats = AnnotationStats {
+            relation: constraint.relation,
             total_tuples: table.len(),
-            inconsistent_tuples: inconsistent,
-            violated_keys,
-        });
+            inconsistent_tuples: violated.clone().map(|&size| size as usize).sum(),
+            violated_keys: violated.count(),
+        };
+        let cons = ColumnChunk::text(codes, Arc::clone(&flags));
+        annotated.push((table.with_column(CONS_COLUMN, DataType::Text, cons)?, stats));
     }
-    Ok(stats)
+
+    annotated
+        .into_iter()
+        .map(|(table, stats)| {
+            db.register(table)?;
+            Ok(stats)
+        })
+        .collect()
 }
 
 /// `true` when every constrained relation carries a `cons` column.
@@ -153,6 +155,39 @@ mod tests {
         let sigma = ConstraintSet::new().with_key("customer", ["custkey"]);
         annotate_database(&db, &sigma).unwrap();
         assert!(annotate_database(&db, &sigma).is_err());
+    }
+
+    #[test]
+    fn a_bad_constraint_annotates_nothing() {
+        let db = sample_db();
+        db.run_script(
+            "create table orders (orderkey integer, custkey text);
+             insert into orders values (1, 'c1'), (1, 'c2');
+             create table nation (nationkey integer, name text);
+             insert into nation values (1, 'PERU');",
+        )
+        .unwrap();
+        // The constraints are visited in relation order: `orders` fails
+        // after `customer` and `nation` passed.
+        let bad = ConstraintSet::new()
+            .with_key("customer", ["custkey"])
+            .with_key("nation", ["nationkey"])
+            .with_key("orders", ["no_such_attribute"]);
+        assert!(annotate_database(&db, &bad).is_err());
+        for relation in ["customer", "nation", "orders"] {
+            let one = ConstraintSet::new().with_key(relation, ["x"]);
+            assert!(!is_annotated(&db, &one), "{relation} was annotated");
+        }
+        // So the corrected set is not met by "already has a `cons` column".
+        let good = ConstraintSet::new()
+            .with_key("customer", ["custkey"])
+            .with_key("nation", ["nationkey"])
+            .with_key("orders", ["orderkey"]);
+        let stats = annotate_database(&db, &good).unwrap();
+        assert_eq!(stats.len(), 3);
+        assert!(is_annotated(&db, &good));
+        let orders = stats.iter().find(|s| s.relation == "orders").unwrap();
+        assert_eq!((orders.inconsistent_tuples, orders.violated_keys), (2, 1));
     }
 
     #[test]

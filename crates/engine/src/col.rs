@@ -128,14 +128,17 @@ impl TextDict {
         TextDict::default()
     }
 
-    /// Code for `s`, inserting it if unseen.
-    pub fn intern(&mut self, s: &Arc<str>) -> u32 {
-        if let Some(&code) = self.index.get(s) {
+    /// Code for `s`, inserting it if unseen. A hit allocates nothing; on
+    /// a miss a `&str` is copied into the one allocation the dictionary
+    /// and its index share, and an `Arc<str>` is shared as it is.
+    pub fn intern(&mut self, s: impl AsRef<str> + Into<Arc<str>>) -> u32 {
+        if let Some(&code) = self.index.get(s.as_ref()) {
             return code;
         }
         let code = self.strings.len() as u32;
-        self.strings.push(Arc::clone(s));
-        self.index.insert(Arc::clone(s), code);
+        let s: Arc<str> = s.into();
+        self.strings.push(Arc::clone(&s));
+        self.index.insert(s, code);
         code
     }
 
@@ -229,6 +232,35 @@ impl ColumnChunk {
         }
     }
 
+    /// An integer column without NULLs.
+    pub fn ints(values: Vec<i64>) -> ColumnChunk {
+        ColumnChunk::all_valid(ColumnData::Int(values))
+    }
+
+    /// A float column without NULLs.
+    pub fn floats(values: Vec<f64>) -> ColumnChunk {
+        ColumnChunk::all_valid(ColumnData::Float(values))
+    }
+
+    /// A date column (days since 1970-01-01) without NULLs.
+    pub fn dates(days: Vec<i32>) -> ColumnChunk {
+        ColumnChunk::all_valid(ColumnData::Date(days))
+    }
+
+    /// A text column without NULLs: one code into `dict` per row. Chunks
+    /// built over one `Arc` share the dictionary, and
+    /// [`concat`](ColumnChunk::concat) appends their codes as they are.
+    pub fn text(codes: Vec<u32>, dict: Arc<TextDict>) -> ColumnChunk {
+        ColumnChunk::all_valid(ColumnData::Text { codes, dict })
+    }
+
+    fn all_valid(data: ColumnData) -> ColumnChunk {
+        ColumnChunk {
+            data,
+            validity: None,
+        }
+    }
+
     pub fn len(&self) -> usize {
         self.data.len()
     }
@@ -281,7 +313,7 @@ impl ColumnChunk {
             (ColumnData::Date(xs), Value::Date(x)) => xs.push(x),
             (ColumnData::Bool(xs), Value::Bool(x)) => xs.push(x),
             (ColumnData::Text { codes, dict }, Value::Str(s)) => {
-                codes.push(Arc::make_mut(dict).intern(&s));
+                codes.push(Arc::make_mut(dict).intern(s));
             }
             _ => unreachable!("push: fits was checked above"),
         }
@@ -484,7 +516,7 @@ impl ColumnChunk {
                         }
                         let slot = &mut recode[code as usize];
                         if *slot == u32::MAX {
-                            *slot = merged.intern(theirs.get(code));
+                            *slot = merged.intern(Arc::clone(theirs.get(code)));
                         }
                         out.push(*slot);
                     }
@@ -742,9 +774,10 @@ mod tests {
         let mut d = TextDict::new();
         let a: Arc<str> = Arc::from("alpha");
         let b: Arc<str> = Arc::from("beta");
-        assert_eq!(d.intern(&a), 0);
-        assert_eq!(d.intern(&b), 1);
-        assert_eq!(d.intern(&Arc::from("alpha")), 0);
+        assert_eq!(d.intern(Arc::clone(&a)), 0);
+        assert_eq!(d.intern(b), 1);
+        assert_eq!(d.intern("alpha"), 0);
+        assert!(Arc::ptr_eq(d.get(0), &a), "an Arc is shared, not copied");
         assert_eq!(d.lookup("beta"), Some(1));
         assert_eq!(d.lookup("gamma"), None);
         assert_eq!(d.len(), 2);

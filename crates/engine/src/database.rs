@@ -1,6 +1,6 @@
 //! The database: a catalog of named tables plus the query entry points.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -179,8 +179,19 @@ impl Database {
         // Then the WAL tail. Each record replays as exactly one apply (one
         // epoch bump), mirroring the original mutation, so the recovered
         // epochs land exactly where they were before the crash.
+        // Replayed inserts carry their table's statistics over unchanged;
+        // the tables they touched (`stale`) are collected once each when
+        // the tail ends, not once per record.
+        let mut stale = BTreeSet::new();
         for record in &recovered.wal_records {
-            db.apply_wal_record(record)?;
+            db.apply_wal_record(record, &mut stale)?;
+        }
+        for name in stale {
+            // A later record may have dropped the table.
+            if let Ok(table) = db.table(&name) {
+                let stats = Arc::new(TableStats::collect(table.cols()));
+                write_lock(&db.table_stats).insert(name, stats);
+            }
         }
         db.durability = Some(Durability {
             store,
@@ -298,7 +309,9 @@ impl Database {
     }
 
     /// Replay one recovered WAL record against the in-memory catalog.
-    fn apply_wal_record(&self, record: &WalRecord) -> Result<()> {
+    /// An insert adds its table to `stale`: the statistics it leaves
+    /// installed predate the rows it replayed.
+    fn apply_wal_record(&self, record: &WalRecord, stale: &mut BTreeSet<String>) -> Result<()> {
         match record.kind {
             KIND_CREATE => {
                 let (name, schema) = durable::decode_create(&record.payload)?;
@@ -320,8 +333,11 @@ impl Database {
                 for row in rows {
                     table.push(row)?;
                 }
-                let stats = Arc::new(TableStats::collect(table.cols()));
+                let stats = self.table_stats(&name).ok_or_else(|| {
+                    EngineError::Storage(format!("table `{name}` has no statistics"))
+                })?;
                 self.apply_register(table, stats);
+                stale.insert(name);
                 Ok(())
             }
             KIND_SNAPSHOT => {

@@ -7,8 +7,11 @@
 //! ([`GroupTable`]), and aggregate state is one typed vector per aggregate,
 //! indexed by group id ([`Partition`]). A semi/anti join's build side is
 //! the same table without the state ([`KeyPartition`]), looked up — never
-//! added to — with the probe side's key columns ([`KeySet`]). No `Value`,
-//! `Key` or row is built per input row on the typed paths.
+//! added to — with the probe side's key columns ([`KeySet`]). Two serial
+//! whole-batch passes serve the load path: [`group_sizes`] (how many rows
+//! share each row's key — the `cons` annotation) and [`distinct_capped`]
+//! (a column's NDV for the planner's statistics). No `Value`, `Key` or row
+//! is built per input row on the typed paths.
 //!
 //! # Invariants
 //!
@@ -506,6 +509,73 @@ impl<'a> KeySet<'a> {
         }
         matches
     }
+}
+
+/// Rows hashed per step of the serial whole-batch passes below: the hashes
+/// of one step stay in cache until the table has consumed them.
+const SERIAL_BLOCK: usize = 4096;
+
+fn serial_blocks(len: usize) -> impl Iterator<Item = Range<usize>> {
+    (0..len)
+        .step_by(SERIAL_BLOCK)
+        .map(move |lo| lo..(lo + SERIAL_BLOCK).min(len))
+}
+
+/// What [`group_sizes`] found.
+pub struct GroupSizes {
+    /// For each row, how many rows of the batch carry its key (itself
+    /// included, so never 0).
+    pub per_row: Vec<u32>,
+    /// The size of each key group, in first-seen order.
+    pub per_group: Vec<u32>,
+}
+
+/// How many rows of `batch` share each row's key over the columns
+/// `key_idx`, under GROUP BY's equality (invariant 1): NULL groups with
+/// NULL, as a `Key` built from the row's values would. One typed pass.
+pub fn group_sizes(batch: &ColBatch, key_idx: &[usize]) -> GroupSizes {
+    let keys = KeyCols::new(batch, key_idx);
+    let mut table = GroupTable::new();
+    let mut per_row = Vec::with_capacity(batch.len());
+    let mut per_group: Vec<u32> = Vec::new();
+    let mut hashes = Vec::new();
+    for block in serial_blocks(batch.len()) {
+        keys.hash_range(block.clone(), &mut hashes);
+        for (i, &h) in block.zip(&hashes) {
+            let g = table.group_of(&keys, i as u32, h);
+            if g as usize == per_group.len() {
+                per_group.push(0);
+            }
+            per_group[g as usize] += 1;
+            per_row.push(g);
+        }
+    }
+    for slot in &mut per_row {
+        *slot = per_group[*slot as usize];
+    }
+    GroupSizes { per_row, per_group }
+}
+
+/// The number of distinct non-NULL values in column `col` of `batch`, by
+/// the same equality, or `None` as soon as more than `cap` have been seen
+/// (the rest of the column is then not read).
+pub fn distinct_capped(batch: &ColBatch, col: usize, cap: usize) -> Option<usize> {
+    let keys = KeyCols::new(batch, &[col]);
+    let nullable = keys.nullable();
+    let mut table = GroupTable::new();
+    let mut hashes = Vec::new();
+    for block in serial_blocks(batch.len()) {
+        keys.hash_range(block.clone(), &mut hashes);
+        for (i, &h) in block.zip(&hashes) {
+            if !(nullable && keys.has_null(i)) {
+                table.group_of(&keys, i as u32, h);
+            }
+        }
+        if table.first_rows.len() > cap {
+            return None;
+        }
+    }
+    Some(table.first_rows.len())
 }
 
 /// One aggregate the kernel computes: `col` is the argument's column in
@@ -1214,6 +1284,50 @@ mod tests {
         );
         assert_eq!(semi_rows(&build, &probe, 2), vec![0]);
         assert_eq!(reference_semi_rows(&build, &probe), vec![0]);
+    }
+
+    #[test]
+    fn group_sizes_and_distinct_counts_are_key_values() {
+        let rows: Vec<Row> = (0..9000)
+            .map(|i| {
+                vec![
+                    if i % 50 == 7 {
+                        Value::Null
+                    } else {
+                        Value::Int(i % 4000)
+                    },
+                    Value::str(format!("s{}", i % 2)),
+                ]
+            })
+            .collect();
+        let b = batch(&[DataType::Integer, DataType::Text], rows);
+        // Sizes through `Key`: NULL groups with NULL.
+        let mut counts: HashMap<Key, u32> = HashMap::new();
+        for row in b.rows() {
+            *counts.entry(Key::from_values(row)).or_insert(0) += 1;
+        }
+        let sizes = group_sizes(&b, &[0, 1]);
+        let expected: Vec<u32> = b
+            .rows()
+            .iter()
+            .map(|row| counts[&Key::from_values(row)])
+            .collect();
+        assert_eq!(sizes.per_row, expected);
+        assert_eq!(sizes.per_group.len(), counts.len());
+        assert_eq!(sizes.per_group.iter().sum::<u32>(), 9000);
+        // Distinct non-NULL values, exact up to the cap and `None` past it.
+        let distinct: HashSet<Key> = b
+            .rows()
+            .iter()
+            .map(|row| Key::from_values(&row[..1]))
+            .filter(|k| !k.has_null())
+            .collect();
+        assert_eq!(distinct_capped(&b, 0, distinct.len()), Some(distinct.len()));
+        assert_eq!(distinct_capped(&b, 0, distinct.len() - 1), None);
+        assert_eq!(distinct_capped(&b, 1, 2), Some(2));
+        let empty = batch(&[DataType::Integer], vec![]);
+        assert_eq!(distinct_capped(&empty, 0, 0), Some(0));
+        assert!(group_sizes(&empty, &[0]).per_row.is_empty());
     }
 
     #[test]

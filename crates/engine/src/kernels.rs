@@ -958,7 +958,7 @@ impl Evaluated {
             Evaluated::Scalar(Value::Bool(x)) => ColumnData::Bool(vec![x; n]),
             Evaluated::Scalar(Value::Str(s)) => {
                 let mut dict = TextDict::new();
-                let code = dict.intern(&s);
+                let code = dict.intern(s);
                 ColumnData::Text {
                     codes: vec![code; n],
                     dict: Arc::new(dict),

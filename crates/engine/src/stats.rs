@@ -8,7 +8,9 @@
 //!
 //! [`TableStats`] / [`ColumnStats`] are collected eagerly whenever a table
 //! is registered (`CREATE TABLE` + every `INSERT` re-registers, so stats
-//! are never stale) and exposed through the catalog
+//! are never stale; recovery collects once per table after replaying the
+//! WAL tail), column by column over each column's typed layout
+//! ([`TableStats::collect`]), and exposed through the catalog
 //! ([`crate::Database::table_stats`]); they are installed before the
 //! table's new [version](crate::Database::table_version) is published, so
 //! plan caches that check versions never keep a plan costed against older
@@ -18,7 +20,7 @@
 use std::collections::HashSet;
 use std::time::Duration;
 
-use crate::col::ColBatch;
+use crate::col::{Bitmap, ColBatch, ColumnChunk, ColumnData};
 use crate::plan::Plan;
 use crate::value::{KeyValue, Value};
 
@@ -139,49 +141,113 @@ pub(crate) fn numeric_of(v: &Value) -> Option<f64> {
 }
 
 impl TableStats {
-    /// Collect statistics over a batch, one pass per column: NDV
-    /// (hash-set, capped), null count, numeric min/max. Reads the columns
-    /// in place — a row pivot of a stored table would stay cached in it.
+    /// Collect statistics over a batch, one typed pass per column over the
+    /// column's own layout: null count off the validity bitmap, numeric
+    /// min/max folded in row order, NDV from the dictionary codes in use
+    /// (text: a dictionary may hold strings no row uses any more, and
+    /// nothing is hashed) or from the group-key kernel (numbers and dates,
+    /// which stops reading once [`NDV_CAP`] is passed). Only an `Any`
+    /// column is read `Value` by `Value`. Nothing is pivoted: a row copy
+    /// of a stored table would stay cached in it.
     pub fn collect(batch: &ColBatch) -> TableStats {
-        let row_count = batch.len() as u64;
-        let columns = batch
-            .cols()
-            .iter()
-            .map(|chunk| {
-                let mut col = ColumnStats {
-                    ndv: 0,
-                    null_count: 0,
-                    min: None,
-                    max: None,
-                };
-                let mut distinct = Some(HashSet::new());
-                for i in 0..batch.len() {
-                    let v = chunk.value_at(i);
-                    if v.is_null() {
-                        col.null_count += 1;
-                        continue;
-                    }
-                    if let Some(set) = &mut distinct {
-                        set.insert(KeyValue::from(&v));
-                        if set.len() > NDV_CAP {
-                            distinct = None;
-                        }
-                    }
-                    if let Some(n) = numeric_of(&v) {
-                        col.min = Some(col.min.map_or(n, |m| m.min(n)));
-                        col.max = Some(col.max.map_or(n, |m| m.max(n)));
-                    }
-                }
-                col.ndv = match distinct {
-                    Some(set) => set.len() as u64,
-                    // Cap blown: assume key-like (every non-null value distinct).
-                    None => row_count - col.null_count,
-                };
-                col
-            })
-            .collect();
-        TableStats { row_count, columns }
+        TableStats {
+            row_count: batch.len() as u64,
+            columns: (0..batch.width()).map(|c| column_stats(batch, c)).collect(),
+        }
     }
+}
+
+/// The non-NULL cells of a typed column, in row order.
+fn valid<'a, T: Copy>(xs: &'a [T], validity: Option<&'a Bitmap>) -> impl Iterator<Item = T> + 'a {
+    xs.iter()
+        .enumerate()
+        .filter(move |(i, _)| validity.is_none_or(|bm| bm.get(*i)))
+        .map(|(_, &x)| x)
+}
+
+/// Min and max of `values` (none of them NaN), folded in the order given
+/// so that which of `-0.0` / `0.0` wins is the same on every path.
+fn range(values: impl Iterator<Item = f64>) -> (Option<f64>, Option<f64>) {
+    let (mut min, mut max) = (None, None);
+    for n in values {
+        min = Some(min.map_or(n, |m: f64| m.min(n)));
+        max = Some(max.map_or(n, |m: f64| m.max(n)));
+    }
+    (min, max)
+}
+
+fn column_stats(batch: &ColBatch, c: usize) -> ColumnStats {
+    let chunk = batch.col(c);
+    let validity = chunk.validity.as_ref();
+    let non_null = validity.map_or(chunk.len(), Bitmap::count_set);
+    let kernel_ndv = || crate::groupkey::distinct_capped(batch, c, NDV_CAP);
+    let (distinct, (min, max)) = match &chunk.data {
+        ColumnData::Any(_) => return column_stats_by_value(chunk),
+        ColumnData::Int(xs) => (kernel_ndv(), range(valid(xs, validity).map(|x| x as f64))),
+        ColumnData::Float(xs) => (
+            kernel_ndv(),
+            range(valid(xs, validity).filter(|x| !x.is_nan())),
+        ),
+        ColumnData::Date(xs) => (kernel_ndv(), range(valid(xs, validity).map(f64::from))),
+        ColumnData::Bool(xs) => {
+            let mut seen = [false; 2];
+            valid(xs, validity).for_each(|b| seen[usize::from(b)] = true);
+            let distinct = seen.iter().filter(|&&s| s).count();
+            let as_f64 = |b: bool| if b { 1.0 } else { 0.0 };
+            (Some(distinct), range(valid(xs, validity).map(as_f64)))
+        }
+        ColumnData::Text { codes, dict } => {
+            let mut used = vec![false; dict.len()];
+            valid(codes, validity).for_each(|code| used[code as usize] = true);
+            (Some(used.iter().filter(|&&u| u).count()), (None, None))
+        }
+    };
+    ColumnStats {
+        ndv: match distinct {
+            Some(n) if n <= NDV_CAP => n as u64,
+            // Cap blown: assume key-like (every non-null value distinct).
+            _ => non_null as u64,
+        },
+        null_count: (chunk.len() - non_null) as u64,
+        min,
+        max,
+    }
+}
+
+/// One column's statistics read `Value` by `Value`: what an `Any` column
+/// gets, and the definition the typed arms of [`column_stats`] are tested
+/// against.
+fn column_stats_by_value(chunk: &ColumnChunk) -> ColumnStats {
+    let mut col = ColumnStats {
+        ndv: 0,
+        null_count: 0,
+        min: None,
+        max: None,
+    };
+    let mut distinct = Some(HashSet::new());
+    for i in 0..chunk.len() {
+        let v = chunk.value_at(i);
+        if v.is_null() {
+            col.null_count += 1;
+            continue;
+        }
+        if let Some(set) = &mut distinct {
+            set.insert(KeyValue::from(&v));
+            if set.len() > NDV_CAP {
+                distinct = None;
+            }
+        }
+        if let Some(n) = numeric_of(&v) {
+            col.min = Some(col.min.map_or(n, |m| m.min(n)));
+            col.max = Some(col.max.map_or(n, |m| m.max(n)));
+        }
+    }
+    col.ndv = match distinct {
+        Some(set) => set.len() as u64,
+        // Cap blown: assume key-like (every non-null value distinct).
+        None => chunk.len() as u64 - col.null_count,
+    };
+    col
 }
 
 #[cfg(test)]
@@ -251,6 +317,149 @@ mod tests {
         assert_eq!(s.row_count, 0);
         assert_eq!(s.columns.len(), 2);
         assert_eq!(s.columns[0].null_fraction(0), 0.0);
+    }
+
+    /// The typed arms against the `Value` loop, column by column.
+    fn assert_matches_oracle(batch: &ColBatch, what: &str) {
+        let got = TableStats::collect(batch);
+        assert_eq!(got.row_count, batch.len() as u64);
+        for (c, got) in got.columns.iter().enumerate() {
+            let want = column_stats_by_value(batch.col(c));
+            assert_eq!(got, &want, "{what}, column {c}");
+            // `==` on f64 equates the zeros: the sign must agree too.
+            let bits = |x: Option<f64>| x.map(f64::to_bits);
+            assert_eq!(
+                (bits(got.min), bits(got.max)),
+                (bits(want.min), bits(want.max)),
+                "{what}, column {c}: sign of a zero bound"
+            );
+        }
+    }
+
+    #[test]
+    fn typed_collect_matches_the_value_loop() {
+        use crate::schema::{Column, DataType, Schema};
+        use crate::table::Row;
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 33) % n
+        };
+        let nan2 = f64::from_bits(f64::NAN.to_bits() ^ 1);
+        let floats = [
+            0.0,
+            -0.0,
+            1.0,
+            2.5,
+            -3.0,
+            1e300,
+            f64::NAN,
+            nan2,
+            f64::INFINITY,
+        ];
+        let types = [
+            DataType::Integer,
+            DataType::Float,
+            DataType::Date,
+            DataType::Boolean,
+            DataType::Text,
+            DataType::Any,
+        ];
+        let schema = Schema::new(types.iter().map(|&ty| Column::bare("c", ty)).collect());
+        for round in 0..40 {
+            let len = [0, 1, 7, 300][round % 4];
+            let null_every = [0, 2, 5][round % 3];
+            let rows: Vec<Row> = (0..len)
+                .map(|_| {
+                    let mut row = vec![
+                        Value::Int(draw(9) as i64 - 4),
+                        Value::Float(floats[draw(floats.len() as u64) as usize]),
+                        Value::Date(draw(40) as i32 - 20),
+                        Value::Bool(draw(2) == 0),
+                        Value::str(format!("s{}", draw(12))),
+                        // Int(2) and Float(2.0) are one value; a string is
+                        // another, with no numeric reading.
+                        match draw(4) {
+                            0 => Value::Int(2),
+                            1 => Value::Float(2.0),
+                            2 => Value::str("2"),
+                            _ => Value::Float(-0.0),
+                        },
+                    ];
+                    for v in &mut row {
+                        if null_every > 0 && draw(null_every) == 0 {
+                            *v = Value::Null;
+                        }
+                    }
+                    row
+                })
+                .collect();
+            let batch = ColBatch::from_rows(&schema, rows);
+            assert_matches_oracle(&batch, &format!("round {round}"));
+            // A gathered batch keeps the dictionary of the one it came
+            // from: strings no row uses any more are not distinct values.
+            let every_third: Vec<u32> = (0..len as u32).step_by(3).collect();
+            assert_matches_oracle(
+                &batch.gather(&every_third),
+                &format!("round {round} gathered"),
+            );
+        }
+        // Zeros of both signs in both orders: which one a bound keeps
+        // depends on the fold order, which the typed arm must share.
+        for zeros in [[0.0, -0.0], [-0.0, 0.0]] {
+            let rows = zeros.iter().map(|&z| vec![Value::Float(z)]).collect();
+            let schema = Schema::new(vec![Column::bare("c", DataType::Float)]);
+            assert_matches_oracle(&ColBatch::from_rows(&schema, rows), "zeros");
+        }
+    }
+
+    #[test]
+    fn ndv_cap_rule_is_the_same_on_every_layout() {
+        use crate::col::TextDict;
+        use std::sync::Arc;
+        // One past the cap, with a NULL and a repeat: key-like, NDV reads
+        // as the non-null count. At the cap exactly it is still exact.
+        for distinct in [NDV_CAP, NDV_CAP + 1] {
+            let n = distinct + 2;
+            let value = |i: usize| (i % distinct) as i64;
+            let mut validity = Bitmap::with_capacity(n);
+            (0..n).for_each(|i| validity.push(i != 0));
+            let mut dict = TextDict::new();
+            let codes = (0..n)
+                .map(|i| dict.intern(format!("s{}", value(i)).as_str()))
+                .collect();
+            let with_null = |data| ColumnChunk {
+                data,
+                validity: Some(validity.clone()),
+            };
+            let cols = vec![
+                with_null(ColumnData::Int((0..n).map(value).collect())),
+                with_null(ColumnData::Float(
+                    (0..n).map(|i| value(i) as f64 + 0.5).collect(),
+                )),
+                with_null(ColumnData::Date((0..n).map(|i| value(i) as i32).collect())),
+                with_null(ColumnData::Text {
+                    codes,
+                    dict: Arc::new(dict),
+                }),
+                ColumnChunk {
+                    data: ColumnData::Any((0..n).map(|i| Value::Int(value(i))).collect()),
+                    validity: None,
+                },
+            ];
+            let batch = ColBatch::from_chunks(n, cols.into_iter().map(Arc::new).collect());
+            assert_matches_oracle(&batch, &format!("{distinct} distinct"));
+            let stats = TableStats::collect(&batch);
+            let expected = if distinct > NDV_CAP {
+                n as u64 - 1
+            } else {
+                distinct as u64
+            };
+            assert_eq!(stats.columns[0].ndv, expected);
+            assert_eq!(stats.columns[3].ndv, expected);
+        }
     }
 
     #[test]

@@ -1,14 +1,18 @@
 //! Stored tables and transient row batches.
 //!
 //! Tables hold their data in columnar form (a [`ColBatch`]): typed
-//! fixed-width columns, dictionary-encoded text, validity bitmaps. The
-//! row-oriented [`Rows`] type remains the query *result* shape and the
-//! interchange format for operators that still work row-at-a-time; a
-//! table's rows are pivoted out of the batch lazily and cached.
+//! fixed-width columns, dictionary-encoded text, validity bitmaps. A table
+//! is *built from columns* — [`Table::from_columns`] takes one checked
+//! [`ColumnChunk`] per column, [`Table::with_column`] adds one to a copy
+//! that shares the rest — and grows by rows only through `INSERT`'s
+//! [`Table::push`]. The row-oriented [`Rows`] type remains the query
+//! *result* shape and the interchange format for operators that still work
+//! row-at-a-time; a table's rows are pivoted out of the batch lazily and
+//! cached.
 
 use std::sync::Arc;
 
-use crate::col::ColBatch;
+use crate::col::{ColBatch, ColumnChunk, ColumnData};
 use crate::error::{EngineError, Result};
 use crate::schema::{Column, DataType, Schema};
 use crate::value::Value;
@@ -198,29 +202,47 @@ impl Table {
         }
     }
 
-    /// A copy of this table extended with one extra column computed from
-    /// each row (used by the annotation pass).
-    pub fn with_computed_column(
-        &self,
-        name: &str,
-        ty: DataType,
-        mut f: impl FnMut(&Row) -> Value,
-    ) -> Table {
+    /// A table over ready-made columns, one `(name, declared type, chunk)`
+    /// each — the bulk-load entry point. Checked, so a bad chunk is an
+    /// error here and never a panic in a later scan: all chunks have one
+    /// length, a chunk is laid out for its declared type or is `Any`
+    /// (whose values must then fit the type, as [`Table::push`] demands),
+    /// a validity bitmap covers its chunk exactly, and every text code is
+    /// inside its dictionary.
+    pub fn from_columns(
+        name: impl Into<String>,
+        columns: Vec<(&str, DataType, ColumnChunk)>,
+    ) -> Result<Table> {
+        let name = name.into();
+        let len = columns.first().map_or(0, |(_, _, chunk)| chunk.len());
+        let mut schema = Vec::with_capacity(columns.len());
+        let mut chunks = Vec::with_capacity(columns.len());
+        for (column, ty, chunk) in columns {
+            check_chunk(&name, column, ty, &chunk, len)?;
+            schema.push(Column::bare(column, ty));
+            chunks.push(Arc::new(chunk));
+        }
+        Ok(Table {
+            name,
+            schema: Schema::new(schema),
+            cols: ColBatch::from_chunks(len, chunks),
+        })
+    }
+
+    /// A copy of this table with one more column (the annotation pass adds
+    /// `cons` this way). The existing columns are shared, not copied; the
+    /// new chunk is checked as [`Table::from_columns`] checks its own.
+    pub fn with_column(&self, name: &str, ty: DataType, chunk: ColumnChunk) -> Result<Table> {
+        check_chunk(&self.name, name, ty, &chunk, self.len())?;
         let mut schema = self.schema.clone();
         schema.columns.push(Column::bare(name, ty));
-        // Existing columns are shared; only the computed column is built.
-        let mut computed = crate::col::ColumnChunk::for_type(ty);
-        for i in 0..self.cols.len() {
-            let row = self.cols.row_at(i);
-            computed.push(f(&row));
-        }
-        let mut chunks: Vec<Arc<crate::col::ColumnChunk>> = self.cols.cols().to_vec();
-        chunks.push(Arc::new(computed));
-        Table {
+        let mut chunks = self.cols.cols().to_vec();
+        chunks.push(Arc::new(chunk));
+        Ok(Table {
             name: self.name.clone(),
             schema,
-            cols: ColBatch::from_chunks(self.cols.len(), chunks),
-        }
+            cols: ColBatch::from_chunks(self.len(), chunks),
+        })
     }
 
     /// Snapshot the table's data as a shareable columnar batch (shallow:
@@ -228,6 +250,56 @@ impl Table {
     pub fn batch(&self) -> ColBatch {
         self.cols.clone()
     }
+}
+
+/// Is `chunk` a valid column `table.column` of type `ty` and `len` rows?
+fn check_chunk(
+    table: &str,
+    column: &str,
+    ty: DataType,
+    chunk: &ColumnChunk,
+    len: usize,
+) -> Result<()> {
+    let bad = |what: String| {
+        Err(EngineError::TypeError(format!(
+            "column `{table}.{column}`: {what}"
+        )))
+    };
+    if chunk.len() != len {
+        return bad(format!("{} rows where {len} are expected", chunk.len()));
+    }
+    if let Some(bm) = &chunk.validity {
+        if bm.len() != len || matches!(chunk.data, ColumnData::Any(_)) {
+            return bad("validity bitmap does not fit the chunk".into());
+        }
+    }
+    let layout_fits = match (&chunk.data, ty) {
+        (ColumnData::Any(values), _) => values.iter().all(|v| type_compatible(v, ty)),
+        (_, DataType::Any) => true,
+        (ColumnData::Int(_), DataType::Integer)
+        | (ColumnData::Float(_), DataType::Float)
+        | (ColumnData::Date(_), DataType::Date)
+        | (ColumnData::Bool(_), DataType::Boolean)
+        | (ColumnData::Text { .. }, DataType::Text) => true,
+        _ => false,
+    };
+    if !layout_fits {
+        return bad(format!("chunk does not hold values of type {ty:?}"));
+    }
+    if let ColumnData::Text { codes, dict } = &chunk.data {
+        // NULL slots hold a placeholder code that is never read.
+        let outside = codes
+            .iter()
+            .enumerate()
+            .any(|(i, &code)| code as usize >= dict.len() && !chunk.is_null(i));
+        if outside {
+            return bad(format!(
+                "text code outside its {}-entry dictionary",
+                dict.len()
+            ));
+        }
+    }
+    Ok(())
 }
 
 fn type_compatible(value: &Value, ty: DataType) -> bool {
@@ -269,12 +341,79 @@ mod tests {
     fn computed_column() {
         let mut t = Table::new("t", vec![("a", DataType::Integer)]);
         t.push(vec![Value::Int(5)]).unwrap();
-        let t2 = t.with_computed_column("doubled", DataType::Integer, |r| {
-            let Value::Int(v) = r[0] else { panic!() };
-            Value::Int(v * 2)
-        });
+        let t2 = t
+            .with_column("doubled", DataType::Integer, ColumnChunk::ints(vec![10]))
+            .unwrap();
         assert_eq!(t2.rows()[0], vec![Value::Int(5), Value::Int(10)]);
         assert_eq!(t2.schema().columns[1].name, "doubled");
+        assert!(Arc::ptr_eq(&t.cols().cols()[0], &t2.cols().cols()[0]));
+        // One row too many, and a layout the type does not admit.
+        assert!(t
+            .with_column("x", DataType::Integer, ColumnChunk::ints(vec![1, 2]))
+            .is_err());
+        assert!(t
+            .with_column("x", DataType::Integer, ColumnChunk::floats(vec![1.0]))
+            .is_err());
+    }
+
+    #[test]
+    fn from_columns_checks_what_it_is_given() {
+        use crate::col::{Bitmap, TextDict};
+        let mut dict = TextDict::new();
+        dict.intern("x");
+        let dict = Arc::new(dict);
+        let text = |codes| ColumnChunk::text(codes, Arc::clone(&dict));
+        let t = Table::from_columns(
+            "t",
+            vec![
+                ("a", DataType::Integer, ColumnChunk::ints(vec![1, 2])),
+                ("b", DataType::Text, text(vec![0, 0])),
+                // `Any` is a layout every type admits, value by value.
+                (
+                    "c",
+                    DataType::Float,
+                    ColumnChunk::from_values([Value::Int(1), Value::Float(0.5)]),
+                ),
+                ("d", DataType::Any, ColumnChunk::dates(vec![3, 4])),
+            ],
+        )
+        .unwrap();
+        assert_eq!(t.len(), 2);
+        assert_eq!(
+            t.row_at(1),
+            vec![
+                Value::Int(2),
+                Value::str("x"),
+                Value::Float(0.5),
+                Value::Date(4)
+            ]
+        );
+        assert_eq!(Table::from_columns("e", vec![]).unwrap().len(), 0);
+
+        let rejected = |ty, chunk| {
+            let first = ("a", DataType::Integer, ColumnChunk::ints(vec![1, 2]));
+            Table::from_columns("t", vec![first, ("b", ty, chunk)]).is_err()
+        };
+        // Ragged.
+        assert!(rejected(DataType::Integer, ColumnChunk::ints(vec![1])));
+        // Mistyped: a typed layout, and an `Any` value the type refuses.
+        assert!(rejected(
+            DataType::Integer,
+            ColumnChunk::floats(vec![1.0, 2.0])
+        ));
+        assert!(rejected(DataType::Date, text(vec![0, 0])));
+        let strings = ColumnChunk::from_values([Value::Int(1), Value::str("x")]);
+        assert!(rejected(DataType::Integer, strings));
+        // A code outside the dictionary; under a cleared validity bit it
+        // is a placeholder nothing reads.
+        assert!(rejected(DataType::Text, text(vec![0, 1])));
+        let mut second_is_null = text(vec![0, 1]);
+        second_is_null.validity = Bitmap::from_flags(&[true, false]);
+        assert!(!rejected(DataType::Text, second_is_null));
+        // A validity bitmap of another length.
+        let mut short_bitmap = ColumnChunk::ints(vec![1, 2]);
+        short_bitmap.validity = Bitmap::from_flags(&[false]);
+        assert!(rejected(DataType::Integer, short_bitmap));
     }
 
     #[test]

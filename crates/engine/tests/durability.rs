@@ -6,7 +6,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use conquer_engine::{DataType, Database, DurabilityOptions, SyncPolicy, Value};
+use conquer_engine::{ColumnChunk, DataType, Database, DurabilityOptions, SyncPolicy, Value};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("conquer-durability-{}-{tag}", std::process::id()));
@@ -169,13 +169,8 @@ fn annotations_survive_restart() {
         // table with a copy carrying the computed `cons` column. register()
         // logs it as a snapshot record.
         let table = db.table("customer").unwrap();
-        let annotated = table.with_computed_column("cons", DataType::Text, |row| {
-            if row[0] == Value::str("c2") {
-                Value::str("y")
-            } else {
-                Value::str("n")
-            }
-        });
+        let flags = ColumnChunk::from_values(["n", "n", "y"].map(Value::str));
+        let annotated = table.with_column("cons", DataType::Text, flags).unwrap();
         db.register(annotated).unwrap();
     }
     let db = open(&dir);

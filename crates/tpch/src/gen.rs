@@ -9,13 +9,27 @@
 //! columns are shortened to keep the in-memory footprint low; no benchmark
 //! query reads them.
 //!
+//! Tables are generated column-at-a-time: every `fill_*` appends to one
+//! typed vector per column and hands the set to [`Table::from_columns`]; no
+//! tuple is ever boxed into a row of `Value`s. Text whose vocabulary is
+//! known before the first row (flags, modes, priorities, segments, part
+//! types, containers, clerks, the 144 comment phrases) is written as codes
+//! against a ready-made dictionary; text formatted per row (names,
+//! addresses, phones) is written into one reused buffer and interned from
+//! there.
+//!
 //! Generation is deterministic for a given seed regardless of thread count:
 //! orders/lineitems are produced in fixed chunks, each chunk seeded
-//! independently, and assembled in chunk order (std scoped threads).
+//! independently, and the chunks' column sets are laid end to end in chunk
+//! order by [`ColumnChunk::concat`] (std scoped threads). The order of RNG
+//! draws is part of the format — `tests/load_golden.rs` pins the data.
+
+use std::fmt::Write as _;
+use std::sync::Arc;
 
 use crate::rng::StdRng;
 
-use conquer_engine::{Database, Row, Value};
+use conquer_engine::{ColumnChunk, Database, Table, TextDict};
 use conquer_sql::dates::ymd_to_days;
 
 use crate::schema::create_tables;
@@ -125,90 +139,170 @@ fn money(rng: &mut StdRng, lo_cents: i64, hi_cents: i64) -> f64 {
     rng.gen_range(lo_cents..=hi_cents) as f64 / 100.0
 }
 
-fn phone(rng: &mut StdRng, nation: i64) -> String {
-    format!(
-        "{}-{:03}-{:03}-{:04}",
-        10 + nation,
-        rng.gen_range(100..1000),
-        rng.gen_range(100..1000),
-        rng.gen_range(1000..10000)
-    )
+/// A dictionary holding exactly `strings`, so that the code of the `i`-th
+/// is `i` and a generator writes codes without looking anything up.
+fn vocabulary<S: AsRef<str>>(strings: impl IntoIterator<Item = S>) -> Arc<TextDict> {
+    let mut dict = TextDict::new();
+    for (code, s) in strings.into_iter().enumerate() {
+        let got = dict.intern(s.as_ref());
+        assert_eq!(got as usize, code, "vocabulary entries are distinct");
+    }
+    Arc::new(dict)
 }
 
-fn short_text(rng: &mut StdRng) -> String {
-    const WORDS: [&str; 12] = [
-        "furiously",
-        "quick",
-        "pending",
-        "final",
-        "ironic",
-        "even",
-        "bold",
-        "regular",
-        "express",
-        "silent",
-        "blithe",
-        "careful",
-    ];
-    let a = WORDS[rng.gen_range(0..WORDS.len())];
-    let b = WORDS[rng.gen_range(0..WORDS.len())];
-    format!("{a} {b} deposits")
+const COMMENT_WORDS: [&str; 12] = [
+    "furiously",
+    "quick",
+    "pending",
+    "final",
+    "ironic",
+    "even",
+    "bold",
+    "regular",
+    "express",
+    "silent",
+    "blithe",
+    "careful",
+];
+
+/// The 144 phrases a comment column draws from, in [`short_text`]'s codes.
+fn comment_vocabulary() -> Arc<TextDict> {
+    vocabulary(COMMENT_WORDS.iter().flat_map(|a| {
+        COMMENT_WORDS
+            .iter()
+            .map(move |b| format!("{a} {b} deposits"))
+    }))
+}
+
+/// A comment, as its code in [`comment_vocabulary`].
+fn short_text(rng: &mut StdRng) -> u32 {
+    let a = rng.gen_range(0..COMMENT_WORDS.len());
+    let b = rng.gen_range(0..COMMENT_WORDS.len());
+    (a * COMMENT_WORDS.len() + b) as u32
+}
+
+/// A text column whose values are formatted per row: each is written into
+/// one reused buffer and interned from there, so a repeated value costs no
+/// allocation and a new one exactly its dictionary entry.
+#[derive(Default)]
+struct TextColumn {
+    codes: Vec<u32>,
+    dict: TextDict,
+    buf: String,
+}
+
+impl TextColumn {
+    fn push(&mut self, value: std::fmt::Arguments<'_>) {
+        self.buf.clear();
+        self.buf
+            .write_fmt(value)
+            .expect("formatting into a String cannot fail");
+        self.codes.push(self.dict.intern(self.buf.as_str()));
+    }
+
+    fn push_phone(&mut self, rng: &mut StdRng, nation: i64) {
+        let (a, b) = (rng.gen_range(100..1000), rng.gen_range(100..1000));
+        let c = rng.gen_range(1000..10000);
+        self.push(format_args!("{}-{a:03}-{b:03}-{c:04}", 10 + nation));
+    }
+
+    fn finish(self) -> ColumnChunk {
+        ColumnChunk::text(self.codes, Arc::new(self.dict))
+    }
+}
+
+/// Replace the empty table `name` (from [`create_tables`]) by one holding
+/// `columns`, which follow its schema's order and types.
+fn load(db: &Database, name: &str, columns: Vec<ColumnChunk>) {
+    let empty = db.table(name).expect("created by create_tables");
+    let schema = &empty.schema().columns;
+    assert_eq!(
+        schema.len(),
+        columns.len(),
+        "one chunk per column of {name}"
+    );
+    let columns = schema
+        .iter()
+        .zip(columns)
+        .map(|(c, chunk)| (c.name.as_str(), c.ty, chunk))
+        .collect();
+    let table = Table::from_columns(name, columns).expect("generated columns fit the schema");
+    db.register(table).expect("register in-memory table");
 }
 
 /// Generate a complete, *consistent* TPC-H database at the given scale.
 pub fn generate_database(config: &GenConfig) -> Database {
     let db = Database::new();
     create_tables(&db);
+    let comments = comment_vocabulary();
     fill_region_nation(&db);
-    fill_supplier(&db, config);
-    fill_part_partsupp(&db, config);
-    fill_customer(&db, config);
-    fill_orders_lineitem(&db, config);
+    fill_supplier(&db, config, &comments);
+    fill_part_partsupp(&db, config, &comments);
+    fill_customer(&db, config, &comments);
+    fill_orders_lineitem(&db, config, &comments);
     db
 }
 
 fn fill_region_nation(db: &Database) {
-    let mut region = (*db.table("region").unwrap()).clone();
-    for (i, name) in REGION_NAMES.iter().enumerate() {
-        region.extend_unchecked([vec![
-            Value::Int(i as i64),
-            Value::str(name),
-            Value::str("regional comment"),
-        ]]);
-    }
-    db.register(region).expect("register in-memory table");
+    let codes = |n: usize| (0..n as u32).collect::<Vec<u32>>();
+    let keys = |n: usize| ColumnChunk::ints((0..n as i64).collect());
+    let constant = |n: usize, s: &str| ColumnChunk::text(vec![0; n], vocabulary([s]));
 
-    let mut nation = (*db.table("nation").unwrap()).clone();
-    for (i, name) in NATION_NAMES.iter().enumerate() {
-        nation.extend_unchecked([vec![
-            Value::Int(i as i64),
-            Value::str(name),
-            Value::Int(NATION_REGION[i]),
-            Value::str("national comment"),
-        ]]);
-    }
-    db.register(nation).expect("register in-memory table");
+    let n = REGION_NAMES.len();
+    load(
+        db,
+        "region",
+        vec![
+            keys(n),
+            ColumnChunk::text(codes(n), vocabulary(REGION_NAMES)),
+            constant(n, "regional comment"),
+        ],
+    );
+    let n = NATION_NAMES.len();
+    load(
+        db,
+        "nation",
+        vec![
+            keys(n),
+            ColumnChunk::text(codes(n), vocabulary(NATION_NAMES)),
+            ColumnChunk::ints(NATION_REGION.to_vec()),
+            constant(n, "national comment"),
+        ],
+    );
 }
 
-fn fill_supplier(db: &Database, config: &GenConfig) {
+fn fill_supplier(db: &Database, config: &GenConfig, comments: &Arc<TextDict>) {
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0x501);
-    let mut t = (*db.table("supplier").unwrap()).clone();
-    for sk in 1..=config.suppliers() as i64 {
+    let n = config.suppliers();
+    let (mut key, mut nationkey) = (Vec::with_capacity(n), Vec::with_capacity(n));
+    let (mut acctbal, mut comment) = (Vec::with_capacity(n), Vec::with_capacity(n));
+    let (mut name, mut address, mut phone) = <(TextColumn, TextColumn, TextColumn)>::default();
+    for sk in 1..=n as i64 {
         let nation = rng.gen_range(0..25);
-        t.extend_unchecked([vec![
-            Value::Int(sk),
-            Value::str(format!("Supplier#{sk:09}")),
-            Value::str(format!("addr-{}", rng.gen_range(0..100000))),
-            Value::Int(nation),
-            Value::str(phone(&mut rng, nation)),
-            Value::Float(money(&mut rng, -99999, 999999)),
-            Value::str(short_text(&mut rng)),
-        ]]);
+        key.push(sk);
+        name.push(format_args!("Supplier#{sk:09}"));
+        address.push(format_args!("addr-{}", rng.gen_range(0..100000)));
+        nationkey.push(nation);
+        phone.push_phone(&mut rng, nation);
+        acctbal.push(money(&mut rng, -99999, 999999));
+        comment.push(short_text(&mut rng));
     }
-    db.register(t).expect("register in-memory table");
+    load(
+        db,
+        "supplier",
+        vec![
+            ColumnChunk::ints(key),
+            name.finish(),
+            address.finish(),
+            ColumnChunk::ints(nationkey),
+            phone.finish(),
+            ColumnChunk::floats(acctbal),
+            ColumnChunk::text(comment, Arc::clone(comments)),
+        ],
+    );
 }
 
-fn fill_part_partsupp(db: &Database, config: &GenConfig) {
+fn fill_part_partsupp(db: &Database, config: &GenConfig, comments: &Arc<TextDict>) {
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0x9a27);
     let n_parts = config.parts() as i64;
     let n_suppliers = config.suppliers() as i64;
@@ -225,78 +319,159 @@ fn fill_part_partsupp(db: &Database, config: &GenConfig) {
     const COLORS: [&str; 8] = [
         "green", "blue", "red", "ivory", "salmon", "peach", "khaki", "linen",
     ];
+    let names = vocabulary(COLORS.iter().map(|color| format!("{color} widget")));
+    let mfgrs = vocabulary((1..=5).map(|m| format!("Manufacturer#{m}")));
+    let brands = vocabulary((1..=5).flat_map(|a| (1..=5).map(move |b| format!("Brand#{a}{b}"))));
 
-    let mut part = (*db.table("part").unwrap()).clone();
-    let mut partsupp = (*db.table("partsupp").unwrap()).clone();
+    let n = n_parts as usize;
+    let (mut p_key, mut p_size, mut p_price) = (
+        Vec::with_capacity(n),
+        Vec::with_capacity(n),
+        Vec::with_capacity(n),
+    );
+    let [mut p_name, mut p_mfgr, mut p_brand, mut p_type, mut p_container, mut p_comment] =
+        [(); 6].map(|()| Vec::<u32>::with_capacity(n));
+    let (mut ps_part, mut ps_supp, mut ps_qty) = (
+        Vec::with_capacity(4 * n),
+        Vec::with_capacity(4 * n),
+        Vec::with_capacity(4 * n),
+    );
+    let (mut ps_cost, mut ps_comment) = (Vec::with_capacity(4 * n), Vec::with_capacity(4 * n));
     for pk in 1..=n_parts {
-        let color = COLORS[rng.gen_range(0..COLORS.len())];
-        part.extend_unchecked([vec![
-            Value::Int(pk),
-            Value::str(format!("{color} widget")),
-            Value::str(format!("Manufacturer#{}", rng.gen_range(1..=5))),
-            Value::str(format!(
-                "Brand#{}{}",
-                rng.gen_range(1..=5),
-                rng.gen_range(1..=5)
-            )),
-            Value::str(TYPES[rng.gen_range(0..TYPES.len())]),
-            Value::Int(rng.gen_range(1..=50)),
-            Value::str(CONTAINERS[rng.gen_range(0..CONTAINERS.len())]),
-            Value::Float(money(&mut rng, 90000, 200000)),
-            Value::str(short_text(&mut rng)),
-        ]]);
+        p_key.push(pk);
+        p_name.push(rng.gen_range(0..COLORS.len()) as u32);
+        p_mfgr.push(rng.gen_range(1..=5u32) - 1);
+        let (a, b) = (rng.gen_range(1..=5u32), rng.gen_range(1..=5u32));
+        p_brand.push((a - 1) * 5 + (b - 1));
+        p_type.push(rng.gen_range(0..TYPES.len()) as u32);
+        p_size.push(rng.gen_range(1..=50i64));
+        p_container.push(rng.gen_range(0..CONTAINERS.len()) as u32);
+        p_price.push(money(&mut rng, 90000, 200000));
+        p_comment.push(short_text(&mut rng));
         // Four suppliers per part, as in the specification. The stride
         // keeps the four (pk, sk) pairs distinct so the composite key holds.
         let stride = (n_suppliers / 4).max(1);
         for s in 0..4 {
-            let sk = (pk + s * stride) % n_suppliers + 1;
-            partsupp.extend_unchecked([vec![
-                Value::Int(pk),
-                Value::Int(sk),
-                Value::Int(rng.gen_range(1..=9999)),
-                Value::Float(money(&mut rng, 100, 100000)),
-                Value::str(short_text(&mut rng)),
-            ]]);
+            ps_part.push(pk);
+            ps_supp.push((pk + s * stride) % n_suppliers + 1);
+            ps_qty.push(rng.gen_range(1..=9999i64));
+            ps_cost.push(money(&mut rng, 100, 100000));
+            ps_comment.push(short_text(&mut rng));
         }
     }
-    db.register(part).expect("register in-memory table");
-    db.register(partsupp).expect("register in-memory table");
+    load(
+        db,
+        "part",
+        vec![
+            ColumnChunk::ints(p_key),
+            ColumnChunk::text(p_name, names),
+            ColumnChunk::text(p_mfgr, mfgrs),
+            ColumnChunk::text(p_brand, brands),
+            ColumnChunk::text(p_type, vocabulary(TYPES)),
+            ColumnChunk::ints(p_size),
+            ColumnChunk::text(p_container, vocabulary(CONTAINERS)),
+            ColumnChunk::floats(p_price),
+            ColumnChunk::text(p_comment, Arc::clone(comments)),
+        ],
+    );
+    load(
+        db,
+        "partsupp",
+        vec![
+            ColumnChunk::ints(ps_part),
+            ColumnChunk::ints(ps_supp),
+            ColumnChunk::ints(ps_qty),
+            ColumnChunk::floats(ps_cost),
+            ColumnChunk::text(ps_comment, Arc::clone(comments)),
+        ],
+    );
 }
 
-fn fill_customer(db: &Database, config: &GenConfig) {
+fn fill_customer(db: &Database, config: &GenConfig, comments: &Arc<TextDict>) {
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0xc057);
-    let mut t = (*db.table("customer").unwrap()).clone();
-    for ck in 1..=config.customers() as i64 {
+    let n = config.customers();
+    let (mut key, mut nationkey) = (Vec::with_capacity(n), Vec::with_capacity(n));
+    let (mut acctbal, mut segment, mut comment) = (
+        Vec::with_capacity(n),
+        Vec::with_capacity(n),
+        Vec::with_capacity(n),
+    );
+    let (mut name, mut address, mut phone) = <(TextColumn, TextColumn, TextColumn)>::default();
+    for ck in 1..=n as i64 {
         let nation = rng.gen_range(0..25);
-        t.extend_unchecked([vec![
-            Value::Int(ck),
-            Value::str(format!("Customer#{ck:09}")),
-            Value::str(format!("addr-{}", rng.gen_range(0..1000000))),
-            Value::Int(nation),
-            Value::str(phone(&mut rng, nation)),
-            Value::Float(money(&mut rng, -99999, 999999)),
-            Value::str(SEGMENTS[rng.gen_range(0..SEGMENTS.len())]),
-            Value::str(short_text(&mut rng)),
-        ]]);
+        key.push(ck);
+        name.push(format_args!("Customer#{ck:09}"));
+        address.push(format_args!("addr-{}", rng.gen_range(0..1000000)));
+        nationkey.push(nation);
+        phone.push_phone(&mut rng, nation);
+        acctbal.push(money(&mut rng, -99999, 999999));
+        segment.push(rng.gen_range(0..SEGMENTS.len()) as u32);
+        comment.push(short_text(&mut rng));
     }
-    db.register(t).expect("register in-memory table");
+    load(
+        db,
+        "customer",
+        vec![
+            ColumnChunk::ints(key),
+            name.finish(),
+            address.finish(),
+            ColumnChunk::ints(nationkey),
+            phone.finish(),
+            ColumnChunk::floats(acctbal),
+            ColumnChunk::text(segment, vocabulary(SEGMENTS)),
+            ColumnChunk::text(comment, Arc::clone(comments)),
+        ],
+    );
 }
+
+/// Table sizes and shared dictionaries an order chunk is generated against.
+struct OrderContext {
+    n_customers: i64,
+    n_parts: i64,
+    n_suppliers: i64,
+    /// `l_returnflag`: R, A, N.
+    return_flags: Arc<TextDict>,
+    /// `o_orderstatus` and `l_linestatus`: O, F.
+    statuses: Arc<TextDict>,
+    ship_instructs: Arc<TextDict>,
+    ship_modes: Arc<TextDict>,
+    priorities: Arc<TextDict>,
+    /// `Clerk#000000001` .. `Clerk#000001000`.
+    clerks: Arc<TextDict>,
+    comments: Arc<TextDict>,
+}
+
+const RETURNED: u32 = 0;
+const ACCEPTED: u32 = 1;
+const NOT_RETURNED: u32 = 2;
+const OPEN: u32 = 0;
+const FULFILLED: u32 = 1;
 
 /// Orders and lineitems are generated in parallel chunks; each chunk's RNG
 /// is seeded from (seed, chunk index), so output is independent of thread
 /// scheduling.
-fn fill_orders_lineitem(db: &Database, config: &GenConfig) {
+fn fill_orders_lineitem(db: &Database, config: &GenConfig, comments: &Arc<TextDict>) {
     let n_orders = config.orders();
-    let n_customers = config.customers() as i64;
-    let n_parts = config.parts() as i64;
-    let n_suppliers = config.suppliers() as i64;
     let threads = config.threads.max(1);
+    let context = OrderContext {
+        n_customers: config.customers() as i64,
+        n_parts: config.parts() as i64,
+        n_suppliers: config.suppliers() as i64,
+        return_flags: vocabulary(["R", "A", "N"]),
+        statuses: vocabulary(["O", "F"]),
+        ship_instructs: vocabulary(SHIP_INSTRUCTS),
+        ship_modes: vocabulary(SHIP_MODES),
+        priorities: vocabulary(PRIORITIES),
+        clerks: vocabulary((1..=1000).map(|c| format!("Clerk#{c:09}"))),
+        comments: Arc::clone(comments),
+    };
+    let context = &context;
 
     // Fixed chunk size so output is identical for every thread count; each
     // worker processes chunk indices strided by the worker count.
     const CHUNK: usize = 8192;
     let n_chunks = n_orders.div_ceil(CHUNK);
-    let mut chunks: Vec<Option<(Vec<Row>, Vec<Row>)>> = Vec::new();
+    let mut chunks: Vec<Option<(Vec<ColumnChunk>, Vec<ColumnChunk>)>> = Vec::new();
     chunks.resize_with(n_chunks, || None);
 
     std::thread::scope(|scope| {
@@ -309,10 +484,7 @@ fn fill_orders_lineitem(db: &Database, config: &GenConfig) {
                     let lo = chunk_idx * CHUNK;
                     let hi = (lo + CHUNK).min(n_orders);
                     let seed = config.seed ^ (0x07de75 + chunk_idx as u64);
-                    out.push((
-                        chunk_idx,
-                        generate_order_chunk(lo, hi, seed, n_customers, n_parts, n_suppliers),
-                    ));
+                    out.push((chunk_idx, generate_order_chunk(lo, hi, seed, context)));
                     chunk_idx += threads.min(n_chunks.max(1));
                 }
                 out
@@ -325,35 +497,58 @@ fn fill_orders_lineitem(db: &Database, config: &GenConfig) {
         }
     });
 
-    let mut orders = (*db.table("orders").unwrap()).clone();
-    let mut lineitem = (*db.table("lineitem").unwrap()).clone();
-    for chunk in chunks {
-        let (order_rows, line_rows) = chunk.expect("all chunks generated");
-        orders.extend_unchecked(order_rows);
-        lineitem.extend_unchecked(line_rows);
-    }
-    db.register(orders).expect("register in-memory table");
-    db.register(lineitem).expect("register in-memory table");
+    let (orders, lines): (Vec<_>, Vec<_>) = chunks
+        .into_iter()
+        .map(|chunk| chunk.expect("all chunks generated"))
+        .unzip();
+    load(db, "orders", concat_columns(&orders));
+    load(db, "lineitem", concat_columns(&lines));
 }
 
+/// The chunks' column sets laid end to end, in chunk order.
+fn concat_columns(chunks: &[Vec<ColumnChunk>]) -> Vec<ColumnChunk> {
+    let width = chunks.first().map_or(0, Vec::len);
+    (0..width)
+        .map(|c| {
+            let parts: Vec<&ColumnChunk> = chunks.iter().map(|chunk| &chunk[c]).collect();
+            ColumnChunk::concat(&parts)
+        })
+        .collect()
+}
+
+/// Orders `lo + 1 ..= hi` and their lineitems, as one column set each.
 fn generate_order_chunk(
     lo: usize,
     hi: usize,
     seed: u64,
-    n_customers: i64,
-    n_parts: i64,
-    n_suppliers: i64,
-) -> (Vec<Row>, Vec<Row>) {
+    context: &OrderContext,
+) -> (Vec<ColumnChunk>, Vec<ColumnChunk>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let start = start_date();
     let end = end_order_date();
     let cutoff = ymd_to_days(1995, 6, 17).expect("valid date");
 
-    let mut orders = Vec::with_capacity(hi - lo);
-    let mut lines = Vec::with_capacity((hi - lo) * 4);
+    let n = hi - lo;
+    let (mut o_key, mut o_cust, mut o_shippriority) = (
+        Vec::with_capacity(n),
+        Vec::with_capacity(n),
+        Vec::with_capacity(n),
+    );
+    let (mut o_total, mut o_date) = (Vec::with_capacity(n), Vec::with_capacity(n));
+    let [mut o_status, mut o_priority, mut o_clerk, mut o_comment] =
+        [(); 4].map(|()| Vec::<u32>::with_capacity(n));
+    let [mut l_order, mut l_number, mut l_part, mut l_supp, mut l_quantity] =
+        [(); 5].map(|()| Vec::<i64>::with_capacity(4 * n));
+    let [mut l_price, mut l_discount, mut l_tax] =
+        [(); 3].map(|()| Vec::<f64>::with_capacity(4 * n));
+    let [mut l_ship, mut l_commit, mut l_receipt] =
+        [(); 3].map(|()| Vec::<i32>::with_capacity(4 * n));
+    let [mut l_flag, mut l_status, mut l_instruct, mut l_mode, mut l_comment] =
+        [(); 5].map(|()| Vec::<u32>::with_capacity(4 * n));
+
     for i in lo..hi {
         let ok = i as i64 + 1;
-        let custkey = rng.gen_range(1..=n_customers);
+        let custkey = rng.gen_range(1..=context.n_customers);
         let orderdate = rng.gen_range(start..=end);
         let n_lines = rng.gen_range(1..=7);
 
@@ -370,54 +565,81 @@ fn generate_order_chunk(
             let receiptdate = shipdate + rng.gen_range(1..=30);
             let returnflag = if receiptdate <= cutoff {
                 if rng.gen_bool(0.5) {
-                    "R"
+                    RETURNED
                 } else {
-                    "A"
+                    ACCEPTED
                 }
             } else {
-                "N"
+                NOT_RETURNED
             };
-            let linestatus = if shipdate > cutoff { "O" } else { "F" };
-            any_open |= linestatus == "O";
+            let linestatus = if shipdate > cutoff { OPEN } else { FULFILLED };
+            any_open |= linestatus == OPEN;
             total += extended * (1.0 - discount) * (1.0 + tax);
-            lines.push(vec![
-                Value::Int(ok),
-                Value::Int(ln),
-                Value::Int(rng.gen_range(1..=n_parts)),
-                Value::Int(rng.gen_range(1..=n_suppliers)),
-                Value::Int(quantity),
-                Value::Float(extended),
-                Value::Float(discount),
-                Value::Float(tax),
-                Value::str(returnflag),
-                Value::str(linestatus),
-                Value::Date(shipdate),
-                Value::Date(commitdate),
-                Value::Date(receiptdate),
-                Value::str(SHIP_INSTRUCTS[rng.gen_range(0..SHIP_INSTRUCTS.len())]),
-                Value::str(SHIP_MODES[rng.gen_range(0..SHIP_MODES.len())]),
-                Value::str(short_text(&mut rng)),
-            ]);
+            l_order.push(ok);
+            l_number.push(ln);
+            l_part.push(rng.gen_range(1..=context.n_parts));
+            l_supp.push(rng.gen_range(1..=context.n_suppliers));
+            l_quantity.push(quantity);
+            l_price.push(extended);
+            l_discount.push(discount);
+            l_tax.push(tax);
+            l_flag.push(returnflag);
+            l_status.push(linestatus);
+            l_ship.push(shipdate);
+            l_commit.push(commitdate);
+            l_receipt.push(receiptdate);
+            l_instruct.push(rng.gen_range(0..SHIP_INSTRUCTS.len()) as u32);
+            l_mode.push(rng.gen_range(0..SHIP_MODES.len()) as u32);
+            l_comment.push(short_text(&mut rng));
         }
-        let status = if any_open { "O" } else { "F" };
-        orders.push(vec![
-            Value::Int(ok),
-            Value::Int(custkey),
-            Value::str(status),
-            Value::Float(total),
-            Value::Date(orderdate),
-            Value::str(PRIORITIES[rng.gen_range(0..PRIORITIES.len())]),
-            Value::str(format!("Clerk#{:09}", rng.gen_range(1..=1000))),
-            Value::Int(0),
-            Value::str(short_text(&mut rng)),
-        ]);
+        o_key.push(ok);
+        o_cust.push(custkey);
+        o_status.push(if any_open { OPEN } else { FULFILLED });
+        o_total.push(total);
+        o_date.push(orderdate);
+        o_priority.push(rng.gen_range(0..PRIORITIES.len()) as u32);
+        o_clerk.push(rng.gen_range(1..=1000u32) - 1);
+        o_shippriority.push(0);
+        o_comment.push(short_text(&mut rng));
     }
+
+    let text = |codes, dict: &Arc<TextDict>| ColumnChunk::text(codes, Arc::clone(dict));
+    let orders = vec![
+        ColumnChunk::ints(o_key),
+        ColumnChunk::ints(o_cust),
+        text(o_status, &context.statuses),
+        ColumnChunk::floats(o_total),
+        ColumnChunk::dates(o_date),
+        text(o_priority, &context.priorities),
+        text(o_clerk, &context.clerks),
+        ColumnChunk::ints(o_shippriority),
+        text(o_comment, &context.comments),
+    ];
+    let lines = vec![
+        ColumnChunk::ints(l_order),
+        ColumnChunk::ints(l_number),
+        ColumnChunk::ints(l_part),
+        ColumnChunk::ints(l_supp),
+        ColumnChunk::ints(l_quantity),
+        ColumnChunk::floats(l_price),
+        ColumnChunk::floats(l_discount),
+        ColumnChunk::floats(l_tax),
+        text(l_flag, &context.return_flags),
+        text(l_status, &context.statuses),
+        ColumnChunk::dates(l_ship),
+        ColumnChunk::dates(l_commit),
+        ColumnChunk::dates(l_receipt),
+        text(l_instruct, &context.ship_instructs),
+        text(l_mode, &context.ship_modes),
+        text(l_comment, &context.comments),
+    ];
     (orders, lines)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use conquer_engine::Value;
 
     #[test]
     fn generates_expected_row_counts() {

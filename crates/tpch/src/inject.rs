@@ -14,6 +14,13 @@
 //! non-key attributes of another randomly chosen donor tuple ("one of the
 //! sets is used to draw the key values of the conflicting tuples ...; the
 //! other set is used to obtain non-key values").
+//!
+//! The new table is two selection vectors over the old one — per output
+//! tuple, the tuple its key attributes come from and the tuple the rest
+//! comes from (the same tuple for the kept ones) — and one
+//! [`gather`](conquer_engine::ColumnChunk::gather) per column through
+//! whichever of the two the column reads. No tuple is materialized, and a
+//! column keeps its layout (a text column its dictionary).
 
 use crate::rng::{SliceRandom, StdRng};
 
@@ -71,36 +78,40 @@ pub fn inject_table(
         .collect();
 
     let mut rng = StdRng::seed_from_u64(seed ^ 0x1213c7);
-    let mut indices: Vec<usize> = (0..total).collect();
+    let total_u32 = u32::try_from(total).expect("row ids fit the engine's u32 selection vectors");
+    let mut indices: Vec<u32> = (0..total_u32).collect();
     indices.shuffle(&mut rng);
-    let victims = &indices[..k];
-    // indices[k..k + extra] are the removed tuples (never copied below).
-    let survivors = &indices[k + extra..];
+    // indices[k..k + extra] are the removed tuples (selected by nothing).
+    indices.drain(k..k + extra);
+    let (victims, kept) = (&indices[..k], indices.len());
 
-    let columns: Vec<(&str, conquer_engine::DataType)> = table
+    // Victims and survivors stay as they are; then n-1 conflicting tuples
+    // per victim: the victim's key, a kept tuple's non-keys.
+    let mut key_from = indices.clone();
+    let mut rest_from = indices.clone();
+    for &v in victims {
+        for _ in 0..n - 1 {
+            key_from.push(v);
+            rest_from.push(indices[rng.gen_range(0..kept)]);
+        }
+    }
+    let columns = table
         .schema()
         .columns
         .iter()
-        .map(|c| (c.name.as_str(), c.ty))
+        .zip(table.cols().cols())
+        .enumerate()
+        .map(|(i, (c, chunk))| {
+            let from = if key_idx.contains(&i) {
+                &key_from
+            } else {
+                &rest_from
+            };
+            (c.name.as_str(), c.ty, chunk.gather(from))
+        })
         .collect();
-    let mut new_table = Table::new(relation.to_string(), columns);
-
-    // Keep victims and survivors.
-    for &i in victims.iter().chain(survivors) {
-        new_table.extend_unchecked([table.row_at(i)]);
-    }
-    // Add n-1 conflicting tuples per victim: victim's key, donor's non-keys.
-    let donor_pool: Vec<usize> = victims.iter().chain(survivors).copied().collect();
-    for &v in victims {
-        for _ in 0..n - 1 {
-            let donor = donor_pool[rng.gen_range(0..donor_pool.len())];
-            let mut row = table.row_at(donor);
-            for &ki in &key_idx {
-                row[ki] = table.cols().col(ki).value_at(v);
-            }
-            new_table.extend_unchecked([row]);
-        }
-    }
+    let new_table =
+        Table::from_columns(relation, columns).expect("gathered columns keep their layouts");
     db.register(new_table).expect("register in-memory table");
 
     InjectionStats {
@@ -213,6 +224,55 @@ mod tests {
     }
 
     #[test]
+    fn text_key_injection_keeps_the_bookkeeping() {
+        // A text key, a text payload and a column with NULLs: every layout
+        // the gather goes through.
+        let db = Database::new();
+        let mut script =
+            String::from("create table t (k text, v text, x float);\ninsert into t values ");
+        let vals: Vec<String> = (0..600)
+            .map(|i| {
+                let x = if i % 5 == 0 {
+                    "null".to_string()
+                } else {
+                    format!("{i}.5")
+                };
+                format!("('k{i}', 'v{}', {x})", i % 9)
+            })
+            .collect();
+        script.push_str(&vals.join(", "));
+        db.run_script(&script).unwrap();
+        let before = db.table("t").unwrap();
+
+        let stats = inject_table(&db, "t", &["k".to_string()], 0.15, 3, 21);
+        assert_eq!(
+            stats,
+            InjectionStats {
+                relation: "t".into(),
+                total_tuples: 600,
+                conflicting_keys: 30,
+                inconsistent_tuples: 90,
+            }
+        );
+        let after = db.table("t").unwrap();
+        assert_eq!(after.len(), 600);
+        let hist = key_histogram(&db);
+        assert_eq!(hist.values().filter(|c| **c == 3).count(), 30);
+        assert!(hist.values().all(|c| *c == 1 || *c == 3));
+        // Every tuple pairs a key of the old table with the non-key
+        // attributes of one of its tuples.
+        let payloads: Vec<&[conquer_engine::Value]> =
+            before.rows().iter().map(|r| &r[1..]).collect();
+        for row in after.rows() {
+            assert!(hist.contains_key(&row[0].to_string()));
+            assert!(payloads.contains(&&row[1..]), "{row:?}");
+        }
+        let sigma = ConstraintSet::new().with_key("t", ["k"]);
+        let ann = annotate_database(&db, &sigma).unwrap();
+        assert_eq!((ann[0].violated_keys, ann[0].inconsistent_tuples), (30, 90));
+    }
+
+    #[test]
     fn composite_key_injection() {
         let db = Database::new();
         let mut script = String::from(
@@ -232,5 +292,8 @@ mod tests {
         }
         let inconsistent: usize = h.values().filter(|c| **c > 1).copied().sum();
         assert_eq!(inconsistent, 20);
+        assert_eq!((stats.total_tuples, stats.conflicting_keys), (200, 10));
+        assert_eq!(db.table("li").unwrap().len(), 200);
+        assert!(h.values().all(|c| *c == 1 || *c == 2));
     }
 }

@@ -35,6 +35,30 @@ fn annotation_counts_agree_with_injector_on_tpch() {
         );
     }
     assert!(is_annotated(&w.db, &w.sigma));
+    // The key index counts the same groups on its own (TPC-H keys hold no
+    // NULL, the one case where the two definitions part).
+    for ann in annotations {
+        let conflicts =
+            w.db.conflict_summary(&ann.relation)
+                .unwrap_or_else(|| panic!("no key index on {}", ann.relation));
+        assert_eq!(conflicts.violated_keys, ann.violated_keys as u64);
+        assert_eq!(
+            conflicts.tuples_in_violated_groups,
+            ann.inconsistent_tuples as u64
+        );
+        assert_eq!(conflicts.null_key_rows, 0);
+        let groups_of_two = vec![(2, ann.violated_keys as u64)];
+        assert_eq!(
+            conflicts.group_sizes,
+            if ann.violated_keys > 0 {
+                groups_of_two
+            } else {
+                vec![]
+            },
+            "{} group sizes",
+            ann.relation
+        );
+    }
 }
 
 #[test]

@@ -34,7 +34,9 @@
 //! Storing a table pivots nothing at all: statistics are collected column
 //! by column and an `INSERT`'s WAL record is built from the appended rows,
 //! so neither `register`, `CREATE TABLE`, `INSERT` nor recovery leaves a
-//! row copy of the table cached inside the table the catalog keeps.
+//! row copy of the table cached inside the table the catalog keeps. Nor
+//! does building a workload: the generator, the injector and the
+//! annotation pass hand whole columns to the engine.
 //!
 //! The counters are process-wide, so the tests take turns.
 
@@ -83,6 +85,23 @@ fn storing_and_recovering_a_table_pivots_nothing() {
     assert_eq!(count(&db), 104);
     assert_eq!(to_rows.get() - before, 0, "rows pivoted while storing");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn loading_a_workload_pivots_nothing() {
+    let _turn = turn();
+    let to_rows = conquer_obs::registry().counter("exec.pivot.to_rows");
+    let before = to_rows.get();
+    // Generate, inject, annotate, declare the key indexes: columns in,
+    // columns out, at every step.
+    let w = build_workload(&WorkloadConfig {
+        scale_factor: 0.002,
+        annotate: true,
+        ..WorkloadConfig::default()
+    });
+    assert!(w.injection.iter().any(|s| s.inconsistent_tuples > 0));
+    assert!(w.annotation.is_some());
+    assert_eq!(to_rows.get() - before, 0, "rows pivoted while loading");
 }
 
 /// Probe-side input rows and output rows of every hash join in the plan.
