@@ -1040,8 +1040,11 @@ fn opbench(args: &Args) -> Json {
 /// shapes over the standard workload's `orders` table (whose conflict
 /// group key `o_orderkey` gets an auto-declared index): a batch of keyed
 /// point lookups, the key self-join the ConQuer rewriting is built from,
-/// and the violated keys (`conq_conflicts`: index-only off the conflict
-/// list vs the group-key kernel). Each is timed with the planner
+/// the violated keys (`conq_conflicts`: index-only off the conflict
+/// list vs the group-key kernel), and a one-row `INSERT` into `orders`
+/// followed by a point lookup of the inserted key (the write keeps the
+/// built index current through `Index::extended` either way; the lookup
+/// reads it or scans). Each is timed with the planner
 /// index-aware (default options)
 /// and index-blind (`with_indexes(false)`, exactly the pre-index plans),
 /// at `--sf` and 4×`--sf` — the defaults land on SF 0.05 and 0.2, the
@@ -1083,22 +1086,36 @@ fn idxbench(args: &Args) -> Json {
             }
             Err(e) => die(&format!("idxbench: cannot enumerate orders keys: {e}")),
         };
-        let lookup_sqls: Vec<String> = keys
-            .iter()
-            .map(|k| format!("select o_totalprice from orders o where o_orderkey = {k}"))
-            .collect();
+        let lookup = |k: i64| format!("select o_totalprice from orders o where o_orderkey = {k}");
+        let lookup_sqls: Vec<String> = keys.iter().map(|&k| lookup(k)).collect();
+        // Into an existing key: the write also grows a conflict group.
+        let insert_key = keys.first().copied().unwrap_or(1);
+        let insert_sqls = [
+            format!("insert into orders (o_orderkey, o_totalprice) values ({insert_key}, 1.0)"),
+            lookup(insert_key),
+        ];
 
+        // Statements run in order; an `INSERT` goes through the script
+        // path, the rest are queries under `options`.
+        let run = |sql: &str, options: &ExecOptions| -> Result<(), String> {
+            let done = if sql.starts_with("insert") {
+                w.db.run_script(sql).map(drop)
+            } else {
+                w.db.query_with(sql, options).map(drop)
+            };
+            done.map_err(|e| e.to_string())
+        };
         let time_batch = |sqls: &[String], options: &ExecOptions| -> Result<Duration, String> {
             // Warm-up pass: scan cache, plan caches, and the lazy index
             // build all land here, so the timed runs measure probes.
             for sql in sqls {
-                w.db.query_with(sql, options).map_err(|e| e.to_string())?;
+                run(sql, options)?;
             }
             let mut times = Vec::with_capacity(args.runs);
             for _ in 0..args.runs {
                 let t0 = Instant::now();
                 for sql in sqls {
-                    w.db.query_with(sql, options).map_err(|e| e.to_string())?;
+                    run(sql, options)?;
                 }
                 times.push(t0.elapsed());
             }
@@ -1123,17 +1140,18 @@ fn idxbench(args: &Args) -> Json {
         let mut ops = Vec::new();
         let join_sqls = [JOIN_SQL.to_string()];
         let conflict_sqls = [CONFLICTS_SQL.to_string()];
-        let cells: [(&str, &[String], usize); 3] = [
+        let cells: [(&str, &[String], usize); 4] = [
             ("point_lookup", &lookup_sqls, keys.len()),
             ("key_self_join", &join_sqls, orders_rows),
             ("conflict_keys", &conflict_sqls, orders_rows),
+            ("insert_indexed", &insert_sqls, 1),
         ];
         for (op, sqls, units) in cells {
             let mut entry = Json::obj([
                 ("op", Json::from(op)),
                 ("units_per_run", Json::UInt(units as u64)),
             ]);
-            let planned = sqls.first().is_some_and(|sql| uses_index(sql));
+            let planned = sqls.last().is_some_and(|sql| uses_index(sql));
             match (time_batch(sqls, &blind), time_batch(sqls, &indexed)) {
                 (Ok(t_seq), Ok(t_idx)) => {
                     let ups = |t: Duration| units as f64 / t.as_secs_f64().max(1e-9);
@@ -1904,19 +1922,37 @@ fn recover_cmd(args: &Args) -> Json {
     report
 }
 
-/// `VmHWM` of this process in bytes (0 where `/proc` has none).
-fn peak_rss_bytes() -> u64 {
+/// A `/proc/self/status` memory field of this process (`VmHWM`, `VmRSS`)
+/// in bytes (0 where `/proc` has none).
+fn proc_status_bytes(field: &str) -> u64 {
     std::fs::read_to_string("/proc/self/status")
         .ok()
         .and_then(|status| {
-            let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+            let line = status.lines().find(|l| l.starts_with(field))?;
             line.split_whitespace().nth(1)?.parse::<u64>().ok()
         })
         .map_or(0, |kib| kib * 1024)
 }
 
+/// What one `load` run held once its first pass was done.
+#[derive(Default)]
+struct Resident {
+    tuples: u64,
+    column_bytes: u64,
+    /// Per built key index: table, bytes, distinct keys, rows. Numbers,
+    /// not the index: an `Arc` kept here would keep the run's tables alive
+    /// into the next run's peak.
+    indexes: Vec<(String, u64, u64, u64)>,
+    pivoted_rows: u64,
+    rss_loaded: u64,
+    rss_after: u64,
+}
+
 /// Set-up cost: the steps of §6.1's protocol that precede every figure,
-/// each timed on its own, at `--sf` and 4×`--sf`.
+/// each timed on its own, at `--sf` and 4×`--sf`. Beside the first pass:
+/// the key-index builds inside it (the `index.build.us` histogram's
+/// delta), and where resident bytes are after it — stored columns, built
+/// indexes, rows the pass pivoted, `VmRSS`.
 fn load_cmd(args: &Args) -> Json {
     use conquer::tpch::{
         benchmark_constraints, generate_database, inject_database, GenConfig, TABLES,
@@ -1935,9 +1971,15 @@ fn load_cmd(args: &Args) -> Json {
     say!(
         args,
         "| SF | tuples | generate (ms) | inject (ms) | annotate (ms) | declare + first pass (ms) \
-         | tuples/s | B/tuple | peak RSS (MiB) |"
+         | of which index build (ms) | tuples/s | column B/tuple | index B/tuple | peak RSS (MiB) |"
     );
-    say!(args, "|---|---:|---:|---:|---:|---:|---:|---:|---:|");
+    say!(
+        args,
+        "|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|"
+    );
+    let registry = conquer_obs::registry();
+    let index_builds = registry.histogram("index.build.us");
+    let to_rows = registry.counter("exec.pivot.to_rows");
     let before = args.before.as_ref().map(|path| {
         let text = std::fs::read_to_string(path)
             .unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
@@ -1946,7 +1988,8 @@ fn load_cmd(args: &Args) -> Json {
     let mut scales = Vec::new();
     for sf in [args.sf, args.sf * 4.0] {
         let mut samples: [Vec<u64>; 4] = Default::default();
-        let (mut tuples, mut bytes) = (0u64, 0u64);
+        let mut index_build_us = Vec::new();
+        let mut last = Resident::default();
         for _ in 0..args.runs.max(1) {
             let mut lap = Instant::now();
             let mut step = |samples: &mut [Vec<u64>; 4], i: usize| {
@@ -1965,6 +2008,8 @@ fn load_cmd(args: &Args) -> Json {
             let annotation = annotate_database(&db, &sigma)
                 .unwrap_or_else(|e| die(&format!("load: annotate: {e}")));
             step(&mut samples, 2);
+            let rss_loaded = proc_status_bytes("VmRSS:");
+            let (built_before, pivoted_before) = (index_builds.snapshot().sum, to_rows.get());
             declare_key_indexes(&db, &sigma);
             let w = Workload {
                 db,
@@ -1981,26 +2026,52 @@ fn load_cmd(args: &Args) -> Json {
                 }
             }
             step(&mut samples, 3);
-            let tables = TABLES.iter().filter_map(|t| w.db.table(t).ok());
-            (tuples, bytes) = tables.fold((0, 0), |(n, b), t| {
-                (n + t.len() as u64, b + t.cols().byte_size() as u64)
-            });
+            index_build_us.push(index_builds.snapshot().sum - built_before);
+            let tables: Vec<_> = TABLES.iter().filter_map(|t| w.db.table(t).ok()).collect();
+            last = Resident {
+                tuples: tables.iter().map(|t| t.len() as u64).sum(),
+                column_bytes: tables.iter().map(|t| t.cols().byte_size() as u64).sum(),
+                indexes: w
+                    .db
+                    .index_status()
+                    .iter()
+                    .filter_map(|(table, cols, _)| w.db.built_index(table, cols))
+                    .map(|i| {
+                        let rows = i.batch().len() as u64;
+                        (
+                            i.table().to_string(),
+                            i.bytes(),
+                            i.distinct_keys() as u64,
+                            rows,
+                        )
+                    })
+                    .collect(),
+                pivoted_rows: to_rows.get() - pivoted_before,
+                rss_loaded,
+                rss_after: proc_status_bytes("VmRSS:"),
+            };
         }
+        index_build_us.sort_unstable();
+        let index_build_us = conquer_bench::percentile(&index_build_us, 0.5);
         samples.iter_mut().for_each(|s| s.sort_unstable());
         let median = |i: usize| conquer_bench::percentile(&samples[i], 0.5);
         let load_us = median(0) + median(1) + median(2);
+        let tuples = last.tuples;
+        let per_tuple = |bytes: u64| bytes as f64 / tuples as f64;
         let tuples_per_sec = tuples as f64 / (load_us as f64 / 1e6);
-        let bytes_per_tuple = bytes as f64 / tuples as f64;
-        let peak = peak_rss_bytes();
+        let index_bytes: u64 = last.indexes.iter().map(|i| i.1).sum();
+        let peak = proc_status_bytes("VmHWM:");
         say!(
             args,
-            "| {sf} | {tuples} | {:.1} | {:.1} | {:.1} | {:.1} | {:.0} | {:.1} | {:.1} |",
+            "| {sf} | {tuples} | {:.1} | {:.1} | {:.1} | {:.1} | {:.1} | {:.0} | {:.1} | {:.1} | {:.1} |",
             median(0) as f64 / 1e3,
             median(1) as f64 / 1e3,
             median(2) as f64 / 1e3,
             median(3) as f64 / 1e3,
+            index_build_us as f64 / 1e3,
             tuples_per_sec,
-            bytes_per_tuple,
+            per_tuple(last.column_bytes),
+            per_tuple(index_bytes),
             peak as f64 / (1 << 20) as f64
         );
         let mut entry = Json::obj([("sf", Json::Float(sf)), ("tuples", Json::UInt(tuples))]);
@@ -2009,8 +2080,29 @@ fn load_cmd(args: &Args) -> Json {
         }
         entry.push("load_us", Json::UInt(load_us));
         entry.push("tuples_per_sec", Json::Float(tuples_per_sec));
-        entry.push("resident_bytes", Json::UInt(bytes));
-        entry.push("bytes_per_tuple", Json::Float(bytes_per_tuple));
+        entry.push("index_build_us", Json::UInt(index_build_us));
+        // What the last run held after its first pass: stored columns, key
+        // indexes (each as `stats` reports it), the rows the pass pivoted
+        // (whole row views and per-match build reads alike) and the
+        // process's resident set before and after the pass.
+        entry.push("resident_bytes", Json::UInt(last.column_bytes));
+        entry.push("bytes_per_tuple", Json::Float(per_tuple(last.column_bytes)));
+        entry.push("index_bytes", Json::UInt(index_bytes));
+        entry.push("index_bytes_per_tuple", Json::Float(per_tuple(index_bytes)));
+        entry.push(
+            "indexes",
+            Json::arr(last.indexes.iter().map(|(table, bytes, keys, rows)| {
+                Json::obj([
+                    ("table", Json::from(table.as_str())),
+                    ("bytes", Json::UInt(*bytes)),
+                    ("distinct_keys", Json::UInt(*keys)),
+                    ("rows", Json::UInt(*rows)),
+                ])
+            })),
+        );
+        entry.push("first_pass_pivoted_rows", Json::UInt(last.pivoted_rows));
+        entry.push("rss_before_first_pass_bytes", Json::UInt(last.rss_loaded));
+        entry.push("rss_after_first_pass_bytes", Json::UInt(last.rss_after));
         // Peak of the process so far: the larger scale runs second.
         entry.push("peak_rss_bytes", Json::UInt(peak));
         let earlier = before.as_ref().and_then(|b| match b.get("scales")? {
@@ -2019,10 +2111,20 @@ fn load_cmd(args: &Args) -> Json {
                 .find(|s| s.get("sf").and_then(Json::as_f64) == Some(sf)),
             _ => None,
         });
-        if let Some(was) = earlier.and_then(|s| s.get("load_us")?.as_f64()) {
-            let speedup = was / load_us as f64;
-            say!(args, "|   | before: {:.1} ms generate + inject + annotate, {speedup:.2}x | | | | | | | |", was / 1e3);
-            entry.push("load_speedup", Json::Float(speedup));
+        for (field, now, what) in [
+            ("load_us", load_us, "generate + inject + annotate"),
+            ("first_pass_us", median(3), "declare + first pass"),
+        ] {
+            if let Some(was) = earlier.and_then(|s| s.get(field)?.as_f64()) {
+                let speedup = was / now.max(1) as f64;
+                say!(
+                    args,
+                    "|   | before: {:.1} ms {what}, {speedup:.2}x | | | | | | | | | |",
+                    was / 1e3
+                );
+                let name = field.trim_end_matches("_us");
+                entry.push(format!("{name}_speedup"), Json::Float(speedup));
+            }
         }
         scales.push(entry);
     }

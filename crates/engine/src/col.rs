@@ -706,7 +706,7 @@ impl ColBatch {
 /// `exec.pivot.to_rows` / `exec.pivot.to_cols` counters, so a plan that
 /// starts pivoting where it used to stay columnar shows up in `/metrics`
 /// and `\stats` (and in the pivot-count test) rather than only in timings.
-fn note_pivot(counter: &'static str, rows: usize) {
+pub(crate) fn note_pivot(counter: &'static str, rows: usize) {
     if rows > 0 {
         conquer_obs::registry().counter(counter).add(rows as u64);
     }

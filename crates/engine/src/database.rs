@@ -623,6 +623,20 @@ impl Database {
             .collect()
     }
 
+    /// The index declared on `table` over `cols`, if it is built over the
+    /// table's current scan snapshot — what `index_status` reports as
+    /// `built`. Never builds one.
+    pub fn built_index(&self, table: &str, cols: &[String]) -> Option<Arc<Index>> {
+        let current = read_lock(&self.scan_cache).get(table).cloned()?;
+        read_lock(&self.indexes)
+            .get(table)?
+            .iter()
+            .find(|s| s.cols == cols)?
+            .built
+            .clone()
+            .filter(|i| Arc::ptr_eq(i.batch(), &current))
+    }
+
     /// How inconsistent `table` is under the key its (first) declared index
     /// is over: violated keys, the tuples in their groups and the
     /// group-size histogram, read off the index's conflict list — which

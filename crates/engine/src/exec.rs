@@ -67,7 +67,9 @@ use crate::expr::{BoundExpr, Env};
 use crate::faults;
 use crate::fsum::ExactSum;
 use crate::governor::Governor;
-use crate::groupkey::{AggInput, HashPartition, KeyCols, KeyPartition, KeySet, Partition};
+use crate::groupkey::{
+    AggInput, HashPartition, KeyCols, KeyPartition, KeySet, Partition, PostingRows,
+};
 use crate::index::{Index, IndexAccess};
 use crate::kernels;
 use crate::plan::{AggFunc, AggSpec, JoinType, Plan};
@@ -956,11 +958,28 @@ enum JoinTable<'a> {
     Indexed(&'a Index),
 }
 
-impl JoinTable<'_> {
-    fn get(&self, key: &Key) -> Option<&Vec<usize>> {
+/// A key's build rows, ascending, from either kind of [`JoinTable`].
+enum Matches<'a> {
+    Built(std::slice::Iter<'a, usize>),
+    Indexed(PostingRows<'a>),
+}
+
+impl Iterator for Matches<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
         match self {
-            JoinTable::Built(t) => t.get(key),
-            JoinTable::Indexed(index) => index.get(key),
+            Matches::Built(rows) => rows.next().copied(),
+            Matches::Indexed(rows) => rows.next().map(|r| r as usize),
+        }
+    }
+}
+
+impl JoinTable<'_> {
+    fn get(&self, key: &Key) -> Option<Matches<'_>> {
+        match self {
+            JoinTable::Built(t) => t.get(key).map(|rows| Matches::Built(rows.iter())),
+            JoinTable::Indexed(index) => index.get(key).map(Matches::Indexed),
         }
     }
 
@@ -1225,19 +1244,29 @@ fn exec_hash_join(
     note_threads(&mut stats, build_workers.max(probe_workers));
     let probe_source = KeySource::for_batch(probe, probe_keys, ctx);
 
-    // Inner/outer output rows splice in build-side values; the semi/anti
-    // joins that reach here evaluate a residual over the concatenated pair
-    // or a key expression over the row. Either way both sides pivot here
-    // (once, cached).
+    // The probe side is read through its row view (pivoted once, cached).
+    // A build row is read only for a candidate pair — an inner/outer join
+    // emits it, a residual is evaluated over it — its cells written
+    // straight from the build batch's columns into the pair, so a join
+    // served by a base table's index costs the rows it touches, not a
+    // pivot of the table.
     let probe_rows = probe.rows();
-    let build_rows = build.rows();
     let build_width = build.schema().len();
-    // A matched pair laid out left ++ right, whichever side was probed.
-    let pair = |prow: &Row, brow: &Row| -> Row {
-        let (first, second) = if swap { (brow, prow) } else { (prow, brow) };
-        let mut combined = Vec::with_capacity(first.len() + second.len());
-        combined.extend(first.iter().cloned());
-        combined.extend(second.iter().cloned());
+    let emits = matches!(kind, JoinType::Inner | JoinType::LeftOuter);
+    let reads_build = emits || residual.is_some();
+    // A candidate pair laid out left ++ right, whichever side was probed.
+    let pair = |prow: &Row, bi: usize| -> Row {
+        let mut combined = Vec::with_capacity(prow.len() + build_width);
+        if !swap {
+            combined.extend_from_slice(prow);
+        }
+        match build {
+            Batch::Owned(r) => combined.extend_from_slice(&r.rows[bi]),
+            Batch::Col { cols, .. } => combined.extend(cols.cols().iter().map(|c| c.value_at(bi))),
+        }
+        if swap {
+            combined.extend_from_slice(prow);
+        }
         combined
     };
     // The per-row matching logic is the same at any worker count, and
@@ -1256,30 +1285,28 @@ fn exec_hash_join(
                 table.get(&key)
             };
             let mut matched = false;
-            if let Some(idxs) = matches {
-                for &bi in idxs {
-                    comparisons += 1;
-                    // Residual conditions are part of the ON clause: they
-                    // decide whether this candidate pair is a match.
-                    let pass = match residual {
-                        None => true,
-                        Some(res) => {
-                            let combined = pair(prow, &build_rows[bi]);
-                            eval_predicate_on_row(res, &combined, outer, ctx)? == Some(true)
-                        }
-                    };
-                    if !pass {
+            for bi in matches.into_iter().flatten() {
+                comparisons += 1;
+                if !reads_build {
+                    // An existence test without a residual: the key is the
+                    // whole condition.
+                    matched = true;
+                    break;
+                }
+                let combined = pair(prow, bi);
+                // Residual conditions are part of the ON clause: they
+                // decide whether this candidate pair is a match.
+                if let Some(res) = residual {
+                    if eval_predicate_on_row(res, &combined, outer, ctx)? != Some(true) {
                         continue;
                     }
-                    matched = true;
-                    match kind {
-                        JoinType::Inner | JoinType::LeftOuter => {
-                            emit(1)?;
-                            out.push(pair(prow, &build_rows[bi]));
-                        }
-                        JoinType::Semi | JoinType::Anti => break,
-                    }
                 }
+                matched = true;
+                if !emits {
+                    break;
+                }
+                emit(1)?;
+                out.push(combined);
             }
             match kind {
                 JoinType::LeftOuter if !matched => {
@@ -1302,6 +1329,10 @@ fn exec_hash_join(
         Ok((out, comparisons))
     })?;
     let (out, comparisons) = concat_counted(chunks);
+    if reads_build && build.cols().is_some() {
+        // Every candidate pair read one build row out of its columns.
+        col::note_pivot("exec.pivot.to_rows", comparisons as usize);
+    }
     if let Some(s) = stats {
         s.comparisons += comparisons;
     }

@@ -7,16 +7,20 @@
 //! ([`GroupTable`]), and aggregate state is one typed vector per aggregate,
 //! indexed by group id ([`Partition`]). A semi/anti join's build side is
 //! the same table without the state ([`KeyPartition`]), looked up — never
-//! added to — with the probe side's key columns ([`KeySet`]). Two serial
-//! whole-batch passes serve the load path: [`group_sizes`] (how many rows
-//! share each row's key — the `cons` annotation) and [`distinct_capped`]
-//! (a column's NDV for the planner's statistics). No `Value`, `Key` or row
-//! is built per input row on the typed paths.
+//! added to — with the probe side's key columns ([`KeySet`]). Three serial
+//! whole-batch passes serve the load path and the catalog: [`group_sizes`]
+//! (how many rows share each row's key — the `cons` annotation),
+//! [`distinct_capped`] (a column's NDV for the planner's statistics) and
+//! [`Postings`] (the same table with each group's rows chained in ascending
+//! order — the key index, [`crate::index`] — looked up by a key's
+//! [`KeyValue`]s and extended in place of a rebuild when rows are
+//! appended). No `Value`, `Key` or row is built per input row on the typed
+//! paths.
 //!
 //! # Invariants
 //!
-//! Each is pinned by a test here, in `tests/group_kernel.rs` or in
-//! `tests/join_kernel.rs`.
+//! Each is pinned by a test here, in `tests/group_kernel.rs`,
+//! `tests/join_kernel.rs` or `tests/index_postings.rs`.
 //!
 //! 1. **Key equality is exactly [`KeyValue`]'s.** `Int(2)` and `Float(2.0)`
 //!    are one key (they can only meet in an `Any` column), `-0.0` and `0.0`
@@ -50,7 +54,9 @@
 //!    one through [`canon`], two different typed layouts never match — and
 //!    both sides hash under one seed ([`KeyCols::seeded_like`]) to a hash
 //!    that depends on the key value, not the layout. A key with a NULL
-//!    component is in no set and matches nothing (SQL equality).
+//!    component is in no set and matches nothing (SQL equality). The same
+//!    holds for a key given as [`KeyValue`]s ([`Postings::find`]): hashed
+//!    as a row holding those values would be, compared like an `Any` cell.
 
 use std::collections::hash_map::RandomState;
 use std::collections::HashSet;
@@ -112,12 +118,53 @@ fn canon(v: &Value) -> Canon<'_> {
         Value::Null => Canon::Null,
         Value::Bool(b) => Canon::Bool(*b),
         Value::Int(i) => Canon::Int(*i),
-        Value::Float(f) => match float_key(*f) {
-            Ok(i) => Canon::Int(i),
-            Err(bits) => Canon::FloatBits(bits),
-        },
+        Value::Float(f) => canon_float(*f),
         Value::Str(s) => Canon::Str(s),
         Value::Date(d) => Canon::Date(*d),
+    }
+}
+
+fn canon_float(f: f64) -> Canon<'static> {
+    match float_key(f) {
+        Ok(i) => Canon::Int(i),
+        Err(bits) => Canon::FloatBits(bits),
+    }
+}
+
+/// A [`KeyValue`], borrowed: the two are one normal form.
+fn canon_key(kv: &KeyValue) -> Canon<'_> {
+    match kv {
+        KeyValue::Null => Canon::Null,
+        KeyValue::Bool(b) => Canon::Bool(*b),
+        KeyValue::Int(i) => Canon::Int(*i),
+        KeyValue::FloatBits(bits) => Canon::FloatBits(*bits),
+        KeyValue::Str(s) => Canon::Str(s),
+        KeyValue::Date(d) => Canon::Date(*d),
+    }
+}
+
+/// Cell `i` of `chunk`, which must not be NULL unless inside an `Any` chunk.
+fn cell_canon(chunk: &ColumnChunk, i: usize) -> Canon<'_> {
+    match &chunk.data {
+        ColumnData::Int(xs) => Canon::Int(xs[i]),
+        ColumnData::Float(xs) => canon_float(xs[i]),
+        ColumnData::Date(xs) => Canon::Date(xs[i]),
+        ColumnData::Bool(xs) => Canon::Bool(xs[i]),
+        ColumnData::Text { codes, dict } => Canon::Str(dict.get(codes[i])),
+        ColumnData::Any(vs) => canon(&vs[i]),
+    }
+}
+
+/// The word a key value is hashed as, whatever layout holds it.
+#[inline]
+fn canon_payload(c: Canon<'_>, k: u64) -> u64 {
+    match c {
+        Canon::Null => NULL_PAYLOAD,
+        Canon::Bool(b) => u64::from(b),
+        Canon::Int(v) => v as u64,
+        Canon::FloatBits(bits) => bits,
+        Canon::Str(s) => hash_str(s, k),
+        Canon::Date(d) => d as u64,
     }
 }
 
@@ -138,8 +185,8 @@ pub struct KeyCols<'a> {
 
 impl<'a> KeyCols<'a> {
     pub fn new(batch: &'a ColBatch, key_idx: &[usize]) -> KeyCols<'a> {
-        let seed = RandomState::new();
-        KeyCols::seeded(batch, key_idx, seed.hash_one(0u8), seed.hash_one(1u8) | 1)
+        let (k0, k1) = new_seed();
+        KeyCols::seeded(batch, key_idx, k0, k1, batch.len())
     }
 
     /// The key columns of another batch under this one's seed: equal keys
@@ -147,16 +194,24 @@ impl<'a> KeyCols<'a> {
     /// what lets one side's rows be looked up in a table built over the
     /// other's ([`KeySet::select_into`]).
     pub fn seeded_like<'b>(&self, batch: &'b ColBatch, key_idx: &[usize]) -> KeyCols<'b> {
-        KeyCols::seeded(batch, key_idx, self.k0, self.k1)
+        KeyCols::seeded(batch, key_idx, self.k0, self.k1, batch.len())
     }
 
-    fn seeded(batch: &'a ColBatch, key_idx: &[usize], k0: u64, k1: u64) -> KeyCols<'a> {
+    /// `hashed_rows` is how many rows the caller will hash: a text column
+    /// hashes its dictionary up front only when that is no more work.
+    fn seeded(
+        batch: &'a ColBatch,
+        key_idx: &[usize],
+        k0: u64,
+        k1: u64,
+        hashed_rows: usize,
+    ) -> KeyCols<'a> {
         let cols = key_idx
             .iter()
             .map(|&c| {
                 let chunk = batch.col(c);
                 let code_hashes = match &chunk.data {
-                    ColumnData::Text { dict, .. } if dict.len() <= batch.len() => {
+                    ColumnData::Text { dict, .. } if dict.len() <= hashed_rows => {
                         Some(dict.strings().iter().map(|s| hash_str(s, k1)).collect())
                     }
                     _ => None,
@@ -208,14 +263,7 @@ impl<'a> KeyCols<'a> {
                     Some(hashes) => fold!(|i| hashes[codes[i] as usize]),
                     None => fold!(|i| hash_str(dict.get(codes[i]), k)),
                 },
-                ColumnData::Any(vs) => fold!(|i| match canon(&vs[i]) {
-                    Canon::Null => NULL_PAYLOAD,
-                    Canon::Bool(b) => u64::from(b),
-                    Canon::Int(v) => v as u64,
-                    Canon::FloatBits(bits) => bits,
-                    Canon::Str(s) => hash_str(s, k),
-                    Canon::Date(d) => d as u64,
-                }),
+                ColumnData::Any(vs) => fold!(|i| canon_payload(canon(&vs[i]), k)),
             }
         }
     }
@@ -301,11 +349,17 @@ fn cells_equal(a: &ColumnChunk, i: usize, b: &ColumnChunk, j: usize) -> bool {
         ) => (cx[i] == cy[j] && Arc::ptr_eq(dx, dy)) || dx.get(cx[i]) == dy.get(cy[j]),
         (ColumnData::Int(xs), ColumnData::Float(ys)) => float_key(ys[j]) == Ok(xs[i]),
         (ColumnData::Float(xs), ColumnData::Int(ys)) => float_key(xs[i]) == Ok(ys[j]),
-        (ColumnData::Any(xs), ColumnData::Any(ys)) => canon(&xs[i]) == canon(&ys[j]),
         // An `Any` cell against a typed one, or two typed layouts whose
         // values are never one key (an integer and a date, say).
-        _ => canon(&a.value_at(i)) == canon(&b.value_at(j)),
+        _ => cell_canon(a, i) == cell_canon(b, j),
     }
+}
+
+/// A fresh `(k0, k1)` seed for [`KeyCols`]: `k0` starts every hash, `k1`
+/// is [`mix`]'s multiplier.
+fn new_seed() -> (u64, u64) {
+    let seed = RandomState::new();
+    (seed.hash_one(0u8), seed.hash_one(1u8) | 1)
 }
 
 /// Which of `of` partitions owns hash `h`. Uses the high half of the hash;
@@ -318,6 +372,7 @@ fn route(h: u64, of: usize) -> usize {
 /// Open-addressing (linear probing, load ≤ ½) map from key to dense group
 /// id. A slot holds `group id + 1`; the key itself stays in the batch, at
 /// the group's first row.
+#[derive(Clone)]
 struct GroupTable {
     slots: Vec<u32>,
     /// First row of each group, ascending (rows arrive in order).
@@ -340,25 +395,30 @@ impl GroupTable {
         }
     }
 
-    /// [`group_of`](GroupTable::group_of)'s walk without the insert: is
-    /// there a group with hash `h` whose first row `same_key` accepts?
+    /// [`group_of`](GroupTable::group_of)'s walk without the insert: the
+    /// group with hash `h` whose first row `same_key` accepts, if any.
     /// (Its own loop: sharing one walk with `group_of` through a closure
     /// measured 2-3 % on GROUP BY and DISTINCT.)
     #[inline]
-    fn contains(&self, h: u64, same_key: impl Fn(usize) -> bool) -> bool {
+    fn find(&self, h: u64, same_key: impl Fn(usize) -> bool) -> Option<u32> {
         let mask = self.slots.len() - 1;
         let mut slot = h as usize & mask;
         loop {
             let s = self.slots[slot];
             if s == 0 {
-                return false;
+                return None;
             }
             let g = (s - 1) as usize;
             if self.hashes[g] == h && same_key(self.first_rows[g] as usize) {
-                return true;
+                return Some(g as u32);
             }
             slot = (slot + 1) & mask;
         }
+    }
+
+    /// Bytes the table holds: slots, first rows and hashes, by capacity.
+    fn bytes(&self) -> usize {
+        self.slots.capacity() * 4 + self.first_rows.capacity() * 4 + self.hashes.capacity() * 8
     }
 
     #[inline]
@@ -501,7 +561,8 @@ impl<'a> KeySet<'a> {
         for (i, &h) in block.zip(hashes) {
             let matched = !(nullable && probe.has_null(i))
                 && self.tables[route(h, self.tables.len())]
-                    .contains(h, |first| self.keys.row_equals(first, probe, i));
+                    .find(h, |first| self.keys.row_equals(first, probe, i))
+                    .is_some();
             matches += u64::from(matched);
             if matched == keep_matched {
                 sel.push(i as u32);
@@ -515,10 +576,10 @@ impl<'a> KeySet<'a> {
 /// of one step stay in cache until the table has consumed them.
 const SERIAL_BLOCK: usize = 4096;
 
-fn serial_blocks(len: usize) -> impl Iterator<Item = Range<usize>> {
-    (0..len)
-        .step_by(SERIAL_BLOCK)
-        .map(move |lo| lo..(lo + SERIAL_BLOCK).min(len))
+fn serial_blocks(rows: Range<usize>) -> impl Iterator<Item = Range<usize>> {
+    let end = rows.end;
+    rows.step_by(SERIAL_BLOCK)
+        .map(move |lo| lo..(lo + SERIAL_BLOCK).min(end))
 }
 
 /// What [`group_sizes`] found.
@@ -539,7 +600,7 @@ pub fn group_sizes(batch: &ColBatch, key_idx: &[usize]) -> GroupSizes {
     let mut per_row = Vec::with_capacity(batch.len());
     let mut per_group: Vec<u32> = Vec::new();
     let mut hashes = Vec::new();
-    for block in serial_blocks(batch.len()) {
+    for block in serial_blocks(0..batch.len()) {
         keys.hash_range(block.clone(), &mut hashes);
         for (i, &h) in block.zip(&hashes) {
             let g = table.group_of(&keys, i as u32, h);
@@ -564,7 +625,7 @@ pub fn distinct_capped(batch: &ColBatch, col: usize, cap: usize) -> Option<usize
     let nullable = keys.nullable();
     let mut table = GroupTable::new();
     let mut hashes = Vec::new();
-    for block in serial_blocks(batch.len()) {
+    for block in serial_blocks(0..batch.len()) {
         keys.hash_range(block.clone(), &mut hashes);
         for (i, &h) in block.zip(&hashes) {
             if !(nullable && keys.has_null(i)) {
@@ -576,6 +637,155 @@ pub fn distinct_capped(batch: &ColBatch, col: usize, cap: usize) -> Option<usize
         }
     }
     Some(table.first_rows.len())
+}
+
+/// End of a posting chain: no next row.
+const NO_ROW: u32 = u32::MAX;
+
+/// Row-id postings of a batch's distinct non-NULL keys — the key index's
+/// payload ([`crate::index`]). The groups are a `GroupTable`'s, in
+/// first-row order; a group's rows are a chain through `next` from its
+/// first row to `last[g]`, ascending because rows are folded in order.
+/// Rows with a NULL key component are in no group, only counted.
+///
+/// The postings hold row ids, never key values: a key is hashed under the
+/// postings' own seed and compared with the key columns at its group's
+/// first row, so every call must pass the batch the postings were folded
+/// over — or, for [`Postings::extended`], an extension of it whose old rows
+/// hold the same values (their layout may differ: hashes and equality are
+/// the value's, invariant 6).
+#[derive(Clone)]
+pub struct Postings {
+    table: GroupTable,
+    /// Per row: the next row of its group, or [`NO_ROW`] (the group's last
+    /// row, or a NULL-key row).
+    next: Vec<u32>,
+    /// Per group: its last row and its size.
+    last: Vec<u32>,
+    sizes: Vec<u32>,
+    null_rows: usize,
+    k0: u64,
+    k1: u64,
+}
+
+impl Postings {
+    /// Postings over the key columns `key_idx` of `batch`, whose length
+    /// must be below `u32::MAX`: one typed pass.
+    pub fn build(batch: &ColBatch, key_idx: &[usize]) -> Postings {
+        let (k0, k1) = new_seed();
+        let mut postings = Postings {
+            table: GroupTable::new(),
+            next: Vec::new(),
+            last: Vec::new(),
+            sizes: Vec::new(),
+            null_rows: 0,
+            k0,
+            k1,
+        };
+        postings.fold(batch, key_idx);
+        postings
+    }
+
+    /// These postings, extended by the rows `batch` appends to the batch
+    /// they were folded over: a copy of every vector, then the new rows
+    /// folded in as [`build`](Postings::build) would have.
+    pub fn extended(&self, batch: &ColBatch, key_idx: &[usize]) -> Postings {
+        let mut postings = self.clone();
+        postings.fold(batch, key_idx);
+        postings
+    }
+
+    /// Fold in the rows of `batch` past the ones already held.
+    fn fold(&mut self, batch: &ColBatch, key_idx: &[usize]) {
+        let rows = self.next.len()..batch.len();
+        let keys = KeyCols::seeded(batch, key_idx, self.k0, self.k1, rows.len());
+        let nullable = keys.nullable();
+        self.next.reserve_exact(rows.len());
+        let mut hashes = Vec::new();
+        for block in serial_blocks(rows) {
+            keys.hash_range(block.clone(), &mut hashes);
+            for (i, &h) in block.zip(&hashes) {
+                self.next.push(NO_ROW);
+                if nullable && keys.has_null(i) {
+                    self.null_rows += 1;
+                    continue;
+                }
+                let row = i as u32;
+                let g = self.table.group_of(&keys, row, h) as usize;
+                if g == self.last.len() {
+                    self.last.push(row);
+                    self.sizes.push(1);
+                } else {
+                    self.next[self.last[g] as usize] = row;
+                    self.last[g] = row;
+                    self.sizes[g] += 1;
+                }
+            }
+        }
+    }
+
+    /// The group holding `key` (one value per key column, none NULL):
+    /// hashed as [`KeyCols::hash_range`] hashes a row, compared with the
+    /// group's first row under [`KeyValue`] equality (invariant 6).
+    pub fn find(&self, batch: &ColBatch, key_idx: &[usize], key: &[KeyValue]) -> Option<u32> {
+        let h = key.iter().fold(self.k0, |h, kv| {
+            mix(h, canon_payload(canon_key(kv), self.k1), self.k1)
+        });
+        self.table.find(h, |first| {
+            key_idx
+                .iter()
+                .zip(key)
+                .all(|(&c, kv)| cell_canon(batch.col(c), first) == canon_key(kv))
+        })
+    }
+
+    /// Group `g`'s rows, ascending.
+    pub fn rows(&self, g: u32) -> PostingRows<'_> {
+        PostingRows {
+            next: &self.next,
+            at: self.table.first_rows[g as usize],
+        }
+    }
+
+    /// Number of groups: distinct non-NULL keys.
+    pub fn groups(&self) -> usize {
+        self.sizes.len()
+    }
+
+    /// Group `g`'s first row and size.
+    pub fn group(&self, g: u32) -> (u32, u32) {
+        (self.table.first_rows[g as usize], self.sizes[g as usize])
+    }
+
+    /// Rows in no group for a NULL key component.
+    pub fn null_rows(&self) -> usize {
+        self.null_rows
+    }
+
+    /// Bytes held, by capacity: the table, the chain, last rows and sizes.
+    pub fn bytes(&self) -> u64 {
+        let per_group = (self.last.capacity() + self.sizes.capacity()) * 4;
+        (self.table.bytes() + self.next.capacity() * 4 + per_group) as u64
+    }
+}
+
+/// One group's rows, ascending ([`Postings::rows`]).
+pub struct PostingRows<'a> {
+    next: &'a [u32],
+    at: u32,
+}
+
+impl Iterator for PostingRows<'_> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        let row = self.at;
+        if row == NO_ROW {
+            return None;
+        }
+        self.at = self.next[row as usize];
+        Some(row)
+    }
 }
 
 /// One aggregate the kernel computes: `col` is the argument's column in

@@ -1,11 +1,15 @@
-//! Secondary indexes over columnar batches: hash postings for equality
+//! Secondary indexes over columnar batches: row-id postings for equality
 //! probes and an ordered numeric view for range scans.
 //!
 //! An [`Index`] maps key values to **row-id postings** over one immutable
 //! [`ColBatch`] — the same `Arc` the table's scan cache hands to every
 //! plan, so `Arc::ptr_eq` doubles as the validity stamp (exactly like the
-//! scan cache itself; see `Database::indexes_by_scan`). Postings are built
-//! in ascending row order with NULL keys excluded, which makes them
+//! scan cache itself; see `Database::indexes_by_scan`). The postings are
+//! the group-key kernel's ([`Postings`]): one typed pass over the key
+//! columns, a group per distinct key, each group's rows chained in
+//! ascending order with NULL keys excluded. No key value is stored — a
+//! probe key is hashed like a row and compared with the key columns at its
+//! group's first row. Ascending, NULL-free postings make the index
 //! *bit-compatible* with both consumers:
 //!
 //! * a hash join's build table (`exec::build_join_table` lists each key's
@@ -18,37 +22,38 @@
 //!   [`IndexScan`](crate::plan::Plan::IndexScan) gather produces the
 //!   identical batch.
 //!
-//! Range scans binary-search the ordered `(f64, row)` view for a candidate
-//! span — `f64` conversion is monotone, so the span is a superset of the
-//! true matches — then re-check every candidate with the exact
-//! [`Value::sql_cmp`] the filter kernel would have used. Equality probes
-//! need no re-check: [`Key`] normalization (`Float(1.0)` → `Int(1)`) agrees
-//! with SQL equality for every literal the planner is allowed to attach
-//! (see `opt::select_access_paths`).
+//! Range scans binary-search the ordered `(f64, row)` view — built from the
+//! typed column — for a candidate span (`f64` conversion is monotone, so
+//! the span is a superset of the true matches), then re-check every
+//! candidate with the exact [`Value::sql_cmp`] the filter kernel would have
+//! used. Equality probes need no re-check: [`KeyValue`](crate::value::KeyValue) equality
+//! (`Float(1.0)` is `Int(1)`) agrees with SQL equality for every literal
+//! the planner is allowed to attach (see `opt::select_access_paths`).
 //!
 //! # The conflict set
 //!
-//! Over a key's columns, a posting list of length ≥ 2 *is* a violated key
-//! group, so the index also keeps the list of those groups — `(first row,
-//! size)`, ordered by first row — and the number of rows it skipped for a
-//! NULL key. [`Index::build`] derives the list from the finished postings,
-//! [`Index::extended`] patches it as keys go 1 → 2 and n → n + 1, and both
-//! must agree (`extended_matches_full_rebuild`). The list answers
+//! Over a key's columns, a group of ≥ 2 rows *is* a violated key group, so
+//! the index also keeps the list of those groups. Group ids are assigned in
+//! first-row order, so the list falls out of the postings in that order;
+//! [`Index::extended`] re-reads it after folding the appended rows in, and
+//! both must agree (`extended_matches_full_rebuild`). The list answers
 //! `SELECT K FROM R GROUP BY K HAVING count(*) > c` index-only
-//! ([`IndexAccess::Conflicts`]): [`Key`] equality is the group-key kernel's
-//! equality and both order groups by first row, so the rows and their order
-//! are the kernel's — provided no row was skipped, because `GROUP BY` gives
-//! NULL keys groups of their own and the postings do not hold them. The
-//! planner checks [`Index::null_key_rows`] and keeps the kernel otherwise.
+//! ([`IndexAccess::Conflicts`]): the postings' groups are the group-key
+//! kernel's, in its order — provided no row was skipped, because
+//! `GROUP BY` gives NULL keys groups of their own and the postings do not
+//! hold them. The planner checks [`Index::null_key_rows`] and keeps the
+//! kernel otherwise.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::mem;
+use std::ops::Range;
 use std::sync::Arc;
 
-use crate::col::ColBatch;
-use crate::error::Result;
+use crate::col::{ColBatch, ColumnChunk, ColumnData};
+use crate::error::{EngineError, Result};
 use crate::faults;
+use crate::groupkey::{PostingRows, Postings};
 use crate::stats::numeric_of;
 use crate::value::{Key, Value};
 
@@ -110,17 +115,15 @@ pub struct Index {
     /// The batch the postings describe; `Arc::ptr_eq` is the validity
     /// stamp.
     batch: Arc<ColBatch>,
-    /// Equality postings: key → ascending row ids (NULL keys excluded).
-    map: HashMap<Key, Vec<usize>>,
+    /// Equality postings: one group per distinct non-NULL key.
+    postings: Postings,
     /// Ordered view for single-column indexes whose non-null values are
     /// all numeric: `(numeric value, row id)` sorted ascending. `None`
     /// for multi-column or non-numeric keys — no range support then.
     ordered: Option<Vec<(f64, usize)>>,
-    /// Violated groups — postings of length ≥ 2 — as `(first row, size)`,
-    /// ascending by first row.
-    conflicts: Vec<(u32, u32)>,
-    /// Rows left out of `map` for a NULL key.
-    null_key_rows: usize,
+    /// Violated groups — groups of ≥ 2 rows — ascending by group id, which
+    /// is first-row order.
+    conflicts: Vec<u32>,
 }
 
 impl fmt::Debug for Index {
@@ -129,7 +132,7 @@ impl fmt::Debug for Index {
             .field("table", &self.table)
             .field("cols", &self.col_names)
             .field("rows", &self.batch.len())
-            .field("keys", &self.map.len())
+            .field("keys", &self.postings.groups())
             .field("ordered", &self.ordered.is_some())
             .field("conflicts", &self.conflicts.len())
             .finish()
@@ -148,116 +151,52 @@ impl Index {
         batch: &Arc<ColBatch>,
     ) -> Result<Index> {
         faults::trip("index_build_fail")?;
-        let n = batch.len();
-        let chunks: Vec<_> = cols.iter().map(|&c| Arc::clone(&batch.cols()[c])).collect();
-        let mut map: HashMap<Key, Vec<usize>> = HashMap::new();
-        let mut numeric = cols.len() == 1;
-        let mut ordered: Vec<(f64, usize)> = Vec::new();
-        let mut null_key_rows = 0;
-        let mut vals: Vec<Value> = Vec::with_capacity(cols.len());
-        for i in 0..n {
-            vals.clear();
-            for chunk in &chunks {
-                vals.push(chunk.value_at(i));
-            }
-            if numeric && !vals[0].is_null() {
-                match numeric_of(&vals[0]) {
-                    Some(v) => ordered.push((v, i)),
-                    None => {
-                        numeric = false;
-                        ordered.clear();
-                    }
-                }
-            }
-            let key = Key::from_values(&vals);
-            if key.has_null() {
-                null_key_rows += 1;
-                continue;
-            }
-            map.entry(key).or_default().push(i);
+        if batch.len() >= u32::MAX as usize {
+            return Err(EngineError::Execution(format!(
+                "index on {table}: {} rows do not fit u32 row ids",
+                batch.len()
+            )));
         }
-        ordered.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let mut conflicts: Vec<(u32, u32)> = map
-            .values()
-            .filter(|rows| rows.len() >= 2)
-            .map(|rows| (rows[0] as u32, rows.len() as u32))
-            .collect();
-        conflicts.sort_unstable();
+        let postings = Postings::build(batch, &cols);
+        let ordered = match cols[..] {
+            [c] => ordered_view(batch.col(c), 0..batch.len(), Vec::new()),
+            _ => None,
+        };
         Ok(Index {
             table: table.to_string(),
             col_names: col_names.to_vec(),
+            conflicts: violated_groups(&postings),
             cols,
             batch: Arc::clone(batch),
-            map,
-            ordered: numeric.then_some(ordered),
-            conflicts,
-            null_key_rows,
+            postings,
+            ordered,
         })
     }
 
     /// Incremental maintenance for `INSERT`: `new_batch` must extend this
     /// index's batch by appended rows (the engine's inserts clone the
     /// table and push, so the row prefix is value-identical). Existing
-    /// postings stay valid; only the appended suffix is keyed. Returns
+    /// postings stay valid; only the appended suffix is folded in. Returns
     /// `None` when `new_batch` is not a pure extension.
     pub fn extended(&self, new_batch: &Arc<ColBatch>) -> Option<Index> {
         let old_n = self.batch.len();
-        if new_batch.len() < old_n || new_batch.width() != self.batch.width() {
+        let new_n = new_batch.len();
+        if new_n < old_n || new_n >= u32::MAX as usize || new_batch.width() != self.batch.width() {
             return None;
         }
-        let chunks: Vec<_> = self
-            .cols
-            .iter()
-            .map(|&c| Arc::clone(&new_batch.cols()[c]))
-            .collect();
-        let mut map = self.map.clone();
-        let mut ordered = self.ordered.clone();
-        let mut conflicts = self.conflicts.clone();
-        let mut null_key_rows = self.null_key_rows;
-        let mut vals: Vec<Value> = Vec::with_capacity(self.cols.len());
-        for i in old_n..new_batch.len() {
-            vals.clear();
-            for chunk in &chunks {
-                vals.push(chunk.value_at(i));
-            }
-            if let Some(ord) = &mut ordered {
-                if !vals[0].is_null() {
-                    match numeric_of(&vals[0]) {
-                        Some(v) => ord.push((v, i)),
-                        None => ordered = None,
-                    }
-                }
-            }
-            let key = Key::from_values(&vals);
-            if key.has_null() {
-                null_key_rows += 1;
-                continue;
-            }
-            let rows = map.entry(key).or_default();
-            rows.push(i);
-            // A group's first row never changes under appends, so it is
-            // both the sort key of the conflict list and the handle on the
-            // group's entry.
-            let first = rows[0] as u32;
-            let at = conflicts.partition_point(|&(f, _)| f < first);
-            match rows.len() {
-                1 => {}
-                2 => conflicts.insert(at, (first, 2)),
-                _ => conflicts[at].1 += 1,
-            }
-        }
-        if let Some(ord) = &mut ordered {
-            ord.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        }
+        let postings = self.postings.extended(new_batch, &self.cols);
+        let ordered = self
+            .ordered
+            .clone()
+            .and_then(|ord| ordered_view(new_batch.col(self.cols[0]), old_n..new_n, ord));
         Some(Index {
             table: self.table.clone(),
             col_names: self.col_names.clone(),
             cols: self.cols.clone(),
             batch: Arc::clone(new_batch),
-            map,
+            conflicts: violated_groups(&postings),
+            postings,
             ordered,
-            conflicts,
-            null_key_rows,
         })
     }
 
@@ -283,13 +222,13 @@ impl Index {
 
     /// Number of distinct (non-null) keys.
     pub fn distinct_keys(&self) -> usize {
-        self.map.len()
+        self.postings.groups()
     }
 
     /// Rows the postings leave out because a key column is NULL. While this
     /// is zero the conflict list covers every `GROUP BY` group of size ≥ 2.
     pub fn null_key_rows(&self) -> usize {
-        self.null_key_rows
+        self.postings.null_rows()
     }
 
     /// First rows of the key groups with at least `min_group` (≥ 2) rows,
@@ -297,23 +236,26 @@ impl Index {
     pub fn conflict_rows(&self, min_group: usize) -> impl Iterator<Item = u32> + '_ {
         self.conflicts
             .iter()
-            .filter(move |&&(_, size)| size as usize >= min_group)
-            .map(|&(first, _)| first)
+            .map(|&g| self.postings.group(g))
+            .filter(move |&(_, size)| size as usize >= min_group)
+            .map(|(first, _)| first)
     }
 
     /// Violated keys, the tuples in their groups and the group-size
     /// histogram, read off the conflict list.
     pub fn conflict_summary(&self) -> ConflictSummary {
         let mut sizes: BTreeMap<u64, u64> = BTreeMap::new();
-        for &(_, size) in &self.conflicts {
-            *sizes.entry(u64::from(size)).or_default() += 1;
+        for &g in &self.conflicts {
+            *sizes
+                .entry(u64::from(self.postings.group(g).1))
+                .or_default() += 1;
         }
         ConflictSummary {
             key: self.col_names.clone(),
             violated_keys: self.conflicts.len() as u64,
             tuples_in_violated_groups: sizes.iter().map(|(size, groups)| size * groups).sum(),
             group_sizes: sizes.into_iter().collect(),
-            null_key_rows: self.null_key_rows as u64,
+            null_key_rows: self.null_key_rows() as u64,
         }
     }
 
@@ -322,24 +264,24 @@ impl Index {
         self.ordered.is_some()
     }
 
-    /// Equality postings for a key, ascending row ids. Drop-in for the
+    /// Equality postings for a key without a NULL component: its rows in
+    /// ascending order, or `None` when no row holds it. Drop-in for the
     /// hash join's build-table lookup: `None` and NULL-key behaviour match
     /// `exec::build_join_table` exactly.
-    pub fn get(&self, key: &Key) -> Option<&Vec<usize>> {
-        self.map.get(key)
+    pub fn get(&self, key: &Key) -> Option<PostingRows<'_>> {
+        let g = self.postings.find(&self.batch, &self.cols, &key.0)?;
+        Some(self.postings.rows(g))
     }
 
-    /// Rough resident footprint, mirroring the join hash-table estimate.
+    /// Bytes the index holds: the postings, the ordered view and the
+    /// conflict list, by capacity.
     pub fn bytes(&self) -> u64 {
-        let entry = mem::size_of::<Key>() + mem::size_of::<Vec<usize>>();
-        let postings: usize = self.map.values().map(Vec::len).sum();
         let ordered = self
             .ordered
             .as_ref()
-            .map_or(0, |o| o.len() * mem::size_of::<(f64, usize)>());
-        let conflicts = self.conflicts.len() * mem::size_of::<(u32, u32)>();
-        (self.map.capacity() * entry + postings * mem::size_of::<usize>() + ordered + conflicts)
-            as u64
+            .map_or(0, |o| o.capacity() * mem::size_of::<(f64, usize)>());
+        let conflicts = self.conflicts.capacity() * mem::size_of::<u32>();
+        self.postings.bytes() + (ordered + conflicts) as u64
     }
 
     /// Resolve an access into an ascending selection vector over the
@@ -352,9 +294,8 @@ impl Index {
                 if values.iter().any(Value::is_null) {
                     return Vec::new(); // SQL equality never matches NULL
                 }
-                let key = Key::from_values(values);
-                match self.map.get(&key) {
-                    Some(rows) => rows.iter().map(|&r| r as u32).collect(),
+                match self.get(&Key::from_values(values)) {
+                    Some(rows) => rows.collect(),
                     None => Vec::new(),
                 }
             }
@@ -405,6 +346,51 @@ impl Index {
     }
 }
 
+/// The groups of two or more rows, in group-id (first-row) order.
+fn violated_groups(postings: &Postings) -> Vec<u32> {
+    (0..postings.groups() as u32)
+        .filter(|&g| postings.group(g).1 >= 2)
+        .collect()
+}
+
+/// `out` plus the `(value, row)` pairs of the non-NULL cells of `rows`,
+/// sorted — or `None` as soon as one is not numeric (text, a NaN), read
+/// typed off the column's layout.
+fn ordered_view(
+    chunk: &ColumnChunk,
+    mut rows: Range<usize>,
+    mut out: Vec<(f64, usize)>,
+) -> Option<Vec<(f64, usize)>> {
+    let valid = |i: &usize| !chunk.is_null(*i);
+    match &chunk.data {
+        ColumnData::Int(xs) => out.extend(rows.filter(valid).map(|i| (xs[i] as f64, i))),
+        ColumnData::Date(xs) => out.extend(rows.filter(valid).map(|i| (f64::from(xs[i]), i))),
+        ColumnData::Bool(xs) => {
+            out.extend(rows.filter(valid).map(|i| (f64::from(u8::from(xs[i])), i)));
+        }
+        ColumnData::Float(xs) => {
+            for i in rows.filter(valid) {
+                if xs[i].is_nan() {
+                    return None;
+                }
+                out.push((xs[i], i));
+            }
+        }
+        ColumnData::Text { .. } => {
+            if rows.any(|i| valid(&i)) {
+                return None;
+            }
+        }
+        ColumnData::Any(vs) => {
+            for i in rows.filter(valid) {
+                out.push((numeric_of(&vs[i])?, i));
+            }
+        }
+    }
+    out.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    Some(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -432,6 +418,14 @@ mod tests {
         Index::build("t", &["k".to_string()], vec![0], b).expect("build")
     }
 
+    /// The conflict list as `(first row, size)`.
+    fn conflicts(idx: &Index) -> Vec<(u32, u32)> {
+        idx.conflicts
+            .iter()
+            .map(|&g| idx.postings.group(g))
+            .collect()
+    }
+
     #[test]
     fn eq_postings_ascend_and_skip_nulls() {
         let b = demo();
@@ -449,8 +443,8 @@ mod tests {
             Vec::<u32>::new(),
             "NULL never matches equality"
         );
-        // Float(3.0) normalizes to the same key as Int(3) — matching
-        // SQL equality (3 = 3.0 is true).
+        // Float(3.0) is the same key as Int(3) — matching SQL equality
+        // (3 = 3.0 is true).
         assert_eq!(
             idx.select(&IndexAccess::Eq(vec![Value::Float(3.0)])),
             vec![0, 3]
@@ -521,13 +515,18 @@ mod tests {
             })
         );
         assert_eq!(ext.distinct_keys(), rebuilt.distinct_keys());
-        // The conflict list is patched, not rebuilt, and must come out the
-        // same: key 3 went 2 -> 3, a second NULL-key row was skipped.
-        assert_eq!(ext.conflicts, vec![(0, 3)]);
-        assert_eq!(ext.conflicts, rebuilt.conflicts);
+        // The conflict list comes out the same as a rebuild's: key 3 went
+        // 2 -> 3, a second NULL-key row was skipped.
+        assert_eq!(conflicts(&ext), vec![(0, 3)]);
+        assert_eq!(conflicts(&ext), conflicts(&rebuilt));
         assert_eq!(ext.null_key_rows(), 2);
         assert_eq!(ext.conflict_summary(), rebuilt.conflict_summary());
         assert!(Arc::ptr_eq(ext.batch(), &grown));
+        // The old index still answers for the old batch.
+        assert_eq!(
+            idx.select(&IndexAccess::Eq(vec![Value::Int(3)])),
+            vec![0, 3]
+        );
         // A shrunk batch is not an extension.
         assert!(ext.extended(&b).is_none());
     }
@@ -562,10 +561,10 @@ mod tests {
             let batch = rows(&grown);
             idx = idx.extended(&batch).expect("extends");
             let rebuilt = build(&batch);
-            assert_eq!(idx.conflicts, rebuilt.conflicts, "after {grown:?}");
+            assert_eq!(conflicts(&idx), conflicts(&rebuilt), "after {grown:?}");
             assert_eq!(idx.conflict_summary(), rebuilt.conflict_summary());
         }
-        assert_eq!(idx.conflicts, vec![(0, 3), (1, 3), (5, 3), (8, 2)]);
+        assert_eq!(conflicts(&idx), vec![(0, 3), (1, 3), (5, 3), (8, 2)]);
         let summary = idx.conflict_summary();
         assert_eq!(summary.violated_keys, 4);
         assert_eq!(summary.tuples_in_violated_groups, 11);

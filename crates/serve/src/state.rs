@@ -19,7 +19,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime};
 
 use conquer_core::RewriteError;
-use conquer_engine::{CancellationToken, EngineError, ExecOptions, Rows};
+use conquer_engine::{CancellationToken, EngineError, ExecOptions, Index, Rows};
 use conquer_obs::{flight_recorder, Json, QueryTrace, TraceContext, TripSnapshot};
 
 use crate::cache::{CachedStatement, Lookup};
@@ -543,17 +543,23 @@ fn stats_json(shared: &Shared, state: &SessionState) -> Json {
                     .index_status()
                     .into_iter()
                     .map(|(table, cols, built)| {
-                        // The conflict set is the index's by-product:
-                        // reported once built, never built for a report.
-                        let conflicts = built
-                            .then(|| shared.db.conflict_summary(&table))
-                            .flatten()
-                            .filter(|c| c.key == cols);
+                        // What a built index holds, and the conflict set —
+                        // its by-product: reported once built, never built
+                        // for a report.
+                        let index = built
+                            .then(|| shared.db.built_index(&table, &cols))
+                            .flatten();
+                        let held = |f: fn(&Index) -> Json| index.as_deref().map_or(Json::Null, f);
                         Json::obj([
                             ("table", Json::from(table.as_str())),
                             ("columns", Json::from(cols.join(",").as_str())),
                             ("built", Json::Bool(built)),
-                            ("conflicts", conflicts.map_or(Json::Null, conflicts_json)),
+                            ("bytes", held(|i| Json::UInt(i.bytes()))),
+                            (
+                                "distinct_keys",
+                                held(|i| Json::UInt(i.distinct_keys() as u64)),
+                            ),
+                            ("conflicts", held(|i| conflicts_json(i.conflict_summary()))),
                         ])
                     }),
             ),

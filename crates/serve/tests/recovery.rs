@@ -138,13 +138,16 @@ fn recovered_indexes_build_lazily_on_first_query() {
     );
     let server = start(Arc::clone(&db));
     let mut client = Client::connect(server.addr()).unwrap();
-    // The `stats` op reports the conflict set off a built index and never
-    // builds one to report it.
-    let conflicts_of = |stats: &Json| match lookup(stats, "indexes") {
-        Some(Json::Arr(rows)) => lookup(&rows[0], "conflicts").cloned(),
+    // The `stats` op reports what a built index holds and its conflict
+    // set, and never builds one to report them.
+    let index_field = |stats: &Json, field: &str| match lookup(stats, "indexes") {
+        Some(Json::Arr(rows)) => lookup(&rows[0], field).cloned(),
         other => panic!("indexes section missing: {other:?}"),
     };
-    assert_eq!(conflicts_of(&client.stats().unwrap()), Some(Json::Null));
+    let cold = client.stats().unwrap();
+    for field in ["bytes", "distinct_keys", "conflicts"] {
+        assert_eq!(index_field(&cold, field), Some(Json::Null), "{field}");
+    }
     assert!(!db.index_status()[0].2, "stats must not build the index");
     let out = client.query("select v from t where k = 'a'").unwrap();
     assert_eq!(out.rows.rows.len(), 2);
@@ -154,8 +157,19 @@ fn recovered_indexes_build_lazily_on_first_query() {
             .any(|(t, _, built)| t == "t" && *built),
         "first query over the wire triggers the lazy rebuild"
     );
+    let warm = client.stats().unwrap();
+    let uint = |v: Option<Json>| match v {
+        Some(Json::UInt(n)) => n,
+        Some(Json::Int(n)) => u64::try_from(n).expect("non-negative"),
+        other => panic!("missing or mistyped: {other:?}"),
+    };
+    // Two distinct keys, and the bytes the index itself counts.
+    assert_eq!(uint(index_field(&warm, "distinct_keys")), 2);
+    let built = db.built_index("t", &["k".to_string()]).expect("built");
+    assert_eq!(uint(index_field(&warm, "bytes")), built.bytes());
+    assert!(built.bytes() > 0);
     // Key 'a' is held by two of the three tuples.
-    let conflicts = conflicts_of(&client.stats().unwrap()).expect("conflicts entry");
+    let conflicts = index_field(&warm, "conflicts").expect("conflicts entry");
     for (field, want) in [("violated_keys", 1), ("tuples_in_violated_groups", 2)] {
         match lookup(&conflicts, field) {
             Some(Json::UInt(n)) => assert_eq!(*n, want, "{field}"),

@@ -1,14 +1,18 @@
-//! Pins where the rewritings of Q1 still cross the row/column boundary.
+//! Pins where the rewritings of Q1 and Q6 still cross the row/column
+//! boundary.
 //!
 //! `exec.pivot.to_rows` / `exec.pivot.to_cols` count the rows every
-//! `ColBatch` pivot moves. Since GROUP BY, DISTINCT, `UNION ALL` and the
-//! computed projections of `RewriteAgg` stay columnar, a warm run of
-//! rewritten or annotated Q1 pivots in exactly two places: the hash join
-//! inside `conq_qg_filter` (inner, with a residual — still a row-path
-//! operator: its probe side is pivoted to rows, its row-shaped output back
-//! to columns at the `UNION ALL`) and the final ≤ 4-row result. A change
-//! that makes any other operator of the rewriting pivot again moves these
-//! counters, not just a timing.
+//! `ColBatch` pivot moves, and every build row a hash join reads out of its
+//! build batch's columns for a candidate pair. Since GROUP BY, DISTINCT,
+//! `UNION ALL` and the computed projections of `RewriteAgg` stay columnar,
+//! the *first* run of rewritten or annotated Q1 or Q6 on a freshly built
+//! database pivots in exactly two places: the hash join inside
+//! `conq_qg_filter` (inner, served by `lineitem`'s key index — still a
+//! row-path operator: its probe side is pivoted to rows, one build row is
+//! read per candidate pair, its row-shaped output goes back to columns)
+//! and Q1's final ≤ 4-row result. Nothing needs warming: no base table is
+//! ever pivoted whole. A change that makes any other operator of the
+//! rewriting pivot again moves these counters, not just a timing.
 //!
 //! What that join probes is pinned too. The plain rewriting's Filter reads
 //! `conq_suspects` — the candidates whose key is violated, found by the
@@ -44,7 +48,7 @@ use std::sync::{Mutex, MutexGuard};
 
 use conquer::engine::{DataType, NodeStats, Plan, Table, Value};
 use conquer::sql::ast::Query;
-use conquer::tpch::{build_workload, WorkloadConfig, Q1, Q10, Q12, Q3, Q4};
+use conquer::tpch::{build_workload, Workload, WorkloadConfig, Q1, Q10, Q12, Q3, Q4, Q6};
 use conquer::{parse_query, rewrite, Database, DurabilityOptions, ExecOptions, RewriteOptions};
 
 fn turn() -> MutexGuard<'static, ()> {
@@ -104,14 +108,23 @@ fn loading_a_workload_pivots_nothing() {
     assert_eq!(to_rows.get() - before, 0, "rows pivoted while loading");
 }
 
-/// Probe-side input rows and output rows of every hash join in the plan.
-fn join_rows(plan: &Plan, stats: &NodeStats, probe: &mut u64, out: &mut u64) {
+/// Probe-side input rows, candidate pairs and output rows of every hash
+/// join in the plan.
+#[derive(Debug, Default)]
+struct JoinRows {
+    probe: u64,
+    pairs: u64,
+    out: u64,
+}
+
+fn join_rows(plan: &Plan, stats: &NodeStats, rows: &mut JoinRows) {
     if matches!(plan, Plan::HashJoin { .. }) {
-        *probe += stats.probe_rows;
-        *out += stats.rows_out;
+        rows.probe += stats.probe_rows;
+        rows.pairs += stats.comparisons;
+        rows.out += stats.rows_out;
     }
     for (child, child_stats) in plan.children().into_iter().zip(&stats.children) {
-        join_rows(child, child_stats, probe, out);
+        join_rows(child, child_stats, rows);
     }
 }
 
@@ -174,14 +187,31 @@ fn cte_as_query(query: &Query, name: &str) -> Query {
     cut
 }
 
-#[test]
-fn rewritten_q1_pivots_only_the_filter_join_and_the_result() {
-    let _turn = turn();
-    let w = build_workload(&WorkloadConfig {
+fn fresh_workload() -> Workload {
+    build_workload(&WorkloadConfig {
         scale_factor: 0.005,
         annotate: true,
         ..WorkloadConfig::default()
-    });
+    })
+}
+
+/// What the first execution of a rewriting on a freshly built workload
+/// moved across the row/column boundary, beside the rows of its Filter.
+#[derive(Debug)]
+struct FirstPass {
+    /// The hash joins of `conq_qg_filter`.
+    join: JoinRows,
+    /// What `conq_qg_filter` stored.
+    filtered: u64,
+    answer: u64,
+    to_rows: u64,
+    to_cols: u64,
+}
+
+/// Run `query`'s rewriting once on a freshly built workload — nothing is
+/// warmed first — and check what its Filter join probes.
+fn first_pass(query: &Query, annotated: bool) -> FirstPass {
+    let w = fresh_workload();
     let options = ExecOptions::default();
     let registry = conquer_obs::registry();
     let pivots = || {
@@ -190,66 +220,86 @@ fn rewritten_q1_pivots_only_the_filter_join_and_the_result() {
             registry.counter("exec.pivot.to_cols").get(),
         )
     };
-    let q1 = parse_query(Q1.sql).unwrap();
-    for annotated in [false, true] {
-        let rewritten = rewrite(
-            &q1,
-            &w.sigma,
-            &RewriteOptions {
-                annotated,
-                ..RewriteOptions::default()
-            },
-        )
-        .unwrap();
-        // What the one row-path join reads and writes.
-        let (_, plan, stats) =
-            w.db.execute_query_traced(&cte_as_query(&rewritten, "conq_qg_filter"), &options)
-                .unwrap();
-        let (mut probe, mut joined) = (0, 0);
-        join_rows(&plan, &stats, &mut probe, &mut joined);
-        assert!(probe > 0, "the filter join probes the candidates");
-        let has_suspects = rewritten.ctes.iter().any(|c| c.name == "conq_suspects");
-        assert_eq!(has_suspects, !annotated);
-        if has_suspects {
-            let rows_of = |cte: &str| {
-                w.db.execute_query_with(&cte_as_query(&rewritten, cte), &options)
-                    .unwrap()
-                    .rows
-            };
-            let suspects = rows_of("conq_suspects");
-            let mut violated_keys = suspects.clone();
-            violated_keys.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
-            violated_keys.dedup();
-            assert_eq!(probe, suspects.len() as u64, "the join probes the suspects");
-            assert!(
-                probe <= 2 * violated_keys.len() as u64,
-                "{probe} probes for {} violated candidate keys",
-                violated_keys.len()
-            );
-            let candidates = rows_of("conq_qg_candidates").len() as u64;
-            assert!(
-                probe * 10 < candidates,
-                "{probe} of {candidates} candidates reach the Filter"
-            );
-        }
-        // The runs above warmed the base table's shared row view (the
-        // join's build side); now count one whole execution.
-        let before = pivots();
-        let answer = w.db.execute_query_with(&rewritten, &options).unwrap();
-        let after = pivots();
-        assert!(answer.rows.len() <= 4);
+    let rewritten = rewrite(
+        query,
+        &w.sigma,
+        &RewriteOptions {
+            annotated,
+            ..RewriteOptions::default()
+        },
+    )
+    .unwrap();
+    let before = pivots();
+    let (answer, _, _, ctes) =
+        w.db.execute_query_traced_with_ctes(&rewritten, &options)
+            .unwrap();
+    let after = pivots();
+    let filter = ctes
+        .iter()
+        .find(|c| c.name == "conq_qg_filter")
+        .expect("the rewriting has a Filter");
+    let mut join = JoinRows::default();
+    join_rows(&filter.plan, &filter.stats, &mut join);
+    assert!(join.probe > 0, "the filter join probes the candidates");
+    assert!(answer.rows.len() <= 4);
+    // What the Filter join probes: the plain rewriting's suspects, at most
+    // two per violated candidate key, a small share of the candidates.
+    let has_suspects = rewritten.ctes.iter().any(|c| c.name == "conq_suspects");
+    assert_eq!(has_suspects, !annotated);
+    if has_suspects {
+        let rows_of = |cte: &str| {
+            w.db.execute_query_with(&cte_as_query(&rewritten, cte), &options)
+                .unwrap()
+                .rows
+        };
+        let suspects = rows_of("conq_suspects");
+        let mut violated_keys = suspects.clone();
+        violated_keys.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
+        violated_keys.dedup();
         assert_eq!(
-            after.0 - before.0,
-            probe + answer.rows.len() as u64,
-            "annotated={annotated}: rows pivoted column -> row"
+            join.probe,
+            suspects.len() as u64,
+            "the join probes the suspects"
         );
-        assert_eq!(
-            after.1 - before.1,
-            joined,
-            "annotated={annotated}: rows pivoted row -> column"
+        assert!(
+            join.probe <= 2 * violated_keys.len() as u64,
+            "{} probes for {} violated candidate keys",
+            join.probe,
+            violated_keys.len()
+        );
+        let candidates = rows_of("conq_qg_candidates").len() as u64;
+        assert!(
+            join.probe * 10 < candidates,
+            "{} of {candidates} candidates reach the Filter",
+            join.probe
         );
     }
+    FirstPass {
+        join,
+        filtered: filter.stats.rows_out,
+        answer: answer.rows.len() as u64,
+        to_rows: after.0 - before.0,
+        to_cols: after.1 - before.1,
+    }
+}
 
+#[test]
+fn rewritten_q1_pivots_only_the_filter_join_and_the_result() {
+    let _turn = turn();
+    let q1 = parse_query(Q1.sql).unwrap();
+    for annotated in [false, true] {
+        // The join's probe side and one build row per candidate pair
+        // column -> row, its row-shaped output back to columns at the
+        // `UNION ALL`, and the grouped answer.
+        let pass = first_pass(&q1, annotated);
+        let JoinRows { probe, pairs, out } = pass.join;
+        assert_eq!(pass.to_rows, probe + pairs + pass.answer, "{pass:?}");
+        assert_eq!(pass.to_cols, out, "{pass:?}");
+    }
+
+    let w = fresh_workload();
+    let options = ExecOptions::default();
+    let registry = conquer_obs::registry();
     let fanned_out = |query: &Query, threads: usize| {
         let counts = || {
             (
@@ -280,4 +330,22 @@ fn rewritten_q1_pivots_only_the_filter_join_and_the_result() {
         (0, 0),
         "25 rows are under the parallel threshold"
     );
+}
+
+#[test]
+fn rewritten_q6_pivots_only_the_filter_join_and_the_result() {
+    let _turn = turn();
+    let q6 = parse_query(Q6.sql).unwrap();
+    for annotated in [false, true] {
+        // The join's probe side and one build row per candidate pair — the
+        // build side is `lineitem` behind its key index, never pivoted
+        // whole — column -> row; the row-path Filter's survivors back to
+        // columns where the CTE stores them. The global aggregate's one
+        // answer row is built as a row.
+        let pass = first_pass(&q6, annotated);
+        let JoinRows { probe, pairs, .. } = pass.join;
+        assert_eq!(pass.to_rows, probe + pairs, "{pass:?}");
+        assert_eq!(pass.to_cols, pass.filtered, "{pass:?}");
+        assert!(pairs <= 2 * probe, "{pass:?}");
+    }
 }
