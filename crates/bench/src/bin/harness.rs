@@ -20,15 +20,15 @@
 //! speed-up against it. `idxbench`
 //! measures what secondary indexes buy: point-lookup and key-self-join
 //! throughput with the access-path planner index-aware vs index-blind
-//! (`with_indexes(false)`, the pre-index plans), at `--sf` and 4×`--sf`
+//! (a twin database over the same tables that declares no index), at
+//! `--sf` and 4×`--sf`
 //! (the defaults land on SF 0.05 and 0.2), reporting lookups/sec,
 //! join rows/sec, and the indexed/seqscan speedup per scale
 //! (`BENCH_idxbench.json`). `opbench` is the per-operator throughput
 //! microbenchmark: one query per executor kernel (filter, hash build,
 //! hash probe, semi join, global and grouped aggregation, DISTINCT,
-//! UNION ALL), each timed
-//! with the vectorized columnar kernels on and off, reporting rows/sec
-//! over the driving table and the batch/row speedup
+//! UNION ALL), each timed on the engine's one execution path, reporting
+//! its time and rows/sec over the driving table
 //! (`BENCH_opbench.json`). `recover` benchmarks the durable-storage crash-recovery
 //! path: it loads the TPC-H workload into a WAL-backed database on a temp
 //! dir, times a cold restart that replays the full WAL, checkpoints, and
@@ -98,10 +98,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use conquer::tpch::{all_queries, BenchmarkQuery, Workload, Q12, Q4, Q6};
-use conquer::{analyze, parse_query, ExecOptions, ResourceLimits};
+use conquer::{analyze, parse_query, Database, ExecOptions, ResourceLimits};
 use conquer_bench::{
-    ms, operator_breakdown, overhead, phase_breakdown, run_status, speedup, time_query_with,
-    workload, Strategy, BASE_SF,
+    index_blind_twin, ms, operator_breakdown, overhead, phase_breakdown, run_status, speedup,
+    time_query_with, workload, Strategy, BASE_SF,
 };
 use conquer_obs::Json;
 
@@ -855,13 +855,12 @@ fn load_thresholds(path: &str) -> std::collections::HashMap<String, f64> {
 }
 
 /// `opbench` — per-operator throughput microbenchmark. Each cell isolates
-/// one executor kernel with a query shaped so that operator dominates,
-/// and times it with the columnar kernels off (`row`, the row-at-a-time
-/// reference path) and on (`batch`). Rows/sec is over the driving table —
-/// the input the operator consumes — so the two modes are compared on the
-/// same denominator. Outer joins pin the build side (the engine only
-/// swaps inner joins): `tiny LEFT JOIN big` isolates the build of `big`,
-/// `big LEFT JOIN tiny` the probe over `big`.
+/// one executor kernel with a query shaped so that operator dominates, and
+/// times it (`us`, median of `--runs`). Rows/sec is over the driving table —
+/// the input the operator consumes — so cells and commits compare on one
+/// denominator. Outer joins pin the build side (the engine only swaps inner
+/// joins): `tiny LEFT JOIN big` isolates the build of `big`, `big LEFT JOIN
+/// tiny` the probe over `big`.
 fn opbench(args: &Args) -> Json {
     struct OpSpec {
         op: &'static str,
@@ -957,23 +956,17 @@ fn opbench(args: &Args) -> Json {
 
     say!(
         args,
-        "## Per-operator throughput — row vs batch (SF {}, threads {}, median of {})\n",
+        "## Per-operator throughput (SF {}, threads {}, median of {})\n",
         args.sf,
         args.threads,
         args.runs
     );
     let w = workload(args.sf, 0.05, 2);
-    say!(
-        args,
-        "| Operator | rows | row | batch | row rows/s | batch rows/s | speedup |"
-    );
-    say!(
-        args,
-        "|----------|-----:|----:|------:|-----------:|-------------:|--------:|"
-    );
+    say!(args, "| Operator | rows | ms | rows/s |");
+    say!(args, "|----------|-----:|---:|-------:|");
 
-    let time_mode = |sql: &str, columnar: bool| -> Result<Duration, String> {
-        let options = args.options().with_columnar(columnar);
+    let options = args.options();
+    let time = |sql: &str| -> Result<Duration, String> {
         // Warm-up run: populates the scan cache and plan-level caches so
         // the timed runs measure execution, not first-touch setup.
         w.db.query_with(sql, &options).map_err(|e| e.to_string())?;
@@ -999,31 +992,18 @@ fn opbench(args: &Args) -> Json {
                 Json::from(spec.sql.split_whitespace().collect::<Vec<_>>().join(" ")),
             ),
         ]);
-        match (time_mode(spec.sql, false), time_mode(spec.sql, true)) {
-            (Ok(t_row), Ok(t_batch)) => {
-                let rps = |t: Duration| rows as f64 / t.as_secs_f64().max(1e-9);
-                say!(
-                    args,
-                    "| {} | {rows} | {} | {} | {:.0} | {:.0} | {:.2}x |",
-                    spec.op,
-                    ms(t_row),
-                    ms(t_batch),
-                    rps(t_row),
-                    rps(t_batch),
-                    speedup(t_row, t_batch),
-                );
+        match time(spec.sql) {
+            Ok(t) => {
+                let rps = rows as f64 / t.as_secs_f64().max(1e-9);
+                say!(args, "| {} | {rows} | {} | {rps:.0} |", spec.op, ms(t));
                 entry.push("status", Json::from("ok"));
-                entry.push("row_us", Json::UInt(t_row.as_micros() as u64));
-                entry.push("batch_us", Json::UInt(t_batch.as_micros() as u64));
-                entry.push("row_rows_per_sec", Json::Float(rps(t_row)));
-                entry.push("batch_rows_per_sec", Json::Float(rps(t_batch)));
-                entry.push("speedup", Json::Float(speedup(t_row, t_batch)));
+                entry.push("us", Json::UInt(t.as_micros() as u64));
+                entry.push("rows_per_sec", Json::Float(rps));
             }
-            (row_r, batch_r) => {
-                let e = row_r.err().or(batch_r.err()).unwrap_or_default();
+            Err(e) => {
                 FAILED.store(true, Ordering::Relaxed);
                 eprintln!("harness: opbench {} error: {e}", spec.op);
-                say!(args, "| {} | {rows} | - | - | - | - | error |", spec.op);
+                say!(args, "| {} | {rows} | - | error |", spec.op);
                 entry.push("status", Json::from("error"));
                 entry.push("error", Json::from(e));
             }
@@ -1042,11 +1022,11 @@ fn opbench(args: &Args) -> Json {
 /// point lookups, the key self-join the ConQuer rewriting is built from,
 /// the violated keys (`conq_conflicts`: index-only off the conflict
 /// list vs the group-key kernel), and a one-row `INSERT` into `orders`
-/// followed by a point lookup of the inserted key (the write keeps the
-/// built index current through `Index::extended` either way; the lookup
-/// reads it or scans). Each is timed with the planner
-/// index-aware (default options)
-/// and index-blind (`with_indexes(false)`, exactly the pre-index plans),
+/// followed by a point lookup of the inserted key (the indexed write keeps
+/// the built index current through `Index::extended`; the lookup reads it
+/// or scans). Each is timed on the workload's database, whose planner
+/// sees the declared key indexes, and on its index-blind twin
+/// ([`index_blind_twin`]: the same tables, no index declared),
 /// at `--sf` and 4×`--sf` — the defaults land on SF 0.05 and 0.2, the
 /// scales the index acceptance criteria are stated at. Point lookups are
 /// timed in batches of 64 because a single indexed probe is microseconds
@@ -1065,15 +1045,15 @@ fn idxbench(args: &Args) -> Json {
         args.threads,
         args.runs
     );
-    let indexed = args.options();
-    let blind = args.options().with_indexes(false);
+    let options = args.options();
     let mut scales = Vec::new();
     for sf in [args.sf, args.sf * 4.0] {
         let w = workload(sf, 0.05, 2);
+        let blind = index_blind_twin(&w.db);
         let orders_rows = w.db.table("orders").map_or(0, |t| t.len());
         // Sample keys evenly across the whole key range so the lookup
         // batch touches many chunks, not one hot spot.
-        let keys: Vec<i64> = match w.db.query_with("select o_orderkey from orders o", &blind) {
+        let keys: Vec<i64> = match blind.query_with("select o_orderkey from orders o", &options) {
             Ok(rows) => {
                 let all: Vec<i64> = rows
                     .rows
@@ -1096,26 +1076,26 @@ fn idxbench(args: &Args) -> Json {
         ];
 
         // Statements run in order; an `INSERT` goes through the script
-        // path, the rest are queries under `options`.
-        let run = |sql: &str, options: &ExecOptions| -> Result<(), String> {
+        // path, the rest are queries.
+        let run = |db: &Database, sql: &str| -> Result<(), String> {
             let done = if sql.starts_with("insert") {
-                w.db.run_script(sql).map(drop)
+                db.run_script(sql).map(drop)
             } else {
-                w.db.query_with(sql, options).map(drop)
+                db.query_with(sql, &options).map(drop)
             };
             done.map_err(|e| e.to_string())
         };
-        let time_batch = |sqls: &[String], options: &ExecOptions| -> Result<Duration, String> {
+        let time_batch = |db: &Database, sqls: &[String]| -> Result<Duration, String> {
             // Warm-up pass: scan cache, plan caches, and the lazy index
             // build all land here, so the timed runs measure probes.
             for sql in sqls {
-                run(sql, options)?;
+                run(db, sql)?;
             }
             let mut times = Vec::with_capacity(args.runs);
             for _ in 0..args.runs {
                 let t0 = Instant::now();
                 for sql in sqls {
-                    run(sql, options)?;
+                    run(db, sql)?;
                 }
                 times.push(t0.elapsed());
             }
@@ -1123,7 +1103,7 @@ fn idxbench(args: &Args) -> Json {
             Ok(times[times.len() / 2])
         };
         let uses_index = |sql: &str| {
-            w.db.explain_with(sql, &indexed)
+            w.db.explain_with(sql, &options)
                 .map(|plan| plan.contains("access=index"))
                 .unwrap_or(false)
         };
@@ -1152,7 +1132,7 @@ fn idxbench(args: &Args) -> Json {
                 ("units_per_run", Json::UInt(units as u64)),
             ]);
             let planned = sqls.last().is_some_and(|sql| uses_index(sql));
-            match (time_batch(sqls, &blind), time_batch(sqls, &indexed)) {
+            match (time_batch(&blind, sqls), time_batch(&w.db, sqls)) {
                 (Ok(t_seq), Ok(t_idx)) => {
                     let ups = |t: Duration| units as f64 / t.as_secs_f64().max(1e-9);
                     say!(

@@ -236,6 +236,19 @@ pub fn rewritten_query(
     .expect("benchmark query rewrites")
 }
 
+/// A database over `db`'s tables — each table's columns shared, not
+/// copied — that declares no index: the index-blind baseline. Its plans
+/// are the ones the planner makes with no index to consider.
+pub fn index_blind_twin(db: &Database) -> Database {
+    let twin = Database::new();
+    for name in db.table_names() {
+        let table = db.table(&name).expect("a listed table exists");
+        twin.register((*table).clone())
+            .expect("registering in memory cannot fail");
+    }
+    twin
+}
+
 /// Total tuples across the benchmark relations of a database.
 pub fn total_tuples(db: &Database) -> usize {
     ["customer", "orders", "lineitem", "nation"]

@@ -473,38 +473,12 @@ fn check_plain_predicate(e: &Expr) -> Result<()> {
     if e.contains_aggregate() {
         return Err(RewriteError::Unsupported("aggregates in WHERE".into()));
     }
-    if expr_has_subquery(e) {
+    if e.contains_subquery() {
         return Err(RewriteError::Unsupported(
             "nested subqueries in the input query (decorrelate and unnest first, as in Section 6.1)".into(),
         ));
     }
     Ok(())
-}
-
-fn expr_has_subquery(e: &Expr) -> bool {
-    match e {
-        Expr::Exists { .. } | Expr::InSubquery { .. } | Expr::ScalarSubquery(_) => true,
-        Expr::BinaryOp { left, right, .. } => expr_has_subquery(left) || expr_has_subquery(right),
-        Expr::UnaryOp { expr, .. } | Expr::IsNull { expr, .. } => expr_has_subquery(expr),
-        Expr::Between {
-            expr, low, high, ..
-        } => expr_has_subquery(expr) || expr_has_subquery(low) || expr_has_subquery(high),
-        Expr::InList { expr, list, .. } => {
-            expr_has_subquery(expr) || list.iter().any(expr_has_subquery)
-        }
-        Expr::Like { expr, pattern, .. } => expr_has_subquery(expr) || expr_has_subquery(pattern),
-        Expr::Case {
-            branches,
-            else_expr,
-        } => {
-            branches
-                .iter()
-                .any(|(c, v)| expr_has_subquery(c) || expr_has_subquery(v))
-                || else_expr.as_deref().is_some_and(expr_has_subquery)
-        }
-        Expr::Function { args, .. } => args.iter().any(expr_has_subquery),
-        Expr::Column(_) | Expr::Literal(_) | Expr::Wildcard => false,
-    }
 }
 
 /// Resolve a column reference to a relation index. Bare names resolve only
@@ -666,7 +640,7 @@ fn parse_aggregate_item(expr: &Expr, name: String, _relations: &[Relation]) -> R
         if a.contains_aggregate() {
             return Err(RewriteError::Unsupported("nested aggregates".into()));
         }
-        if expr_has_subquery(a) {
+        if a.contains_subquery() {
             return Err(RewriteError::Unsupported(
                 "subquery inside an aggregate".into(),
             ));

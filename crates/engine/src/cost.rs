@@ -102,9 +102,10 @@ pub struct Estimator<'a> {
     /// `Arc<ColBatch>` pointer → stats sampled from the batch itself.
     sampled: RefCell<HashMap<usize, Arc<TableStats>>>,
     /// `Arc<ColBatch>` pointer → built secondary index over that batch.
-    /// Empty unless constructed via [`Estimator::from_db_with_indexes`];
-    /// the optimizer's access-path pass only sees indexes through here, so
-    /// a plain [`Estimator::from_db`] reproduces pre-index plans exactly.
+    /// Empty unless constructed via [`Estimator::from_db_with_indexes`],
+    /// as the planner's always is. The optimizer's access-path pass only
+    /// sees indexes through here, so a plain [`Estimator::from_db`] prices
+    /// a plan as if no index were declared.
     indexes: HashMap<usize, Arc<Index>>,
 }
 

@@ -21,7 +21,7 @@ use crate::error::{EngineError, Result};
 use crate::exec;
 use crate::governor::Governor;
 use crate::index::{ConflictSummary, Index};
-use crate::plan::{literal_value, CteTrace, ExecOptions, Plan, Planner};
+use crate::plan::{CteTrace, ExecOptions, Plan, Planner};
 use crate::schema::DataType;
 use crate::stats::TableStats;
 use crate::table::{Row, Rows, Table};
@@ -864,7 +864,7 @@ impl Database {
         let plan = plan_and_optimize(&planner, query, options)?;
         let mut stats = crate::stats::NodeStats::for_plan(&plan);
         let rows = run_plan(&plan, options, gov.as_ref(), Some(&mut stats))?;
-        crate::cost::annotate(&self.estimator_for(options), &plan, &mut stats);
+        crate::cost::annotate(&self.estimator(), &plan, &mut stats);
         Ok((rows, plan, stats, planner.take_cte_traces()))
     }
 
@@ -911,16 +911,10 @@ impl Database {
         Ok((plan, planner.into_reads()))
     }
 
-    /// The cost estimator for one planning pass. With `use_indexes` on,
-    /// built secondary indexes become visible as access-path candidates;
-    /// off, the estimator is index-blind and the optimizer produces exactly
-    /// the pre-index plans — the differential testing oracle.
-    pub(crate) fn estimator_for(&self, options: &ExecOptions) -> crate::cost::Estimator<'_> {
-        if options.use_indexes {
-            crate::cost::Estimator::from_db_with_indexes(self)
-        } else {
-            crate::cost::Estimator::from_db(self)
-        }
+    /// The cost estimator for one planning pass: catalog statistics, with
+    /// the built secondary indexes as access-path candidates.
+    pub(crate) fn estimator(&self) -> crate::cost::Estimator<'_> {
+        crate::cost::Estimator::from_db_with_indexes(self)
     }
 
     /// The operator tree a SQL query plans to, as an indented listing.
@@ -936,7 +930,7 @@ impl Database {
         let query = parse_query(sql)?;
         let plan = self.plan(&query, options)?;
         let mut stats = crate::stats::NodeStats::for_plan(&plan);
-        crate::cost::annotate(&self.estimator_for(options), &plan, &mut stats);
+        crate::cost::annotate(&self.estimator(), &plan, &mut stats);
         Ok(crate::explain::explain_estimated(&plan, &stats))
     }
 
@@ -1111,8 +1105,7 @@ fn run_plan(
     stats: Option<&mut crate::stats::NodeStats>,
 ) -> Result<Rows> {
     let mut span = conquer_obs::span("execute").field("threads", options.threads);
-    let rows =
-        exec::execute_plan(plan, None, gov, options.threads, options.columnar, stats)?.into_rows();
+    let rows = exec::execute_plan(plan, None, gov, options.threads, stats)?.into_rows();
     span.record("rows", rows.rows.len());
     Ok(rows)
 }
@@ -1120,7 +1113,7 @@ fn run_plan(
 /// Evaluate a constant expression (INSERT values).
 fn eval_const(expr: &Expr) -> Result<Value> {
     match expr {
-        Expr::Literal(l) => Ok(literal_value(l)),
+        Expr::Literal(l) => Ok(Value::from(l)),
         Expr::UnaryOp {
             op: conquer_sql::UnaryOp::Neg,
             expr,

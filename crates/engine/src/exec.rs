@@ -155,26 +155,21 @@ impl Batch {
     }
 }
 
-/// Shared execution context: the resource governor (if any), the
-/// worker-thread budget for morsel-parallel operators, and whether the
-/// vectorized columnar kernels may be used (`false` forces every operator
-/// onto the row-at-a-time reference path).
+/// Shared execution context: the resource governor (if any) and the
+/// worker-thread budget for morsel-parallel operators.
 #[derive(Clone, Copy)]
 struct ExecCtx<'g> {
     gov: Option<&'g Governor>,
     threads: usize,
-    columnar: bool,
 }
 
 /// Execute a correlated subquery plan to fully-owned rows. `outer` is the
-/// enclosing row environment; the governor and the row/columnar mode are
-/// inherited from it, so a subquery stays under the enclosing query's
-/// budget and a row-mode differential run stays row-mode all the way down.
-/// One worker: per-row subqueries must not fan out nested thread pools.
+/// enclosing row environment; the governor is inherited from it, so a
+/// subquery stays under the enclosing query's budget. One worker: per-row
+/// subqueries must not fan out nested thread pools.
 pub fn execute(plan: &Plan, outer: Option<&Env<'_>>) -> Result<Rows> {
     let gov = outer.and_then(|e| e.gov);
-    let columnar = outer.is_none_or(|e| e.columnar);
-    Ok(execute_plan(plan, outer, gov, 1, columnar, None)?.into_rows())
+    Ok(execute_plan(plan, outer, gov, 1, None)?.into_rows())
 }
 
 /// Execute a plan to a [`Batch`] with up to `threads` morsel workers per
@@ -190,13 +185,11 @@ pub fn execute_plan(
     outer: Option<&Env<'_>>,
     gov: Option<&Governor>,
     threads: usize,
-    columnar: bool,
     stats: Option<&mut NodeStats>,
 ) -> Result<Batch> {
     let ctx = ExecCtx {
         gov,
         threads: threads.max(1),
-        columnar,
     };
     execute_ctx(plan, outer, stats, ctx)
 }
@@ -542,23 +535,21 @@ fn exec_node(
             // output stays columnar for the operators above. Predicates the
             // compiler rejects (subqueries, outer references, arithmetic,
             // demoted columns) fall through to the row loop below.
-            if ctx.columnar {
-                if let Batch::Col { cols, schema } = &child {
-                    if let Some(pred) = kernels::compile_predicate(predicate, cols) {
-                        let n = cols.len();
-                        let workers = par_workers(n, ctx.threads);
-                        note_threads(stats, workers);
-                        let sel: Vec<u32> = concat(for_morsels(n, workers, |range| {
-                            ticks(gov, range.len() as u64, "filter")?;
-                            let mut sel = Vec::new();
-                            pred.select_into(cols, range, &mut sel)?;
-                            Ok(sel)
-                        })?);
-                        return Ok(Batch::Col {
-                            cols: Arc::new(cols.gather(&sel)),
-                            schema: schema.clone(),
-                        });
-                    }
+            if let Batch::Col { cols, schema } = &child {
+                if let Some(pred) = kernels::compile_predicate(predicate, cols) {
+                    let n = cols.len();
+                    let workers = par_workers(n, ctx.threads);
+                    note_threads(stats, workers);
+                    let sel: Vec<u32> = concat(for_morsels(n, workers, |range| {
+                        ticks(gov, range.len() as u64, "filter")?;
+                        let mut sel = Vec::new();
+                        pred.select_into(cols, range, &mut sel)?;
+                        Ok(sel)
+                    })?);
+                    return Ok(Batch::Col {
+                        cols: Arc::new(cols.gather(&sel)),
+                        schema: schema.clone(),
+                    });
                 }
             }
             let rows = child.rows();
@@ -590,16 +581,14 @@ fn exec_node(
             // column picks (no copy) and computes the rest column at a
             // time. A value-level error surfaces as `None`: the attempt is
             // dropped and the row loop below replays it.
-            if ctx.columnar {
-                if let Batch::Col { cols, .. } = &child {
-                    if let Some(projection) = kernels::compile_projection(exprs, cols) {
-                        ticks(gov, cols.len() as u64, "project")?;
-                        if let Some(chunks) = projection.eval(cols) {
-                            return Ok(Batch::Col {
-                                cols: Arc::new(ColBatch::from_chunks(cols.len(), chunks)),
-                                schema: schema.clone(),
-                            });
-                        }
+            if let Batch::Col { cols, .. } = &child {
+                if let Some(projection) = kernels::compile_projection(exprs, cols) {
+                    ticks(gov, cols.len() as u64, "project")?;
+                    if let Some(chunks) = projection.eval(cols) {
+                        return Ok(Batch::Col {
+                            cols: Arc::new(ColBatch::from_chunks(cols.len(), chunks)),
+                            schema: schema.clone(),
+                        });
                     }
                 }
             }
@@ -715,22 +704,20 @@ fn exec_node(
             // Kernel path: every column is a key column; the output is the
             // first row of each group, gathered (or the input itself when
             // nothing repeats).
-            if ctx.columnar {
-                if let Batch::Col { cols, schema } = &child {
-                    let all: Vec<usize> = (0..cols.width()).collect();
-                    if let Some(g) = group_kernel(cols, &all, &[], workers, gov, "distinct")? {
-                        if let Some(s) = stats.as_deref_mut() {
-                            s.build_rows += cols.len() as u64;
-                            s.est_mem_bytes += g.mem_bytes;
-                        }
-                        if g.first_rows.len() == cols.len() {
-                            return Ok(child);
-                        }
-                        return Ok(Batch::Col {
-                            cols: Arc::new(cols.gather(&g.first_rows)),
-                            schema: schema.clone(),
-                        });
+            if let Batch::Col { cols, schema } = &child {
+                let all: Vec<usize> = (0..cols.width()).collect();
+                if let Some(g) = group_kernel(cols, &all, &[], workers, gov, "distinct")? {
+                    if let Some(s) = stats.as_deref_mut() {
+                        s.build_rows += cols.len() as u64;
+                        s.est_mem_bytes += g.mem_bytes;
                     }
+                    if g.first_rows.len() == cols.len() {
+                        return Ok(child);
+                    }
+                    return Ok(Batch::Col {
+                        cols: Arc::new(cols.gather(&g.first_rows)),
+                        schema: schema.clone(),
+                    });
                 }
             }
             let (out, set_bytes) = exec_distinct(&child, workers, gov)?;
@@ -750,7 +737,7 @@ fn exec_node(
             // Kernel path: with a columnar side, concatenate chunks (a
             // row-shaped other side is pivoted into columns first); an
             // empty side passes the other one through untouched.
-            if ctx.columnar && (l.cols().is_some() || r.cols().is_some()) {
+            if l.cols().is_some() || r.cols().is_some() {
                 let schema = l.schema().clone();
                 let cols = if r.is_empty() {
                     l.into_schema_cols().1
@@ -780,13 +767,11 @@ fn exec_node(
             if take == child.len() {
                 return Ok(child);
             }
-            if ctx.columnar {
-                if let Batch::Col { cols, schema } = &child {
-                    return Ok(Batch::Col {
-                        cols: Arc::new(cols.head(take)),
-                        schema: schema.clone(),
-                    });
-                }
+            if let Batch::Col { cols, schema } = &child {
+                return Ok(Batch::Col {
+                    cols: Arc::new(cols.head(take)),
+                    schema: schema.clone(),
+                });
             }
             let rows = child.rows()[..take].to_vec();
             Ok(Batch::Owned(Rows {
@@ -890,7 +875,7 @@ fn eval_on_row(
 ) -> Result<Value> {
     match outer {
         Some(parent) => expr.eval(&Env::push(row, parent)),
-        None => expr.eval(&Env::exec(row, ctx.gov, ctx.columnar)),
+        None => expr.eval(&Env::governed(row, ctx.gov)),
     }
 }
 
@@ -902,7 +887,7 @@ fn eval_predicate_on_row(
 ) -> Result<Option<bool>> {
     match outer {
         Some(parent) => expr.eval_predicate(&Env::push(row, parent)),
-        None => expr.eval_predicate(&Env::exec(row, ctx.gov, ctx.columnar)),
+        None => expr.eval_predicate(&Env::governed(row, ctx.gov)),
     }
 }
 
@@ -1007,13 +992,11 @@ enum KeySource<'a> {
 
 impl<'a> KeySource<'a> {
     /// Pick the extraction strategy for `input`: column chunks when the
-    /// keys are plain depth-0 columns over a columnar batch and the
-    /// kernels are enabled, pivoted rows otherwise.
-    fn for_batch(input: &'a Batch, keys: &'a [BoundExpr], ctx: ExecCtx<'_>) -> KeySource<'a> {
-        if ctx.columnar {
-            if let (Some(cb), Some(idxs)) = (input.cols(), kernels::column_indices(keys)) {
-                return KeySource::Cols(idxs.iter().map(|&i| &*cb.cols()[i]).collect());
-            }
+    /// keys are plain depth-0 columns over a columnar batch, pivoted rows
+    /// otherwise.
+    fn for_batch(input: &'a Batch, keys: &'a [BoundExpr]) -> KeySource<'a> {
+        if let (Some(cb), Some(idxs)) = (input.cols(), kernels::column_indices(keys)) {
+            return KeySource::Cols(idxs.iter().map(|&i| &*cb.cols()[i]).collect());
         }
         KeySource::Rows {
             rows: input.rows(),
@@ -1048,7 +1031,7 @@ fn build_join_table(
     ctx: ExecCtx<'_>,
 ) -> Result<PartitionedTable> {
     let gov = ctx.gov;
-    let source = KeySource::for_batch(input, keys, ctx);
+    let source = KeySource::for_batch(input, keys);
     let hasher = RandomState::new();
     let nparts = workers;
     let morsel_buckets = for_morsels(input.len(), workers, |range| {
@@ -1173,11 +1156,7 @@ fn exec_hash_join(
     // through the typed kernel: neither side is pivoted, no key is
     // materialized. A residual, an expression key, a row-shaped side or an
     // attached index takes the general path below.
-    if matches!(kind, JoinType::Semi | JoinType::Anti)
-        && residual.is_none()
-        && prebuilt.is_none()
-        && ctx.columnar
-    {
+    if matches!(kind, JoinType::Semi | JoinType::Anti) && residual.is_none() && prebuilt.is_none() {
         if let (
             Batch::Col { cols: probe, .. },
             Batch::Col { cols: build, .. },
@@ -1242,7 +1221,7 @@ fn exec_hash_join(
     faults::trip("join.probe")?;
     let probe_workers = par_workers(probe.len(), ctx.threads);
     note_threads(&mut stats, build_workers.max(probe_workers));
-    let probe_source = KeySource::for_batch(probe, probe_keys, ctx);
+    let probe_source = KeySource::for_batch(probe, probe_keys);
 
     // The probe side is read through its row view (pivoted once, cached).
     // A build row is read only for a candidate pair — an inner/outer join
@@ -1835,20 +1814,18 @@ fn exec_aggregate(
     // columnar input run without pivoting. `None` means not applicable —
     // or a value-level error, which replays on the row path so the
     // reported error is the one a row-major scan hits first.
-    if ctx.columnar {
-        if let Some(cols) = input.cols() {
-            let out = exec_aggregate_columnar(
-                cols,
-                group_exprs,
-                aggs,
-                schema,
-                stats.as_deref_mut(),
-                ctx,
-                workers,
-            )?;
-            if let Some(out) = out {
-                return Ok(out);
-            }
+    if let Some(cols) = input.cols() {
+        let out = exec_aggregate_columnar(
+            cols,
+            group_exprs,
+            aggs,
+            schema,
+            stats.as_deref_mut(),
+            ctx,
+            workers,
+        )?;
+        if let Some(out) = out {
+            return Ok(out);
         }
     }
     let out = aggregate_rows(

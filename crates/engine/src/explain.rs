@@ -323,7 +323,7 @@ mod tests {
             conquer_sql::parse_query("select e.id from emp e, emp f where e.id = f.id").unwrap();
         let plan = db.plan(&query, &Default::default()).unwrap();
         let mut stats = NodeStats::for_plan(&plan);
-        let rows = crate::exec::execute_plan(&plan, None, None, 1, true, Some(&mut stats)).unwrap();
+        let rows = crate::exec::execute_plan(&plan, None, None, 1, Some(&mut stats)).unwrap();
         assert_eq!(rows.len(), 3);
         let json = stats_json(&plan, &stats);
         assert_eq!(json.get("rows_out"), Some(&Json::UInt(3)));

@@ -269,38 +269,19 @@ pub struct Env<'a> {
     pub row: &'a [Value],
     pub parent: Option<&'a Env<'a>>,
     pub gov: Option<&'a Governor>,
-    /// Whether plans executed from this environment (correlated subqueries)
-    /// may use the columnar kernels. Inherited by pushed scopes, so a query
-    /// running with `ExecOptions::columnar == false` stays on the row path
-    /// all the way down — the property the batch-vs-row differential suite
-    /// relies on.
-    pub columnar: bool,
 }
 
 impl<'a> Env<'a> {
     pub fn root(row: &'a [Value]) -> Env<'a> {
-        Env {
-            row,
-            parent: None,
-            gov: None,
-            columnar: true,
-        }
+        Env::governed(row, None)
     }
 
     /// A root scope governed by `gov`.
     pub fn governed(row: &'a [Value], gov: Option<&'a Governor>) -> Env<'a> {
-        Env::exec(row, gov, true)
-    }
-
-    /// A root scope with an explicit columnar-execution flag — the
-    /// constructor the executor uses so subquery plans inherit the
-    /// enclosing query's row/columnar mode.
-    pub fn exec(row: &'a [Value], gov: Option<&'a Governor>, columnar: bool) -> Env<'a> {
         Env {
             row,
             parent: None,
             gov,
-            columnar,
         }
     }
 
@@ -309,7 +290,6 @@ impl<'a> Env<'a> {
             row,
             parent: Some(parent),
             gov: parent.gov,
-            columnar: parent.columnar,
         }
     }
 

@@ -29,8 +29,9 @@
 //!    by string, never by dictionary code alone, so rows that came from
 //!    chunks with different [`TextDict`](crate::col::TextDict)s (the two
 //!    sides of a `UNION ALL`) land in one group.
-//! 2. **Output is in first-seen order and bit-identical to the row path**
-//!    (`ExecOptions::with_columnar(false)`) at every thread count: a
+//! 2. **Output is in first-seen order and bit-identical to a row-at-a-time
+//!    evaluation** (the row path's, and the reference evaluator's that
+//!    `tests/group_kernel.rs` compares against) at every thread count: a
 //!    group's key values are those of its first row, MIN/MAX keep the
 //!    first of equal candidates, DISTINCT aggregates fold the first
 //!    occurrence of each value, float SUM/AVG go through [`ExactSum`].

@@ -250,7 +250,8 @@ fn maybe_swap_build(plan: Plan, est: &Estimator<'_>) -> Plan {
 /// off the key columns of whatever its build input is. A `GROUP BY …
 /// HAVING count(*) > c` over exactly an index's key columns is read off the
 /// index's conflict list ([`try_conflict_scan`]). Only sees the indexes the
-/// estimator carries (`use_indexes`) — without them, plans are untouched.
+/// estimator carries — on a database that declares none, plans are
+/// untouched.
 fn select_access_paths(plan: Plan, est: &Estimator<'_>) -> Plan {
     // The conflict scan replaces a whole `Project(Filter(Aggregate(Scan)))`
     // subtree, so it is matched before anything below it is rewritten.

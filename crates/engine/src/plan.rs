@@ -80,19 +80,6 @@ pub struct ExecOptions {
     /// [`QueryId`](conquer_obs::QueryId). `None` (the default) traces
     /// nothing beyond the always-on histograms.
     pub trace: Option<conquer_obs::TraceContext>,
-    /// Use the vectorized columnar kernels (selection bitmaps, fused
-    /// column projection, typed aggregate loops) where an operator
-    /// qualifies. When `false`, every operator runs the row-at-a-time
-    /// reference path — the oracle the batch-vs-row differential suite
-    /// compares against. Results are bit-identical either way; this flag
-    /// only switches the execution strategy.
-    pub columnar: bool,
-    /// Consider secondary indexes when choosing access paths (index point
-    /// and range scans, index-backed hash-join build sides). Requires
-    /// `optimize`; when `false`, plans are identical to the pre-index
-    /// planner — the oracle the index differential suite compares
-    /// against. Answers are the same either way.
-    pub use_indexes: bool,
 }
 
 impl Default for ExecOptions {
@@ -105,8 +92,6 @@ impl Default for ExecOptions {
             cancellation: None,
             threads: default_threads(),
             trace: None,
-            columnar: true,
-            use_indexes: true,
         }
     }
 }
@@ -146,18 +131,6 @@ impl ExecOptions {
     /// Builder-style trace context.
     pub fn with_trace(mut self, trace: conquer_obs::TraceContext) -> ExecOptions {
         self.trace = Some(trace);
-        self
-    }
-
-    /// Builder-style columnar-kernel switch.
-    pub fn with_columnar(mut self, columnar: bool) -> ExecOptions {
-        self.columnar = columnar;
-        self
-    }
-
-    /// Builder-style secondary-index switch.
-    pub fn with_indexes(mut self, use_indexes: bool) -> ExecOptions {
-        self.use_indexes = use_indexes;
         self
     }
 }
@@ -606,7 +579,7 @@ impl<'a> Planner<'a> {
         if !self.options.optimize {
             return plan;
         }
-        crate::opt::optimize(plan, &self.db.estimator_for(self.options))
+        crate::opt::optimize(plan, &self.db.estimator())
     }
 
     /// Plan (and, for CTEs, partially execute) a full query.
@@ -696,7 +669,6 @@ impl<'a> Planner<'a> {
                     None,
                     self.gov,
                     self.options.threads,
-                    self.options.columnar,
                     stats.as_mut(),
                 )?;
                 let (schema, cols) = batch.into_schema_cols();
@@ -705,7 +677,7 @@ impl<'a> Planner<'a> {
                 }
                 let body = std::mem::replace(&mut plan, Plan::Scan { cols, schema });
                 if let (Some(traces), Some(mut stats)) = (&self.cte_traces, stats) {
-                    let est = self.db.estimator_for(self.options);
+                    let est = self.db.estimator();
                     crate::cost::annotate(&est, &body, &mut stats);
                     traces.borrow_mut().push(CteTrace {
                         name: cte.name.clone(),
@@ -992,7 +964,7 @@ impl<'a> Planner<'a> {
         let mut pending: Vec<(std::collections::BTreeSet<usize>, Expr)> = Vec::new();
         let mut post: Vec<Expr> = Vec::new();
         for conjunct in conjuncts {
-            if contains_subquery(&conjunct) {
+            if conjunct.contains_subquery() {
                 post.push(conjunct);
                 continue;
             }
@@ -1026,10 +998,7 @@ impl<'a> Planner<'a> {
         // oriented as the hash-build input, i.e. the right child) and the
         // merge with the smallest estimated output wins; as written, the
         // first connected pair in factor order merges, left-to-right.
-        let est = self
-            .options
-            .optimize
-            .then(|| self.db.estimator_for(self.options));
+        let est = self.options.optimize.then(|| self.db.estimator());
         let mut components: Vec<(std::collections::BTreeSet<usize>, Plan)> = factors
             .into_iter()
             .enumerate()
@@ -1151,7 +1120,7 @@ impl<'a> Planner<'a> {
         let mut plain = Vec::new();
         let mut subquery_conjuncts = Vec::new();
         for c in conjuncts {
-            if contains_subquery(c) {
+            if c.contains_subquery() {
                 subquery_conjuncts.push(c);
             } else {
                 plain.push(c.clone());
@@ -1363,7 +1332,7 @@ impl<'a> Planner<'a> {
         let mut local: Vec<Expr> = Vec::new();
         if let Some(w) = &select.selection {
             for conjunct in w.split_conjuncts() {
-                if !contains_subquery(conjunct) {
+                if !conjunct.contains_subquery() {
                     if let Ok(bound) = self.bind_local(conjunct, &inner_schema) {
                         local.push(conjunct.clone());
                         let _ = bound;
@@ -1533,7 +1502,7 @@ impl<'a> Planner<'a> {
                 let (depth, index) = scope.resolve(col)?;
                 BoundExpr::Column { depth, index }
             }
-            Expr::Literal(l) => BoundExpr::Literal(literal_value(l)),
+            Expr::Literal(l) => BoundExpr::Literal(Value::from(l)),
             Expr::BinaryOp { left, op, right } => BoundExpr::Binary {
                 op: *op,
                 left: Box::new(self.bind_expr_env(left, scope, env)?),
@@ -1844,44 +1813,6 @@ fn prune_projection(plan: Plan, keep: &std::collections::HashSet<String>) -> Pla
     }
 }
 
-fn contains_subquery(e: &Expr) -> bool {
-    match e {
-        Expr::Exists { .. } | Expr::InSubquery { .. } | Expr::ScalarSubquery(_) => true,
-        Expr::BinaryOp { left, right, .. } => contains_subquery(left) || contains_subquery(right),
-        Expr::UnaryOp { expr, .. } | Expr::IsNull { expr, .. } => contains_subquery(expr),
-        Expr::Between {
-            expr, low, high, ..
-        } => contains_subquery(expr) || contains_subquery(low) || contains_subquery(high),
-        Expr::InList { expr, list, .. } => {
-            contains_subquery(expr) || list.iter().any(contains_subquery)
-        }
-        Expr::Like { expr, pattern, .. } => contains_subquery(expr) || contains_subquery(pattern),
-        Expr::Case {
-            branches,
-            else_expr,
-        } => {
-            branches
-                .iter()
-                .any(|(c, v)| contains_subquery(c) || contains_subquery(v))
-                || else_expr.as_deref().is_some_and(contains_subquery)
-        }
-        Expr::Function { args, .. } => args.iter().any(contains_subquery),
-        Expr::Column(_) | Expr::Literal(_) | Expr::Wildcard => false,
-    }
-}
-
-/// Convert an AST literal to a runtime value.
-pub fn literal_value(l: &Literal) -> Value {
-    match l {
-        Literal::Null => Value::Null,
-        Literal::Boolean(b) => Value::Bool(*b),
-        Literal::Integer(v) => Value::Int(*v),
-        Literal::Float(v) => Value::Float(*v),
-        Literal::String(s) => Value::str(s),
-        Literal::Date(d) => Value::Date(*d),
-    }
-}
-
 /// Output column name for a projected expression.
 fn output_name(expr: &Expr, alias: Option<&str>, position: usize) -> String {
     if let Some(a) = alias {
@@ -2066,7 +1997,7 @@ impl GroupContext<'_, '_> {
                     "column `{c}` must appear in the GROUP BY clause or be used in an aggregate"
                 )))
             }
-            Expr::Literal(l) => BoundExpr::Literal(literal_value(l)),
+            Expr::Literal(l) => BoundExpr::Literal(Value::from(l)),
             Expr::BinaryOp { left, op, right } => BoundExpr::Binary {
                 op: *op,
                 left: Box::new(self.bind(left)?),

@@ -7,6 +7,7 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
+use conquer_sql::ast::Literal;
 use conquer_sql::dates;
 
 use crate::error::{EngineError, Result};
@@ -166,6 +167,20 @@ impl Value {
                 };
                 Ok(Float(r))
             }
+        }
+    }
+}
+
+/// An AST literal as a runtime value.
+impl From<&Literal> for Value {
+    fn from(l: &Literal) -> Value {
+        match l {
+            Literal::Null => Value::Null,
+            Literal::Boolean(b) => Value::Bool(*b),
+            Literal::Integer(v) => Value::Int(*v),
+            Literal::Float(v) => Value::Float(*v),
+            Literal::String(s) => Value::str(s),
+            Literal::Date(d) => Value::Date(*d),
         }
     }
 }

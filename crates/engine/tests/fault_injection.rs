@@ -111,30 +111,35 @@ fn every_fault_point_errs_and_database_survives() {
     }
 }
 
-/// The columnar kernels must not move a fault point: every trip sits at
-/// operator entry, so an armed point fires identically whether the
-/// operator runs its vectorized or row-at-a-time body — and the database
-/// survives either way.
+/// Every trip sits at operator entry on the coordinating thread, so an
+/// armed point fires whichever body the operator then runs — a kernel or a
+/// row loop — at every thread count, and the database survives it: the
+/// same query then answers what the reference evaluator does.
 #[test]
-fn fault_points_fire_identically_row_and_columnar() {
+fn fault_points_fire() {
     let db = fixture();
-    for columnar in [false, true] {
-        let options = ExecOptions::default().with_columnar(columnar);
+    for threads in [1, 8] {
+        let options = ExecOptions::default().with_threads(threads);
         for (point, sql) in POINT_QUERIES {
             faults::disarm_all();
             faults::arm(point, 0);
             let err = db
                 .query_with(sql, &options)
-                .expect_err(&format!("columnar={columnar}: armed `{point}` must err"));
+                .expect_err(&format!("threads={threads}: armed `{point}` must err"));
             assert!(
                 is_injected(&err, point),
-                "columnar={columnar} `{point}`: expected injected fault, got {err:?}"
+                "threads={threads} `{point}`: expected injected fault, got {err:?}"
             );
             faults::disarm_all();
             let rows = db.query_with(sql, &options).unwrap_or_else(|e| {
-                panic!("columnar={columnar} {point}: database unusable after trip: {e}")
+                panic!("threads={threads} {point}: database unusable after trip: {e}")
             });
-            assert!(!rows.schema.columns.is_empty());
+            let reference = conquer_reference::evaluate_sql(&db, sql).expect("reference");
+            let diff = conquer_reference::diff(&reference, &rows, false);
+            assert_eq!(
+                diff, None,
+                "threads={threads} {point}: answer after the trip"
+            );
         }
     }
 }

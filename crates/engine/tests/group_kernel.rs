@@ -1,30 +1,27 @@
 //! Differential suite for the typed group-key kernel (`engine::groupkey`)
 //! and the operators built on it: GROUP BY, DISTINCT, `UNION ALL`.
 //!
-//! Every query runs on the row-at-a-time reference path
-//! (`with_columnar(false)`, serial — the oracle) and on the kernel path at
-//! `threads ∈ {1, 2, 8}`; answers must agree value for value, *variant
-//! for variant* (an `Int(2)` is not a `Float(2.0)`) and float bit for bit,
-//! in the same row order — the kernel's first-seen order is the row
-//! path's. Inputs are seeded random tables over every column layout
+//! Every query runs on the row-at-a-time reference evaluator
+//! (`conquer-reference`, the oracle: linear-search groups, no hashing) and
+//! on the engine at `threads ∈ {1, 2, 8}`; answers must agree value for
+//! value, *variant for variant* (an `Int(2)` is not a `Float(2.0)`) and
+//! float bit for bit, in the same row order — the engine promises
+//! first-seen group order. Errors must agree too, message for message: a
+//! value-level error in the kernel replays on the engine's row path, so it
+//! reports the error a row-major evaluation hits first. Inputs are seeded
+//! random tables over every column layout
 //! (`Int`, `Float`, `Date`, `Bool`, dictionary `Text`, and `Any` both as a
 //! float column holding integers and as a freely mixed column), NULL-heavy,
 //! all-duplicate and all-distinct keys, and sizes on both sides of the
 //! executor's 4096-row parallel threshold.
 
-use conquer_engine::{DataType, Database, ExecOptions, Rows, Table, Value};
+use conquer_engine::{DataType, Database, ExecOptions, Table, Value};
 
 const THREADS: [usize; 3] = [1, 2, 8];
 /// The executor's `PAR_THRESHOLD` (4 morsels of 1024 rows).
 const PAR_THRESHOLD: usize = 4096;
 
-fn row_opts(threads: usize) -> ExecOptions {
-    ExecOptions::default()
-        .with_threads(threads)
-        .with_columnar(false)
-}
-
-fn col_opts(threads: usize) -> ExecOptions {
+fn opts(threads: usize) -> ExecOptions {
     ExecOptions::default().with_threads(threads)
 }
 
@@ -49,36 +46,21 @@ impl Lcg {
     }
 }
 
-fn assert_same(oracle: &Rows, got: &Rows, context: &str) {
-    assert_eq!(oracle.rows.len(), got.rows.len(), "row count: {context}");
-    for (r, (a, b)) in oracle.rows.iter().zip(&got.rows).enumerate() {
-        assert_eq!(a.len(), b.len(), "width: {context}");
-        for (x, y) in a.iter().zip(b) {
-            let same = match (x, y) {
-                (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
-                (Value::Int(x), Value::Int(y)) => x == y,
-                (Value::Null, Value::Null) => true,
-                (Value::Bool(x), Value::Bool(y)) => x == y,
-                (Value::Date(x), Value::Date(y)) => x == y,
-                (Value::Str(x), Value::Str(y)) => x == y,
-                _ => false,
-            };
-            assert!(same, "row {r}: {x:?} vs {y:?}: {context}");
-        }
-    }
-}
-
-/// Oracle (row path, serial) against the kernel path at every thread
-/// count. Errors must agree too, message for message.
+/// The reference against the engine at every thread count, in order.
+/// Errors must agree too, message for message.
 fn check(db: &Database, sql: &str) {
-    let oracle = db.query_with(sql, &row_opts(1));
+    let oracle = conquer_reference::evaluate_sql(db, sql);
     for threads in THREADS {
-        let got = db.query_with(sql, &col_opts(threads));
+        let got = db.query_with(sql, &opts(threads));
         let context = format!("threads={threads}: {sql}");
         match (&oracle, &got) {
-            (Ok(a), Ok(b)) => assert_same(a, b, &context),
+            (Ok(a), Ok(b)) => {
+                if let Some(diff) = conquer_reference::diff(a, b, true) {
+                    panic!("{context}: {diff}");
+                }
+            }
             (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{context}"),
-            (a, b) => panic!("row path {a:?} vs kernel {b:?}: {context}"),
+            (a, b) => panic!("reference {a:?} vs engine {b:?}: {context}"),
         }
     }
 }
@@ -344,7 +326,7 @@ fn float_and_mixed_keys_keep_key_value_equality() {
     check(&db, "select distinct f, m from t");
     // The representative of the zero group is the first seen, `-0.0`.
     let rows = db
-        .query_with("select f, count(*) from t group by f", &col_opts(1))
+        .query_with("select f, count(*) from t group by f", &opts(1))
         .unwrap();
     match (&rows.rows[0][0], &rows.rows[0][1]) {
         (Value::Float(z), Value::Int(3)) => assert!(z.is_sign_negative() && *z == 0.0),
@@ -352,6 +334,9 @@ fn float_and_mixed_keys_keep_key_value_equality() {
     }
 }
 
+/// A value-level error in the kernel (an overflowing SUM, a NaN in MIN or
+/// MAX, a string summed) replays on the engine's row path, so the error it
+/// reports is the one a row-major evaluation hits first — the reference's.
 #[test]
 fn value_errors_replay_on_the_row_path() {
     let db = Database::new();
@@ -389,7 +374,7 @@ fn value_errors_replay_on_the_row_path() {
         "select k, avg(s) from t group by k",
         "select count(distinct k), sum(distinct big) from t",
     ] {
-        let oracle = db.query_with(sql, &row_opts(1));
+        let oracle = conquer_reference::evaluate_sql(&db, sql);
         assert!(oracle.is_err(), "fixture must make this fail: {sql}");
         check(&db, sql);
     }

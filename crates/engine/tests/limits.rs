@@ -126,19 +126,22 @@ fn memory_limit_charges_distinct_by_key_width() {
     ))
     .expect("build wide fixture");
     let budget = ResourceLimits::unlimited().with_max_memory_bytes(200_000);
-    for columnar in [false, true] {
-        let options = ExecOptions::default()
-            .with_limits(budget)
-            .with_columnar(columnar);
+    // The kernel over the scanned columns, and the row body over a filter's
+    // row-shaped output (an arithmetic predicate is not compiled).
+    for sql in [
+        "select distinct a, b, c, d, e, f from w",
+        "select distinct a, b, c, d, e, f from w where a + 0 >= 0",
+    ] {
+        let options = ExecOptions::default().with_limits(budget);
         let err = db
-            .query_with("select distinct a, b, c, d, e, f from w", &options)
+            .query_with(sql, &options)
             .expect_err("a six-column DISTINCT holds more than 200 000 B");
         match &err {
             EngineError::MemoryExceeded(trip) => {
-                assert_eq!(trip.operator, "distinct", "columnar={columnar}");
+                assert_eq!(trip.operator, "distinct", "{sql}");
                 assert!(trip.mem_bytes > 200_000);
             }
-            other => panic!("columnar={columnar}: expected MemoryExceeded, got {other:?}"),
+            other => panic!("{sql}: expected MemoryExceeded, got {other:?}"),
         }
     }
     // The charge follows the key width: one column of the same table fits
@@ -157,8 +160,9 @@ fn memory_limit_charges_existence_join_by_distinct_key() {
     // 9 000 build rows holding 3 000 distinct keys, probed by 10 rows. The
     // typed existence kernel keeps one 20 B table entry per distinct key —
     // 60 000 B, the keys themselves staying in the build batch — so it
-    // trips 40 000 B while building and fits 70 000 B; the row path's
-    // `Key`-per-entry table fits neither.
+    // trips 40 000 B while building and fits 70 000 B; the general hash
+    // join an expression key takes, with its `Key`-per-entry table, fits
+    // neither.
     let db = Database::new();
     let build: Vec<String> = (0..9_000).map(|i| format!("({})", i % 3_000)).collect();
     db.run_script(&format!(
@@ -168,23 +172,32 @@ fn memory_limit_charges_existence_join_by_distinct_key() {
         build.join(", ")
     ))
     .expect("build semi-join fixture");
-    let sql = "select x from a where exists (select y from b where b.y = a.x)";
-    let run = |bytes: u64, columnar: bool| {
+    let kernel = "select x from a where exists (select y from b where b.y = a.x)";
+    let general = "select x from a where exists (select y from b where b.y = a.x + 0)";
+    let run = |sql: &str, bytes: u64| {
         let options = ExecOptions::default()
-            .with_limits(ResourceLimits::unlimited().with_max_memory_bytes(bytes))
-            .with_columnar(columnar);
+            .with_limits(ResourceLimits::unlimited().with_max_memory_bytes(bytes));
         db.query_with(sql, &options)
     };
-    for (bytes, columnar) in [(40_000, true), (40_000, false), (70_000, false)] {
-        match run(bytes, columnar) {
+    for (sql, bytes) in [(kernel, 40_000), (general, 40_000), (general, 70_000)] {
+        match run(sql, bytes) {
             Err(EngineError::MemoryExceeded(trip)) => {
-                assert_eq!(trip.operator, "hash_join", "columnar={columnar}");
+                assert_eq!(trip.operator, "hash_join", "{sql}");
                 assert!(trip.mem_bytes > bytes);
             }
-            other => panic!("{bytes} B, columnar={columnar}: expected MemoryExceeded: {other:?}"),
+            other => panic!("{bytes} B, {sql}: expected MemoryExceeded: {other:?}"),
         }
     }
-    assert_eq!(run(70_000, true).expect("60 000 B of keys fit").len(), 5);
+    // Under the budget that fits, and unlimited on the general path: the
+    // reference's five rows.
+    let reference = conquer_reference::evaluate_sql(&db, kernel).expect("reference");
+    assert_eq!(reference.len(), 5);
+    for got in [
+        run(kernel, 70_000).expect("60 000 B of keys fit"),
+        run(general, 1 << 30).expect("unlimited"),
+    ] {
+        assert_eq!(conquer_reference::diff(&reference, &got, true), None);
+    }
     assert_usable(&db);
 }
 

@@ -7,10 +7,11 @@
 //! even where SQL leaves it free. Since both sides run one body, equality
 //! alone cannot catch a bug they share: the tests whose result depends on
 //! an order the executor must reconstruct (first-seen group order, which
-//! duplicate a DISTINCT keeps, stable sort ties) also compare against an
-//! expectation folded naively from the fixture rows, on the kernel and the
-//! row path. Float SUM/AVG are exact ([`conquer_engine::fsum`]); the one
-//! test that predates that still uses a relative tolerance.
+//! duplicate a DISTINCT keeps, stable sort ties) also compare against the
+//! row-at-a-time reference evaluator (`conquer-reference`), row for row
+//! and variant for variant. Float SUM/AVG are exact
+//! ([`conquer_engine::fsum`]); the one test that predates that still uses
+//! a relative tolerance.
 //!
 //! Tables are sized past the executor's parallel threshold (4 × 1024-row
 //! morsels) so the fan-out actually runs.
@@ -115,56 +116,17 @@ fn assert_thread_invariant(db: &Database, sql: &str) {
     }
 }
 
-/// Assert the query returns exactly `expected` — an answer folded naively
-/// from the fixture rows, owing nothing to the executor — at 1, 2 and 8
-/// threads, through the columnar kernels and on the row path. Rows are
-/// compared by their `Debug` form: `Value`'s `==` takes `Int(2)` for
-/// `Float(2.0)`, and which of the two comes out is part of the answer.
-fn assert_matches_naive(db: &Database, sql: &str, expected: &[Vec<Value>]) {
-    for columnar in [true, false] {
-        for threads in [1, 2, 8] {
-            let options = ExecOptions::default()
-                .with_threads(threads)
-                .with_columnar(columnar);
-            let got = db.query_with(sql, &options).unwrap().rows;
-            let differs = (0..got.len().max(expected.len()))
-                .find(|&i| format!("{:?}", got.get(i)) != format!("{:?}", expected.get(i)));
-            if let Some(i) = differs {
-                panic!(
-                    "threads={threads} columnar={columnar} row {i}: got {:?}, naive fold says {:?}, on: {sql}",
-                    got.get(i),
-                    expected.get(i)
-                );
-            }
+/// Assert the query returns exactly the reference evaluator's answer, in
+/// its order, at 1, 2 and 8 threads, and return that answer.
+fn assert_matches_reference(db: &Database, sql: &str) -> Rows {
+    let expected = conquer_reference::evaluate_sql(db, sql).unwrap();
+    for threads in [1, 2, 8] {
+        let got = run_at(db, sql, threads);
+        if let Some(diff) = conquer_reference::diff(&expected, &got, true) {
+            panic!("threads={threads}: {diff}, on: {sql}");
         }
     }
-}
-
-/// The fixture's `t` rows, read back without running a query.
-fn t_rows(db: &Database) -> Vec<Vec<Value>> {
-    db.table("t").unwrap().rows().to_vec()
-}
-
-/// Position of `key` in `groups`, appended when new: groups stay in
-/// first-seen order, found by plain equality (no hashing to share a bug
-/// with).
-fn group_at<K: PartialEq, S: Default>(groups: &mut Vec<(K, S)>, key: K) -> &mut S {
-    let at = match groups.iter().position(|(k, _)| *k == key) {
-        Some(at) => at,
-        None => {
-            groups.push((key, S::default()));
-            groups.len() - 1
-        }
-    };
-    &mut groups[at].1
-}
-
-fn as_f64(v: &Value) -> f64 {
-    match v {
-        Value::Int(i) => *i as f64,
-        Value::Float(f) => *f,
-        other => panic!("not a number: {other:?}"),
-    }
+    expected
 }
 
 /// Like [`assert_thread_invariant`] but floats compare within relative
@@ -239,50 +201,13 @@ fn aggregation_matches_serial_including_group_order() {
     // Global aggregate (no GROUP BY) over an input that fans out.
     assert_thread_invariant(&db, "select count(*), sum(t.k) from t");
 
-    // The same answers folded naively: groups in first-seen order.
-    #[derive(Default)]
-    struct Agg {
-        count: i64,
-        sum: i64,
-        min: Option<i64>,
-        max: Option<i64>,
-    }
-    let mut groups: Vec<(Value, Agg)> = Vec::new();
-    let (mut count, mut sum) = (0, 0);
-    for row in t_rows(&db) {
-        let Value::Int(k) = row[0] else { panic!() };
-        let agg = group_at(&mut groups, row[1].clone());
-        agg.count += 1;
-        agg.sum += k;
-        agg.min = Some(agg.min.map_or(k, |m| m.min(k)));
-        agg.max = Some(agg.max.map_or(k, |m| m.max(k)));
-        count += 1;
-        sum += k;
-    }
-    let expected: Vec<Vec<Value>> = groups
-        .into_iter()
-        .map(|(v, a)| {
-            let int = |x: Option<i64>| x.map_or(Value::Null, Value::Int);
-            vec![
-                v,
-                int(Some(a.count)),
-                int(Some(a.sum)),
-                int(a.min),
-                int(a.max),
-            ]
-        })
-        .collect();
-    assert!(expected.len() == 98, "97 values of v, and NULL");
-    assert_matches_naive(
+    // The same answers from the reference: groups in first-seen order.
+    let grouped = assert_matches_reference(
         &db,
         "select t.v, count(*), sum(t.k), min(t.k), max(t.k) from t group by t.v",
-        &expected,
     );
-    assert_matches_naive(
-        &db,
-        "select count(*), sum(t.k) from t",
-        &[vec![Value::Int(count), Value::Int(sum)]],
-    );
+    assert!(grouped.rows.len() == 98, "97 values of v, and NULL");
+    assert_matches_reference(&db, "select count(*), sum(t.k) from t");
 }
 
 #[test]
@@ -299,35 +224,16 @@ fn distinct_aggregates_match_serial() {
     let sql = "select t.v, count(distinct t.m), min(distinct t.m), max(distinct t.m) \
                from t group by t.v";
     assert_thread_invariant(&db, sql);
-    let mut groups: Vec<(Value, Vec<Value>)> = Vec::new();
-    for row in t_rows(&db) {
-        let kept = group_at(&mut groups, row[1].clone());
-        if !kept.iter().any(|k| as_f64(k) == as_f64(&row[4])) {
-            kept.push(row[4].clone());
-        }
-    }
-    let expected: Vec<Vec<Value>> = groups
-        .into_iter()
-        .map(|(v, kept)| {
-            let by = |a: &&Value, b: &&Value| as_f64(a).total_cmp(&as_f64(b));
-            let (min, max) = (kept.iter().min_by(by), kept.iter().max_by(by));
-            vec![
-                v,
-                Value::Int(kept.len() as i64),
-                min.unwrap().clone(),
-                max.unwrap().clone(),
-            ]
-        })
-        .collect();
+    let expected = assert_matches_reference(&db, sql);
     let ints = expected
+        .rows
         .iter()
         .filter(|row| matches!(row[2], Value::Int(_)))
         .count();
     assert!(
-        0 < ints && ints < expected.len(),
+        0 < ints && ints < expected.rows.len(),
         "the fixture exercises both variants"
     );
-    assert_matches_naive(&db, sql, &expected);
 }
 
 #[test]
@@ -342,14 +248,9 @@ fn distinct_preserves_first_occurrence_order() {
     assert_thread_invariant(&db, "select distinct t.v from t");
     assert_thread_invariant(&db, "select distinct t.s, t.v from t");
 
-    // The same answer folded naively: each pair where it first occurs.
-    let mut firsts: Vec<(Vec<Value>, ())> = Vec::new();
-    for row in t_rows(&db) {
-        group_at(&mut firsts, vec![row[2].clone(), row[1].clone()]);
-    }
-    let expected: Vec<Vec<Value>> = firsts.into_iter().map(|(pair, ())| pair).collect();
-    assert!(expected.len() > 600, "most of the 7 x 98 pairs occur");
-    assert_matches_naive(&db, "select distinct t.s, t.v from t", &expected);
+    // The same answer from the reference: each pair where it first occurs.
+    let pairs = assert_matches_reference(&db, "select distinct t.s, t.v from t");
+    assert!(pairs.rows.len() > 600, "most of the 7 x 98 pairs occur");
 }
 
 #[test]
@@ -361,44 +262,10 @@ fn sort_preserves_stable_tie_order() {
     assert_thread_invariant(&db, "select t.s, t.v, t.k from t order by t.s, t.v desc");
     assert_thread_invariant(&db, "select t.v, t.k from t order by t.v desc limit 100");
 
-    // The same answers sorted naively — one pass over the input per key
-    // value, in key order, which is stable by construction: rows of a tie
-    // run keep their input order, NULL `v`s come last even descending.
-    let rows = t_rows(&db);
-    let mut by_s: Vec<&Value> = Vec::new();
-    let mut by_v: Vec<i64> = Vec::new();
-    for row in &rows {
-        if !by_s.contains(&&row[2]) {
-            by_s.push(&row[2]);
-        }
-        if let Value::Int(v) = row[1] {
-            if !by_v.contains(&v) {
-                by_v.push(v);
-            }
-        }
-    }
-    by_s.sort_by_key(|s| s.to_string());
-    by_v.sort_unstable_by(|a, b| b.cmp(a));
-    let mut v_desc_nulls_last: Vec<Value> = by_v.into_iter().map(Value::Int).collect();
-    v_desc_nulls_last.push(Value::Null);
-    let (mut by_s_only, mut by_s_then_v) = (Vec::new(), Vec::new());
-    for s in by_s {
-        let run = || rows.iter().filter(|row| row[2] == *s);
-        by_s_only.extend(run().map(|row| vec![row[2].clone(), row[0].clone()]));
-        for v in &v_desc_nulls_last {
-            by_s_then_v.extend(
-                run()
-                    .filter(|row| row[1] == *v)
-                    .map(|row| vec![row[2].clone(), row[1].clone(), row[0].clone()]),
-            );
-        }
-    }
-    assert_matches_naive(&db, "select t.s, t.k from t order by t.s", &by_s_only);
-    assert_matches_naive(
-        &db,
-        "select t.s, t.v, t.k from t order by t.s, t.v desc",
-        &by_s_then_v,
-    );
+    // The same answers from the reference's stable sort: rows of a tie run
+    // keep their input order, NULL `v`s come last even descending.
+    assert_matches_reference(&db, "select t.s, t.k from t order by t.s");
+    assert_matches_reference(&db, "select t.s, t.v, t.k from t order by t.s, t.v desc");
 }
 
 #[test]

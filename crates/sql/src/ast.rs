@@ -344,6 +344,38 @@ impl Expr {
         }
     }
 
+    /// `true` when the expression holds a subquery (`EXISTS`, `IN (SELECT
+    /// ...)`, a scalar subquery) at any depth.
+    pub fn contains_subquery(&self) -> bool {
+        match self {
+            Expr::Exists { .. } | Expr::InSubquery { .. } | Expr::ScalarSubquery(_) => true,
+            Expr::BinaryOp { left, right, .. } => {
+                left.contains_subquery() || right.contains_subquery()
+            }
+            Expr::UnaryOp { expr, .. } | Expr::IsNull { expr, .. } => expr.contains_subquery(),
+            Expr::Between {
+                expr, low, high, ..
+            } => expr.contains_subquery() || low.contains_subquery() || high.contains_subquery(),
+            Expr::InList { expr, list, .. } => {
+                expr.contains_subquery() || list.iter().any(Expr::contains_subquery)
+            }
+            Expr::Like { expr, pattern, .. } => {
+                expr.contains_subquery() || pattern.contains_subquery()
+            }
+            Expr::Case {
+                branches,
+                else_expr,
+            } => {
+                branches
+                    .iter()
+                    .any(|(c, v)| c.contains_subquery() || v.contains_subquery())
+                    || else_expr.as_ref().is_some_and(|e| e.contains_subquery())
+            }
+            Expr::Function { args, .. } => args.iter().any(Expr::contains_subquery),
+            Expr::Column(_) | Expr::Literal(_) | Expr::Wildcard => false,
+        }
+    }
+
     /// `true` when the expression contains an aggregate function call at any
     /// depth outside of subqueries.
     pub fn contains_aggregate(&self) -> bool {

@@ -86,9 +86,8 @@ pub fn build_workload(config: &WorkloadConfig) -> Workload {
         .annotate
         .then(|| annotate_database(&db, &sigma).expect("annotation succeeds"));
     // Declare (not build) a secondary index on each relation's key columns
-    // — the access path the rewritings' key self-joins probe. Queries run
-    // with `ExecOptions::with_indexes(false)` still plan index-blind, so
-    // differential suites can compare both modes over one workload.
+    // — the access path the rewritings' key self-joins probe. The first
+    // query that plans against a table builds its index.
     declare_key_indexes(&db, &sigma);
     Workload {
         db,

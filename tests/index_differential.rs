@@ -1,31 +1,30 @@
-//! Indexes-on vs indexes-off differential over the full benchmark and
-//! rewriting surface: every TPC-H workload query under every execution
-//! strategy (original, consistent rewriting, annotation-aware rewriting)
-//! must produce the **bit-identical** answer multiset with secondary
-//! indexes enabled (`ExecOptions::default()`) and disabled
-//! (`.with_indexes(false)`), at `threads ∈ {1, 2, 8}`. The index-blind
-//! plans are exactly the pre-index plans, so this suite holds the whole
-//! access-path layer — index scans, index-backed hash-join builds, and
-//! the SeqScan fallback — to the original executor.
+//! Indexed plans against the row-at-a-time reference evaluator
+//! (`conquer-reference`) over the benchmark and rewriting surface: every
+//! TPC-H workload query under every execution strategy (original,
+//! consistent rewriting, annotation-aware rewriting) must give the
+//! reference's answer with the declared key indexes planned in (index
+//! scans, index-backed hash-join builds, the index-only conflict scan, the
+//! SeqScan fallback) at `threads ∈ {1, 2, 8}`, and so must the index-blind
+//! plans of a twin database that holds the same tables and declares no
+//! index. Point, range and NULL-key fixtures and DROP/INSERT invalidation
+//! are held to the same.
 //!
 //! The one index-only path — `GROUP BY K HAVING count(*) > c` read off the
 //! key index's conflict list — is held to more: the same rows in the same
-//! *order* as the group-key kernel it replaces
-//! (`conflict_scan_is_the_group_kernel_rows_and_order`).
+//! *order* as the reference's first-seen groups and as the group-key kernel
+//! the twin runs (`conflict_scan_is_the_group_kernel_rows_and_order`).
 //!
-//! Rows compare as canonically sorted multisets: an index-backed join
-//! keeps its declared build side (the runtime inner-swap is skipped), so
-//! unordered results may stream back in a different — still deterministic
-//! — order than the index-blind plan produces. Queries with ORDER BY are
-//! additionally compared in their delivered order. Floats compare by
-//! `to_bits`, so index gathers must not perturb even the last ulp.
-
-use std::cmp::Ordering;
+//! Elsewhere rows compare as bags: an index-backed join keeps its declared
+//! build side (the runtime inner-swap is skipped), so unordered results may
+//! stream back in a different — still deterministic — order than the
+//! index-blind plan produces. Queries with ORDER BY compare in their
+//! delivered order. Floats compare by `to_bits`, so index gathers must not
+//! perturb even the last ulp.
 
 use conquer::tpch::{all_queries, build_workload, WorkloadConfig};
 use conquer::{
-    consistent_answers_annotated_with, consistent_answers_with, rewrite_sql, ConstraintSet,
-    EngineError, ExecOptions, ResourceLimits, RewriteOptions, Rows, Value,
+    rewrite_sql, ConstraintSet, EngineError, ExecOptions, ResourceLimits, RewriteOptions, Rows,
+    Value,
 };
 use conquer_engine::Database;
 
@@ -35,89 +34,61 @@ fn indexed_opts(threads: usize) -> ExecOptions {
     ExecOptions::default().with_threads(threads)
 }
 
-fn blind_opts(threads: usize) -> ExecOptions {
-    ExecOptions::default()
-        .with_threads(threads)
-        .with_indexes(false)
+/// A database over `db`'s tables that declares no index: its plans are
+/// the ones the planner makes with no index to consider.
+fn blind_twin(db: &Database) -> Database {
+    let twin = Database::new();
+    for name in db.table_names() {
+        twin.register((*db.table(&name).unwrap()).clone()).unwrap();
+    }
+    twin
 }
 
-/// Bitwise total order on values (floats by `to_bits` via `total_cmp`),
-/// extended lexicographically to rows: the canonical multiset order.
-fn canon(rows: &mut Rows) {
-    rows.rows.sort_by(|a, b| {
-        a.iter()
-            .zip(b.iter())
-            .map(|(x, y)| x.total_cmp(y))
-            .find(|o| !o.is_eq())
-            .unwrap_or(Ordering::Equal)
-    });
-}
-
-/// Compare two result sets exactly — floats bit-for-bit (`to_bits`, so a
-/// NaN equals a bit-identical NaN and `0.0` differs from `-0.0`).
-fn assert_rows_match(blind: &Rows, indexed: &Rows, context: &str) {
-    assert_eq!(
-        blind.rows.len(),
-        indexed.rows.len(),
-        "row count diverged: {context}"
-    );
-    for (a, b) in blind.rows.iter().zip(&indexed.rows) {
-        assert_eq!(a.len(), b.len(), "row width diverged: {context}");
-        for (x, y) in a.iter().zip(b) {
-            match (x, y) {
-                (Value::Float(x), Value::Float(y)) => {
-                    assert!(
-                        x.to_bits() == y.to_bits(),
-                        "float diverged ({x:?} vs {y:?}): {context}"
-                    );
-                }
-                _ => assert_eq!(x, y, "value diverged: {context}"),
-            }
-        }
+fn assert_matches(reference: &Rows, got: &Rows, ordered: bool, context: &str) {
+    if let Some(diff) = conquer_reference::diff(reference, got, ordered) {
+        panic!("{context}: {diff}");
     }
 }
 
-fn assert_canon_match(blind: Rows, indexed: Rows, context: &str) {
-    let (mut blind, mut indexed) = (blind, indexed);
-    canon(&mut blind);
-    canon(&mut indexed);
-    assert_rows_match(&blind, &indexed, context);
+/// `sql` on `db` (indexed) and on its index-blind twin, at every thread
+/// count, against the reference's answer.
+fn check(db: &Database, sql: &str, ordered: bool, label: &str) {
+    let reference = conquer_reference::evaluate_sql(db, sql)
+        .unwrap_or_else(|e| panic!("{label}: reference: {e}: {sql}"));
+    let twin = blind_twin(db);
+    for threads in THREADS {
+        let context = |plans: &str| format!("{label} [{plans}] threads={threads}: {sql}");
+        let indexed = db.query_with(sql, &indexed_opts(threads)).unwrap();
+        assert_matches(&reference, &indexed, ordered, &context("indexed"));
+        let blind = twin.query_with(sql, &indexed_opts(threads)).unwrap();
+        assert_matches(&reference, &blind, ordered, &context("index-blind"));
+    }
 }
 
 #[test]
 fn tpch_queries_match_indexed_vs_blind_under_all_strategies() {
     // `build_workload` declares an index on every relation's key columns;
     // the lazy builds fire on the first indexed planning pass below. The
-    // ORDER BY queries among the six are also compared in delivered order
-    // (an index must never perturb a *sorted* result).
+    // rewritings run as SQL text, so nothing declares an index on the twin.
     let w = build_workload(&WorkloadConfig {
-        scale_factor: 0.02,
+        scale_factor: 0.001,
         annotate: true,
         ..WorkloadConfig::default()
     });
+    let annotated = RewriteOptions {
+        annotated: true,
+        ..RewriteOptions::default()
+    };
     for q in all_queries() {
-        // Oracle: the index-blind pre-index plans, serial.
-        let blind_orig = w.db.query_with(q.sql, &blind_opts(1)).unwrap();
-        let blind_rew = consistent_answers_with(&w.db, q.sql, &w.sigma, &blind_opts(1)).unwrap();
-        let blind_ann =
-            consistent_answers_annotated_with(&w.db, q.sql, &w.sigma, &blind_opts(1)).unwrap();
-        let ordered = q.sql.to_ascii_lowercase().contains("order by");
-        for threads in THREADS {
-            let ctx = |s: &str| format!("{} [{s}] threads={threads}", q.name());
-            let orig = w.db.query_with(q.sql, &indexed_opts(threads)).unwrap();
-            let rew =
-                consistent_answers_with(&w.db, q.sql, &w.sigma, &indexed_opts(threads)).unwrap();
-            let ann =
-                consistent_answers_annotated_with(&w.db, q.sql, &w.sigma, &indexed_opts(threads))
-                    .unwrap();
-            if ordered {
-                assert_rows_match(&blind_orig, &orig, &ctx("original/ordered"));
-                assert_rows_match(&blind_rew, &rew, &ctx("rewritten/ordered"));
-                assert_rows_match(&blind_ann, &ann, &ctx("annotated/ordered"));
-            }
-            assert_canon_match(blind_orig.clone(), orig, &ctx("original"));
-            assert_canon_match(blind_rew.clone(), rew, &ctx("rewritten"));
-            assert_canon_match(blind_ann.clone(), ann, &ctx("annotated"));
+        let rewritten = rewrite_sql(q.sql, &w.sigma, &RewriteOptions::default()).unwrap();
+        let annotated = rewrite_sql(q.sql, &w.sigma, &annotated).unwrap();
+        for (strategy, sql) in [
+            ("original", q.sql),
+            ("rewritten", &rewritten),
+            ("annotated", &annotated),
+        ] {
+            // Every figure query ends in ORDER BY (LIMIT), or is one row.
+            check(&w.db, sql, true, &format!("{} {strategy}", q.name()));
         }
     }
 }
@@ -159,11 +130,7 @@ fn point_range_and_null_key_fixtures_match_indexed_vs_blind() {
         "select k, sum(v), count(*) from t where k >= 2 group by k",
     ];
     for sql in shapes {
-        let blind = db.query_with(sql, &blind_opts(1)).unwrap();
-        for threads in THREADS {
-            let indexed = db.query_with(sql, &indexed_opts(threads)).unwrap();
-            assert_canon_match(blind.clone(), indexed, &format!("threads={threads}: {sql}"));
-        }
+        check(&db, sql, false, "fixture");
     }
 }
 
@@ -199,35 +166,36 @@ fn rewriting_self_join_plans_an_index_under_use_stats() {
         plan.contains("access=index(custkey"),
         "rewriting self-join must probe the key index:\n{plan}"
     );
+    let reference = conquer_reference::evaluate_sql(&db, &rewritten).unwrap();
     for opts in [indexed_opts(1), inline] {
         let indexed = db.query_with(&rewritten, &opts).unwrap();
-        let blind = db.query_with(&rewritten, &blind_opts(1)).unwrap();
-        assert_canon_match(blind, indexed, "rewriting self-join");
+        assert_matches(&reference, &indexed, false, "rewriting self-join");
     }
 }
 
 #[test]
 fn governor_trips_are_index_invariant() {
-    // A row-budget trip far below either plan's row volume must fire in
-    // both modes — an index access path changes which operators account
-    // rows, never whether a blown budget is noticed.
+    // A row-budget trip far below either plan's row volume must fire with
+    // and without indexes to plan with — an index access path changes
+    // which operators account rows, never whether a blown budget is
+    // noticed.
     let w = build_workload(&WorkloadConfig {
         scale_factor: 0.02,
         annotate: false,
         ..WorkloadConfig::default()
     });
+    let twin = blind_twin(&w.db);
     let sql = "select l.l_orderkey, count(*) from lineitem l, orders o \
                where l.l_orderkey = o.o_orderkey group by l.l_orderkey";
-    for indexes in [false, true] {
+    for (plans, db) in [("indexed", &w.db), ("index-blind", &twin)] {
         for threads in THREADS {
             let options = ExecOptions::default()
                 .with_limits(ResourceLimits::unlimited().with_max_rows(200))
-                .with_threads(threads)
-                .with_indexes(indexes);
-            let err = w.db.query_with(sql, &options).unwrap_err();
+                .with_threads(threads);
+            let err = db.query_with(sql, &options).unwrap_err();
             assert!(
                 matches!(err, EngineError::RowLimitExceeded(_)),
-                "indexes={indexes} threads={threads}: expected row-limit trip, got {err:?}"
+                "{plans} threads={threads}: expected row-limit trip, got {err:?}"
             );
         }
     }
@@ -241,7 +209,7 @@ fn governor_trips_are_index_invariant() {
 fn drop_and_insert_invalidation_matches_blind_plans() {
     // DDL/DML churn around a built index: every mutation must invalidate
     // or extend the postings so the very next indexed query matches the
-    // index-blind oracle exactly.
+    // reference — and the index-blind plans of a twin taken then.
     let db = Database::new();
     db.run_script(
         "create table t (k integer, s text);
@@ -249,21 +217,19 @@ fn drop_and_insert_invalidation_matches_blind_plans() {
     )
     .unwrap();
     db.create_index("t", &["k"]).unwrap();
-    let check = |label: &str| {
+    let check_all = |label: &str| {
         for sql in [
             "select s from t where k = 2",
             "select s from t where k > 1",
             "select a.s, b.s from t a, t b where a.k = b.k",
         ] {
-            let blind = db.query_with(sql, &blind_opts(1)).unwrap();
-            let indexed = db.query_with(sql, &indexed_opts(2)).unwrap();
-            assert_canon_match(blind, indexed, &format!("{label}: {sql}"));
+            check(&db, sql, false, label);
         }
     };
-    check("initial build");
+    check_all("initial build");
     db.run_script("insert into t values (2, 'e'), (9, 'f')")
         .unwrap();
-    check("after insert");
+    check_all("after insert");
     db.drop_table("t").unwrap();
     assert!(db.index_status().is_empty(), "drop removes the declaration");
     db.run_script(
@@ -273,7 +239,7 @@ fn drop_and_insert_invalidation_matches_blind_plans() {
     .unwrap();
     // The old declaration died with the table; re-declare and re-check.
     db.create_index("t", &["k"]).unwrap();
-    check("after drop and recreate");
+    check_all("after drop and recreate");
 }
 
 /// `create table t (…); insert …` for `rows` of already-rendered SQL
@@ -294,9 +260,10 @@ fn conflict_queries(key: &str) -> Vec<String> {
         .collect()
 }
 
-/// Indexed answers equal the index-blind group kernel's, row for row in
-/// delivered order, at every thread count; `index_only` says whether the
-/// plan must (or must not) read the conflict list.
+/// Indexed answers equal the reference's and the index-blind group
+/// kernel's, row for row in delivered order, at every thread count;
+/// `index_only` says whether the plan must (or must not) read the conflict
+/// list.
 fn assert_conflicts_match(db: &Database, key: &str, index_only: bool, label: &str) {
     for sql in conflict_queries(key) {
         let plan = db.explain_with(&sql, &indexed_opts(1)).unwrap();
@@ -305,35 +272,20 @@ fn assert_conflicts_match(db: &Database, key: &str, index_only: bool, label: &st
             index_only,
             "{label}: {sql}\n{plan}"
         );
-        for threads in THREADS {
-            let blind = db.query_with(&sql, &blind_opts(threads)).unwrap();
-            let indexed = db.query_with(&sql, &indexed_opts(threads)).unwrap();
-            assert_rows_match(
-                &blind,
-                &indexed,
-                &format!("{label} threads={threads}: {sql}"),
-            );
-        }
-        // The rewritings' use of it: rows of `t` whose key is (not) in the
-        // conflict set — a semi/anti join whose build input is the scan
-        // (`conflict_list_is_the_build_input_never_the_probe_target`).
-        let on: Vec<String> = key.split(", ").map(|k| format!("v.{k} = t.{k}")).collect();
-        for quantifier in ["exists", "not exists"] {
-            let probe = format!(
-                "with v as ({sql}) select * from t where {quantifier} \
-                 (select * from v where {})",
-                on.join(" and ")
-            );
-            for threads in THREADS {
-                let blind = db.query_with(&probe, &blind_opts(threads)).unwrap();
-                let indexed = db.query_with(&probe, &indexed_opts(threads)).unwrap();
-                assert_rows_match(
-                    &blind,
-                    &indexed,
-                    &format!("{label} threads={threads}: {probe}"),
-                );
-            }
-        }
+        check(db, &sql, true, label);
+    }
+    // The rewritings' use of it: rows of `t` whose key is (not) in the
+    // conflict set — a semi/anti join whose build input is the scan
+    // (`conflict_list_is_the_build_input_never_the_probe_target`). The
+    // narrowest set keeps the reference's per-row subquery short.
+    let on: Vec<String> = key.split(", ").map(|k| format!("v.{k} = t.{k}")).collect();
+    for quantifier in ["exists", "not exists"] {
+        let probe = format!(
+            "with v as ({}) select * from t where {quantifier} (select * from v where {})",
+            conflict_queries(key)[2],
+            on.join(" and ")
+        );
+        check(db, &probe, true, label);
     }
 }
 
@@ -362,9 +314,7 @@ fn conflict_scan_is_the_group_kernel_rows_and_order() {
     ] {
         let plan = db.explain_with(sql, &indexed_opts(1)).unwrap();
         assert!(!plan.contains("conflicts)"), "{sql}\n{plan}");
-        let blind = db.query_with(sql, &blind_opts(1)).unwrap();
-        let indexed = db.query_with(sql, &indexed_opts(2)).unwrap();
-        assert_rows_match(&blind, &indexed, sql);
+        check(&db, sql, true, "kernel shapes");
     }
 
     // Text key, and a two-column (integer, text) key declared in the
@@ -445,11 +395,7 @@ fn conflict_list_is_the_build_input_never_the_probe_target() {
                 .unwrap_or_else(|| panic!("no join:\n{plan}"));
             assert!(!join.contains("access=index"), "{sql}\n{plan}");
             assert!(plan.contains("cols] access=index(k conflicts)"), "{plan}");
-            for threads in THREADS {
-                let blind = db.query_with(&sql, &blind_opts(threads)).unwrap();
-                let indexed = db.query_with(&sql, &indexed_opts(threads)).unwrap();
-                assert_rows_match(&blind, &indexed, &format!("threads={threads}: {sql}"));
-            }
+            check(&db, &sql, true, "conflict list");
         }
     }
     // The same holds against a bare indexed table: an existence test reads
@@ -504,11 +450,8 @@ fn conflict_scan_follows_inserts_and_drops() {
         for sql in conflict_queries("k") {
             let fresh = rebuilt.query_with(&sql, &indexed_opts(1)).unwrap();
             let extended = db.query_with(&sql, &indexed_opts(1)).unwrap();
-            assert_rows_match(
-                &fresh,
-                &extended,
-                &format!("{label}, incremental vs rebuild: {sql}"),
-            );
+            let context = format!("{label}, incremental vs rebuild: {sql}");
+            assert_matches(&fresh, &extended, true, &context);
         }
         assert_eq!(
             db.conflict_summary("t"),

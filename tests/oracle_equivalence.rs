@@ -4,7 +4,7 @@
 
 use conquer::{
     annotate_database, consistent_answers, consistent_answers_annotated, consistent_answers_oracle,
-    range_consistent_oracle, ConstraintSet, Database, ExecOptions, Value,
+    range_consistent_oracle, rewrite_sql, ConstraintSet, Database, RewriteOptions, Value,
 };
 
 fn sorted(rows: &conquer::Rows) -> Vec<Vec<String>> {
@@ -24,15 +24,16 @@ fn assert_matches_oracle(db: &Database, q: &str, sigma: &ConstraintSet) {
 }
 
 /// The plain rewriting, the annotated rewriting (on `annotated_db`, the same
-/// data annotated) and the plain rewriting planned index-blind — so every
-/// `conq_conflicts*` is grouped, not read off a key index — give one answer.
+/// data annotated) and the rewriting's own SQL text evaluated by the
+/// reference evaluator — no planner, no key index, no kernel — give one
+/// answer.
 fn assert_strategies_agree(db: &Database, annotated_db: &Database, q: &str, sigma: &ConstraintSet) {
     let plain = consistent_answers(db, q, sigma).unwrap();
     let annotated = consistent_answers_annotated(annotated_db, q, sigma).unwrap();
     assert_eq!(sorted(&plain), sorted(&annotated), "annotated, query: {q}");
-    let index_blind = ExecOptions::default().with_indexes(false);
-    let blind = conquer::consistent_answers_with(db, q, sigma, &index_blind).unwrap();
-    assert_eq!(sorted(&plain), sorted(&blind), "index-blind, query: {q}");
+    let rewritten = rewrite_sql(q, sigma, &RewriteOptions::default()).unwrap();
+    let reference = conquer_reference::evaluate_sql(db, &rewritten).unwrap();
+    assert_eq!(sorted(&plain), sorted(&reference), "reference, query: {q}");
 }
 
 /// A query grouped by its first column with one aggregate: the rewriting's
@@ -105,7 +106,8 @@ fn empty_table_and_no_selection() {
 /// non-match to every key join): each query shape agrees with repair
 /// enumeration, the annotated rewriting agrees with the plain one, and the
 /// answer does not depend on whether `conq_conflicts` was read off the key
-/// index or — as the NULL key forces here — grouped.
+/// index or — as the NULL key forces here, and as the reference evaluator
+/// always does — grouped.
 #[test]
 fn single_relation_filter_over_violated_keys_only() {
     const DATA: &str = "create table t (k integer, g text, v integer);
@@ -146,7 +148,8 @@ fn single_relation_filter_over_violated_keys_only() {
 /// down (`ord`) and two hops down (`cust`, again two and three), a dangling
 /// and a NULL foreign key: a `RewriteJoin` query with and without the
 /// multiplicity branch and a three-relation aggregate agree with repair
-/// enumeration, and plain, annotated and index-blind agree with each other.
+/// enumeration, and plain, annotated and the reference evaluator over the
+/// rewritten SQL agree with each other.
 #[test]
 fn multi_relation_filter_over_suspects_only() {
     const DATA: &str = "create table li (ok integer, ln integer, qty integer);

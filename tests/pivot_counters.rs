@@ -29,6 +29,9 @@
 //! probes exactly the suspects, and those are under half the candidates
 //! (read off `EXPLAIN ANALYZE`'s per-CTE stats, the planner's CTE hook).
 //!
+//! `harness opbench`'s two existence-join cells pivot nothing at all: the
+//! typed kernel takes key columns in and hands row ids out.
+//!
 //! The same warm query then pins the morsel driver's counters:
 //! `exec.morsel.fanouts` / `exec.morsel.workers_spawned` are bumped in the
 //! one place the executor spawns threads, so `threads = 1` — every
@@ -330,6 +333,36 @@ fn rewritten_q1_pivots_only_the_filter_join_and_the_result() {
         (0, 0),
         "25 rows are under the parallel threshold"
     );
+}
+
+/// `harness opbench`'s `semi_join` and `anti_join` cells, executed to a
+/// batch: the typed existence kernel reads both sides' key columns and
+/// gathers the surviving probe rows, so nothing crosses to rows anywhere in
+/// either plan — the deterministic form of "the existence join kept its
+/// kernel", which opbench's timings can only suggest.
+#[test]
+fn opbench_existence_joins_pivot_nothing() {
+    let _turn = turn();
+    let w = fresh_workload();
+    let registry = conquer_obs::registry();
+    let pivots = || {
+        registry.counter("exec.pivot.to_rows").get() + registry.counter("exec.pivot.to_cols").get()
+    };
+    for sql in [
+        "select o.o_orderkey from orders o where exists \
+         (select l.l_orderkey from lineitem l where l.l_orderkey = o.o_orderkey)",
+        "select l.l_orderkey from lineitem l where not exists \
+         (select o.o_orderkey from orders o where o.o_orderkey = l.l_orderkey \
+          and o.o_orderstatus = 'F')",
+    ] {
+        let options = ExecOptions::default();
+        let plan = w.db.plan(&parse_query(sql).unwrap(), &options).unwrap();
+        let before = pivots();
+        let out =
+            conquer::engine::exec::execute_plan(&plan, None, None, options.threads, None).unwrap();
+        assert_eq!(pivots() - before, 0, "rows pivoted by: {sql}");
+        assert!(out.cols().is_some() && !out.is_empty(), "{sql}");
+    }
 }
 
 #[test]
