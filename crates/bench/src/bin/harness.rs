@@ -952,6 +952,19 @@ fn opbench(args: &Args) -> Json {
                   union all \
                   select l_orderkey, l_quantity, l_returnflag from lineitem l2",
         },
+        // Q1's final step in miniature: a GROUP BY over a union of FLOAT
+        // bounds and the INTEGER zeros of Fig. 8's `CASE … THEN 0`.
+        OpSpec {
+            op: "aggregate.union",
+            driving: "lineitem",
+            sql: "select u.f, u.s, sum(u.lo), sum(u.hi), sum(u.n), count(*) from \
+                  (select l_returnflag as f, l_linestatus as s, l_extendedprice as lo, \
+                   l_discount as hi, 1 as n from lineitem l \
+                   union all \
+                   select l_returnflag, l_linestatus, 0, 0, 0 from lineitem l2 \
+                   where l_discount > 0.08) u \
+                  group by u.f, u.s",
+        },
     ];
 
     say!(

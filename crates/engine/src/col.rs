@@ -76,10 +76,43 @@ impl Bitmap {
         self.words[i / 64] & (1 << (i % 64)) != 0
     }
 
-    /// Number of set bits in `[start, end)`.
+    /// Number of set bits in `[start, end)`, a word at a time.
     pub fn count_set_range(&self, start: usize, end: usize) -> usize {
         debug_assert!(start <= end && end <= self.len);
-        (start..end).map(|i| self.get(i) as usize).sum()
+        if start == end {
+            return 0;
+        }
+        let (first, last) = (start / 64, (end - 1) / 64);
+        let head = u64::MAX << (start % 64);
+        let tail = u64::MAX >> (63 - (end - 1) % 64);
+        if first == last {
+            return (self.words[first] & head & tail).count_ones() as usize;
+        }
+        let middle: u32 = self.words[first + 1..last]
+            .iter()
+            .map(|w| w.count_ones())
+            .sum();
+        ((self.words[first] & head).count_ones() + middle + (self.words[last] & tail).count_ones())
+            as usize
+    }
+
+    /// Append `other`'s bits, a word at a time: each of its words lands
+    /// shifted across the (at most two) words it straddles.
+    pub fn extend(&mut self, other: &Bitmap) {
+        let shift = self.len % 64;
+        if shift == 0 {
+            self.words.extend_from_slice(&other.words);
+        } else {
+            for &w in &other.words {
+                if let Some(last) = self.words.last_mut() {
+                    *last |= w << shift;
+                }
+                self.words.push(w >> (64 - shift));
+            }
+        }
+        self.len += other.len;
+        // The last pushed word may hold only bits past the end, all zero.
+        self.words.truncate(self.len.div_ceil(64));
     }
 
     pub fn count_set(&self) -> usize {
@@ -107,11 +140,14 @@ impl Bitmap {
         if flags.iter().all(|&f| f) {
             return None;
         }
-        let mut bm = Bitmap::with_capacity(flags.len());
-        for &f in flags {
-            bm.push(f);
-        }
-        Some(bm)
+        let words = flags.chunks(64).map(|chunk| {
+            let bits = chunk.iter().enumerate();
+            bits.fold(0u64, |w, (i, &f)| w | (u64::from(f) << i))
+        });
+        Some(Bitmap {
+            words: words.collect(),
+            len: flags.len(),
+        })
     }
 }
 
@@ -527,9 +563,78 @@ impl ColumnChunk {
         let validity = parts.iter().any(|p| p.validity.is_some()).then(|| {
             let mut bm = Bitmap::with_capacity(total);
             for p in parts {
-                for i in 0..p.len() {
-                    bm.push(!p.is_null(i));
+                match &p.validity {
+                    Some(valid) => bm.extend(valid),
+                    None => bm.extend(&Bitmap::all_set(p.len())),
                 }
+            }
+            bm
+        });
+        ColumnChunk { data, validity }
+    }
+
+    /// Rows picked out of several chunks: row `k` of the result is row
+    /// `picks[k].1` of `parts[picks[k].0]`. Parts of one typed layout
+    /// (text: over one dictionary) are read as they are; any other mix is
+    /// gathered out of their [`concat`](ColumnChunk::concat), which keeps
+    /// every value exact.
+    pub fn interleave(parts: &[&ColumnChunk], picks: &[(u32, u32)]) -> ColumnChunk {
+        macro_rules! typed {
+            ($variant:ident) => {{
+                let srcs: Option<Vec<&[_]>> = parts
+                    .iter()
+                    .map(|p| match &p.data {
+                        ColumnData::$variant(xs) => Some(&xs[..]),
+                        _ => None,
+                    })
+                    .collect();
+                srcs.map(|xs| {
+                    let pick = |&(p, r): &(u32, u32)| xs[p as usize][r as usize];
+                    ColumnData::$variant(picks.iter().map(pick).collect())
+                })
+            }};
+        }
+        let data = match parts.first().map(|p| &p.data) {
+            Some(ColumnData::Int(_)) => typed!(Int),
+            Some(ColumnData::Float(_)) => typed!(Float),
+            Some(ColumnData::Date(_)) => typed!(Date),
+            Some(ColumnData::Bool(_)) => typed!(Bool),
+            Some(ColumnData::Text { dict, .. }) => {
+                let codes: Option<Vec<&[u32]>> = parts
+                    .iter()
+                    .map(|p| match &p.data {
+                        ColumnData::Text { codes, dict: d } if Arc::ptr_eq(d, dict) => {
+                            Some(&codes[..])
+                        }
+                        _ => None,
+                    })
+                    .collect();
+                codes.map(|codes| ColumnData::Text {
+                    codes: picks
+                        .iter()
+                        .map(|&(p, r)| codes[p as usize][r as usize])
+                        .collect(),
+                    dict: Arc::clone(dict),
+                })
+            }
+            _ => None,
+        };
+        let Some(data) = data else {
+            let mut offsets = Vec::with_capacity(parts.len());
+            parts.iter().fold(0, |at, p| {
+                offsets.push(at as u32);
+                at + p.len()
+            });
+            let sel: Vec<u32> = picks
+                .iter()
+                .map(|&(p, r)| offsets[p as usize] + r)
+                .collect();
+            return ColumnChunk::concat(parts).gather(&sel);
+        };
+        let validity = parts.iter().any(|p| p.validity.is_some()).then(|| {
+            let mut bm = Bitmap::with_capacity(picks.len());
+            for &(p, r) in picks {
+                bm.push(!parts[p as usize].is_null(r as usize));
             }
             bm
         });
@@ -769,6 +874,47 @@ mod tests {
         assert_eq!(Bitmap::all_set(70).count_set(), 70);
     }
 
+    /// The word-at-a-time operations against bit-by-bit `push` / `get`, at
+    /// the offsets where a word boundary falls differently.
+    #[test]
+    fn bitmap_word_operations_match_bits() {
+        let bits = |n: usize, seed: usize| -> Vec<bool> {
+            (0..n).map(|i| !(i * 7 + seed).is_multiple_of(3)).collect()
+        };
+        let pushed = |flags: &[bool]| {
+            let mut bm = Bitmap::new();
+            flags.iter().for_each(|&f| bm.push(f));
+            bm
+        };
+        let offsets = [0, 1, 63, 64, 65];
+        for offset in offsets {
+            for len in [0, 1, 63, 64, 65, 130] {
+                let (head, tail) = (bits(offset, 1), bits(len, 2));
+                let mut bm = pushed(&head);
+                bm.extend(&pushed(&tail));
+                let all: Vec<bool> = head.iter().chain(&tail).copied().collect();
+                assert_eq!(bm, pushed(&all), "extend at {offset} by {len}");
+                let mut flags = all.clone();
+                if let Some(f) = flags.get_mut(offset) {
+                    *f = false;
+                }
+                assert_eq!(
+                    Bitmap::from_flags(&flags),
+                    flags.contains(&false).then(|| pushed(&flags)),
+                    "from_flags of {} flags",
+                    flags.len()
+                );
+            }
+        }
+        let bm = pushed(&bits(200, 5));
+        for start in offsets {
+            for end in start..=200 {
+                let naive = (start..end).filter(|&i| bm.get(i)).count();
+                assert_eq!(bm.count_set_range(start, end), naive, "[{start}, {end})");
+            }
+        }
+    }
+
     #[test]
     fn dict_interns_and_shares() {
         let mut d = TextDict::new();
@@ -917,6 +1063,58 @@ mod tests {
         let twice = ColumnChunk::concat(&[a.col(1), a.col(1)]);
         assert_eq!(twice.len(), 4);
         assert_eq!(twice.value_at(3), Value::str("y"));
+    }
+
+    #[test]
+    fn interleave_picks_rows_out_of_parts() {
+        let chunk = |vs: Vec<Value>| ColumnChunk::from_values(vs);
+        let picks = [(1, 0), (0, 0), (0, 1), (1, 1)];
+        let expect = |parts: &[&ColumnChunk], want: &[Value]| {
+            let got = ColumnChunk::interleave(parts, &picks);
+            let got: Vec<Value> = (0..got.len()).map(|i| got.value_at(i)).collect();
+            assert_eq!(got, want);
+        };
+        // One typed layout, NULLs on one side only.
+        let ints = chunk(vec![Value::Int(1), Value::Int(2)]);
+        let nulls = chunk(vec![Value::Int(3), Value::Null]);
+        expect(
+            &[&ints, &nulls],
+            &[Value::Int(3), Value::Int(1), Value::Int(2), Value::Null],
+        );
+        // A layout mismatch keeps every value exact.
+        let floats = chunk(vec![Value::Float(0.5), Value::Float(-0.0)]);
+        expect(
+            &[&ints, &floats],
+            &[
+                Value::Float(0.5),
+                Value::Int(1),
+                Value::Int(2),
+                Value::Float(-0.0),
+            ],
+        );
+        // Text over one dictionary, and over two.
+        let mut dict = TextDict::new();
+        let (x, y, z) = (dict.intern("x"), dict.intern("y"), dict.intern("z"));
+        let dict = Arc::new(dict);
+        let a = ColumnChunk::text(vec![x, y], Arc::clone(&dict));
+        let b = ColumnChunk::text(vec![z, x], Arc::clone(&dict));
+        let words = [
+            Value::str("z"),
+            Value::str("x"),
+            Value::str("y"),
+            Value::str("x"),
+        ];
+        expect(&[&a, &b], &words);
+        let ColumnData::Text { dict: shared, .. } = ColumnChunk::interleave(&[&a, &b], &picks).data
+        else {
+            panic!("one dictionary stays text");
+        };
+        assert!(Arc::ptr_eq(&shared, &dict));
+        let (x, y) = (
+            chunk(words[1..3].to_vec()),
+            chunk(vec![words[0].clone(), words[3].clone()]),
+        );
+        expect(&[&x, &y], &words);
     }
 
     #[test]

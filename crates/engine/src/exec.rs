@@ -24,8 +24,9 @@
 //! worker the driver calls the closure once over `0..n` on the calling
 //! thread** — no scoped thread, no atomic cursor, no per-morsel vectors.
 //! With more, the input is split into [`MORSEL_ROWS`]-row morsels that
-//! workers on scoped std threads claim from a shared atomic cursor, and
-//! per-morsel outputs are reassembled in morsel order. There is no second,
+//! workers claim from a shared atomic cursor — the calling thread is worker
+//! 0, the others are scoped std threads — and per-morsel outputs are
+//! reassembled in morsel order. There is no second,
 //! "serial" copy of any operator: `threads = 1` is the one-worker case of
 //! the same code, so answers, errors and budget accounting cannot drift
 //! between thread counts.
@@ -37,11 +38,12 @@
 //! keys, in [`crate::groupkey`]'s table); aggregation and DISTINCT over
 //! columnar input hash-partition the *groups* across workers
 //! ([`crate::groupkey`]: nothing to merge, groups come out ordered by first
-//! row), and over row-shaped input fold per-worker partial
-//! tables keyed by global first-seen row index, merged with SQL
-//! NULL/three-valued-logic semantics preserved; ORDER BY sorts per-worker
-//! runs under a (keys, row index) total order and merges them — a stable
-//! sort by construction. Float SUM/AVG accumulate in an exact
+//! row; over a `UNION ALL` each branch is folded so, and the branches'
+//! partial states merged in branch order), and over row-shaped input fold
+//! per-worker partial tables keyed by global first-seen row index, merged
+//! with SQL NULL/three-valued-logic semantics preserved; ORDER BY sorts
+//! per-worker runs under a (keys, row index) total order and merges them —
+//! a stable sort by construction. Float SUM/AVG accumulate in an exact
 //! superaccumulator ([`crate::fsum`]), so aggregates are bit-identical at
 //! every thread count.
 //!
@@ -68,7 +70,8 @@ use crate::faults;
 use crate::fsum::ExactSum;
 use crate::governor::Governor;
 use crate::groupkey::{
-    AggInput, HashPartition, KeyCols, KeyPartition, KeySet, Partition, PostingRows,
+    self, AggInput, AggOutput, HashPartition, KeyCols, KeyPartition, KeySet, PartOut, Partition,
+    PostingRows,
 };
 use crate::index::{Index, IndexAccess};
 use crate::kernels;
@@ -209,30 +212,46 @@ fn est_row_bytes(schema: &Schema) -> u64 {
 fn execute_ctx(
     plan: &Plan,
     outer: Option<&Env<'_>>,
-    mut stats: Option<&mut NodeStats>,
+    stats: Option<&mut NodeStats>,
     ctx: ExecCtx<'_>,
 ) -> Result<Batch> {
+    run_node(plan, stats, ctx, |stats| {
+        let batch = exec_node(plan, outer, stats, ctx)?;
+        let rows = batch.len();
+        Ok((batch, rows))
+    })
+}
+
+/// What every operator pays around its body, which returns its output and
+/// how many rows that is: the governor's check at entry, the time and rows
+/// in its stats node, and the rows committed to the governor.
+fn run_node<T>(
+    plan: &Plan,
+    mut stats: Option<&mut NodeStats>,
+    ctx: ExecCtx<'_>,
+    body: impl FnOnce(&mut Option<&mut NodeStats>) -> Result<(T, usize)>,
+) -> Result<T> {
     if let Some(g) = ctx.gov {
         g.check_now(op_name(plan))?;
     }
     let start = stats.as_ref().map(|_| Instant::now());
-    let result = exec_node(plan, outer, &mut stats, ctx);
+    let result = body(&mut stats);
     if let (Some(s), Some(t)) = (stats, start) {
         s.invocations += 1;
         s.wall += t.elapsed();
-        if let Ok(batch) = &result {
-            s.rows_out += batch.len() as u64;
+        if let Ok((_, rows)) = &result {
+            s.rows_out += *rows as u64;
         }
     }
     // Joins already accounted each emitted row; everything else commits its
     // output batch here, so the row budget bounds cumulative intermediate
     // results no matter which operator inflates them.
-    if let (Some(g), Ok(batch)) = (ctx.gov, &result) {
+    if let (Some(g), Ok((_, rows))) = (ctx.gov, &result) {
         if !matches!(plan, Plan::HashJoin { .. } | Plan::NestedLoopJoin { .. }) {
-            g.add_rows(batch.len() as u64, op_name(plan))?;
+            g.add_rows(*rows as u64, op_name(plan))?;
         }
     }
-    result
+    result.map(|(out, _)| out)
 }
 
 /// Stable operator name used in limit-trip reports and span events.
@@ -310,7 +329,8 @@ struct MorselError {
 struct FanoutMetrics {
     /// [`fan_out`] calls that spawned (more than one worker).
     fanouts: Arc<Counter>,
-    /// Scoped threads those calls spawned.
+    /// Scoped threads those calls spawned: one fewer than their workers,
+    /// since the calling thread runs worker 0 itself.
     workers_spawned: Arc<Counter>,
 }
 
@@ -327,10 +347,12 @@ fn fanout_metrics() -> &'static FanoutMetrics {
 
 /// Run `body` once per element of `inputs` and return the results in input
 /// order; of several failures the lowest-numbered input's wins. A single
-/// input runs inline on the calling thread. More run on one scoped thread
-/// each — the only `thread::scope` in the executor — which adopts the
-/// spawning thread's trace so worker spans land in the query's collectors
-/// (a no-op when nothing is being traced).
+/// input runs inline on the calling thread. With more, the calling thread
+/// runs input 0 itself — under a `worker` span, its collectors already
+/// installed — while every other input gets a scoped thread — the only
+/// `thread::scope` in the executor — which adopts the calling thread's
+/// trace so worker spans land in the query's collectors (a no-op when
+/// nothing is being traced).
 fn fan_out<It, W, F>(inputs: It, body: F) -> Result<Vec<W>>
 where
     It: IntoIterator,
@@ -339,34 +361,39 @@ where
     W: Send,
     F: Fn(It::Item) -> Result<W> + Sync,
 {
-    let inputs = inputs.into_iter();
+    let mut inputs = inputs.into_iter();
     if inputs.len() <= 1 {
         return inputs.map(body).collect();
     }
     let metrics = fanout_metrics();
     metrics.fanouts.inc();
-    metrics.workers_spawned.add(inputs.len() as u64);
+    metrics.workers_spawned.add(inputs.len() as u64 - 1);
     let trace = conquer_obs::current_trace();
+    // Workers are panic-free by policy (`deny(unwrap_used)`); mapping an
+    // unwound one to a structured error is defense in depth.
+    let panicked = |_| EngineError::Execution("parallel worker panicked".into());
     std::thread::scope(|scope| {
+        let first = inputs.next();
         let handles: Vec<_> = inputs
             .enumerate()
             .map(|(w, input)| {
                 let (trace, body) = (&trace, &body);
                 scope.spawn(move || {
-                    let _trace = trace.adopt_worker(w);
+                    let _trace = trace.adopt_worker(w + 1);
                     body(input)
                 })
             })
             .collect();
-        // Join every worker before looking at any result. Workers are
-        // panic-free by policy (`deny(unwrap_used)`); mapping an unwound
-        // one to a structured error is defense in depth.
+        let mine = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _span = trace
+                .is_active()
+                .then(|| conquer_obs::span("worker").field("worker", 0usize));
+            first.map(&body)
+        }));
+        // Join every worker before looking at any result.
         let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-        joined
-            .into_iter()
-            .map(|res| {
-                res.map_err(|_| EngineError::Execution("parallel worker panicked".into()))?
-            })
+        let mine = mine.map_err(panicked)?.into_iter();
+        mine.chain(joined.into_iter().map(|res| res.map_err(panicked)?))
             .collect()
     })
 }
@@ -685,7 +712,30 @@ fn exec_node(
             schema,
         } => {
             faults::trip("aggregate.group")?;
-            let child = execute_ctx(input, outer, child_stats(stats, 0), ctx)?;
+            // An aggregate over a `UNION ALL` folds the branches one by one
+            // and concatenates them only when that cannot be done.
+            let child = if is_union_spine(input) {
+                let mut branches = Vec::new();
+                exec_union_branches(input, outer, child_stats(stats, 0), ctx, &mut branches)?;
+                let folded = exec_aggregate_union(
+                    &branches,
+                    group_exprs,
+                    aggs,
+                    schema,
+                    stats.as_deref_mut(),
+                    ctx,
+                )?;
+                if let Some(out) = folded {
+                    return Ok(out);
+                }
+                conquer_obs::registry()
+                    .counter("exec.agg.union_concat")
+                    .inc();
+                let union = branches.into_iter().reduce(union_all);
+                union.ok_or_else(|| EngineError::Execution("a union without branches".into()))?
+            } else {
+                execute_ctx(input, outer, child_stats(stats, 0), ctx)?
+            };
             exec_aggregate(
                 child,
                 group_exprs,
@@ -706,7 +756,10 @@ fn exec_node(
             // nothing repeats).
             if let Batch::Col { cols, schema } = &child {
                 let all: Vec<usize> = (0..cols.width()).collect();
-                if let Some(g) = group_kernel(cols, &all, &[], workers, gov, "distinct")? {
+                let keys = KeyCols::new(cols, &all);
+                if let Some(g) =
+                    group_kernel::<ColumnChunk>(cols, &keys, &[], workers, gov, "distinct")?
+                {
                     if let Some(s) = stats.as_deref_mut() {
                         s.build_rows += cols.len() as u64;
                         s.est_mem_bytes += g.mem_bytes;
@@ -734,24 +787,7 @@ fn exec_node(
             faults::trip("union")?;
             let l = execute_ctx(left, outer, child_stats(stats, 0), ctx)?;
             let r = execute_ctx(right, outer, child_stats(stats, 1), ctx)?;
-            // Kernel path: with a columnar side, concatenate chunks (a
-            // row-shaped other side is pivoted into columns first); an
-            // empty side passes the other one through untouched.
-            if l.cols().is_some() || r.cols().is_some() {
-                let schema = l.schema().clone();
-                let cols = if r.is_empty() {
-                    l.into_schema_cols().1
-                } else if l.is_empty() {
-                    r.into_schema_cols().1
-                } else {
-                    let (l, r) = (l.into_schema_cols().1, r.into_schema_cols().1);
-                    Arc::new(l.concat(&r))
-                };
-                return Ok(Batch::Col { cols, schema });
-            }
-            let mut rows = l.into_rows();
-            rows.rows.extend(r.into_rows().rows);
-            Ok(Batch::Owned(rows))
+            Ok(union_all(l, r))
         }
         Plan::Sort { input, keys } => {
             faults::trip("sort")?;
@@ -1811,13 +1847,13 @@ fn exec_aggregate(
     let workers = par_workers(input.len(), ctx.threads);
     note_threads(&mut stats, workers);
     // Kernel path: plain-column group keys and aggregate arguments over a
-    // columnar input run without pivoting. `None` means not applicable —
-    // or a value-level error, which replays on the row path so the
-    // reported error is the one a row-major scan hits first.
-    if let Some(cols) = input.cols() {
+    // columnar input run without pivoting. `None` is a value-level error,
+    // which replays on the row path so the reported error is the one a
+    // row-major scan hits first.
+    if let (Some(cols), Some((gidx, inputs))) = (input.cols(), kernel_inputs(group_exprs, aggs)) {
         let out = exec_aggregate_columnar(
             cols,
-            group_exprs,
+            (&gidx, &inputs),
             aggs,
             schema,
             stats.as_deref_mut(),
@@ -1841,72 +1877,46 @@ fn exec_aggregate(
     Ok(Batch::Owned(out))
 }
 
-/// The columnar aggregation dispatch: `Ok(None)` means "run the row path"
-/// (a group key or aggregate argument that is not a plain column, or a
-/// value-level error to replay).
-fn exec_aggregate_columnar(
-    cols: &ColBatch,
+/// The group-key kernel's view of an aggregate: its key columns and one
+/// [`AggInput`] per aggregate, or `None` when a key or an argument is not a
+/// plain column.
+fn kernel_inputs(
     group_exprs: &[BoundExpr],
     aggs: &[AggSpec],
-    schema: &Schema,
-    mut stats: Option<&mut NodeStats>,
-    ctx: ExecCtx<'_>,
-    workers: usize,
-) -> Result<Option<Batch>> {
-    let gov = ctx.gov;
-    let Some(gidx) = kernels::column_indices(group_exprs) else {
-        return Ok(None);
-    };
-    let mut inputs: Vec<AggInput> = Vec::with_capacity(aggs.len());
-    for spec in aggs {
+) -> Option<(Vec<usize>, Vec<AggInput>)> {
+    let gidx = kernels::column_indices(group_exprs)?;
+    let inputs = aggs.iter().map(|spec| {
         let col = match &spec.arg {
             None => None,
             Some(BoundExpr::Column { depth: 0, index }) => Some(*index),
-            Some(_) => return Ok(None),
+            Some(_) => return None,
         };
-        inputs.push(AggInput {
+        Some(AggInput {
             func: spec.func,
             col,
             distinct: spec.distinct,
-        });
-    }
-    let n = cols.len();
+        })
+    });
+    Some((gidx, inputs.collect::<Option<_>>()?))
+}
 
-    // Global aggregates without DISTINCT: one typed bulk pass per argument
-    // column ([`Accumulator::update_column`]) into per-worker partials,
-    // merged exactly like the row path's. Value-level errors replay.
+/// The columnar aggregation dispatch: `Ok(None)` is a value-level error to
+/// replay on the row path.
+fn exec_aggregate_columnar(
+    cols: &ColBatch,
+    (gidx, inputs): (&[usize], &[AggInput]),
+    aggs: &[AggSpec],
+    schema: &Schema,
+    stats: Option<&mut NodeStats>,
+    ctx: ExecCtx<'_>,
+    workers: usize,
+) -> Result<Option<Batch>> {
+    let n = cols.len();
     if gidx.is_empty() && aggs.iter().all(|a| !a.distinct) {
-        let folded = fold_morsels(
-            n,
-            workers,
-            || fresh_accumulators(aggs),
-            |accs, range| {
-                ticks(gov, range.len() as u64, "aggregate")?;
-                for (acc, input) in accs.iter_mut().zip(&inputs) {
-                    match input.col {
-                        None => acc.count_rows(range.len() as i64),
-                        Some(ci) => acc.update_column(cols.col(ci), range.clone())?,
-                    }
-                }
-                Ok(())
-            },
-        )
-        .and_then(|partials| {
-            let mut partials = partials.into_iter();
-            let mut accs = partials.next().unwrap_or_else(|| fresh_accumulators(aggs));
-            for partial in partials {
-                for (acc, part) in accs.iter_mut().zip(partial) {
-                    acc.merge(part)?;
-                }
-            }
-            Ok(accs)
-        });
-        let accs = match folded {
-            Ok(accs) => accs,
-            Err(EngineError::TypeError(_) | EngineError::Eval(_)) => return Ok(None),
-            Err(e) => return Err(e),
+        let Some(accs) = fold_global(cols, inputs, aggs, workers, ctx.gov)? else {
+            return Ok(None);
         };
-        if let Some(s) = stats.as_deref_mut() {
+        if let Some(s) = stats {
             s.build_rows += n as u64;
         }
         let row: Row = accs.into_iter().map(Accumulator::finish).collect();
@@ -1921,7 +1931,9 @@ fn exec_aggregate_columnar(
     // Grouped (or DISTINCT) aggregation: the group-key kernel. Key columns
     // come out as a gather of each group's first row, aggregate columns
     // typed from the kernel's state vectors — the result stays columnar.
-    let Some(g) = group_kernel(cols, &gidx, &inputs, workers, gov, "aggregate")? else {
+    let keys = KeyCols::new(cols, gidx);
+    let Some(g) = group_kernel::<ColumnChunk>(cols, &keys, inputs, workers, ctx.gov, "aggregate")?
+    else {
         return Ok(None);
     };
     if let Some(s) = stats {
@@ -1932,103 +1944,409 @@ fn exec_aggregate_columnar(
         .iter()
         .map(|&c| Arc::new(cols.col(c).gather(&g.first_rows)))
         .collect();
-    chunks.extend(g.agg_cols.into_iter().map(Arc::new));
+    chunks.extend(g.aggs.into_iter().map(Arc::new));
     Ok(Some(Batch::Col {
         cols: Arc::new(ColBatch::from_chunks(g.groups, chunks)),
         schema: schema.clone(),
     }))
 }
 
+/// A global aggregate without DISTINCT over `cols`: one typed bulk pass per
+/// argument column ([`Accumulator::update_column`]) into per-worker
+/// partials, merged exactly like the row path's. `Ok(None)` is a
+/// value-level error.
+fn fold_global(
+    cols: &ColBatch,
+    inputs: &[AggInput],
+    aggs: &[AggSpec],
+    workers: usize,
+    gov: Option<&Governor>,
+) -> Result<Option<Vec<Accumulator>>> {
+    let folded = fold_morsels(
+        cols.len(),
+        workers,
+        || fresh_accumulators(aggs),
+        |accs, range| {
+            ticks(gov, range.len() as u64, "aggregate")?;
+            for (acc, input) in accs.iter_mut().zip(inputs) {
+                match input.col {
+                    None => acc.count_rows(range.len() as i64),
+                    Some(ci) => acc.update_column(cols.col(ci), range.clone())?,
+                }
+            }
+            Ok(())
+        },
+    )
+    .and_then(|partials| {
+        let mut partials = partials.into_iter();
+        let mut accs = partials.next().unwrap_or_else(|| fresh_accumulators(aggs));
+        for partial in partials {
+            for (acc, part) in accs.iter_mut().zip(partial) {
+                acc.merge(part)?;
+            }
+        }
+        Ok(accs)
+    });
+    value_error_as_none(folded)
+}
+
+/// `Ok(None)` for a value-level error (what the kernels replay elsewhere),
+/// the result or any other error as it is.
+fn value_error_as_none<T>(result: Result<T>) -> Result<Option<T>> {
+    match result {
+        Ok(t) => Ok(Some(t)),
+        Err(EngineError::TypeError(_) | EngineError::Eval(_)) => Ok(None),
+        Err(e) => Err(e),
+    }
+}
+
+/// Is `plan` a `UNION ALL`, possibly under renames: an input an aggregate
+/// can fold branch by branch ([`exec_aggregate_union`])?
+fn is_union_spine(plan: &Plan) -> bool {
+    match plan {
+        Plan::UnionAll { .. } => true,
+        Plan::Rename { input, .. } => is_union_spine(input),
+        _ => false,
+    }
+}
+
+/// Execute the branches of a union spine ([`is_union_spine`]) in order,
+/// nested unions flattened, into `out`: the batches its `UnionAll`s would
+/// have concatenated. The renames and unions run nothing, but each keeps
+/// what [`execute_ctx`] does for an operator — governor check, fault
+/// point, stats, the rows it commits.
+fn exec_union_branches(
+    plan: &Plan,
+    outer: Option<&Env<'_>>,
+    stats: Option<&mut NodeStats>,
+    ctx: ExecCtx<'_>,
+    out: &mut Vec<Batch>,
+) -> Result<()> {
+    let (point, children) = match plan {
+        Plan::UnionAll { left, right } => ("union", vec![&**left, &**right]),
+        Plan::Rename { input, .. } if is_union_spine(input) => ("rename", vec![&**input]),
+        _ => {
+            out.push(execute_ctx(plan, outer, stats, ctx)?);
+            return Ok(());
+        }
+    };
+    run_node(plan, stats, ctx, |stats| {
+        faults::trip(point)?;
+        let first = out.len();
+        for (i, child) in children.into_iter().enumerate() {
+            exec_union_branches(child, outer, child_stats(stats, i), ctx, out)?;
+        }
+        Ok(((), out[first..].iter().map(Batch::len).sum()))
+    })
+}
+
+/// `left UNION ALL right`. With a columnar side the chunks are
+/// concatenated (a row-shaped other side is pivoted into columns first);
+/// an empty side passes the other one through untouched.
+fn union_all(left: Batch, right: Batch) -> Batch {
+    if left.cols().is_none() && right.cols().is_none() {
+        let mut rows = left.into_rows();
+        rows.rows.extend(right.into_rows().rows);
+        return Batch::Owned(rows);
+    }
+    let schema = left.schema().clone();
+    let cols = if right.is_empty() {
+        left.into_schema_cols().1
+    } else if left.is_empty() {
+        right.into_schema_cols().1
+    } else {
+        let (l, r) = (left.into_schema_cols().1, right.into_schema_cols().1);
+        Arc::new(l.concat(&r))
+    };
+    Batch::Col { cols, schema }
+}
+
+/// GROUP BY — grouped or global — straight over the branches of a `UNION
+/// ALL`: each branch is folded in its own column layout, never
+/// concatenated, by the kernel its batch would get ([`group_kernel`],
+/// [`fold_global`]) into one partial [`Accumulator`] per group. Groups are
+/// matched across branches by the kernel's key equality
+/// ([`groupkey::match_groups`]) and their partials merged in branch order
+/// ([`Accumulator::merge`], which promotes an integer sum meeting a float
+/// one exactly as [`Accumulator::update`] does), so groups come out in the
+/// concatenation's first-seen order holding what one fold over it holds.
+///
+/// `Ok(None)` hands the branches back to be concatenated and aggregated
+/// like any input: a key or argument that is not a plain column, a
+/// DISTINCT aggregate, a row-shaped branch, a value-level error in a
+/// branch, and an integer sum whose partials do not prove that one fold
+/// would not overflow part-way through a later branch ([`int_sum_reach`]).
+fn exec_aggregate_union(
+    branches: &[Batch],
+    group_exprs: &[BoundExpr],
+    aggs: &[AggSpec],
+    schema: &Schema,
+    mut stats: Option<&mut NodeStats>,
+    ctx: ExecCtx<'_>,
+) -> Result<Option<Batch>> {
+    let Some((gidx, inputs)) = kernel_inputs(group_exprs, aggs) else {
+        return Ok(None);
+    };
+    let Some(cols) = branches.iter().map(Batch::cols).collect::<Option<Vec<_>>>() else {
+        return Ok(None);
+    };
+    if aggs.iter().any(|a| a.distinct) {
+        return Ok(None);
+    }
+    // Every branch's keys hash under one seed, so that equal keys hash
+    // alike across branches whatever their layouts.
+    let mut keys = Vec::with_capacity(cols.len());
+    if !gidx.is_empty() {
+        let first = KeyCols::new(cols[0], &gidx);
+        keys.extend(cols[1..].iter().map(|b| first.seeded_like(b, &gidx)));
+        keys.insert(0, first);
+    }
+    // Per branch: its partials, [aggregate][group], and its groups' first
+    // rows and key hashes.
+    let (mut partials, mut groups_of, mut mem_bytes) = (Vec::new(), Vec::new(), 0);
+    for (b, &batch) in cols.iter().enumerate() {
+        let workers = par_workers(batch.len(), ctx.threads);
+        note_threads(&mut stats, workers);
+        if gidx.is_empty() {
+            let Some(accs) = fold_global(batch, &inputs, aggs, workers, ctx.gov)? else {
+                return Ok(None);
+            };
+            partials.push(accs.into_iter().map(|acc| vec![acc]).collect());
+            continue;
+        }
+        let kernel = group_kernel::<Vec<Accumulator>>(
+            batch,
+            &keys[b],
+            &inputs,
+            workers,
+            ctx.gov,
+            "aggregate",
+        )?;
+        let Some(g) = kernel else {
+            return Ok(None);
+        };
+        mem_bytes += g.mem_bytes;
+        partials.push(g.aggs);
+        groups_of.push((g.first_rows, g.hashes));
+    }
+    let ids = if gidx.is_empty() {
+        vec![vec![0]; cols.len()]
+    } else {
+        let groups: Vec<(&[u32], &[u64])> =
+            groups_of.iter().map(|(r, h)| (&r[..], &h[..])).collect();
+        groupkey::match_groups(&keys, &groups)
+    };
+
+    // Merge in branch order. `merged[a][g]`: aggregate `a` of group `g`.
+    let mut merged: Vec<Vec<Accumulator>> = aggs.iter().map(|_| Vec::new()).collect();
+    let (mut groups, mut new_keys) = (0, Vec::new());
+    for (b, (branch, ids)) in partials.into_iter().zip(&ids).enumerate() {
+        for ((a, accs), input) in branch.into_iter().enumerate().zip(&inputs) {
+            let reach = if b == 0 {
+                0
+            } else {
+                int_sum_reach(cols[b], input)
+            };
+            for (partial, &g) in accs.into_iter().zip(ids) {
+                let Some(acc) = merged[a].get_mut(g as usize) else {
+                    merged[a].push(partial);
+                    continue;
+                };
+                if let Accumulator::SumInt { sum, seen: true } = acc {
+                    if u128::from(sum.unsigned_abs()) + reach > i64::MAX as u128 {
+                        return Ok(None);
+                    }
+                }
+                if value_error_as_none(acc.merge(partial))?.is_none() {
+                    return Ok(None);
+                }
+            }
+        }
+        if let Some((first_rows, _)) = groups_of.get(b) {
+            // The first rows of this branch's groups that no branch before
+            // it holds: where the output's new keys are.
+            let firsts: Vec<u32> = first_rows
+                .iter()
+                .zip(ids)
+                .filter(|&(_, &g)| g as usize >= groups)
+                .map(|(&row, _)| row)
+                .collect();
+            groups += firsts.len();
+            new_keys.push((cols[b], firsts));
+        }
+    }
+
+    conquer_obs::registry()
+        .counter("exec.agg.union_parts")
+        .inc();
+    if let Some(s) = stats {
+        s.build_rows += cols.iter().map(|c| c.len() as u64).sum::<u64>();
+        s.est_mem_bytes += mem_bytes;
+        s.union_parts = cols.len() as u64;
+    }
+    let finish = |accs: Vec<Accumulator>| accs.into_iter().map(Accumulator::finish);
+    if gidx.is_empty() {
+        return Ok(Some(Batch::Owned(Rows {
+            schema: schema.clone(),
+            rows: vec![merged.into_iter().flat_map(finish).collect()],
+        })));
+    }
+    let mut chunks: Vec<Arc<ColumnChunk>> = gidx
+        .iter()
+        .map(|&c| {
+            let parts: Vec<ColumnChunk> = new_keys
+                .iter()
+                .map(|(b, rows)| b.col(c).gather(rows))
+                .collect();
+            Arc::new(ColumnChunk::concat(&parts.iter().collect::<Vec<_>>()))
+        })
+        .collect();
+    chunks.extend(
+        merged
+            .into_iter()
+            .map(|accs| Arc::new(ColumnChunk::from_values(finish(accs)))),
+    );
+    Ok(Some(Batch::Col {
+        cols: Arc::new(ColBatch::from_chunks(groups, chunks)),
+        schema: schema.clone(),
+    }))
+}
+
+/// How far the integers a SUM reads in `batch` can move one group's running
+/// sum: its rows times the largest magnitude among them. An integer running
+/// sum at least this far from overflowing cannot overflow while one fold
+/// over the concatenation adds this branch's integers to it, in whatever
+/// order, so the merged partial is what that fold computes; closer, the
+/// fold might overflow part-way through, and only it can say.
+fn int_sum_reach(batch: &ColBatch, input: &AggInput) -> u128 {
+    let (AggFunc::Sum, Some(c)) = (input.func, input.col) else {
+        return 0;
+    };
+    let largest = match &batch.col(c).data {
+        ColumnData::Int(xs) => xs.iter().map(|x| x.unsigned_abs()).max(),
+        ColumnData::Any(vs) => vs
+            .iter()
+            .filter_map(|v| match v {
+                Value::Int(x) => Some(x.unsigned_abs()),
+                _ => None,
+            })
+            .max(),
+        _ => None,
+    };
+    u128::from(largest.unwrap_or(0)) * batch.len() as u128
+}
+
 /// What [`group_kernel`] hands back: per group, in first-seen order, the
-/// row its key values live at and one value per aggregate.
-struct Grouped {
+/// row its key values live at and one output per aggregate — a column
+/// ([`ColumnChunk`]) or per-group partials (`Vec<Accumulator>`).
+struct Grouped<T> {
     /// First input row of each group, ascending. Empty for a global
     /// aggregate (no key columns), which is one group all the same.
     first_rows: Vec<u32>,
+    /// Each group's key hash, under the seed of the keys it was folded by.
+    hashes: Vec<u64>,
     groups: usize,
-    agg_cols: Vec<ColumnChunk>,
+    aggs: Vec<T>,
     /// Bytes of table and state charged to the governor.
     mem_bytes: u64,
 }
 
 /// Drive the typed group-key kernel ([`crate::groupkey`]) over `cols`:
-/// group on `key_idx`, fold `aggs`, one hash partition per worker
+/// group on `keys` (key columns of `cols`), fold `aggs`, one hash partition per worker
 /// ([`fold_partitions`]); partitions never share a group, so there is
-/// nothing to merge, only to order by first row. One worker is one
-/// partition that owns every row. `Ok(None)` is a value-level error: replay
-/// on the row path.
-fn group_kernel(
+/// nothing to merge, only to order by first row — a k-way merge of the
+/// partitions' own ascending first rows, in whose order the outputs are
+/// then read straight out of the partitions. One worker is one
+/// partition that owns every row. `Ok(None)` is a value-level error:
+/// replay on the row path.
+fn group_kernel<T: AggOutput>(
     cols: &ColBatch,
-    key_idx: &[usize],
+    keys: &KeyCols<'_>,
     aggs: &[AggInput],
     workers: usize,
     gov: Option<&Governor>,
     op: &'static str,
-) -> Result<Option<Grouped>> {
+) -> Result<Option<Grouped<T>>> {
     let n = cols.len();
-    if u32::try_from(n).is_err() || (key_idx.is_empty() && aggs.is_empty()) {
+    if u32::try_from(n).is_err() || (keys.is_empty() && aggs.is_empty()) {
         return Ok(None);
     }
-    let keys = KeyCols::new(cols, key_idx);
     // Without key columns (a global DISTINCT aggregate) there is one group
     // and nothing to partition on.
     let nparts = if keys.is_empty() { 1 } else { workers };
-    let Some(parts) = fold_partitions(&keys, n, nparts, gov, op, || {
-        Partition::new(&keys, cols, aggs)
+    let Some(parts) = fold_partitions(keys, n, nparts, gov, op, || {
+        Partition::new(keys, cols, aggs)
     })?
     else {
         return Ok(None);
     };
-    let mut parts: Vec<_> = parts.into_iter().map(|p| (p.bytes(), p.finish())).collect();
+    let mem_bytes = parts.iter().map(HashPartition::bytes).sum();
+    let mut parts: Vec<PartOut<T>> = parts.into_iter().map(Partition::finish).collect();
     // One partition's groups are already in first-row order (and a global
     // aggregate's single group has no first row to order by).
     if parts.len() == 1 {
-        return Ok(parts.pop().map(|(mem_bytes, out)| Grouped {
+        return Ok(parts.pop().map(|out| Grouped {
             groups: if keys.is_empty() {
                 1
             } else {
                 out.first_rows.len()
             },
             first_rows: out.first_rows,
-            agg_cols: out.agg_cols,
+            hashes: out.hashes,
+            aggs: out.aggs,
             mem_bytes,
         }));
     }
-    // Order the partitions' groups by first row: `order[k]` is the k-th
-    // group's (first row, index into the partitions laid end to end).
-    let mut order: Vec<(u32, u32)> = Vec::new();
-    for (_, part) in &parts {
-        let base = order.len() as u32;
-        order.extend(
-            part.first_rows
-                .iter()
-                .zip(base..)
-                .map(|(&row, at)| (row, at)),
-        );
+    // Merge the partitions' ascending first rows: `picks[k]` is the k-th
+    // group's (partition, group id there).
+    let groups = parts.iter().map(|p| p.first_rows.len()).sum();
+    let (mut first_rows, mut picks) = (Vec::with_capacity(groups), Vec::with_capacity(groups));
+    let mut hashes = Vec::with_capacity(groups);
+    let mut next = vec![0u32; parts.len()];
+    for _ in 0..groups {
+        let mut min: Option<(u32, usize)> = None;
+        for (p, part) in parts.iter().enumerate() {
+            if let Some(&row) = part.first_rows.get(next[p] as usize) {
+                if min.is_none_or(|(at, _)| row < at) {
+                    min = Some((row, p));
+                }
+            }
+        }
+        let Some((row, p)) = min else { break };
+        first_rows.push(row);
+        hashes.push(parts[p].hashes[next[p] as usize]);
+        picks.push((p as u32, next[p]));
+        next[p] += 1;
     }
-    order.sort_unstable();
-    let perm: Vec<u32> = order.iter().map(|&(_, at)| at).collect();
-    let agg_cols = (0..aggs.len())
-        .map(|a| {
-            let per_part: Vec<&ColumnChunk> = parts.iter().map(|(_, p)| &p.agg_cols[a]).collect();
-            ColumnChunk::concat(&per_part).gather(&perm)
-        })
+    let mut per_agg: Vec<Vec<T>> = aggs
+        .iter()
+        .map(|_| Vec::with_capacity(parts.len()))
         .collect();
+    for part in parts {
+        for (outs, out) in per_agg.iter_mut().zip(part.aggs) {
+            outs.push(out);
+        }
+    }
     Ok(Some(Grouped {
-        groups: order.len(),
-        first_rows: order.iter().map(|&(row, _)| row).collect(),
-        agg_cols,
-        mem_bytes: parts.iter().map(|(bytes, _)| bytes).sum(),
+        groups,
+        first_rows,
+        hashes,
+        aggs: per_agg
+            .into_iter()
+            .map(|outs| T::interleave(outs, &picks))
+            .collect(),
+        mem_bytes,
     }))
 }
 
 /// Fold the rows `0..n` into `nparts` hash partitions of `keys`, one worker
-/// each. The key hashes are computed by the morsel driver; worker `p` is
-/// then handed every block in row order and folds the rows whose hash routes
-/// to partition `p`, ticking per row folded and charging the partition's
-/// bytes as they grow — so a high-cardinality key trips the budget while
-/// building rather than after, and what is charged in total does not depend
-/// on `nparts`. `Ok(None)` is a partition's value-level error.
+/// each. The key hashes go into one buffer, each worker hashing a
+/// contiguous share of it; worker `p` is then handed every block in row
+/// order and folds the rows whose hash routes to partition `p`, ticking per
+/// row folded and charging the partition's bytes as they grow — so a
+/// high-cardinality key trips the budget while building rather than after,
+/// and what is charged in total does not depend on `nparts`. `Ok(None)` is
+/// a partition's value-level error.
 fn fold_partitions<P: HashPartition + Send>(
     keys: &KeyCols<'_>,
     n: usize,
@@ -2037,12 +2355,16 @@ fn fold_partitions<P: HashPartition + Send>(
     op: &'static str,
     init: impl Fn() -> P + Sync,
 ) -> Result<Option<Vec<P>>> {
-    let hashes: Vec<u64> = concat(for_morsels(n, nparts, |range| {
-        ticks(gov, range.len() as u64, op)?;
-        let mut out = Vec::new();
-        keys.hash_range(range, &mut out);
-        Ok(out)
-    })?);
+    let mut hashes = vec![0u64; n];
+    let share = n.div_ceil(nparts).next_multiple_of(MORSEL_ROWS).max(1);
+    fan_out(hashes.chunks_mut(share).enumerate(), |(i, shard)| {
+        for (b, block) in shard.chunks_mut(MORSEL_ROWS).enumerate() {
+            let lo = i * share + b * MORSEL_ROWS;
+            ticks(gov, block.len() as u64, op)?;
+            keys.hash_into(lo..lo + block.len(), block);
+        }
+        Ok(())
+    })?;
     let parts = fan_out(0..nparts, |p| {
         let mut partition = init();
         let mut charged = 0u64;
@@ -2399,4 +2721,26 @@ fn exec_sort(
         .map(|(_, _, r)| r)
         .collect();
     Ok(input)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fan_out_keeps_input_order_and_maps_panics() {
+        let squares = fan_out(0..5u32, |i| Ok(i * i)).expect("no worker fails");
+        assert_eq!(squares, [0, 1, 4, 9, 16]);
+        // The calling thread's share (input 0) and a spawned one alike.
+        for bad in [0, 3] {
+            let out = fan_out(0..4, |i| {
+                assert_ne!(i, bad, "worker {i} panics");
+                Ok(i)
+            });
+            assert!(
+                matches!(out, Err(EngineError::Execution(_))),
+                "a panic in share {bad}: {out:?}"
+            );
+        }
+    }
 }

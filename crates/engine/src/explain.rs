@@ -86,6 +86,9 @@ fn walk(plan: &Plan, stats: Option<&NodeStats>, analyze: bool, depth: usize, out
             if s.threads_used > 1 {
                 out.push_str(&format!(" threads={}", s.threads_used));
             }
+            if s.union_parts > 0 {
+                out.push_str(&format!(" parts={}", s.union_parts));
+            }
             out.push(')');
         } else if let Some(est) = s.est_rows {
             out.push_str(&format!("  (est_rows={est})"));
@@ -234,6 +237,9 @@ pub fn stats_json(plan: &Plan, stats: &NodeStats) -> Json {
     }
     if stats.threads_used > 1 {
         obj.push("threads", Json::UInt(stats.threads_used));
+    }
+    if stats.union_parts > 0 {
+        obj.push("union_parts", Json::UInt(stats.union_parts));
     }
     let children: Vec<Json> = plan
         .children()

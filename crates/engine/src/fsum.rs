@@ -247,15 +247,15 @@ fn bit(mag: &[i64; LIMBS], idx: u32) -> bool {
     (mag[(idx / 32) as usize] >> (idx % 32)) & 1 != 0
 }
 
-/// `count` bits starting at `start`, as an integer (low bit first).
+/// `count` (at most 64) bits starting at `start`, as an integer (low bit
+/// first): the (at most three) 32-bit limbs they span, shifted into place.
 fn extract_bits(mag: &[i64; LIMBS], start: u32, count: u32) -> u64 {
-    let mut out = 0u64;
-    for j in 0..count {
-        if bit(mag, start + j) {
-            out |= 1u64 << j;
-        }
-    }
-    out
+    let first = (start / 32) as usize;
+    let window = (0..3).fold(0u128, |w, i| {
+        let limb = mag.get(first + i).map_or(0, |&l| l as u64);
+        w | (u128::from(limb) << (32 * i))
+    });
+    ((window >> (start % 32)) as u64) & (u64::MAX >> (64 - count))
 }
 
 /// Any set bit strictly below `end`?

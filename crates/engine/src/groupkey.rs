@@ -14,8 +14,11 @@
 //! [`Postings`] (the same table with each group's rows chained in ascending
 //! order — the key index, [`crate::index`] — looked up by a key's
 //! [`KeyValue`]s and extended in place of a rebuild when rows are
-//! appended). No `Value`, `Key` or row is built per input row on the typed
-//! paths.
+//! appended). A GROUP BY over the branches of a `UNION ALL` folds each
+//! branch on its own, its states finished into partial [`Accumulator`]s
+//! ([`AggOutput`]) rather than columns, and [`match_groups`] matches the
+//! branches' groups for the executor to merge. No `Value`, `Key` or row is
+//! built per input row on the typed paths.
 //!
 //! # Invariants
 //!
@@ -37,8 +40,10 @@
 //!    occurrence of each value, float SUM/AVG go through [`ExactSum`].
 //! 3. **Parallel runs partition by hash.** Every worker owns the groups
 //!    whose hash routes to it and folds their rows in row order, so no
-//!    partial state is ever merged; the caller orders the partitions'
-//!    groups by first row id.
+//!    partial state is ever merged; the caller merges the partitions'
+//!    ascending first row ids. (Partials are merged only across the
+//!    branches of a `UNION ALL`, in branch order — the order one fold over
+//!    their concatenation would see them in.)
 //! 4. **Value-level errors discard and replay.** Integer overflow in SUM,
 //!    a NaN reaching MIN/MAX, SUM over text: [`HashPartition::consume`]
 //!    returns `None`, the caller drops all kernel state and re-runs the
@@ -231,7 +236,15 @@ impl<'a> KeyCols<'a> {
     /// typed pass per key column.
     pub fn hash_range(&self, range: Range<usize>, out: &mut Vec<u64>) {
         out.clear();
-        out.resize(range.len(), self.k0);
+        out.resize(range.len(), 0);
+        self.hash_into(range, out);
+    }
+
+    /// [`hash_range`](KeyCols::hash_range) into a slice of `range.len()`
+    /// hashes, as when workers fill disjoint parts of one buffer.
+    pub fn hash_into(&self, range: Range<usize>, out: &mut [u64]) {
+        debug_assert_eq!(out.len(), range.len());
+        out.fill(self.k0);
         let k = self.k1;
         for col in &self.cols {
             let chunk = col.chunk;
@@ -320,6 +333,17 @@ impl<'a> KeyCols<'a> {
             .iter()
             .zip(&other.cols)
             .all(|(x, y)| cells_equal(x.chunk, a, y.chunk, b))
+    }
+
+    /// Are row `a` and row `b` of `other` one GROUP BY group: invariant 6's
+    /// equality, under which NULL groups with NULL (invariant 1)?
+    fn same_group(&self, a: usize, other: &KeyCols<'_>, b: usize) -> bool {
+        self.cols.iter().zip(&other.cols).all(|(x, y)| {
+            match (x.chunk.is_null(a), y.chunk.is_null(b)) {
+                (false, false) => cells_equal(x.chunk, a, y.chunk, b),
+                (x_null, y_null) => x_null == y_null,
+            }
+        })
     }
 }
 
@@ -437,6 +461,22 @@ impl GroupTable {
             }
             slot = (slot + 1) & mask;
         }
+        self.place(slot, row, h)
+    }
+
+    /// Add a group with hash `h` and first row `row`, which
+    /// [`find`](GroupTable::find) has just not found.
+    fn insert(&mut self, h: u64, row: u32) -> u32 {
+        let mask = self.slots.len() - 1;
+        let mut slot = h as usize & mask;
+        while self.slots[slot] != 0 {
+            slot = (slot + 1) & mask;
+        }
+        self.place(slot, row, h)
+    }
+
+    /// Put a new group in the empty `slot`.
+    fn place(&mut self, slot: usize, row: u32, h: u64) -> u32 {
         let g = self.first_rows.len() as u32;
         self.first_rows.push(row);
         self.hashes.push(h);
@@ -640,6 +680,41 @@ pub fn distinct_capped(batch: &ColBatch, col: usize, cap: usize) -> Option<usize
     Some(table.first_rows.len())
 }
 
+/// Match the groups several batches were folded into — one GROUP BY per
+/// branch of a `UNION ALL` — as one GROUP BY over the batches laid end to
+/// end would: invariant 6's equality across batches, NULL with NULL.
+/// `groups[b]` holds the first rows of batch `b`'s groups, in their order,
+/// and their key hashes under `keys[b]`; all `keys` share one seed
+/// ([`KeyCols::seeded_like`]). Returns each group's id in the union, per
+/// batch; ids count groups in first-seen order, so a group is new exactly
+/// when its id is the number of groups seen before it.
+pub fn match_groups(keys: &[KeyCols<'_>], groups: &[(&[u32], &[u64])]) -> Vec<Vec<u32>> {
+    let mut table = GroupTable::new();
+    // Per union group, the (batch, first row) it was first seen at.
+    let mut firsts: Vec<(usize, usize)> = Vec::new();
+    let mut ids = Vec::with_capacity(groups.len());
+    for (b, &(rows, hashes)) in groups.iter().enumerate() {
+        let batch_ids = rows.iter().zip(hashes).map(|(&row, &h)| {
+            let row = row as usize;
+            // The first batch's groups are distinct already.
+            let found = (b > 0)
+                .then(|| {
+                    table.find(h, |g| {
+                        let (b0, row0) = firsts[g];
+                        keys[b0].same_group(row0, &keys[b], row)
+                    })
+                })
+                .flatten();
+            found.unwrap_or_else(|| {
+                firsts.push((b, row));
+                table.insert(h, firsts.len() as u32 - 1)
+            })
+        });
+        ids.push(batch_ids.collect());
+    }
+    ids
+}
+
 /// End of a posting chain: no next row.
 const NO_ROW: u32 = u32::MAX;
 
@@ -799,7 +874,7 @@ pub struct AggInput {
 }
 
 /// MIN or MAX over a typed column: the running best per group.
-struct MinMax<'a, T> {
+pub(crate) struct MinMax<'a, T> {
     vals: &'a [T],
     validity: Option<&'a Bitmap>,
     is_min: bool,
@@ -841,13 +916,13 @@ impl<T: Copy + PartialOrd + Default> MinMax<'_, T> {
     }
 }
 
-enum NumSrc<'a> {
+pub(crate) enum NumSrc<'a> {
     Int(&'a [i64]),
     Float(&'a [f64]),
 }
 
 /// Per-aggregate state, indexed by group id.
-enum AggState<'a> {
+pub(crate) enum AggState<'a> {
     /// `COUNT(*)` (`col` absent) or `COUNT(col)`.
     Count {
         col: Option<&'a ColumnChunk>,
@@ -1114,6 +1189,49 @@ impl<'a> AggState<'a> {
         }
     }
 
+    /// The state as one unfinished [`Accumulator`] per group — exactly what
+    /// the row path would hold after the same rows, so that partials of one
+    /// group merge ([`Accumulator::merge`]) as if one fold had seen them
+    /// all. A float sum keeps its unrounded [`ExactSum`]; a sum that met no
+    /// value is a fresh one, so that integers merged in stay integers.
+    fn partials(self) -> Vec<Accumulator> {
+        fn min_max<T>(m: MinMax<'_, T>, value: fn(T) -> Value) -> Vec<Accumulator> {
+            let is_min = m.is_min;
+            let best = m.best.into_iter().zip(m.seen);
+            best.map(|(b, seen)| Accumulator::MinMax {
+                best: seen.then(|| value(b)),
+                is_min,
+            })
+            .collect()
+        }
+        match self {
+            AggState::Count { counts, .. } => counts.into_iter().map(Accumulator::Count).collect(),
+            AggState::SumInt { sums, seen, .. } => sums
+                .into_iter()
+                .zip(seen)
+                .map(|(sum, seen)| Accumulator::SumInt { sum, seen })
+                .collect(),
+            AggState::Exact {
+                avg, sums, counts, ..
+            } => sums
+                .into_iter()
+                .zip(counts)
+                .map(|(sum, count)| match (avg, sum) {
+                    (true, sum) => Accumulator::Avg {
+                        sum: sum.unwrap_or_default(),
+                        count,
+                    },
+                    (false, Some(sum)) => Accumulator::SumFloat { sum, seen: true },
+                    (false, None) => Accumulator::new(AggFunc::Sum),
+                })
+                .collect(),
+            AggState::MinMaxInt(m) => min_max(m, Value::Int),
+            AggState::MinMaxFloat(m) => min_max(m, Value::Float),
+            AggState::MinMaxDate(m) => min_max(m, Value::Date),
+            AggState::Generic { accs, .. } => accs,
+        }
+    }
+
     /// Bytes of state one group costs.
     fn group_bytes(&self) -> usize {
         match self {
@@ -1143,11 +1261,50 @@ impl<'a> AggState<'a> {
     }
 }
 
+/// What a partition's aggregate states finish into
+/// ([`Partition::finish`]): the operator's output column, or — for a GROUP
+/// BY folded branch by branch, whose groups merge across branches before
+/// they finish — one partial [`Accumulator`] per group.
+pub(crate) trait AggOutput: Sized {
+    fn from_state(state: AggState<'_>) -> Self;
+
+    /// The groups of several partitions in merged order: group `k` is
+    /// group `picks[k].1` of partition `picks[k].0`, each partition's
+    /// groups picked in order.
+    fn interleave(parts: Vec<Self>, picks: &[(u32, u32)]) -> Self;
+}
+
+impl AggOutput for ColumnChunk {
+    fn from_state(state: AggState<'_>) -> Self {
+        state.finish()
+    }
+
+    fn interleave(parts: Vec<Self>, picks: &[(u32, u32)]) -> Self {
+        ColumnChunk::interleave(&parts.iter().collect::<Vec<_>>(), picks)
+    }
+}
+
+impl AggOutput for Vec<Accumulator> {
+    fn from_state(state: AggState<'_>) -> Self {
+        state.partials()
+    }
+
+    fn interleave(parts: Vec<Self>, picks: &[(u32, u32)]) -> Self {
+        let mut parts: Vec<_> = parts.into_iter().map(Vec::into_iter).collect();
+        picks
+            .iter()
+            .filter_map(|&(p, _)| parts[p as usize].next())
+            .collect()
+    }
+}
+
 /// What one partition hands back: its groups' first rows (ascending) and
-/// one column per aggregate, both in local group-id order.
-pub struct PartOut {
+/// one output per aggregate, both in local group-id order.
+pub(crate) struct PartOut<T> {
     pub first_rows: Vec<u32>,
-    pub agg_cols: Vec<ColumnChunk>,
+    /// Each group's key hash.
+    pub hashes: Vec<u64>,
+    pub aggs: Vec<T>,
 }
 
 /// The group table and aggregate state of one hash partition (the only
@@ -1192,10 +1349,11 @@ impl<'a> Partition<'a> {
         }
     }
 
-    pub fn finish(self) -> PartOut {
+    pub(crate) fn finish<T: AggOutput>(self) -> PartOut<T> {
         PartOut {
             first_rows: self.table.first_rows,
-            agg_cols: self.aggs.into_iter().map(AggState::finish).collect(),
+            hashes: self.table.hashes,
+            aggs: self.aggs.into_iter().map(T::from_state).collect(),
         }
     }
 }
@@ -1567,7 +1725,7 @@ mod tests {
         for p in 0..3 {
             let mut part = Partition::new(&keys, &b, &aggs);
             total_rows += part.consume(0..b.len(), &hashes, (p, 3)).unwrap();
-            let out = part.finish();
+            let out: PartOut<ColumnChunk> = part.finish();
             assert!(out.first_rows.windows(2).all(|w| w[0] < w[1]));
             total_groups += out.first_rows.len();
         }

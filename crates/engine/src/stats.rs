@@ -55,6 +55,9 @@ pub struct NodeStats {
     /// Per-worker counters are summed into this node, so the tree is
     /// shaped like the plan at any thread count.
     pub threads_used: u64,
+    /// Branches of a `UNION ALL` input an aggregate folded one by one,
+    /// without concatenating them; `0` when it did not.
+    pub union_parts: u64,
     /// Planner cardinality estimate for this operator's output, filled in
     /// by [`crate::cost::annotate`] when table statistics are available.
     /// `EXPLAIN ANALYZE` prints it next to the actual `rows_out` so the

@@ -13,7 +13,11 @@
 //! (`Int`, `Float`, `Date`, `Bool`, dictionary `Text`, and `Any` both as a
 //! float column holding integers and as a freely mixed column), NULL-heavy,
 //! all-duplicate and all-distinct keys, and sizes on both sides of the
-//! executor's 4096-row parallel threshold.
+//! executor's 4096-row parallel threshold. An aggregate over a `UNION ALL`
+//! folds the branches one by one in their own layouts and merges their
+//! partial states; its fixtures also check, through `EXPLAIN ANALYZE`'s
+//! `parts=N`, that this path was the one taken — or, for DISTINCT
+//! aggregates, that the branches were concatenated first.
 
 use conquer_engine::{DataType, Database, ExecOptions, Table, Value};
 
@@ -268,6 +272,278 @@ fn union_all_inputs_with_two_dictionaries_group_by_string() {
          union all select s, v from a where v < 0) u group by s",
     );
     check(&db, "select s, v from a union all select s, v from b");
+}
+
+/// The `parts=N` an aggregate's `EXPLAIN ANALYZE` line carries: how many
+/// `UNION ALL` branches it folded one by one (`None`: it concatenated them,
+/// or its input was no union).
+fn union_parts(db: &Database, sql: &str, threads: usize) -> Option<usize> {
+    let (_, text) = db
+        .explain_analyze_with(sql, &opts(threads))
+        .unwrap_or_else(|e| panic!("{sql}: {e}"));
+    let line = text
+        .lines()
+        .find(|l| l.trim_start().starts_with("Aggregate"))?;
+    let parts = line
+        .split_whitespace()
+        .find_map(|w| w.strip_prefix("parts="))?;
+    Some(parts.trim_end_matches(')').parse().expect("parts=N"))
+}
+
+/// [`check`], and the aggregate took the path it should: folded `parts`
+/// branches one by one, or (`None`) concatenated them.
+fn check_union(db: &Database, sql: &str, parts: Option<usize>) {
+    check(db, sql);
+    for threads in THREADS {
+        assert_eq!(
+            union_parts(db, sql, threads),
+            parts,
+            "threads={threads}: {sql}"
+        );
+    }
+}
+
+/// Two tables shaped like `conq_unfiltered` and `conq_filtered`: the same
+/// columns, FLOAT bounds in `f`, INTEGERs in `i` (its `m` column mixes both,
+/// so it is stored as `Any`), NULL keys and values in both, and keys that
+/// only `i` holds.
+fn union_fixture(n: usize) -> Database {
+    let db = Database::new();
+    let cols = |v| {
+        vec![
+            ("k", DataType::Text),
+            ("g", DataType::Integer),
+            ("v", v),
+            ("m", DataType::Float),
+        ]
+    };
+    let mut f = Table::new("f", cols(DataType::Float));
+    let mut i = Table::new("i", cols(DataType::Integer));
+    let mut rng = Lcg(0xF00D);
+    for r in 0..n {
+        let k = rng.next() % 40;
+        let (v, m) = (rng.next() % 2000, rng.next() % 90);
+        f.push(vec![
+            rng.nullable(9, Value::str(format!("k{k}"))),
+            Value::Int((k % 7) as i64),
+            rng.nullable(5, Value::Float(v as f64 / 16.0 - 40.0)),
+            rng.nullable(6, Value::Float(m as f64 / 4.0)),
+        ])
+        .unwrap();
+        // `i` holds keys `f` lacks (k40..k59) and an integer zero in `v`,
+        // as Fig. 8's `CASE … THEN 0` does.
+        let k = 20 + rng.next() % 40;
+        let m = match r % 3 {
+            0 => Value::Int((k % 5) as i64),
+            1 => Value::Float(k as f64 / 8.0),
+            _ => Value::Null,
+        };
+        i.push(vec![
+            rng.nullable(11, Value::str(format!("k{k}"))),
+            Value::Int((k % 7) as i64),
+            rng.nullable(4, Value::Int(if r % 2 == 0 { 0 } else { k as i64 - 30 })),
+            m,
+        ])
+        .unwrap();
+    }
+    db.register(f).unwrap();
+    db.register(i).unwrap();
+    db
+}
+
+const UNION_AGGS: &str = "count(*), count(u.v), sum(u.v), avg(u.v), min(u.v), max(u.v), \
+                          sum(u.m), avg(u.m), min(u.m), max(u.m), count(u.m)";
+
+#[test]
+fn aggregates_over_union_branches_fold_them_one_by_one() {
+    for n in [300, PAR_THRESHOLD + 300] {
+        let db = union_fixture(n);
+        // INTEGER against FLOAT in `v`, an `Any` column in `m`, groups first
+        // seen in the second branch, NULL keys and values — both orders.
+        for (a, b) in [("f", "i"), ("i", "f")] {
+            let union = format!("select k, g, v, m from {a} union all select k, g, v, m from {b}");
+            check_union(
+                &db,
+                &format!("select u.k, {UNION_AGGS} from ({union}) u group by u.k"),
+                Some(2),
+            );
+            check_union(
+                &db,
+                &format!("select u.g, u.k, sum(u.v), max(u.m) from ({union}) u group by u.g, u.k"),
+                Some(2),
+            );
+            // A global aggregate over a union: Q6's final shape.
+            check_union(
+                &db,
+                &format!("select {UNION_AGGS} from ({union}) u"),
+                Some(2),
+            );
+        }
+        // An empty branch, and three branches through a nested union.
+        check_union(
+            &db,
+            &format!(
+                "select u.k, {UNION_AGGS} from (select k, g, v, m from f union all \
+                 select k, g, v, m from i where g > 100) u group by u.k"
+            ),
+            Some(2),
+        );
+        check_union(
+            &db,
+            &format!(
+                "select u.k, {UNION_AGGS} from (select k, g, v, m from i union all \
+                 select k, g, v, m from f union all select k, g, v, m from i where v > 3) u \
+                 group by u.k"
+            ),
+            Some(3),
+        );
+        check_union(
+            &db,
+            "select count(*), sum(u.v) from (select v from f where g > 100 union all \
+             select v from i where g > 100) u",
+            Some(2),
+        );
+        // A FLOAT branch whose sums meet only NULLs leaves INTEGER sums
+        // integers, as one fold over the concatenation does.
+        check_union(
+            &db,
+            "select u.k, sum(u.v), avg(u.v) from (select k, v from f where v is null \
+             union all select k, v from i) u group by u.k",
+            Some(2),
+        );
+        // DISTINCT aggregates take the concatenating path.
+        check_union(
+            &db,
+            "select u.k, count(distinct u.v), sum(u.v) from \
+             (select k, v from f union all select k, v from i) u group by u.k",
+            None,
+        );
+        check_union(
+            &db,
+            "select count(distinct u.k) from (select k from f union all select k from i) u",
+            None,
+        );
+    }
+}
+
+/// A value-level error in a branch, or a merge one fold over the
+/// concatenation might not agree with, concatenates the branches and
+/// aggregates those — so the error is reported as that path reports it,
+/// the reference's.
+#[test]
+fn union_value_errors_are_the_concatenated_aggregates() {
+    let db = Database::new();
+    let mut a = Table::new(
+        "a",
+        vec![
+            ("k", DataType::Integer),
+            ("x", DataType::Integer),
+            ("f", DataType::Float),
+        ],
+    );
+    let mut b = Table::new(
+        "b",
+        vec![
+            ("k", DataType::Integer),
+            ("x", DataType::Integer),
+            ("f", DataType::Float),
+        ],
+    );
+    let max = i64::MAX;
+    for (k, x, f) in [
+        (1, max - 5, f64::NAN),
+        (2, max - 100, 1.0),
+        (3, 1, 2.0),
+        (4, -max, 0.5),
+    ] {
+        a.push(vec![Value::Int(k), Value::Int(x), Value::Float(f)])
+            .unwrap();
+    }
+    for (k, x, f) in [
+        (1, 10, 3.0),
+        (1, -10, 4.0),
+        (2, 10, 5.0),
+        (2, -10, 6.0),
+        (3, 7, f64::NAN),
+    ] {
+        b.push(vec![Value::Int(k), Value::Int(x), Value::Float(f)])
+            .unwrap();
+    }
+    db.register(a).unwrap();
+    db.register(b).unwrap();
+    let union = "(select k, x, f from a union all select k, x, f from b) u";
+    // Key 1 overflows part-way through `b`'s rows though its partials do
+    // not; key 2 comes within 90 of the bound and back.
+    let overflow = format!("select u.k, sum(u.x) from {union} group by u.k");
+    // Key 1's NaN meets `b`'s floats only in the merge; key 3's NaN is in
+    // a branch of its own.
+    let nan = [
+        "select u.k, min(u.f) from (select k, f from a where k = 1 union all \
+         select k, f from b where k = 1) u group by u.k"
+            .to_string(),
+        format!("select u.k, max(u.f) from {union} group by u.k"),
+    ];
+    for sql in nan.iter().chain([&overflow]) {
+        assert!(
+            conquer_reference::evaluate_sql(&db, sql).is_err(),
+            "fixture must fail: {sql}"
+        );
+        check(&db, sql);
+    }
+    // Without the failing keys the same unions fold one by one.
+    for keys in ["k = 2 or k = 4", "k > 1"] {
+        check_union(
+            &db,
+            &format!(
+                "select u.k, sum(u.x), min(u.f), max(u.f) from (select k, x, f from a where {keys} \
+                 union all select k, x, f from b where k = 2) u group by u.k"
+            ),
+            Some(2),
+        );
+    }
+}
+
+/// Past the parallel threshold every worker folds a hash partition of the
+/// groups; their first rows interleave, and merging them must give the
+/// first-seen order one worker gives.
+#[test]
+fn partition_merge_keeps_first_seen_order() {
+    let n = 3 * PAR_THRESHOLD + 17;
+    let db = Database::new();
+    let mut t = Table::new(
+        "t",
+        vec![
+            ("k", DataType::Integer),
+            ("s", DataType::Text),
+            ("v", DataType::Float),
+        ],
+    );
+    let mut rng = Lcg(99);
+    for _ in 0..n {
+        let (k, v) = (rng.next() % 3000, rng.next() % 500);
+        t.push(vec![
+            Value::Int(k as i64),
+            Value::str(WORDS[(k % 6) as usize]),
+            rng.nullable(13, Value::Float(v as f64 / 3.0)),
+        ])
+        .unwrap();
+    }
+    db.register(t).unwrap();
+    let (_, text) = db
+        .explain_analyze_with("select k, count(*) from t group by k", &opts(8))
+        .unwrap();
+    assert!(text.contains("threads=8"), "eight partitions:\n{text}");
+    check(
+        &db,
+        "select k, s, count(*), sum(v), min(v), max(s) from t group by k, s",
+    );
+    check(&db, "select distinct s, k from t");
+    check_union(
+        &db,
+        "select u.k, count(*), sum(u.v), min(u.s) from \
+         (select k, s, v from t union all select k, s, v from t where k > 1500) u group by u.k",
+        Some(2),
+    );
 }
 
 #[test]

@@ -36,7 +36,13 @@
 //! `exec.morsel.fanouts` / `exec.morsel.workers_spawned` are bumped in the
 //! one place the executor spawns threads, so `threads = 1` — every
 //! operator body called once, inline — must leave both untouched, as must
-//! any input under the parallel threshold whatever the thread count.
+//! any input under the parallel threshold whatever the thread count. A
+//! fan-out spawns one thread fewer than its workers: the calling thread
+//! runs the first share itself.
+//!
+//! Every figure rewriting's final aggregate over `conq_unfiltered UNION ALL
+//! conq_filtered` folds the two branches one by one and concatenates
+//! nothing (`exec.agg.union_parts` / `exec.agg.union_concat`).
 //!
 //! Storing a table pivots nothing at all: statistics are collected column
 //! by column and an `INSERT`'s WAL record is built from the appended rows,
@@ -324,8 +330,9 @@ fn rewritten_q1_pivots_only_the_filter_join_and_the_result() {
     );
     let (fanouts, spawned) = fanned_out(&rewritten, 4);
     assert!(
-        fanouts > 0 && spawned >= 2 * fanouts && spawned <= 4 * fanouts,
-        "threads = 4 fans out, 2 to 4 workers at a time: {fanouts} fan-outs, {spawned} workers"
+        fanouts > 0 && spawned >= fanouts && spawned <= 3 * fanouts,
+        "threads = 4 fans out to 2 to 4 workers at a time, the calling thread one of them: \
+         {fanouts} fan-outs, {spawned} threads spawned"
     );
     let small = parse_query("select n_regionkey, count(*) from nation group by n_regionkey");
     assert_eq!(
@@ -333,6 +340,41 @@ fn rewritten_q1_pivots_only_the_filter_join_and_the_result() {
         (0, 0),
         "25 rows are under the parallel threshold"
     );
+}
+
+/// Every figure query's rewritings end in Fig. 8's shape: an aggregate over
+/// `conq_unfiltered UNION ALL conq_filtered`. That aggregate folds the two
+/// branches one by one (`exec.agg.union_parts`) and never concatenates them
+/// (`exec.agg.union_concat`): their layouts differ — FLOAT bounds on one
+/// side, the INTEGER `0` of `CASE … THEN 0` on the other — which a
+/// concatenation would turn into `Any` columns folded value by value.
+#[test]
+fn figure_rewritings_fold_their_final_union_in_parts() {
+    let _turn = turn();
+    let w = fresh_workload();
+    let registry = conquer_obs::registry();
+    let counts = || {
+        (
+            registry.counter("exec.agg.union_parts").get(),
+            registry.counter("exec.agg.union_concat").get(),
+        )
+    };
+    for q in [Q1, Q3, Q4, Q6, Q10, Q12] {
+        for annotated in [false, true] {
+            let options = RewriteOptions {
+                annotated,
+                ..RewriteOptions::default()
+            };
+            let rewritten = rewrite(&parse_query(q.sql).unwrap(), &w.sigma, &options).unwrap();
+            let before = counts();
+            w.db.execute_query_with(&rewritten, &ExecOptions::default())
+                .unwrap();
+            let after = counts();
+            let what = format!("{} annotated={annotated}", q.name());
+            assert_eq!(after.0 - before.0, 1, "{what}: unions folded in parts");
+            assert_eq!(after.1, before.1, "{what}: a union was concatenated");
+        }
+    }
 }
 
 /// `harness opbench`'s `semi_join` and `anti_join` cells, executed to a
