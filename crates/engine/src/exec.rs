@@ -9,8 +9,8 @@
 //! Every operator is governed: hot loops call [`Governor::tick`]
 //! cooperatively (kernels once per morsel, [`Governor::ticks`]), joins
 //! account the rows they emit as they emit them ([`Governor::emit_rows`]),
-//! hash tables / group tables / distinct sets reserve their footprint as
-//! they grow, and non-join operators batch-commit their output row counts.
+//! join postings reserve their footprint once built, group tables as they
+//! grow, and non-join operators batch-commit their output row counts.
 //! Row and memory accounting is therefore *cumulative over intermediate
 //! results* (a budget on total work), not an instantaneous peak.
 //!
@@ -32,16 +32,17 @@
 //! between thread counts.
 //!
 //! What each operator does so that its result does not depend on how the
-//! input was split: hash joins partition the build side by key hash into
-//! one table per worker and route probe lookups to the matching partition
-//! (existence joins over columnar input keep only the build side's distinct
-//! keys, in [`crate::groupkey`]'s table); aggregation and DISTINCT over
-//! columnar input hash-partition the *groups* across workers
-//! ([`crate::groupkey`]: nothing to merge, groups come out ordered by first
-//! row; over a `UNION ALL` each branch is folded so, and the branches'
-//! partial states merged in branch order), and over row-shaped input fold
-//! per-worker partial tables keyed by global first-seen row index, merged
-//! with SQL NULL/three-valued-logic semantics preserved; ORDER BY sorts
+//! input was split: a hash join's build side is one set of row-id postings
+//! ([`crate::groupkey::Postings`], built serially or lent by the key index)
+//! that probe morsels only read (existence joins over columnar input keep
+//! only the build side's distinct keys, hash-partitioned like the groups
+//! below); DISTINCT, and aggregation over columnar input, hash-partition
+//! the *groups* across workers ([`crate::groupkey`]: nothing to merge,
+//! groups come out ordered by first row; over a `UNION ALL` each branch is
+//! folded so, and the branches' partial states merged in branch order);
+//! aggregation over row-shaped input folds per-worker partial tables keyed
+//! by global first-seen row index, merged with SQL NULL/three-valued-logic
+//! semantics preserved; ORDER BY sorts
 //! per-worker runs under a (keys, row index) total order and merges them —
 //! a stable sort by construction. Float SUM/AVG accumulate in an exact
 //! superaccumulator ([`crate::fsum`]), so aggregates are bit-identical at
@@ -54,9 +55,9 @@
 //! deterministic. Correlated subqueries evaluated inside worker loops run
 //! with one worker (no nested fan-out).
 
-use std::collections::hash_map::{Entry, RandomState};
-use std::collections::{HashMap, HashSet};
-use std::hash::BuildHasher;
+use std::borrow::Cow;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::mem;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -71,7 +72,7 @@ use crate::fsum::ExactSum;
 use crate::governor::Governor;
 use crate::groupkey::{
     self, AggInput, AggOutput, HashPartition, KeyCols, KeyPartition, KeySet, PartOut, Partition,
-    PostingRows,
+    PostingRows, Postings,
 };
 use crate::index::{Index, IndexAccess};
 use crate::kernels;
@@ -751,37 +752,25 @@ fn exec_node(
             let child = execute_ctx(input, outer, child_stats(stats, 0), ctx)?;
             let workers = par_workers(child.len(), ctx.threads);
             note_threads(stats, workers);
-            // Kernel path: every column is a key column; the output is the
-            // first row of each group, gathered (or the input itself when
-            // nothing repeats).
-            if let Batch::Col { cols, schema } = &child {
-                let all: Vec<usize> = (0..cols.width()).collect();
-                let keys = KeyCols::new(cols, &all);
-                if let Some(g) =
-                    group_kernel::<ColumnChunk>(cols, &keys, &[], workers, gov, "distinct")?
-                {
-                    if let Some(s) = stats.as_deref_mut() {
-                        s.build_rows += cols.len() as u64;
-                        s.est_mem_bytes += g.mem_bytes;
-                    }
-                    if g.first_rows.len() == cols.len() {
-                        return Ok(child);
-                    }
-                    return Ok(Batch::Col {
-                        cols: Arc::new(cols.gather(&g.first_rows)),
-                        schema: schema.clone(),
-                    });
-                }
-            }
-            let (out, set_bytes) = exec_distinct(&child, workers, gov)?;
+            // The group-key kernel, every column a key column: the output
+            // is the first row of each group, gathered (or the input itself
+            // when nothing repeats). A row-shaped input becomes columns
+            // first.
+            let (schema, cols) = child.into_schema_cols();
+            let all: Vec<usize> = (0..cols.width()).collect();
+            let keys = KeyCols::new(&cols, &all);
+            let g = group_kernel::<ColumnChunk>(&cols, &keys, &[], workers, gov, "distinct")?
+                .ok_or_else(|| EngineError::Execution("DISTINCT cannot fail on a value".into()))?;
             if let Some(s) = stats.as_deref_mut() {
-                s.build_rows += child.len() as u64;
-                s.est_mem_bytes += set_bytes;
+                s.build_rows += cols.len() as u64;
+                s.est_mem_bytes += g.mem_bytes;
             }
-            Ok(Batch::Owned(Rows {
-                schema: child.schema().clone(),
-                rows: out,
-            }))
+            let cols = if g.first_rows.len() == cols.len() {
+                cols
+            } else {
+                Arc::new(cols.gather(&g.first_rows))
+            };
+            Ok(Batch::Col { cols, schema })
         }
         Plan::UnionAll { left, right } => {
             faults::trip("union")?;
@@ -816,82 +805,6 @@ fn exec_node(
             }))
         }
     }
-}
-
-/// A DISTINCT dedup set that charges the governor as it grows: table slots
-/// whenever the capacity steps up, and per key kept its heap cells.
-#[derive(Default)]
-struct DedupSet {
-    keys: HashSet<Key>,
-    charged_cap: usize,
-    charged: u64,
-}
-
-impl DedupSet {
-    /// Insert `key` (of `key_heap` heap bytes); `true` when it was new.
-    fn insert(&mut self, key: Key, key_heap: u64, gov: Option<&Governor>) -> Result<bool> {
-        let new = self.keys.insert(key);
-        let grown = self.keys.capacity() - self.charged_cap;
-        if new || grown > 0 {
-            let bytes = (grown * mem::size_of::<Key>()) as u64 + if new { key_heap } else { 0 };
-            if let Some(g) = gov {
-                g.reserve_mem(bytes, "distinct")?;
-            }
-            self.charged_cap = self.keys.capacity();
-            self.charged += bytes;
-        }
-        Ok(new)
-    }
-}
-
-/// DISTINCT on the row path. Each worker deduplicates the morsels it
-/// claims against its own set and keeps the row index of every key's
-/// first occurrence there (a worker's morsels arrive in increasing order,
-/// so its earliest wins). One worker's survivors are the answer; several
-/// workers' are merged by a sequential pass in global row order that keeps
-/// the true first occurrence of each key — the same row, with the same
-/// payload, at any worker count. Returns the output rows and the bytes
-/// charged for the sets and the rows kept.
-fn exec_distinct(child: &Batch, workers: usize, gov: Option<&Governor>) -> Result<(Vec<Row>, u64)> {
-    let rows = child.rows();
-    let width = child.schema().len();
-    let key_heap = (width * mem::size_of::<KeyValue>()) as u64;
-    let row_bytes = (mem::size_of::<Row>() + width * mem::size_of::<Value>()) as u64;
-    let partials = fold_morsels(
-        rows.len(),
-        workers,
-        || (DedupSet::default(), Vec::new()),
-        |(seen, first), range| {
-            for idx in range {
-                tick(gov, "distinct")?;
-                if seen.insert(Key::from_values(&rows[idx]), key_heap, gov)? {
-                    first.push(idx);
-                }
-            }
-            Ok(())
-        },
-    )?;
-    let mut bytes: u64 = partials.iter().map(|(seen, _)| seen.charged).sum();
-    let merging = partials.len() > 1;
-    let mut first: Vec<usize> = concat(partials.into_iter().map(|(_, first)| first).collect());
-    if merging {
-        first.sort_unstable();
-        let mut seen = DedupSet::default();
-        let mut unique = Vec::new();
-        for idx in first {
-            if seen.insert(Key::from_values(&rows[idx]), key_heap, gov)? {
-                unique.push(idx);
-            }
-        }
-        bytes += seen.charged;
-        first = unique;
-    }
-    let out_bytes = first.len() as u64 * row_bytes;
-    if let Some(g) = gov {
-        g.reserve_mem(out_bytes, "distinct")?;
-    }
-    let out = first.into_iter().map(|idx| rows[idx].clone()).collect();
-    Ok((out, bytes + out_bytes))
 }
 
 /// Reborrow the stats node for child `i` of the current operator, keeping
@@ -940,168 +853,80 @@ fn project_row(
     Ok(out)
 }
 
-/// The build side of a hash join, hash-partitioned into `parts.len()`
-/// disjoint tables. Build and probe route a key to its partition through
-/// the same shared [`RandomState`], so lookups hit exactly one table. One
-/// partition (a one-worker build) is the classic single hash table, and
-/// routing to it costs no hash.
-struct PartitionedTable {
-    hasher: RandomState,
-    parts: Vec<HashMap<Key, Vec<usize>>>,
+/// One side of a hash join read as key columns: columns `idx` of `batch`,
+/// row for row the side's rows.
+struct JoinKeys {
+    batch: Arc<ColBatch>,
+    idx: Vec<usize>,
+    /// Bytes of the chunks evaluated for this join; 0 when they are the
+    /// side's own.
+    evaluated_bytes: u64,
 }
 
-/// Which of `nparts` partitions owns `key`.
-fn route(hasher: &RandomState, nparts: usize, key: &Key) -> usize {
-    if nparts == 1 {
-        0
-    } else {
-        (hasher.hash_one(key) as usize) % nparts
+/// A join side's keys as key columns: the batch's own chunks when the keys
+/// are plain columns of a `Col` side; otherwise the key expressions
+/// evaluated once per row, in row order (on the morsel driver, so the
+/// lowest row's error wins), into fresh chunks.
+fn join_keys(
+    side: &Batch,
+    keys: &[BoundExpr],
+    outer: Option<&Env<'_>>,
+    stats: &mut Option<&mut NodeStats>,
+    ctx: ExecCtx<'_>,
+) -> Result<JoinKeys> {
+    if let (Batch::Col { cols, .. }, Some(idx)) = (side, kernels::column_indices(keys)) {
+        return Ok(JoinKeys {
+            batch: Arc::clone(cols),
+            idx,
+            evaluated_bytes: 0,
+        });
     }
-}
-
-impl PartitionedTable {
-    fn get(&self, key: &Key) -> Option<&Vec<usize>> {
-        self.parts[route(&self.hasher, self.parts.len(), key)].get(key)
-    }
-
-    fn bytes(&self) -> u64 {
-        self.parts.iter().map(hash_table_bytes).sum()
-    }
-}
-
-/// The probe target of a hash join: either a hash table built for this
-/// query, or a prebuilt secondary [`Index`](crate::index::Index) attached
-/// by the optimizer. Both expose the same postings contract — per-key row
-/// indices in ascending build-row order with NULL keys absent — so every
-/// probe and emission path downstream is identical.
-enum JoinTable<'a> {
-    Built(PartitionedTable),
-    Indexed(&'a Index),
-}
-
-/// A key's build rows, ascending, from either kind of [`JoinTable`].
-enum Matches<'a> {
-    Built(std::slice::Iter<'a, usize>),
-    Indexed(PostingRows<'a>),
-}
-
-impl Iterator for Matches<'_> {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        match self {
-            Matches::Built(rows) => rows.next().copied(),
-            Matches::Indexed(rows) => rows.next().map(|r| r as usize),
+    let rows = side.rows();
+    let workers = par_workers(rows.len(), ctx.threads);
+    note_threads(stats, workers);
+    let mut morsels = for_morsels(rows.len(), workers, |range| {
+        let mut vals: Vec<Vec<Value>> = keys
+            .iter()
+            .map(|_| Vec::with_capacity(range.len()))
+            .collect();
+        for row in &rows[range] {
+            tick(ctx.gov, "hash_join")?;
+            for (col, key) in vals.iter_mut().zip(keys) {
+                col.push(eval_on_row(key, row, outer, ctx)?);
+            }
         }
-    }
+        Ok(vals)
+    })?;
+    let chunks: Vec<Arc<ColumnChunk>> = (0..keys.len())
+        .map(|k| {
+            let vals = morsels.iter_mut().flat_map(|m| mem::take(&mut m[k]));
+            Arc::new(ColumnChunk::from_values(vals))
+        })
+        .collect();
+    let batch = ColBatch::from_chunks(rows.len(), chunks);
+    Ok(JoinKeys {
+        evaluated_bytes: batch.byte_size() as u64,
+        batch: Arc::new(batch),
+        idx: (0..keys.len()).collect(),
+    })
+}
+
+/// The build side of a hash join: row-id postings over its key columns
+/// ([`Postings`]) — built for this query, or lent with its batch and key
+/// columns by a prebuilt [`Index`] the optimizer attached. Either way a
+/// key's rows come out ascending, NULL keys absent, so every probe and
+/// emission path downstream is identical.
+struct JoinTable<'a> {
+    postings: Cow<'a, Postings>,
+    keys: JoinKeys,
 }
 
 impl JoinTable<'_> {
-    fn get(&self, key: &Key) -> Option<Matches<'_>> {
-        match self {
-            JoinTable::Built(t) => t.get(key).map(|rows| Matches::Built(rows.iter())),
-            JoinTable::Indexed(index) => index.get(key).map(Matches::Indexed),
-        }
+    /// The build rows holding `key`, which has no NULL component.
+    fn get(&self, key: &[KeyValue]) -> Option<PostingRows<'_>> {
+        let g = self.postings.find(&self.keys.batch, &self.keys.idx, key)?;
+        Some(self.postings.rows(g))
     }
-
-    /// Bytes this join *allocated*: a prebuilt index is a shared,
-    /// database-resident structure, so it costs the query nothing.
-    fn query_bytes(&self) -> u64 {
-        match self {
-            JoinTable::Built(t) => t.bytes(),
-            JoinTable::Indexed(_) => 0,
-        }
-    }
-}
-
-/// Key extractor for one join side: either direct reads from the key
-/// column chunks of a columnar batch (the hash-key kernel — no per-row
-/// expression evaluation, and no pivot of the non-key columns), or bound
-/// key expressions evaluated over the pivoted rows.
-enum KeySource<'a> {
-    Cols(Vec<&'a ColumnChunk>),
-    Rows {
-        rows: &'a [Row],
-        keys: &'a [BoundExpr],
-    },
-}
-
-impl<'a> KeySource<'a> {
-    /// Pick the extraction strategy for `input`: column chunks when the
-    /// keys are plain depth-0 columns over a columnar batch, pivoted rows
-    /// otherwise.
-    fn for_batch(input: &'a Batch, keys: &'a [BoundExpr]) -> KeySource<'a> {
-        if let (Some(cb), Some(idxs)) = (input.cols(), kernels::column_indices(keys)) {
-            return KeySource::Cols(idxs.iter().map(|&i| &*cb.cols()[i]).collect());
-        }
-        KeySource::Rows {
-            rows: input.rows(),
-            keys,
-        }
-    }
-
-    fn key_at(&self, i: usize, outer: Option<&Env<'_>>, ctx: ExecCtx<'_>) -> Result<Key> {
-        match self {
-            KeySource::Cols(chunks) => {
-                let vals: Vec<Value> = chunks.iter().map(|c| c.value_at(i)).collect();
-                Ok(Key::from_values(&vals))
-            }
-            KeySource::Rows { rows, keys } => {
-                Ok(Key::from_values(&project_row(&rows[i], keys, outer, ctx)?))
-            }
-        }
-    }
-}
-
-/// Build the join hash table over the build side, one partition per
-/// worker. Workers extract keys per morsel and route `(key, row index)`
-/// pairs into per-partition buckets; a morsel-order transpose then hands
-/// each partition's pairs — in global row order — to one builder, so every
-/// key's index list is in build-row order at any worker count. NULL keys
-/// are skipped (SQL equality never matches them).
-fn build_join_table(
-    input: &Batch,
-    keys: &[BoundExpr],
-    workers: usize,
-    outer: Option<&Env<'_>>,
-    ctx: ExecCtx<'_>,
-) -> Result<PartitionedTable> {
-    let gov = ctx.gov;
-    let source = KeySource::for_batch(input, keys);
-    let hasher = RandomState::new();
-    let nparts = workers;
-    let morsel_buckets = for_morsels(input.len(), workers, |range| {
-        let mut buckets: Vec<Vec<(Key, usize)>> = (0..nparts)
-            .map(|_| Vec::with_capacity(range.len().div_ceil(nparts)))
-            .collect();
-        for idx in range {
-            tick(gov, "hash_join")?;
-            let key = source.key_at(idx, outer, ctx)?;
-            if key.has_null() {
-                continue;
-            }
-            buckets[route(&hasher, nparts, &key)].push((key, idx));
-        }
-        Ok(buckets)
-    })?;
-    // Transpose morsel-major to partition-major; iterating morsels in order
-    // keeps each partition's pairs in global row order.
-    let mut per_part: Vec<Vec<Vec<(Key, usize)>>> = (0..nparts).map(|_| Vec::new()).collect();
-    for buckets in morsel_buckets {
-        for (part, bucket) in per_part.iter_mut().zip(buckets) {
-            part.push(bucket);
-        }
-    }
-    let parts = fan_out(per_part, |buckets| {
-        let entries = concat(buckets);
-        let mut table: HashMap<Key, Vec<usize>> = HashMap::with_capacity(entries.len());
-        for (key, idx) in entries {
-            tick(gov, "hash_join")?;
-            table.entry(key).or_default().push(idx);
-        }
-        Ok(table)
-    })?;
-    Ok(PartitionedTable { hasher, parts })
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1184,7 +1009,8 @@ fn exec_hash_join(
         }));
     }
 
-    // Every build — typed, hashed or prebuilt — fires `join.build`.
+    // Every build — existence kernel, postings or prebuilt — fires
+    // `join.build`.
     faults::trip("join.build")?;
 
     // Existence joins (decorrelated EXISTS / NOT EXISTS, the hot shape of
@@ -1234,30 +1060,56 @@ fn exec_hash_join(
         (&right, right_keys, &left, left_keys)
     };
 
-    // Hash-partition the build side across workers when large — unless the
-    // optimizer attached a prebuilt index, which skips the build entirely.
-    let (table, build_workers) = match prebuilt {
-        Some(index) => (JoinTable::Indexed(index), 1),
+    // The optimizer's prebuilt index lends its postings; otherwise they are
+    // built, in one serial pass over the build side's key columns, and
+    // charged with any key chunks evaluated for them. A database-resident
+    // index costs the query nothing.
+    let table = match prebuilt {
+        Some(index) => {
+            conquer_obs::registry().counter("index.probe").inc();
+            JoinTable {
+                postings: Cow::Borrowed(index.postings()),
+                keys: JoinKeys {
+                    batch: Arc::clone(index.batch()),
+                    idx: index.cols().to_vec(),
+                    evaluated_bytes: 0,
+                },
+            }
+        }
         None => {
-            let workers = par_workers(build.len(), ctx.threads);
-            let built = build_join_table(build, build_keys, workers, outer, ctx)?;
-            (JoinTable::Built(built), workers)
+            if u32::try_from(build.len()).is_err() {
+                return Err(EngineError::Execution(format!(
+                    "a hash join's build side of {} rows does not fit u32 row ids",
+                    build.len()
+                )));
+            }
+            let keys = join_keys(build, build_keys, outer, &mut stats, ctx)?;
+            ticks(gov, build.len() as u64, "hash_join")?;
+            let postings = Postings::build(&keys.batch, &keys.idx);
+            let bytes = postings.bytes() + keys.evaluated_bytes;
+            if let Some(g) = gov {
+                g.reserve_mem(bytes, "hash_join")?;
+            }
+            if let Some(s) = stats.as_deref_mut() {
+                s.est_mem_bytes += bytes;
+            }
+            conquer_obs::registry().counter("exec.join.built").inc();
+            JoinTable {
+                postings: Cow::Owned(postings),
+                keys,
+            }
         }
     };
-    if let Some(g) = gov {
-        g.reserve_mem(table.query_bytes(), "hash_join")?;
-    }
-    if let Some(s) = stats.as_deref_mut() {
-        s.est_mem_bytes += table.query_bytes();
-    }
-    if matches!(table, JoinTable::Indexed(_)) {
-        conquer_obs::registry().counter("index.probe").inc();
-    }
 
     faults::trip("join.probe")?;
     let probe_workers = par_workers(probe.len(), ctx.threads);
-    note_threads(&mut stats, build_workers.max(probe_workers));
-    let probe_source = KeySource::for_batch(probe, probe_keys);
+    note_threads(&mut stats, probe_workers);
+    let probe_keys = join_keys(probe, probe_keys, outer, &mut stats, ctx)?;
+    let probe_cols: Vec<&ColumnChunk> = probe_keys
+        .idx
+        .iter()
+        .map(|&c| probe_keys.batch.col(c))
+        .collect();
 
     // The probe side is read through its row view (pivoted once, cached).
     // A build row is read only for a candidate pair — an inner/outer join
@@ -1290,17 +1142,20 @@ fn exec_hash_join(
     let chunks = for_morsels(probe_rows.len(), probe_workers, |range| {
         let mut comparisons = 0u64;
         let mut out = Vec::new();
+        let mut key = Vec::with_capacity(probe_cols.len());
         for pi in range {
             let prow = &probe_rows[pi];
             tick(gov, "hash_join")?;
-            let key = probe_source.key_at(pi, outer, ctx)?;
-            let matches = if key.has_null() {
+            key.clear();
+            key.extend(probe_cols.iter().map(|c| KeyValue::from(&c.value_at(pi))));
+            let matches = if key.contains(&KeyValue::Null) {
                 None
             } else {
                 table.get(&key)
             };
             let mut matched = false;
             for bi in matches.into_iter().flatten() {
+                let bi = bi as usize;
                 comparisons += 1;
                 if !reads_build {
                     // An existence test without a residual: the key is the
@@ -1377,6 +1232,7 @@ fn exec_existence_join(
     ctx: ExecCtx<'_>,
 ) -> Result<Batch> {
     let gov = ctx.gov;
+    conquer_obs::registry().counter("exec.join.kernel").inc();
     let build_workers = par_workers(build.len(), ctx.threads);
     let keys = KeyCols::new(build, build_idx);
     let parts = fold_partitions(&keys, build.len(), build_workers, gov, "hash_join", || {
@@ -1417,14 +1273,6 @@ fn exec_existence_join(
         },
         schema: schema.clone(),
     })
-}
-
-/// Rough footprint of a join hash table: map entry overhead plus one
-/// row index per build row.
-fn hash_table_bytes(table: &HashMap<Key, Vec<usize>>) -> u64 {
-    let entry = mem::size_of::<Key>() + mem::size_of::<Vec<usize>>();
-    let indices: usize = table.values().map(Vec::len).sum();
-    (table.capacity() * entry + indices * mem::size_of::<usize>()) as u64
 }
 
 /// Nested-loop join. The outer (left) loop is what the morsel driver

@@ -12,7 +12,8 @@
 //! (how many rows share each row's key — the `cons` annotation),
 //! [`distinct_capped`] (a column's NDV for the planner's statistics) and
 //! [`Postings`] (the same table with each group's rows chained in ascending
-//! order — the key index, [`crate::index`] — looked up by a key's
+//! order — the key index, [`crate::index`], and the build side of every
+//! hash join the existence kernel does not take — looked up by a key's
 //! [`KeyValue`]s and extended in place of a rebuild when rows are
 //! appended). A GROUP BY over the branches of a `UNION ALL` folds each
 //! branch on its own, its states finished into partial [`Accumulator`]s

@@ -12,11 +12,11 @@
 //! group's first row. Ascending, NULL-free postings make the index
 //! *bit-compatible* with both consumers:
 //!
-//! * a hash join's build table (`exec::build_join_table` lists each key's
-//!   rows in the same order and skips NULL keys the same way), so an
-//!   [`IndexLookupJoin`](crate::plan::Plan::HashJoin) substitutes the
-//!   prebuilt postings for the per-query build without changing a single
-//!   emitted row;
+//! * a hash join's build side, which is the same [`Postings`] built for the
+//!   query over the build side's key columns, so an
+//!   [`IndexLookupJoin`](crate::plan::Plan::HashJoin) borrows the prebuilt
+//!   postings ([`Index::postings`]) in place of the per-query build without
+//!   changing a single emitted row;
 //! * a `Filter`-over-`Scan` selection vector (the filter kernels emit
 //!   passing rows in ascending row order), so an
 //!   [`IndexScan`](crate::plan::Plan::IndexScan) gather produces the
@@ -265,12 +265,17 @@ impl Index {
     }
 
     /// Equality postings for a key without a NULL component: its rows in
-    /// ascending order, or `None` when no row holds it. Drop-in for the
-    /// hash join's build-table lookup: `None` and NULL-key behaviour match
-    /// `exec::build_join_table` exactly.
+    /// ascending order, or `None` when no row holds it — the lookup a hash
+    /// join makes in the postings it borrows ([`Index::postings`]).
     pub fn get(&self, key: &Key) -> Option<PostingRows<'_>> {
         let g = self.postings.find(&self.batch, &self.cols, &key.0)?;
         Some(self.postings.rows(g))
+    }
+
+    /// The postings over [`cols`](Index::cols) of [`batch`](Index::batch):
+    /// what a hash join the index serves looks its probe keys up in.
+    pub fn postings(&self) -> &Postings {
+        &self.postings
     }
 
     /// Bytes the index holds: the postings, the ordered view and the

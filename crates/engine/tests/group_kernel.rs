@@ -6,7 +6,10 @@
 //! on the engine at `threads ∈ {1, 2, 8}`; answers must agree value for
 //! value, *variant for variant* (an `Int(2)` is not a `Float(2.0)`) and
 //! float bit for bit, in the same row order — the engine promises
-//! first-seen group order. Errors must agree too, message for message: a
+//! first-seen group order. DISTINCT has no other body: over a row-shaped
+//! input (a join, an uncompiled filter) it runs the kernel on the rows
+//! turned into columns, and is checked there too. Errors must agree too,
+//! message for message: a
 //! value-level error in the kernel replays on the engine's row path, so it
 //! reports the error a row-major evaluation hits first. Inputs are seeded
 //! random tables over every column layout
@@ -85,9 +88,17 @@ const WORDS: [&str; 6] = [
 /// (so it is stored as `Any`, and `2` must group with `2.0`), `ka` a
 /// freely mixed `Any` column.
 fn fixture(n: usize, domain: u64, null_in: u64, seed: u64) -> Database {
+    let db = Database::new();
+    db.register(table("t", n, domain, null_in, seed))
+        .expect("register fixture");
+    db
+}
+
+/// [`fixture`]'s table, named `name`.
+fn table(name: &str, n: usize, domain: u64, null_in: u64, seed: u64) -> Table {
     let mut rng = Lcg(seed);
     let mut t = Table::new(
-        "t",
+        name,
         vec![
             ("ki", DataType::Integer),
             ("kf", DataType::Float),
@@ -135,9 +146,7 @@ fn fixture(n: usize, domain: u64, null_in: u64, seed: u64) -> Database {
         ];
         t.push(row).expect("fixture row fits its schema");
     }
-    let db = Database::new();
-    db.register(t).expect("register fixture");
-    db
+    t
 }
 
 const KEYS: [&str; 7] = ["ki", "kf", "kt", "kd", "kb", "km", "ka"];
@@ -607,6 +616,78 @@ fn float_and_mixed_keys_keep_key_value_equality() {
     match (&rows.rows[0][0], &rows.rows[0][1]) {
         (Value::Float(z), Value::Int(3)) => assert!(z.is_sign_negative() && *z == 0.0),
         other => panic!("zero group came out as {other:?}"),
+    }
+}
+
+/// DISTINCT over a row-shaped input — a join's output, a filter the kernels
+/// do not compile (its arithmetic), a `UNION ALL` of such branches — is
+/// turned into columns and run through the same kernel: NULL with NULL,
+/// `-0.0` with `0.0`, `Int(2)` with `Float(2.0)`, a NaN with its own bit
+/// pattern only, text by string across the two tables' dictionaries, first
+/// row of each group kept, at every thread count.
+#[test]
+fn distinct_over_row_shaped_inputs() {
+    let nan_b = f64::from_bits(f64::NAN.to_bits() ^ 1);
+    for (i, n) in [300, PAR_THRESHOLD + 300].into_iter().enumerate() {
+        let db = fixture(n, 97, 11, 0xD15 + i as u64);
+        // `u` interns its words in another order; `f` holds two NaNs and
+        // both zeroes, `m` integers and floats of one value (so it is `Any`).
+        let mut u = Table::new(
+            "u",
+            vec![
+                ("ki", DataType::Integer),
+                ("kt", DataType::Text),
+                ("f", DataType::Float),
+                ("m", DataType::Float),
+            ],
+        );
+        for j in 0..200usize {
+            let f = match j % 6 {
+                0 => Value::Float(f64::NAN),
+                1 => Value::Float(nan_b),
+                2 => Value::Float(-0.0),
+                3 => Value::Float(0.0),
+                4 => Value::Float(2.0),
+                _ => Value::Null,
+            };
+            let m = match j % 4 {
+                0 => Value::Int(2),
+                1 => Value::Float(2.0),
+                2 => Value::Float(-0.0),
+                _ => Value::Int(0),
+            };
+            let kt = if j % 7 == 0 {
+                Value::Null
+            } else {
+                Value::str(WORDS[5 - j % 6])
+            };
+            u.push(vec![Value::Int(j as i64 % 40 - 3), kt, f, m])
+                .unwrap();
+        }
+        db.register(u).unwrap();
+        for k in KEYS {
+            check(
+                &db,
+                &format!("select distinct {k} from t where vi + 0 >= 0 or vi is null"),
+            );
+        }
+        check(
+            &db,
+            "select distinct f, m from u where ki + 0 < 100 or ki is null",
+        );
+        check(
+            &db,
+            "select distinct t.kt, u.kt, u.f, u.m, t.kf, t.km from t join u on u.ki = t.ki",
+        );
+        check(
+            &db,
+            "select distinct u.f, t.kb from t join u on u.ki = t.ki",
+        );
+        check(
+            &db,
+            "select distinct x.s from (select kt as s from t where vi + 0 > 0 \
+             union all select u.kt as s from t join u on u.ki = t.ki) x",
+        );
     }
 }
 

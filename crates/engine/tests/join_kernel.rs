@@ -1,15 +1,22 @@
-//! Differential suite for the typed existence-join kernel: residual-free
-//! semi/anti hash joins (`EXISTS` / `NOT EXISTS` on key equality) answered
-//! off both sides' key *columns* through `engine::groupkey`.
+//! Differential suite for every hash join, each answered off key *columns*
+//! through `engine::groupkey`: residual-free semi/anti joins (`EXISTS` /
+//! `NOT EXISTS` on key equality) on the typed existence kernel, and inner
+//! and left-outer joins — and existence joins with an expression key —
+//! looking their probe keys up in row-id postings built over the build
+//! side's key columns (`groupkey::Postings`, evaluated into fresh chunks
+//! when a key is an expression or a side is row-shaped).
 //!
 //! Queries run on the row-at-a-time reference evaluator
 //! (`conquer-reference`, the oracle: the subquery evaluated again for every
-//! probe row, nothing hashed) and on the engine at `threads ∈ {1, 2, 8}`;
-//! answers must agree value for value, variant for variant, float bit for
-//! bit, in the same row order (an existence join keeps its probe side's
-//! order), errors message for message, and the join's `EXPLAIN ANALYZE`
-//! counters (`rows_out`, `build_rows`, `probe_rows`, `comparisons`) must
-//! not depend on the thread count. Where `=` cannot compare two keys — a
+//! probe row, a join's `ON` tested on every pair, nothing hashed) and on
+//! the engine at `threads ∈ {1, 2, 8}`; answers must agree value for value,
+//! variant for variant, float bit for bit — in the same row order for an
+//! existence join, which keeps its probe side's order, and as bags for an
+//! inner or left join, whose build side may be either input — errors
+//! message for message, and the engine's rows, in order, and its joins'
+//! `EXPLAIN ANALYZE` counters (`rows_out`, `build_rows`, `probe_rows`,
+//! `comparisons`) must not depend on the thread count. Where `=` cannot
+//! compare two keys — a
 //! NaN, or two types with no order between them, as in a freely mixed
 //! `Any` column — the reference rejects the query with a type error, as
 //! the engine's own `WHERE` would; the engine's join keys extend `=` there
@@ -26,8 +33,18 @@
 //! rows per query, so it checks the fixtures where one side stays small
 //! and the other crosses the threshold; on fixtures too big for it (both
 //! sides past the threshold) the engine at threads 2 and 8 is held to
-//! threads 1 alone — rows, order, errors and join counters.
+//! threads 1 alone — rows, order, errors and join counters. An inner or
+//! left join runs on every key shape whose inner join yields at most
+//! [`JOIN_ROWS_CAP`] rows: a boolean or text key over thousands of rows
+//! on each side is nearly a cross product, and its layout is covered there
+//! by the multi-column keys that hold it. Beyond the shared key shapes:
+//! joins whose two sides are both an inner join's row-shaped output, an
+//! inner join that builds on its smaller left side, and expression keys —
+//! one of them erroring — at every join kind.
 
+use std::collections::HashMap;
+
+use conquer_engine::value::Key;
 use conquer_engine::{
     DataType, Database, EngineError, ExecOptions, NodeStats, Plan, Rows, Table, Value,
 };
@@ -97,18 +114,19 @@ fn join_counters(plan: &Plan, stats: &NodeStats, out: &mut Vec<[u64; 4]>) {
 /// order — and errors, message for message; the engine's rows, errors and
 /// join counters at threads 2 and 8 against threads 1.
 fn check(db: &Database, sql: &str) {
-    check_planned(db, sql, true, Oracle::Reference);
+    check_planned(db, sql, true, Oracle::Reference, true);
 }
 
 /// [`check`] for keys `=` may be unable to compare.
 fn check_keys(db: &Database, sql: &str) {
-    check_planned(db, sql, true, Oracle::BeyondEq);
+    check_planned(db, sql, true, Oracle::BeyondEq, true);
 }
 
 /// [`check`] against `oracle`; `hash_join` says whether the plan must hold
 /// a hash join (a correlated `EXISTS` the planner cannot decorrelate runs
-/// per outer row).
-fn check_planned(db: &Database, sql: &str, hash_join: bool, oracle: Oracle) {
+/// per outer row), `ordered` whether the reference's row order is the
+/// engine's too (threads 2 and 8 are always held to threads 1's order).
+fn check_planned(db: &Database, sql: &str, hash_join: bool, oracle: Oracle, ordered: bool) {
     let query = conquer_sql::parse_query(sql).unwrap_or_else(|e| panic!("{e}: {sql}"));
     let reference = (oracle != Oracle::Threads).then(|| conquer_reference::evaluate(db, &query));
     let mut serial: Option<Answer> = None;
@@ -128,7 +146,7 @@ fn check_planned(db: &Database, sql: &str, hash_join: bool, oracle: Oracle) {
         match (&reference, &got) {
             (None, _) => {}
             (Some(Ok(expected)), Ok((rows, _))) => {
-                if let Some(diff) = conquer_reference::diff(expected, rows, true) {
+                if let Some(diff) = conquer_reference::diff(expected, rows, ordered) {
                     panic!("{context}: {diff}");
                 }
             }
@@ -234,51 +252,89 @@ fn exists_sql(quantifier: &str, on: &str) -> String {
     format!("select * from p where {quantifier} (select * from b where {on})")
 }
 
-/// Every key shape against `db`: held to the reference when `reference`,
-/// else (both sides too big for it) to the engine at threads 1 alone.
-fn check_all_shapes(db: &Database, reference: bool) {
-    let (eq, beyond_eq) = if reference {
-        (Oracle::Reference, Oracle::BeyondEq)
-    } else {
-        (Oracle::Threads, Oracle::Threads)
-    };
-    let check = |sql: &str| check_planned(db, sql, true, eq);
-    let check_keys = |sql: &str| check_planned(db, sql, true, beyond_eq);
-    for quantifier in ["exists", "not exists"] {
-        // Every single-column key layout against itself; the freely mixed
-        // `ka` holds keys `=` cannot compare.
-        for k in KEYS {
-            let sql = exists_sql(quantifier, &format!("b.{k} = p.{k}"));
-            if k == "ka" {
-                check_keys(&sql);
-            } else {
-                check(&sql);
+/// `kind` is `join` or `left join`.
+fn join_sql(kind: &str, on: &str) -> String {
+    format!("select * from p {kind} b on {on}")
+}
+
+/// The most rows an inner join of [`check_all_shapes`] may yield.
+const JOIN_ROWS_CAP: usize = 20_000;
+
+/// The rows `p join b on <on>` yields, `on` a conjunction of
+/// `b.<column> = p.<column>`: per key, `p`'s rows holding it times `b`'s,
+/// under the engine's key equality (`Key`: `Int(2)` is `Float(2.0)`, a
+/// NULL component meets nothing).
+fn inner_join_rows(db: &Database, on: &str) -> usize {
+    let (b_cols, p_cols): (Vec<&str>, Vec<&str>) = on
+        .split(" and ")
+        .filter_map(|eq| eq.split_once(" = "))
+        .map(|(b, p)| (&b[2..], &p[2..]))
+        .unzip();
+    let counts = |table: &str, cols: &[&str]| {
+        let t = db.table(table).expect("fixture table");
+        let idx: Vec<usize> = cols.iter().map(|c| t.column_index(c).unwrap()).collect();
+        let mut counts: HashMap<Key, usize> = HashMap::new();
+        for i in 0..t.len() {
+            let vals: Vec<Value> = idx.iter().map(|&c| t.cols().col(c).value_at(i)).collect();
+            let key = Key::from_values(&vals);
+            if !key.has_null() {
+                *counts.entry(key).or_default() += 1;
             }
         }
-        // Two- and three-column keys mixing layouts.
-        check(&exists_sql(quantifier, "b.ki = p.ki and b.kt = p.kt"));
-        check(&exists_sql(
-            quantifier,
-            "b.kd = p.kd and b.kb = p.kb and b.kf = p.kf",
-        ));
-        check_keys(&exists_sql(
-            quantifier,
-            "b.km = p.km and b.ka = p.ka and b.ki = p.ki",
-        ));
-        // Keys compared across layouts: integer against float columns (both
-        // ways) and against `Any` ones holding numbers.
-        for on in ["b.kf = p.ki", "b.ki = p.kf", "b.km = p.ki", "b.ki = p.km"] {
-            check(&exists_sql(quantifier, on));
+        counts
+    };
+    let b = counts("b", &b_cols);
+    let p = counts("p", &p_cols);
+    p.iter().map(|(k, n)| n * b.get(k).unwrap_or(&0)).sum()
+}
+
+/// Every key shape, and whether `=` compares its keys: every single-column
+/// layout against itself (the freely mixed `ka` holds keys `=` cannot
+/// compare); two- and three-column keys mixing layouts; keys compared
+/// across layouts — integer against float columns, both ways, and against
+/// `Any` ones holding numbers; typed columns against a freely mixed `Any`
+/// one, and two typed layouts that never hold one key.
+fn key_shapes() -> Vec<(String, bool)> {
+    let mut shapes: Vec<(String, bool)> = KEYS
+        .iter()
+        .map(|k| (format!("b.{k} = p.{k}"), *k != "ka"))
+        .collect();
+    shapes.extend(
+        [
+            ("b.ki = p.ki and b.kt = p.kt", true),
+            ("b.kd = p.kd and b.kb = p.kb and b.kf = p.kf", true),
+            ("b.km = p.km and b.ka = p.ka and b.ki = p.ki", false),
+            ("b.kf = p.ki", true),
+            ("b.ki = p.kf", true),
+            ("b.km = p.ki", true),
+            ("b.ki = p.km", true),
+            ("b.ka = p.kt", false),
+            ("b.kt = p.ka", false),
+            ("b.ka = p.kf and b.ki = p.ki", false),
+            ("b.kd = p.ki", false),
+        ]
+        .map(|(on, eq)| (on.to_string(), eq)),
+    );
+    shapes
+}
+
+/// Every key shape against `db` as `EXISTS`, `NOT EXISTS`, inner and left
+/// join: held to the reference when `reference`, else (both sides too big
+/// for it) to the engine at threads 1 alone.
+fn check_all_shapes(db: &Database, reference: bool) {
+    for (on, eq) in key_shapes() {
+        let oracle = match (reference, eq) {
+            (false, _) => Oracle::Threads,
+            (true, true) => Oracle::Reference,
+            (true, false) => Oracle::BeyondEq,
+        };
+        for quantifier in ["exists", "not exists"] {
+            check_planned(db, &exists_sql(quantifier, &on), true, oracle, true);
         }
-        // Typed columns against a freely mixed `Any` one, and two typed
-        // layouts that never hold one key: beyond `=`.
-        for on in [
-            "b.ka = p.kt",
-            "b.kt = p.ka",
-            "b.ka = p.kf and b.ki = p.ki",
-            "b.kd = p.ki",
-        ] {
-            check_keys(&exists_sql(quantifier, on));
+        if inner_join_rows(db, &on) <= JOIN_ROWS_CAP {
+            for kind in ["join", "left join"] {
+                check_planned(db, &join_sql(kind, &on), true, oracle, false);
+            }
         }
     }
 }
@@ -557,28 +613,90 @@ fn group_by_output_reaches_the_join_typed() {
 
 #[test]
 fn expression_keys_and_residuals_take_the_general_path() {
-    // Not the kernel's shapes, but they must keep answering: a key that is
-    // an expression on either side is still a hash join (and an erroring
-    // key must report the row path's error); an EXISTS correlated through
+    // Not the existence kernel's shapes, but they must keep answering: a
+    // key that is an expression on either side is still a hash join, its
+    // keys evaluated into fresh chunks (and an erroring key must report the
+    // reference's error), at every join kind; an EXISTS correlated through
     // an inequality is not decorrelated at all.
     let db = fixture(PAR_THRESHOLD + 50, 800, 97, 11, 5);
     let small = fixture(300, 200, 97, 11, 6);
-    for quantifier in ["exists", "not exists"] {
-        for on in [
-            "b.ki = p.ki + 1",
-            "b.ki + 0 = p.ki",
-            "b.kf * 2 = p.ki and b.kt = p.kt",
-            "b.ki = p.ki / (p.v - p.v)",
-        ] {
+    for on in [
+        "b.ki = p.ki + 1",
+        "b.ki + 0 = p.ki",
+        "b.kf * 2 = p.ki and b.kt = p.kt",
+        "b.ki = p.ki / (p.v - p.v)",
+    ] {
+        for quantifier in ["exists", "not exists"] {
             check(&db, &exists_sql(quantifier, on));
         }
+        for kind in ["join", "left join"] {
+            check_planned(&db, &join_sql(kind, on), true, Oracle::Reference, false);
+        }
+    }
+    for quantifier in ["exists", "not exists"] {
         for on in ["b.ki = p.ki and b.v > p.v", "b.kt = p.kt and b.kf < p.kf"] {
             check_planned(
                 &small,
                 &exists_sql(quantifier, on),
                 false,
                 Oracle::Reference,
+                true,
             );
+        }
+    }
+}
+
+#[test]
+fn joins_over_joins_read_row_shaped_sides() {
+    // Both inputs of the outer join are an inner join's row-shaped output,
+    // so its build and probe keys are both evaluated into fresh chunks;
+    // past the threshold each side is about 8 500 rows.
+    let x = "select p.v as pv, p.ki as ki, p.kt as kt from p join b on b.kd = p.kd";
+    let y = "select p.v as pv, p.kf as kf, b.kt as kt from p join b on b.ki = p.ki";
+    for (db, oracle) in [
+        (fixture(300, 200, 97, 11, 8), Oracle::Reference),
+        (fixture(PAR_THRESHOLD + 50, 400, 97, 11, 9), Oracle::Threads),
+    ] {
+        for kind in ["join", "left join"] {
+            for on in [
+                "y.pv = x.pv",
+                "y.kt = x.kt and y.pv = x.pv",
+                "y.kf = x.ki and y.pv = x.pv",
+            ] {
+                let sql = format!("select * from ({x}) x {kind} ({y}) y on {on}");
+                check_planned(&db, &sql, true, oracle, false);
+            }
+        }
+    }
+}
+
+#[test]
+fn an_inner_join_builds_on_its_smaller_left_side() {
+    // `p` is the smaller side: an inner join builds on it and probes `b`, so
+    // its rows come out in `b`'s order — `b.v`, `b`'s row number and the
+    // last column, ascends — at every thread count. A left join cannot
+    // swap: `p.v` ascends.
+    let db = fixture(60, PAR_THRESHOLD + 9, 97, 11, 21);
+    let row_numbers = |sql: &str, threads: usize, col: usize| -> Vec<i64> {
+        let rows = db.query_with(sql, &opts(threads)).unwrap().rows;
+        let number = |r: &Vec<Value>| match r[col] {
+            Value::Int(v) => v,
+            ref other => panic!("row number {other:?}"),
+        };
+        rows.iter().map(number).collect()
+    };
+    for on in ["b.ki = p.ki", "b.kt = p.kt and b.kd = p.kd", "b.km = p.ki"] {
+        for (kind, col) in [("join", 15), ("left join", 7)] {
+            let sql = join_sql(kind, on);
+            check_planned(&db, &sql, true, Oracle::Reference, false);
+            for threads in THREADS {
+                let numbers = row_numbers(&sql, threads, col);
+                assert!(numbers.len() > 60, "{sql}: {} rows", numbers.len());
+                assert!(
+                    numbers.windows(2).all(|w| w[0] <= w[1]),
+                    "threads={threads}: {sql}"
+                );
+            }
         }
     }
 }

@@ -112,9 +112,9 @@ fn memory_limit_charges_distinct_by_key_width() {
     // charge `size_of::<Key>()` = 24 B per hash-set slot whatever the key
     // width — 7 168 slots, 172 032 B — and sailed through a 200 000 B
     // budget while really holding six cells per key, twice (set and
-    // output). Both paths now charge what they keep: the row path its
-    // slots plus twelve 24 B cells a key, the kernel its table entry plus
-    // the six gathered 8 B values (68 B a key, 272 000 B).
+    // output). It now charges what it keeps, on any input: the group-key
+    // kernel's table entry plus the six gathered 8 B values (68 B a key,
+    // 272 000 B).
     let db = Database::new();
     let rows: Vec<String> = (0..4_000)
         .map(|i| format!("({i}, {i}, {i}, {i}, {i}, {i})"))
@@ -126,8 +126,8 @@ fn memory_limit_charges_distinct_by_key_width() {
     ))
     .expect("build wide fixture");
     let budget = ResourceLimits::unlimited().with_max_memory_bytes(200_000);
-    // The kernel over the scanned columns, and the row body over a filter's
-    // row-shaped output (an arithmetic predicate is not compiled).
+    // The kernel over the scanned columns, and over a filter's row-shaped
+    // output turned into columns (an arithmetic predicate is not compiled).
     for sql in [
         "select distinct a, b, c, d, e, f from w",
         "select distinct a, b, c, d, e, f from w where a + 0 >= 0",
@@ -160,9 +160,9 @@ fn memory_limit_charges_existence_join_by_distinct_key() {
     // 9 000 build rows holding 3 000 distinct keys, probed by 10 rows. The
     // typed existence kernel keeps one 20 B table entry per distinct key —
     // 60 000 B, the keys themselves staying in the build batch — so it
-    // trips 40 000 B while building and fits 70 000 B; the general hash
-    // join an expression key takes, with its `Key`-per-entry table, fits
-    // neither.
+    // trips 40 000 B while building and fits 70 000 B; the hash join an
+    // expression key takes, whose postings chain every build row besides a
+    // table entry per key, fits neither.
     let db = Database::new();
     let build: Vec<String> = (0..9_000).map(|i| format!("({})", i % 3_000)).collect();
     db.run_script(&format!(

@@ -334,10 +334,10 @@ fn memory_limit_trips_identically_at_any_thread_count() {
         );
     }
 
-    // Row-path operators fed by a join (20 000 join rows, 10 distinct):
-    // whether a budget trips must not depend on the thread count. DISTINCT
-    // once charged its one-worker set for every input row up front and
-    // tripped at 800 000 B where two workers passed.
+    // Operators fed by a join's row-shaped output (20 000 join rows, 10
+    // distinct): whether a budget trips must not depend on the thread
+    // count. DISTINCT once charged its one-worker set for every input row up
+    // front and tripped at 800 000 B where two workers passed.
     let mut a = Table::new("a", vec![("k", DataType::Integer)]);
     for i in 0..20_000 {
         a.push(vec![Value::Int(i % 10)]).unwrap();

@@ -30,7 +30,11 @@
 //! (read off `EXPLAIN ANALYZE`'s per-CTE stats, the planner's CTE hook).
 //!
 //! `harness opbench`'s two existence-join cells pivot nothing at all: the
-//! typed kernel takes key columns in and hands row ids out.
+//! typed kernel takes key columns in and hands row ids out. Which way every
+//! hash join went is counted — `exec.join.kernel` (that kernel),
+//! `exec.join.built` (postings built for the query) or `index.probe` (a key
+//! index's postings) — and pinned for opbench's join cells and for joins
+//! over a CTE.
 //!
 //! The same warm query then pins the morsel driver's counters:
 //! `exec.morsel.fanouts` / `exec.morsel.workers_spawned` are bumped in the
@@ -399,11 +403,74 @@ fn opbench_existence_joins_pivot_nothing() {
     ] {
         let options = ExecOptions::default();
         let plan = w.db.plan(&parse_query(sql).unwrap(), &options).unwrap();
-        let before = pivots();
+        let (before, ways) = (pivots(), join_ways());
         let out =
             conquer::engine::exec::execute_plan(&plan, None, None, options.threads, None).unwrap();
         assert_eq!(pivots() - before, 0, "rows pivoted by: {sql}");
         assert!(out.cols().is_some() && !out.is_empty(), "{sql}");
+        assert_eq!(since(ways), [1, 0, 0], "the kernel, once: {sql}");
+    }
+}
+
+/// `exec.join.kernel`, `exec.join.built` and `index.probe`: how many hash
+/// joins ran on the typed existence kernel, on postings built for the
+/// query, and on a key index's postings.
+fn join_ways() -> [u64; 3] {
+    let registry = conquer_obs::registry();
+    ["exec.join.kernel", "exec.join.built", "index.probe"].map(|c| registry.counter(c).get())
+}
+
+/// What [`join_ways`] counted since `before`.
+fn since(before: [u64; 3]) -> [u64; 3] {
+    let now = join_ways();
+    [0, 1, 2].map(|i| now[i] - before[i])
+}
+
+/// Every hash join counts which way it went. A side that is a CTE carries
+/// no index, so an inner join over one builds its postings; an existence
+/// join over one still runs the kernel; a CTE probing `orders` on its key
+/// borrows the key index's postings.
+#[test]
+fn each_hash_join_counts_the_way_it_went() {
+    let _turn = turn();
+    let w = fresh_workload();
+    let cte = "with f as (select o_orderkey as k from orders where o_orderstatus = 'F') ";
+    for (sql, way) in [
+        // `harness opbench`'s `hash_build` (`lineitem`'s key index is on
+        // two columns, the join on one) and `hash_probe` cells.
+        (
+            "select o.o_orderkey from orders o \
+             left join lineitem l on o.o_orderkey = l.l_orderkey"
+                .to_string(),
+            [0, 1, 0],
+        ),
+        (
+            "select l.l_orderkey from lineitem l \
+             left join orders o on l.l_orderkey = o.o_orderkey"
+                .to_string(),
+            [0, 0, 1],
+        ),
+        (
+            format!("{cte}select l.l_orderkey from lineitem l join f on f.k = l.l_orderkey"),
+            [0, 1, 0],
+        ),
+        (
+            format!(
+                "{cte}select l.l_orderkey from lineitem l \
+                 where exists (select f.k from f where f.k = l.l_orderkey)"
+            ),
+            [1, 0, 0],
+        ),
+        (
+            format!("{cte}select f.k from f join orders o on o.o_orderkey = f.k"),
+            [0, 0, 1],
+        ),
+    ] {
+        let query = parse_query(&sql).unwrap();
+        let ways = join_ways();
+        let rows = w.db.execute_query_with(&query, &ExecOptions::default());
+        assert!(!rows.unwrap().rows.is_empty(), "{sql}");
+        assert_eq!(since(ways), way, "(kernel, built, index): {sql}");
     }
 }
 
