@@ -980,7 +980,7 @@ fn opbench(args: &Args) -> Json {
 
     let options = args.options();
     let time = |sql: &str| -> Result<Duration, String> {
-        // Warm-up run: populates the scan cache and plan-level caches so
+        // Warm-up run: the lazy index builds and row views land here, so
         // the timed runs measure execution, not first-touch setup.
         w.db.query_with(sql, &options).map_err(|e| e.to_string())?;
         let mut times = Vec::with_capacity(args.runs);
@@ -1099,8 +1099,8 @@ fn idxbench(args: &Args) -> Json {
             done.map_err(|e| e.to_string())
         };
         let time_batch = |db: &Database, sqls: &[String]| -> Result<Duration, String> {
-            // Warm-up pass: scan cache, plan caches, and the lazy index
-            // build all land here, so the timed runs measure probes.
+            // Warm-up pass: the lazy index build lands here, so the timed
+            // runs measure probes.
             for sql in sqls {
                 run(db, sql)?;
             }

@@ -28,7 +28,7 @@ use std::sync::Arc;
 use conquer_sql::BinaryOp;
 
 use crate::col::ColBatch;
-use crate::database::Database;
+use crate::database::{Database, Entry};
 use crate::expr::{BoundExpr, SubqueryKind};
 use crate::index::{Index, IndexAccess};
 use crate::plan::{JoinType, Plan};
@@ -91,76 +91,72 @@ impl Derived {
     }
 }
 
-/// Cardinality/cost estimator. Cheap to construct; holds a lazily-filled
-/// snapshot of catalog statistics plus a cache of sampled stats for scans
-/// the catalog does not know (materialized CTEs).
-pub struct Estimator<'a> {
-    db: Option<&'a Database>,
-    /// `Arc<ColBatch>` pointer → catalog stats, refreshed lazily from the
-    /// database's scan cache.
-    base: RefCell<HashMap<usize, Arc<TableStats>>>,
+/// Cardinality/cost estimator. Cheap to construct; holds a snapshot of the
+/// catalog's entries plus a cache of sampled stats for scans the catalog
+/// does not know (materialized CTEs).
+#[derive(Default)]
+pub struct Estimator {
+    /// `Arc<ColBatch>` pointer → the catalog entry whose batch it is,
+    /// taken once, when the estimator is made.
+    entries: HashMap<usize, Arc<Entry>>,
     /// `Arc<ColBatch>` pointer → stats sampled from the batch itself.
     sampled: RefCell<HashMap<usize, Arc<TableStats>>>,
-    /// `Arc<ColBatch>` pointer → built secondary index over that batch.
-    /// Empty unless constructed via [`Estimator::from_db_with_indexes`],
-    /// as the planner's always is. The optimizer's access-path pass only
-    /// sees indexes through here, so a plain [`Estimator::from_db`] prices
-    /// a plan as if no index were declared.
-    indexes: HashMap<usize, Arc<Index>>,
+    /// Whether [`Estimator::indexes_for`] offers the entries' indexes, as
+    /// the planner's estimator always does. The optimizer's access-path
+    /// pass only sees indexes through it, so a plain
+    /// [`Estimator::from_db`] prices a plan as if no index were declared.
+    with_indexes: bool,
 }
 
-impl<'a> Estimator<'a> {
+/// The key a scanned batch is looked up by: its `Arc` pointer, the
+/// snapshot identity a plan's scan holds.
+fn batch_key(cols: &Arc<ColBatch>) -> usize {
+    Arc::as_ptr(cols) as *const () as usize
+}
+
+impl Estimator {
     /// An estimator backed by the database's catalog statistics.
-    pub fn from_db(db: &'a Database) -> Estimator<'a> {
+    pub fn from_db(db: &Database) -> Estimator {
+        let entries = db.entries().into_iter();
         Estimator {
-            db: Some(db),
-            base: RefCell::new(HashMap::new()),
-            sampled: RefCell::new(HashMap::new()),
-            indexes: HashMap::new(),
+            entries: entries.map(|e| (batch_key(e.batch()), e)).collect(),
+            ..Estimator::default()
         }
     }
 
-    /// Like [`Estimator::from_db`], but also snapshots the database's
-    /// built secondary indexes (triggering lazy builds for cached scans)
-    /// so the optimizer can consider index access paths.
-    pub fn from_db_with_indexes(db: &'a Database) -> Estimator<'a> {
-        let mut est = Estimator::from_db(db);
-        est.indexes = db.indexes_by_scan();
-        est
+    /// Like [`Estimator::from_db`], but also offering the database's
+    /// declared secondary indexes, so the optimizer can consider index
+    /// access paths.
+    pub fn from_db_with_indexes(db: &Database) -> Estimator {
+        Estimator {
+            with_indexes: true,
+            ..Estimator::from_db(db)
+        }
     }
 
     /// An estimator with no catalog: every scan is sampled directly. Used
     /// in tests and anywhere a plan exists without its database.
-    pub fn standalone() -> Estimator<'static> {
-        Estimator {
-            db: None,
-            base: RefCell::new(HashMap::new()),
-            sampled: RefCell::new(HashMap::new()),
-            indexes: HashMap::new(),
-        }
+    pub fn standalone() -> Estimator {
+        Estimator::default()
     }
 
-    /// The built index over a scanned batch, if one is known. Keyed by
-    /// `Arc` pointer — the same snapshot identity the plan's scan holds —
-    /// so a stale index (built over a batch an `INSERT` has since
-    /// replaced) can never be returned for a fresh scan.
-    pub fn index_for(&self, cols: &Arc<ColBatch>) -> Option<&Arc<Index>> {
-        self.indexes.get(&(Arc::as_ptr(cols) as *const () as usize))
+    /// Every index over a scanned batch, in declaration order — built here
+    /// if no planning pass has built it yet. Looked up by `Arc` pointer,
+    /// so an index is only ever offered for the batch its table's entry
+    /// holds, and a fresh scan never gets one an `INSERT` has replaced.
+    pub fn indexes_for(&self, cols: &Arc<ColBatch>) -> Vec<Arc<Index>> {
+        match self.entries.get(&batch_key(cols)) {
+            Some(entry) if self.with_indexes => entry.indexes(),
+            _ => Vec::new(),
+        }
     }
 
     /// Statistics for a scanned batch: catalog stats when the pointer maps
     /// to a registered table, sampled stats otherwise.
     fn scan_stats(&self, cols: &Arc<ColBatch>) -> Arc<TableStats> {
-        let key = Arc::as_ptr(cols) as *const () as usize;
-        if let Some(s) = self.base.borrow().get(&key) {
-            return Arc::clone(s);
-        }
-        if let Some(db) = self.db {
-            let mut base = self.base.borrow_mut();
-            *base = db.stats_by_scan();
-            if let Some(s) = base.get(&key) {
-                return Arc::clone(s);
-            }
+        let key = batch_key(cols);
+        if let Some(entry) = self.entries.get(&key) {
+            return Arc::clone(entry.stats());
         }
         if let Some(s) = self.sampled.borrow().get(&key) {
             return Arc::clone(s);
@@ -692,8 +688,8 @@ impl<'a> Estimator<'a> {
 
 /// Fill `est_rows` into a [`NodeStats`] tree shaped like `plan` (one bottom-
 /// up pass; children are derived once and reused).
-pub fn annotate(est: &Estimator<'_>, plan: &Plan, stats: &mut NodeStats) {
-    fn walk(est: &Estimator<'_>, plan: &Plan, stats: &mut NodeStats) {
+pub fn annotate(est: &Estimator, plan: &Plan, stats: &mut NodeStats) {
+    fn walk(est: &Estimator, plan: &Plan, stats: &mut NodeStats) {
         for (child_plan, child_stats) in plan.children().into_iter().zip(&mut stats.children) {
             walk(est, child_plan, child_stats);
         }

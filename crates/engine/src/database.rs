@@ -4,7 +4,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use std::sync::{Mutex, RwLock};
+use std::sync::{Mutex, OnceLock, RwLock};
 
 use std::path::Path;
 
@@ -27,9 +27,9 @@ use crate::stats::TableStats;
 use crate::table::{Row, Rows, Table};
 use crate::value::Value;
 
-/// Recover a lock even if a previous holder panicked: the catalog maps are
-/// valid after any interrupted operation (worst case a stale scan cache
-/// entry, which is overwritten on next use).
+/// Recover a lock even if a previous holder panicked: the catalog is valid
+/// after any interrupted operation, because every mutation publishes a
+/// whole entry with one insert.
 fn read_lock<T>(lock: &RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
     lock.read().unwrap_or_else(|e| e.into_inner())
 }
@@ -38,14 +38,105 @@ fn write_lock<T>(lock: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
     lock.write().unwrap_or_else(|e| e.into_inner())
 }
 
-/// One declared secondary index: the key column names, plus the built
-/// postings once the lazy build has run. `built` always refers to a batch
-/// the scan cache handed out; `Arc::ptr_eq` against the current cached
-/// batch is the validity check (exactly the scan-cache revalidation
-/// idiom).
-struct IndexSlot {
+/// One declared secondary index of a catalog entry: the key column names,
+/// and the postings over the entry's batch once a planning pass has built
+/// them. Only a successful build fills `built`, so a failed one is retried
+/// by the next pass.
+#[derive(Clone)]
+struct Declared {
     cols: Vec<String>,
-    built: Option<Arc<Index>>,
+    built: OnceLock<Arc<Index>>,
+}
+
+impl Declared {
+    fn new(cols: Vec<String>, built: Option<Index>) -> Declared {
+        let slot = OnceLock::new();
+        if let Some(index) = built {
+            let _ = slot.set(Arc::new(index));
+        }
+        Declared { cols, built: slot }
+    }
+}
+
+/// Everything the catalog holds for one table, published as one value: a
+/// reader that takes the `Arc<Entry>` gets a table, the batch every plan
+/// scans, its statistics, its version and its indexes that belong
+/// together. Nothing in a published entry changes, except that a declared
+/// index's postings are filled in once, over the entry's own batch.
+#[derive(Clone)]
+pub(crate) struct Entry {
+    table: Arc<Table>,
+    batch: Arc<ColBatch>,
+    stats: Arc<TableStats>,
+    version: u64,
+    slots: Vec<Declared>,
+}
+
+impl Entry {
+    fn new(table: Table, stats: Arc<TableStats>, version: u64, slots: Vec<Declared>) -> Entry {
+        Entry {
+            batch: Arc::new(table.batch()),
+            table: Arc::new(table),
+            stats,
+            version,
+            slots,
+        }
+    }
+
+    /// Declared index key-column lists, built or not.
+    fn declared(&self) -> Vec<Vec<String>> {
+        self.slots.iter().map(|d| d.cols.clone()).collect()
+    }
+
+    /// The declarations, every one unbuilt: what a table's replacement
+    /// data starts with.
+    fn unbuilt(&self) -> Vec<Declared> {
+        let cols = self.slots.iter().map(|d| d.cols.clone());
+        cols.map(|c| Declared::new(c, None)).collect()
+    }
+
+    pub(crate) fn batch(&self) -> &Arc<ColBatch> {
+        &self.batch
+    }
+
+    pub(crate) fn stats(&self) -> &Arc<TableStats> {
+        &self.stats
+    }
+
+    /// Every declared index that is built or builds now, in declaration
+    /// order. This is the lazy build point that keeps crash recovery and
+    /// `INSERT` cheap. Build time lands in the `index.build.us` histogram.
+    /// A failed build (`index_build_fail` fault, a re-registered table that
+    /// lost the key column) is not an error: the index is left out, the
+    /// table plans as a sequential scan, and the next call tries again.
+    pub(crate) fn indexes(&self) -> Vec<Arc<Index>> {
+        self.slots.iter().filter_map(|d| self.build(d)).collect()
+    }
+
+    fn build(&self, declared: &Declared) -> Option<Arc<Index>> {
+        if let Some(index) = declared.built.get() {
+            return Some(Arc::clone(index));
+        }
+        let positions = declared
+            .cols
+            .iter()
+            .map(|c| self.table.column_index(c))
+            .collect::<Result<Vec<_>>>()
+            .ok()?;
+        let start = std::time::Instant::now();
+        let Ok(index) = Index::build(self.table.name(), &declared.cols, positions, &self.batch)
+        else {
+            conquer_obs::registry().counter("index.fallback").inc();
+            return None;
+        };
+        conquer_obs::registry()
+            .histogram("index.build.us")
+            .record(start.elapsed().as_micros() as u64);
+        conquer_obs::registry().counter("index.build").inc();
+        // A racing build of the same slot may have won; both are over this
+        // batch, and every caller gets the one stored.
+        Some(Arc::clone(declared.built.get_or_init(|| Arc::new(index))))
+    }
 }
 
 /// The base tables one planning pass read, each with the
@@ -77,50 +168,37 @@ impl TableReads {
 
 /// An in-memory database: thread-safe catalog of tables.
 ///
-/// Reads (queries) take a read lock only long enough to snapshot `Arc`s to
-/// the tables they touch, so concurrent query execution over a shared
-/// `&Database` is cheap. Scan-ready row batches are cached per table and
-/// invalidated on registration, so repeated references to a table (within
-/// one query or across queries) share a single `Arc<Rows>`.
+/// The catalog is one map from table name to an `Arc<Entry>`: the table,
+/// the one `Arc<ColBatch>` every plan scans (so repeated references to a
+/// table, within one query or across queries, share it), its statistics,
+/// its version and its declared indexes. Reads take the read lock only
+/// long enough to clone an entry's `Arc`, so concurrent query execution
+/// over a shared `&Database` is cheap.
 ///
 /// The database is `Send + Sync` and designed to be shared as
 /// `Arc<Database>` across many session threads (the read-mostly contract
 /// `conquer-serve` relies on): all interior mutability is behind the
-/// `RwLock`ed catalog maps plus the epoch atomic that
+/// `RwLock`ed catalog plus the epoch atomic that
 /// [table versions](Database::table_version) are drawn from, queries never
-/// hold a lock across execution, and writers
-/// (`register`/`drop_table`) swap whole `Arc<Table>`s, so in-flight queries
+/// hold a lock across execution, and every mutation builds a new entry from
+/// the old one and publishes it with a single insert, so in-flight queries
 /// keep the snapshot they planned against.
 ///
-/// Statement-level mutations (`CREATE TABLE`'s existence check, `INSERT`'s
-/// clone-push-register) are read-modify-write sequences, not single swaps;
-/// they serialize on the dedicated `mutation` mutex so concurrent scripts
-/// from different sessions can neither lose rows nor both "create" the
-/// same table.
+/// Mutations (`register`, `INSERT`'s clone-push, `CREATE TABLE`'s existence
+/// check, `CREATE INDEX`, `DROP`) are read-modify-write sequences; they
+/// serialize on the dedicated `mutation` mutex so concurrent scripts from
+/// different sessions can neither lose rows nor both "create" the same
+/// table.
 #[derive(Default)]
 pub struct Database {
-    tables: RwLock<BTreeMap<String, Arc<Table>>>,
-    scan_cache: RwLock<BTreeMap<String, Arc<ColBatch>>>,
-    /// Declared secondary indexes per table. Declarations are catalog
-    /// state (durable, epoch-bumping); the built postings are a cache,
-    /// (re)materialized lazily by [`Database::indexes_by_scan`] and
-    /// maintained incrementally by `INSERT`.
-    indexes: RwLock<BTreeMap<String, Vec<IndexSlot>>>,
-    /// Per-table statistics for the cost-based planner, collected eagerly
-    /// on every `register` (so they are never stale relative to the data).
-    table_stats: RwLock<BTreeMap<String, Arc<TableStats>>>,
-    /// Serializes read-modify-write catalog mutations (`insert`, `CREATE
-    /// TABLE`). Plain `register`/`drop_table` are single atomic swaps and
-    /// don't need it.
+    catalog: RwLock<BTreeMap<String, Arc<Entry>>>,
+    /// Serializes catalog mutations: each reads an entry, builds its
+    /// successor and publishes it.
     mutation: Mutex<()>,
     /// Bumped on every catalog mutation (`register`, `drop_table`,
     /// `create_index`). Each bump's value becomes the mutated table's
     /// version, so versions are unique across tables and never reused.
     epoch: AtomicU64,
-    /// The version each live table was last mutated at (see
-    /// [`Database::table_version`]). Written *last* in every mutation,
-    /// after the table swap, the scan-cache clear and the index unbuild.
-    versions: RwLock<BTreeMap<String, u64>>,
     /// The durable half, when this database was opened with
     /// [`Database::open`]: every catalog mutation is logged to the WAL
     /// before it is applied, and checkpoints snapshot the catalog into
@@ -187,10 +265,14 @@ impl Database {
             db.apply_wal_record(record, &mut stale)?;
         }
         for name in stale {
-            // A later record may have dropped the table.
-            if let Ok(table) = db.table(&name) {
-                let stats = Arc::new(TableStats::collect(table.cols()));
-                write_lock(&db.table_stats).insert(name, stats);
+            // A later record may have dropped the table. The refresh is no
+            // mutation: the entry keeps its version.
+            if let Some(entry) = db.entry(&name) {
+                let stats = Arc::new(TableStats::collect(entry.table.cols()));
+                db.publish(Entry {
+                    stats,
+                    ..(*entry).clone()
+                });
             }
         }
         db.durability = Some(Durability {
@@ -242,7 +324,7 @@ impl Database {
     /// write-ahead on durable databases.
     pub fn drop_table(&self, name: &str) -> Result<Option<Arc<Table>>> {
         let _mutation = self.mutation_lock();
-        if !read_lock(&self.tables).contains_key(name) {
+        if self.entry(name).is_none() {
             return Ok(None);
         }
         if self.durability.is_some() {
@@ -254,58 +336,38 @@ impl Database {
     }
 
     /// Apply a table swap to the in-memory catalog (no logging — callers
-    /// log first).
-    ///
-    /// Ordering matters: the table swap happens *before* the scan-cache
-    /// clear. A concurrent [`Database::table_cols`] miss that read the old
-    /// `Arc<Table>` either inserts its rows before the clear (and the clear
-    /// wipes them) or revalidates after the swap (and sees the table
-    /// changed, so it skips the insert — see `table_cols`). Either way no
-    /// pre-swap rows can sit in the scan cache once the table's new
-    /// version is observable, which is what lets plan caches trust the
-    /// version check. Stats are installed before the version for the same
-    /// reason: a plan that recorded the new version was costed against the
-    /// new statistics.
+    /// log first): a new entry at a new version, keeping the table's index
+    /// declarations unbuilt — their postings would describe the replaced
+    /// data.
     fn apply_register(&self, table: Table, stats: Arc<TableStats>) {
-        let name = table.name().to_string();
-        write_lock(&self.tables).insert(name.clone(), Arc::new(table));
-        write_lock(&self.table_stats).insert(name.clone(), stats);
-        write_lock(&self.scan_cache).remove(&name);
-        // Unbuild (not undeclare) the table's indexes — their postings
-        // describe the replaced data. This must follow the scan-cache
-        // clear: a concurrent lazy build revalidates against the cache
-        // under the indexes lock, so clearing first guarantees any build
-        // it stores afterwards is either over the new batch or wiped here.
-        if let Some(slots) = write_lock(&self.indexes).get_mut(&name) {
-            for slot in slots.iter_mut() {
-                slot.built = None;
-            }
-        }
-        self.bump_version(&name);
+        let slots = self
+            .entry(table.name())
+            .map(|old| old.unbuilt())
+            .unwrap_or_default();
+        self.publish(Entry::new(table, stats, self.next_version(), slots));
     }
 
-    /// Publish a mutation of `table`: draw the next value of the epoch
-    /// counter and make it the table's version. Every mutation calls this
-    /// last, so a reader that observes the new version also observes
-    /// everything the mutation wrote.
-    fn bump_version(&self, table: &str) {
-        let version = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
-        write_lock(&self.versions).insert(table.to_string(), version);
+    /// Draw the next value of the epoch counter: the version of the entry a
+    /// mutation is about to publish.
+    fn next_version(&self) -> u64 {
+        self.epoch.fetch_add(1, Ordering::AcqRel) + 1
     }
 
-    /// Apply a drop to the in-memory catalog. Same swap-then-clear
-    /// ordering as [`Database::apply_register`].
+    /// Make `entry` its table's catalog entry. One insert, so a reader sees
+    /// all of it or none of it; callers hold the mutation mutex (or are
+    /// recovery, which runs alone).
+    fn publish(&self, entry: Entry) {
+        let name = entry.table.name().to_string();
+        write_lock(&self.catalog).insert(name, Arc::new(entry));
+    }
+
+    /// Apply a drop to the in-memory catalog; the table's index
+    /// declarations go with its entry. The drop bumps the epoch like any
+    /// mutation, though no entry holds the version it draws.
     fn apply_drop(&self, name: &str) -> Option<Arc<Table>> {
-        let dropped = write_lock(&self.tables).remove(name);
-        write_lock(&self.table_stats).remove(name);
-        write_lock(&self.scan_cache).remove(name);
-        // Dropping a table drops its index declarations with it.
-        write_lock(&self.indexes).remove(name);
-        if dropped.is_some() {
-            self.epoch.fetch_add(1, Ordering::AcqRel);
-            write_lock(&self.versions).remove(name);
-        }
-        dropped
+        let dropped = write_lock(&self.catalog).remove(name)?;
+        self.next_version();
+        Some(Arc::clone(&dropped.table))
     }
 
     /// Replay one recovered WAL record against the in-memory catalog.
@@ -323,20 +385,17 @@ impl Database {
             }
             KIND_INSERT => {
                 let (name, rows) = durable::decode_insert(&record.payload)?;
-                let current = self.table(&name).map_err(|_| {
+                let current = self.entry(&name).ok_or_else(|| {
                     EngineError::Storage(format!(
                         "WAL insert into unknown table `{name}` (seq {})",
                         record.seq
                     ))
                 })?;
-                let mut table = (*current).clone();
+                let mut table = (*current.table).clone();
                 for row in rows {
                     table.push(row)?;
                 }
-                let stats = self.table_stats(&name).ok_or_else(|| {
-                    EngineError::Storage(format!("table `{name}` has no statistics"))
-                })?;
-                self.apply_register(table, stats);
+                self.apply_register(table, Arc::clone(&current.stats));
                 stale.insert(name);
                 Ok(())
             }
@@ -425,24 +484,13 @@ impl Database {
         let Some(d) = &self.durability else {
             return Ok(());
         };
-        let tables: Vec<(String, Arc<Table>)> = read_lock(&self.tables)
-            .iter()
-            .map(|(name, t)| (name.clone(), Arc::clone(t)))
-            .collect();
-        let stats = read_lock(&self.table_stats).clone();
-        let payloads: Vec<(String, Vec<u8>)> = tables
-            .iter()
-            .map(|(name, table)| {
-                let table_stats = stats
-                    .get(name)
-                    .map(Arc::as_ref)
-                    .cloned()
-                    .unwrap_or_else(|| TableStats::collect(table.cols()));
-                let decls = self.declared_indexes(name);
-                (
-                    name.clone(),
-                    durable::encode_snapshot(table, &table_stats, &decls),
-                )
+        let entries = read_lock(&self.catalog).clone();
+        let payloads: Vec<(String, Vec<u8>)> = entries
+            .into_iter()
+            .map(|(name, entry)| {
+                let snapshot =
+                    durable::encode_snapshot(&entry.table, &entry.stats, &entry.declared());
+                (name, snapshot)
             })
             .collect();
         let meta = [("catalog_epoch".to_string(), self.catalog_epoch())];
@@ -484,7 +532,7 @@ impl Database {
     /// version than it ever had before. Statistics are collected inside
     /// `register`, so the version covers them too.
     pub fn table_version(&self, name: &str) -> Option<u64> {
-        read_lock(&self.versions).get(name).copied()
+        self.entry(name).map(|e| e.version)
     }
 
     /// The first table in `reads` whose version is no longer the recorded
@@ -492,51 +540,30 @@ impl Database {
     /// every plan built from those reads is still current. One lock
     /// acquisition however many tables were read.
     pub fn first_moved<'r>(&self, reads: &'r TableReads) -> Option<&'r str> {
-        let versions = read_lock(&self.versions);
+        let catalog = read_lock(&self.catalog);
         reads
             .0
             .iter()
-            .find(|(name, version)| versions.get(name) != Some(version))
+            .find(|(name, version)| catalog.get(name).map(|e| e.version) != Some(*version))
             .map(|(name, _)| name.as_str())
     }
 
     /// One base-table read for the planner: the table, its scan-ready
-    /// batch, and a version that is never newer than either. The version
-    /// is read *first* and mutations publish theirs *last*, so a racing
-    /// mutation can only make the recorded version older than the data
-    /// planned against — the plan is then rebuilt once more than needed,
-    /// never served stale.
+    /// batch and its version, all from one entry — the rows are exactly
+    /// the version's.
     pub(crate) fn scan_snapshot(&self, name: &str) -> Result<(Arc<Table>, Arc<ColBatch>, u64)> {
-        let version = self
-            .table_version(name)
-            .ok_or_else(|| EngineError::UnknownTable(name.to_string()))?;
-        let table = self.table(name)?;
-        let cols = self.table_cols(name)?;
-        Ok((table, cols, version))
+        let entry = self.known(name)?;
+        Ok((
+            Arc::clone(&entry.table),
+            Arc::clone(&entry.batch),
+            entry.version,
+        ))
     }
 
     /// Statistics for a table, as collected at its last registration.
     /// `None` for unknown tables.
     pub fn table_stats(&self, name: &str) -> Option<Arc<TableStats>> {
-        read_lock(&self.table_stats).get(name).cloned()
-    }
-
-    /// Snapshot mapping each cached scan batch (by `Arc<ColBatch>` pointer
-    /// identity) to its table's statistics. Plans hold the same `Arc`s the
-    /// scan cache handed out, so the cost estimator can recover base-table
-    /// stats from a bare `Plan::Scan` node. Tables whose rows were never
-    /// scanned have no entry (nothing can reference them from a plan).
-    pub(crate) fn stats_by_scan(&self) -> std::collections::HashMap<usize, Arc<TableStats>> {
-        let cache = read_lock(&self.scan_cache);
-        let stats = read_lock(&self.table_stats);
-        cache
-            .iter()
-            .filter_map(|(name, cols)| {
-                stats
-                    .get(name)
-                    .map(|s| (Arc::as_ptr(cols) as *const () as usize, Arc::clone(s)))
-            })
-            .collect()
+        self.entry(name).map(|e| Arc::clone(&e.stats))
     }
 
     /// Declare a secondary index on `table` over `cols` (column order
@@ -545,18 +572,13 @@ impl Database {
     /// re-declaring is a no-op that bumps nothing.
     ///
     /// The postings are *not* built here. The first query that plans
-    /// against the table builds them lazily (see
-    /// [`Database::indexes_by_scan`]); the declaration itself is a
-    /// durable catalog mutation that bumps the table's version like any
-    /// other DDL, so cached plans that read the table are rebuilt and get
-    /// to consider the new access path.
+    /// against the table builds them lazily (see [`Entry::indexes`]); the
+    /// declaration itself is a durable catalog mutation that bumps the
+    /// table's version like any other DDL, so cached plans that read the
+    /// table are rebuilt and get to consider the new access path.
     pub fn create_index(&self, table: &str, cols: &[&str]) -> Result<bool> {
         let col_names: Vec<String> = cols.iter().map(|c| (*c).to_string()).collect();
-        let declared = || {
-            read_lock(&self.indexes)
-                .get(table)
-                .is_some_and(|slots| slots.iter().any(|s| s.cols == col_names))
-        };
+        let declared = || self.declared_indexes(table).contains(&col_names);
         // Read paths re-declare on every call (`consistent_answers*`):
         // answer them without queueing behind a writer.
         if declared() {
@@ -578,212 +600,89 @@ impl Database {
         Ok(true)
     }
 
-    /// Install an index declaration (no logging — callers log first).
+    /// Install an index declaration (no logging — callers log first): a new
+    /// entry at a new version, the table's built indexes carried over.
     /// Idempotent: an already-declared column list changes nothing and
     /// bumps nothing.
     fn apply_create_index(&self, table: &str, cols: Vec<String>) {
-        {
-            let mut map = write_lock(&self.indexes);
-            let slots = map.entry(table.to_string()).or_default();
-            if slots.iter().any(|s| s.cols == cols) {
-                return;
-            }
-            slots.push(IndexSlot { cols, built: None });
+        let Some(old) = self.entry(table) else {
+            return;
+        };
+        if old.slots.iter().any(|d| d.cols == cols) {
+            return;
         }
-        self.bump_version(table);
+        let mut slots = old.slots.clone();
+        slots.push(Declared::new(cols, None));
+        self.publish(Entry {
+            version: self.next_version(),
+            slots,
+            ..(*old).clone()
+        });
     }
 
     /// Declared index key-column lists for a table, built or not.
     pub fn declared_indexes(&self, table: &str) -> Vec<Vec<String>> {
-        read_lock(&self.indexes)
-            .get(table)
-            .map(|slots| slots.iter().map(|s| s.cols.clone()).collect())
-            .unwrap_or_default()
+        self.entry(table).map(|e| e.declared()).unwrap_or_default()
     }
 
     /// One row per declared index: `(table, key columns, built)`. `built`
-    /// reports whether postings over the table's *current* scan snapshot
-    /// exist — after crash recovery this is `false` for every index until
-    /// a query plans against the table and triggers the lazy rebuild.
+    /// reports whether postings over the table's current entry exist —
+    /// after crash recovery this is `false` for every index until a query
+    /// plans against the table and triggers the lazy rebuild.
     pub fn index_status(&self) -> Vec<(String, Vec<String>, bool)> {
-        let cache = read_lock(&self.scan_cache).clone();
-        read_lock(&self.indexes)
-            .iter()
-            .flat_map(|(table, slots)| {
-                slots
-                    .iter()
-                    .map(|s| {
-                        let current = cache.get(table).is_some_and(|b| {
-                            s.built.as_ref().is_some_and(|i| Arc::ptr_eq(i.batch(), b))
-                        });
-                        (table.clone(), s.cols.clone(), current)
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .collect()
+        let catalog = read_lock(&self.catalog);
+        let declared = catalog.iter().flat_map(|(table, entry)| {
+            let slots = entry.slots.iter();
+            slots.map(|d| (table.clone(), d.cols.clone(), d.built.get().is_some()))
+        });
+        declared.collect()
     }
 
     /// The index declared on `table` over `cols`, if it is built over the
-    /// table's current scan snapshot — what `index_status` reports as
-    /// `built`. Never builds one.
+    /// table's current entry — what `index_status` reports as `built`.
+    /// Never builds one.
     pub fn built_index(&self, table: &str, cols: &[String]) -> Option<Arc<Index>> {
-        let current = read_lock(&self.scan_cache).get(table).cloned()?;
-        read_lock(&self.indexes)
-            .get(table)?
-            .iter()
-            .find(|s| s.cols == cols)?
-            .built
-            .clone()
-            .filter(|i| Arc::ptr_eq(i.batch(), &current))
+        let entry = self.entry(table)?;
+        let declared = entry.slots.iter().find(|d| d.cols == cols)?;
+        declared.built.get().cloned()
     }
 
-    /// How inconsistent `table` is under the key its (first) declared index
+    /// How inconsistent `table` is under the key its first declared index
     /// is over: violated keys, the tuples in their groups and the
     /// group-size histogram, read off the index's conflict list — which
     /// `INSERT` keeps current, so this costs a lookup, not a scan. Builds
     /// the index if no query has planned against the table's current
     /// contents yet. `None` for a table without a declared index.
     pub fn conflict_summary(&self, table: &str) -> Option<ConflictSummary> {
-        let batch = self.table_cols(table).ok()?;
-        Some(self.index_over(table, &batch)?.conflict_summary())
+        let entry = self.entry(table)?;
+        let index = entry.slots.iter().find_map(|d| entry.build(d))?;
+        Some(index.conflict_summary())
     }
 
-    /// Snapshot mapping each cached scan batch (by `Arc<ColBatch>` pointer
-    /// identity, exactly like [`Database::stats_by_scan`]) to a built
-    /// index over that exact batch. Declared-but-unbuilt indexes are built
-    /// here — this is the lazy (re)build point that keeps crash recovery
-    /// and `INSERT` cheap. A failed build (`index_build_fail` fault, a
-    /// re-registered table that lost the key column) is not an error: the
-    /// table simply plans as a sequential scan.
-    pub(crate) fn indexes_by_scan(&self) -> std::collections::HashMap<usize, Arc<Index>> {
-        let names: Vec<String> = {
-            let idxs = read_lock(&self.indexes);
-            if idxs.is_empty() {
-                return std::collections::HashMap::new();
-            }
-            idxs.keys().cloned().collect()
-        };
-        let targets: Vec<(String, Arc<ColBatch>)> = {
-            let cache = read_lock(&self.scan_cache);
-            names
-                .into_iter()
-                .filter_map(|n| cache.get(&n).map(|b| (n, Arc::clone(b))))
-                .collect()
-        };
-        let mut out = std::collections::HashMap::new();
-        for (name, batch) in targets {
-            if let Some(idx) = self.index_over(&name, &batch) {
-                out.insert(Arc::as_ptr(&batch) as *const () as usize, idx);
-            }
-        }
-        out
+    /// Every table's current entry: what the cost estimator looks a plan's
+    /// scan batches up in.
+    pub(crate) fn entries(&self) -> Vec<Arc<Entry>> {
+        read_lock(&self.catalog).values().cloned().collect()
     }
 
-    /// A built index over exactly `batch`: the already-built slot when its
-    /// postings match this batch, otherwise the first declaration that
-    /// builds successfully. Build time lands in the `index.build.us`
-    /// histogram; a failed build bumps `index.fallback` and the caller
-    /// falls back to a sequential scan.
-    fn index_over(&self, name: &str, batch: &Arc<ColBatch>) -> Option<Arc<Index>> {
-        let decls: Vec<(Vec<String>, Option<Arc<Index>>)> = read_lock(&self.indexes)
-            .get(name)?
-            .iter()
-            .map(|s| (s.cols.clone(), s.built.clone()))
-            .collect();
-        for (_, built) in &decls {
-            if let Some(b) = built {
-                if Arc::ptr_eq(b.batch(), batch) {
-                    return Some(Arc::clone(b));
-                }
-            }
-        }
-        let table = self.table(name).ok()?;
-        for (cols, _) in decls {
-            let Ok(positions) = cols
-                .iter()
-                .map(|c| table.column_index(c))
-                .collect::<Result<Vec<_>>>()
-            else {
-                continue;
-            };
-            let start = std::time::Instant::now();
-            match Index::build(name, &cols, positions, batch) {
-                Ok(idx) => {
-                    conquer_obs::registry()
-                        .histogram("index.build.us")
-                        .record(start.elapsed().as_micros() as u64);
-                    conquer_obs::registry().counter("index.build").inc();
-                    let idx = Arc::new(idx);
-                    // Cache the build only while this batch is still the
-                    // table's scan snapshot (the scan-cache revalidation
-                    // idiom); either way the caller gets the index for the
-                    // plan it is building right now, which holds `batch`.
-                    // `apply_register` clears the scan cache *before*
-                    // unbuilding slots, so a store that passes this check
-                    // and then loses the race is wiped by the unbuild.
-                    let mut map = write_lock(&self.indexes);
-                    let still_current = read_lock(&self.scan_cache)
-                        .get(name)
-                        .is_some_and(|cur| Arc::ptr_eq(cur, batch));
-                    if still_current {
-                        if let Some(slot) = map
-                            .get_mut(name)
-                            .and_then(|slots| slots.iter_mut().find(|s| s.cols == cols))
-                        {
-                            slot.built = Some(Arc::clone(&idx));
-                        }
-                    }
-                    return Some(idx);
-                }
-                Err(_) => {
-                    conquer_obs::registry().counter("index.fallback").inc();
-                }
-            }
-        }
-        None
+    fn entry(&self, name: &str) -> Option<Arc<Entry>> {
+        read_lock(&self.catalog).get(name).cloned()
+    }
+
+    /// [`Database::entry`], with an unknown table an error.
+    fn known(&self, name: &str) -> Result<Arc<Entry>> {
+        self.entry(name)
+            .ok_or_else(|| EngineError::UnknownTable(name.to_string()))
     }
 
     /// Shared handle to a table.
     pub fn table(&self, name: &str) -> Result<Arc<Table>> {
-        read_lock(&self.tables)
-            .get(name)
-            .cloned()
-            .ok_or_else(|| EngineError::UnknownTable(name.to_string()))
+        Ok(Arc::clone(&self.known(name)?.table))
     }
 
     /// Names of all registered tables.
     pub fn table_names(&self) -> Vec<String> {
-        read_lock(&self.tables).keys().cloned().collect()
-    }
-
-    /// The columns of a table as a shared, scan-ready batch (cached until
-    /// the table is re-registered). The batch shares the table's column
-    /// chunks — mutation on the table copy-on-writes them, so the handle
-    /// is a stable snapshot.
-    pub(crate) fn table_cols(&self, name: &str) -> Result<Arc<ColBatch>> {
-        if let Some(cached) = read_lock(&self.scan_cache).get(name) {
-            return Ok(Arc::clone(cached));
-        }
-        let table = self.table(name)?;
-        let cols = Arc::new(table.batch());
-        // Cache only after revalidating, under the cache write lock, that
-        // `table` is still the registered Arc. Without this, a `register`
-        // racing between our miss and our insert could clear the cache and
-        // then have the old rows re-inserted *after* the clear, leaving
-        // stale rows live under the new epoch. The check-and-insert is one
-        // critical section, so it fully precedes or fully follows
-        // `register`'s clear: before, the clear wipes it; after, the table
-        // swap (ordered before the clear) is visible and the ptr_eq check
-        // fails. Nesting the tables read lock inside the cache write lock
-        // is deadlock-free — no writer holds both locks at once.
-        let mut cache = write_lock(&self.scan_cache);
-        let still_current = read_lock(&self.tables)
-            .get(name)
-            .is_some_and(|current| Arc::ptr_eq(current, &table));
-        if still_current {
-            cache.insert(name.to_string(), Arc::clone(&cols));
-        }
-        Ok(cols)
+        read_lock(&self.catalog).keys().cloned().collect()
     }
 
     /// Run a SQL query string with default options.
@@ -912,8 +811,9 @@ impl Database {
     }
 
     /// The cost estimator for one planning pass: catalog statistics, with
-    /// the built secondary indexes as access-path candidates.
-    pub(crate) fn estimator(&self) -> crate::cost::Estimator<'_> {
+    /// the declared secondary indexes (built on first lookup) as
+    /// access-path candidates.
+    pub(crate) fn estimator(&self) -> crate::cost::Estimator {
         crate::cost::Estimator::from_db_with_indexes(self)
     }
 
@@ -969,7 +869,7 @@ impl Database {
             Statement::Query(q) => Ok(Some(self.execute_query(q)?)),
             Statement::CreateTable { name, columns } => {
                 let _mutation = self.mutation_lock();
-                if read_lock(&self.tables).contains_key(name) {
+                if self.entry(name).is_some() {
                     return Err(EngineError::Catalog(format!(
                         "table `{name}` already exists"
                     )));
@@ -1016,8 +916,8 @@ impl Database {
         // whole sequence so a concurrent INSERT can't clone the same base
         // table and silently drop this one's rows on register.
         let _mutation = self.mutation_lock();
-        let current = self.table(name)?;
-        let mut new_table = (*current).clone();
+        let current = self.known(name)?;
+        let mut new_table = (*current.table).clone();
         let n_cols = new_table.schema().len();
         // Map provided columns to positions (all columns when unspecified).
         let positions: Vec<usize> = if columns.is_empty() {
@@ -1045,38 +945,25 @@ impl Database {
         if self.durability.is_some() {
             // Log only the newly appended rows, not the whole table: the
             // base rows are already covered by earlier records/segments.
-            let appended: Vec<Row> = (current.len()..new_table.len())
+            let appended: Vec<Row> = (current.table.len()..new_table.len())
                 .map(|i| new_table.row_at(i))
                 .collect();
             self.log(KIND_INSERT, &durable::encode_insert(name, &appended))?;
         }
         let stats = Arc::new(TableStats::collect(new_table.cols()));
-        // Built indexes describe the pre-insert batch; capture them before
-        // the register unbuilds the slots so they can be extended (rather
-        // than rebuilt) over the appended rows. Sound because the mutation
-        // mutex is held: the new table is exactly the old rows plus the
-        // appended suffix, which is `Index::extended`'s contract.
-        let old_built: Vec<Arc<Index>> = read_lock(&self.indexes)
-            .get(name)
-            .map(|slots| slots.iter().filter_map(|s| s.built.clone()).collect())
-            .unwrap_or_default();
-        self.apply_register(new_table, stats);
-        if !old_built.is_empty() {
-            if let Ok(new_batch) = self.table_cols(name) {
-                let mut map = write_lock(&self.indexes);
-                if let Some(slots) = map.get_mut(name) {
-                    for slot in slots.iter_mut() {
-                        if let Some(ext) = old_built
-                            .iter()
-                            .find(|i| i.col_names() == slot.cols.as_slice())
-                            .and_then(|i| i.extended(&new_batch))
-                        {
-                            slot.built = Some(Arc::new(ext));
-                        }
-                    }
-                }
-            }
-        }
+        // The old entry's built indexes are extended (rather than rebuilt)
+        // over the appended rows. Sound because the mutation mutex is
+        // held: the new table is exactly the old rows plus the appended
+        // suffix, which is `Index::extended`'s contract.
+        let entry = Entry::new(new_table, stats, self.next_version(), Vec::new());
+        let slots = current.slots.iter().map(|d| {
+            let extended = d.built.get().and_then(|i| i.extended(&entry.batch));
+            Declared::new(d.cols.clone(), extended)
+        });
+        self.publish(Entry {
+            slots: slots.collect(),
+            ..entry
+        });
         self.maybe_auto_checkpoint()?;
         Ok(())
     }
@@ -1138,6 +1025,7 @@ fn eval_const(expr: &Expr) -> Result<Value> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
 
     #[test]
     fn create_insert_select_roundtrip() {
@@ -1306,45 +1194,91 @@ mod tests {
         assert_eq!(tables, vec!["in_cte", "in_exists", "t"]);
     }
 
-    /// Stress the `register` vs `scan_snapshot` race: the rows a planner
-    /// is handed must never be older than the version it records beside
-    /// them (a stale scan-cache entry surviving a `register` would violate
-    /// this and make version-checked plan caches serve old data). Newer is
-    /// fine: that plan fails its next version check and is rebuilt.
+    /// Race `scan_snapshot` against every mutation of its table —
+    /// `register`, `INSERT`, `CREATE INDEX` and `DROP`. The rows a planner
+    /// is handed must be exactly the rows of the version it records beside
+    /// them (a version-checked plan cache would otherwise serve another
+    /// version's rows), and every index an index-aware estimator offers
+    /// for the scan must be over that scan's own batch.
     #[test]
     fn scan_snapshot_never_lags_its_version() {
-        const VERSIONS: u64 = 1000;
+        const ROUNDS: i64 = 60;
         let db = Database::new();
-        db.run_script("create table t (a integer); insert into t values (0)")
-            .unwrap();
-        let v0 = db.table_version("t").unwrap(); // row value 0 is current at v0
-        std::thread::scope(|scope| {
+        // Column `a` of every version's rows, recorded by the writer after
+        // each of its mutations (it is the only writer, so the table's
+        // version is then that mutation's).
+        let published = Mutex::new(BTreeMap::new());
+        // The writer waits for a reader observation after every round, so
+        // the two interleave however the threads are scheduled.
+        let (reads, done) = (AtomicUsize::new(0), AtomicBool::new(false));
+        let observed = std::thread::scope(|scope| {
             scope.spawn(|| {
-                for i in 1..=VERSIONS {
-                    let mut table = Table::new("t".to_string(), vec![("a", DataType::Integer)]);
-                    table.push(vec![Value::Int(i as i64)]).unwrap();
-                    db.register(table).unwrap();
-                }
-            });
-            scope.spawn(|| loop {
-                let (_, rows, version) = db.scan_snapshot("t").unwrap();
-                // `t` is the only table mutated, so its versions are
-                // consecutive: value i was registered at version v0 + i.
-                let expect = (version - v0) as i64;
-                let got = match rows.rows()[0][0] {
-                    Value::Int(v) => v,
-                    ref other => panic!("unexpected value {other:?}"),
+                let record = |a: &[i64]| {
+                    let version = db.table_version("t").unwrap();
+                    published.lock().unwrap().insert(version, a.to_vec());
                 };
-                assert!(
-                    got >= expect,
-                    "scan snapshot holds value {got} beside version {version} \
-                     (expected at least {expect})"
-                );
-                if version >= v0 + VERSIONS {
-                    return;
+                for round in 0..ROUNDS {
+                    db.drop_table("t").unwrap();
+                    let first = round * 10;
+                    let mut table = Table::new(
+                        "t",
+                        vec![("a", DataType::Integer), ("b", DataType::Integer)],
+                    );
+                    table
+                        .push(vec![Value::Int(first), Value::Int(first)])
+                        .unwrap();
+                    db.register(table).unwrap();
+                    let mut a = vec![first];
+                    record(&a);
+                    for (n, cols) in [&["a"][..], &["b"], &["b", "a"]].into_iter().enumerate() {
+                        let value = first + n as i64 + 1;
+                        db.run_script(&format!("insert into t values ({value}, {value})"))
+                            .unwrap();
+                        a.push(value);
+                        record(&a);
+                        assert!(db.create_index("t", cols).unwrap());
+                        record(&a);
+                    }
+                    let seen = reads.load(Ordering::Acquire);
+                    while reads.load(Ordering::Acquire) == seen {
+                        std::thread::yield_now();
+                    }
+                }
+                done.store(true, Ordering::Release);
+            });
+            let reader = scope.spawn(|| {
+                let mut observed = Vec::new();
+                loop {
+                    let finished = done.load(Ordering::Acquire);
+                    // An error is the window between a drop and a register.
+                    if let Ok((table, batch, version)) = db.scan_snapshot("t") {
+                        assert_eq!(table.rows(), batch.rows(), "one entry's table and batch");
+                        let est = crate::cost::Estimator::from_db_with_indexes(&db);
+                        for index in est.indexes_for(&batch) {
+                            assert!(Arc::ptr_eq(index.batch(), &batch), "{index:?}");
+                        }
+                        let a = batch.rows().iter().map(|row| match row[0] {
+                            Value::Int(v) => v,
+                            ref other => panic!("unexpected value {other:?}"),
+                        });
+                        observed.push((version, a.collect::<Vec<_>>()));
+                        reads.fetch_add(1, Ordering::AcqRel);
+                    }
+                    if finished {
+                        return observed;
+                    }
                 }
             });
+            reader.join().unwrap()
         });
+        let published = published.into_inner().unwrap();
+        for (version, a) in observed {
+            assert_eq!(
+                published.get(&version),
+                Some(&a),
+                "scan snapshot holds {a:?} beside version {version}"
+            );
+        }
     }
 
     #[test]

@@ -2,15 +2,15 @@
 //! probes and an ordered numeric view for range scans.
 //!
 //! An [`Index`] maps key values to **row-id postings** over one immutable
-//! [`ColBatch`] — the same `Arc` the table's scan cache hands to every
-//! plan, so `Arc::ptr_eq` doubles as the validity stamp (exactly like the
-//! scan cache itself; see `Database::indexes_by_scan`). The postings are
-//! the group-key kernel's ([`Postings`]): one typed pass over the key
-//! columns, a group per distinct key, each group's rows chained in
-//! ascending order with NULL keys excluded. No key value is stored — a
-//! probe key is hashed like a row and compared with the key columns at its
-//! group's first row. Ascending, NULL-free postings make the index
-//! *bit-compatible* with both consumers:
+//! [`ColBatch`] — the `Arc` its table's catalog entry hands to every plan.
+//! The index lives on that entry and is only ever built over that entry's
+//! batch, so it carries no validity stamp to re-check. The postings are the
+//! group-key kernel's ([`Postings`]): one typed pass over the key columns,
+//! a group per distinct key, each group's rows chained in ascending order
+//! with NULL keys excluded. No key value is stored — a probe key is hashed
+//! like a row and compared with the key columns at its group's first row.
+//! Ascending, NULL-free postings make the index *bit-compatible* with both
+//! consumers:
 //!
 //! * a hash join's build side, which is the same [`Postings`] built for the
 //!   query over the build side's key columns, so an
@@ -112,8 +112,7 @@ pub struct Index {
     col_names: Vec<String>,
     /// Key column indices in the batch, in declared order.
     cols: Vec<usize>,
-    /// The batch the postings describe; `Arc::ptr_eq` is the validity
-    /// stamp.
+    /// The batch the postings describe.
     batch: Arc<ColBatch>,
     /// Equality postings: one group per distinct non-NULL key.
     postings: Postings,
@@ -215,7 +214,7 @@ impl Index {
         &self.cols
     }
 
-    /// The batch the postings were built over (the validity stamp).
+    /// The batch the postings were built over.
     pub fn batch(&self) -> &Arc<ColBatch> {
         &self.batch
     }

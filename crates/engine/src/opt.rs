@@ -44,14 +44,14 @@ pub const RIGHT_PUSH_MAX_SEL: f64 = 0.75;
 /// Optimize a plan tree: filter pushdown (both sides where the estimator
 /// deems it profitable), then cost-based build-side selection, then
 /// access-path selection over the final shape.
-pub fn optimize(plan: Plan, est: &Estimator<'_>) -> Plan {
+pub fn optimize(plan: Plan, est: &Estimator) -> Plan {
     select_access_paths(orient_build_sides(pushdown(plan, est), est), est)
 }
 
 /// Filter-pushdown walk: pushes filter conjuncts through `Rename`,
 /// `Filter`, inner `HashJoin`/`NestedLoopJoin` (both sides), left-outer
 /// joins (left side only), and semi/anti joins (left side).
-fn pushdown(plan: Plan, est: &Estimator<'_>) -> Plan {
+fn pushdown(plan: Plan, est: &Estimator) -> Plan {
     match plan.map_children(|child| pushdown(child, est)) {
         Plan::Filter { input, predicate } => {
             push_filter(*input, split_bound_conjuncts(predicate), est)
@@ -62,7 +62,7 @@ fn pushdown(plan: Plan, est: &Estimator<'_>) -> Plan {
 
 /// Push a set of conjuncts as deep as possible above `input`, rebuilding a
 /// `Filter` for whatever cannot sink further.
-fn push_filter(input: Plan, conjuncts: Vec<BoundExpr>, est: &Estimator<'_>) -> Plan {
+fn push_filter(input: Plan, conjuncts: Vec<BoundExpr>, est: &Estimator) -> Plan {
     if conjuncts.is_empty() {
         return input;
     }
@@ -117,7 +117,7 @@ fn split_by_side(
     conjuncts: Vec<BoundExpr>,
     left_width: usize,
     kind: JoinType,
-    est: &Estimator<'_>,
+    est: &Estimator,
     right_child: &Plan,
 ) -> (Vec<BoundExpr>, Vec<BoundExpr>, Vec<BoundExpr>) {
     let mut left = Vec::new();
@@ -165,7 +165,7 @@ fn split_by_side(
 /// the output column order, so the join is wrapped in a projection
 /// restoring the original layout; row order changes, which the engine
 /// already permits for inner joins (the runtime swap does the same).
-fn orient_build_sides(plan: Plan, est: &Estimator<'_>) -> Plan {
+fn orient_build_sides(plan: Plan, est: &Estimator) -> Plan {
     // Inputs first, so child estimates reflect final child shapes.
     maybe_swap_build(
         plan.map_children(|child| orient_build_sides(child, est)),
@@ -176,7 +176,7 @@ fn orient_build_sides(plan: Plan, est: &Estimator<'_>) -> Plan {
 /// If `plan` is an inner hash join with a residual whose left side is
 /// estimated smaller than its right (build) side, swap the sides and wrap
 /// a projection restoring the original column order.
-fn maybe_swap_build(plan: Plan, est: &Estimator<'_>) -> Plan {
+fn maybe_swap_build(plan: Plan, est: &Estimator) -> Plan {
     let Plan::HashJoin {
         left,
         right,
@@ -249,10 +249,10 @@ fn maybe_swap_build(plan: Plan, est: &Estimator<'_>) -> Plan {
 /// semi/anti join only tests keys for existence, which the executor does
 /// off the key columns of whatever its build input is. A `GROUP BY …
 /// HAVING count(*) > c` over exactly an index's key columns is read off the
-/// index's conflict list ([`try_conflict_scan`]). Only sees the indexes the
-/// estimator carries — on a database that declares none, plans are
-/// untouched.
-fn select_access_paths(plan: Plan, est: &Estimator<'_>) -> Plan {
+/// index's conflict list ([`try_conflict_scan`]). Every index the estimator
+/// offers over a scan is considered, and the cheapest that matches wins —
+/// on a database that declares none, plans are untouched.
+fn select_access_paths(plan: Plan, est: &Estimator) -> Plan {
     // The conflict scan replaces a whole `Project(Filter(Aggregate(Scan)))`
     // subtree, so it is matched before anything below it is rewritten.
     if let Plan::Project {
@@ -268,10 +268,15 @@ fn select_access_paths(plan: Plan, est: &Estimator<'_>) -> Plan {
     match plan.map_children(|child| select_access_paths(child, est)) {
         Plan::Filter { input, predicate } => {
             if let Plan::Scan { cols, schema } = &*input {
-                if let Some(index) = est.index_for(cols) {
-                    if let Some(rewritten) = try_index_scan(cols, schema, index, &predicate, est) {
-                        return rewritten;
-                    }
+                // The cheapest index scan that beats the sequential plan,
+                // the first declared of equals.
+                let rewritten = est
+                    .indexes_for(cols)
+                    .into_iter()
+                    .filter_map(|index| try_index_scan(cols, schema, &index, &predicate, est))
+                    .min_by(|x, y| est.cost(x).total_cmp(&est.cost(y)));
+                if let Some(rewritten) = rewritten {
+                    return rewritten;
                 }
             }
             Plan::Filter { input, predicate }
@@ -295,18 +300,13 @@ fn select_access_paths(plan: Plan, est: &Estimator<'_>) -> Plan {
                 matches!(kind, JoinType::Semi | JoinType::Anti) && residual.is_none();
             if build_index.is_none() && !existence_test {
                 if let Plan::Scan { cols, .. } = &*right {
-                    let indexed = est
-                        .index_for(cols)
-                        .zip(kernels::column_indices(&right_keys));
-                    if let Some((index, key_cols)) = indexed {
-                        if let Some(perm) = key_permutation(index, &key_cols) {
-                            // Reorder both key vectors into the index's
-                            // column order so probe keys hash exactly the
-                            // keys the postings were built from.
-                            left_keys = perm.iter().map(|&j| left_keys[j].clone()).collect();
-                            right_keys = perm.iter().map(|&j| right_keys[j].clone()).collect();
-                            build_index = Some(std::sync::Arc::clone(index));
-                        }
+                    if let Some((index, perm)) = index_on_keys(est, cols, &right_keys) {
+                        // Reorder both key vectors into the index's column
+                        // order so probe keys hash exactly the keys the
+                        // postings were built from.
+                        left_keys = perm.iter().map(|&j| left_keys[j].clone()).collect();
+                        right_keys = perm.iter().map(|&j| right_keys[j].clone()).collect();
+                        build_index = Some(index);
                     }
                 }
             }
@@ -325,46 +325,39 @@ fn select_access_paths(plan: Plan, est: &Estimator<'_>) -> Plan {
                         schema: scan_schema,
                     } = &**input
                     {
-                        if let Some(index) = est.index_for(cols) {
-                            if let Some(perm) = kernels::column_indices(&right_keys)
-                                .and_then(|key_cols| key_permutation(index, &key_cols))
-                            {
-                                let mut hoisted = predicate.clone();
-                                let w_l = left.schema().len();
-                                map_row_refs(&mut hoisted, 0, &mut |i| i + w_l);
-                                let mut conjuncts = vec![hoisted];
-                                if let Some(r) = residual.clone() {
-                                    conjuncts.extend(split_bound_conjuncts(r));
-                                }
-                                let candidate = Plan::HashJoin {
-                                    left: left.clone(),
-                                    right: Box::new(Plan::Scan {
-                                        cols: std::sync::Arc::clone(cols),
-                                        schema: scan_schema.clone(),
-                                    }),
-                                    kind,
-                                    left_keys: perm.iter().map(|&j| left_keys[j].clone()).collect(),
-                                    right_keys: perm
-                                        .iter()
-                                        .map(|&j| right_keys[j].clone())
-                                        .collect(),
-                                    residual: conjoin_bound(conjuncts),
-                                    build_index: Some(std::sync::Arc::clone(index)),
-                                    schema: schema.clone(),
-                                };
-                                let original = Plan::HashJoin {
-                                    left: left.clone(),
-                                    right: right.clone(),
-                                    kind,
-                                    left_keys: left_keys.clone(),
-                                    right_keys: right_keys.clone(),
-                                    residual: residual.clone(),
-                                    build_index: None,
-                                    schema: schema.clone(),
-                                };
-                                if est.cost(&candidate) < est.cost(&original) {
-                                    return candidate;
-                                }
+                        if let Some((index, perm)) = index_on_keys(est, cols, &right_keys) {
+                            let mut hoisted = predicate.clone();
+                            let w_l = left.schema().len();
+                            map_row_refs(&mut hoisted, 0, &mut |i| i + w_l);
+                            let mut conjuncts = vec![hoisted];
+                            if let Some(r) = residual.clone() {
+                                conjuncts.extend(split_bound_conjuncts(r));
+                            }
+                            let candidate = Plan::HashJoin {
+                                left: left.clone(),
+                                right: Box::new(Plan::Scan {
+                                    cols: std::sync::Arc::clone(cols),
+                                    schema: scan_schema.clone(),
+                                }),
+                                kind,
+                                left_keys: perm.iter().map(|&j| left_keys[j].clone()).collect(),
+                                right_keys: perm.iter().map(|&j| right_keys[j].clone()).collect(),
+                                residual: conjoin_bound(conjuncts),
+                                build_index: Some(index),
+                                schema: schema.clone(),
+                            };
+                            let original = Plan::HashJoin {
+                                left: left.clone(),
+                                right: right.clone(),
+                                kind,
+                                left_keys: left_keys.clone(),
+                                right_keys: right_keys.clone(),
+                                residual: residual.clone(),
+                                build_index: None,
+                                schema: schema.clone(),
+                            };
+                            if est.cost(&candidate) < est.cost(&original) {
+                                return candidate;
                             }
                         }
                     }
@@ -397,7 +390,7 @@ fn try_conflict_scan(
     input: &Plan,
     exprs: &[BoundExpr],
     schema: &Schema,
-    est: &Estimator<'_>,
+    est: &Estimator,
 ) -> Option<Plan> {
     let Plan::Filter { input, predicate } = input else {
         return None;
@@ -422,12 +415,7 @@ fn try_conflict_scan(
     else {
         return None;
     };
-    let index = est.index_for(cols)?;
-    if index.null_key_rows() > 0 {
-        return None;
-    }
     let group_cols = kernels::column_indices(group_exprs)?;
-    key_permutation(index, &group_cols)?;
     // `count(*) > c` or `count(*) >= c` over the one aggregate slot.
     let BoundExpr::Binary { op, left, right } = predicate else {
         return None;
@@ -454,11 +442,31 @@ fn try_conflict_scan(
     // Every output column must be a group column (slot `group_cols.len()`
     // is the count, which the index-only scan does not produce).
     let project = compose_columns(exprs, &group_cols)?;
+    let index = est
+        .indexes_for(cols)
+        .into_iter()
+        .find(|i| i.null_key_rows() == 0 && key_permutation(i, &group_cols).is_some())?;
     Some(Plan::IndexScan {
         cols: std::sync::Arc::clone(cols),
         schema: schema.clone(),
-        index: std::sync::Arc::clone(index),
+        index,
         access: IndexAccess::Conflicts { min_group, project },
+    })
+}
+
+/// The first index over the scanned `cols` whose key columns are exactly
+/// the plain-column `keys` in some order, with the permutation that puts
+/// the keys in index order ([`key_permutation`]). Any two such indexes
+/// serve a join alike.
+fn index_on_keys(
+    est: &Estimator,
+    cols: &std::sync::Arc<crate::col::ColBatch>,
+    keys: &[BoundExpr],
+) -> Option<(std::sync::Arc<Index>, Vec<usize>)> {
+    let key_cols = kernels::column_indices(keys)?;
+    est.indexes_for(cols).into_iter().find_map(|index| {
+        let perm = key_permutation(&index, &key_cols)?;
+        Some((index, perm))
     })
 }
 
@@ -470,7 +478,7 @@ fn try_index_scan(
     schema: &crate::schema::Schema,
     index: &std::sync::Arc<Index>,
     predicate: &BoundExpr,
-    est: &Estimator<'_>,
+    est: &Estimator,
 ) -> Option<Plan> {
     let conjuncts = split_bound_conjuncts(predicate.clone());
     let (access, residual) = index_access_for(index, schema, conjuncts)?;

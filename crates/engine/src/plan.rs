@@ -194,7 +194,7 @@ pub enum Plan {
     /// [`Index`] directly (snapshot semantics, like `Scan` holds its
     /// batch): execution never consults the catalog, so concurrent
     /// `INSERT`/`DROP` cannot skew a running query. The planner only
-    /// attaches an index whose stamp `Arc::ptr_eq`s `cols`. Under
+    /// attaches an index built over `cols` itself. Under
     /// [`IndexAccess::Conflicts`] the scan is index-only: one row per
     /// violated key group, of the key columns the access projects, and
     /// `schema` describes that output rather than `cols`.
@@ -232,8 +232,8 @@ pub enum Plan {
         /// When set, the build side (always `right`) is served by this
         /// prebuilt index's postings instead of a per-query hash build —
         /// the "IndexLookupJoin" access path. The optimizer only attaches
-        /// an index whose stamp `Arc::ptr_eq`s the right child's scan
-        /// batch and whose key columns match `right_keys` exactly; probing
+        /// an index built over the right child's scan batch whose key
+        /// columns match `right_keys` exactly; probing
         /// and row emission are byte-identical to the built table. Never
         /// attached to a residual-free semi/anti join: an existence test
         /// reads no postings (the executor's typed kernel needs only the

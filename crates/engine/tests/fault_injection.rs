@@ -190,39 +190,67 @@ fn seeded_schedule_never_panics_and_is_deterministic() {
 
 /// `index_build_fail` is a degradation point, not an error point: with the
 /// build tripping, planning falls back to a SeqScan access path and the
-/// query still returns the right rows — never an `Err`, never a panic.
+/// query still returns the right rows — never an `Err`, never a panic. A
+/// failed build is not remembered: once disarmed, the next planned query
+/// builds every index of the table.
 #[test]
 fn index_build_failure_falls_back_to_seq_scan() {
     let db = fixture();
-    db.create_index("a", &["x"]).expect("declare index");
-    let sql = "select x from a where x = 2";
+    db.run_script(
+        "create table c (x integer, y integer);
+         insert into c values (1, 10), (2, 20), (3, 30), (4, 40), (5, 50), (6, 60);",
+    )
+    .expect("two-index fixture");
+    db.create_index("c", &["x"]).expect("declare index");
+    db.create_index("c", &["y"]).expect("declare index");
+    let queries = [
+        ("select y from c where x = 2", "access=index(x eq)"),
+        ("select x from c where y = 50", "access=index(y eq)"),
+    ];
+    let built =
+        |db: &Database| -> Vec<bool> { db.index_status().into_iter().map(|(_, _, b)| b).collect() };
 
     // Arm persistently before the *first* planning pass: every lazy build
-    // attempt (the planner and the optimizer each construct an estimator)
-    // trips, so the plan must fall back to a sequential scan.
+    // attempt trips, so the plans must fall back to sequential scans.
     faults::disarm_all();
     faults::arm_every("index_build_fail");
-    let rows = db
-        .query(sql)
-        .expect("armed index_build_fail must not surface as a query error");
-    assert_eq!(rows.rows.len(), 1, "fallback path returns correct answers");
+    let mut answers = Vec::new();
+    for (sql, _) in queries {
+        let rows = db
+            .query(sql)
+            .expect("armed index_build_fail must not surface as a query error");
+        let reference = conquer_reference::evaluate_sql(&db, sql).expect("reference");
+        assert_eq!(
+            conquer_reference::diff(&reference, &rows, false),
+            None,
+            "{sql}"
+        );
+        assert_eq!(rows.rows.len(), 1, "fallback path returns correct answers");
+        let plan = db.explain(sql).expect("explain under armed fault");
+        assert!(
+            !plan.contains("access=index"),
+            "failed build must leave a SeqScan plan, got:\n{plan}"
+        );
+        answers.push(rows);
+    }
     assert!(
         faults::hits("index_build_fail") > 0,
         "the lazy build actually reached the fault point"
     );
-    let plan = db.explain(sql).expect("explain under armed fault");
-    assert!(
-        !plan.contains("access=index"),
-        "failed build must leave a SeqScan plan, got:\n{plan}"
-    );
+    assert_eq!(built(&db), [false, false], "a failed build is not kept");
 
-    // Disarmed, the next planned query builds the index and uses it.
+    // Disarmed, the next planned query builds both indexes, and each
+    // query uses its own.
     faults::disarm_all();
-    let plan = db.explain(sql).expect("explain after disarm");
-    assert!(
-        plan.contains("access=index(x eq)"),
-        "build succeeds once disarmed, got:\n{plan}"
-    );
-    let indexed = db.query(sql).expect("indexed query");
-    assert_eq!(indexed.rows, rows.rows);
+    db.explain(queries[0].0).expect("explain after disarm");
+    assert_eq!(built(&db), [true, true], "both build on the next pass");
+    for ((sql, access), rows) in queries.into_iter().zip(answers) {
+        let plan = db.explain(sql).expect("explain after disarm");
+        assert!(
+            plan.contains(access),
+            "build succeeds once disarmed, got:\n{plan}"
+        );
+        let indexed = db.query(sql).expect("indexed query");
+        assert_eq!(indexed.rows, rows.rows);
+    }
 }

@@ -44,17 +44,10 @@ fn demo_db() -> Database {
     db
 }
 
-/// Warm the scan cache so the lazy index build has a batch to attach to —
-/// the first planned query does this implicitly in production.
-fn warm(db: &Database) {
-    db.query("select count(*) from t").unwrap();
-}
-
 #[test]
 fn point_lookup_plans_an_index_scan() {
     let db = demo_db();
     db.create_index("t", &["k"]).unwrap();
-    warm(&db);
     let sql = "select s from t where k = 5";
     let plan = db.explain_with(sql, &opts()).unwrap();
     assert!(
@@ -73,7 +66,6 @@ fn point_lookup_plans_an_index_scan() {
 fn range_predicate_plans_an_index_scan() {
     let db = demo_db();
     db.create_index("t", &["k"]).unwrap();
-    warm(&db);
     let sql = "select s from t where k > 2 and k <= 5";
     let plan = db.explain_with(sql, &opts()).unwrap();
     assert!(
@@ -87,7 +79,6 @@ fn range_predicate_plans_an_index_scan() {
 fn key_equality_self_join_probes_the_index() {
     let db = demo_db();
     db.create_index("t", &["k"]).unwrap();
-    warm(&db);
     // The shape of ConQuer's rewritings: a self-join on the key columns.
     let sql = "select a.s, b.s from t a, t b where a.k = b.k and a.v < b.v";
     let plan = db.explain_with(sql, &opts()).unwrap();
@@ -102,14 +93,12 @@ fn key_equality_self_join_probes_the_index() {
 fn insert_extends_the_index_and_results_stay_correct() {
     let db = demo_db();
     db.create_index("t", &["k"]).unwrap();
-    warm(&db);
     // Build the index, then append rows — the maintenance path extends
     // the postings rather than rebuilding.
     db.query_with("select s from t where k = 5", &opts())
         .unwrap();
     db.run_script("insert into t values (5, 99.5, 'z'), (11, 1.5, 'w')")
         .unwrap();
-    warm(&db);
     assert_eq!(
         query_checked(&db, "select s from t where k = 5").rows.len(),
         3
@@ -130,7 +119,6 @@ fn null_keys_are_never_matched_by_the_index() {
     )
     .unwrap();
     db.create_index("t", &["k"]).unwrap();
-    db.query("select count(*) from t").unwrap();
     for sql in [
         "select s from t where k = 2",
         "select s from t where k > 0",
@@ -158,13 +146,51 @@ fn create_index_is_idempotent_ddl_and_bumps_the_epoch() {
         vec![("t".to_string(), vec!["k".to_string()], false)],
         "declared but not yet built"
     );
-    warm(&db);
     db.query_with("select s from t where k = 5", &opts())
         .unwrap();
     assert!(
         db.index_status()[0].2,
         "first planned query triggers the lazy build"
     );
+}
+
+/// A table's second index is built and used like its first: the planner
+/// considers every index over a scan, not only the first declared.
+#[test]
+fn every_declared_index_is_built_and_used() {
+    let db = Database::new();
+    db.run_script(
+        "create table t (k integer, v integer);
+         insert into t values
+           (1, 3), (2, 4), (3, 5), (4, 6), (5, 3), (6, 7), (7, 8), (8, 9),
+           (9, 10), (10, 11), (11, 12), (12, 13);",
+    )
+    .unwrap();
+    db.create_index("t", &["k"]).unwrap();
+    db.create_index("t", &["v"]).unwrap();
+    let sql = "select k from t where v = 3";
+    let plan = db.explain_with(sql, &opts()).unwrap();
+    assert!(
+        plan.contains("access=index(v eq)"),
+        "expected the index on v in:\n{plan}"
+    );
+    let built: Vec<(Vec<String>, bool)> = db
+        .index_status()
+        .into_iter()
+        .map(|(_, cols, built)| (cols, built))
+        .collect();
+    assert_eq!(
+        built,
+        vec![(vec!["k".to_string()], true), (vec!["v".to_string()], true)],
+        "one planned query builds both"
+    );
+    assert_eq!(query_checked(&db, sql).rows.len(), 2);
+    let by_key = "select v from t where k = 5";
+    assert!(db
+        .explain_with(by_key, &opts())
+        .unwrap()
+        .contains("access=index(k eq)"));
+    assert_eq!(query_checked(&db, by_key).rows, vec![vec![Value::Int(3)]]);
 }
 
 #[test]
@@ -179,7 +205,6 @@ fn drop_table_removes_the_declaration() {
 fn unindexed_and_multi_bound_predicates_keep_residual_filters() {
     let db = demo_db();
     db.create_index("t", &["k"]).unwrap();
-    warm(&db);
     for sql in [
         "select s from t where k = 5 and v > 51.0",
         "select s from t where k >= 2 and k < 7 and k > 3",

@@ -20,8 +20,8 @@ fn main() {
     let default_threads = ExecOptions::default().threads;
     println!("engine default fan-out: {default_threads} thread(s)\n");
 
-    // Warm up once so the engine's scan caches are populated and the
-    // timings below compare execution, not first-touch materialization.
+    // Warm up once so the lazy key-index builds land here and the timings
+    // below compare execution, not first-touch materialization.
     consistent_answers_with(&w.db, Q6.sql, &w.sigma, &ExecOptions::default()).expect("warm-up");
 
     // The same consistent-answer query, serial and parallel. Results are
