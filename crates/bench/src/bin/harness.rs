@@ -927,6 +927,15 @@ fn opbench(args: &Args) -> Json {
             sql: "select l_orderkey, count(*), sum(l_quantity) from lineitem l \
                   group by l_orderkey",
         },
+        // Q1's grouping on the kernel path: four groups, so with more than
+        // one thread the group-key kernel merges morsel-local partials.
+        OpSpec {
+            op: "aggregate.group.few",
+            driving: "lineitem",
+            sql: "select l_returnflag, l_linestatus, sum(l_quantity), sum(l_extendedprice), \
+                  min(l_discount), max(l_tax), count(*) from lineitem l \
+                  group by l_returnflag, l_linestatus",
+        },
         // `conq_unfiltered`'s shape: the conflict-group key plus the
         // query's grouping columns, MIN/MAX pairs per aggregate.
         OpSpec {

@@ -573,74 +573,6 @@ impl ColumnChunk {
         ColumnChunk { data, validity }
     }
 
-    /// Rows picked out of several chunks: row `k` of the result is row
-    /// `picks[k].1` of `parts[picks[k].0]`. Parts of one typed layout
-    /// (text: over one dictionary) are read as they are; any other mix is
-    /// gathered out of their [`concat`](ColumnChunk::concat), which keeps
-    /// every value exact.
-    pub fn interleave(parts: &[&ColumnChunk], picks: &[(u32, u32)]) -> ColumnChunk {
-        macro_rules! typed {
-            ($variant:ident) => {{
-                let srcs: Option<Vec<&[_]>> = parts
-                    .iter()
-                    .map(|p| match &p.data {
-                        ColumnData::$variant(xs) => Some(&xs[..]),
-                        _ => None,
-                    })
-                    .collect();
-                srcs.map(|xs| {
-                    let pick = |&(p, r): &(u32, u32)| xs[p as usize][r as usize];
-                    ColumnData::$variant(picks.iter().map(pick).collect())
-                })
-            }};
-        }
-        let data = match parts.first().map(|p| &p.data) {
-            Some(ColumnData::Int(_)) => typed!(Int),
-            Some(ColumnData::Float(_)) => typed!(Float),
-            Some(ColumnData::Date(_)) => typed!(Date),
-            Some(ColumnData::Bool(_)) => typed!(Bool),
-            Some(ColumnData::Text { dict, .. }) => {
-                let codes: Option<Vec<&[u32]>> = parts
-                    .iter()
-                    .map(|p| match &p.data {
-                        ColumnData::Text { codes, dict: d } if Arc::ptr_eq(d, dict) => {
-                            Some(&codes[..])
-                        }
-                        _ => None,
-                    })
-                    .collect();
-                codes.map(|codes| ColumnData::Text {
-                    codes: picks
-                        .iter()
-                        .map(|&(p, r)| codes[p as usize][r as usize])
-                        .collect(),
-                    dict: Arc::clone(dict),
-                })
-            }
-            _ => None,
-        };
-        let Some(data) = data else {
-            let mut offsets = Vec::with_capacity(parts.len());
-            parts.iter().fold(0, |at, p| {
-                offsets.push(at as u32);
-                at + p.len()
-            });
-            let sel: Vec<u32> = picks
-                .iter()
-                .map(|&(p, r)| offsets[p as usize] + r)
-                .collect();
-            return ColumnChunk::concat(parts).gather(&sel);
-        };
-        let validity = parts.iter().any(|p| p.validity.is_some()).then(|| {
-            let mut bm = Bitmap::with_capacity(picks.len());
-            for &(p, r) in picks {
-                bm.push(!parts[p as usize].is_null(r as usize));
-            }
-            bm
-        });
-        ColumnChunk { data, validity }
-    }
-
     fn concat_any(parts: &[&ColumnChunk], total: usize) -> ColumnChunk {
         let mut out = Vec::with_capacity(total);
         for p in parts {
@@ -1063,58 +995,6 @@ mod tests {
         let twice = ColumnChunk::concat(&[a.col(1), a.col(1)]);
         assert_eq!(twice.len(), 4);
         assert_eq!(twice.value_at(3), Value::str("y"));
-    }
-
-    #[test]
-    fn interleave_picks_rows_out_of_parts() {
-        let chunk = |vs: Vec<Value>| ColumnChunk::from_values(vs);
-        let picks = [(1, 0), (0, 0), (0, 1), (1, 1)];
-        let expect = |parts: &[&ColumnChunk], want: &[Value]| {
-            let got = ColumnChunk::interleave(parts, &picks);
-            let got: Vec<Value> = (0..got.len()).map(|i| got.value_at(i)).collect();
-            assert_eq!(got, want);
-        };
-        // One typed layout, NULLs on one side only.
-        let ints = chunk(vec![Value::Int(1), Value::Int(2)]);
-        let nulls = chunk(vec![Value::Int(3), Value::Null]);
-        expect(
-            &[&ints, &nulls],
-            &[Value::Int(3), Value::Int(1), Value::Int(2), Value::Null],
-        );
-        // A layout mismatch keeps every value exact.
-        let floats = chunk(vec![Value::Float(0.5), Value::Float(-0.0)]);
-        expect(
-            &[&ints, &floats],
-            &[
-                Value::Float(0.5),
-                Value::Int(1),
-                Value::Int(2),
-                Value::Float(-0.0),
-            ],
-        );
-        // Text over one dictionary, and over two.
-        let mut dict = TextDict::new();
-        let (x, y, z) = (dict.intern("x"), dict.intern("y"), dict.intern("z"));
-        let dict = Arc::new(dict);
-        let a = ColumnChunk::text(vec![x, y], Arc::clone(&dict));
-        let b = ColumnChunk::text(vec![z, x], Arc::clone(&dict));
-        let words = [
-            Value::str("z"),
-            Value::str("x"),
-            Value::str("y"),
-            Value::str("x"),
-        ];
-        expect(&[&a, &b], &words);
-        let ColumnData::Text { dict: shared, .. } = ColumnChunk::interleave(&[&a, &b], &picks).data
-        else {
-            panic!("one dictionary stays text");
-        };
-        assert!(Arc::ptr_eq(&shared, &dict));
-        let (x, y) = (
-            chunk(words[1..3].to_vec()),
-            chunk(vec![words[0].clone(), words[3].clone()]),
-        );
-        expect(&[&x, &y], &words);
     }
 
     #[test]

@@ -35,14 +35,18 @@
 //! input was split: a hash join's build side is one set of row-id postings
 //! ([`crate::groupkey::Postings`], built serially or lent by the key index)
 //! that probe morsels only read (existence joins over columnar input keep
-//! only the build side's distinct keys, hash-partitioned like the groups
-//! below); DISTINCT, and aggregation over columnar input, hash-partition
-//! the *groups* across workers ([`crate::groupkey`]: nothing to merge,
-//! groups come out ordered by first row; over a `UNION ALL` each branch is
-//! folded so, and the branches' partial states merged in branch order);
-//! aggregation over row-shaped input folds per-worker partial tables keyed
-//! by global first-seen row index, merged with SQL NULL/three-valued-logic
-//! semantics preserved; ORDER BY sorts
+//! only the build side's distinct keys, one hash partition of them per
+//! worker); DISTINCT, and aggregation over columnar input, run the
+//! group-key kernel ([`group_kernel`]), which folds on one worker where
+//! each row is about its own group and otherwise merges morsel-local
+//! partials in first-row order ([`crate::groupkey`]; over a `UNION ALL`
+//! each branch is folded so, and the branches' partial states merged in
+//! branch order); aggregation over row-shaped input folds per-worker
+//! partial tables keyed by global first-seen row index, merged with SQL
+//! NULL/three-valued-logic semantics preserved. A fold whose integer SUM
+//! could overflow in some order of its rows, or that meets a value-level
+//! error, runs on one worker: only it sees the running sums in row order.
+//! ORDER BY sorts
 //! per-worker runs under a (keys, row index) total order and merges them —
 //! a stable sort by construction. Float SUM/AVG accumulate in an exact
 //! superaccumulator ([`crate::fsum`]), so aggregates are bit-identical at
@@ -71,8 +75,8 @@ use crate::faults;
 use crate::fsum::ExactSum;
 use crate::governor::Governor;
 use crate::groupkey::{
-    self, AggInput, AggOutput, HashPartition, KeyCols, KeyPartition, KeySet, PartOut, Partition,
-    PostingRows, Postings,
+    self, AggInput, AggOutput, KeyCols, KeyPartition, KeySet, PartOut, Partition, PostingRows,
+    Postings,
 };
 use crate::index::{Index, IndexAccess};
 use crate::kernels;
@@ -750,8 +754,6 @@ fn exec_node(
         Plan::Distinct { input } => {
             faults::trip("distinct")?;
             let child = execute_ctx(input, outer, child_stats(stats, 0), ctx)?;
-            let workers = par_workers(child.len(), ctx.threads);
-            note_threads(stats, workers);
             // The group-key kernel, every column a key column: the output
             // is the first row of each group, gathered (or the input itself
             // when nothing repeats). A row-shaped input becomes columns
@@ -759,8 +761,11 @@ fn exec_node(
             let (schema, cols) = child.into_schema_cols();
             let all: Vec<usize> = (0..cols.width()).collect();
             let keys = KeyCols::new(&cols, &all);
-            let g = group_kernel::<ColumnChunk>(&cols, &keys, &[], workers, gov, "distinct")?
+            let kernel =
+                group_kernel::<ColumnChunk>(&cols, &keys, &[], ctx.threads, gov, "distinct");
+            let g = kernel?
                 .ok_or_else(|| EngineError::Execution("DISTINCT cannot fail on a value".into()))?;
+            note_threads(stats, g.workers);
             if let Some(s) = stats.as_deref_mut() {
                 s.build_rows += cols.len() as u64;
                 s.est_mem_bytes += g.mem_bytes;
@@ -1216,7 +1221,7 @@ fn exec_hash_join(
 /// a semi join) or lack (an anti join) a row of `build` with an equal
 /// non-NULL key, read straight off both sides' key *columns*
 /// ([`crate::groupkey`]). The build side is reduced to the DISTINCT of its
-/// key columns, hash-partitioned across workers like GROUP BY; every probe
+/// key columns, one hash partition per worker ([`fold_partitions`]); every probe
 /// morsel is then hashed under the same seed, looked up, and the surviving
 /// row ids gathered — the probe batch itself when every row survives.
 /// Governor work is per morsel: one `ticks`, one `emit`. A probe row that
@@ -1235,12 +1240,9 @@ fn exec_existence_join(
     conquer_obs::registry().counter("exec.join.kernel").inc();
     let build_workers = par_workers(build.len(), ctx.threads);
     let keys = KeyCols::new(build, build_idx);
-    let parts = fold_partitions(&keys, build.len(), build_workers, gov, "hash_join", || {
-        KeyPartition::new(&keys)
-    })?
-    .ok_or_else(|| EngineError::Execution("collecting join keys cannot fail on a value".into()))?;
+    let parts = fold_partitions(&keys, build.len(), build_workers, gov, "hash_join")?;
     if let Some(s) = stats.as_deref_mut() {
-        s.est_mem_bytes += parts.iter().map(HashPartition::bytes).sum::<u64>();
+        s.est_mem_bytes += parts.iter().map(KeyPartition::bytes).sum::<u64>();
     }
     let set = KeySet::new(&keys, parts);
 
@@ -1652,6 +1654,29 @@ impl Accumulator {
         Ok(())
     }
 
+    /// [`merge`](Accumulator::merge) for partials whose rows interleave —
+    /// morsels that workers claimed — rather than follow each other: a
+    /// MIN/MAX tie between two representations of one value (`2` and
+    /// `2.0`, `-0.0` and `0.0`) has no row order left to keep the first
+    /// by, so it is a value-level error, which the caller replays on one
+    /// worker.
+    pub(crate) fn merge_unordered(&mut self, other: Accumulator) -> Result<()> {
+        if let (
+            Accumulator::MinMax { best: Some(a), .. },
+            Accumulator::MinMax { best: Some(b), .. },
+        ) = (&*self, &other)
+        {
+            let same = match (a, b) {
+                (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+                _ => mem::discriminant(a) == mem::discriminant(b),
+            };
+            if !same && a.sql_cmp(b)?.is_some_and(|o| o.is_eq()) {
+                return Err(EngineError::Eval("MIN/MAX tie across partials".into()));
+            }
+        }
+        self.merge(other)
+    }
+
     pub(crate) fn finish(self) -> Value {
         match self {
             Accumulator::Count(n) => Value::Int(n),
@@ -1692,34 +1717,23 @@ fn exec_aggregate(
     mut stats: Option<&mut NodeStats>,
     ctx: ExecCtx<'_>,
 ) -> Result<Batch> {
-    let workers = par_workers(input.len(), ctx.threads);
-    note_threads(&mut stats, workers);
     // Kernel path: plain-column group keys and aggregate arguments over a
     // columnar input run without pivoting. `None` is a value-level error,
     // which replays on the row path so the reported error is the one a
     // row-major scan hits first.
     if let (Some(cols), Some((gidx, inputs))) = (input.cols(), kernel_inputs(group_exprs, aggs)) {
-        let out = exec_aggregate_columnar(
-            cols,
-            (&gidx, &inputs),
-            aggs,
-            schema,
-            stats.as_deref_mut(),
-            ctx,
-            workers,
-        )?;
+        let out = exec_aggregate_columnar(cols, (&gidx, &inputs), aggs, schema, &mut stats, ctx)?;
         if let Some(out) = out {
             return Ok(out);
         }
     }
     let out = aggregate_rows(
         input.rows(),
-        workers,
         group_exprs,
         aggs,
         schema,
         outer,
-        stats,
+        &mut stats,
         ctx,
     )?;
     Ok(Batch::Owned(out))
@@ -1755,16 +1769,17 @@ fn exec_aggregate_columnar(
     (gidx, inputs): (&[usize], &[AggInput]),
     aggs: &[AggSpec],
     schema: &Schema,
-    stats: Option<&mut NodeStats>,
+    stats: &mut Option<&mut NodeStats>,
     ctx: ExecCtx<'_>,
-    workers: usize,
 ) -> Result<Option<Batch>> {
     let n = cols.len();
     if gidx.is_empty() && aggs.iter().all(|a| !a.distinct) {
+        let workers = fold_workers(cols, inputs, ctx.threads);
         let Some(accs) = fold_global(cols, inputs, aggs, workers, ctx.gov)? else {
             return Ok(None);
         };
-        if let Some(s) = stats {
+        note_threads(stats, workers);
+        if let Some(s) = stats.as_deref_mut() {
             s.build_rows += n as u64;
         }
         let row: Row = accs.into_iter().map(Accumulator::finish).collect();
@@ -1780,11 +1795,13 @@ fn exec_aggregate_columnar(
     // come out as a gather of each group's first row, aggregate columns
     // typed from the kernel's state vectors — the result stays columnar.
     let keys = KeyCols::new(cols, gidx);
-    let Some(g) = group_kernel::<ColumnChunk>(cols, &keys, inputs, workers, ctx.gov, "aggregate")?
-    else {
+    let kernel =
+        group_kernel::<ColumnChunk>(cols, &keys, inputs, ctx.threads, ctx.gov, "aggregate");
+    let Some(g) = kernel? else {
         return Ok(None);
     };
-    if let Some(s) = stats {
+    note_threads(stats, g.workers);
+    if let Some(s) = stats.as_deref_mut() {
         s.build_rows += n as u64;
         s.est_mem_bytes += g.mem_bytes;
     }
@@ -1799,10 +1816,24 @@ fn exec_aggregate_columnar(
     }))
 }
 
+/// Workers a fold of `inputs` over `cols` may split its rows across:
+/// [`par_workers`]'s, or one when an integer SUM could overflow in some
+/// order of the rows ([`int_sum_reach`]) — only one worker sees the
+/// running sums in row order, which decide whether it does.
+fn fold_workers(cols: &ColBatch, inputs: &[AggInput], threads: usize) -> usize {
+    let workers = par_workers(cols.len(), threads);
+    let reach = |input| int_sum_reach(cols, input) > i64::MAX as u128;
+    if workers > 1 && inputs.iter().any(reach) {
+        1
+    } else {
+        workers
+    }
+}
+
 /// A global aggregate without DISTINCT over `cols`: one typed bulk pass per
 /// argument column ([`Accumulator::update_column`]) into per-worker
-/// partials, merged exactly like the row path's. `Ok(None)` is a
-/// value-level error.
+/// partials ([`fold_workers`] of them), merged order-free
+/// ([`Accumulator::merge_unordered`]). `Ok(None)` is a value-level error.
 fn fold_global(
     cols: &ColBatch,
     inputs: &[AggInput],
@@ -1830,7 +1861,7 @@ fn fold_global(
         let mut accs = partials.next().unwrap_or_else(|| fresh_accumulators(aggs));
         for partial in partials {
             for (acc, part) in accs.iter_mut().zip(partial) {
-                acc.merge(part)?;
+                acc.merge_unordered(part)?;
             }
         }
         Ok(accs)
@@ -1953,12 +1984,12 @@ fn exec_aggregate_union(
     // rows and key hashes.
     let (mut partials, mut groups_of, mut mem_bytes) = (Vec::new(), Vec::new(), 0);
     for (b, &batch) in cols.iter().enumerate() {
-        let workers = par_workers(batch.len(), ctx.threads);
-        note_threads(&mut stats, workers);
         if gidx.is_empty() {
+            let workers = fold_workers(batch, &inputs, ctx.threads);
             let Some(accs) = fold_global(batch, &inputs, aggs, workers, ctx.gov)? else {
                 return Ok(None);
             };
+            note_threads(&mut stats, workers);
             partials.push(accs.into_iter().map(|acc| vec![acc]).collect());
             continue;
         }
@@ -1966,13 +1997,14 @@ fn exec_aggregate_union(
             batch,
             &keys[b],
             &inputs,
-            workers,
+            ctx.threads,
             ctx.gov,
             "aggregate",
         )?;
         let Some(g) = kernel else {
             return Ok(None);
         };
+        note_threads(&mut stats, g.workers);
         mem_bytes += g.mem_bytes;
         partials.push(g.aggs);
         groups_of.push((g.first_rows, g.hashes));
@@ -2062,10 +2094,12 @@ fn exec_aggregate_union(
 
 /// How far the integers a SUM reads in `batch` can move one group's running
 /// sum: its rows times the largest magnitude among them. An integer running
-/// sum at least this far from overflowing cannot overflow while one fold
-/// over the concatenation adds this branch's integers to it, in whatever
-/// order, so the merged partial is what that fold computes; closer, the
-/// fold might overflow part-way through, and only it can say.
+/// sum at least this far from overflowing cannot overflow while this
+/// batch's integers are added to it, in whatever order and split into
+/// whatever partials, so merged partials are what one fold in row order
+/// computes; closer, that fold might overflow part-way through, and only
+/// it can say. From a zero start: a reach within `i64` lets workers split
+/// the batch ([`fold_workers`], [`group_kernel`]).
 fn int_sum_reach(batch: &ColBatch, input: &AggInput) -> u128 {
     let (AggFunc::Sum, Some(c)) = (input.func, input.col) else {
         return 0;
@@ -2097,21 +2131,36 @@ struct Grouped<T> {
     aggs: Vec<T>,
     /// Bytes of table and state charged to the governor.
     mem_bytes: u64,
+    /// Workers the rows were folded on: 1 for the one-worker plan.
+    workers: usize,
 }
 
 /// Drive the typed group-key kernel ([`crate::groupkey`]) over `cols`:
-/// group on `keys` (key columns of `cols`), fold `aggs`, one hash partition per worker
-/// ([`fold_partitions`]); partitions never share a group, so there is
-/// nothing to merge, only to order by first row — a k-way merge of the
-/// partitions' own ascending first rows, in whose order the outputs are
-/// then read straight out of the partitions. One worker is one
-/// partition that owns every row. `Ok(None)` is a value-level error:
-/// replay on the row path.
+/// group on `keys` (key columns of `cols`) and fold `aggs` on up to
+/// `threads` workers. The calling thread folds morsel 0 into its own
+/// partial first, and what that shows picks one of two plans:
+///
+/// - **One worker** where splitting would not pay or could not be exact:
+///   more groups than half the morsel's rows (each row about its own
+///   group, so partials would reduce nothing and only be merged), a
+///   DISTINCT aggregate, an integer SUM that could overflow in some order
+///   of the rows ([`fold_workers`]), an input under the parallel
+///   threshold. The caller folds the rest into the same partial: exactly
+///   what `threads = 1` computes.
+/// - **Morsel-local partials** otherwise: the other morsels go to
+///   [`fold_morsels`]' shared cursor, each worker folding the ones it
+///   claims into a partial of its own, and those are merged into the
+///   caller's in first-row order ([`Partition::merge`]).
+///
+/// Only the caller's partial charges the governor, as it grows (groupkey
+/// invariant 5). `exec.agg.one_worker` / `exec.agg.partials` count the
+/// plan taken where more than one worker could have run. `Ok(None)` is a
+/// value-level error: replay on the row path.
 fn group_kernel<T: AggOutput>(
     cols: &ColBatch,
     keys: &KeyCols<'_>,
     aggs: &[AggInput],
-    workers: usize,
+    threads: usize,
     gov: Option<&Governor>,
     op: &'static str,
 ) -> Result<Option<Grouped<T>>> {
@@ -2119,90 +2168,109 @@ fn group_kernel<T: AggOutput>(
     if u32::try_from(n).is_err() || (keys.is_empty() && aggs.is_empty()) {
         return Ok(None);
     }
-    // Without key columns (a global DISTINCT aggregate) there is one group
-    // and nothing to partition on.
-    let nparts = if keys.is_empty() { 1 } else { workers };
-    let Some(parts) = fold_partitions(keys, n, nparts, gov, op, || {
-        Partition::new(keys, cols, aggs)
-    })?
-    else {
+    let (mut grouped, mut charged) = (Partition::new(keys, cols, aggs), 0);
+    let head = n.min(MORSEL_ROWS);
+    if fold_alone(&mut grouped, 0..head, &mut charged, gov, op)?.is_none() {
         return Ok(None);
+    }
+    let alone = keys.is_empty() || aggs.iter().any(|a| a.distinct) || grouped.groups() * 2 > head;
+    let workers = if alone || n == head {
+        1
+    } else {
+        fold_workers(cols, aggs, threads).min((n - head).div_ceil(MORSEL_ROWS))
     };
-    let mem_bytes = parts.iter().map(HashPartition::bytes).sum();
-    let mut parts: Vec<PartOut<T>> = parts.into_iter().map(Partition::finish).collect();
-    // One partition's groups are already in first-row order (and a global
-    // aggregate's single group has no first row to order by).
-    if parts.len() == 1 {
-        return Ok(parts.pop().map(|out| Grouped {
-            groups: if keys.is_empty() {
-                1
-            } else {
-                out.first_rows.len()
+    let plan = if workers == 1 {
+        if fold_alone(&mut grouped, head..n, &mut charged, gov, op)?.is_none() {
+            return Ok(None);
+        }
+        "exec.agg.one_worker"
+    } else {
+        let partials = fold_morsels(
+            n - head,
+            workers,
+            || Partition::new(keys, cols, aggs),
+            |part, morsel| {
+                ticks(gov, morsel.len() as u64, op)?;
+                let rows = head + morsel.start..head + morsel.end;
+                part.consume(rows)
+                    .ok_or_else(|| EngineError::Eval("a value-level error in a partial".into()))
             },
-            first_rows: out.first_rows,
-            hashes: out.hashes,
-            aggs: out.aggs,
-            mem_bytes,
-        }));
-    }
-    // Merge the partitions' ascending first rows: `picks[k]` is the k-th
-    // group's (partition, group id there).
-    let groups = parts.iter().map(|p| p.first_rows.len()).sum();
-    let (mut first_rows, mut picks) = (Vec::with_capacity(groups), Vec::with_capacity(groups));
-    let mut hashes = Vec::with_capacity(groups);
-    let mut next = vec![0u32; parts.len()];
-    for _ in 0..groups {
-        let mut min: Option<(u32, usize)> = None;
-        for (p, part) in parts.iter().enumerate() {
-            if let Some(&row) = part.first_rows.get(next[p] as usize) {
-                if min.is_none_or(|(at, _)| row < at) {
-                    min = Some((row, p));
-                }
-            }
+        );
+        let Some(partials) = value_error_as_none(partials)? else {
+            return Ok(None);
+        };
+        if grouped.merge(partials).is_none() {
+            return Ok(None);
         }
-        let Some((row, p)) = min else { break };
-        first_rows.push(row);
-        hashes.push(parts[p].hashes[next[p] as usize]);
-        picks.push((p as u32, next[p]));
-        next[p] += 1;
+        charge(&grouped, &mut charged, gov, op)?;
+        "exec.agg.partials"
+    };
+    if par_workers(n, threads) > 1 {
+        conquer_obs::registry().counter(plan).inc();
     }
-    let mut per_agg: Vec<Vec<T>> = aggs
-        .iter()
-        .map(|_| Vec::with_capacity(parts.len()))
-        .collect();
-    for part in parts {
-        for (outs, out) in per_agg.iter_mut().zip(part.aggs) {
-            outs.push(out);
-        }
-    }
+    let (groups, mem_bytes) = (grouped.groups(), grouped.bytes());
+    let out: PartOut<T> = grouped.finish();
     Ok(Some(Grouped {
+        first_rows: out.first_rows,
+        hashes: out.hashes,
         groups,
-        first_rows,
-        hashes,
-        aggs: per_agg
-            .into_iter()
-            .map(|outs| T::interleave(outs, &picks))
-            .collect(),
+        aggs: out.aggs,
         mem_bytes,
+        workers,
     }))
 }
 
-/// Fold the rows `0..n` into `nparts` hash partitions of `keys`, one worker
-/// each. The key hashes go into one buffer, each worker hashing a
-/// contiguous share of it; worker `p` is then handed every block in row
-/// order and folds the rows whose hash routes to partition `p`, ticking per
-/// row folded and charging the partition's bytes as they grow — so a
-/// high-cardinality key trips the budget while building rather than after,
-/// and what is charged in total does not depend on `nparts`. `Ok(None)` is
-/// a partition's value-level error.
-fn fold_partitions<P: HashPartition + Send>(
-    keys: &KeyCols<'_>,
+/// Fold `rows` into `part` on the calling thread a morsel at a time,
+/// ticking per morsel and charging what the partial grew by. `Ok(None)` is
+/// a value-level error.
+fn fold_alone(
+    part: &mut Partition<'_>,
+    rows: Range<usize>,
+    charged: &mut u64,
+    gov: Option<&Governor>,
+    op: &'static str,
+) -> Result<Option<()>> {
+    for lo in rows.clone().step_by(MORSEL_ROWS) {
+        let block = lo..rows.end.min(lo + MORSEL_ROWS);
+        ticks(gov, block.len() as u64, op)?;
+        if part.consume(block).is_none() {
+            return Ok(None);
+        }
+        charge(part, charged, gov, op)?;
+    }
+    Ok(Some(()))
+}
+
+/// Bring what `part` has charged the governor, `charged`, up to its bytes.
+fn charge(
+    part: &Partition<'_>,
+    charged: &mut u64,
+    gov: Option<&Governor>,
+    op: &'static str,
+) -> Result<()> {
+    let now = part.bytes();
+    if let Some(g) = gov {
+        g.reserve_mem(now.saturating_sub(*charged), op)?;
+    }
+    *charged = now;
+    Ok(())
+}
+
+/// Fold the rows `0..n` into `nparts` hash partitions of the distinct keys
+/// of `keys`, one worker each: an existence join's build side. The key
+/// hashes go into one buffer, each worker hashing a contiguous share of
+/// it; worker `p` is then handed every block in row order and folds the
+/// rows whose hash routes to partition `p`, ticking per row folded and
+/// charging the partition's bytes as they grow — so a high-cardinality key
+/// trips the budget while building rather than after, and what is charged
+/// in total does not depend on `nparts`.
+fn fold_partitions<'a>(
+    keys: &'a KeyCols<'a>,
     n: usize,
     nparts: usize,
     gov: Option<&Governor>,
     op: &'static str,
-    init: impl Fn() -> P + Sync,
-) -> Result<Option<Vec<P>>> {
+) -> Result<Vec<KeyPartition<'a>>> {
     let mut hashes = vec![0u64; n];
     let share = n.div_ceil(nparts).next_multiple_of(MORSEL_ROWS).max(1);
     fan_out(hashes.chunks_mut(share).enumerate(), |(i, shard)| {
@@ -2213,14 +2281,12 @@ fn fold_partitions<P: HashPartition + Send>(
         }
         Ok(())
     })?;
-    let parts = fan_out(0..nparts, |p| {
-        let mut partition = init();
+    fan_out(0..nparts, |p| {
+        let mut partition = KeyPartition::new(keys);
         let mut charged = 0u64;
         for lo in (0..n).step_by(MORSEL_ROWS) {
             let block = lo..n.min(lo + MORSEL_ROWS);
-            let Some(folded) = partition.consume(block.clone(), &hashes[block], (p, nparts)) else {
-                return Ok(None);
-            };
+            let folded = partition.consume(block.clone(), &hashes[block], (p, nparts));
             ticks(gov, folded as u64, op)?;
             if let Some(g) = gov {
                 let now = partition.bytes();
@@ -2228,9 +2294,8 @@ fn fold_partitions<P: HashPartition + Send>(
                 charged = now;
             }
         }
-        Ok(Some(partition))
-    })?;
-    Ok(parts.into_iter().collect())
+        Ok(partition)
+    })
 }
 
 /// Row-path group table footprint: per-group key and group values (each
@@ -2283,6 +2348,9 @@ impl PartialGroup {
         }
     }
 
+    /// Fold row `row_idx`, adding the magnitude of every integer a SUM
+    /// folds straight away (not a DISTINCT one) to `reach`.
+    #[allow(clippy::too_many_arguments)]
     fn update(
         &mut self,
         aggs: &[AggSpec],
@@ -2290,6 +2358,7 @@ impl PartialGroup {
         row_idx: usize,
         outer: Option<&Env<'_>>,
         ctx: ExecCtx<'_>,
+        reach: &mut u128,
     ) -> Result<()> {
         for (i, spec) in aggs.iter().enumerate() {
             match &spec.arg {
@@ -2303,6 +2372,9 @@ impl PartialGroup {
                             seen.entry(KeyValue::from(&v)).or_insert((row_idx, v));
                         }
                     } else {
+                        if let (AggFunc::Sum, Value::Int(x)) = (spec.func, &v) {
+                            *reach += u128::from(x.unsigned_abs());
+                        }
                         self.accs[i].update(&v)?;
                     }
                 }
@@ -2318,7 +2390,7 @@ impl PartialGroup {
             self.group_vals = other.group_vals;
         }
         for (acc, o) in self.accs.iter_mut().zip(other.accs) {
-            acc.merge(o)?;
+            acc.merge_unordered(o)?;
         }
         for (mine, theirs) in self.distinct.iter_mut().zip(other.distinct) {
             if let (Some(m), Some(t)) = (mine, theirs) {
@@ -2358,79 +2430,32 @@ fn finish_partial_group(mut pg: PartialGroup) -> Result<Row> {
 }
 
 /// Aggregation on the row path: each worker folds the morsels it claims
-/// into its own partial group table, reserving memory as the table grows
-/// so a high-cardinality GROUP BY trips the budget while building rather
-/// than after; the other workers' tables are then merged into the first
-/// ([`Accumulator::merge`]) and groups are emitted ordered by global
-/// first-seen row index.
-#[allow(clippy::too_many_arguments)]
+/// into its own partial group table ([`fold_groups`]) and groups are
+/// emitted ordered by global first-seen row index. Partials whose integer
+/// SUMs could overflow in some order of the rows, or that meet a
+/// value-level error, are dropped and the rows folded again on one worker:
+/// only it sees the running sums in row order, and so meets the error a
+/// row-major scan meets first, or none.
 fn aggregate_rows(
     rows: &[Row],
-    workers: usize,
     group_exprs: &[BoundExpr],
     aggs: &[AggSpec],
     schema: &Schema,
     outer: Option<&Env<'_>>,
-    stats: Option<&mut NodeStats>,
+    stats: &mut Option<&mut NodeStats>,
     ctx: ExecCtx<'_>,
 ) -> Result<Rows> {
-    let gov = ctx.gov;
-    let n = rows.len();
-    let per_group = group_footprint(aggs, group_exprs.len());
-
-    #[derive(Default)]
-    struct WorkerTable {
-        groups: HashMap<Key, PartialGroup>,
-        reserved_cap: usize,
-    }
-    let tables = fold_morsels(n, workers, WorkerTable::default, |acc, range| {
-        for idx in range {
-            tick(gov, "aggregate")?;
-            let row = &rows[idx];
-            let group_vals = project_row(row, group_exprs, outer, ctx)?;
-            let key = Key::from_values(&group_vals);
-            match acc.groups.entry(key) {
-                Entry::Occupied(mut e) => {
-                    e.get_mut().update(aggs, row, idx, outer, ctx)?;
-                }
-                Entry::Vacant(e) => {
-                    let pg = e.insert(PartialGroup::new(idx, group_vals, aggs));
-                    pg.update(aggs, row, idx, outer, ctx)?;
-                }
-            }
-            if acc.groups.capacity() > acc.reserved_cap {
-                if let Some(g) = gov {
-                    g.reserve_mem(
-                        ((acc.groups.capacity() - acc.reserved_cap) * per_group) as u64,
-                        "aggregate",
-                    )?;
-                }
-                acc.reserved_cap = acc.groups.capacity();
-            }
+    let mut workers = par_workers(rows.len(), ctx.threads);
+    let (merged, mem_bytes) = loop {
+        match fold_groups(rows, workers, group_exprs, aggs, outer, ctx) {
+            Err(EngineError::Eval(_) | EngineError::TypeError(_)) if workers > 1 => workers = 1,
+            folded => break folded?,
         }
-        Ok(())
-    })?;
-
-    if let Some(s) = stats {
-        s.build_rows += n as u64;
-        s.est_mem_bytes += tables
-            .iter()
-            .map(|t| (t.groups.capacity() * per_group) as u64)
-            .sum::<u64>();
-    }
-
-    // First-seen indexes make the merge order irrelevant.
-    let mut tables = tables.into_iter().map(|t| t.groups);
-    let mut merged = tables.next().unwrap_or_default();
-    for table in tables {
-        for (key, pg) in table {
-            match merged.entry(key) {
-                Entry::Occupied(mut e) => e.get_mut().merge(pg)?,
-                Entry::Vacant(e) => {
-                    e.insert(pg);
-                }
-            }
-        }
+    };
+    note_threads(stats, workers);
+    if let Some(s) = stats.as_deref_mut() {
+        s.build_rows += rows.len() as u64;
+        s.est_mem_bytes += mem_bytes;
     }
 
     // A global aggregate (no GROUP BY) over zero rows yields one row of
@@ -2456,6 +2481,81 @@ fn aggregate_rows(
         schema: schema.clone(),
         rows: out,
     })
+}
+
+/// The row path's fold: each of `workers` folds the morsels it claims into
+/// its own partial group table, reserving memory as the table grows so a
+/// high-cardinality GROUP BY trips the budget while building rather than
+/// after; the other workers' tables are then merged into the first
+/// ([`Accumulator::merge_unordered`]). Returns the merged table and the
+/// bytes its partials were estimated at. Partials whose integer SUMs add
+/// magnitudes past `i64` might hold sums that one fold in row order
+/// overflows on: an `Eval` error, as a value-level error inside the fold is.
+fn fold_groups(
+    rows: &[Row],
+    workers: usize,
+    group_exprs: &[BoundExpr],
+    aggs: &[AggSpec],
+    outer: Option<&Env<'_>>,
+    ctx: ExecCtx<'_>,
+) -> Result<(HashMap<Key, PartialGroup>, u64)> {
+    let gov = ctx.gov;
+    let per_group = group_footprint(aggs, group_exprs.len());
+
+    #[derive(Default)]
+    struct WorkerTable {
+        groups: HashMap<Key, PartialGroup>,
+        reserved_cap: usize,
+        /// Magnitudes of the integers the SUMs folded, added up.
+        reach: u128,
+    }
+    let tables = fold_morsels(rows.len(), workers, WorkerTable::default, |acc, range| {
+        for idx in range {
+            tick(gov, "aggregate")?;
+            let row = &rows[idx];
+            let group_vals = project_row(row, group_exprs, outer, ctx)?;
+            let key = Key::from_values(&group_vals);
+            let pg = match acc.groups.entry(key) {
+                Entry::Occupied(e) => e.into_mut(),
+                Entry::Vacant(e) => e.insert(PartialGroup::new(idx, group_vals, aggs)),
+            };
+            pg.update(aggs, row, idx, outer, ctx, &mut acc.reach)?;
+            if acc.groups.capacity() > acc.reserved_cap {
+                if let Some(g) = gov {
+                    g.reserve_mem(
+                        ((acc.groups.capacity() - acc.reserved_cap) * per_group) as u64,
+                        "aggregate",
+                    )?;
+                }
+                acc.reserved_cap = acc.groups.capacity();
+            }
+        }
+        Ok(())
+    })?;
+    if tables.len() > 1 && tables.iter().map(|t| t.reach).sum::<u128>() > i64::MAX as u128 {
+        return Err(EngineError::Eval(
+            "integer SUM partials could overflow".into(),
+        ));
+    }
+    let mem_bytes = tables
+        .iter()
+        .map(|t| (t.groups.capacity() * per_group) as u64)
+        .sum();
+
+    // First-seen indexes make the merge order irrelevant.
+    let mut tables = tables.into_iter().map(|t| t.groups);
+    let mut merged = tables.next().unwrap_or_default();
+    for table in tables {
+        for (key, pg) in table {
+            match merged.entry(key) {
+                Entry::Occupied(mut e) => e.get_mut().merge(pg)?,
+                Entry::Vacant(e) => {
+                    e.insert(pg);
+                }
+            }
+        }
+    }
+    Ok((merged, mem_bytes))
 }
 
 /// ORDER BY key comparison: NULLs sort last regardless of direction,
@@ -2589,6 +2689,35 @@ mod tests {
                 matches!(out, Err(EngineError::Execution(_))),
                 "a panic in share {bad}: {out:?}"
             );
+        }
+    }
+
+    #[test]
+    fn unordered_min_max_merges_refuse_ties_between_representations() {
+        let best = |v: Value| Accumulator::MinMax {
+            best: Some(v),
+            is_min: true,
+        };
+        let merged = |a: Value, b: Value| {
+            let mut acc = best(a);
+            acc.merge_unordered(best(b)).map(|()| acc.finish())
+        };
+        for (a, b) in [
+            (Value::Int(2), Value::Float(2.0)),
+            (Value::Float(-0.0), Value::Float(0.0)),
+            (Value::Float(0.0), Value::Int(0)),
+        ] {
+            assert!(matches!(merged(a, b), Err(EngineError::Eval(_))));
+        }
+        // One representation, or no tie: the better one, as `merge` keeps.
+        for (a, b, min) in [
+            (Value::Float(2.0), Value::Float(2.0), Value::Float(2.0)),
+            (Value::Int(3), Value::Float(2.5), Value::Float(2.5)),
+            (Value::str("b"), Value::str("a"), Value::str("a")),
+        ] {
+            // Variant for variant: `Value`'s `==` has `2 == 2.0`.
+            let got = merged(a, b).expect("no tie");
+            assert_eq!(format!("{got:?}"), format!("{min:?}"));
         }
     }
 }

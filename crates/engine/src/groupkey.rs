@@ -5,9 +5,11 @@
 //! dense `u32` group ids come from an open-addressing table whose candidates
 //! are compared against the key columns at the group's first row
 //! ([`GroupTable`]), and aggregate state is one typed vector per aggregate,
-//! indexed by group id ([`Partition`]). A semi/anti join's build side is
-//! the same table without the state ([`KeyPartition`]), looked up — never
-//! added to — with the probe side's key columns ([`KeySet`]). Three serial
+//! indexed by group id ([`Partition`]: the partial of the rows one worker
+//! folded, which merges with other workers' partials). A semi/anti join's
+//! build side is the same table without the state, one hash partition per
+//! worker ([`KeyPartition`]), looked up — never added to — with the probe
+//! side's key columns ([`KeySet`]). Three serial
 //! whole-batch passes serve the load path and the catalog: [`group_sizes`]
 //! (how many rows share each row's key — the `cons` annotation),
 //! [`distinct_capped`] (a column's NDV for the planner's statistics) and
@@ -39,20 +41,33 @@
 //!    group's key values are those of its first row, MIN/MAX keep the
 //!    first of equal candidates, DISTINCT aggregates fold the first
 //!    occurrence of each value, float SUM/AVG go through [`ExactSum`].
-//! 3. **Parallel runs partition by hash.** Every worker owns the groups
-//!    whose hash routes to it and folds their rows in row order, so no
-//!    partial state is ever merged; the caller merges the partitions'
-//!    ascending first row ids. (Partials are merged only across the
-//!    branches of a `UNION ALL`, in branch order — the order one fold over
-//!    their concatenation would see them in.)
+//! 3. **Parallel runs merge morsel-local partials in first-row order.**
+//!    Each worker folds the morsels it claims into its own [`Partition`],
+//!    whose groups carry the first row *it* saw, ascending; the partials
+//!    are folded into the one that holds the batch's first rows
+//!    ([`Partition::merge`]) in ascending order of those first rows, so a
+//!    group is added at its global first row and the merged groups come
+//!    out in first-seen order. State merges are order-free: counts and
+//!    sums add (an integer SUM whose order could decide an overflow is
+//!    never split, see the executor's `int_sum_reach`), MIN/MAX keep the
+//!    better candidate, and DISTINCT aggregates are never split. Partials
+//!    are also merged across the branches of a `UNION ALL`, in branch
+//!    order — the order one fold over their concatenation would see them in.
 //! 4. **Value-level errors discard and replay.** Integer overflow in SUM,
-//!    a NaN reaching MIN/MAX, SUM over text: [`HashPartition::consume`]
-//!    returns `None`, the caller drops all kernel state and re-runs the
-//!    operator on the row path, which reports the error the row-major scan
-//!    hits first (or, for an order-dependent overflow, its own verdict).
-//! 5. **What a partition charges is a function of the data alone**
-//!    ([`HashPartition::bytes`]), so the sum over partitions — and with it
-//!    whether a memory budget trips — does not depend on the worker count.
+//!    a NaN reaching MIN/MAX, SUM over text, and a MIN/MAX tie between
+//!    two representations of one value (`0` and `0.0`, `-0.0` and `0.0`)
+//!    met only in a merge: [`Partition::consume`] or
+//!    [`Partition::merge`] returns `None`, the caller drops all kernel
+//!    state and re-runs the operator on the row path, which reports the
+//!    error the row-major scan hits first (or keeps the first of the tied
+//!    values).
+//! 5. **What the kernel charges is the merged groups' bytes**
+//!    ([`Partition::bytes`]: a function of the groups and their values
+//!    alone). The partial holding the batch's first rows charges as it
+//!    grows, through its own rows and the merge alike; the other partials
+//!    charge nothing — each holds at most one group per row it folded — so
+//!    the total, and with it whether a memory budget trips, is what one
+//!    worker folding every row charges, at any worker count.
 //! 6. **Cross-batch equality is the same [`KeyValue`] equality.** A probe
 //!    key is compared against a build key in *another* batch, whose column
 //!    may be laid out differently: an integer column meets a float column
@@ -68,7 +83,7 @@
 use std::collections::hash_map::RandomState;
 use std::collections::HashSet;
 use std::hash::BuildHasher;
-use std::mem::size_of;
+use std::mem::{self, size_of};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -502,29 +517,10 @@ impl GroupTable {
     }
 }
 
-/// What the executor's partition driver folds rows into: the state of one
-/// hash partition, which owns the keys whose hash [routes](route) to it.
-pub trait HashPartition {
-    /// Fold the rows of `block` whose hash routes to partition `part.0` of
-    /// `part.1` — all of them for `(0, 1)` — in row order. `hashes[k]` is
-    /// the key hash of row `block.start + k`. Returns how many rows were
-    /// the partition's, or `None` on a value-level error (invariant 4).
-    fn consume(
-        &mut self,
-        block: Range<usize>,
-        hashes: &[u64],
-        part: (usize, usize),
-    ) -> Option<usize>;
-
-    /// Bytes held now: what the governor is charged as the partition grows
-    /// and what `EXPLAIN ANALYZE` reports. A function of the data alone,
-    /// so the sum over partitions does not depend on how rows were routed.
-    fn bytes(&self) -> u64;
-}
-
 /// One hash partition of the distinct non-NULL keys of a batch — the build
 /// side of an existence join (`EXISTS` / `NOT EXISTS` on key equality),
-/// which asks of a key only whether it is there.
+/// which asks of a key only whether it is there. Each partition owns the
+/// keys whose hash [routes](route) to it, so no two share a key.
 pub struct KeyPartition<'a> {
     keys: &'a KeyCols<'a>,
     table: GroupTable,
@@ -537,17 +533,18 @@ impl<'a> KeyPartition<'a> {
             table: GroupTable::new(),
         }
     }
-}
 
-impl HashPartition for KeyPartition<'_> {
-    /// Rows with a NULL key component are the partition's but add no key:
-    /// SQL equality never matches them.
-    fn consume(
+    /// Fold the rows of `block` whose hash routes to partition `part.0` of
+    /// `part.1` — all of them for `(0, 1)` — in row order. `hashes[k]` is
+    /// the key hash of row `block.start + k`. Returns how many rows were
+    /// the partition's. Rows with a NULL key component are the partition's
+    /// but add no key: SQL equality never matches them.
+    pub fn consume(
         &mut self,
         block: Range<usize>,
         hashes: &[u64],
         (p, of): (usize, usize),
-    ) -> Option<usize> {
+    ) -> usize {
         let nullable = self.keys.nullable();
         let mut mine = 0;
         for (i, &h) in block.zip(hashes) {
@@ -559,10 +556,13 @@ impl HashPartition for KeyPartition<'_> {
                 self.table.group_of(self.keys, i as u32, h);
             }
         }
-        Some(mine)
+        mine
     }
 
-    fn bytes(&self) -> u64 {
+    /// Bytes held now: what the governor is charged as the partition grows
+    /// and what `EXPLAIN ANALYZE` reports. A function of the keys alone, so
+    /// the sum over partitions does not depend on how rows were routed.
+    pub fn bytes(&self) -> u64 {
         (self.table.first_rows.len() * TABLE_BYTES_PER_GROUP) as u64
     }
 }
@@ -884,29 +884,54 @@ pub(crate) struct MinMax<'a, T> {
 }
 
 impl<T: Copy + PartialOrd + Default> MinMax<'_, T> {
-    fn update(&mut self, rows: &[u32], gids: &[u32]) -> Option<()> {
-        for (&i, &g) in rows.iter().zip(gids) {
-            let (i, g) = (i as usize, g as usize);
+    fn update(&mut self, rows: Range<usize>, gids: &[u32]) -> Option<()> {
+        for (i, &g) in rows.zip(gids) {
             if self.validity.is_some_and(|bm| !bm.get(i)) {
                 continue;
             }
-            let v = self.vals[i];
-            if !self.seen[g] {
-                self.seen[g] = true;
-                self.best[g] = v;
-                continue;
-            }
-            // `None` is a NaN on either side: the row path's error.
-            let ord = v.partial_cmp(&self.best[g])?;
-            if if self.is_min {
-                ord.is_lt()
-            } else {
-                ord.is_gt()
-            } {
-                self.best[g] = v;
-            }
+            self.offer(g as usize, self.vals[i])?;
         }
         Some(())
+    }
+
+    /// Offer `v` to group `g`: it becomes the best when the group has none
+    /// or it beats the best; returns whether it tied with the best instead
+    /// (the first of equal candidates stays). `None` is a NaN on either
+    /// side: the row path's error.
+    #[inline]
+    fn offer(&mut self, g: usize, v: T) -> Option<bool> {
+        if !self.seen[g] {
+            self.seen[g] = true;
+            self.best[g] = v;
+            return Some(false);
+        }
+        let ord = v.partial_cmp(&self.best[g])?;
+        if if self.is_min {
+            ord.is_lt()
+        } else {
+            ord.is_gt()
+        } {
+            self.best[g] = v;
+        }
+        Some(ord.is_eq())
+    }
+
+    /// Offer group `og`'s best in `other` to group `g`. A tie between two
+    /// values `same` tells apart (`-0.0` and `0.0`) is `None`: which one
+    /// came first is the rows' order, which a merge no longer has.
+    fn merge_group(
+        &mut self,
+        g: usize,
+        other: &MinMax<'_, T>,
+        og: usize,
+        same: fn(T, T) -> bool,
+    ) -> Option<()> {
+        if !other.seen[og] {
+            return Some(());
+        }
+        let v = other.best[og];
+        let tied = self.offer(g, v)?;
+        (!tied || same(v, self.best[g])).then_some(())
     }
 
     fn finish(self, wrap: fn(Vec<T>) -> ColumnData) -> ColumnChunk {
@@ -1064,14 +1089,10 @@ impl<'a> AggState<'a> {
         }
     }
 
-    /// Fold rows `rows[k]` into groups `gids[k]`. `None` is a value-level
-    /// error (invariant 4).
-    fn update(&mut self, rows: &[u32], gids: &[u32]) -> Option<()> {
-        let pairs = || {
-            rows.iter()
-                .zip(gids)
-                .map(|(&i, &g)| (i as usize, g as usize))
-        };
+    /// Fold row `rows.start + k` into group `gids[k]`. `None` is a
+    /// value-level error (invariant 4).
+    fn update(&mut self, rows: Range<usize>, gids: &[u32]) -> Option<()> {
+        let pairs = || rows.clone().zip(gids).map(|(i, &g)| (i, g as usize));
         match self {
             AggState::Count { col, counts } => match col {
                 Some(c) if c.validity.is_some() || matches!(c.data, ColumnData::Any(_)) => {
@@ -1146,6 +1167,83 @@ impl<'a> AggState<'a> {
                     accs[g].update(&v).ok()?;
                 }
             }
+        }
+        Some(())
+    }
+
+    /// Fold group `og` of `other` — this aggregate over other rows of the
+    /// batch — into group `g`, as one fold over both partials' rows would
+    /// (invariant 3): counts and sums add, MIN/MAX offer their best. `None`
+    /// is a value-level error (invariant 4), or two states that cannot
+    /// merge: a DISTINCT aggregate's, or different kinds.
+    fn merge_group(&mut self, g: usize, other: &mut AggState<'_>, og: usize) -> Option<()> {
+        match (self, other) {
+            (AggState::Count { counts, .. }, AggState::Count { counts: theirs, .. }) => {
+                counts[g] += theirs[og];
+            }
+            (
+                AggState::SumInt { sums, seen, .. },
+                AggState::SumInt {
+                    sums: theirs,
+                    seen: seen_theirs,
+                    ..
+                },
+            ) => {
+                if seen_theirs[og] {
+                    sums[g] = sums[g].checked_add(theirs[og])?;
+                    seen[g] = true;
+                }
+            }
+            (
+                AggState::Exact {
+                    sums,
+                    counts,
+                    boxed,
+                    ..
+                },
+                AggState::Exact {
+                    sums: theirs,
+                    counts: counts_theirs,
+                    ..
+                },
+            ) => {
+                if let Some(sum) = theirs[og].take() {
+                    match &mut sums[g] {
+                        Some(mine) => mine.merge(&sum),
+                        none => {
+                            *none = Some(sum);
+                            *boxed += 1;
+                        }
+                    }
+                }
+                counts[g] += counts_theirs[og];
+            }
+            (AggState::MinMaxInt(m), AggState::MinMaxInt(theirs)) => {
+                m.merge_group(g, theirs, og, |a, b| a == b)?;
+            }
+            (AggState::MinMaxFloat(m), AggState::MinMaxFloat(theirs)) => {
+                m.merge_group(g, theirs, og, |a, b| a.to_bits() == b.to_bits())?;
+            }
+            (AggState::MinMaxDate(m), AggState::MinMaxDate(theirs)) => {
+                m.merge_group(g, theirs, og, |a, b| a == b)?;
+            }
+            (
+                AggState::Generic {
+                    accs,
+                    distinct: None,
+                    ..
+                },
+                AggState::Generic {
+                    func,
+                    accs: theirs,
+                    distinct: None,
+                    ..
+                },
+            ) => {
+                let theirs = mem::replace(&mut theirs[og], Accumulator::new(*func));
+                accs[g].merge_unordered(theirs).ok()?;
+            }
+            _ => return None,
         }
         Some(())
     }
@@ -1262,26 +1360,17 @@ impl<'a> AggState<'a> {
     }
 }
 
-/// What a partition's aggregate states finish into
-/// ([`Partition::finish`]): the operator's output column, or — for a GROUP
-/// BY folded branch by branch, whose groups merge across branches before
-/// they finish — one partial [`Accumulator`] per group.
-pub(crate) trait AggOutput: Sized {
+/// What a partial's aggregate states finish into ([`Partition::finish`]):
+/// the operator's output column, or — for a GROUP BY folded branch by
+/// branch, whose groups merge across branches before they finish — one
+/// partial [`Accumulator`] per group.
+pub(crate) trait AggOutput {
     fn from_state(state: AggState<'_>) -> Self;
-
-    /// The groups of several partitions in merged order: group `k` is
-    /// group `picks[k].1` of partition `picks[k].0`, each partition's
-    /// groups picked in order.
-    fn interleave(parts: Vec<Self>, picks: &[(u32, u32)]) -> Self;
 }
 
 impl AggOutput for ColumnChunk {
     fn from_state(state: AggState<'_>) -> Self {
         state.finish()
-    }
-
-    fn interleave(parts: Vec<Self>, picks: &[(u32, u32)]) -> Self {
-        ColumnChunk::interleave(&parts.iter().collect::<Vec<_>>(), picks)
     }
 }
 
@@ -1289,18 +1378,10 @@ impl AggOutput for Vec<Accumulator> {
     fn from_state(state: AggState<'_>) -> Self {
         state.partials()
     }
-
-    fn interleave(parts: Vec<Self>, picks: &[(u32, u32)]) -> Self {
-        let mut parts: Vec<_> = parts.into_iter().map(Vec::into_iter).collect();
-        picks
-            .iter()
-            .filter_map(|&(p, _)| parts[p as usize].next())
-            .collect()
-    }
 }
 
-/// What one partition hands back: its groups' first rows (ascending) and
-/// one output per aggregate, both in local group-id order.
+/// What a finished partial hands back: its groups' first rows (ascending)
+/// and one output per aggregate, both in group-id order.
 pub(crate) struct PartOut<T> {
     pub first_rows: Vec<u32>,
     /// Each group's key hash.
@@ -1308,8 +1389,9 @@ pub(crate) struct PartOut<T> {
     pub aggs: Vec<T>,
 }
 
-/// The group table and aggregate state of one hash partition (the only
-/// one, partition 0 of 1, in a one-worker run).
+/// The group table and aggregate state of the rows one worker folded — all
+/// of them in a one-worker run. A group's first row is the first of those
+/// rows that holds its key.
 pub struct Partition<'a> {
     keys: &'a KeyCols<'a>,
     table: GroupTable,
@@ -1317,8 +1399,8 @@ pub struct Partition<'a> {
     /// Bytes one group costs: table entry, its key values in the output,
     /// its slice of every state vector.
     group_bytes: usize,
-    /// Per-block scratch: the rows this partition owns and their groups.
-    rows: Vec<u32>,
+    /// Per-block scratch: the rows' key hashes and group ids.
+    hashes: Vec<u64>,
     gids: Vec<u32>,
 }
 
@@ -1337,17 +1419,87 @@ impl<'a> Partition<'a> {
             table: GroupTable::new(),
             aggs,
             group_bytes,
-            rows: Vec::new(),
+            hashes: Vec::new(),
             gids: Vec::new(),
         }
     }
 
-    fn groups(&self) -> usize {
+    /// Groups held: one, without key columns (a global aggregate).
+    pub fn groups(&self) -> usize {
         if self.keys.is_empty() {
             1
         } else {
             self.table.first_rows.len()
         }
+    }
+
+    /// Fold the rows of `block` into their groups, in row order. Blocks
+    /// must come in ascending order. `None` is a value-level error
+    /// (invariant 4).
+    pub fn consume(&mut self, block: Range<usize>) -> Option<()> {
+        self.gids.clear();
+        if self.keys.is_empty() {
+            self.gids.resize(block.len(), 0);
+        } else {
+            self.keys.hash_range(block.clone(), &mut self.hashes);
+            for (i, &h) in block.clone().zip(&self.hashes) {
+                self.gids.push(self.table.group_of(self.keys, i as u32, h));
+            }
+            self.grow();
+        }
+        for agg in &mut self.aggs {
+            agg.update(block.clone(), &self.gids)?;
+        }
+        Some(())
+    }
+
+    /// Make room in every state for the table's groups.
+    fn grow(&mut self) {
+        let groups = self.table.first_rows.len();
+        self.aggs.iter_mut().for_each(|a| a.grow(groups));
+    }
+
+    /// Fold `others` into this partial (invariant 3). All are over the same
+    /// key columns, batch and aggregates, no row was folded twice, and this
+    /// partial holds the batch's first rows: every row of the others comes
+    /// after all of its own. Their groups are taken in ascending order of
+    /// their first rows — a k-way merge of the partials' ascending lists —
+    /// so a group new here is added at its first row in the batch and the
+    /// groups stay in first-seen order. Needs key columns: a global
+    /// aggregate's one group has no first row to merge by. `None` is a
+    /// value-level error (invariant 4).
+    pub fn merge(&mut self, mut others: Vec<Partition<'a>>) -> Option<()> {
+        let mut next = vec![0; others.len()];
+        loop {
+            let mut min: Option<(u32, usize)> = None;
+            for (p, other) in others.iter().enumerate() {
+                if let Some(&row) = other.table.first_rows.get(next[p]) {
+                    if min.is_none_or(|(at, _)| row < at) {
+                        min = Some((row, p));
+                    }
+                }
+            }
+            let Some((row, p)) = min else {
+                return Some(());
+            };
+            let (other, og) = (&mut others[p], next[p]);
+            next[p] += 1;
+            let known = self.table.first_rows.len();
+            let g = self.table.group_of(self.keys, row, other.table.hashes[og]) as usize;
+            if g == known {
+                self.grow();
+            }
+            for (mine, theirs) in self.aggs.iter_mut().zip(&mut other.aggs) {
+                mine.merge_group(g, theirs, og)?;
+            }
+        }
+    }
+
+    /// Bytes held now: what the governor is charged as the partial grows
+    /// and what `EXPLAIN ANALYZE` reports (invariant 5).
+    pub fn bytes(&self) -> u64 {
+        let heap: usize = self.aggs.iter().map(AggState::heap_bytes).sum();
+        (self.groups() * self.group_bytes + heap) as u64
     }
 
     pub(crate) fn finish<T: AggOutput>(self) -> PartOut<T> {
@@ -1356,44 +1508,6 @@ impl<'a> Partition<'a> {
             hashes: self.table.hashes,
             aggs: self.aggs.into_iter().map(T::from_state).collect(),
         }
-    }
-}
-
-impl HashPartition for Partition<'_> {
-    /// Folds its rows into their groups (`hashes` is unused without key
-    /// columns).
-    fn consume(
-        &mut self,
-        block: Range<usize>,
-        hashes: &[u64],
-        (p, of): (usize, usize),
-    ) -> Option<usize> {
-        self.rows.clear();
-        self.gids.clear();
-        if self.keys.is_empty() {
-            self.rows.extend(block.map(|i| i as u32));
-            self.gids.resize(self.rows.len(), 0);
-        } else {
-            for (i, &h) in block.zip(hashes) {
-                if route(h, of) != p {
-                    continue;
-                }
-                let g = self.table.group_of(self.keys, i as u32, h);
-                self.rows.push(i as u32);
-                self.gids.push(g);
-            }
-            let groups = self.table.first_rows.len();
-            self.aggs.iter_mut().for_each(|a| a.grow(groups));
-        }
-        for agg in &mut self.aggs {
-            agg.update(&self.rows, &self.gids)?;
-        }
-        Some(self.rows.len())
-    }
-
-    fn bytes(&self) -> u64 {
-        let heap: usize = self.aggs.iter().map(AggState::heap_bytes).sum();
-        (self.groups() * self.group_bytes + heap) as u64
     }
 }
 
@@ -1543,7 +1657,7 @@ mod tests {
         let parts = (0..nparts)
             .map(|p| {
                 let mut part = KeyPartition::new(&keys);
-                part.consume(0..build.len(), &hashes, (p, nparts)).unwrap();
+                part.consume(0..build.len(), &hashes, (p, nparts));
                 part
             })
             .collect();
@@ -1709,28 +1823,58 @@ mod tests {
         assert_eq!(group_ids(&b), reference_ids(&b));
     }
 
+    /// `aggs` over `b`, folded by one partial, and by a first partial over
+    /// the first `head` rows merged with two more over alternating blocks
+    /// of `block` rows after it — workers claiming morsels. `None` where
+    /// the kernel asks for a replay.
+    fn fold_one_and_merged<'a>(
+        b: &'a ColBatch,
+        keys: &'a KeyCols<'a>,
+        aggs: &[AggInput],
+        (head, block): (usize, usize),
+    ) -> [Option<PartOut<ColumnChunk>>; 2] {
+        let mut one = Partition::new(keys, b, aggs);
+        let one = one.consume(0..b.len()).map(|()| one.finish());
+        let mut first = Partition::new(keys, b, aggs);
+        first.consume(0..head).unwrap();
+        let mut others = [Partition::new(keys, b, aggs), Partition::new(keys, b, aggs)];
+        for (k, lo) in (head..b.len()).step_by(block).enumerate() {
+            others[k % 2].consume(lo..b.len().min(lo + block)).unwrap();
+        }
+        let merged = first.merge(others.into()).map(|()| first.finish());
+        [one, merged]
+    }
+
     #[test]
     fn partitions_cover_every_group_once() {
-        let rows: Vec<Row> = (0..3000).map(|i| vec![Value::Int(i % 257)]).collect();
-        let b = batch(&[DataType::Integer], rows);
+        // Keys 0..99 in the first partial's rows, then keys whose first
+        // rows fall in either other partial's blocks.
+        let rows: Vec<Row> = (0..3000)
+            .map(|i| {
+                vec![
+                    Value::Int(if i < 100 { i } else { i * 7 % 1000 }),
+                    Value::Int(i),
+                ]
+            })
+            .collect();
+        let b = batch(&[DataType::Integer, DataType::Integer], rows);
         let keys = KeyCols::new(&b, &[0]);
-        let mut hashes = Vec::new();
-        keys.hash_range(0..b.len(), &mut hashes);
-        let aggs = [AggInput {
-            func: AggFunc::Count,
-            col: None,
-            distinct: false,
-        }];
-        let mut total_groups = 0;
-        let mut total_rows = 0;
-        for p in 0..3 {
-            let mut part = Partition::new(&keys, &b, &aggs);
-            total_rows += part.consume(0..b.len(), &hashes, (p, 3)).unwrap();
-            let out: PartOut<ColumnChunk> = part.finish();
-            assert!(out.first_rows.windows(2).all(|w| w[0] < w[1]));
-            total_groups += out.first_rows.len();
+        let aggs =
+            [AggFunc::Count, AggFunc::Sum, AggFunc::Min, AggFunc::Max].map(|func| AggInput {
+                func,
+                col: (func != AggFunc::Count).then_some(1),
+                distinct: false,
+            });
+        let [Some(one), Some(merged)] = fold_one_and_merged(&b, &keys, &aggs, (100, 64)) else {
+            panic!("integers fold and merge");
+        };
+        assert_eq!(merged.first_rows.len(), 1000);
+        assert_eq!(merged.first_rows, one.first_rows);
+        assert_eq!(merged.hashes, one.hashes);
+        for (m, o) in merged.aggs.iter().zip(&one.aggs) {
+            let values = |c: &ColumnChunk| (0..c.len()).map(|i| c.value_at(i)).collect::<Vec<_>>();
+            assert_eq!(values(m), values(o));
         }
-        assert_eq!((total_groups, total_rows), (257, 3000));
     }
 
     #[test]
@@ -1743,8 +1887,6 @@ mod tests {
             ],
         );
         let keys = KeyCols::new(&b, &[0]);
-        let mut hashes = Vec::new();
-        keys.hash_range(0..2, &mut hashes);
         for (func, col) in [(AggFunc::Sum, 1), (AggFunc::Min, 2)] {
             let aggs = [AggInput {
                 func,
@@ -1752,7 +1894,29 @@ mod tests {
                 distinct: false,
             }];
             let mut part = Partition::new(&keys, &b, &aggs);
-            assert!(part.consume(0..2, &hashes, (0, 1)).is_none());
+            assert!(part.consume(0..2).is_none());
+        }
+        // A NaN met only in a merge, and a tie between `-0.0` and `0.0`
+        // whose first the merge cannot tell.
+        for (x, y) in [(1.0, f64::NAN), (-0.0, 0.0), (0.0, -0.0)] {
+            let b = batch(
+                &[DataType::Integer, DataType::Float],
+                vec![
+                    vec![Value::Int(1), Value::Float(x)],
+                    vec![Value::Int(1), Value::Float(y)],
+                ],
+            );
+            let keys = KeyCols::new(&b, &[0]);
+            for func in [AggFunc::Min, AggFunc::Max] {
+                let aggs = [AggInput {
+                    func,
+                    col: Some(1),
+                    distinct: false,
+                }];
+                let [one, merged] = fold_one_and_merged(&b, &keys, &aggs, (1, 1));
+                assert_eq!(one.is_some(), !x.is_nan() && !y.is_nan());
+                assert!(merged.is_none());
+            }
         }
     }
 }

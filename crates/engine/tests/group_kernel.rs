@@ -22,7 +22,7 @@
 //! `parts=N`, that this path was the one taken — or, for DISTINCT
 //! aggregates, that the branches were concatenated first.
 
-use conquer_engine::{DataType, Database, ExecOptions, Table, Value};
+use conquer_engine::{DataType, Database, EngineError, ExecOptions, ResourceLimits, Table, Value};
 
 const THREADS: [usize; 3] = [1, 2, 8];
 /// The executor's `PAR_THRESHOLD` (4 morsels of 1024 rows).
@@ -283,20 +283,30 @@ fn union_all_inputs_with_two_dictionaries_group_by_string() {
     check(&db, "select s, v from a union all select s, v from b");
 }
 
+/// The `field=N` (`parts=`, `threads=`) on the first `op` line (`Aggregate`,
+/// `Distinct`) of the query's `EXPLAIN ANALYZE` at `threads`, if it has one.
+fn explained(db: &Database, sql: &str, threads: usize, op: &str, field: &str) -> Option<usize> {
+    let (_, text) = db
+        .explain_analyze_with(sql, &opts(threads))
+        .unwrap_or_else(|e| panic!("{sql}: {e}"));
+    let line = text.lines().find(|l| l.trim_start().starts_with(op))?;
+    let value = line
+        .split_whitespace()
+        .find_map(|w| w.strip_prefix(field)?.strip_prefix('='))?;
+    Some(value.trim_end_matches(')').parse().expect("field=N"))
+}
+
 /// The `parts=N` an aggregate's `EXPLAIN ANALYZE` line carries: how many
 /// `UNION ALL` branches it folded one by one (`None`: it concatenated them,
 /// or its input was no union).
 fn union_parts(db: &Database, sql: &str, threads: usize) -> Option<usize> {
-    let (_, text) = db
-        .explain_analyze_with(sql, &opts(threads))
-        .unwrap_or_else(|e| panic!("{sql}: {e}"));
-    let line = text
-        .lines()
-        .find(|l| l.trim_start().starts_with("Aggregate"))?;
-    let parts = line
-        .split_whitespace()
-        .find_map(|w| w.strip_prefix("parts="))?;
-    Some(parts.trim_end_matches(')').parse().expect("parts=N"))
+    explained(db, sql, threads, "Aggregate", "parts")
+}
+
+/// The workers the first `op` of the query folded its rows on at
+/// `threads = 8`: 1 for the group-key kernel's one-worker plan.
+fn workers_at_8(db: &Database, sql: &str, op: &str) -> usize {
+    explained(db, sql, 8, op, "threads").unwrap_or(1)
 }
 
 /// [`check`], and the aggregate took the path it should: folded `parts`
@@ -512,47 +522,273 @@ fn union_value_errors_are_the_concatenated_aggregates() {
     }
 }
 
-/// Past the parallel threshold every worker folds a hash partition of the
-/// groups; their first rows interleave, and merging them must give the
-/// first-seen order one worker gives.
-#[test]
-fn partition_merge_keeps_first_seen_order() {
-    let n = 3 * PAR_THRESHOLD + 17;
+/// `t(k, s, v, f)` with `n` rows: key `k = key(i)` at row `i`, `s` a word
+/// chosen by the key (so `(k, s)` groups as `k` does), `v` an integer and
+/// `f` a float, NULL now and then.
+fn keyed(n: usize, key: impl Fn(usize) -> i64) -> Database {
     let db = Database::new();
     let mut t = Table::new(
         "t",
         vec![
             ("k", DataType::Integer),
             ("s", DataType::Text),
-            ("v", DataType::Float),
+            ("v", DataType::Integer),
+            ("f", DataType::Float),
         ],
     );
     let mut rng = Lcg(99);
-    for _ in 0..n {
-        let (k, v) = (rng.next() % 3000, rng.next() % 500);
+    for i in 0..n {
+        let (k, r) = (key(i), rng.next());
         t.push(vec![
-            Value::Int(k as i64),
-            Value::str(WORDS[(k % 6) as usize]),
-            rng.nullable(13, Value::Float(v as f64 / 3.0)),
+            Value::Int(k),
+            Value::str(WORDS[k.rem_euclid(6) as usize]),
+            Value::Int((r % 2001) as i64 - 1000),
+            rng.nullable(13, Value::Float((r % 500) as f64 / 3.0)),
         ])
         .unwrap();
     }
     db.register(t).unwrap();
-    let (_, text) = db
-        .explain_analyze_with("select k, count(*) from t group by k", &opts(8))
-        .unwrap();
-    assert!(text.contains("threads=8"), "eight partitions:\n{text}");
-    check(
-        &db,
-        "select k, s, count(*), sum(v), min(v), max(s) from t group by k, s",
+    db
+}
+
+const KEYED_AGGS: &str = "count(*), sum(v), min(v), max(v), sum(f), avg(f), min(f), max(s)";
+
+/// Whether `sql` fits each memory budget: the same answer at every thread
+/// count — what the kernel charges is the merged groups' bytes, whichever
+/// plan it took — and, over `budgets`, some trip and some do not.
+fn trips_alike(db: &Database, sql: &str, budgets: &[u64]) {
+    let fits = |budget: u64, threads: usize| {
+        let options = ExecOptions {
+            limits: ResourceLimits::default().with_max_memory_bytes(budget),
+            ..opts(threads)
+        };
+        match db.query_with(sql, &options) {
+            Ok(_) => true,
+            Err(EngineError::MemoryExceeded(_)) => false,
+            Err(e) => panic!("budget={budget} threads={threads}: {e}"),
+        }
+    };
+    let outcomes: Vec<bool> = budgets.iter().map(|&b| fits(b, 1)).collect();
+    assert!(
+        outcomes.contains(&true) && outcomes.contains(&false),
+        "{outcomes:?}: {sql}"
     );
+    for (&budget, &one) in budgets.iter().zip(&outcomes) {
+        for threads in [2, 8] {
+            assert_eq!(
+                fits(budget, threads),
+                one,
+                "budget={budget} threads={threads}: {sql}"
+            );
+        }
+    }
+}
+
+/// The group-key kernel picks its plan from morsel 0 — the first 1024 rows
+/// — which may misjudge the rest. One group there and thousands after:
+/// partials that each hold thousands of groups, merged. Every row its own
+/// group there and four groups after: one worker folds thousands of
+/// duplicates. Either way the rows, their order and whether a memory
+/// budget trips are the same at every thread count.
+#[test]
+fn a_misjudged_first_morsel_keeps_first_seen_order() {
+    let n = 3 * PAR_THRESHOLD;
+    let one_then_thousands = |i: usize| {
+        if i < 1024 {
+            0
+        } else {
+            (i * 7919 % 3000) as i64 + 1
+        }
+    };
+    let distinct_then_four = |i: usize| if i < 1024 { i as i64 } else { (i % 4) as i64 };
+    let grouped = format!("select k, s, {KEYED_AGGS} from t group by k, s");
+    let distinct = "select distinct s, k from t";
+    let budgets = [20_000, 100_000, 300_000, 1_000_000, 4_000_000];
+    for (db, workers) in [
+        (keyed(n, one_then_thousands), 8),
+        (keyed(n, distinct_then_four), 1),
+    ] {
+        check(&db, &grouped);
+        check(&db, distinct);
+        assert_eq!(
+            workers_at_8(&db, &grouped, "Aggregate"),
+            workers,
+            "{grouped}"
+        );
+        assert_eq!(workers_at_8(&db, distinct, "Distinct"), workers);
+        trips_alike(&db, &grouped, &budgets);
+        trips_alike(&db, distinct, &budgets);
+    }
+}
+
+/// Eight partials whose groups' first rows fall in each other's morsels:
+/// every morsel after the first brings new keys, and meets keys first seen
+/// in the morsels before it. Merged in first-row order, the groups come
+/// out in first-seen order — also over a `UNION ALL`, branch by branch.
+#[test]
+fn eight_partials_merge_in_first_seen_order() {
+    let n = 4 * PAR_THRESHOLD + 17;
+    let db = keyed(n, |i| {
+        let morsel = (i / 1024) as i64;
+        if morsel == 0 {
+            (i % 16) as i64
+        } else {
+            16 + (i as i64 % 64 + 13 * morsel) % 300
+        }
+    });
+    let grouped = format!("select k, s, {KEYED_AGGS} from t group by k, s");
+    check(&db, &grouped);
     check(&db, "select distinct s, k from t");
+    assert_eq!(workers_at_8(&db, &grouped, "Aggregate"), 8);
+    assert_eq!(
+        workers_at_8(&db, "select distinct s, k from t", "Distinct"),
+        8
+    );
     check_union(
         &db,
-        "select u.k, count(*), sum(u.v), min(u.s) from \
-         (select k, s, v from t union all select k, s, v from t where k > 1500) u group by u.k",
+        "select u.k, count(*), sum(u.f), min(u.s) from \
+         (select k, s, f from t union all select k, s, f from t where k > 150) u group by u.k",
         Some(2),
     );
+}
+
+/// MIN/MAX candidates that meet only when two partials merge: a NaN, which
+/// is the row path's error, and ties between representations of one value
+/// (`0.0` before `-0.0` in a FLOAT column, `2` before `2.0` in a mixed one)
+/// whose first only the rows' order tells. Both replay on the row path,
+/// which folds them on one worker: the reference's error, and its firsts.
+#[test]
+fn min_max_candidates_met_only_in_a_merge() {
+    let n = 3 * PAR_THRESHOLD;
+    let db = Database::new();
+    let mut t = Table::new(
+        "t",
+        vec![
+            ("k", DataType::Integer),
+            ("f", DataType::Float),
+            ("m", DataType::Float),
+        ],
+    );
+    for i in 0..n {
+        // Few groups, so the kernel merges partials; group 100's rows sit
+        // in morsels 2, 3 and 5, one each.
+        let (k, f, m) = match i {
+            2100 => (100, Value::Float(0.0), Value::Int(2)),
+            3100 => (100, Value::Float(-0.0), Value::Float(2.0)),
+            5100 => (100, Value::Float(f64::NAN), Value::Float(3.0)),
+            _ => (i as i64 % 8, Value::Float(i as f64), Value::Float(1.0)),
+        };
+        t.push(vec![Value::Int(k), f, m]).unwrap();
+    }
+    db.register(t).unwrap();
+    for sql in [
+        "select k, min(f) from t group by k",
+        "select k, max(f), count(*) from t group by k",
+    ] {
+        assert!(
+            conquer_reference::evaluate_sql(&db, sql).is_err(),
+            "fixture must fail: {sql}"
+        );
+        check(&db, sql);
+    }
+    for sql in [
+        "select k, min(f), max(f), min(m), max(m) from t where k = 100 or k < 3 group by k",
+        "select k, min(m), max(m) from t group by k",
+    ] {
+        check(&db, sql);
+    }
+}
+
+/// DISTINCT aggregates fold on one worker, however few the groups: which
+/// duplicate a DISTINCT keeps is the rows' order.
+#[test]
+fn count_distinct_with_grouped_keys_folds_on_one_worker() {
+    let db = keyed(3 * PAR_THRESHOLD, |i| (i % 5) as i64);
+    let sql = "select k, count(distinct v), sum(distinct v), count(distinct s), count(*), \
+               max(f) from t group by k";
+    check(&db, sql);
+    assert_eq!(workers_at_8(&db, sql, "Aggregate"), 1);
+    let plain = "select k, count(*), max(f) from t group by k";
+    assert_eq!(workers_at_8(&db, plain, "Aggregate"), 8);
+}
+
+/// An integer SUM is split across workers only while its reach — rows
+/// times the largest magnitude — fits `i64`, so that no order of the rows
+/// can overflow: on each side of that bound the answer is the reference's,
+/// grouped and global, and past it the fold ran on one worker.
+#[test]
+fn integer_sums_split_only_within_the_reach_bound() {
+    // Nine morsels: the first decides the plan, eight workers fold the rest.
+    let n = 9 * 1024;
+    let largest = i64::MAX / n as i64;
+    for (extra, workers) in [(0, 8), (1, 1)] {
+        let db = Database::new();
+        let mut t = Table::new(
+            "t",
+            vec![("k", DataType::Integer), ("x", DataType::Integer)],
+        );
+        for i in 0..n {
+            let x = match i {
+                3000 => largest + extra,
+                _ if i % 3 == 0 => largest,
+                _ => -(largest / 2),
+            };
+            t.push(vec![Value::Int(i as i64 % 4), Value::Int(x)])
+                .unwrap();
+        }
+        db.register(t).unwrap();
+        for sql in [
+            "select k, sum(x), count(*) from t group by k",
+            "select sum(x), min(x) from t",
+        ] {
+            check(&db, sql);
+            assert_eq!(workers_at_8(&db, sql, "Aggregate"), workers, "{sql}");
+        }
+    }
+}
+
+/// Partial sums that each fit can add up to a total that fits while the
+/// running sum in row order overflows: `x` is `i64::MAX − 10` at row 0,
+/// `+20` at row 1024 and `−20` at row 1025. The reference overflows at row
+/// 1024, so every thread count must, on the kernels (a plain column), the
+/// row path (a computed argument) and a row-shaped input (a join's).
+#[test]
+fn integer_sum_overflow_does_not_depend_on_the_thread_count() {
+    let db = Database::new();
+    let mut t = Table::new(
+        "t",
+        vec![("k", DataType::Integer), ("x", DataType::Integer)],
+    );
+    for i in 0..5000usize {
+        let x = match i {
+            0 => i64::MAX - 10,
+            1024 => 20,
+            1025 => -20,
+            _ => 0,
+        };
+        t.push(vec![Value::Int(i as i64 / 2048), Value::Int(x)])
+            .unwrap();
+    }
+    db.register(t).unwrap();
+    let mut u = Table::new("u", vec![("k", DataType::Integer)]);
+    for k in 0..3 {
+        u.push(vec![Value::Int(k)]).unwrap();
+    }
+    db.register(u).unwrap();
+    for sql in [
+        "select sum(x) from t",
+        "select sum(x + 0) from t",
+        "select k, sum(x) from t group by k",
+        "select k, sum(x + 0), count(*) from t group by k",
+        "select sum(t.x) from t join u on u.k = t.k",
+        "select t.k, sum(t.x) from t join u on u.k = t.k group by t.k",
+    ] {
+        assert!(
+            conquer_reference::evaluate_sql(&db, sql).is_err(),
+            "fixture must fail: {sql}"
+        );
+        check(&db, sql);
+    }
 }
 
 #[test]

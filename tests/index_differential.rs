@@ -291,8 +291,9 @@ fn assert_conflicts_match(db: &Database, key: &str, index_only: bool, label: &st
 
 #[test]
 fn conflict_scan_is_the_group_kernel_rows_and_order() {
-    // 6 000 rows (past the 4 096-row parallel threshold, so the blind
-    // kernel hash-partitions at threads > 1) whose key repeats with period
+    // 6 000 rows (past the 4 096-row parallel threshold; every key of the
+    // first morsel is new, so the blind kernel folds them on one worker at
+    // threads > 1) whose key repeats with period
     // 2 500: keys 0..1000 come up three times, 1000..2500 twice — and the
     // tail below adds singletons. First-row order is not key order: the
     // keys are scrambled by a multiplier coprime to the period.

@@ -46,7 +46,11 @@
 //!
 //! Every figure rewriting's final aggregate over `conq_unfiltered UNION ALL
 //! conq_filtered` folds the two branches one by one and concatenates
-//! nothing (`exec.agg.union_parts` / `exec.agg.union_concat`).
+//! nothing (`exec.agg.union_parts` / `exec.agg.union_concat`). Which plan
+//! the group-key kernel took for each of Q1's grouping steps — one worker
+//! where each candidate is its own group, merged partials where a few
+//! groups remain — is pinned too (`exec.agg.one_worker` /
+//! `exec.agg.partials`).
 //!
 //! Storing a table pivots nothing at all: statistics are collected column
 //! by column and an `INSERT`'s WAL record is built from the appended rows,
@@ -344,6 +348,78 @@ fn rewritten_q1_pivots_only_the_filter_join_and_the_result() {
         (0, 0),
         "25 rows are under the parallel threshold"
     );
+}
+
+/// The grouping operators of `plan`, outermost first: whether each is a
+/// DISTINCT, the rows it folded, and the workers it folded them on.
+fn groupings(plan: &Plan, stats: &NodeStats, out: &mut Vec<(bool, u64, u64)>) {
+    match plan {
+        Plan::Aggregate { .. } => out.push((false, stats.build_rows, stats.threads_used)),
+        Plan::Distinct { .. } => out.push((true, stats.build_rows, stats.threads_used)),
+        _ => {}
+    }
+    for (child, child_stats) in plan.children().into_iter().zip(&stats.children) {
+        groupings(child, child_stats, out);
+    }
+}
+
+/// The group-key kernel's plan for each grouping step of rewritten and
+/// annotated Q1 at threads 4. Where every candidate is about its own group
+/// — `conq_unfiltered`'s aggregate, the candidates' DISTINCT (the annotated
+/// rewriting's candidates, and its Filter, group per key too) — one worker
+/// folds them; where a few groups remain — `conq_qg_cons`' DISTINCT and the
+/// final GROUP BY's branch over `conq_unfiltered` — morsel-local partials
+/// are merged. `exec.agg.one_worker` / `exec.agg.partials` count the two
+/// plans, and `EXPLAIN ANALYZE`'s `threads=` shows which operator took
+/// which.
+#[test]
+fn q1_groups_each_candidate_on_one_worker_and_few_groups_in_partials() {
+    let _turn = turn();
+    let w = fresh_workload();
+    let registry = conquer_obs::registry();
+    let plans = || ["exec.agg.one_worker", "exec.agg.partials"].map(|c| registry.counter(c).get());
+    let q1 = parse_query(Q1.sql).unwrap();
+    let options = ExecOptions::default().with_threads(4);
+    for (annotated, counted) in [(false, [2, 2]), (true, [3, 2])] {
+        let rewrite_options = RewriteOptions {
+            annotated,
+            ..RewriteOptions::default()
+        };
+        let rewritten = rewrite(&q1, &w.sigma, &rewrite_options).unwrap();
+        let before = plans();
+        let (_, plan, stats, ctes) =
+            w.db.execute_query_traced_with_ctes(&rewritten, &options)
+                .unwrap();
+        let after = plans();
+        // (a DISTINCT?, rows folded, workers) of the CTE's outermost grouping
+        // step, or the final aggregate's.
+        let grouping = |name: &str| {
+            let mut out = Vec::new();
+            match ctes.iter().find(|c| c.name == name) {
+                Some(cte) => groupings(&cte.plan, &cte.stats, &mut out),
+                None => groupings(&plan, &stats, &mut out),
+            }
+            out[0]
+        };
+        let what = format!("annotated={annotated}");
+        for name in [
+            "conq_qg_candidates",
+            "conq_unfiltered",
+            "conq_qg_cons",
+            "final",
+        ] {
+            let (distinct, rows, workers) = grouping(name);
+            let per_key = matches!(name, "conq_qg_candidates" | "conq_unfiltered");
+            assert!(rows > 4096, "{what} {name}: {rows} rows");
+            assert_eq!(workers <= 1, per_key, "{what} {name}: {workers} workers");
+            assert_eq!(
+                distinct,
+                name == "conq_qg_cons" || name == "conq_qg_candidates" && !annotated
+            );
+        }
+        let since = [after[0] - before[0], after[1] - before[1]];
+        assert_eq!(since, counted, "{what}: (one worker, partials)");
+    }
 }
 
 /// Every figure query's rewritings end in Fig. 8's shape: an aggregate over
