@@ -32,12 +32,12 @@
 //! between thread counts.
 //!
 //! What each operator does so that its result does not depend on how the
-//! input was split: a hash join's build side is one set of row-id postings
-//! ([`crate::groupkey::Postings`], built serially or lent by the key index)
-//! that probe morsels only read (existence joins over columnar input keep
-//! only the build side's distinct keys, one hash partition of them per
-//! worker); DISTINCT, and aggregation over columnar input, run the
-//! group-key kernel ([`group_kernel`]), which folds on one worker where
+//! input was split: a hash join's build side is built serially — an inner
+//! or left join's as row-id postings ([`crate::groupkey::Postings`], or
+//! lent by the key index), a semi/anti join's as the set of its distinct
+//! keys ([`crate::groupkey::KeySet`]) — and probe morsels only read it;
+//! DISTINCT, and aggregation over columnar input, grouped or global, run
+//! the group-key kernel ([`group_kernel`]), which folds on one worker where
 //! each row is about its own group and otherwise merges morsel-local
 //! partials in first-row order ([`crate::groupkey`]; over a `UNION ALL`
 //! each branch is folded so, and the branches' partial states merged in
@@ -75,8 +75,7 @@ use crate::faults;
 use crate::fsum::ExactSum;
 use crate::governor::Governor;
 use crate::groupkey::{
-    self, AggInput, AggOutput, KeyCols, KeyPartition, KeySet, PartOut, Partition, PostingRows,
-    Postings,
+    self, AggInput, AggOutput, KeyCols, KeySet, PartOut, Partition, PostingRows, Postings,
 };
 use crate::index::{Index, IndexAccess};
 use crate::kernels;
@@ -949,6 +948,14 @@ fn exec_hash_join(
     ctx: ExecCtx<'_>,
 ) -> Result<Batch> {
     let gov = ctx.gov;
+    let existence = matches!(kind, JoinType::Semi | JoinType::Anti);
+    if existence && residual.is_some() {
+        // The planner makes existence joins of key equalities alone, and
+        // their body tests nothing else.
+        return Err(EngineError::Execution(
+            "a semi/anti hash join with a residual condition".into(),
+        ));
+    }
     if let Some(s) = stats.as_deref_mut() {
         s.build_rows += right.len() as u64;
         s.probe_rows += left.len() as u64;
@@ -1014,47 +1021,32 @@ fn exec_hash_join(
         }));
     }
 
-    // Every build — existence kernel, postings or prebuilt — fires
-    // `join.build`.
+    // Every build — key set, postings or prebuilt — fires `join.build`.
     faults::trip("join.build")?;
 
     // Existence joins (decorrelated EXISTS / NOT EXISTS, the hot shape of
-    // ConQuer's rewritings) over columnar sides keyed on plain columns go
-    // through the typed kernel: neither side is pivoted, no key is
-    // materialized. A residual, an expression key, a row-shaped side or an
-    // attached index takes the general path below.
-    if matches!(kind, JoinType::Semi | JoinType::Anti) && residual.is_none() && prebuilt.is_none() {
-        if let (
-            Batch::Col { cols: probe, .. },
-            Batch::Col { cols: build, .. },
-            Some(probe_idx),
-            Some(build_idx),
-        ) = (
-            &left,
-            &right,
-            kernels::column_indices(left_keys),
-            kernels::column_indices(right_keys),
-        ) {
-            if u32::try_from(probe.len().max(build.len())).is_ok() {
-                return exec_existence_join(
-                    (probe, &probe_idx),
-                    (build, &build_idx),
-                    kind == JoinType::Semi,
-                    schema,
-                    &emit,
-                    stats,
-                    ctx,
-                );
-            }
-        }
+    // ConQuer's rewritings) have one body, whatever their keys and sides;
+    // it asks of a key only whether it is there, so it has no use for an
+    // index's postings.
+    if existence {
+        return exec_existence_join(
+            (left, left_keys),
+            (&right, right_keys),
+            kind == JoinType::Semi,
+            schema,
+            outer,
+            &emit,
+            stats,
+            ctx,
+        );
     }
 
-    // The table is built over the right side and probed with the left —
-    // except that an inner join builds on the smaller side. Swapped, rows
-    // come out in original-right (probe) order; the output column order
-    // (left ++ right) is the same either way. An attached index pins the
-    // build to the right side: probing a prebuilt structure beats
-    // re-hashing the smaller input.
+    // An inner or left join. The table is built over the right side and
+    // probed with the left — except that an inner join builds on the
+    // smaller side. Swapped, rows come out in original-right (probe) order;
+    // the output column order (left ++ right) is the same either way. An
+    // attached index pins the build to the right side: probing a prebuilt
+    // structure beats re-hashing the smaller input.
     let swap = kind == JoinType::Inner
         && left.len() < right.len()
         && residual.is_none()
@@ -1117,15 +1109,12 @@ fn exec_hash_join(
         .collect();
 
     // The probe side is read through its row view (pivoted once, cached).
-    // A build row is read only for a candidate pair — an inner/outer join
-    // emits it, a residual is evaluated over it — its cells written
-    // straight from the build batch's columns into the pair, so a join
-    // served by a base table's index costs the rows it touches, not a
-    // pivot of the table.
+    // A build row is read only for a candidate pair — the join emits it,
+    // a residual is evaluated over it — its cells written straight from
+    // the build batch's columns into the pair, so a join served by a base
+    // table's index costs the rows it touches, not a pivot of the table.
     let probe_rows = probe.rows();
     let build_width = build.schema().len();
-    let emits = matches!(kind, JoinType::Inner | JoinType::LeftOuter);
-    let reads_build = emits || residual.is_some();
     // A candidate pair laid out left ++ right, whichever side was probed.
     let pair = |prow: &Row, bi: usize| -> Row {
         let mut combined = Vec::with_capacity(prow.len() + build_width);
@@ -1160,15 +1149,8 @@ fn exec_hash_join(
             };
             let mut matched = false;
             for bi in matches.into_iter().flatten() {
-                let bi = bi as usize;
                 comparisons += 1;
-                if !reads_build {
-                    // An existence test without a residual: the key is the
-                    // whole condition.
-                    matched = true;
-                    break;
-                }
-                let combined = pair(prow, bi);
+                let combined = pair(prow, bi as usize);
                 // Residual conditions are part of the ON clause: they
                 // decide whether this candidate pair is a match.
                 if let Some(res) = residual {
@@ -1177,34 +1159,20 @@ fn exec_hash_join(
                     }
                 }
                 matched = true;
-                if !emits {
-                    break;
-                }
                 emit(1)?;
                 out.push(combined);
             }
-            match kind {
-                JoinType::LeftOuter if !matched => {
-                    emit(1)?;
-                    let mut combined = prow.clone();
-                    combined.extend(std::iter::repeat_n(Value::Null, build_width));
-                    out.push(combined);
-                }
-                JoinType::Semi if matched => {
-                    emit(1)?;
-                    out.push(prow.clone());
-                }
-                JoinType::Anti if !matched => {
-                    emit(1)?;
-                    out.push(prow.clone());
-                }
-                _ => {}
+            if kind == JoinType::LeftOuter && !matched {
+                emit(1)?;
+                let mut combined = prow.clone();
+                combined.extend(std::iter::repeat_n(Value::Null, build_width));
+                out.push(combined);
             }
         }
         Ok((out, comparisons))
     })?;
     let (out, comparisons) = concat_counted(chunks);
-    if reads_build && build.cols().is_some() {
+    if build.cols().is_some() {
         // Every candidate pair read one build row out of its columns.
         col::note_pivot("exec.pivot.to_rows", comparisons as usize);
     }
@@ -1217,48 +1185,63 @@ fn exec_hash_join(
     }))
 }
 
-/// The existence-join kernel: which rows of `probe` have (`keep_matched`,
-/// a semi join) or lack (an anti join) a row of `build` with an equal
-/// non-NULL key, read straight off both sides' key *columns*
-/// ([`crate::groupkey`]). The build side is reduced to the DISTINCT of its
-/// key columns, one hash partition per worker ([`fold_partitions`]); every probe
-/// morsel is then hashed under the same seed, looked up, and the surviving
-/// row ids gathered — the probe batch itself when every row survives.
-/// Governor work is per morsel: one `ticks`, one `emit`. A probe row that
-/// finds its key counts one comparison, as on the row path.
+/// The existence-join body, every semi/anti hash join's: which rows of the
+/// probe side have (`keep_matched`, a semi join) or lack (an anti join) a
+/// row of the build side with an equal non-NULL key. Both sides' keys are
+/// read as key columns ([`join_keys`]). The build side's distinct keys go
+/// into one [`KeySet`], folded serially a morsel at a time and charged as
+/// it grows — 20 B a key, the keys staying in their columns — so whether a
+/// budget trips does not depend on the thread count. Probe morsels are
+/// then hashed under the set's seed and looked up, and the surviving rows
+/// picked: gathered from a columnar probe side (the batch itself when
+/// every row survives), taken from a row-shaped one. Governor work is per
+/// morsel: one `ticks`, one `emit`. A probe row that finds its key counts
+/// one comparison.
 #[allow(clippy::too_many_arguments)]
 fn exec_existence_join(
-    (probe, probe_idx): (&Arc<ColBatch>, &[usize]),
-    (build, build_idx): (&ColBatch, &[usize]),
+    (probe, probe_keys): (Batch, &[BoundExpr]),
+    (build, build_keys): (&Batch, &[BoundExpr]),
     keep_matched: bool,
     schema: &Schema,
+    outer: Option<&Env<'_>>,
     emit: &(impl Fn(usize) -> Result<()> + Sync),
     mut stats: Option<&mut NodeStats>,
     ctx: ExecCtx<'_>,
 ) -> Result<Batch> {
     let gov = ctx.gov;
     conquer_obs::registry().counter("exec.join.kernel").inc();
-    let build_workers = par_workers(build.len(), ctx.threads);
-    let keys = KeyCols::new(build, build_idx);
-    let parts = fold_partitions(&keys, build.len(), build_workers, gov, "hash_join")?;
-    if let Some(s) = stats.as_deref_mut() {
-        s.est_mem_bytes += parts.iter().map(KeyPartition::bytes).sum::<u64>();
+    let (n, nb) = (probe.len(), build.len());
+    if u32::try_from(n.max(nb)).is_err() {
+        return Err(EngineError::Execution(format!(
+            "an existence join's sides of {n} and {nb} rows do not fit u32 row ids"
+        )));
     }
-    let set = KeySet::new(&keys, parts);
+    let build_keys = join_keys(build, build_keys, outer, &mut stats, ctx)?;
+    let keys = KeyCols::new(&build_keys.batch, &build_keys.idx);
+    let (mut set, mut charged) = (KeySet::new(&keys), 0);
+    for lo in (0..nb).step_by(MORSEL_ROWS) {
+        let block = lo..nb.min(lo + MORSEL_ROWS);
+        ticks(gov, block.len() as u64, "hash_join")?;
+        set.consume(block);
+        charge(set.bytes(), &mut charged, gov, "hash_join")?;
+    }
+    if let Some(s) = stats.as_deref_mut() {
+        s.est_mem_bytes += set.bytes();
+    }
 
     faults::trip("join.probe")?;
-    let n = probe.len();
-    let probe_workers = par_workers(n, ctx.threads);
-    note_threads(&mut stats, build_workers.max(probe_workers));
-    let probe_keys = keys.seeded_like(probe, probe_idx);
-    let chunks = for_morsels(n, probe_workers, |range| {
+    let probe_keys = join_keys(&probe, probe_keys, outer, &mut stats, ctx)?;
+    let probe_cols = keys.seeded_like(&probe_keys.batch, &probe_keys.idx);
+    let workers = par_workers(n, ctx.threads);
+    note_threads(&mut stats, workers);
+    let chunks = for_morsels(n, workers, |range| {
         let (mut sel, mut hashes, mut comparisons) = (Vec::new(), Vec::new(), 0);
         for lo in range.clone().step_by(MORSEL_ROWS) {
             let block = lo..range.end.min(lo + MORSEL_ROWS);
             ticks(gov, block.len() as u64, "hash_join")?;
-            probe_keys.hash_range(block.clone(), &mut hashes);
+            probe_cols.hash_range(block.clone(), &mut hashes);
             let kept = sel.len();
-            comparisons += set.select_into(&probe_keys, block, &hashes, keep_matched, &mut sel);
+            comparisons += set.select_into(&probe_cols, block, &hashes, keep_matched, &mut sel);
             emit(sel.len() - kept)?;
         }
         Ok((sel, comparisons))
@@ -1267,13 +1250,23 @@ fn exec_existence_join(
     if let Some(s) = stats {
         s.comparisons += comparisons;
     }
-    Ok(Batch::Col {
-        cols: if sel.len() == n {
-            Arc::clone(probe)
-        } else {
-            Arc::new(probe.gather(&sel))
+    let schema = schema.clone();
+    Ok(match probe {
+        Batch::Col { cols, .. } if sel.len() == n => Batch::Col { cols, schema },
+        Batch::Col { cols, .. } => Batch::Col {
+            cols: Arc::new(cols.gather(&sel)),
+            schema,
         },
-        schema: schema.clone(),
+        Batch::Owned(Rows { mut rows, .. }) => {
+            if sel.len() < n {
+                // `sel` ascends, so each row is taken once.
+                rows = sel
+                    .iter()
+                    .map(|&i| mem::take(&mut rows[i as usize]))
+                    .collect();
+            }
+            Batch::Owned(Rows { schema, rows })
+        }
     })
 }
 
@@ -1488,98 +1481,6 @@ impl Accumulator {
         }
     }
 
-    /// Bulk `COUNT(*)`: every input row counts, NULL or not.
-    fn count_rows(&mut self, n: i64) {
-        if let Accumulator::Count(c) = self {
-            *c += n;
-        }
-    }
-
-    /// Fold `range` of a column chunk into the accumulator — the
-    /// vectorized inner loop of global aggregation. Typed loops cover the
-    /// hot combinations (COUNT over anything, SUM/MIN/MAX/AVG over integer
-    /// columns, AVG over float columns); everything else falls back to
-    /// per-value [`Accumulator::update`] over the chunk, which is still
-    /// pivot-free. Value-level semantics (NULL skipping, overflow, the
-    /// Int→Float SUM promotion) match the row path exactly.
-    fn update_column(&mut self, chunk: &ColumnChunk, range: Range<usize>) -> Result<()> {
-        match (&mut *self, &chunk.data) {
-            (Accumulator::Count(c), _) => {
-                let nulls = chunk.null_count_range(range.start, range.end);
-                *c += (range.len() - nulls) as i64;
-                return Ok(());
-            }
-            (Accumulator::SumInt { sum, seen }, ColumnData::Int(vals)) => {
-                for i in range {
-                    if chunk.is_null(i) {
-                        continue;
-                    }
-                    *sum = sum
-                        .checked_add(vals[i])
-                        .ok_or_else(|| EngineError::Eval("integer overflow in SUM".into()))?;
-                    *seen = true;
-                }
-                return Ok(());
-            }
-            (Accumulator::Avg { sum, count }, ColumnData::Int(vals)) => {
-                for i in range {
-                    if chunk.is_null(i) {
-                        continue;
-                    }
-                    sum.add_i64(vals[i]);
-                    *count += 1;
-                }
-                return Ok(());
-            }
-            (Accumulator::Avg { sum, count }, ColumnData::Float(vals)) => {
-                for i in range {
-                    if chunk.is_null(i) {
-                        continue;
-                    }
-                    sum.add(vals[i]);
-                    *count += 1;
-                }
-                return Ok(());
-            }
-            (Accumulator::MinMax { best, is_min }, ColumnData::Int(vals))
-                if matches!(best, None | Some(Value::Int(_))) =>
-            {
-                let mut cur: Option<i64> = match best {
-                    Some(Value::Int(b)) => Some(*b),
-                    _ => None,
-                };
-                for i in range {
-                    if chunk.is_null(i) {
-                        continue;
-                    }
-                    let v = vals[i];
-                    cur = Some(match cur {
-                        None => v,
-                        Some(b) => {
-                            if *is_min {
-                                b.min(v)
-                            } else {
-                                b.max(v)
-                            }
-                        }
-                    });
-                }
-                if let Some(b) = cur {
-                    *best = Some(Value::Int(b));
-                }
-                return Ok(());
-            }
-            _ => {}
-        }
-        for i in range {
-            if chunk.is_null(i) {
-                continue;
-            }
-            self.update(&chunk.value_at(i))?;
-        }
-        Ok(())
-    }
-
     /// Fold another worker's partial state for the same aggregate spec
     /// into `self`. NULL-skipping semantics are encoded in the partial
     /// states already (`seen` flags, `count`s), so merging is pure
@@ -1722,7 +1623,7 @@ fn exec_aggregate(
     // which replays on the row path so the reported error is the one a
     // row-major scan hits first.
     if let (Some(cols), Some((gidx, inputs))) = (input.cols(), kernel_inputs(group_exprs, aggs)) {
-        let out = exec_aggregate_columnar(cols, (&gidx, &inputs), aggs, schema, &mut stats, ctx)?;
+        let out = exec_aggregate_columnar(cols, (&gidx, &inputs), schema, &mut stats, ctx)?;
         if let Some(out) = out {
             return Ok(out);
         }
@@ -1762,38 +1663,18 @@ fn kernel_inputs(
     Some((gidx, inputs.collect::<Option<_>>()?))
 }
 
-/// The columnar aggregation dispatch: `Ok(None)` is a value-level error to
-/// replay on the row path.
+/// Aggregation over columnar input, grouped or global, on the group-key
+/// kernel. Key columns come out as a gather of each group's first row,
+/// aggregate columns typed from the kernel's state vectors — the result
+/// stays columnar. `Ok(None)` is a value-level error to replay on the row
+/// path.
 fn exec_aggregate_columnar(
     cols: &ColBatch,
     (gidx, inputs): (&[usize], &[AggInput]),
-    aggs: &[AggSpec],
     schema: &Schema,
     stats: &mut Option<&mut NodeStats>,
     ctx: ExecCtx<'_>,
 ) -> Result<Option<Batch>> {
-    let n = cols.len();
-    if gidx.is_empty() && aggs.iter().all(|a| !a.distinct) {
-        let workers = fold_workers(cols, inputs, ctx.threads);
-        let Some(accs) = fold_global(cols, inputs, aggs, workers, ctx.gov)? else {
-            return Ok(None);
-        };
-        note_threads(stats, workers);
-        if let Some(s) = stats.as_deref_mut() {
-            s.build_rows += n as u64;
-        }
-        let row: Row = accs.into_iter().map(Accumulator::finish).collect();
-        // Over zero rows the fresh accumulators finish to exactly the
-        // "empty" aggregate row the row path emits.
-        return Ok(Some(Batch::Owned(Rows {
-            schema: schema.clone(),
-            rows: vec![row],
-        })));
-    }
-
-    // Grouped (or DISTINCT) aggregation: the group-key kernel. Key columns
-    // come out as a gather of each group's first row, aggregate columns
-    // typed from the kernel's state vectors — the result stays columnar.
     let keys = KeyCols::new(cols, gidx);
     let kernel =
         group_kernel::<ColumnChunk>(cols, &keys, inputs, ctx.threads, ctx.gov, "aggregate");
@@ -1802,7 +1683,7 @@ fn exec_aggregate_columnar(
     };
     note_threads(stats, g.workers);
     if let Some(s) = stats.as_deref_mut() {
-        s.build_rows += n as u64;
+        s.build_rows += cols.len() as u64;
         s.est_mem_bytes += g.mem_bytes;
     }
     let mut chunks: Vec<Arc<ColumnChunk>> = gidx
@@ -1828,45 +1709,6 @@ fn fold_workers(cols: &ColBatch, inputs: &[AggInput], threads: usize) -> usize {
     } else {
         workers
     }
-}
-
-/// A global aggregate without DISTINCT over `cols`: one typed bulk pass per
-/// argument column ([`Accumulator::update_column`]) into per-worker
-/// partials ([`fold_workers`] of them), merged order-free
-/// ([`Accumulator::merge_unordered`]). `Ok(None)` is a value-level error.
-fn fold_global(
-    cols: &ColBatch,
-    inputs: &[AggInput],
-    aggs: &[AggSpec],
-    workers: usize,
-    gov: Option<&Governor>,
-) -> Result<Option<Vec<Accumulator>>> {
-    let folded = fold_morsels(
-        cols.len(),
-        workers,
-        || fresh_accumulators(aggs),
-        |accs, range| {
-            ticks(gov, range.len() as u64, "aggregate")?;
-            for (acc, input) in accs.iter_mut().zip(inputs) {
-                match input.col {
-                    None => acc.count_rows(range.len() as i64),
-                    Some(ci) => acc.update_column(cols.col(ci), range.clone())?,
-                }
-            }
-            Ok(())
-        },
-    )
-    .and_then(|partials| {
-        let mut partials = partials.into_iter();
-        let mut accs = partials.next().unwrap_or_else(|| fresh_accumulators(aggs));
-        for partial in partials {
-            for (acc, part) in accs.iter_mut().zip(partial) {
-                acc.merge_unordered(part)?;
-            }
-        }
-        Ok(accs)
-    });
-    value_error_as_none(folded)
 }
 
 /// `Ok(None)` for a value-level error (what the kernels replay elsewhere),
@@ -1942,8 +1784,8 @@ fn union_all(left: Batch, right: Batch) -> Batch {
 
 /// GROUP BY — grouped or global — straight over the branches of a `UNION
 /// ALL`: each branch is folded in its own column layout, never
-/// concatenated, by the kernel its batch would get ([`group_kernel`],
-/// [`fold_global`]) into one partial [`Accumulator`] per group. Groups are
+/// concatenated, by the kernel its batch would get ([`group_kernel`]) into
+/// one partial [`Accumulator`] per group. Groups are
 /// matched across branches by the kernel's key equality
 /// ([`groupkey::match_groups`]) and their partials merged in branch order
 /// ([`Accumulator::merge`], which promotes an integer sum meeting a float
@@ -1974,25 +1816,16 @@ fn exec_aggregate_union(
     }
     // Every branch's keys hash under one seed, so that equal keys hash
     // alike across branches whatever their layouts.
-    let mut keys = Vec::with_capacity(cols.len());
-    if !gidx.is_empty() {
-        let first = KeyCols::new(cols[0], &gidx);
-        keys.extend(cols[1..].iter().map(|b| first.seeded_like(b, &gidx)));
-        keys.insert(0, first);
-    }
+    let first = KeyCols::new(cols[0], &gidx);
+    let mut keys: Vec<KeyCols> = cols[1..]
+        .iter()
+        .map(|b| first.seeded_like(b, &gidx))
+        .collect();
+    keys.insert(0, first);
     // Per branch: its partials, [aggregate][group], and its groups' first
     // rows and key hashes.
     let (mut partials, mut groups_of, mut mem_bytes) = (Vec::new(), Vec::new(), 0);
     for (b, &batch) in cols.iter().enumerate() {
-        if gidx.is_empty() {
-            let workers = fold_workers(batch, &inputs, ctx.threads);
-            let Some(accs) = fold_global(batch, &inputs, aggs, workers, ctx.gov)? else {
-                return Ok(None);
-            };
-            note_threads(&mut stats, workers);
-            partials.push(accs.into_iter().map(|acc| vec![acc]).collect());
-            continue;
-        }
         let kernel = group_kernel::<Vec<Accumulator>>(
             batch,
             &keys[b],
@@ -2009,13 +1842,8 @@ fn exec_aggregate_union(
         partials.push(g.aggs);
         groups_of.push((g.first_rows, g.hashes));
     }
-    let ids = if gidx.is_empty() {
-        vec![vec![0]; cols.len()]
-    } else {
-        let groups: Vec<(&[u32], &[u64])> =
-            groups_of.iter().map(|(r, h)| (&r[..], &h[..])).collect();
-        groupkey::match_groups(&keys, &groups)
-    };
+    let groups: Vec<(&[u32], &[u64])> = groups_of.iter().map(|(r, h)| (&r[..], &h[..])).collect();
+    let ids = groupkey::match_groups(&keys, &groups);
 
     // Merge in branch order. `merged[a][g]`: aggregate `a` of group `g`.
     let mut merged: Vec<Vec<Accumulator>> = aggs.iter().map(|_| Vec::new()).collect();
@@ -2042,18 +1870,17 @@ fn exec_aggregate_union(
                 }
             }
         }
-        if let Some((first_rows, _)) = groups_of.get(b) {
-            // The first rows of this branch's groups that no branch before
-            // it holds: where the output's new keys are.
-            let firsts: Vec<u32> = first_rows
-                .iter()
-                .zip(ids)
-                .filter(|&(_, &g)| g as usize >= groups)
-                .map(|(&row, _)| row)
-                .collect();
-            groups += firsts.len();
-            new_keys.push((cols[b], firsts));
-        }
+        // The first rows of this branch's groups that no branch before it
+        // holds: where the output's new keys are.
+        let firsts: Vec<u32> = groups_of[b]
+            .0
+            .iter()
+            .zip(ids)
+            .filter(|&(_, &g)| g as usize >= groups)
+            .map(|(&row, _)| row)
+            .collect();
+        groups += firsts.len();
+        new_keys.push((cols[b], firsts));
     }
 
     conquer_obs::registry()
@@ -2065,12 +1892,6 @@ fn exec_aggregate_union(
         s.union_parts = cols.len() as u64;
     }
     let finish = |accs: Vec<Accumulator>| accs.into_iter().map(Accumulator::finish);
-    if gidx.is_empty() {
-        return Ok(Some(Batch::Owned(Rows {
-            schema: schema.clone(),
-            rows: vec![merged.into_iter().flat_map(finish).collect()],
-        })));
-    }
     let mut chunks: Vec<Arc<ColumnChunk>> = gidx
         .iter()
         .map(|&c| {
@@ -2122,8 +1943,8 @@ fn int_sum_reach(batch: &ColBatch, input: &AggInput) -> u128 {
 /// row its key values live at and one output per aggregate — a column
 /// ([`ColumnChunk`]) or per-group partials (`Vec<Accumulator>`).
 struct Grouped<T> {
-    /// First input row of each group, ascending. Empty for a global
-    /// aggregate (no key columns), which is one group all the same.
+    /// First input row of each group, ascending. A global aggregate (no
+    /// key columns) is one group at row 0, even over no rows.
     first_rows: Vec<u32>,
     /// Each group's key hash, under the seed of the keys it was folded by.
     hashes: Vec<u64>,
@@ -2173,7 +1994,7 @@ fn group_kernel<T: AggOutput>(
     if fold_alone(&mut grouped, 0..head, &mut charged, gov, op)?.is_none() {
         return Ok(None);
     }
-    let alone = keys.is_empty() || aggs.iter().any(|a| a.distinct) || grouped.groups() * 2 > head;
+    let alone = aggs.iter().any(|a| a.distinct) || grouped.groups() * 2 > head;
     let workers = if alone || n == head {
         1
     } else {
@@ -2202,7 +2023,7 @@ fn group_kernel<T: AggOutput>(
         if grouped.merge(partials).is_none() {
             return Ok(None);
         }
-        charge(&grouped, &mut charged, gov, op)?;
+        charge(grouped.bytes(), &mut charged, gov, op)?;
         "exec.agg.partials"
     };
     if par_workers(n, threads) > 1 {
@@ -2236,66 +2057,19 @@ fn fold_alone(
         if part.consume(block).is_none() {
             return Ok(None);
         }
-        charge(part, charged, gov, op)?;
+        charge(part.bytes(), charged, gov, op)?;
     }
     Ok(Some(()))
 }
 
-/// Bring what `part` has charged the governor, `charged`, up to its bytes.
-fn charge(
-    part: &Partition<'_>,
-    charged: &mut u64,
-    gov: Option<&Governor>,
-    op: &'static str,
-) -> Result<()> {
-    let now = part.bytes();
+/// Bring what a growing structure has charged the governor, `charged`, up
+/// to the bytes it holds `now`.
+fn charge(now: u64, charged: &mut u64, gov: Option<&Governor>, op: &'static str) -> Result<()> {
     if let Some(g) = gov {
         g.reserve_mem(now.saturating_sub(*charged), op)?;
     }
     *charged = now;
     Ok(())
-}
-
-/// Fold the rows `0..n` into `nparts` hash partitions of the distinct keys
-/// of `keys`, one worker each: an existence join's build side. The key
-/// hashes go into one buffer, each worker hashing a contiguous share of
-/// it; worker `p` is then handed every block in row order and folds the
-/// rows whose hash routes to partition `p`, ticking per row folded and
-/// charging the partition's bytes as they grow — so a high-cardinality key
-/// trips the budget while building rather than after, and what is charged
-/// in total does not depend on `nparts`.
-fn fold_partitions<'a>(
-    keys: &'a KeyCols<'a>,
-    n: usize,
-    nparts: usize,
-    gov: Option<&Governor>,
-    op: &'static str,
-) -> Result<Vec<KeyPartition<'a>>> {
-    let mut hashes = vec![0u64; n];
-    let share = n.div_ceil(nparts).next_multiple_of(MORSEL_ROWS).max(1);
-    fan_out(hashes.chunks_mut(share).enumerate(), |(i, shard)| {
-        for (b, block) in shard.chunks_mut(MORSEL_ROWS).enumerate() {
-            let lo = i * share + b * MORSEL_ROWS;
-            ticks(gov, block.len() as u64, op)?;
-            keys.hash_into(lo..lo + block.len(), block);
-        }
-        Ok(())
-    })?;
-    fan_out(0..nparts, |p| {
-        let mut partition = KeyPartition::new(keys);
-        let mut charged = 0u64;
-        for lo in (0..n).step_by(MORSEL_ROWS) {
-            let block = lo..n.min(lo + MORSEL_ROWS);
-            let folded = partition.consume(block.clone(), &hashes[block], (p, nparts));
-            ticks(gov, folded as u64, op)?;
-            if let Some(g) = gov {
-                let now = partition.bytes();
-                g.reserve_mem(now - charged, op)?;
-                charged = now;
-            }
-        }
-        Ok(partition)
-    })
 }
 
 /// Row-path group table footprint: per-group key and group values (each

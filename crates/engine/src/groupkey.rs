@@ -6,16 +6,16 @@
 //! are compared against the key columns at the group's first row
 //! ([`GroupTable`]), and aggregate state is one typed vector per aggregate,
 //! indexed by group id ([`Partition`]: the partial of the rows one worker
-//! folded, which merges with other workers' partials). A semi/anti join's
-//! build side is the same table without the state, one hash partition per
-//! worker ([`KeyPartition`]), looked up — never added to — with the probe
-//! side's key columns ([`KeySet`]). Three serial
+//! folded, which merges with other workers' partials; without key columns,
+//! one group). Every semi/anti join's build side is the same table without
+//! the state, folded serially ([`KeySet`]) and looked up — never added to —
+//! with the probe side's key columns. Three serial
 //! whole-batch passes serve the load path and the catalog: [`group_sizes`]
 //! (how many rows share each row's key — the `cons` annotation),
 //! [`distinct_capped`] (a column's NDV for the planner's statistics) and
 //! [`Postings`] (the same table with each group's rows chained in ascending
 //! order — the key index, [`crate::index`], and the build side of every
-//! hash join the existence kernel does not take — looked up by a key's
+//! inner and left-outer hash join — looked up by a key's
 //! [`KeyValue`]s and extended in place of a rebuild when rows are
 //! appended). A GROUP BY over the branches of a `UNION ALL` folds each
 //! branch on its own, its states finished into partial [`Accumulator`]s
@@ -252,15 +252,7 @@ impl<'a> KeyCols<'a> {
     /// typed pass per key column.
     pub fn hash_range(&self, range: Range<usize>, out: &mut Vec<u64>) {
         out.clear();
-        out.resize(range.len(), 0);
-        self.hash_into(range, out);
-    }
-
-    /// [`hash_range`](KeyCols::hash_range) into a slice of `range.len()`
-    /// hashes, as when workers fill disjoint parts of one buffer.
-    pub fn hash_into(&self, range: Range<usize>, out: &mut [u64]) {
-        debug_assert_eq!(out.len(), range.len());
-        out.fill(self.k0);
+        out.resize(range.len(), self.k0);
         let k = self.k1;
         for col in &self.cols {
             let chunk = col.chunk;
@@ -403,13 +395,6 @@ fn new_seed() -> (u64, u64) {
     (seed.hash_one(0u8), seed.hash_one(1u8) | 1)
 }
 
-/// Which of `of` partitions owns hash `h`. Uses the high half of the hash;
-/// [`GroupTable`] indexes slots with the low bits.
-#[inline]
-fn route(h: u64, of: usize) -> usize {
-    (((h >> 32) * of as u64) >> 32) as usize
-}
-
 /// Open-addressing (linear probing, load ≤ ½) map from key to dense group
 /// id. A slot holds `group id + 1`; the key itself stays in the batch, at
 /// the group's first row.
@@ -517,79 +502,57 @@ impl GroupTable {
     }
 }
 
-/// One hash partition of the distinct non-NULL keys of a batch — the build
-/// side of an existence join (`EXISTS` / `NOT EXISTS` on key equality),
-/// which asks of a key only whether it is there. Each partition owns the
-/// keys whose hash [routes](route) to it, so no two share a key.
-pub struct KeyPartition<'a> {
+/// The distinct non-NULL keys of a batch: the build side of an existence
+/// join (`EXISTS` / `NOT EXISTS` on key equality), which asks of a key only
+/// whether it is there. One [`GroupTable`] without aggregate state, folded
+/// in row order and probed with the key columns of another batch
+/// ([`KeyCols::seeded_like`]), never added to by a probe.
+pub struct KeySet<'a> {
     keys: &'a KeyCols<'a>,
     table: GroupTable,
+    /// Per-block scratch: the rows' key hashes.
+    hashes: Vec<u64>,
 }
 
-impl<'a> KeyPartition<'a> {
-    pub fn new(keys: &'a KeyCols<'a>) -> KeyPartition<'a> {
-        KeyPartition {
+impl<'a> KeySet<'a> {
+    pub fn new(keys: &'a KeyCols<'a>) -> KeySet<'a> {
+        KeySet {
             keys,
             table: GroupTable::new(),
+            hashes: Vec::new(),
         }
     }
 
-    /// Fold the rows of `block` whose hash routes to partition `part.0` of
-    /// `part.1` — all of them for `(0, 1)` — in row order. `hashes[k]` is
-    /// the key hash of row `block.start + k`. Returns how many rows were
-    /// the partition's. Rows with a NULL key component are the partition's
-    /// but add no key: SQL equality never matches them.
-    pub fn consume(
-        &mut self,
-        block: Range<usize>,
-        hashes: &[u64],
-        (p, of): (usize, usize),
-    ) -> usize {
+    /// Add the keys of the rows of `block`. Blocks must come in ascending
+    /// order. Rows with a NULL key component add no key: SQL equality never
+    /// matches them.
+    pub fn consume(&mut self, block: Range<usize>) {
+        self.keys.hash_range(block.clone(), &mut self.hashes);
         let nullable = self.keys.nullable();
-        let mut mine = 0;
-        for (i, &h) in block.zip(hashes) {
-            if route(h, of) != p {
-                continue;
-            }
-            mine += 1;
+        for (i, &h) in block.zip(&self.hashes) {
             if !(nullable && self.keys.has_null(i)) {
                 self.table.group_of(self.keys, i as u32, h);
             }
         }
-        mine
     }
 
-    /// Bytes held now: what the governor is charged as the partition grows
-    /// and what `EXPLAIN ANALYZE` reports. A function of the keys alone, so
-    /// the sum over partitions does not depend on how rows were routed.
+    /// Distinct keys held.
+    pub fn distinct(&self) -> usize {
+        self.table.first_rows.len()
+    }
+
+    /// Bytes held now: what the governor is charged as the set grows and
+    /// what `EXPLAIN ANALYZE` reports. A function of the keys alone.
     pub fn bytes(&self) -> u64 {
-        (self.table.first_rows.len() * TABLE_BYTES_PER_GROUP) as u64
-    }
-}
-
-/// The distinct non-NULL keys of a batch, hash-partitioned: probed with the
-/// key columns of another batch ([`KeyCols::seeded_like`]), never added to.
-pub struct KeySet<'a> {
-    keys: &'a KeyCols<'a>,
-    tables: Vec<GroupTable>,
-}
-
-impl<'a> KeySet<'a> {
-    /// `parts[p]` must have consumed what routes to partition `p` of
-    /// `parts.len()`, all over `keys`.
-    pub fn new(keys: &'a KeyCols<'a>, parts: Vec<KeyPartition<'a>>) -> KeySet<'a> {
-        KeySet {
-            keys,
-            tables: parts.into_iter().map(|p| p.table).collect(),
-        }
+        (self.distinct() * TABLE_BYTES_PER_GROUP) as u64
     }
 
     /// Append to `sel` the rows of `block` whose key is in the set
     /// (`keep_matched`) or is not; a key with a NULL component is in no
     /// set. `probe` must be seeded like the set's keys and `hashes[k]` be
     /// its hash of row `block.start + k`. Each row is one lookup-only walk
-    /// of one partition's slots, candidates compared across the two
-    /// batches (invariant 6). Returns how many rows matched.
+    /// of the table's slots, candidates compared across the two batches
+    /// (invariant 6). Returns how many rows matched.
     pub fn select_into(
         &self,
         probe: &KeyCols<'_>,
@@ -602,7 +565,8 @@ impl<'a> KeySet<'a> {
         let mut matches = 0;
         for (i, &h) in block.zip(hashes) {
             let matched = !(nullable && probe.has_null(i))
-                && self.tables[route(h, self.tables.len())]
+                && self
+                    .table
                     .find(h, |first| self.keys.row_equals(first, probe, i))
                     .is_some();
             matches += u64::from(matched);
@@ -664,21 +628,14 @@ pub fn group_sizes(batch: &ColBatch, key_idx: &[usize]) -> GroupSizes {
 /// (the rest of the column is then not read).
 pub fn distinct_capped(batch: &ColBatch, col: usize, cap: usize) -> Option<usize> {
     let keys = KeyCols::new(batch, &[col]);
-    let nullable = keys.nullable();
-    let mut table = GroupTable::new();
-    let mut hashes = Vec::new();
+    let mut set = KeySet::new(&keys);
     for block in serial_blocks(0..batch.len()) {
-        keys.hash_range(block.clone(), &mut hashes);
-        for (i, &h) in block.zip(&hashes) {
-            if !(nullable && keys.has_null(i)) {
-                table.group_of(&keys, i as u32, h);
-            }
-        }
-        if table.first_rows.len() > cap {
+        set.consume(block);
+        if set.distinct() > cap {
             return None;
         }
     }
-    Some(table.first_rows.len())
+    Some(set.distinct())
 }
 
 /// Match the groups several batches were folded into — one GROUP BY per
@@ -1406,31 +1363,32 @@ pub struct Partition<'a> {
 
 impl<'a> Partition<'a> {
     pub fn new(keys: &'a KeyCols<'a>, batch: &'a ColBatch, aggs: &[AggInput]) -> Partition<'a> {
-        let mut aggs: Vec<AggState<'a>> = aggs.iter().map(|&a| AggState::new(a, batch)).collect();
-        if keys.is_empty() {
-            // A global aggregate is one group, present even over no rows.
-            aggs.iter_mut().for_each(|a| a.grow(1));
-        }
+        let aggs: Vec<AggState<'a>> = aggs.iter().map(|&a| AggState::new(a, batch)).collect();
         let group_bytes = TABLE_BYTES_PER_GROUP
             + keys.cols.iter().map(|c| c.chunk.row_bytes()).sum::<usize>()
             + aggs.iter().map(AggState::group_bytes).sum::<usize>();
-        Partition {
+        let mut part = Partition {
             keys,
             table: GroupTable::new(),
             aggs,
             group_bytes,
             hashes: Vec::new(),
             gids: Vec::new(),
+        };
+        if keys.is_empty() {
+            // A global aggregate is one group, present even over no rows:
+            // the empty key, which hashes to the seed and which every row
+            // holds, placed at row 0 in every partial so that partials of
+            // it merge like any other group's.
+            part.table.insert(keys.k0, 0);
+            part.grow();
         }
+        part
     }
 
-    /// Groups held: one, without key columns (a global aggregate).
+    /// Groups held.
     pub fn groups(&self) -> usize {
-        if self.keys.is_empty() {
-            1
-        } else {
-            self.table.first_rows.len()
-        }
+        self.table.first_rows.len()
     }
 
     /// Fold the rows of `block` into their groups, in row order. Blocks
@@ -1439,6 +1397,7 @@ impl<'a> Partition<'a> {
     pub fn consume(&mut self, block: Range<usize>) -> Option<()> {
         self.gids.clear();
         if self.keys.is_empty() {
+            // Every row is in the one group; no key to hash.
             self.gids.resize(block.len(), 0);
         } else {
             self.keys.hash_range(block.clone(), &mut self.hashes);
@@ -1465,8 +1424,8 @@ impl<'a> Partition<'a> {
     /// after all of its own. Their groups are taken in ascending order of
     /// their first rows — a k-way merge of the partials' ascending lists —
     /// so a group new here is added at its first row in the batch and the
-    /// groups stay in first-seen order. Needs key columns: a global
-    /// aggregate's one group has no first row to merge by. `None` is a
+    /// groups stay in first-seen order. A global aggregate's one group sits
+    /// at row 0 in every partial and merges into this one's. `None` is a
     /// value-level error (invariant 4).
     pub fn merge(&mut self, mut others: Vec<Partition<'a>>) -> Option<()> {
         let mut next = vec![0; others.len()];
@@ -1648,20 +1607,15 @@ mod tests {
     }
 
     /// Which rows of `probe` find their key (all columns) among `build`'s,
-    /// through the kernel with `nparts` build partitions.
-    fn semi_rows(build: &ColBatch, probe: &ColBatch, nparts: usize) -> Vec<u32> {
+    /// through the kernel, the build folded in blocks of `block` rows.
+    fn semi_rows(build: &ColBatch, probe: &ColBatch, block: usize) -> Vec<u32> {
         let idx: Vec<usize> = (0..build.width()).collect();
         let keys = KeyCols::new(build, &idx);
+        let mut set = KeySet::new(&keys);
+        for lo in (0..build.len()).step_by(block) {
+            set.consume(lo..build.len().min(lo + block));
+        }
         let mut hashes = Vec::new();
-        keys.hash_range(0..build.len(), &mut hashes);
-        let parts = (0..nparts)
-            .map(|p| {
-                let mut part = KeyPartition::new(&keys);
-                part.consume(0..build.len(), &hashes, (p, nparts));
-                part
-            })
-            .collect();
-        let set = KeySet::new(&keys, parts);
         let probe_keys = keys.seeded_like(probe, &idx);
         probe_keys.hash_range(0..probe.len(), &mut hashes);
         let mut sel = Vec::new();
@@ -1735,9 +1689,9 @@ mod tests {
         assert!(matches!(layouts[5].col(0).data, ColumnData::Any(_)));
         for build in &layouts {
             for probe in &layouts {
-                for nparts in [1, 3] {
+                for block in [1, 3, 64] {
                     assert_eq!(
-                        semi_rows(build, probe, nparts),
+                        semi_rows(build, probe, block),
                         reference_semi_rows(build, probe),
                         "{:?} probed by {:?}",
                         build.col(0).data,
@@ -1858,22 +1812,27 @@ mod tests {
             })
             .collect();
         let b = batch(&[DataType::Integer, DataType::Integer], rows);
-        let keys = KeyCols::new(&b, &[0]);
         let aggs =
             [AggFunc::Count, AggFunc::Sum, AggFunc::Min, AggFunc::Max].map(|func| AggInput {
                 func,
                 col: (func != AggFunc::Count).then_some(1),
                 distinct: false,
             });
-        let [Some(one), Some(merged)] = fold_one_and_merged(&b, &keys, &aggs, (100, 64)) else {
-            panic!("integers fold and merge");
-        };
-        assert_eq!(merged.first_rows.len(), 1000);
-        assert_eq!(merged.first_rows, one.first_rows);
-        assert_eq!(merged.hashes, one.hashes);
-        for (m, o) in merged.aggs.iter().zip(&one.aggs) {
-            let values = |c: &ColumnChunk| (0..c.len()).map(|i| c.value_at(i)).collect::<Vec<_>>();
-            assert_eq!(values(m), values(o));
+        // Keyed on the first column, and without key columns: one group.
+        for (key_idx, groups) in [(&[0][..], 1000), (&[], 1)] {
+            let keys = KeyCols::new(&b, key_idx);
+            let [Some(one), Some(merged)] = fold_one_and_merged(&b, &keys, &aggs, (100, 64)) else {
+                panic!("integers fold and merge");
+            };
+            assert_eq!(merged.first_rows.len(), groups);
+            assert_eq!(merged.first_rows, one.first_rows);
+            assert_eq!(merged.hashes, one.hashes);
+            for (m, o) in merged.aggs.iter().zip(&one.aggs) {
+                let values =
+                    |c: &ColumnChunk| (0..c.len()).map(|i| c.value_at(i)).collect::<Vec<_>>();
+                assert_eq!(values(m), values(o));
+                assert_eq!(m.len(), groups);
+            }
         }
     }
 

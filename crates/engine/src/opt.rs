@@ -292,10 +292,11 @@ fn select_access_paths(plan: Plan, est: &Estimator) -> Plan {
             schema,
         } => {
             // Postings replace the build of a join that emits build rows.
-            // An existence test without a residual asks only whether a key
-            // is there, which the executor's typed kernel answers from the
-            // build side's key columns — postings would make every probe
-            // materialize a key to search with.
+            // An existence test asks only whether a key is there: the
+            // executor's existence body builds a set of the build side's
+            // distinct keys and reads no postings, so an index lent to it
+            // would go unused. Whether probing an index's key table would
+            // beat that build is a plan change, to be measured on its own.
             let existence_test =
                 matches!(kind, JoinType::Semi | JoinType::Anti) && residual.is_none();
             if build_index.is_none() && !existence_test {

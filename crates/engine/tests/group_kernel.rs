@@ -6,7 +6,9 @@
 //! on the engine at `threads ∈ {1, 2, 8}`; answers must agree value for
 //! value, *variant for variant* (an `Int(2)` is not a `Float(2.0)`) and
 //! float bit for bit, in the same row order — the engine promises
-//! first-seen group order. DISTINCT has no other body: over a row-shaped
+//! first-seen group order. A global aggregate (no GROUP BY) is the kernel's
+//! one group, its partials merged like any group's. DISTINCT has no other
+//! body: over a row-shaped
 //! input (a join, an uncompiled filter) it runs the kernel on the rows
 //! turned into columns, and is checked there too. Errors must agree too,
 //! message for message: a
@@ -151,6 +153,13 @@ fn table(name: &str, n: usize, domain: u64, null_in: u64, seed: u64) -> Table {
 
 const KEYS: [&str; 7] = ["ki", "kf", "kt", "kd", "kb", "km", "ka"];
 
+/// Every aggregate function over every argument layout that has it.
+const GLOBAL_AGGS: &str = "count(*), count(vi), sum(vi), avg(vi), min(vi), max(vi), \
+                           count(vf), sum(vf), avg(vf), min(vf), max(vf), \
+                           count(kd), min(kd), max(kd), count(vt), min(vt), max(vt), \
+                           count(km), sum(km), avg(km), min(km), max(km), count(ka), \
+                           min(kb), max(kb)";
+
 fn check_all_shapes(db: &Database) {
     // Every aggregate over every single-column key layout.
     for k in KEYS {
@@ -184,7 +193,14 @@ fn check_all_shapes(db: &Database) {
     check(db, "select distinct kt, kd, kb from t");
     check(db, "select distinct ki, kf, kt, kd, kb, km, ka from t");
     check(db, "select distinct vi, vf, vt from t");
-    // Global DISTINCT aggregates run through the kernel as one group.
+    // Global aggregates run through the kernel as one group: every function
+    // over integer, float, date, text and both `Any` layouts — `km`'s `2`
+    // and `2.0` may meet only when partials merge, which replays — and the
+    // DISTINCT ones, folded on one worker.
+    let global = format!("select {GLOBAL_AGGS} from t");
+    let answer = conquer_reference::evaluate_sql(db, &global);
+    assert!(answer.is_ok(), "{answer:?}: {global}");
+    check(db, &global);
     check(
         db,
         "select count(distinct ki), sum(distinct vi), avg(distinct vf), count(distinct ka), \
@@ -697,6 +713,65 @@ fn min_max_candidates_met_only_in_a_merge() {
     ] {
         check(&db, sql);
     }
+}
+
+/// A global aggregate — no GROUP BY — is the kernel's one group, folded in
+/// morsel-local partials when there are rows enough. MIN/MAX candidates met
+/// only when two partials merge replay on the row path: a NaN, which is the
+/// row path's error, and `0.0` against `-0.0` or `2` against `2.0`, whose
+/// first only the rows' order tells. Over zero rows it is one row, `COUNT`
+/// 0 and the rest NULL. A memory budget trips alike at every thread count.
+#[test]
+fn global_aggregates_fold_as_one_group() {
+    let n = 3 * PAR_THRESHOLD;
+    let db = Database::new();
+    let mut t = Table::new(
+        "t",
+        vec![
+            ("k", DataType::Integer),
+            ("f", DataType::Float),
+            ("m", DataType::Float),
+            ("s", DataType::Text),
+        ],
+    );
+    for i in 0..n {
+        // Rows 2100, 3100 and 5100 sit in morsels 2, 3 and 5.
+        let (k, f, m) = match i {
+            2100 => (0, Value::Float(0.0), Value::Int(2)),
+            3100 => (1, Value::Float(-0.0), Value::Float(2.0)),
+            5100 => (100, Value::Float(f64::NAN), Value::Float(3.0)),
+            _ => (i as i64 % 8, Value::Float(i as f64), Value::Float(1.0)),
+        };
+        t.push(vec![Value::Int(k), f, m, Value::str(WORDS[i % 6])])
+            .unwrap();
+    }
+    db.register(t).unwrap();
+    for sql in ["select min(f) from t", "select max(f), count(*) from t"] {
+        assert!(
+            conquer_reference::evaluate_sql(&db, sql).is_err(),
+            "fixture must fail: {sql}"
+        );
+        check(&db, sql);
+    }
+    // `k < 8` drops the NaN and keeps the ties: `0.0` (rows 0 and 2100)
+    // against `-0.0` (row 3100), `2` (row 2100) against `2.0` (row 3100).
+    let tied = "select min(f), max(f), min(m), max(m), count(*) from t where k < 8";
+    check(&db, tied);
+    let row = &db.query_with(tied, &opts(8)).unwrap().rows[0];
+    assert_eq!(
+        format!("{:?}", &row[..4]),
+        "[Float(0.0), Float(12287.0), Float(1.0), Int(2)]"
+    );
+    let none = "select count(*), count(f), sum(k), avg(f), min(s), max(m) from t where k > 100";
+    check(&db, none);
+    let row = &db.query_with(none, &opts(8)).unwrap().rows[0];
+    let mut empty = vec![Value::Int(0); 2];
+    empty.resize(6, Value::Null);
+    assert_eq!(format!("{row:?}"), format!("{empty:?}"));
+    let plain = "select count(*), sum(k), min(k), max(f), avg(f), max(s) from t where k < 8";
+    check(&db, plain);
+    assert_eq!(workers_at_8(&db, plain, "Aggregate"), 8);
+    trips_alike(&db, plain, &[64, 1_000_000]);
 }
 
 /// DISTINCT aggregates fold on one worker, however few the groups: which

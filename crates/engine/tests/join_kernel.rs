@@ -1,10 +1,10 @@
 //! Differential suite for every hash join, each answered off key *columns*
-//! through `engine::groupkey`: residual-free semi/anti joins (`EXISTS` /
-//! `NOT EXISTS` on key equality) on the typed existence kernel, and inner
-//! and left-outer joins — and existence joins with an expression key —
+//! through `engine::groupkey` (evaluated into fresh chunks when a key is an
+//! expression or a side is row-shaped): semi/anti joins (`EXISTS` / `NOT
+//! EXISTS` on key equality) on the one existence body, a set of the build
+//! side's distinct keys (`groupkey::KeySet`), and inner and left-outer joins
 //! looking their probe keys up in row-id postings built over the build
-//! side's key columns (`groupkey::Postings`, evaluated into fresh chunks
-//! when a key is an expression or a side is row-shaped).
+//! side's key columns (`groupkey::Postings`).
 //!
 //! Queries run on the row-at-a-time reference evaluator
 //! (`conquer-reference`, the oracle: the subquery evaluated again for every
@@ -37,13 +37,18 @@
 //! left join runs on every key shape whose inner join yields at most
 //! [`JOIN_ROWS_CAP`] rows: a boolean or text key over thousands of rows
 //! on each side is nearly a cross product, and its layout is covered there
-//! by the multi-column keys that hold it. Beyond the shared key shapes:
-//! joins whose two sides are both an inner join's row-shaped output, an
-//! inner join that builds on its smaller left side, and expression keys —
-//! one of them erroring — at every join kind.
+//! by the multi-column keys that hold it. Every fixture also runs `EXISTS`
+//! / `NOT EXISTS` with an expression key on either side and with a
+//! row-shaped probe or build side. Beyond those shapes: joins whose two
+//! sides are both an inner join's row-shaped output, an inner join that
+//! builds on its smaller left side, expression keys — one of them
+//! erroring — at every join kind, and a hand-built existence join with a
+//! residual, which is refused.
 
 use std::collections::HashMap;
 
+use conquer_engine::expr::BoundExpr;
+use conquer_engine::plan::JoinType;
 use conquer_engine::value::Key;
 use conquer_engine::{
     DataType, Database, EngineError, ExecOptions, NodeStats, Plan, Rows, Table, Value,
@@ -318,9 +323,24 @@ fn key_shapes() -> Vec<(String, bool)> {
     shapes
 }
 
+/// `EXISTS` / `NOT EXISTS` whose keys or sides are not plain columns of a
+/// columnar batch, all on the one existence body: an expression key on the
+/// probe side, then on the build side, and a probe side, then a build side,
+/// that a filter the kernels do not compile (its arithmetic) leaves
+/// row-shaped. `{q}` is the quantifier.
+const EXISTENCE_SHAPES: [&str; 4] = [
+    "select * from p where {q} (select * from b where b.ki = p.ki + 0)",
+    "select * from p where {q} (select * from b where b.kf + 0 = p.kf)",
+    "select * from p where p.v * 2 >= 0 and {q} \
+     (select * from b where b.ki = p.ki and b.kt = p.kt)",
+    "select * from p where {q} \
+     (select * from b where b.v * 2 >= 0 and b.kd = p.kd and b.km = p.km)",
+];
+
 /// Every key shape against `db` as `EXISTS`, `NOT EXISTS`, inner and left
-/// join: held to the reference when `reference`, else (both sides too big
-/// for it) to the engine at threads 1 alone.
+/// join, and every [`EXISTENCE_SHAPES`]: held to the reference when
+/// `reference`, else (both sides too big for it) to the engine at threads 1
+/// alone.
 fn check_all_shapes(db: &Database, reference: bool) {
     for (on, eq) in key_shapes() {
         let oracle = match (reference, eq) {
@@ -337,6 +357,17 @@ fn check_all_shapes(db: &Database, reference: bool) {
             }
         }
     }
+    let oracle = if reference {
+        Oracle::Reference
+    } else {
+        Oracle::Threads
+    };
+    for shape in EXISTENCE_SHAPES {
+        for quantifier in ["exists", "not exists"] {
+            let sql = shape.replace("{q}", quantifier);
+            check_planned(db, &sql, true, oracle, true);
+        }
+    }
 }
 
 /// The engine against the row-at-a-time reference, and against itself at
@@ -344,7 +375,7 @@ fn check_all_shapes(db: &Database, reference: bool) {
 #[test]
 fn random_tables_match_row_path_at_every_size() {
     // (probe rows, build rows, held to the reference): past the threshold
-    // on one side — the probe fans out, or the build partitions — with the
+    // on one side — the probe fans out, or the build grows large — with the
     // other small enough for the reference; then sides too big for it, past
     // the threshold on both at once, held to threads 1.
     let sizes = [
@@ -612,9 +643,8 @@ fn group_by_output_reaches_the_join_typed() {
 }
 
 #[test]
-fn expression_keys_and_residuals_take_the_general_path() {
-    // Not the existence kernel's shapes, but they must keep answering: a
-    // key that is an expression on either side is still a hash join, its
+fn expression_keys_and_residuals_keep_answering() {
+    // A key that is an expression on either side is still a hash join, its
     // keys evaluated into fresh chunks (and an erroring key must report the
     // reference's error), at every join kind; an EXISTS correlated through
     // an inequality is not decorrelated at all.
@@ -641,6 +671,39 @@ fn expression_keys_and_residuals_take_the_general_path() {
                 false,
                 Oracle::Reference,
                 true,
+            );
+        }
+    }
+}
+
+/// The planner makes existence joins of key equalities alone, and their
+/// body tests nothing else: a semi or anti join handed a residual anyway is
+/// refused with an execution error, at every thread count, never answered
+/// as if the residual were not there.
+#[test]
+fn an_existence_join_with_a_residual_is_refused() {
+    let db = fixture(300, 200, 97, 11, 13);
+    let side = |table: &str| {
+        let query = conquer_sql::parse_query(&format!("select * from {table}")).unwrap();
+        db.plan(&query, &ExecOptions::default()).unwrap()
+    };
+    let (p, b) = (side("p"), side("b"));
+    for kind in [JoinType::Semi, JoinType::Anti] {
+        let plan = Plan::HashJoin {
+            schema: p.schema().clone(),
+            left: Box::new(p.clone()),
+            right: Box::new(b.clone()),
+            kind,
+            left_keys: vec![BoundExpr::column(0)],
+            right_keys: vec![BoundExpr::column(0)],
+            residual: Some(BoundExpr::Literal(Value::Bool(true))),
+            build_index: None,
+        };
+        for threads in THREADS {
+            let got = conquer_engine::exec::execute_plan(&plan, None, None, threads, None);
+            assert!(
+                matches!(got, Err(EngineError::Execution(_))),
+                "{kind:?} threads={threads}"
             );
         }
     }

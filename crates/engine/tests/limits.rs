@@ -157,12 +157,11 @@ fn memory_limit_charges_distinct_by_key_width() {
 
 #[test]
 fn memory_limit_charges_existence_join_by_distinct_key() {
-    // 9 000 build rows holding 3 000 distinct keys, probed by 10 rows. The
-    // typed existence kernel keeps one 20 B table entry per distinct key —
-    // 60 000 B, the keys themselves staying in the build batch — so it
-    // trips 40 000 B while building and fits 70 000 B; the hash join an
-    // expression key takes, whose postings chain every build row besides a
-    // table entry per key, fits neither.
+    // 9 000 build rows holding 3 000 distinct keys, probed by 10 rows. Every
+    // existence join keeps one 20 B table entry per distinct key — 60 000 B,
+    // the keys themselves staying in their columns — so it trips 40 000 B
+    // while building and fits 70 000 B, whether its key is a plain column or
+    // an expression evaluated into a fresh column.
     let db = Database::new();
     let build: Vec<String> = (0..9_000).map(|i| format!("({})", i % 3_000)).collect();
     db.run_script(&format!(
@@ -172,30 +171,25 @@ fn memory_limit_charges_existence_join_by_distinct_key() {
         build.join(", ")
     ))
     .expect("build semi-join fixture");
-    let kernel = "select x from a where exists (select y from b where b.y = a.x)";
-    let general = "select x from a where exists (select y from b where b.y = a.x + 0)";
+    let column = "select x from a where exists (select y from b where b.y = a.x)";
+    let expression = "select x from a where exists (select y from b where b.y = a.x + 0)";
     let run = |sql: &str, bytes: u64| {
         let options = ExecOptions::default()
             .with_limits(ResourceLimits::unlimited().with_max_memory_bytes(bytes));
         db.query_with(sql, &options)
     };
-    for (sql, bytes) in [(kernel, 40_000), (general, 40_000), (general, 70_000)] {
-        match run(sql, bytes) {
+    for sql in [column, expression] {
+        match run(sql, 40_000) {
             Err(EngineError::MemoryExceeded(trip)) => {
                 assert_eq!(trip.operator, "hash_join", "{sql}");
-                assert!(trip.mem_bytes > bytes);
+                assert!(trip.mem_bytes > 40_000);
             }
-            other => panic!("{bytes} B, {sql}: expected MemoryExceeded: {other:?}"),
+            other => panic!("40 000 B, {sql}: expected MemoryExceeded: {other:?}"),
         }
-    }
-    // Under the budget that fits, and unlimited on the general path: the
-    // reference's five rows.
-    let reference = conquer_reference::evaluate_sql(&db, kernel).expect("reference");
-    assert_eq!(reference.len(), 5);
-    for got in [
-        run(kernel, 70_000).expect("60 000 B of keys fit"),
-        run(general, 1 << 30).expect("unlimited"),
-    ] {
+        // Under the budget that fits: the reference's five rows.
+        let reference = conquer_reference::evaluate_sql(&db, sql).expect("reference");
+        assert_eq!(reference.len(), 5);
+        let got = run(sql, 70_000).expect("60 000 B of keys fit");
         assert_eq!(conquer_reference::diff(&reference, &got, true), None);
     }
     assert_usable(&db);

@@ -351,9 +351,9 @@ fn memory_limit_trips_identically_at_any_thread_count() {
         b.push(vec![Value::Int(i), Value::Int(i * 7)]).unwrap();
     }
     db.register(b).unwrap();
-    // And the typed existence join, whose key table is hash-partitioned
-    // across workers: 1 500 build keys of `u` at 20 B, then 16 B a
-    // surviving row of the 12 000 probed.
+    // And the existence join, whose key table is built on one worker and
+    // probed on many: 1 500 build keys of `u` at 20 B, then 16 B a surviving
+    // row of the 12 000 probed.
     for sql in [
         "select distinct a.k, b.w from a join b on a.k = b.k",
         "select a.k, b.w, count(*) from a join b on a.k = b.k group by a.k, b.w",

@@ -10,7 +10,9 @@
 //! `conq_qg_filter` (inner, served by `lineitem`'s key index — still a
 //! row-path operator: its probe side is pivoted to rows, one build row is
 //! read per candidate pair, its row-shaped output goes back to columns)
-//! and Q1's final ≤ 4-row result. Nothing needs warming: no base table is
+//! and the final result: Q1's ≤ 4 rows, Q6's one (a global aggregate is
+//! the group-key kernel's one group, a column batch like any other
+//! group's). Nothing needs warming: no base table is
 //! ever pivoted whole. A change that makes any other operator of the
 //! rewriting pivot again moves these counters, not just a timing.
 //!
@@ -31,10 +33,11 @@
 //!
 //! `harness opbench`'s two existence-join cells pivot nothing at all: the
 //! typed kernel takes key columns in and hands row ids out. Which way every
-//! hash join went is counted — `exec.join.kernel` (that kernel),
-//! `exec.join.built` (postings built for the query) or `index.probe` (a key
-//! index's postings) — and pinned for opbench's join cells and for joins
-//! over a CTE.
+//! hash join went is counted — `exec.join.kernel` (that kernel, every
+//! semi/anti join's), `exec.join.built` (postings built for the query) or
+//! `index.probe` (a key index's postings) — and pinned for opbench's join
+//! cells, for joins over a CTE, and for existence joins with an expression
+//! key or a row-shaped probe side.
 //!
 //! The same warm query then pins the morsel driver's counters:
 //! `exec.morsel.fanouts` / `exec.morsel.workers_spawned` are bumped in the
@@ -503,9 +506,10 @@ fn since(before: [u64; 3]) -> [u64; 3] {
 }
 
 /// Every hash join counts which way it went. A side that is a CTE carries
-/// no index, so an inner join over one builds its postings; an existence
-/// join over one still runs the kernel; a CTE probing `orders` on its key
-/// borrows the key index's postings.
+/// no index, so an inner join over one builds its postings; every existence
+/// join runs the kernel — over a CTE, with an expression key, or with a
+/// probe side that a filter the kernels do not compile left row-shaped; a
+/// CTE probing `orders` on its key borrows the key index's postings.
 #[test]
 fn each_hash_join_counts_the_way_it_went() {
     let _turn = turn();
@@ -538,6 +542,20 @@ fn each_hash_join_counts_the_way_it_went() {
             [1, 0, 0],
         ),
         (
+            format!(
+                "{cte}select l.l_orderkey from lineitem l \
+                 where exists (select f.k from f where f.k = l.l_orderkey + 0)"
+            ),
+            [1, 0, 0],
+        ),
+        (
+            format!(
+                "{cte}select l.l_orderkey from lineitem l where l.l_quantity * 2 > 10 \
+                 and exists (select f.k from f where f.k = l.l_orderkey)"
+            ),
+            [1, 0, 0],
+        ),
+        (
             format!("{cte}select f.k from f join orders o on o.o_orderkey = f.k"),
             [0, 0, 1],
         ),
@@ -558,11 +576,12 @@ fn rewritten_q6_pivots_only_the_filter_join_and_the_result() {
         // The join's probe side and one build row per candidate pair — the
         // build side is `lineitem` behind its key index, never pivoted
         // whole — column -> row; the row-path Filter's survivors back to
-        // columns where the CTE stores them. The global aggregate's one
-        // answer row is built as a row.
+        // columns where the CTE stores them; and the global aggregate's
+        // one-row answer, a column batch until the result is handed out.
         let pass = first_pass(&q6, annotated);
         let JoinRows { probe, pairs, .. } = pass.join;
-        assert_eq!(pass.to_rows, probe + pairs, "{pass:?}");
+        assert_eq!(pass.answer, 1, "{pass:?}");
+        assert_eq!(pass.to_rows, probe + pairs + pass.answer, "{pass:?}");
         assert_eq!(pass.to_cols, pass.filtered, "{pass:?}");
         assert!(pairs <= 2 * probe, "{pass:?}");
     }
