@@ -1951,11 +1951,14 @@ struct Resident {
 }
 
 /// Set-up cost: the steps of §6.1's protocol that precede every figure,
-/// each timed on its own, at `--sf` and 4×`--sf`. Beside the first pass:
-/// the key-index builds inside it (the `index.build.us` histogram's
-/// delta), and where resident bytes are after it — stored columns, built
-/// indexes, rows the pass pivoted, `VmRSS`.
+/// each timed on its own, at `--sf` and 4×`--sf`. Beside the load: one
+/// from-scratch `TableStats` collection of every loaded table, which the
+/// load no longer pays (the first plan that reads a table version does).
+/// Beside the first pass: the key-index builds inside it (the
+/// `index.build.us` histogram's delta), and where resident bytes are after
+/// it — stored columns, built indexes, rows the pass pivoted, `VmRSS`.
 fn load_cmd(args: &Args) -> Json {
+    use conquer::engine::TableStats;
     use conquer::tpch::{
         benchmark_constraints, generate_database, inject_database, GenConfig, TABLES,
     };
@@ -1972,12 +1975,13 @@ fn load_cmd(args: &Args) -> Json {
     );
     say!(
         args,
-        "| SF | tuples | generate (ms) | inject (ms) | annotate (ms) | declare + first pass (ms) \
-         | of which index build (ms) | tuples/s | column B/tuple | index B/tuple | peak RSS (MiB) |"
+        "| SF | tuples | generate (ms) | inject (ms) | annotate (ms) | stats, all tables (ms) \
+         | declare + first pass (ms) | of which index build (ms) | tuples/s | column B/tuple \
+         | index B/tuple | peak RSS (MiB) |"
     );
     say!(
         args,
-        "|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|"
+        "|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|"
     );
     let registry = conquer_obs::registry();
     let index_builds = registry.histogram("index.build.us");
@@ -1991,6 +1995,7 @@ fn load_cmd(args: &Args) -> Json {
     for sf in [args.sf, args.sf * 4.0] {
         let mut samples: [Vec<u64>; 4] = Default::default();
         let mut index_build_us = Vec::new();
+        let mut stats_collect_us = Vec::new();
         let mut last = Resident::default();
         for _ in 0..args.runs.max(1) {
             let mut lap = Instant::now();
@@ -2030,6 +2035,11 @@ fn load_cmd(args: &Args) -> Json {
             step(&mut samples, 3);
             index_build_us.push(index_builds.snapshot().sum - built_before);
             let tables: Vec<_> = TABLES.iter().filter_map(|t| w.db.table(t).ok()).collect();
+            let collecting = Instant::now();
+            for t in &tables {
+                std::hint::black_box(TableStats::collect(t.cols()));
+            }
+            stats_collect_us.push(collecting.elapsed().as_micros() as u64);
             last = Resident {
                 tuples: tables.iter().map(|t| t.len() as u64).sum(),
                 column_bytes: tables.iter().map(|t| t.cols().byte_size() as u64).sum(),
@@ -2055,6 +2065,8 @@ fn load_cmd(args: &Args) -> Json {
         }
         index_build_us.sort_unstable();
         let index_build_us = conquer_bench::percentile(&index_build_us, 0.5);
+        stats_collect_us.sort_unstable();
+        let stats_collect_us = conquer_bench::percentile(&stats_collect_us, 0.5);
         samples.iter_mut().for_each(|s| s.sort_unstable());
         let median = |i: usize| conquer_bench::percentile(&samples[i], 0.5);
         let load_us = median(0) + median(1) + median(2);
@@ -2065,10 +2077,12 @@ fn load_cmd(args: &Args) -> Json {
         let peak = proc_status_bytes("VmHWM:");
         say!(
             args,
-            "| {sf} | {tuples} | {:.1} | {:.1} | {:.1} | {:.1} | {:.1} | {:.0} | {:.1} | {:.1} | {:.1} |",
+            "| {sf} | {tuples} | {:.1} | {:.1} | {:.1} | {:.1} | {:.1} | {:.1} | {:.0} | {:.1} | {:.1} \
+             | {:.1} |",
             median(0) as f64 / 1e3,
             median(1) as f64 / 1e3,
             median(2) as f64 / 1e3,
+            stats_collect_us as f64 / 1e3,
             median(3) as f64 / 1e3,
             index_build_us as f64 / 1e3,
             tuples_per_sec,
@@ -2081,6 +2095,7 @@ fn load_cmd(args: &Args) -> Json {
             entry.push(format!("{name}_us"), Json::UInt(median(i)));
         }
         entry.push("load_us", Json::UInt(load_us));
+        entry.push("stats_collect_us", Json::UInt(stats_collect_us));
         entry.push("tuples_per_sec", Json::Float(tuples_per_sec));
         entry.push("index_build_us", Json::UInt(index_build_us));
         // What the last run held after its first pass: stored columns, key
@@ -2121,7 +2136,7 @@ fn load_cmd(args: &Args) -> Json {
                 let speedup = was / now.max(1) as f64;
                 say!(
                     args,
-                    "|   | before: {:.1} ms {what}, {speedup:.2}x | | | | | | | | | |",
+                    "|   | before: {:.1} ms {what}, {speedup:.2}x | | | | | | | | | | |",
                     was / 1e3
                 );
                 let name = field.trim_end_matches("_us");

@@ -1,8 +1,9 @@
 //! Cardinality and cost estimation over physical plans.
 //!
-//! The [`Estimator`] turns catalog statistics ([`TableStats`], collected at
-//! registration — see [`crate::stats`]) into per-operator output-row
-//! estimates and an abstract plan cost. It is consulted by the optimizer
+//! The [`Estimator`] turns catalog statistics ([`TableStats`], collected by
+//! the first plan that reads a table version — see [`crate::stats`]) into
+//! per-operator output-row estimates and an abstract plan cost. It is
+//! consulted by the optimizer
 //! ([`crate::opt`]) to pick hash-join build sides, order joins, and gate
 //! right-side filter pushes, and by `EXPLAIN` to print `est_rows=` next to
 //! the measured row counts.

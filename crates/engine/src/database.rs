@@ -1,6 +1,6 @@
 //! The database: a catalog of named tables plus the query entry points.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -61,24 +61,30 @@ impl Declared {
 /// Everything the catalog holds for one table, published as one value: a
 /// reader that takes the `Arc<Entry>` gets a table, the batch every plan
 /// scans, its statistics, its version and its indexes that belong
-/// together. Nothing in a published entry changes, except that a declared
-/// index's postings are filled in once, over the entry's own batch.
+/// together. Nothing in a published entry changes, except that its
+/// statistics and a declared index's postings are filled in once, over the
+/// entry's own batch.
 #[derive(Clone)]
 pub(crate) struct Entry {
     table: Arc<Table>,
     batch: Arc<ColBatch>,
-    stats: Arc<TableStats>,
+    /// Filled by the first reader ([`Entry::stats`]), or up front with the
+    /// statistics a decoded Snapshot or segment carries.
+    stats: OnceLock<Arc<TableStats>>,
+    /// Drawn by [`Database::publish`].
     version: u64,
     slots: Vec<Declared>,
 }
 
 impl Entry {
-    fn new(table: Table, stats: Arc<TableStats>, version: u64, slots: Vec<Declared>) -> Entry {
+    fn new(table: Table, stats: Option<TableStats>, slots: Vec<Declared>) -> Entry {
         Entry {
             batch: Arc::new(table.batch()),
             table: Arc::new(table),
-            stats,
-            version,
+            stats: stats
+                .map(Arc::new)
+                .map_or_else(OnceLock::new, OnceLock::from),
+            version: 0,
             slots,
         }
     }
@@ -99,8 +105,26 @@ impl Entry {
         &self.batch
     }
 
+    /// The version's statistics, collected here by the first reader that
+    /// needs them (a plan's estimator, [`Database::table_stats`], a
+    /// Snapshot or checkpoint encode) — no write collects for its own
+    /// sake. Concurrent first readers wait for one collection. It runs
+    /// outside any query governor, as a lazy index build does; its time
+    /// lands in the `stats.collect.us` histogram.
     pub(crate) fn stats(&self) -> &Arc<TableStats> {
-        &self.stats
+        self.stats.get_or_init(|| {
+            let _span = conquer_obs::span("stats.collect")
+                .field("table", self.table.name())
+                .field("rows", self.batch.len())
+                .field("columns", self.batch.width());
+            let start = std::time::Instant::now();
+            let stats = TableStats::collect(&self.batch);
+            conquer_obs::registry()
+                .histogram("stats.collect.us")
+                .record(start.elapsed().as_micros() as u64);
+            conquer_obs::registry().counter("stats.collect").inc();
+            Arc::new(stats)
+        })
     }
 
     /// Every declared index that is built or builds now, in declaration
@@ -239,7 +263,7 @@ impl Database {
         for seg in &recovered.segments {
             let (table, stats, indexes) = durable::decode_snapshot(&seg.payload)?;
             let name = table.name().to_string();
-            db.apply_register(table, Arc::new(stats));
+            db.apply_register(table, Some(stats));
             for cols in indexes {
                 db.apply_create_index(&name, cols);
             }
@@ -256,24 +280,11 @@ impl Database {
         }
         // Then the WAL tail. Each record replays as exactly one apply (one
         // epoch bump), mirroring the original mutation, so the recovered
-        // epochs land exactly where they were before the crash.
-        // Replayed inserts carry their table's statistics over unchanged;
-        // the tables they touched (`stale`) are collected once each when
-        // the tail ends, not once per record.
-        let mut stale = BTreeSet::new();
+        // epochs land exactly where they were before the crash. A table a
+        // Create or Insert record leaves behind has no statistics until
+        // its first reader collects them, once, over the recovered rows.
         for record in &recovered.wal_records {
-            db.apply_wal_record(record, &mut stale)?;
-        }
-        for name in stale {
-            // A later record may have dropped the table. The refresh is no
-            // mutation: the entry keeps its version.
-            if let Some(entry) = db.entry(&name) {
-                let stats = Arc::new(TableStats::collect(entry.table.cols()));
-                db.publish(Entry {
-                    stats,
-                    ..(*entry).clone()
-                });
-            }
+            db.apply_wal_record(record)?;
         }
         db.durability = Some(Durability {
             store,
@@ -307,15 +318,14 @@ impl Database {
     /// `INSERT`/`CREATE` paths and recovery hold it across their whole
     /// read-modify-write sequence).
     fn register_locked(&self, table: Table) -> Result<()> {
-        let stats = Arc::new(TableStats::collect(table.cols()));
+        let entry = self.successor(table, None);
         if self.durability.is_some() {
-            let decls = self.declared_indexes(table.name());
-            self.log(
-                KIND_SNAPSHOT,
-                &durable::encode_snapshot(&table, &stats, &decls),
-            )?;
+            // The Snapshot carries statistics: the entry's cell is filled
+            // for it here, so the entry published below has them.
+            let snapshot = durable::encode_snapshot(&entry.table, entry.stats(), &entry.declared());
+            self.log(KIND_SNAPSHOT, &snapshot)?;
         }
-        self.apply_register(table, stats);
+        self.publish(entry);
         self.maybe_auto_checkpoint()
     }
 
@@ -336,15 +346,21 @@ impl Database {
     }
 
     /// Apply a table swap to the in-memory catalog (no logging — callers
-    /// log first): a new entry at a new version, keeping the table's index
-    /// declarations unbuilt — their postings would describe the replaced
-    /// data.
-    fn apply_register(&self, table: Table, stats: Arc<TableStats>) {
+    /// log first): [`Database::successor`], published at a new version.
+    fn apply_register(&self, table: Table, stats: Option<TableStats>) {
+        self.publish(self.successor(table, stats));
+    }
+
+    /// The entry that replaces `table`'s, not yet published: the table's
+    /// index declarations unbuilt — their postings would describe the
+    /// replaced data — and its statistics `stats` when a decoded record
+    /// carries them, else collected by the first reader.
+    fn successor(&self, table: Table, stats: Option<TableStats>) -> Entry {
         let slots = self
             .entry(table.name())
             .map(|old| old.unbuilt())
             .unwrap_or_default();
-        self.publish(Entry::new(table, stats, self.next_version(), slots));
+        Entry::new(table, stats, slots)
     }
 
     /// Draw the next value of the epoch counter: the version of the entry a
@@ -353,10 +369,14 @@ impl Database {
         self.epoch.fetch_add(1, Ordering::AcqRel) + 1
     }
 
-    /// Make `entry` its table's catalog entry. One insert, so a reader sees
-    /// all of it or none of it; callers hold the mutation mutex (or are
-    /// recovery, which runs alone).
+    /// Make `entry` its table's catalog entry, at a new version. One
+    /// insert, so a reader sees all of it or none of it; callers hold the
+    /// mutation mutex (or are recovery, which runs alone).
     fn publish(&self, entry: Entry) {
+        let entry = Entry {
+            version: self.next_version(),
+            ..entry
+        };
         let name = entry.table.name().to_string();
         write_lock(&self.catalog).insert(name, Arc::new(entry));
     }
@@ -371,16 +391,12 @@ impl Database {
     }
 
     /// Replay one recovered WAL record against the in-memory catalog.
-    /// An insert adds its table to `stale`: the statistics it leaves
-    /// installed predate the rows it replayed.
-    fn apply_wal_record(&self, record: &WalRecord, stale: &mut BTreeSet<String>) -> Result<()> {
+    fn apply_wal_record(&self, record: &WalRecord) -> Result<()> {
         match record.kind {
             KIND_CREATE => {
                 let (name, schema) = durable::decode_create(&record.payload)?;
                 let cols = ColBatch::from_schema(&schema);
-                let table = Table::from_parts(name, schema, cols);
-                let stats = Arc::new(TableStats::collect(table.cols()));
-                self.apply_register(table, stats);
+                self.apply_register(Table::from_parts(name, schema, cols), None);
                 Ok(())
             }
             KIND_INSERT => {
@@ -395,14 +411,13 @@ impl Database {
                 for row in rows {
                     table.push(row)?;
                 }
-                self.apply_register(table, Arc::clone(&current.stats));
-                stale.insert(name);
+                self.apply_register(table, None);
                 Ok(())
             }
             KIND_SNAPSHOT => {
                 let (table, stats, indexes) = durable::decode_snapshot(&record.payload)?;
                 let name = table.name().to_string();
-                self.apply_register(table, Arc::new(stats));
+                self.apply_register(table, Some(stats));
                 for cols in indexes {
                     self.apply_create_index(&name, cols);
                 }
@@ -489,7 +504,7 @@ impl Database {
             .into_iter()
             .map(|(name, entry)| {
                 let snapshot =
-                    durable::encode_snapshot(&entry.table, &entry.stats, &entry.declared());
+                    durable::encode_snapshot(&entry.table, entry.stats(), &entry.declared());
                 (name, snapshot)
             })
             .collect();
@@ -529,8 +544,9 @@ impl Database {
     /// table's last mutation (`register`/`INSERT`, `CREATE INDEX`), `None`
     /// when no such table exists. Versions are never reused, so a table
     /// dropped and re-created under the same name has a strictly greater
-    /// version than it ever had before. Statistics are collected inside
-    /// `register`, so the version covers them too.
+    /// version than it ever had before. A version's statistics are a
+    /// function of its rows, whenever they are collected, so the version
+    /// covers them too.
     pub fn table_version(&self, name: &str) -> Option<u64> {
         self.entry(name).map(|e| e.version)
     }
@@ -560,10 +576,10 @@ impl Database {
         ))
     }
 
-    /// Statistics for a table, as collected at its last registration.
-    /// `None` for unknown tables.
+    /// Statistics for a table's current version, collected now if no
+    /// reader has needed them yet. `None` for unknown tables.
     pub fn table_stats(&self, name: &str) -> Option<Arc<TableStats>> {
-        self.entry(name).map(|e| Arc::clone(&e.stats))
+        self.entry(name).map(|e| Arc::clone(e.stats()))
     }
 
     /// Declare a secondary index on `table` over `cols` (column order
@@ -614,7 +630,6 @@ impl Database {
         let mut slots = old.slots.clone();
         slots.push(Declared::new(cols, None));
         self.publish(Entry {
-            version: self.next_version(),
             slots,
             ..(*old).clone()
         });
@@ -882,8 +897,7 @@ impl Database {
                 if self.durability.is_some() {
                     self.log(KIND_CREATE, &durable::encode_create(name, table.schema()))?;
                 }
-                let stats = Arc::new(TableStats::collect(table.cols()));
-                self.apply_register(table, stats);
+                self.apply_register(table, None);
                 self.maybe_auto_checkpoint()?;
                 Ok(None)
             }
@@ -950,12 +964,11 @@ impl Database {
                 .collect();
             self.log(KIND_INSERT, &durable::encode_insert(name, &appended))?;
         }
-        let stats = Arc::new(TableStats::collect(new_table.cols()));
         // The old entry's built indexes are extended (rather than rebuilt)
         // over the appended rows. Sound because the mutation mutex is
         // held: the new table is exactly the old rows plus the appended
         // suffix, which is `Index::extended`'s contract.
-        let entry = Entry::new(new_table, stats, self.next_version(), Vec::new());
+        let entry = Entry::new(new_table, None, Vec::new());
         let slots = current.slots.iter().map(|d| {
             let extended = d.built.get().and_then(|i| i.extended(&entry.batch));
             Declared::new(d.cols.clone(), extended)

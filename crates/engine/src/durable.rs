@@ -16,12 +16,14 @@
 //!
 //! Checkpoint segments reuse the `Snapshot` payload encoding, so the same
 //! decoder serves WAL replay and segment loading. `TableStats` are stored
-//! in snapshots and recovered verbatim — annotations and statistics are
-//! first-class durable data, not recomputed on boot. Index *declarations*
-//! are durable too (a snapshot carries its table's declared indexes); the
-//! built postings are not — recovery reinstalls declarations unbuilt, and
-//! the first query that plans against the table rebuilds lazily, keeping
-//! cold-boot recovery time independent of index count.
+//! in snapshots (the encode collects them if no reader has yet) and
+//! recovered verbatim — annotations and statistics are first-class durable
+//! data, not recomputed on boot; a table that `Create` / `Insert` records
+//! rebuilt has none until its first reader collects them. Index
+//! *declarations* are durable too (a snapshot carries its table's declared
+//! indexes); the built postings are not — recovery reinstalls declarations
+//! unbuilt, and the first query that plans against the table rebuilds
+//! lazily, keeping cold-boot recovery time independent of index count.
 //!
 //! Every decoder is bounds-checked and returns [`EngineError::Storage`] on
 //! malformed input; nothing here can panic on a corrupt file.

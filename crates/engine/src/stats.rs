@@ -6,16 +6,15 @@
 //! matching each plan operator as it runs. When no stats are requested the
 //! executor takes the untimed path, so plain queries pay nothing.
 //!
-//! [`TableStats`] / [`ColumnStats`] are collected eagerly whenever a table
-//! is registered (`CREATE TABLE` + every `INSERT` re-registers, so stats
-//! are never stale; recovery collects once per table after replaying the
-//! WAL tail), column by column over each column's typed layout
-//! ([`TableStats::collect`]), and exposed through the catalog
-//! ([`crate::Database::table_stats`]); they are installed before the
-//! table's new [version](crate::Database::table_version) is published, so
+//! [`TableStats`] / [`ColumnStats`] are collected column by column over
+//! each column's typed layout ([`TableStats::collect`]), once per table
+//! [version](crate::Database::table_version), by the first reader that
+//! needs them — the planner's estimator, [`crate::Database::table_stats`],
+//! a durable snapshot — and never by a write (`CREATE TABLE`, `INSERT`,
+//! `register`, WAL replay). They are a function of the version's rows, so
 //! plan caches that check versions never keep a plan costed against older
-//! statistics. The estimation
-//! formulas that consume them live in [`crate::cost`].
+//! statistics. The estimation formulas that consume them live in
+//! [`crate::cost`].
 
 use std::collections::HashSet;
 use std::time::Duration;

@@ -1,6 +1,7 @@
-//! Recovery collects a table's statistics once, after the WAL tail has been
-//! replayed into it — not once per replayed `INSERT` record, which made
-//! recovery quadratic in the tail. What it installs must be what a
+//! Recovery collects no statistics for a table the WAL tail's `CREATE` and
+//! `INSERT` records rebuilt: its first reader collects them once, over the
+//! recovered rows — not once per replayed `INSERT` record, which made
+//! recovery quadratic in the tail. What a reader gets must be what a
 //! collection from scratch over the recovered table gives, whatever mix of
 //! records touched the table.
 
@@ -47,7 +48,11 @@ fn replayed_inserts_leave_current_statistics() {
         }
         db.catalog_epoch()
     };
-    let db = open(&dir);
+    let (db, opened) = conquer_obs::capture(|| open(&dir));
+    assert!(
+        opened.iter().all(|span| span.name != "stats.collect"),
+        "opening a 500-record tail collects nothing"
+    );
     assert_eq!(db.table("t").unwrap().len(), 500);
     assert_stats_are_current(&db, "t");
     let stats = db.table_stats("t").unwrap();
