@@ -19,6 +19,7 @@ use crate::durable::{
 };
 use crate::error::{EngineError, Result};
 use crate::exec;
+use crate::expr::Env;
 use crate::governor::Governor;
 use crate::index::{ConflictSummary, Index};
 use crate::plan::{CteTrace, ExecOptions, Plan, Planner};
@@ -952,7 +953,7 @@ impl Database {
             }
             let mut row: Row = vec![Value::Null; n_cols];
             for (pos, expr) in positions.iter().zip(exprs) {
-                row[*pos] = eval_const(expr)?;
+                row[*pos] = Planner::bind_constant(self, expr)?.eval(&Env::root(&[]))?;
             }
             new_table.push(row)?;
         }
@@ -1008,31 +1009,6 @@ fn run_plan(
     let rows = exec::execute_plan(plan, None, gov, options.threads, stats)?.into_rows();
     span.record("rows", rows.rows.len());
     Ok(rows)
-}
-
-/// Evaluate a constant expression (INSERT values).
-fn eval_const(expr: &Expr) -> Result<Value> {
-    match expr {
-        Expr::Literal(l) => Ok(Value::from(l)),
-        Expr::UnaryOp {
-            op: conquer_sql::UnaryOp::Neg,
-            expr,
-        } => match eval_const(expr)? {
-            Value::Int(v) => {
-                Ok(Value::Int(v.checked_neg().ok_or_else(|| {
-                    EngineError::Eval("integer overflow in negation".into())
-                })?))
-            }
-            Value::Float(v) => Ok(Value::Float(-v)),
-            other => Err(EngineError::TypeError(format!(
-                "cannot negate {}",
-                other.type_name()
-            ))),
-        },
-        _ => Err(EngineError::Unsupported(
-            "INSERT values must be literal constants".into(),
-        )),
-    }
 }
 
 #[cfg(test)]

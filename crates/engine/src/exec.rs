@@ -46,9 +46,8 @@
 //! NULL/three-valued-logic semantics preserved. A fold whose integer SUM
 //! could overflow in some order of its rows, or that meets a value-level
 //! error, runs on one worker: only it sees the running sums in row order.
-//! ORDER BY sorts
-//! per-worker runs under a (keys, row index) total order and merges them —
-//! a stable sort by construction. Float SUM/AVG accumulate in an exact
+//! ORDER BY evaluates its keys on the morsel driver and sorts once,
+//! stably, on the calling thread. Float SUM/AVG accumulate in an exact
 //! superaccumulator ([`crate::fsum`]), so aggregates are bit-identical at
 //! every thread count.
 //!
@@ -2360,11 +2359,9 @@ fn cmp_key_vecs(a: &[Value], b: &[Value], keys: &[(BoundExpr, bool)]) -> std::cm
 /// up front (decorate–sort–undecorate), so the comparator never re-runs
 /// key expressions.
 ///
-/// The decoration runs on the morsel driver, and the sort as one
-/// `sort_unstable_by` per worker over contiguous runs followed by a k-way
-/// merge. The comparator is extended with the original row index as the
-/// final tie-break: a total order, under which the unstable per-run sorts
-/// and the merge are a *stable* sort, bit for bit, at any worker count.
+/// The decoration runs on the morsel driver; the sort is one stable
+/// `sort_by` on the calling thread, so ties keep their input order and the
+/// result is the same, bit for bit, at any worker count.
 fn exec_sort(
     mut input: Rows,
     keys: &[(BoundExpr, bool)],
@@ -2386,62 +2383,9 @@ fn exec_sort(
         }
         Ok(out)
     })?);
-    type Decorated = (Vec<Value>, usize, Row);
-    let decorated: Vec<Decorated> = key_vecs
-        .into_iter()
-        .zip(rows)
-        .enumerate()
-        .map(|(idx, (kv, row))| (kv, idx, row))
-        .collect();
-
-    // Split into one contiguous run per worker and sort each on its own.
-    // The (keys, index) comparator is a total order, so unstable sorting
-    // is deterministic.
-    let run_len = decorated.len().div_ceil(workers).max(1);
-    let mut runs: Vec<Vec<Decorated>> = Vec::with_capacity(workers);
-    let mut rest = decorated;
-    while rest.len() > run_len {
-        let tail = rest.split_off(run_len);
-        runs.push(rest);
-        rest = tail;
-    }
-    if !rest.is_empty() {
-        runs.push(rest);
-    }
-    let mut sorted_runs: Vec<Vec<Decorated>> = fan_out(runs, |mut run| {
-        run.sort_unstable_by(|(a, ai, _), (b, bi, _)| cmp_key_vecs(a, b, keys).then(ai.cmp(bi)));
-        Ok(run)
-    })?;
-
-    // K-way merge via iterated pairwise merges (k is small: <= workers).
-    while sorted_runs.len() > 1 {
-        let b = sorted_runs.pop().unwrap_or_default();
-        let a = sorted_runs.pop().unwrap_or_default();
-        let mut merged = Vec::with_capacity(a.len() + b.len());
-        let (mut ia, mut ib) = (a.into_iter().peekable(), b.into_iter().peekable());
-        loop {
-            match (ia.peek(), ib.peek()) {
-                (Some((ka, na, _)), Some((kb, nb, _))) => {
-                    let take_a = cmp_key_vecs(ka, kb, keys).then(na.cmp(nb)).is_le();
-                    if take_a {
-                        merged.extend(ia.next());
-                    } else {
-                        merged.extend(ib.next());
-                    }
-                }
-                (Some(_), None) => merged.extend(ia.by_ref()),
-                (None, Some(_)) => merged.extend(ib.by_ref()),
-                (None, None) => break,
-            }
-        }
-        sorted_runs.push(merged);
-    }
-    input.rows = sorted_runs
-        .pop()
-        .unwrap_or_default()
-        .into_iter()
-        .map(|(_, _, r)| r)
-        .collect();
+    let mut decorated: Vec<(Vec<Value>, Row)> = key_vecs.into_iter().zip(rows).collect();
+    decorated.sort_by(|(a, _), (b, _)| cmp_key_vecs(a, b, keys));
+    input.rows = decorated.into_iter().map(|(_, row)| row).collect();
     Ok(input)
 }
 

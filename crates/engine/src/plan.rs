@@ -469,18 +469,26 @@ struct CteEnv {
     inline: HashMap<String, Arc<Query>>,
 }
 
-/// Binding scope chain used during name resolution.
+/// The scope an expression binds in: a chain of schemas, innermost first
+/// (the outer ones serve correlated references), and the CTEs its
+/// subqueries may read.
 #[derive(Debug, Clone, Copy)]
 struct BindScope<'a> {
     schema: &'a Schema,
     parent: Option<&'a BindScope<'a>>,
+    env: &'a CteEnv,
 }
 
 impl<'a> BindScope<'a> {
-    fn root(schema: &'a Schema) -> BindScope<'a> {
+    fn new(
+        schema: &'a Schema,
+        parent: Option<&'a BindScope<'a>>,
+        env: &'a CteEnv,
+    ) -> BindScope<'a> {
         BindScope {
             schema,
-            parent: None,
+            parent,
+            env,
         }
     }
 
@@ -621,7 +629,8 @@ impl<'a> Planner<'a> {
             let schema = plan.schema().clone();
             let mut keys = Vec::new();
             for item in &query.order_by {
-                let bound = self.bind_order_key(&item.expr, &schema, outer)?;
+                let bound =
+                    self.bind_order_key(&item.expr, &BindScope::new(&schema, outer, &env))?;
                 keys.push((bound, item.desc));
             }
             plan = Plan::Sort {
@@ -695,28 +704,20 @@ impl<'a> Planner<'a> {
         Ok(())
     }
 
-    /// ORDER BY keys resolve against the output schema; an integer literal
-    /// is a 1-based output column position (SQL positional ordering).
-    fn bind_order_key(
-        &self,
-        expr: &Expr,
-        output: &Schema,
-        outer: Option<&BindScope<'_>>,
-    ) -> Result<BoundExpr> {
+    /// ORDER BY keys resolve against the output schema (`scope`'s
+    /// innermost); an integer literal is a 1-based output column position
+    /// (SQL positional ordering).
+    fn bind_order_key(&self, expr: &Expr, scope: &BindScope<'_>) -> Result<BoundExpr> {
         if let Expr::Literal(Literal::Integer(k)) = expr {
             let idx = usize::try_from(*k - 1)
                 .ok()
-                .filter(|i| *i < output.len())
+                .filter(|i| *i < scope.schema.len())
                 .ok_or_else(|| {
                     EngineError::Execution(format!("ORDER BY position {k} out of range"))
                 })?;
             return Ok(BoundExpr::column(idx));
         }
-        let scope = BindScope {
-            schema: output,
-            parent: outer,
-        };
-        match self.bind_expr(expr, &scope, &CteEnv::default()) {
+        match self.bind(expr, scope) {
             Ok(bound) => Ok(bound),
             // `ORDER BY t.col` over a projection that exposes the column as
             // bare `col`: retry with the qualifier stripped.
@@ -724,7 +725,7 @@ impl<'a> Planner<'a> {
                 if let Expr::Column(c) = expr {
                     if c.qualifier.is_some() {
                         let bare = Expr::Column(ast::ColumnRef::bare(c.name.clone()));
-                        return self.bind_expr(&bare, &scope, &CteEnv::default());
+                        return self.bind(&bare, scope);
                     }
                 }
                 Err(EngineError::UnknownColumn(format!(
@@ -854,7 +855,7 @@ impl<'a> Planner<'a> {
             } => {
                 let left_plan = self.plan_table_ref(left, env, outer, bindings)?;
                 let right_plan = self.plan_table_ref(right, env, outer, bindings)?;
-                self.plan_join(left_plan, right_plan, *kind, on.as_ref(), outer)
+                self.plan_join(left_plan, right_plan, *kind, on.as_ref(), env, outer)
             }
         }
     }
@@ -875,6 +876,7 @@ impl<'a> Planner<'a> {
         right: Plan,
         kind: ast::JoinKind,
         on: Option<&Expr>,
+        env: &CteEnv,
         outer: Option<&BindScope<'_>>,
     ) -> Result<Plan> {
         let schema = left.schema().join(right.schema());
@@ -893,34 +895,17 @@ impl<'a> Planner<'a> {
         };
         let on = on.ok_or_else(|| EngineError::Unsupported("join without ON".into()))?;
         let conjuncts: Vec<Expr> = on.split_conjuncts().into_iter().cloned().collect();
-        self.make_join(left, right, join_type, &conjuncts, outer)
+        self.make_join(left, right, join_type, &conjuncts, env, outer)
     }
 
-    /// Bind an expression strictly against one schema with no outer scopes
-    /// and no subqueries (used for join-key extraction).
-    fn bind_local(&self, expr: &Expr, schema: &Schema) -> Result<BoundExpr> {
-        let scope = BindScope::root(schema);
-        let bound = self.bind_expr(expr, &scope, &CteEnv::default())?;
+    /// Bind an expression against one schema alone, with no outer scope
+    /// (join and semi-join keys).
+    fn bind_local(&self, expr: &Expr, schema: &Schema, env: &CteEnv) -> Result<BoundExpr> {
+        let bound = self.bind(expr, &BindScope::new(schema, None, env))?;
         if bound.max_depth() > 0 {
             return Err(EngineError::UnknownColumn("outer reference".into()));
         }
         Ok(bound)
-    }
-
-    fn bind_with_outer(
-        &self,
-        expr: &Expr,
-        schema: &Schema,
-        outer: Option<&BindScope<'_>>,
-    ) -> Result<BoundExpr> {
-        let scope = match outer {
-            Some(parent) => BindScope {
-                schema,
-                parent: Some(parent),
-            },
-            None => BindScope::root(schema),
-        };
-        self.bind_expr(expr, &scope, &CteEnv::default())
     }
 
     /// Plan FROM and WHERE together. Equality conjuncts spanning exactly two
@@ -983,7 +968,7 @@ impl<'a> Planner<'a> {
         for (factor, preds) in factors.iter_mut().zip(single) {
             if let Some(pred) = Expr::conjoin(preds) {
                 let schema = factor.schema().clone();
-                let bound = self.bind_with_outer(&pred, &schema, outer)?;
+                let bound = self.bind(&pred, &BindScope::new(&schema, outer, env))?;
                 let input = std::mem::replace(factor, Plan::Unit);
                 *factor = Plan::Filter {
                     input: Box::new(input),
@@ -1061,6 +1046,7 @@ impl<'a> Planner<'a> {
                             components[ri].1.clone(),
                             JoinType::Inner,
                             &join_conjuncts,
+                            env,
                             outer,
                         )?;
                         let out = est.est_rows(&trial);
@@ -1094,7 +1080,8 @@ impl<'a> Planner<'a> {
                     true
                 }
             });
-            let joined = self.make_join(left, right, JoinType::Inner, &join_conjuncts, outer)?;
+            let joined =
+                self.make_join(left, right, JoinType::Inner, &join_conjuncts, env, outer)?;
             components.push((merged_factors, joined));
         }
         let Some((_, plan)) = components.pop() else {
@@ -1129,7 +1116,7 @@ impl<'a> Planner<'a> {
         let mut plan = input;
         if let Some(pred) = Expr::conjoin(plain) {
             let schema = plan.schema().clone();
-            let bound = self.bind_with_outer(&pred, &schema, outer)?;
+            let bound = self.bind(&pred, &BindScope::new(&schema, outer, env))?;
             plan = Plan::Filter {
                 input: Box::new(plan),
                 predicate: bound,
@@ -1185,6 +1172,7 @@ impl<'a> Planner<'a> {
         right: Plan,
         kind: JoinType,
         conjuncts: &[Expr],
+        env: &CteEnv,
         outer: Option<&BindScope<'_>>,
     ) -> Result<Plan> {
         let schema = left.schema().join(right.schema());
@@ -1199,16 +1187,16 @@ impl<'a> Planner<'a> {
             } = conjunct
             {
                 if let (Ok(ka), Ok(kb)) = (
-                    self.bind_local(a, left.schema()),
-                    self.bind_local(b, right.schema()),
+                    self.bind_local(a, left.schema(), env),
+                    self.bind_local(b, right.schema(), env),
                 ) {
                     left_keys.push(ka);
                     right_keys.push(kb);
                     continue;
                 }
                 if let (Ok(kb), Ok(ka)) = (
-                    self.bind_local(b, left.schema()),
-                    self.bind_local(a, right.schema()),
+                    self.bind_local(b, left.schema(), env),
+                    self.bind_local(a, right.schema(), env),
                 ) {
                     left_keys.push(kb);
                     right_keys.push(ka);
@@ -1218,23 +1206,19 @@ impl<'a> Planner<'a> {
             residual_parts.push(conjunct);
         }
 
+        let residual = match Expr::conjoin(residual_parts.into_iter().cloned()) {
+            Some(e) => Some(self.bind(&e, &BindScope::new(&schema, outer, env))?),
+            None => None,
+        };
         if left_keys.is_empty() {
-            let on = match Expr::conjoin(residual_parts.into_iter().cloned()) {
-                Some(e) => Some(self.bind_with_outer(&e, &schema, outer)?),
-                None => None,
-            };
             return Ok(Plan::NestedLoopJoin {
                 left: Box::new(left),
                 right: Box::new(right),
                 kind,
-                on,
+                on: residual,
                 schema,
             });
         }
-        let residual = match Expr::conjoin(residual_parts.into_iter().cloned()) {
-            Some(e) => Some(self.bind_with_outer(&e, &schema, outer)?),
-            None => None,
-        };
         Ok(Plan::HashJoin {
             left: Box::new(left),
             right: Box::new(right),
@@ -1273,7 +1257,7 @@ impl<'a> Planner<'a> {
         }
         // Fallback: evaluate the subquery per row.
         let schema = input.schema().clone();
-        let bound = self.bind_subquery_aware(conjunct, &schema, env, outer)?;
+        let bound = self.bind(conjunct, &BindScope::new(&schema, outer, env))?;
         Ok(Plan::Filter {
             input: Box::new(input),
             predicate: bound,
@@ -1332,12 +1316,11 @@ impl<'a> Planner<'a> {
         let mut local: Vec<Expr> = Vec::new();
         if let Some(w) = &select.selection {
             for conjunct in w.split_conjuncts() {
-                if !conjunct.contains_subquery() {
-                    if let Ok(bound) = self.bind_local(conjunct, &inner_schema) {
-                        local.push(conjunct.clone());
-                        let _ = bound;
-                        continue;
-                    }
+                if !conjunct.contains_subquery()
+                    && self.bind_local(conjunct, &inner_schema, env).is_ok()
+                {
+                    local.push(conjunct.clone());
+                    continue;
                 }
                 // Correlated equality?
                 if let Expr::BinaryOp {
@@ -1346,15 +1329,15 @@ impl<'a> Planner<'a> {
                     right: b,
                 } = conjunct
                 {
-                    let inner_a = self.bind_local(a, &inner_schema);
-                    let outer_b = self.bind_local(b, &outer_schema);
+                    let inner_a = self.bind_local(a, &inner_schema, env);
+                    let outer_b = self.bind_local(b, &outer_schema, env);
                     if let (Ok(ia), Ok(ob)) = (inner_a, outer_b) {
                         inner_keys.push(ia);
                         outer_keys.push(ob);
                         continue;
                     }
-                    let inner_b = self.bind_local(b, &inner_schema);
-                    let outer_a = self.bind_local(a, &outer_schema);
+                    let inner_b = self.bind_local(b, &inner_schema, env);
+                    let outer_a = self.bind_local(a, &outer_schema, env);
                     if let (Ok(ib), Ok(oa)) = (inner_b, outer_a) {
                         inner_keys.push(ib);
                         outer_keys.push(oa);
@@ -1372,7 +1355,7 @@ impl<'a> Planner<'a> {
         }
 
         if let Some(pred) = Expr::conjoin(local) {
-            let bound = self.bind_local(&pred, &inner_schema)?;
+            let bound = self.bind_local(&pred, &inner_schema, env)?;
             sub_plan = Plan::Filter {
                 input: Box::new(sub_plan),
                 predicate: bound,
@@ -1405,7 +1388,7 @@ impl<'a> Planner<'a> {
         env: &CteEnv,
     ) -> Result<Option<Plan>> {
         let outer_schema = input.schema().clone();
-        let Ok(outer_key) = self.bind_local(expr, &outer_schema) else {
+        let Ok(outer_key) = self.bind_local(expr, &outer_schema, env) else {
             return Ok(None);
         };
         // The subquery must be fully uncorrelated.
@@ -1456,7 +1439,7 @@ impl<'a> Planner<'a> {
                     }
                 }
                 SelectItem::Expr { expr, alias } => {
-                    let bound = self.bind_subquery_aware(expr, &input_schema, env, outer)?;
+                    let bound = self.bind(expr, &BindScope::new(&input_schema, outer, env))?;
                     let name = output_name(expr, alias.as_deref(), i);
                     let ty = infer_type(&bound, &input_schema);
                     exprs.push(bound);
@@ -1472,31 +1455,51 @@ impl<'a> Planner<'a> {
         })
     }
 
-    /// Bind an expression that may contain subqueries: the current schema
-    /// becomes the innermost scope, and subquery plans are built with this
-    /// scope (plus enclosing ones) available for correlation.
-    fn bind_subquery_aware(
+    /// Bind `expr` in `scope`: the one entry point from SQL expressions to
+    /// bound ones. Columns resolve along the scope chain (an outer one
+    /// becomes a correlated reference) and subqueries are planned with
+    /// `scope` as their outer scope, over its CTEs.
+    fn bind(&self, expr: &Expr, scope: &BindScope<'_>) -> Result<BoundExpr> {
+        self.lower(expr, scope, &mut |_| Ok(None))
+    }
+
+    /// Bind an `INSERT … VALUES` item: a constant, bound over an empty
+    /// scope (so a column reference is unknown) with subqueries refused.
+    pub(crate) fn bind_constant(db: &Database, expr: &Expr) -> Result<BoundExpr> {
+        if expr.contains_subquery() {
+            return Err(EngineError::Unsupported("subquery in INSERT values".into()));
+        }
+        // Nothing is planned, so no option is read. Spelled out because
+        // `ExecOptions::default()` asks the OS for the machine's
+        // parallelism, which would cost more than the insert.
+        let options = ExecOptions {
+            materialize_ctes: true,
+            decorrelate_exists: true,
+            optimize: true,
+            limits: ResourceLimits::default(),
+            cancellation: None,
+            threads: 1,
+            trace: None,
+        };
+        let (empty, env) = (Schema::new(Vec::new()), CteEnv::default());
+        let scope = BindScope::new(&empty, None, &env);
+        Planner::with_governor(db, &options, None).bind(expr, &scope)
+    }
+
+    /// The one lowering of the SQL expression tree. `leaf` sees every node
+    /// first and may answer for its whole subtree — the grouped binder's
+    /// rule ([`GroupContext`]); every node it leaves is lowered here, its
+    /// children through `leaf` again.
+    fn lower(
         &self,
         expr: &Expr,
-        schema: &Schema,
-        env: &CteEnv,
-        outer: Option<&BindScope<'_>>,
+        scope: &BindScope<'_>,
+        leaf: &mut dyn FnMut(&Expr) -> Result<Option<BoundExpr>>,
     ) -> Result<BoundExpr> {
-        let scope = match outer {
-            Some(parent) => BindScope {
-                schema,
-                parent: Some(parent),
-            },
-            None => BindScope::root(schema),
-        };
-        self.bind_expr_env(expr, &scope, env)
-    }
-
-    fn bind_expr(&self, expr: &Expr, scope: &BindScope<'_>, env: &CteEnv) -> Result<BoundExpr> {
-        self.bind_expr_env(expr, scope, env)
-    }
-
-    fn bind_expr_env(&self, expr: &Expr, scope: &BindScope<'_>, env: &CteEnv) -> Result<BoundExpr> {
+        if let Some(bound) = leaf(expr)? {
+            return Ok(bound);
+        }
+        let mut lower = |e: &Expr| self.lower(e, scope, leaf).map(Box::new);
         Ok(match expr {
             Expr::Column(col) => {
                 let (depth, index) = scope.resolve(col)?;
@@ -1505,19 +1508,19 @@ impl<'a> Planner<'a> {
             Expr::Literal(l) => BoundExpr::Literal(Value::from(l)),
             Expr::BinaryOp { left, op, right } => BoundExpr::Binary {
                 op: *op,
-                left: Box::new(self.bind_expr_env(left, scope, env)?),
-                right: Box::new(self.bind_expr_env(right, scope, env)?),
+                left: lower(left)?,
+                right: lower(right)?,
             },
             Expr::UnaryOp {
                 op: UnaryOp::Not,
                 expr,
-            } => BoundExpr::Not(Box::new(self.bind_expr_env(expr, scope, env)?)),
+            } => BoundExpr::Not(lower(expr)?),
             Expr::UnaryOp {
                 op: UnaryOp::Neg,
                 expr,
-            } => BoundExpr::Neg(Box::new(self.bind_expr_env(expr, scope, env)?)),
+            } => BoundExpr::Neg(lower(expr)?),
             Expr::IsNull { expr, negated } => BoundExpr::IsNull {
-                expr: Box::new(self.bind_expr_env(expr, scope, env)?),
+                expr: lower(expr)?,
                 negated: *negated,
             },
             Expr::Between {
@@ -1527,18 +1530,16 @@ impl<'a> Planner<'a> {
                 negated,
             } => {
                 // Desugar: e BETWEEN a AND b  ==  e >= a AND e <= b.
-                let e = self.bind_expr_env(expr, scope, env)?;
-                let lo = self.bind_expr_env(low, scope, env)?;
-                let hi = self.bind_expr_env(high, scope, env)?;
+                let e = lower(expr)?;
                 let ge = BoundExpr::Binary {
                     op: BinaryOp::GtEq,
-                    left: Box::new(e.clone()),
-                    right: Box::new(lo),
+                    left: e.clone(),
+                    right: lower(low)?,
                 };
                 let le = BoundExpr::Binary {
                     op: BinaryOp::LtEq,
-                    left: Box::new(e),
-                    right: Box::new(hi),
+                    left: e,
+                    right: lower(high)?,
                 };
                 let both = BoundExpr::Binary {
                     op: BinaryOp::And,
@@ -1556,10 +1557,10 @@ impl<'a> Planner<'a> {
                 list,
                 negated,
             } => BoundExpr::InList {
-                expr: Box::new(self.bind_expr_env(expr, scope, env)?),
+                expr: lower(expr)?,
                 list: list
                     .iter()
-                    .map(|e| self.bind_expr_env(e, scope, env))
+                    .map(|e| lower(e).map(|b| *b))
                     .collect::<Result<_>>()?,
                 negated: *negated,
             },
@@ -1568,8 +1569,8 @@ impl<'a> Planner<'a> {
                 pattern,
                 negated,
             } => BoundExpr::Like {
-                expr: Box::new(self.bind_expr_env(expr, scope, env)?),
-                pattern: Box::new(self.bind_expr_env(pattern, scope, env)?),
+                expr: lower(expr)?,
+                pattern: lower(pattern)?,
                 negated: *negated,
             },
             Expr::Case {
@@ -1578,17 +1579,9 @@ impl<'a> Planner<'a> {
             } => BoundExpr::Case {
                 branches: branches
                     .iter()
-                    .map(|(c, v)| {
-                        Ok((
-                            self.bind_expr_env(c, scope, env)?,
-                            self.bind_expr_env(v, scope, env)?,
-                        ))
-                    })
+                    .map(|(c, v)| Ok((*lower(c)?, *lower(v)?)))
                     .collect::<Result<_>>()?,
-                else_expr: match else_expr {
-                    Some(e) => Some(Box::new(self.bind_expr_env(e, scope, env)?)),
-                    None => None,
-                },
+                else_expr: else_expr.as_deref().map(&mut lower).transpose()?,
             },
             Expr::Function {
                 name,
@@ -1608,11 +1601,7 @@ impl<'a> Planner<'a> {
                 let func = ScalarFunc::by_name(name).ok_or_else(|| {
                     EngineError::Unsupported(format!("unknown function `{name}`"))
                 })?;
-                let min_args = match func {
-                    ScalarFunc::Abs => 1,
-                    _ => 1,
-                };
-                if args.len() < min_args || (func == ScalarFunc::Abs && args.len() != 1) {
+                if args.is_empty() || (func == ScalarFunc::Abs && args.len() != 1) {
                     return Err(EngineError::Execution(format!(
                         "wrong number of arguments to `{name}`"
                     )));
@@ -1621,39 +1610,32 @@ impl<'a> Planner<'a> {
                     func,
                     args: args
                         .iter()
-                        .map(|a| self.bind_expr_env(a, scope, env))
+                        .map(|a| lower(a).map(|b| *b))
                         .collect::<Result<_>>()?,
                 }
             }
-            Expr::Exists { subquery, negated } => {
-                let plan = self.plan_query_in(subquery, env, Some(scope))?;
-                BoundExpr::Subquery {
-                    plan: Box::new(plan),
-                    kind: SubqueryKind::Exists { negated: *negated },
-                }
-            }
+            Expr::Exists { subquery, negated } => BoundExpr::Subquery {
+                plan: Box::new(self.plan_query_in(subquery, scope.env, Some(scope))?),
+                kind: SubqueryKind::Exists { negated: *negated },
+            },
             Expr::InSubquery {
                 expr,
                 subquery,
                 negated,
             } => {
-                let needle = self.bind_expr_env(expr, scope, env)?;
-                let plan = self.plan_query_in(subquery, env, Some(scope))?;
+                let needle = lower(expr)?;
                 BoundExpr::Subquery {
-                    plan: Box::new(plan),
+                    plan: Box::new(self.plan_query_in(subquery, scope.env, Some(scope))?),
                     kind: SubqueryKind::In {
-                        expr: Box::new(needle),
+                        expr: needle,
                         negated: *negated,
                     },
                 }
             }
-            Expr::ScalarSubquery(subquery) => {
-                let plan = self.plan_query_in(subquery, env, Some(scope))?;
-                BoundExpr::Subquery {
-                    plan: Box::new(plan),
-                    kind: SubqueryKind::Scalar,
-                }
-            }
+            Expr::ScalarSubquery(subquery) => BoundExpr::Subquery {
+                plan: Box::new(self.plan_query_in(subquery, scope.env, Some(scope))?),
+                kind: SubqueryKind::Scalar,
+            },
             Expr::Wildcard => {
                 return Err(EngineError::Execution(
                     "`*` is only valid in SELECT lists and COUNT(*)".into(),
@@ -1663,10 +1645,8 @@ impl<'a> Planner<'a> {
     }
 }
 
-/// `true` when the expression contains any subquery node outside nested
-/// subquery scopes.
 /// Deep column-name scan over an AST fragment, descending into subqueries
-/// (unlike `Expr::visit_columns`). Drives CTE projection pruning: any
+/// (unlike `Expr::column_refs`). Drives CTE projection pruning: any
 /// column *name* seen anywhere downstream of a CTE keeps the same-named CTE
 /// column; any `*` / `t.*` in a projection keeps everything. `COUNT(*)`'s
 /// bare `Expr::Wildcard` is ignored — it needs rows, not columns, and
@@ -1738,52 +1718,13 @@ impl ColRefScan {
             Expr::Column(c) => {
                 self.names.insert(c.name.clone());
             }
-            Expr::Literal(_) | Expr::Wildcard => {}
-            Expr::BinaryOp { left, right, .. } => {
-                self.expr(left);
-                self.expr(right);
-            }
-            Expr::UnaryOp { expr, .. } | Expr::IsNull { expr, .. } => self.expr(expr),
-            Expr::Between {
-                expr, low, high, ..
-            } => {
-                self.expr(expr);
-                self.expr(low);
-                self.expr(high);
-            }
-            Expr::InList { expr, list, .. } => {
-                self.expr(expr);
-                for x in list {
-                    self.expr(x);
-                }
-            }
-            Expr::InSubquery { expr, subquery, .. } => {
-                self.expr(expr);
-                self.query(subquery);
-            }
-            Expr::Like { expr, pattern, .. } => {
-                self.expr(expr);
-                self.expr(pattern);
-            }
-            Expr::Exists { subquery, .. } => self.query(subquery),
-            Expr::ScalarSubquery(subquery) => self.query(subquery),
-            Expr::Case {
-                branches,
-                else_expr,
-            } => {
-                for (c, v) in branches {
-                    self.expr(c);
-                    self.expr(v);
-                }
-                if let Some(x) = else_expr {
-                    self.expr(x);
-                }
-            }
-            Expr::Function { args, .. } => {
-                for x in args {
-                    self.expr(x);
-                }
-            }
+            Expr::Exists { subquery, .. }
+            | Expr::InSubquery { subquery, .. }
+            | Expr::ScalarSubquery(subquery) => self.query(subquery),
+            _ => {}
+        }
+        for child in e.children() {
+            self.expr(child);
         }
     }
 }
@@ -1856,7 +1797,7 @@ impl<'a> Planner<'a> {
         let mut group_exprs = Vec::new();
         let mut group_cols = Vec::new();
         for (i, g) in select.group_by.iter().enumerate() {
-            let bound = self.bind_subquery_aware(g, &input_schema, env, outer)?;
+            let bound = self.bind(g, &BindScope::new(&input_schema, outer, env))?;
             let (name, qualifier) = match g {
                 Expr::Column(c) => (c.name.clone(), c.qualifier.clone()),
                 _ => (format!("_g{}", i + 1), None),
@@ -1874,8 +1815,7 @@ impl<'a> Planner<'a> {
         // rewritten (post-aggregation) expressions.
         let mut ctx = GroupContext {
             planner: self,
-            input_schema: &input_schema,
-            env,
+            input: BindScope::new(&input_schema, None, env),
             group_exprs: &group_exprs,
             aggs: Vec::new(),
         };
@@ -1956,19 +1896,26 @@ fn resolve_agg_refs(e: &mut BoundExpr, n_groups: usize) {
     }
 }
 
-/// Binder for expressions evaluated *after* aggregation: matches whole
-/// subtrees against GROUP BY expressions, turns aggregate calls into slots,
-/// and rejects stray column references.
+/// Binder for expressions evaluated *after* aggregation: the shared
+/// lowering ([`Planner::lower`]) under a leaf rule that turns aggregate
+/// calls into slots, matches whole subtrees against GROUP BY expressions,
+/// and rejects stray column references and subqueries.
 struct GroupContext<'p, 'a> {
     planner: &'p Planner<'a>,
-    input_schema: &'p Schema,
-    env: &'p CteEnv,
+    /// The aggregate's input, over which group expressions and aggregate
+    /// arguments bind.
+    input: BindScope<'p>,
     group_exprs: &'p [BoundExpr],
     aggs: Vec<AggSpec>,
 }
 
 impl GroupContext<'_, '_> {
     fn bind(&mut self, expr: &Expr) -> Result<BoundExpr> {
+        let (planner, input) = (self.planner, self.input);
+        planner.lower(expr, &input, &mut |e| self.leaf(e))
+    }
+
+    fn leaf(&mut self, expr: &Expr) -> Result<Option<BoundExpr>> {
         // An aggregate call becomes (or reuses) a slot.
         if let Expr::Function {
             name,
@@ -1977,125 +1924,32 @@ impl GroupContext<'_, '_> {
         } = expr
         {
             if let Some(func) = AggFunc::by_name(name) {
-                return self.bind_aggregate(func, args, *distinct);
+                return self.bind_aggregate(func, args, *distinct).map(Some);
             }
         }
-        // A subtree structurally equal to a GROUP BY expression becomes a
-        // reference to the corresponding group column.
-        if !expr.contains_aggregate() {
-            let scope = BindScope::root(self.input_schema);
-            if let Ok(bound) = self.planner.bind_expr(expr, &scope, self.env) {
+        // A subtree that binds equal to a GROUP BY expression becomes a
+        // reference to the corresponding group column. (A subquery never
+        // compares equal, so one is not even planned.)
+        if !expr.contains_aggregate() && !expr.contains_subquery() {
+            if let Ok(bound) = self.planner.bind(expr, &self.input) {
                 if let Some(i) = self.group_exprs.iter().position(|g| *g == bound) {
-                    return Ok(BoundExpr::column(i));
+                    return Ok(Some(BoundExpr::column(i)));
                 }
             }
         }
-        // Otherwise recurse into the expression's children.
-        Ok(match expr {
-            Expr::Column(c) => {
-                return Err(EngineError::Execution(format!(
-                    "column `{c}` must appear in the GROUP BY clause or be used in an aggregate"
-                )))
-            }
-            Expr::Literal(l) => BoundExpr::Literal(Value::from(l)),
-            Expr::BinaryOp { left, op, right } => BoundExpr::Binary {
-                op: *op,
-                left: Box::new(self.bind(left)?),
-                right: Box::new(self.bind(right)?),
-            },
-            Expr::UnaryOp {
-                op: UnaryOp::Not,
-                expr,
-            } => BoundExpr::Not(Box::new(self.bind(expr)?)),
-            Expr::UnaryOp {
-                op: UnaryOp::Neg,
-                expr,
-            } => BoundExpr::Neg(Box::new(self.bind(expr)?)),
-            Expr::IsNull { expr, negated } => BoundExpr::IsNull {
-                expr: Box::new(self.bind(expr)?),
-                negated: *negated,
-            },
-            Expr::Case {
-                branches,
-                else_expr,
-            } => BoundExpr::Case {
-                branches: branches
-                    .iter()
-                    .map(|(c, v)| Ok((self.bind(c)?, self.bind(v)?)))
-                    .collect::<Result<_>>()?,
-                else_expr: match else_expr {
-                    Some(e) => Some(Box::new(self.bind(e)?)),
-                    None => None,
-                },
-            },
-            Expr::InList {
-                expr,
-                list,
-                negated,
-            } => BoundExpr::InList {
-                expr: Box::new(self.bind(expr)?),
-                list: list.iter().map(|e| self.bind(e)).collect::<Result<_>>()?,
-                negated: *negated,
-            },
-            Expr::Between {
-                expr,
-                low,
-                high,
-                negated,
-            } => {
-                let e = self.bind(expr)?;
-                let lo = self.bind(low)?;
-                let hi = self.bind(high)?;
-                let ge = BoundExpr::Binary {
-                    op: BinaryOp::GtEq,
-                    left: Box::new(e.clone()),
-                    right: Box::new(lo),
-                };
-                let le = BoundExpr::Binary {
-                    op: BinaryOp::LtEq,
-                    left: Box::new(e),
-                    right: Box::new(hi),
-                };
-                let both = BoundExpr::Binary {
-                    op: BinaryOp::And,
-                    left: Box::new(ge),
-                    right: Box::new(le),
-                };
-                if *negated {
-                    BoundExpr::Not(Box::new(both))
-                } else {
-                    both
-                }
-            }
-            Expr::Like {
-                expr,
-                pattern,
-                negated,
-            } => BoundExpr::Like {
-                expr: Box::new(self.bind(expr)?),
-                pattern: Box::new(self.bind(pattern)?),
-                negated: *negated,
-            },
-            Expr::Function { name, args, .. } => {
-                let func = ScalarFunc::by_name(name).ok_or_else(|| {
-                    EngineError::Unsupported(format!("unknown function `{name}`"))
-                })?;
-                BoundExpr::Func {
-                    func,
-                    args: args.iter().map(|a| self.bind(a)).collect::<Result<_>>()?,
-                }
-            }
-            Expr::Exists { .. } | Expr::InSubquery { .. } | Expr::ScalarSubquery(_) => {
-                return Err(EngineError::Unsupported(
-                    "subqueries above aggregation".into(),
-                ))
-            }
-            Expr::Wildcard => {
-                return Err(EngineError::Execution(
-                    "stray `*` in aggregate query".into(),
-                ))
-            }
-        })
+        match expr {
+            Expr::Column(c) => Err(EngineError::Execution(format!(
+                "column `{c}` must appear in the GROUP BY clause or be used in an aggregate"
+            ))),
+            Expr::Exists { .. } | Expr::InSubquery { .. } | Expr::ScalarSubquery(_) => Err(
+                EngineError::Unsupported("subqueries above aggregation".into()),
+            ),
+            Expr::Wildcard => Err(EngineError::Execution(
+                "stray `*` in aggregate query".into(),
+            )),
+            // Anything else is lowered, its children through this rule.
+            _ => Ok(None),
+        }
     }
 
     fn bind_aggregate(
@@ -2114,8 +1968,7 @@ impl GroupContext<'_, '_> {
                 if arg.contains_aggregate() {
                     return Err(EngineError::Execution("nested aggregate call".into()));
                 }
-                let scope = BindScope::root(self.input_schema);
-                let bound = self.planner.bind_expr(arg, &scope, self.env)?;
+                let bound = self.planner.bind(arg, &self.input)?;
                 AggSpec {
                     func,
                     arg: Some(bound),

@@ -18,9 +18,10 @@
 //! that read the written table and nobody else: under a stream of inserts
 //! into `t`, statements over other tables keep hitting. A stale entry is
 //! dropped at its next lookup, counted in `invalidations` and, by the
-//! table that moved, in `invalidated_by`. Statistics are collected inside
-//! `register` and an index declaration bumps its table's version, so the
-//! same rule also retires plans whose cost-based choices went stale.
+//! table that moved, in `invalidated_by`. Every write publishes a new table
+//! version, whose statistics its first reader collects, and an index
+//! declaration bumps its table's version too, so the same rule also
+//! retires plans whose cost-based choices went stale.
 //!
 //! Concurrency: lookups and inserts take one short mutex; statement
 //! *builds* run outside the lock, so a miss never blocks other sessions'

@@ -288,126 +288,74 @@ impl Expr {
         out
     }
 
-    /// All column references in the expression, in source order, without
-    /// descending into subqueries (their columns belong to an inner scope).
-    pub fn column_refs(&self) -> Vec<&ColumnRef> {
-        let mut out = Vec::new();
-        self.visit_columns(&mut |c| out.push(c));
-        out
-    }
-
-    fn visit_columns<'a>(&'a self, f: &mut impl FnMut(&'a ColumnRef)) {
-        match self {
-            Expr::Column(c) => f(c),
-            Expr::Literal(_) | Expr::Wildcard => {}
-            Expr::BinaryOp { left, right, .. } => {
-                left.visit_columns(f);
-                right.visit_columns(f);
-            }
-            Expr::UnaryOp { expr, .. } | Expr::IsNull { expr, .. } => expr.visit_columns(f),
+    /// The direct sub-expressions, in evaluation order. A subquery's body is
+    /// not among them — its expressions belong to an inner scope, so every
+    /// traversal handles it as its own case — but an `IN (SELECT ...)`
+    /// needle is: it is evaluated in this scope. (An iterator rather than a
+    /// `Vec`: the planner folds over whole rewritings, and a `Vec` per node
+    /// would be an allocation per node.)
+    pub fn children(&self) -> impl Iterator<Item = &Expr> {
+        // Every variant's children are some leading operands, then a list,
+        // then `CASE` branch pairs, then an `ELSE`.
+        let none: [Option<&Expr>; 3] = [None; 3];
+        let (lead, list, branches, last): (_, &[Expr], &[(Expr, Expr)], _) = match self {
+            Expr::Column(_)
+            | Expr::Literal(_)
+            | Expr::Wildcard
+            | Expr::Exists { .. }
+            | Expr::ScalarSubquery(_) => (none, &[], &[], None),
+            Expr::BinaryOp { left, right, .. } => ([Some(left), Some(right), None], &[], &[], None),
+            Expr::UnaryOp { expr, .. }
+            | Expr::IsNull { expr, .. }
+            | Expr::InSubquery { expr, .. } => ([Some(expr), None, None], &[], &[], None),
             Expr::Between {
                 expr, low, high, ..
-            } => {
-                expr.visit_columns(f);
-                low.visit_columns(f);
-                high.visit_columns(f);
-            }
-            Expr::InList { expr, list, .. } => {
-                expr.visit_columns(f);
-                for e in list {
-                    e.visit_columns(f);
-                }
-            }
-            Expr::InSubquery { expr, .. } => expr.visit_columns(f),
-            Expr::Like { expr, pattern, .. } => {
-                expr.visit_columns(f);
-                pattern.visit_columns(f);
-            }
-            Expr::Exists { .. } | Expr::ScalarSubquery(_) => {}
+            } => ([Some(expr), Some(low), Some(high)], &[], &[], None),
+            Expr::InList { expr, list, .. } => ([Some(expr), None, None], list, &[], None),
+            Expr::Like { expr, pattern, .. } => ([Some(expr), Some(pattern), None], &[], &[], None),
             Expr::Case {
                 branches,
                 else_expr,
-            } => {
-                for (c, v) in branches {
-                    c.visit_columns(f);
-                    v.visit_columns(f);
-                }
-                if let Some(e) = else_expr {
-                    e.visit_columns(f);
-                }
+            } => (none, &[], branches, else_expr.as_deref()),
+            Expr::Function { args, .. } => (none, args, &[], None),
+        };
+        lead.into_iter()
+            .flatten()
+            .chain(list)
+            .chain(branches.iter().flat_map(|(c, v)| [c, v]))
+            .chain(last)
+    }
+
+    /// All column references in the expression, in source order, without
+    /// descending into subqueries (their columns belong to an inner scope).
+    pub fn column_refs(&self) -> Vec<&ColumnRef> {
+        fn walk<'a>(e: &'a Expr, out: &mut Vec<&'a ColumnRef>) {
+            if let Expr::Column(c) = e {
+                out.push(c);
             }
-            Expr::Function { args, .. } => {
-                for a in args {
-                    a.visit_columns(f);
-                }
+            for child in e.children() {
+                walk(child, out);
             }
         }
+        let mut out = Vec::new();
+        walk(self, &mut out);
+        out
     }
 
     /// `true` when the expression holds a subquery (`EXISTS`, `IN (SELECT
     /// ...)`, a scalar subquery) at any depth.
     pub fn contains_subquery(&self) -> bool {
-        match self {
-            Expr::Exists { .. } | Expr::InSubquery { .. } | Expr::ScalarSubquery(_) => true,
-            Expr::BinaryOp { left, right, .. } => {
-                left.contains_subquery() || right.contains_subquery()
-            }
-            Expr::UnaryOp { expr, .. } | Expr::IsNull { expr, .. } => expr.contains_subquery(),
-            Expr::Between {
-                expr, low, high, ..
-            } => expr.contains_subquery() || low.contains_subquery() || high.contains_subquery(),
-            Expr::InList { expr, list, .. } => {
-                expr.contains_subquery() || list.iter().any(Expr::contains_subquery)
-            }
-            Expr::Like { expr, pattern, .. } => {
-                expr.contains_subquery() || pattern.contains_subquery()
-            }
-            Expr::Case {
-                branches,
-                else_expr,
-            } => {
-                branches
-                    .iter()
-                    .any(|(c, v)| c.contains_subquery() || v.contains_subquery())
-                    || else_expr.as_ref().is_some_and(|e| e.contains_subquery())
-            }
-            Expr::Function { args, .. } => args.iter().any(Expr::contains_subquery),
-            Expr::Column(_) | Expr::Literal(_) | Expr::Wildcard => false,
-        }
+        matches!(
+            self,
+            Expr::Exists { .. } | Expr::InSubquery { .. } | Expr::ScalarSubquery(_)
+        ) || self.children().any(Expr::contains_subquery)
     }
 
     /// `true` when the expression contains an aggregate function call at any
     /// depth outside of subqueries.
     pub fn contains_aggregate(&self) -> bool {
-        match self {
-            Expr::Function { name, args, .. } => {
-                is_aggregate_function(name) || args.iter().any(Expr::contains_aggregate)
-            }
-            Expr::BinaryOp { left, right, .. } => {
-                left.contains_aggregate() || right.contains_aggregate()
-            }
-            Expr::UnaryOp { expr, .. } | Expr::IsNull { expr, .. } => expr.contains_aggregate(),
-            Expr::Between {
-                expr, low, high, ..
-            } => expr.contains_aggregate() || low.contains_aggregate() || high.contains_aggregate(),
-            Expr::InList { expr, list, .. } => {
-                expr.contains_aggregate() || list.iter().any(Expr::contains_aggregate)
-            }
-            Expr::InSubquery { expr, .. } => expr.contains_aggregate(),
-            Expr::Like { expr, pattern, .. } => {
-                expr.contains_aggregate() || pattern.contains_aggregate()
-            }
-            Expr::Case {
-                branches,
-                else_expr,
-            } => {
-                branches
-                    .iter()
-                    .any(|(c, v)| c.contains_aggregate() || v.contains_aggregate())
-                    || else_expr.as_ref().is_some_and(|e| e.contains_aggregate())
-            }
-            _ => false,
-        }
+        matches!(self, Expr::Function { name, .. } if is_aggregate_function(name))
+            || self.children().any(Expr::contains_aggregate)
     }
 }
 

@@ -55,6 +55,12 @@ const CORPUS: &[&str] = &[
     "select case when acctbal > 0 then 'pos' else 'neg' end from customer",
     "select orderkey from orders where odate >= date '1995-01-01'",
     "select -acctbal, abs(acctbal), acctbal / 2, acctbal % 3 from customer",
+    "select custfk, abs(total), coalesce(custfk, 'none') from orders group by custfk, total",
+    "with rich as (select custkey from customer where acctbal > 0) \
+     select o.orderkey from orders o join customer c on o.custfk = c.custkey \
+     and exists (select 1 from rich r where r.custkey = c.custkey)",
+    "with t as (select custfk, total from orders) \
+     select custkey from customer order by (select count(*) from t where t.custfk = custkey), custkey",
 ];
 
 /// Bytes spliced into mutants: SQL punctuation, quotes, digits, NULs,
