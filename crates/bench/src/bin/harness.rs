@@ -1618,7 +1618,7 @@ fn serve_cmd(args: &Args) -> Json {
 /// The wire floor at one trajectory point (ROADMAP 1(d)): what a round
 /// trip costs when the server has next to nothing to do. `ping` is
 /// answered inline by the connection's IO driver; the cheapest cached
-/// statement adds the run queue, a worker, admission, a cache hit and its
+/// statement adds the run queue, a worker, a cache hit and its
 /// (small) execution. Both are timed on one otherwise idle connection
 /// before the closed loop starts — beside the churn writer in its phase.
 fn wire_floor(

@@ -1,7 +1,7 @@
 //! The flight recorder: an always-on, fixed-capacity ring buffer of
 //! per-query trace summaries.
 //!
-//! Every query the serve session loop (or the bench harness) finishes —
+//! Every query a server's query workers (or the bench harness) finish —
 //! successfully or not — is condensed into a [`QueryTrace`] and pushed
 //! into the process-wide recorder. The ring holds the most recent
 //! [`DEFAULT_FLIGHT_CAPACITY`] entries; older ones fall off the back.

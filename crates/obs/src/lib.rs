@@ -18,7 +18,7 @@
 //!   harness's `BENCH_<fig>.json` exports, `EXPLAIN ANALYZE` machine
 //!   output, and the `conquer-serve` wire protocol.
 //! * [`flight`] — an always-on flight recorder: a fixed-capacity ring of
-//!   per-query [`QueryTrace`] summaries fed by the serve session loop and
+//!   per-query [`QueryTrace`] summaries fed by the server's query workers and
 //!   the bench harness, plus a slow-query JSON-lines log.
 //! * [`prom`] — Prometheus text exposition over the registry, with
 //!   cumulative `_bucket` lines derived from the log-scale histograms.

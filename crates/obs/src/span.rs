@@ -425,7 +425,7 @@ impl fmt::Display for QueryId {
 
 /// A per-query trace context: a [`QueryId`] plus a shareable collector.
 ///
-/// Created by whoever owns the query (the serve session loop, the bench
+/// Created by whoever owns the query (a server's query worker, the bench
 /// harness), cloned into `ExecOptions`, and installed on each thread that
 /// does work for the query. Clones share the same collector; installing
 /// the same context on nested scopes never duplicates records.

@@ -21,7 +21,8 @@
 //! slow-query log threshold (JSON lines on stderr; 0 disables).
 //!
 //! `--io-threads` sizes the event loop's connection-driver pool (at least
-//! 1); the query-worker pool has one thread per `--admit` slot.
+//! 1); `--admit` sizes the query-worker pool, which bounds how many
+//! requests run at once.
 //!
 //! `--data-dir` makes the catalog durable: mutations are write-ahead
 //! logged, a background checkpointer folds the WAL into immutable
@@ -296,7 +297,6 @@ fn main() -> ExitCode {
         cache_capacity: args.cache,
         metrics_addr: args.metrics_port.map(|p| format!("127.0.0.1:{p}")),
         slow_query_us: args.slow_query_us,
-        ..ServerConfig::default()
     };
     // Background checkpointer: folds the WAL into segments on an interval
     // and ticks the interval-sync policy. Dropped (stopped and joined)

@@ -36,9 +36,9 @@
 //! Build options: entries are shared across sessions but built by
 //! whichever session misses first, so the `ExecOptions` passed to
 //! [`StatementCache::get_or_build`] must be session-independent — the
-//! server passes its fixed [`build_options`](crate::ServerConfig) (plus
-//! the requesting query's cancellation token, which never shapes the
-//! plan), never the session's own `SET` limits. Per-session limits govern
+//! server passes the engine's defaults, read once when it starts (plus the
+//! requesting query's cancellation token, which never shapes the plan),
+//! never the session's own `SET` limits. Per-session limits govern
 //! execution of the cached plan, not its construction.
 
 use std::borrow::Cow;

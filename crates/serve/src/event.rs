@@ -12,11 +12,11 @@
 //!   flush pending output, drain readable bytes into an incremental
 //!   [`FrameBuf`], dispatch complete requests. An idle server makes no
 //!   system calls at all.
-//! * **Query workers** (one per admission slot, named
-//!   `conquer-worker-N`): pull admission-gated jobs from the shared
-//!   [`RunQueue`] and run them via [`crate::state::run_heavy`]. A worker
-//!   writes its response to the socket itself and involves the driver
-//!   only when something is left over.
+//! * **Query workers** (`max_concurrent` of them, named
+//!   `conquer-worker-N`): pull heavy jobs from the shared [`RunQueue`] and
+//!   run them via [`crate::state::run_heavy`]. A worker writes its
+//!   response to the socket itself and involves the driver only when
+//!   something is left over.
 //!
 //! **Interest set.** A connection polls for `POLLIN` while the driver may
 //! read from it (fewer than [`PENDING_CAP`] undispatched requests, not
@@ -52,23 +52,23 @@
 //! `serve.disconnect_cancel`, discards undispatched pipelined requests,
 //! and tears the connection down.
 //!
-//! **Overload** keeps the PR-4 queue-wait → `busy` contract from both
-//! directions: a worker that picks a job up passes the job's *enqueue*
-//! time to [`Admission::try_admit_from`], so run-queue wait counts against
-//! the same deadline as semaphore wait; and when every worker is wedged
-//! behind slow queries, the drivers expire over-deadline jobs straight out
-//! of the run queue so the client still gets its `busy` within the
-//! deadline instead of whenever a worker frees up.
+//! **Admission** is the run queue. The worker pool bounds how many jobs
+//! run at once, so a job is admitted when a worker pops it; when every
+//! worker is wedged behind slow queries, the drivers expire jobs whose
+//! queue-wait deadline passed straight out of the queue, so the client
+//! gets its `busy` within the deadline instead of whenever a worker frees
+//! up. [`Intake`] counts both outcomes for `stats`.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use conquer_engine::CancellationToken;
-use conquer_obs::{Counter, Gauge};
+use conquer_engine::{CancellationToken, ExecOptions};
+use conquer_obs::{Counter, Gauge, Histogram, Json};
 
 use crate::error::ServeError;
 use crate::poll::{self, PollFd, Waker, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
@@ -115,6 +115,13 @@ struct LoopMetrics {
     pending_cap: Arc<Counter>,
     conns_open: Arc<Gauge>,
     run_queue_depth: Arc<Gauge>,
+    /// Jobs a worker started, and jobs a driver expired to `busy`.
+    admitted: Arc<Counter>,
+    rejected: Arc<Counter>,
+    /// How long a job waited in the run queue, to pick-up or to expiry.
+    admission_wait_us: Arc<Histogram>,
+    /// The run queue's depth as each job found it on arrival.
+    admission_queue_depth: Arc<Histogram>,
 }
 
 fn metrics() -> &'static LoopMetrics {
@@ -135,6 +142,10 @@ fn metrics() -> &'static LoopMetrics {
             pending_cap: registry.counter("serve.backpressure.pending_cap"),
             conns_open: registry.gauge("serve.conns.open"),
             run_queue_depth: registry.gauge("serve.run_queue.depth"),
+            admitted: registry.counter("serve.admission.admitted"),
+            rejected: registry.counter("serve.admission.rejected"),
+            admission_wait_us: registry.histogram("serve.admission.wait.us"),
+            admission_queue_depth: registry.histogram("serve.admission.queue_depth"),
         }
     })
 }
@@ -262,25 +273,26 @@ impl Conn {
     }
 }
 
-/// One admission-gated request traveling to a query worker. Owns the
-/// connection's session state for the duration (see [`ConnState::session`]).
+/// One heavy request traveling to a query worker. Owns the connection's
+/// session state for the duration (see [`ConnState::session`]).
 struct Job {
     conn: Arc<Conn>,
     op: HeavyOp,
     session: SessionState,
     token: CancellationToken,
+    /// Past `queued_at + queue_wait`, drivers expire the job to a `busy`
+    /// response without waiting for a worker.
     queued_at: Instant,
-    /// `queued_at + queue_wait`: past this, drivers expire the job to a
-    /// `busy` response without waiting for a worker.
-    deadline: Instant,
 }
 
-/// The bounded run queue feeding the query workers. Structurally bounded:
-/// each connection contributes at most one job (single in-flight per
-/// connection), so depth ≤ live connections ≤ `max_sessions`.
+/// The bounded run queue feeding the query workers, and the server's
+/// admission. Structurally bounded: each connection contributes at most
+/// one job (single in-flight per connection), so depth ≤ live connections
+/// ≤ `max_sessions`.
 pub(crate) struct RunQueue {
     state: Mutex<RunQueueState>,
     cond: Condvar,
+    intake: Intake,
 }
 
 struct RunQueueState {
@@ -288,14 +300,47 @@ struct RunQueueState {
     closed: bool,
 }
 
+/// What `stats` reports about admission, counted for this server alone:
+/// the process registry behind `/metrics` is shared by every server a
+/// process starts.
+struct Intake {
+    /// The worker pool's size: how many jobs run at once.
+    max_concurrent: usize,
+    /// How long a job may wait for a worker before a driver answers `busy`.
+    queue_wait: Duration,
+    /// Workers between popping a job and completing it.
+    in_flight: AtomicU64,
+    /// Jobs a worker started.
+    admitted: AtomicU64,
+    /// Jobs a driver expired.
+    rejected: AtomicU64,
+}
+
+/// A worker's place in [`Intake::in_flight`], given back on drop — by an
+/// unwinding worker too.
+struct InFlight<'a>(&'a AtomicU64);
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
 impl RunQueue {
-    fn new() -> Arc<RunQueue> {
+    fn new(max_concurrent: usize, queue_wait: Duration) -> Arc<RunQueue> {
         Arc::new(RunQueue {
             state: Mutex::new(RunQueueState {
                 jobs: VecDeque::new(),
                 closed: false,
             }),
             cond: Condvar::new(),
+            intake: Intake {
+                max_concurrent,
+                queue_wait,
+                in_flight: AtomicU64::new(0),
+                admitted: AtomicU64::new(0),
+                rejected: AtomicU64::new(0),
+            },
         })
     }
 
@@ -310,9 +355,12 @@ impl RunQueue {
         if state.closed {
             return Err(Box::new(job));
         }
+        let found = state.jobs.len();
         state.jobs.push_back(job);
         drop(state);
-        metrics().run_queue_depth.inc();
+        let m = metrics();
+        m.run_queue_depth.inc();
+        m.admission_queue_depth.record(found as u64);
         self.cond.notify_one();
         Ok(())
     }
@@ -334,22 +382,57 @@ impl RunQueue {
         }
     }
 
-    /// Remove every queued job whose queue-wait deadline has passed. All
-    /// jobs share one `queue_wait` offset so deadlines are push-ordered;
-    /// the expired set is always a prefix.
+    /// Admit a popped job: count it, and hold its place in `in_flight`
+    /// until the returned guard drops.
+    fn admit(&self, queued_at: Instant) -> InFlight<'_> {
+        let intake = &self.intake;
+        intake.in_flight.fetch_add(1, Ordering::Relaxed);
+        intake.admitted.fetch_add(1, Ordering::Relaxed);
+        let m = metrics();
+        m.admitted.inc();
+        m.admission_wait_us
+            .record(queued_at.elapsed().as_micros() as u64);
+        InFlight(&intake.in_flight)
+    }
+
+    /// Remove every queued job whose queue-wait deadline has passed,
+    /// counting each as rejected. All jobs share one `queue_wait` offset so
+    /// deadlines are push-ordered; the expired set is always a prefix.
     fn expire(&self, now: Instant) -> Vec<Job> {
         let mut state = self.lock();
         let mut expired = Vec::new();
-        while state.jobs.front().is_some_and(|job| now >= job.deadline) {
+        while state
+            .jobs
+            .front()
+            .is_some_and(|job| now >= job.queued_at + self.intake.queue_wait)
+        {
             expired.push(state.jobs.pop_front().expect("front checked"));
-            metrics().run_queue_depth.dec();
+        }
+        drop(state);
+        let m = metrics();
+        for job in &expired {
+            self.intake.rejected.fetch_add(1, Ordering::Relaxed);
+            m.run_queue_depth.dec();
+            m.rejected.inc();
+            m.admission_wait_us
+                .record(job.queued_at.elapsed().as_micros() as u64);
         }
         expired
     }
 
     /// When the next [`expire`](RunQueue::expire) will have work.
     fn front_deadline(&self) -> Option<Instant> {
-        self.lock().jobs.front().map(|job| job.deadline)
+        let front = self.lock().jobs.front().map(|job| job.queued_at);
+        front.map(|queued_at| queued_at + self.intake.queue_wait)
+    }
+
+    /// The `busy` answer for a job that outwaited the queue wait.
+    fn busy(&self) -> ServeError {
+        ServeError::Busy(format!(
+            "{} queries in flight (max {}), queue wait exceeded; retry later",
+            self.intake.in_flight.load(Ordering::Relaxed),
+            self.intake.max_concurrent
+        ))
     }
 
     fn close(&self) {
@@ -370,9 +453,13 @@ pub(crate) struct EventCore {
 }
 
 impl EventCore {
-    /// A fresh run queue and the mailboxes of `io_threads` drivers; no
-    /// thread runs until [`spawn`](EventCore::spawn).
-    pub(crate) fn new(io_threads: usize) -> io::Result<EventCore> {
+    /// A fresh run queue for `max_concurrent` workers and the mailboxes of
+    /// `io_threads` drivers; no thread runs until [`spawn`](EventCore::spawn).
+    pub(crate) fn new(
+        io_threads: usize,
+        max_concurrent: usize,
+        queue_wait: Duration,
+    ) -> io::Result<EventCore> {
         metrics(); // every loop metric is exposed from the start, at zero
         let drivers = (0..io_threads)
             .map(|_| {
@@ -383,18 +470,18 @@ impl EventCore {
             })
             .collect::<io::Result<_>>()?;
         Ok(EventCore {
-            run_queue: RunQueue::new(),
+            run_queue: RunQueue::new(max_concurrent, queue_wait),
             drivers,
         })
     }
 
-    /// Spawn one driver per mailbox and `workers` query workers, all over
-    /// `shared` (which owns this core); the handles are the caller's to
-    /// join.
+    /// Spawn one driver per mailbox and `max_concurrent` query workers, all
+    /// over `shared` (which owns this core); the workers build cache
+    /// entries under `build`. The handles are the caller's to join.
     pub(crate) fn spawn(
         &self,
         shared: &Arc<Shared>,
-        workers: usize,
+        build: &ExecOptions,
     ) -> io::Result<Vec<JoinHandle<()>>> {
         let mut pool = Vec::new();
         for (i, me) in self.drivers.iter().enumerate() {
@@ -409,13 +496,14 @@ impl EventCore {
                     .spawn(move || driver.run())?,
             );
         }
-        for i in 0..workers {
+        for i in 0..self.run_queue.intake.max_concurrent {
             let shared = Arc::clone(shared);
             let queue = Arc::clone(&self.run_queue);
+            let build = build.clone();
             pool.push(
                 std::thread::Builder::new()
                     .name(format!("conquer-worker-{i}"))
-                    .spawn(move || worker_loop(shared, queue))?,
+                    .spawn(move || worker_loop(shared, queue, build))?,
             );
         }
         Ok(pool)
@@ -437,6 +525,24 @@ impl EventCore {
 
     pub(crate) fn run_queue_depth(&self) -> usize {
         self.run_queue.depth()
+    }
+
+    /// Query workers between popping a job and completing it.
+    pub(crate) fn in_flight(&self) -> u64 {
+        self.run_queue.intake.in_flight.load(Ordering::Relaxed)
+    }
+
+    /// `stats`' admission section.
+    pub(crate) fn admission_json(&self) -> Json {
+        let intake = &self.run_queue.intake;
+        let count = |n: &AtomicU64| Json::UInt(n.load(Ordering::Relaxed));
+        Json::obj([
+            ("in_flight", count(&intake.in_flight)),
+            ("queue_depth", Json::UInt(self.run_queue_depth() as u64)),
+            ("max_concurrent", Json::UInt(intake.max_concurrent as u64)),
+            ("admitted", count(&intake.admitted)),
+            ("rejected", count(&intake.rejected)),
+        ])
     }
 }
 
@@ -545,8 +651,11 @@ impl Driver {
                 index += 1;
             }
             let now = Instant::now();
+            // Every worker is busy past these jobs' deadlines: answer
+            // `busy` now, from the driver, rather than whenever one frees.
             for job in self.queue.expire(now) {
-                expire_job(&self.shared, job);
+                let busy = error_response(&self.queue.busy());
+                complete(&job.conn, job.session, &busy);
             }
             let overdue: Vec<usize> = self
                 .closing
@@ -652,19 +761,23 @@ impl Driver {
     }
 }
 
-/// Body of one `conquer-worker-N` thread.
-fn worker_loop(shared: Arc<Shared>, queue: Arc<RunQueue>) {
+/// Body of one `conquer-worker-N` thread. `build` is what cache entries
+/// are built under (see [`run_heavy`]).
+fn worker_loop(shared: Arc<Shared>, queue: Arc<RunQueue>, build: ExecOptions) {
     while let Some(mut job) = queue.pop() {
         if job.conn.lock().dead {
             continue;
         }
+        let in_flight = queue.admit(job.queued_at);
         let response = run_heavy(
             &shared,
             &mut job.session,
             &job.op,
             &job.token,
             job.queued_at,
+            &build,
         );
+        drop(in_flight);
         complete(&job.conn, job.session, &response);
     }
 }
@@ -922,7 +1035,6 @@ fn dispatch(shared: &Arc<Shared>, queue: &Arc<RunQueue>, conn: &Arc<Conn>, state
                 }
             }
             RequestClass::Heavy(op) => {
-                let queued_at = Instant::now();
                 let token = CancellationToken::new();
                 state.in_flight = Some(token.clone());
                 let session = state.session.take().expect("checked above");
@@ -931,8 +1043,7 @@ fn dispatch(shared: &Arc<Shared>, queue: &Arc<RunQueue>, conn: &Arc<Conn>, state
                     op,
                     session,
                     token,
-                    queued_at,
-                    deadline: queued_at + shared.admission.queue_wait(),
+                    queued_at: Instant::now(),
                 };
                 if let Err(job) = queue.push(job) {
                     // Queue closed: the server is shutting down and this
@@ -947,22 +1058,6 @@ fn dispatch(shared: &Arc<Shared>, queue: &Arc<RunQueue>, conn: &Arc<Conn>, state
     }
 }
 
-/// A job whose queue-wait deadline passed while every worker was busy:
-/// answer `busy` now, from the driver, with the same accounting a
-/// semaphore timeout gets — timely overload behavior must not depend on a
-/// worker freeing up.
-fn expire_job(shared: &Shared, job: Job) {
-    shared
-        .admission
-        .record_queue_rejection(job.queued_at.elapsed());
-    let stats = shared.admission.stats();
-    let response = error_response(&ServeError::Busy(format!(
-        "{} queries in flight (max {}), queue wait exceeded; retry later",
-        stats.in_flight, stats.max_concurrent
-    )));
-    complete(&job.conn, job.session, &response);
-}
-
 /// Queue one response frame on the connection's output buffer. An encode
 /// failure (only possible for a >64 MiB payload) poisons the connection —
 /// the client would otherwise wait forever for a frame that cannot exist.
@@ -973,5 +1068,26 @@ fn push_frame(state: &mut ConnState, response: &Response) {
             state.out.extend_from_slice(&bytes);
         }
         Err(_) => state.dead = true,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A worker that panics mid-job must not leave its place in
+    /// `in_flight` behind, or `stats` would report a job nobody runs.
+    #[test]
+    fn in_flight_is_given_back_by_a_panicking_worker() {
+        let queue = RunQueue::new(1, Duration::from_millis(10));
+        let in_flight = || queue.intake.in_flight.load(Ordering::Relaxed);
+        let result = std::panic::catch_unwind(|| {
+            let _in_flight = queue.admit(Instant::now());
+            assert_eq!(in_flight(), 1);
+            panic!("query worker died mid-flight");
+        });
+        assert!(result.is_err(), "the body must have panicked");
+        assert_eq!(in_flight(), 0, "the unwind kept its place in in_flight");
+        assert_eq!(queue.intake.admitted.load(Ordering::Relaxed), 1);
     }
 }

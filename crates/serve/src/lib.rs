@@ -11,15 +11,16 @@
 //! * **Serving core** ([`server`], `event`) — an event loop driven by
 //!   `poll(2)`: a fixed pool of `io_threads` drivers sleeps until one of
 //!   its nonblocking sockets is ready, and a fixed pool of query workers
-//!   executes admission-gated requests from a bounded run queue.
+//!   executes heavy requests from a bounded run queue.
 //!   Session state (per-connection `ExecOptions` via `SET` — `threads`,
 //!   `timeout_ms`, `mem_limit`, `max_rows`, `strategy` — plus prepared
 //!   statements) lives in explicit per-connection structs (`state`);
 //!   client disconnects surface as EOF on the driver and cancel in-flight
 //!   queries through the governor.
-//! * **Admission control** ([`admission`]) — a semaphore-bounded run queue
-//!   with a queue-wait deadline; overload degrades to a structured `busy`
-//!   error instead of a hang.
+//! * **Admission control** — the run queue is the admission: the worker
+//!   pool bounds what runs at once, and a request still queued at its
+//!   queue-wait deadline is answered with a structured `busy` error instead
+//!   of a hang.
 //! * **Rewrite/plan cache** ([`cache`]) — an LRU over `(SQL, strategy)`
 //!   caching the parsed AST, the ConQuer rewriting, and the physical plan
 //!   (CTEs materialized). An entry remembers the version of every table
@@ -47,7 +48,6 @@
 // The one FFI call (`poll`) lives in `poll`; nothing else may be unsafe.
 #![deny(unsafe_code)]
 
-pub mod admission;
 pub mod cache;
 pub mod client;
 pub mod error;
@@ -61,7 +61,6 @@ pub mod protocol;
 pub mod server;
 mod state;
 
-pub use admission::{Admission, AdmissionStats, Permit};
 pub use cache::{CacheStats, CachedStatement, StatementCache};
 pub use client::{Client, ClientError};
 pub use error::ServeError;

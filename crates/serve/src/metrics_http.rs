@@ -7,7 +7,7 @@
 //! * `/metrics` — Prometheus text format (version 0.0.4): every registry
 //!   counter, gauge and histogram (cumulative `_bucket` lines derived from
 //!   the log-scale buckets), plus server gauges derived at scrape time
-//!   (in-flight queries, admission queue depth, active sessions, cache
+//!   (in-flight queries, run-queue depth, active sessions, cache
 //!   entries).
 //! * `/metrics.json` — the registry's JSON snapshot with the same derived
 //!   gauges added to its `gauges` object.
@@ -171,13 +171,12 @@ fn respond(
 
 /// Server gauges derived at scrape time, shared by both exposition formats.
 fn server_gauges(shared: &Arc<Shared>) -> Vec<(&'static str, u64)> {
-    let admission = shared.admission.stats();
     let cache = shared.cache.stats();
     vec![
-        ("serve.in_flight", admission.in_flight as u64),
+        ("serve.in_flight", shared.event.in_flight()),
         (
             "serve.admission.queue_depth.now",
-            admission.queue_depth as u64,
+            shared.event.run_queue_depth() as u64,
         ),
         ("serve.active_sessions", shared.active_sessions() as u64),
         ("serve.cache.entries", cache.entries as u64),

@@ -3,13 +3,13 @@
 //! One [`Shared`] struct carries everything request handling touches — the
 //! `Arc<Database>` (read-mostly: queries never lock, scripts copy-on-write
 //! behind the catalog mutex, see DESIGN.md §4), the constraint set, the
-//! statement cache, the admission semaphore and the event loop's handles.
+//! statement cache and the event loop's handles.
 //!
 //! Accepted connections are handed round-robin to a fixed pool of IO
 //! drivers that wait for them in `poll(2)`, with heavy work on a fixed pool
-//! of query workers, one per admission slot (`crate::event`). Total thread
-//! count is `io_threads + max_concurrent + 2` (accept + metrics),
-//! independent of connection count.
+//! of `max_concurrent` query workers fed by one run queue
+//! (`crate::event`). Total thread count is `io_threads + max_concurrent +
+//! 2` (accept + metrics), independent of connection count.
 //!
 //! The connection count is capped (`max_sessions`) and connections past
 //! the cap are greeted with a `busy` error frame (under a write timeout —
@@ -30,9 +30,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use conquer_core::ConstraintSet;
-use conquer_engine::{CancellationToken, Database, ExecOptions};
+use conquer_engine::Database;
 
-use crate::admission::Admission;
 use crate::cache::StatementCache;
 #[cfg(unix)]
 use crate::event::EventCore;
@@ -51,20 +50,13 @@ pub struct ServerConfig {
     pub addr: String,
     /// Connection cap; further connects get a `busy` greeting and a close.
     pub max_sessions: usize,
-    /// Queries allowed to run at once: the admission semaphore's width and
-    /// the size of the query-worker pool.
+    /// Queries allowed to run at once: the size of the query-worker pool.
     pub max_concurrent: usize,
-    /// How long a query may queue for admission before `busy`.
+    /// How long a query may wait in the run queue for a worker before
+    /// `busy`.
     pub queue_wait: Duration,
     /// Rewrite/plan cache capacity (entries).
     pub cache_capacity: usize,
-    /// Options cached statements are *built* under (plan time, including
-    /// CTE materialization). Cache entries are shared across sessions, so
-    /// builds run under this fixed server-level policy rather than the
-    /// requesting session's `SET` limits — otherwise a plan materialized
-    /// under one session's (lack of) limits would be served to sessions
-    /// whose limits differ. Per-session options still govern execution.
-    pub build_options: ExecOptions,
     /// Bind address for the HTTP metrics endpoint (`/metrics`,
     /// `/metrics.json`, `/traces`); `None` disables it.
     pub metrics_addr: Option<String>,
@@ -85,7 +77,6 @@ impl Default for ServerConfig {
             max_concurrent: 4,
             queue_wait: Duration::from_millis(500),
             cache_capacity: 256,
-            build_options: ExecOptions::default(),
             metrics_addr: None,
             slow_query_us: 0,
             io_threads: 2,
@@ -98,11 +89,7 @@ pub struct Shared {
     pub db: Arc<Database>,
     pub sigma: ConstraintSet,
     pub cache: StatementCache,
-    pub admission: Arc<Admission>,
     pub max_sessions: usize,
-    /// Server-level policy for cache builds (see
-    /// [`ServerConfig::build_options`]).
-    build_options: ExecOptions,
     /// Server-default slow-query threshold, copied into new sessions.
     pub slow_query_us: u64,
     addr: SocketAddr,
@@ -117,7 +104,7 @@ pub struct Shared {
     next_session: AtomicU64,
     shutdown: AtomicBool,
     /// The event loop's run queue and per-driver mailboxes/wakers.
-    event: EventCore,
+    pub(crate) event: EventCore,
 }
 
 impl Shared {
@@ -125,23 +112,8 @@ impl Shared {
         self.active.load(Ordering::Acquire)
     }
 
-    /// Options for building a cache entry on behalf of a query: the
-    /// server-level build policy, plus the requesting query's cancellation
-    /// token when it has one (a disconnect still cancels the build; a
-    /// token never shapes the plan, so sharing the entry stays sound).
-    pub fn build_options(&self, cancellation: Option<&CancellationToken>) -> ExecOptions {
-        let mut options = self.build_options.clone();
-        options.cancellation = cancellation.cloned();
-        options
-    }
-
     pub fn is_shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::Acquire)
-    }
-
-    /// Requests currently waiting in the run queue for a free query worker.
-    pub fn run_queue_depth(&self) -> usize {
-        self.event.run_queue_depth()
     }
 
     /// Account one accepted connection.
@@ -315,9 +287,7 @@ pub fn serve(
         db,
         sigma,
         cache: StatementCache::new(config.cache_capacity),
-        admission: Admission::new(config.max_concurrent, config.queue_wait),
         max_sessions: config.max_sessions.max(1),
-        build_options: config.build_options,
         slow_query_us: config.slow_query_us,
         addr,
         metrics_addr,
@@ -326,11 +296,18 @@ pub fn serve(
         active: AtomicUsize::new(0),
         next_session: AtomicU64::new(1),
         shutdown: AtomicBool::new(false),
-        event: EventCore::new(config.io_threads.max(1))?,
+        event: EventCore::new(
+            config.io_threads.max(1),
+            config.max_concurrent.max(1),
+            config.queue_wait,
+        )?,
     });
-    // One worker per admission slot: more would idle behind the semaphore,
-    // fewer would leave admitted slots unused.
-    let pool = shared.event.spawn(&shared, config.max_concurrent.max(1))?;
+    // Cache builds run under the engine's defaults, read once here: an
+    // entry is shared by every session, so no session's `SET` limits may
+    // shape it.
+    let pool = shared
+        .event
+        .spawn(&shared, &conquer_engine::ExecOptions::default())?;
     let accept = {
         let shared = Arc::clone(&shared);
         std::thread::Builder::new()
@@ -373,7 +350,7 @@ pub fn serve(
 /// What [`Shared`] holds where the event loop does not exist: a type with
 /// no values, so the code around it type-checks and none of it can run.
 #[cfg(not(unix))]
-enum EventCore {}
+pub(crate) enum EventCore {}
 
 #[cfg(not(unix))]
 impl EventCore {
@@ -385,7 +362,15 @@ impl EventCore {
         match *self {}
     }
 
-    fn run_queue_depth(&self) -> usize {
+    pub(crate) fn run_queue_depth(&self) -> usize {
+        match *self {}
+    }
+
+    pub(crate) fn in_flight(&self) -> u64 {
+        match *self {}
+    }
+
+    pub(crate) fn admission_json(&self) -> conquer_obs::Json {
         match *self {}
     }
 }

@@ -7,12 +7,12 @@
 //!
 //! * [`handle_control`] — cheap, never-blocking requests (`set`, `stats`,
 //!   `ping`, traces, `close_statement`) answered inline on the IO driver
-//!   that parsed the request. `stats`/`ping` keep their admission bypass,
-//!   so a loaded server stays observable.
-//! * [`run_heavy`] — admission-gated work (`query`, `prepare`, `execute`,
-//!   `script`) that parses/plans/executes and may block for the queue-wait
-//!   deadline; it runs on a query worker, with a pre-created per-query
-//!   [`CancellationToken`] the driver fires on disconnect.
+//!   that parsed the request. `stats`/`ping` never queue, so a loaded
+//!   server stays observable.
+//! * [`run_heavy`] — work that parses/plans/executes (`query`, `prepare`,
+//!   `execute`, `script`); it waits in the run queue for a query worker
+//!   and runs there, with a pre-created per-query [`CancellationToken`]
+//!   the driver fires on disconnect.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -58,8 +58,8 @@ impl SessionState {
     }
 }
 
-/// The admission-gated request class, with its inputs resolved against the
-/// session (strategy defaults applied) so it can travel to a query worker
+/// The request class that runs on a query worker, with its inputs resolved
+/// against the session (strategy defaults applied) so it can travel there
 /// as plain data.
 pub(crate) enum HeavyOp {
     Query { sql: String, strategy: Strategy },
@@ -69,8 +69,8 @@ pub(crate) enum HeavyOp {
 }
 
 /// Split a parsed request into the class that decides where it runs.
-/// `Heavy` ops go through admission (on a worker in event-loop mode);
-/// everything else is answered inline.
+/// `Heavy` ops queue for a query worker; everything else is answered
+/// inline.
 pub(crate) enum RequestClass {
     Heavy(HeavyOp),
     Control(Request),
@@ -136,55 +136,45 @@ pub(crate) fn handle_control(
     }
 }
 
-/// Run one admission-gated request to completion and produce its response.
+/// Run one heavy request to completion and produce its response.
 ///
 /// `token` is the query's cancellation token — the driver holds it as the
-/// connection's in-flight token and fires it on disconnect.
-/// `queued_at` is when the request was dequeued for service; the admission
-/// queue-wait deadline counts from there, so time spent waiting for a free
-/// query worker counts against the deadline exactly like time spent
-/// waiting on the semaphore.
+/// connection's in-flight token and fires it on disconnect. `queued_at` is
+/// when the request entered the run queue; a query's reported time counts
+/// from there. `build` is what cache entries are built under: an entry is
+/// shared by every session, so it is never the session's `SET` limits —
+/// those govern execution only. A query adds its own cancellation token,
+/// which never shapes a plan.
 pub(crate) fn run_heavy(
     shared: &Shared,
     state: &mut SessionState,
     op: &HeavyOp,
     token: &CancellationToken,
     queued_at: Instant,
+    build: &ExecOptions,
 ) -> Response {
     match op {
         HeavyOp::Query { sql, strategy } => {
-            match run_query(shared, state, sql, *strategy, token, queued_at) {
+            match run_query(shared, state, sql, *strategy, token, queued_at, build) {
                 Ok(outcome) => Response::Rows(outcome),
                 Err(e) => error_response(&e),
             }
         }
-        HeavyOp::Prepare { sql, strategy } => {
-            match prepare(shared, state, sql, *strategy, queued_at) {
-                Ok(statement) => Response::Prepared { statement },
-                Err(e) => error_response(&e),
-            }
-        }
-        HeavyOp::Execute { statement } => {
-            match run_execute(shared, state, *statement, token, queued_at) {
-                Ok(outcome) => Response::Rows(outcome),
-                Err(e) => error_response(&e),
-            }
-        }
-        HeavyOp::Script { sql } => match run_script(shared, sql, queued_at) {
-            Ok(()) => Response::Ok,
+        HeavyOp::Prepare { sql, strategy } => match prepare(shared, state, sql, *strategy, build) {
+            Ok(statement) => Response::Prepared { statement },
             Err(e) => error_response(&e),
         },
+        HeavyOp::Execute { statement } => {
+            match run_execute(shared, state, *statement, token, queued_at, build) {
+                Ok(outcome) => Response::Rows(outcome),
+                Err(e) => error_response(&e),
+            }
+        }
+        HeavyOp::Script { sql } => match shared.db.run_script(sql) {
+            Ok(_) => Response::Ok,
+            Err(e) => error_response(&ServeError::Engine(e)),
+        },
     }
-}
-
-fn admit(shared: &Shared, entered: Instant) -> Result<crate::admission::Permit, ServeError> {
-    shared.admission.try_admit_from(entered).ok_or_else(|| {
-        let stats = shared.admission.stats();
-        ServeError::Busy(format!(
-            "{} queries in flight (max {}), queue wait exceeded; retry later",
-            stats.in_flight, stats.max_concurrent
-        ))
-    })
 }
 
 fn run_query(
@@ -194,17 +184,17 @@ fn run_query(
     strategy: Strategy,
     token: &CancellationToken,
     queued_at: Instant,
+    build: &ExecOptions,
 ) -> Result<QueryOutcome, ServeError> {
     let start_unix_ms = unix_ms();
-    let _permit = admit(shared, queued_at)?;
     let trace = TraceContext::new();
     let mut options = state.options.clone();
     options.cancellation = Some(token.clone());
     options.trace = Some(trace.clone());
-    // Cache builds run under server-level options (plus this query's
-    // cancellation token) so the shared entry doesn't depend on which
-    // session happened to build it; `options` governs execution only.
-    let build_options = shared.build_options(Some(token));
+    let build = ExecOptions {
+        cancellation: Some(token.clone()),
+        ..build.clone()
+    };
     let result = (|| {
         // Installed here (not just via options.trace) so cache-build
         // spans — parse, rewrite, plan, optimize — are captured too.
@@ -212,7 +202,7 @@ fn run_query(
         let (stmt, lookup) =
             shared
                 .cache
-                .get_or_build(&shared.db, &shared.sigma, sql, strategy, &build_options)?;
+                .get_or_build(&shared.db, &shared.sigma, sql, strategy, &build)?;
         let rows = shared
             .db
             .execute_plan_with(&stmt.plan, &options)
@@ -238,24 +228,19 @@ fn run_query(
     })
 }
 
+/// Preparation plans (and for rewritings, materializes CTEs), so it runs
+/// on a query worker like any other heavy work.
 fn prepare(
     shared: &Shared,
     state: &mut SessionState,
     sql: &str,
     strategy: Strategy,
-    queued_at: Instant,
+    build: &ExecOptions,
 ) -> Result<u64, ServeError> {
-    // Preparation plans (and for rewritings, materializes CTEs), so it
-    // goes through admission like any other heavy work. The build runs
-    // under server-level options: the entry is shared across sessions.
-    let _permit = admit(shared, queued_at)?;
-    let (stmt, _lookup) = shared.cache.get_or_build(
-        &shared.db,
-        &shared.sigma,
-        sql,
-        strategy,
-        &shared.build_options(None),
-    )?;
+    let (stmt, _lookup) =
+        shared
+            .cache
+            .get_or_build(&shared.db, &shared.sigma, sql, strategy, build)?;
     let id = state.next_statement;
     state.next_statement += 1;
     state.statements.insert(id, stmt);
@@ -268,6 +253,7 @@ fn run_execute(
     statement_id: u64,
     token: &CancellationToken,
     queued_at: Instant,
+    build: &ExecOptions,
 ) -> Result<QueryOutcome, ServeError> {
     let bound = state
         .statements
@@ -275,12 +261,14 @@ fn run_execute(
         .cloned()
         .ok_or(ServeError::UnknownStatement(statement_id))?;
     let start_unix_ms = unix_ms();
-    let _permit = admit(shared, queued_at)?;
     let trace = TraceContext::new();
     let mut options = state.options.clone();
     options.cancellation = Some(token.clone());
     options.trace = Some(trace.clone());
-    let build_options = shared.build_options(Some(token));
+    let build = ExecOptions {
+        cancellation: Some(token.clone()),
+        ..build.clone()
+    };
     let result = (|| {
         let _trace = trace.install();
         // A change to any table the bound plan read since `prepare`
@@ -294,7 +282,7 @@ fn run_execute(
                 &shared.sigma,
                 &bound.sql,
                 bound.strategy,
-                &build_options,
+                &build,
             )?
         };
         let rows = shared
@@ -322,12 +310,6 @@ fn run_execute(
         cached: lookup.is_hit(),
         elapsed_us,
     })
-}
-
-fn run_script(shared: &Shared, sql: &str, queued_at: Instant) -> Result<(), ServeError> {
-    let _permit = admit(shared, queued_at)?;
-    shared.db.run_script(sql).map_err(ServeError::Engine)?;
-    Ok(())
 }
 
 fn set_option(state: &mut SessionState, name: &str, value: &Json) -> Result<(), ServeError> {
@@ -456,11 +438,6 @@ fn finish_query(
 
 fn stats_json(shared: &Shared, state: &SessionState) -> Json {
     let cache = shared.cache.stats();
-    let mut admission = shared.admission.stats();
-    // Event-loop mode: requests waiting in the run queue for a query
-    // worker are queued for admission in every sense that matters, so the
-    // gauge folds them in.
-    admission.queue_depth += shared.run_queue_depth();
     Json::obj([
         (
             "server",
@@ -496,19 +473,7 @@ fn stats_json(shared: &Shared, state: &SessionState) -> Json {
                 ("hit_rate", Json::Float(cache.hit_rate())),
             ]),
         ),
-        (
-            "admission",
-            Json::obj([
-                ("in_flight", Json::UInt(admission.in_flight as u64)),
-                ("queue_depth", Json::UInt(admission.queue_depth as u64)),
-                (
-                    "max_concurrent",
-                    Json::UInt(admission.max_concurrent as u64),
-                ),
-                ("admitted", Json::UInt(admission.admitted)),
-                ("rejected", Json::UInt(admission.rejected)),
-            ]),
-        ),
+        ("admission", shared.event.admission_json()),
         (
             "session",
             Json::obj([

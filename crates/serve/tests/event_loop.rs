@@ -7,7 +7,7 @@
 //! costs a bounded number of wake-ups, deadlines fire with no socket
 //! traffic to ride on, and an over-full socket drains through `POLLOUT`.
 
-use std::io::Read;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -63,16 +63,20 @@ fn start_big(rows: usize, config: ServerConfig) -> ServerHandle {
     serve(Arc::new(db), sigma, config).expect("bind")
 }
 
+/// `stats.admission.<field>`, asked over the wire.
+fn admission_stat(client: &mut Client, field: &str) -> u64 {
+    let stats = client.stats().expect("stats");
+    stats
+        .get("admission")
+        .and_then(|a| a.get(field))
+        .and_then(Json::as_f64)
+        .unwrap_or_else(|| panic!("stats.admission.{field}")) as u64
+}
+
 fn wait_for_in_flight(client: &mut Client, want: u64, deadline: Duration) -> bool {
     let start = Instant::now();
     while start.elapsed() < deadline {
-        let stats = client.stats().expect("stats");
-        let in_flight = stats
-            .get("admission")
-            .and_then(|a| a.get("in_flight"))
-            .and_then(Json::as_f64)
-            .expect("in_flight gauge") as u64;
-        if in_flight == want {
+        if admission_stat(client, "in_flight") == want {
             return true;
         }
         std::thread::sleep(Duration::from_millis(5));
@@ -83,7 +87,7 @@ fn wait_for_in_flight(client: &mut Client, want: u64, deadline: Duration) -> boo
 /// A client pipelines an extra frame behind a slow query and then
 /// disconnects. A server that only `peek`ed at the socket would see the
 /// queued bytes forever and never the FIN behind them, so the query would
-/// burn its full runtime holding the admission slot. The driver drains the
+/// burn its full runtime holding the only worker. The driver drains the
 /// socket, so the FIN surfaces as `read() == 0` regardless of what
 /// preceded it: the in-flight query must be cancelled and
 /// `serve.disconnect_cancel` must tick within the governor's cooperative
@@ -544,6 +548,96 @@ fn queue_wait_deadline_fires_from_a_driver_blocked_in_poll() {
         "busy was not produced by a poll timeout"
     );
     drop(wedge);
+    server.shutdown();
+    server.wait();
+}
+
+/// `/metrics.json`'s `gauges` object, fetched the way a scraper does.
+fn scrape_gauges(addr: std::net::SocketAddr) -> Json {
+    let mut stream = TcpStream::connect(addr).expect("connect metrics");
+    write!(
+        stream,
+        "GET /metrics.json HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+    )
+    .expect("send scrape");
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("read scrape");
+    let (_head, body) = response.split_once("\r\n\r\n").expect("header split");
+    let parsed = Json::parse(body).expect("metrics.json parses");
+    parsed.get("gauges").expect("gauges object").clone()
+}
+
+/// `stats.admission.queue_depth` and `/metrics`' queue-depth gauge, in
+/// that order.
+fn queue_depths(observer: &mut Client, metrics: std::net::SocketAddr) -> (u64, u64) {
+    let stats = admission_stat(observer, "queue_depth");
+    let gauges = scrape_gauges(metrics);
+    let gauge = gauges
+        .get("serve.admission.queue_depth.now")
+        .and_then(Json::as_f64)
+        .expect("queue-depth gauge") as u64;
+    (stats, gauge)
+}
+
+/// The run queue is the admission, so a request waiting there for the only
+/// worker is what both `stats` and `/metrics` report as queued — and
+/// neither does once the worker has taken it.
+#[test]
+fn queue_depth_gauge_reads_the_run_queue() {
+    let _guard = serial();
+    let server = start_big(
+        128,
+        ServerConfig {
+            max_concurrent: 1,
+            queue_wait: Duration::from_secs(60),
+            metrics_addr: Some("127.0.0.1:0".to_string()),
+            ..ServerConfig::default()
+        },
+    );
+    let addr = server.addr();
+    let metrics = server.metrics_addr().expect("metrics endpoint");
+    let mut wedge = TcpStream::connect(addr).expect("connect wedge");
+    let _hello = read_frame(&mut wedge).expect("hello").expect("frame");
+    let slow = Request::Query {
+        sql: SLOW.to_string(),
+        strategy: Some(Strategy::Original),
+    };
+    write_frame(&mut wedge, &slow.to_json()).expect("send slow");
+    let mut observer = Client::connect(addr).expect("observer");
+    assert!(
+        wait_for_in_flight(&mut observer, 1, Duration::from_secs(10)),
+        "slow query never became in-flight"
+    );
+    assert_eq!(queue_depths(&mut observer, metrics), (0, 0));
+
+    let mut queued = TcpStream::connect(addr).expect("connect queued");
+    let _hello = read_frame(&mut queued).expect("hello").expect("frame");
+    let fast = Request::Query {
+        sql: "select v from big where v = 1".to_string(),
+        strategy: Some(Strategy::Original),
+    };
+    write_frame(&mut queued, &fast.to_json()).expect("send fast");
+    wait_until(
+        "the second request to queue",
+        Duration::from_secs(10),
+        || admission_stat(&mut observer, "queue_depth") == 1,
+    );
+    assert_eq!(queue_depths(&mut observer, metrics), (1, 1));
+
+    // Ending the slow query (its client leaves, which cancels it) frees
+    // the worker for the queued request, which then answers normally.
+    drop(wedge);
+    let answer = read_frame(&mut queued).expect("answer").expect("frame");
+    assert!(
+        answer.get("result").is_some(),
+        "expected rows, got {answer:?}"
+    );
+    assert!(
+        wait_for_in_flight(&mut observer, 0, Duration::from_secs(10)),
+        "the queued query never finished"
+    );
+    assert_eq!(queue_depths(&mut observer, metrics), (0, 0));
+    observer.quit().expect("quit");
     server.shutdown();
     server.wait();
 }

@@ -1,5 +1,6 @@
-//! Overload and disconnect behaviour: past the admission limit the server
-//! answers `busy` (never hangs or panics), and dropping a connection
+//! Overload and disconnect behaviour: with every query worker busy past
+//! the queue wait the server answers `busy` (never hangs or panics), and
+//! dropping a connection
 //! cancels its in-flight query through the governor within the cooperative
 //! check interval.
 
@@ -44,8 +45,8 @@ fn start(rows: usize, max_concurrent: usize, queue_wait_ms: u64) -> ServerHandle
     .expect("bind")
 }
 
-/// Poll the admission `in_flight` gauge through the stats op (which does
-/// not go through admission itself) until `want` is reached.
+/// Poll the admission `in_flight` gauge through the stats op (which never
+/// queues for a worker itself) until `want` is reached.
 fn wait_for_in_flight(client: &mut Client, want: u64, deadline: Duration) -> bool {
     let start = Instant::now();
     while start.elapsed() < deadline {
@@ -84,8 +85,8 @@ fn overload_maps_to_structured_busy() {
             "slow query never became in-flight"
         );
 
-        // The single admission slot is held: a second query must come back
-        // as a structured busy error after the queue wait, not hang.
+        // The only worker is busy: a second query must come back as a
+        // structured busy error after the queue wait, not hang.
         let asked = Instant::now();
         let err = observer
             .query_with("select v from big where v = 1", Some(Strategy::Original))
@@ -114,13 +115,11 @@ fn overload_maps_to_structured_busy() {
     server.shutdown();
 }
 
-/// Regression: a pipelined client finishes query N and starts query N+1
-/// within one watchdog poll cycle, so the watchdog can see `Watching` →
-/// `Watching` with no `Idle` in between. It must re-arm on the generation
-/// change (fresh token *and* re-installed poll timeout — the session
-/// restored blocking reads when query N finished); without that, a later
-/// disconnect cancels query N's already-finished token and query N+1 runs
-/// to completion holding the admission slot.
+/// Regression: a pipelined client's query N+1 is dispatched the moment
+/// query N completes, with no idle moment between them. A later
+/// disconnect must cancel the token of the query in flight, N+1's, not
+/// query N's already-finished one; otherwise query N+1 runs to completion
+/// holding the only worker.
 #[test]
 fn disconnect_cancels_a_pipelined_back_to_back_query() {
     let server = start(128, 1, 100);
@@ -161,7 +160,7 @@ fn disconnect_cancels_a_pipelined_back_to_back_query() {
     assert!(
         wait_for_in_flight(&mut observer, 0, Duration::from_secs(5)),
         "back-to-back query was not cancelled after disconnect \
-         (watchdog held the previous query's token?)"
+         (the connection held the previous query's token?)"
     );
     assert!(
         registry.counter("governor.trip.cancelled").get() > trips_before,
@@ -200,9 +199,10 @@ fn dropping_the_connection_cancels_the_query_via_the_governor() {
 
     drop(raw); // client gives up
 
-    // The watchdog polls every 20ms and the governor checks every 256 rows,
-    // so the slot must free well inside this deadline — far sooner than the
-    // multi-second natural runtime of the query.
+    // The driver reads the FIN as soon as it arrives and the governor
+    // checks every 256 rows, so the worker must free well inside this
+    // deadline — far sooner than the multi-second natural runtime of the
+    // query.
     let freed = Instant::now();
     assert!(
         wait_for_in_flight(&mut observer, 0, Duration::from_secs(5)),
@@ -212,7 +212,7 @@ fn dropping_the_connection_cancels_the_query_via_the_governor() {
 
     assert!(
         registry.counter("serve.disconnect_cancel").get() > cancels_before,
-        "the disconnect watchdog never fired"
+        "the driver never saw the disconnect"
     );
     assert!(
         registry.counter("governor.trip.cancelled").get() > trips_before,
