@@ -31,9 +31,10 @@
 //! its time and rows/sec over the driving table
 //! (`BENCH_opbench.json`). `recover` benchmarks the durable-storage crash-recovery
 //! path: it loads the TPC-H workload into a WAL-backed database on a temp
-//! dir, times a cold restart that replays the full WAL, checkpoints, and
-//! times a second restart that loads from segments — writing WAL size and
-//! both replay times to `BENCH_recover.json`. `trace "<sql>"`
+//! dir, times a cold restart that replays the full WAL, times a checkpoint,
+//! and times a second restart that loads from segments — writing WAL and
+//! segment sizes, the checkpoint time and both replay times to
+//! `BENCH_recover.json`. `trace "<sql>"`
 //! runs one query against the standard workload with tracing on, prints
 //! the captured span tree (morsel workers included), records it in the
 //! process flight recorder, and writes `BENCH_trace.json` in the Chrome
@@ -1825,13 +1826,14 @@ fn serve_point(
 /// temp dir, then times the two recovery paths a restart can take:
 ///
 /// 1. **WAL replay**: reopen with the load still sitting in the WAL — the
-///    worst case (every record decoded, validated, applied, re-statted).
+///    worst case (every record decoded, validated and applied).
 /// 2. **Segment load**: checkpoint, reopen again — the steady-state boot
-///    (snapshots with verbatim stats, empty WAL).
+///    (columnar snapshots, empty WAL; statistics wait for a first reader).
 ///
 /// The report carries row/table counts, the WAL size the load produced,
-/// and both replay times, so EXPERIMENTS.md can track recovery-speed
-/// regressions alongside the paper figures.
+/// the checkpoint's time and the bytes of the segments it wrote, and both
+/// replay times, so EXPERIMENTS.md can track recovery-speed regressions
+/// alongside the paper figures.
 fn recover_cmd(args: &Args) -> Json {
     use conquer::{Database, DurabilityOptions, SyncPolicy};
 
@@ -1878,9 +1880,20 @@ fn recover_cmd(args: &Args) -> Json {
     }
 
     // Fold into segments, then time the steady-state boot.
+    let t0 = Instant::now();
     db.checkpoint()
         .unwrap_or_else(|e| die(&format!("checkpoint: {e}")));
+    let checkpoint_us = t0.elapsed().as_micros() as u64;
     let segments = db.storage_status().map_or(0, |s| s.segments);
+    let segment_bytes: u64 = std::fs::read_dir(&dir)
+        .map(|entries| {
+            let files = entries.flatten();
+            let segs = files.filter(|e| e.file_name().to_string_lossy().starts_with("seg-"));
+            segs.filter_map(|e| e.metadata().ok())
+                .map(|m| m.len())
+                .sum()
+        })
+        .unwrap_or(0);
     drop(db);
     let t0 = Instant::now();
     let db = Database::open(&dir, opts).unwrap_or_else(|e| die(&format!("reopen: {e}")));
@@ -1908,7 +1921,12 @@ fn recover_cmd(args: &Args) -> Json {
     );
     say!(
         args,
-        "| restart: segment load ({segments} segments) | {:.1} |",
+        "| checkpoint ({segments} segments, {segment_bytes} B) | {:.1} |",
+        checkpoint_us as f64 / 1e3
+    );
+    say!(
+        args,
+        "| restart: segment load | {:.1} |",
         replay_segments_us as f64 / 1e3
     );
     say!(args, "");
@@ -1918,8 +1936,10 @@ fn recover_cmd(args: &Args) -> Json {
     report.push("rows", Json::UInt(rows));
     report.push("wal_bytes", Json::UInt(wal_bytes));
     report.push("segments", Json::UInt(segments));
+    report.push("segment_bytes", Json::UInt(segment_bytes));
     report.push("load_us", Json::UInt(load_us));
     report.push("replay_wal_us", Json::UInt(replay_wal_us));
+    report.push("checkpoint_us", Json::UInt(checkpoint_us));
     report.push("replay_segments_us", Json::UInt(replay_segments_us));
     report
 }

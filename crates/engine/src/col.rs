@@ -134,6 +134,20 @@ impl Bitmap {
         self.words.len() * 8
     }
 
+    /// The packed words, `len.div_ceil(64)` of them, bits above `len` zero.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// A bitmap of `len` bits over `len.div_ceil(64)` words; bits above
+    /// `len` are cleared.
+    pub(crate) fn from_words(words: Vec<u64>, len: usize) -> Bitmap {
+        debug_assert_eq!(words.len(), len.div_ceil(64));
+        let mut bm = Bitmap { words, len };
+        bm.mask_tail();
+        bm
+    }
+
     /// The validity bitmap for per-row flags, or `None` when every flag is
     /// set (the all-valid representation chunks use).
     pub fn from_flags(flags: &[bool]) -> Option<Bitmap> {

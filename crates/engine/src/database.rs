@@ -14,8 +14,8 @@ use conquer_storage::{Store, StoreOptions, StoreStatus, WalRecord};
 
 use crate::col::ColBatch;
 use crate::durable::{
-    self, Durability, DurabilityOptions, KIND_CREATE, KIND_DROP, KIND_INDEX, KIND_INSERT,
-    KIND_SNAPSHOT,
+    self, Durability, DurabilityOptions, Snapshot, KIND_CREATE, KIND_DROP, KIND_INDEX, KIND_INSERT,
+    KIND_ROW_SNAPSHOT, KIND_SNAPSHOT, SEGMENT_FORMAT, SEGMENT_FORMAT_COLUMNAR,
 };
 use crate::error::{EngineError, Result};
 use crate::exec;
@@ -69,8 +69,7 @@ impl Declared {
 pub(crate) struct Entry {
     table: Arc<Table>,
     batch: Arc<ColBatch>,
-    /// Filled by the first reader ([`Entry::stats`]), or up front with the
-    /// statistics a decoded Snapshot or segment carries.
+    /// Filled by the first reader ([`Entry::stats`]).
     stats: OnceLock<Arc<TableStats>>,
     /// Drawn by [`Database::publish`].
     version: u64,
@@ -78,13 +77,11 @@ pub(crate) struct Entry {
 }
 
 impl Entry {
-    fn new(table: Table, stats: Option<TableStats>, slots: Vec<Declared>) -> Entry {
+    fn new(table: Table, slots: Vec<Declared>) -> Entry {
         Entry {
             batch: Arc::new(table.batch()),
             table: Arc::new(table),
-            stats: stats
-                .map(Arc::new)
-                .map_or_else(OnceLock::new, OnceLock::from),
+            stats: OnceLock::new(),
             version: 0,
             slots,
         }
@@ -107,11 +104,11 @@ impl Entry {
     }
 
     /// The version's statistics, collected here by the first reader that
-    /// needs them (a plan's estimator, [`Database::table_stats`], a
-    /// Snapshot or checkpoint encode) — no write collects for its own
-    /// sake. Concurrent first readers wait for one collection. It runs
-    /// outside any query governor, as a lazy index build does; its time
-    /// lands in the `stats.collect.us` histogram.
+    /// needs them (a plan's estimator, [`Database::table_stats`]) — no
+    /// write collects them, and no record stores them. Concurrent first
+    /// readers wait for one collection. It runs outside any query
+    /// governor, as a lazy index build does; its time lands in the
+    /// `stats.collect.us` histogram.
     pub(crate) fn stats(&self) -> &Arc<TableStats> {
         self.stats.get_or_init(|| {
             let _span = conquer_obs::span("stats.collect")
@@ -254,30 +251,37 @@ impl Database {
         let (store, recovered) =
             Store::open(dir, StoreOptions { sync: options.sync }).map_err(durable::storage_err)?;
         let mut db = Database::new();
-        // Segments first: each is a full-table snapshot with its stats
-        // restored verbatim (annotations are stored columns, so they come
-        // back with the rows — nothing is recomputed).
+        let meta = |wanted: &str| {
+            let mut entries = recovered.meta.iter();
+            entries.find(|(key, _)| key == wanted).map(|(_, v)| *v)
+        };
+        // Segments first: each is a full-table snapshot (annotations are
+        // stored columns, so they come back with the rows — nothing is
+        // recomputed, and statistics wait for their first reader). A
+        // manifest without the format key has row-shaped segments.
         // Index *declarations* ride along in each snapshot; the postings
         // are deliberately not persisted. Declarations come back unbuilt
         // and the first query that plans against the table rebuilds them
         // lazily, so cold-boot recovery time does not depend on indexes.
-        for seg in &recovered.segments {
-            let (table, stats, indexes) = durable::decode_snapshot(&seg.payload)?;
-            let name = table.name().to_string();
-            db.apply_register(table, Some(stats));
-            for cols in indexes {
-                db.apply_create_index(&name, cols);
+        let decode = match meta(SEGMENT_FORMAT) {
+            None => durable::decode_row_snapshot,
+            Some(SEGMENT_FORMAT_COLUMNAR) => durable::decode_snapshot,
+            Some(other) => {
+                return Err(EngineError::Storage(format!(
+                    "unknown segment format {other}"
+                )))
             }
+        };
+        for seg in &recovered.segments {
+            db.apply_snapshot(decode(&seg.payload)?);
         }
         // The epoch as of the checkpoint, so the counter is continuous
         // across restarts. `fetch_max` because the segment loads above
         // already drew versions from it and none may ever be reissued.
         // Other keys (manifests written before table versions carry a
         // `stats_epoch`) are ignored.
-        for (key, value) in &recovered.meta {
-            if key == "catalog_epoch" {
-                db.epoch.fetch_max(*value, Ordering::AcqRel);
-            }
+        if let Some(epoch) = meta("catalog_epoch") {
+            db.epoch.fetch_max(epoch, Ordering::AcqRel);
         }
         // Then the WAL tail. Each record replays as exactly one apply (one
         // epoch bump), mirroring the original mutation, so the recovered
@@ -319,11 +323,9 @@ impl Database {
     /// `INSERT`/`CREATE` paths and recovery hold it across their whole
     /// read-modify-write sequence).
     fn register_locked(&self, table: Table) -> Result<()> {
-        let entry = self.successor(table, None);
+        let entry = self.successor(table);
         if self.durability.is_some() {
-            // The Snapshot carries statistics: the entry's cell is filled
-            // for it here, so the entry published below has them.
-            let snapshot = durable::encode_snapshot(&entry.table, entry.stats(), &entry.declared());
+            let snapshot = durable::encode_snapshot(&entry.table, &entry.declared());
             self.log(KIND_SNAPSHOT, &snapshot)?;
         }
         self.publish(entry);
@@ -348,20 +350,29 @@ impl Database {
 
     /// Apply a table swap to the in-memory catalog (no logging — callers
     /// log first): [`Database::successor`], published at a new version.
-    fn apply_register(&self, table: Table, stats: Option<TableStats>) {
-        self.publish(self.successor(table, stats));
+    fn apply_register(&self, table: Table) {
+        self.publish(self.successor(table));
+    }
+
+    /// Apply a decoded snapshot (no logging): its table, then its index
+    /// declarations.
+    fn apply_snapshot(&self, (table, indexes): Snapshot) {
+        let name = table.name().to_string();
+        self.apply_register(table);
+        for cols in indexes {
+            self.apply_create_index(&name, cols);
+        }
     }
 
     /// The entry that replaces `table`'s, not yet published: the table's
     /// index declarations unbuilt — their postings would describe the
-    /// replaced data — and its statistics `stats` when a decoded record
-    /// carries them, else collected by the first reader.
-    fn successor(&self, table: Table, stats: Option<TableStats>) -> Entry {
+    /// replaced data — and its statistics left to the first reader.
+    fn successor(&self, table: Table) -> Entry {
         let slots = self
             .entry(table.name())
             .map(|old| old.unbuilt())
             .unwrap_or_default();
-        Entry::new(table, stats, slots)
+        Entry::new(table, slots)
     }
 
     /// Draw the next value of the epoch counter: the version of the entry a
@@ -397,7 +408,7 @@ impl Database {
             KIND_CREATE => {
                 let (name, schema) = durable::decode_create(&record.payload)?;
                 let cols = ColBatch::from_schema(&schema);
-                self.apply_register(Table::from_parts(name, schema, cols), None);
+                self.apply_register(Table::from_parts(name, schema, cols));
                 Ok(())
             }
             KIND_INSERT => {
@@ -412,16 +423,15 @@ impl Database {
                 for row in rows {
                     table.push(row)?;
                 }
-                self.apply_register(table, None);
+                self.apply_register(table);
                 Ok(())
             }
             KIND_SNAPSHOT => {
-                let (table, stats, indexes) = durable::decode_snapshot(&record.payload)?;
-                let name = table.name().to_string();
-                self.apply_register(table, Some(stats));
-                for cols in indexes {
-                    self.apply_create_index(&name, cols);
-                }
+                self.apply_snapshot(durable::decode_snapshot(&record.payload)?);
+                Ok(())
+            }
+            KIND_ROW_SNAPSHOT => {
+                self.apply_snapshot(durable::decode_row_snapshot(&record.payload)?);
                 Ok(())
             }
             KIND_DROP => {
@@ -465,7 +475,7 @@ impl Database {
     }
 
     /// Write a checkpoint now: every table (with its annotations — they
-    /// are stored columns — and its stats) becomes an immutable segment, a
+    /// are stored columns) becomes an immutable columnar segment, a
     /// new manifest commits the set atomically, and the WAL restarts
     /// empty. Returns `Ok(false)` on a non-durable database.
     pub fn checkpoint(&self) -> Result<bool> {
@@ -504,12 +514,14 @@ impl Database {
         let payloads: Vec<(String, Vec<u8>)> = entries
             .into_iter()
             .map(|(name, entry)| {
-                let snapshot =
-                    durable::encode_snapshot(&entry.table, entry.stats(), &entry.declared());
+                let snapshot = durable::encode_snapshot(&entry.table, &entry.declared());
                 (name, snapshot)
             })
             .collect();
-        let meta = [("catalog_epoch".to_string(), self.catalog_epoch())];
+        let meta = [
+            ("catalog_epoch".to_string(), self.catalog_epoch()),
+            (SEGMENT_FORMAT.to_string(), SEGMENT_FORMAT_COLUMNAR),
+        ];
         d.store
             .checkpoint(&payloads, &meta)
             .map_err(durable::storage_err)
@@ -898,7 +910,7 @@ impl Database {
                 if self.durability.is_some() {
                     self.log(KIND_CREATE, &durable::encode_create(name, table.schema()))?;
                 }
-                self.apply_register(table, None);
+                self.apply_register(table);
                 self.maybe_auto_checkpoint()?;
                 Ok(None)
             }
@@ -969,7 +981,7 @@ impl Database {
         // over the appended rows. Sound because the mutation mutex is
         // held: the new table is exactly the old rows plus the appended
         // suffix, which is `Index::extended`'s contract.
-        let entry = Entry::new(new_table, None, Vec::new());
+        let entry = Entry::new(new_table, Vec::new());
         let slots = current.slots.iter().map(|d| {
             let extended = d.built.get().and_then(|i| i.extended(&entry.batch));
             Declared::new(d.cols.clone(), extended)

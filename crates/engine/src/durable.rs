@@ -10,23 +10,40 @@
 //! |------|--------|-----------|
 //! | 1 | `Create(name, schema)`              | `CREATE TABLE` |
 //! | 2 | `Insert(name, rows)`                | `INSERT` (the new rows only) |
-//! | 3 | `Snapshot(name, schema, stats, rows, indexes)` | `Database::register` (annotation recompute, bulk loads) |
 //! | 4 | `Drop(name)`                        | `Database::drop_table` |
 //! | 5 | `Index(name, key columns)`          | `Database::create_index` |
+//! | 6 | `Snapshot(name, schema, row count, column blocks, indexes)` | `Database::register` (annotation recompute, bulk loads) |
 //!
-//! Checkpoint segments reuse the `Snapshot` payload encoding, so the same
-//! decoder serves WAL replay and segment loading. `TableStats` are stored
-//! in snapshots (the encode collects them if no reader has yet) and
-//! recovered verbatim — annotations and statistics are first-class durable
-//! data, not recomputed on boot; a table that `Create` / `Insert` records
-//! rebuilt has none until its first reader collects them. Index
-//! *declarations* are durable too (a snapshot carries its table's declared
-//! indexes); the built postings are not — recovery reinstalls declarations
-//! unbuilt, and the first query that plans against the table rebuilds
-//! lazily, keeping cold-boot recovery time independent of index count.
+//! A Snapshot payload is columnar — one block per column, written from and
+//! read into the table's [`ColumnChunk`]s with no row in between:
+//!
+//! ```text
+//! snapshot := name:str schema rows:u64 block* n_indexes:u32 (n:u32 str*)*
+//! block    := layout:u8 has_validity:u8 [words:u64; ceil(rows/64)]? body
+//! body     := Int [i64; rows] | Float [f64 bits; rows] | Date [i32; rows]
+//!           | Bool [u8; rows]  | Text n:u32 str* [code:u32; rows]
+//!           | Any value*rows (tagged, NULLs inline; never a validity)
+//! ```
+//!
+//! Checkpoint segments reuse the Snapshot payload, so the same decoder
+//! serves WAL replay and segment loading; a manifest marks its segments
+//! columnar with the [`SEGMENT_FORMAT`] meta key. Statistics are not
+//! durable: a recovered table version has none until its first reader
+//! collects them, as any other version. Index *declarations* are durable (a
+//! snapshot carries its table's declared indexes); the built postings are
+//! not — recovery reinstalls declarations unbuilt, and the first query that
+//! plans against the table rebuilds lazily, keeping cold-boot recovery time
+//! independent of index count.
+//!
+//! Directories written before the columnar payload hold row-shaped
+//! snapshots with statistics: kind-3 WAL records, and segments under a
+//! manifest without [`SEGMENT_FORMAT`]. [`decode_row_snapshot`] reads them
+//! (and drops their statistics); nothing writes them, and the next
+//! checkpoint rewrites such a directory columnar.
 //!
 //! Every decoder is bounds-checked and returns [`EngineError::Storage`] on
-//! malformed input; nothing here can panic on a corrupt file.
+//! malformed input; nothing here can panic on a corrupt file, or allocate
+//! more than the bytes in hand could fill.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -34,18 +51,30 @@ use std::time::{Duration, Instant};
 
 use conquer_storage::Store;
 
+use crate::col::{Bitmap, ColBatch, ColumnChunk, ColumnData, TextDict};
 use crate::error::{EngineError, Result};
 use crate::schema::{Column, DataType, Schema};
-use crate::stats::{ColumnStats, TableStats};
-use crate::table::{Row, Table};
+use crate::table::{check_chunk, Row, Table};
 use crate::value::Value;
 use crate::Database;
 
 pub(crate) const KIND_CREATE: u8 = 1;
 pub(crate) const KIND_INSERT: u8 = 2;
-pub(crate) const KIND_SNAPSHOT: u8 = 3;
+/// The row-shaped Snapshot, read by [`decode_row_snapshot`], never written.
+pub(crate) const KIND_ROW_SNAPSHOT: u8 = 3;
 pub(crate) const KIND_DROP: u8 = 4;
 pub(crate) const KIND_INDEX: u8 = 5;
+pub(crate) const KIND_SNAPSHOT: u8 = 6;
+
+/// The manifest meta key (beside `catalog_epoch`) naming the checkpoint
+/// segments' payload format. Every checkpoint writes
+/// [`SEGMENT_FORMAT_COLUMNAR`]; a manifest without the key has row-shaped
+/// segments.
+pub(crate) const SEGMENT_FORMAT: &str = "segment_format";
+pub(crate) const SEGMENT_FORMAT_COLUMNAR: u64 = 2;
+
+/// A decoded snapshot: the table and its index declarations.
+pub(crate) type Snapshot = (Table, Vec<Vec<String>>);
 
 /// How a durable [`Database`](crate::Database) is opened — see
 /// [`Database::open`](crate::Database::open).
@@ -78,6 +107,10 @@ pub(crate) struct Durability {
 
 pub(crate) fn storage_err(e: std::io::Error) -> EngineError {
     EngineError::Storage(e.to_string())
+}
+
+fn corrupt(what: &str) -> EngineError {
+    EngineError::Storage(format!("{what} in durable record"))
 }
 
 /// Bridge `conquer_storage::fault` to the engine's deterministic fault
@@ -164,30 +197,61 @@ fn put_schema(buf: &mut Vec<u8>, schema: &Schema) {
     }
 }
 
-fn put_stats(buf: &mut Vec<u8>, stats: &TableStats) {
-    buf.extend_from_slice(&stats.row_count.to_le_bytes());
-    buf.extend_from_slice(&(stats.columns.len() as u32).to_le_bytes());
-    for col in &stats.columns {
-        buf.extend_from_slice(&col.ndv.to_le_bytes());
-        buf.extend_from_slice(&col.null_count.to_le_bytes());
-        for bound in [col.min, col.max] {
-            match bound {
-                Some(v) => {
-                    buf.push(1);
-                    buf.extend_from_slice(&v.to_bits().to_le_bytes());
-                }
-                None => buf.push(0),
-            }
-        }
-    }
-}
-
 fn put_rows(buf: &mut Vec<u8>, rows: &[Row]) {
     buf.extend_from_slice(&(rows.len() as u64).to_le_bytes());
     for row in rows {
         buf.extend_from_slice(&(row.len() as u32).to_le_bytes());
         for v in row {
             put_value(buf, v);
+        }
+    }
+}
+
+fn put_fixed<T: Copy, const N: usize>(buf: &mut Vec<u8>, xs: &[T], le: fn(T) -> [u8; N]) {
+    buf.reserve(xs.len() * N);
+    for &x in xs {
+        buf.extend_from_slice(&le(x));
+    }
+}
+
+/// A block's layout tag: the chunk's representation, which an `Any`
+/// demotion can make differ from its column's declared type.
+fn layout_tag(data: &ColumnData) -> u8 {
+    match data {
+        ColumnData::Int(_) => 0,
+        ColumnData::Float(_) => 1,
+        ColumnData::Date(_) => 2,
+        ColumnData::Bool(_) => 3,
+        ColumnData::Text { .. } => 4,
+        ColumnData::Any(_) => 5,
+    }
+}
+
+fn put_block(buf: &mut Vec<u8>, chunk: &ColumnChunk) {
+    buf.push(layout_tag(&chunk.data));
+    match &chunk.validity {
+        Some(bm) => {
+            buf.push(1);
+            put_fixed(buf, bm.words(), u64::to_le_bytes);
+        }
+        None => buf.push(0),
+    }
+    match &chunk.data {
+        ColumnData::Int(xs) => put_fixed(buf, xs, i64::to_le_bytes),
+        ColumnData::Float(xs) => put_fixed(buf, xs, f64::to_le_bytes),
+        ColumnData::Date(xs) => put_fixed(buf, xs, i32::to_le_bytes),
+        ColumnData::Bool(xs) => buf.extend(xs.iter().map(|&b| u8::from(b))),
+        ColumnData::Text { codes, dict } => {
+            buf.extend_from_slice(&(dict.len() as u32).to_le_bytes());
+            for s in dict.strings() {
+                put_str(buf, s);
+            }
+            put_fixed(buf, codes, u32::to_le_bytes);
+        }
+        ColumnData::Any(vs) => {
+            for v in vs {
+                put_value(buf, v);
+            }
         }
     }
 }
@@ -215,46 +279,38 @@ pub(crate) fn encode_drop(name: &str) -> Vec<u8> {
     buf
 }
 
+fn put_index_decl(buf: &mut Vec<u8>, cols: &[String]) {
+    buf.extend_from_slice(&(cols.len() as u32).to_le_bytes());
+    for col in cols {
+        put_str(buf, col);
+    }
+}
+
 /// `Index` record: table name + key column names in index order.
 pub(crate) fn encode_index(name: &str, cols: &[String]) -> Vec<u8> {
     let mut buf = Vec::new();
     put_str(&mut buf, name);
-    buf.extend_from_slice(&(cols.len() as u32).to_le_bytes());
-    for col in cols {
-        put_str(&mut buf, col);
-    }
+    put_index_decl(&mut buf, cols);
     buf
 }
 
-/// `Snapshot` record / checkpoint segment payload: the full table (name,
-/// schema, stats, rows) plus its declared index key-column lists. The
-/// index section is not optional — every snapshot carries it (possibly
-/// empty), so the decoder rejects truncation anywhere in the payload.
-pub(crate) fn encode_snapshot(
-    table: &Table,
-    stats: &TableStats,
-    indexes: &[Vec<String>],
-) -> Vec<u8> {
-    let mut buf = Vec::new();
+/// `Snapshot` record / checkpoint segment payload: the table's name,
+/// schema and row count, one block per column, then its declared index
+/// key-column lists. The index section is not optional — every snapshot
+/// carries it (possibly empty), so the decoder rejects truncation anywhere
+/// in the payload.
+pub(crate) fn encode_snapshot(table: &Table, indexes: &[Vec<String>]) -> Vec<u8> {
+    let batch = table.cols();
+    let mut buf = Vec::with_capacity(batch.byte_size() + 64);
     put_str(&mut buf, table.name());
     put_schema(&mut buf, table.schema());
-    put_stats(&mut buf, stats);
-    // Stream row-at-a-time out of the columnar batch rather than calling
-    // `table.rows()`, which would materialize (and keep) a full pivot.
-    buf.extend_from_slice(&(table.len() as u64).to_le_bytes());
-    for i in 0..table.len() {
-        let row = table.row_at(i);
-        buf.extend_from_slice(&(row.len() as u32).to_le_bytes());
-        for v in &row {
-            put_value(&mut buf, v);
-        }
+    buf.extend_from_slice(&(batch.len() as u64).to_le_bytes());
+    for chunk in batch.cols() {
+        put_block(&mut buf, chunk);
     }
     buf.extend_from_slice(&(indexes.len() as u32).to_le_bytes());
     for cols in indexes {
-        buf.extend_from_slice(&(cols.len() as u32).to_le_bytes());
-        for col in cols {
-            put_str(&mut buf, col);
-        }
+        put_index_decl(&mut buf, cols);
     }
     buf
 }
@@ -277,7 +333,7 @@ impl<'a> Cursor<'a> {
         let slice = self
             .bytes
             .get(self.at..self.at.saturating_add(n))
-            .ok_or_else(|| EngineError::Storage("truncated durable record".into()))?;
+            .ok_or_else(|| corrupt("truncation"))?;
         self.at += n;
         Ok(slice)
     }
@@ -298,11 +354,30 @@ impl<'a> Cursor<'a> {
         ]))
     }
 
-    fn str(&mut self) -> Result<String> {
+    /// A row count; the blocks or rows after it bound what it can claim.
+    fn count(&mut self) -> Result<usize> {
+        usize::try_from(self.u64()?).map_err(|_| corrupt("row count"))
+    }
+
+    fn str_ref(&mut self) -> Result<&'a str> {
         let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| EngineError::Storage("invalid UTF-8 in durable record".into()))
+        std::str::from_utf8(self.take(len)?).map_err(|_| corrupt("invalid UTF-8"))
+    }
+
+    fn str(&mut self) -> Result<String> {
+        self.str_ref().map(str::to_string)
+    }
+
+    /// `n` fixed-width little-endian values. The bytes are taken first, so
+    /// the vector is never larger than the payload they came from.
+    fn fixed<T, const N: usize>(&mut self, n: usize, from: fn([u8; N]) -> T) -> Result<Vec<T>> {
+        let bytes = self.take(n.checked_mul(N).ok_or_else(|| corrupt("truncation"))?)?;
+        let values = bytes.chunks_exact(N).map(|c| {
+            let mut le = [0u8; N];
+            le.copy_from_slice(c);
+            from(le)
+        });
+        Ok(values.collect())
     }
 
     fn value(&mut self) -> Result<Value> {
@@ -311,16 +386,12 @@ impl<'a> Cursor<'a> {
             1 => Value::Bool(self.u8()? != 0),
             2 => Value::Int(self.u64()? as i64),
             3 => Value::Float(f64::from_bits(self.u64()?)),
-            4 => Value::Str(Arc::from(self.str()?.as_str())),
+            4 => Value::Str(Arc::from(self.str_ref()?)),
             5 => {
                 let b = self.take(4)?;
                 Value::Date(i32::from_le_bytes([b[0], b[1], b[2], b[3]]))
             }
-            tag => {
-                return Err(EngineError::Storage(format!(
-                    "unknown value tag {tag} in durable record"
-                )))
-            }
+            tag => return Err(corrupt(&format!("unknown value tag {tag}"))),
         })
     }
 
@@ -334,9 +405,7 @@ impl<'a> Cursor<'a> {
             };
             let name = self.str()?;
             let tag = self.u8()?;
-            let ty = type_of_tag(tag).ok_or_else(|| {
-                EngineError::Storage(format!("unknown type tag {tag} in durable record"))
-            })?;
+            let ty = type_of_tag(tag).ok_or_else(|| corrupt(&format!("unknown type tag {tag}")))?;
             columns.push(Column {
                 qualifier,
                 name,
@@ -346,31 +415,8 @@ impl<'a> Cursor<'a> {
         Ok(Schema::new(columns))
     }
 
-    fn stats(&mut self) -> Result<TableStats> {
-        let row_count = self.u64()?;
-        let n = self.u32()? as usize;
-        let mut columns = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            let ndv = self.u64()?;
-            let null_count = self.u64()?;
-            let mut bounds = [None, None];
-            for bound in &mut bounds {
-                if self.u8()? != 0 {
-                    *bound = Some(f64::from_bits(self.u64()?));
-                }
-            }
-            columns.push(ColumnStats {
-                ndv,
-                null_count,
-                min: bounds[0],
-                max: bounds[1],
-            });
-        }
-        Ok(TableStats { row_count, columns })
-    }
-
     fn rows(&mut self) -> Result<Vec<Row>> {
-        let n = self.u64()? as usize;
+        let n = self.count()?;
         let mut rows = Vec::with_capacity(n.min(1 << 16));
         for _ in 0..n {
             let width = self.u32()? as usize;
@@ -383,6 +429,40 @@ impl<'a> Cursor<'a> {
         Ok(rows)
     }
 
+    /// One column block of `rows` rows (see the module docs), not yet
+    /// checked against its column.
+    fn block(&mut self, rows: usize) -> Result<ColumnChunk> {
+        let layout = self.u8()?;
+        let validity = match self.u8()? {
+            0 => None,
+            1 => {
+                let words = self.fixed(rows.div_ceil(64), u64::from_le_bytes)?;
+                Some(Bitmap::from_words(words, rows))
+            }
+            flag => return Err(corrupt(&format!("unknown validity flag {flag}"))),
+        };
+        let data = match layout {
+            0 => ColumnData::Int(self.fixed(rows, i64::from_le_bytes)?),
+            1 => ColumnData::Float(self.fixed(rows, f64::from_le_bytes)?),
+            2 => ColumnData::Date(self.fixed(rows, i32::from_le_bytes)?),
+            3 => ColumnData::Bool(self.take(rows)?.iter().map(|&b| b != 0).collect()),
+            4 => {
+                let mut dict = TextDict::new();
+                for code in 0..self.u32()? {
+                    if dict.intern(self.str_ref()?) != code {
+                        return Err(corrupt("repeated dictionary string"));
+                    }
+                }
+                let codes = self.fixed(rows, u32::from_le_bytes)?;
+                let dict = Arc::new(dict);
+                ColumnData::Text { codes, dict }
+            }
+            5 => ColumnData::Any((0..rows).map(|_| self.value()).collect::<Result<_>>()?),
+            tag => return Err(corrupt(&format!("unknown block layout {tag}"))),
+        };
+        Ok(ColumnChunk { data, validity })
+    }
+
     fn index_decl(&mut self) -> Result<Vec<String>> {
         let n = self.u32()? as usize;
         let mut cols = Vec::with_capacity(n.min(1 << 10));
@@ -392,13 +472,22 @@ impl<'a> Cursor<'a> {
         Ok(cols)
     }
 
+    /// A snapshot's closing index section, then the end of the payload.
+    fn index_decls_then_end(mut self) -> Result<Vec<Vec<String>>> {
+        let n = self.u32()? as usize;
+        let mut indexes = Vec::with_capacity(n.min(1 << 10));
+        for _ in 0..n {
+            indexes.push(self.index_decl()?);
+        }
+        self.finish()?;
+        Ok(indexes)
+    }
+
     fn finish(self) -> Result<()> {
         if self.at == self.bytes.len() {
             Ok(())
         } else {
-            Err(EngineError::Storage(
-                "trailing bytes in durable record".into(),
-            ))
+            Err(corrupt("trailing bytes"))
         }
     }
 }
@@ -434,16 +523,51 @@ pub(crate) fn decode_index(payload: &[u8]) -> Result<(String, Vec<String>)> {
     Ok((name, cols))
 }
 
-pub(crate) fn decode_snapshot(payload: &[u8]) -> Result<(Table, TableStats, Vec<Vec<String>>)> {
+/// A columnar Snapshot record or segment payload.
+pub(crate) fn decode_snapshot(payload: &[u8]) -> Result<Snapshot> {
     let mut cur = Cursor::new(payload);
     let name = cur.str()?;
     let schema = cur.schema()?;
-    let stats = cur.stats()?;
-    // Stream decoded rows straight into column chunks — recovery never
-    // builds an intermediate `Vec<Vec<Value>>` of the whole segment.
-    let mut cols = crate::col::ColBatch::from_schema(&schema);
-    let n = cur.u64()? as usize;
-    for _ in 0..n {
+    let rows = cur.count()?;
+    let mut chunks = Vec::with_capacity(schema.len());
+    for col in &schema.columns {
+        // A layout that does not fit the column's type, a bitmap on an
+        // `Any` block, a text code past its dictionary at a valid row.
+        let chunk = cur.block(rows)?;
+        check_chunk(&name, &col.name, col.ty, &chunk, rows)
+            .map_err(|e| EngineError::Storage(e.to_string()))?;
+        chunks.push(Arc::new(chunk));
+    }
+    let indexes = cur.index_decls_then_end()?;
+    let batch = ColBatch::from_chunks(rows, chunks);
+    Ok((Table::from_parts(name, schema, batch), indexes))
+}
+
+/// The pre-columnar Snapshot payload (kind-3 records, and segments under a
+/// manifest without [`SEGMENT_FORMAT`]): name, schema, statistics, then
+/// row after row of tagged values, then the index section. Decode only:
+/// the statistics are skipped — the first reader collects its own — and
+/// each value goes straight into its column's chunk.
+pub(crate) fn decode_row_snapshot(payload: &[u8]) -> Result<Snapshot> {
+    let mut cur = Cursor::new(payload);
+    let name = cur.str()?;
+    let schema = cur.schema()?;
+    cur.u64()?; // the statistics' row count
+    for _ in 0..cur.u32()? {
+        cur.take(16)?; // ndv, null count
+        for _bound in 0..2 {
+            if cur.u8()? != 0 {
+                cur.u64()?;
+            }
+        }
+    }
+    let mut chunks: Vec<ColumnChunk> = schema
+        .columns
+        .iter()
+        .map(|c| ColumnChunk::for_type(c.ty))
+        .collect();
+    let rows = cur.count()?;
+    for _ in 0..rows {
         let width = cur.u32()? as usize;
         if width != schema.len() {
             return Err(EngineError::Storage(format!(
@@ -451,19 +575,13 @@ pub(crate) fn decode_snapshot(payload: &[u8]) -> Result<(Table, TableStats, Vec<
                 schema.len()
             )));
         }
-        let mut row = Vec::with_capacity(width.min(1 << 12));
-        for _ in 0..width {
-            row.push(cur.value()?);
+        for chunk in &mut chunks {
+            chunk.push(cur.value()?);
         }
-        cols.push_row(row);
     }
-    let n_indexes = cur.u32()? as usize;
-    let mut indexes = Vec::with_capacity(n_indexes.min(1 << 10));
-    for _ in 0..n_indexes {
-        indexes.push(cur.index_decl()?);
-    }
-    cur.finish()?;
-    Ok((Table::from_parts(name, schema, cols), stats, indexes))
+    let indexes = cur.index_decls_then_end()?;
+    let batch = ColBatch::from_chunks(rows, chunks.into_iter().map(Arc::new).collect());
+    Ok((Table::from_parts(name, schema, batch), indexes))
 }
 
 // ---------------------------------------------------------------------------
@@ -594,35 +712,265 @@ mod tests {
         assert_eq!(decoded, cols);
     }
 
+    /// Deterministic pseudo-random numbers (xorshift64).
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+    }
+
+    /// A random table of `rows` rows: one column of every declared type
+    /// (each layout with and without NULLs), an `Any` column, a Float
+    /// column demoted by an Int, two text columns over one dictionary
+    /// that also holds strings no row uses.
+    fn random_table(rng: &mut Rng, rows: usize) -> Table {
+        let mut shared = TextDict::new();
+        for s in ["unused", "x", "yy", "", "zzz", "also unused"] {
+            shared.intern(s);
+        }
+        let shared = Arc::new(shared);
+        let nullable = |rng: &mut Rng, v: Value| {
+            if rng.below(4) == 0 {
+                Value::Null
+            } else {
+                v
+            }
+        };
+        let mut columns: Vec<(&str, DataType, Vec<Value>)> = vec![
+            ("i", DataType::Integer, vec![]),
+            ("f", DataType::Float, vec![]),
+            ("d", DataType::Date, vec![]),
+            ("b", DataType::Boolean, vec![]),
+            ("s", DataType::Text, vec![]),
+            ("a", DataType::Any, vec![]),
+            ("demoted", DataType::Float, vec![]),
+        ];
+        for r in 0..rows {
+            let i = rng.below(1 << 40) as i64 - (1 << 39);
+            let f = f64::from_bits(rng.below(u64::MAX));
+            let values = [
+                nullable(rng, Value::Int(i)),
+                nullable(rng, Value::Float(f)),
+                nullable(rng, Value::Date(i as i32)),
+                nullable(rng, Value::Bool(i % 2 == 0)),
+                nullable(rng, Value::str(format!("s{}", i % 5))),
+                match rng.below(6) {
+                    0 => Value::Null,
+                    1 => Value::Int(i),
+                    2 => Value::Float(i as f64 / 3.0),
+                    3 => Value::str("any"),
+                    4 => Value::Date(7),
+                    _ => Value::Bool(false),
+                },
+                if r % 3 == 0 {
+                    Value::Int(i)
+                } else {
+                    Value::Float(0.5)
+                },
+            ];
+            for (col, v) in columns.iter_mut().zip(values) {
+                col.2.push(v);
+            }
+        }
+        let shared_codes =
+            |rng: &mut Rng| -> Vec<u32> { (0..rows).map(|_| rng.below(3) as u32 + 1).collect() };
+        let mut chunks: Vec<(&str, DataType, ColumnChunk)> = columns
+            .into_iter()
+            .map(|(name, ty, values)| {
+                let mut chunk = ColumnChunk::for_type(ty);
+                for v in values {
+                    chunk.push(v);
+                }
+                (name, ty, chunk)
+            })
+            .collect();
+        let with_nulls = ColumnChunk {
+            validity: Bitmap::from_flags(&(0..rows).map(|r| r % 5 != 1).collect::<Vec<_>>()),
+            ..ColumnChunk::text(shared_codes(rng), Arc::clone(&shared))
+        };
+        chunks.push((
+            "t1",
+            DataType::Text,
+            ColumnChunk::text(shared_codes(rng), shared),
+        ));
+        chunks.push(("t2", DataType::Text, with_nulls));
+        Table::from_columns("r", chunks).unwrap()
+    }
+
+    /// `a` and `b` hold the same column: one layout, NULLs in the same
+    /// rows, the same values (floats to the bit) and, for text, the same
+    /// dictionary and codes.
+    fn assert_same_chunk(a: &ColumnChunk, b: &ColumnChunk, what: &str) {
+        assert_eq!(layout_tag(&a.data), layout_tag(&b.data), "{what}");
+        assert_eq!(a.len(), b.len(), "{what}");
+        for i in 0..a.len() {
+            let (x, y) = (a.value_at(i), b.value_at(i));
+            assert_eq!(format!("{x:?}"), format!("{y:?}"), "{what} row {i}");
+        }
+        if let (
+            ColumnData::Text { codes, dict },
+            ColumnData::Text {
+                codes: codes_b,
+                dict: dict_b,
+            },
+        ) = (&a.data, &b.data)
+        {
+            assert_eq!(dict.strings(), dict_b.strings(), "{what}");
+            let valid = |i: usize| !a.is_null(i);
+            let same = (0..a.len())
+                .filter(|&i| valid(i))
+                .all(|i| codes[i] == codes_b[i]);
+            assert!(same, "{what}");
+        }
+    }
+
     #[test]
-    fn snapshot_roundtrips_table_and_stats() {
-        let mut table = Table::new("t", vec![("a", DataType::Integer), ("b", DataType::Text)]);
-        table.push(vec![Value::Int(1), Value::str("x")]).unwrap();
-        table.push(vec![Value::Int(2), Value::Null]).unwrap();
-        let stats = TableStats::collect(table.cols());
-        let decls = vec![vec!["a".to_string()]];
-        let payload = encode_snapshot(&table, &stats, &decls);
-        let (decoded, decoded_stats, decoded_decls) = decode_snapshot(&payload).unwrap();
-        assert_eq!(decoded.name(), "t");
-        assert_eq!(decoded.schema(), table.schema());
-        assert_eq!(decoded.rows()[1][0], Value::Int(2));
-        assert_eq!(decoded_stats.row_count, 2);
-        assert_eq!(decoded_stats.columns[1].null_count, 1);
-        assert_eq!(decoded_stats.columns[0].min, stats.columns[0].min);
-        assert_eq!(decoded_decls, decls);
+    fn snapshot_roundtrips_every_layout() {
+        let mut rng = Rng(0x5EED_CAFE);
+        for rows in [0, 1, 63, 64, 65, 200, 1000] {
+            let table = random_table(&mut rng, rows);
+            let decls = vec![
+                vec!["i".to_string()],
+                vec!["s".to_string(), "d".to_string()],
+            ];
+            let (decoded, decoded_decls) =
+                decode_snapshot(&encode_snapshot(&table, &decls)).unwrap();
+            assert_eq!(decoded.name(), "r");
+            assert_eq!(decoded.schema(), table.schema());
+            assert_eq!(decoded.len(), rows);
+            assert_eq!(decoded_decls, decls);
+            for (c, (a, b)) in table
+                .cols()
+                .cols()
+                .iter()
+                .zip(decoded.cols().cols())
+                .enumerate()
+            {
+                assert_same_chunk(a, b, &format!("{rows} rows, column {c}"));
+            }
+        }
+        // A table without columns, and one without rows or indexes.
+        for table in [
+            Table::new("none", vec![]),
+            Table::new("e", vec![("k", DataType::Text)]),
+        ] {
+            let (decoded, decls) = decode_snapshot(&encode_snapshot(&table, &[])).unwrap();
+            assert_eq!((decoded.name(), decoded.len()), (table.name(), 0));
+            assert_eq!(decoded.schema(), table.schema());
+            assert!(decls.is_empty());
+        }
+    }
+
+    /// A one-column snapshot payload around a hand-written `block`.
+    fn payload(ty: DataType, rows: u64, block: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_str(&mut buf, "t");
+        put_schema(&mut buf, &Schema::new(vec![Column::bare("c", ty)]));
+        buf.extend_from_slice(&rows.to_le_bytes());
+        buf.extend_from_slice(block);
+        buf.extend_from_slice(&0u32.to_le_bytes());
+        buf
+    }
+
+    /// A text block of `rows` rows over the dictionary `["a"]`, NULL where
+    /// `validity` clears a bit.
+    fn text_block(codes: &[u32], validity: Option<u64>) -> Vec<u8> {
+        let mut block = vec![4];
+        match validity {
+            Some(word) => {
+                block.push(1);
+                block.extend_from_slice(&word.to_le_bytes());
+            }
+            None => block.push(0),
+        }
+        block.extend_from_slice(&1u32.to_le_bytes());
+        put_str(&mut block, "a");
+        put_fixed(&mut block, codes, u32::to_le_bytes);
+        block
     }
 
     #[test]
     fn decoders_reject_corruption_without_panicking() {
-        let mut table = Table::new("t", vec![("a", DataType::Integer)]);
-        table.push(vec![Value::Int(1)]).unwrap();
-        let stats = TableStats::collect(table.cols());
-        let payload = encode_snapshot(&table, &stats, &[vec!["a".to_string()]]);
-        for cut in 0..payload.len() {
-            assert!(decode_snapshot(&payload[..cut]).is_err());
+        let mut rng = Rng(7);
+        let table = random_table(&mut rng, 70);
+        let payload_ok = encode_snapshot(&table, &[vec!["i".to_string()]]);
+        for cut in 0..payload_ok.len() {
+            assert!(decode_snapshot(&payload_ok[..cut]).is_err(), "cut at {cut}");
         }
-        let mut extended = payload.clone();
+        let mut extended = payload_ok.clone();
         extended.push(0xAB);
         assert!(decode_snapshot(&extended).is_err());
+
+        let text = |rows, block: &[u8]| decode_snapshot(&payload(DataType::Text, rows, block));
+        // The hand-written blocks are well-formed until broken.
+        assert!(text(2, &text_block(&[0, 0], None)).is_ok());
+        // A code at or past the dictionary's end, at a valid row; at a
+        // NULL row it is a placeholder nobody reads.
+        assert!(text(2, &text_block(&[0, 1], None)).is_err());
+        assert!(text(2, &text_block(&[0, u32::MAX], None)).is_err());
+        assert!(text(2, &text_block(&[0, 9], Some(0b01))).is_ok());
+        assert!(text(2, &text_block(&[9, 0], Some(0b01))).is_err());
+        // A bitmap one word short of 65 rows.
+        let mut short = vec![0, 1];
+        short.extend_from_slice(&u64::MAX.to_le_bytes());
+        put_fixed(&mut short, &[7i64; 65], i64::to_le_bytes);
+        assert!(decode_snapshot(&payload(DataType::Integer, 65, &short)).is_err());
+        // Row counts whose blocks overrun the payload, or overflow a size.
+        let ints: Vec<u8> = [0, 0].into_iter().chain(5i64.to_le_bytes()).collect();
+        assert!(decode_snapshot(&payload(DataType::Integer, 1, &ints)).is_ok());
+        for rows in [2, 1 << 40, u64::MAX / 8 + 1, u64::MAX] {
+            assert!(decode_snapshot(&payload(DataType::Integer, rows, &ints)).is_err());
+            assert!(text(rows, &text_block(&[0], None)).is_err());
+            let any = payload(DataType::Any, rows, &[5, 0, 0]);
+            assert!(decode_snapshot(&any).is_err());
+        }
+        // A block whose layout does not fit its column's type.
+        assert!(
+            decode_snapshot(&payload(DataType::Integer, 2, &text_block(&[0, 0], None))).is_err()
+        );
+        // An unknown layout or validity flag, a bitmap on an Any block, a
+        // dictionary that repeats a string.
+        assert!(decode_snapshot(&payload(DataType::Integer, 0, &[6, 0])).is_err());
+        assert!(decode_snapshot(&payload(DataType::Integer, 0, &[0, 2])).is_err());
+        let any_bitmap: Vec<u8> = [5, 1]
+            .into_iter()
+            .chain(1u64.to_le_bytes())
+            .chain([0])
+            .collect();
+        assert!(decode_snapshot(&payload(DataType::Any, 1, &any_bitmap)).is_err());
+        let mut twice = vec![4, 0];
+        twice.extend_from_slice(&2u32.to_le_bytes());
+        put_str(&mut twice, "a");
+        put_str(&mut twice, "a");
+        assert!(text(0, &twice).is_err());
+    }
+
+    /// The framed payload of a row-shaped segment of the pre-columnar
+    /// fixture (`tests/fixtures/pre_columnar`): `typed` as it was
+    /// checkpointed, 40 rows of six columns, statistics included.
+    fn row_shaped_segment() -> &'static [u8] {
+        let file = include_bytes!("../tests/fixtures/pre_columnar/seg-1-2.seg");
+        &file[12..file.len() - 4]
+    }
+
+    #[test]
+    fn the_row_shaped_reader_decodes_and_rejects_truncation() {
+        let payload = row_shaped_segment();
+        let (table, decls) = decode_row_snapshot(payload).unwrap();
+        assert_eq!((table.name(), table.len()), ("typed", 40));
+        assert_eq!(decls, vec![vec!["k".to_string()]]);
+        for cut in 0..payload.len() {
+            assert!(
+                decode_row_snapshot(&payload[..cut]).is_err(),
+                "cut at {cut}"
+            );
+        }
+        // A row-shaped payload is not a columnar one.
+        assert!(decode_snapshot(payload).is_err());
     }
 }

@@ -120,10 +120,11 @@ impl Table {
     }
 
     /// Reassemble a table from decoded parts (durable recovery). The
-    /// batch is trusted: rows were validated by `push` before being
-    /// logged, and the storage layer checksum-verified them on the way
-    /// back in. Recovery streams decoded rows straight into the batch,
-    /// never materializing an intermediate `Vec<Row>`.
+    /// batch is trusted: its chunks were a table's before being logged,
+    /// the storage layer checksum-verified them on the way back in, and
+    /// the decoder checked their lengths and dictionary codes. Recovery
+    /// decodes each column block straight into its chunk, never
+    /// materializing a row.
     pub(crate) fn from_parts(name: String, schema: Schema, cols: ColBatch) -> Table {
         Table { name, schema, cols }
     }
@@ -253,7 +254,7 @@ impl Table {
 }
 
 /// Is `chunk` a valid column `table.column` of type `ty` and `len` rows?
-fn check_chunk(
+pub(crate) fn check_chunk(
     table: &str,
     column: &str,
     ty: DataType,

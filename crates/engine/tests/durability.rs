@@ -6,7 +6,9 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use conquer_engine::{ColumnChunk, DataType, Database, DurabilityOptions, SyncPolicy, Value};
+use conquer_engine::{
+    ColumnChunk, DataType, Database, DurabilityOptions, SyncPolicy, TableStats, Value,
+};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("conquer-durability-{}-{tag}", std::process::id()));
@@ -58,9 +60,9 @@ fn create_insert_survive_reopen_via_wal_replay() {
 }
 
 #[test]
-fn checkpoint_then_reopen_loads_segments_with_verbatim_stats_and_epoch() {
+fn checkpoint_then_reopen_loads_segments_and_epoch_then_collects_stats_on_first_read() {
     let dir = temp_dir("checkpoint");
-    let (epoch, stats_before);
+    let epoch;
     {
         let db = open(&dir);
         db.run_script(
@@ -70,21 +72,27 @@ fn checkpoint_then_reopen_loads_segments_with_verbatim_stats_and_epoch() {
         .unwrap();
         assert!(db.checkpoint().unwrap(), "first checkpoint must run");
         epoch = db.catalog_epoch();
-        stats_before = format!("{:?}", db.table_stats("t").expect("stats"));
         // A clean checkpoint folds the WAL down to just its magic header.
         let status = db.storage_status().unwrap();
         assert!(status.segments > 0, "checkpoint must write segments");
         assert!(status.wal_bytes <= 8, "checkpoint must truncate the WAL");
     }
-    let db = open(&dir);
-    assert_eq!(ints(&db, "select x from t order by x"), vec![1, 2, 3, 3]);
-    // Stats come back verbatim from the segment, not recomputed — and the
-    // epoch lands exactly where it was, so table versions keep growing
-    // across a restart instead of starting over.
-    assert_eq!(
-        format!("{:?}", db.table_stats("t").expect("stats")),
-        stats_before
-    );
+    // Spans this thread closes: the `stats.collect` ones count collections.
+    let collected = |spans: &[conquer_obs::SpanRecord]| {
+        spans.iter().filter(|s| s.name == "stats.collect").count()
+    };
+    let (db, opened) = conquer_obs::capture(|| open(&dir));
+    assert_eq!(collected(&opened), 0, "segments carry no statistics");
+    // The first reader collects the recovered version's statistics, once,
+    // from its rows — and the epoch lands exactly where it was, so table
+    // versions keep growing across a restart instead of starting over.
+    let (stats, read) = conquer_obs::capture(|| {
+        assert_eq!(ints(&db, "select x from t order by x"), vec![1, 2, 3, 3]);
+        db.table_stats("t").expect("stats")
+    });
+    assert_eq!(collected(&read), 1, "the first reader's");
+    assert_eq!(*stats, TableStats::collect(db.table("t").unwrap().cols()));
+    assert_eq!((stats.row_count, stats.columns[0].ndv), (4, 3));
     assert_eq!(db.catalog_epoch(), epoch);
     assert!(db.table_version("t").is_some_and(|v| v <= epoch));
     let _ = fs::remove_dir_all(&dir);
@@ -118,7 +126,7 @@ fn manifest_with_legacy_stats_epoch_key_opens() {
             .map(|seg| (seg.table, seg.payload))
             .collect();
         let mut meta = recovered.meta;
-        assert!(meta.iter().all(|(key, _)| key == "catalog_epoch"));
+        assert!(meta.iter().all(|(key, _)| key != "stats_epoch"));
         meta.push(("stats_epoch".to_string(), 7));
         store.checkpoint(&tables, &meta).expect("legacy checkpoint");
     }

@@ -1,6 +1,6 @@
 //! A table version's statistics are collected by the first reader that
-//! needs them — a plan's estimator, `Database::table_stats`, a durable
-//! Snapshot or checkpoint encode — and by no write. Every count here is a
+//! needs them — a plan's estimator, `Database::table_stats` — and by no
+//! write, durable ones included: no record stores them. Every count here is a
 //! delta of the process-global `stats.collect` counter, so the tests of
 //! this binary take turns (`serial`).
 //!
@@ -201,8 +201,8 @@ fn recovery_collects_on_first_read() {
     drop(db);
     let _ = fs::remove_dir_all(&dir);
 
-    // A segment carries the statistics it was written with; Insert records
-    // on top of it leave the table to its first reader.
+    // Neither a segment nor the Insert records on top of it carry
+    // statistics: each table is left to its first reader.
     let dir = temp_dir("segment");
     {
         let db = open(&dir);
@@ -214,7 +214,7 @@ fn recovery_collects_on_first_read() {
         db.run_script("insert into u values (2), (3)").unwrap();
     }
     let db = reopen(&dir);
-    assert_eq!(collected_by(|| assert_stats_are_current(&db, "s")), 0);
+    assert_eq!(collected_by(|| assert_stats_are_current(&db, "s")), 1);
     assert_eq!(db.table_stats("s").unwrap().columns[0].ndv, 2);
     assert_eq!(collected_by(|| assert_stats_are_current(&db, "u")), 1);
     assert_eq!(db.table_stats("u").unwrap().row_count, 3);
@@ -223,7 +223,7 @@ fn recovery_collects_on_first_read() {
 }
 
 #[test]
-fn a_durable_register_collects_once_for_its_snapshot() {
+fn a_durable_register_collects_nothing() {
     let _serial = serial();
     let dir = temp_dir("register");
     let db = open(&dir);
@@ -231,13 +231,14 @@ fn a_durable_register_collects_once_for_its_snapshot() {
     for i in 0..100 {
         table.push(vec![Value::Int(i % 10)]).unwrap();
     }
+    assert_eq!(collected_by(|| db.register(table).unwrap()), 0, "register");
     assert_eq!(
-        collected_by(|| db.register(table).unwrap()),
-        1,
-        "the Snapshot's"
+        collected_by(|| assert!(db.checkpoint().unwrap())),
+        0,
+        "checkpoint"
     );
-    assert_eq!(collected_by(|| plan(&db, SELF_JOIN)), 0, "first plan");
-    assert_stats_are_current(&db, "t");
+    assert_eq!(collected_by(|| plan(&db, SELF_JOIN)), 1, "first plan");
+    assert_eq!(collected_by(|| assert_stats_are_current(&db, "t")), 0);
     drop(db);
     let _ = fs::remove_dir_all(&dir);
 }

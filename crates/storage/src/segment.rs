@@ -8,13 +8,14 @@
 //! MAGIC := "CQSEG1\0\0"                       (8 bytes)
 //! ```
 //!
-//! `crc` is the CRC-32 of the payload. The payload itself is opaque to this
-//! layer — the engine encodes schema + stats + rows into it. A segment that
-//! fails its length or checksum check is rejected whole; recovery treats a
-//! bad segment as fatal (unlike the WAL tail, a manifest only ever points
-//! at segments that were fully written and fsynced before the manifest was
-//! renamed into place, so corruption here means real damage, not a crash
-//! window).
+//! `crc` is the CRC-32 of the payload, computed once on write and handed
+//! back to the store for the manifest entry. The payload itself is opaque
+//! to this layer — the engine encodes a table's columns into it. A segment
+//! that fails its length or checksum check is rejected whole; recovery
+//! treats a bad segment as fatal (unlike the WAL tail, a manifest only ever
+//! points at segments that were fully written and fsynced before the
+//! manifest was renamed into place, so corruption here means real damage,
+//! not a crash window).
 
 use std::fs::File;
 use std::io::{self, Read, Write};
@@ -25,59 +26,62 @@ use crate::fault;
 
 pub(crate) const SEGMENT_MAGIC: &[u8; 8] = b"CQSEG1\0\0";
 
+/// Magic plus the length prefix.
+const HEADER_LEN: usize = SEGMENT_MAGIC.len() + 4;
+
 /// Write a segment file: magic + length-prefixed payload + trailing CRC,
-/// fsynced before return. On a `segment_write_torn` fault trip, a real
-/// truncated prefix is left on disk so recovery faces an honest torn file.
-pub(crate) fn write_segment(path: &Path, payload: &[u8]) -> io::Result<()> {
-    let mut buf = Vec::with_capacity(SEGMENT_MAGIC.len() + 8 + payload.len());
-    buf.extend_from_slice(SEGMENT_MAGIC);
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(payload);
-    buf.extend_from_slice(&crc32(payload).to_le_bytes());
+/// fsynced before return, and return that CRC. The payload is written
+/// from the caller's buffer, never copied into a framed one. On a
+/// `segment_write_torn` fault trip, a real truncated prefix is left on
+/// disk so recovery faces an honest torn file.
+pub(crate) fn write_segment(path: &Path, payload: &[u8]) -> io::Result<u32> {
+    let mut file = File::create(path)?;
+    file.write_all(SEGMENT_MAGIC)?;
+    file.write_all(&(payload.len() as u32).to_le_bytes())?;
     if let Err(e) = fault::trip("segment_write_torn") {
-        // Leave a deliberately torn file: the magic plus half the payload,
-        // no trailing checksum. Crash-matrix tests recover over this.
-        let torn_len = SEGMENT_MAGIC.len() + 8 + payload.len() / 2;
-        let mut file = File::create(path)?;
-        file.write_all(&buf[..torn_len.min(buf.len())])?;
+        // Leave a deliberately torn file: the header plus half the
+        // payload, no trailing checksum. Crash-matrix tests recover over
+        // this.
+        file.write_all(&payload[..payload.len() / 2])?;
         file.sync_all()?;
         return Err(e);
     }
-    let mut file = File::create(path)?;
-    file.write_all(&buf)?;
+    let crc = crc32(payload);
+    file.write_all(payload)?;
+    file.write_all(&crc.to_le_bytes())?;
     file.sync_all()?;
-    Ok(())
+    Ok(crc)
 }
 
-/// Read and verify a segment file, returning its payload.
-pub(crate) fn read_segment(path: &Path) -> io::Result<Vec<u8>> {
-    let mut file = File::open(path)?;
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes)?;
-    parse_segment(&bytes).ok_or_else(|| {
+/// Read and verify a segment file, returning its payload and the CRC it
+/// was checked against. The payload is read straight into the buffer
+/// returned, whose size the file's own length bounds.
+pub(crate) fn read_segment(path: &Path) -> io::Result<(Vec<u8>, u32)> {
+    let corrupt = || {
         io::Error::new(
             io::ErrorKind::InvalidData,
             format!("corrupt segment file: {}", path.display()),
         )
-    })
-}
-
-fn parse_segment(bytes: &[u8]) -> Option<Vec<u8>> {
-    let rest = bytes.strip_prefix(SEGMENT_MAGIC.as_slice())?;
-    if rest.len() < 8 {
-        return None;
+    };
+    let mut file = File::open(path)?;
+    let file_len = file.metadata()?.len();
+    let mut head = [0u8; HEADER_LEN];
+    file.read_exact(&mut head).map_err(|_| corrupt())?;
+    let (magic, len) = head.split_at(SEGMENT_MAGIC.len());
+    let len = u32::from_le_bytes([len[0], len[1], len[2], len[3]]) as u64;
+    // Trailing garbage is corruption too.
+    if magic != SEGMENT_MAGIC.as_slice() || file_len != HEADER_LEN as u64 + len + 4 {
+        return Err(corrupt());
     }
-    let len = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
-    let payload = rest.get(4..4 + len)?;
-    let crc_bytes = rest.get(4 + len..4 + len + 4)?;
-    if rest.len() != 4 + len + 4 {
-        return None; // trailing garbage is corruption too
+    let mut payload = vec![0u8; len as usize];
+    file.read_exact(&mut payload).map_err(|_| corrupt())?;
+    let mut trailer = [0u8; 4];
+    file.read_exact(&mut trailer).map_err(|_| corrupt())?;
+    let crc = u32::from_le_bytes(trailer);
+    if crc32(&payload) != crc {
+        return Err(corrupt());
     }
-    let crc = u32::from_le_bytes([crc_bytes[0], crc_bytes[1], crc_bytes[2], crc_bytes[3]]);
-    if crc32(payload) != crc {
-        return None;
-    }
-    Some(payload.to_vec())
+    Ok((payload, crc))
 }
 
 #[cfg(test)]
@@ -95,15 +99,18 @@ mod tests {
     #[test]
     fn segment_roundtrip() {
         let path = temp_dir("roundtrip").join("seg-1-orders.seg");
-        write_segment(&path, b"table payload bytes").unwrap();
-        assert_eq!(read_segment(&path).unwrap(), b"table payload bytes");
+        let crc = write_segment(&path, b"table payload bytes").unwrap();
+        assert_eq!(crc, crc32(b"table payload bytes"));
+        let (payload, read_crc) = read_segment(&path).unwrap();
+        assert_eq!(payload, b"table payload bytes");
+        assert_eq!(read_crc, crc);
     }
 
     #[test]
     fn empty_payload_roundtrip() {
         let path = temp_dir("empty").join("seg-1-empty.seg");
         write_segment(&path, b"").unwrap();
-        assert_eq!(read_segment(&path).unwrap(), b"");
+        assert_eq!(read_segment(&path).unwrap().0, b"");
     }
 
     #[test]

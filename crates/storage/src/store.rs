@@ -35,7 +35,6 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::crc32::crc32;
 use crate::manifest::{
     load_manifest, store_manifest, sync_dir, Manifest, SegmentEntry, MANIFEST_NAME,
     MANIFEST_TMP_NAME,
@@ -105,8 +104,8 @@ impl Store {
 
         let mut segments = Vec::with_capacity(manifest.segments.len());
         for entry in &manifest.segments {
-            let payload = read_segment(&dir.join(&entry.file))?;
-            if payload.len() as u64 != entry.len || crc32(&payload) != entry.crc {
+            let (payload, crc) = read_segment(&dir.join(&entry.file))?;
+            if payload.len() as u64 != entry.len || crc != entry.crc {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     format!("segment {} does not match its manifest entry", entry.file),
@@ -267,12 +266,12 @@ impl Store {
         let mut entries = Vec::with_capacity(tables.len());
         for (i, (table, payload)) in tables.iter().enumerate() {
             let file = format!("seg-{generation}-{i}.seg");
-            write_segment(&self.dir.join(&file), payload)?;
+            let crc = write_segment(&self.dir.join(&file), payload)?;
             entries.push(SegmentEntry {
                 file,
                 table: table.clone(),
                 len: payload.len() as u64,
-                crc: crc32(payload),
+                crc,
             });
         }
         sync_dir(&self.dir)?;

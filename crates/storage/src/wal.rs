@@ -30,7 +30,7 @@ use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use crate::crc32::crc32;
+use crate::crc32::{crc32, crc32_extend};
 use crate::fault;
 
 pub(crate) const WAL_MAGIC: &[u8; 8] = b"CQWAL1\0\0";
@@ -199,23 +199,25 @@ impl WalWriter {
         self.unsynced
     }
 
-    /// Append one record (assembled and CRC-stamped here) and return the
-    /// bytes written. The caller decides when to [`sync`](WalWriter::sync).
+    /// Append one record (framed and CRC-stamped here) and return the
+    /// bytes written. The payload goes to the file from the caller's
+    /// buffer, after a 17-byte header; the caller decides when to
+    /// [`sync`](WalWriter::sync).
     pub fn append(&mut self, seq: u64, kind: u8, payload: &[u8]) -> io::Result<u64> {
         fault::trip("wal_append_io")?;
         let len = 9 + payload.len();
-        let mut buf = Vec::with_capacity(8 + len);
-        buf.extend_from_slice(&(len as u32).to_le_bytes());
-        buf.extend_from_slice(&[0u8; 4]); // crc placeholder
-        buf.extend_from_slice(&seq.to_le_bytes());
-        buf.push(kind);
-        buf.extend_from_slice(payload);
-        let crc = crc32(&buf[8..]);
-        buf[4..8].copy_from_slice(&crc.to_le_bytes());
-        self.file.write_all(&buf)?;
-        self.len += buf.len() as u64;
-        self.unsynced += buf.len() as u64;
-        Ok(buf.len() as u64)
+        let mut header = [0u8; 17];
+        header[..4].copy_from_slice(&(len as u32).to_le_bytes());
+        header[8..16].copy_from_slice(&seq.to_le_bytes());
+        header[16] = kind;
+        let crc = crc32_extend(crc32(&header[8..]), payload);
+        header[4..8].copy_from_slice(&crc.to_le_bytes());
+        self.file.write_all(&header)?;
+        self.file.write_all(payload)?;
+        let written = (header.len() + payload.len()) as u64;
+        self.len += written;
+        self.unsynced += written;
+        Ok(written)
     }
 
     /// fsync the file, recording the fsync latency in the obs registry.
