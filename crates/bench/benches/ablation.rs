@@ -10,10 +10,13 @@
 //!   differs from the optimized one by exactly the pushdown, build-side
 //!   and access-path passes;
 //! * plain vs annotation-aware rewriting — the Section 5 comparison.
+//!
+//! Each cell is the median of ten traced samples (`conquer_bench::sample`)
+//! after one warm-up; `cargo bench` runs this as a plain binary.
 
 use conquer::tpch::{Q12, Q6};
 use conquer::ExecOptions;
-use conquer_bench::{bench_case, rewritten_query, workload};
+use conquer_bench::{median_sample, ms, sample, workload, Strategy};
 
 fn main() {
     let w = workload(0.01, 0.05, 2);
@@ -45,9 +48,11 @@ fn main() {
 
     // Q6 is the paper's representative query; Q12 adds a join.
     for q in [&Q6, &Q12] {
-        for annotated in [false, true] {
-            let rewritten = rewritten_query(q, &w.sigma, annotated);
-            let variant = if annotated { "annotated" } else { "plain" };
+        for strategy in [Strategy::Rewritten, Strategy::Annotated] {
+            let variant = match strategy {
+                Strategy::Annotated => "annotated",
+                _ => "plain",
+            };
             for (label, options) in &configs {
                 // The nested-loop fallback on the larger Q12 rewriting is
                 // quadratic; skip the pathological combination to keep the
@@ -55,11 +60,13 @@ fn main() {
                 if *label == "nested-loop-exists" && q.number == 12 {
                     continue;
                 }
-                bench_case(
-                    "ablation",
-                    &format!("{}-{variant}/{label}", q.name()),
-                    10,
-                    || w.db.execute_query_with(&rewritten, options).unwrap(),
+                let run = || sample(&w, q, strategy, options);
+                run().expect("warm-up");
+                let (median, ()) = median_sample(10, run, |_| ()).expect("ablation sample");
+                println!(
+                    "ablation/{}-{variant}/{label}: median {} ms",
+                    q.name(),
+                    ms(median)
                 );
             }
         }

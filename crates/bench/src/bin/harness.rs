@@ -1,6 +1,6 @@
 //! The figure-regeneration harness: reprints every table and figure of the
 //! paper's evaluation (Section 6) as text/markdown series, and writes a
-//! machine-readable `BENCH_<fig>.json` report for each figure it runs.
+//! machine-readable `BENCH_<report>.json` for each run.
 //!
 //! ```sh
 //! cargo run -p conquer-bench --release --bin harness -- all
@@ -8,90 +8,44 @@
 //! cargo run -p conquer-bench --release --bin harness -- fig11 --json out.json --quiet
 //! ```
 //!
-//! Subcommands: `fig10`, `fig11`, `fig12`, `fig13`, `fig14`, `baseline`,
-//! `serve`, `plancost`, `opbench`, `idxbench`, `trace`, `recover`, `load`,
-//! `all` (`all` runs the six figures; the rest are explicit-only). `load`
-//! times what precedes every figure — §6.1's generate, inject (p = 5 %,
-//! n = 2), annotate, then declaring the key indexes and a first pass of the
-//! six queries under the three strategies — at `--sf` and 4×`--sf`, median
-//! of `--runs`, with tuples per second, resident column bytes per tuple and
-//! the process's peak RSS (`BENCH_load.json`); `--before <path>` embeds an
-//! earlier report of the same subcommand (the parent commit's) and the
-//! speed-up against it. `idxbench`
-//! measures what secondary indexes buy: point-lookup and key-self-join
-//! throughput with the access-path planner index-aware vs index-blind
-//! (a twin database over the same tables that declares no index), at
-//! `--sf` and 4×`--sf`
-//! (the defaults land on SF 0.05 and 0.2), reporting lookups/sec,
-//! join rows/sec, and the indexed/seqscan speedup per scale
-//! (`BENCH_idxbench.json`). `opbench` is the per-operator throughput
-//! microbenchmark: one query per executor kernel (filter, hash build,
-//! hash probe, semi join, global and grouped aggregation, DISTINCT,
-//! UNION ALL), each timed on the engine's one execution path, reporting
-//! its time and rows/sec over the driving table
-//! (`BENCH_opbench.json`). `recover` benchmarks the durable-storage crash-recovery
-//! path: it loads the TPC-H workload into a WAL-backed database on a temp
-//! dir, times a cold restart that replays the full WAL, times a checkpoint,
-//! and times a second restart that loads from segments — writing WAL and
-//! segment sizes, the checkpoint time and both replay times to
-//! `BENCH_recover.json`. `trace "<sql>"`
-//! runs one query against the standard workload with tracing on, prints
-//! the captured span tree (morsel workers included), records it in the
-//! process flight recorder, and writes `BENCH_trace.json` in the Chrome
-//! trace-viewer format — load it at `chrome://tracing` or
-//! <https://ui.perfetto.dev>. `--strategy` picks the answering strategy
-//! (default `rewritten`). `plancost` reports the planner's
-//! estimated rewritten/original cost ratio per figure query and, with
-//! `--cost-threshold-file <path>` (lines of `<query> <max_ratio>`), exits
-//! nonzero when a ratio regresses past its checked-in threshold — the CI
-//! plan-quality smoke.
-//! The optional `--sf <factor>` overrides the base scale factor
-//! standing in for the paper's 1 GB database (default 0.05), and
-//! `--runs <n>` the median-of-n timing (default 3). `--json <path>`
-//! redirects the report of a single-figure run (with `all`, each figure
-//! keeps its default `BENCH_<fig>.json`); `--quiet` suppresses the
-//! markdown tables. `--timeout-ms <N>` and `--mem-limit <bytes>` run every
-//! query under those engine resource limits; a tripped query is recorded in
-//! the report (`status: timeout|mem_exceeded|...`) instead of aborting the
-//! sweep, and the harness exits nonzero after writing all reports.
+//! Every time a report holds is read off the engine's telemetry: one traced
+//! run (`conquer_bench::sample`) is the unit of measurement, and a figure
+//! cell's `median_us`, `phases_us`, `unaccounted_frac`, `operators` and
+//! `ctes` all describe the median sample of `--runs`.
 //!
-//! Reports carry, per query and strategy: the median wall time, a
-//! `status` (`ok`, `timeout`, `mem_exceeded`, `row_limit`, `cancelled`,
-//! `error`), the pipeline phase breakdown
-//! (parse/analyze/rewrite/plan/optimize/execute, from `conquer-obs`
-//! spans), the per-operator `EXPLAIN ANALYZE` tree, and a snapshot of the
-//! global metrics registry.
+//! Subcommands:
+//! - `fig10` .. `fig14`: the paper's figures; `baseline`: repair
+//!   enumeration vs the rewriting (Section 7).
+//! - `plancost`: the planner's estimated rewritten/original cost per figure
+//!   query; with `--cost-threshold-file <path>` (lines of `<query>
+//!   <max_ratio>`) a ratio past its threshold fails the run.
+//! - `opbench`: one query per executor kernel, its time and rows/sec over
+//!   the driving table.
+//! - `idxbench`: point lookups, the key self-join, the conflict scan and an
+//!   indexed insert, on the workload and on its index-blind twin, at
+//!   `--sf` and 4×`--sf`.
+//! - `load`: §6.1's generate, inject, annotate and the first pass, step by
+//!   step at `--sf` and 4×`--sf`, with bytes per tuple and peak RSS;
+//!   `--before <report>` adds the speed-up against an earlier report.
+//! - `recover`: load into a WAL-backed database, restart from the WAL,
+//!   checkpoint, restart from segments.
+//! - `serve`: a closed loop of `--concurrency` connections over every
+//!   query × strategy, `--rounds` times, at each `--connections` point
+//!   (the extra connections idle), optionally beside a writer inserting
+//!   into an unrelated table every `--churn-ms`; `--serve-port` targets a
+//!   running server.
+//! - `trace "<sql>"`: one traced run (`--strategy`), printed as a span tree
+//!   and written as a Chrome trace-viewer document.
+//! - `all`: records Figure 10, the baseline and every tracked report at
+//!   the parameters each is recorded with ([`RECORDED`]), each in a
+//!   process of its own; flags given to `all` override them.
 //!
-//! `--threads <N>` sets the engine's morsel-parallel fan-out for every
-//! timed query (default: what the engine itself would pick —
-//! `CONQUER_THREADS` or the host's available parallelism). When N > 1 each
-//! query is additionally timed at `threads = 1`, and the report carries
-//! `serial_us` and `speedup` (= serial / parallel) per strategy cell, so a
-//! report documents what parallelism actually bought on the host that
-//! produced it.
-//!
-//! `serve` drives a `conquer-serve` server with a closed-loop load
-//! generator: `--concurrency <N>` worker connections (default 16) each run
-//! every benchmark query under every available strategy `--rounds <R>`
-//! times (default 3), timing each round trip client-side. With
-//! `--serve-port <P>` it targets an already-running server on loopback;
-//! without it, it spins up an in-process server over the standard
-//! annotated workload. `--connections <N,M,...>` sweeps a trajectory of
-//! total-open-connection counts: each point holds that many connections
-//! open — `min(concurrency, point)` of them driving the closed loop, the
-//! rest idle — so the report shows how the serving core behaves as
-//! connection count grows past the worker pool. `--churn-ms <N>` runs
-//! every point twice, first quiet and then beside one more connection that
-//! inserts a row into a scratch table no query reads every N ms — the
-//! traffic that used to empty the statement cache and, with per-table
-//! revalidation, should cost the readers nothing. The report
-//! (`BENCH_serve.json`) carries, per trajectory point, per-strategy
-//! p50/p95/p99/mean latency, aggregate throughput, busy-retry counts, the
-//! post-warmup rewrite/plan-cache hit rate, for a churn phase its
-//! interval and the inserts acknowledged, and the *wire floor*: `ping`
-//! p50/p95 and the round trip of the cheapest cached statement on an
-//! otherwise idle connection — what the serving core itself costs at that
-//! connection count, before any query work.
+//! `--sf`, `--runs` (median of n, default 3), `--threads`, `--json <path>`
+//! (a single command's report) and `--quiet` apply throughout;
+//! `--timeout-ms N` and `--mem-limit BYTES` run every query under those
+//! limits, record a tripped query's `status` instead of aborting, and make
+//! the harness exit nonzero after writing every report. Every report is
+//! stamped with the `commit` it was built from and the `machine` it ran on.
 
 #![forbid(unsafe_code)]
 
@@ -101,8 +55,8 @@ use std::time::{Duration, Instant};
 use conquer::tpch::{all_queries, BenchmarkQuery, Workload, Q12, Q4, Q6};
 use conquer::{analyze, parse_query, Database, ExecOptions, ResourceLimits};
 use conquer_bench::{
-    index_blind_twin, ms, operator_breakdown, overhead, phase_breakdown, run_status, speedup,
-    time_query_with, workload, Strategy, BASE_SF,
+    index_blind_twin, median_sample, ms, overhead, run_status, sample, sample_sql, span_wall,
+    speedup, traced, workload, Strategy, BASE_SF,
 };
 use conquer_obs::Json;
 
@@ -113,6 +67,32 @@ static FAILED: AtomicBool = AtomicBool::new(false);
 const COMMANDS: [&str; 14] = [
     "fig10", "fig11", "fig12", "fig13", "fig14", "baseline", "serve", "plancost", "opbench",
     "idxbench", "trace", "recover", "load", "all",
+];
+
+/// Every report `harness all` records, as `BENCH_<report>.json`, and the
+/// command line it is recorded with; flags given to `all` are appended, so
+/// they override these (a smoke run's smaller `--sf`, say). All but
+/// `fig10` and `baseline` are tracked in the repository.
+const RECORDED: [(&str, &str); 13] = [
+    ("fig10", "fig10"),
+    ("fig11", "fig11 --sf 0.05 --runs 9 --threads 2"),
+    ("fig12", "fig12 --sf 0.05 --runs 9 --threads 2"),
+    ("fig13", "fig13 --sf 0.05 --runs 9 --threads 2"),
+    ("fig14", "fig14 --sf 0.05 --runs 9 --threads 2"),
+    ("baseline", "baseline"),
+    (
+        "plancost",
+        "plancost --sf 0.05 --threads 1 --cost-threshold-file crates/bench/plan_cost_thresholds.txt",
+    ),
+    ("opbench", "opbench --sf 0.05 --runs 3 --threads 1"),
+    ("opbench_t2", "opbench --sf 0.05 --runs 3 --threads 2"),
+    ("idxbench", "idxbench --sf 0.05 --runs 3 --threads 1"),
+    ("load", "load --sf 0.02 --runs 5 --threads 2"),
+    ("recover", "recover --sf 0.05 --threads 2"),
+    (
+        "serve",
+        "serve --sf 0.02 --threads 2 --concurrency 2 --connections 2,64 --rounds 20 --churn-ms 20",
+    ),
 ];
 
 struct Args {
@@ -156,12 +136,6 @@ impl Args {
     /// Engine options for every timed query, carrying any `--timeout-ms` /
     /// `--mem-limit` resource limits and the `--threads` fan-out.
     fn options(&self) -> ExecOptions {
-        self.options_at(self.threads)
-    }
-
-    /// [`Args::options`] with an explicit thread count (the serial
-    /// reference runs use `options_at(1)`).
-    fn options_at(&self, threads: usize) -> ExecOptions {
         let mut limits = ResourceLimits::unlimited();
         if let Some(t) = self.timeout_ms {
             limits = limits.with_timeout(Duration::from_millis(t));
@@ -171,7 +145,7 @@ impl Args {
         }
         ExecOptions::default()
             .with_limits(limits)
-            .with_threads(threads)
+            .with_threads(self.threads)
     }
 }
 
@@ -180,7 +154,7 @@ macro_rules! say {
     ($args:expr, $($t:tt)*) => { if !$args.quiet { println!($($t)*); } };
 }
 
-fn parse_args() -> Args {
+fn parse_args(tokens: impl IntoIterator<Item = String>) -> Args {
     let mut args = Args {
         command: "all".to_string(),
         sf: BASE_SF,
@@ -201,109 +175,37 @@ fn parse_args() -> Args {
         strategy: Strategy::Rewritten,
     };
     let mut command_seen = false;
-    let mut it = std::env::args().skip(1);
+    let mut it = tokens.into_iter();
     while let Some(a) = it.next() {
-        match a.as_str() {
-            "--sf" => {
-                args.sf = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--sf requires a number"));
-            }
-            "--runs" => {
-                args.runs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--runs requires an integer"));
-            }
-            "--json" => {
-                args.json = Some(it.next().unwrap_or_else(|| die("--json requires a path")));
-            }
-            "--timeout-ms" => {
-                args.timeout_ms = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| die("--timeout-ms requires an integer")),
-                );
-            }
-            "--mem-limit" => {
-                args.mem_limit = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| die("--mem-limit requires a byte count")),
-                );
-            }
-            "--threads" => {
-                args.threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|n| *n >= 1)
-                    .unwrap_or_else(|| die("--threads requires a positive integer"));
-            }
-            "--serve-port" => {
-                args.serve_port = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| die("--serve-port requires a port number")),
-                );
-            }
-            "--concurrency" => {
-                args.concurrency = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|n| *n >= 1)
-                    .unwrap_or_else(|| die("--concurrency requires a positive integer"));
-            }
+        let flag = a.as_str();
+        match flag {
+            "--sf" => args.sf = value(it.next(), flag, "a number"),
+            "--runs" => args.runs = value(it.next(), flag, "an integer"),
+            "--json" => args.json = Some(value(it.next(), flag, "a path")),
+            "--timeout-ms" => args.timeout_ms = Some(value(it.next(), flag, "an integer")),
+            "--mem-limit" => args.mem_limit = Some(value(it.next(), flag, "a byte count")),
+            "--threads" => args.threads = positive(it.next(), flag),
+            "--serve-port" => args.serve_port = Some(value(it.next(), flag, "a port number")),
+            "--concurrency" => args.concurrency = positive(it.next(), flag),
             "--connections" => {
-                let spec = it
-                    .next()
-                    .unwrap_or_else(|| die("--connections requires a comma list of counts"));
-                args.connections = spec
-                    .split(',')
-                    .filter(|part| !part.is_empty())
-                    .map(|part| {
-                        part.parse()
-                            .ok()
-                            .filter(|n| *n >= 1)
-                            .unwrap_or_else(|| die("--connections entries must be positive"))
-                    })
-                    .collect();
+                let spec: String = value(it.next(), flag, "a comma list of counts");
+                let points = spec.split(',').filter(|part| !part.is_empty());
+                args.connections = points.map(|n| positive(Some(n.into()), flag)).collect();
                 if args.connections.is_empty() {
                     die("--connections requires a comma list of counts");
                 }
             }
-            "--rounds" => {
-                args.rounds = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|n| *n >= 1)
-                    .unwrap_or_else(|| die("--rounds requires a positive integer"));
-            }
-            "--churn-ms" => {
-                args.churn_ms = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|n| *n >= 1)
-                        .unwrap_or_else(|| die("--churn-ms requires a positive integer")),
-                );
-            }
+            "--rounds" => args.rounds = positive(it.next(), flag),
+            "--churn-ms" => args.churn_ms = Some(positive(it.next(), flag)),
             "--cost-threshold-file" => {
-                args.cost_threshold_file = Some(
-                    it.next()
-                        .unwrap_or_else(|| die("--cost-threshold-file requires a path")),
-                );
+                args.cost_threshold_file = Some(value(it.next(), flag, "a path"));
             }
-            "--before" => {
-                args.before = Some(it.next().unwrap_or_else(|| die("--before requires a path")));
-            }
+            "--before" => args.before = Some(value(it.next(), flag, "a path")),
             "--strategy" => {
-                let v = it
-                    .next()
-                    .unwrap_or_else(|| die("--strategy requires original|rewritten|annotated"));
-                args.strategy = match v.as_str() {
-                    "original" => Strategy::Original,
-                    "rewritten" => Strategy::Rewritten,
-                    "annotated" => Strategy::Annotated,
+                args.strategy = match it.next().as_deref() {
+                    Some("original") => Strategy::Original,
+                    Some("rewritten") => Strategy::Rewritten,
+                    Some("annotated") => Strategy::Annotated,
                     _ => die("--strategy requires original|rewritten|annotated"),
                 };
             }
@@ -327,6 +229,18 @@ fn parse_args() -> Args {
     args
 }
 
+/// A flag's value, parsed; `what` names what it must be.
+fn value<T: std::str::FromStr>(v: Option<String>, flag: &str, what: &str) -> T {
+    let parsed = v.and_then(|v| v.parse().ok());
+    parsed.unwrap_or_else(|| die(&format!("{flag} requires {what}")))
+}
+
+/// A flag's value that must be a positive integer.
+fn positive<T: std::str::FromStr + PartialOrd + From<u8>>(v: Option<String>, flag: &str) -> T {
+    let parsed = v.and_then(|v| v.parse().ok()).filter(|n| *n >= T::from(1));
+    parsed.unwrap_or_else(|| die(&format!("{flag} requires a positive integer")))
+}
+
 fn die(msg: &str) -> ! {
     eprintln!("harness: {msg}");
     eprintln!(
@@ -342,15 +256,13 @@ fn die(msg: &str) -> ! {
 }
 
 fn main() {
-    let args = parse_args();
-    let t0 = Instant::now();
-    let commands: Vec<&str> = if args.command == "all" {
-        vec!["fig10", "fig11", "fig12", "fig13", "fig14", "baseline"]
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_args(raw.clone());
+    let started = Instant::now();
+    if args.command == "all" {
+        record_all(&raw);
     } else {
-        vec![args.command.as_str()]
-    };
-    for cmd in commands {
-        let mut report = match cmd {
+        let mut report = match args.command.as_str() {
             "fig10" => fig10(&args),
             "fig11" => fig11(&args),
             "fig12" => fig12(&args),
@@ -366,68 +278,113 @@ fn main() {
             "load" => load_cmd(&args),
             _ => unreachable!("command validated in parse_args"),
         };
+        report.push("commit", commit());
+        report.push("machine", machine());
         report.push("metrics", conquer_obs::registry().snapshot_json());
-        // --json redirects a single figure; `all` keeps the per-fig names.
-        let path = match &args.json {
-            Some(p) if args.command != "all" => p.clone(),
-            _ => format!("BENCH_{cmd}.json"),
-        };
+        let path = args.json.clone();
+        let path = path.unwrap_or_else(|| format!("BENCH_{}.json", args.command));
         std::fs::write(&path, report.render_pretty())
             .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
         eprintln!("wrote {path}");
     }
-    eprintln!("\n(total harness time: {:.1}s)", t0.elapsed().as_secs_f64());
+    eprintln!(
+        "\n(total harness time: {:.1}s)",
+        started.elapsed().as_secs_f64()
+    );
     if FAILED.load(Ordering::Relaxed) {
         eprintln!("harness: some queries failed or tripped resource limits (see reports)");
         std::process::exit(1);
     }
 }
 
-/// The timing record for one (query, strategy) cell: status, median wall
-/// time, result cardinality, phase totals, the measured operator tree of
-/// the body and one of each materialized CTE.
+/// `harness all`: every [`RECORDED`] report, each run by this binary in a
+/// child process of its own — so what a report reads off the process (peak
+/// RSS, the metrics registry) is that report's alone — with `all`'s flags
+/// appended and its `--json` pointed at `BENCH_<report>.json`.
+fn record_all(raw: &[String]) {
+    let exe = std::env::current_exe().unwrap_or_else(|e| die(&format!("no executable: {e}")));
+    let flags = raw.iter().filter(|a| *a != "all");
+    for (report, line) in RECORDED {
+        let status = std::process::Command::new(&exe)
+            .args(line.split_whitespace())
+            .args(flags.clone())
+            .args(["--json", &format!("BENCH_{report}.json")])
+            .status()
+            .unwrap_or_else(|e| die(&format!("cannot run {report}: {e}")));
+        match status.code() {
+            Some(0) => {}
+            Some(1) => FAILED.store(true, Ordering::Relaxed),
+            _ => {
+                eprintln!("harness: {report} ended with {status}");
+                std::process::exit(2);
+            }
+        }
+    }
+}
+
+/// The commit the harness was built from: `git describe --always --dirty`
+/// in its source tree, or `unknown` where git cannot say.
+fn commit() -> Json {
+    let described = std::process::Command::new("git")
+        .args([
+            "-C",
+            env!("CARGO_MANIFEST_DIR"),
+            "describe",
+            "--always",
+            "--dirty",
+        ])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok());
+    Json::from(described.map_or("unknown".to_string(), |d| d.trim().to_string()))
+}
+
+/// The machine a report was recorded on: CPU model and the parallelism
+/// the process may use.
+fn machine() -> Json {
+    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let model = cpuinfo
+        .lines()
+        .find(|l| l.starts_with("model name"))
+        .and_then(|l| l.split_once(':'))
+        .map_or("unknown", |(_, m)| m.trim());
+    let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
+    Json::obj([
+        ("cpu", Json::from(model)),
+        ("available_parallelism", Json::UInt(parallelism as u64)),
+    ])
+}
+
+/// The record of one (query, strategy) cell: the median of `--runs`
+/// samples, reported whole — its wall time, rows, layer times, unaccounted
+/// share, operator tree and CTE traces all come from that one run.
 ///
 /// A query that errors or trips a resource limit yields a `status` /
 /// `error` entry (and flags the harness for a nonzero exit) instead of
-/// aborting the sweep; its reported time is zero and the per-phase /
-/// per-operator breakdowns are skipped.
+/// aborting the sweep; its reported time is zero.
 fn strategy_entry(
     w: &Workload,
     q: &BenchmarkQuery,
     strategy: Strategy,
     args: &Args,
 ) -> (Duration, Json) {
-    let result = time_query_with(w, q, strategy, args.runs, &args.options());
+    let options = args.options();
+    let result = median_sample(
+        args.runs,
+        || sample(w, q, strategy, &options),
+        |s| s.to_json(),
+    );
     let status = run_status(&result);
-    match result {
-        Ok(median) => {
-            let mut entry = phase_breakdown(w, q, strategy);
-            entry.push("status", Json::from(status));
-            entry.push("median_us", Json::UInt(median.as_micros() as u64));
-            // With a parallel fan-out, also time the serial path so the
-            // report records what the threads bought on this host.
-            if args.threads > 1 {
-                if let Ok(serial) = time_query_with(w, q, strategy, args.runs, &args.options_at(1))
-                {
-                    entry.push("serial_us", Json::UInt(serial.as_micros() as u64));
-                    entry.push("speedup", Json::Float(speedup(serial, median)));
-                }
-            }
-            let (operators, ctes) = operator_breakdown(w, q, strategy, &args.options());
-            entry.push("operators", operators);
-            entry.push("ctes", ctes);
-            (median, entry)
-        }
-        Err(e) => {
-            FAILED.store(true, Ordering::Relaxed);
-            eprintln!("harness: {} [{}] {status}: {e}", q.name(), strategy.label());
-            let entry = Json::obj([
-                ("status", Json::from(status)),
-                ("error", Json::from(e.to_string())),
-            ]);
-            (Duration::ZERO, entry)
-        }
-    }
+    result.unwrap_or_else(|e| {
+        FAILED.store(true, Ordering::Relaxed);
+        eprintln!("harness: {} [{}] {status}: {e}", q.name(), strategy.label());
+        let entry = Json::obj([
+            ("status", Json::from(status)),
+            ("error", Json::from(e.to_string())),
+        ]);
+        (Duration::ZERO, entry)
+    })
 }
 
 fn report_header(figure: &str, args: &Args) -> Json {
@@ -687,13 +644,16 @@ fn baseline(args: &Args) -> Json {
         let sigma = ConstraintSet::new().with_key("t", ["k"]);
         let q = "select t.k from t where t.v > 2";
 
-        let t0 = Instant::now();
-        let oracle = consistent_answers_oracle(&db, q, &sigma).unwrap();
-        let t_oracle = t0.elapsed();
-        let t0 = Instant::now();
-        let rewritten = conquer::consistent_answers(&db, q, &sigma).unwrap();
-        let t_rew = t0.elapsed();
-        assert_eq!(oracle.len(), rewritten.len());
+        let (oracle, t_oracle, _) = traced(|| consistent_answers_oracle(&db, q, &sigma));
+        let oracle = oracle.expect("the oracle answers the baseline query");
+        // The rewriting: a warm-up run (the first plan collects statistics
+        // and builds the key index), then the median of `--runs`.
+        let options = args.options();
+        let run = || sample_sql(&db, &sigma, q, Strategy::Rewritten, &options);
+        let warm = run().expect("the baseline query rewrites");
+        assert_eq!(oracle.len(), warm.rows.len());
+        let (t_rew, ()) =
+            median_sample(args.runs, run, |_| ()).expect("the baseline query rewrites");
         say!(
             args,
             "| {keys} | {} | {} | {} |",
@@ -734,7 +694,7 @@ fn baseline(args: &Args) -> Json {
 /// the exact sizes of the CTE results it scans (the planner's CTE trace),
 /// plus the body.
 fn plancost(args: &Args) -> Json {
-    use conquer_bench::rewritten_query;
+    use conquer::{prepare_rewrite, RewriteOptions};
 
     say!(
         args,
@@ -768,12 +728,15 @@ fn plancost(args: &Args) -> Json {
             .map_err(|e| e.to_string())
             .and_then(|original| {
                 let plan_o = w.db.plan(&original, &options).map_err(|e| e.to_string())?;
-                let rewritten = rewritten_query(&q, &w.sigma, false);
-                let plan_r = w.db.plan(&rewritten, &options).map_err(|e| e.to_string())?;
-                let (_, body, _, ctes) =
-                    w.db.execute_query_traced_with_ctes(&rewritten, &materialized)
+                let rewritten = prepare_rewrite(q.sql, &w.sigma, &RewriteOptions::default())
+                    .map_err(|e| e.to_string())?;
+                let plan_r =
+                    w.db.plan(&rewritten.rewritten, &options)
                         .map_err(|e| e.to_string())?;
-                let cost_m = ctes.iter().map(|c| c.est_cost).sum::<f64>() + est_m.cost(&body);
+                let ran = sample(&w, &q, Strategy::Rewritten, &materialized)
+                    .map_err(|e| e.to_string())?;
+                let ctes = ran.ctes.iter().map(|c| c.est_cost).sum::<f64>();
+                let cost_m = ctes + est_m.cost(&ran.plan);
                 let ratio_m = cost_m / est_m.cost(&plan_o).max(1.0);
                 Ok((est.cost(&plan_o), est.cost(&plan_r), cost_m, ratio_m))
             });
@@ -831,9 +794,15 @@ fn plancost(args: &Args) -> Json {
 }
 
 /// Parse a threshold file: `<query> <max_ratio>` per line, `#` comments
-/// and blank lines ignored.
+/// and blank lines ignored. A relative path missing from the working
+/// directory is read from the workspace root, where [`RECORDED`] names it.
 fn load_thresholds(path: &str) -> std::collections::HashMap<String, f64> {
+    let workspace = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let text = std::fs::read_to_string(path)
+        .or_else(|e| match std::path::Path::new(path).is_relative() {
+            true => std::fs::read_to_string(workspace.join(path)),
+            false => Err(e),
+        })
         .unwrap_or_else(|e| die(&format!("cannot read threshold file {path}: {e}")));
     let mut out = std::collections::HashMap::new();
     for (lineno, line) in text.lines().enumerate() {
@@ -990,17 +959,12 @@ fn opbench(args: &Args) -> Json {
 
     let options = args.options();
     let time = |sql: &str| -> Result<Duration, String> {
-        // Warm-up run: the lazy index builds and row views land here, so
+        let run = || sample_sql(&w.db, &w.sigma, sql, Strategy::Original, &options);
+        // Warm-up run: the lazy index builds and statistics land here, so
         // the timed runs measure execution, not first-touch setup.
-        w.db.query_with(sql, &options).map_err(|e| e.to_string())?;
-        let mut times = Vec::with_capacity(args.runs);
-        for _ in 0..args.runs {
-            let t0 = Instant::now();
-            w.db.query_with(sql, &options).map_err(|e| e.to_string())?;
-            times.push(t0.elapsed());
-        }
-        times.sort_unstable();
-        Ok(times[times.len() / 2])
+        run().map_err(|e| e.to_string())?;
+        let median = median_sample(args.runs, run, |_| ());
+        median.map(|(wall, ())| wall).map_err(|e| e.to_string())
     };
 
     let mut ops = Vec::new();
@@ -1098,30 +1062,28 @@ fn idxbench(args: &Args) -> Json {
             lookup(insert_key),
         ];
 
-        // Statements run in order; an `INSERT` goes through the script
-        // path, the rest are queries.
-        let run = |db: &Database, sql: &str| -> Result<(), String> {
-            let done = if sql.starts_with("insert") {
-                db.run_script(sql).map(drop)
+        // Statements run in order, each one traced run; an `INSERT` goes
+        // through the script path under the root span, the rest are
+        // samples.
+        let run = |db: &Database, sql: &str| -> Result<Duration, String> {
+            if sql.starts_with("insert") {
+                let (done, wall, _) = traced(|| db.run_script(sql));
+                done.map(|_| wall).map_err(|e| e.to_string())
             } else {
-                db.query_with(sql, &options).map(drop)
-            };
-            done.map_err(|e| e.to_string())
+                let s = sample_sql(db, &w.sigma, sql, Strategy::Original, &options);
+                s.map(|s| s.wall).map_err(|e| e.to_string())
+            }
+        };
+        let batch = |db: &Database, sqls: &[String]| -> Result<Duration, String> {
+            sqls.iter().map(|sql| run(db, sql)).sum()
         };
         let time_batch = |db: &Database, sqls: &[String]| -> Result<Duration, String> {
             // Warm-up pass: the lazy index build lands here, so the timed
             // runs measure probes.
-            for sql in sqls {
-                run(db, sql)?;
-            }
-            let mut times = Vec::with_capacity(args.runs);
-            for _ in 0..args.runs {
-                let t0 = Instant::now();
-                for sql in sqls {
-                    run(db, sql)?;
-                }
-                times.push(t0.elapsed());
-            }
+            batch(db, sqls)?;
+            let mut times = (0..args.runs.max(1))
+                .map(|_| batch(db, sqls))
+                .collect::<Result<Vec<_>, _>>()?;
             times.sort_unstable();
             Ok(times[times.len() / 2])
         };
@@ -1200,9 +1162,8 @@ fn idxbench(args: &Args) -> Json {
     report
 }
 
-/// `trace` — run one SQL statement against the standard workload with
-/// tracing on and export the span tree (all threads) as a Chrome
-/// trace-viewer document.
+/// `trace` — one traced run ([`sample_sql`]) of a SQL statement against
+/// the standard workload, exported as a Chrome trace-viewer document.
 ///
 /// The report written by `main` (`BENCH_trace.json`, or `--json`) IS the
 /// Chrome document: `traceEvents` carries one complete (`ph: "X"`) event
@@ -1211,50 +1172,28 @@ fn idxbench(args: &Args) -> Json {
 /// their own rows in the viewer. The query is also recorded in the
 /// process-wide flight recorder (session 0), same as a served query.
 fn trace_cmd(args: &Args) -> Json {
-    use conquer_obs::{flight_recorder, QueryTrace, TraceContext};
+    use conquer_obs::{flight_recorder, QueryId, QueryTrace};
 
     let sql = args
         .sql
         .clone()
         .unwrap_or_else(|| die("trace requires a SQL string: harness trace \"<sql>\""));
     let w = workload(args.sf, 0.05, 2);
-    let ctx = TraceContext::new();
-    let options = args.options().with_trace(ctx.clone());
-    let start_unix_ms = std::time::SystemTime::now()
-        .duration_since(std::time::SystemTime::UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0);
-    let started = Instant::now();
-    let result = {
-        // Install for the whole pipeline so parse/rewrite spans (which run
-        // before the engine sees `options.trace`) are captured too.
-        let _guard = ctx.install();
-        match args.strategy {
-            Strategy::Original => {
-                w.db.query_with(&sql, &options)
-                    .map_err(conquer::RewriteError::from)
-            }
-            Strategy::Rewritten => {
-                conquer::consistent_answers_with(&w.db, &sql, &w.sigma, &options)
-            }
-            Strategy::Annotated => {
-                conquer::consistent_answers_annotated_with(&w.db, &sql, &w.sigma, &options)
-            }
-        }
-    };
-    let elapsed_us = started.elapsed().as_micros() as u64;
-    let spans = ctx.take_records();
+    let options = args.options();
+    let result = sample_sql(&w.db, &w.sigma, &sql, args.strategy, &options);
     let status = run_status(&result);
-    if result.is_err() {
-        FAILED.store(true, Ordering::Relaxed);
-    }
-    let (rows_out, error) = match &result {
-        Ok(rows) => (rows.rows.len() as u64, None),
+    let (spans, elapsed_us, rows_out, error) = match result {
+        Ok(s) => {
+            let wall = s.wall.as_micros() as u64;
+            (s.spans, wall, s.rows.len() as u64, None)
+        }
         Err(e) => {
+            FAILED.store(true, Ordering::Relaxed);
             eprintln!("harness: trace [{}] {status}: {e}", args.strategy.label());
-            (0, Some(e.to_string()))
+            (Vec::new(), 0, 0, Some(e.to_string()))
         }
     };
+    let start_unix_ms = spans.last().map_or(0, |root| root.start_unix_ms());
     let worker_spans = spans.iter().filter(|s| s.name == "worker").count() as u64;
 
     say!(
@@ -1265,7 +1204,9 @@ fn trace_cmd(args: &Args) -> Json {
         spans.len(),
     );
     say!(args, "    {sql}\n");
-    for s in &spans {
+    let mut by_start: Vec<_> = spans.iter().collect();
+    by_start.sort_by_key(|s| s.start);
+    for s in by_start {
         say!(
             args,
             "{:indent$}{} {} µs (thread {})",
@@ -1278,8 +1219,9 @@ fn trace_cmd(args: &Args) -> Json {
     }
     say!(args, "");
 
+    let query_id = QueryId::next().value();
     flight_recorder().record(QueryTrace {
-        query_id: ctx.id().value(),
+        query_id,
         session: 0,
         sql_hash: conquer_obs::sql_hash(&sql),
         sql: conquer_obs::sql_snippet(&sql),
@@ -1315,7 +1257,7 @@ fn trace_cmd(args: &Args) -> Json {
         ("sql", Json::from(sql)),
         ("strategy", Json::from(args.strategy.label())),
         ("status", Json::from(status)),
-        ("query_id", Json::UInt(ctx.id().value())),
+        ("query_id", Json::UInt(query_id)),
         ("elapsed_us", Json::UInt(elapsed_us)),
         ("rows_out", Json::UInt(rows_out)),
         ("worker_spans", Json::UInt(worker_spans)),
@@ -1466,9 +1408,7 @@ fn serve_cmd(args: &Args) -> Json {
                 let stop = &stop;
                 let writer = churn_ms.map(|ms| scope.spawn(move || churn_writer(addr, ms, stop)));
                 let floor = wire_floor(args, &mut warm, &pairs);
-                let t_loop = Instant::now();
-                let results = serve_point(addr, &pairs, args.rounds, active);
-                let wall = t_loop.elapsed();
+                let (results, wall, _) = traced(|| serve_point(addr, &pairs, args.rounds, active));
                 stop.store(true, Ordering::Release);
                 let inserts = writer.map(|w| w.join().expect("churn writer"));
                 (floor, results, wall, inserts)
@@ -1482,7 +1422,7 @@ fn serve_cmd(args: &Args) -> Json {
             });
 
             let mut busy_total = 0u64;
-            let mut all_samples: Vec<(Strategy, u64)> = Vec::new();
+            let mut all_samples: Vec<ServeSample> = Vec::new();
             for (samples, busy, errors) in worker_results {
                 busy_total += busy;
                 all_samples.extend(samples);
@@ -1508,15 +1448,14 @@ fn serve_cmd(args: &Args) -> Json {
             );
             let mut strategy_reports = Vec::new();
             for &strategy in &STRATEGIES {
-                let mut lat: Vec<u64> = all_samples
-                    .iter()
-                    .filter(|(s, _)| *s == strategy)
-                    .map(|&(_, us)| us)
-                    .collect();
+                let of_strategy = all_samples.iter().filter(|s| s.strategy == strategy);
+                let (mut lat, mut server): (Vec<u64>, Vec<u64>) =
+                    of_strategy.map(|s| (s.round_trip_us, s.server_us)).unzip();
                 if lat.is_empty() {
                     continue;
                 }
                 lat.sort_unstable();
+                server.sort_unstable();
                 let (p50, p95, p99) = (
                     conquer_bench::percentile(&lat, 0.50),
                     conquer_bench::percentile(&lat, 0.95),
@@ -1540,6 +1479,10 @@ fn serve_cmd(args: &Args) -> Json {
                     ("p95_us", Json::UInt(p95)),
                     ("p99_us", Json::UInt(p99)),
                     ("mean_us", Json::UInt(mean)),
+                    (
+                        "server_p50_us",
+                        Json::UInt(conquer_bench::percentile(&server, 0.50)),
+                    ),
                 ]));
             }
             let throughput = all_samples.len() as f64 / wall.as_secs_f64().max(1e-9);
@@ -1641,10 +1584,9 @@ fn wire_floor(
 
     let mut pings = Vec::with_capacity(SAMPLES);
     for _ in 0..SAMPLES {
-        let t0 = Instant::now();
-        match client.ping() {
-            Ok(()) => pings.push(t0.elapsed().as_nanos() as u64),
-            Err(e) => fail("ping", &e),
+        match round_trip(|| client.ping()) {
+            (Ok(()), ns) => pings.push(ns),
+            (Err(e), _) => fail("ping", &e),
         }
     }
     let (ping_p50, ping_p95) = quantiles(pings);
@@ -1670,13 +1612,12 @@ fn wire_floor(
     };
     let (mut rtt, mut server) = (Vec::with_capacity(SAMPLES), Vec::with_capacity(SAMPLES));
     for _ in 0..SAMPLES {
-        let t0 = Instant::now();
-        match client.query_with(q.sql, Some(wire_strategy(strategy))) {
-            Ok(outcome) => {
-                rtt.push(t0.elapsed().as_nanos() as u64);
+        match round_trip(|| client.query_with(q.sql, Some(wire_strategy(strategy)))) {
+            (Ok(outcome), ns) => {
+                rtt.push(ns);
                 server.push(outcome.elapsed_us * 1_000);
             }
-            Err(e) => fail(&q.name(), &e),
+            (Err(e), _) => fail(&q.name(), &e),
         }
     }
     let ((rtt_p50, rtt_p95), (server_p50, _)) = (quantiles(rtt), quantiles(server));
@@ -1731,9 +1672,26 @@ fn churn_writer(
     Ok(inserts)
 }
 
-/// What one closed-loop worker brings home: `(strategy, latency_us)`
-/// samples, busy-retry count, and any hard errors.
-type WorkerResult = (Vec<(Strategy, u64)>, u64, Vec<String>);
+/// Time one client round trip, in nanoseconds. This is the harness's one
+/// clock besides the process's own: wire latency has no server-side
+/// source, where the server's share of it is `QueryOutcome::elapsed_us`.
+fn round_trip<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let t0 = Instant::now();
+    let out = f();
+    (out, t0.elapsed().as_nanos() as u64)
+}
+
+/// One answered request of the closed loop: the round trip the client saw
+/// and the server's own time for it.
+struct ServeSample {
+    strategy: Strategy,
+    round_trip_us: u64,
+    server_us: u64,
+}
+
+/// What one closed-loop worker brings home: its samples, busy-retry
+/// count, and any hard errors.
+type WorkerResult = (Vec<ServeSample>, u64, Vec<String>);
 
 /// One trajectory point of the `serve` closed loop: `active` workers, each
 /// owning one connection, walking the query × strategy grid `rounds` times
@@ -1750,7 +1708,7 @@ fn serve_point(
         let mut handles = Vec::new();
         for wid in 0..active {
             handles.push(scope.spawn(move || {
-                let mut samples: Vec<(Strategy, u64)> = Vec::new();
+                let mut samples: Vec<ServeSample> = Vec::new();
                 let mut busy = 0u64;
                 let mut errors: Vec<String> = Vec::new();
                 // The session cap can also greet with busy; retry briefly.
@@ -1785,19 +1743,23 @@ fn serve_point(
                         let (q, strategy) = pairs[(i + wid) % pairs.len()];
                         let mut attempts = 0u32;
                         loop {
-                            let t0 = Instant::now();
-                            match client.query_with(q.sql, Some(wire_strategy(strategy))) {
-                                Ok(outcome) => {
+                            let asked = || client.query_with(q.sql, Some(wire_strategy(strategy)));
+                            match round_trip(asked) {
+                                (Ok(outcome), ns) => {
                                     std::hint::black_box(outcome.rows.rows.len());
-                                    samples.push((strategy, t0.elapsed().as_micros() as u64));
+                                    samples.push(ServeSample {
+                                        strategy,
+                                        round_trip_us: ns / 1_000,
+                                        server_us: outcome.elapsed_us,
+                                    });
                                     break;
                                 }
-                                Err(e) if e.is_busy() && attempts < 1000 => {
+                                (Err(e), _) if e.is_busy() && attempts < 1000 => {
                                     busy += 1;
                                     attempts += 1;
                                     std::thread::sleep(Duration::from_millis(1));
                                 }
-                                Err(e) => {
+                                (Err(e), _) => {
                                     errors.push(format!(
                                         "{} [{}]: {e}",
                                         q.name(),
@@ -1832,8 +1794,11 @@ fn serve_point(
 ///
 /// The report carries row/table counts, the WAL size the load produced,
 /// the checkpoint's time and the bytes of the segments it wrote, and both
-/// replay times, so EXPERIMENTS.md can track recovery-speed regressions
-/// alongside the paper figures.
+/// restart times. Each time is a span's: the load's under the root span,
+/// each restart's `open` and the `checkpoint`; beside them, the storage
+/// layer's own share from the registry (`storage.recover.replay.us`,
+/// `storage.checkpoint.us`: reading and writing the files, before decoding
+/// and after encoding).
 fn recover_cmd(args: &Args) -> Json {
     use conquer::{Database, DurabilityOptions, SyncPolicy};
 
@@ -1854,25 +1819,39 @@ fn recover_cmd(args: &Args) -> Json {
     let w = workload(args.sf, 0.05, 2);
     let tables = w.db.table_names();
     let rows: u64 = conquer_bench::total_tuples(&w.db) as u64;
+    let registry = conquer_obs::registry();
+    let (store_replay, store_checkpoint) = (
+        registry.histogram("storage.recover.replay.us"),
+        registry.histogram("storage.checkpoint.us"),
+    );
+    let us = |d: Duration| d.as_micros() as u64;
+    // A restart: its `open` span, and the store's share of it.
+    let reopen = || {
+        let before = store_replay.snapshot().sum;
+        let (db, spans) = conquer_obs::capture(|| Database::open(&dir, opts));
+        let db = db.unwrap_or_else(|e| die(&format!("reopen: {e}")));
+        let open_us = us(span_wall(&spans, "open"));
+        (db, open_us, store_replay.snapshot().sum - before)
+    };
 
     // Load: copy every generated table into the durable catalog (each copy
     // is one WAL snapshot record).
-    let t0 = Instant::now();
-    let db = Database::open(&dir, opts).unwrap_or_else(|e| die(&format!("open {dir:?}: {e}")));
-    for name in &tables {
-        let table = w.db.table(name).unwrap_or_else(|e| die(&e.to_string()));
-        db.register((*table).clone())
-            .unwrap_or_else(|e| die(&format!("register {name}: {e}")));
-    }
-    db.flush().unwrap_or_else(|e| die(&format!("flush: {e}")));
-    let load_us = t0.elapsed().as_micros() as u64;
+    let (db, load, _) = traced(|| {
+        let db = Database::open(&dir, opts).unwrap_or_else(|e| die(&format!("open {dir:?}: {e}")));
+        for name in &tables {
+            let table = w.db.table(name).unwrap_or_else(|e| die(&e.to_string()));
+            db.register((*table).clone())
+                .unwrap_or_else(|e| die(&format!("register {name}: {e}")));
+        }
+        db.flush().unwrap_or_else(|e| die(&format!("flush: {e}")));
+        db
+    });
+    let load_us = us(load);
     let wal_bytes = db.storage_status().map_or(0, |s| s.wal_bytes);
     drop(db); // simulated crash: no checkpoint, the WAL holds everything
 
     // Restart 1: full WAL replay.
-    let t0 = Instant::now();
-    let db = Database::open(&dir, opts).unwrap_or_else(|e| die(&format!("reopen: {e}")));
-    let replay_wal_us = t0.elapsed().as_micros() as u64;
+    let (db, replay_wal_us, store_replay_wal_us) = reopen();
     let recovered: u64 = conquer_bench::total_tuples(&db) as u64;
     if recovered != rows {
         FAILED.store(true, Ordering::Relaxed);
@@ -1880,10 +1859,11 @@ fn recover_cmd(args: &Args) -> Json {
     }
 
     // Fold into segments, then time the steady-state boot.
-    let t0 = Instant::now();
-    db.checkpoint()
-        .unwrap_or_else(|e| die(&format!("checkpoint: {e}")));
-    let checkpoint_us = t0.elapsed().as_micros() as u64;
+    let written_before = store_checkpoint.snapshot().sum;
+    let (done, spans) = conquer_obs::capture(|| db.checkpoint());
+    done.unwrap_or_else(|e| die(&format!("checkpoint: {e}")));
+    let checkpoint_us = us(span_wall(&spans, "checkpoint"));
+    let store_checkpoint_us = store_checkpoint.snapshot().sum - written_before;
     let segments = db.storage_status().map_or(0, |s| s.segments);
     let segment_bytes: u64 = std::fs::read_dir(&dir)
         .map(|entries| {
@@ -1895,9 +1875,7 @@ fn recover_cmd(args: &Args) -> Json {
         })
         .unwrap_or(0);
     drop(db);
-    let t0 = Instant::now();
-    let db = Database::open(&dir, opts).unwrap_or_else(|e| die(&format!("reopen: {e}")));
-    let replay_segments_us = t0.elapsed().as_micros() as u64;
+    let (db, replay_segments_us, store_replay_segments_us) = reopen();
     let recovered_seg: u64 = conquer_bench::total_tuples(&db) as u64;
     if recovered_seg != rows {
         FAILED.store(true, Ordering::Relaxed);
@@ -1941,6 +1919,12 @@ fn recover_cmd(args: &Args) -> Json {
     report.push("replay_wal_us", Json::UInt(replay_wal_us));
     report.push("checkpoint_us", Json::UInt(checkpoint_us));
     report.push("replay_segments_us", Json::UInt(replay_segments_us));
+    report.push("store_replay_wal_us", Json::UInt(store_replay_wal_us));
+    report.push("store_checkpoint_us", Json::UInt(store_checkpoint_us));
+    report.push(
+        "store_replay_segments_us",
+        Json::UInt(store_replay_segments_us),
+    );
     report
 }
 
@@ -1978,12 +1962,12 @@ struct Resident {
 /// `index.build.us` histogram's delta), and where resident bytes are after
 /// it — stored columns, built indexes, rows the pass pivoted, `VmRSS`.
 fn load_cmd(args: &Args) -> Json {
-    use conquer::engine::TableStats;
     use conquer::tpch::{
         benchmark_constraints, generate_database, inject_database, GenConfig, TABLES,
     };
     use conquer::{annotate_database, declare_key_indexes};
     use conquer_bench::try_run_query;
+    use conquer_obs::capture;
 
     const STEPS: [&str; 4] = ["generate", "inject", "annotate", "first_pass"];
     say!(
@@ -2018,48 +2002,58 @@ fn load_cmd(args: &Args) -> Json {
         let mut stats_collect_us = Vec::new();
         let mut last = Resident::default();
         for _ in 0..args.runs.max(1) {
-            let mut lap = Instant::now();
-            let mut step = |samples: &mut [Vec<u64>; 4], i: usize| {
-                samples[i].push(lap.elapsed().as_micros() as u64);
-                lap = Instant::now();
+            // Each step's time is the span it runs under.
+            let mut step = |i: usize, spans: &[conquer_obs::SpanRecord]| {
+                samples[i].push(span_wall(spans, STEPS[i]).as_micros() as u64);
             };
-            let db = generate_database(&GenConfig {
-                scale_factor: sf,
-                seed: 0xC09E_5EED,
-                threads: args.threads,
+            let (db, spans) = capture(|| {
+                generate_database(&GenConfig {
+                    scale_factor: sf,
+                    seed: 0xC09E_5EED,
+                    threads: args.threads,
+                })
             });
-            step(&mut samples, 0);
+            step(0, &spans);
             let sigma = benchmark_constraints();
-            let injection = inject_database(&db, &sigma, 0.05, 2, 0xC09E_5EED);
-            step(&mut samples, 1);
-            let annotation = annotate_database(&db, &sigma)
-                .unwrap_or_else(|e| die(&format!("load: annotate: {e}")));
-            step(&mut samples, 2);
+            let (injection, spans) = capture(|| inject_database(&db, &sigma, 0.05, 2, 0xC09E_5EED));
+            step(1, &spans);
+            let (annotation, spans) = capture(|| annotate_database(&db, &sigma));
+            let annotation = annotation.unwrap_or_else(|e| die(&format!("load: annotate: {e}")));
+            step(2, &spans);
             let rss_loaded = proc_status_bytes("VmRSS:");
             let (built_before, pivoted_before) = (index_builds.snapshot().sum, to_rows.get());
-            declare_key_indexes(&db, &sigma);
-            let w = Workload {
-                db,
-                sigma,
-                injection,
-                annotation: Some(annotation),
-            };
-            for q in all_queries() {
-                for strategy in [Strategy::Original, Strategy::Rewritten, Strategy::Annotated] {
-                    if let Err(e) = try_run_query(&w, &q, strategy, &args.options()) {
-                        FAILED.store(true, Ordering::Relaxed);
-                        eprintln!("harness: load: {} [{}]: {e}", q.name(), strategy.label());
+            let (w, first_pass, _) = traced(|| {
+                declare_key_indexes(&db, &sigma);
+                let w = Workload {
+                    db,
+                    sigma,
+                    injection,
+                    annotation: Some(annotation),
+                };
+                for q in all_queries() {
+                    for strategy in [Strategy::Original, Strategy::Rewritten, Strategy::Annotated] {
+                        if let Err(e) = try_run_query(&w, &q, strategy, &args.options()) {
+                            FAILED.store(true, Ordering::Relaxed);
+                            eprintln!("harness: load: {} [{}]: {e}", q.name(), strategy.label());
+                        }
                     }
                 }
-            }
-            step(&mut samples, 3);
+                w
+            });
+            samples[3].push(first_pass.as_micros() as u64);
             index_build_us.push(index_builds.snapshot().sum - built_before);
+            // One from-scratch statistics collection of every table: a twin
+            // over the same columns has none collected yet, and its first
+            // reader collects each under the engine's `stats.collect` span.
+            let twin = index_blind_twin(&w.db);
+            let ((), spans) = capture(|| {
+                for t in TABLES {
+                    std::hint::black_box(twin.table_stats(t));
+                }
+            });
+            drop(twin);
+            stats_collect_us.push(span_wall(&spans, "stats.collect").as_micros() as u64);
             let tables: Vec<_> = TABLES.iter().filter_map(|t| w.db.table(t).ok()).collect();
-            let collecting = Instant::now();
-            for t in &tables {
-                std::hint::black_box(TableStats::collect(t.cols()));
-            }
-            stats_collect_us.push(collecting.elapsed().as_micros() as u64);
             last = Resident {
                 tuples: tables.iter().map(|t| t.len() as u64).sum(),
                 column_bytes: tables.iter().map(|t| t.cols().byte_size() as u64).sum(),

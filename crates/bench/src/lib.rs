@@ -1,6 +1,6 @@
-//! Shared infrastructure for the benchmark harness and the standalone
-//! benches: workload construction, the three execution strategies of the
-//! paper's evaluation, and timing helpers.
+//! Shared infrastructure for the benchmark harness and the ablation bench:
+//! workload construction, the three execution strategies of the paper's
+//! evaluation, and the one unit of measurement — a traced [`Sample`].
 //!
 //! The paper's hardware (a 2.8 GHz Pentium 4 running DB2 on 1 GB–2 GB
 //! databases) is replaced by this repository's in-memory engine at reduced
@@ -8,17 +8,22 @@
 //! the comparisons of Section 6 — original vs rewritten vs
 //! annotation-aware, sweeps over `p`, `n`, and database size — retain their
 //! shape. See EXPERIMENTS.md for the paper-vs-measured record.
+//!
+//! Every time the harness reports is a span's wall time, read off the same
+//! telemetry (`conquer-obs`) a live server exposes: no step keeps a clock of
+//! its own, so the instrumentation is itself what is measured.
 
 #![forbid(unsafe_code)]
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+use conquer::engine::{CteTrace, NodeStats, Plan};
 use conquer::tpch::{build_workload, BenchmarkQuery, Workload, WorkloadConfig};
 use conquer::{
-    consistent_answers, consistent_answers_annotated, consistent_answers_annotated_with,
-    consistent_answers_with, parse_query, rewrite, ConstraintSet, Database, EngineError,
-    ExecOptions, RewriteError, RewriteOptions, Rows,
+    consistent_answers_annotated_with, consistent_answers_with, parse_sql, prepare_rewrite_on,
+    ConstraintSet, Database, EngineError, ExecOptions, RewriteError, RewriteOptions, Rows,
 };
+use conquer_obs::{Json, SpanRecord};
 
 /// The scale factor that stands in for the paper's 1 GB database. The
 /// paper's 100 MB / 500 MB / 1 GB / 2 GB series keeps the same ×0.1 / ×0.5
@@ -65,20 +70,9 @@ fn num_threads() -> usize {
         .min(8)
 }
 
-/// Execute one query under one strategy, returning the result rows.
-pub fn run_query(w: &Workload, q: &BenchmarkQuery, strategy: Strategy) -> Rows {
-    match strategy {
-        Strategy::Original => w.db.query(q.sql).expect("original query"),
-        Strategy::Rewritten => consistent_answers(&w.db, q.sql, &w.sigma).expect("rewritten query"),
-        Strategy::Annotated => {
-            consistent_answers_annotated(&w.db, q.sql, &w.sigma).expect("annotated query")
-        }
-    }
-}
-
-/// Execute one query under one strategy with explicit engine options,
-/// surfacing failures (including resource-limit trips) instead of
-/// panicking.
+/// Execute one query under one strategy through the library's entry
+/// points, with explicit engine options, surfacing failures (including
+/// resource-limit trips) instead of panicking.
 pub fn try_run_query(
     w: &Workload,
     q: &BenchmarkQuery,
@@ -108,100 +102,172 @@ pub fn run_status<T>(result: &Result<T, RewriteError>) -> &'static str {
     }
 }
 
-/// Median-of-`runs` wall-clock time for one query/strategy pair.
-pub fn time_query(w: &Workload, q: &BenchmarkQuery, strategy: Strategy, runs: usize) -> Duration {
-    let mut samples = Vec::with_capacity(runs);
-    for _ in 0..runs.max(1) {
-        let t0 = Instant::now();
-        let rows = run_query(w, q, strategy);
-        let dt = t0.elapsed();
-        std::hint::black_box(rows.len());
-        samples.push(dt);
-    }
-    samples.sort();
-    samples[samples.len() / 2]
+/// The name of the span every traced run sits under.
+pub const ROOT_SPAN: &str = "sample";
+
+/// Run `f` under one [`ROOT_SPAN`], collecting every span closed under it
+/// (morsel workers included). Returns `f`'s value, the root's wall time
+/// and the spans, in close order — the root last.
+pub fn traced<T>(f: impl FnOnce() -> T) -> (T, Duration, Vec<SpanRecord>) {
+    let (value, spans) = conquer_obs::capture(|| {
+        let _root = conquer_obs::span(ROOT_SPAN);
+        f()
+    });
+    let wall = spans.last().map_or(Duration::ZERO, |root| root.wall);
+    (value, wall, spans)
 }
 
-/// [`time_query`] under explicit engine options. Returns the error of the
-/// first failing run (the caller records the status and moves on).
-pub fn time_query_with(
-    w: &Workload,
-    q: &BenchmarkQuery,
-    strategy: Strategy,
-    runs: usize,
-    options: &ExecOptions,
-) -> Result<Duration, RewriteError> {
-    let mut samples = Vec::with_capacity(runs);
-    for _ in 0..runs.max(1) {
-        let t0 = Instant::now();
-        let rows = try_run_query(w, q, strategy, options)?;
-        let dt = t0.elapsed();
-        std::hint::black_box(rows.len());
-        samples.push(dt);
-    }
-    samples.sort();
-    Ok(samples[samples.len() / 2])
-}
-
-/// Warm up once, run `samples` times, print and return the median wall
-/// time — the workspace's stand-in for an external bench harness (the
-/// `benches/` binaries are plain `fn main()`s over this).
-pub fn bench_case<T>(group: &str, id: &str, samples: usize, mut f: impl FnMut() -> T) -> Duration {
-    std::hint::black_box(f()); // warm-up
-    let mut times = Vec::with_capacity(samples.max(1));
-    for _ in 0..samples.max(1) {
-        let t0 = Instant::now();
-        std::hint::black_box(f());
-        times.push(t0.elapsed());
-    }
-    times.sort();
-    let median = times[times.len() / 2];
-    println!(
-        "{group}/{id}: median {} ms ({} samples)",
-        ms(median),
-        times.len()
-    );
-    median
-}
-
-/// One run of a query/strategy pair with pipeline spans captured:
-/// `{"rows": N, "phases_us": {"parse": ..., "rewrite": ..., "execute": ...}}`.
-pub fn phase_breakdown(w: &Workload, q: &BenchmarkQuery, strategy: Strategy) -> conquer_obs::Json {
-    use conquer_obs::Json;
-    let (rows, spans) = conquer_obs::capture(|| run_query(w, q, strategy));
-    let phases: Vec<(String, Json)> = conquer_obs::phase_totals(&spans)
+/// Wall time of the spans named `name`, nested re-entries counted once
+/// ([`conquer_obs::phase_totals`]).
+pub fn span_wall(spans: &[SpanRecord], name: &str) -> Duration {
+    let totals = conquer_obs::phase_totals(spans);
+    totals
         .into_iter()
-        .map(|(name, wall)| (name.to_string(), Json::UInt(wall.as_micros() as u64)))
-        .collect();
-    Json::obj([
-        ("rows", Json::UInt(rows.len() as u64)),
-        ("phases_us", Json::Obj(phases)),
-    ])
+        .find(|(n, _)| *n == name)
+        .map_or(Duration::ZERO, |(_, wall)| wall)
 }
 
-/// `EXPLAIN ANALYZE` as JSON for the plan a strategy actually executes,
-/// under the given engine options (so a parallel run's tree carries the
-/// per-operator `threads` fan-out): the body's per-operator stats tree,
-/// and one entry per materialized CTE — where a rewriting's time goes —
-/// in the order they ran (`[]` for the originals, which have none).
-pub fn operator_breakdown(
+/// One traced run of a query under a strategy — the harness's only unit of
+/// measurement. Parse, analyze and rewrite run through the core API's
+/// spans, execution through `Database::execute_query_traced_with_ctes`,
+/// all under one root span; so the wall time, the layer times, the
+/// operator tree and the CTE traces describe the same run.
+pub struct Sample {
+    pub rows: Rows,
+    /// The root span's wall time, less the post-answer `estimate` layer:
+    /// parse through execute.
+    pub wall: Duration,
+    /// Wall time per layer directly under the root, in the order the
+    /// layers first closed.
+    pub phases: Vec<(&'static str, Duration)>,
+    /// The share of `wall` no layer accounts for.
+    pub unaccounted_frac: f64,
+    /// The executed body's plan and its measured per-operator stats.
+    pub plan: Plan,
+    pub stats: NodeStats,
+    /// One trace per materialized CTE, in the order they ran.
+    pub ctes: Vec<CteTrace>,
+    /// Every span the run closed, the root last.
+    pub spans: Vec<SpanRecord>,
+}
+
+impl Sample {
+    /// The report cell: rows, root wall, layer times, the unaccounted
+    /// share, the body's operator tree and the CTE traces.
+    pub fn to_json(&self) -> Json {
+        let phases = self.phases.iter().map(|(name, wall)| {
+            let us = Json::UInt(wall.as_micros() as u64);
+            (name.to_string(), us)
+        });
+        Json::obj([
+            ("status", Json::from("ok")),
+            ("rows", Json::UInt(self.rows.len() as u64)),
+            ("median_us", Json::UInt(self.wall.as_micros() as u64)),
+            ("phases_us", Json::Obj(phases.collect())),
+            ("unaccounted_frac", Json::Float(self.unaccounted_frac)),
+            (
+                "operators",
+                conquer::engine::stats_json(&self.plan, &self.stats),
+            ),
+            ("ctes", conquer::engine::ctes_json(&self.ctes)),
+        ])
+    }
+}
+
+/// [`sample_sql`] for a benchmark query over its workload.
+pub fn sample(
     w: &Workload,
     q: &BenchmarkQuery,
     strategy: Strategy,
     options: &ExecOptions,
-) -> (conquer_obs::Json, conquer_obs::Json) {
-    let query = match strategy {
-        Strategy::Original => parse_query(q.sql).expect("benchmark query parses"),
-        Strategy::Rewritten => rewritten_query(q, &w.sigma, false),
-        Strategy::Annotated => rewritten_query(q, &w.sigma, true),
+) -> Result<Sample, RewriteError> {
+    sample_sql(&w.db, &w.sigma, q.sql, strategy, options)
+}
+
+/// One traced run of `sql` on `db` under `strategy` ([`Sample`]). A
+/// rewriting is prepared through `prepare_rewrite_on`, the library's own
+/// guard, so the annotated strategy refuses what
+/// `consistent_answers_annotated_with` refuses. The cost model's
+/// `estimate` pass, which runs after the answer to fill the operator
+/// tree's estimates, is left out of `wall` and of the layers.
+pub fn sample_sql(
+    db: &Database,
+    sigma: &ConstraintSet,
+    sql: &str,
+    strategy: Strategy,
+    options: &ExecOptions,
+) -> Result<Sample, RewriteError> {
+    let (result, wall, spans) = traced(|| {
+        let (parsed, prepared);
+        let query = match strategy {
+            Strategy::Original => {
+                parsed = parse_sql(sql)?;
+                &parsed
+            }
+            Strategy::Rewritten | Strategy::Annotated => {
+                let opts = RewriteOptions {
+                    annotated: strategy == Strategy::Annotated,
+                    ..RewriteOptions::default()
+                };
+                prepared = prepare_rewrite_on(db, sql, sigma, &opts)?;
+                &*prepared.rewritten
+            }
+        };
+        Ok::<_, RewriteError>(db.execute_query_traced_with_ctes(query, options)?)
+    });
+    let (rows, plan, stats, ctes) = result?;
+    let mut phases = layers(&spans);
+    let estimate = phases.iter().position(|(name, _)| *name == "estimate");
+    let wall = wall.saturating_sub(estimate.map_or(Duration::ZERO, |i| phases.remove(i).1));
+    let accounted: Duration = phases.iter().map(|(_, wall)| *wall).sum();
+    let unaccounted_frac = 1.0 - accounted.as_secs_f64() / wall.as_secs_f64().max(1e-12);
+    Ok(Sample {
+        rows,
+        wall,
+        phases,
+        unaccounted_frac: unaccounted_frac.max(0.0),
+        plan,
+        stats,
+        ctes,
+        spans,
+    })
+}
+
+/// Wall time per span name of the spans directly under the root (the last
+/// span of `spans`), on the root's thread.
+fn layers(spans: &[SpanRecord]) -> Vec<(&'static str, Duration)> {
+    let Some(root) = spans.last() else {
+        return Vec::new();
     };
-    let (_, plan, stats, ctes) =
-        w.db.execute_query_traced_with_ctes(&query, options)
-            .expect("benchmark query executes");
-    (
-        conquer::engine::stats_json(&plan, &stats),
-        conquer::engine::ctes_json(&ctes),
-    )
+    let mut out: Vec<(&'static str, Duration)> = Vec::new();
+    let children = spans[..spans.len() - 1]
+        .iter()
+        .filter(|s| s.thread == root.thread && s.depth == root.depth + 1);
+    for s in children {
+        match out.iter_mut().find(|(name, _)| *name == s.name) {
+            Some((_, wall)) => *wall += s.wall,
+            None => out.push((s.name, s.wall)),
+        }
+    }
+    out
+}
+
+/// Run `runs` (at least one) samples and keep the one with the median
+/// wall time, with what `describe` made of it; the first error ends the
+/// series. `describe` sees each sample once, so a caller keeps what it
+/// reports and lets the sample's plan and CTE results go.
+pub fn median_sample<T>(
+    runs: usize,
+    mut run: impl FnMut() -> Result<Sample, RewriteError>,
+    mut describe: impl FnMut(&Sample) -> T,
+) -> Result<(Duration, T), RewriteError> {
+    let mut kept = Vec::with_capacity(runs.max(1));
+    for _ in 0..runs.max(1) {
+        let s = run()?;
+        kept.push((s.wall, describe(&s)));
+    }
+    kept.sort_by_key(|(wall, _)| *wall);
+    Ok(kept.swap_remove(kept.len() / 2))
 }
 
 /// Overhead of a rewriting relative to the original query, as the paper
@@ -210,30 +276,9 @@ pub fn overhead(original: Duration, rewritten: Duration) -> f64 {
     (rewritten.as_secs_f64() - original.as_secs_f64()) / original.as_secs_f64().max(1e-12)
 }
 
-/// Parallel speedup: `t_serial / t_parallel`. Values below 1.0 mean the
-/// parallel run was slower (expected on single-core hosts, where extra
-/// threads only add coordination cost).
-pub fn speedup(serial: Duration, parallel: Duration) -> f64 {
-    serial.as_secs_f64() / parallel.as_secs_f64().max(1e-12)
-}
-
-/// Pre-rewrite a benchmark query (for benches that want to time execution
-/// without the rewriting step; rewriting itself is microseconds).
-pub fn rewritten_query(
-    q: &BenchmarkQuery,
-    sigma: &ConstraintSet,
-    annotated: bool,
-) -> conquer::sql::Query {
-    let parsed = parse_query(q.sql).expect("benchmark query parses");
-    rewrite(
-        &parsed,
-        sigma,
-        &RewriteOptions {
-            annotated,
-            ..Default::default()
-        },
-    )
-    .expect("benchmark query rewrites")
+/// `t_before / t_after`: above 1.0 the second configuration was faster.
+pub fn speedup(before: Duration, after: Duration) -> f64 {
+    before.as_secs_f64() / after.as_secs_f64().max(1e-12)
 }
 
 /// A database over `db`'s tables — each table's columns shared, not
@@ -290,11 +335,35 @@ mod tests {
     fn strategies_run_on_a_tiny_workload() {
         let w = workload(0.001, 0.05, 2);
         let q = conquer::tpch::Q6;
-        let orig = run_query(&w, &q, Strategy::Original);
-        let rew = run_query(&w, &q, Strategy::Rewritten);
-        let ann = run_query(&w, &q, Strategy::Annotated);
-        assert_eq!(orig.len(), 1);
-        assert_eq!(rew.rows, ann.rows);
+        let run = |strategy| sample(&w, &q, strategy, &ExecOptions::default()).unwrap();
+        let orig = run(Strategy::Original);
+        let rew = run(Strategy::Rewritten);
+        let ann = run(Strategy::Annotated);
+        assert_eq!(orig.rows.len(), 1);
+        assert_eq!(rew.rows.rows, ann.rows.rows);
+    }
+
+    #[test]
+    fn a_sample_accounts_for_its_root_and_its_rows() {
+        let w = workload(0.001, 0.05, 2);
+        for q in [conquer::tpch::Q6, conquer::tpch::Q3] {
+            for strategy in [Strategy::Original, Strategy::Rewritten, Strategy::Annotated] {
+                let s = sample(&w, &q, strategy, &ExecOptions::default()).unwrap();
+                let label = format!("{} [{}]", q.name(), strategy.label());
+                let layers: Duration = s.phases.iter().map(|(_, wall)| *wall).sum();
+                assert!(layers <= s.wall, "{label}: {layers:?} > {:?}", s.wall);
+                assert!((0.0..=1.0).contains(&s.unaccounted_frac), "{label}");
+                let names: Vec<&str> = s.phases.iter().map(|(name, _)| *name).collect();
+                for layer in ["parse", "plan", "optimize", "execute"] {
+                    assert!(names.contains(&layer), "{label}: no {layer} in {names:?}");
+                }
+                if strategy != Strategy::Original {
+                    assert!(names.contains(&"analyze") && names.contains(&"rewrite"));
+                }
+                assert_eq!(s.stats.rows_out, s.rows.len() as u64, "{label}");
+                assert_eq!(s.spans.last().map(|r| r.name), Some(ROOT_SPAN));
+            }
+        }
     }
 
     #[test]

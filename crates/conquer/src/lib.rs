@@ -39,8 +39,9 @@ pub use conquer_tpch as tpch;
 pub use conquer_core::{
     analyze, annotate_database, consistent_answers, consistent_answers_annotated,
     consistent_answers_annotated_with, consistent_answers_with, declare_key_indexes, is_annotated,
-    possible_answers, prepare_rewrite, rewrite, rewrite_sql, rewrite_tree, AnnotationStats,
-    ConstraintSet, KeyConstraint, PreparedRewrite, RewriteError, RewriteOptions, TreeQuery,
+    parse_sql, possible_answers, prepare_rewrite, prepare_rewrite_on, rewrite, rewrite_sql,
+    rewrite_tree, AnnotationStats, ConstraintSet, KeyConstraint, PreparedRewrite, RewriteError,
+    RewriteOptions, TreeQuery,
 };
 pub use conquer_engine::{
     CancellationToken, Checkpointer, ConflictSummary, Database, DurabilityOptions, EngineError,

@@ -18,7 +18,7 @@
 use std::sync::Arc;
 
 use conquer_engine::groupkey::group_sizes;
-use conquer_engine::{ColumnChunk, DataType, Database, Table, TextDict};
+use conquer_engine::{ColumnChunk, ColumnData, DataType, Database, Index, Table, TextDict, Value};
 
 use crate::constraints::ConstraintSet;
 use crate::error::{Result, RewriteError};
@@ -43,6 +43,7 @@ pub struct AnnotationStats {
 /// leaves the database as it was: every constraint is checked and every
 /// annotated table built before the first one is registered.
 pub fn annotate_database(db: &Database, sigma: &ConstraintSet) -> Result<Vec<AnnotationStats>> {
+    let _span = conquer_obs::span("annotate");
     let mut flags = TextDict::new();
     let (consistent, inconsistent) = (flags.intern("y"), flags.intern("n"));
     let flags = Arc::new(flags);
@@ -100,6 +101,95 @@ pub fn is_annotated(db: &Database, sigma: &ConstraintSet) -> bool {
             .map(|t| t.schema().columns.iter().any(|col| col.name == CONS_COLUMN))
             .unwrap_or(false)
     })
+}
+
+/// Refuse the annotation-aware rewriting over any of `keys`' relations
+/// whose stored `cons` flags no longer match its key groups: a write since
+/// [`annotate_database`] left a row flagged `'y'` in a violated group (the
+/// annotated rewriting would then keep an answer the plain one drops) or
+/// one flagged `'n'` outside every group. Errs with
+/// [`RewriteError::StaleAnnotation`] naming the first such relation.
+///
+/// The flags are checked against the key index at the table's current
+/// version — its conflict list, which `INSERT` keeps current — never by a
+/// fresh group count, and the verdict is kept beside that index
+/// ([`Database::check_key_index`]), so a relation pays the check once per
+/// written version, not per query.
+pub(crate) fn check_annotations<'k>(
+    db: &Database,
+    keys: impl IntoIterator<Item = (&'k str, &'k [String])>,
+) -> Result<()> {
+    let _span = conquer_obs::span("check_annotations");
+    for (relation, key) in keys {
+        match db.check_key_index(relation, key, flags_match) {
+            Some(true) => {}
+            Some(false) => return Err(RewriteError::StaleAnnotation(relation.to_string())),
+            None => {
+                return Err(RewriteError::InvalidConstraint(format!(
+                    "cannot check the `{CONS_COLUMN}` flags of `{relation}`: \
+                     no key index over ({})",
+                    key.join(", ")
+                )))
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Whether exactly the rows of violated key groups are flagged `'n'`, as
+/// [`annotate_database`] would flag the table now. The index's conflict
+/// list names the violated groups; rows with a NULL key component are in
+/// no index group, but GROUP BY's equality (and so the annotation) groups
+/// NULL with NULL, so those rows are grouped here, among themselves.
+fn flags_match(table: &Table, index: &Index) -> bool {
+    let Ok(cons_at) = table.column_index(CONS_COLUMN) else {
+        return false;
+    };
+    let batch = index.batch();
+    let flagged = flagged_n(batch.col(cons_at));
+    let summary = index.conflict_summary();
+    if !index.conflict_group_rows().all(|row| flagged[row as usize]) {
+        return false;
+    }
+    let null_key: Vec<u32> = if index.null_key_rows() == 0 {
+        Vec::new()
+    } else {
+        let keys: Vec<&ColumnChunk> = index.cols().iter().map(|&c| batch.col(c)).collect();
+        (0..batch.len() as u32)
+            .filter(|&row| keys.iter().any(|k| k.is_null(row as usize)))
+            .collect()
+    };
+    let flagged_total = flagged.iter().filter(|&&n| n).count();
+    let flagged_null_key = null_key
+        .iter()
+        .filter(|&&row| flagged[row as usize])
+        .count();
+    if (flagged_total - flagged_null_key) as u64 != summary.tuples_in_violated_groups {
+        return false;
+    }
+    if null_key.is_empty() {
+        return true;
+    }
+    let sizes = group_sizes(&batch.gather(&null_key), index.cols());
+    null_key
+        .iter()
+        .zip(&sizes.per_row)
+        .all(|(&row, &size)| flagged[row as usize] == (size > 1))
+}
+
+/// Per row, whether `cons` holds `'n'`.
+fn flagged_n(cons: &ColumnChunk) -> Vec<bool> {
+    match &cons.data {
+        ColumnData::Text { codes, dict } => match dict.lookup("n") {
+            Some(n) => (0..codes.len())
+                .map(|i| codes[i] == n && !cons.is_null(i))
+                .collect(),
+            None => vec![false; codes.len()],
+        },
+        _ => (0..cons.len())
+            .map(|i| matches!(cons.value_at(i), Value::Str(s) if &*s == "n"))
+            .collect(),
+    }
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@ use conquer_sql::ast::Query;
 use conquer_sql::parse_query;
 
 use crate::analyze::{analyze, TreeQuery};
-use crate::annotations::is_annotated;
+use crate::annotations::{check_annotations, is_annotated};
 use crate::constraints::{ConstraintSet, KeyConstraint};
 use crate::error::{Result, RewriteError};
 use crate::rewrite_agg::rewrite_agg;
@@ -41,11 +41,13 @@ pub fn rewrite_tree(tq: &TreeQuery, opts: &RewriteOptions) -> Result<Query> {
 /// Rewrite SQL text to SQL text — the form in which ConQuer hands queries
 /// to a host database system.
 pub fn rewrite_sql(sql: &str, sigma: &ConstraintSet, opts: &RewriteOptions) -> Result<String> {
-    let query = parse_sql_spanned(sql)?;
+    let query = parse_sql(sql)?;
     Ok(rewrite(&query, sigma, opts)?.to_string())
 }
 
-fn parse_sql_spanned(sql: &str) -> Result<Query> {
+/// Parse SQL text under the pipeline's `parse` span — the first layer of
+/// every entry point here.
+pub fn parse_sql(sql: &str) -> Result<Query> {
     let _span = conquer_obs::span("parse").field("bytes", sql.len());
     Ok(parse_query(sql)?)
 }
@@ -64,15 +66,14 @@ pub fn consistent_answers_with(
     sigma: &ConstraintSet,
     options: &ExecOptions,
 ) -> Result<Rows> {
-    let tq = analyze_spanned(&parse_sql_spanned(sql)?, sigma)?;
-    declare_keys(db, read_keys(&tq));
-    let rewritten = rewrite_tree(&tq, &RewriteOptions::default())?;
-    Ok(db.execute_query_with(&rewritten, options)?)
+    let prepared = prepare_rewrite_on(db, sql, sigma, &RewriteOptions::default())?;
+    Ok(db.execute_query_with(&prepared.rewritten, options)?)
 }
 
 /// Compute the consistent answers using the annotation-aware rewriting of
 /// Section 5. The database must have been annotated first
-/// ([`crate::annotations::annotate_database`]).
+/// ([`crate::annotations::annotate_database`]), and a relation the query
+/// reads that was written since is refused ([`prepare_rewrite_on`]).
 pub fn consistent_answers_annotated(
     db: &Database,
     sql: &str,
@@ -88,19 +89,12 @@ pub fn consistent_answers_annotated_with(
     sigma: &ConstraintSet,
     options: &ExecOptions,
 ) -> Result<Rows> {
-    if !is_annotated(db, sigma) {
-        return Err(RewriteError::InvalidConstraint(
-            "database is not annotated; call annotate_database first".into(),
-        ));
-    }
-    let tq = analyze_spanned(&parse_sql_spanned(sql)?, sigma)?;
-    declare_keys(db, read_keys(&tq));
     let opts = RewriteOptions {
         annotated: true,
         ..RewriteOptions::default()
     };
-    let rewritten = rewrite_tree(&tq, &opts)?;
-    Ok(db.execute_query_with(&rewritten, options)?)
+    let prepared = prepare_rewrite_on(db, sql, sigma, &opts)?;
+    Ok(db.execute_query_with(&prepared.rewritten, options)?)
 }
 
 /// Declare a secondary index on each constrained relation's key columns —
@@ -111,7 +105,8 @@ pub fn consistent_answers_annotated_with(
 /// postings themselves are built lazily by the first query that plans
 /// against each table.
 ///
-/// [`consistent_answers_with`], [`consistent_answers_annotated_with`] and
+/// [`prepare_rewrite_on`] (and so [`consistent_answers_with`] and
+/// [`consistent_answers_annotated_with`]) and
 /// [`PreparedRewrite::execute_on`] declare the keys of the relations their
 /// query reads themselves (re-declaring is a read-locked no-op), so calling
 /// this is only needed to have the declarations in place — durably, on a
@@ -178,15 +173,15 @@ impl PreparedRewrite {
 }
 
 /// Parse and rewrite once, producing a [`PreparedRewrite`] for repeated
-/// execution. With `opts.annotated` set, the caller is responsible for
-/// checking [`is_annotated`](crate::annotations::is_annotated) against the
-/// target database (the artifact itself is database-independent).
+/// execution. The artifact is database-independent; to answer it on a
+/// database — with the annotated strategy's checks — prepare it with
+/// [`prepare_rewrite_on`].
 pub fn prepare_rewrite(
     sql: &str,
     sigma: &ConstraintSet,
     opts: &RewriteOptions,
 ) -> Result<PreparedRewrite> {
-    let original = parse_sql_spanned(sql)?;
+    let original = parse_sql(sql)?;
     let tq = analyze_spanned(&original, sigma)?;
     let rewritten = rewrite_tree(&tq, opts)?;
     Ok(PreparedRewrite {
@@ -200,4 +195,30 @@ pub fn prepare_rewrite(
             })
             .collect(),
     })
+}
+
+/// [`prepare_rewrite`] for answering on `db`, the one guard every entry
+/// point that answers a rewriting goes through: it declares the key indexes
+/// of the relations the query reads, and with `opts.annotated` refuses an
+/// unannotated database and any read relation whose `cons` flags no
+/// longer match its key groups (`check_annotations`), naming the first
+/// such relation in [`RewriteError::StaleAnnotation`].
+pub fn prepare_rewrite_on(
+    db: &Database,
+    sql: &str,
+    sigma: &ConstraintSet,
+    opts: &RewriteOptions,
+) -> Result<PreparedRewrite> {
+    if opts.annotated && !is_annotated(db, sigma) {
+        return Err(RewriteError::InvalidConstraint(
+            "database is not annotated; call annotate_database first".into(),
+        ));
+    }
+    let prepared = prepare_rewrite(sql, sigma, opts)?;
+    let keys = || prepared.keys.iter().map(|kc| (&*kc.relation, &*kc.key));
+    declare_keys(db, keys());
+    if opts.annotated {
+        check_annotations(db, keys())?;
+    }
+    Ok(prepared)
 }

@@ -16,6 +16,10 @@ pub enum RewriteError {
     MissingKey(String),
     /// A malformed constraint set.
     InvalidConstraint(String),
+    /// The named relation's `cons` flags no longer match its key groups —
+    /// it was written after `annotate_database` — so the annotation-aware
+    /// rewriting would answer wrongly over it and refuses.
+    StaleAnnotation(String),
     /// Failure in the underlying engine (annotation, execution). Carries
     /// the structured engine error so callers can distinguish resource-limit
     /// trips (timeout, memory, rows, cancellation) from plain failures.
@@ -32,6 +36,12 @@ impl fmt::Display for RewriteError {
                 "relation `{rel}` has no key constraint in the query constraint set"
             ),
             RewriteError::InvalidConstraint(msg) => write!(f, "invalid constraint: {msg}"),
+            RewriteError::StaleAnnotation(rel) => write!(
+                f,
+                "the `cons` flags of relation `{rel}` no longer match its key groups \
+                 (written since annotate_database); the annotated strategy refuses it, \
+                 the plain rewriting answers it"
+            ),
             RewriteError::Engine(e) => write!(f, "engine error: {e}"),
         }
     }

@@ -54,8 +54,8 @@ pub use analyze::{analyze, AggKind, ProjItem, TreeQuery};
 pub use annotations::{annotate_database, is_annotated, AnnotationStats};
 pub use api::{
     consistent_answers, consistent_answers_annotated, consistent_answers_annotated_with,
-    consistent_answers_with, declare_key_indexes, possible_answers, prepare_rewrite, rewrite,
-    rewrite_sql, rewrite_tree, PreparedRewrite,
+    consistent_answers_with, declare_key_indexes, parse_sql, possible_answers, prepare_rewrite,
+    prepare_rewrite_on, rewrite, rewrite_sql, rewrite_tree, PreparedRewrite,
 };
 pub use constraints::{ConstraintSet, KeyConstraint};
 pub use error::{Result, RewriteError};

@@ -40,13 +40,15 @@ fn write_lock<T>(lock: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
 }
 
 /// One declared secondary index of a catalog entry: the key column names,
-/// and the postings over the entry's batch once a planning pass has built
-/// them. Only a successful build fills `built`, so a failed one is retried
-/// by the next pass.
+/// the postings over the entry's batch once a planning pass has built
+/// them, and the verdict of [`Database::check_key_index`] once a caller
+/// has asked for it. Only a successful build fills `built`, so a failed
+/// one is retried by the next pass.
 #[derive(Clone)]
 struct Declared {
     cols: Vec<String>,
     built: OnceLock<Arc<Index>>,
+    checked: OnceLock<bool>,
 }
 
 impl Declared {
@@ -55,7 +57,11 @@ impl Declared {
         if let Some(index) = built {
             let _ = slot.set(Arc::new(index));
         }
-        Declared { cols, built: slot }
+        Declared {
+            cols,
+            built: slot,
+            checked: OnceLock::new(),
+        }
     }
 }
 
@@ -247,6 +253,7 @@ impl Database {
     /// is idempotent — a crash during recovery or checkpointing recovers
     /// cleanly on the next open.
     pub fn open(dir: &Path, options: DurabilityOptions) -> Result<Database> {
+        let _span = conquer_obs::span("open");
         durable::install_fault_hook();
         let (store, recovered) =
             Store::open(dir, StoreOptions { sync: options.sync }).map_err(durable::storage_err)?;
@@ -510,6 +517,7 @@ impl Database {
         let Some(d) = &self.durability else {
             return Ok(());
         };
+        let _span = conquer_obs::span("checkpoint");
         let entries = read_lock(&self.catalog).clone();
         let payloads: Vec<(String, Vec<u8>)> = entries
             .into_iter()
@@ -675,6 +683,25 @@ impl Database {
         declared.built.get().cloned()
     }
 
+    /// `check` over `table`'s current contents and the index declared on
+    /// it over `cols` (built if no query has planned against this version
+    /// yet), run once per table version: the verdict is kept beside the
+    /// index, and every later call on the version answers from it. A slot
+    /// keeps one verdict, so one check owns it — the annotation-aware
+    /// rewriting's test that the `cons` flags match the key groups.
+    /// `None` for a missing table or declaration, or a failed build.
+    pub fn check_key_index(
+        &self,
+        table: &str,
+        cols: &[String],
+        check: impl FnOnce(&Table, &Index) -> bool,
+    ) -> Option<bool> {
+        let entry = self.entry(table)?;
+        let declared = entry.slots.iter().find(|d| d.cols == cols)?;
+        let index = entry.build(declared)?;
+        Some(*declared.checked.get_or_init(|| check(&entry.table, &index)))
+    }
+
     /// How inconsistent `table` is under the key its first declared index
     /// is over: violated keys, the tuples in their groups and the
     /// group-size histogram, read off the index's conflict list — which
@@ -791,6 +818,10 @@ impl Database {
         let plan = plan_and_optimize(&planner, query, options)?;
         let mut stats = crate::stats::NodeStats::for_plan(&plan);
         let rows = run_plan(&plan, options, gov.as_ref(), Some(&mut stats))?;
+        // After the answer: the cost model's estimates, attached for the
+        // report. Its own span, so a caller timing the answer can leave it
+        // out.
+        let _span = conquer_obs::span("estimate");
         crate::cost::annotate(&self.estimator(), &plan, &mut stats);
         Ok((rows, plan, stats, planner.take_cte_traces()))
     }

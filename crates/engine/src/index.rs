@@ -240,6 +240,12 @@ impl Index {
             .map(|(first, _)| first)
     }
 
+    /// Every row of every violated key group, group by group — the rows
+    /// behind [`conflict_rows`](Index::conflict_rows)`(2)`'s first rows.
+    pub fn conflict_group_rows(&self) -> impl Iterator<Item = u32> + '_ {
+        self.conflicts.iter().flat_map(|&g| self.postings.rows(g))
+    }
+
     /// Violated keys, the tuples in their groups and the group-size
     /// histogram, read off the conflict list.
     pub fn conflict_summary(&self) -> ConflictSummary {

@@ -61,6 +61,9 @@ pub mod table;
 pub mod value;
 
 pub use col::{ColBatch, ColumnChunk, ColumnData, TextDict};
+/// The telemetry the engine reports through, for crates above it that
+/// span their own steps (the TPC-H generator and injector).
+pub use conquer_obs as obs;
 pub use conquer_storage::{StoreStatus, SyncPolicy};
 pub use cost::Estimator;
 pub use database::{Database, TableReads};

@@ -214,3 +214,37 @@ fn unindexed_and_multi_bound_predicates_keep_residual_filters() {
         query_checked(&db, sql);
     }
 }
+
+/// `check_key_index` runs its check once per table version and answers
+/// later calls from the kept verdict; a write publishes a version that is
+/// checked afresh, and re-declaring the index keeps the verdict.
+#[test]
+fn a_key_index_check_runs_once_per_table_version() {
+    let db = Database::new();
+    db.run_script(
+        "create table t (k integer, v integer);
+         insert into t values (1, 10), (1, 20), (2, 30);",
+    )
+    .unwrap();
+    db.create_index("t", &["k"]).unwrap();
+    let key = ["k".to_string()];
+    let calls = std::cell::Cell::new(0);
+    let check = |violated: u64| {
+        db.check_key_index("t", &key, |table, index| {
+            calls.set(calls.get() + 1);
+            table.len() == 3 && index.conflict_summary().violated_keys == violated
+        })
+    };
+    assert_eq!(check(1), Some(true));
+    assert_eq!(check(2), Some(true), "the first verdict is kept");
+    db.run_script("insert into t values (2, 40)").unwrap();
+    assert_eq!(check(2), Some(false), "a new version is checked afresh");
+    db.create_index("t", &["k"]).unwrap();
+    assert_eq!(check(1), Some(false));
+    assert_eq!(calls.get(), 2);
+    assert_eq!(
+        db.check_key_index("t", &["v".to_string()], |_, _| true),
+        None
+    );
+    assert_eq!(db.check_key_index("u", &key, |_, _| true), None);
+}

@@ -46,7 +46,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use conquer_core::{is_annotated, prepare_rewrite, ConstraintSet, RewriteOptions};
+use conquer_core::{prepare_rewrite_on, ConstraintSet, RewriteOptions};
 use conquer_engine::{Database, Estimator, ExecOptions, Plan, TableReads};
 use conquer_sql::ast::Query;
 use conquer_sql::parse_query;
@@ -106,25 +106,12 @@ pub fn build_statement(
             let ast = Arc::new(parse_query(sql).map_err(ServeError::Parse)?);
             (Arc::clone(&ast), ast)
         }
-        Strategy::Rewritten => {
-            let prepared = prepare_rewrite(sql, sigma, &RewriteOptions::default())?;
-            (prepared.original, prepared.rewritten)
-        }
-        Strategy::Annotated => {
-            if !is_annotated(db, sigma) {
-                return Err(ServeError::Rewrite(
-                    conquer_core::RewriteError::InvalidConstraint(
-                        "database is not annotated; the `annotated` strategy needs the offline \
-                         annotation pass"
-                            .into(),
-                    ),
-                ));
-            }
+        Strategy::Rewritten | Strategy::Annotated => {
             let opts = RewriteOptions {
-                annotated: true,
+                annotated: strategy == Strategy::Annotated,
                 ..RewriteOptions::default()
             };
-            let prepared = prepare_rewrite(sql, sigma, &opts)?;
+            let prepared = prepare_rewrite_on(db, sql, sigma, &opts)?;
             (prepared.original, prepared.rewritten)
         }
     };

@@ -24,7 +24,7 @@
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -95,12 +95,10 @@ pub struct Shared {
     addr: SocketAddr,
     /// Where the HTTP metrics endpoint is bound, when enabled.
     metrics_addr: Option<SocketAddr>,
-    /// Live-session count, authoritative copy under the mutex so the drain
-    /// condvar can't miss the last decrement; `active` mirrors it for
-    /// lock-free reads on the stats path.
+    /// Live-session count, under the mutex so the drain condvar can't
+    /// miss the last decrement.
     sessions: Mutex<usize>,
     sessions_cond: Condvar,
-    active: AtomicUsize,
     next_session: AtomicU64,
     shutdown: AtomicBool,
     /// The event loop's run queue and per-driver mailboxes/wakers.
@@ -109,7 +107,7 @@ pub struct Shared {
 
 impl Shared {
     pub fn active_sessions(&self) -> usize {
-        self.active.load(Ordering::Acquire)
+        *self.sessions.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     pub fn is_shutting_down(&self) -> bool {
@@ -121,7 +119,6 @@ impl Shared {
         let mut sessions = self.sessions.lock().unwrap_or_else(|e| e.into_inner());
         *sessions += 1;
         drop(sessions);
-        self.active.fetch_add(1, Ordering::AcqRel);
         conquer_obs::registry()
             .counter("serve.sessions.opened")
             .inc();
@@ -134,7 +131,6 @@ impl Shared {
         let mut sessions = self.sessions.lock().unwrap_or_else(|e| e.into_inner());
         *sessions = sessions.saturating_sub(1);
         drop(sessions);
-        self.active.fetch_sub(1, Ordering::AcqRel);
         conquer_obs::registry()
             .counter("serve.sessions.closed")
             .inc();
@@ -293,7 +289,6 @@ pub fn serve(
         metrics_addr,
         sessions: Mutex::new(0),
         sessions_cond: Condvar::new(),
-        active: AtomicUsize::new(0),
         next_session: AtomicU64::new(1),
         shutdown: AtomicBool::new(false),
         event: EventCore::new(

@@ -416,3 +416,34 @@ fn invalidation_is_visible_across_sessions() {
     mutator.quit().expect("quit");
     server.shutdown();
 }
+
+/// The README reproduction over the wire: a write that puts a3 in conflict
+/// under a stale `'y'` flag turns the cached annotated statement into a
+/// structured refusal naming the table, while the plain rewriting drops a3.
+#[test]
+fn a_write_that_breaks_the_annotation_is_refused_over_the_wire() {
+    let server = start();
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let annotated = client
+        .query_with(RICH, Some(Strategy::Annotated))
+        .expect("annotated before the write");
+    assert_eq!(keys(&annotated), vec!["a3"]);
+
+    client
+        .script("insert into account values ('a3', 'b1', 10, 'n')")
+        .expect("script");
+    match client.query_with(RICH, Some(Strategy::Annotated)) {
+        Err(conquer_serve::ClientError::Server { code, message }) => {
+            assert_eq!(code.label(), "rewrite");
+            assert!(message.contains("`account`"), "{message}");
+        }
+        other => panic!("expected a refusal, got {other:?}"),
+    }
+    let plain = client
+        .query_with(RICH, Some(Strategy::Rewritten))
+        .expect("plain after the write");
+    assert!(keys(&plain).is_empty(), "{:?}", keys(&plain));
+
+    client.quit().expect("quit");
+    server.shutdown();
+}

@@ -232,6 +232,7 @@ fn load(db: &Database, name: &str, columns: Vec<ColumnChunk>) {
 
 /// Generate a complete, *consistent* TPC-H database at the given scale.
 pub fn generate_database(config: &GenConfig) -> Database {
+    let _span = conquer_engine::obs::span("generate").field("sf", config.scale_factor);
     let db = Database::new();
     create_tables(&db);
     let comments = comment_vocabulary();

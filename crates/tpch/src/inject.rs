@@ -132,6 +132,9 @@ pub fn inject_database(
     n: usize,
     seed: u64,
 ) -> Vec<InjectionStats> {
+    let _span = conquer_engine::obs::span("inject")
+        .field("p", p)
+        .field("n", n);
     let mut stats = Vec::new();
     for (i, constraint) in sigma.iter().enumerate() {
         if db.table(&constraint.relation).is_err() {
