@@ -52,6 +52,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
+use conquer::engine::{NodeStats, Plan};
 use conquer::tpch::{all_queries, BenchmarkQuery, Workload, Q12, Q4, Q6};
 use conquer::{analyze, parse_query, Database, ExecOptions, ResourceLimits};
 use conquer_bench::{
@@ -834,35 +835,43 @@ fn load_thresholds(path: &str) -> std::collections::HashMap<String, f64> {
 fn opbench(args: &Args) -> Json {
     struct OpSpec {
         op: &'static str,
+        /// The label the cell's operator starts with in `EXPLAIN`: the
+        /// first such node, depth first, is the one `op_us` times.
+        node: &'static str,
         driving: &'static str,
         sql: &'static str,
     }
     const OPS: &[OpSpec] = &[
         OpSpec {
             op: "filter",
+            node: "Filter",
             driving: "lineitem",
             sql: "select l_orderkey from lineitem l \
                   where l_quantity > 25 and l_discount > 0.02",
         },
         OpSpec {
             op: "filter.text",
+            node: "Filter",
             driving: "orders",
             sql: "select o_orderkey from orders o where o_orderstatus = 'F'",
         },
         OpSpec {
             op: "hash_build",
+            node: "HashJoin",
             driving: "lineitem",
             sql: "select o.o_orderkey from orders o \
                   left join lineitem l on o.o_orderkey = l.l_orderkey",
         },
         OpSpec {
             op: "hash_probe",
+            node: "HashJoin",
             driving: "lineitem",
             sql: "select l.l_orderkey from lineitem l \
                   left join orders o on l.l_orderkey = o.o_orderkey",
         },
         OpSpec {
             op: "semi_join",
+            node: "HashJoin",
             driving: "orders",
             sql: "select o.o_orderkey from orders o where exists \
                   (select l.l_orderkey from lineitem l where l.l_orderkey = o.o_orderkey)",
@@ -873,6 +882,7 @@ fn opbench(args: &Args) -> Json {
         // wide probe side, which is then gathered.
         OpSpec {
             op: "semi_join.key2",
+            node: "HashJoin",
             driving: "lineitem",
             sql: "select l.l_orderkey from lineitem l where exists \
                   (select l2.l_orderkey from lineitem l2 where l2.l_orderkey = l.l_orderkey \
@@ -880,6 +890,7 @@ fn opbench(args: &Args) -> Json {
         },
         OpSpec {
             op: "anti_join",
+            node: "HashJoin",
             driving: "lineitem",
             sql: "select l.l_orderkey from lineitem l where not exists \
                   (select o.o_orderkey from orders o where o.o_orderkey = l.l_orderkey \
@@ -887,12 +898,14 @@ fn opbench(args: &Args) -> Json {
         },
         OpSpec {
             op: "aggregate.global",
+            node: "Aggregate",
             driving: "lineitem",
             sql: "select count(*), sum(l_extendedprice), avg(l_discount), \
                   min(l_quantity), max(l_quantity) from lineitem l",
         },
         OpSpec {
             op: "aggregate.group",
+            node: "Aggregate",
             driving: "lineitem",
             sql: "select l_orderkey, count(*), sum(l_quantity) from lineitem l \
                   group by l_orderkey",
@@ -901,6 +914,7 @@ fn opbench(args: &Args) -> Json {
         // one thread the group-key kernel merges morsel-local partials.
         OpSpec {
             op: "aggregate.group.few",
+            node: "Aggregate",
             driving: "lineitem",
             sql: "select l_returnflag, l_linestatus, sum(l_quantity), sum(l_extendedprice), \
                   min(l_discount), max(l_tax), count(*) from lineitem l \
@@ -910,6 +924,7 @@ fn opbench(args: &Args) -> Json {
         // query's grouping columns, MIN/MAX pairs per aggregate.
         OpSpec {
             op: "aggregate.group.wide",
+            node: "Aggregate",
             driving: "lineitem",
             sql: "select l_orderkey, l_linenumber, l_returnflag, l_linestatus, \
                   min(l_quantity), max(l_quantity), \
@@ -920,12 +935,14 @@ fn opbench(args: &Args) -> Json {
         },
         OpSpec {
             op: "distinct",
+            node: "Distinct",
             driving: "lineitem",
             sql: "select distinct l_orderkey, l_linenumber, l_returnflag, l_linestatus \
                   from lineitem l",
         },
         OpSpec {
             op: "union_all",
+            node: "UnionAll",
             driving: "lineitem",
             sql: "select l_orderkey, l_quantity, l_returnflag from lineitem l \
                   union all \
@@ -935,6 +952,7 @@ fn opbench(args: &Args) -> Json {
         // bounds and the INTEGER zeros of Fig. 8's `CASE … THEN 0`.
         OpSpec {
             op: "aggregate.union",
+            node: "Aggregate",
             driving: "lineitem",
             sql: "select u.f, u.s, sum(u.lo), sum(u.hi), sum(u.n), count(*) from \
                   (select l_returnflag as f, l_linestatus as s, l_extendedprice as lo, \
@@ -943,6 +961,18 @@ fn opbench(args: &Args) -> Json {
                    select l_returnflag, l_linestatus, 0, 0, 0 from lineitem l2 \
                    where l_discount > 0.08) u \
                   group by u.f, u.s",
+        },
+        // `conq_base`'s projection in rewritten Q1: arithmetic with a
+        // scalar on either side, COALESCE and a CASE over IS NULL.
+        OpSpec {
+            op: "project.arith",
+            node: "Project",
+            driving: "lineitem",
+            sql: "select l_extendedprice * (1 - l_discount), \
+                  l_extendedprice * (1 - l_discount) * (1 + l_tax), \
+                  coalesce(l_quantity, 0), \
+                  case when l_quantity is null then 0 else 1 end \
+                  from lineitem l",
         },
     ];
 
@@ -954,17 +984,21 @@ fn opbench(args: &Args) -> Json {
         args.runs
     );
     let w = workload(args.sf, 0.05, 2);
-    say!(args, "| Operator | rows | ms | rows/s |");
-    say!(args, "|----------|-----:|---:|-------:|");
+    say!(args, "| Operator | rows | ms | operator ms | rows/s |");
+    say!(args, "|----------|-----:|---:|------------:|-------:|");
 
     let options = args.options();
-    let time = |sql: &str| -> Result<Duration, String> {
+    // The median sample's wall, and the self time of its first `node`
+    // operator: what the cell costs without the rows it returns.
+    let time = |sql: &str, node: &str| -> Result<(Duration, Duration), String> {
         let run = || sample_sql(&w.db, &w.sigma, sql, Strategy::Original, &options);
         // Warm-up run: the lazy index builds and statistics land here, so
         // the timed runs measure execution, not first-touch setup.
         run().map_err(|e| e.to_string())?;
-        let median = median_sample(args.runs, run, |_| ());
-        median.map(|(wall, ())| wall).map_err(|e| e.to_string())
+        let median = median_sample(args.runs, run, |s| {
+            operator_self(&s.plan, &s.stats, node).unwrap_or_default()
+        });
+        median.map_err(|e| e.to_string())
     };
 
     let mut ops = Vec::new();
@@ -979,12 +1013,20 @@ fn opbench(args: &Args) -> Json {
                 Json::from(spec.sql.split_whitespace().collect::<Vec<_>>().join(" ")),
             ),
         ]);
-        match time(spec.sql) {
-            Ok(t) => {
+        match time(spec.sql, spec.node) {
+            Ok((t, op)) => {
                 let rps = rows as f64 / t.as_secs_f64().max(1e-9);
-                say!(args, "| {} | {rows} | {} | {rps:.0} |", spec.op, ms(t));
+                say!(
+                    args,
+                    "| {} | {rows} | {} | {} | {rps:.0} |",
+                    spec.op,
+                    ms(t),
+                    ms(op)
+                );
                 entry.push("status", Json::from("ok"));
                 entry.push("us", Json::UInt(t.as_micros() as u64));
+                entry.push("node", Json::from(spec.node));
+                entry.push("op_us", Json::UInt(op.as_micros() as u64));
                 entry.push("rows_per_sec", Json::Float(rps));
             }
             Err(e) => {
@@ -1001,6 +1043,18 @@ fn opbench(args: &Args) -> Json {
     let mut report = report_header("opbench", args);
     report.push("operators", Json::Arr(ops));
     report
+}
+
+/// Self time of the first operator, depth first, whose `EXPLAIN` label
+/// starts with `node`.
+fn operator_self(plan: &Plan, stats: &NodeStats, node: &str) -> Option<Duration> {
+    if conquer::engine::explain::node_label(plan).starts_with(node) {
+        return Some(stats.self_wall());
+    }
+    plan.children()
+        .into_iter()
+        .zip(&stats.children)
+        .find_map(|(p, s)| operator_self(p, s, node))
 }
 
 /// `idxbench` — what secondary indexes buy. Three access-path-sensitive

@@ -80,7 +80,7 @@ use crate::index::{Index, IndexAccess};
 use crate::kernels;
 use crate::plan::{AggFunc, AggSpec, JoinType, Plan};
 use crate::schema::Schema;
-use crate::stats::NodeStats;
+use crate::stats::{GroupPlan, NodeStats};
 use crate::table::{Row, Rows};
 use crate::value::{Key, KeyValue, Value};
 use conquer_obs::Counter;
@@ -304,6 +304,11 @@ fn ticks(gov: Option<&Governor>, n: u64, op: &'static str) -> Result<()> {
 /// small enough that work stealing balances skewed operators.
 const MORSEL_ROWS: usize = 1024;
 
+/// The most the one-worker group plan sizes its partial for at a time, as
+/// a multiple of the groups it holds: five doublings, so that the head
+/// morsel's estimate covers ~32 k groups at once and the next one ~1 M.
+const RESERVE_GROWTH: usize = 32;
+
 /// Inputs below this many rows run on one worker even when `threads > 1`:
 /// the thread-spawn cost outweighs any parallel win on small batches.
 const PAR_THRESHOLD: usize = 4 * MORSEL_ROWS;
@@ -490,6 +495,18 @@ fn concat_counted<T>(chunks: Vec<(Vec<T>, u64)>) -> (Vec<T>, u64) {
         concat(chunks.into_iter().map(|(out, _)| out).collect()),
         count,
     )
+}
+
+/// Record what a group-key kernel run over `rows` input rows did: its
+/// fan-out, plan, groups and bytes.
+fn note_grouping<T>(stats: &mut Option<&mut NodeStats>, g: &Grouped<T>, rows: usize) {
+    note_threads(stats, g.workers);
+    if let Some(s) = stats.as_deref_mut() {
+        s.build_rows += rows as u64;
+        s.est_mem_bytes += g.mem_bytes;
+        s.group_plan = s.group_plan.max(Some(g.plan));
+        s.groups += g.groups as u64;
+    }
 }
 
 /// Record the fan-out an operator ran with.
@@ -763,11 +780,7 @@ fn exec_node(
                 group_kernel::<ColumnChunk>(&cols, &keys, &[], ctx.threads, gov, "distinct");
             let g = kernel?
                 .ok_or_else(|| EngineError::Execution("DISTINCT cannot fail on a value".into()))?;
-            note_threads(stats, g.workers);
-            if let Some(s) = stats.as_deref_mut() {
-                s.build_rows += cols.len() as u64;
-                s.est_mem_bytes += g.mem_bytes;
-            }
+            note_grouping(stats, &g, cols.len());
             let cols = if g.first_rows.len() == cols.len() {
                 cols
             } else {
@@ -1680,11 +1693,7 @@ fn exec_aggregate_columnar(
     let Some(g) = kernel? else {
         return Ok(None);
     };
-    note_threads(stats, g.workers);
-    if let Some(s) = stats.as_deref_mut() {
-        s.build_rows += cols.len() as u64;
-        s.est_mem_bytes += g.mem_bytes;
-    }
+    note_grouping(stats, &g, cols.len());
     let mut chunks: Vec<Arc<ColumnChunk>> = gidx
         .iter()
         .map(|&c| Arc::new(cols.col(c).gather(&g.first_rows)))
@@ -1824,6 +1833,7 @@ fn exec_aggregate_union(
     // Per branch: its partials, [aggregate][group], and its groups' first
     // rows and key hashes.
     let (mut partials, mut groups_of, mut mem_bytes) = (Vec::new(), Vec::new(), 0);
+    let mut way = GroupPlan::OneWorker;
     for (b, &batch) in cols.iter().enumerate() {
         let kernel = group_kernel::<Vec<Accumulator>>(
             batch,
@@ -1837,6 +1847,7 @@ fn exec_aggregate_union(
             return Ok(None);
         };
         note_threads(&mut stats, g.workers);
+        way = way.max(g.plan);
         mem_bytes += g.mem_bytes;
         partials.push(g.aggs);
         groups_of.push((g.first_rows, g.hashes));
@@ -1889,6 +1900,8 @@ fn exec_aggregate_union(
         s.build_rows += cols.iter().map(|c| c.len() as u64).sum::<u64>();
         s.est_mem_bytes += mem_bytes;
         s.union_parts = cols.len() as u64;
+        s.group_plan = s.group_plan.max(Some(way));
+        s.groups += groups as u64;
     }
     let finish = |accs: Vec<Accumulator>| accs.into_iter().map(Accumulator::finish);
     let mut chunks: Vec<Arc<ColumnChunk>> = gidx
@@ -1953,6 +1966,7 @@ struct Grouped<T> {
     mem_bytes: u64,
     /// Workers the rows were folded on: 1 for the one-worker plan.
     workers: usize,
+    plan: GroupPlan,
 }
 
 /// Drive the typed group-key kernel ([`crate::groupkey`]) over `cols`:
@@ -1966,7 +1980,9 @@ struct Grouped<T> {
 ///   DISTINCT aggregate, an integer SUM that could overflow in some order
 ///   of the rows ([`fold_workers`]), an input under the parallel
 ///   threshold. The caller folds the rest into the same partial: exactly
-///   what `threads = 1` computes.
+///   what `threads = 1` computes. With many groups, the caller sizes that
+///   partial ahead as it folds rather than letting it double its way up
+///   ([`fold_alone`]); the governor is still charged per group held.
 /// - **Morsel-local partials** otherwise: the other morsels go to
 ///   [`fold_morsels`]' shared cursor, each worker folding the ones it
 ///   claims into a partial of its own, and those are merged into the
@@ -1990,20 +2006,21 @@ fn group_kernel<T: AggOutput>(
     }
     let (mut grouped, mut charged) = (Partition::new(keys, cols, aggs), 0);
     let head = n.min(MORSEL_ROWS);
-    if fold_alone(&mut grouped, 0..head, &mut charged, gov, op)?.is_none() {
+    if fold_alone(&mut grouped, 0..head, false, &mut charged, gov, op)?.is_none() {
         return Ok(None);
     }
-    let alone = aggs.iter().any(|a| a.distinct) || grouped.groups() * 2 > head;
+    let many = grouped.groups() * 2 > head;
+    let alone = many || aggs.iter().any(|a| a.distinct);
     let workers = if alone || n == head {
         1
     } else {
         fold_workers(cols, aggs, threads).min((n - head).div_ceil(MORSEL_ROWS))
     };
     let plan = if workers == 1 {
-        if fold_alone(&mut grouped, head..n, &mut charged, gov, op)?.is_none() {
+        if fold_alone(&mut grouped, head..n, many, &mut charged, gov, op)?.is_none() {
             return Ok(None);
         }
-        "exec.agg.one_worker"
+        GroupPlan::OneWorker
     } else {
         let partials = fold_morsels(
             n - head,
@@ -2023,10 +2040,14 @@ fn group_kernel<T: AggOutput>(
             return Ok(None);
         }
         charge(grouped.bytes(), &mut charged, gov, op)?;
-        "exec.agg.partials"
+        GroupPlan::Partials
     };
     if par_workers(n, threads) > 1 {
-        conquer_obs::registry().counter(plan).inc();
+        let counter = match plan {
+            GroupPlan::OneWorker => "exec.agg.one_worker",
+            GroupPlan::Partials => "exec.agg.partials",
+        };
+        conquer_obs::registry().counter(counter).inc();
     }
     let (groups, mem_bytes) = (grouped.groups(), grouped.bytes());
     let out: PartOut<T> = grouped.finish();
@@ -2037,21 +2058,37 @@ fn group_kernel<T: AggOutput>(
         aggs: out.aggs,
         mem_bytes,
         workers,
+        plan,
     }))
 }
 
 /// Fold `rows` into `part` on the calling thread a morsel at a time,
-/// ticking per morsel and charging what the partial grew by. `Ok(None)` is
+/// ticking per morsel and charging what the partial grew by. With `size`,
+/// while the partial holds about a group per row folded, it is sized ahead
+/// whenever the next morsel could outgrow it: for the groups the rest of
+/// the input brings at the rate so far, when that at least doubles its
+/// room, but at most [`RESERVE_GROWTH`]× the groups it holds and within
+/// what the memory budget has left ([`Partition::reserve`]). `Ok(None)` is
 /// a value-level error.
 fn fold_alone(
     part: &mut Partition<'_>,
     rows: Range<usize>,
+    size: bool,
     charged: &mut u64,
     gov: Option<&Governor>,
     op: &'static str,
 ) -> Result<Option<()>> {
     for lo in rows.clone().step_by(MORSEL_ROWS) {
         let block = lo..rows.end.min(lo + MORSEL_ROWS);
+        let (groups, capacity) = (part.groups(), part.capacity());
+        if size && lo > 0 && groups * 2 > lo && groups + block.len() > capacity {
+            let estimate = (groups * rows.end / lo).min(groups * RESERVE_GROWTH);
+            // At least a doubling, as a vector grows by itself: an estimate
+            // creeping up block by block must not reallocate every block.
+            if estimate >= 2 * capacity {
+                part.reserve(estimate, gov.and_then(Governor::mem_room));
+            }
+        }
         ticks(gov, block.len() as u64, op)?;
         if part.consume(block).is_none() {
             return Ok(None);
@@ -2406,6 +2443,81 @@ mod tests {
             assert!(
                 matches!(out, Err(EngineError::Execution(_))),
                 "a panic in share {bad}: {out:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn sizing_ahead_stays_within_the_memory_budget() {
+        use crate::governor::ResourceLimits;
+        use crate::schema::{Column, DataType};
+        // 20 000 groups, one a row, with 20 MIN/MAX states each.
+        let n = 20_000;
+        let mut columns = vec![Column::bare("k", DataType::Integer)];
+        columns.extend((0..10).map(|c| Column::bare(&format!("v{c}"), DataType::Float)));
+        let rows: Vec<Row> = (0..n)
+            .map(|i| {
+                let mut row = vec![Value::Int(i as i64)];
+                row.extend((0..10).map(|c| Value::Float((i * 10 + c) as f64)));
+                row
+            })
+            .collect();
+        let batch = ColBatch::from_rows(&Schema::new(columns), rows);
+        let keys = KeyCols::new(&batch, &[0]);
+        let aggs: Vec<AggInput> = (1..=10)
+            .flat_map(|c| {
+                [AggFunc::Min, AggFunc::Max].map(|func| AggInput {
+                    func,
+                    col: Some(c),
+                    distinct: false,
+                })
+            })
+            .collect();
+        let fold = |gov: Option<&Governor>| {
+            let (mut part, mut charged) = (Partition::new(&keys, &batch, &aggs), 0);
+            let head = fold_alone(&mut part, 0..MORSEL_ROWS, false, &mut charged, gov, "t");
+            assert!(matches!(head, Ok(Some(()))));
+            let rest = fold_alone(&mut part, MORSEL_ROWS..n, true, &mut charged, gov, "t");
+            (part, rest)
+        };
+        // Unbudgeted, the partial is sized ahead rather than doubled: room
+        // for every group, taken at most 32× the groups held at a time.
+        let (part, rest) = fold(None);
+        assert!(matches!(rest, Ok(Some(()))));
+        assert_eq!(part.groups(), n);
+        assert!(part.capacity() >= n && part.capacity() < 2 * n);
+        // A head morsel of distinct keys over an input that only repeats
+        // them: the estimate is bounded by the groups seen, not the rows.
+        let repeats = ColBatch::from_rows(
+            &Schema::new(vec![Column::bare("k", DataType::Integer)]),
+            (0..100_000).map(|i| vec![Value::Int(i % 1024)]).collect(),
+        );
+        let keys = KeyCols::new(&repeats, &[0]);
+        let (mut part, mut charged) = (Partition::new(&keys, &repeats, &[]), 0);
+        for (rows, size) in [(0..MORSEL_ROWS, false), (MORSEL_ROWS..100_000, true)] {
+            let folded = fold_alone(&mut part, rows, size, &mut charged, None, "t");
+            assert!(matches!(folded, Ok(Some(()))));
+        }
+        assert_eq!(part.groups(), 1024);
+        assert!(
+            part.capacity() <= RESERVE_GROWTH * 1024,
+            "{}",
+            part.capacity()
+        );
+        // Under a budget the head morsel's ~1 000 groups fit in, the room
+        // taken ahead stays within it (a group's `group_bytes` is all its
+        // bytes here); past that the partial grows by doubling, as it
+        // always could, so it trips at most one doubling over.
+        for budget in [512 * 1024, 1024 * 1024, 2048 * 1024] {
+            let limits = ResourceLimits::unlimited().with_max_memory_bytes(budget);
+            let gov = Governor::new(limits, None);
+            let (part, rest) = fold(Some(&gov));
+            assert!(matches!(rest, Err(EngineError::MemoryExceeded(_))));
+            let group_bytes = part.bytes() / part.groups() as u64;
+            let (room, held) = (part.capacity(), part.groups());
+            assert!(
+                room as u64 * group_bytes <= budget || room <= 2 * held,
+                "budget {budget}: room for {room} groups of {group_bytes} B, {held} held"
             );
         }
     }

@@ -89,6 +89,9 @@ fn walk(plan: &Plan, stats: Option<&NodeStats>, analyze: bool, depth: usize, out
             if s.union_parts > 0 {
                 out.push_str(&format!(" parts={}", s.union_parts));
             }
+            if let Some(plan) = s.group_plan {
+                out.push_str(&format!(" groups={} way={}", s.groups, plan.label()));
+            }
             out.push(')');
         } else if let Some(est) = s.est_rows {
             out.push_str(&format!("  (est_rows={est})"));
@@ -240,6 +243,10 @@ pub fn stats_json(plan: &Plan, stats: &NodeStats) -> Json {
     }
     if stats.union_parts > 0 {
         obj.push("union_parts", Json::UInt(stats.union_parts));
+    }
+    if let Some(plan) = stats.group_plan {
+        obj.push("group_plan", Json::from(plan.label()));
+        obj.push("groups", Json::UInt(stats.groups));
     }
     let children: Vec<Json> = plan
         .children()

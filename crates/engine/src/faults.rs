@@ -39,6 +39,7 @@ pub const POINTS: &[&str] = &[
     // process-global hook installed on the first durable open).
     "wal_append_io",
     "wal_sync_fail",
+    "wal_truncate_fail",
     "segment_write_torn",
     "manifest_rename_fail",
 ];

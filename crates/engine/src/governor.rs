@@ -210,6 +210,13 @@ impl Governor {
         self.mem.load(Ordering::Relaxed)
     }
 
+    /// Bytes the memory budget has left, or `None` without a budget.
+    pub fn mem_room(&self) -> Option<u64> {
+        self.limits
+            .max_memory_bytes
+            .map(|max| max.saturating_sub(self.mem_bytes()))
+    }
+
     /// Wall time since the governor was created.
     pub fn elapsed(&self) -> Duration {
         self.started.elapsed()

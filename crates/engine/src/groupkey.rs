@@ -21,7 +21,12 @@
 //! branch on its own, its states finished into partial [`Accumulator`]s
 //! ([`AggOutput`]) rather than columns, and [`match_groups`] matches the
 //! branches' groups for the executor to merge. No `Value`, `Key` or row is
-//! built per input row on the typed paths.
+//! built per input row on the typed paths: each typed state folds a block
+//! in one monomorphized loop per argument layout (and MIN/MAX direction),
+//! the validity test hoisted out of it and no per-row `Option` threaded
+//! through ([`AggState::update`]). A partial can be sized ahead for the
+//! groups it will hold ([`Partition::reserve`]: the one-worker plan's
+//! estimate from the rows folded so far) instead of doubling its way there.
 //!
 //! # Invariants
 //!
@@ -56,7 +61,8 @@
 //! 4. **Value-level errors discard and replay.** Integer overflow in SUM,
 //!    a NaN reaching MIN/MAX, SUM over text, and a MIN/MAX tie between
 //!    two representations of one value (`0` and `0.0`, `-0.0` and `0.0`)
-//!    met only in a merge: [`Partition::consume`] or
+//!    met only in a merge (the typed loops note the first two and report
+//!    them once the block is done): [`Partition::consume`] or
 //!    [`Partition::merge`] returns `None`, the caller drops all kernel
 //!    state and re-runs the operator on the row path, which reports the
 //!    error the row-major scan hits first (or keeps the first of the tied
@@ -489,7 +495,25 @@ impl GroupTable {
     }
 
     fn grow(&mut self) {
-        let mask = self.slots.len() * 2 - 1;
+        self.rehash(self.slots.len() * 2);
+    }
+
+    /// Room for `groups` groups: enough slots to hold them at load ≤ ½,
+    /// and the per-group vectors' capacity.
+    fn reserve(&mut self, groups: usize) {
+        let slots = (groups * 2).next_power_of_two();
+        if slots > self.slots.len() {
+            self.rehash(slots);
+        }
+        self.first_rows
+            .reserve_exact(groups.saturating_sub(self.first_rows.len()));
+        self.hashes
+            .reserve_exact(groups.saturating_sub(self.hashes.len()));
+    }
+
+    /// Re-place every group in a table of `slots` slots, a power of two.
+    fn rehash(&mut self, slots: usize) {
+        let mask = slots - 1;
         let mut slots = vec![0u32; mask + 1];
         for (g, &h) in self.hashes.iter().enumerate() {
             let mut slot = h as usize & mask;
@@ -831,7 +855,58 @@ pub struct AggInput {
     pub distinct: bool,
 }
 
+/// A value MIN/MAX folds. `unordered` is one that no comparison orders (a
+/// float NaN: the row path's error); `same` tells apart values that
+/// compare equal (`-0.0` and `0.0`).
+pub(crate) trait Cand: Copy + PartialOrd + Default {
+    #[inline]
+    fn unordered(self) -> bool {
+        false
+    }
+    fn same(self, other: Self) -> bool;
+}
+
+impl Cand for i64 {
+    fn same(self, other: i64) -> bool {
+        self == other
+    }
+}
+
+impl Cand for i32 {
+    fn same(self, other: i32) -> bool {
+        self == other
+    }
+}
+
+impl Cand for f64 {
+    #[inline]
+    fn unordered(self) -> bool {
+        self.is_nan()
+    }
+    fn same(self, other: f64) -> bool {
+        self.to_bits() == other.to_bits()
+    }
+}
+
+/// Whether `v` replaces `best`: strictly better, so the first of equal
+/// candidates stays.
+#[inline(always)]
+fn beats<T: Cand, const MIN: bool>(v: T, best: T) -> bool {
+    if MIN {
+        v < best
+    } else {
+        v > best
+    }
+}
+
 /// MIN or MAX over a typed column: the running best per group.
+///
+/// Without NULL arguments every group meets a value at its first row, and
+/// groups are numbered in first-row order, so the groups that hold a value
+/// are exactly those below `best.len()`: a group's first value is pushed
+/// and `seen` stays empty. (Only a global aggregate's one group, present
+/// over no rows, can hold none.) With NULL arguments `best` and `seen` have
+/// an entry per group.
 pub(crate) struct MinMax<'a, T> {
     vals: &'a [T],
     validity: Option<&'a Bitmap>,
@@ -840,29 +915,54 @@ pub(crate) struct MinMax<'a, T> {
     seen: Vec<bool>,
 }
 
-impl<T: Copy + PartialOrd + Default> MinMax<'_, T> {
+impl<T: Cand> MinMax<'_, T> {
+    /// One monomorphized loop per argument layout and direction. A NaN
+    /// meeting a group's value is noted, not returned, and reported once
+    /// the block is done: the caller then discards every state.
     fn update(&mut self, rows: Range<usize>, gids: &[u32]) -> Option<()> {
-        for (i, &g) in rows.zip(gids) {
-            if self.validity.is_some_and(|bm| !bm.get(i)) {
-                continue;
+        let (start, vals) = (rows.start, &self.vals[rows]);
+        let (best, seen) = (&mut self.best, &mut self.seen);
+        let unordered = match (self.validity, self.is_min) {
+            (None, true) => fold_dense::<T, true>(best, vals, gids),
+            (None, false) => fold_dense::<T, false>(best, vals, gids),
+            (Some(bm), true) => {
+                fold_sparse::<T, true>(best, seen, vals, gids, |k| bm.get(start + k))
             }
-            self.offer(g as usize, self.vals[i])?;
-        }
-        Some(())
+            (Some(bm), false) => {
+                fold_sparse::<T, false>(best, seen, vals, gids, |k| bm.get(start + k))
+            }
+        };
+        (!unordered).then_some(())
     }
 
-    /// Offer `v` to group `g`: it becomes the best when the group has none
-    /// or it beats the best; returns whether it tied with the best instead
-    /// (the first of equal candidates stays). `None` is a NaN on either
-    /// side: the row path's error.
+    /// Group `g`'s best, if it holds a value.
     #[inline]
-    fn offer(&mut self, g: usize, v: T) -> Option<bool> {
-        if !self.seen[g] {
-            self.seen[g] = true;
-            self.best[g] = v;
-            return Some(false);
+    fn best_of(&self, g: usize) -> Option<T> {
+        match self.validity {
+            None => self.best.get(g).copied(),
+            Some(_) => self.seen[g].then(|| self.best[g]),
         }
-        let ord = v.partial_cmp(&self.best[g])?;
+    }
+
+    /// Offer group `og`'s best in `other` to group `g`. A tie between two
+    /// values [`Cand::same`] tells apart (`-0.0` and `0.0`) is `None`:
+    /// which one came first is the rows' order, which a merge no longer
+    /// has. So is a NaN on either side.
+    fn merge_group(&mut self, g: usize, other: &MinMax<'_, T>, og: usize) -> Option<()> {
+        let Some(v) = other.best_of(og) else {
+            return Some(());
+        };
+        let Some(best) = self.best_of(g) else {
+            if self.validity.is_some() {
+                self.seen[g] = true;
+                self.best[g] = v;
+            } else {
+                debug_assert_eq!(g, self.best.len());
+                self.best.push(v);
+            }
+            return Some(());
+        };
+        let ord = v.partial_cmp(&best)?;
         if if self.is_min {
             ord.is_lt()
         } else {
@@ -870,31 +970,133 @@ impl<T: Copy + PartialOrd + Default> MinMax<'_, T> {
         } {
             self.best[g] = v;
         }
-        Some(ord.is_eq())
+        (!ord.is_eq() || v.same(best)).then_some(())
     }
 
-    /// Offer group `og`'s best in `other` to group `g`. A tie between two
-    /// values `same` tells apart (`-0.0` and `0.0`) is `None`: which one
-    /// came first is the rows' order, which a merge no longer has.
-    fn merge_group(
-        &mut self,
-        g: usize,
-        other: &MinMax<'_, T>,
-        og: usize,
-        same: fn(T, T) -> bool,
-    ) -> Option<()> {
-        if !other.seen[og] {
-            return Some(());
+    fn grow(&mut self, groups: usize) {
+        if self.validity.is_some() {
+            self.best.resize(groups, T::default());
+            self.seen.resize(groups, false);
         }
-        let v = other.best[og];
-        let tied = self.offer(g, v)?;
-        (!tied || same(v, self.best[g])).then_some(())
     }
 
-    fn finish(self, wrap: fn(Vec<T>) -> ColumnData) -> ColumnChunk {
+    fn reserve(&mut self, groups: usize) {
+        self.best
+            .reserve_exact(groups.saturating_sub(self.best.len()));
+        if self.validity.is_some() {
+            self.seen
+                .reserve_exact(groups.saturating_sub(self.seen.len()));
+        }
+    }
+
+    fn finish(self, groups: usize, wrap: fn(Vec<T>) -> ColumnData) -> ColumnChunk {
+        let mut best = self.best;
+        let validity = if self.validity.is_some() {
+            Bitmap::from_flags(&self.seen)
+        } else if best.len() < groups {
+            let flags: Vec<bool> = (0..groups).map(|g| g < best.len()).collect();
+            best.resize(groups, T::default());
+            Bitmap::from_flags(&flags)
+        } else {
+            None
+        };
         ColumnChunk {
-            data: wrap(self.best),
-            validity: Bitmap::from_flags(&self.seen),
+            data: wrap(best),
+            validity,
+        }
+    }
+}
+
+/// [`MinMax::update`] over an argument without NULLs: a group below
+/// `best.len()` holds a value, any other is new and is the next id.
+/// Returns whether a NaN met a group's value.
+#[inline]
+fn fold_dense<T: Cand, const MIN: bool>(best: &mut Vec<T>, vals: &[T], gids: &[u32]) -> bool {
+    let mut unordered = false;
+    for (&v, &g) in vals.iter().zip(gids) {
+        match best.get_mut(g as usize) {
+            Some(b) => {
+                unordered |= v.unordered() | b.unordered();
+                if beats::<T, MIN>(v, *b) {
+                    *b = v;
+                }
+            }
+            None => best.push(v),
+        }
+    }
+    unordered
+}
+
+/// [`MinMax::update`] over an argument with NULLs: `valid(k)` is whether
+/// `vals[k]` is a value.
+#[inline]
+fn fold_sparse<T: Cand, const MIN: bool>(
+    best: &mut [T],
+    seen: &mut [bool],
+    vals: &[T],
+    gids: &[u32],
+    valid: impl Fn(usize) -> bool,
+) -> bool {
+    let mut unordered = false;
+    for (k, (&v, &g)) in vals.iter().zip(gids).enumerate() {
+        if !valid(k) {
+            continue;
+        }
+        let (g, b) = (g as usize, &mut best[g as usize]);
+        if seen[g] {
+            unordered |= v.unordered() | b.unordered();
+            if beats::<T, MIN>(v, *b) {
+                *b = v;
+            }
+        } else {
+            seen[g] = true;
+            *b = v;
+        }
+    }
+    unordered
+}
+
+/// `SUM` over integers: wrapping adds, any overflow noted and reported
+/// once the block is done (the state is then discarded).
+#[inline]
+fn sum_ints(
+    sums: &mut [i64],
+    seen: &mut [bool],
+    vals: &[i64],
+    gids: &[u32],
+    valid: impl Fn(usize) -> bool,
+) -> bool {
+    let mut overflow = false;
+    for (k, (&v, &g)) in vals.iter().zip(gids).enumerate() {
+        if valid(k) {
+            let (sum, o) = sums[g as usize].overflowing_add(v);
+            sums[g as usize] = sum;
+            seen[g as usize] = true;
+            overflow |= o;
+        }
+    }
+    overflow
+}
+
+/// Float `SUM` and `AVG` over either: each value into its group's exact
+/// sum, boxed when the group meets its first value.
+#[inline]
+fn sum_exact<T: Copy>(
+    (sums, counts, boxed): (&mut [Option<Box<ExactSum>>], &mut [i64], &mut usize),
+    vals: &[T],
+    gids: &[u32],
+    valid: impl Fn(usize) -> bool,
+    add: impl Fn(&mut ExactSum, T),
+) {
+    for (k, (&v, &g)) in vals.iter().zip(gids).enumerate() {
+        if valid(k) {
+            let g = g as usize;
+            let sum = sums[g].get_or_insert_with(|| {
+                *boxed += 1;
+                Box::new(ExactSum::new())
+            });
+            add(sum, v);
+            counts[g] += 1;
         }
     }
 }
@@ -1020,18 +1222,9 @@ impl<'a> AggState<'a> {
                 sums.resize_with(groups, || None);
                 counts.resize(groups, 0);
             }
-            AggState::MinMaxInt(m) => {
-                m.best.resize(groups, 0);
-                m.seen.resize(groups, false);
-            }
-            AggState::MinMaxFloat(m) => {
-                m.best.resize(groups, 0.0);
-                m.seen.resize(groups, false);
-            }
-            AggState::MinMaxDate(m) => {
-                m.best.resize(groups, 0);
-                m.seen.resize(groups, false);
-            }
+            AggState::MinMaxInt(m) => m.grow(groups),
+            AggState::MinMaxFloat(m) => m.grow(groups),
+            AggState::MinMaxDate(m) => m.grow(groups),
             AggState::Generic {
                 func,
                 accs,
@@ -1048,13 +1241,25 @@ impl<'a> AggState<'a> {
 
     /// Fold row `rows.start + k` into group `gids[k]`. `None` is a
     /// value-level error (invariant 4).
+    ///
+    /// Each typed state runs one monomorphized loop per argument layout:
+    /// the validity test is hoisted out of it (absent without NULLs), and
+    /// an overflow or NaN is noted in the loop and reported after it.
     fn update(&mut self, rows: Range<usize>, gids: &[u32]) -> Option<()> {
+        let start = rows.start;
         let pairs = || rows.clone().zip(gids).map(|(i, &g)| (i, g as usize));
         match self {
             AggState::Count { col, counts } => match col {
-                Some(c) if c.validity.is_some() || matches!(c.data, ColumnData::Any(_)) => {
+                Some(c) if matches!(c.data, ColumnData::Any(_)) => {
                     for (i, g) in pairs() {
                         counts[g] += i64::from(!c.is_null(i));
+                    }
+                }
+                Some(ColumnChunk {
+                    validity: Some(bm), ..
+                }) => {
+                    for (k, &g) in gids.iter().enumerate() {
+                        counts[g as usize] += i64::from(bm.get(start + k));
                     }
                 }
                 _ => {
@@ -1069,12 +1274,13 @@ impl<'a> AggState<'a> {
                 sums,
                 seen,
             } => {
-                for (i, g) in pairs() {
-                    if validity.is_some_and(|bm| !bm.get(i)) {
-                        continue;
-                    }
-                    sums[g] = sums[g].checked_add(vals[i])?;
-                    seen[g] = true;
+                let vals = &vals[rows.clone()];
+                let overflow = match validity {
+                    None => sum_ints(sums, seen, vals, gids, |_| true),
+                    Some(bm) => sum_ints(sums, seen, vals, gids, |k| bm.get(start + k)),
+                };
+                if overflow {
+                    return None;
                 }
             }
             AggState::Exact {
@@ -1085,19 +1291,24 @@ impl<'a> AggState<'a> {
                 boxed,
                 ..
             } => {
-                for (i, g) in pairs() {
-                    if validity.is_some_and(|bm| !bm.get(i)) {
-                        continue;
+                let state = (&mut sums[..], &mut counts[..], boxed);
+                match (src, validity) {
+                    (NumSrc::Int(xs), None) => {
+                        sum_exact(state, &xs[rows], gids, |_| true, ExactSum::add_i64)
                     }
-                    let sum = sums[g].get_or_insert_with(|| {
-                        *boxed += 1;
-                        Box::new(ExactSum::new())
-                    });
-                    match src {
-                        NumSrc::Int(xs) => sum.add_i64(xs[i]),
-                        NumSrc::Float(xs) => sum.add(xs[i]),
+                    (NumSrc::Int(xs), Some(bm)) => sum_exact(
+                        state,
+                        &xs[rows],
+                        gids,
+                        |k| bm.get(start + k),
+                        ExactSum::add_i64,
+                    ),
+                    (NumSrc::Float(xs), None) => {
+                        sum_exact(state, &xs[rows], gids, |_| true, ExactSum::add)
                     }
-                    counts[g] += 1;
+                    (NumSrc::Float(xs), Some(bm)) => {
+                        sum_exact(state, &xs[rows], gids, |k| bm.get(start + k), ExactSum::add)
+                    }
                 }
             }
             AggState::MinMaxInt(m) => m.update(rows, gids)?,
@@ -1176,13 +1387,13 @@ impl<'a> AggState<'a> {
                 counts[g] += counts_theirs[og];
             }
             (AggState::MinMaxInt(m), AggState::MinMaxInt(theirs)) => {
-                m.merge_group(g, theirs, og, |a, b| a == b)?;
+                m.merge_group(g, theirs, og)?;
             }
             (AggState::MinMaxFloat(m), AggState::MinMaxFloat(theirs)) => {
-                m.merge_group(g, theirs, og, |a, b| a.to_bits() == b.to_bits())?;
+                m.merge_group(g, theirs, og)?;
             }
             (AggState::MinMaxDate(m), AggState::MinMaxDate(theirs)) => {
-                m.merge_group(g, theirs, og, |a, b| a == b)?;
+                m.merge_group(g, theirs, og)?;
             }
             (
                 AggState::Generic {
@@ -1206,7 +1417,7 @@ impl<'a> AggState<'a> {
     }
 
     /// The aggregate's output column, one row per group.
-    fn finish(self) -> ColumnChunk {
+    fn finish(self, groups: usize) -> ColumnChunk {
         let floats = |vals: Vec<f64>, valid: Vec<bool>| ColumnChunk {
             data: ColumnData::Float(vals),
             validity: Bitmap::from_flags(&valid),
@@ -1236,9 +1447,9 @@ impl<'a> AggState<'a> {
                     .collect();
                 floats(vals, valid)
             }
-            AggState::MinMaxInt(m) => m.finish(ColumnData::Int),
-            AggState::MinMaxFloat(m) => m.finish(ColumnData::Float),
-            AggState::MinMaxDate(m) => m.finish(ColumnData::Date),
+            AggState::MinMaxInt(m) => m.finish(groups, ColumnData::Int),
+            AggState::MinMaxFloat(m) => m.finish(groups, ColumnData::Float),
+            AggState::MinMaxDate(m) => m.finish(groups, ColumnData::Date),
             AggState::Generic { accs, .. } => {
                 ColumnChunk::from_values(accs.into_iter().map(Accumulator::finish))
             }
@@ -1250,15 +1461,18 @@ impl<'a> AggState<'a> {
     /// group merge ([`Accumulator::merge`]) as if one fold had seen them
     /// all. A float sum keeps its unrounded [`ExactSum`]; a sum that met no
     /// value is a fresh one, so that integers merged in stay integers.
-    fn partials(self) -> Vec<Accumulator> {
-        fn min_max<T>(m: MinMax<'_, T>, value: fn(T) -> Value) -> Vec<Accumulator> {
-            let is_min = m.is_min;
-            let best = m.best.into_iter().zip(m.seen);
-            best.map(|(b, seen)| Accumulator::MinMax {
-                best: seen.then(|| value(b)),
-                is_min,
-            })
-            .collect()
+    fn partials(self, groups: usize) -> Vec<Accumulator> {
+        fn min_max_partials<T: Cand>(
+            m: MinMax<'_, T>,
+            groups: usize,
+            value: fn(T) -> Value,
+        ) -> Vec<Accumulator> {
+            (0..groups)
+                .map(|g| Accumulator::MinMax {
+                    best: m.best_of(g).map(value),
+                    is_min: m.is_min,
+                })
+                .collect()
         }
         match self {
             AggState::Count { counts, .. } => counts.into_iter().map(Accumulator::Count).collect(),
@@ -1281,10 +1495,31 @@ impl<'a> AggState<'a> {
                     (false, None) => Accumulator::new(AggFunc::Sum),
                 })
                 .collect(),
-            AggState::MinMaxInt(m) => min_max(m, Value::Int),
-            AggState::MinMaxFloat(m) => min_max(m, Value::Float),
-            AggState::MinMaxDate(m) => min_max(m, Value::Date),
+            AggState::MinMaxInt(m) => min_max_partials(m, groups, Value::Int),
+            AggState::MinMaxFloat(m) => min_max_partials(m, groups, Value::Float),
+            AggState::MinMaxDate(m) => min_max_partials(m, groups, Value::Date),
             AggState::Generic { accs, .. } => accs,
+        }
+    }
+
+    /// Make room for `groups` groups in one allocation per vector
+    /// ([`Partition::reserve`]).
+    fn reserve(&mut self, groups: usize) {
+        let more = |len: usize| groups.saturating_sub(len);
+        match self {
+            AggState::Count { counts, .. } => counts.reserve_exact(more(counts.len())),
+            AggState::SumInt { sums, seen, .. } => {
+                sums.reserve_exact(more(sums.len()));
+                seen.reserve_exact(more(seen.len()));
+            }
+            AggState::Exact { sums, counts, .. } => {
+                sums.reserve_exact(more(sums.len()));
+                counts.reserve_exact(more(counts.len()));
+            }
+            AggState::MinMaxInt(m) => m.reserve(groups),
+            AggState::MinMaxFloat(m) => m.reserve(groups),
+            AggState::MinMaxDate(m) => m.reserve(groups),
+            AggState::Generic { accs, .. } => accs.reserve_exact(more(accs.len())),
         }
     }
 
@@ -1322,18 +1557,18 @@ impl<'a> AggState<'a> {
 /// branch, whose groups merge across branches before they finish — one
 /// partial [`Accumulator`] per group.
 pub(crate) trait AggOutput {
-    fn from_state(state: AggState<'_>) -> Self;
+    fn from_state(state: AggState<'_>, groups: usize) -> Self;
 }
 
 impl AggOutput for ColumnChunk {
-    fn from_state(state: AggState<'_>) -> Self {
-        state.finish()
+    fn from_state(state: AggState<'_>, groups: usize) -> Self {
+        state.finish(groups)
     }
 }
 
 impl AggOutput for Vec<Accumulator> {
-    fn from_state(state: AggState<'_>) -> Self {
-        state.partials()
+    fn from_state(state: AggState<'_>, groups: usize) -> Self {
+        state.partials(groups)
     }
 }
 
@@ -1412,6 +1647,35 @@ impl<'a> Partition<'a> {
         Some(())
     }
 
+    /// Size the table and every state for `groups` groups at once, rather
+    /// than growing them by doubling as groups arrive: the one-worker
+    /// plan's estimate of the groups still to come. The room is not
+    /// charged ([`bytes`](Partition::bytes) counts the groups held), so
+    /// with `room` bytes left in a memory budget it stops at the largest
+    /// power of two of groups that fit, at `group_bytes` each, in what is
+    /// charged and what is left. A group never reserves more than its
+    /// `group_bytes` (two slots at a power of two; one exact allocation
+    /// per vector), so the room taken stays within the budget.
+    pub fn reserve(&mut self, groups: usize, room: Option<u64>) {
+        let groups = match room {
+            None => groups,
+            Some(room) => {
+                let room = usize::try_from(room).unwrap_or(usize::MAX);
+                let fit = self.groups().saturating_add(room / self.group_bytes);
+                groups.min(1 << fit.max(1).ilog2())
+            }
+        };
+        if groups > self.groups() {
+            self.table.reserve(groups);
+            self.aggs.iter_mut().for_each(|a| a.reserve(groups));
+        }
+    }
+
+    /// Groups the partial has room for before its table must grow.
+    pub fn capacity(&self) -> usize {
+        self.table.first_rows.capacity()
+    }
+
     /// Make room in every state for the table's groups.
     fn grow(&mut self) {
         let groups = self.table.first_rows.len();
@@ -1462,10 +1726,15 @@ impl<'a> Partition<'a> {
     }
 
     pub(crate) fn finish<T: AggOutput>(self) -> PartOut<T> {
+        let groups = self.groups();
         PartOut {
             first_rows: self.table.first_rows,
             hashes: self.table.hashes,
-            aggs: self.aggs.into_iter().map(T::from_state).collect(),
+            aggs: self
+                .aggs
+                .into_iter()
+                .map(|a| T::from_state(a, groups))
+                .collect(),
         }
     }
 }
@@ -1832,6 +2101,80 @@ mod tests {
                     |c: &ColumnChunk| (0..c.len()).map(|i| c.value_at(i)).collect::<Vec<_>>();
                 assert_eq!(values(m), values(o));
                 assert_eq!(m.len(), groups);
+            }
+        }
+    }
+
+    /// Bytes `part` has allocated for its groups, by capacity.
+    fn capacity_bytes(part: &Partition<'_>) -> usize {
+        let states: usize = (part.aggs.iter())
+            .map(|a| match a {
+                AggState::Count { counts, .. } => counts.capacity() * 8,
+                AggState::SumInt { sums, seen, .. } => sums.capacity() * 8 + seen.capacity(),
+                AggState::Exact { sums, counts, .. } => (sums.capacity() + counts.capacity()) * 8,
+                AggState::MinMaxInt(m) => m.best.capacity() * 8 + m.seen.capacity(),
+                AggState::MinMaxFloat(m) => m.best.capacity() * 8 + m.seen.capacity(),
+                AggState::MinMaxDate(m) => m.best.capacity() * 4 + m.seen.capacity(),
+                AggState::Generic { accs, .. } => accs.capacity() * size_of::<Accumulator>(),
+            })
+            .sum();
+        part.table.bytes() + states
+    }
+
+    #[test]
+    fn reserve_stays_within_the_budgets_room() {
+        // 8 000 groups, one a row: the typed states whose bytes are all per
+        // group, with and without NULL arguments.
+        let rows: Vec<Row> = (0..8000)
+            .map(|i| {
+                let n = if i % 3 == 0 {
+                    Value::Null
+                } else {
+                    Value::Int(i)
+                };
+                vec![Value::Int(i), n, Value::Float(i as f64 / 7.0)]
+            })
+            .collect();
+        let b = batch(
+            &[DataType::Integer, DataType::Integer, DataType::Float],
+            rows,
+        );
+        let keys = KeyCols::new(&b, &[0]);
+        let agg = |func, col| AggInput {
+            func,
+            col,
+            distinct: false,
+        };
+        let aggs = [
+            agg(AggFunc::Count, Some(1)),
+            agg(AggFunc::Sum, Some(1)),
+            agg(AggFunc::Min, Some(2)),
+            agg(AggFunc::Max, Some(1)),
+            agg(AggFunc::Max, Some(0)),
+        ];
+        let head = |part: &mut Partition<'_>| part.consume(0..1024).expect("integers fold");
+        let mut free = Partition::new(&keys, &b, &aggs);
+        head(&mut free);
+        free.reserve(8000, None);
+        assert!(free.table.first_rows.capacity() >= 8000);
+        free.consume(1024..8000).expect("integers fold");
+        let free = free.finish::<ColumnChunk>();
+        for room in [0, 1000, 20_000, 100_000, 1 << 30] {
+            let mut part = Partition::new(&keys, &b, &aggs);
+            head(&mut part);
+            let before = capacity_bytes(&part);
+            part.reserve(8000, Some(room));
+            let held = part.bytes() as usize;
+            assert!(
+                capacity_bytes(&part) <= before.max(held + room as usize),
+                "room {room}: {} B allocated for {held} B held",
+                capacity_bytes(&part)
+            );
+            part.consume(1024..8000).expect("integers fold");
+            let out = part.finish::<ColumnChunk>();
+            assert_eq!(out.first_rows, free.first_rows);
+            for (a, f) in out.aggs.iter().zip(&free.aggs) {
+                assert!((0..8000).all(|i| a.value_at(i) == f.value_at(i)));
             }
         }
     }

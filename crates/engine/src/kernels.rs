@@ -24,7 +24,18 @@
 //! (integer overflow, a NaN in a CASE condition) makes [`Projection::eval`]
 //! return `None`, and the executor discards the attempt and replays the
 //! whole projection on the row path, whose row-major scan owns the error.
+//!
+//! The projection's arithmetic, COALESCE and CASE run typed slice loops:
+//! the operator and the two operands' layouts ([`Lane`]: a column, read as
+//! a slice cut to the batch's length, or one scalar for every row) are
+//! matched outside the element loop, so each pair of layouts gets a loop of
+//! its own with no per-element dispatch. Integer arithmetic wraps and notes
+//! overflow in the loop; only when some row overflowed is each row checked
+//! again — an overflow under a NULL is that row's placeholder, any other is
+//! `None`. Float arithmetic is IEEE's, NaN, ±inf and `-0.0` included, as
+//! the row path computes it.
 
+use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -901,29 +912,155 @@ enum Num<'a> {
     Float(f64),
 }
 
-impl Num<'_> {
+impl<'a> Num<'a> {
     fn is_int(self) -> bool {
         matches!(self, Num::Ints(_) | Num::Int(_))
     }
 
-    #[inline]
-    fn int_at(self, i: usize) -> i64 {
+    /// As integers; only asked of an [`is_int`](Num::is_int) operand.
+    fn ints(self) -> Lane<'a, i64> {
         match self {
-            Num::Ints(xs) => xs[i],
-            Num::Int(x) => x,
-            Num::Floats(_) | Num::Float(_) => 0,
+            Num::Ints(xs) => Lane::Col(Cow::Borrowed(xs)),
+            Num::Int(x) => Lane::One(x),
+            Num::Floats(_) | Num::Float(_) => unreachable!("an integer operand"),
         }
     }
 
-    #[inline]
-    fn float_at(self, i: usize) -> f64 {
+    /// As floats: an integer column is converted once, up front.
+    fn floats(self) -> Lane<'a, f64> {
         match self {
-            Num::Ints(xs) => xs[i] as f64,
-            Num::Floats(xs) => xs[i],
-            Num::Int(x) => x as f64,
-            Num::Float(x) => x,
+            Num::Ints(xs) => Lane::Col(Cow::Owned(xs.iter().map(|&x| x as f64).collect())),
+            Num::Floats(xs) => Lane::Col(Cow::Borrowed(xs)),
+            Num::Int(x) => Lane::One(x as f64),
+            Num::Float(x) => Lane::One(x),
         }
     }
+}
+
+/// One typed operand of an element loop: a column, or one value for
+/// every row.
+enum Lane<'a, T: Clone> {
+    Col(Cow<'a, [T]>),
+    One(T),
+}
+
+/// Evaluate `$body` with `$x` and `$y` bound to accessors `usize -> T` of
+/// the two [`Lane`]s, once per pair of layouts: the loop in `$body` is
+/// monomorphized for each, a column read from a slice cut to `$n` rows (so
+/// its bounds checks fold away) and a scalar hoisted out of the loop.
+macro_rules! with_lanes {
+    ($a:expr, $b:expr, $n:expr, |$x:ident, $y:ident| $body:expr) => {{
+        let n = $n;
+        match (&$a, &$b) {
+            (Lane::Col(xs), Lane::Col(ys)) => {
+                let (xs, ys) = (&xs[..n], &ys[..n]);
+                let ($x, $y) = (|i: usize| xs[i], |i: usize| ys[i]);
+                $body
+            }
+            (Lane::Col(xs), &Lane::One(y)) => {
+                let xs = &xs[..n];
+                let ($x, $y) = (|i: usize| xs[i], |_: usize| y);
+                $body
+            }
+            (&Lane::One(x), Lane::Col(ys)) => {
+                let ys = &ys[..n];
+                let ($x, $y) = (|_: usize| x, |i: usize| ys[i]);
+                $body
+            }
+            (&Lane::One(x), &Lane::One(y)) => {
+                let ($x, $y) = (|_: usize| x, |_: usize| y);
+                $body
+            }
+        }
+    }};
+}
+
+/// `a op b` over `n` rows of integers, the operator matched outside the
+/// element loop. Adds wrap and note overflow; only when some row
+/// overflowed is each row checked again: an overflow under a NULL is that
+/// row's placeholder, 0, and any other is `None` (replay on the row path).
+fn int_arith(
+    op: ArithOp,
+    a: Lane<'_, i64>,
+    b: Lane<'_, i64>,
+    n: usize,
+    validity: Option<&Bitmap>,
+) -> Option<Vec<i64>> {
+    let step: fn(i64, i64) -> (i64, bool) = match op {
+        ArithOp::Add => i64::overflowing_add,
+        ArithOp::Sub => i64::overflowing_sub,
+        _ => i64::overflowing_mul,
+    };
+    let (mut out, overflow) = match op {
+        ArithOp::Add => with_lanes!(a, b, n, |x, y| wrapping(n, |i| x(i).overflowing_add(y(i)))),
+        ArithOp::Sub => with_lanes!(a, b, n, |x, y| wrapping(n, |i| x(i).overflowing_sub(y(i)))),
+        _ => with_lanes!(a, b, n, |x, y| wrapping(n, |i| x(i).overflowing_mul(y(i)))),
+    };
+    if overflow {
+        with_lanes!(a, b, n, |x, y| {
+            for (i, v) in out.iter_mut().enumerate() {
+                if step(x(i), y(i)).1 {
+                    if validity.is_none_or(|bm| bm.get(i)) {
+                        return None;
+                    }
+                    *v = 0;
+                }
+            }
+        });
+    }
+    Some(out)
+}
+
+/// The wrapped results of `f` over rows `0..n`, and whether any
+/// overflowed.
+#[inline(always)]
+fn wrapping(n: usize, f: impl Fn(usize) -> (i64, bool)) -> (Vec<i64>, bool) {
+    let mut overflow = false;
+    let out = (0..n)
+        .map(|i| {
+            let (v, o) = f(i);
+            overflow |= o;
+            v
+        })
+        .collect();
+    (out, overflow)
+}
+
+/// `a op b` over `n` rows of floats, the operator matched outside the
+/// element loop.
+fn float_arith(op: ArithOp, a: Lane<'_, f64>, b: Lane<'_, f64>, n: usize) -> Vec<f64> {
+    match op {
+        ArithOp::Add => with_lanes!(a, b, n, |x, y| (0..n).map(|i| x(i) + y(i)).collect()),
+        ArithOp::Sub => with_lanes!(a, b, n, |x, y| (0..n).map(|i| x(i) - y(i)).collect()),
+        _ => with_lanes!(a, b, n, |x, y| (0..n).map(|i| x(i) * y(i)).collect()),
+    }
+}
+
+/// Row `i` of `then` where bit `i` of `mask` is set, of `otherwise`
+/// elsewhere, over `n` rows.
+fn select<T: Copy>(mask: &[u64], then: Lane<'_, T>, otherwise: Lane<'_, T>, n: usize) -> Vec<T> {
+    with_lanes!(then, otherwise, n, |x, y| (0..n)
+        .map(|i| if mask[i / 64] >> (i % 64) & 1 != 0 {
+            x(i)
+        } else {
+            y(i)
+        })
+        .collect())
+}
+
+/// `xs` with each NULL row (clear in `valid`) replaced by `default`.
+fn fill<T: Copy>(xs: &[T], valid: &Bitmap, default: T) -> Vec<T> {
+    let words = valid.words();
+    xs.iter()
+        .enumerate()
+        .map(|(i, &x)| {
+            if words[i / 64] >> (i % 64) & 1 != 0 {
+                x
+            } else {
+                default
+            }
+        })
+        .collect()
 }
 
 impl Evaluated {
@@ -1012,29 +1149,9 @@ fn eval_col_expr(e: &ColExpr, batch: &ColBatch) -> Option<Evaluated> {
             let ((a, va), (b, vb)) = (l.num()?, r.num()?);
             let validity = and_validity(va, vb, n);
             let data = if a.is_int() && b.is_int() {
-                let mut out = Vec::with_capacity(n);
-                for i in 0..n {
-                    let (x, y) = (a.int_at(i), b.int_at(i));
-                    let v = match op {
-                        ArithOp::Add => x.checked_add(y),
-                        ArithOp::Sub => x.checked_sub(y),
-                        _ => x.checked_mul(y),
-                    };
-                    match v {
-                        Some(v) => out.push(v),
-                        // Overflow under a NULL is just its placeholder.
-                        None if validity.as_ref().is_some_and(|bm| !bm.get(i)) => out.push(0),
-                        None => return None,
-                    }
-                }
-                ColumnData::Int(out)
+                ColumnData::Int(int_arith(*op, a.ints(), b.ints(), n, validity.as_ref())?)
             } else {
-                let f: fn(f64, f64) -> f64 = match op {
-                    ArithOp::Add => |x, y| x + y,
-                    ArithOp::Sub => |x, y| x - y,
-                    _ => |x, y| x * y,
-                };
-                ColumnData::Float((0..n).map(|i| f(a.float_at(i), b.float_at(i))).collect())
+                ColumnData::Float(float_arith(*op, a.floats(), b.floats(), n))
             };
             Some(Evaluated::Chunk(Arc::new(ColumnChunk { data, validity })))
         }
@@ -1047,23 +1164,23 @@ fn eval_col_expr(e: &ColExpr, batch: &ColBatch) -> Option<Evaluated> {
             if default.is_null() || chunk.null_count_range(0, n) == 0 {
                 return Some(Evaluated::Chunk(chunk));
             }
-            macro_rules! fill {
-                ($variant:ident, $xs:expr, $d:expr) => {
-                    ColumnChunk {
-                        data: ColumnData::$variant(
-                            (0..n)
-                                .map(|i| if chunk.is_null(i) { $d } else { $xs[i] })
-                                .collect(),
-                        ),
-                        validity: None,
-                    }
-                };
-            }
-            let filled = match (&chunk.data, default) {
-                (ColumnData::Int(xs), Value::Int(d)) => fill!(Int, xs, *d),
-                (ColumnData::Float(xs), Value::Float(d)) => fill!(Float, xs, *d),
-                (ColumnData::Date(xs), Value::Date(d)) => fill!(Date, xs, *d),
-                (ColumnData::Bool(xs), Value::Bool(d)) => fill!(Bool, xs, *d),
+            let no_nulls = |data| ColumnChunk {
+                data,
+                validity: None,
+            };
+            let filled = match (&chunk.data, chunk.validity.as_ref(), default) {
+                (ColumnData::Int(xs), Some(bm), Value::Int(d)) => {
+                    no_nulls(ColumnData::Int(fill(xs, bm, *d)))
+                }
+                (ColumnData::Float(xs), Some(bm), Value::Float(d)) => {
+                    no_nulls(ColumnData::Float(fill(xs, bm, *d)))
+                }
+                (ColumnData::Date(xs), Some(bm), Value::Date(d)) => {
+                    no_nulls(ColumnData::Date(fill(xs, bm, *d)))
+                }
+                (ColumnData::Bool(xs), Some(bm), Value::Bool(d)) => {
+                    no_nulls(ColumnData::Bool(fill(xs, bm, *d)))
+                }
                 // The default is of another type than the column: keep
                 // each value exact.
                 _ => ColumnChunk::from_values((0..n).map(|i| match chunk.value_at(i) {
@@ -1089,22 +1206,23 @@ fn eval_col_expr(e: &ColExpr, batch: &ColBatch) -> Option<Evaluated> {
             let pick = |i: usize| if mask.get(&mask.t, i) { &t } else { &o };
             let chunk = match (t.num(), o.num()) {
                 (Some((a, va)), Some((b, vb))) if a.is_int() == b.is_int() => {
-                    let valid: Vec<bool> = (0..n)
-                        .map(|i| {
-                            let v = if mask.get(&mask.t, i) { va } else { vb };
-                            v.is_none_or(|bm| bm.get(i))
-                        })
-                        .collect();
-                    let side = |i: usize| if mask.get(&mask.t, i) { a } else { b };
-                    let data = if a.is_int() {
-                        ColumnData::Int((0..n).map(|i| side(i).int_at(i)).collect())
+                    let validity = if va.is_none() && vb.is_none() {
+                        None
                     } else {
-                        ColumnData::Float((0..n).map(|i| side(i).float_at(i)).collect())
+                        let valid: Vec<bool> = (0..n)
+                            .map(|i| {
+                                let v = if mask.get(&mask.t, i) { va } else { vb };
+                                v.is_none_or(|bm| bm.get(i))
+                            })
+                            .collect();
+                        Bitmap::from_flags(&valid)
                     };
-                    ColumnChunk {
-                        data,
-                        validity: Bitmap::from_flags(&valid),
-                    }
+                    let data = if a.is_int() {
+                        ColumnData::Int(select(&mask.t, a.ints(), b.ints(), n))
+                    } else {
+                        ColumnData::Float(select(&mask.t, a.floats(), b.floats(), n))
+                    };
+                    ColumnChunk { data, validity }
                 }
                 // Branches of different types (or non-numeric ones): pick
                 // value by value, keeping each exact.

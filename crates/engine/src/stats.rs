@@ -57,6 +57,13 @@ pub struct NodeStats {
     /// Branches of a `UNION ALL` input an aggregate folded one by one,
     /// without concatenating them; `0` when it did not.
     pub union_parts: u64,
+    /// The way the group-key kernel folded an Aggregate's or a Distinct's
+    /// rows — the widest over invocations and `UNION ALL` branches; `None`
+    /// where the kernel did not run (a row-shaped fold).
+    pub group_plan: Option<GroupPlan>,
+    /// Groups the group-key kernel formed, summed over invocations (over
+    /// `UNION ALL` branches, the groups after matching them up).
+    pub groups: u64,
     /// Planner cardinality estimate for this operator's output, filled in
     /// by [`crate::cost::annotate`] when table statistics are available.
     /// `EXPLAIN ANALYZE` prints it next to the actual `rows_out` so the
@@ -64,6 +71,27 @@ pub struct NodeStats {
     pub est_rows: Option<u64>,
     /// Stats of the operator's inputs, in plan order.
     pub children: Vec<NodeStats>,
+}
+
+/// Which way the group-key kernel folded an operator's rows (the
+/// executor's `group_kernel`, counted process-wide as `exec.agg.*`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum GroupPlan {
+    /// The calling thread folded every row into one partial: many groups,
+    /// a DISTINCT aggregate, an integer SUM that could overflow, or one
+    /// worker to run on.
+    OneWorker,
+    /// Morsel-local partials on several workers, merged in first-row order.
+    Partials,
+}
+
+impl GroupPlan {
+    pub fn label(self) -> &'static str {
+        match self {
+            GroupPlan::OneWorker => "one_worker",
+            GroupPlan::Partials => "partials",
+        }
+    }
 }
 
 impl NodeStats {

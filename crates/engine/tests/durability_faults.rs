@@ -97,21 +97,59 @@ fn wal_sync_fault_rejects_op_and_recovery_stays_well_formed() {
     );
     faults::disarm_all();
 
-    // The op errored, so memory does not hold row 2 — but the record bytes
-    // were written before the fsync failed, so replay MAY resurrect it
-    // (the classic fsync-failure ambiguity; DESIGN.md §12). Both outcomes
-    // must be well-formed.
+    // The op errored, so memory does not hold row 2, and the record bytes
+    // written before the fsync failed were cut back out of the WAL: a
+    // reopen with no crash replays exactly what memory holds.
     assert_eq!(ints(&db, "select x from t order by x"), vec![1]);
+    db.run_script("insert into t values (3)").unwrap();
     drop(db);
     let db = open(&dir);
-    let state = ints(&db, "select x from t order by x");
-    assert!(
-        state == vec![1] || state == vec![1, 2],
-        "recovery after sync failure must be row 1 or rows 1,2 — got {state:?}"
-    );
+    assert_eq!(ints(&db, "select x from t order by x"), vec![1, 3]);
     // Still writable after recovery.
     db.run_script("insert into t values (9)").unwrap();
-    assert!(ints(&db, "select x from t order by x").contains(&9));
+    assert_eq!(ints(&db, "select x from t order by x"), vec![1, 3, 9]);
+    drop(db);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn failed_cut_after_sync_fault_poisons_the_store_until_reopen() {
+    let dir = temp_dir("poison");
+    faults::disarm_all();
+    let db = open(&dir);
+    db.run_script("create table t (x integer); insert into t values (1)")
+        .unwrap();
+
+    faults::arm("wal_sync_fail", 0);
+    faults::arm("wal_truncate_fail", 0);
+    let err = db
+        .run_script("insert into t values (2)")
+        .expect_err("sync fault must surface");
+    assert!(is_injected_storage(&err, "wal_sync_fail"), "{err:?}");
+    faults::disarm_all();
+
+    // The orphan record could not be cut: every later write errs, reads
+    // still answer from memory.
+    let err = db
+        .run_script("insert into t values (3)")
+        .expect_err("a poisoned store refuses appends");
+    assert!(
+        matches!(&err, EngineError::Storage(msg) if msg.contains("poisoned")),
+        "{err:?}"
+    );
+    assert!(
+        db.checkpoint().is_err(),
+        "a poisoned store refuses checkpoints"
+    );
+    assert_eq!(ints(&db, "select x from t order by x"), vec![1]);
+    drop(db);
+
+    // Reopening clears the poison; the record that stayed in the log is
+    // the crash-window outcome, replayed.
+    let db = open(&dir);
+    assert_eq!(ints(&db, "select x from t order by x"), vec![1, 2]);
+    db.run_script("insert into t values (4)").unwrap();
+    assert_eq!(ints(&db, "select x from t order by x"), vec![1, 2, 4]);
     drop(db);
     let _ = fs::remove_dir_all(&dir);
 }
@@ -235,13 +273,10 @@ fn repeated_fault_storms_never_wedge_the_store() {
     assert_eq!(ints(&db, "select x from t order by x"), expected);
     drop(db);
 
-    // Final recovery: every retried insert is present. A sync-fail orphan
-    // record can legitimately replay as a duplicate (fsync ambiguity), so
-    // compare the deduplicated history.
+    // Final recovery: exactly the retried history, no failed insert
+    // replayed beside its retry.
     let db = open(&dir);
-    let mut state = ints(&db, "select x from t order by x");
-    state.dedup();
-    assert_eq!(state, expected);
+    assert_eq!(ints(&db, "select x from t order by x"), expected);
     drop(db);
     let _ = fs::remove_dir_all(&dir);
 }

@@ -58,6 +58,7 @@ fn is_injected(err: &EngineError, point: &str) -> bool {
 const STORAGE_POINTS: &[&str] = &[
     "wal_append_io",
     "wal_sync_fail",
+    "wal_truncate_fail",
     "segment_write_torn",
     "manifest_rename_fail",
 ];

@@ -1057,3 +1057,156 @@ fn value_errors_replay_on_the_row_path() {
         "select f, min(f) from t where f > 3999 or k < 0 group by f",
     );
 }
+
+/// `p(k, g, f, fn, i, inn, d)`: RewriteAgg's per-key step, whose groups are
+/// the key's, `n` rows. `per_key` rows share each key, except that one key
+/// in ten repeats a row further on (a conflict met after its group has
+/// formed). `f` and `i` have no NULLs; `fn` and `inn` are NULL in two rows
+/// of three. Floats include `-0.0` and `0.0` in both orders within a key.
+fn per_key(n: usize, per_key: usize, seed: u64) -> Table {
+    let mut rng = Lcg(seed);
+    let mut t = Table::new(
+        "p",
+        vec![
+            ("k", DataType::Integer),
+            ("g", DataType::Text),
+            ("f", DataType::Float),
+            ("fn", DataType::Float),
+            ("i", DataType::Integer),
+            ("inn", DataType::Integer),
+            ("d", DataType::Date),
+        ],
+    );
+    for row in 0..n {
+        let k = if row % 10 == 9 && row >= 100 {
+            ((row - 100) / per_key) as i64
+        } else {
+            (row / per_key) as i64
+        };
+        let r = rng.next();
+        let f = match r % 9 {
+            0 => 0.0,
+            1 => -0.0,
+            _ => (r % 1999) as f64 / 4.0 - 200.0,
+        };
+        t.push(vec![
+            Value::Int(k),
+            Value::str(WORDS[(k % 3) as usize]),
+            Value::Float(f),
+            null_heavy(&mut rng, Value::Float(f * 2.0)),
+            Value::Int((r % 4001) as i64 - 2000),
+            null_heavy(&mut rng, Value::Int((r % 77) as i64)),
+            Value::Date(10_000 + (r % 500) as i32),
+        ])
+        .unwrap();
+    }
+    t
+}
+
+/// `v` one time in three, NULL otherwise.
+fn null_heavy(rng: &mut Lcg, v: Value) -> Value {
+    if rng.next().is_multiple_of(3) {
+        v
+    } else {
+        Value::Null
+    }
+}
+
+/// The per-key MIN/MAX, SUM, COUNT and AVG of RewriteAgg's
+/// `conq_unfiltered`, over argument columns with and without NULLs, with
+/// group counts on both sides of the 1024-row head morsel (the one-worker
+/// plan sizes its state from it) and of the 4096-row parallel threshold:
+/// about a group per row (one worker) and three rows a group (partials).
+#[test]
+fn per_key_folds_cross_the_head_morsel_and_the_threshold() {
+    let sql = "select k, g, min(f), max(f), min(fn), max(fn), min(i), max(i), min(inn), \
+               max(inn), min(d), max(d), sum(i), sum(inn), sum(f), sum(fn), avg(f), avg(inn), \
+               count(fn), count(inn), count(*) from p group by k, g";
+    for (n, per) in [
+        (1000, 1),
+        (1100, 1),
+        (5000, 1),
+        (9000, 1),
+        (1100, 3),
+        (5000, 3),
+        (14_000, 3),
+    ] {
+        let db = Database::new();
+        db.register(per_key(n, per, n as u64 + per as u64)).unwrap();
+        check(&db, sql);
+        check(&db, "select distinct k, g from p");
+    }
+}
+
+/// A NaN meeting a group's value is the row path's error, wherever the
+/// group's rows fall: after a non-NaN in one group, in the head morsel and
+/// past it; a group whose only value is NaN answers NaN. A `-0.0` and a
+/// `0.0` in one group keep the first, and an integer SUM that overflows in
+/// one group errs — each on the one-worker plan (a group per row) and on
+/// partials (few groups).
+#[test]
+fn per_key_nan_ties_and_overflow_match_the_row_path() {
+    let build = |n: usize, per: usize, x: &dyn Fn(usize) -> Value, s: &dyn Fn(usize) -> i64| {
+        let db = Database::new();
+        let mut t = Table::new(
+            "q",
+            vec![
+                ("k", DataType::Integer),
+                ("x", DataType::Float),
+                ("s", DataType::Integer),
+            ],
+        );
+        for row in 0..n {
+            t.push(vec![
+                Value::Int((row / per) as i64),
+                x(row),
+                Value::Int(s(row)),
+            ])
+            .unwrap();
+        }
+        db.register(t).unwrap();
+        db
+    };
+    let plain = |row: usize| Value::Float(row as f64);
+    for (n, per) in [(6000, 2), (6000, 1500)] {
+        for at in [3, 2500] {
+            // NaN after a non-NaN in the group holding row `at`.
+            let nan_after = |row: usize| {
+                if row == at + 1 {
+                    Value::Float(f64::NAN)
+                } else {
+                    plain(row)
+                }
+            };
+            let db = build(n, per, &nan_after, &|_| 1);
+            check(&db, "select k, min(x) from q group by k");
+            check(&db, "select k, max(x), count(*) from q group by k");
+            check(&db, "select k, sum(x) from q group by k");
+        }
+        // A group whose only value is NaN (the rest of its rows NULL when
+        // it has more than one).
+        let lone_nan = |row: usize| match row / per {
+            1 if row.is_multiple_of(per) => Value::Float(f64::NAN),
+            1 => Value::Null,
+            _ => plain(row),
+        };
+        let db = build(n, per, &lone_nan, &|_| 1);
+        check(&db, "select k, min(x), max(x) from q group by k");
+        // `-0.0` then `0.0` in one group, `0.0` then `-0.0` in the next.
+        let ties = |row: usize| match (row / per, row % per) {
+            (0, 0) | (1, 1) => Value::Float(-0.0),
+            (0, 1) | (1, 0) => Value::Float(0.0),
+            _ => plain(row),
+        };
+        let db = build(n, per, &ties, &|_| 1);
+        check(&db, "select k, min(x), max(x) from q group by k");
+        // An i64 SUM overflowing in one group only.
+        let big = |row: usize| if row == 4000 { i64::MAX } else { 1 };
+        let db = build(n, per, &plain, &big);
+        check(&db, "select k, sum(s) from q group by k");
+        check(
+            &db,
+            "select k, sum(s), min(s) from q where k <> 4000 / 2 group by k",
+        );
+    }
+}

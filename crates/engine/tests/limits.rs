@@ -107,6 +107,46 @@ fn memory_limit_trips_on_aggregation_build() {
 }
 
 #[test]
+fn many_groups_trip_as_they_arrive() {
+    // 20 000 groups, one a row, each holding 20 MIN/MAX states: about
+    // 4 MB of table and states once every group is in. The one-worker plan
+    // sizes its partial ahead of the groups, uncharged, so that room must
+    // stay within what the budget has left (`exec`'s
+    // `sizing_ahead_stays_within_the_memory_budget`), and the trip comes
+    // on the aggregate as the groups arrive.
+    let db = Database::new();
+    let cols: Vec<String> = (0..10).map(|c| format!("v{c} float")).collect();
+    let rows: Vec<String> = (0..20_000)
+        .map(|i| {
+            let vals: Vec<String> = (0..10).map(|c| format!("{}.5", i * 10 + c)).collect();
+            format!("({i}, {})", vals.join(", "))
+        })
+        .collect();
+    db.run_script(&format!(
+        "create table g (k integer, {});\ninsert into g values {};",
+        cols.join(", "),
+        rows.join(", ")
+    ))
+    .expect("build many-group fixture");
+    let aggs: Vec<String> = (0..10).map(|c| format!("min(v{c}), max(v{c})")).collect();
+    let sql = format!("select k, {} from g group by k", aggs.join(", "));
+    // Room for the head morsel's groups, not for the rest.
+    let budget = 1024 * 1024;
+    for threads in [1, 2, 8] {
+        let options = ExecOptions::default()
+            .with_threads(threads)
+            .with_limits(ResourceLimits::unlimited().with_max_memory_bytes(budget));
+        let trip = match db.query_with(&sql, &options) {
+            Err(EngineError::MemoryExceeded(trip)) => trip,
+            other => panic!("threads {threads}: expected MemoryExceeded, got {other:?}"),
+        };
+        assert_eq!(trip.operator, "aggregate", "threads {threads}");
+    }
+    let rows = db.query_with(&sql, &ExecOptions::default());
+    assert_eq!(rows.expect("unlimited").len(), 20_000);
+}
+
+#[test]
 fn memory_limit_charges_distinct_by_key_width() {
     // 4 000 distinct rows, six integer columns wide. DISTINCT used to
     // charge `size_of::<Key>()` = 24 B per hash-set slot whatever the key

@@ -14,6 +14,7 @@
 //! |-------|------|
 //! | `wal_append_io`       | before writing an assembled WAL record |
 //! | `wal_sync_fail`       | before `fsync` of the WAL file |
+//! | `wal_truncate_fail`   | before cutting a record whose fsync failed back out of the WAL |
 //! | `segment_write_torn`  | before writing a checkpoint segment; on trip the store writes a deliberately truncated prefix first, so a real torn file is left on disk |
 //! | `manifest_rename_fail`| after writing `MANIFEST.tmp`, before the atomic rename |
 

@@ -23,6 +23,11 @@
 //! - **Bounded loss.** With [`SyncPolicy::Always`] a `kill -9` loses
 //!   nothing acknowledged; with `IntervalMs`/`Never` it loses at most the
 //!   records appended since the last fsync.
+//! - **No replay of a refusal.** With [`SyncPolicy::Always`] an append
+//!   whose fsync fails is cut back out of the WAL before the error is
+//!   returned, so a reopen without a crash replays exactly the appends
+//!   that succeeded; if the cut fails, the store refuses every later write
+//!   until it is reopened.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]

@@ -78,6 +78,10 @@ struct Inner {
     wal: WalWriter,
     next_seq: u64,
     manifest: Manifest,
+    /// Set when a record whose fsync failed could not be cut back out of
+    /// the WAL: the file holds a record its caller was told failed, so
+    /// every later append and checkpoint errs until the store is reopened.
+    poisoned: bool,
 }
 
 /// A durable record store rooted at one directory. Thread-safe; appends
@@ -86,6 +90,17 @@ pub struct Store {
     dir: PathBuf,
     sync: SyncPolicy,
     inner: Mutex<Inner>,
+}
+
+impl Inner {
+    fn check_poisoned(&self) -> io::Result<()> {
+        if self.poisoned {
+            return Err(io::Error::other(
+                "store poisoned: a failed WAL append could not be cut from the log; reopen it",
+            ));
+        }
+        Ok(())
+    }
 }
 
 fn wal_file_name(generation: u64) -> String {
@@ -151,6 +166,7 @@ impl Store {
                 wal,
                 next_seq: last_seq + 1,
                 manifest: manifest.clone(),
+                poisoned: false,
             }),
         };
         store.remove_orphans(&manifest);
@@ -193,16 +209,31 @@ impl Store {
 
     /// Append one record ahead of applying it, returning its sequence
     /// number. Syncs according to the store's [`SyncPolicy`].
+    ///
+    /// Under [`SyncPolicy::Always`] an `Err` means the record is not in
+    /// the log: when the fsync fails after the bytes were written, the WAL
+    /// is cut back to its length before the append and the sequence number
+    /// is handed out again, so a reopen replays nothing the caller was told
+    /// failed. If that cut fails too, the store is poisoned.
     pub fn append(&self, kind: u8, payload: &[u8]) -> io::Result<u64> {
         let mut inner = self.lock();
-        let seq = inner.next_seq;
+        inner.check_poisoned()?;
+        let (seq, before) = (inner.next_seq, inner.wal.len());
         let bytes = inner.wal.append(seq, kind, payload)?;
         inner.next_seq += 1;
         let registry = conquer_obs::registry();
         registry.counter("storage.wal.appends").inc();
         registry.counter("storage.wal.append_bytes").add(bytes);
         match self.sync {
-            SyncPolicy::Always => inner.wal.sync()?,
+            SyncPolicy::Always => {
+                if let Err(e) = inner.wal.sync() {
+                    match inner.wal.truncate(before) {
+                        Ok(()) => inner.next_seq = seq,
+                        Err(_) => inner.poisoned = true,
+                    }
+                    return Err(e);
+                }
+            }
             SyncPolicy::IntervalMs(ms) => {
                 if inner.wal.millis_since_sync() >= u128::from(ms) {
                     inner.wal.sync()?;
@@ -258,6 +289,7 @@ impl Store {
     ) -> io::Result<()> {
         let t0 = Instant::now();
         let mut inner = self.lock();
+        inner.check_poisoned()?;
         // Everything logged so far will live inside the segments.
         inner.wal.sync()?;
         let covered_seq = inner.next_seq - 1;

@@ -237,6 +237,17 @@ impl WalWriter {
         Ok(())
     }
 
+    /// Cut the file back to `len` bytes, a record boundary at or below the
+    /// current length: the store's undo of an append whose fsync failed.
+    pub fn truncate(&mut self, len: u64) -> io::Result<()> {
+        fault::trip("wal_truncate_fail")?;
+        self.file.set_len(len)?;
+        self.file.seek(SeekFrom::Start(len))?;
+        self.unsynced = self.unsynced.saturating_sub(self.len - len);
+        self.len = len;
+        Ok(())
+    }
+
     /// Milliseconds since the last successful fsync (for interval sync).
     pub fn millis_since_sync(&self) -> u128 {
         self.last_sync.elapsed().as_millis()

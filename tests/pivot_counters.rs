@@ -66,7 +66,9 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use conquer::engine::{DataType, NodeStats, Plan, Table, Value};
+use conquer::engine::{
+    explain_analyze, stats_json, DataType, GroupPlan, NodeStats, Plan, Table, Value,
+};
 use conquer::sql::ast::Query;
 use conquer::tpch::{build_workload, Workload, WorkloadConfig, Q1, Q10, Q12, Q3, Q4, Q6};
 use conquer::{parse_query, rewrite, Database, DurabilityOptions, ExecOptions, RewriteOptions};
@@ -354,11 +356,11 @@ fn rewritten_q1_pivots_only_the_filter_join_and_the_result() {
 }
 
 /// The grouping operators of `plan`, outermost first: whether each is a
-/// DISTINCT, the rows it folded, and the workers it folded them on.
-fn groupings(plan: &Plan, stats: &NodeStats, out: &mut Vec<(bool, u64, u64)>) {
+/// DISTINCT, and its stats.
+fn groupings<'s>(plan: &Plan, stats: &'s NodeStats, out: &mut Vec<(bool, &'s NodeStats)>) {
     match plan {
-        Plan::Aggregate { .. } => out.push((false, stats.build_rows, stats.threads_used)),
-        Plan::Distinct { .. } => out.push((true, stats.build_rows, stats.threads_used)),
+        Plan::Aggregate { .. } => out.push((false, stats)),
+        Plan::Distinct { .. } => out.push((true, stats)),
         _ => {}
     }
     for (child, child_stats) in plan.children().into_iter().zip(&stats.children) {
@@ -373,8 +375,9 @@ fn groupings(plan: &Plan, stats: &NodeStats, out: &mut Vec<(bool, u64, u64)>) {
 /// folds them; where a few groups remain — `conq_qg_cons`' DISTINCT and the
 /// final GROUP BY's branch over `conq_unfiltered` — morsel-local partials
 /// are merged. `exec.agg.one_worker` / `exec.agg.partials` count the two
-/// plans, and `EXPLAIN ANALYZE`'s `threads=` shows which operator took
-/// which.
+/// plans, and each operator's stats record the way it took and its groups,
+/// which `EXPLAIN ANALYZE` (`threads=`, `groups=`, `way=`) and the operator
+/// JSON print.
 #[test]
 fn q1_groups_each_candidate_on_one_worker_and_few_groups_in_partials() {
     let _turn = turn();
@@ -390,12 +393,12 @@ fn q1_groups_each_candidate_on_one_worker_and_few_groups_in_partials() {
         };
         let rewritten = rewrite(&q1, &w.sigma, &rewrite_options).unwrap();
         let before = plans();
-        let (_, plan, stats, ctes) =
+        let (rows, plan, stats, ctes) =
             w.db.execute_query_traced_with_ctes(&rewritten, &options)
                 .unwrap();
         let after = plans();
-        // (a DISTINCT?, rows folded, workers) of the CTE's outermost grouping
-        // step, or the final aggregate's.
+        // (a DISTINCT?, stats) of the CTE's outermost grouping step, or the
+        // final aggregate's.
         let grouping = |name: &str| {
             let mut out = Vec::new();
             match ctes.iter().find(|c| c.name == name) {
@@ -411,10 +414,23 @@ fn q1_groups_each_candidate_on_one_worker_and_few_groups_in_partials() {
             "conq_qg_cons",
             "final",
         ] {
-            let (distinct, rows, workers) = grouping(name);
+            let (distinct, step) = grouping(name);
+            let (rows, workers) = (step.build_rows, step.threads_used);
             let per_key = matches!(name, "conq_qg_candidates" | "conq_unfiltered");
             assert!(rows > 4096, "{what} {name}: {rows} rows");
             assert_eq!(workers <= 1, per_key, "{what} {name}: {workers} workers");
+            let way = if per_key {
+                GroupPlan::OneWorker
+            } else {
+                GroupPlan::Partials
+            };
+            assert_eq!(step.group_plan, Some(way), "{what} {name}");
+            assert_eq!(step.groups, step.rows_out, "{what} {name}: a row per group");
+            assert!(
+                (step.groups * 2 > rows) == per_key,
+                "{what} {name}: {} groups of {rows} rows",
+                step.groups
+            );
             assert_eq!(
                 distinct,
                 name == "conq_qg_cons" || name == "conq_qg_candidates" && !annotated
@@ -422,6 +438,19 @@ fn q1_groups_each_candidate_on_one_worker_and_few_groups_in_partials() {
         }
         let since = [after[0] - before[0], after[1] - before[1]];
         assert_eq!(since, counted, "{what}: (one worker, partials)");
+
+        let groups = rows.rows.len();
+        let text = explain_analyze(&plan, &stats);
+        let line = text.lines().find(|l| l.contains("Aggregate")).unwrap();
+        assert!(
+            line.contains(&format!(" groups={groups} way=partials")),
+            "{what}: {line}"
+        );
+        let json = stats_json(&plan, &stats).render();
+        assert!(
+            json.contains(&format!("\"group_plan\":\"partials\",\"groups\":{groups}")),
+            "{what}: {json}"
+        );
     }
 }
 
