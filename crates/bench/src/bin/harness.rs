@@ -962,6 +962,30 @@ fn opbench(args: &Args) -> Json {
                    where l_discount > 0.08) u \
                   group by u.f, u.s",
         },
+        // The rewritings' final per-group float sums: one exact sum per
+        // group, about four rows each.
+        OpSpec {
+            op: "aggregate.sum.groups",
+            node: "Aggregate",
+            driving: "lineitem",
+            sql: "select l_orderkey, sum(l_extendedprice) from lineitem l group by l_orderkey",
+        },
+        // ORDER BY over a float key, whole and under a LIMIT (a top-N:
+        // Q3's and Q10's final step).
+        OpSpec {
+            op: "sort",
+            node: "Sort",
+            driving: "lineitem",
+            sql: "select l_orderkey, l_extendedprice from lineitem l \
+                  order by l_extendedprice desc",
+        },
+        OpSpec {
+            op: "sort.limit",
+            node: "Sort",
+            driving: "lineitem",
+            sql: "select l_orderkey, l_extendedprice from lineitem l \
+                  order by l_extendedprice desc limit 20",
+        },
         // `conq_base`'s projection in rewritten Q1: arithmetic with a
         // scalar on either side, COALESCE and a CASE over IS NULL.
         OpSpec {

@@ -106,7 +106,7 @@ pub struct Estimator {
     /// the planner's estimator always does. The optimizer's access-path
     /// pass only sees indexes through it, so a plain
     /// [`Estimator::from_db`] prices a plan as if no index were declared.
-    with_indexes: bool,
+    offers_indexes: bool,
 }
 
 /// The key a scanned batch is looked up by: its `Arc` pointer, the
@@ -130,7 +130,7 @@ impl Estimator {
     /// access paths.
     pub fn from_db_with_indexes(db: &Database) -> Estimator {
         Estimator {
-            with_indexes: true,
+            offers_indexes: true,
             ..Estimator::from_db(db)
         }
     }
@@ -147,7 +147,7 @@ impl Estimator {
     /// holds, and a fresh scan never gets one an `INSERT` has replaced.
     pub fn indexes_for(&self, cols: &Arc<ColBatch>) -> Vec<Arc<Index>> {
         match self.entries.get(&batch_key(cols)) {
-            Some(entry) if self.with_indexes => entry.indexes(),
+            Some(entry) if self.offers_indexes => entry.indexes(),
             _ => Vec::new(),
         }
     }

@@ -67,7 +67,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use crate::col::{self, ColBatch, ColumnChunk, ColumnData};
+use crate::col::{self, Bitmap, ColBatch, ColumnChunk, ColumnData};
 use crate::error::{EngineError, Result};
 use crate::expr::{BoundExpr, Env};
 use crate::faults;
@@ -794,16 +794,22 @@ fn exec_node(
             let r = execute_ctx(right, outer, child_stats(stats, 1), ctx)?;
             Ok(union_all(l, r))
         }
-        Plan::Sort { input, keys } => {
-            faults::trip("sort")?;
-            let child = execute_ctx(input, outer, child_stats(stats, 0), ctx)?.into_rows();
-            let workers = par_workers(child.rows.len(), ctx.threads);
-            note_threads(stats, workers);
-            Ok(Batch::Owned(exec_sort(child, keys, outer, ctx, workers)?))
-        }
+        Plan::Sort { input, keys } => exec_sort(input, keys, None, outer, stats, ctx),
         Plan::Limit { input, n } => {
             faults::trip("limit")?;
-            let child = execute_ctx(input, outer, child_stats(stats, 0), ctx)?;
+            // A Sort right below runs as a top-N: it sorts only the rows
+            // the limit keeps.
+            let child = match &**input {
+                Plan::Sort {
+                    input: sorted,
+                    keys,
+                } => run_node(input, child_stats(stats, 0), ctx, |stats| {
+                    let out = exec_sort(sorted, keys, Some(*n as usize), outer, stats, ctx)?;
+                    let rows = out.len();
+                    Ok((out, rows))
+                })?,
+                _ => execute_ctx(input, outer, child_stats(stats, 0), ctx)?,
+            };
             let take = (*n as usize).min(child.len());
             if take == child.len() {
                 return Ok(child);
@@ -869,33 +875,54 @@ fn project_row(
     Ok(out)
 }
 
-/// One side of a hash join read as key columns: columns `idx` of `batch`,
-/// row for row the side's rows.
-struct JoinKeys {
+/// Key expressions over a batch read as key columns — a join side's keys,
+/// ORDER BY's: columns `idx` of `batch`, row for row the batch's rows.
+struct KeyColumns {
     batch: Arc<ColBatch>,
     idx: Vec<usize>,
-    /// Bytes of the chunks evaluated for this join; 0 when they are the
-    /// side's own.
+    /// Bytes of the chunks evaluated for these keys; 0 when they are the
+    /// batch's own.
     evaluated_bytes: u64,
 }
 
-/// A join side's keys as key columns: the batch's own chunks when the keys
-/// are plain columns of a `Col` side; otherwise the key expressions
-/// evaluated once per row, in row order (on the morsel driver, so the
-/// lowest row's error wins), into fresh chunks.
-fn join_keys(
+/// `keys` over `side` as key columns: the batch's own chunks when the keys
+/// are plain columns of a `Col` side; the compiled projection's chunks when
+/// they compile against it and evaluate without a value-level error;
+/// otherwise the key expressions evaluated once per row, in row order (on
+/// the morsel driver, so the lowest row's error wins), into fresh chunks.
+/// The evaluation ticks the governor under `op`.
+fn key_columns(
     side: &Batch,
-    keys: &[BoundExpr],
+    keys: &[&BoundExpr],
+    op: &'static str,
     outer: Option<&Env<'_>>,
     stats: &mut Option<&mut NodeStats>,
     ctx: ExecCtx<'_>,
-) -> Result<JoinKeys> {
-    if let (Batch::Col { cols, .. }, Some(idx)) = (side, kernels::column_indices(keys)) {
-        return Ok(JoinKeys {
-            batch: Arc::clone(cols),
-            idx,
-            evaluated_bytes: 0,
-        });
+) -> Result<KeyColumns> {
+    let evaluated = |chunks: Vec<Arc<ColumnChunk>>, own: &[Arc<ColumnChunk>]| {
+        let fresh = chunks
+            .iter()
+            .filter(|c| !own.iter().any(|o| Arc::ptr_eq(o, c)));
+        KeyColumns {
+            evaluated_bytes: fresh.map(|c| c.byte_size() as u64).sum(),
+            batch: Arc::new(ColBatch::from_chunks(side.len(), chunks)),
+            idx: (0..keys.len()).collect(),
+        }
+    };
+    if let Batch::Col { cols, .. } = side {
+        if let Some(idx) = kernels::column_indices(keys.iter().copied()) {
+            return Ok(KeyColumns {
+                batch: Arc::clone(cols),
+                idx,
+                evaluated_bytes: 0,
+            });
+        }
+        if let Some(projection) = kernels::compile_projection(keys.iter().copied(), cols) {
+            ticks(ctx.gov, cols.len() as u64, op)?;
+            if let Some(chunks) = projection.eval(cols) {
+                return Ok(evaluated(chunks, cols.cols()));
+            }
+        }
     }
     let rows = side.rows();
     let workers = par_workers(rows.len(), ctx.threads);
@@ -906,7 +933,7 @@ fn join_keys(
             .map(|_| Vec::with_capacity(range.len()))
             .collect();
         for row in &rows[range] {
-            tick(ctx.gov, "hash_join")?;
+            tick(ctx.gov, op)?;
             for (col, key) in vals.iter_mut().zip(keys) {
                 col.push(eval_on_row(key, row, outer, ctx)?);
             }
@@ -919,12 +946,19 @@ fn join_keys(
             Arc::new(ColumnChunk::from_values(vals))
         })
         .collect();
-    let batch = ColBatch::from_chunks(rows.len(), chunks);
-    Ok(JoinKeys {
-        evaluated_bytes: batch.byte_size() as u64,
-        batch: Arc::new(batch),
-        idx: (0..keys.len()).collect(),
-    })
+    Ok(evaluated(chunks, &[]))
+}
+
+/// [`key_columns`] for a hash join's side.
+fn join_keys(
+    side: &Batch,
+    keys: &[BoundExpr],
+    outer: Option<&Env<'_>>,
+    stats: &mut Option<&mut NodeStats>,
+    ctx: ExecCtx<'_>,
+) -> Result<KeyColumns> {
+    let keys: Vec<&BoundExpr> = keys.iter().collect();
+    key_columns(side, &keys, "hash_join", outer, stats, ctx)
 }
 
 /// The build side of a hash join: row-id postings over its key columns
@@ -934,7 +968,7 @@ fn join_keys(
 /// emission path downstream is identical.
 struct JoinTable<'a> {
     postings: Cow<'a, Postings>,
-    keys: JoinKeys,
+    keys: KeyColumns,
 }
 
 impl JoinTable<'_> {
@@ -1078,7 +1112,7 @@ fn exec_hash_join(
             conquer_obs::registry().counter("index.probe").inc();
             JoinTable {
                 postings: Cow::Borrowed(index.postings()),
-                keys: JoinKeys {
+                keys: KeyColumns {
                     batch: Arc::clone(index.batch()),
                     idx: index.cols().to_vec(),
                     evaluated_bytes: 0,
@@ -1383,9 +1417,9 @@ fn exec_nested_loop_join(
 pub(crate) enum Accumulator {
     Count(i64),
     SumInt { sum: i64, seen: bool },
-    SumFloat { sum: Box<ExactSum>, seen: bool },
+    SumFloat { sum: ExactSum, seen: bool },
     MinMax { best: Option<Value>, is_min: bool },
-    Avg { sum: Box<ExactSum>, count: i64 },
+    Avg { sum: ExactSum, count: i64 },
 }
 
 impl Accumulator {
@@ -1405,7 +1439,7 @@ impl Accumulator {
                 is_min: false,
             },
             AggFunc::Avg => Accumulator::Avg {
-                sum: Box::new(ExactSum::new()),
+                sum: ExactSum::new(),
                 count: 0,
             },
         }
@@ -1426,7 +1460,7 @@ impl Accumulator {
                     *seen = true;
                 }
                 Value::Float(v) => {
-                    let mut promoted = Box::new(ExactSum::new());
+                    let mut promoted = ExactSum::new();
                     promoted.add_i64(*sum);
                     promoted.add(*v);
                     *self = Accumulator::SumFloat {
@@ -1600,7 +1634,7 @@ impl Accumulator {
                     Value::Null
                 }
             }
-            Accumulator::SumFloat { mut sum, seen } => {
+            Accumulator::SumFloat { sum, seen } => {
                 if seen {
                     Value::Float(sum.to_f64())
                 } else {
@@ -1608,7 +1642,7 @@ impl Accumulator {
                 }
             }
             Accumulator::MinMax { best, .. } => best.unwrap_or(Value::Null),
-            Accumulator::Avg { mut sum, count } => {
+            Accumulator::Avg { sum, count } => {
                 if count == 0 {
                     Value::Null
                 } else {
@@ -1903,7 +1937,6 @@ fn exec_aggregate_union(
         s.group_plan = s.group_plan.max(Some(way));
         s.groups += groups as u64;
     }
-    let finish = |accs: Vec<Accumulator>| accs.into_iter().map(Accumulator::finish);
     let mut chunks: Vec<Arc<ColumnChunk>> = gidx
         .iter()
         .map(|&c| {
@@ -1914,15 +1947,38 @@ fn exec_aggregate_union(
             Arc::new(ColumnChunk::concat(&parts.iter().collect::<Vec<_>>()))
         })
         .collect();
-    chunks.extend(
-        merged
-            .into_iter()
-            .map(|accs| Arc::new(ColumnChunk::from_values(finish(accs)))),
-    );
+    chunks.extend(merged.into_iter().map(|accs| Arc::new(finish_column(accs))));
     Ok(Some(Batch::Col {
         cols: Arc::new(ColBatch::from_chunks(groups, chunks)),
         schema: schema.clone(),
     }))
+}
+
+/// One aggregate's merged partials, finished into its output column. Float
+/// sums and averages — NULL where they met no value — round straight into
+/// a `Float` column; anything else goes through [`ColumnChunk::from_values`],
+/// which lays out the same column for them.
+fn finish_column(accs: Vec<Accumulator>) -> ColumnChunk {
+    let float = |acc: &Accumulator| match acc {
+        Accumulator::SumFloat { sum, seen: true } => Some(Some(sum.to_f64())),
+        Accumulator::SumFloat { seen: false, .. }
+        | Accumulator::SumInt { seen: false, .. }
+        | Accumulator::Avg { count: 0, .. } => Some(None),
+        // One exact sum, one rounding, one division.
+        Accumulator::Avg { sum, count } => Some(Some(sum.to_f64() / *count as f64)),
+        _ => None,
+    };
+    let floats: Option<Vec<Option<f64>>> = accs.iter().map(float).collect();
+    match floats {
+        Some(xs) if xs.iter().any(Option::is_some) => {
+            let valid: Vec<bool> = xs.iter().map(Option::is_some).collect();
+            ColumnChunk {
+                data: ColumnData::Float(xs.into_iter().map(|x| x.unwrap_or(0.0)).collect()),
+                validity: Bitmap::from_flags(&valid),
+            }
+        }
+        _ => ColumnChunk::from_values(accs.into_iter().map(Accumulator::finish)),
+    }
 }
 
 /// How far the integers a SUM reads in `batch` can move one group's running
@@ -2368,62 +2424,123 @@ fn fold_groups(
     Ok((merged, mem_bytes))
 }
 
-/// ORDER BY key comparison: NULLs sort last regardless of direction,
-/// otherwise [`Value::total_cmp`] per key, descending keys reversed.
-fn cmp_key_vecs(a: &[Value], b: &[Value], keys: &[(BoundExpr, bool)]) -> std::cmp::Ordering {
-    for (i, (_, desc)) in keys.iter().enumerate() {
-        let ord = match (a[i].is_null(), b[i].is_null()) {
-            (true, true) => std::cmp::Ordering::Equal,
-            (true, false) => std::cmp::Ordering::Greater,
-            (false, true) => std::cmp::Ordering::Less,
-            (false, false) => {
-                let ord = a[i].total_cmp(&b[i]);
-                if *desc {
-                    ord.reverse()
-                } else {
-                    ord
-                }
-            }
-        };
-        if !ord.is_eq() {
-            return ord;
+// ---------------------------------------------------------------------------
+// Sort
+// ---------------------------------------------------------------------------
+
+/// ORDER BY over `input`'s rows, or — when a LIMIT right above asks for
+/// its first `top` rows — only those. One body for every input:
+///
+/// 1. The keys become columns ([`key_columns`]): a `Col` input's own
+///    chunks or its compiled projection, a row-shaped input's keys
+///    evaluated once per row.
+/// 2. A typed comparator per key column ([`SortKey`]) orders a `u32`
+///    permutation, ties broken by row: the order is total, so the sort is
+///    stable and the same, bit for bit, at any worker count.
+/// 3. With `top`, a selection by (key, row) keeps the first `top` rows and
+///    only those are sorted.
+/// 4. The permutation is applied as a gather (`Col`, which stays
+///    columnar) or as a move of the rows (`Owned`).
+fn exec_sort(
+    input: &Plan,
+    keys: &[(BoundExpr, bool)],
+    top: Option<usize>,
+    outer: Option<&Env<'_>>,
+    stats: &mut Option<&mut NodeStats>,
+    ctx: ExecCtx<'_>,
+) -> Result<Batch> {
+    faults::trip("sort")?;
+    let child = execute_ctx(input, outer, child_stats(stats, 0), ctx)?;
+    let n = child.len();
+    let rows = u32::try_from(n).map_err(|_| {
+        EngineError::Execution(format!("a sort of {n} rows does not fit u32 row ids"))
+    })?;
+    ticks(ctx.gov, n as u64, "sort")?;
+    let exprs: Vec<&BoundExpr> = keys.iter().map(|(e, _)| e).collect();
+    let cols = key_columns(&child, &exprs, "sort", outer, stats, ctx)?;
+    let sort_keys: Vec<SortKey<'_>> = cols
+        .idx
+        .iter()
+        .zip(keys)
+        .map(|(&c, &(_, desc))| SortKey::new(cols.batch.col(c), desc))
+        .collect();
+    let cmp = |a: &u32, b: &u32| {
+        let (i, j) = (*a as usize, *b as usize);
+        let by_key = sort_keys.iter().map(|k| k.cmp(i, j)).find(|o| o.is_ne());
+        by_key.unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(b))
+    };
+    let mut order: Vec<u32> = (0..rows).collect();
+    if let Some(k) = top.filter(|&k| k < n) {
+        if k > 0 {
+            order.select_nth_unstable_by(k - 1, cmp);
         }
+        order.truncate(k);
     }
-    std::cmp::Ordering::Equal
+    order.sort_unstable_by(cmp);
+    if let (Some(s), Some(k)) = (stats.as_deref_mut(), top) {
+        s.top_n = Some(k as u64);
+    }
+    Ok(match child {
+        Batch::Col { cols, schema } => Batch::Col {
+            cols: Arc::new(cols.gather(&order)),
+            schema,
+        },
+        Batch::Owned(Rows { schema, mut rows }) => Batch::Owned(Rows {
+            schema,
+            rows: order
+                .iter()
+                .map(|&i| mem::take(&mut rows[i as usize]))
+                .collect(),
+        }),
+    })
 }
 
-/// Sort rows by the ORDER BY keys. Keys are evaluated once per row
-/// up front (decorate–sort–undecorate), so the comparator never re-runs
-/// key expressions.
-///
-/// The decoration runs on the morsel driver; the sort is one stable
-/// `sort_by` on the calling thread, so ties keep their input order and the
-/// result is the same, bit for bit, at any worker count.
-fn exec_sort(
-    mut input: Rows,
-    keys: &[(BoundExpr, bool)],
-    outer: Option<&Env<'_>>,
-    ctx: ExecCtx<'_>,
-    workers: usize,
-) -> Result<Rows> {
-    let gov = ctx.gov;
-    let rows = mem::take(&mut input.rows);
-    let key_vecs = concat(for_morsels(rows.len(), workers, |range| {
-        let mut out = Vec::with_capacity(range.len());
-        for idx in range {
-            tick(gov, "sort")?;
-            let mut kv = Vec::with_capacity(keys.len());
-            for (expr, _) in keys {
-                kv.push(eval_on_row(expr, &rows[idx], outer, ctx)?);
-            }
-            out.push(kv);
+/// One ORDER BY key column, read typed: NULLs sort last whichever the
+/// direction; otherwise the values' order ([`Value::total_cmp`]'s — NaN
+/// after every number, `-0.0` equal to `0.0`), reversed when descending.
+struct SortKey<'a> {
+    data: &'a ColumnData,
+    validity: Option<&'a Bitmap>,
+    desc: bool,
+}
+
+impl<'a> SortKey<'a> {
+    fn new(chunk: &'a ColumnChunk, desc: bool) -> SortKey<'a> {
+        SortKey {
+            data: &chunk.data,
+            validity: chunk.validity.as_ref(),
+            desc,
         }
-        Ok(out)
-    })?);
-    let mut decorated: Vec<(Vec<Value>, Row)> = key_vecs.into_iter().zip(rows).collect();
-    decorated.sort_by(|(a, _), (b, _)| cmp_key_vecs(a, b, keys));
-    input.rows = decorated.into_iter().map(|(_, row)| row).collect();
-    Ok(input)
+    }
+
+    fn cmp(&self, a: usize, b: usize) -> std::cmp::Ordering {
+        use std::cmp::Ordering;
+        let nulls = match (self.data, self.validity) {
+            (ColumnData::Any(vs), _) => (vs[a].is_null(), vs[b].is_null()),
+            (_, Some(bm)) => (!bm.get(a), !bm.get(b)),
+            (_, None) => (false, false),
+        };
+        match nulls {
+            (false, false) => {}
+            (null_a, null_b) => return null_a.cmp(&null_b),
+        }
+        let ord = match self.data {
+            ColumnData::Int(xs) => xs[a].cmp(&xs[b]),
+            ColumnData::Float(xs) => crate::value::float_cmp(xs[a], xs[b]),
+            ColumnData::Date(xs) => xs[a].cmp(&xs[b]),
+            ColumnData::Bool(xs) => xs[a].cmp(&xs[b]),
+            ColumnData::Text { codes, dict } if codes[a] != codes[b] => {
+                dict.get(codes[a]).cmp(dict.get(codes[b]))
+            }
+            ColumnData::Text { .. } => Ordering::Equal,
+            ColumnData::Any(vs) => vs[a].total_cmp(&vs[b]),
+        };
+        if self.desc {
+            ord.reverse()
+        } else {
+            ord
+        }
+    }
 }
 
 #[cfg(test)]

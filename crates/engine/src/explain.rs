@@ -92,6 +92,9 @@ fn walk(plan: &Plan, stats: Option<&NodeStats>, analyze: bool, depth: usize, out
             if let Some(plan) = s.group_plan {
                 out.push_str(&format!(" groups={} way={}", s.groups, plan.label()));
             }
+            if let Some(n) = s.top_n {
+                out.push_str(&format!(" top={n}"));
+            }
             out.push(')');
         } else if let Some(est) = s.est_rows {
             out.push_str(&format!("  (est_rows={est})"));
@@ -247,6 +250,9 @@ pub fn stats_json(plan: &Plan, stats: &NodeStats) -> Json {
     if let Some(plan) = stats.group_plan {
         obj.push("group_plan", Json::from(plan.label()));
         obj.push("groups", Json::UInt(stats.groups));
+    }
+    if let Some(n) = stats.top_n {
+        obj.push("top", Json::UInt(n));
     }
     let children: Vec<Json> = plan
         .children()

@@ -10,18 +10,56 @@
 //! thread count, which compensated (Kahan) schemes cannot guarantee once the
 //! morsel→worker assignment is dynamic.
 //!
-//! Representation: `LIMBS` signed 64-bit limbs, limb `i` holding bits
-//! `[32·i, 32·i+32)` of the fixed-point value. Each `add` touches at most
-//! three limbs and deposits less than 2^32 per limb, so limbs stay far from
-//! `i64` overflow for over 2^30 consecutive adds; a cheap carry-propagation
-//! pass (`normalize`) restores every limb to `[0, 2^32)` before that bound
-//! is reached. The final rounding is a single round-half-even, matching what
-//! IEEE-754 would produce if the whole sum had been computed in one step.
+//! Representation: signed 64-bit limbs, limb `i` holding bits
+//! `[32·i, 32·i+32)` of the fixed-point value. Each `add` touches three
+//! consecutive limbs and deposits less than 2^32 per limb, so limbs stay far
+//! from `i64` overflow for over 2^30 consecutive adds; a cheap
+//! carry-propagation pass (`normalize`) restores the limbs to `[0, 2^32)`
+//! before that bound is reached. The final rounding is a single
+//! round-half-even, matching what IEEE-754 would produce if the whole sum
+//! had been computed in one step.
+//!
+//! Only a few of the `LIMBS` limbs are ever live in a real sum — the terms
+//! of one SUM rarely span more than a few powers of 2^32 — so the
+//! accumulator holds a *window* of `WINDOW` limbs inline, at a movable
+//! `base`, and every pass touches only those. Invariants:
+//!
+//! 1. Inline, the value is `Σ win[i] · 2^(32·(base + i))` (in units of
+//!    2^-1074); every limb outside the window is zero. `base ≤ MAX_BASE`, so
+//!    the limb above the window exists in the full array. Spilled, `base`
+//!    is `SPILLED`, so no deposit finds its limbs in the window.
+//! 2. A deposit or merge outside the window moves it (`rebase`) when the
+//!    live limbs and the new ones fit in `WINDOW` together — after a
+//!    `normalize`, which also drops a negative value's sign-extension limbs
+//!    — and otherwise *spills*: the window is copied into a boxed
+//!    `LIMBS`-limb array at its offset, which the accumulator uses from then
+//!    on. A spill is one-way and changes no value.
+//! 3. Every limb's magnitude is at most `(pending + 1) · 2^32`: a deposit
+//!    adds under 2^32 to a limb and counts one; a merge adds two such bounds
+//!    and counts both plus one; `normalize` brings every limb within 2^32
+//!    (the window's top limb absorbs a carry of 0 or −1 and moves up a limb,
+//!    or spills, on anything else) and resets the count.
 
-/// Number of 32-bit limbs. Finite doubles need bits up to
+/// Limbs of the full array. Finite doubles need bits up to
 /// `1023 + 1074 = 2097`; carries from 2^30 max-magnitude adds reach about
 /// bit 2128. 68 limbs cover bit 2175.
 const LIMBS: usize = 68;
+
+/// Limbs held inline: a deposit's three and room for carries and for terms
+/// a few powers of 2^32 apart.
+const WINDOW: usize = 6;
+
+/// Where a fresh window sits: limbs 31..37 take deposits of magnitudes in
+/// `[2^-30, 2^98)` and integer terms without moving.
+const HOME: usize = 31;
+
+/// The highest base: a deposit reaches limb 65 at most, and the limb above
+/// the window must exist for a carry out of it.
+const MAX_BASE: usize = LIMBS - WINDOW - 2;
+
+/// The base of a spilled sum: past every limb, so no deposit finds its
+/// limbs in the (unused) window.
+const SPILLED: u8 = u8::MAX;
 
 /// Fixed-point offset: bit index of weight 2^0 (= -(minimum exponent) of a
 /// subnormal `f64` LSB).
@@ -37,12 +75,17 @@ const NORMALIZE_EVERY: u32 = 1 << 30;
 /// with IEEE semantics (`+inf + -inf = NaN`, any NaN poisons the sum).
 #[derive(Clone)]
 pub struct ExactSum {
-    limbs: [i64; LIMBS],
-    /// Deposits since the last `normalize`.
-    pending: u32,
+    /// Limbs `[base, base + WINDOW)` while inline; zero once spilled.
+    win: [i64; WINDOW],
+    /// `SPILLED` once spilled.
+    base: u8,
     pos_inf: bool,
     neg_inf: bool,
     nan: bool,
+    /// Deposits since the last `normalize`, merges counted as above.
+    pending: u32,
+    /// Every limb, once a term fell outside what the window can hold.
+    spill: Option<Box<[i64; LIMBS]>>,
 }
 
 impl Default for ExactSum {
@@ -54,7 +97,7 @@ impl Default for ExactSum {
 impl std::fmt::Debug for ExactSum {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ExactSum")
-            .field("value", &self.clone().to_f64())
+            .field("value", &self.to_f64())
             .finish()
     }
 }
@@ -62,35 +105,29 @@ impl std::fmt::Debug for ExactSum {
 impl ExactSum {
     pub fn new() -> ExactSum {
         ExactSum {
-            limbs: [0; LIMBS],
-            pending: 0,
+            win: [0; WINDOW],
+            base: HOME as u8,
             pos_inf: false,
             neg_inf: false,
             nan: false,
+            pending: 0,
+            spill: None,
         }
     }
 
     /// Add one `f64` term. Exact for all finite inputs.
     pub fn add(&mut self, x: f64) {
-        if x.is_nan() {
-            self.nan = true;
-            return;
-        }
-        if x.is_infinite() {
-            if x > 0.0 {
-                self.pos_inf = true;
-            } else {
-                self.neg_inf = true;
-            }
-            return;
-        }
-        if x == 0.0 {
-            return;
-        }
         let bits = x.to_bits();
         let negative = bits >> 63 != 0;
         let exp_bits = ((bits >> 52) & 0x7ff) as u32;
         let frac = bits & ((1u64 << 52) - 1);
+        if exp_bits == 0x7ff {
+            self.add_special(frac != 0, negative);
+            return;
+        }
+        if bits << 1 == 0 {
+            return; // ±0.0
+        }
         // value magnitude = m * 2^(off - BIAS)
         let (m, off) = if exp_bits == 0 {
             (frac, 0)
@@ -98,6 +135,16 @@ impl ExactSum {
             (frac | (1u64 << 52), exp_bits - 1)
         };
         self.deposit(m, off, negative);
+    }
+
+    /// A NaN, or an infinity of the given sign: tracked out of band.
+    #[cold]
+    fn add_special(&mut self, nan: bool, negative: bool) {
+        match (nan, negative) {
+            (true, _) => self.nan = true,
+            (false, false) => self.pos_inf = true,
+            (false, true) => self.neg_inf = true,
+        }
     }
 
     /// Add one integer term. Always exact (unlike `add(v as f64)`, which
@@ -111,22 +158,32 @@ impl ExactSum {
 
     /// Deposit `m * 2^(off - BIAS)` with the given sign. `m < 2^64`,
     /// `off <= 2046`.
+    #[inline]
     fn deposit(&mut self, m: u64, off: u32, negative: bool) {
         let limb = (off / 32) as usize;
-        let shift = off % 32;
-        // m << shift spans at most 64 + 31 = 95 bits: three 32-bit chunks.
-        let t = (m as u128) << shift;
+        // m << (off % 32) spans at most 64 + 31 = 95 bits: three 32-bit chunks.
+        let t = (m as u128) << (off % 32);
         let c0 = (t & 0xffff_ffff) as i64;
         let c1 = ((t >> 32) & 0xffff_ffff) as i64;
         let c2 = ((t >> 64) & 0xffff_ffff) as i64;
-        if negative {
-            self.limbs[limb] -= c0;
-            self.limbs[limb + 1] -= c1;
-            self.limbs[limb + 2] -= c2;
+        // One compare takes the common case: the three limbs are in the
+        // window (a spilled sum's `base` is out of range, so it never is).
+        let k = limb.wrapping_sub(usize::from(self.base));
+        if k <= WINDOW - 3 {
+            let w = &mut self.win;
+            let (mut a, mut b, mut c) = (w[k], w[k + 1], w[k + 2]);
+            if negative {
+                a -= c0;
+                b -= c1;
+                c -= c2;
+            } else {
+                a += c0;
+                b += c1;
+                c += c2;
+            }
+            (w[k], w[k + 1], w[k + 2]) = (a, b, c);
         } else {
-            self.limbs[limb] += c0;
-            self.limbs[limb + 1] += c1;
-            self.limbs[limb + 2] += c2;
+            self.deposit_outside(limb, [c0, c1, c2], negative);
         }
         self.pending += 1;
         if self.pending >= NORMALIZE_EVERY {
@@ -134,19 +191,127 @@ impl ExactSum {
         }
     }
 
-    /// Carry-propagate so every limb below the top is in `[0, 2^32)`.
-    /// The top limb keeps the sign of the whole value.
-    fn normalize(&mut self) {
-        let mut carry: i64 = 0;
-        for limb in self.limbs.iter_mut() {
-            let v = *limb + carry;
-            carry = v >> 32; // arithmetic shift: rounds toward -inf
-            *limb = v - (carry << 32);
+    /// [`deposit`](ExactSum::deposit) of chunks that are not all in the
+    /// window: it moves, or the sum spills, or it already has.
+    #[cold]
+    #[inline(never)]
+    fn deposit_outside(&mut self, limb: usize, chunks: [i64; 3], negative: bool) {
+        let sign = if negative { -1 } else { 1 };
+        for (l, c) in self.span(limb, limb + 3).iter_mut().zip(chunks) {
+            *l += sign * c;
         }
-        // `carry` out of the top limb is always zero: the value magnitude is
-        // bounded far below 2^(32·LIMBS).
-        self.limbs[LIMBS - 1] += carry << 32;
+    }
+
+    /// The limbs `[lo, hi)`, moving the window or spilling first when they
+    /// are not in it (invariant 2).
+    fn span(&mut self, lo: usize, hi: usize) -> &mut [i64] {
+        let base = usize::from(self.base);
+        if self.spill.is_none() && !(base <= lo && hi <= base + WINDOW) {
+            self.make_room(lo, hi);
+        }
+        let base = usize::from(self.base);
+        match &mut self.spill {
+            Some(full) => &mut full[lo..hi],
+            None => &mut self.win[lo - base..hi - base],
+        }
+    }
+
+    /// Absolute limbs `[lo, hi)` of the window's nonzero limbs.
+    fn live(&self) -> Option<(usize, usize)> {
+        let base = usize::from(self.base);
+        let lo = self.win.iter().position(|&l| l != 0)?;
+        let hi = self.win.iter().rposition(|&l| l != 0)? + 1;
+        Some((base + lo, base + hi))
+    }
+
+    /// Make the window cover `[lo, hi)` beside its live limbs, or spill.
+    fn make_room(&mut self, lo: usize, hi: usize) {
+        for retry in [false, true] {
+            if retry {
+                self.normalize();
+                if self.spill.is_some() {
+                    return;
+                }
+            }
+            let (a, b) = self
+                .live()
+                .map_or((lo, hi), |(a, b)| (a.min(lo), b.max(hi)));
+            if b - a <= WINDOW {
+                // Centre the live limbs, leaving room for carries above and
+                // smaller terms below.
+                let base = a.saturating_sub((WINDOW - (b - a)) / 2).min(MAX_BASE);
+                self.rebase(base);
+                return;
+            }
+        }
+        self.spill_out();
+    }
+
+    /// Move the window to start at limb `base`; every nonzero limb must
+    /// stay inside it.
+    fn rebase(&mut self, base: usize) {
+        let (old, from) = (self.win, usize::from(self.base));
+        self.win = [0; WINDOW];
+        for (i, &l) in old.iter().enumerate() {
+            if l != 0 {
+                self.win[from + i - base] = l;
+            }
+        }
+        self.base = base as u8;
+    }
+
+    /// Switch to the full limb array, the window copied in at its offset.
+    fn spill_out(&mut self) {
+        if self.spill.is_none() {
+            let base = usize::from(self.base);
+            let mut full = Box::new([0i64; LIMBS]);
+            full[base..base + WINDOW].copy_from_slice(&self.win);
+            self.win = [0; WINDOW];
+            self.base = SPILLED;
+            self.spill = Some(full);
+        }
+    }
+
+    /// Carry-propagate so every limb is within 2^32 (invariant 3): below
+    /// the top limb in `[0, 2^32)`, the top one keeping the sign of the
+    /// whole value.
+    fn normalize(&mut self) {
         self.pending = 0;
+        if let Some(full) = &mut self.spill {
+            let carry = carry_through(&mut full[..]);
+            // `carry` out of the top limb is 0 or -1: the value magnitude is
+            // bounded far below 2^(32·LIMBS).
+            full[LIMBS - 1] += carry << 32;
+            return;
+        }
+        match carry_through(&mut self.win) {
+            0 => {}
+            -1 => {
+                // A negative value: the top limb holds the sign, and limbs
+                // that only extend it fold down so the live span stays tight.
+                self.win[WINDOW - 1] -= 1 << 32;
+                let mut top = WINDOW - 1;
+                while top > 0 && self.win[top] == -1 {
+                    self.win[top] = 0;
+                    self.win[top - 1] -= 1 << 32;
+                    top -= 1;
+                }
+            }
+            carry => {
+                // The value outgrew the window: the carry is the limb above.
+                let base = usize::from(self.base);
+                if self.win[0] == 0 && base < MAX_BASE {
+                    self.win.rotate_left(1);
+                    self.win[WINDOW - 1] = carry;
+                    self.base += 1;
+                } else {
+                    self.spill_out();
+                    if let Some(full) = &mut self.spill {
+                        full[base + WINDOW] = carry;
+                    }
+                }
+            }
+        }
     }
 
     /// Fold another accumulator into this one. Order of merges never affects
@@ -155,18 +320,34 @@ impl ExactSum {
         self.nan |= other.nan;
         self.pos_inf |= other.pos_inf;
         self.neg_inf |= other.neg_inf;
-        self.normalize();
-        let mut rhs = other.clone();
-        rhs.normalize();
-        for (a, b) in self.limbs.iter_mut().zip(rhs.limbs.iter()) {
-            *a += *b;
+        let (theirs, lo): (&[i64], usize) = match &other.spill {
+            Some(full) => {
+                self.spill_out();
+                (&full[..], 0)
+            }
+            None => match other.live() {
+                Some((lo, hi)) => {
+                    let base = usize::from(other.base);
+                    (&other.win[lo - base..hi - base], lo)
+                }
+                None => (&[], 0),
+            },
+        };
+        if theirs.is_empty() {
+            return;
         }
-        self.pending = 1;
+        for (mine, t) in self.span(lo, lo + theirs.len()).iter_mut().zip(theirs) {
+            *mine += *t;
+        }
+        self.pending += other.pending + 1;
+        if self.pending >= NORMALIZE_EVERY {
+            self.normalize();
+        }
     }
 
     /// Round the exact sum to the nearest `f64` (ties to even), the same
     /// result IEEE-754 would give for a single-rounding sum.
-    pub fn to_f64(&mut self) -> f64 {
+    pub fn to_f64(&self) -> f64 {
         if self.nan || (self.pos_inf && self.neg_inf) {
             return f64::NAN;
         }
@@ -176,52 +357,111 @@ impl ExactSum {
         if self.neg_inf {
             return f64::NEG_INFINITY;
         }
-        self.normalize();
-        let negative = self.limbs[LIMBS - 1] < 0;
-        let mut mag = self.limbs;
-        if negative {
-            for limb in mag.iter_mut() {
-                *limb = -*limb;
+        match &self.spill {
+            Some(full) => {
+                let mut mag = **full;
+                round_limbs(&mut mag, 0)
             }
-            let mut carry: i64 = 0;
-            for limb in mag.iter_mut() {
-                let v = *limb + carry;
-                carry = v >> 32;
-                *limb = v - (carry << 32);
+            None => {
+                // One limb above the window: a negative value's magnitude
+                // can need it.
+                let mut mag = [0i64; WINDOW + 1];
+                mag[..WINDOW].copy_from_slice(&self.win);
+                round_limbs(&mut mag, usize::from(self.base))
             }
         }
-        round_magnitude(&mag, negative)
     }
 }
 
-/// Round a normalized non-negative limb array (each limb in `[0, 2^32)`),
-/// interpreted as `M * 2^-BIAS`, to the nearest `f64` half-to-even.
-fn round_magnitude(mag: &[i64; LIMBS], negative: bool) -> f64 {
-    // Highest set bit.
-    let mut hb = None;
-    for i in (0..LIMBS).rev() {
-        if mag[i] != 0 {
-            let w = mag[i] as u64;
-            hb = Some(i as u32 * 32 + (63 - w.leading_zeros()));
-            break;
-        }
+/// Carry every limb into `[0, 2^32)`; returns the carry out of the top.
+fn carry_through(limbs: &mut [i64]) -> i64 {
+    let mut carry: i64 = 0;
+    for limb in limbs.iter_mut() {
+        let v = *limb + carry;
+        carry = v >> 32; // arithmetic shift: rounds toward -inf
+        *limb = v - (carry << 32);
     }
-    let Some(hb) = hb else {
+    carry
+}
+
+/// Round `Σ limbs[i] · 2^(32·(base + i))` (in units of 2^-BIAS) to the
+/// nearest `f64`, half to even. Its magnitude must fit the limbs: the carry
+/// out of the top is then 0 or, for a negative value, -1.
+fn round_limbs(limbs: &mut [i64], base: usize) -> f64 {
+    let negative = carry_through(limbs) < 0;
+    if negative {
+        // Two's complement: -(M - 2^k) = 2^k - M, exactly the magnitude.
+        for limb in limbs.iter_mut() {
+            *limb = -*limb;
+        }
+        carry_through(limbs);
+    }
+    round_magnitude(&Mag { limbs, base }, negative)
+}
+
+/// A non-negative magnitude: limbs in `[0, 2^32)`, the first at absolute
+/// limb `base`, every limb outside them zero.
+struct Mag<'a> {
+    limbs: &'a [i64],
+    base: usize,
+}
+
+impl Mag<'_> {
+    /// Absolute limb `i`.
+    fn limb(&self, i: usize) -> u64 {
+        i.checked_sub(self.base)
+            .and_then(|k| self.limbs.get(k))
+            .map_or(0, |&l| l as u64)
+    }
+
+    /// Bit `idx` (bit 0 = weight 2^-BIAS).
+    fn bit(&self, idx: u32) -> bool {
+        (self.limb((idx / 32) as usize) >> (idx % 32)) & 1 != 0
+    }
+
+    /// `count` (at most 64) bits starting at `start`, as an integer (low bit
+    /// first): the (at most three) 32-bit limbs they span, shifted into place.
+    fn bits(&self, start: u32, count: u32) -> u64 {
+        let first = (start / 32) as usize;
+        let window = (0..3).fold(0u128, |w, i| {
+            w | (u128::from(self.limb(first + i)) << (32 * i))
+        });
+        ((window >> (start % 32)) as u64) & (u64::MAX >> (64 - count))
+    }
+
+    /// Any set bit strictly below `end`?
+    fn any_below(&self, end: u32) -> bool {
+        let limb_end = (end / 32) as usize;
+        let whole = limb_end.saturating_sub(self.base).min(self.limbs.len());
+        if self.limbs[..whole].iter().any(|&l| l != 0) {
+            return true;
+        }
+        let rem = end % 32;
+        rem > 0 && self.limb(limb_end) & ((1u64 << rem) - 1) != 0
+    }
+}
+
+/// Round a magnitude, interpreted as `M * 2^-BIAS`, to the nearest `f64`
+/// half-to-even.
+fn round_magnitude(mag: &Mag<'_>, negative: bool) -> f64 {
+    // Highest set bit.
+    let Some(top) = mag.limbs.iter().rposition(|&l| l != 0) else {
         return 0.0;
     };
+    let w = mag.limbs[top] as u64;
+    let hb = (mag.base + top) as u32 * 32 + (63 - w.leading_zeros());
     let sign_bit = if negative { 1u64 << 63 } else { 0 };
     if hb <= 51 {
         // Subnormal range: M < 2^52 is exactly a subnormal payload.
-        let m = (mag[0] as u64) | ((mag[1] as u64) << 32);
-        return f64::from_bits(sign_bit | m);
+        return f64::from_bits(sign_bit | mag.bits(0, 52));
     }
     // Normal range: take 53 bits [hb-52, hb], round on the rest.
     let shift = hb - 52;
-    let mut m = extract_bits(mag, shift, 53);
+    let mut m = mag.bits(shift, 53);
     let mut exp_shift = shift;
     if shift > 0 {
-        let guard = bit(mag, shift - 1);
-        let sticky = any_bits_below(mag, shift - 1);
+        let guard = mag.bit(shift - 1);
+        let sticky = mag.any_below(shift - 1);
         if guard && (sticky || m & 1 == 1) {
             m += 1;
             if m == 1u64 << 53 {
@@ -240,32 +480,6 @@ fn round_magnitude(mag: &[i64; LIMBS], negative: bool) -> f64 {
         };
     }
     f64::from_bits(sign_bit | (biased << 52) | (m & ((1u64 << 52) - 1)))
-}
-
-/// Bit `idx` of the limb array (bit 0 = weight 2^-BIAS).
-fn bit(mag: &[i64; LIMBS], idx: u32) -> bool {
-    (mag[(idx / 32) as usize] >> (idx % 32)) & 1 != 0
-}
-
-/// `count` (at most 64) bits starting at `start`, as an integer (low bit
-/// first): the (at most three) 32-bit limbs they span, shifted into place.
-fn extract_bits(mag: &[i64; LIMBS], start: u32, count: u32) -> u64 {
-    let first = (start / 32) as usize;
-    let window = (0..3).fold(0u128, |w, i| {
-        let limb = mag.get(first + i).map_or(0, |&l| l as u64);
-        w | (u128::from(limb) << (32 * i))
-    });
-    ((window >> (start % 32)) as u64) & (u64::MAX >> (64 - count))
-}
-
-/// Any set bit strictly below `end`?
-fn any_bits_below(mag: &[i64; LIMBS], end: u32) -> bool {
-    let limb_end = (end / 32) as usize;
-    if mag[..limb_end].iter().any(|&l| l != 0) {
-        return true;
-    }
-    let rem = end % 32;
-    rem > 0 && (mag[limb_end] as u64) & ((1u64 << rem) - 1) != 0
 }
 
 #[cfg(test)]
@@ -381,6 +595,30 @@ mod tests {
             }
             assert_eq!(total.to_f64().to_bits(), reference);
         }
+    }
+
+    #[test]
+    fn spills_only_when_the_window_cannot_hold_the_terms() {
+        // Prices of one band and integers stay inline, the window at home.
+        let mut s = ExactSum::new();
+        for i in 0..10_000u64 {
+            s.add((i * 7919 % 10_000_000) as f64 / 100.0);
+            s.add_i64(i as i64 - 5_000);
+        }
+        assert!(s.spill.is_none() && usize::from(s.base) == HOME);
+        // Smaller terms move the window down rather than spill.
+        s.add(1e-12);
+        assert!(s.spill.is_none() && usize::from(s.base) < HOME);
+        // Terms 2^600 apart cannot share six limbs, nor can two partials
+        // of them: the sum spills, exactly.
+        let (mut big, mut tiny) = (ExactSum::new(), ExactSum::new());
+        big.add(1e300);
+        tiny.add(1e-300);
+        assert!(big.spill.is_none() && tiny.spill.is_none());
+        big.merge(&tiny);
+        assert!(big.spill.is_some() && usize::from(big.base) == usize::from(SPILLED));
+        big.add(-1e300);
+        assert_eq!(big.to_f64(), 1e-300);
     }
 
     #[test]

@@ -1079,10 +1079,10 @@ fn sum_ints(
 }
 
 /// Float `SUM` and `AVG` over either: each value into its group's exact
-/// sum, boxed when the group meets its first value.
+/// sum, counted.
 #[inline]
 fn sum_exact<T: Copy>(
-    (sums, counts, boxed): (&mut [Option<Box<ExactSum>>], &mut [i64], &mut usize),
+    (sums, counts): (&mut [ExactSum], &mut [i64]),
     vals: &[T],
     gids: &[u32],
     valid: impl Fn(usize) -> bool,
@@ -1091,11 +1091,7 @@ fn sum_exact<T: Copy>(
     for (k, (&v, &g)) in vals.iter().zip(gids).enumerate() {
         if valid(k) {
             let g = g as usize;
-            let sum = sums[g].get_or_insert_with(|| {
-                *boxed += 1;
-                Box::new(ExactSum::new())
-            });
-            add(sum, v);
+            add(&mut sums[g], v);
             counts[g] += 1;
         }
     }
@@ -1120,15 +1116,15 @@ pub(crate) enum AggState<'a> {
         sums: Vec<i64>,
         seen: Vec<bool>,
     },
-    /// `SUM` over a float column, `AVG` over either: an exact sum boxed
-    /// when the group meets its first non-NULL value.
+    /// `SUM` over a float column, `AVG` over either: an exact sum inline
+    /// per group and the non-NULL values it holds, which say whether a SUM
+    /// met any.
     Exact {
         src: NumSrc<'a>,
         validity: Option<&'a Bitmap>,
         avg: bool,
-        sums: Vec<Option<Box<ExactSum>>>,
+        sums: Vec<ExactSum>,
         counts: Vec<i64>,
-        boxed: usize,
     },
     MinMaxInt(MinMax<'a, i64>),
     MinMaxFloat(MinMax<'a, f64>),
@@ -1180,7 +1176,6 @@ impl<'a> AggState<'a> {
             avg,
             sums: Vec::new(),
             counts: Vec::new(),
-            boxed: 0,
         };
         let typed = match (spec.distinct, spec.func, &col.data) {
             (true, ..) => None,
@@ -1219,7 +1214,7 @@ impl<'a> AggState<'a> {
                 seen.resize(groups, false);
             }
             AggState::Exact { sums, counts, .. } => {
-                sums.resize_with(groups, || None);
+                sums.resize_with(groups, ExactSum::new);
                 counts.resize(groups, 0);
             }
             AggState::MinMaxInt(m) => m.grow(groups),
@@ -1288,10 +1283,9 @@ impl<'a> AggState<'a> {
                 validity,
                 sums,
                 counts,
-                boxed,
                 ..
             } => {
-                let state = (&mut sums[..], &mut counts[..], boxed);
+                let state = (&mut sums[..], &mut counts[..]);
                 match (src, validity) {
                     (NumSrc::Int(xs), None) => {
                         sum_exact(state, &xs[rows], gids, |_| true, ExactSum::add_i64)
@@ -1363,27 +1357,14 @@ impl<'a> AggState<'a> {
                 }
             }
             (
-                AggState::Exact {
-                    sums,
-                    counts,
-                    boxed,
-                    ..
-                },
+                AggState::Exact { sums, counts, .. },
                 AggState::Exact {
                     sums: theirs,
                     counts: counts_theirs,
                     ..
                 },
             ) => {
-                if let Some(sum) = theirs[og].take() {
-                    match &mut sums[g] {
-                        Some(mine) => mine.merge(&sum),
-                        none => {
-                            *none = Some(sum);
-                            *boxed += 1;
-                        }
-                    }
-                }
+                sums[g].merge(&theirs[og]);
                 counts[g] += counts_theirs[og];
             }
             (AggState::MinMaxInt(m), AggState::MinMaxInt(theirs)) => {
@@ -1434,15 +1415,15 @@ impl<'a> AggState<'a> {
             AggState::Exact {
                 avg, sums, counts, ..
             } => {
-                let valid = sums.iter().map(Option::is_some).collect();
+                let valid = counts.iter().map(|&n| n > 0).collect();
                 let vals = sums
-                    .into_iter()
+                    .iter()
                     .zip(counts)
-                    .map(|(sum, n)| match sum {
+                    .map(|(sum, n)| match n {
+                        0 => 0.0,
                         // One exact sum, one rounding, one division.
-                        Some(mut s) if avg => s.to_f64() / n as f64,
-                        Some(mut s) => s.to_f64(),
-                        None => 0.0,
+                        n if avg => sum.to_f64() / n as f64,
+                        _ => sum.to_f64(),
                     })
                     .collect();
                 floats(vals, valid)
@@ -1486,13 +1467,10 @@ impl<'a> AggState<'a> {
             } => sums
                 .into_iter()
                 .zip(counts)
-                .map(|(sum, count)| match (avg, sum) {
-                    (true, sum) => Accumulator::Avg {
-                        sum: sum.unwrap_or_default(),
-                        count,
-                    },
-                    (false, Some(sum)) => Accumulator::SumFloat { sum, seen: true },
-                    (false, None) => Accumulator::new(AggFunc::Sum),
+                .map(|(sum, count)| match (avg, count) {
+                    (true, count) => Accumulator::Avg { sum, count },
+                    (false, 0) => Accumulator::new(AggFunc::Sum),
+                    (false, _) => Accumulator::SumFloat { sum, seen: true },
                 })
                 .collect(),
             AggState::MinMaxInt(m) => min_max_partials(m, groups, Value::Int),
@@ -1528,7 +1506,7 @@ impl<'a> AggState<'a> {
         match self {
             AggState::Count { .. } => 8,
             AggState::SumInt { .. } => 8 + 1,
-            AggState::Exact { .. } => size_of::<Option<Box<ExactSum>>>() + 8,
+            AggState::Exact { .. } => size_of::<ExactSum>() + 8,
             AggState::MinMaxInt(_) | AggState::MinMaxFloat(_) => 8 + 1,
             AggState::MinMaxDate(_) => 4 + 1,
             AggState::Generic { distinct, .. } => {
@@ -1543,7 +1521,6 @@ impl<'a> AggState<'a> {
     /// Bytes of state allocated per value rather than per group.
     fn heap_bytes(&self) -> usize {
         match self {
-            AggState::Exact { boxed, .. } => boxed * size_of::<ExactSum>(),
             AggState::Generic {
                 distinct_values, ..
             } => distinct_values * (size_of::<KeyValue>() + 8),
@@ -2111,7 +2088,9 @@ mod tests {
             .map(|a| match a {
                 AggState::Count { counts, .. } => counts.capacity() * 8,
                 AggState::SumInt { sums, seen, .. } => sums.capacity() * 8 + seen.capacity(),
-                AggState::Exact { sums, counts, .. } => (sums.capacity() + counts.capacity()) * 8,
+                AggState::Exact { sums, counts, .. } => {
+                    sums.capacity() * size_of::<ExactSum>() + counts.capacity() * 8
+                }
                 AggState::MinMaxInt(m) => m.best.capacity() * 8 + m.seen.capacity(),
                 AggState::MinMaxFloat(m) => m.best.capacity() * 8 + m.seen.capacity(),
                 AggState::MinMaxDate(m) => m.best.capacity() * 4 + m.seen.capacity(),

@@ -49,9 +49,9 @@ use crate::value::{cmp_i64_f64, ArithOp, Value};
 /// Extract plain current-row column indices from expressions, or `None`
 /// if any expression is not a depth-0 column reference. Used to route
 /// projections, join keys, and aggregate arguments to columnar paths.
-pub fn column_indices(exprs: &[BoundExpr]) -> Option<Vec<usize>> {
+pub fn column_indices<'e>(exprs: impl IntoIterator<Item = &'e BoundExpr>) -> Option<Vec<usize>> {
     exprs
-        .iter()
+        .into_iter()
         .map(|e| match e {
             BoundExpr::Column { depth: 0, index } => Some(*index),
             _ => None,
@@ -807,9 +807,12 @@ pub struct Projection {
 
 /// Compile a projection list against `batch`'s column layout, or `None`
 /// if any expression is outside the shapes listed in the module docs.
-pub fn compile_projection(exprs: &[BoundExpr], batch: &ColBatch) -> Option<Projection> {
+pub fn compile_projection<'e>(
+    exprs: impl IntoIterator<Item = &'e BoundExpr>,
+    batch: &ColBatch,
+) -> Option<Projection> {
     let exprs = exprs
-        .iter()
+        .into_iter()
         .map(|e| compile_col_expr(e, batch))
         .collect::<Option<Vec<_>>>()?;
     Some(Projection { exprs })

@@ -64,6 +64,9 @@ pub struct NodeStats {
     /// Groups the group-key kernel formed, summed over invocations (over
     /// `UNION ALL` branches, the groups after matching them up).
     pub groups: u64,
+    /// The rows a LIMIT right above a Sort asked it for: the Sort kept and
+    /// sorted only those (a top-N). `None` for a full sort.
+    pub top_n: Option<u64>,
     /// Planner cardinality estimate for this operator's output, filled in
     /// by [`crate::cost::annotate`] when table statistics are available.
     /// `EXPLAIN ANALYZE` prints it next to the actual `rows_out` so the

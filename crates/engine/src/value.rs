@@ -116,15 +116,19 @@ impl Value {
     }
 
     /// Total order used by ORDER BY: NULLs sort last, numerics compare
-    /// across Int/Float, and distinct types order by type name (the engine
-    /// never mixes non-numeric types in one column, but the order must be
-    /// total for stable sorting).
+    /// across Int/Float with NaN after every other number (`float_cmp`),
+    /// and distinct types order by type name (the engine never mixes
+    /// non-numeric types in one column, but the order must be total for
+    /// stable sorting).
     pub fn total_cmp(&self, other: &Value) -> Ordering {
         use Value::*;
         match (self, other) {
             (Null, Null) => Ordering::Equal,
             (Null, _) => Ordering::Greater,
             (_, Null) => Ordering::Less,
+            (Float(a), Float(b)) => float_cmp(*a, *b),
+            (Float(a), Int(_)) if a.is_nan() => Ordering::Greater,
+            (Int(_), Float(b)) if b.is_nan() => Ordering::Less,
             _ => self
                 .sql_cmp(other)
                 .ok()
@@ -182,6 +186,15 @@ impl From<&Literal> for Value {
             Literal::String(s) => Value::str(s),
             Literal::Date(d) => Value::Date(*d),
         }
+    }
+}
+
+/// ORDER BY's order of two floats, PostgreSQL's: numeric order (`-0.0`
+/// equal to `0.0`), every NaN equal to every other and after all numbers.
+pub(crate) fn float_cmp(a: f64, b: f64) -> Ordering {
+    match (a.is_nan(), b.is_nan()) {
+        (false, false) => a.partial_cmp(&b).unwrap_or(Ordering::Equal),
+        (nan_a, nan_b) => nan_a.cmp(&nan_b),
     }
 }
 
@@ -450,6 +463,42 @@ mod tests {
         let mut vals = vec![Value::Int(2), Value::Null, Value::Int(1)];
         vals.sort_by(|a, b| a.total_cmp(b));
         assert_eq!(vals, vec![Value::Int(1), Value::Int(2), Value::Null]);
+    }
+
+    #[test]
+    fn total_order_puts_nan_after_numbers_and_before_null() {
+        let nan = Value::Float(f64::NAN);
+        let mut vals = [
+            Value::Null,
+            nan.clone(),
+            Value::Int(3),
+            Value::Float(-f64::NAN),
+            Value::Float(f64::INFINITY),
+            Value::Float(-0.5),
+            Value::Int(i64::MIN),
+        ];
+        vals.sort_by(|a, b| a.total_cmp(b));
+        let shown: Vec<String> = vals.iter().map(|v| format!("{v:?}")).collect();
+        assert_eq!(
+            shown,
+            [
+                "Int(-9223372036854775808)",
+                "Float(-0.5)",
+                "Int(3)",
+                "Float(inf)",
+                "Float(NaN)",
+                "Float(NaN)",
+                "Null"
+            ]
+        );
+        assert_eq!(nan.total_cmp(&Value::Float(-f64::NAN)), Ordering::Equal);
+        assert_eq!(nan.total_cmp(&Value::Int(i64::MAX)), Ordering::Greater);
+        assert_eq!(Value::Int(0).total_cmp(&nan), Ordering::Less);
+        assert_eq!(nan.total_cmp(&Value::Null), Ordering::Less);
+        assert_eq!(
+            Value::Float(-0.0).total_cmp(&Value::Float(0.0)),
+            Ordering::Equal
+        );
     }
 
     #[test]

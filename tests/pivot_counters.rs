@@ -615,3 +615,35 @@ fn rewritten_q6_pivots_only_the_filter_join_and_the_result() {
         assert!(pairs <= 2 * probe, "{pass:?}");
     }
 }
+
+/// A cached plan of rewritten or annotated Q3 and Q10 — what a warm server
+/// executes, every CTE already materialized — crosses to rows only for
+/// the rows it answers: its LIMIT's 10 / 20. The final aggregate over
+/// `conq_unfiltered UNION ALL conq_filtered` stays columnar, its Sort runs
+/// as a top-N over the columns and gathers only the rows the LIMIT keeps,
+/// and the answer is pivoted once when it is handed out.
+#[test]
+fn cached_join_rewritings_pivot_only_their_limit() {
+    let _turn = turn();
+    let w = fresh_workload();
+    let options = ExecOptions::default();
+    let to_rows = conquer_obs::registry().counter("exec.pivot.to_rows");
+    for (q, limit) in [(Q3, 10), (Q10, 20)] {
+        for annotated in [false, true] {
+            let rewriting = RewriteOptions {
+                annotated,
+                ..RewriteOptions::default()
+            };
+            let rewritten = rewrite(&parse_query(q.sql).unwrap(), &w.sigma, &rewriting).unwrap();
+            let plan = w.db.plan(&rewritten, &options).unwrap();
+            let what = format!("{} annotated={annotated}", q.name());
+            for run in 0..2 {
+                let before = to_rows.get();
+                let answer = w.db.execute_plan_with(&plan, &options).unwrap();
+                let pivoted = to_rows.get() - before;
+                assert_eq!(answer.rows.len(), limit, "{what}: the LIMIT is full");
+                assert_eq!(pivoted, limit as u64, "{what}, run {run}: rows pivoted");
+            }
+        }
+    }
+}
