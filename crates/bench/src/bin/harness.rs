@@ -711,9 +711,8 @@ fn plancost(args: &Args) -> Json {
     let mut options = args.options();
     options.materialize_ctes = false;
     let est = conquer::engine::Estimator::from_db(&w.db);
-    // The estimator the planner's CTE trace costs with under these options.
+    // The options the planner's CTE trace costs under.
     let materialized = args.options();
-    let est_m = conquer::engine::Estimator::from_db_with_indexes(&w.db);
     say!(
         args,
         "| Query | original cost | rewritten cost | ratio | threshold | status | materialized |"
@@ -737,8 +736,8 @@ fn plancost(args: &Args) -> Json {
                 let ran = sample(&w, &q, Strategy::Rewritten, &materialized)
                     .map_err(|e| e.to_string())?;
                 let ctes = ran.ctes.iter().map(|c| c.est_cost).sum::<f64>();
-                let cost_m = ctes + est_m.cost(&ran.plan);
-                let ratio_m = cost_m / est_m.cost(&plan_o).max(1.0);
+                let cost_m = ctes + est.cost(&ran.plan);
+                let ratio_m = cost_m / est.cost(&plan_o).max(1.0);
                 Ok((est.cost(&plan_o), est.cost(&plan_r), cost_m, ratio_m))
             });
         let mut entry = Json::obj([("query", Json::from(q.name()))]);

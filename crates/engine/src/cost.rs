@@ -3,10 +3,10 @@
 //! The [`Estimator`] turns catalog statistics ([`TableStats`], collected by
 //! the first plan that reads a table version — see [`crate::stats`]) into
 //! per-operator output-row estimates and an abstract plan cost. It is
-//! consulted by the optimizer
-//! ([`crate::opt`]) to pick hash-join build sides, order joins, and gate
-//! right-side filter pushes, and by `EXPLAIN` to print `est_rows=` next to
-//! the measured row counts.
+//! consulted by the planner to order joins, by the optimizer
+//! ([`crate::opt`]) to gate right-side filter pushes and price access
+//! paths, and by `EXPLAIN` to print `est_rows=` next to the measured row
+//! counts.
 //!
 //! Estimates use the textbook System-R-style model:
 //!
@@ -18,7 +18,7 @@
 //!   left outer never drops below `|L|`
 //! * grouping: capped product of group-column NDVs
 //!
-//! Estimation never affects answers — only operator orientation — so a bad
+//! Estimation never affects answers — only plan choices — so a bad
 //! estimate costs time, not correctness (the stats-on/off differential
 //! suite holds the engine to that).
 
@@ -102,11 +102,6 @@ pub struct Estimator {
     entries: HashMap<usize, Arc<Entry>>,
     /// `Arc<ColBatch>` pointer → stats sampled from the batch itself.
     sampled: RefCell<HashMap<usize, Arc<TableStats>>>,
-    /// Whether [`Estimator::indexes_for`] offers the entries' indexes, as
-    /// the planner's estimator always does. The optimizer's access-path
-    /// pass only sees indexes through it, so a plain
-    /// [`Estimator::from_db`] prices a plan as if no index were declared.
-    offers_indexes: bool,
 }
 
 /// The key a scanned batch is looked up by: its `Arc` pointer, the
@@ -116,22 +111,14 @@ fn batch_key(cols: &Arc<ColBatch>) -> usize {
 }
 
 impl Estimator {
-    /// An estimator backed by the database's catalog statistics.
+    /// An estimator backed by the database's catalog statistics, offering
+    /// its declared secondary indexes ([`Estimator::indexes_for`]) to the
+    /// optimizer's access-path pass.
     pub fn from_db(db: &Database) -> Estimator {
         let entries = db.entries().into_iter();
         Estimator {
             entries: entries.map(|e| (batch_key(e.batch()), e)).collect(),
             ..Estimator::default()
-        }
-    }
-
-    /// Like [`Estimator::from_db`], but also offering the database's
-    /// declared secondary indexes, so the optimizer can consider index
-    /// access paths.
-    pub fn from_db_with_indexes(db: &Database) -> Estimator {
-        Estimator {
-            offers_indexes: true,
-            ..Estimator::from_db(db)
         }
     }
 
@@ -147,8 +134,8 @@ impl Estimator {
     /// holds, and a fresh scan never gets one an `INSERT` has replaced.
     pub fn indexes_for(&self, cols: &Arc<ColBatch>) -> Vec<Arc<Index>> {
         match self.entries.get(&batch_key(cols)) {
-            Some(entry) if self.offers_indexes => entry.indexes(),
-            _ => Vec::new(),
+            Some(entry) => entry.indexes(),
+            None => Vec::new(),
         }
     }
 

@@ -15,7 +15,7 @@ use conquer_storage::{Store, StoreOptions, StoreStatus, WalRecord};
 use crate::col::ColBatch;
 use crate::durable::{
     self, Durability, DurabilityOptions, Snapshot, KIND_CREATE, KIND_DROP, KIND_INDEX, KIND_INSERT,
-    KIND_ROW_SNAPSHOT, KIND_SNAPSHOT, SEGMENT_FORMAT, SEGMENT_FORMAT_COLUMNAR,
+    KIND_SNAPSHOT, SEGMENT_FORMAT, SEGMENT_FORMAT_COLUMNAR,
 };
 use crate::error::{EngineError, Result};
 use crate::exec;
@@ -262,25 +262,45 @@ impl Database {
             let mut entries = recovered.meta.iter();
             entries.find(|(key, _)| key == wanted).map(|(_, v)| *v)
         };
+        // A directory in another format is refused before anything is
+        // applied: segments under a manifest without the columnar format
+        // key, or a WAL record of a kind this format does not write (the
+        // row-shaped Snapshot, kind 3, among them).
+        match meta(SEGMENT_FORMAT) {
+            Some(SEGMENT_FORMAT_COLUMNAR) => {}
+            None if recovered.segments.is_empty() => {}
+            found => {
+                let found = found.map_or("row-shaped (no segment_format)".into(), |f| {
+                    format!("{SEGMENT_FORMAT} {f}")
+                });
+                return Err(EngineError::Storage(format!(
+                    "unsupported data directory: its segments are {found}; this build \
+                     reads {SEGMENT_FORMAT} {SEGMENT_FORMAT_COLUMNAR} (columnar) only"
+                )));
+            }
+        }
+        if let Some(record) = recovered
+            .wal_records
+            .iter()
+            .find(|r| !durable::WAL_KINDS.contains(&r.kind))
+        {
+            return Err(EngineError::Storage(format!(
+                "unsupported data directory: WAL record kind {} (seq {}) is not one the \
+                 columnar format writes ({:?})",
+                record.kind,
+                record.seq,
+                durable::WAL_KINDS
+            )));
+        }
         // Segments first: each is a full-table snapshot (annotations are
         // stored columns, so they come back with the rows — nothing is
-        // recomputed, and statistics wait for their first reader). A
-        // manifest without the format key has row-shaped segments.
+        // recomputed, and statistics wait for their first reader).
         // Index *declarations* ride along in each snapshot; the postings
         // are deliberately not persisted. Declarations come back unbuilt
         // and the first query that plans against the table rebuilds them
         // lazily, so cold-boot recovery time does not depend on indexes.
-        let decode = match meta(SEGMENT_FORMAT) {
-            None => durable::decode_row_snapshot,
-            Some(SEGMENT_FORMAT_COLUMNAR) => durable::decode_snapshot,
-            Some(other) => {
-                return Err(EngineError::Storage(format!(
-                    "unknown segment format {other}"
-                )))
-            }
-        };
         for seg in &recovered.segments {
-            db.apply_snapshot(decode(&seg.payload)?);
+            db.apply_snapshot(durable::decode_snapshot(&seg.payload)?);
         }
         // The epoch as of the checkpoint, so the counter is continuous
         // across restarts. `fetch_max` because the segment loads above
@@ -435,10 +455,6 @@ impl Database {
             }
             KIND_SNAPSHOT => {
                 self.apply_snapshot(durable::decode_snapshot(&record.payload)?);
-                Ok(())
-            }
-            KIND_ROW_SNAPSHOT => {
-                self.apply_snapshot(durable::decode_row_snapshot(&record.payload)?);
                 Ok(())
             }
             KIND_DROP => {
@@ -873,7 +889,7 @@ impl Database {
     /// the declared secondary indexes (built on first lookup) as
     /// access-path candidates.
     pub(crate) fn estimator(&self) -> crate::cost::Estimator {
-        crate::cost::Estimator::from_db_with_indexes(self)
+        crate::cost::Estimator::from_db(self)
     }
 
     /// The operator tree a SQL query plans to, as an indented listing.
@@ -1285,7 +1301,7 @@ mod tests {
                     // An error is the window between a drop and a register.
                     if let Ok((table, batch, version)) = db.scan_snapshot("t") {
                         assert_eq!(table.rows(), batch.rows(), "one entry's table and batch");
-                        let est = crate::cost::Estimator::from_db_with_indexes(&db);
+                        let est = crate::cost::Estimator::from_db(&db);
                         for index in est.indexes_for(&batch) {
                             assert!(Arc::ptr_eq(index.batch(), &batch), "{index:?}");
                         }

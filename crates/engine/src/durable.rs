@@ -37,9 +37,11 @@
 //!
 //! Directories written before the columnar payload hold row-shaped
 //! snapshots with statistics: kind-3 WAL records, and segments under a
-//! manifest without [`SEGMENT_FORMAT`]. [`decode_row_snapshot`] reads them
-//! (and drops their statistics); nothing writes them, and the next
-//! checkpoint rewrites such a directory columnar.
+//! manifest without [`SEGMENT_FORMAT`]. This format reads neither:
+//! [`Database::open`](crate::Database::open) refuses such a directory with
+//! [`EngineError::Storage`] before applying anything. (The store's own
+//! open has run by then: as on any open, it cuts a torn WAL tail and
+//! deletes files no manifest references.)
 //!
 //! Every decoder is bounds-checked and returns [`EngineError::Storage`] on
 //! malformed input; nothing here can panic on a corrupt file, or allocate
@@ -60,16 +62,23 @@ use crate::Database;
 
 pub(crate) const KIND_CREATE: u8 = 1;
 pub(crate) const KIND_INSERT: u8 = 2;
-/// The row-shaped Snapshot, read by [`decode_row_snapshot`], never written.
-pub(crate) const KIND_ROW_SNAPSHOT: u8 = 3;
 pub(crate) const KIND_DROP: u8 = 4;
 pub(crate) const KIND_INDEX: u8 = 5;
 pub(crate) const KIND_SNAPSHOT: u8 = 6;
+/// Every record kind this format writes; recovery refuses a WAL holding
+/// any other.
+pub(crate) const WAL_KINDS: [u8; 5] = [
+    KIND_CREATE,
+    KIND_INSERT,
+    KIND_DROP,
+    KIND_INDEX,
+    KIND_SNAPSHOT,
+];
 
 /// The manifest meta key (beside `catalog_epoch`) naming the checkpoint
 /// segments' payload format. Every checkpoint writes
-/// [`SEGMENT_FORMAT_COLUMNAR`]; a manifest without the key has row-shaped
-/// segments.
+/// [`SEGMENT_FORMAT_COLUMNAR`]; segments under a manifest without the key
+/// are row-shaped, and refused.
 pub(crate) const SEGMENT_FORMAT: &str = "segment_format";
 pub(crate) const SEGMENT_FORMAT_COLUMNAR: u64 = 2;
 
@@ -543,47 +552,6 @@ pub(crate) fn decode_snapshot(payload: &[u8]) -> Result<Snapshot> {
     Ok((Table::from_parts(name, schema, batch), indexes))
 }
 
-/// The pre-columnar Snapshot payload (kind-3 records, and segments under a
-/// manifest without [`SEGMENT_FORMAT`]): name, schema, statistics, then
-/// row after row of tagged values, then the index section. Decode only:
-/// the statistics are skipped — the first reader collects its own — and
-/// each value goes straight into its column's chunk.
-pub(crate) fn decode_row_snapshot(payload: &[u8]) -> Result<Snapshot> {
-    let mut cur = Cursor::new(payload);
-    let name = cur.str()?;
-    let schema = cur.schema()?;
-    cur.u64()?; // the statistics' row count
-    for _ in 0..cur.u32()? {
-        cur.take(16)?; // ndv, null count
-        for _bound in 0..2 {
-            if cur.u8()? != 0 {
-                cur.u64()?;
-            }
-        }
-    }
-    let mut chunks: Vec<ColumnChunk> = schema
-        .columns
-        .iter()
-        .map(|c| ColumnChunk::for_type(c.ty))
-        .collect();
-    let rows = cur.count()?;
-    for _ in 0..rows {
-        let width = cur.u32()? as usize;
-        if width != schema.len() {
-            return Err(EngineError::Storage(format!(
-                "snapshot row arity {width} does not match schema width {}",
-                schema.len()
-            )));
-        }
-        for chunk in &mut chunks {
-            chunk.push(cur.value()?);
-        }
-    }
-    let indexes = cur.index_decls_then_end()?;
-    let batch = ColBatch::from_chunks(rows, chunks.into_iter().map(Arc::new).collect());
-    Ok((Table::from_parts(name, schema, batch), indexes))
-}
-
 // ---------------------------------------------------------------------------
 // Background checkpointer
 // ---------------------------------------------------------------------------
@@ -948,29 +916,5 @@ mod tests {
         put_str(&mut twice, "a");
         put_str(&mut twice, "a");
         assert!(text(0, &twice).is_err());
-    }
-
-    /// The framed payload of a row-shaped segment of the pre-columnar
-    /// fixture (`tests/fixtures/pre_columnar`): `typed` as it was
-    /// checkpointed, 40 rows of six columns, statistics included.
-    fn row_shaped_segment() -> &'static [u8] {
-        let file = include_bytes!("../tests/fixtures/pre_columnar/seg-1-2.seg");
-        &file[12..file.len() - 4]
-    }
-
-    #[test]
-    fn the_row_shaped_reader_decodes_and_rejects_truncation() {
-        let payload = row_shaped_segment();
-        let (table, decls) = decode_row_snapshot(payload).unwrap();
-        assert_eq!((table.name(), table.len()), ("typed", 40));
-        assert_eq!(decls, vec![vec!["k".to_string()]]);
-        for cut in 0..payload.len() {
-            assert!(
-                decode_row_snapshot(&payload[..cut]).is_err(),
-                "cut at {cut}"
-            );
-        }
-        // A row-shaped payload is not a columnar one.
-        assert!(decode_snapshot(payload).is_err());
     }
 }

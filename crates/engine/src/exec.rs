@@ -80,7 +80,7 @@ use crate::index::{Index, IndexAccess};
 use crate::kernels;
 use crate::plan::{AggFunc, AggSpec, JoinType, Plan};
 use crate::schema::Schema;
-use crate::stats::{GroupPlan, NodeStats};
+use crate::stats::{GroupPlan, JoinSide, NodeStats};
 use crate::table::{Row, Rows};
 use crate::value::{Key, KeyValue, Value};
 use conquer_obs::Counter;
@@ -1002,9 +1002,23 @@ fn exec_hash_join(
             "a semi/anti hash join with a residual condition".into(),
         ));
     }
+    // The table is built over the right side and probed with the left —
+    // except that an inner join builds on the smaller side, residual or
+    // not: a candidate pair is laid out left ++ right whichever side was
+    // probed, so the residual reads the same row either way. Swapped, rows
+    // come out in original-right (probe) order. An attached index pins the
+    // build to the right side: probing a prebuilt structure beats
+    // re-hashing the smaller input. This is the one place a build side is
+    // chosen.
+    let swap = kind == JoinType::Inner && left.len() < right.len() && prebuilt.is_none();
     if let Some(s) = stats.as_deref_mut() {
-        s.build_rows += right.len() as u64;
-        s.probe_rows += left.len() as u64;
+        let (built, probed) = if swap {
+            (&left, &right)
+        } else {
+            (&right, &left)
+        };
+        s.build_rows += built.len() as u64;
+        s.probe_rows += probed.len() as u64;
     }
     let row_bytes = est_row_bytes(schema);
     // Joins are the unbounded row generators, so they account output rows
@@ -1069,6 +1083,13 @@ fn exec_hash_join(
 
     // Every build — key set, postings or prebuilt — fires `join.build`.
     faults::trip("join.build")?;
+    if let Some(s) = stats.as_deref_mut() {
+        s.build_side = Some(if swap {
+            JoinSide::Left
+        } else {
+            JoinSide::Right
+        });
+    }
 
     // Existence joins (decorrelated EXISTS / NOT EXISTS, the hot shape of
     // ConQuer's rewritings) have one body, whatever their keys and sides;
@@ -1087,16 +1108,7 @@ fn exec_hash_join(
         );
     }
 
-    // An inner or left join. The table is built over the right side and
-    // probed with the left — except that an inner join builds on the
-    // smaller side. Swapped, rows come out in original-right (probe) order;
-    // the output column order (left ++ right) is the same either way. An
-    // attached index pins the build to the right side: probing a prebuilt
-    // structure beats re-hashing the smaller input.
-    let swap = kind == JoinType::Inner
-        && left.len() < right.len()
-        && residual.is_none()
-        && prebuilt.is_none();
+    // An inner or left join, built on the side chosen above.
     let (build, build_keys, probe, probe_keys) = if swap {
         (&left, left_keys, &right, right_keys)
     } else {

@@ -14,7 +14,7 @@
 use conquer_obs::Json;
 
 use crate::plan::{CteTrace, JoinType, Plan};
-use crate::stats::NodeStats;
+use crate::stats::{JoinSide, NodeStats};
 
 /// Render a plan as an indented operator tree with the planner's
 /// cardinality estimates (`est_rows=` per operator, from
@@ -76,6 +76,10 @@ fn walk(plan: &Plan, stats: Option<&NodeStats>, analyze: bool, depth: usize, out
             }
             if s.probe_rows > 0 {
                 out.push_str(&format!(" probe={}", s.probe_rows));
+            }
+            // The usual build side goes unsaid, as one thread does.
+            if s.build_side == Some(JoinSide::Left) {
+                out.push_str(" build=left");
             }
             if s.comparisons > 0 {
                 out.push_str(&format!(" cmp={}", s.comparisons));
@@ -234,6 +238,9 @@ pub fn stats_json(plan: &Plan, stats: &NodeStats) -> Json {
     }
     if stats.probe_rows > 0 {
         obj.push("probe_rows", Json::UInt(stats.probe_rows));
+    }
+    if let Some(side) = stats.build_side {
+        obj.push("build", Json::from(side.label()));
     }
     if stats.comparisons > 0 {
         obj.push("comparisons", Json::UInt(stats.comparisons));

@@ -76,6 +76,6 @@ pub use governor::{CancellationToken, Governor, LimitTrip, ResourceLimits};
 pub use index::{ConflictSummary, Index, IndexAccess};
 pub use plan::{CteTrace, ExecOptions, Plan};
 pub use schema::{Column, DataType, Schema};
-pub use stats::{ColumnStats, GroupPlan, NodeStats, TableStats};
+pub use stats::{ColumnStats, GroupPlan, JoinSide, NodeStats, TableStats};
 pub use table::{Row, Rows, Table};
 pub use value::Value;

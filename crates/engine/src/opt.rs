@@ -1,5 +1,5 @@
 //! Post-planning optimizations: filter pushdown through joins and renames,
-//! cost-based build-side selection, and access-path selection.
+//! and access-path selection.
 //!
 //! ConQuer's Section 5 relies on the host optimizer evaluating the
 //! `conscand > 0` guard *before* the Filter's joins ("it is up to the query
@@ -10,7 +10,7 @@
 //!
 //! [`optimize`] is the one entry point, and it always has a cost
 //! [`Estimator`] (see [`crate::cost`]); `ExecOptions::optimize = false`
-//! skips it altogether and runs the plan as the planner wrote it. Three
+//! skips it altogether and runs the plan as the planner wrote it. Two
 //! passes, each "rewrite my inputs, then my own node" over
 //! [`Plan::map_children`], naming only the operators it rewrites:
 //!
@@ -19,14 +19,13 @@
 //!   selectivity is at most [`RIGHT_PUSH_MAX_SEL`] — re-indexing them with
 //!   `remap_row_refs`. Unselective right-side predicates (ConQuer's NSC
 //!   disjunctions) stay above the join, where they run over far fewer rows;
-//! * `orient_build_sides` swaps the sides of inner hash joins *with
-//!   residuals* so the estimated smaller input becomes the hash-build side,
-//!   restoring the original column order with a projection. (Residual-free
-//!   inner joins are swapped at runtime on actual sizes, which is strictly
-//!   better information, so the pass leaves them alone.)
 //! * `select_access_paths` turns filtered scans into index scans, serves
 //!   hash-join builds from prebuilt indexes and reads conflict sets off
 //!   them, each priced against the sequential plan.
+//!
+//! Which side of an inner hash join is hashed is not decided here: the
+//! executor builds on the smaller input, on actual sizes, unless an index
+//! serves the right side.
 
 use crate::cost::Estimator;
 use crate::expr::BoundExpr;
@@ -42,10 +41,9 @@ use crate::value::Value;
 pub const RIGHT_PUSH_MAX_SEL: f64 = 0.75;
 
 /// Optimize a plan tree: filter pushdown (both sides where the estimator
-/// deems it profitable), then cost-based build-side selection, then
-/// access-path selection over the final shape.
+/// deems it profitable), then access-path selection over the final shape.
 pub fn optimize(plan: Plan, est: &Estimator) -> Plan {
-    select_access_paths(orient_build_sides(pushdown(plan, est), est), est)
+    select_access_paths(pushdown(plan, est), est)
 }
 
 /// Filter-pushdown walk: pushes filter conjuncts through `Rename`,
@@ -157,86 +155,6 @@ fn split_by_side(
         keep.push(conjunct);
     }
     (left, right, keep)
-}
-
-/// Build-side selection: for every inner hash join *with a residual* (the
-/// runtime swaps residual-free inner joins itself, on actual sizes), make
-/// the estimated-smaller side the build (right) input. The swap reverses
-/// the output column order, so the join is wrapped in a projection
-/// restoring the original layout; row order changes, which the engine
-/// already permits for inner joins (the runtime swap does the same).
-fn orient_build_sides(plan: Plan, est: &Estimator) -> Plan {
-    // Inputs first, so child estimates reflect final child shapes.
-    maybe_swap_build(
-        plan.map_children(|child| orient_build_sides(child, est)),
-        est,
-    )
-}
-
-/// If `plan` is an inner hash join with a residual whose left side is
-/// estimated smaller than its right (build) side, swap the sides and wrap
-/// a projection restoring the original column order.
-fn maybe_swap_build(plan: Plan, est: &Estimator) -> Plan {
-    let Plan::HashJoin {
-        left,
-        right,
-        kind: JoinType::Inner,
-        residual: Some(_),
-        ..
-    } = &plan
-    else {
-        return plan;
-    };
-    if est.est_rows(left) >= est.est_rows(right) {
-        // Build side (right) already the smaller estimate: keep as-is.
-        return plan;
-    }
-    let Plan::HashJoin {
-        left,
-        right,
-        left_keys,
-        right_keys,
-        residual: Some(mut residual),
-        schema,
-        ..
-    } = plan
-    else {
-        return plan;
-    };
-    let w_l = left.schema().len();
-    let w_r = right.schema().len();
-    // The residual is bound over [L, R]; the swapped join concatenates
-    // [R, L].
-    map_row_refs(&mut residual, 0, &mut |i| {
-        if i < w_l {
-            i + w_r
-        } else {
-            i - w_l
-        }
-    });
-    let swapped_schema = right.schema().join(left.schema());
-    // Projection restoring the original [L, R] column order.
-    let exprs: Vec<BoundExpr> = (0..w_l)
-        .map(|i| BoundExpr::column(w_r + i))
-        .chain((0..w_r).map(BoundExpr::column))
-        .collect();
-    Plan::Project {
-        input: Box::new(Plan::HashJoin {
-            left: right,
-            right: left,
-            kind: JoinType::Inner,
-            left_keys: right_keys,
-            right_keys: left_keys,
-            residual: Some(residual),
-            // Sides flipped: a build index for the old right no longer
-            // describes the build input. (None in practice — the attach
-            // pass runs after build-side orientation.)
-            build_index: None,
-            schema: swapped_schema,
-        }),
-        exprs,
-        schema,
-    }
 }
 
 /// Access-path selection over the final plan shape: rewrite
@@ -962,9 +880,9 @@ mod tests {
         let mut as_written = optimizing.clone();
         as_written.optimize = false;
 
-        // Plan shape: the optimizer makes `small` the build (right) side
-        // (3 rows vs 8) and sinks the EXISTS below the join, so no subquery
-        // filter remains above it. As written, it stays above the join.
+        // Plan shape: the optimizer sinks the EXISTS below the join, so no
+        // subquery filter remains above it. As written, it stays above the
+        // join.
         let optimized = db.plan(&query, &optimizing).unwrap();
         assert!(
             !subquery_filter_above_join(&optimized),

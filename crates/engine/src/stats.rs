@@ -43,6 +43,10 @@ pub struct NodeStats {
     pub build_rows: u64,
     /// Probe-side input rows (joins only).
     pub probe_rows: u64,
+    /// The input a hash join built its table (or key set) over, chosen by
+    /// the executor on actual sizes; `None` for other operators and for a
+    /// join that returned on an empty side before building.
+    pub build_side: Option<JoinSide>,
     /// Candidate pairs inspected: hash-bucket entries visited for hash
     /// joins, inner-loop iterations for nested-loop joins.
     pub comparisons: u64,
@@ -74,6 +78,22 @@ pub struct NodeStats {
     pub est_rows: Option<u64>,
     /// Stats of the operator's inputs, in plan order.
     pub children: Vec<NodeStats>,
+}
+
+/// A join input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JoinSide {
+    Left,
+    Right,
+}
+
+impl JoinSide {
+    pub fn label(self) -> &'static str {
+        match self {
+            JoinSide::Left => "left",
+            JoinSide::Right => "right",
+        }
+    }
 }
 
 /// Which way the group-key kernel folded an operator's rows (the

@@ -5,8 +5,8 @@
 #
 # Usage, from the repository root:
 #   crates/engine/tests/fixtures/make_pre_columnar.sh
-# It prints the catalog epoch the directory recovers to, which
-# tests/format_compat.rs pins.
+# It prints the catalog epoch the directory recovered to on that commit.
+# tests/format_compat.rs holds the current format to refusing it.
 set -eu
 rev=14e932e
 here=crates/engine/tests/fixtures

@@ -4,8 +4,8 @@
 //! key). It compiles only against a tree that still writes that format;
 //! `make_pre_columnar.sh` runs it as an example of such a tree.
 //!
-//! The rows are formulas of the row number, so the test that opens the
-//! fixture (`tests/format_compat.rs`) rebuilds them to compare.
+//! The rows are formulas of the row number. The columnar format refuses
+//! the directory (`tests/format_compat.rs`).
 
 use conquer_engine::{DataType, Database, DurabilityOptions, SyncPolicy, Table, Value};
 

@@ -41,17 +41,20 @@
 //! / `NOT EXISTS` with an expression key on either side and with a
 //! row-shaped probe or build side. Beyond those shapes: joins whose two
 //! sides are both an inner join's row-shaped output, an inner join that
-//! builds on its smaller left side, expression keys — one of them
-//! erroring — at every join kind, and a hand-built existence join with a
-//! residual, which is refused.
+//! builds on its smaller left side — with a residual too, where
+//! `EXPLAIN ANALYZE` says `build=left` exactly when the left side is
+//! smaller and no index serves the right one — expression keys — one of
+//! them erroring — at every join kind, and a hand-built existence join with
+//! a residual, which is refused.
 
 use std::collections::HashMap;
 
 use conquer_engine::expr::BoundExpr;
+use conquer_engine::obs::Json;
 use conquer_engine::plan::JoinType;
 use conquer_engine::value::Key;
 use conquer_engine::{
-    DataType, Database, EngineError, ExecOptions, NodeStats, Plan, Rows, Table, Value,
+    DataType, Database, EngineError, ExecOptions, JoinSide, NodeStats, Plan, Rows, Table, Value,
 };
 
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -762,4 +765,88 @@ fn an_inner_join_builds_on_its_smaller_left_side() {
             }
         }
     }
+}
+
+/// What one hash join of an inner join with a residual reports:
+/// `(left rows, right rows, index attached, build side, EXPLAIN ANALYZE
+/// line, operator JSON)`.
+type BuildReport = (u64, u64, bool, Option<JoinSide>, String, Json);
+
+fn build_reports(plan: &Plan, stats: &NodeStats, out: &mut Vec<BuildReport>) {
+    if let Plan::HashJoin {
+        residual,
+        build_index,
+        ..
+    } = plan
+    {
+        assert!(residual.is_some(), "every join here has a residual");
+        let text = conquer_engine::explain_analyze(plan, stats);
+        out.push((
+            stats.children[0].rows_out,
+            stats.children[1].rows_out,
+            build_index.is_some(),
+            stats.build_side,
+            text.lines().next().unwrap_or_default().to_string(),
+            conquer_engine::stats_json(plan, stats),
+        ));
+    }
+    for (child, child_stats) in plan.children().into_iter().zip(&stats.children) {
+        build_reports(child, child_stats, out);
+    }
+}
+
+#[test]
+fn inner_joins_with_a_residual_build_on_the_smaller_unindexed_side() {
+    // The executor picks every build side: an inner join hashes its smaller
+    // input, residual or not, unless an index serves the right side. The
+    // residual reads each candidate pair laid out left ++ right whichever
+    // side was probed, so the answer is the reference's either way —
+    // left smaller and larger, past the parallel threshold, NULL keys, an
+    // index on neither side, either or both.
+    let (mut built_left, mut pinned) = (0, 0);
+    for (np, nb) in [(60, 400), (400, 60), (60, PAR_THRESHOLD + 9)] {
+        for indexed in [&[][..], &["p"], &["b"], &["p", "b"]] {
+            let db = fixture(np, nb, 97, 7, 31 + np as u64);
+            for table in indexed {
+                db.create_index(table, &["ki"]).unwrap();
+            }
+            for on in [
+                "b.ki = p.ki and b.v < p.v",
+                "b.ki = p.ki and (b.kf <> p.kf or b.kt is null)",
+                "b.kt = p.kt and b.kd = p.kd and b.v + p.v > 200",
+            ] {
+                let sql = join_sql("join", on);
+                check_planned(&db, &sql, true, Oracle::Reference, false);
+                let query = conquer_sql::parse_query(&sql).unwrap();
+                for threads in THREADS {
+                    let context = format!("threads={threads} indexed={indexed:?}: {sql}");
+                    let (_, plan, stats) = db.execute_query_traced(&query, &opts(threads)).unwrap();
+                    let mut reports = Vec::new();
+                    build_reports(&plan, &stats, &mut reports);
+                    assert_eq!(reports.len(), 1, "{context}");
+                    let (left, right, index, side, line, json) = reports.remove(0);
+                    let left_built = left < right && !index;
+                    built_left += usize::from(left_built);
+                    pinned += usize::from(index && left < right);
+                    let want = if left_built {
+                        JoinSide::Left
+                    } else {
+                        JoinSide::Right
+                    };
+                    assert_eq!(side, Some(want), "{context}");
+                    assert_eq!(
+                        line.contains(" build=left"),
+                        left_built,
+                        "{context}: {line}"
+                    );
+                    assert_eq!(
+                        json.get("build"),
+                        Some(&Json::from(want.label())),
+                        "{context}"
+                    );
+                }
+            }
+        }
+    }
+    assert!(built_left > 0 && pinned > 0, "{built_left} {pinned}");
 }

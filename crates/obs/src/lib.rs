@@ -4,15 +4,14 @@
 //! other crate in the workspace:
 //!
 //! * [`span`](mod@span) — lightweight spans over a thread-local stack with
-//!   monotonic timing, structured `key=value` fields, pluggable global
-//!   subscribers (human-readable or JSON-lines sinks), and a scoped
+//!   monotonic timing, structured `key=value` fields, and a scoped
 //!   [`capture`] helper that collects the spans produced by a closure.
 //!   The query pipeline (parse → analyze → rewrite → plan → optimize →
 //!   execute) is instrumented with these spans.
 //! * [`metrics`] — a global registry of counters and log-scale histograms
 //!   with a JSON snapshot export; every closed span also feeds a
 //!   `span.<name>.ns` histogram, so phase latency distributions are
-//!   available process-wide without any subscriber installed.
+//!   available process-wide without any collector installed.
 //! * [`json`] — a minimal JSON value type, writer, and parser (the
 //!   workspace builds offline, so there is no `serde`); used for the bench
 //!   harness's `BENCH_<fig>.json` exports, `EXPLAIN ANALYZE` machine
@@ -69,7 +68,6 @@ pub use metrics::{
 };
 pub use prom::{prometheus_text, push_gauge, sanitize_metric_name};
 pub use span::{
-    capture, clear_subscriber, current_trace, epoch_unix_ms, phase_totals, set_subscriber, span,
-    thread_tag, FieldValue, HumanSink, JsonLinesSink, QueryId, Span, SpanRecord, Subscriber,
-    ThreadTrace, TraceContext, TraceGuard, WorkerGuard,
+    capture, current_trace, epoch_unix_ms, phase_totals, span, thread_tag, FieldValue, QueryId,
+    Span, SpanRecord, ThreadTrace, TraceContext, TraceGuard, WorkerGuard,
 };

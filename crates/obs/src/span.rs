@@ -5,9 +5,8 @@
 //! spans are delivered to
 //!
 //! 1. any collectors active on the thread — [`capture`] scopes and
-//!    installed [`TraceContext`]s, innermost first,
-//! 2. the global [`Subscriber`], when one is installed, and
-//! 3. the global metrics registry, as a `span.<name>.ns` histogram.
+//!    installed [`TraceContext`]s, innermost first, and
+//! 2. the global metrics registry, as a `span.<name>.ns` histogram.
 //!
 //! Spans are intended for *phase*-level instrumentation (parse, analyze,
 //! rewrite, plan, optimize, execute) — a handful per query, not one per
@@ -32,9 +31,8 @@
 
 use std::cell::RefCell;
 use std::fmt;
-use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant, SystemTime};
 
 use crate::json::Json;
@@ -116,7 +114,7 @@ impl From<&FieldValue> for Json {
     }
 }
 
-/// A closed span, as delivered to collectors and subscribers.
+/// A closed span, as delivered to collectors.
 #[derive(Debug, Clone)]
 pub struct SpanRecord {
     /// Phase / operation name, e.g. `"rewrite"` or `"execute"`.
@@ -141,7 +139,7 @@ impl SpanRecord {
         epoch_unix_ms().saturating_add(self.start.as_millis() as u64)
     }
 
-    /// The record as a JSON object (the JSON-lines sink's line format).
+    /// The record as a JSON object.
     pub fn to_json(&self) -> Json {
         let mut obj = Json::obj([
             ("span", Json::from(self.name)),
@@ -156,67 +154,6 @@ impl SpanRecord {
         }
         obj
     }
-}
-
-/// Receives every closed span process-wide. Implementations must be cheap
-/// or buffer internally: they run inline at span close.
-pub trait Subscriber: Send + Sync {
-    fn on_close(&self, record: &SpanRecord);
-}
-
-/// Human-readable sink: one indented line per closed span on stderr.
-pub struct HumanSink;
-
-impl Subscriber for HumanSink {
-    fn on_close(&self, record: &SpanRecord) {
-        let mut line = String::new();
-        for _ in 0..record.depth {
-            line.push_str("  ");
-        }
-        line.push_str(record.name);
-        line.push_str(&format!(" {:.3}ms", record.wall.as_secs_f64() * 1e3));
-        for (k, v) in &record.fields {
-            line.push_str(&format!(" {k}={v}"));
-        }
-        eprintln!("{line}");
-    }
-}
-
-/// JSON-lines sink: one JSON object per closed span, written to any
-/// `Write` target behind a mutex.
-pub struct JsonLinesSink<W: Write + Send> {
-    out: Mutex<W>,
-}
-
-impl<W: Write + Send> JsonLinesSink<W> {
-    pub fn new(out: W) -> Self {
-        JsonLinesSink {
-            out: Mutex::new(out),
-        }
-    }
-}
-
-impl<W: Write + Send> Subscriber for JsonLinesSink<W> {
-    fn on_close(&self, record: &SpanRecord) {
-        if let Ok(mut out) = self.out.lock() {
-            let _ = writeln!(out, "{}", record.to_json().render());
-        }
-    }
-}
-
-fn global_subscriber() -> &'static RwLock<Option<Box<dyn Subscriber>>> {
-    static SUBSCRIBER: OnceLock<RwLock<Option<Box<dyn Subscriber>>>> = OnceLock::new();
-    SUBSCRIBER.get_or_init(|| RwLock::new(None))
-}
-
-/// Install the process-wide subscriber (replacing any previous one).
-pub fn set_subscriber(subscriber: Box<dyn Subscriber>) {
-    *global_subscriber().write().unwrap() = Some(subscriber);
-}
-
-/// Remove the process-wide subscriber.
-pub fn clear_subscriber() {
-    *global_subscriber().write().unwrap() = None;
 }
 
 /// The monotonic epoch paired with the wall-clock instant it was taken, so
@@ -364,11 +301,6 @@ impl Drop for Span {
                 lock_collector(collector).push(record.clone());
             }
         });
-        if let Ok(guard) = global_subscriber().read() {
-            if let Some(subscriber) = guard.as_ref() {
-                subscriber.on_close(&record);
-            }
-        }
     }
 }
 

@@ -1,9 +1,11 @@
 //! The rewrite/plan cache: LRU over (SQL text, strategy), revalidated per
 //! table read.
 //!
-//! A cache entry holds everything the parse → rewrite → plan pipeline
-//! produces: the parsed AST, the ConQuer rewriting (identity for the
-//! `original` strategy), and the physical [`Plan`]. Plans embed `Arc`
+//! A cache entry holds what the parse → rewrite → plan pipeline produces
+//! for serving: the physical [`Plan`] of the ConQuer rewriting (of the
+//! query as parsed for the `original` strategy) and the table versions its
+//! build read. It is the only holder of plans: a session's prepared
+//! statement is just its key, `(SQL text, strategy)`. Plans embed `Arc`
 //! snapshots of the tables they scan *and* the materialized CTE results the
 //! rewritings lean on (Section 6.1 of the paper), so a warm hit skips the
 //! entire pipeline including CTE materialization — and, equally, a stale
@@ -11,7 +13,7 @@
 //!
 //! Validity is one rule: an entry is current iff every base table its
 //! build read still has the [version](Database::table_version) it was read
-//! at ([`CachedStatement::is_current`]). The planner records those reads
+//! at ([`CachedStatement::moved_table`]). The planner records those reads
 //! where it resolves a table name, so tables that only feed a CTE body or a
 //! subquery — executed at plan time, gone from the finished plan — are
 //! covered like any other. A write therefore invalidates the statements
@@ -48,14 +50,12 @@ use std::sync::{Arc, Mutex};
 
 use conquer_core::{prepare_rewrite_on, ConstraintSet, RewriteOptions};
 use conquer_engine::{Database, Estimator, ExecOptions, Plan, TableReads};
-use conquer_sql::ast::Query;
 use conquer_sql::parse_query;
 
 use crate::error::ServeError;
 use crate::protocol::Strategy;
 
-/// A fully prepared statement: every artifact of the pipeline, shareable
-/// across sessions.
+/// A fully prepared statement, shareable across sessions.
 #[derive(Debug)]
 pub struct CachedStatement {
     pub sql: String,
@@ -63,12 +63,8 @@ pub struct CachedStatement {
     /// Every base table the build read — in the query body, CTE bodies and
     /// subqueries alike — with the version it was read at.
     pub reads: TableReads,
-    /// The query as parsed.
-    pub ast: Arc<Query>,
-    /// What actually executes: the ConQuer rewriting, or `ast` for
-    /// [`Strategy::Original`].
-    pub exec_query: Arc<Query>,
-    /// The physical plan, CTEs materialized.
+    /// The physical plan of the ConQuer rewriting (of the query as parsed
+    /// for [`Strategy::Original`]), CTEs materialized.
     pub plan: Arc<Plan>,
     /// Total base-table (and materialized-CTE) rows the plan scans —
     /// the "rows in" reported by query traces.
@@ -79,15 +75,9 @@ pub struct CachedStatement {
 }
 
 impl CachedStatement {
-    /// The validity rule, for the cache and for prepared statements alike:
-    /// the plan may be served iff no table it read has moved since.
-    pub fn is_current(&self, db: &Database) -> bool {
-        self.moved_table(db).is_none()
-    }
-
-    /// Why [`is_current`](CachedStatement::is_current) fails: the first
-    /// table read whose version changed (written, indexed, dropped or
-    /// re-created).
+    /// The validity rule: the plan may be served iff this is `None`, no
+    /// table it read having moved since. Otherwise, the first table read
+    /// whose version changed (written, indexed, dropped or re-created).
     pub fn moved_table(&self, db: &Database) -> Option<&str> {
         db.first_moved(&self.reads)
     }
@@ -101,18 +91,14 @@ pub fn build_statement(
     strategy: Strategy,
     options: &ExecOptions,
 ) -> Result<CachedStatement, ServeError> {
-    let (ast, exec_query) = match strategy {
-        Strategy::Original => {
-            let ast = Arc::new(parse_query(sql).map_err(ServeError::Parse)?);
-            (Arc::clone(&ast), ast)
-        }
+    let exec_query = match strategy {
+        Strategy::Original => Arc::new(parse_query(sql).map_err(ServeError::Parse)?),
         Strategy::Rewritten | Strategy::Annotated => {
             let opts = RewriteOptions {
                 annotated: strategy == Strategy::Annotated,
                 ..RewriteOptions::default()
             };
-            let prepared = prepare_rewrite_on(db, sql, sigma, &opts)?;
-            (prepared.original, prepared.rewritten)
+            prepare_rewrite_on(db, sql, sigma, &opts)?.rewritten
         }
     };
     let (plan, reads) = db
@@ -129,8 +115,6 @@ pub fn build_statement(
         sql: sql.to_string(),
         strategy,
         reads,
-        ast,
-        exec_query,
         plan: Arc::new(plan),
         base_rows,
         est_rows,
@@ -433,7 +417,7 @@ mod tests {
         // sees the new data, and the cause is on record.
         db.run_script("insert into customer values ('c9', 9000)")
             .unwrap();
-        assert!(!first.is_current(&db));
+        assert_eq!(first.moved_table(&db), Some("customer"));
         let (third, lookup) = cache
             .get_or_build(&db, &sigma, Q, Strategy::Rewritten, &options)
             .unwrap();

@@ -22,8 +22,9 @@
 //!   queue-wait deadline is answered with a structured `busy` error instead
 //!   of a hang.
 //! * **Rewrite/plan cache** ([`cache`]) — an LRU over `(SQL, strategy)`
-//!   caching the parsed AST, the ConQuer rewriting, and the physical plan
-//!   (CTEs materialized). An entry remembers the version of every table
+//!   caching the physical plan of the ConQuer rewriting (CTEs
+//!   materialized); a prepared statement is its key, so the cache alone
+//!   holds plans. An entry remembers the version of every table
 //!   its build read and is served only while all of them stand: a write
 //!   invalidates the statements that read the written table, nobody
 //!   else's, and stale plans are never served.

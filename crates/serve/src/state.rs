@@ -38,7 +38,9 @@ pub(crate) struct SessionState {
     pub id: u64,
     pub options: ExecOptions,
     pub strategy: Strategy,
-    pub statements: HashMap<u64, Arc<CachedStatement>>,
+    /// Prepared statements by id: each is its statement cache key, so the
+    /// cache alone holds plans, bounded by its capacity.
+    pub statements: HashMap<u64, (String, Strategy)>,
     pub next_statement: u64,
     /// Slow-query log threshold in microseconds (0 = disabled); starts at
     /// the server default, overridable with `SET slow_query_us`.
@@ -165,7 +167,13 @@ pub(crate) fn run_heavy(
             Err(e) => error_response(&e),
         },
         HeavyOp::Execute { statement } => {
-            match run_execute(shared, state, *statement, token, queued_at, build) {
+            let result = match state.statements.get(statement).cloned() {
+                Some((sql, strategy)) => {
+                    run_query(shared, state, &sql, strategy, token, queued_at, build)
+                }
+                None => Err(ServeError::UnknownStatement(*statement)),
+            };
+            match result {
                 Ok(outcome) => Response::Rows(outcome),
                 Err(e) => error_response(&e),
             }
@@ -228,8 +236,10 @@ fn run_query(
     })
 }
 
-/// Preparation plans (and for rewritings, materializes CTEs), so it runs
-/// on a query worker like any other heavy work.
+/// Preparation plans (and for rewritings, materializes CTEs) into the
+/// cache, so it runs on a query worker like any other heavy work. The
+/// session keeps only the key: `execute` resolves it through the cache like
+/// any query, and reports that lookup as `cached`.
 fn prepare(
     shared: &Shared,
     state: &mut SessionState,
@@ -237,79 +247,13 @@ fn prepare(
     strategy: Strategy,
     build: &ExecOptions,
 ) -> Result<u64, ServeError> {
-    let (stmt, _lookup) =
-        shared
-            .cache
-            .get_or_build(&shared.db, &shared.sigma, sql, strategy, build)?;
+    shared
+        .cache
+        .get_or_build(&shared.db, &shared.sigma, sql, strategy, build)?;
     let id = state.next_statement;
     state.next_statement += 1;
-    state.statements.insert(id, stmt);
+    state.statements.insert(id, (sql.to_string(), strategy));
     Ok(id)
-}
-
-fn run_execute(
-    shared: &Shared,
-    state: &mut SessionState,
-    statement_id: u64,
-    token: &CancellationToken,
-    queued_at: Instant,
-    build: &ExecOptions,
-) -> Result<QueryOutcome, ServeError> {
-    let bound = state
-        .statements
-        .get(&statement_id)
-        .cloned()
-        .ok_or(ServeError::UnknownStatement(statement_id))?;
-    let start_unix_ms = unix_ms();
-    let trace = TraceContext::new();
-    let mut options = state.options.clone();
-    options.cancellation = Some(token.clone());
-    options.trace = Some(trace.clone());
-    let build = ExecOptions {
-        cancellation: Some(token.clone()),
-        ..build.clone()
-    };
-    let result = (|| {
-        let _trace = trace.install();
-        // A change to any table the bound plan read since `prepare`
-        // makes it stale: re-resolve through the cache so stale plans
-        // are never served.
-        let (stmt, lookup) = if bound.is_current(&shared.db) {
-            (Arc::clone(&bound), Lookup::Hit)
-        } else {
-            shared.cache.get_or_build(
-                &shared.db,
-                &shared.sigma,
-                &bound.sql,
-                bound.strategy,
-                &build,
-            )?
-        };
-        let rows = shared
-            .db
-            .execute_plan_with(&stmt.plan, &options)
-            .map_err(ServeError::Engine)?;
-        Ok((stmt, rows, lookup))
-    })();
-    let elapsed_us = queued_at.elapsed().as_micros() as u64;
-    finish_query(
-        state,
-        &bound.sql,
-        bound.strategy,
-        &trace,
-        start_unix_ms,
-        elapsed_us,
-        options.threads,
-        &result,
-    );
-    let (stmt, rows, lookup) = result?;
-    // Refresh the binding so the next `execute` passes the validity check.
-    state.statements.insert(statement_id, stmt);
-    Ok(QueryOutcome {
-        rows,
-        cached: lookup.is_hit(),
-        elapsed_us,
-    })
 }
 
 fn set_option(state: &mut SessionState, name: &str, value: &Json) -> Result<(), ServeError> {

@@ -234,6 +234,88 @@ fn prepared_statements_roundtrip() {
     server.shutdown();
 }
 
+/// The in-process answer to `sql` under `strategy`, one thread, as the wire
+/// encodes it.
+fn in_process(db: &Database, sigma: &ConstraintSet, sql: &str, strategy: Strategy) -> String {
+    let options = ExecOptions {
+        threads: 1,
+        ..ExecOptions::default()
+    };
+    let stmt = build_statement(db, sigma, sql, strategy, &options).expect("in-process build");
+    canon(
+        &db.execute_plan_with(&stmt.plan, &options)
+            .expect("in-process execute"),
+    )
+}
+
+/// A prepared statement is its cache key, so a session may prepare more
+/// statements than the cache holds: each `execute` re-resolves through the
+/// cache, rebuilding what was evicted, and always answers right.
+#[test]
+fn prepared_statements_past_the_cache_capacity_answer_right() {
+    let (server, db, sigma) = start(ServerConfig {
+        cache_capacity: 2,
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(server.addr()).expect("connect");
+    client.set("threads", Json::UInt(1)).expect("set threads");
+    let statements: Vec<(&str, Strategy)> = QUERIES[..5]
+        .iter()
+        .zip(
+            [Strategy::Rewritten, Strategy::Original]
+                .into_iter()
+                .cycle(),
+        )
+        .map(|(sql, strategy)| (*sql, strategy))
+        .collect();
+    let ids: Vec<u64> = statements
+        .iter()
+        .map(|(sql, strategy)| client.prepare(sql, Some(*strategy)).expect("prepare"))
+        .collect();
+    for _ in 0..2 {
+        for (id, (sql, strategy)) in ids.iter().zip(&statements) {
+            let served = client.execute(*id).expect("execute");
+            assert_eq!(
+                canon(&served.rows),
+                in_process(&db, &sigma, sql, *strategy),
+                "`{sql}` ({})",
+                strategy.label()
+            );
+        }
+    }
+    let stats = client.stats().expect("stats");
+    let cache = stats.get("cache").expect("cache section");
+    assert_eq!(cache.get("entries").and_then(Json::as_f64), Some(2.0));
+    assert!(cache.get("evictions").and_then(Json::as_f64) >= Some(3.0));
+    client.quit().expect("quit");
+    server.shutdown();
+}
+
+/// A statement prepared before a write to a table it reads answers with
+/// the write: its first `execute` after the write rebuilds (`cached` is
+/// false), the next one is served from the rebuilt entry.
+#[test]
+fn a_prepared_statement_answers_a_write_made_after_it() {
+    let (server, db, sigma) = start(ServerConfig::default());
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let sql = "select okey from orders where price > 300";
+    let id = client
+        .prepare(sql, Some(Strategy::Rewritten))
+        .expect("prepare");
+    client
+        .script("insert into orders values ('o500', 'c1', 512.0, 3)")
+        .expect("insert");
+    let want = in_process(&db, &sigma, sql, Strategy::Rewritten);
+    assert!(want.contains("o500"), "{want}");
+    for cached in [false, true] {
+        let served = client.execute(id).expect("execute");
+        assert_eq!(canon(&served.rows), want);
+        assert_eq!(served.cached, cached);
+    }
+    client.quit().expect("quit");
+    server.shutdown();
+}
+
 /// Cache entries are shared across sessions, so statements are *built*
 /// under the server-level build options, not the requesting session's
 /// `SET` limits — a session with a 1-byte memory budget can still prepare
