@@ -16,7 +16,7 @@
 
 use conquer::tpch::{Q12, Q6};
 use conquer::ExecOptions;
-use conquer_bench::{median_sample, ms, sample, workload, Strategy};
+use conquer_bench::{median_sample, sample, workload, Strategy};
 
 fn main() {
     let w = workload(0.01, 0.05, 2);
@@ -64,9 +64,9 @@ fn main() {
                 run().expect("warm-up");
                 let (median, ()) = median_sample(10, run, |_| ()).expect("ablation sample");
                 println!(
-                    "ablation/{}-{variant}/{label}: median {} ms",
+                    "ablation/{}-{variant}/{label}: median {:.2} ms",
                     q.name(),
-                    ms(median)
+                    median.as_secs_f64() * 1e3
                 );
             }
         }

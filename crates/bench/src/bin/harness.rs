@@ -1,6 +1,7 @@
-//! The figure-regeneration harness: reprints every table and figure of the
-//! paper's evaluation (Section 6) as text/markdown series, and writes a
-//! machine-readable `BENCH_<report>.json` for each run.
+//! The figure-regeneration harness: measures every table and figure of the
+//! paper's evaluation (Section 6), writes each as a `BENCH_<report>.json`
+//! and prints its markdown table, rendered from that report
+//! (`conquer_bench::report`).
 //!
 //! ```sh
 //! cargo run -p conquer-bench --release --bin harness -- all
@@ -36,12 +37,15 @@
 //!   running server.
 //! - `trace "<sql>"`: one traced run (`--strategy`), printed as a span tree
 //!   and written as a Chrome trace-viewer document.
-//! - `all`: records Figure 10, the baseline and every tracked report at
-//!   the parameters each is recorded with ([`RECORDED`]), each in a
-//!   process of its own; flags given to `all` override them.
+//! - `all`: records every tracked report at the parameters each is
+//!   recorded with ([`RECORDED`]), each in a process of its own; flags
+//!   given to `all` override them.
+//! - `report` (no flags): renders each block of EXPERIMENTS.md in the
+//!   working directory from the `BENCH_*.json` files beside it.
 //!
 //! `--sf`, `--runs` (median of n, default 3), `--threads`, `--json <path>`
-//! (a single command's report) and `--quiet` apply throughout;
+//! (a single command's report) and `--quiet` (no table on stdout) apply
+//! throughout;
 //! `--timeout-ms N` and `--mem-limit BYTES` run every query under those
 //! limits, record a tripped query's `status` instead of aborting, and make
 //! the harness exit nonzero after writing every report. Every report is
@@ -55,9 +59,10 @@ use std::time::{Duration, Instant};
 use conquer::engine::{NodeStats, Plan};
 use conquer::tpch::{all_queries, BenchmarkQuery, Workload, Q12, Q4, Q6};
 use conquer::{analyze, parse_query, Database, ExecOptions, ResourceLimits};
+use conquer_bench::report::RECORDED;
 use conquer_bench::{
-    index_blind_twin, median_sample, ms, overhead, run_status, sample, sample_sql, span_wall,
-    speedup, traced, workload, Strategy, BASE_SF,
+    index_blind_twin, median_sample, run_status, sample, sample_sql, span_wall, speedup, traced,
+    workload, Strategy, BASE_SF,
 };
 use conquer_obs::Json;
 
@@ -65,35 +70,9 @@ use conquer_obs::Json;
 /// the sweep and writes every report before exiting nonzero.
 static FAILED: AtomicBool = AtomicBool::new(false);
 
-const COMMANDS: [&str; 14] = [
+const COMMANDS: [&str; 15] = [
     "fig10", "fig11", "fig12", "fig13", "fig14", "baseline", "serve", "plancost", "opbench",
-    "idxbench", "trace", "recover", "load", "all",
-];
-
-/// Every report `harness all` records, as `BENCH_<report>.json`, and the
-/// command line it is recorded with; flags given to `all` are appended, so
-/// they override these (a smoke run's smaller `--sf`, say). All but
-/// `fig10` and `baseline` are tracked in the repository.
-const RECORDED: [(&str, &str); 13] = [
-    ("fig10", "fig10"),
-    ("fig11", "fig11 --sf 0.05 --runs 9 --threads 2"),
-    ("fig12", "fig12 --sf 0.05 --runs 9 --threads 2"),
-    ("fig13", "fig13 --sf 0.05 --runs 9 --threads 2"),
-    ("fig14", "fig14 --sf 0.05 --runs 9 --threads 2"),
-    ("baseline", "baseline"),
-    (
-        "plancost",
-        "plancost --sf 0.05 --threads 1 --cost-threshold-file crates/bench/plan_cost_thresholds.txt",
-    ),
-    ("opbench", "opbench --sf 0.05 --runs 3 --threads 1"),
-    ("opbench_t2", "opbench --sf 0.05 --runs 3 --threads 2"),
-    ("idxbench", "idxbench --sf 0.05 --runs 3 --threads 1"),
-    ("load", "load --sf 0.02 --runs 5 --threads 2"),
-    ("recover", "recover --sf 0.05 --threads 2"),
-    (
-        "serve",
-        "serve --sf 0.02 --threads 2 --concurrency 2 --connections 2,64 --rounds 20 --churn-ms 20",
-    ),
+    "idxbench", "trace", "recover", "load", "all", "report",
 ];
 
 struct Args {
@@ -148,11 +127,6 @@ impl Args {
             .with_limits(limits)
             .with_threads(self.threads)
     }
-}
-
-/// Print unless `--quiet`.
-macro_rules! say {
-    ($args:expr, $($t:tt)*) => { if !$args.quiet { println!($($t)*); } };
 }
 
 fn parse_args(tokens: impl IntoIterator<Item = String>) -> Args {
@@ -251,7 +225,8 @@ fn die(msg: &str) -> ! {
          [--serve-port P] [--concurrency N] [--connections N,M,...] [--rounds R] \
          [--churn-ms N] [--cost-threshold-file PATH] [--before PATH]\n       \
          harness trace \"<sql>\" [--strategy original|rewritten|annotated] \
-         [--sf F] [--threads N] [--json PATH]"
+         [--sf F] [--threads N] [--json PATH]\n       \
+         harness report"
     );
     std::process::exit(2)
 }
@@ -262,6 +237,14 @@ fn main() {
     let started = Instant::now();
     if args.command == "all" {
         record_all(&raw);
+    } else if args.command == "report" {
+        if raw.len() > 1 {
+            die("report takes no flags");
+        }
+        if let Err(e) = conquer_bench::report::update(std::path::Path::new(".")) {
+            eprintln!("harness: report: {e}");
+            std::process::exit(1);
+        }
     } else {
         let mut report = match args.command.as_str() {
             "fig10" => fig10(&args),
@@ -282,16 +265,17 @@ fn main() {
         report.push("commit", commit());
         report.push("machine", machine());
         report.push("metrics", conquer_obs::registry().snapshot_json());
-        let path = args.json.clone();
-        let path = path.unwrap_or_else(|| format!("BENCH_{}.json", args.command));
+        let path = (args.json.clone()).unwrap_or_else(|| format!("BENCH_{}.json", args.command));
         std::fs::write(&path, report.render_pretty())
             .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
         eprintln!("wrote {path}");
+        if !args.quiet {
+            let table = conquer_bench::report::render(&path, &report);
+            print!("{}", table.expect("every command's report has a renderer"));
+        }
     }
-    eprintln!(
-        "\n(total harness time: {:.1}s)",
-        started.elapsed().as_secs_f64()
-    );
+    let total = started.elapsed().as_secs_f64();
+    eprintln!("\n(total harness time: {total:.1}s)");
     if FAILED.load(Ordering::Relaxed) {
         eprintln!("harness: some queries failed or tripped resource limits (see reports)");
         std::process::exit(1);
@@ -326,14 +310,9 @@ fn record_all(raw: &[String]) {
 /// The commit the harness was built from: `git describe --always --dirty`
 /// in its source tree, or `unknown` where git cannot say.
 fn commit() -> Json {
+    let source = env!("CARGO_MANIFEST_DIR");
     let described = std::process::Command::new("git")
-        .args([
-            "-C",
-            env!("CARGO_MANIFEST_DIR"),
-            "describe",
-            "--always",
-            "--dirty",
-        ])
+        .args(["-C", source, "describe", "--always", "--dirty"])
         .output()
         .ok()
         .filter(|out| out.status.success())
@@ -363,13 +342,8 @@ fn machine() -> Json {
 ///
 /// A query that errors or trips a resource limit yields a `status` /
 /// `error` entry (and flags the harness for a nonzero exit) instead of
-/// aborting the sweep; its reported time is zero.
-fn strategy_entry(
-    w: &Workload,
-    q: &BenchmarkQuery,
-    strategy: Strategy,
-    args: &Args,
-) -> (Duration, Json) {
+/// aborting the sweep.
+fn strategy_entry(w: &Workload, q: &BenchmarkQuery, strategy: Strategy, args: &Args) -> Json {
     let options = args.options();
     let result = median_sample(
         args.runs,
@@ -377,50 +351,47 @@ fn strategy_entry(
         |s| s.to_json(),
     );
     let status = run_status(&result);
-    result.unwrap_or_else(|e| {
-        FAILED.store(true, Ordering::Relaxed);
-        eprintln!("harness: {} [{}] {status}: {e}", q.name(), strategy.label());
-        let entry = Json::obj([
-            ("status", Json::from(status)),
-            ("error", Json::from(e.to_string())),
-        ]);
-        (Duration::ZERO, entry)
-    })
+    result.map_or_else(
+        |e| {
+            FAILED.store(true, Ordering::Relaxed);
+            eprintln!("harness: {} [{}] {status}: {e}", q.name(), strategy.label());
+            Json::obj([
+                ("status", Json::from(status)),
+                ("error", Json::from(e.to_string())),
+            ])
+        },
+        |(_, entry)| entry,
+    )
 }
 
-fn report_header(figure: &str, args: &Args) -> Json {
-    Json::obj([
+/// `entry` with `q`'s cell under each strategy, keyed by its label.
+fn each_strategy(w: &Workload, q: &BenchmarkQuery, args: &Args, mut entry: Json) -> Json {
+    for strategy in Strategy::ALL {
+        entry.push(strategy.label(), strategy_entry(w, q, strategy, args));
+    }
+    entry
+}
+
+/// A report: what it measured and with what parameters, then `fields`.
+fn report_header<const N: usize>(figure: &str, args: &Args, fields: [(&str, Json); N]) -> Json {
+    let mut report = Json::obj([
         ("figure", Json::from(figure)),
         ("sf", Json::Float(args.sf)),
         ("runs", Json::UInt(args.runs as u64)),
         ("threads", Json::UInt(args.threads as u64)),
-    ])
+    ]);
+    for (key, value) in fields {
+        report.push(key, value);
+    }
+    report
 }
 
 /// Figure 10: characteristics of the benchmark queries.
 fn fig10(args: &Args) -> Json {
-    say!(args, "## Figure 10 — queries used in the experiments\n");
-    say!(
-        args,
-        "| Query | Relations | Selectivity | ProjAttrs | AggrAttrs |"
-    );
-    say!(
-        args,
-        "|-------|-----------|-------------|-----------|-----------|"
-    );
     let sigma = conquer::tpch::benchmark_constraints();
     let mut queries = Vec::new();
     for q in all_queries() {
         let tq = analyze(&parse_query(q.sql).unwrap(), &sigma).unwrap();
-        say!(
-            args,
-            "| {} | {} | {} | {} | {} |",
-            q.name(),
-            tq.relations.len(),
-            q.selectivity,
-            tq.projection.len(),
-            tq.aggregate_count(),
-        );
         queries.push(Json::obj([
             ("query", Json::from(q.name())),
             ("relations", Json::UInt(tq.relations.len() as u64)),
@@ -429,52 +400,19 @@ fn fig10(args: &Args) -> Json {
             ("aggr_attrs", Json::UInt(tq.aggregate_count() as u64)),
         ]));
     }
-    say!(args, "");
-    let mut report = report_header("fig10", args);
-    report.push("queries", Json::Arr(queries));
-    report
+    report_header("fig10", args, [("queries", Json::Arr(queries))])
 }
 
 /// Figure 11: running times of all queries, original vs rewritten vs
 /// annotation-aware, at the base size with p = 5%, n = 2.
 fn fig11(args: &Args) -> Json {
-    say!(
-        args,
-        "## Figure 11 — all queries, SF {} (stand-in for 1 GB), p = 5%, n = 2\n",
-        args.sf
-    );
     let w = workload(args.sf, 0.05, 2);
-    say!(
-        args,
-        "| Query | original (ms) | rewritten (ms) | annotated (ms) | overhead rewritten | overhead annotated |"
-    );
-    say!(args, "|-------|--------------:|---------------:|---------------:|-------------------:|-------------------:|");
     let mut queries = Vec::new();
     for q in all_queries() {
-        let (t_orig, e_orig) = strategy_entry(&w, &q, Strategy::Original, args);
-        let (t_rew, e_rew) = strategy_entry(&w, &q, Strategy::Rewritten, args);
-        let (t_ann, e_ann) = strategy_entry(&w, &q, Strategy::Annotated, args);
-        say!(
-            args,
-            "| {} | {} | {} | {} | {:.2}x | {:.2}x |",
-            q.name(),
-            ms(t_orig),
-            ms(t_rew),
-            ms(t_ann),
-            overhead(t_orig, t_rew),
-            overhead(t_orig, t_ann),
-        );
-        queries.push(Json::obj([
-            ("query", Json::from(q.name())),
-            ("original", e_orig),
-            ("rewritten", e_rew),
-            ("annotated", e_ann),
-            ("overhead_rewritten", Json::Float(overhead(t_orig, t_rew))),
-            ("overhead_annotated", Json::Float(overhead(t_orig, t_ann))),
-        ]));
+        let entry = Json::obj([("query", Json::from(q.name()))]);
+        queries.push(each_strategy(&w, &q, args, entry));
     }
-    say!(args, "");
-    let mut report = report_header("fig11", args);
+    let mut report = report_header("fig11", args, []);
     report.push("p", Json::Float(0.05));
     report.push("n", Json::UInt(2));
     report.push("queries", Json::Arr(queries));
@@ -483,40 +421,13 @@ fn fig11(args: &Args) -> Json {
 
 /// Figure 12: Q6 while varying the inconsistency percentage p (n = 2).
 fn fig12(args: &Args) -> Json {
-    say!(args, "## Figure 12 — Q6 vs p (n = 2, SF {})\n", args.sf);
-    say!(
-        args,
-        "| p (%) | original (ms) | rewritten (ms) | annotated (ms) | annotated overhead |"
-    );
-    say!(
-        args,
-        "|------:|--------------:|---------------:|---------------:|-------------------:|"
-    );
     let mut series = Vec::new();
     for p in [0.0, 0.01, 0.05, 0.10, 0.20, 0.50] {
         let w = workload(args.sf, p, 2);
-        let (t_orig, e_orig) = strategy_entry(&w, &Q6, Strategy::Original, args);
-        let (t_rew, e_rew) = strategy_entry(&w, &Q6, Strategy::Rewritten, args);
-        let (t_ann, e_ann) = strategy_entry(&w, &Q6, Strategy::Annotated, args);
-        say!(
-            args,
-            "| {:>4.0} | {} | {} | {} | {:.2}x |",
-            p * 100.0,
-            ms(t_orig),
-            ms(t_rew),
-            ms(t_ann),
-            overhead(t_orig, t_ann),
-        );
-        series.push(Json::obj([
-            ("p", Json::Float(p)),
-            ("original", e_orig),
-            ("rewritten", e_rew),
-            ("annotated", e_ann),
-            ("overhead_annotated", Json::Float(overhead(t_orig, t_ann))),
-        ]));
+        let entry = Json::obj([("p", Json::Float(p))]);
+        series.push(each_strategy(&w, &Q6, args, entry));
     }
-    say!(args, "");
-    let mut report = report_header("fig12", args);
+    let mut report = report_header("fig12", args, []);
     report.push("query", Json::from("Q6"));
     report.push("n", Json::UInt(2));
     report.push("series", Json::Arr(series));
@@ -525,37 +436,13 @@ fn fig12(args: &Args) -> Json {
 
 /// Figure 13: Q6 while varying n, the tuples per violated key (p = 10%).
 fn fig13(args: &Args) -> Json {
-    say!(args, "## Figure 13 — Q6 vs n (p = 10%, SF {})\n", args.sf);
-    say!(
-        args,
-        "| n | original (ms) | rewritten (ms) | annotated (ms) |"
-    );
-    say!(
-        args,
-        "|--:|--------------:|---------------:|---------------:|"
-    );
     let mut series = Vec::new();
     for n in [2usize, 5, 10, 25, 50] {
         let w = workload(args.sf, 0.10, n);
-        let (t_orig, e_orig) = strategy_entry(&w, &Q6, Strategy::Original, args);
-        let (t_rew, e_rew) = strategy_entry(&w, &Q6, Strategy::Rewritten, args);
-        let (t_ann, e_ann) = strategy_entry(&w, &Q6, Strategy::Annotated, args);
-        say!(
-            args,
-            "| {n} | {} | {} | {} |",
-            ms(t_orig),
-            ms(t_rew),
-            ms(t_ann)
-        );
-        series.push(Json::obj([
-            ("n", Json::UInt(n as u64)),
-            ("original", e_orig),
-            ("rewritten", e_rew),
-            ("annotated", e_ann),
-        ]));
+        let entry = Json::obj([("n", Json::UInt(n as u64))]);
+        series.push(each_strategy(&w, &Q6, args, entry));
     }
-    say!(args, "");
-    let mut report = report_header("fig13", args);
+    let mut report = report_header("fig13", args, []);
     report.push("query", Json::from("Q6"));
     report.push("p", Json::Float(0.10));
     report.push("series", Json::Arr(series));
@@ -565,19 +452,6 @@ fn fig13(args: &Args) -> Json {
 /// Figure 14: scalability across database sizes with a constant number of
 /// inconsistent tuples (the paper's 100 MB..2 GB at p = 50/10/5/2.5 %).
 fn fig14(args: &Args) -> Json {
-    say!(
-        args,
-        "## Figure 14 — scalability, constant inconsistent tuples (n = 2)\n"
-    );
-    say!(args, "annotation-aware rewritings of Q4, Q6, Q12\n");
-    say!(
-        args,
-        "| size (×1 GB stand-in) | p (%) | tuples | Q4 (ms) | Q6 (ms) | Q12 (ms) |"
-    );
-    say!(
-        args,
-        "|----------------------:|------:|-------:|--------:|--------:|---------:|"
-    );
     let mut series = Vec::new();
     // Same ratios as the paper: 0.1x, 0.5x, 1x, 2x of the base size with
     // p chosen to hold p * size constant.
@@ -585,30 +459,17 @@ fn fig14(args: &Args) -> Json {
         let sf = args.sf * ratio;
         let w = workload(sf, p, 2);
         let tuples = conquer_bench::total_tuples(&w.db);
-        let (t4, e4) = strategy_entry(&w, &Q4, Strategy::Annotated, args);
-        let (t6, e6) = strategy_entry(&w, &Q6, Strategy::Annotated, args);
-        let (t12, e12) = strategy_entry(&w, &Q12, Strategy::Annotated, args);
-        say!(
-            args,
-            "| {ratio} | {:.1} | {tuples} | {} | {} | {} |",
-            p * 100.0,
-            ms(t4),
-            ms(t6),
-            ms(t12),
-        );
-        series.push(Json::obj([
+        let mut entry = Json::obj([
             ("ratio", Json::Float(ratio)),
             ("p", Json::Float(p)),
             ("tuples", Json::UInt(tuples as u64)),
-            ("Q4", e4),
-            ("Q6", e6),
-            ("Q12", e12),
-        ]));
+        ]);
+        for q in [Q4, Q6, Q12] {
+            entry.push(q.name(), strategy_entry(&w, &q, Strategy::Annotated, args));
+        }
+        series.push(entry);
     }
-    say!(args, "");
-    let mut report = report_header("fig14", args);
-    report.push("series", Json::Arr(series));
-    report
+    report_header("fig14", args, [("series", Json::Arr(series))])
 }
 
 /// Related-work scale contrast (Section 7): repair enumeration — the
@@ -616,18 +477,6 @@ fn fig14(args: &Args) -> Json {
 /// rewriting runs on millions of tuples.
 fn baseline(args: &Args) -> Json {
     use conquer::{consistent_answers_oracle, ConstraintSet, Database};
-    say!(
-        args,
-        "## Baseline — repair enumeration vs rewriting (Section 7 contrast)\n"
-    );
-    say!(
-        args,
-        "| conflicting keys | repairs | oracle (ms) | rewriting (ms) |"
-    );
-    say!(
-        args,
-        "|-----------------:|--------:|------------:|---------------:|"
-    );
     let mut series = Vec::new();
     for keys in [4usize, 8, 12, 16] {
         let db = Database::new();
@@ -655,13 +504,6 @@ fn baseline(args: &Args) -> Json {
         assert_eq!(oracle.len(), warm.rows.len());
         let (t_rew, ()) =
             median_sample(args.runs, run, |_| ()).expect("the baseline query rewrites");
-        say!(
-            args,
-            "| {keys} | {} | {} | {} |",
-            1u128 << keys,
-            ms(t_oracle),
-            ms(t_rew),
-        );
         series.push(Json::obj([
             ("conflicting_keys", Json::UInt(keys as u64)),
             ("repairs", Json::UInt(1u64 << keys)),
@@ -669,13 +511,7 @@ fn baseline(args: &Args) -> Json {
             ("rewrite_us", Json::UInt(t_rew.as_micros() as u64)),
         ]));
     }
-    say!(
-        args,
-        "\n(each conflicting key doubles the repair count; the rewriting is flat)"
-    );
-    let mut report = report_header("baseline", args);
-    report.push("series", Json::Arr(series));
-    report
+    report_header("baseline", args, [("series", Json::Arr(series))])
 }
 
 /// `plancost` — plan-quality sweep: for every figure query, plan the
@@ -697,11 +533,6 @@ fn baseline(args: &Args) -> Json {
 fn plancost(args: &Args) -> Json {
     use conquer::{prepare_rewrite, RewriteOptions};
 
-    say!(
-        args,
-        "## Plan cost — rewritten vs original, estimated (SF {}, p = 5%, n = 2)\n",
-        args.sf
-    );
     let thresholds = args.cost_threshold_file.as_deref().map(load_thresholds);
     let w = workload(args.sf, 0.05, 2);
     // Plan with CTEs inlined: a materialized CTE is built at plan time and
@@ -713,14 +544,6 @@ fn plancost(args: &Args) -> Json {
     let est = conquer::engine::Estimator::from_db(&w.db);
     // The options the planner's CTE trace costs under.
     let materialized = args.options();
-    say!(
-        args,
-        "| Query | original cost | rewritten cost | ratio | threshold | status | materialized |"
-    );
-    say!(
-        args,
-        "|-------|--------------:|---------------:|------:|----------:|--------|-------------:|"
-    );
     let mut queries = Vec::new();
     for q in all_queries() {
         let threshold = thresholds.as_ref().and_then(|t| t.get(&q.name()).copied());
@@ -756,12 +579,6 @@ fn plancost(args: &Args) -> Json {
                         threshold.unwrap_or(f64::INFINITY),
                     );
                 }
-                say!(
-                    args,
-                    "| {} | {cost_o:.0} | {cost_r:.0} | {ratio:.2}x | {} | {status} | {ratio_m:.2}x |",
-                    q.name(),
-                    threshold.map_or("-".to_string(), |t| format!("{t:.2}x")),
-                );
                 entry.push("status", Json::from(status));
                 entry.push("cost_original", Json::Float(cost_o));
                 entry.push("cost_rewritten", Json::Float(cost_r));
@@ -775,15 +592,13 @@ fn plancost(args: &Args) -> Json {
             Err(e) => {
                 FAILED.store(true, Ordering::Relaxed);
                 eprintln!("harness: {} plancost error: {e}", q.name());
-                say!(args, "| {} | - | - | - | - | error | - |", q.name());
                 entry.push("status", Json::from("error"));
                 entry.push("error", Json::from(e));
             }
         }
         queries.push(entry);
     }
-    say!(args, "");
-    let mut report = report_header("plancost", args);
+    let mut report = report_header("plancost", args, []);
     report.push("p", Json::Float(0.05));
     report.push("n", Json::UInt(2));
     if let Some(path) = &args.cost_threshold_file {
@@ -999,16 +814,7 @@ fn opbench(args: &Args) -> Json {
         },
     ];
 
-    say!(
-        args,
-        "## Per-operator throughput (SF {}, threads {}, median of {})\n",
-        args.sf,
-        args.threads,
-        args.runs
-    );
     let w = workload(args.sf, 0.05, 2);
-    say!(args, "| Operator | rows | ms | operator ms | rows/s |");
-    say!(args, "|----------|-----:|---:|------------:|-------:|");
 
     let options = args.options();
     // The median sample's wall, and the self time of its first `node`
@@ -1039,13 +845,6 @@ fn opbench(args: &Args) -> Json {
         match time(spec.sql, spec.node) {
             Ok((t, op)) => {
                 let rps = rows as f64 / t.as_secs_f64().max(1e-9);
-                say!(
-                    args,
-                    "| {} | {rows} | {} | {} | {rps:.0} |",
-                    spec.op,
-                    ms(t),
-                    ms(op)
-                );
                 entry.push("status", Json::from("ok"));
                 entry.push("us", Json::UInt(t.as_micros() as u64));
                 entry.push("node", Json::from(spec.node));
@@ -1055,17 +854,13 @@ fn opbench(args: &Args) -> Json {
             Err(e) => {
                 FAILED.store(true, Ordering::Relaxed);
                 eprintln!("harness: opbench {} error: {e}", spec.op);
-                say!(args, "| {} | {rows} | - | error |", spec.op);
                 entry.push("status", Json::from("error"));
                 entry.push("error", Json::from(e));
             }
         }
         ops.push(entry);
     }
-    say!(args, "");
-    let mut report = report_header("opbench", args);
-    report.push("operators", Json::Arr(ops));
-    report
+    report_header("opbench", args, [("operators", Json::Arr(ops))])
 }
 
 /// Self time of the first operator, depth first, whose `EXPLAIN` label
@@ -1103,12 +898,6 @@ fn idxbench(args: &Args) -> Json {
     const CONFLICTS_SQL: &str = "select o_orderkey from orders o \
                                  group by o_orderkey having count(*) > 1";
 
-    say!(
-        args,
-        "## Index access paths — indexed vs seqscan (threads {}, median of {})\n",
-        args.threads,
-        args.runs
-    );
     let options = args.options();
     let mut scales = Vec::new();
     for sf in [args.sf, args.sf * 4.0] {
@@ -1170,15 +959,6 @@ fn idxbench(args: &Args) -> Json {
                 .unwrap_or(false)
         };
 
-        say!(args, "### SF {sf} ({orders_rows} orders rows)\n");
-        say!(
-            args,
-            "| Op | seqscan | indexed | seqscan unit/s | indexed unit/s | speedup | indexed plan |"
-        );
-        say!(
-            args,
-            "|----|--------:|--------:|---------------:|---------------:|--------:|--------------|"
-        );
         let mut ops = Vec::new();
         let join_sqls = [JOIN_SQL.to_string()];
         let conflict_sqls = [CONFLICTS_SQL.to_string()];
@@ -1197,16 +977,6 @@ fn idxbench(args: &Args) -> Json {
             match (time_batch(&blind, sqls), time_batch(&w.db, sqls)) {
                 (Ok(t_seq), Ok(t_idx)) => {
                     let ups = |t: Duration| units as f64 / t.as_secs_f64().max(1e-9);
-                    say!(
-                        args,
-                        "| {op} | {} | {} | {:.0} | {:.0} | {:.2}x | {} |",
-                        ms(t_seq),
-                        ms(t_idx),
-                        ups(t_seq),
-                        ups(t_idx),
-                        speedup(t_seq, t_idx),
-                        if planned { "access=index" } else { "seqscan" },
-                    );
                     entry.push("status", Json::from("ok"));
                     entry.push("seqscan_us", Json::UInt(t_seq.as_micros() as u64));
                     entry.push("indexed_us", Json::UInt(t_idx.as_micros() as u64));
@@ -1219,14 +989,12 @@ fn idxbench(args: &Args) -> Json {
                     let e = seq_r.err().or(idx_r.err()).unwrap_or_default();
                     FAILED.store(true, Ordering::Relaxed);
                     eprintln!("harness: idxbench {op} error: {e}");
-                    say!(args, "| {op} | - | - | - | - | - | error |");
                     entry.push("status", Json::from("error"));
                     entry.push("error", Json::from(e));
                 }
             }
             ops.push(entry);
         }
-        say!(args, "");
         scales.push(Json::obj([
             ("sf", Json::Float(sf)),
             ("orders_rows", Json::UInt(orders_rows as u64)),
@@ -1234,9 +1002,7 @@ fn idxbench(args: &Args) -> Json {
             ("ops", Json::Arr(ops)),
         ]));
     }
-    let mut report = report_header("idxbench", args);
-    report.push("scales", Json::Arr(scales));
-    report
+    report_header("idxbench", args, [("scales", Json::Arr(scales))])
 }
 
 /// `trace` — one traced run ([`sample_sql`]) of a SQL statement against
@@ -1272,29 +1038,6 @@ fn trace_cmd(args: &Args) -> Json {
     };
     let start_unix_ms = spans.last().map_or(0, |root| root.start_unix_ms());
     let worker_spans = spans.iter().filter(|s| s.name == "worker").count() as u64;
-
-    say!(
-        args,
-        "## trace — [{}] {status}, {elapsed_us} µs, {rows_out} rows, {} spans \
-         ({worker_spans} workers)\n",
-        args.strategy.label(),
-        spans.len(),
-    );
-    say!(args, "    {sql}\n");
-    let mut by_start: Vec<_> = spans.iter().collect();
-    by_start.sort_by_key(|s| s.start);
-    for s in by_start {
-        say!(
-            args,
-            "{:indent$}{} {} µs (thread {})",
-            "",
-            s.name,
-            s.wall.as_micros(),
-            s.thread,
-            indent = 2 * s.depth,
-        );
-    }
-    say!(args, "");
 
     let query_id = QueryId::next().value();
     flight_recorder().record(QueryTrace {
@@ -1348,6 +1091,8 @@ fn trace_cmd(args: &Args) -> Json {
         ("traceEvents", Json::arr(events)),
         ("displayTimeUnit", Json::from("ms")),
         ("otherData", other),
+        ("sf", Json::Float(args.sf)),
+        ("threads", Json::UInt(args.threads as u64)),
     ])
 }
 
@@ -1417,16 +1162,7 @@ fn serve_cmd(args: &Args) -> Json {
             (handle.addr(), Some(handle))
         }
     };
-    say!(
-        args,
-        "## serve — closed loop, {} active workers × {} rounds against {addr}, \
-         connection axis {points:?}\n",
-        args.concurrency,
-        args.rounds
-    );
 
-    const STRATEGIES: [Strategy; 3] =
-        [Strategy::Original, Strategy::Rewritten, Strategy::Annotated];
     let queries = all_queries();
     let mut warm =
         Client::connect(addr).unwrap_or_else(|e| die(&format!("cannot connect to {addr}: {e}")));
@@ -1434,12 +1170,12 @@ fn serve_cmd(args: &Args) -> Json {
     // Warmup: populate the cache, drop unsupported (query, strategy) pairs.
     let mut pairs: Vec<(&BenchmarkQuery, Strategy)> = Vec::new();
     let mut skipped = Vec::new();
-    for &strategy in &STRATEGIES {
+    for strategy in Strategy::ALL {
         for q in &queries {
             match warm.query_with(q.sql, Some(wire_strategy(strategy))) {
                 Ok(_) => pairs.push((q, strategy)),
                 Err(e) => {
-                    say!(args, "(skipping {} [{}]: {e})", q.name(), strategy.label());
+                    eprintln!("harness: skipping {} [{}]: {e}", q.name(), strategy.label());
                     skipped.push(Json::obj([
                         ("query", Json::from(q.name())),
                         ("strategy", Json::from(strategy.label())),
@@ -1472,19 +1208,12 @@ fn serve_cmd(args: &Args) -> Json {
             }
         }
         for &churn_ms in &phases {
-            let churn_note = churn_ms.map_or(String::new(), |ms| {
-                format!(", one writer inserting into {CHURN_TABLE} every {ms} ms")
-            });
-            say!(
-                args,
-                "### {point} connections ({active} active, {idle_count} idle{churn_note})\n"
-            );
             let (hits0, misses0) = cache_counters(&warm.stats().unwrap_or(Json::Null));
             let stop = AtomicBool::new(false);
             let (floor, worker_results, wall, inserts) = std::thread::scope(|scope| {
                 let stop = &stop;
                 let writer = churn_ms.map(|ms| scope.spawn(move || churn_writer(addr, ms, stop)));
-                let floor = wire_floor(args, &mut warm, &pairs);
+                let floor = wire_floor(&mut warm, &pairs);
                 let (results, wall, _) = traced(|| serve_point(addr, &pairs, args.rounds, active));
                 stop.store(true, Ordering::Release);
                 let inserts = writer.map(|w| w.join().expect("churn writer"));
@@ -1515,16 +1244,8 @@ fn serve_cmd(args: &Args) -> Json {
             let (dh, dm) = (hits1 - hits0, misses1 - misses0);
             let hit_rate = if dh + dm > 0.0 { dh / (dh + dm) } else { 0.0 };
 
-            say!(
-                args,
-                "| Strategy | queries | p50 (ms) | p95 (ms) | p99 (ms) | mean (ms) |"
-            );
-            say!(
-                args,
-                "|----------|--------:|---------:|---------:|---------:|----------:|"
-            );
             let mut strategy_reports = Vec::new();
-            for &strategy in &STRATEGIES {
+            for strategy in Strategy::ALL {
                 let of_strategy = all_samples.iter().filter(|s| s.strategy == strategy);
                 let (mut lat, mut server): (Vec<u64>, Vec<u64>) =
                     of_strategy.map(|s| (s.round_trip_us, s.server_us)).unzip();
@@ -1539,16 +1260,6 @@ fn serve_cmd(args: &Args) -> Json {
                     conquer_bench::percentile(&lat, 0.99),
                 );
                 let mean = lat.iter().sum::<u64>() / lat.len() as u64;
-                say!(
-                    args,
-                    "| {} | {} | {:.2} | {:.2} | {:.2} | {:.2} |",
-                    strategy.label(),
-                    lat.len(),
-                    p50 as f64 / 1e3,
-                    p95 as f64 / 1e3,
-                    p99 as f64 / 1e3,
-                    mean as f64 / 1e3,
-                );
                 strategy_reports.push(Json::obj([
                     ("strategy", Json::from(strategy.label())),
                     ("count", Json::UInt(lat.len() as u64)),
@@ -1563,13 +1274,6 @@ fn serve_cmd(args: &Args) -> Json {
                 ]));
             }
             let throughput = all_samples.len() as f64 / wall.as_secs_f64().max(1e-9);
-            say!(
-                args,
-                "\nthroughput: {throughput:.0} queries/s, busy retries: {busy_total}, \
-                 post-warmup cache hit rate: {:.1}%{}\n",
-                hit_rate * 100.0,
-                inserts.map_or(String::new(), |n| format!(", inserts acknowledged: {n}"))
-            );
 
             let mut entry = Json::obj([
                 ("connections", Json::UInt(point as u64)),
@@ -1617,7 +1321,7 @@ fn serve_cmd(args: &Args) -> Json {
         handle.shutdown();
     }
 
-    let mut report = report_header("serve", args);
+    let mut report = report_header("serve", args, []);
     report.push("addr", Json::from(addr.to_string()));
     report.push("in_process", Json::Bool(args.serve_port.is_none()));
     report.push("concurrency", Json::UInt(args.concurrency as u64));
@@ -1642,11 +1346,7 @@ fn serve_cmd(args: &Args) -> Json {
 /// statement adds the run queue, a worker, a cache hit and its
 /// (small) execution. Both are timed on one otherwise idle connection
 /// before the closed loop starts — beside the churn writer in its phase.
-fn wire_floor(
-    args: &Args,
-    client: &mut conquer_serve::Client,
-    pairs: &[(&BenchmarkQuery, Strategy)],
-) -> Json {
+fn wire_floor(client: &mut conquer_serve::Client, pairs: &[(&BenchmarkQuery, Strategy)]) -> Json {
     const SAMPLES: usize = 200;
     let fail = |what: &str, e: &dyn std::fmt::Display| {
         FAILED.store(true, Ordering::Relaxed);
@@ -1698,13 +1398,6 @@ fn wire_floor(
         }
     }
     let ((rtt_p50, rtt_p95), (server_p50, _)) = (quantiles(rtt), quantiles(server));
-    say!(
-        args,
-        "wire floor: ping p50 {ping_p50:.1} / p95 {ping_p95:.1} us; cheapest cached statement \
-         {} [{}] p50 {rtt_p50:.1} / p95 {rtt_p95:.1} us, of which server {server_p50:.0} us\n",
-        q.name(),
-        strategy.label(),
-    );
     floor.push(
         "cheapest_statement",
         Json::obj([
@@ -1887,11 +1580,6 @@ fn recover_cmd(args: &Args) -> Json {
         sync: SyncPolicy::Never,
         checkpoint_wal_bytes: 0,
     };
-    say!(
-        args,
-        "## recover — durable-storage restart (SF {})\n",
-        args.sf
-    );
 
     let w = workload(args.sf, 0.05, 2);
     let tables = w.db.table_names();
@@ -1961,32 +1649,7 @@ fn recover_cmd(args: &Args) -> Json {
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 
-    say!(args, "| phase | time (ms) |");
-    say!(args, "|-------|----------:|");
-    say!(
-        args,
-        "| load ({} tables, {rows} rows) | {:.1} |",
-        tables.len(),
-        load_us as f64 / 1e3
-    );
-    say!(
-        args,
-        "| restart: WAL replay ({wal_bytes} B) | {:.1} |",
-        replay_wal_us as f64 / 1e3
-    );
-    say!(
-        args,
-        "| checkpoint ({segments} segments, {segment_bytes} B) | {:.1} |",
-        checkpoint_us as f64 / 1e3
-    );
-    say!(
-        args,
-        "| restart: segment load | {:.1} |",
-        replay_segments_us as f64 / 1e3
-    );
-    say!(args, "");
-
-    let mut report = report_header("recover", args);
+    let mut report = report_header("recover", args, []);
     report.push("tables", Json::UInt(tables.len() as u64));
     report.push("rows", Json::UInt(rows));
     report.push("wal_bytes", Json::UInt(wal_bytes));
@@ -2047,23 +1710,6 @@ fn load_cmd(args: &Args) -> Json {
     use conquer_obs::capture;
 
     const STEPS: [&str; 4] = ["generate", "inject", "annotate", "first_pass"];
-    say!(
-        args,
-        "## load — generate, inject (p = 5 %, n = 2), annotate, first pass \
-         (threads {}, median of {})\n",
-        args.threads,
-        args.runs
-    );
-    say!(
-        args,
-        "| SF | tuples | generate (ms) | inject (ms) | annotate (ms) | stats, all tables (ms) \
-         | declare + first pass (ms) | of which index build (ms) | tuples/s | column B/tuple \
-         | index B/tuple | peak RSS (MiB) |"
-    );
-    say!(
-        args,
-        "|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|"
-    );
     let registry = conquer_obs::registry();
     let index_builds = registry.histogram("index.build.us");
     let to_rows = registry.counter("exec.pivot.to_rows");
@@ -2108,7 +1754,7 @@ fn load_cmd(args: &Args) -> Json {
                     annotation: Some(annotation),
                 };
                 for q in all_queries() {
-                    for strategy in [Strategy::Original, Strategy::Rewritten, Strategy::Annotated] {
+                    for strategy in Strategy::ALL {
                         if let Err(e) = try_run_query(&w, &q, strategy, &args.options()) {
                             FAILED.store(true, Ordering::Relaxed);
                             eprintln!("harness: load: {} [{}]: {e}", q.name(), strategy.label());
@@ -2166,21 +1812,6 @@ fn load_cmd(args: &Args) -> Json {
         let tuples_per_sec = tuples as f64 / (load_us as f64 / 1e6);
         let index_bytes: u64 = last.indexes.iter().map(|i| i.1).sum();
         let peak = proc_status_bytes("VmHWM:");
-        say!(
-            args,
-            "| {sf} | {tuples} | {:.1} | {:.1} | {:.1} | {:.1} | {:.1} | {:.1} | {:.0} | {:.1} | {:.1} \
-             | {:.1} |",
-            median(0) as f64 / 1e3,
-            median(1) as f64 / 1e3,
-            median(2) as f64 / 1e3,
-            stats_collect_us as f64 / 1e3,
-            median(3) as f64 / 1e3,
-            index_build_us as f64 / 1e3,
-            tuples_per_sec,
-            per_tuple(last.column_bytes),
-            per_tuple(index_bytes),
-            peak as f64 / (1 << 20) as f64
-        );
         let mut entry = Json::obj([("sf", Json::Float(sf)), ("tuples", Json::UInt(tuples))]);
         for (i, name) in STEPS.iter().enumerate() {
             entry.push(format!("{name}_us"), Json::UInt(median(i)));
@@ -2219,25 +1850,16 @@ fn load_cmd(args: &Args) -> Json {
                 .find(|s| s.get("sf").and_then(Json::as_f64) == Some(sf)),
             _ => None,
         });
-        for (field, now, what) in [
-            ("load_us", load_us, "generate + inject + annotate"),
-            ("first_pass_us", median(3), "declare + first pass"),
-        ] {
+        for (field, now) in [("load_us", load_us), ("first_pass_us", median(3))] {
             if let Some(was) = earlier.and_then(|s| s.get(field)?.as_f64()) {
                 let speedup = was / now.max(1) as f64;
-                say!(
-                    args,
-                    "|   | before: {:.1} ms {what}, {speedup:.2}x | | | | | | | | | | |",
-                    was / 1e3
-                );
                 let name = field.trim_end_matches("_us");
                 entry.push(format!("{name}_speedup"), Json::Float(speedup));
             }
         }
         scales.push(entry);
     }
-    say!(args, "");
-    let mut report = report_header("load", args);
+    let mut report = report_header("load", args, []);
     report.push("p", Json::Float(0.05));
     report.push("n", Json::UInt(2));
     report.push("scales", Json::arr(scales));

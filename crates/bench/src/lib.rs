@@ -25,6 +25,8 @@ use conquer::{
 };
 use conquer_obs::{Json, SpanRecord};
 
+pub mod report;
+
 /// The scale factor that stands in for the paper's 1 GB database. The
 /// paper's 100 MB / 500 MB / 1 GB / 2 GB series keeps the same ×0.1 / ×0.5
 /// / ×1 / ×2 ratios against this value.
@@ -42,6 +44,9 @@ pub enum Strategy {
 }
 
 impl Strategy {
+    /// Every strategy, in the order reports list them.
+    pub const ALL: [Strategy; 3] = [Strategy::Original, Strategy::Rewritten, Strategy::Annotated];
+
     pub fn label(self) -> &'static str {
         match self {
             Strategy::Original => "original",
@@ -300,11 +305,6 @@ pub fn total_tuples(db: &Database) -> usize {
         .iter()
         .map(|t| db.table(t).map(|t| t.len()).unwrap_or(0))
         .sum()
-}
-
-/// Format a duration in milliseconds with two decimals.
-pub fn ms(d: Duration) -> String {
-    format!("{:.2}", d.as_secs_f64() * 1e3)
 }
 
 /// Quantile over a **sorted** latency sample, with linear interpolation
