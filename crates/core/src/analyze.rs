@@ -122,6 +122,19 @@ impl TreeQuery {
                 .any(|p| matches!(p, ProjItem::Aggregate { .. }))
     }
 
+    /// Position in `group_by` of the grouped attribute a plain projected
+    /// item names, compared as the analysis checked it: by relation and
+    /// attribute, whatever the qualification.
+    pub(crate) fn group_index(&self, expr: &Expr) -> Option<usize> {
+        let Expr::Column(c) = expr else {
+            return None;
+        };
+        let rel = resolve_relation(c, &self.relations)?;
+        self.group_by
+            .iter()
+            .position(|g| g.name == c.name && resolve_relation(g, &self.relations) == Some(rel))
+    }
+
     /// Number of aggregate items in the SELECT list (Figure 10's AggrAttrs).
     pub fn aggregate_count(&self) -> usize {
         self.projection

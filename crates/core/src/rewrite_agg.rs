@@ -20,6 +20,12 @@
 //! its rows also carry the other relations' keys, by which `q_G`'s Filter
 //! finds the only candidates it needs to read (`rewrite_join`'s suspects).
 //!
+//! With one relation and a Filter, `conq_base` is split three ways (DESIGN.md
+//! §2.3): the rows of unviolated keys (`conq_pass`) go straight into the
+//! final aggregation with both bounds `e`, only the violated keys' rows
+//! (`conq_rest`) reach the candidates, the Filter and the per-key bounds, and
+//! rows with a NULL key (`conq_null_keys`) are bounded per key apart.
+//!
 //! Aggregate support: `SUM`, `MIN`, `MAX` (Theorem 2), plus `COUNT(*)` and
 //! `COUNT(e)` (exact, via 0/1 contributions) and `AVG` (sound but not tight
 //! bounds, assuming non-negative data) as documented extensions.
@@ -35,11 +41,14 @@ use conquer_sql::ast::{
 use crate::analyze::{AggKind, ProjItem, TreeQuery};
 use crate::error::{Result, RewriteError};
 use crate::rewrite_join::{
-    build_filter, choose_item_aliases, distinct_from_base, key_match, not_exists_filter,
-    original_from, original_where, witness_items, witness_keys, RewriteOptions, WitnessKey,
-    BASE_BINDING, BASE_CTE as BASE, CONS_COLUMN,
+    build_filter, choose_item_aliases, distinct_from, key_match, not_exists_filter, original_from,
+    original_where, witness_items, witness_keys, RewriteOptions, WitnessKey, BASE_BINDING,
+    BASE_CTE as BASE, CONFLICTS_CTE, CONFLICT_BINDING, CONS_COLUMN,
 };
 
+const PASS: &str = "conq_pass";
+const REST: &str = "conq_rest";
+const NULL_KEYS: &str = "conq_null_keys";
 const QG_CANDIDATES: &str = "conq_qg_candidates";
 const QG_FILTER: &str = "conq_qg_filter";
 const QG_CONS: &str = "conq_qg_cons";
@@ -51,6 +60,9 @@ const CONS_BINDING: &str = "conq_g";
 const UNION_BINDING: &str = "conq_u";
 const CONSCAND: &str = "conq_conscand";
 const VIOL: &str = "conq_viol";
+
+/// An aggregate item of the SELECT list: position, kind, argument, name.
+type AggItem<'a> = (usize, AggKind, Option<&'a Expr>, &'a str);
 
 /// Rewrite a tree query with aggregation into a query computing its
 /// range-consistent answers (Theorem 2).
@@ -81,7 +93,7 @@ pub fn rewrite_agg(tq: &TreeQuery, opts: &RewriteOptions) -> Result<Query> {
     let g_aliases = choose_item_aliases(&qg);
     check_unique(&g_aliases)?;
 
-    let agg_items: Vec<(usize, AggKind, Option<&Expr>, &str)> = tq
+    let agg_items: Vec<AggItem<'_>> = tq
         .projection
         .iter()
         .enumerate()
@@ -107,20 +119,36 @@ pub fn rewrite_agg(tq: &TreeQuery, opts: &RewriteOptions) -> Result<Query> {
         )),
     }];
 
-    // --- qg_candidates over the base ----------------------------------------
+    // --- qg_filter (joins candidates back to the raw relations) --------------
+    let mut filter = build_filter(&qg, opts, &witness, QG_CANDIDATES, QG_FILTER, &key_aliases)?;
+    let has_filter = !filter.is_empty();
+
+    // --- one relation: unviolated keys pass straight through ----------------
+    // `through` names the CTEs whose rows bypass the per-key machinery and
+    // go straight into the final aggregation.
+    let split = has_filter && tq.relations.len() == 1;
+    let (per_key, through) = if split {
+        let split_ctes = split_ctes(opts, &key_aliases, &g_aliases, &agg_items, &mut filter);
+        let through = [PASS, NULL_KEYS]
+            .into_iter()
+            .filter(|name| split_ctes.iter().any(|c| c.name == *name))
+            .collect();
+        ctes.extend(split_ctes);
+        (REST, through)
+    } else {
+        (BASE, Vec::new())
+    };
+
+    // --- qg_candidates and the Filter over the per-key rows ------------------
     ctes.push(Cte {
         name: QG_CANDIDATES.to_string(),
-        query: Query::from_select(candidates_from_base(opts, &key_aliases, &g_aliases)),
+        query: Query::from_select(candidates_from(opts, per_key, &key_aliases, &g_aliases)),
     });
-
-    // --- qg_filter (joins candidates back to the raw relations) --------------
-    let filter = build_filter(&qg, opts, &witness, QG_CANDIDATES, QG_FILTER, &key_aliases)?;
-    let has_filter = !filter.is_empty();
     ctes.extend(filter);
 
     // --- QGCons: the consistent answers of q_G -------------------------------
     let needs_qg_cons = has_filter && !tq.group_by.is_empty();
-    if needs_qg_cons {
+    let qg_cons = needs_qg_cons.then(|| {
         let projection = qg
             .projection
             .iter()
@@ -129,92 +157,88 @@ pub fn rewrite_agg(tq: &TreeQuery, opts: &RewriteOptions) -> Result<Query> {
                 SelectItem::aliased(Expr::col(CAND_BINDING, alias.clone()), item.name())
             })
             .collect();
-        ctes.push(Cte {
-            name: QG_CONS.to_string(),
-            query: Query::from_select(Select {
+        let select = if split {
+            // The groups of every key outside the Filter: the unfiltered
+            // violated keys and the rows that went through.
+            let groups: Vec<&str> = through.iter().copied().chain([UNFILTERED]).collect();
+            Select {
+                distinct: false,
+                projection,
+                from: vec![union_of(&groups, CAND_BINDING)],
+                selection: None,
+                group_by: g_aliases
+                    .iter()
+                    .map(|a| Expr::col(CAND_BINDING, a.clone()))
+                    .collect(),
+                having: None,
+            }
+        } else {
+            Select {
                 distinct: true,
                 projection,
                 from: vec![TableRef::aliased(QG_CANDIDATES, CAND_BINDING)],
                 selection: Some(not_exists_filter(QG_FILTER, &key_aliases)),
                 group_by: Vec::new(),
                 having: None,
-            }),
-        });
+            }
+        };
+        Cte {
+            name: QG_CONS.to_string(),
+            query: Query::from_select(select),
+        }
+    });
+
+    // --- UnFiltered / Filtered candidates over the per-key rows --------------
+    let unfiltered = Cte {
+        name: UNFILTERED.to_string(),
+        query: Query::from_select(per_key_select(
+            per_key,
+            &key_aliases,
+            &g_aliases,
+            &agg_items,
+            has_filter.then(|| key_filter_exists(&key_aliases, false)),
+            false,
+        )),
+    };
+    if split {
+        // QGCons reads the unfiltered keys' groups.
+        ctes.push(unfiltered);
+        ctes.extend(qg_cons);
+    } else {
+        ctes.extend(qg_cons);
+        ctes.push(unfiltered);
     }
-
-    // --- UnFiltered / Filtered candidates over the base ----------------------
-    let inner_select = |filtered: bool| -> Select {
-        let mut projection = Vec::new();
-        for alias in key_aliases.iter().chain(&g_aliases) {
-            projection.push(SelectItem::aliased(
-                Expr::col(BASE_BINDING, alias.clone()),
-                alias.clone(),
-            ));
-        }
-        for (i, kind, _, _) in &agg_items {
-            projection.extend(inner_agg_columns(*i, *kind, filtered));
-        }
-
-        let mut conjuncts: Vec<Expr> = Vec::new();
-        if has_filter {
-            conjuncts.push(key_filter_exists(&key_aliases, filtered));
-        }
-        if filtered && needs_qg_cons {
+    let mut parts = through;
+    parts.push(UNFILTERED);
+    if has_filter {
+        let mut conjuncts = vec![key_filter_exists(&key_aliases, true)];
+        if needs_qg_cons {
             conjuncts.push(group_cons_exists(&qg, &g_aliases));
         }
-        let group_by: Vec<Expr> = key_aliases
-            .iter()
-            .chain(&g_aliases)
-            .map(|a| Expr::col(BASE_BINDING, a.clone()))
-            .collect();
-        Select {
-            distinct: false,
-            projection,
-            from: vec![TableRef::aliased(BASE, BASE_BINDING)],
-            selection: Expr::conjoin(conjuncts),
-            group_by,
-            having: None,
-        }
-    };
-
-    ctes.push(Cte {
-        name: UNFILTERED.to_string(),
-        query: Query::from_select(inner_select(false)),
-    });
-    if has_filter {
         ctes.push(Cte {
             name: FILTERED.to_string(),
-            query: Query::from_select(inner_select(true)),
+            query: Query::from_select(per_key_select(
+                per_key,
+                &key_aliases,
+                &g_aliases,
+                &agg_items,
+                Expr::conjoin(conjuncts),
+                true,
+            )),
         });
+        parts.push(FILTERED);
     }
 
     // --- final aggregation over the union -----------------------------------
-    let union_body = if has_filter {
-        SetExpr::UnionAll(
-            Box::new(select_star_from(UNFILTERED)),
-            Box::new(select_star_from(FILTERED)),
-        )
-    } else {
-        select_star_from(UNFILTERED)
-    };
-    let union_ref = TableRef::Subquery {
-        query: Box::new(Query {
-            ctes: Vec::new(),
-            body: union_body,
-            order_by: Vec::new(),
-            limit: None,
-        }),
-        alias: UNION_BINDING.to_string(),
-    };
-
     let mut projection = Vec::new();
-    let mut g_iter = g_aliases.iter();
     for item in &tq.projection {
         match item {
-            ProjItem::Plain { name, .. } => {
-                let alias = g_iter.next().expect("plain items are grouped attributes");
+            ProjItem::Plain { expr, name } => {
+                let g = tq
+                    .group_index(expr)
+                    .expect("plain items are grouped attributes");
                 projection.push(SelectItem::aliased(
-                    Expr::col(UNION_BINDING, alias.clone()),
+                    Expr::col(UNION_BINDING, g_aliases[g].clone()),
                     name.clone(),
                 ));
             }
@@ -238,7 +262,7 @@ pub fn rewrite_agg(tq: &TreeQuery, opts: &RewriteOptions) -> Result<Query> {
     let final_select = Select {
         distinct: false,
         projection,
-        from: vec![union_ref],
+        from: vec![union_of(&parts, UNION_BINDING)],
         selection: None,
         group_by,
         having: None,
@@ -292,7 +316,7 @@ fn base_select(
     opts: &RewriteOptions,
     key_aliases: &[String],
     g_aliases: &[String],
-    agg_items: &[(usize, AggKind, Option<&Expr>, &str)],
+    agg_items: &[AggItem<'_>],
     witness: &[WitnessKey],
 ) -> Select {
     let mut projection = Vec::new();
@@ -367,15 +391,99 @@ fn base_select(
     }
 }
 
-/// `q_G`'s Candidates, read from the base CTE: DISTINCT key+group rows, or
-/// the grouped variant with the `conscand` counter for annotated databases.
-fn candidates_from_base(
+/// The CTEs that split a single-relation rewriting's `conq_base` three
+/// ways (DESIGN.md §2.3), in order:
+///
+/// * [`PASS`]: the rows whose key is unviolated — non-NULL and not among the
+///   root's conflicts (`conq_conflicts`, moved here from the Filter's CTEs,
+///   which read it later), or `conq_viol = 0` when annotated — each with
+///   `conq_min_i = conq_max_i = e_i`, in the final aggregate's layout;
+/// * [`REST`]: the rows of violated keys, the per-key CTEs' only input;
+/// * [`NULL_KEYS`] (plain only): the rows with a NULL key component, bounded
+///   per (key, group) as [`UNFILTERED`] bounds its keys. Annotated, those
+///   rows sit in [`PASS`] or [`REST`] by their `cons` flag.
+fn split_ctes(
     opts: &RewriteOptions,
+    key_aliases: &[String],
+    g_aliases: &[String],
+    agg_items: &[AggItem<'_>],
+    filter: &mut Vec<Cte>,
+) -> Vec<Cte> {
+    let mut ctes = Vec::new();
+    let (pass, rest) = if opts.annotated {
+        let viol = |v| Expr::eq(base_col(VIOL.to_string()), Expr::int(v));
+        (viol(0), viol(1))
+    } else {
+        let at = filter
+            .iter()
+            .position(|c| c.name == CONFLICTS_CTE)
+            .expect("the plain Filter reads the root's conflicts");
+        ctes.push(filter.remove(at));
+        let violated = key_match(BASE_BINDING, CONFLICTS_CTE, CONFLICT_BINDING, key_aliases);
+        let non_null = key_aliases.iter().map(|a| Expr::IsNull {
+            expr: Box::new(base_col(a.clone())),
+            negated: true,
+        });
+        let pass = Expr::conjoin(non_null.chain([Expr::not_exists(violated.clone())]));
+        (pass.expect("keys are non-empty"), Expr::exists(violated))
+    };
+
+    let mut projection: Vec<SelectItem> = key_aliases
+        .iter()
+        .chain(g_aliases)
+        .map(|a| SelectItem::aliased(base_col(a.clone()), a.clone()))
+        .collect();
+    for (i, kind, _, _) in agg_items {
+        projection.extend(pass_agg_columns(*i, *kind));
+    }
+    let from_base = |projection, selection| Select {
+        distinct: false,
+        projection,
+        from: vec![TableRef::aliased(BASE, BASE_BINDING)],
+        selection: Some(selection),
+        group_by: Vec::new(),
+        having: None,
+    };
+    ctes.push(Cte {
+        name: PASS.to_string(),
+        query: Query::from_select(from_base(projection, pass)),
+    });
+    ctes.push(Cte {
+        name: REST.to_string(),
+        query: Query::from_select(from_base(vec![SelectItem::Wildcard], rest)),
+    });
+    if !opts.annotated {
+        let any_null = Expr::disjoin(
+            key_aliases
+                .iter()
+                .map(|a| Expr::is_null(base_col(a.clone()))),
+        );
+        ctes.push(Cte {
+            name: NULL_KEYS.to_string(),
+            query: Query::from_select(per_key_select(
+                BASE,
+                key_aliases,
+                g_aliases,
+                agg_items,
+                any_null,
+                false,
+            )),
+        });
+    }
+    ctes
+}
+
+/// `q_G`'s Candidates, read from `source` (`conq_base` or `conq_rest`):
+/// DISTINCT key+group rows, or the grouped variant with the `conscand`
+/// counter for annotated databases.
+fn candidates_from(
+    opts: &RewriteOptions,
+    source: &str,
     key_aliases: &[String],
     g_aliases: &[String],
 ) -> Select {
     let aliases: Vec<String> = key_aliases.iter().chain(g_aliases).cloned().collect();
-    let mut select = distinct_from_base(&aliases);
+    let mut select = distinct_from(source, &aliases);
     if opts.annotated {
         select.distinct = false;
         select.projection.push(SelectItem::aliased(
@@ -388,6 +496,41 @@ fn candidates_from_base(
             .collect();
     }
     select
+}
+
+/// UnFiltered / FilteredCandidates (and the split's NULL-key CTE): per
+/// (key, group) bounds of every aggregate over the rows of `source` that
+/// `selection` keeps.
+fn per_key_select(
+    source: &str,
+    key_aliases: &[String],
+    g_aliases: &[String],
+    agg_items: &[AggItem<'_>],
+    selection: Option<Expr>,
+    filtered: bool,
+) -> Select {
+    let mut projection = Vec::new();
+    for alias in key_aliases.iter().chain(g_aliases) {
+        projection.push(SelectItem::aliased(
+            Expr::col(BASE_BINDING, alias.clone()),
+            alias.clone(),
+        ));
+    }
+    for (i, kind, _, _) in agg_items {
+        projection.extend(inner_agg_columns(*i, *kind, filtered));
+    }
+    Select {
+        distinct: false,
+        projection,
+        from: vec![TableRef::aliased(source, BASE_BINDING)],
+        selection,
+        group_by: key_aliases
+            .iter()
+            .chain(g_aliases)
+            .map(|a| Expr::col(BASE_BINDING, a.clone()))
+            .collect(),
+        having: None,
+    }
 }
 
 /// `[NOT] EXISTS (SELECT * FROM conq_qg_filter f WHERE b.k1 = f.conq_k1 ...)`.
@@ -420,15 +563,32 @@ fn group_cons_exists(qg: &TreeQuery, g_aliases: &[String]) -> Expr {
     }))
 }
 
-fn select_star_from(name: &str) -> SetExpr {
-    SetExpr::Select(Box::new(Select {
-        distinct: false,
-        projection: vec![SelectItem::Wildcard],
-        from: vec![TableRef::table(name)],
-        selection: None,
-        group_by: Vec::new(),
-        having: None,
-    }))
+/// `(SELECT * FROM a UNION ALL SELECT * FROM b ...) <alias>`: CTEs of one
+/// column layout, read as one relation.
+fn union_of(ctes: &[&str], alias: &str) -> TableRef {
+    let body = ctes
+        .iter()
+        .map(|&name| {
+            SetExpr::Select(Box::new(Select {
+                distinct: false,
+                projection: vec![SelectItem::Wildcard],
+                from: vec![TableRef::table(name)],
+                selection: None,
+                group_by: Vec::new(),
+                having: None,
+            }))
+        })
+        .reduce(|a, b| SetExpr::UnionAll(Box::new(a), Box::new(b)))
+        .expect("at least one CTE");
+    TableRef::Subquery {
+        query: Box::new(Query {
+            ctes: Vec::new(),
+            body,
+            order_by: Vec::new(),
+            limit: None,
+        }),
+        alias: alias.to_string(),
+    }
 }
 
 fn agg(name: &str, arg: Expr) -> Expr {
@@ -550,6 +710,27 @@ fn inner_agg_columns(i: usize, kind: AggKind, filtered: bool) -> Vec<SelectItem>
                 SelectItem::aliased(cmax, format!("conq_cmax{i}")),
             ]
         }
+    }
+}
+
+/// A passed-through row's bound columns for one aggregate item, in
+/// [`inner_agg_columns`]' layout: its key holds the one tuple, so both
+/// bounds are the tuple's effective expression.
+fn pass_agg_columns(i: usize, kind: AggKind) -> Vec<SelectItem> {
+    let both = |e: &str, lo: &str, hi: &str| {
+        let e = base_col(format!("{e}{i}"));
+        [
+            SelectItem::aliased(e.clone(), format!("{lo}{i}")),
+            SelectItem::aliased(e, format!("{hi}{i}")),
+        ]
+    };
+    match kind {
+        AggKind::Avg => [
+            both("conq_es", "conq_smin", "conq_smax"),
+            both("conq_ec", "conq_cmin", "conq_cmax"),
+        ]
+        .concat(),
+        _ => both("conq_e", "conq_min", "conq_max").to_vec(),
     }
 }
 

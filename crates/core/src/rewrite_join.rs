@@ -90,7 +90,7 @@ pub(crate) const BASE_CTE: &str = "conq_base";
 pub(crate) const BASE_BINDING: &str = "conq_b";
 const CAND_BINDING: &str = "conq_cand";
 const FILTER_BINDING: &str = "conq_f";
-const CONFLICT_BINDING: &str = "conq_v";
+pub(crate) const CONFLICT_BINDING: &str = "conq_v";
 const CONSCAND: &str = "conq_conscand";
 
 /// Options controlling the rewriting.
@@ -195,7 +195,7 @@ pub(crate) fn build_parts(
             query: Query::from_select(select),
         });
         let aliases: Vec<String> = key_aliases.iter().chain(&item_aliases).cloned().collect();
-        select = distinct_from_base(&aliases);
+        select = distinct_from(BASE_CTE, &aliases);
     }
     candidates.push(Cte {
         name: cand_name.to_string(),
@@ -367,13 +367,14 @@ pub(crate) fn witness_items(witness: &[WitnessKey]) -> impl Iterator<Item = Sele
     })
 }
 
-/// `SELECT DISTINCT conq_b.a AS a, ... FROM conq_base conq_b`: the
-/// Candidates, read off the satisfying rows.
-pub(crate) fn distinct_from_base(aliases: &[String]) -> Select {
+/// `SELECT DISTINCT conq_b.a AS a, ... FROM <cte> conq_b`: the Candidates,
+/// read off the satisfying rows (`conq_base`, or the part of it `RewriteAgg`
+/// runs its per-key CTEs over).
+pub(crate) fn distinct_from(cte: &str, aliases: &[String]) -> Select {
     Select {
         distinct: true,
         projection: aliased_columns(BASE_BINDING, aliases),
-        from: vec![TableRef::aliased(BASE_CTE, BASE_BINDING)],
+        from: vec![TableRef::aliased(cte, BASE_BINDING)],
         selection: None,
         group_by: Vec::new(),
         having: None,

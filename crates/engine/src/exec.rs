@@ -593,8 +593,14 @@ fn exec_node(
                         pred.select_into(cols, range, &mut sel)?;
                         Ok(sel)
                     })?);
+                    // A predicate every row passes keeps the child's batch.
+                    let cols = if sel.len() == n {
+                        Arc::clone(cols)
+                    } else {
+                        Arc::new(cols.gather(&sel))
+                    };
                     return Ok(Batch::Col {
-                        cols: Arc::new(cols.gather(&sel)),
+                        cols,
                         schema: schema.clone(),
                     });
                 }
@@ -2648,6 +2654,34 @@ mod tests {
                 room as u64 * group_bytes <= budget || room <= 2 * held,
                 "budget {budget}: room for {room} groups of {group_bytes} B, {held} held"
             );
+        }
+    }
+
+    #[test]
+    fn a_filter_every_row_passes_shares_its_input() {
+        use crate::schema::{Column, DataType};
+        let schema = Schema::new(vec![Column::bare("k", DataType::Integer)]);
+        let rows = (0..10_000).map(|i| vec![Value::Int(i)]).collect();
+        let cols = Arc::new(ColBatch::from_rows(&schema, rows));
+        let filter = |predicate| Plan::Filter {
+            input: Box::new(Plan::Scan {
+                cols: Arc::clone(&cols),
+                schema: schema.clone(),
+            }),
+            predicate,
+        };
+        let k_is = |negated| BoundExpr::IsNull {
+            expr: Box::new(BoundExpr::column(0)),
+            negated,
+        };
+        for threads in [1, 2] {
+            let all = execute_plan(&filter(k_is(true)), None, None, threads, None).unwrap();
+            let Batch::Col { cols: out, .. } = &all else {
+                panic!("the kernel path stays columnar")
+            };
+            assert!(Arc::ptr_eq(out, &cols), "threads {threads}");
+            let none = execute_plan(&filter(k_is(false)), None, None, threads, None).unwrap();
+            assert_eq!(none.len(), 0);
         }
     }
 
