@@ -212,7 +212,6 @@ pub fn sample_sql(
             Strategy::Rewritten | Strategy::Annotated => {
                 let opts = RewriteOptions {
                     annotated: strategy == Strategy::Annotated,
-                    ..RewriteOptions::default()
                 };
                 prepared = prepare_rewrite_on(db, sql, sigma, &opts)?;
                 &*prepared.rewritten

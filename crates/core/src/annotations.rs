@@ -137,44 +137,17 @@ pub(crate) fn check_annotations<'k>(
 }
 
 /// Whether exactly the rows of violated key groups are flagged `'n'`, as
-/// [`annotate_database`] would flag the table now. The index's conflict
-/// list names the violated groups; rows with a NULL key component are in
-/// no index group, but GROUP BY's equality (and so the annotation) groups
-/// NULL with NULL, so those rows are grouped here, among themselves.
+/// [`annotate_database`] would flag the table now: the index's conflict list
+/// names those rows. (A row with a NULL key is in no index group; the
+/// rewriting refuses such a relation before this check runs.)
 fn flags_match(table: &Table, index: &Index) -> bool {
     let Ok(cons_at) = table.column_index(CONS_COLUMN) else {
         return false;
     };
-    let batch = index.batch();
-    let flagged = flagged_n(batch.col(cons_at));
-    let summary = index.conflict_summary();
-    if !index.conflict_group_rows().all(|row| flagged[row as usize]) {
-        return false;
-    }
-    let null_key: Vec<u32> = if index.null_key_rows() == 0 {
-        Vec::new()
-    } else {
-        let keys: Vec<&ColumnChunk> = index.cols().iter().map(|&c| batch.col(c)).collect();
-        (0..batch.len() as u32)
-            .filter(|&row| keys.iter().any(|k| k.is_null(row as usize)))
-            .collect()
-    };
-    let flagged_total = flagged.iter().filter(|&&n| n).count();
-    let flagged_null_key = null_key
-        .iter()
-        .filter(|&&row| flagged[row as usize])
-        .count();
-    if (flagged_total - flagged_null_key) as u64 != summary.tuples_in_violated_groups {
-        return false;
-    }
-    if null_key.is_empty() {
-        return true;
-    }
-    let sizes = group_sizes(&batch.gather(&null_key), index.cols());
-    null_key
-        .iter()
-        .zip(&sizes.per_row)
-        .all(|(&row, &size)| flagged[row as usize] == (size > 1))
+    let flagged = flagged_n(index.batch().col(cons_at));
+    index.conflict_group_rows().all(|row| flagged[row as usize])
+        && flagged.iter().filter(|&&n| n).count() as u64
+            == index.conflict_summary().tuples_in_violated_groups
 }
 
 /// Per row, whether `cons` holds `'n'`.

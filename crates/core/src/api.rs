@@ -39,7 +39,8 @@ pub fn rewrite_tree(tq: &TreeQuery, opts: &RewriteOptions) -> Result<Query> {
 }
 
 /// Rewrite SQL text to SQL text — the form in which ConQuer hands queries
-/// to a host database system.
+/// to a host database system. The emitted SQL assumes that no key attribute
+/// holds a NULL, as in a PRIMARY KEY ([`prepare_rewrite_on`] checks it).
 pub fn rewrite_sql(sql: &str, sigma: &ConstraintSet, opts: &RewriteOptions) -> Result<String> {
     let query = parse_sql(sql)?;
     Ok(rewrite(&query, sigma, opts)?.to_string())
@@ -89,10 +90,7 @@ pub fn consistent_answers_annotated_with(
     sigma: &ConstraintSet,
     options: &ExecOptions,
 ) -> Result<Rows> {
-    let opts = RewriteOptions {
-        annotated: true,
-        ..RewriteOptions::default()
-    };
+    let opts = RewriteOptions { annotated: true };
     let prepared = prepare_rewrite_on(db, sql, sigma, &opts)?;
     Ok(db.execute_query_with(&prepared.rewritten, options)?)
 }
@@ -198,8 +196,10 @@ pub fn prepare_rewrite(
 }
 
 /// [`prepare_rewrite`] for answering on `db`, the one guard every entry
-/// point that answers a rewriting goes through: it declares the key indexes
-/// of the relations the query reads, and with `opts.annotated` refuses an
+/// point that answers a rewriting goes through: it refuses a query that
+/// reads a relation holding a NULL in a key attribute, naming the first such
+/// relation in [`RewriteError::NullKey`], declares the key indexes of the
+/// relations the query reads, and with `opts.annotated` refuses an
 /// unannotated database and any read relation whose `cons` flags no
 /// longer match its key groups (`check_annotations`), naming the first
 /// such relation in [`RewriteError::StaleAnnotation`].
@@ -216,9 +216,36 @@ pub fn prepare_rewrite_on(
     }
     let prepared = prepare_rewrite(sql, sigma, opts)?;
     let keys = || prepared.keys.iter().map(|kc| (&*kc.relation, &*kc.key));
+    refuse_null_keys(db, keys())?;
     declare_keys(db, keys());
     if opts.annotated {
         check_annotations(db, keys())?;
     }
     Ok(prepared)
+}
+
+/// Err with [`RewriteError::NullKey`] on the first of `keys`' relations
+/// with a NULL in a key column. It reads the columns' validity, not the key
+/// index, so it holds where an index build failed; a column that never
+/// held a NULL answers at once. A relation or column `db` lacks is left to
+/// the execution to report.
+fn refuse_null_keys<'k>(
+    db: &Database,
+    keys: impl IntoIterator<Item = (&'k str, &'k [String])>,
+) -> Result<()> {
+    for (relation, key) in keys {
+        let Ok(table) = db.table(relation) else {
+            continue;
+        };
+        let has_null = key.iter().any(|k| {
+            table.column_index(k).is_ok_and(|at| {
+                let col = table.cols().col(at);
+                col.null_count_range(0, col.len()) > 0
+            })
+        });
+        if has_null {
+            return Err(RewriteError::NullKey(relation.to_string()));
+        }
+    }
+    Ok(())
 }

@@ -20,6 +20,11 @@ pub enum RewriteError {
     /// it was written after `annotate_database` — so the annotation-aware
     /// rewriting would answer wrongly over it and refuses.
     StaleAnnotation(String),
+    /// The named relation, which the query reads, holds a NULL in a key
+    /// attribute. Key constraints here are SQL's PRIMARY KEYs, whose
+    /// attributes are never NULL, and the rewritings' key matches assume
+    /// it, so both strategies refuse the query rather than answer it.
+    NullKey(String),
     /// Failure in the underlying engine (annotation, execution). Carries
     /// the structured engine error so callers can distinguish resource-limit
     /// trips (timeout, memory, rows, cancellation) from plain failures.
@@ -41,6 +46,11 @@ impl fmt::Display for RewriteError {
                 "the `cons` flags of relation `{rel}` no longer match its key groups \
                  (written since annotate_database); the annotated strategy refuses it, \
                  the plain rewriting answers it"
+            ),
+            RewriteError::NullKey(rel) => write!(
+                f,
+                "relation `{rel}` holds a NULL in a key attribute; consistent answers \
+                 are defined for non-NULL keys only"
             ),
             RewriteError::Engine(e) => write!(f, "engine error: {e}"),
         }

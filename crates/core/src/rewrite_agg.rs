@@ -20,11 +20,10 @@
 //! its rows also carry the other relations' keys, by which `q_G`'s Filter
 //! finds the only candidates it needs to read (`rewrite_join`'s suspects).
 //!
-//! With one relation and a Filter, `conq_base` is split three ways (DESIGN.md
+//! With one relation and a Filter, `conq_base` is split in two (DESIGN.md
 //! §2.3): the rows of unviolated keys (`conq_pass`) go straight into the
-//! final aggregation with both bounds `e`, only the violated keys' rows
-//! (`conq_rest`) reach the candidates, the Filter and the per-key bounds, and
-//! rows with a NULL key (`conq_null_keys`) are bounded per key apart.
+//! final aggregation with both bounds `e`, and only the violated keys' rows
+//! (`conq_rest`) reach the candidates, the Filter and the per-key bounds.
 //!
 //! Aggregate support: `SUM`, `MIN`, `MAX` (Theorem 2), plus `COUNT(*)` and
 //! `COUNT(e)` (exact, via 0/1 contributions) and `AVG` (sound but not tight
@@ -42,13 +41,12 @@ use crate::analyze::{AggKind, ProjItem, TreeQuery};
 use crate::error::{Result, RewriteError};
 use crate::rewrite_join::{
     build_filter, choose_item_aliases, distinct_from, key_match, not_exists_filter, original_from,
-    original_where, witness_items, witness_keys, RewriteOptions, WitnessKey, BASE_BINDING,
-    BASE_CTE as BASE, CONFLICTS_CTE, CONFLICT_BINDING, CONS_COLUMN,
+    original_where, root_conflicts, witness_items, witness_keys, RewriteOptions, WitnessKey,
+    BASE_BINDING, BASE_CTE as BASE, CONFLICTS_CTE, CONFLICT_BINDING, CONS_COLUMN,
 };
 
 const PASS: &str = "conq_pass";
 const REST: &str = "conq_rest";
-const NULL_KEYS: &str = "conq_null_keys";
 const QG_CANDIDATES: &str = "conq_qg_candidates";
 const QG_FILTER: &str = "conq_qg_filter";
 const QG_CONS: &str = "conq_qg_cons";
@@ -120,29 +118,40 @@ pub fn rewrite_agg(tq: &TreeQuery, opts: &RewriteOptions) -> Result<Query> {
     }];
 
     // --- qg_filter (joins candidates back to the raw relations) --------------
-    let mut filter = build_filter(&qg, opts, &witness, QG_CANDIDATES, QG_FILTER, &key_aliases)?;
+    // With one relation the candidates are read off the violated keys' rows
+    // alone (below), so the Filter need not look for the violated ones.
+    let one_relation = tq.relations.len() == 1;
+    let filter = build_filter(
+        &qg,
+        opts,
+        &witness,
+        QG_CANDIDATES,
+        QG_FILTER,
+        &key_aliases,
+        one_relation,
+    )?;
     let has_filter = !filter.is_empty();
 
     // --- one relation: unviolated keys pass straight through ----------------
-    // `through` names the CTEs whose rows bypass the per-key machinery and
-    // go straight into the final aggregation.
-    let split = has_filter && tq.relations.len() == 1;
-    let (per_key, through) = if split {
-        let split_ctes = split_ctes(opts, &key_aliases, &g_aliases, &agg_items, &mut filter);
-        let through = [PASS, NULL_KEYS]
-            .into_iter()
-            .filter(|name| split_ctes.iter().any(|c| c.name == *name))
-            .collect();
-        ctes.extend(split_ctes);
-        (REST, through)
+    // `conq_pass`'s rows bypass the per-key machinery and go straight into
+    // the final aggregation.
+    let split = has_filter && one_relation;
+    let per_key = if split {
+        ctes.extend(split_ctes(tq, opts, &key_aliases, &g_aliases, &agg_items));
+        REST
     } else {
-        (BASE, Vec::new())
+        BASE
     };
 
     // --- qg_candidates and the Filter over the per-key rows ------------------
     ctes.push(Cte {
         name: QG_CANDIDATES.to_string(),
-        query: Query::from_select(candidates_from(opts, per_key, &key_aliases, &g_aliases)),
+        query: Query::from_select(candidates_from(
+            opts.annotated && !one_relation,
+            per_key,
+            &key_aliases,
+            &g_aliases,
+        )),
     });
     ctes.extend(filter);
 
@@ -158,13 +167,12 @@ pub fn rewrite_agg(tq: &TreeQuery, opts: &RewriteOptions) -> Result<Query> {
             })
             .collect();
         let select = if split {
-            // The groups of every key outside the Filter: the unfiltered
-            // violated keys and the rows that went through.
-            let groups: Vec<&str> = through.iter().copied().chain([UNFILTERED]).collect();
+            // The groups of every key outside the Filter: the rows that went
+            // through and the unfiltered violated keys.
             Select {
                 distinct: false,
                 projection,
-                from: vec![union_of(&groups, CAND_BINDING)],
+                from: vec![union_of(&[PASS, UNFILTERED], CAND_BINDING)],
                 selection: None,
                 group_by: g_aliases
                     .iter()
@@ -208,7 +216,7 @@ pub fn rewrite_agg(tq: &TreeQuery, opts: &RewriteOptions) -> Result<Query> {
         ctes.extend(qg_cons);
         ctes.push(unfiltered);
     }
-    let mut parts = through;
+    let mut parts = if split { vec![PASS] } else { Vec::new() };
     parts.push(UNFILTERED);
     if has_filter {
         let mut conjuncts = vec![key_filter_exists(&key_aliases, true)];
@@ -391,41 +399,29 @@ fn base_select(
     }
 }
 
-/// The CTEs that split a single-relation rewriting's `conq_base` three
-/// ways (DESIGN.md §2.3), in order:
+/// The CTEs that split a single-relation rewriting's `conq_base` in two
+/// (DESIGN.md §2.3), in order:
 ///
-/// * [`PASS`]: the rows whose key is unviolated — non-NULL and not among the
-///   root's conflicts (`conq_conflicts`, moved here from the Filter's CTEs,
-///   which read it later), or `conq_viol = 0` when annotated — each with
+/// * (plain only) [`CONFLICTS_CTE`], the root's violated keys;
+/// * [`PASS`]: the rows whose key is unviolated — not among the conflicts,
+///   or `conq_viol = 0` when annotated — each with
 ///   `conq_min_i = conq_max_i = e_i`, in the final aggregate's layout;
-/// * [`REST`]: the rows of violated keys, the per-key CTEs' only input;
-/// * [`NULL_KEYS`] (plain only): the rows with a NULL key component, bounded
-///   per (key, group) as [`UNFILTERED`] bounds its keys. Annotated, those
-///   rows sit in [`PASS`] or [`REST`] by their `cons` flag.
+/// * [`REST`]: the rows of violated keys, the per-key CTEs' only input.
 fn split_ctes(
+    tq: &TreeQuery,
     opts: &RewriteOptions,
     key_aliases: &[String],
     g_aliases: &[String],
     agg_items: &[AggItem<'_>],
-    filter: &mut Vec<Cte>,
 ) -> Vec<Cte> {
     let mut ctes = Vec::new();
     let (pass, rest) = if opts.annotated {
         let viol = |v| Expr::eq(base_col(VIOL.to_string()), Expr::int(v));
         (viol(0), viol(1))
     } else {
-        let at = filter
-            .iter()
-            .position(|c| c.name == CONFLICTS_CTE)
-            .expect("the plain Filter reads the root's conflicts");
-        ctes.push(filter.remove(at));
+        ctes.push(root_conflicts(tq, key_aliases));
         let violated = key_match(BASE_BINDING, CONFLICTS_CTE, CONFLICT_BINDING, key_aliases);
-        let non_null = key_aliases.iter().map(|a| Expr::IsNull {
-            expr: Box::new(base_col(a.clone())),
-            negated: true,
-        });
-        let pass = Expr::conjoin(non_null.chain([Expr::not_exists(violated.clone())]));
-        (pass.expect("keys are non-empty"), Expr::exists(violated))
+        (Expr::not_exists(violated.clone()), Expr::exists(violated))
     };
 
     let mut projection: Vec<SelectItem> = key_aliases
@@ -452,39 +448,21 @@ fn split_ctes(
         name: REST.to_string(),
         query: Query::from_select(from_base(vec![SelectItem::Wildcard], rest)),
     });
-    if !opts.annotated {
-        let any_null = Expr::disjoin(
-            key_aliases
-                .iter()
-                .map(|a| Expr::is_null(base_col(a.clone()))),
-        );
-        ctes.push(Cte {
-            name: NULL_KEYS.to_string(),
-            query: Query::from_select(per_key_select(
-                BASE,
-                key_aliases,
-                g_aliases,
-                agg_items,
-                any_null,
-                false,
-            )),
-        });
-    }
     ctes
 }
 
 /// `q_G`'s Candidates, read from `source` (`conq_base` or `conq_rest`):
-/// DISTINCT key+group rows, or the grouped variant with the `conscand`
-/// counter for annotated databases.
+/// DISTINCT key+group rows or, with `conscand`, grouped with the annotated
+/// strategy's `conscand` counter, which the Filter's guard reads.
 fn candidates_from(
-    opts: &RewriteOptions,
+    conscand: bool,
     source: &str,
     key_aliases: &[String],
     g_aliases: &[String],
 ) -> Select {
     let aliases: Vec<String> = key_aliases.iter().chain(g_aliases).cloned().collect();
     let mut select = distinct_from(source, &aliases);
-    if opts.annotated {
+    if conscand {
         select.distinct = false;
         select.projection.push(SelectItem::aliased(
             Expr::func("sum", vec![Expr::col(BASE_BINDING, VIOL)]),
@@ -498,9 +476,8 @@ fn candidates_from(
     select
 }
 
-/// UnFiltered / FilteredCandidates (and the split's NULL-key CTE): per
-/// (key, group) bounds of every aggregate over the rows of `source` that
-/// `selection` keeps.
+/// UnFiltered / FilteredCandidates: per (key, group) bounds of every
+/// aggregate over the rows of `source` that `selection` keeps.
 fn per_key_select(
     source: &str,
     key_aliases: &[String],

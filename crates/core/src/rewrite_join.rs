@@ -66,8 +66,7 @@
 //! `conq_conflicts*` is a plain `GROUP BY … HAVING` that an engine with an
 //! index on the key answers from the index alone (see
 //! `conquer_engine::index`); `conq_filter` itself is unchanged, row for
-//! row (but for a NULL key, which matches no candidate), and so is every
-//! answer.
+//! row, and so is every answer.
 
 use conquer_sql::ast::{
     BinaryOp, ColumnRef, Cte, Expr, Literal, Query, Select, SelectItem, SetExpr, TableRef,
@@ -100,13 +99,6 @@ pub struct RewriteOptions {
     /// relation carries a `cons` column (`'y'`/`'n'`) produced by
     /// [`crate::annotations::annotate_database`].
     pub annotated: bool,
-    /// Emit the paper's literal negations (`acctbal <= 1000` for
-    /// `acctbal > 1000`). The default emits NULL-safe negations
-    /// (`NOT COALESCE(cond, FALSE)`), which additionally filter keys whose
-    /// tuples make a selection condition *unknown* — base-table NULLs make
-    /// such tuples fail the query in the repairs that choose them, so they
-    /// must be filtered for correctness.
-    pub paper_style_negation: bool,
 }
 
 /// The reusable pieces of a join rewriting; `RewriteAgg` embeds these.
@@ -202,7 +194,15 @@ pub(crate) fn build_parts(
         query: Query::from_select(select),
     });
 
-    let filter = build_filter(tq, opts, &witness, cand_name, filter_name, &key_aliases)?;
+    let filter = build_filter(
+        tq,
+        opts,
+        &witness,
+        cand_name,
+        filter_name,
+        &key_aliases,
+        false,
+    )?;
 
     Ok(JoinRewriteParts {
         candidates,
@@ -401,11 +401,12 @@ fn needs_multiplicity_branch(tq: &TreeQuery) -> bool {
 /// multiplicity branch, either of which may be unnecessary — preceded by
 /// the CTEs it reads. Empty when neither branch is needed.
 ///
-/// Both branches read the candidates `cand_name`; without annotations they
-/// read only the *suspects*, the candidates some witness of which holds a
-/// tuple with a violated key (see the module docs for why no other can be
-/// filtered). The annotated rewriting already skips proven-consistent
-/// candidates with its `conscand` guard.
+/// Both branches read the candidates `cand_name`. Unless `violated_only`
+/// says every one of them already has a violated key (the single-relation
+/// split of `RewriteAgg`), only those some witness of which holds a tuple
+/// with a violated key can be filtered (see the module docs): without
+/// annotations the branches read just those, the *suspects*; the annotated
+/// rewriting skips the others with its `conscand` guard.
 pub(crate) fn build_filter(
     tq: &TreeQuery,
     opts: &RewriteOptions,
@@ -413,15 +414,14 @@ pub(crate) fn build_filter(
     cand_name: &str,
     filter_name: &str,
     key_aliases: &[String],
+    violated_only: bool,
 ) -> Result<Vec<Cte>> {
-    let source = if opts.annotated {
-        cand_name
-    } else {
-        SUSPECTS_CTE
-    };
+    let suspects = !opts.annotated && !violated_only;
+    let source = if suspects { SUSPECTS_CTE } else { cand_name };
+    let guard = opts.annotated && !violated_only;
 
     let join_branch = needs_join_branch(tq)
-        .then(|| filter_join_branch(tq, opts, source, key_aliases))
+        .then(|| filter_join_branch(tq, source, key_aliases, guard))
         .transpose()?;
     let multiplicity_branch =
         needs_multiplicity_branch(tq).then(|| filter_multiplicity_branch(source, key_aliases));
@@ -430,7 +430,7 @@ pub(crate) fn build_filter(
     };
 
     let mut ctes = Vec::new();
-    if !opts.annotated {
+    if suspects {
         ctes.extend(suspects_ctes(tq, witness, cand_name, key_aliases));
     }
     ctes.push(Cte {
@@ -463,15 +463,7 @@ fn suspects_ctes(
     cand_name: &str,
     key_aliases: &[String],
 ) -> Vec<Cte> {
-    let root = WitnessKey {
-        rel: tq.root,
-        columns: tq.root_key_columns(),
-        aliases: key_aliases.to_vec(),
-    };
-    let mut ctes = vec![Cte {
-        name: CONFLICTS_CTE.to_string(),
-        query: Query::from_select(conflicts_select(tq, &root)),
-    }];
+    let mut ctes = vec![root_conflicts(tq, key_aliases)];
     let mut suspect_keys = vec![Select {
         distinct: false,
         projection: key_aliases
@@ -531,6 +523,20 @@ fn suspects_ctes(
     ctes
 }
 
+/// [`CONFLICTS_CTE`]: the root's violated keys, under the candidates' key
+/// aliases.
+pub(crate) fn root_conflicts(tq: &TreeQuery, key_aliases: &[String]) -> Cte {
+    let root = WitnessKey {
+        rel: tq.root,
+        columns: tq.root_key_columns(),
+        aliases: key_aliases.to_vec(),
+    };
+    Cte {
+        name: CONFLICTS_CTE.to_string(),
+        query: Query::from_select(conflicts_select(tq, &root)),
+    }
+}
+
 /// The violated keys of one relation:
 /// `SELECT K FROM R GROUP BY K HAVING COUNT(*) > 1`.
 fn conflicts_select(tq: &TreeQuery, key: &WitnessKey) -> Select {
@@ -551,12 +557,13 @@ fn conflicts_select(tq: &TreeQuery, key: &WitnessKey) -> Select {
 
 /// First Filter branch: candidates joined back to the relations with the
 /// left-outer join of Figure 6, keeping those that fail a join or satisfy a
-/// negated selection in some repair.
+/// negated selection in some repair; with `guard`, only those the
+/// annotations do not prove consistent.
 fn filter_join_branch(
     tq: &TreeQuery,
-    opts: &RewriteOptions,
     cand_name: &str,
     key_aliases: &[String],
+    guard: bool,
 ) -> Result<Select> {
     let root = &tq.relations[tq.root];
 
@@ -592,11 +599,11 @@ fn filter_join_branch(
         )));
     }
     for sc in &tq.selection {
-        disjuncts.push(negate_selection(sc, opts));
+        disjuncts.push(negate_selection(sc));
     }
     let mut selection = Expr::disjoin(disjuncts);
 
-    if opts.annotated {
+    if guard {
         // Candidates proven consistent by the annotations cannot be
         // filtered; skip them before the expensive outer join (Section 5).
         let guard = Expr::binary(
@@ -688,22 +695,12 @@ fn pairs_to_on(pairs: &[(ColumnRef, ColumnRef)]) -> Expr {
     .expect("join pairs are non-empty")
 }
 
-/// `NSC`: the negation of one selection conjunct.
-///
-/// In paper style, comparisons flip their operator (`>` becomes `<=`) and
-/// anything else gets a plain `NOT`. In the default NULL-safe style, the
-/// negation is `NOT COALESCE(cond, FALSE)`, which is also satisfied when the
-/// condition evaluates to *unknown* — a tuple whose selection is unknown
-/// fails the query in the repairs that choose it, so its key is filtered.
-pub(crate) fn negate_selection(sc: &Expr, opts: &RewriteOptions) -> Expr {
-    if opts.paper_style_negation {
-        if let Expr::BinaryOp { left, op, right } = sc {
-            if let Some(neg) = op.negated_comparison() {
-                return Expr::binary((**left).clone(), neg, (**right).clone());
-            }
-        }
-        return Expr::not(sc.clone());
-    }
+/// `NSC`: the negation of one selection conjunct, `NOT COALESCE(cond,
+/// FALSE)`. Unlike the paper's flipped comparison (`acctbal <= 1000` for
+/// `acctbal > 1000`), it also holds when the condition is *unknown*: a
+/// tuple whose selection is unknown fails the query in the repairs that
+/// choose it, so its key is filtered.
+fn negate_selection(sc: &Expr) -> Expr {
     Expr::not(Expr::func(
         "coalesce",
         vec![sc.clone(), Expr::Literal(Literal::Boolean(false))],

@@ -74,25 +74,15 @@ fn unfilterable_aggregate_query_has_no_filter_ctes_at_all() {
     assert!(!sql.contains("conq_qg_filter"), "{sql}");
 }
 
+/// The negated selection is the NULL-safe `NOT coalesce(…, FALSE)`, never
+/// the paper's flipped comparison, which an unknown condition would not
+/// satisfy.
 #[test]
 fn paper_style_vs_null_safe_negation() {
     let q = "select o.orderkey from orders o where o.total > 100";
-    let strict = rewrite_sql(q, &sigma(), &RewriteOptions::default()).unwrap();
-    assert!(
-        strict.contains("NOT coalesce(o.total > 100, FALSE)"),
-        "{strict}"
-    );
-    let paper = rewrite_sql(
-        q,
-        &sigma(),
-        &RewriteOptions {
-            paper_style_negation: true,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    assert!(paper.contains("o.total <= 100"), "{paper}");
-    assert!(!paper.contains("coalesce"), "{paper}");
+    let sql = rewrite_sql(q, &sigma(), &RewriteOptions::default()).unwrap();
+    assert!(sql.contains("NOT coalesce(o.total > 100, FALSE)"), "{sql}");
+    assert!(!sql.contains("o.total <= 100"), "{sql}");
 }
 
 #[test]
@@ -113,10 +103,7 @@ fn conscand_guard_is_pushed_below_the_filter_join() {
     let sql = conquer_core::rewrite_sql(
         "select o.orderkey from orders o, customer c where o.custfk = c.custkey",
         &sigma,
-        &RewriteOptions {
-            annotated: true,
-            ..Default::default()
-        },
+        &RewriteOptions { annotated: true },
     )
     .unwrap();
     let query = parse_query(&sql).unwrap();

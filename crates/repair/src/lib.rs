@@ -141,32 +141,93 @@ impl RepairEnumerator {
         self.total
     }
 
+    /// The key groups' sizes, every constrained relation's in turn: the
+    /// radices of a repair's digits.
+    fn radices(&self) -> Vec<usize> {
+        let groups = self.grouped.iter().flat_map(|r| &r.groups);
+        groups.map(Vec::len).collect()
+    }
+
+    /// The repair that keeps tuple `digits[i]` of the `i`-th key group (as
+    /// [`RepairEnumerator::sample`] and [`RepairEnumerator::extreme`] give
+    /// them), materialized into the database every call reuses.
+    pub fn repair_at(&self, digits: &[usize]) -> Result<&Database> {
+        let radices = self.radices();
+        if digits.len() != radices.len() || digits.iter().zip(&radices).any(|(d, r)| d >= r) {
+            return Err(RepairError::Invalid(
+                "a digit per key group, each in range".into(),
+            ));
+        }
+        let mut digits = digits.iter();
+        for rel in &self.grouped {
+            let cols: Vec<(&str, conquer_engine::DataType)> =
+                rel.columns.iter().map(|(n, t)| (n.as_str(), *t)).collect();
+            let mut t = Table::new(rel.name.clone(), cols);
+            t.extend_unchecked(
+                rel.groups
+                    .iter()
+                    .zip(&mut digits)
+                    .map(|(g, &d)| g[d].clone()),
+            );
+            self.base.register(t)?;
+        }
+        Ok(&self.base)
+    }
+
+    /// `k` repairs drawn uniformly (splitmix64 from `seed`), each as its
+    /// digits. However many repairs there are, no cap limits a sample: build
+    /// the enumerator with a cap of `u128::MAX`.
+    pub fn sample(&self, k: usize, seed: u64) -> Vec<Vec<usize>> {
+        let radices = self.radices();
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        (0..k)
+            .map(|_| {
+                radices
+                    .iter()
+                    .map(|&r| (next() % r as u64) as usize)
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The repair that keeps, in every key group, the tuple `score` (given
+    /// its relation's name) ranks least, or with `greatest` greatest — the
+    /// first on ties — as its digits: an adversary for an aggregate, given
+    /// each tuple's contribution to it.
+    pub fn extreme(&self, greatest: bool, score: impl Fn(&str, &Row) -> f64) -> Vec<usize> {
+        let sign = if greatest { -1.0 } else { 1.0 };
+        let pick = |(name, group): (&str, &Vec<Row>)| {
+            if group.len() == 1 {
+                return 0; // nothing to choose
+            }
+            let key: Vec<f64> = group.iter().map(|row| sign * score(name, row)).collect();
+            (0..group.len())
+                .min_by(|&a, &b| key[a].total_cmp(&key[b]))
+                .expect("key groups are non-empty")
+        };
+        let groups = self.grouped.iter();
+        groups
+            .flat_map(|r| r.groups.iter().map(|g| (&*r.name, g)))
+            .map(pick)
+            .collect()
+    }
+
     /// Visit every repair as a fully materialized [`Database`].
     ///
     /// The same `Database` value is reused across calls; constrained tables
     /// are re-registered with the current repair's tuples.
     pub fn for_each_repair(&self, mut f: impl FnMut(&Database) -> Result<()>) -> Result<()> {
         // Mixed-radix counter across every group of every relation.
-        let radices: Vec<usize> = self
-            .grouped
-            .iter()
-            .flat_map(|r| r.groups.iter().map(Vec::len))
-            .collect();
+        let radices = self.radices();
         let mut digits = vec![0usize; radices.len()];
         loop {
-            // Materialize the constrained relations under this choice.
-            let mut d = 0;
-            for rel in &self.grouped {
-                let cols: Vec<(&str, conquer_engine::DataType)> =
-                    rel.columns.iter().map(|(n, t)| (n.as_str(), *t)).collect();
-                let mut t = Table::new(rel.name.clone(), cols);
-                for g in &rel.groups {
-                    t.extend_unchecked([g[digits[d]].clone()]);
-                    d += 1;
-                }
-                self.base.register(t)?;
-            }
-            f(&self.base)?;
+            f(self.repair_at(&digits)?)?;
 
             // Increment the counter.
             let mut i = 0;

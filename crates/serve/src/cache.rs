@@ -96,7 +96,6 @@ pub fn build_statement(
         Strategy::Rewritten | Strategy::Annotated => {
             let opts = RewriteOptions {
                 annotated: strategy == Strategy::Annotated,
-                ..RewriteOptions::default()
             };
             prepare_rewrite_on(db, sql, sigma, &opts)?.rewritten
         }

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use conquer_core::ConstraintSet;
+use conquer_core::{ConstraintSet, RewriteError};
 use conquer_engine::{Database, ExecOptions};
 use conquer_obs::Json;
 use conquer_serve::cache::build_statement;
@@ -311,6 +311,45 @@ fn a_prepared_statement_answers_a_write_made_after_it() {
         let served = client.execute(id).expect("execute");
         assert_eq!(canon(&served.rows), want);
         assert_eq!(served.cached, cached);
+    }
+    client.quit().expect("quit");
+    server.shutdown();
+}
+
+/// A cached statement over a relation that a later INSERT gives a NULL key
+/// is refused on its next execute, under either strategy, with the
+/// rewriting's structured `NullKey` error naming the relation — the write
+/// retires the cached plan, and its rebuild refuses — never the cached
+/// answer.
+#[test]
+fn a_null_key_written_after_caching_is_refused() {
+    let (server, db, sigma) = start(ServerConfig::default());
+    conquer_core::annotate_database(&db, &sigma).expect("annotate");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let sql = "select ckey, name from customer where nation = 'fr'";
+    let strategies = [Strategy::Rewritten, Strategy::Annotated];
+    let ids = strategies.map(|s| client.prepare(sql, Some(s)).expect("prepare"));
+    for id in ids {
+        client.execute(id).expect("execute");
+        assert!(client.execute(id).expect("re-execute").cached);
+    }
+    client
+        .script("insert into customer values (null, 'nobody', 'fr', 'y')")
+        .expect("insert");
+    for (id, strategy) in ids.into_iter().zip(strategies) {
+        match client.execute(id).expect_err("a NULL key is refused") {
+            conquer_serve::ClientError::Server { code, message } => {
+                assert_eq!(code, conquer_serve::ErrorCode::Rewrite, "{strategy:?}");
+                assert!(message.contains("`customer` holds a NULL"), "{message}");
+            }
+            other => panic!("expected a rewrite error, got {other}"),
+        }
+        match build_statement(&db, &sigma, sql, strategy, &ExecOptions::default()) {
+            Err(conquer_serve::ServeError::Rewrite(e)) => {
+                assert_eq!(e, RewriteError::NullKey("customer".into()))
+            }
+            other => panic!("{strategy:?}: expected NullKey, got {other:?}"),
+        }
     }
     client.quit().expect("quit");
     server.shutdown();

@@ -86,24 +86,6 @@ impl BinaryOp {
         use BinaryOp::*;
         matches!(self, Eq | NotEq | Lt | LtEq | Gt | GtEq)
     }
-
-    /// The comparison with reversed truth value, e.g. `<` becomes `>=`.
-    ///
-    /// Used by the rewriter to build `NSC`, the negation of the selection
-    /// conditions (Figure 5 of the paper). Returns `None` for non-comparison
-    /// operators.
-    pub fn negated_comparison(self) -> Option<BinaryOp> {
-        use BinaryOp::*;
-        Some(match self {
-            Eq => NotEq,
-            NotEq => Eq,
-            Lt => GtEq,
-            LtEq => Gt,
-            Gt => LtEq,
-            GtEq => Lt,
-            _ => return None,
-        })
-    }
 }
 
 /// Unary operators.

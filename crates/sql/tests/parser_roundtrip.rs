@@ -370,13 +370,6 @@ fn not_binds_looser_than_comparison() {
 }
 
 #[test]
-fn negated_comparison_helper() {
-    assert_eq!(BinaryOp::Gt.negated_comparison(), Some(BinaryOp::LtEq));
-    assert_eq!(BinaryOp::Eq.negated_comparison(), Some(BinaryOp::NotEq));
-    assert_eq!(BinaryOp::And.negated_comparison(), None);
-}
-
-#[test]
 fn split_conjuncts_flattens_nested_ands() {
     let e = parse_expr("a = 1 and b = 2 and c = 3 and d = 4").unwrap();
     assert_eq!(e.split_conjuncts().len(), 4);

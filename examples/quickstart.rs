@@ -33,15 +33,7 @@ fn main() {
     print!("{}", indent(&possible.to_text()));
 
     // ConQuer rewrites q1 into plain SQL that any engine can run…
-    let rewritten = rewrite_sql(
-        q1,
-        &sigma,
-        &RewriteOptions {
-            paper_style_negation: true,
-            ..Default::default()
-        },
-    )
-    .expect("rewrite");
+    let rewritten = rewrite_sql(q1, &sigma, &RewriteOptions::default()).expect("rewrite");
     println!("\nConQuer's rewriting of q1:\n  {rewritten}\n");
 
     // …whose answers are exactly the consistent ones: tuples returned in

@@ -57,14 +57,7 @@ fn main() {
     }
 
     // Show what the engine actually executes for Q6.
-    let rewritten = rewrite_sql(
-        Q6.sql,
-        &workload.sigma,
-        &RewriteOptions {
-            annotated: true,
-            ..Default::default()
-        },
-    )
-    .expect("rewrite");
+    let rewritten =
+        rewrite_sql(Q6.sql, &workload.sigma, &RewriteOptions { annotated: true }).expect("rewrite");
     println!("\nThe annotation-aware rewriting of Q6 handed to the engine:\n{rewritten}");
 }

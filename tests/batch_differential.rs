@@ -65,10 +65,7 @@ fn tpch_queries_match_row_vs_columnar_under_all_strategies() {
         annotate: true,
         ..WorkloadConfig::default()
     });
-    let annotated = RewriteOptions {
-        annotated: true,
-        ..RewriteOptions::default()
-    };
+    let annotated = RewriteOptions { annotated: true };
     for q in all_queries() {
         // The rewritings as the SQL text ConQuer hands a host database.
         let rewritten = rewrite_sql(q.sql, &w.sigma, &RewriteOptions::default()).unwrap();

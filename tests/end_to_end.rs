@@ -187,14 +187,7 @@ fn rewritten_sql_round_trips_for_all_queries() {
     for q in all_queries() {
         for opts in [
             RewriteOptions::default(),
-            RewriteOptions {
-                annotated: true,
-                ..Default::default()
-            },
-            RewriteOptions {
-                paper_style_negation: true,
-                ..Default::default()
-            },
+            RewriteOptions { annotated: true },
         ] {
             let rewritten = rewrite(&parse_query(q.sql).unwrap(), &sigma, &opts)
                 .unwrap_or_else(|e| panic!("{}: {e}", q.name()));

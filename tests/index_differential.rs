@@ -75,10 +75,7 @@ fn tpch_queries_match_indexed_vs_blind_under_all_strategies() {
         annotate: true,
         ..WorkloadConfig::default()
     });
-    let annotated = RewriteOptions {
-        annotated: true,
-        ..RewriteOptions::default()
-    };
+    let annotated = RewriteOptions { annotated: true };
     for q in all_queries() {
         let rewritten = rewrite_sql(q.sql, &w.sigma, &RewriteOptions::default()).unwrap();
         let annotated = rewrite_sql(q.sql, &w.sigma, &annotated).unwrap();

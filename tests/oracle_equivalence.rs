@@ -4,7 +4,8 @@
 
 use conquer::{
     annotate_database, consistent_answers, consistent_answers_annotated, consistent_answers_oracle,
-    range_consistent_oracle, rewrite_sql, ConstraintSet, Database, RewriteOptions, Value,
+    range_consistent_oracle, rewrite_sql, ConstraintSet, Database, RewriteError, RewriteOptions,
+    Value,
 };
 
 fn sorted(rows: &conquer::Rows) -> Vec<Vec<String>> {
@@ -34,6 +35,15 @@ fn assert_strategies_agree(db: &Database, annotated_db: &Database, q: &str, sigm
     let rewritten = rewrite_sql(q, sigma, &RewriteOptions::default()).unwrap();
     let reference = conquer_reference::evaluate_sql(db, &rewritten).unwrap();
     assert_eq!(sorted(&plain), sorted(&reference), "reference, query: {q}");
+}
+
+/// Both strategies refuse `q` over `t`, whose key holds a NULL, by name.
+fn assert_null_key_refused(db: &Database, annotated_db: &Database, q: &str, sigma: &ConstraintSet) {
+    let refused = RewriteError::NullKey("t".into());
+    let plain = consistent_answers(db, q, sigma).unwrap_err();
+    assert_eq!(plain, refused, "query: {q}");
+    let annotated = consistent_answers_annotated(annotated_db, q, sigma).unwrap_err();
+    assert_eq!(annotated, refused, "annotated, query: {q}");
 }
 
 /// A query grouped by its first column with one aggregate: the rewriting's
@@ -101,13 +111,12 @@ fn empty_table_and_no_selection() {
 }
 
 /// The single-relation Filter reads only candidates whose key is violated
-/// (`conq_suspects`). Groups of one, two and three tuples, selection values
-/// that are NULL, and a tuple whose key is NULL (a group to `GROUP BY`, a
-/// non-match to every key join): each query shape agrees with repair
-/// enumeration, the annotated rewriting agrees with the plain one, and the
-/// answer does not depend on whether `conq_conflicts` was read off the key
-/// index or — as the NULL key forces here, and as the reference evaluator
-/// always does — grouped.
+/// (`conq_suspects`, or the split's `conq_rest`). Groups of one, two and
+/// three tuples and selection values that are NULL: each query shape agrees
+/// with repair enumeration, the annotated rewriting agrees with the plain
+/// one, and the answer does not depend on whether `conq_conflicts` was read
+/// off the key index or — as the reference evaluator always does — grouped.
+/// With one more tuple whose key is NULL, both strategies refuse every shape.
 #[test]
 fn single_relation_filter_over_violated_keys_only() {
     const DATA: &str = "create table t (k integer, g text, v integer);
@@ -121,34 +130,41 @@ fn single_relation_filter_over_violated_keys_only() {
         db.run_script(script).unwrap();
         db
     };
-    for data in [DATA.to_string(), format!("{DATA}{NULL_KEY}")] {
-        let db = load(&data);
-        let annotated_db = load(&data);
-        annotate_database(&annotated_db, &sigma).unwrap();
-        for q in [
-            "select t.k from t",                // no Filter at all
-            "select t.k from t where t.v > 10", // key join branch
-            "select t.g from t",                // multiplicity branch
-            "select t.g from t where t.v > 10", // both
-            "select t.k, t.g from t where t.v > 10",
-            "select distinct t.g from t where t.v > 25",
-        ] {
-            assert_matches_oracle(&db, q, &sigma);
-            assert_strategies_agree(&db, &annotated_db, q, &sigma);
-        }
-        let q = "select t.g, sum(t.v) as s from t where t.v > 10 group by t.g";
+    let queries = [
+        "select t.k from t",                // no Filter at all
+        "select t.k from t where t.v > 10", // key join branch
+        "select t.g from t",                // multiplicity branch
+        "select t.g from t where t.v > 10", // both
+        "select t.k, t.g from t where t.v > 10",
+        "select distinct t.g from t where t.v > 25",
+    ];
+    let range = "select t.g, sum(t.v) as s from t where t.v > 10 group by t.g";
+    let db = load(DATA);
+    let annotated_db = load(DATA);
+    annotate_database(&annotated_db, &sigma).unwrap();
+    for q in queries {
+        assert_matches_oracle(&db, q, &sigma);
         assert_strategies_agree(&db, &annotated_db, q, &sigma);
-        assert_matches_range_oracle(&db, q, &sigma);
+    }
+    assert_strategies_agree(&db, &annotated_db, range, &sigma);
+    assert_matches_range_oracle(&db, range, &sigma);
+
+    let data = format!("{DATA}{NULL_KEY}");
+    let db = load(&data);
+    let annotated_db = load(&data);
+    annotate_database(&annotated_db, &sigma).unwrap();
+    for q in queries.into_iter().chain([range]) {
+        assert_null_key_refused(&db, &annotated_db, q, &sigma);
     }
 }
 
 /// A single-relation aggregate sends the rows of unviolated keys straight
 /// to the final aggregation (`conq_pass`), bounds only the violated keys per
-/// key (`conq_rest`) and the NULL keys apart (`conq_null_keys`). Each
-/// extreme of that split — no key violated, every key violated, one
-/// NULL-key row — and a group mixing passed and per-key rows agrees with
+/// key (`conq_rest`). Each extreme of that split — no key violated, every
+/// key violated — and a group mixing passed and per-key rows agrees with
 /// repair enumeration, and plain, annotated and the reference evaluator
-/// over the rewritten SQL agree with each other. The mixed group's floats
+/// over the rewritten SQL agree with each other; one NULL-key row is
+/// refused. The mixed group's floats
 /// sum to `1e16 + 2` exactly but to `1e16` if the passed rows were summed
 /// per group first and rounded: the passed rows must reach the final SUM
 /// one by one.
@@ -174,13 +190,6 @@ fn single_relation_split_matches_every_oracle() {
             ),
         ),
         (
-            "one NULL-key row",
-            format!(
-                "{INT} insert into t values (1, 'a', 10), (2, 'a', 20), (2, 'b', 5), (3, 'b', 8);
-                 insert into t (g, v) values ('a', 7);"
-            ),
-        ),
-        (
             "a group of passed and per-key rows",
             "create table t (k integer, g text, v float);
              insert into t values (1, 'a', 10000000000000000.0), (2, 'a', 1.0), (3, 'a', 1.0),
@@ -188,16 +197,17 @@ fn single_relation_split_matches_every_oracle() {
                 .to_string(),
         ),
     ];
+    let queries = [
+        "select t.g, sum(t.v) as s from t group by t.g",
+        "select t.g, sum(t.v) as s from t where t.v > 6 group by t.g",
+        "select t.g, count(*) as n from t where t.v > 6 group by t.g",
+        "select t.g, min(t.v) as m from t where t.v > 6 group by t.g",
+    ];
     for (case, data) in &cases {
         let db = load(data);
         let annotated_db = load(data);
         annotate_database(&annotated_db, &sigma).unwrap();
-        for q in [
-            "select t.g, sum(t.v) as s from t group by t.g",
-            "select t.g, sum(t.v) as s from t where t.v > 6 group by t.g",
-            "select t.g, count(*) as n from t where t.v > 6 group by t.g",
-            "select t.g, min(t.v) as m from t where t.v > 6 group by t.g",
-        ] {
+        for q in queries {
             let what = format!("{q} ({case})");
             assert_strategies_agree(&db, &annotated_db, q, &sigma);
             assert_matches_range_oracle(&db, q, &sigma);
@@ -205,7 +215,16 @@ fn single_relation_split_matches_every_oracle() {
             assert!(sql.contains("conq_pass AS ("), "{what}: {sql}");
         }
     }
-    let db = load(&cases[3].1);
+    let null_key = format!(
+        "{INT} insert into t values (1, 'a', 10), (2, 'a', 20), (2, 'b', 5), (3, 'b', 8);
+         insert into t (g, v) values ('a', 7);"
+    );
+    let (db, annotated_db) = (load(&null_key), load(&null_key));
+    annotate_database(&annotated_db, &sigma).unwrap();
+    for q in queries {
+        assert_null_key_refused(&db, &annotated_db, q, &sigma);
+    }
+    let db = load(&cases[2].1);
     let q = "select t.g, sum(t.v) as s from t group by t.g";
     assert_eq!(
         sorted(&consistent_answers(&db, q, &sigma).unwrap())[0],

@@ -16,14 +16,14 @@
 //! ever pivoted whole. A change that makes any other operator of the
 //! rewriting pivot again moves these counters, not just a timing.
 //!
-//! What that join probes is pinned too. The plain rewriting's Filter reads
-//! `conq_suspects` — the candidates whose key is violated, found by the
-//! typed existence kernel (like every `EXISTS` / `NOT EXISTS` of the
-//! rewriting: key columns in, row ids out, nothing pivoted) with the key
-//! index's conflict list as its build input — so the join
-//! pivots at most two rows per violated candidate key (the injected groups
-//! hold two tuples), where it used to pivot every candidate (29 374). The
-//! annotated rewriting has no such CTE: its `conscand` guard does that job.
+//! What that join probes is pinned too. Under either strategy the Filter
+//! reads the candidates as they are: they are read off `conq_rest`, the
+//! rows of violated keys alone — split off by the typed existence kernel
+//! against the key index's conflict list (plain; like every `EXISTS` /
+//! `NOT EXISTS` of the rewriting: key columns in, row ids out, nothing
+//! pivoted) or by the `cons` flags (annotated) — so the join pivots at
+//! most two rows per violated candidate key (the injected groups hold two
+//! tuples), where it used to pivot every candidate (29 374).
 //!
 //! The join queries' Filters are held to the same: for rewritten Q3, Q4,
 //! Q10 and Q12 the first join of `conq_qg_filter` — candidates back to the
@@ -242,15 +242,7 @@ fn first_pass(query: &Query, annotated: bool) -> FirstPass {
             registry.counter("exec.pivot.to_cols").get(),
         )
     };
-    let rewritten = rewrite(
-        query,
-        &w.sigma,
-        &RewriteOptions {
-            annotated,
-            ..RewriteOptions::default()
-        },
-    )
-    .unwrap();
+    let rewritten = rewrite(query, &w.sigma, &RewriteOptions { annotated }).unwrap();
     let before = pivots();
     let (answer, _, _, ctes) =
         w.db.execute_query_traced_with_ctes(&rewritten, &options)
@@ -264,40 +256,47 @@ fn first_pass(query: &Query, annotated: bool) -> FirstPass {
     join_rows(&filter.plan, &filter.stats, &mut join);
     assert!(join.probe > 0, "the filter join probes the candidates");
     assert!(answer.rows.len() <= 4);
-    // What the Filter join probes: the plain rewriting's suspects, at most
-    // two per violated candidate key, a small share of the satisfying rows
-    // (`conq_base`; the candidates are only the violated keys' since the
-    // unviolated ones pass straight through).
-    let has_suspects = rewritten.ctes.iter().any(|c| c.name == "conq_suspects");
-    assert_eq!(has_suspects, !annotated);
-    if has_suspects {
-        let rows_of = |cte: &str| {
-            w.db.execute_query_with(&cte_as_query(&rewritten, cte), &options)
-                .unwrap()
-                .rows
-        };
-        let suspects = rows_of("conq_suspects");
-        let mut violated_keys = suspects.clone();
-        violated_keys.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
-        violated_keys.dedup();
-        assert_eq!(
-            join.probe,
-            suspects.len() as u64,
-            "the join probes the suspects"
-        );
-        assert!(
-            join.probe <= 2 * violated_keys.len() as u64,
-            "{} probes for {} violated candidate keys",
-            join.probe,
-            violated_keys.len()
-        );
-        let satisfying = rows_of("conq_base").len() as u64;
-        assert!(
-            join.probe * 10 < satisfying,
-            "{} of {satisfying} satisfying rows reach the Filter",
-            join.probe
-        );
-    }
+    // What the Filter join probes, under either strategy: exactly the
+    // candidates — the set the suspects were, since only the violated keys'
+    // rows reach them — at most two per violated candidate key, a small
+    // share of the satisfying rows (`conq_base`).
+    let names: Vec<&str> = rewritten.ctes.iter().map(|c| c.name.as_str()).collect();
+    assert!(!names.contains(&"conq_suspects"), "{names:?}");
+    let rows_of = |cte: &str| {
+        w.db.execute_query_with(&cte_as_query(&rewritten, cte), &options)
+            .unwrap()
+    };
+    let candidates = rows_of("conq_qg_candidates");
+    let key_width = candidates
+        .schema
+        .columns
+        .iter()
+        .filter(|c| c.name.starts_with("conq_k"))
+        .count();
+    let mut violated_keys: Vec<String> = candidates
+        .rows
+        .iter()
+        .map(|r| format!("{:?}", &r[..key_width]))
+        .collect();
+    violated_keys.sort();
+    violated_keys.dedup();
+    assert_eq!(
+        join.probe,
+        candidates.rows.len() as u64,
+        "the join probes the candidates"
+    );
+    assert!(
+        join.probe <= 2 * violated_keys.len() as u64,
+        "{} probes for {} violated candidate keys",
+        join.probe,
+        violated_keys.len()
+    );
+    let satisfying = rows_of("conq_base").rows.len() as u64;
+    assert!(
+        join.probe * 10 < satisfying,
+        "{} of {satisfying} satisfying rows reach the Filter",
+        join.probe
+    );
     FirstPass {
         join,
         filtered: filter.stats.rows_out,
@@ -372,8 +371,7 @@ fn groupings<'s>(plan: &Plan, stats: &'s NodeStats, out: &mut Vec<(bool, &'s Nod
 
 /// The group-key kernel's plan for each grouping step of rewritten and
 /// annotated Q1 at threads 4. Where every candidate is about its own group
-/// — `conq_unfiltered`'s aggregate, the candidates' DISTINCT (the annotated
-/// rewriting's candidates, and its Filter, group per key too) — one worker
+/// — `conq_unfiltered`'s aggregate, the candidates' DISTINCT — one worker
 /// folds them: only the violated keys' rows (`conq_rest`) reach those, a
 /// small share of the satisfying rows, under the parallel threshold here.
 /// Where a few groups remain — `conq_qg_cons` and the final GROUP BY, each
@@ -391,10 +389,7 @@ fn q1_groups_each_candidate_on_one_worker_and_few_groups_in_partials() {
     let q1 = parse_query(Q1.sql).unwrap();
     let options = ExecOptions::default().with_threads(4);
     for annotated in [false, true] {
-        let rewrite_options = RewriteOptions {
-            annotated,
-            ..RewriteOptions::default()
-        };
+        let rewrite_options = RewriteOptions { annotated };
         let rewritten = rewrite(&q1, &w.sigma, &rewrite_options).unwrap();
         let before = plans();
         let (rows, plan, stats, ctes) =
@@ -446,7 +441,7 @@ fn q1_groups_each_candidate_on_one_worker_and_few_groups_in_partials() {
                 "{what} {name}: {} groups of {rows} rows",
                 step.groups
             );
-            assert_eq!(distinct, name == "conq_qg_candidates" && !annotated);
+            assert_eq!(distinct, name == "conq_qg_candidates");
         }
         let since = [after[0] - before[0], after[1] - before[1]];
         assert_eq!(since, [0, 2], "{what}: (one worker, partials)");
@@ -468,14 +463,13 @@ fn q1_groups_each_candidate_on_one_worker_and_few_groups_in_partials() {
 
 /// Every figure query's rewritings end in Fig. 8's shape: an aggregate over
 /// `conq_unfiltered UNION ALL conq_filtered` — led, for the single-relation
-/// Q1 and Q6, by the unviolated keys' rows (`conq_pass`) and the NULL keys'
-/// bounds. That aggregate folds the branches one by one
+/// Q1 and Q6, by the unviolated keys' rows (`conq_pass`). That aggregate folds the branches one by one
 /// (`exec.agg.union_parts`) and never concatenates them
 /// (`exec.agg.union_concat`): their layouts differ — FLOAT bounds on one
 /// side, the INTEGER `0` of `CASE … THEN 0` on the other — which a
 /// concatenation would turn into `Any` columns folded value by value. Q1's
-/// `conq_qg_cons`, the groups of `conq_pass`, the NULL keys and
-/// `conq_unfiltered`, is a second such aggregate.
+/// `conq_qg_cons`, the groups of `conq_pass` and `conq_unfiltered`, is a
+/// second such aggregate.
 #[test]
 fn figure_rewritings_fold_their_final_union_in_parts() {
     let _turn = turn();
@@ -489,10 +483,7 @@ fn figure_rewritings_fold_their_final_union_in_parts() {
     };
     for q in [Q1, Q3, Q4, Q6, Q10, Q12] {
         for annotated in [false, true] {
-            let options = RewriteOptions {
-                annotated,
-                ..RewriteOptions::default()
-            };
+            let options = RewriteOptions { annotated };
             let rewritten = rewrite(&parse_query(q.sql).unwrap(), &w.sigma, &options).unwrap();
             let before = counts();
             w.db.execute_query_with(&rewritten, &ExecOptions::default())
@@ -647,10 +638,7 @@ fn cached_join_rewritings_pivot_only_their_limit() {
     let to_rows = conquer_obs::registry().counter("exec.pivot.to_rows");
     for (q, limit) in [(Q3, 10), (Q10, 20)] {
         for annotated in [false, true] {
-            let rewriting = RewriteOptions {
-                annotated,
-                ..RewriteOptions::default()
-            };
+            let rewriting = RewriteOptions { annotated };
             let rewritten = rewrite(&parse_query(q.sql).unwrap(), &w.sigma, &rewriting).unwrap();
             let plan = w.db.plan(&rewritten, &options).unwrap();
             let what = format!("{} annotated={annotated}", q.name());

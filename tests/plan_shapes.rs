@@ -36,10 +36,7 @@ fn tpch_plans_match_the_golden() {
     let mut actual = String::new();
     for q in all_queries() {
         let rewriting = |annotated| {
-            let opts = RewriteOptions {
-                annotated,
-                ..RewriteOptions::default()
-            };
+            let opts = RewriteOptions { annotated };
             rewrite_sql(q.sql, &w.sigma, &opts).expect("benchmark queries are tree queries")
         };
         let cases = [

@@ -338,17 +338,16 @@ fn cte_rows(
 
 /// The Filter reads `conq_suspects` — the candidates one of whose
 /// witnesses holds a tuple with a violated key — in place of all
-/// candidates. Checked three ways on one instance and query: the Filter
-/// emits only suspect keys; reading every candidate instead (the shape of
-/// Figs. 5/8, recovered by renaming the CTE in the Filter's text) emits the
-/// same rows; and, for a query whose answer rows are its candidates minus
-/// the `key_len` leading key columns, by definition — against repair
-/// enumeration — every candidate that is *not* a suspect is an answer in
-/// every repair, so no Filter may remove it.
-///
-/// A Filter row holding a NULL matches no candidate (`=` is never true of
-/// NULL), so such rows are left out of the comparison: over all candidates
-/// the multiplicity branch can emit one, over the suspects it cannot.
+/// candidates; a single-relation aggregate reads its candidates off the
+/// violated keys' rows alone (`conq_rest`), so there each candidate's key
+/// must be violated and the candidates are the suspects. Checked three ways
+/// on one instance and query: the Filter emits only suspect keys; reading
+/// every candidate instead (the shape of Figs. 5/8, recovered by renaming a
+/// CTE in the text: the suspects in the Filter's, or `conq_rest` in the
+/// candidates') emits the same rows; and, for a query whose answer rows are
+/// its candidates minus the `key_len` leading key columns, by definition —
+/// against repair enumeration — every candidate that is *not* a suspect is
+/// an answer in every repair, so no Filter may remove it.
 fn check_suspects(
     db: &Database,
     sigma: &ConstraintSet,
@@ -359,32 +358,55 @@ fn check_suspects(
 ) {
     let parsed = conquer::parse_query(q).unwrap();
     let rewritten = conquer::rewrite(&parsed, sigma, &conquer::RewriteOptions::default()).unwrap();
-    let non_null = |rows: &conquer::Rows| -> Vec<Vec<String>> {
-        let mut kept = sorted(rows);
-        kept.retain(|row| !row.iter().any(|v| v == "NULL"));
-        kept
-    };
-    let suspects = sorted(&cte_rows(db, &rewritten, "conq_suspects", |sql| sql));
-    let filtered = cte_rows(db, &rewritten, filter, |sql| sql);
-    for key in non_null(&filtered) {
+    let filtered = sorted(&cte_rows(db, &rewritten, filter, |sql| sql));
+    let (suspects, over_all_candidates) =
+        match rewritten.ctes.iter().position(|c| c.name == candidates) {
+            Some(at) if rewritten.ctes.iter().any(|c| c.name == "conq_rest") => {
+                let conflicts = cte_rows(db, &rewritten, "conq_conflicts", |sql| sql);
+                let width = conflicts.schema.columns.len();
+                let mut keys: Vec<Vec<String>> =
+                    sorted(&cte_rows(db, &rewritten, candidates, |sql| sql))
+                        .into_iter()
+                        .map(|cand| cand[..width].to_vec())
+                        .collect();
+                keys.dedup();
+                for key in &keys {
+                    assert!(
+                        sorted(&conflicts).contains(key),
+                        "{q} (case {case}): candidate key {key:?} is not violated"
+                    );
+                }
+                let mut all = rewritten.clone();
+                let text = all.ctes[at]
+                    .query
+                    .to_string()
+                    .replace("conq_rest", "conq_base");
+                all.ctes[at].query = conquer::parse_query(&text).unwrap();
+                (keys, cte_rows(db, &all, filter, |sql| sql))
+            }
+            _ => (
+                sorted(&cte_rows(db, &rewritten, "conq_suspects", |sql| sql)),
+                cte_rows(db, &rewritten, filter, |sql| {
+                    sql.replace("conq_suspects", candidates)
+                }),
+            ),
+        };
+    for key in &filtered {
         assert!(
-            suspects.contains(&key),
+            suspects.contains(key),
             "{q} (case {case}): filtered key {key:?} is no suspect"
         );
     }
-    let over_all_candidates = cte_rows(db, &rewritten, filter, |sql| {
-        sql.replace("conq_suspects", candidates)
-    });
     assert_eq!(
-        non_null(&filtered),
-        non_null(&over_all_candidates),
+        filtered,
+        sorted(&over_all_candidates),
         "{q} (case {case}): the Filter over suspects vs over every candidate"
     );
     let Some(key_len) = key_len else { return };
     let certain = sorted(&consistent_answers_oracle(db, q, sigma).unwrap());
     for cand in sorted(&cte_rows(db, &rewritten, candidates, |sql| sql)) {
         let (key, answer) = cand.split_at(key_len);
-        if !key.iter().any(|v| v == "NULL") && !suspects.contains(&key.to_vec()) {
+        if !suspects.contains(&key.to_vec()) {
             assert!(
                 certain.contains(&answer.to_vec()),
                 "{q} (case {case}): {cand:?} is no suspect, yet not certain"
@@ -396,8 +418,9 @@ fn check_suspects(
 /// A random instance of the join tree `r → s → u` with the key-to-key
 /// co-root `t` of `r`: `r(k, a, b)`, `s(k, c, f)`, `u(k, d)`, `t(k, e)`,
 /// `b` and `f` the foreign keys. Every relation starts consistent; the
-/// scenario then places the conflicts — and the NULLs — where one rule of
-/// the suspects' argument is the only one at work.
+/// scenario then places the conflicts — and the NULL foreign keys — where
+/// one rule of the suspects' argument is the only one at work; the last puts
+/// NULLs in key attributes, which both strategies refuse.
 fn tree_db(rng: &mut StdRng, scenario: u64) -> Database {
     const R: usize = 0;
     const S: usize = 1;
@@ -446,8 +469,8 @@ fn tree_db(rng: &mut StdRng, scenario: u64) -> Database {
         let last = tables[S].len() - 1;
         tables[S][last][2] = Value::Null;
     }
-    if scenario == 6 {
-        // NULL key attributes, the root's included: tuples in no key group.
+    if scenario == NULL_KEY_SCENARIO {
+        // NULL key attributes, the root's included.
         for rel in [R, S, U, T] {
             let at = rng.gen_range(0..tables[rel].len());
             tables[rel][at][0] = Value::Null;
@@ -473,9 +496,26 @@ fn tree_db(rng: &mut StdRng, scenario: u64) -> Database {
 }
 
 const TREE_SCENARIOS: u64 = 7;
+const NULL_KEY_SCENARIO: u64 = 6;
+
+/// Both strategies refuse each of `queries` over a tree whose every relation
+/// holds a NULL key, naming the first relation of its FROM clause, `r`.
+fn check_null_keys_refused(db: &Database, sigma: &ConstraintSet, queries: &[String], case: u64) {
+    let refused = conquer::RewriteError::NullKey("r".into());
+    for q in queries {
+        let plain = consistent_answers(db, q, sigma).unwrap_err();
+        assert_eq!(plain, refused, "{q} (case {case})");
+    }
+    conquer::annotate_database(db, sigma).unwrap();
+    for q in queries {
+        let annotated = conquer::consistent_answers_annotated(db, q, sigma).unwrap_err();
+        assert_eq!(annotated, refused, "annotated: {q} (case {case})");
+    }
+}
 
 /// [`check_suspects`] over a single relation and over random trees of two
-/// to four relations.
+/// to four relations, whose join queries also match repair enumeration;
+/// [`check_null_keys_refused`] over trees with NULL keys.
 #[test]
 fn suspects_cover_everything_the_filter_can_emit() {
     const JOIN: (&str, &str) = ("conq_candidates", "conq_filter");
@@ -499,9 +539,10 @@ fn suspects_cover_everything_the_filter_can_emit() {
         });
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0x5A5C_0000 + case);
-        let db = tree_db(&mut rng, case % TREE_SCENARIOS);
+        let scenario = case % TREE_SCENARIOS;
+        let db = tree_db(&mut rng, scenario);
         let th = rng.gen_range(0..4i64);
-        for q in [
+        let joins = [
             format!("select r.k, r.a from r, s where r.b = s.k and s.c > {th}"),
             format!("select r.k, r.a from r, t where r.k = t.k and t.e > {th}"),
             format!("select r.k, r.a from r, s, u where r.b = s.k and s.f = u.k and u.d >= {th}"),
@@ -509,14 +550,22 @@ fn suspects_cover_everything_the_filter_can_emit() {
                 "select r.k, r.a, u.d from r, t, s, u \
                  where r.k = t.k and r.b = s.k and s.f = u.k and t.e >= {th}"
             ),
-        ] {
-            check_suspects(&db, &sigma, &q, JOIN, Some(1), case);
-        }
-        let q = format!(
+        ];
+        let agg = format!(
             "select r.a, sum(u.d) as x from r, s, u \
              where r.b = s.k and s.f = u.k and s.c >= {th} group by r.a"
         );
-        check_suspects(&db, &sigma, &q, AGG, None, case);
+        if scenario == NULL_KEY_SCENARIO {
+            let queries: Vec<String> = joins.into_iter().chain([agg]).collect();
+            check_null_keys_refused(&db, &sigma, &queries, case);
+            continue;
+        }
+        for q in &joins {
+            // NULL foreign keys (scenario 5) are answered, as the oracle has it.
+            check_join_query(&db, q, &sigma, case);
+            check_suspects(&db, &sigma, q, JOIN, Some(1), case);
+        }
+        check_suspects(&db, &sigma, &agg, AGG, None, case);
     }
 }
 
