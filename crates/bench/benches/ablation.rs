@@ -4,11 +4,12 @@
 //!   `Candidates`/`Filter` subexpressions essential (Section 6.1);
 //! * decorrelated hash anti-join vs per-row nested-loop `NOT EXISTS` —
 //!   the optimization a production engine applies to the rewriting;
-//! * optimizer on/off — Section 5 relies on the optimizer evaluating the
-//!   `conscand > 0` guard before the Filter's joins; for Q6 and Q12 the
-//!   rewritings have no join order to choose, so the plan as written
-//!   differs from the optimized one by exactly the pushdown, build-side
-//!   and access-path passes;
+//! * optimizer on/off — join order, filter pushdown and access paths (key
+//!   index scans and conflict reads); both strategies' Filters read only
+//!   the suspects whichever way, so this measures the plan, not which
+//!   candidates are filtered. For Q6 and Q12 the rewritings have no join
+//!   order to choose, so the plan as written differs from the optimized
+//!   one by exactly the pushdown and access-path passes;
 //! * plain vs annotation-aware rewriting — the Section 5 comparison.
 //!
 //! Each cell is the median of ten traced samples (`conquer_bench::sample`)

@@ -16,9 +16,10 @@
 //! computed several times"), the expensive common subexpression — the
 //! original query's satisfying rows — is factored into a `conq_base` CTE
 //! that the candidates and both bound queries read, so the base relations
-//! are scanned once rather than three times. With more relations than one
-//! its rows also carry the other relations' keys, by which `q_G`'s Filter
-//! finds the only candidates it needs to read (`rewrite_join`'s suspects).
+//! are scanned once rather than three times. With a Filter its rows also
+//! carry what `q_G`'s Filter finds the only candidates it needs to read by
+//! (`rewrite_join`'s suspects): the other relations' keys, or under
+//! annotations the `conq_viol` flag.
 //!
 //! With one relation and a Filter, `conq_base` is split in two (DESIGN.md
 //! §2.3): the rows of unviolated keys (`conq_pass`) go straight into the
@@ -40,9 +41,9 @@ use conquer_sql::ast::{
 use crate::analyze::{AggKind, ProjItem, TreeQuery};
 use crate::error::{Result, RewriteError};
 use crate::rewrite_join::{
-    build_filter, choose_item_aliases, distinct_from, key_match, not_exists_filter, original_from,
-    original_where, root_conflicts, witness_items, witness_keys, RewriteOptions, WitnessKey,
-    BASE_BINDING, BASE_CTE as BASE, CONFLICTS_CTE, CONFLICT_BINDING, CONS_COLUMN,
+    base_items, build_filter, choose_item_aliases, distinct_from, key_match, not_exists_filter,
+    original_from, original_where, root_conflicts, viol_is, RewriteOptions, Violated, BASE_BINDING,
+    BASE_CTE as BASE, CONFLICTS_CTE, CONFLICT_BINDING,
 };
 
 const PASS: &str = "conq_pass";
@@ -56,8 +57,6 @@ const CAND_BINDING: &str = "conq_cand";
 const FILTER_BINDING: &str = "conq_f";
 const CONS_BINDING: &str = "conq_g";
 const UNION_BINDING: &str = "conq_u";
-const CONSCAND: &str = "conq_conscand";
-const VIOL: &str = "conq_viol";
 
 /// An aggregate item of the SELECT list: position, kind, argument, name.
 type AggItem<'a> = (usize, AggKind, Option<&'a Expr>, &'a str);
@@ -104,56 +103,55 @@ pub fn rewrite_agg(tq: &TreeQuery, opts: &RewriteOptions) -> Result<Query> {
         .collect();
 
     // --- conq_base: the original query's satisfying rows, scanned once ------
-    let witness = witness_keys(&qg, opts);
+    let violated = Violated::of(&qg, opts);
+    let has_filter = violated.is_some();
     let mut ctes = vec![Cte {
         name: BASE.to_string(),
         query: Query::from_select(base_select(
             tq,
-            opts,
             &key_aliases,
             &g_aliases,
             &agg_items,
-            &witness,
+            violated.as_ref(),
         )),
     }];
-
-    // --- qg_filter (joins candidates back to the raw relations) --------------
-    // With one relation the candidates are read off the violated keys' rows
-    // alone (below), so the Filter need not look for the violated ones.
-    let one_relation = tq.relations.len() == 1;
-    let filter = build_filter(
-        &qg,
-        opts,
-        &witness,
-        QG_CANDIDATES,
-        QG_FILTER,
-        &key_aliases,
-        one_relation,
-    )?;
-    let has_filter = !filter.is_empty();
 
     // --- one relation: unviolated keys pass straight through ----------------
     // `conq_pass`'s rows bypass the per-key machinery and go straight into
     // the final aggregation.
+    let one_relation = tq.relations.len() == 1;
     let split = has_filter && one_relation;
-    let per_key = if split {
-        ctes.extend(split_ctes(tq, opts, &key_aliases, &g_aliases, &agg_items));
-        REST
-    } else {
-        BASE
+    let per_key = match &violated {
+        Some(violated) if one_relation => {
+            ctes.extend(split_ctes(
+                tq,
+                violated,
+                &key_aliases,
+                &g_aliases,
+                &agg_items,
+            ));
+            REST
+        }
+        _ => BASE,
     };
 
     // --- qg_candidates and the Filter over the per-key rows ------------------
-    ctes.push(Cte {
-        name: QG_CANDIDATES.to_string(),
-        query: Query::from_select(candidates_from(
-            opts.annotated && !one_relation,
-            per_key,
+    // With one relation the candidates are read off the violated keys' rows
+    // alone, so the Filter need not look for the violated ones.
+    if let Some(violated) = &violated {
+        let aliases: Vec<String> = key_aliases.iter().chain(&g_aliases).cloned().collect();
+        ctes.push(Cte {
+            name: QG_CANDIDATES.to_string(),
+            query: Query::from_select(distinct_from(per_key, &aliases)),
+        });
+        ctes.extend(build_filter(
+            &qg,
+            (!one_relation).then_some(violated),
+            QG_CANDIDATES,
+            QG_FILTER,
             &key_aliases,
-            &g_aliases,
-        )),
-    });
-    ctes.extend(filter);
+        ));
+    }
 
     // --- QGCons: the consistent answers of q_G -------------------------------
     let needs_qg_cons = has_filter && !tq.group_by.is_empty();
@@ -316,16 +314,15 @@ fn check_unique(aliases: &[String]) -> Result<()> {
 }
 
 /// The shared base CTE: root keys, grouped attributes, per-aggregate
-/// effective expressions, the other relations' keys the Filter finds its
-/// suspects by, and (annotated) the per-row violation flag, over the
-/// original FROM/WHERE.
+/// effective expressions and what the Filter finds its suspects by (the
+/// other relations' keys, or the per-row violation flag), over the original
+/// FROM/WHERE.
 fn base_select(
     tq: &TreeQuery,
-    opts: &RewriteOptions,
     key_aliases: &[String],
     g_aliases: &[String],
     agg_items: &[AggItem<'_>],
-    witness: &[WitnessKey],
+    violated: Option<&Violated>,
 ) -> Select {
     let mut projection = Vec::new();
     for (col, alias) in tq.root_key_columns().iter().zip(key_aliases) {
@@ -373,22 +370,7 @@ fn base_select(
             }
         }
     }
-    projection.extend(witness_items(witness));
-    if opts.annotated {
-        let any_inconsistent = Expr::disjoin(
-            tq.relations
-                .iter()
-                .map(|r| Expr::eq(Expr::col(r.binding.clone(), CONS_COLUMN), Expr::string("n"))),
-        )
-        .expect("at least one relation");
-        projection.push(SelectItem::aliased(
-            Expr::Case {
-                branches: vec![(any_inconsistent, Expr::int(1))],
-                else_expr: Some(Box::new(Expr::int(0))),
-            },
-            VIOL,
-        ));
-    }
+    projection.extend(base_items(tq, violated));
     Select {
         distinct: false,
         projection,
@@ -409,19 +391,19 @@ fn base_select(
 /// * [`REST`]: the rows of violated keys, the per-key CTEs' only input.
 fn split_ctes(
     tq: &TreeQuery,
-    opts: &RewriteOptions,
+    violated: &Violated,
     key_aliases: &[String],
     g_aliases: &[String],
     agg_items: &[AggItem<'_>],
 ) -> Vec<Cte> {
     let mut ctes = Vec::new();
-    let (pass, rest) = if opts.annotated {
-        let viol = |v| Expr::eq(base_col(VIOL.to_string()), Expr::int(v));
-        (viol(0), viol(1))
-    } else {
-        ctes.push(root_conflicts(tq, key_aliases));
-        let violated = key_match(BASE_BINDING, CONFLICTS_CTE, CONFLICT_BINDING, key_aliases);
-        (Expr::not_exists(violated.clone()), Expr::exists(violated))
+    let (pass, rest) = match violated {
+        Violated::Annotated => (viol_is(0), viol_is(1)),
+        Violated::Conflicts(_) => {
+            ctes.push(root_conflicts(tq, key_aliases));
+            let conflict = key_match(BASE_BINDING, CONFLICTS_CTE, CONFLICT_BINDING, key_aliases);
+            (Expr::not_exists(conflict.clone()), Expr::exists(conflict))
+        }
     };
 
     let mut projection: Vec<SelectItem> = key_aliases
@@ -449,31 +431,6 @@ fn split_ctes(
         query: Query::from_select(from_base(vec![SelectItem::Wildcard], rest)),
     });
     ctes
-}
-
-/// `q_G`'s Candidates, read from `source` (`conq_base` or `conq_rest`):
-/// DISTINCT key+group rows or, with `conscand`, grouped with the annotated
-/// strategy's `conscand` counter, which the Filter's guard reads.
-fn candidates_from(
-    conscand: bool,
-    source: &str,
-    key_aliases: &[String],
-    g_aliases: &[String],
-) -> Select {
-    let aliases: Vec<String> = key_aliases.iter().chain(g_aliases).cloned().collect();
-    let mut select = distinct_from(source, &aliases);
-    if conscand {
-        select.distinct = false;
-        select.projection.push(SelectItem::aliased(
-            Expr::func("sum", vec![Expr::col(BASE_BINDING, VIOL)]),
-            CONSCAND,
-        ));
-        select.group_by = aliases
-            .into_iter()
-            .map(|a| Expr::col(BASE_BINDING, a))
-            .collect();
-    }
-    select
 }
 
 /// UnFiltered / FilteredCandidates: per (key, group) bounds of every

@@ -23,9 +23,9 @@
 //! omitted for queries that nothing can filter (key-only projections with
 //! no selections and no outer joins).
 //!
-//! Without annotations the Filter reads only the **suspects**: the
-//! candidates one of whose witnesses — the join trees that produce them —
-//! holds a tuple with a *violated* key. Over a single relation that is the
+//! The Filter reads only the **suspects**: the candidates one of whose
+//! witnesses — the join trees that produce them — holds a tuple with a
+//! *violated* key. Over a single relation without annotations that is the
 //! candidates whose own key is violated:
 //!
 //! ```sql
@@ -37,11 +37,14 @@
 //! conq_filter AS (... both branches FROM conq_suspects ...)
 //! ```
 //!
-//! With more relations the Candidates are computed in two steps, as
-//! `RewriteAgg` has them — `conq_base`, the satisfying rows, each also
-//! carrying the key of every non-root relation's tuple in it
-//! (`conq_r<i>k<j>`), then the `SELECT DISTINCT Kroot, S` over it — and the
-//! violated keys of every relation are looked up in those rows:
+//! Otherwise the Candidates are computed in two steps, as `RewriteAgg` has
+//! them — `conq_base`, the satisfying rows, then the `SELECT DISTINCT
+//! Kroot, S` over it — and the violated keys are looked up in those rows.
+//! Where from is the one thing the strategy decides ([`Violated`]): without
+//! annotations each row also carries the key of every non-root relation's
+//! tuple in it (`conq_r<i>k<j>`), looked up in that relation's conflicts;
+//! with them it carries `conq_viol`, 1 when a tuple in it has `cons = 'n'`
+//! (Section 5: the violated set computed offline):
 //!
 //! ```sql
 //! conq_conflicts_<i> AS (
@@ -50,6 +53,7 @@
 //!   SELECT Kroot FROM conq_conflicts
 //!   UNION ALL SELECT B.Kroot FROM conq_base B                  -- per relation
 //!     WHERE EXISTS (SELECT * FROM conq_conflicts_<i> V WHERE B.Ki = V.Ki)),
+//!   -- annotated: SELECT B.Kroot FROM conq_base B WHERE B.conq_viol = 1
 //! conq_suspects AS (
 //!   SELECT Kroot FROM conq_candidates C
 //!   WHERE EXISTS (SELECT * FROM conq_suspect_keys V WHERE C.Kroot = V.Kroot))
@@ -90,14 +94,15 @@ pub(crate) const BASE_BINDING: &str = "conq_b";
 const CAND_BINDING: &str = "conq_cand";
 const FILTER_BINDING: &str = "conq_f";
 pub(crate) const CONFLICT_BINDING: &str = "conq_v";
-const CONSCAND: &str = "conq_conscand";
+pub(crate) const VIOL: &str = "conq_viol";
 
 /// Options controlling the rewriting.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RewriteOptions {
     /// Use the annotation-aware rewriting of Section 5, which assumes every
     /// relation carries a `cons` column (`'y'`/`'n'`) produced by
-    /// [`crate::annotations::annotate_database`].
+    /// [`crate::annotations::annotate_database`]. It decides one thing:
+    /// where the rewriting reads which keys are violated ([`Violated`]).
     pub annotated: bool,
 }
 
@@ -173,15 +178,16 @@ pub(crate) fn build_parts(
         .collect();
     let item_aliases = choose_item_aliases(tq);
 
-    let witness = witness_keys(tq, opts);
-    let mut select = candidates_select(tq, opts, &key_aliases, &item_aliases);
+    let violated = Violated::of(tq, opts);
+    let mut select = candidates_select(tq, &key_aliases, &item_aliases);
     let mut candidates = Vec::new();
-    if !witness.is_empty() {
+    let base_items = base_items(tq, violated.as_ref());
+    if !base_items.is_empty() {
         // The Candidates of Figure 5 in two steps, as `RewriteAgg` has
-        // them: the satisfying rows with their witnesses' keys, then the
-        // DISTINCT (key, S) pairs.
+        // them: the satisfying rows with what their suspects are found by,
+        // then the DISTINCT (key, S) pairs.
         select.distinct = false;
-        select.projection.extend(witness_items(&witness));
+        select.projection.extend(base_items);
         candidates.push(Cte {
             name: BASE_CTE.to_string(),
             query: Query::from_select(select),
@@ -194,15 +200,9 @@ pub(crate) fn build_parts(
         query: Query::from_select(select),
     });
 
-    let filter = build_filter(
-        tq,
-        opts,
-        &witness,
-        cand_name,
-        filter_name,
-        &key_aliases,
-        false,
-    )?;
+    let filter = violated.map_or_else(Vec::new, |v| {
+        build_filter(tq, Some(&v), cand_name, filter_name, &key_aliases)
+    });
 
     Ok(JoinRewriteParts {
         candidates,
@@ -253,72 +253,23 @@ pub(crate) fn original_where(tq: &TreeQuery) -> Option<Expr> {
 }
 
 /// The `Candidates` select block: the original query with DISTINCT and the
-/// root-key attributes added (Figure 5), or the grouped variant with the
-/// `conscand` counter for annotated databases (Section 5).
-fn candidates_select(
-    tq: &TreeQuery,
-    opts: &RewriteOptions,
-    key_aliases: &[String],
-    item_aliases: &[String],
-) -> Select {
-    let root = &tq.relations[tq.root];
-    let key_items: Vec<(Expr, &String)> = root
-        .key
-        .iter()
-        .zip(key_aliases)
-        .map(|(k, alias)| (Expr::col(root.binding.clone(), k.clone()), alias))
-        .collect();
-
-    let mut projection = Vec::new();
-    for (expr, alias) in &key_items {
-        projection.push(SelectItem::aliased(expr.clone(), (*alias).clone()));
-    }
-    let mut item_exprs = Vec::new();
-    for (item, alias) in tq.projection.iter().zip(item_aliases) {
-        let ProjItem::Plain { expr, .. } = item else {
-            unreachable!("checked in build_parts")
-        };
-        projection.push(SelectItem::aliased(expr.clone(), alias.clone()));
-        item_exprs.push(expr.clone());
-    }
-
-    if !opts.annotated {
-        return Select {
-            distinct: true,
-            projection,
-            from: original_from(tq),
-            selection: original_where(tq),
-            group_by: Vec::new(),
-            having: None,
-        };
-    }
-
-    // Annotation-aware: count how many source tuple combinations involve a
-    // possibly-inconsistent tuple; a zero count proves the candidate
-    // consistent so the filter can skip it (Example 9).
-    let any_inconsistent = Expr::disjoin(
-        tq.relations
-            .iter()
-            .map(|r| Expr::eq(Expr::col(r.binding.clone(), CONS_COLUMN), Expr::string("n"))),
-    )
-    .expect("at least one relation");
-    let conscand = Expr::func(
-        "sum",
-        vec![Expr::Case {
-            branches: vec![(any_inconsistent, Expr::int(1))],
-            else_expr: Some(Box::new(Expr::int(0))),
-        }],
-    );
-    projection.push(SelectItem::aliased(conscand, CONSCAND));
-
-    let mut group_by: Vec<Expr> = key_items.into_iter().map(|(e, _)| e).collect();
-    group_by.extend(item_exprs);
+/// root-key attributes added (Figure 5).
+fn candidates_select(tq: &TreeQuery, key_aliases: &[String], item_aliases: &[String]) -> Select {
+    let keys = tq.root_key_columns().into_iter().map(Expr::Column);
+    let items = tq.projection.iter().map(|item| match item {
+        ProjItem::Plain { expr, .. } => expr.clone(),
+        ProjItem::Aggregate { .. } => unreachable!("checked in build_parts"),
+    });
     Select {
-        distinct: false,
-        projection,
+        distinct: true,
+        projection: keys
+            .chain(items)
+            .zip(key_aliases.iter().chain(item_aliases))
+            .map(|(expr, alias)| SelectItem::aliased(expr, alias.clone()))
+            .collect(),
         from: original_from(tq),
         selection: original_where(tq),
-        group_by,
+        group_by: Vec::new(),
         having: None,
     }
 }
@@ -332,14 +283,35 @@ pub(crate) struct WitnessKey {
     aliases: Vec<String>,
 }
 
-/// The non-root keys the Filter's suspects are found by, which `conq_base`
-/// must therefore carry. Empty when there is nothing to find them for: no
-/// Filter, an annotated rewriting (its `conscand` guard is that test), or
-/// a single relation (the root key is already a candidate column).
-pub(crate) fn witness_keys(tq: &TreeQuery, opts: &RewriteOptions) -> Vec<WitnessKey> {
-    if opts.annotated || !(needs_join_branch(tq) || needs_multiplicity_branch(tq)) {
-        return Vec::new();
+/// Where a rewriting reads which keys are violated — the one thing
+/// [`RewriteOptions::annotated`] decides. Both name the same suspects: a
+/// tuple's `cons` is `'n'` exactly when its key is violated.
+pub(crate) enum Violated {
+    /// The conflict CTEs (`GROUP BY K HAVING COUNT(*) > 1`, which a key
+    /// index answers), looked up through the non-root keys `conq_base`
+    /// carries.
+    Conflicts(Vec<WitnessKey>),
+    /// `conq_base`'s [`VIOL`]: 1 when a tuple of the row has `cons = 'n'`.
+    Annotated,
+}
+
+impl Violated {
+    /// `None` when the query has no Filter, so no candidate is suspect.
+    pub(crate) fn of(tq: &TreeQuery, opts: &RewriteOptions) -> Option<Self> {
+        if !(needs_join_branch(tq) || needs_multiplicity_branch(tq)) {
+            return None;
+        }
+        Some(if opts.annotated {
+            Violated::Annotated
+        } else {
+            Violated::Conflicts(witness_keys(tq))
+        })
     }
+}
+
+/// The non-root keys (with one relation: none — the root key is already a
+/// candidate column).
+fn witness_keys(tq: &TreeQuery) -> Vec<WitnessKey> {
     let relations = tq.relations.iter().enumerate();
     relations
         .filter(|(rel, _)| *rel != tq.root)
@@ -357,14 +329,39 @@ pub(crate) fn witness_keys(tq: &TreeQuery, opts: &RewriteOptions) -> Vec<Witness
         .collect()
 }
 
-/// The witness keys as `conq_base` projects them.
-pub(crate) fn witness_items(witness: &[WitnessKey]) -> impl Iterator<Item = SelectItem> + '_ {
-    witness.iter().flat_map(|w| {
-        w.columns
+/// The columns `conq_base` carries for the Filter to find its suspects by,
+/// after the candidates' own: the witness keys, or the [`VIOL`] flag
+/// `CASE WHEN R1.cons = 'n' OR ... THEN 1 ELSE 0 END`.
+pub(crate) fn base_items(tq: &TreeQuery, violated: Option<&Violated>) -> Vec<SelectItem> {
+    match violated {
+        None => Vec::new(),
+        Some(Violated::Conflicts(witness)) => witness
             .iter()
-            .zip(&w.aliases)
-            .map(|(c, alias)| SelectItem::aliased(Expr::Column(c.clone()), alias.clone()))
-    })
+            .flat_map(|w| {
+                w.columns
+                    .iter()
+                    .zip(&w.aliases)
+                    .map(|(c, alias)| SelectItem::aliased(Expr::Column(c.clone()), alias.clone()))
+            })
+            .collect(),
+        Some(Violated::Annotated) => {
+            let any_inconsistent =
+                Expr::disjoin(tq.relations.iter().map(|r| {
+                    Expr::eq(Expr::col(r.binding.clone(), CONS_COLUMN), Expr::string("n"))
+                }))
+                .expect("at least one relation");
+            let viol = Expr::Case {
+                branches: vec![(any_inconsistent, Expr::int(1))],
+                else_expr: Some(Box::new(Expr::int(0))),
+            };
+            vec![SelectItem::aliased(viol, VIOL)]
+        }
+    }
+}
+
+/// `conq_b.conq_viol = <v>`.
+pub(crate) fn viol_is(v: i64) -> Expr {
+    Expr::eq(Expr::col(BASE_BINDING, VIOL), Expr::int(v))
 }
 
 /// `SELECT DISTINCT conq_b.a AS a, ... FROM <cte> conq_b`: the Candidates,
@@ -398,46 +395,38 @@ fn needs_multiplicity_branch(tq: &TreeQuery) -> bool {
 }
 
 /// Build the Filter CTE `filter_name` — the outer-join branch plus the
-/// multiplicity branch, either of which may be unnecessary — preceded by
-/// the CTEs it reads. Empty when neither branch is needed.
+/// multiplicity branch, either of which may be unnecessary, but not both
+/// ([`Violated::of`]) — preceded by the CTEs it reads.
 ///
-/// Both branches read the candidates `cand_name`. Unless `violated_only`
-/// says every one of them already has a violated key (the single-relation
-/// split of `RewriteAgg`), only those some witness of which holds a tuple
-/// with a violated key can be filtered (see the module docs): without
-/// annotations the branches read just those, the *suspects*; the annotated
-/// rewriting skips the others with its `conscand` guard.
+/// Both branches read the candidates `cand_name`. Only those some witness
+/// of which holds a tuple with a violated key can be filtered (see the
+/// module docs), so the branches read just those, the *suspects*, found
+/// as `violated` says — unless it is `None`: every candidate already has a
+/// violated key (the single-relation split of `RewriteAgg`).
 pub(crate) fn build_filter(
     tq: &TreeQuery,
-    opts: &RewriteOptions,
-    witness: &[WitnessKey],
+    violated: Option<&Violated>,
     cand_name: &str,
     filter_name: &str,
     key_aliases: &[String],
-    violated_only: bool,
-) -> Result<Vec<Cte>> {
-    let suspects = !opts.annotated && !violated_only;
-    let source = if suspects { SUSPECTS_CTE } else { cand_name };
-    let guard = opts.annotated && !violated_only;
-
-    let join_branch = needs_join_branch(tq)
-        .then(|| filter_join_branch(tq, source, key_aliases, guard))
-        .transpose()?;
+) -> Vec<Cte> {
+    let source = if violated.is_some() {
+        SUSPECTS_CTE
+    } else {
+        cand_name
+    };
+    let join_branch = needs_join_branch(tq).then(|| filter_join_branch(tq, source, key_aliases));
     let multiplicity_branch =
         needs_multiplicity_branch(tq).then(|| filter_multiplicity_branch(source, key_aliases));
-    let Some(body) = union_all([join_branch, multiplicity_branch].into_iter().flatten()) else {
-        return Ok(Vec::new());
-    };
+    let body = union_all([join_branch, multiplicity_branch].into_iter().flatten())
+        .expect("a query with a Filter needs a branch");
 
-    let mut ctes = Vec::new();
-    if suspects {
-        ctes.extend(suspects_ctes(tq, witness, cand_name, key_aliases));
-    }
+    let mut ctes = violated.map_or_else(Vec::new, |v| suspects_ctes(tq, v, cand_name, key_aliases));
     ctes.push(Cte {
         name: filter_name.to_string(),
         query: body,
     });
-    Ok(ctes)
+    ctes
 }
 
 /// `a UNION ALL b UNION ALL ...` as a query; `None` of no branches.
@@ -453,56 +442,64 @@ fn union_all(branches: impl Iterator<Item = Select>) -> Option<Query> {
     })
 }
 
-/// [`SUSPECTS_CTE`] and what it reads: the violated keys of every relation
-/// (`conq_conflicts` for the root, `conq_conflicts_<rel>` for the others)
-/// and, with more relations than one, [`SUSPECT_KEYS_CTE`] — the root keys
-/// those reach through `conq_base`'s witnesses.
+/// [`SUSPECTS_CTE`] and what it reads: the root keys of `conq_base`'s rows
+/// with [`VIOL`] set ([`SUSPECT_KEYS_CTE`], annotated), or the violated
+/// keys of every relation (`conq_conflicts` for the root,
+/// `conq_conflicts_<rel>` for the others) and, with more relations than
+/// one, [`SUSPECT_KEYS_CTE`]: the root keys those reach through
+/// `conq_base`'s witnesses.
 fn suspects_ctes(
     tq: &TreeQuery,
-    witness: &[WitnessKey],
+    violated: &Violated,
     cand_name: &str,
     key_aliases: &[String],
 ) -> Vec<Cte> {
-    let mut ctes = vec![root_conflicts(tq, key_aliases)];
-    let mut suspect_keys = vec![Select {
+    let base_keys = |selection| Select {
         distinct: false,
-        projection: key_aliases
-            .iter()
-            .map(|alias| SelectItem::expr(Expr::bare_col(alias.clone())))
-            .collect(),
-        from: vec![TableRef::table(CONFLICTS_CTE)],
-        selection: None,
+        projection: aliased_columns(BASE_BINDING, key_aliases),
+        from: vec![TableRef::aliased(BASE_CTE, BASE_BINDING)],
+        selection: Some(selection),
         group_by: Vec::new(),
         having: None,
-    }];
-    for w in witness {
-        let name = format!("{CONFLICTS_CTE}_{}", w.rel);
-        suspect_keys.push(Select {
-            distinct: false,
-            projection: aliased_columns(BASE_BINDING, key_aliases),
-            from: vec![TableRef::aliased(BASE_CTE, BASE_BINDING)],
-            selection: Some(Expr::exists(key_match(
-                BASE_BINDING,
-                &name,
-                CONFLICT_BINDING,
-                &w.aliases,
-            ))),
-            group_by: Vec::new(),
-            having: None,
-        });
-        ctes.push(Cte {
-            name,
-            query: Query::from_select(conflicts_select(tq, w)),
-        });
-    }
-    let violated = if witness.is_empty() {
-        CONFLICTS_CTE
-    } else {
-        ctes.push(Cte {
-            name: SUSPECT_KEYS_CTE.to_string(),
-            query: union_all(suspect_keys.into_iter()).expect("the root's member"),
-        });
-        SUSPECT_KEYS_CTE
+    };
+    let mut ctes = Vec::new();
+    let suspect_keys = match violated {
+        Violated::Annotated => Some(Query::from_select(base_keys(viol_is(1)))),
+        Violated::Conflicts(witness) => {
+            ctes.push(root_conflicts(tq, key_aliases));
+            let mut members = vec![Select {
+                distinct: false,
+                projection: key_aliases
+                    .iter()
+                    .map(|alias| SelectItem::expr(Expr::bare_col(alias.clone())))
+                    .collect(),
+                from: vec![TableRef::table(CONFLICTS_CTE)],
+                selection: None,
+                group_by: Vec::new(),
+                having: None,
+            }];
+            for w in witness {
+                let name = format!("{CONFLICTS_CTE}_{}", w.rel);
+                let conflict = key_match(BASE_BINDING, &name, CONFLICT_BINDING, &w.aliases);
+                members.push(base_keys(Expr::exists(conflict)));
+                ctes.push(Cte {
+                    name,
+                    query: Query::from_select(conflicts_select(tq, w)),
+                });
+            }
+            (!witness.is_empty())
+                .then(|| union_all(members.into_iter()).expect("the root's member"))
+        }
+    };
+    let violated_keys = match suspect_keys {
+        Some(query) => {
+            ctes.push(Cte {
+                name: SUSPECT_KEYS_CTE.to_string(),
+                query,
+            });
+            SUSPECT_KEYS_CTE
+        }
+        None => CONFLICTS_CTE,
     };
     ctes.push(Cte {
         name: SUSPECTS_CTE.to_string(),
@@ -512,7 +509,7 @@ fn suspects_ctes(
             from: vec![TableRef::aliased(cand_name, CAND_BINDING)],
             selection: Some(Expr::exists(key_match(
                 CAND_BINDING,
-                violated,
+                violated_keys,
                 CONFLICT_BINDING,
                 key_aliases,
             ))),
@@ -557,14 +554,8 @@ fn conflicts_select(tq: &TreeQuery, key: &WitnessKey) -> Select {
 
 /// First Filter branch: candidates joined back to the relations with the
 /// left-outer join of Figure 6, keeping those that fail a join or satisfy a
-/// negated selection in some repair; with `guard`, only those the
-/// annotations do not prove consistent.
-fn filter_join_branch(
-    tq: &TreeQuery,
-    cand_name: &str,
-    key_aliases: &[String],
-    guard: bool,
-) -> Result<Select> {
+/// negated selection in some repair.
+fn filter_join_branch(tq: &TreeQuery, cand_name: &str, key_aliases: &[String]) -> Select {
     let root = &tq.relations[tq.root];
 
     // conq_candidates cand JOIN Rroot ON cand.k = root.k AND ...
@@ -601,30 +592,14 @@ fn filter_join_branch(
     for sc in &tq.selection {
         disjuncts.push(negate_selection(sc));
     }
-    let mut selection = Expr::disjoin(disjuncts);
-
-    if guard {
-        // Candidates proven consistent by the annotations cannot be
-        // filtered; skip them before the expensive outer join (Section 5).
-        let guard = Expr::binary(
-            Expr::col(CAND_BINDING, CONSCAND),
-            BinaryOp::Gt,
-            Expr::int(0),
-        );
-        selection = Some(match selection {
-            Some(s) => Expr::and(guard, s),
-            None => guard,
-        });
-    }
-
-    Ok(Select {
+    Select {
         distinct: false,
         projection: aliased_columns(CAND_BINDING, key_aliases),
         from: vec![from],
-        selection,
+        selection: Expr::disjoin(disjuncts),
         group_by: Vec::new(),
         having: None,
-    })
+    }
 }
 
 /// Second Filter branch: keys whose candidates carry more than one value for

@@ -261,14 +261,38 @@ fn example9_annotated_rewriting_structure() {
         &RewriteOptions { annotated: true },
     )
     .unwrap();
-    // The conscand counter and the filter guard from Section 5.
+    // Section 5's annotations say which keys are violated: each satisfying
+    // row carries its tuples' `cons = 'n'` disjunction, and the suspects are
+    // the candidates of its rows with the flag set. From there on the
+    // Filter is the plain rewriting's (Figure 5 over `conq_suspects`).
+    let ctes = ctes(&sql);
+    assert_eq!(
+        ctes[..4],
+        [
+            "conq_base AS (SELECT o.orderkey AS conq_k1, o.orderkey AS orderkey, \
+             CASE WHEN c.cons = 'n' OR o.cons = 'n' THEN 1 ELSE 0 END AS conq_viol \
+             FROM customer c, orders o WHERE o.custfk = c.custkey AND c.acctbal > 1000)",
+            "conq_candidates AS (SELECT DISTINCT conq_b.conq_k1 AS conq_k1, \
+             conq_b.orderkey AS orderkey FROM conq_base conq_b)",
+            "conq_suspect_keys AS (SELECT conq_b.conq_k1 AS conq_k1 FROM conq_base conq_b \
+             WHERE conq_b.conq_viol = 1)",
+            "conq_suspects AS (SELECT conq_cand.conq_k1 AS conq_k1 \
+             FROM conq_candidates conq_cand \
+             WHERE EXISTS (SELECT * FROM conq_suspect_keys conq_v \
+             WHERE conq_cand.conq_k1 = conq_v.conq_k1))",
+        ]
+    );
+    assert_eq!(ctes.len(), 5, "{sql}");
     assert!(
-        sql.contains("sum(CASE WHEN c.cons = 'n' OR o.cons = 'n' THEN 1 ELSE 0 END)"),
+        ctes[4].starts_with(
+            "conq_filter AS (SELECT conq_cand.conq_k1 AS conq_k1 FROM conq_suspects conq_cand \
+             JOIN orders o ON"
+        ),
         "{sql}"
     );
-    assert!(sql.contains("conq_cand.conq_conscand > 0"), "{sql}");
-    assert!(sql.contains("GROUP BY o.orderkey"), "{sql}");
-    parse_query(&sql).unwrap();
+    for absent in ["conq_conflicts", "conq_conscand", "conq_r0k1"] {
+        assert!(!sql.contains(absent), "{absent} in:\n{sql}");
+    }
 }
 
 #[test]
@@ -360,8 +384,9 @@ fn single_relation_filter_reads_the_suspects() {
 
     // RewriteAgg's split reads q_G's candidates off the violated keys' rows
     // (`conq_rest`) alone, so under either strategy its Filter reads them as
-    // they are: no suspects, no `conscand` guard.
-    for opts in [plain, RewriteOptions { annotated: true }] {
+    // they are: no suspects.
+    let annotated = RewriteOptions { annotated: true };
+    for opts in [plain, annotated] {
         let sql = rewrite_sql(
             "select sum(acctbal) as s from customer where acctbal > 0",
             &sigma,
@@ -381,22 +406,33 @@ fn single_relation_filter_reads_the_suspects() {
             assert!(sql.contains(piece), "missing {piece:?} in:\n{sql}");
         }
         assert!(!sql.contains("conq_suspects"), "{sql}");
-        assert!(!sql.contains("conq_conscand"), "{sql}");
     }
 
-    // Nothing to filter, nothing to precompute; the annotated rewriting
-    // keeps its `conscand` guard.
-    let annotated = RewriteOptions { annotated: true };
-    for (q, opts) in [
-        ("select custkey from customer", &plain),
-        (
-            "select acctbal from customer where acctbal > 1000",
-            &annotated,
-        ),
+    // Nothing to filter, nothing to precompute, under either strategy.
+    for opts in [plain, annotated] {
+        let sql = rewrite_sql("select custkey from customer", &sigma, &opts).unwrap();
+        for absent in ["conq_conflicts", "conq_suspect", "conq_base", "conq_viol"] {
+            assert!(!sql.contains(absent), "{absent} in:\n{sql}");
+        }
+    }
+
+    // Annotated, the Filter reads the suspects just the same, found by the
+    // flag `conq_base` carries instead of by the conflicts.
+    let sql = rewrite_sql(
+        "select acctbal from customer where acctbal > 1000",
+        &sigma,
+        &annotated,
+    )
+    .unwrap();
+    assert!(!sql.contains("conq_conflicts"), "{sql}");
+    for piece in [
+        "CASE WHEN customer.cons = 'n' THEN 1 ELSE 0 END AS conq_viol FROM customer",
+        "conq_suspect_keys AS (SELECT conq_b.conq_k1 AS conq_k1 FROM conq_base conq_b \
+         WHERE conq_b.conq_viol = 1)",
+        "FROM conq_suspects conq_cand JOIN customer ON conq_cand.conq_k1 = customer.custkey",
+        "UNION ALL SELECT conq_k1 FROM conq_suspects GROUP BY conq_k1 HAVING count(*) > 1",
     ] {
-        let sql = rewrite_sql(q, &sigma, opts).unwrap();
-        assert!(!sql.contains("conq_conflicts"), "{sql}");
-        assert!(!sql.contains("conq_suspects"), "{sql}");
+        assert!(sql.contains(piece), "missing {piece:?} in:\n{sql}");
     }
 
     // One relation is the one-member case of the suspects' union: the text
@@ -570,42 +606,50 @@ fn four_relation_aggregate_reads_the_suspects_of_every_relation() {
 
 #[test]
 fn no_suspects_where_nothing_reads_them() {
-    // Annotated: the `conscand` guard is the test, `conq_base` stays as
-    // narrow as Section 5 has it.
+    // Annotated: the flag is what the suspects are found by, so no relation's
+    // key rides along in `conq_base` and no conflicts are computed.
     let annotated = RewriteOptions { annotated: true };
     let sql = rewrite_sql(CHAIN_QUERY, &chain_sigma(), &annotated).unwrap();
-    for absent in ["conq_conflicts", "conq_suspect", "conq_r1k1", "conq_r2k1"] {
+    for absent in ["conq_conflicts", "conq_r1k1", "conq_r2k1", "conq_r3k1"] {
         assert!(!sql.contains(absent), "{absent} in:\n{sql}");
     }
     assert!(
-        sql.contains("FROM conq_qg_candidates conq_cand JOIN li l"),
+        sql.contains(
+            "conq_suspect_keys AS (SELECT conq_b.conq_k1 AS conq_k1, conq_b.conq_k2 AS conq_k2 \
+             FROM conq_base conq_b WHERE conq_b.conq_viol = 1)"
+        ),
         "{sql}"
     );
-    let sql = rewrite_sql(
-        "select o.clerk from customer c, orders o where o.custfk = c.custkey",
-        &figure2_sigma(),
-        &annotated,
-    )
-    .unwrap();
     assert!(
-        sql.starts_with("WITH conq_candidates AS (SELECT o.orderkey"),
+        sql.contains("FROM conq_suspects conq_cand JOIN li l"),
         "{sql}"
     );
-    assert!(!sql.contains("conq_base"), "{sql}");
 
-    // A key-to-key join projecting the key, no selection: no Filter is
-    // emitted, so no relation's key rides along and Figure 5's Candidates
-    // stand alone.
+    // A key-to-key join projecting the key, or one relation grouped by its
+    // key, no selection: under either strategy no Filter is emitted, so no
+    // relation's key or flag rides along, Figure 5's Candidates stand alone
+    // and q_G's, which nothing would read, are not emitted at all.
     let sigma = ConstraintSet::new()
         .with_key("a", ["k"])
-        .with_key("b", ["k"]);
+        .with_key("b", ["k"])
+        .with_key("t", ["k"]);
     for q in [
         "select a.k from a, b where a.k = b.k",
         "select count(*) as n from a, b where a.k = b.k",
+        "select t.k, sum(t.v) as s from t group by t.k",
     ] {
-        let sql = rewrite_sql(q, &sigma, &RewriteOptions::default()).unwrap();
-        for absent in ["conq_conflicts", "conq_suspect", "conq_r", "_filter"] {
-            assert!(!sql.contains(absent), "{absent} in:\n{sql}");
+        for opts in [RewriteOptions::default(), annotated] {
+            let sql = rewrite_sql(q, &sigma, &opts).unwrap();
+            for absent in [
+                "conq_conflicts",
+                "conq_suspect",
+                "conq_r",
+                "_filter",
+                "conq_viol",
+                "conq_qg_candidates",
+            ] {
+                assert!(!sql.contains(absent), "{absent} in:\n{sql}");
+            }
         }
     }
 }

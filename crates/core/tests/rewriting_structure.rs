@@ -1,8 +1,7 @@
 //! Structural golden checks on the generated SQL and on the physical plans
 //! the engine builds for it: the pieces of Figures 5 and 8 must be present,
-//! and the Section 5 `conscand` guard must end up *below* the Filter's
-//! joins after the engine's pushdown pass (the behaviour the paper
-//! attributes to DB2's optimizer).
+//! and the annotated rewriting — whose Filter reads the suspects that the
+//! Section 5 flags name — must plan and answer like the plain one.
 
 use conquer_core::{annotate_database, rewrite_sql, ConstraintSet, RewriteOptions};
 use conquer_engine::{Database, ExecOptions};
@@ -86,10 +85,10 @@ fn paper_style_vs_null_safe_negation() {
 }
 
 #[test]
-fn conscand_guard_is_pushed_below_the_filter_join() {
+fn annotated_filter_reads_the_flagged_suspects() {
     // Build a tiny annotated database, plan the annotated rewriting, and
-    // check the physical plan: the guard must sit on the candidates scan,
-    // below the hash join against the root relation.
+    // run it: its Filter joins the suspects — the candidates of the rows
+    // a `cons = 'n'` tuple is in — back to the root relation.
     let db = Database::new();
     db.run_script(
         "create table orders (orderkey text, custfk text, total float);
@@ -106,6 +105,10 @@ fn conscand_guard_is_pushed_below_the_filter_join() {
         &RewriteOptions { annotated: true },
     )
     .unwrap();
+    assert!(
+        sql.contains("FROM conq_suspects conq_cand JOIN orders o"),
+        "{sql}"
+    );
     let query = parse_query(&sql).unwrap();
     let plan = db.plan(&query, &ExecOptions::default()).unwrap();
     let shape = format!("{plan:?}");

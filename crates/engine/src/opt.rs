@@ -1,12 +1,10 @@
 //! Post-planning optimizations: filter pushdown through joins and renames,
 //! and access-path selection.
 //!
-//! ConQuer's Section 5 relies on the host optimizer evaluating the
-//! `conscand > 0` guard *before* the Filter's joins ("it is up to the query
-//! optimizer to perform this selection before the joins; the results ...
-//! show that it consistently chooses the appropriate strategy"). This pass
-//! plays that role: conjuncts of a `Filter` that reference only one side of
-//! a join move below it, eventually fusing with the base-table scan.
+//! Pushdown moves the conjuncts of a `Filter` that reference only one side
+//! of a join below it, eventually fusing with the base-table scan. The
+//! rewritings need it for speed only: their answers, and which candidates
+//! their Filters read (the suspects), are fixed by the SQL itself.
 //!
 //! [`optimize`] is the one entry point, and it always has a cost
 //! [`Estimator`] (see [`crate::cost`]); `ExecOptions::optimize = false`

@@ -51,9 +51,8 @@ pub struct ExecOptions {
     /// semi/anti joins. When `false`, they run as per-row nested loops.
     pub decorrelate_exists: bool,
     /// Run the optimizer: cost-based greedy join ordering, then filter
-    /// pushdown below joins (the host-optimizer behaviour Section 5 of the
-    /// paper relies on for the `conscand` guard) and access-path selection
-    /// over every query and CTE body, and
+    /// pushdown below joins and access-path selection over every query and
+    /// CTE body, and
     /// projection pruning of materialized CTEs. When `false` the plan runs
     /// as written — first-connected join order, every post-join predicate
     /// above its join, sequential scans — which is the reference the

@@ -98,21 +98,32 @@ fn annotated_rewriting_only_differs_syntactically() {
             "{}: annotation should change the SQL",
             q.name()
         );
-        // The annotation reaches the SQL through the `conscand` guard, or,
-        // where one relation splits off its violated keys' rows (Q1, Q6),
-        // through the split's `conq_viol` test, which leaves nothing to guard.
+        // The annotation reaches the SQL only as the source of "violated":
+        // `conq_base`'s `conq_viol` flag, which the split tests where one
+        // relation splits off its violated keys' rows (Q1, Q6) and the
+        // suspects are found by otherwise (Q3, Q4, Q10, Q12). No relation's
+        // conflicts are computed for it; plain reads nothing else.
         let single = matches!(q.number, 1 | 6);
-        assert_eq!(annotated.contains("conq_conscand"), !single, "{}", q.name());
+        assert!(annotated.contains(" AS conq_viol FROM "), "{}", q.name());
         assert_eq!(annotated.contains("conq_viol = 0"), single, "{}", q.name());
-        assert!(!plain.contains("conq_conscand"), "{}", q.name());
-        assert!(!plain.contains("conq_viol"), "{}", q.name());
+        assert_eq!(
+            annotated.contains("conq_b.conq_viol = 1), conq_suspects AS ("),
+            !single,
+            "{}",
+            q.name()
+        );
+        assert!(!annotated.contains("conq_conflicts"), "{}", q.name());
+        assert!(!annotated.contains("conq_conscand"), "{}", q.name());
+        for absent in ["conq_conscand", "conq_viol"] {
+            assert!(!plain.contains(absent), "{}", q.name());
+        }
     }
 }
 
 #[test]
 fn annotations_on_fully_consistent_database_short_circuit_the_filter() {
-    // With p = 0 every tuple is 'y', so the conscand counter is always 0
-    // and the filter's join branch selects nothing.
+    // With p = 0 every tuple is 'y', so no row has `conq_viol = 1`: every
+    // key passes straight through and the Filter reads no candidate.
     let w = build_workload(&WorkloadConfig {
         scale_factor: 0.001,
         p: 0.0,

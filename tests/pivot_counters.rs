@@ -25,11 +25,12 @@
 //! most two rows per violated candidate key (the injected groups hold two
 //! tuples), where it used to pivot every candidate (29 374).
 //!
-//! The join queries' Filters are held to the same: for rewritten Q3, Q4,
-//! Q10 and Q12 the first join of `conq_qg_filter` — candidates back to the
-//! root relation, the head of the last `Key`-per-row chain of a rewriting —
-//! probes exactly the suspects, and those are under half the candidates
-//! (read off `EXPLAIN ANALYZE`'s per-CTE stats, the planner's CTE hook).
+//! The join queries' Filters are held to the same: for rewritten and
+//! annotated Q3, Q4, Q10 and Q12 the first join of `conq_qg_filter` —
+//! candidates back to the root relation, the head of the last
+//! `Key`-per-row chain of a rewriting — probes exactly the suspects, those
+//! are under half the candidates, and both strategies find as many (read
+//! off `EXPLAIN ANALYZE`'s per-CTE stats, the planner's CTE hook).
 //!
 //! `harness opbench`'s two existence-join cells pivot nothing at all: the
 //! typed kernel takes key columns in and hands row ids out. Which way every
@@ -170,30 +171,36 @@ fn join_rewritings_filter_probes_only_the_suspects() {
         ..WorkloadConfig::default()
     });
     for q in [Q3, Q4, Q10, Q12] {
-        let rewritten = rewrite(
-            &parse_query(q.sql).unwrap(),
-            &w.sigma,
-            &RewriteOptions::default(),
-        )
-        .unwrap();
-        let (_, _, _, ctes) =
-            w.db.execute_query_traced_with_ctes(&rewritten, &ExecOptions::default())
-                .unwrap();
-        let cte = |name: &str| {
-            ctes.iter()
-                .find(|c| c.name == name)
-                .unwrap_or_else(|| panic!("{}: no CTE {name} was traced", q.name()))
-        };
-        let candidates = cte("conq_qg_candidates").stats.rows_out;
-        let suspects = cte("conq_suspects").stats.rows_out;
-        let filter = cte("conq_qg_filter");
-        let probes = first_join_probes(&filter.plan, &filter.stats).expect("the Filter joins");
-        assert_eq!(probes, suspects, "{}: the Filter probes", q.name());
-        assert!(
-            0 < suspects && 2 * suspects < candidates,
-            "{}: {suspects} of {candidates} candidates are suspects",
-            q.name()
-        );
+        // The two sources of "violated" — the conflict CTEs, the `cons`
+        // flags — name the same suspects.
+        let suspects = [false, true].map(|annotated| {
+            let what = format!("{} annotated={annotated}", q.name());
+            let rewritten = rewrite(
+                &parse_query(q.sql).unwrap(),
+                &w.sigma,
+                &RewriteOptions { annotated },
+            )
+            .unwrap();
+            let (_, _, _, ctes) =
+                w.db.execute_query_traced_with_ctes(&rewritten, &ExecOptions::default())
+                    .unwrap();
+            let cte = |name: &str| {
+                ctes.iter()
+                    .find(|c| c.name == name)
+                    .unwrap_or_else(|| panic!("{what}: no CTE {name} was traced"))
+            };
+            let candidates = cte("conq_qg_candidates").stats.rows_out;
+            let suspects = cte("conq_suspects").stats.rows_out;
+            let filter = cte("conq_qg_filter");
+            let probes = first_join_probes(&filter.plan, &filter.stats).expect("the Filter joins");
+            assert_eq!(probes, suspects, "{what}: the Filter probes");
+            assert!(
+                0 < suspects && 2 * suspects < candidates,
+                "{what}: {suspects} of {candidates} candidates are suspects"
+            );
+            suspects
+        });
+        assert_eq!(suspects[0], suspects[1], "{}: plain vs annotated", q.name());
     }
 }
 
