@@ -153,11 +153,8 @@ impl TreeQuery {
                 expr: Expr::Column(c),
                 ..
             } => {
-                let rel_matches = match &c.qualifier {
-                    Some(q) => *q == root.binding,
-                    None => self.relations.len() == 1,
-                };
-                rel_matches && root.key.contains(&c.name)
+                resolve_relation(c, &self.relations) == Some(self.root)
+                    && root.key.contains(&c.name)
             }
             _ => false,
         })
@@ -499,13 +496,10 @@ fn check_plain_predicate(e: &Expr) -> Result<()> {
 fn resolve_relation(col: &ColumnRef, relations: &[Relation]) -> Option<usize> {
     match &col.qualifier {
         Some(q) => relations.iter().position(|r| r.binding == *q),
-        None => {
-            if relations.len() == 1 {
-                Some(0)
-            } else {
-                None
-            }
-        }
+        None => match relations {
+            [_] => Some(0),
+            _ => None,
+        },
     }
 }
 
@@ -544,7 +538,7 @@ fn classify_conjunct(
     match (ra, rb) {
         (Some(i), Some(j)) if i != j => Ok(Some((i, j, a.clone(), b.clone()))),
         (Some(_), Some(_)) => Ok(None), // same-relation equality: a selection
-        _ if relations.len() == 1 => Ok(None),
+        _ if matches!(relations, [_]) => Ok(None),
         _ => Err(RewriteError::Unsupported(format!(
             "cannot resolve the relations of equality `{conjunct}`; qualify both columns"
         ))),

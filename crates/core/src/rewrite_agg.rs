@@ -17,14 +17,12 @@
 //! original query's satisfying rows — is factored into a `conq_base` CTE
 //! that the candidates and both bound queries read, so the base relations
 //! are scanned once rather than three times. With a Filter its rows also
-//! carry what `q_G`'s Filter finds the only candidates it needs to read by
-//! (`rewrite_join`'s suspects): the other relations' keys, or under
-//! annotations the `conq_viol` flag.
-//!
-//! With one relation and a Filter, `conq_base` is split in two (DESIGN.md
-//! §2.3): the rows of unviolated keys (`conq_pass`) go straight into the
-//! final aggregation with both bounds `e`, and only the violated keys' rows
-//! (`conq_rest`) reach the candidates, the Filter and the per-key bounds.
+//! carry what "violated" is read by (the other relations' keys, or under
+//! annotations the `conq_viol` flag), and `conq_base` is split in two
+//! (DESIGN.md §2.3): the rows no key on whose witness is violated
+//! (`conq_pass`) go straight into the final aggregation with both bounds
+//! `e`, and only the others (`conq_rest`) reach the candidates, the Filter
+//! and the per-key bounds — for one relation as for a join.
 //!
 //! Aggregate support: `SUM`, `MIN`, `MAX` (Theorem 2), plus `COUNT(*)` and
 //! `COUNT(e)` (exact, via 0/1 contributions) and `AVG` (sound but not tight
@@ -41,13 +39,11 @@ use conquer_sql::ast::{
 use crate::analyze::{AggKind, ProjItem, TreeQuery};
 use crate::error::{Result, RewriteError};
 use crate::rewrite_join::{
-    base_items, build_filter, choose_item_aliases, distinct_from, key_match, not_exists_filter,
-    original_from, original_where, root_conflicts, viol_is, RewriteOptions, Violated, BASE_BINDING,
-    BASE_CTE as BASE, CONFLICTS_CTE, CONFLICT_BINDING,
+    base_items, build_filter, choose_item_aliases, distinct_from, key_match, original_select,
+    root_key_aliases, split_ctes, RewriteOptions, Violated, BASE_BINDING, BASE_CTE as BASE,
+    PASS_CTE as PASS, REST_CTE as REST,
 };
 
-const PASS: &str = "conq_pass";
-const REST: &str = "conq_rest";
 const QG_CANDIDATES: &str = "conq_qg_candidates";
 const QG_FILTER: &str = "conq_qg_filter";
 const QG_CONS: &str = "conq_qg_cons";
@@ -84,9 +80,7 @@ pub fn rewrite_agg(tq: &TreeQuery, opts: &RewriteOptions) -> Result<Query> {
 
     // --- q_G and naming -----------------------------------------------------
     let qg = build_qg(tq);
-    let key_aliases: Vec<String> = (1..=tq.relations[tq.root].key.len())
-        .map(|i| format!("conq_k{i}"))
-        .collect();
+    let key_aliases = root_key_aliases(tq);
     let g_aliases = choose_item_aliases(&qg);
     check_unique(&g_aliases)?;
 
@@ -104,7 +98,6 @@ pub fn rewrite_agg(tq: &TreeQuery, opts: &RewriteOptions) -> Result<Query> {
 
     // --- conq_base: the original query's satisfying rows, scanned once ------
     let violated = Violated::of(&qg, opts);
-    let has_filter = violated.is_some();
     let mut ctes = vec![Cte {
         name: BASE.to_string(),
         query: Query::from_select(base_select(
@@ -115,61 +108,70 @@ pub fn rewrite_agg(tq: &TreeQuery, opts: &RewriteOptions) -> Result<Query> {
             violated.as_ref(),
         )),
     }];
-
-    // --- one relation: unviolated keys pass straight through ----------------
-    // `conq_pass`'s rows bypass the per-key machinery and go straight into
-    // the final aggregation.
-    let one_relation = tq.relations.len() == 1;
-    let split = has_filter && one_relation;
-    let per_key = match &violated {
-        Some(violated) if one_relation => {
-            ctes.extend(split_ctes(
-                tq,
-                violated,
+    let Some(violated) = violated else {
+        // No Filter: every key is unfiltered.
+        ctes.push(Cte {
+            name: UNFILTERED.to_string(),
+            query: Query::from_select(per_key_select(
+                BASE,
                 &key_aliases,
                 &g_aliases,
                 &agg_items,
-            ));
-            REST
-        }
-        _ => BASE,
+                None,
+                false,
+            )),
+        });
+        return finish(tq, &g_aliases, &agg_items, ctes, &[UNFILTERED]);
     };
 
-    // --- qg_candidates and the Filter over the per-key rows ------------------
-    // With one relation the candidates are read off the violated keys' rows
-    // alone, so the Filter need not look for the violated ones.
-    if let Some(violated) = &violated {
-        let aliases: Vec<String> = key_aliases.iter().chain(&g_aliases).cloned().collect();
-        ctes.push(Cte {
-            name: QG_CANDIDATES.to_string(),
-            query: Query::from_select(distinct_from(per_key, &aliases)),
-        });
-        ctes.extend(build_filter(
-            &qg,
-            (!one_relation).then_some(violated),
-            QG_CANDIDATES,
-            QG_FILTER,
-            &key_aliases,
-        ));
+    // --- the split: unviolated keys pass straight through -------------------
+    // `conq_pass`'s rows bypass the per-key machinery and go straight into
+    // the final aggregation; only `conq_rest`'s reach q_G's candidates, the
+    // Filter and the per-key bounds.
+    let mut pass: Vec<SelectItem> = key_aliases
+        .iter()
+        .chain(&g_aliases)
+        .map(|a| SelectItem::aliased(base_col(a.clone()), a.clone()))
+        .collect();
+    for (i, kind, _, _) in &agg_items {
+        pass.extend(pass_agg_columns(*i, *kind));
     }
+    ctes.extend(split_ctes(tq, &violated, Some(pass)));
+    let aliases: Vec<String> = key_aliases.iter().chain(&g_aliases).cloned().collect();
+    ctes.push(Cte {
+        name: QG_CANDIDATES.to_string(),
+        query: Query::from_select(distinct_from(REST, &aliases)),
+    });
+    ctes.push(build_filter(&qg, QG_CANDIDATES, QG_FILTER, &key_aliases));
 
-    // --- QGCons: the consistent answers of q_G -------------------------------
-    let needs_qg_cons = has_filter && !tq.group_by.is_empty();
-    let qg_cons = needs_qg_cons.then(|| {
-        let projection = qg
-            .projection
-            .iter()
-            .zip(&g_aliases)
-            .map(|(item, alias)| {
-                SelectItem::aliased(Expr::col(CAND_BINDING, alias.clone()), item.name())
-            })
-            .collect();
-        let select = if split {
-            // The groups of every key outside the Filter: the rows that went
-            // through and the unfiltered violated keys.
-            Select {
+    // --- UnFiltered, QGCons (the consistent answers of q_G), Filtered --------
+    ctes.push(Cte {
+        name: UNFILTERED.to_string(),
+        query: Query::from_select(per_key_select(
+            REST,
+            &key_aliases,
+            &g_aliases,
+            &agg_items,
+            Some(key_filter_exists(&key_aliases, false)),
+            false,
+        )),
+    });
+    let mut in_filter = vec![key_filter_exists(&key_aliases, true)];
+    if !tq.group_by.is_empty() {
+        // The groups of every key outside the Filter: the rows that went
+        // through and the unfiltered violated keys.
+        ctes.push(Cte {
+            name: QG_CONS.to_string(),
+            query: Query::from_select(Select {
                 distinct: false,
-                projection,
+                projection: qg
+                    .projection
+                    .iter()
+                    .zip(&g_aliases)
+                    .map(|(item, alias)| {
+                        SelectItem::aliased(Expr::col(CAND_BINDING, alias.clone()), item.name())
+                    })
+                    .collect(),
                 from: vec![union_of(&[PASS, UNFILTERED], CAND_BINDING)],
                 selection: None,
                 group_by: g_aliases
@@ -177,65 +179,38 @@ pub fn rewrite_agg(tq: &TreeQuery, opts: &RewriteOptions) -> Result<Query> {
                     .map(|a| Expr::col(CAND_BINDING, a.clone()))
                     .collect(),
                 having: None,
-            }
-        } else {
-            Select {
-                distinct: true,
-                projection,
-                from: vec![TableRef::aliased(QG_CANDIDATES, CAND_BINDING)],
-                selection: Some(not_exists_filter(QG_FILTER, &key_aliases)),
-                group_by: Vec::new(),
-                having: None,
-            }
-        };
-        Cte {
-            name: QG_CONS.to_string(),
-            query: Query::from_select(select),
-        }
-    });
-
-    // --- UnFiltered / Filtered candidates over the per-key rows --------------
-    let unfiltered = Cte {
-        name: UNFILTERED.to_string(),
+            }),
+        });
+        in_filter.push(group_cons_exists(&qg, &g_aliases));
+    }
+    ctes.push(Cte {
+        name: FILTERED.to_string(),
         query: Query::from_select(per_key_select(
-            per_key,
+            REST,
             &key_aliases,
             &g_aliases,
             &agg_items,
-            has_filter.then(|| key_filter_exists(&key_aliases, false)),
-            false,
+            Expr::conjoin(in_filter),
+            true,
         )),
-    };
-    if split {
-        // QGCons reads the unfiltered keys' groups.
-        ctes.push(unfiltered);
-        ctes.extend(qg_cons);
-    } else {
-        ctes.extend(qg_cons);
-        ctes.push(unfiltered);
-    }
-    let mut parts = if split { vec![PASS] } else { Vec::new() };
-    parts.push(UNFILTERED);
-    if has_filter {
-        let mut conjuncts = vec![key_filter_exists(&key_aliases, true)];
-        if needs_qg_cons {
-            conjuncts.push(group_cons_exists(&qg, &g_aliases));
-        }
-        ctes.push(Cte {
-            name: FILTERED.to_string(),
-            query: Query::from_select(per_key_select(
-                per_key,
-                &key_aliases,
-                &g_aliases,
-                &agg_items,
-                Expr::conjoin(conjuncts),
-                true,
-            )),
-        });
-        parts.push(FILTERED);
-    }
+    });
+    finish(
+        tq,
+        &g_aliases,
+        &agg_items,
+        ctes,
+        &[PASS, UNFILTERED, FILTERED],
+    )
+}
 
-    // --- final aggregation over the union -----------------------------------
+/// The final aggregation over the union of `parts`, after `ctes`.
+fn finish(
+    tq: &TreeQuery,
+    g_aliases: &[String],
+    agg_items: &[AggItem<'_>],
+    ctes: Vec<Cte>,
+    parts: &[&str],
+) -> Result<Query> {
     let mut projection = Vec::new();
     for item in &tq.projection {
         match item {
@@ -268,7 +243,7 @@ pub fn rewrite_agg(tq: &TreeQuery, opts: &RewriteOptions) -> Result<Query> {
     let final_select = Select {
         distinct: false,
         projection,
-        from: vec![union_of(&parts, UNION_BINDING)],
+        from: vec![union_of(parts, UNION_BINDING)],
         selection: None,
         group_by,
         having: None,
@@ -370,67 +345,8 @@ fn base_select(
             }
         }
     }
-    projection.extend(base_items(tq, violated));
-    Select {
-        distinct: false,
-        projection,
-        from: original_from(tq),
-        selection: original_where(tq),
-        group_by: Vec::new(),
-        having: None,
-    }
-}
-
-/// The CTEs that split a single-relation rewriting's `conq_base` in two
-/// (DESIGN.md §2.3), in order:
-///
-/// * (plain only) [`CONFLICTS_CTE`], the root's violated keys;
-/// * [`PASS`]: the rows whose key is unviolated — not among the conflicts,
-///   or `conq_viol = 0` when annotated — each with
-///   `conq_min_i = conq_max_i = e_i`, in the final aggregate's layout;
-/// * [`REST`]: the rows of violated keys, the per-key CTEs' only input.
-fn split_ctes(
-    tq: &TreeQuery,
-    violated: &Violated,
-    key_aliases: &[String],
-    g_aliases: &[String],
-    agg_items: &[AggItem<'_>],
-) -> Vec<Cte> {
-    let mut ctes = Vec::new();
-    let (pass, rest) = match violated {
-        Violated::Annotated => (viol_is(0), viol_is(1)),
-        Violated::Conflicts(_) => {
-            ctes.push(root_conflicts(tq, key_aliases));
-            let conflict = key_match(BASE_BINDING, CONFLICTS_CTE, CONFLICT_BINDING, key_aliases);
-            (Expr::not_exists(conflict.clone()), Expr::exists(conflict))
-        }
-    };
-
-    let mut projection: Vec<SelectItem> = key_aliases
-        .iter()
-        .chain(g_aliases)
-        .map(|a| SelectItem::aliased(base_col(a.clone()), a.clone()))
-        .collect();
-    for (i, kind, _, _) in agg_items {
-        projection.extend(pass_agg_columns(*i, *kind));
-    }
-    let from_base = |projection, selection| Select {
-        distinct: false,
-        projection,
-        from: vec![TableRef::aliased(BASE, BASE_BINDING)],
-        selection: Some(selection),
-        group_by: Vec::new(),
-        having: None,
-    };
-    ctes.push(Cte {
-        name: PASS.to_string(),
-        query: Query::from_select(from_base(projection, pass)),
-    });
-    ctes.push(Cte {
-        name: REST.to_string(),
-        query: Query::from_select(from_base(vec![SelectItem::Wildcard], rest)),
-    });
-    ctes
+    projection.extend(violated.map_or_else(Vec::new, |v| base_items(tq, v)));
+    original_select(tq, projection)
 }
 
 /// UnFiltered / FilteredCandidates: per (key, group) bounds of every

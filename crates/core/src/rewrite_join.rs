@@ -23,52 +23,37 @@
 //! omitted for queries that nothing can filter (key-only projections with
 //! no selections and no outer joins).
 //!
-//! The Filter reads only the **suspects**: the candidates one of whose
-//! witnesses — the join trees that produce them — holds a tuple with a
-//! *violated* key. Over a single relation without annotations that is the
-//! candidates whose own key is violated:
+//! With a Filter, the Candidates are computed in two steps, as `RewriteAgg`
+//! has them — `conq_base`, the satisfying rows, then the `SELECT DISTINCT
+//! Kroot, S` over it — and `conq_base` is split (DESIGN.md §2.3): the Filter
+//! reads only the candidates of `conq_rest`, the rows with a *violated* key
+//! anywhere on their witness (the join tree that produced the row). Where
+//! "violated" is read from is the one thing the strategy decides
+//! ([`Violated`]): without annotations each row also carries the key of
+//! every non-root relation's tuple in it (`conq_r<i>k<j>`), looked up in
+//! that relation's conflicts; with them it carries `conq_viol`, 1 when a
+//! tuple in it has `cons = 'n'` (Section 5: the violated set computed
+//! offline):
 //!
 //! ```sql
-//! conq_conflicts AS (
-//!   SELECT Kroot FROM Rroot GROUP BY Kroot HAVING COUNT(*) > 1),
-//! conq_suspects AS (
-//!   SELECT Kroot FROM conq_candidates C
-//!   WHERE EXISTS (SELECT * FROM conq_conflicts V WHERE C.Kroot = V.Kroot)),
-//! conq_filter AS (... both branches FROM conq_suspects ...)
-//! ```
-//!
-//! Otherwise the Candidates are computed in two steps, as `RewriteAgg` has
-//! them — `conq_base`, the satisfying rows, then the `SELECT DISTINCT
-//! Kroot, S` over it — and the violated keys are looked up in those rows.
-//! Where from is the one thing the strategy decides ([`Violated`]): without
-//! annotations each row also carries the key of every non-root relation's
-//! tuple in it (`conq_r<i>k<j>`), looked up in that relation's conflicts;
-//! with them it carries `conq_viol`, 1 when a tuple in it has `cons = 'n'`
-//! (Section 5: the violated set computed offline):
-//!
-//! ```sql
-//! conq_conflicts_<i> AS (
-//!   SELECT Ki FROM Ri GROUP BY Ki HAVING COUNT(*) > 1),      -- per relation
-//! conq_suspect_keys AS (
-//!   SELECT Kroot FROM conq_conflicts
-//!   UNION ALL SELECT B.Kroot FROM conq_base B                  -- per relation
+//! conq_conflicts AS (SELECT Kroot FROM Rroot GROUP BY Kroot HAVING COUNT(*) > 1),
+//! conq_conflicts_<i> AS (SELECT Ki FROM Ri GROUP BY Ki HAVING COUNT(*) > 1),
+//! conq_rest AS (
+//!   SELECT * FROM conq_base B
+//!     WHERE EXISTS (SELECT * FROM conq_conflicts V WHERE B.Kroot = V.Kroot)
+//!   UNION ALL SELECT * FROM conq_base B                        -- per relation
 //!     WHERE EXISTS (SELECT * FROM conq_conflicts_<i> V WHERE B.Ki = V.Ki)),
-//!   -- annotated: SELECT B.Kroot FROM conq_base B WHERE B.conq_viol = 1
-//! conq_suspects AS (
-//!   SELECT Kroot FROM conq_candidates C
-//!   WHERE EXISTS (SELECT * FROM conq_suspect_keys V WHERE C.Kroot = V.Kroot))
+//!   -- annotated: SELECT * FROM conq_base B WHERE B.conq_viol = 1
+//! conq_rest_candidates AS (SELECT DISTINCT Kroot, S FROM conq_rest),
+//! conq_filter AS (... both branches FROM conq_rest_candidates ...)
 //! ```
 //!
-//! No other candidate can be filtered. If no key on any witness of a
-//! candidate is violated — its root key included — every tuple on the
-//! witness is the only one with its key, so the root tuple is the key's
-//! only tuple and each join (to the *full* key of the child) can reach
-//! only the tuple the witness holds: the witness is the candidate's only
-//! join tree. It satisfies every join and every selection, so the first
-//! branch cannot emit the key, and it yields one `S`, so the second cannot
-//! either. One relation is the case with nothing to union. Each
-//! `conq_conflicts*` is a plain `GROUP BY … HAVING` that an engine with an
-//! index on the key answers from the index alone (see
+//! No other candidate can be filtered: if no key on a row's witness is
+//! violated, the witness is its candidate's only join tree, which satisfies
+//! every join and selection and yields one `S`. And a row-level test splits
+//! whole keys, so every row of a key that can be filtered is in
+//! `conq_rest`. Each `conq_conflicts*` is a plain `GROUP BY … HAVING` that
+//! an engine with an index on the key answers from the index alone (see
 //! `conquer_engine::index`); `conq_filter` itself is unchanged, row for
 //! row, and so is every answer.
 
@@ -87,14 +72,15 @@ pub const CONS_COLUMN: &str = "cons";
 pub const CANDIDATES_CTE: &str = "conq_candidates";
 pub const FILTER_CTE: &str = "conq_filter";
 pub const CONFLICTS_CTE: &str = "conq_conflicts";
-pub const SUSPECTS_CTE: &str = "conq_suspects";
-pub const SUSPECT_KEYS_CTE: &str = "conq_suspect_keys";
+pub const REST_CANDIDATES_CTE: &str = "conq_rest_candidates";
 pub(crate) const BASE_CTE: &str = "conq_base";
+pub(crate) const PASS_CTE: &str = "conq_pass";
+pub(crate) const REST_CTE: &str = "conq_rest";
 pub(crate) const BASE_BINDING: &str = "conq_b";
 const CAND_BINDING: &str = "conq_cand";
 const FILTER_BINDING: &str = "conq_f";
-pub(crate) const CONFLICT_BINDING: &str = "conq_v";
-pub(crate) const VIOL: &str = "conq_viol";
+const CONFLICT_BINDING: &str = "conq_v";
+const VIOL: &str = "conq_viol";
 
 /// Options controlling the rewriting.
 #[derive(Debug, Clone, Copy, Default)]
@@ -106,20 +92,6 @@ pub struct RewriteOptions {
     pub annotated: bool,
 }
 
-/// The reusable pieces of a join rewriting; `RewriteAgg` embeds these.
-pub(crate) struct JoinRewriteParts {
-    /// The Candidates CTE, last, after `conq_base` when it reads one.
-    pub candidates: Vec<Cte>,
-    /// The Filter CTE, last, after the CTEs it reads; empty when nothing
-    /// can filter a candidate.
-    pub filter: Vec<Cte>,
-    /// Aliases of the root-key columns inside the candidates CTE.
-    pub key_aliases: Vec<String>,
-    /// Aliases of the projected items inside the candidates CTE, parallel
-    /// to `tq.projection`.
-    pub item_aliases: Vec<String>,
-}
-
 /// Rewrite a tree query without aggregation into a query computing its
 /// consistent answers (Theorem 1).
 pub fn rewrite_join(tq: &TreeQuery, opts: &RewriteOptions) -> Result<Query> {
@@ -128,28 +100,64 @@ pub fn rewrite_join(tq: &TreeQuery, opts: &RewriteOptions) -> Result<Query> {
             "RewriteJoin applies to queries without aggregation; use rewrite() to dispatch".into(),
         ));
     }
-    let parts = build_parts(tq, opts, CANDIDATES_CTE, FILTER_CTE)?;
+    let key_aliases = root_key_aliases(tq);
+    let item_aliases = choose_item_aliases(tq);
+    let items = candidate_items(tq, &key_aliases, &item_aliases);
+    let violated = Violated::of(tq, opts);
+    let mut ctes = Vec::new();
+    let mut filter = Vec::new();
+    let candidates = match &violated {
+        None => Select {
+            distinct: true,
+            ..original_select(tq, items)
+        },
+        Some(violated) => {
+            // The Candidates of Figure 5 in two steps, as `RewriteAgg` has
+            // them: the satisfying rows with what "violated" is read by,
+            // then the DISTINCT (key, S) pairs; the Filter reads those of
+            // the rows split off into `conq_rest`.
+            let mut base = original_select(tq, items);
+            base.projection.extend(base_items(tq, violated));
+            ctes.push(Cte {
+                name: BASE_CTE.to_string(),
+                query: Query::from_select(base),
+            });
+            let aliases: Vec<String> = key_aliases.iter().chain(&item_aliases).cloned().collect();
+            filter = split_ctes(tq, violated, None);
+            filter.push(Cte {
+                name: REST_CANDIDATES_CTE.to_string(),
+                query: Query::from_select(distinct_from(REST_CTE, &aliases)),
+            });
+            filter.push(build_filter(
+                tq,
+                REST_CANDIDATES_CTE,
+                FILTER_CTE,
+                &key_aliases,
+            ));
+            distinct_from(BASE_CTE, &aliases)
+        }
+    };
+    ctes.push(Cte {
+        name: CANDIDATES_CTE.to_string(),
+        query: Query::from_select(candidates),
+    });
+    ctes.extend(filter);
 
     let projection = tq
         .projection
         .iter()
-        .zip(&parts.item_aliases)
+        .zip(&item_aliases)
         .map(|(item, alias)| {
             SelectItem::aliased(Expr::col(CAND_BINDING, alias.clone()), item.name())
         })
         .collect();
-    let selection =
-        (!parts.filter.is_empty()).then(|| not_exists_filter(FILTER_CTE, &parts.key_aliases));
-
-    let mut ctes = parts.candidates;
-    ctes.extend(parts.filter);
     Ok(Query {
         ctes,
         body: SetExpr::Select(Box::new(Select {
             distinct: tq.distinct,
             projection,
             from: vec![TableRef::aliased(CANDIDATES_CTE, CAND_BINDING)],
-            selection,
+            selection: violated.map(|_| not_exists_filter(FILTER_CTE, &key_aliases)),
             group_by: Vec::new(),
             having: None,
         })),
@@ -158,68 +166,31 @@ pub fn rewrite_join(tq: &TreeQuery, opts: &RewriteOptions) -> Result<Query> {
     })
 }
 
-/// Build the Candidates and Filter CTEs of `RewriteJoin`. (`RewriteAgg`
-/// has its own Candidates over `conq_base` and shares [`build_filter`].)
-pub(crate) fn build_parts(
-    tq: &TreeQuery,
-    opts: &RewriteOptions,
-    cand_name: &str,
-    filter_name: &str,
-) -> Result<JoinRewriteParts> {
-    for item in &tq.projection {
-        if matches!(item, ProjItem::Aggregate { .. }) {
-            return Err(RewriteError::Unsupported(
-                "aggregates inside the join rewriting".into(),
-            ));
-        }
-    }
-    let key_aliases: Vec<String> = (1..=tq.relations[tq.root].key.len())
+/// `conq_k1, conq_k2, ...`: the root key's aliases in every CTE.
+pub(crate) fn root_key_aliases(tq: &TreeQuery) -> Vec<String> {
+    (1..=tq.relations[tq.root].key.len())
         .map(|i| format!("conq_k{i}"))
-        .collect();
-    let item_aliases = choose_item_aliases(tq);
-
-    let violated = Violated::of(tq, opts);
-    let mut select = candidates_select(tq, &key_aliases, &item_aliases);
-    let mut candidates = Vec::new();
-    let base_items = base_items(tq, violated.as_ref());
-    if !base_items.is_empty() {
-        // The Candidates of Figure 5 in two steps, as `RewriteAgg` has
-        // them: the satisfying rows with what their suspects are found by,
-        // then the DISTINCT (key, S) pairs.
-        select.distinct = false;
-        select.projection.extend(base_items);
-        candidates.push(Cte {
-            name: BASE_CTE.to_string(),
-            query: Query::from_select(select),
-        });
-        let aliases: Vec<String> = key_aliases.iter().chain(&item_aliases).cloned().collect();
-        select = distinct_from(BASE_CTE, &aliases);
-    }
-    candidates.push(Cte {
-        name: cand_name.to_string(),
-        query: Query::from_select(select),
-    });
-
-    let filter = violated.map_or_else(Vec::new, |v| {
-        build_filter(tq, Some(&v), cand_name, filter_name, &key_aliases)
-    });
-
-    Ok(JoinRewriteParts {
-        candidates,
-        filter,
-        key_aliases,
-        item_aliases,
-    })
+        .collect()
 }
 
 /// Pick collision-free aliases for projected items inside the candidates
 /// CTE: the output name when it is safe and unique, `conq_s{i}` otherwise.
+/// A column the selection reads by its bare name is not safe: the Filter
+/// joins the candidates back to the relation, where the name would be
+/// ambiguous.
 pub(crate) fn choose_item_aliases(tq: &TreeQuery) -> Vec<String> {
+    let bare: Vec<&ColumnRef> = tq
+        .selection
+        .iter()
+        .flat_map(Expr::column_refs)
+        .filter(|c| c.qualifier.is_none())
+        .collect();
     let mut aliases: Vec<String> = Vec::new();
     for (i, item) in tq.projection.iter().enumerate() {
         let name = item.name().to_ascii_lowercase();
         let safe = !name.starts_with("conq_")
             && !aliases.contains(&name)
+            && !bare.iter().any(|c| c.name.eq_ignore_ascii_case(&name))
             && name.chars().next().is_some_and(|c| c.is_ascii_lowercase())
             && name
                 .chars()
@@ -233,70 +204,64 @@ pub(crate) fn choose_item_aliases(tq: &TreeQuery) -> Vec<String> {
     aliases
 }
 
-/// The original query's FROM clause, reconstructed as a comma list.
-pub(crate) fn original_from(tq: &TreeQuery) -> Vec<TableRef> {
-    tq.relations
-        .iter()
-        .map(|r| {
-            if r.binding == r.table {
-                TableRef::table(r.table.clone())
-            } else {
-                TableRef::aliased(r.table.clone(), r.binding.clone())
-            }
-        })
-        .collect()
-}
-
-/// The original query's WHERE clause: joins plus selections.
-pub(crate) fn original_where(tq: &TreeQuery) -> Option<Expr> {
-    Expr::conjoin(tq.join_conjuncts.iter().chain(&tq.selection).cloned())
-}
-
-/// The `Candidates` select block: the original query with DISTINCT and the
-/// root-key attributes added (Figure 5).
-fn candidates_select(tq: &TreeQuery, key_aliases: &[String], item_aliases: &[String]) -> Select {
-    let keys = tq.root_key_columns().into_iter().map(Expr::Column);
-    let items = tq.projection.iter().map(|item| match item {
-        ProjItem::Plain { expr, .. } => expr.clone(),
-        ProjItem::Aggregate { .. } => unreachable!("checked in build_parts"),
-    });
+/// `SELECT <projection>` over the original query's FROM (a comma list)
+/// and WHERE (joins plus selections).
+pub(crate) fn original_select(tq: &TreeQuery, projection: Vec<SelectItem>) -> Select {
     Select {
-        distinct: true,
-        projection: keys
-            .chain(items)
-            .zip(key_aliases.iter().chain(item_aliases))
-            .map(|(expr, alias)| SelectItem::aliased(expr, alias.clone()))
+        distinct: false,
+        projection,
+        from: (0..tq.relations.len())
+            .map(|rel| relation_ref(tq, rel))
             .collect(),
-        from: original_from(tq),
-        selection: original_where(tq),
+        selection: Expr::conjoin(tq.join_conjuncts.iter().chain(&tq.selection).cloned()),
         group_by: Vec::new(),
         having: None,
     }
 }
 
-/// The key of one relation of the query as a CTE carries it: the columns
-/// and their aliases — `conq_r<rel>k<j>` in `conq_base` for a non-root
-/// relation, the candidates' `conq_k<j>` for the root.
+/// The Candidates' columns: the root-key attributes, then the projected
+/// items (Figure 5).
+fn candidate_items(
+    tq: &TreeQuery,
+    key_aliases: &[String],
+    item_aliases: &[String],
+) -> Vec<SelectItem> {
+    let keys = tq.root_key_columns().into_iter().map(Expr::Column);
+    let items = tq.projection.iter().map(|item| match item {
+        ProjItem::Plain { expr, .. } => expr.clone(),
+        ProjItem::Aggregate { .. } => unreachable!("checked in rewrite_join"),
+    });
+    keys.chain(items)
+        .zip(key_aliases.iter().chain(item_aliases))
+        .map(|(expr, alias)| SelectItem::aliased(expr, alias.clone()))
+        .collect()
+}
+
+/// The key of one relation of the query as `conq_base` carries it: the
+/// columns, their aliases — the candidates' `conq_k<j>` for the root,
+/// `conq_r<rel>k<j>` for any other relation — and the CTE of its
+/// violated values.
 pub(crate) struct WitnessKey {
     rel: usize,
     columns: Vec<ColumnRef>,
     aliases: Vec<String>,
+    conflicts: String,
 }
 
 /// Where a rewriting reads which keys are violated — the one thing
-/// [`RewriteOptions::annotated`] decides. Both name the same suspects: a
+/// [`RewriteOptions::annotated`] decides. Both split `conq_base` alike: a
 /// tuple's `cons` is `'n'` exactly when its key is violated.
 pub(crate) enum Violated {
     /// The conflict CTEs (`GROUP BY K HAVING COUNT(*) > 1`, which a key
-    /// index answers), looked up through the non-root keys `conq_base`
-    /// carries.
+    /// index answers), one per relation, the root's first, looked up
+    /// through the keys `conq_base` carries.
     Conflicts(Vec<WitnessKey>),
     /// `conq_base`'s [`VIOL`]: 1 when a tuple of the row has `cons = 'n'`.
     Annotated,
 }
 
 impl Violated {
-    /// `None` when the query has no Filter, so no candidate is suspect.
+    /// `None` when the query has no Filter, so `conq_base` is not split.
     pub(crate) fn of(tq: &TreeQuery, opts: &RewriteOptions) -> Option<Self> {
         if !(needs_join_branch(tq) || needs_multiplicity_branch(tq)) {
             return None;
@@ -309,11 +274,18 @@ impl Violated {
     }
 }
 
-/// The non-root keys (with one relation: none — the root key is already a
-/// candidate column).
+/// Every relation's key, the root's first.
 fn witness_keys(tq: &TreeQuery) -> Vec<WitnessKey> {
-    let relations = tq.relations.iter().enumerate();
-    relations
+    let root = WitnessKey {
+        rel: tq.root,
+        columns: tq.root_key_columns(),
+        aliases: root_key_aliases(tq),
+        conflicts: CONFLICTS_CTE.to_string(),
+    };
+    let others = tq
+        .relations
+        .iter()
+        .enumerate()
         .filter(|(rel, _)| *rel != tq.root)
         .map(|(rel, r)| WitnessKey {
             rel,
@@ -325,26 +297,27 @@ fn witness_keys(tq: &TreeQuery) -> Vec<WitnessKey> {
             aliases: (1..=r.key.len())
                 .map(|j| format!("conq_r{rel}k{j}"))
                 .collect(),
-        })
-        .collect()
+            conflicts: format!("{CONFLICTS_CTE}_{rel}"),
+        });
+    std::iter::once(root).chain(others).collect()
 }
 
-/// The columns `conq_base` carries for the Filter to find its suspects by,
-/// after the candidates' own: the witness keys, or the [`VIOL`] flag
+/// The columns `conq_base` carries for its split, after the candidates'
+/// own: the non-root keys, or the [`VIOL`] flag
 /// `CASE WHEN R1.cons = 'n' OR ... THEN 1 ELSE 0 END`.
-pub(crate) fn base_items(tq: &TreeQuery, violated: Option<&Violated>) -> Vec<SelectItem> {
+pub(crate) fn base_items(tq: &TreeQuery, violated: &Violated) -> Vec<SelectItem> {
     match violated {
-        None => Vec::new(),
-        Some(Violated::Conflicts(witness)) => witness
-            .iter()
-            .flat_map(|w| {
-                w.columns
-                    .iter()
-                    .zip(&w.aliases)
-                    .map(|(c, alias)| SelectItem::aliased(Expr::Column(c.clone()), alias.clone()))
-            })
-            .collect(),
-        Some(Violated::Annotated) => {
+        Violated::Conflicts(keys) => {
+            keys.iter()
+                .filter(|w| w.rel != tq.root)
+                .flat_map(|w| {
+                    w.columns.iter().zip(&w.aliases).map(|(c, alias)| {
+                        SelectItem::aliased(Expr::Column(c.clone()), alias.clone())
+                    })
+                })
+                .collect()
+        }
+        Violated::Annotated => {
             let any_inconsistent =
                 Expr::disjoin(tq.relations.iter().map(|r| {
                     Expr::eq(Expr::col(r.binding.clone(), CONS_COLUMN), Expr::string("n"))
@@ -359,14 +332,73 @@ pub(crate) fn base_items(tq: &TreeQuery, violated: Option<&Violated>) -> Vec<Sel
     }
 }
 
-/// `conq_b.conq_viol = <v>`.
-pub(crate) fn viol_is(v: i64) -> Expr {
-    Expr::eq(Expr::col(BASE_BINDING, VIOL), Expr::int(v))
+/// The CTEs that split `conq_base` (DESIGN.md §2.3), in order:
+///
+/// * (plain only) each relation's violated keys, [`CONFLICTS_CTE`] for the
+///   root and `conq_conflicts_<rel>` for the others;
+/// * [`PASS_CTE`] with `pass`'s columns, when given: the rows no key on
+///   whose witness is violated — a `NOT EXISTS` per relation, or
+///   `conq_viol = 0` when annotated;
+/// * [`REST_CTE`]: every other row — one `EXISTS` member per relation
+///   (a row with two violated keys appears twice: every reader takes
+///   DISTINCT or a per-key MIN/MAX), or `conq_viol = 1`.
+pub(crate) fn split_ctes(
+    tq: &TreeQuery,
+    violated: &Violated,
+    pass: Option<Vec<SelectItem>>,
+) -> Vec<Cte> {
+    let base_rows = |projection, selection| Select {
+        distinct: false,
+        projection,
+        from: vec![TableRef::aliased(BASE_CTE, BASE_BINDING)],
+        selection: Some(selection),
+        group_by: Vec::new(),
+        having: None,
+    };
+    let viol_is = |v| Expr::eq(Expr::col(BASE_BINDING, VIOL), Expr::int(v));
+    let mut ctes = Vec::new();
+    let (pass_when, rest) = match violated {
+        Violated::Annotated => (
+            viol_is(0),
+            Query::from_select(base_rows(vec![SelectItem::Wildcard], viol_is(1))),
+        ),
+        Violated::Conflicts(keys) => {
+            let mut unviolated = Vec::new();
+            let mut members = Vec::new();
+            for w in keys {
+                ctes.push(Cte {
+                    name: w.conflicts.clone(),
+                    query: Query::from_select(conflicts_select(tq, w)),
+                });
+                let conflict = key_match(BASE_BINDING, &w.conflicts, CONFLICT_BINDING, &w.aliases);
+                unviolated.push(Expr::not_exists(conflict.clone()));
+                members.push(base_rows(
+                    vec![SelectItem::Wildcard],
+                    Expr::exists(conflict),
+                ));
+            }
+            (
+                Expr::conjoin(unviolated).expect("the root's key"),
+                union_all(members.into_iter()).expect("the root's member"),
+            )
+        }
+    };
+    if let Some(projection) = pass {
+        ctes.push(Cte {
+            name: PASS_CTE.to_string(),
+            query: Query::from_select(base_rows(projection, pass_when)),
+        });
+    }
+    ctes.push(Cte {
+        name: REST_CTE.to_string(),
+        query: rest,
+    });
+    ctes
 }
 
 /// `SELECT DISTINCT conq_b.a AS a, ... FROM <cte> conq_b`: the Candidates,
-/// read off the satisfying rows (`conq_base`, or the part of it `RewriteAgg`
-/// runs its per-key CTEs over).
+/// read off the satisfying rows (`conq_base`, or `conq_rest` for the
+/// Filter's).
 pub(crate) fn distinct_from(cte: &str, aliases: &[String]) -> Select {
     Select {
         distinct: true,
@@ -394,39 +426,23 @@ fn needs_multiplicity_branch(tq: &TreeQuery) -> bool {
     !tq.projection_within_root_key()
 }
 
-/// Build the Filter CTE `filter_name` — the outer-join branch plus the
-/// multiplicity branch, either of which may be unnecessary, but not both
-/// ([`Violated::of`]) — preceded by the CTEs it reads.
-///
-/// Both branches read the candidates `cand_name`. Only those some witness
-/// of which holds a tuple with a violated key can be filtered (see the
-/// module docs), so the branches read just those, the *suspects*, found
-/// as `violated` says — unless it is `None`: every candidate already has a
-/// violated key (the single-relation split of `RewriteAgg`).
+/// The Filter CTE `filter_name` over the candidates `cand_name`: the
+/// outer-join branch plus the multiplicity branch, either of which may be
+/// unnecessary, but not both ([`Violated::of`]).
 pub(crate) fn build_filter(
     tq: &TreeQuery,
-    violated: Option<&Violated>,
     cand_name: &str,
     filter_name: &str,
     key_aliases: &[String],
-) -> Vec<Cte> {
-    let source = if violated.is_some() {
-        SUSPECTS_CTE
-    } else {
-        cand_name
-    };
-    let join_branch = needs_join_branch(tq).then(|| filter_join_branch(tq, source, key_aliases));
+) -> Cte {
+    let join_branch = needs_join_branch(tq).then(|| filter_join_branch(tq, cand_name, key_aliases));
     let multiplicity_branch =
-        needs_multiplicity_branch(tq).then(|| filter_multiplicity_branch(source, key_aliases));
-    let body = union_all([join_branch, multiplicity_branch].into_iter().flatten())
-        .expect("a query with a Filter needs a branch");
-
-    let mut ctes = violated.map_or_else(Vec::new, |v| suspects_ctes(tq, v, cand_name, key_aliases));
-    ctes.push(Cte {
+        needs_multiplicity_branch(tq).then(|| filter_multiplicity_branch(cand_name, key_aliases));
+    Cte {
         name: filter_name.to_string(),
-        query: body,
-    });
-    ctes
+        query: union_all([join_branch, multiplicity_branch].into_iter().flatten())
+            .expect("a query with a Filter needs a branch"),
+    }
 }
 
 /// `a UNION ALL b UNION ALL ...` as a query; `None` of no branches.
@@ -440,98 +456,6 @@ fn union_all(branches: impl Iterator<Item = Select>) -> Option<Query> {
         order_by: Vec::new(),
         limit: None,
     })
-}
-
-/// [`SUSPECTS_CTE`] and what it reads: the root keys of `conq_base`'s rows
-/// with [`VIOL`] set ([`SUSPECT_KEYS_CTE`], annotated), or the violated
-/// keys of every relation (`conq_conflicts` for the root,
-/// `conq_conflicts_<rel>` for the others) and, with more relations than
-/// one, [`SUSPECT_KEYS_CTE`]: the root keys those reach through
-/// `conq_base`'s witnesses.
-fn suspects_ctes(
-    tq: &TreeQuery,
-    violated: &Violated,
-    cand_name: &str,
-    key_aliases: &[String],
-) -> Vec<Cte> {
-    let base_keys = |selection| Select {
-        distinct: false,
-        projection: aliased_columns(BASE_BINDING, key_aliases),
-        from: vec![TableRef::aliased(BASE_CTE, BASE_BINDING)],
-        selection: Some(selection),
-        group_by: Vec::new(),
-        having: None,
-    };
-    let mut ctes = Vec::new();
-    let suspect_keys = match violated {
-        Violated::Annotated => Some(Query::from_select(base_keys(viol_is(1)))),
-        Violated::Conflicts(witness) => {
-            ctes.push(root_conflicts(tq, key_aliases));
-            let mut members = vec![Select {
-                distinct: false,
-                projection: key_aliases
-                    .iter()
-                    .map(|alias| SelectItem::expr(Expr::bare_col(alias.clone())))
-                    .collect(),
-                from: vec![TableRef::table(CONFLICTS_CTE)],
-                selection: None,
-                group_by: Vec::new(),
-                having: None,
-            }];
-            for w in witness {
-                let name = format!("{CONFLICTS_CTE}_{}", w.rel);
-                let conflict = key_match(BASE_BINDING, &name, CONFLICT_BINDING, &w.aliases);
-                members.push(base_keys(Expr::exists(conflict)));
-                ctes.push(Cte {
-                    name,
-                    query: Query::from_select(conflicts_select(tq, w)),
-                });
-            }
-            (!witness.is_empty())
-                .then(|| union_all(members.into_iter()).expect("the root's member"))
-        }
-    };
-    let violated_keys = match suspect_keys {
-        Some(query) => {
-            ctes.push(Cte {
-                name: SUSPECT_KEYS_CTE.to_string(),
-                query,
-            });
-            SUSPECT_KEYS_CTE
-        }
-        None => CONFLICTS_CTE,
-    };
-    ctes.push(Cte {
-        name: SUSPECTS_CTE.to_string(),
-        query: Query::from_select(Select {
-            distinct: false,
-            projection: aliased_columns(CAND_BINDING, key_aliases),
-            from: vec![TableRef::aliased(cand_name, CAND_BINDING)],
-            selection: Some(Expr::exists(key_match(
-                CAND_BINDING,
-                violated_keys,
-                CONFLICT_BINDING,
-                key_aliases,
-            ))),
-            group_by: Vec::new(),
-            having: None,
-        }),
-    });
-    ctes
-}
-
-/// [`CONFLICTS_CTE`]: the root's violated keys, under the candidates' key
-/// aliases.
-pub(crate) fn root_conflicts(tq: &TreeQuery, key_aliases: &[String]) -> Cte {
-    let root = WitnessKey {
-        rel: tq.root,
-        columns: tq.root_key_columns(),
-        aliases: key_aliases.to_vec(),
-    };
-    Cte {
-        name: CONFLICTS_CTE.to_string(),
-        query: Query::from_select(conflicts_select(tq, &root)),
-    }
 }
 
 /// The violated keys of one relation:
@@ -622,7 +546,7 @@ fn filter_multiplicity_branch(cand_name: &str, key_aliases: &[String]) -> Select
 }
 
 /// `NOT EXISTS (SELECT * FROM <filter> conq_f WHERE conq_cand.k = conq_f.k ...)`.
-pub(crate) fn not_exists_filter(filter_name: &str, key_aliases: &[String]) -> Expr {
+fn not_exists_filter(filter_name: &str, key_aliases: &[String]) -> Expr {
     Expr::not_exists(key_match(
         CAND_BINDING,
         filter_name,

@@ -131,20 +131,30 @@ fn explain_analyze_lists_the_materialized_ctes() {
         .unwrap();
     let headers: Vec<&str> = text.lines().filter(|l| l.starts_with("CTE ")).collect();
     // `conq_conflicts` is answered by the key index and never materialized:
-    // it shows as the build side of `conq_suspects`' semi join.
+    // it shows as the build side of `conq_rest`'s semi join.
     let names: Vec<&str> = headers
         .iter()
         .map(|l| l.split_whitespace().nth(1).unwrap())
         .collect();
-    assert_eq!(names, ["conq_candidates", "conq_suspects", "conq_filter"]);
+    assert_eq!(
+        names,
+        [
+            "conq_base",
+            "conq_candidates",
+            "conq_rest",
+            "conq_rest_candidates",
+            "conq_filter"
+        ]
+    );
     for header in &headers {
         assert!(
             header.contains("(rows=") && header.contains("wall=") && header.contains("est_cost="),
             "{header}"
         );
     }
-    assert!(headers[0].contains("(rows=4 "), "{text}"); // (1,eng) (2,eng) (3,ops) (3,sales)
-    assert!(headers[1].contains("(rows=3 "), "{text}"); // keys 1 and 3 are violated
+    assert!(headers[1].contains("(rows=4 "), "{text}"); // (1,eng) (2,eng) (3,ops) (3,sales)
+    assert!(headers[2].contains("(rows=4 "), "{text}"); // keys 1 and 3 are violated
+    assert!(headers[3].contains("(rows=3 "), "{text}"); // (1,eng) (3,ops) (3,sales)
     assert!(text.contains("access=index(id conflicts)"), "{text}");
     // CTE blocks are indented under their header; the body follows, its
     // root flush left.
@@ -168,10 +178,10 @@ fn explain_analyze_lists_the_materialized_ctes() {
         panic!("not an array: {}", json.render())
     };
     assert_eq!(
-        entries[0].get("rows_out"),
+        entries[1].get("rows_out"),
         Some(&conquer_obs::Json::UInt(4))
     );
-    assert!(entries[0].get("plan").is_some() && entries[0].get("est_cost").is_some());
+    assert!(entries[1].get("plan").is_some() && entries[1].get("est_cost").is_some());
     // Asked for nothing, the planner records nothing — and the body is the
     // same plan either way.
     let (_, plain_plan, plain_stats) = db.execute_query_traced(&rewritten, &options).unwrap();

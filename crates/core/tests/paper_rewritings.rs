@@ -262,9 +262,9 @@ fn example9_annotated_rewriting_structure() {
     )
     .unwrap();
     // Section 5's annotations say which keys are violated: each satisfying
-    // row carries its tuples' `cons = 'n'` disjunction, and the suspects are
-    // the candidates of its rows with the flag set. From there on the
-    // Filter is the plain rewriting's (Figure 5 over `conq_suspects`).
+    // row carries its tuples' `cons = 'n'` disjunction, and the rows with
+    // the flag set are `conq_rest`, whose candidates are the suspects. From
+    // there on the Filter is the plain rewriting's (Figure 5 over them).
     let ctes = ctes(&sql);
     assert_eq!(
         ctes[..4],
@@ -274,23 +274,20 @@ fn example9_annotated_rewriting_structure() {
              FROM customer c, orders o WHERE o.custfk = c.custkey AND c.acctbal > 1000)",
             "conq_candidates AS (SELECT DISTINCT conq_b.conq_k1 AS conq_k1, \
              conq_b.orderkey AS orderkey FROM conq_base conq_b)",
-            "conq_suspect_keys AS (SELECT conq_b.conq_k1 AS conq_k1 FROM conq_base conq_b \
-             WHERE conq_b.conq_viol = 1)",
-            "conq_suspects AS (SELECT conq_cand.conq_k1 AS conq_k1 \
-             FROM conq_candidates conq_cand \
-             WHERE EXISTS (SELECT * FROM conq_suspect_keys conq_v \
-             WHERE conq_cand.conq_k1 = conq_v.conq_k1))",
+            "conq_rest AS (SELECT * FROM conq_base conq_b WHERE conq_b.conq_viol = 1)",
+            "conq_rest_candidates AS (SELECT DISTINCT conq_b.conq_k1 AS conq_k1, \
+             conq_b.orderkey AS orderkey FROM conq_rest conq_b)",
         ]
     );
     assert_eq!(ctes.len(), 5, "{sql}");
     assert!(
         ctes[4].starts_with(
-            "conq_filter AS (SELECT conq_cand.conq_k1 AS conq_k1 FROM conq_suspects conq_cand \
-             JOIN orders o ON"
+            "conq_filter AS (SELECT conq_cand.conq_k1 AS conq_k1 \
+             FROM conq_rest_candidates conq_cand JOIN orders o ON"
         ),
         "{sql}"
     );
-    for absent in ["conq_conflicts", "conq_conscand", "conq_r0k1"] {
+    for absent in ["conq_conflicts", "conq_conscand", "conq_r0k1", "conq_pass"] {
         assert!(!sql.contains(absent), "{absent} in:\n{sql}");
     }
 }
@@ -360,8 +357,8 @@ fn single_relation_filter_reads_the_suspects() {
     let sigma = ConstraintSet::new().with_key("customer", ["custkey"]);
     let plain = RewriteOptions::default();
     // Both branches (a selection, a projection beyond the key) over an
-    // aliased relation: two CTEs ahead of the Filter, and every Filter
-    // branch reads the second.
+    // aliased relation: `conq_rest` holds the violated keys' rows, and
+    // every Filter branch reads their candidates.
     let sql = rewrite_sql(
         "select c.acctbal from customer c where c.acctbal > 1000",
         &sigma,
@@ -371,20 +368,21 @@ fn single_relation_filter_reads_the_suspects() {
     for piece in [
         "conq_conflicts AS (SELECT c.custkey AS conq_k1 FROM customer c \
          GROUP BY c.custkey HAVING count(*) > 1)",
-        "conq_suspects AS (SELECT conq_cand.conq_k1 AS conq_k1 FROM conq_candidates conq_cand \
+        "conq_rest AS (SELECT * FROM conq_base conq_b \
          WHERE EXISTS (SELECT * FROM conq_conflicts conq_v \
-         WHERE conq_cand.conq_k1 = conq_v.conq_k1))",
-        "FROM conq_suspects conq_cand JOIN customer c ON conq_cand.conq_k1 = c.custkey",
-        "UNION ALL SELECT conq_k1 FROM conq_suspects GROUP BY conq_k1 HAVING count(*) > 1",
+         WHERE conq_b.conq_k1 = conq_v.conq_k1))",
+        "conq_rest_candidates AS (SELECT DISTINCT conq_b.conq_k1 AS conq_k1, \
+         conq_b.acctbal AS acctbal FROM conq_rest conq_b)",
+        "FROM conq_rest_candidates conq_cand JOIN customer c ON conq_cand.conq_k1 = c.custkey",
+        "UNION ALL SELECT conq_k1 FROM conq_rest_candidates GROUP BY conq_k1 HAVING count(*) > 1",
         "NOT EXISTS (SELECT * FROM conq_filter",
     ] {
         assert!(sql.contains(piece), "missing {piece:?} in:\n{sql}");
     }
     parse_query(&sql).unwrap();
 
-    // RewriteAgg's split reads q_G's candidates off the violated keys' rows
-    // (`conq_rest`) alone, so under either strategy its Filter reads them as
-    // they are: no suspects.
+    // RewriteAgg's Filter reads q_G's candidates, read off `conq_rest`
+    // under either strategy.
     let annotated = RewriteOptions { annotated: true };
     for opts in [plain, annotated] {
         let sql = rewrite_sql(
@@ -405,19 +403,18 @@ fn single_relation_filter_reads_the_suspects() {
         ] {
             assert!(sql.contains(piece), "missing {piece:?} in:\n{sql}");
         }
-        assert!(!sql.contains("conq_suspects"), "{sql}");
     }
 
     // Nothing to filter, nothing to precompute, under either strategy.
     for opts in [plain, annotated] {
         let sql = rewrite_sql("select custkey from customer", &sigma, &opts).unwrap();
-        for absent in ["conq_conflicts", "conq_suspect", "conq_base", "conq_viol"] {
+        for absent in ["conq_conflicts", "conq_rest", "conq_base", "conq_viol"] {
             assert!(!sql.contains(absent), "{absent} in:\n{sql}");
         }
     }
 
-    // Annotated, the Filter reads the suspects just the same, found by the
-    // flag `conq_base` carries instead of by the conflicts.
+    // Annotated, `conq_rest` is the rows whose flag is set, and the Filter
+    // reads their candidates just the same.
     let sql = rewrite_sql(
         "select acctbal from customer where acctbal > 1000",
         &sigma,
@@ -427,16 +424,15 @@ fn single_relation_filter_reads_the_suspects() {
     assert!(!sql.contains("conq_conflicts"), "{sql}");
     for piece in [
         "CASE WHEN customer.cons = 'n' THEN 1 ELSE 0 END AS conq_viol FROM customer",
-        "conq_suspect_keys AS (SELECT conq_b.conq_k1 AS conq_k1 FROM conq_base conq_b \
-         WHERE conq_b.conq_viol = 1)",
-        "FROM conq_suspects conq_cand JOIN customer ON conq_cand.conq_k1 = customer.custkey",
-        "UNION ALL SELECT conq_k1 FROM conq_suspects GROUP BY conq_k1 HAVING count(*) > 1",
+        "conq_rest AS (SELECT * FROM conq_base conq_b WHERE conq_b.conq_viol = 1)",
+        "FROM conq_rest_candidates conq_cand JOIN customer \
+         ON conq_cand.conq_k1 = customer.custkey",
+        "UNION ALL SELECT conq_k1 FROM conq_rest_candidates GROUP BY conq_k1 HAVING count(*) > 1",
     ] {
         assert!(sql.contains(piece), "missing {piece:?} in:\n{sql}");
     }
 
-    // One relation is the one-member case of the suspects' union: the text
-    // of PR 16, to the byte.
+    // One relation is the one-member case of `conq_rest`'s union.
     let sql = rewrite_sql(
         "select custkey from customer where acctbal > 1000",
         &sigma,
@@ -445,14 +441,19 @@ fn single_relation_filter_reads_the_suspects() {
     .unwrap();
     assert_eq!(
         sql,
-        "WITH conq_candidates AS (SELECT DISTINCT customer.custkey AS conq_k1, \
-         custkey AS custkey FROM customer WHERE acctbal > 1000), \
+        "WITH conq_base AS (SELECT customer.custkey AS conq_k1, custkey AS custkey \
+         FROM customer WHERE acctbal > 1000), \
+         conq_candidates AS (SELECT DISTINCT conq_b.conq_k1 AS conq_k1, \
+         conq_b.custkey AS custkey FROM conq_base conq_b), \
          conq_conflicts AS (SELECT customer.custkey AS conq_k1 FROM customer \
          GROUP BY customer.custkey HAVING count(*) > 1), \
-         conq_suspects AS (SELECT conq_cand.conq_k1 AS conq_k1 FROM conq_candidates conq_cand \
+         conq_rest AS (SELECT * FROM conq_base conq_b \
          WHERE EXISTS (SELECT * FROM conq_conflicts conq_v \
-         WHERE conq_cand.conq_k1 = conq_v.conq_k1)), \
-         conq_filter AS (SELECT conq_cand.conq_k1 AS conq_k1 FROM conq_suspects conq_cand \
+         WHERE conq_b.conq_k1 = conq_v.conq_k1)), \
+         conq_rest_candidates AS (SELECT DISTINCT conq_b.conq_k1 AS conq_k1, \
+         conq_b.custkey AS custkey FROM conq_rest conq_b), \
+         conq_filter AS (SELECT conq_cand.conq_k1 AS conq_k1 \
+         FROM conq_rest_candidates conq_cand \
          JOIN customer ON conq_cand.conq_k1 = customer.custkey \
          WHERE NOT coalesce(acctbal > 1000, FALSE)) \
          SELECT conq_cand.custkey AS custkey FROM conq_candidates conq_cand \
@@ -461,7 +462,7 @@ fn single_relation_filter_reads_the_suspects() {
     );
 }
 
-// --- more relations: suspects are found through the witnesses' keys -------------
+// --- more relations: `conq_rest` is found through the witnesses' keys ----------
 
 /// The CTEs of `sql`, `name AS (body)` each, in order.
 fn ctes(sql: &str) -> Vec<String> {
@@ -476,8 +477,9 @@ fn ctes(sql: &str) -> Vec<String> {
 #[test]
 fn two_relation_filter_reads_the_suspects_of_both_relations() {
     // Example 4's query: `conq_base` keeps each satisfying row's customer
-    // key beside the Candidates' columns; a candidate is a suspect when its
-    // order key is violated or one of its rows holds a violated customer.
+    // key beside the Candidates' columns; a row is in `conq_rest` when its
+    // order key is violated or it holds a violated customer, once per
+    // violated key.
     let sql = rewrite_sql(
         "select o.clerk from customer c, orders o
          where c.acctbal > 1000 and o.custfk = c.custkey",
@@ -497,19 +499,21 @@ fn two_relation_filter_reads_the_suspects_of_both_relations() {
              GROUP BY o.orderkey HAVING count(*) > 1)",
             "conq_conflicts_0 AS (SELECT c.custkey AS conq_r0k1 FROM customer c \
              GROUP BY c.custkey HAVING count(*) > 1)",
-            "conq_suspect_keys AS (SELECT conq_k1 FROM conq_conflicts \
-             UNION ALL SELECT conq_b.conq_k1 AS conq_k1 FROM conq_base conq_b \
+            "conq_rest AS (SELECT * FROM conq_base conq_b \
+             WHERE EXISTS (SELECT * FROM conq_conflicts conq_v \
+             WHERE conq_b.conq_k1 = conq_v.conq_k1) \
+             UNION ALL SELECT * FROM conq_base conq_b \
              WHERE EXISTS (SELECT * FROM conq_conflicts_0 conq_v \
              WHERE conq_b.conq_r0k1 = conq_v.conq_r0k1))",
-            "conq_suspects AS (SELECT conq_cand.conq_k1 AS conq_k1 \
-             FROM conq_candidates conq_cand \
-             WHERE EXISTS (SELECT * FROM conq_suspect_keys conq_v \
-             WHERE conq_cand.conq_k1 = conq_v.conq_k1))",
-            "conq_filter AS (SELECT conq_cand.conq_k1 AS conq_k1 FROM conq_suspects conq_cand \
+            "conq_rest_candidates AS (SELECT DISTINCT conq_b.conq_k1 AS conq_k1, \
+             conq_b.clerk AS clerk FROM conq_rest conq_b)",
+            "conq_filter AS (SELECT conq_cand.conq_k1 AS conq_k1 \
+             FROM conq_rest_candidates conq_cand \
              JOIN orders o ON conq_cand.conq_k1 = o.orderkey \
              LEFT OUTER JOIN customer c ON o.custfk = c.custkey \
              WHERE c.custkey IS NULL OR NOT coalesce(c.acctbal > 1000, FALSE) \
-             UNION ALL SELECT conq_k1 FROM conq_suspects GROUP BY conq_k1 HAVING count(*) > 1)",
+             UNION ALL SELECT conq_k1 FROM conq_rest_candidates \
+             GROUP BY conq_k1 HAVING count(*) > 1)",
         ]
     );
     // The answers are Example 4's (checked above); the body is Figure 5's.
@@ -544,16 +548,16 @@ fn four_relation_aggregate_reads_the_suspects_of_every_relation() {
         names,
         [
             "conq_base",
-            "conq_qg_candidates",
             "conq_conflicts",
             "conq_conflicts_1",
             "conq_conflicts_2",
             "conq_conflicts_3",
-            "conq_suspect_keys",
-            "conq_suspects",
+            "conq_pass",
+            "conq_rest",
+            "conq_qg_candidates",
             "conq_qg_filter",
-            "conq_qg_cons",
             "conq_unfiltered",
+            "conq_qg_cons",
             "conq_filtered",
         ]
     );
@@ -564,66 +568,74 @@ fn four_relation_aggregate_reads_the_suspects_of_every_relation() {
          FROM li l, ord o, cust c, nat n \
          WHERE l.ok = o.ok AND o.ck = c.ck AND c.nk = n.nk AND l.qty > 1)"
     );
+    // A row passes when no key on its witness is violated, and is in
+    // `conq_rest` once per violated key.
+    let member = |conflicts: &str, on: &str| {
+        format!("SELECT * FROM conq_base conq_b WHERE EXISTS (SELECT * FROM {conflicts} conq_v WHERE {on})")
+    };
+    let unviolated = |conflicts: &str, on: &str| {
+        format!("NOT EXISTS (SELECT * FROM {conflicts} conq_v WHERE {on})")
+    };
+    let keys = [
+        (
+            "conq_conflicts",
+            "conq_b.conq_k1 = conq_v.conq_k1 AND conq_b.conq_k2 = conq_v.conq_k2",
+        ),
+        ("conq_conflicts_1", "conq_b.conq_r1k1 = conq_v.conq_r1k1"),
+        ("conq_conflicts_2", "conq_b.conq_r2k1 = conq_v.conq_r2k1"),
+        ("conq_conflicts_3", "conq_b.conq_r3k1 = conq_v.conq_r3k1"),
+    ];
     assert_eq!(
-        ctes[2..8],
+        ctes[5..7],
         [
-            "conq_conflicts AS (SELECT l.ok AS conq_k1, l.ln AS conq_k2 FROM li l \
-             GROUP BY l.ok, l.ln HAVING count(*) > 1)",
-            "conq_conflicts_1 AS (SELECT o.ok AS conq_r1k1 FROM ord o \
-             GROUP BY o.ok HAVING count(*) > 1)",
-            "conq_conflicts_2 AS (SELECT c.ck AS conq_r2k1 FROM cust c \
-             GROUP BY c.ck HAVING count(*) > 1)",
-            "conq_conflicts_3 AS (SELECT n.nk AS conq_r3k1 FROM nat n \
-             GROUP BY n.nk HAVING count(*) > 1)",
-            "conq_suspect_keys AS (SELECT conq_k1, conq_k2 FROM conq_conflicts \
-             UNION ALL SELECT conq_b.conq_k1 AS conq_k1, conq_b.conq_k2 AS conq_k2 \
-             FROM conq_base conq_b WHERE EXISTS (SELECT * FROM conq_conflicts_1 conq_v \
-             WHERE conq_b.conq_r1k1 = conq_v.conq_r1k1) \
-             UNION ALL SELECT conq_b.conq_k1 AS conq_k1, conq_b.conq_k2 AS conq_k2 \
-             FROM conq_base conq_b WHERE EXISTS (SELECT * FROM conq_conflicts_2 conq_v \
-             WHERE conq_b.conq_r2k1 = conq_v.conq_r2k1) \
-             UNION ALL SELECT conq_b.conq_k1 AS conq_k1, conq_b.conq_k2 AS conq_k2 \
-             FROM conq_base conq_b WHERE EXISTS (SELECT * FROM conq_conflicts_3 conq_v \
-             WHERE conq_b.conq_r3k1 = conq_v.conq_r3k1))",
-            "conq_suspects AS (SELECT conq_cand.conq_k1 AS conq_k1, conq_cand.conq_k2 AS conq_k2 \
-             FROM conq_qg_candidates conq_cand \
-             WHERE EXISTS (SELECT * FROM conq_suspect_keys conq_v \
-             WHERE conq_cand.conq_k1 = conq_v.conq_k1 AND conq_cand.conq_k2 = conq_v.conq_k2))",
+            format!(
+                "conq_pass AS (SELECT conq_b.conq_k1 AS conq_k1, conq_b.conq_k2 AS conq_k2, \
+                 conq_b.ck AS ck, conq_b.name AS name, conq_b.conq_e2 AS conq_min2, \
+                 conq_b.conq_e2 AS conq_max2 FROM conq_base conq_b WHERE {})",
+                keys.map(|(c, on)| unviolated(c, on)).join(" AND ")
+            ),
+            format!(
+                "conq_rest AS ({})",
+                keys.map(|(c, on)| member(c, on)).join(" UNION ALL ")
+            ),
         ]
     );
     assert!(
         ctes[8].starts_with(
             "conq_qg_filter AS (SELECT conq_cand.conq_k1 AS conq_k1, conq_cand.conq_k2 AS conq_k2 \
-             FROM conq_suspects conq_cand JOIN li l ON"
+             FROM conq_qg_candidates conq_cand JOIN li l ON"
         ) && ctes[8].ends_with(
-            "UNION ALL SELECT conq_k1, conq_k2 FROM conq_suspects \
+            "UNION ALL SELECT conq_k1, conq_k2 FROM conq_qg_candidates \
              GROUP BY conq_k1, conq_k2 HAVING count(*) > 1)"
         ),
         "{}",
         ctes[8]
     );
+    assert!(
+        sql.ends_with(
+            "FROM (SELECT * FROM conq_pass UNION ALL SELECT * FROM conq_unfiltered \
+             UNION ALL SELECT * FROM conq_filtered) conq_u GROUP BY conq_u.ck, conq_u.name"
+        ),
+        "{sql}"
+    );
 }
 
 #[test]
 fn no_suspects_where_nothing_reads_them() {
-    // Annotated: the flag is what the suspects are found by, so no relation's
-    // key rides along in `conq_base` and no conflicts are computed.
+    // Annotated: the flag is what `conq_base` is split by, so no relation's
+    // key rides along in it and no conflicts are computed.
     let annotated = RewriteOptions { annotated: true };
     let sql = rewrite_sql(CHAIN_QUERY, &chain_sigma(), &annotated).unwrap();
     for absent in ["conq_conflicts", "conq_r1k1", "conq_r2k1", "conq_r3k1"] {
         assert!(!sql.contains(absent), "{absent} in:\n{sql}");
     }
-    assert!(
-        sql.contains(
-            "conq_suspect_keys AS (SELECT conq_b.conq_k1 AS conq_k1, conq_b.conq_k2 AS conq_k2 \
-             FROM conq_base conq_b WHERE conq_b.conq_viol = 1)"
-        ),
-        "{sql}"
-    );
-    assert!(
-        sql.contains("FROM conq_suspects conq_cand JOIN li l"),
-        "{sql}"
-    );
+    for piece in [
+        "FROM conq_base conq_b WHERE conq_b.conq_viol = 0)",
+        "conq_rest AS (SELECT * FROM conq_base conq_b WHERE conq_b.conq_viol = 1)",
+        "FROM conq_qg_candidates conq_cand JOIN li l",
+    ] {
+        assert!(sql.contains(piece), "missing {piece:?} in:\n{sql}");
+    }
 
     // A key-to-key join projecting the key, or one relation grouped by its
     // key, no selection: under either strategy no Filter is emitted, so no
@@ -642,7 +654,7 @@ fn no_suspects_where_nothing_reads_them() {
             let sql = rewrite_sql(q, &sigma, &opts).unwrap();
             for absent in [
                 "conq_conflicts",
-                "conq_suspect",
+                "conq_pass",
                 "conq_r",
                 "_filter",
                 "conq_viol",

@@ -88,7 +88,7 @@ fn paper_style_vs_null_safe_negation() {
 fn annotated_filter_reads_the_flagged_suspects() {
     // Build a tiny annotated database, plan the annotated rewriting, and
     // run it: its Filter joins the suspects — the candidates of the rows
-    // a `cons = 'n'` tuple is in — back to the root relation.
+    // a `cons = 'n'` tuple is in, `conq_rest` — back to the root relation.
     let db = Database::new();
     db.run_script(
         "create table orders (orderkey text, custfk text, total float);
@@ -106,7 +106,8 @@ fn annotated_filter_reads_the_flagged_suspects() {
     )
     .unwrap();
     assert!(
-        sql.contains("FROM conq_suspects conq_cand JOIN orders o"),
+        sql.contains("conq_rest AS (SELECT * FROM conq_base conq_b WHERE conq_b.conq_viol = 1)")
+            && sql.contains("FROM conq_rest_candidates conq_cand JOIN orders o"),
         "{sql}"
     );
     let query = parse_query(&sql).unwrap();
@@ -122,6 +123,32 @@ fn annotated_filter_reads_the_flagged_suspects() {
     // o1 joins the unique c1 consistently; o2's second tuple dangles
     // (custfk c9 does not exist), so o2 fails the join in one repair.
     assert_eq!(vals, vec!["o1"]);
+}
+
+#[test]
+fn bare_selection_columns_are_not_candidate_aliases() {
+    // The Filter joins the candidates back to the relation, so a candidate
+    // column named like a column the selection reads bare would make the
+    // selection ambiguous there.
+    let db = Database::new();
+    db.run_script(
+        "create table t (k integer, a integer, b integer);
+         insert into t values (1, 2, 5), (1, 3, 6), (2, 2, 7);",
+    )
+    .unwrap();
+    let sigma = ConstraintSet::new().with_key("t", ["k"]);
+    for (q, want) in [
+        ("select a from t where a > 1", "[[Int(2)]]"),
+        (
+            "select a, sum(b) as s from t where a > 1 group by a",
+            "[[Int(2), Int(7), Int(12)]]",
+        ),
+    ] {
+        let sql = rewrite_sql(q, &sigma, &RewriteOptions::default()).unwrap();
+        assert!(sql.contains(" a AS conq_s1"), "{sql}");
+        let rows = conquer_core::consistent_answers(&db, q, &sigma).unwrap();
+        assert_eq!(format!("{:?}", rows.rows), want, "{q}");
+    }
 }
 
 fn sigma_with_cols() -> ConstraintSet {
@@ -191,7 +218,7 @@ fn non_key_projection_adds_multiplicity_branch() {
     )
     .unwrap();
     assert!(
-        sql.contains("FROM conq_suspects GROUP BY conq_k1 HAVING count(*) > 1"),
+        sql.contains("FROM conq_rest_candidates GROUP BY conq_k1 HAVING count(*) > 1"),
         "{sql}"
     );
 }

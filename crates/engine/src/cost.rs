@@ -234,23 +234,7 @@ impl Estimator {
             }
             Plan::Project { input, exprs, .. } => {
                 let d = self.derive(input);
-                let cols = exprs
-                    .iter()
-                    .map(|e| match e {
-                        BoundExpr::Column { depth: 0, index } => d
-                            .cols
-                            .get(*index)
-                            .cloned()
-                            .unwrap_or_else(|| ColEst::unknown(d.rows)),
-                        BoundExpr::Literal(v) => ColEst {
-                            ndv: 1.0,
-                            null_frac: if v.is_null() { 1.0 } else { 0.0 },
-                            min: numeric_of(v),
-                            max: numeric_of(v),
-                        },
-                        _ => ColEst::unknown(d.rows),
-                    })
-                    .collect();
+                let cols = exprs.iter().map(|e| self.expr_col(e, &d)).collect();
                 Derived { rows: d.rows, cols }
             }
             Plan::Rename { input, .. } => self.derive(input),
@@ -492,6 +476,39 @@ impl Estimator {
                 min: numeric_of(v),
                 max: numeric_of(v),
             },
+            BoundExpr::Case {
+                branches,
+                else_expr,
+            } => {
+                // A CASE whose every result is a literal takes one of those
+                // values (a missing ELSE is NULL): a flag such as a
+                // rewriting's `conq_viol` has two.
+                let mut results = Vec::new();
+                for result in branches
+                    .iter()
+                    .map(|(_, then)| then)
+                    .chain(else_expr.as_deref())
+                {
+                    let BoundExpr::Literal(v) = result else {
+                        return ColEst::unknown(input.rows);
+                    };
+                    if !v.is_null() && !results.contains(v) {
+                        results.push(v.clone());
+                    }
+                }
+                let numeric: Option<Vec<f64>> = results.iter().map(numeric_of).collect();
+                let bound = |pick: fn(f64, f64) -> f64| {
+                    numeric
+                        .as_ref()
+                        .and_then(|n| n.iter().copied().reduce(pick))
+                };
+                ColEst {
+                    ndv: (results.len() as f64).max(1.0),
+                    null_frac: 0.0,
+                    min: bound(f64::min),
+                    max: bound(f64::max),
+                }
+            }
             _ => ColEst::unknown(input.rows),
         }
     }
@@ -733,6 +750,25 @@ mod tests {
         let plan = plan_of(&db, "select * from emp where dept = 99");
         let est = Estimator::from_db(&db);
         assert_eq!(est.est_rows(&plan), 0.0);
+    }
+
+    #[test]
+    fn literal_case_results_bound_the_column() {
+        let db = demo_db();
+        let est = Estimator::from_db(&db);
+        let flag = "select * from (select id, case when dept > 20 then 1 else 0 end as f \
+                    from emp) t where t.f = ";
+        // Two results, 0 and 1: half the rows match either, none match 2.
+        let plan = plan_of(&db, &format!("{flag}1"));
+        assert!((est.est_rows(&plan) - 4.0).abs() < 1e-9, "{plan:?}");
+        assert_eq!(est.est_rows(&plan_of(&db, &format!("{flag}2"))), 0.0);
+        // A computed result is no literal: nothing is known.
+        let plan = plan_of(
+            &db,
+            "select * from (select id, case when dept > 20 then id else 0 end as f \
+             from emp) t where t.f = 1",
+        );
+        assert!((est.est_rows(&plan) - 1.0).abs() < 1e-9, "{plan:?}");
     }
 
     #[test]

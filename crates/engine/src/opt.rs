@@ -4,7 +4,7 @@
 //! Pushdown moves the conjuncts of a `Filter` that reference only one side
 //! of a join below it, eventually fusing with the base-table scan. The
 //! rewritings need it for speed only: their answers, and which candidates
-//! their Filters read (the suspects), are fixed by the SQL itself.
+//! their Filters read (those of `conq_rest`), are fixed by the SQL itself.
 //!
 //! [`optimize`] is the one entry point, and it always has a cost
 //! [`Estimator`] (see [`crate::cost`]); `ExecOptions::optimize = false`

@@ -1774,8 +1774,66 @@ fn infer_type(bound: &BoundExpr, input: &Schema) -> DataType {
         BoundExpr::Literal(Value::Str(_)) => DataType::Text,
         BoundExpr::Literal(Value::Date(_)) => DataType::Date,
         BoundExpr::Literal(Value::Bool(_)) => DataType::Boolean,
+        // A CASE whose results are literals of one type (NULL aside), such
+        // as a rewriting's 0/1 `conq_viol` flag, a COALESCE and `+ - *` over
+        // numbers: typed, so a row-shaped result pivots into a column the
+        // kernels compile against (a value of another type demotes the
+        // column to `Any` as it is pushed, so a guess is never wrong).
+        BoundExpr::Case {
+            branches,
+            else_expr,
+        } => {
+            let results = branches.iter().map(|(_, then)| then);
+            common_type(
+                results
+                    .chain(else_expr.as_deref())
+                    .filter(|r| !is_null(r))
+                    .map(|r| match r {
+                        BoundExpr::Literal(_) => infer_type(r, input),
+                        _ => DataType::Any,
+                    }),
+            )
+        }
+        BoundExpr::Func {
+            func: ScalarFunc::Coalesce,
+            args,
+        } => common_type(
+            args.iter()
+                .filter(|a| !is_null(a))
+                .map(|a| infer_type(a, input)),
+        ),
+        BoundExpr::Binary {
+            op: BinaryOp::Plus | BinaryOp::Minus | BinaryOp::Multiply,
+            left,
+            right,
+        } => match common_type([infer_type(left, input), infer_type(right, input)]) {
+            ty @ (DataType::Integer | DataType::Float) => ty,
+            _ => DataType::Any,
+        },
         _ => DataType::Any,
     }
+}
+
+fn is_null(e: &BoundExpr) -> bool {
+    matches!(e, BoundExpr::Literal(Value::Null))
+}
+
+/// The one type of `types`, INTEGER and FLOAT meeting at FLOAT; `Any`
+/// when they disagree or there is none.
+fn common_type(types: impl IntoIterator<Item = DataType>) -> DataType {
+    let mut common = None;
+    for ty in types {
+        common = match (common, ty) {
+            (_, DataType::Any) => return DataType::Any,
+            (None, ty) => Some(ty),
+            (Some(a), b) if a == b => Some(a),
+            (Some(DataType::Integer | DataType::Float), DataType::Integer | DataType::Float) => {
+                Some(DataType::Float)
+            }
+            _ => return DataType::Any,
+        };
+    }
+    common.unwrap_or(DataType::Any)
 }
 
 // ---------------------------------------------------------------------------
@@ -2193,5 +2251,30 @@ mod tests {
             let kept: Vec<BoundExpr> = mapped.exprs().into_iter().cloned().collect();
             assert_eq!(kept, exprs, "map_children moved an expression");
         }
+    }
+
+    #[test]
+    fn computed_columns_of_one_type_are_typed() {
+        let db = Database::new();
+        db.run_script(
+            "create table t (k integer, v integer); insert into t values (1, 5), (2, 7);",
+        )
+        .unwrap();
+        let ty = |item: &str| {
+            let q = conquer_sql::parse_query(&format!("select {item} as f from t")).unwrap();
+            db.plan(&q, &ExecOptions::default())
+                .unwrap()
+                .schema()
+                .columns[0]
+                .ty
+        };
+        assert_eq!(ty("case when v > 5 then 1 else 0 end"), DataType::Integer);
+        assert_eq!(ty("case when v > 5 then 'a' end"), DataType::Text);
+        assert_eq!(ty("case when v > 5 then 1 else 0.5 end"), DataType::Float);
+        assert_eq!(ty("case when v > 5 then 1 else 'a' end"), DataType::Any);
+        assert_eq!(ty("case when v > 5 then v else 0 end"), DataType::Any);
+        assert_eq!(ty("coalesce(v, 0)"), DataType::Integer);
+        assert_eq!(ty("coalesce(v * (1 - 0.5), 0)"), DataType::Float);
+        assert_eq!(ty("coalesce(v, 'a')"), DataType::Any);
     }
 }

@@ -28,9 +28,10 @@
 //! The join queries' Filters are held to the same: for rewritten and
 //! annotated Q3, Q4, Q10 and Q12 the first join of `conq_qg_filter` —
 //! candidates back to the root relation, the head of the last
-//! `Key`-per-row chain of a rewriting — probes exactly the suspects, those
-//! are under half the candidates, and both strategies find as many (read
-//! off `EXPLAIN ANALYZE`'s per-CTE stats, the planner's CTE hook).
+//! `Key`-per-row chain of a rewriting — probes exactly the candidates of
+//! `conq_rest`, the suspects, under half of `conq_base`'s rows, and both
+//! strategies find as many (read off `EXPLAIN ANALYZE`'s per-CTE
+//! stats, the planner's CTE hook).
 //!
 //! `harness opbench`'s two existence-join cells pivot nothing at all: the
 //! typed kernel takes key columns in and hands row ids out. Which way every
@@ -48,10 +49,10 @@
 //! fan-out spawns one thread fewer than its workers: the calling thread
 //! runs the first share itself.
 //!
-//! Every figure rewriting's final aggregate over `conq_unfiltered UNION ALL
-//! conq_filtered` (and, for Q1 and Q6, the rows that pass straight through)
-//! folds its branches one by one and concatenates nothing
-//! (`exec.agg.union_parts` / `exec.agg.union_concat`). Which plan the
+//! Every figure rewriting's final aggregate over `conq_pass UNION ALL
+//! conq_unfiltered UNION ALL conq_filtered` folds its branches one by one
+//! and concatenates nothing (`exec.agg.union_parts` /
+//! `exec.agg.union_concat`). Which plan the
 //! group-key kernel took for each of Q1's grouping steps — one worker where
 //! each candidate is its own group, merged partials where a few groups
 //! remain — is pinned too (`exec.agg.one_worker` / `exec.agg.partials`).
@@ -172,7 +173,7 @@ fn join_rewritings_filter_probes_only_the_suspects() {
     });
     for q in [Q3, Q4, Q10, Q12] {
         // The two sources of "violated" — the conflict CTEs, the `cons`
-        // flags — name the same suspects.
+        // flags — split off the same rows.
         let suspects = [false, true].map(|annotated| {
             let what = format!("{} annotated={annotated}", q.name());
             let rewritten = rewrite(
@@ -189,14 +190,14 @@ fn join_rewritings_filter_probes_only_the_suspects() {
                     .find(|c| c.name == name)
                     .unwrap_or_else(|| panic!("{what}: no CTE {name} was traced"))
             };
-            let candidates = cte("conq_qg_candidates").stats.rows_out;
-            let suspects = cte("conq_suspects").stats.rows_out;
+            let base = cte("conq_base").stats.rows_out;
+            let suspects = cte("conq_qg_candidates").stats.rows_out;
             let filter = cte("conq_qg_filter");
             let probes = first_join_probes(&filter.plan, &filter.stats).expect("the Filter joins");
             assert_eq!(probes, suspects, "{what}: the Filter probes");
             assert!(
-                0 < suspects && 2 * suspects < candidates,
-                "{what}: {suspects} of {candidates} candidates are suspects"
+                0 < suspects && 2 * suspects < base,
+                "{what}: {suspects} of {base} rows' candidates are suspects"
             );
             suspects
         });
@@ -264,11 +265,9 @@ fn first_pass(query: &Query, annotated: bool) -> FirstPass {
     assert!(join.probe > 0, "the filter join probes the candidates");
     assert!(answer.rows.len() <= 4);
     // What the Filter join probes, under either strategy: exactly the
-    // candidates — the set the suspects were, since only the violated keys'
-    // rows reach them — at most two per violated candidate key, a small
-    // share of the satisfying rows (`conq_base`).
-    let names: Vec<&str> = rewritten.ctes.iter().map(|c| c.name.as_str()).collect();
-    assert!(!names.contains(&"conq_suspects"), "{names:?}");
+    // candidates — the suspects, since only the violated keys' rows reach
+    // them — at most two per violated candidate key, a small share of the
+    // satisfying rows (`conq_base`).
     let rows_of = |cte: &str| {
         w.db.execute_query_with(&cte_as_query(&rewritten, cte), &options)
             .unwrap()
@@ -469,14 +468,15 @@ fn q1_groups_each_candidate_on_one_worker_and_few_groups_in_partials() {
 }
 
 /// Every figure query's rewritings end in Fig. 8's shape: an aggregate over
-/// `conq_unfiltered UNION ALL conq_filtered` — led, for the single-relation
-/// Q1 and Q6, by the unviolated keys' rows (`conq_pass`). That aggregate folds the branches one by one
+/// `conq_unfiltered UNION ALL conq_filtered`, led by the rows that pass
+/// straight through (`conq_pass`). That aggregate folds the branches one by one
 /// (`exec.agg.union_parts`) and never concatenates them
 /// (`exec.agg.union_concat`): their layouts differ — FLOAT bounds on one
 /// side, the INTEGER `0` of `CASE … THEN 0` on the other — which a
-/// concatenation would turn into `Any` columns folded value by value. Q1's
-/// `conq_qg_cons`, the groups of `conq_pass` and `conq_unfiltered`, is a
-/// second such aggregate.
+/// concatenation would turn into `Any` columns folded value by value. A
+/// grouped query's `conq_qg_cons`, the groups of `conq_pass` and
+/// `conq_unfiltered`, is a second such aggregate: every figure query's but
+/// Q6's global sum.
 #[test]
 fn figure_rewritings_fold_their_final_union_in_parts() {
     let _turn = turn();
@@ -497,7 +497,7 @@ fn figure_rewritings_fold_their_final_union_in_parts() {
                 .unwrap();
             let after = counts();
             let what = format!("{} annotated={annotated}", q.name());
-            let folds = if q.number == 1 { 2 } else { 1 };
+            let folds = if q.number == 6 { 1 } else { 2 };
             assert_eq!(after.0 - before.0, folds, "{what}: unions folded in parts");
             assert_eq!(after.1, before.1, "{what}: a union was concatenated");
         }

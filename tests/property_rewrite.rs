@@ -336,82 +336,211 @@ fn cte_rows(
     db.execute_query(&cut).unwrap()
 }
 
-/// The Filter reads `conq_suspects` — the candidates one of whose
-/// witnesses holds a tuple with a violated key — in place of all
-/// candidates; a single-relation aggregate reads its candidates off the
-/// violated keys' rows alone (`conq_rest`), so there each candidate's key
-/// must be violated and the candidates are the suspects. Checked three ways
-/// on one instance and query: the Filter emits only suspect keys; reading
-/// every candidate instead (the shape of Figs. 5/8, recovered by renaming a
-/// CTE in the text: the suspects in the Filter's, or `conq_rest` in the
-/// candidates') emits the same rows; and, for a query whose answer rows are
-/// its candidates minus the `key_len` leading key columns, by definition —
-/// against repair enumeration — every candidate that is *not* a suspect is
-/// an answer in every repair, so no Filter may remove it.
-fn check_suspects(
-    db: &Database,
-    sigma: &ConstraintSet,
-    q: &str,
-    (candidates, filter): (&str, &str),
-    key_len: Option<usize>,
-    case: u64,
-) {
+/// `rows` as strings, the first `width` columns split off as the key.
+fn keyed(rows: &conquer::Rows, width: usize) -> Vec<(Vec<String>, Vec<String>)> {
+    sorted(rows)
+        .into_iter()
+        .map(|mut row| {
+            let rest = row.split_off(width);
+            (row, rest)
+        })
+        .collect()
+}
+
+/// The split of `conq_base` (DESIGN.md §2.3), checked on one instance and
+/// query under both strategies against the data and repair enumeration:
+///
+/// * every key of `conq_rest` has a violated key on a witness — a row of
+///   the query's join whose tuple of some relation shares its key with
+///   another tuple (counted here, not by the rewriting's SQL);
+/// * every other key is certain with exact bounds: in every repair the
+///   query's rows of that key, projected to the key and the answer columns
+///   (RewriteJoin's candidates) or to the key, the groups and SUM's
+///   argument (`conq_pass`, whose two bounds must agree), are exactly the
+///   rewriting's rows of it;
+/// * renaming `conq_rest` to `conq_base` in the Filter's candidates leaves
+///   the Filter's rows unchanged, and those candidates are then every
+///   candidate of the keys `conq_rest` holds: the split is by whole keys.
+///
+/// `db` must be annotated; the query is a join query or a SUM grouped by
+/// columns, its clauses lower-case.
+fn check_split(db: &Database, sigma: &ConstraintSet, q: &str, case: u64) {
     let parsed = conquer::parse_query(q).unwrap();
-    let rewritten = conquer::rewrite(&parsed, sigma, &conquer::RewriteOptions::default()).unwrap();
-    let filtered = sorted(&cte_rows(db, &rewritten, filter, |sql| sql));
-    let (suspects, over_all_candidates) =
-        match rewritten.ctes.iter().position(|c| c.name == candidates) {
-            Some(at) if rewritten.ctes.iter().any(|c| c.name == "conq_rest") => {
-                let conflicts = cte_rows(db, &rewritten, "conq_conflicts", |sql| sql);
-                let width = conflicts.schema.columns.len();
-                let mut keys: Vec<Vec<String>> =
-                    sorted(&cte_rows(db, &rewritten, candidates, |sql| sql))
-                        .into_iter()
-                        .map(|cand| cand[..width].to_vec())
-                        .collect();
-                keys.dedup();
-                for key in &keys {
-                    assert!(
-                        sorted(&conflicts).contains(key),
-                        "{q} (case {case}): candidate key {key:?} is not violated"
-                    );
-                }
-                let mut all = rewritten.clone();
-                let text = all.ctes[at]
-                    .query
-                    .to_string()
-                    .replace("conq_rest", "conq_base");
-                all.ctes[at].query = conquer::parse_query(&text).unwrap();
-                (keys, cte_rows(db, &all, filter, |sql| sql))
-            }
-            _ => (
-                sorted(&cte_rows(db, &rewritten, "conq_suspects", |sql| sql)),
-                cte_rows(db, &rewritten, filter, |sql| {
-                    sql.replace("conq_suspects", candidates)
-                }),
-            ),
-        };
-    for key in &filtered {
-        assert!(
-            suspects.contains(key),
-            "{q} (case {case}): filtered key {key:?} is no suspect"
+    let tq = conquer::analyze(&parsed, sigma).unwrap();
+    let root = &tq.relations[tq.root];
+    let key_len = root.key.len();
+    let root_key: Vec<String> = root
+        .key
+        .iter()
+        .map(|k| format!("{}.{k}", root.binding))
+        .collect();
+    let from = q[q.find(" from ").unwrap()..]
+        .split(" group by ")
+        .next()
+        .unwrap();
+
+    // The root keys with a violated key on a witness.
+    let violated_roots: Vec<Vec<String>> = {
+        let keys: Vec<String> = tq
+            .relations
+            .iter()
+            .flat_map(|r| r.key.iter().map(move |k| format!("{}.{k}", r.binding)))
+            .collect();
+        let witnesses = sorted(
+            &db.query(&format!("select {} {from}", keys.join(", ")))
+                .unwrap(),
         );
-    }
-    assert_eq!(
-        filtered,
-        sorted(&over_all_candidates),
-        "{q} (case {case}): the Filter over suspects vs over every candidate"
-    );
-    let Some(key_len) = key_len else { return };
-    let certain = sorted(&consistent_answers_oracle(db, q, sigma).unwrap());
-    for cand in sorted(&cte_rows(db, &rewritten, candidates, |sql| sql)) {
-        let (key, answer) = cand.split_at(key_len);
-        if !suspects.contains(&key.to_vec()) {
+        let mut at = 0;
+        let mut violated_parts = Vec::new();
+        for r in &tq.relations {
+            let tuples = sorted(
+                &db.query(&format!("select {} from {}", r.key.join(", "), r.table))
+                    .unwrap(),
+            );
+            let violated: Vec<Vec<String>> = tuples
+                .windows(2)
+                .filter(|w| w[0] == w[1])
+                .map(|w| w[0].clone())
+                .collect();
+            violated_parts.push((at..at + r.key.len(), violated));
+            at += r.key.len();
+        }
+        let root_at = violated_parts[tq.root].0.clone();
+        witnesses
+            .iter()
+            .filter(|w| {
+                violated_parts
+                    .iter()
+                    .any(|(at, violated)| violated.contains(&w[at.clone()].to_vec()))
+            })
+            .map(|w| w[root_at.clone()].to_vec())
+            .collect()
+    };
+
+    // The query's rows per repair, in the layout of the rewriting's rows.
+    let columns = if tq.has_aggregates() {
+        let arg = tq
+            .projection
+            .iter()
+            .find_map(|p| match p {
+                conquer::core::ProjItem::Aggregate { arg, .. } => arg.clone(),
+                conquer::core::ProjItem::Plain { .. } => None,
+            })
+            .expect("a SUM");
+        let groups = tq.group_by.iter().map(ToString::to_string);
+        root_key
+            .iter()
+            .cloned()
+            .chain(groups)
+            .chain([format!("coalesce({arg}, 0)")])
+            .collect::<Vec<_>>()
+    } else {
+        let items = tq.projection.iter().map(|p| match p {
+            conquer::core::ProjItem::Plain { expr, .. } => expr.to_string(),
+            conquer::core::ProjItem::Aggregate { .. } => unreachable!("a join query"),
+        });
+        root_key.iter().cloned().chain(items).collect()
+    };
+    let per_repair = format!("select {} {from}", columns.join(", "));
+    let mut repairs = Vec::new();
+    conquer::RepairEnumerator::new(db, sigma, 1 << 16)
+        .unwrap()
+        .for_each_repair(|repair| {
+            repairs.push(keyed(&repair.query(&per_repair)?, key_len));
+            Ok(())
+        })
+        .unwrap();
+
+    let (candidates, filter) = if tq.has_aggregates() {
+        ("conq_qg_candidates", "conq_qg_filter")
+    } else {
+        ("conq_rest_candidates", "conq_filter")
+    };
+    for annotated in [false, true] {
+        let what = format!("{q} (case {case}, annotated={annotated})");
+        let rewritten =
+            conquer::rewrite(&parsed, sigma, &conquer::RewriteOptions { annotated }).unwrap();
+        let mut rest_keys: Vec<Vec<String>> =
+            keyed(&cte_rows(db, &rewritten, "conq_rest", |sql| sql), key_len)
+                .into_iter()
+                .map(|(key, _)| key)
+                .collect();
+        rest_keys.dedup();
+        for key in &rest_keys {
             assert!(
-                certain.contains(&answer.to_vec()),
-                "{q} (case {case}): {cand:?} is no suspect, yet not certain"
+                violated_roots.contains(key),
+                "{what}: {key:?} in conq_rest, violated nowhere"
             );
         }
+
+        let passed: Vec<(Vec<String>, Vec<String>)> = if tq.has_aggregates() {
+            keyed(&cte_rows(db, &rewritten, "conq_pass", |sql| sql), key_len)
+                .into_iter()
+                .map(|(key, mut row)| {
+                    let hi = row.pop().unwrap();
+                    assert_eq!(
+                        row.last(),
+                        Some(&hi),
+                        "{what}: {key:?} passes with two bounds"
+                    );
+                    (key, row)
+                })
+                .collect()
+        } else {
+            keyed(
+                &cte_rows(db, &rewritten, "conq_candidates", |sql| sql),
+                key_len,
+            )
+            .into_iter()
+            .filter(|(key, _)| !rest_keys.contains(key))
+            .collect()
+        };
+        for (key, row) in &passed {
+            assert!(
+                !rest_keys.contains(key),
+                "{what}: {key:?} both passes and is in conq_rest"
+            );
+            for repair in &repairs {
+                let of_key: Vec<&Vec<String>> = repair
+                    .iter()
+                    .filter(|(k, _)| k == key)
+                    .map(|(_, r)| r)
+                    .collect();
+                assert_eq!(
+                    of_key,
+                    [row],
+                    "{what}: {key:?} passes, but not so in a repair"
+                );
+            }
+        }
+
+        let filtered = sorted(&cte_rows(db, &rewritten, filter, |sql| sql));
+        let at = rewritten
+            .ctes
+            .iter()
+            .position(|c| c.name == candidates)
+            .unwrap();
+        let mut over_base = rewritten.clone();
+        let text = over_base.ctes[at]
+            .query
+            .to_string()
+            .replace("conq_rest", "conq_base");
+        over_base.ctes[at].query = conquer::parse_query(&text).unwrap();
+        assert_eq!(
+            filtered,
+            sorted(&cte_rows(db, &over_base, filter, |sql| sql)),
+            "{what}: the Filter over conq_rest's candidates vs over every candidate"
+        );
+        let of_rest_keys: Vec<Vec<String>> =
+            sorted(&cte_rows(db, &over_base, candidates, |sql| sql))
+                .into_iter()
+                .filter(|cand| rest_keys.contains(&cand[..key_len].to_vec()))
+                .collect();
+        assert_eq!(
+            sorted(&cte_rows(db, &rewritten, candidates, |sql| sql)),
+            of_rest_keys,
+            "{what}: conq_rest holds part of a key"
+        );
     }
 }
 
@@ -513,23 +642,22 @@ fn check_null_keys_refused(db: &Database, sigma: &ConstraintSet, queries: &[Stri
     }
 }
 
-/// [`check_suspects`] over a single relation and over random trees of two
+/// [`check_split`] over a single relation and over random trees of two
 /// to four relations, whose join queries also match repair enumeration;
 /// [`check_null_keys_refused`] over trees with NULL keys.
 #[test]
 fn suspects_cover_everything_the_filter_can_emit() {
-    const JOIN: (&str, &str) = ("conq_candidates", "conq_filter");
-    const AGG: (&str, &str) = ("conq_qg_candidates", "conq_qg_filter");
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0x5A5B_0000 + case);
         let rows = table_r(&mut rng);
         let threshold = rng.gen_range(0..4i64);
         let db = build_db(&rows, None);
         let sigma = sigma_r();
+        conquer::annotate_database(&db, &sigma).unwrap();
         let q = format!("select r.k, r.a from r where r.b > {threshold}");
-        check_suspects(&db, &sigma, &q, JOIN, Some(1), case);
+        check_split(&db, &sigma, &q, case);
         let q = format!("select r.a, sum(r.b) as x from r where r.b >= {threshold} group by r.a");
-        check_suspects(&db, &sigma, &q, AGG, None, case);
+        check_split(&db, &sigma, &q, case);
     }
 
     let sigma = ["r", "s", "u", "t"]
@@ -560,12 +688,13 @@ fn suspects_cover_everything_the_filter_can_emit() {
             check_null_keys_refused(&db, &sigma, &queries, case);
             continue;
         }
+        conquer::annotate_database(&db, &sigma).unwrap();
         for q in &joins {
             // NULL foreign keys (scenario 5) are answered, as the oracle has it.
             check_join_query(&db, q, &sigma, case);
-            check_suspects(&db, &sigma, q, JOIN, Some(1), case);
+            check_split(&db, &sigma, q, case);
         }
-        check_suspects(&db, &sigma, &agg, AGG, None, case);
+        check_split(&db, &sigma, &agg, case);
     }
 }
 
