@@ -12,7 +12,7 @@ use crate::annotations::{check_annotations, is_annotated};
 use crate::constraints::{ConstraintSet, KeyConstraint};
 use crate::error::{Result, RewriteError};
 use crate::rewrite_agg::rewrite_agg;
-use crate::rewrite_join::{rewrite_join, RewriteOptions};
+use crate::rewrite_join::RewriteOptions;
 
 /// Rewrite a tree query into a SQL query computing its consistent answers
 /// (queries without aggregation, Theorem 1) or range-consistent answers
@@ -31,11 +31,7 @@ pub fn rewrite_tree(tq: &TreeQuery, opts: &RewriteOptions) -> Result<Query> {
     let _span = conquer_obs::span("rewrite")
         .field("aggregates", tq.has_aggregates())
         .field("annotated", opts.annotated);
-    if tq.has_aggregates() {
-        rewrite_agg(tq, opts)
-    } else {
-        rewrite_join(tq, opts)
-    }
+    rewrite_agg(tq, opts)
 }
 
 /// Rewrite SQL text to SQL text — the form in which ConQuer hands queries
@@ -104,12 +100,11 @@ pub fn consistent_answers_annotated_with(
 /// against each table.
 ///
 /// [`prepare_rewrite_on`] (and so [`consistent_answers_with`] and
-/// [`consistent_answers_annotated_with`]) and
-/// [`PreparedRewrite::execute_on`] declare the keys of the relations their
-/// query reads themselves (re-declaring is a read-locked no-op), so calling
-/// this is only needed to have the declarations in place — durably, on a
-/// durable database — before the first query, or for relations no query
-/// has read yet.
+/// [`consistent_answers_annotated_with`]) declares the keys of the
+/// relations its query reads itself (re-declaring is a read-locked no-op),
+/// so calling this is only needed to have the declarations in place —
+/// durably, on a durable database — before the first query, or for
+/// relations no query has read yet.
 pub fn declare_key_indexes(db: &Database, sigma: &ConstraintSet) -> usize {
     let all: Vec<KeyConstraint> = sigma.iter().collect();
     declare_keys(db, all.iter().map(|kc| (&*kc.relation, &*kc.key)))
@@ -159,15 +154,6 @@ pub struct PreparedRewrite {
     /// The key constraints of the relations the query reads: the indexes
     /// the rewriting's self-joins and conflict scan run on.
     pub keys: Arc<[KeyConstraint]>,
-}
-
-impl PreparedRewrite {
-    /// Execute the rewriting against a database under explicit options,
-    /// declaring the key indexes of the relations it reads first.
-    pub fn execute_on(&self, db: &Database, options: &ExecOptions) -> Result<Rows> {
-        declare_keys(db, self.keys.iter().map(|kc| (&*kc.relation, &*kc.key)));
-        Ok(db.execute_query_with(&self.rewritten, options)?)
-    }
 }
 
 /// Parse and rewrite once, producing a [`PreparedRewrite`] for repeated

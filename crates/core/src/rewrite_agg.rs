@@ -1,9 +1,14 @@
 //! `RewriteAgg` (Figure 8 of the paper): range-consistent query answers for
-//! tree queries with grouping and aggregation (Definition 5).
+//! tree queries with grouping and aggregation (Definition 5), and the one
+//! rewriting template every tree query runs. Figure 8 builds on the
+//! Candidates and Filter of `q_G` (the query with aggregates removed),
+//! which are Figure 5's, so a query without aggregation is `q_G` itself
+//! and runs the template with no bound columns (its shape is in
+//! [`crate::rewrite_join`]).
 //!
-//! For each group value that is a *consistent* answer of `q_G` (the query
-//! with aggregates removed), the rewriting returns the tight `[min, max]`
-//! range the aggregate takes across all repairs:
+//! For each group value that is a *consistent* answer of `q_G`, the
+//! rewriting returns the tight `[min, max]` range the aggregate takes
+//! across all repairs:
 //!
 //! * `UnFilteredCandidates` — root keys never filtered by `q_G`'s Filter
 //!   contribute their per-key `[min(e), max(e)]` to both bounds;
@@ -13,16 +18,14 @@
 //!
 //! Following Section 6.1 ("running times improve considerably when the
 //! results of these subexpressions are temporarily stored rather than
-//! computed several times"), the expensive common subexpression — the
-//! original query's satisfying rows — is factored into a `conq_base` CTE
-//! that the candidates and both bound queries read, so the base relations
-//! are scanned once rather than three times. With a Filter its rows also
-//! carry what "violated" is read by (the other relations' keys, or under
-//! annotations the `conq_viol` flag), and `conq_base` is split in two
-//! (DESIGN.md §2.3): the rows no key on whose witness is violated
-//! (`conq_pass`) go straight into the final aggregation with both bounds
-//! `e`, and only the others (`conq_rest`) reach the candidates, the Filter
-//! and the per-key bounds — for one relation as for a join.
+//! computed several times"), the original query's satisfying rows are
+//! factored into a `conq_base` CTE, so the base relations are scanned once.
+//! With a Filter, `conq_base` is split (DESIGN.md §2.3): the rows no key on
+//! whose witness is violated (`conq_pass`) go straight into the final
+//! select with both bounds `e`, and only the others (`conq_rest`) reach the
+//! candidates, the Filter and the per-key bounds. Without aggregation the
+//! final select is a bag of one row per consistent key: `conq_pass` and
+//! `conq_unfiltered`, and no `conq_filtered` or `conq_qg_cons`.
 //!
 //! Aggregate support: `SUM`, `MIN`, `MAX` (Theorem 2), plus `COUNT(*)` and
 //! `COUNT(e)` (exact, via 0/1 contributions) and `AVG` (sound but not tight
@@ -39,17 +42,14 @@ use conquer_sql::ast::{
 use crate::analyze::{AggKind, ProjItem, TreeQuery};
 use crate::error::{Result, RewriteError};
 use crate::rewrite_join::{
-    base_items, build_filter, choose_item_aliases, distinct_from, key_match, original_select,
+    base_items, build_filter, candidates, choose_item_aliases, key_match, original_select,
     root_key_aliases, split_ctes, RewriteOptions, Violated, BASE_BINDING, BASE_CTE as BASE,
-    PASS_CTE as PASS, REST_CTE as REST,
+    CAND_BINDING, PASS_CTE as PASS, QG_FILTER, REST_CTE as REST,
 };
 
-const QG_CANDIDATES: &str = "conq_qg_candidates";
-const QG_FILTER: &str = "conq_qg_filter";
 const QG_CONS: &str = "conq_qg_cons";
 const UNFILTERED: &str = "conq_unfiltered";
 const FILTERED: &str = "conq_filtered";
-const CAND_BINDING: &str = "conq_cand";
 const FILTER_BINDING: &str = "conq_f";
 const CONS_BINDING: &str = "conq_g";
 const UNION_BINDING: &str = "conq_u";
@@ -57,33 +57,11 @@ const UNION_BINDING: &str = "conq_u";
 /// An aggregate item of the SELECT list: position, kind, argument, name.
 type AggItem<'a> = (usize, AggKind, Option<&'a Expr>, &'a str);
 
-/// Rewrite a tree query with aggregation into a query computing its
-/// range-consistent answers (Theorem 2).
+/// Rewrite a tree query into a query computing its consistent answers
+/// (Theorem 1) or, with aggregation, its range-consistent answers
+/// (Theorem 2): the one rewriting template, with no bound columns when the
+/// query aggregates nothing.
 pub fn rewrite_agg(tq: &TreeQuery, opts: &RewriteOptions) -> Result<Query> {
-    if !tq.has_aggregates() {
-        return Err(RewriteError::Unsupported(
-            "RewriteAgg applies to queries with aggregation; use rewrite() to dispatch".into(),
-        ));
-    }
-    if tq
-        .projection
-        .iter()
-        .all(|p| matches!(p, ProjItem::Plain { .. }))
-    {
-        // GROUP BY without aggregates: the grouped attributes are the whole
-        // answer, i.e. `q_G` itself — rewrite as a join query on DISTINCT.
-        let mut set_query = tq.clone();
-        set_query.distinct = true;
-        set_query.group_by = Vec::new();
-        return crate::rewrite_join::rewrite_join(&set_query, opts);
-    }
-
-    // --- q_G and naming -----------------------------------------------------
-    let qg = build_qg(tq);
-    let key_aliases = root_key_aliases(tq);
-    let g_aliases = choose_item_aliases(&qg);
-    check_unique(&g_aliases)?;
-
     let agg_items: Vec<AggItem<'_>> = tq
         .projection
         .iter()
@@ -95,13 +73,32 @@ pub fn rewrite_agg(tq: &TreeQuery, opts: &RewriteOptions) -> Result<Query> {
             ProjItem::Plain { .. } => None,
         })
         .collect();
+    if agg_items.is_empty() && !tq.group_by.is_empty() {
+        // GROUP BY without aggregates: the grouped attributes are the whole
+        // answer, i.e. `q_G` itself, under set semantics.
+        let mut set_query = tq.clone();
+        set_query.distinct = true;
+        set_query.group_by = Vec::new();
+        return rewrite_agg(&set_query, opts);
+    }
+
+    // --- q_G and naming -----------------------------------------------------
+    // Without aggregates, q_G is the query itself.
+    let qg = if agg_items.is_empty() {
+        tq.clone()
+    } else {
+        build_qg(tq)
+    };
+    let key_aliases = root_key_aliases(tq);
+    let g_aliases = choose_item_aliases(&qg);
+    check_unique(&g_aliases)?;
 
     // --- conq_base: the original query's satisfying rows, scanned once ------
     let violated = Violated::of(&qg, opts);
     let mut ctes = vec![Cte {
         name: BASE.to_string(),
         query: Query::from_select(base_select(
-            tq,
+            &qg,
             &key_aliases,
             &g_aliases,
             &agg_items,
@@ -126,7 +123,7 @@ pub fn rewrite_agg(tq: &TreeQuery, opts: &RewriteOptions) -> Result<Query> {
 
     // --- the split: unviolated keys pass straight through -------------------
     // `conq_pass`'s rows bypass the per-key machinery and go straight into
-    // the final aggregation; only `conq_rest`'s reach q_G's candidates, the
+    // the final select; only `conq_rest`'s reach q_G's candidates, the
     // Filter and the per-key bounds.
     let mut pass: Vec<SelectItem> = key_aliases
         .iter()
@@ -136,13 +133,10 @@ pub fn rewrite_agg(tq: &TreeQuery, opts: &RewriteOptions) -> Result<Query> {
     for (i, kind, _, _) in &agg_items {
         pass.extend(pass_agg_columns(*i, *kind));
     }
-    ctes.extend(split_ctes(tq, &violated, Some(pass)));
+    ctes.extend(split_ctes(tq, &violated, pass));
     let aliases: Vec<String> = key_aliases.iter().chain(&g_aliases).cloned().collect();
-    ctes.push(Cte {
-        name: QG_CANDIDATES.to_string(),
-        query: Query::from_select(distinct_from(REST, &aliases)),
-    });
-    ctes.push(build_filter(&qg, QG_CANDIDATES, QG_FILTER, &key_aliases));
+    ctes.push(candidates(&aliases));
+    ctes.push(build_filter(&qg, &key_aliases));
 
     // --- UnFiltered, QGCons (the consistent answers of q_G), Filtered --------
     ctes.push(Cte {
@@ -156,6 +150,10 @@ pub fn rewrite_agg(tq: &TreeQuery, opts: &RewriteOptions) -> Result<Query> {
             false,
         )),
     });
+    if agg_items.is_empty() {
+        // A filtered key answers nothing when nothing is bounded.
+        return finish(tq, &g_aliases, &agg_items, ctes, &[PASS, UNFILTERED]);
+    }
     let mut in_filter = vec![key_filter_exists(&key_aliases, true)];
     if !tq.group_by.is_empty() {
         // The groups of every key outside the Filter: the rows that went
@@ -203,7 +201,8 @@ pub fn rewrite_agg(tq: &TreeQuery, opts: &RewriteOptions) -> Result<Query> {
     )
 }
 
-/// The final aggregation over the union of `parts`, after `ctes`.
+/// The final select over the union of `parts`, after `ctes`: a bag of one
+/// row per consistent key, folded only when the query groups.
 fn finish(
     tq: &TreeQuery,
     g_aliases: &[String],
@@ -212,12 +211,12 @@ fn finish(
     parts: &[&str],
 ) -> Result<Query> {
     let mut projection = Vec::new();
-    for item in &tq.projection {
+    for (at, item) in tq.projection.iter().enumerate() {
         match item {
             ProjItem::Plain { expr, name } => {
-                let g = tq
-                    .group_index(expr)
-                    .expect("plain items are grouped attributes");
+                // The grouped attribute the item names, or without grouping
+                // the item itself.
+                let g = tq.group_index(expr).unwrap_or(at);
                 projection.push(SelectItem::aliased(
                     Expr::col(UNION_BINDING, g_aliases[g].clone()),
                     name.clone(),
@@ -235,13 +234,17 @@ fn finish(
             }
         }
     }
-    let group_by: Vec<Expr> = g_aliases
-        .iter()
-        .map(|a| Expr::col(UNION_BINDING, a.clone()))
-        .collect();
+    let group_by: Vec<Expr> = if tq.group_by.is_empty() {
+        Vec::new()
+    } else {
+        g_aliases
+            .iter()
+            .map(|a| Expr::col(UNION_BINDING, a.clone()))
+            .collect()
+    };
 
     let final_select = Select {
-        distinct: false,
+        distinct: tq.distinct,
         projection,
         from: vec![union_of(parts, UNION_BINDING)],
         selection: None,
@@ -288,26 +291,29 @@ fn check_unique(aliases: &[String]) -> Result<()> {
     Ok(())
 }
 
-/// The shared base CTE: root keys, grouped attributes, per-aggregate
-/// effective expressions and what the Filter finds its suspects by (the
-/// other relations' keys, or the per-row violation flag), over the original
+/// The shared base CTE: root keys, q_G's items, per-aggregate effective
+/// expressions and what the split reads "violated" by (the other
+/// relations' keys, or the per-row violation flag), over the original
 /// FROM/WHERE.
 fn base_select(
-    tq: &TreeQuery,
+    qg: &TreeQuery,
     key_aliases: &[String],
     g_aliases: &[String],
     agg_items: &[AggItem<'_>],
     violated: Option<&Violated>,
 ) -> Select {
     let mut projection = Vec::new();
-    for (col, alias) in tq.root_key_columns().iter().zip(key_aliases) {
+    for (col, alias) in qg.root_key_columns().iter().zip(key_aliases) {
         projection.push(SelectItem::aliased(
             Expr::Column(col.clone()),
             alias.clone(),
         ));
     }
-    for (g, alias) in tq.group_by.iter().zip(g_aliases) {
-        projection.push(SelectItem::aliased(Expr::Column(g.clone()), alias.clone()));
+    for (item, alias) in qg.projection.iter().zip(g_aliases) {
+        let ProjItem::Plain { expr, .. } = item else {
+            unreachable!("q_G projects no aggregate")
+        };
+        projection.push(SelectItem::aliased(expr.clone(), alias.clone()));
     }
     for (i, kind, arg, _) in agg_items {
         match kind {
@@ -345,8 +351,8 @@ fn base_select(
             }
         }
     }
-    projection.extend(violated.map_or_else(Vec::new, |v| base_items(tq, v)));
-    original_select(tq, projection)
+    projection.extend(violated.map_or_else(Vec::new, |v| base_items(qg, v)));
+    original_select(qg, projection)
 }
 
 /// UnFiltered / FilteredCandidates: per (key, group) bounds of every

@@ -1,84 +1,72 @@
-//! `RewriteJoin` (Figure 5 of the paper): the SQL-to-SQL rewriting for tree
-//! queries without aggregation, including the annotation-aware variant of
-//! Section 5.
-//!
-//! The rewriting produces:
-//!
-//! ```sql
-//! WITH conq_candidates AS (
-//!   SELECT DISTINCT Kroot, S FROM ... WHERE KJ AND NKJ AND SC),
-//! conq_filter AS (
-//!   SELECT Kroot FROM conq_candidates
-//!   JOIN Rroot ON ... [JOIN co-roots ON KJ]
-//!   LEFT OUTER JOIN ... (Figure 6's LOJ, in BFS order)
-//!   WHERE R1.K1 IS NULL OR ... OR NSC
-//!   UNION ALL
-//!   SELECT Kroot FROM conq_candidates GROUP BY Kroot HAVING COUNT(*) > 1)
-//! SELECT S FROM conq_candidates
-//! WHERE NOT EXISTS (SELECT * FROM conq_filter F WHERE ...)
-//! ```
-//!
-//! The `COUNT(*) > 1` branch is emitted only when the projection reaches
-//! beyond the root key (Example 4 vs Example 3), and the whole filter is
-//! omitted for queries that nothing can filter (key-only projections with
-//! no selections and no outer joins).
-//!
-//! With a Filter, the Candidates are computed in two steps, as `RewriteAgg`
-//! has them — `conq_base`, the satisfying rows, then the `SELECT DISTINCT
-//! Kroot, S` over it — and `conq_base` is split (DESIGN.md §2.3): the Filter
-//! reads only the candidates of `conq_rest`, the rows with a *violated* key
-//! anywhere on their witness (the join tree that produced the row). Where
-//! "violated" is read from is the one thing the strategy decides
-//! ([`Violated`]): without annotations each row also carries the key of
-//! every non-root relation's tuple in it (`conq_r<i>k<j>`), looked up in
-//! that relation's conflicts; with them it carries `conq_viol`, 1 when a
-//! tuple in it has `cons = 'n'` (Section 5: the violated set computed
-//! offline):
+//! `RewriteJoin`'s pieces (Figure 5 of the paper), including the
+//! annotation-aware variant of Section 5: the satisfying rows, their split
+//! by violated keys, the Candidates and the Filter. [`crate::rewrite_agg`]
+//! assembles them into the one rewriting template; a query without
+//! aggregation runs it with no bound columns:
 //!
 //! ```sql
+//! WITH conq_base AS (SELECT Kroot, S, <split columns> FROM ... WHERE KJ AND NKJ AND SC),
 //! conq_conflicts AS (SELECT Kroot FROM Rroot GROUP BY Kroot HAVING COUNT(*) > 1),
 //! conq_conflicts_<i> AS (SELECT Ki FROM Ri GROUP BY Ki HAVING COUNT(*) > 1),
+//! conq_pass AS (SELECT Kroot, S FROM conq_base B
+//!   WHERE NOT EXISTS (SELECT * FROM conq_conflicts V WHERE B.Kroot = V.Kroot)
+//!   AND NOT EXISTS (SELECT * FROM conq_conflicts_<i> V WHERE B.Ki = V.Ki)),
 //! conq_rest AS (
 //!   SELECT * FROM conq_base B
 //!     WHERE EXISTS (SELECT * FROM conq_conflicts V WHERE B.Kroot = V.Kroot)
 //!   UNION ALL SELECT * FROM conq_base B                        -- per relation
 //!     WHERE EXISTS (SELECT * FROM conq_conflicts_<i> V WHERE B.Ki = V.Ki)),
-//!   -- annotated: SELECT * FROM conq_base B WHERE B.conq_viol = 1
-//! conq_rest_candidates AS (SELECT DISTINCT Kroot, S FROM conq_rest),
-//! conq_filter AS (... both branches FROM conq_rest_candidates ...)
+//!   -- annotated: no conflicts; WHERE B.conq_viol = 0, and = 1 for conq_rest
+//! conq_qg_candidates AS (SELECT DISTINCT Kroot, S FROM conq_rest),
+//! conq_qg_filter AS (
+//!   SELECT Kroot FROM conq_qg_candidates
+//!   JOIN Rroot ON ... [JOIN co-roots ON KJ]
+//!   LEFT OUTER JOIN ... (Figure 6's LOJ, in BFS order)
+//!   WHERE R1.K1 IS NULL OR ... OR NSC
+//!   UNION ALL
+//!   SELECT Kroot FROM conq_qg_candidates GROUP BY Kroot HAVING COUNT(*) > 1),
+//! conq_unfiltered AS (SELECT Kroot, S FROM conq_rest B
+//!   WHERE NOT EXISTS (SELECT * FROM conq_qg_filter F WHERE B.Kroot = F.Kroot)
+//!   GROUP BY Kroot, S)
+//! SELECT [DISTINCT] S FROM (conq_pass UNION ALL conq_unfiltered)
 //! ```
 //!
-//! No other candidate can be filtered: if no key on a row's witness is
-//! violated, the witness is its candidate's only join tree, which satisfies
-//! every join and selection and yields one `S`. And a row-level test splits
-//! whole keys, so every row of a key that can be filtered is in
-//! `conq_rest`. Each `conq_conflicts*` is a plain `GROUP BY … HAVING` that
-//! an engine with an index on the key answers from the index alone (see
-//! `conquer_engine::index`); `conq_filter` itself is unchanged, row for
-//! row, and so is every answer.
+//! The `COUNT(*) > 1` branch is emitted only when the projection reaches
+//! beyond the root key (Example 4 vs Example 3). A query that nothing can
+//! filter (a key-only projection with no selection and no outer join) has
+//! no Filter and no split: `conq_unfiltered` groups all of `conq_base`.
+//!
+//! `conq_base` carries what "violated" is read by, the one thing the
+//! strategy decides ([`Violated`]): without annotations the key of every
+//! non-root relation's tuple in the row (`conq_r<i>k<j>`), looked up in that
+//! relation's conflicts, which a key index answers alone (see
+//! `conquer_engine::index`); with them `conq_viol`, 1 when a tuple in the
+//! row has `cons = 'n'` (Section 5: the violated set computed offline).
+//! The answers are a bag, one per consistent key (DESIGN.md §2.3): if no
+//! key on a row's witness (the join tree that produced it) is violated, the
+//! witness is its key's only join tree, so the key has one row in
+//! `conq_pass` and is certain; a row-level test splits whole keys, and a
+//! key of `conq_rest` outside the Filter has one `S`.
 
 use conquer_sql::ast::{
     BinaryOp, ColumnRef, Cte, Expr, Literal, Query, Select, SelectItem, SetExpr, TableRef,
 };
 
-use crate::analyze::{ProjItem, TreeQuery};
-use crate::error::{Result, RewriteError};
+use crate::analyze::TreeQuery;
 
 /// Name of the annotation column added by [`crate::annotations`].
 pub const CONS_COLUMN: &str = "cons";
 
 /// Generated-name prefixes; input queries should avoid `conq_`-prefixed
 /// bindings and the rewriting never collides with anything else.
-pub const CANDIDATES_CTE: &str = "conq_candidates";
-pub const FILTER_CTE: &str = "conq_filter";
 pub const CONFLICTS_CTE: &str = "conq_conflicts";
-pub const REST_CANDIDATES_CTE: &str = "conq_rest_candidates";
 pub(crate) const BASE_CTE: &str = "conq_base";
 pub(crate) const PASS_CTE: &str = "conq_pass";
 pub(crate) const REST_CTE: &str = "conq_rest";
+const QG_CANDIDATES: &str = "conq_qg_candidates";
+pub(crate) const QG_FILTER: &str = "conq_qg_filter";
 pub(crate) const BASE_BINDING: &str = "conq_b";
-const CAND_BINDING: &str = "conq_cand";
-const FILTER_BINDING: &str = "conq_f";
+pub(crate) const CAND_BINDING: &str = "conq_cand";
 const CONFLICT_BINDING: &str = "conq_v";
 const VIOL: &str = "conq_viol";
 
@@ -90,80 +78,6 @@ pub struct RewriteOptions {
     /// [`crate::annotations::annotate_database`]. It decides one thing:
     /// where the rewriting reads which keys are violated ([`Violated`]).
     pub annotated: bool,
-}
-
-/// Rewrite a tree query without aggregation into a query computing its
-/// consistent answers (Theorem 1).
-pub fn rewrite_join(tq: &TreeQuery, opts: &RewriteOptions) -> Result<Query> {
-    if tq.has_aggregates() {
-        return Err(RewriteError::Unsupported(
-            "RewriteJoin applies to queries without aggregation; use rewrite() to dispatch".into(),
-        ));
-    }
-    let key_aliases = root_key_aliases(tq);
-    let item_aliases = choose_item_aliases(tq);
-    let items = candidate_items(tq, &key_aliases, &item_aliases);
-    let violated = Violated::of(tq, opts);
-    let mut ctes = Vec::new();
-    let mut filter = Vec::new();
-    let candidates = match &violated {
-        None => Select {
-            distinct: true,
-            ..original_select(tq, items)
-        },
-        Some(violated) => {
-            // The Candidates of Figure 5 in two steps, as `RewriteAgg` has
-            // them: the satisfying rows with what "violated" is read by,
-            // then the DISTINCT (key, S) pairs; the Filter reads those of
-            // the rows split off into `conq_rest`.
-            let mut base = original_select(tq, items);
-            base.projection.extend(base_items(tq, violated));
-            ctes.push(Cte {
-                name: BASE_CTE.to_string(),
-                query: Query::from_select(base),
-            });
-            let aliases: Vec<String> = key_aliases.iter().chain(&item_aliases).cloned().collect();
-            filter = split_ctes(tq, violated, None);
-            filter.push(Cte {
-                name: REST_CANDIDATES_CTE.to_string(),
-                query: Query::from_select(distinct_from(REST_CTE, &aliases)),
-            });
-            filter.push(build_filter(
-                tq,
-                REST_CANDIDATES_CTE,
-                FILTER_CTE,
-                &key_aliases,
-            ));
-            distinct_from(BASE_CTE, &aliases)
-        }
-    };
-    ctes.push(Cte {
-        name: CANDIDATES_CTE.to_string(),
-        query: Query::from_select(candidates),
-    });
-    ctes.extend(filter);
-
-    let projection = tq
-        .projection
-        .iter()
-        .zip(&item_aliases)
-        .map(|(item, alias)| {
-            SelectItem::aliased(Expr::col(CAND_BINDING, alias.clone()), item.name())
-        })
-        .collect();
-    Ok(Query {
-        ctes,
-        body: SetExpr::Select(Box::new(Select {
-            distinct: tq.distinct,
-            projection,
-            from: vec![TableRef::aliased(CANDIDATES_CTE, CAND_BINDING)],
-            selection: violated.map(|_| not_exists_filter(FILTER_CTE, &key_aliases)),
-            group_by: Vec::new(),
-            having: None,
-        })),
-        order_by: tq.order_by.clone(),
-        limit: tq.limit,
-    })
 }
 
 /// `conq_k1, conq_k2, ...`: the root key's aliases in every CTE.
@@ -217,24 +131,6 @@ pub(crate) fn original_select(tq: &TreeQuery, projection: Vec<SelectItem>) -> Se
         group_by: Vec::new(),
         having: None,
     }
-}
-
-/// The Candidates' columns: the root-key attributes, then the projected
-/// items (Figure 5).
-fn candidate_items(
-    tq: &TreeQuery,
-    key_aliases: &[String],
-    item_aliases: &[String],
-) -> Vec<SelectItem> {
-    let keys = tq.root_key_columns().into_iter().map(Expr::Column);
-    let items = tq.projection.iter().map(|item| match item {
-        ProjItem::Plain { expr, .. } => expr.clone(),
-        ProjItem::Aggregate { .. } => unreachable!("checked in rewrite_join"),
-    });
-    keys.chain(items)
-        .zip(key_aliases.iter().chain(item_aliases))
-        .map(|(expr, alias)| SelectItem::aliased(expr, alias.clone()))
-        .collect()
 }
 
 /// The key of one relation of the query as `conq_base` carries it: the
@@ -336,17 +232,13 @@ pub(crate) fn base_items(tq: &TreeQuery, violated: &Violated) -> Vec<SelectItem>
 ///
 /// * (plain only) each relation's violated keys, [`CONFLICTS_CTE`] for the
 ///   root and `conq_conflicts_<rel>` for the others;
-/// * [`PASS_CTE`] with `pass`'s columns, when given: the rows no key on
-///   whose witness is violated — a `NOT EXISTS` per relation, or
-///   `conq_viol = 0` when annotated;
+/// * [`PASS_CTE`] with `pass`'s columns: the rows no key on whose witness
+///   is violated — a `NOT EXISTS` per relation, or `conq_viol = 0` when
+///   annotated;
 /// * [`REST_CTE`]: every other row — one `EXISTS` member per relation
 ///   (a row with two violated keys appears twice: every reader takes
-///   DISTINCT or a per-key MIN/MAX), or `conq_viol = 1`.
-pub(crate) fn split_ctes(
-    tq: &TreeQuery,
-    violated: &Violated,
-    pass: Option<Vec<SelectItem>>,
-) -> Vec<Cte> {
+///   DISTINCT, a GROUP BY or a per-key MIN/MAX), or `conq_viol = 1`.
+pub(crate) fn split_ctes(tq: &TreeQuery, violated: &Violated, pass: Vec<SelectItem>) -> Vec<Cte> {
     let base_rows = |projection, selection| Select {
         distinct: false,
         projection,
@@ -383,12 +275,10 @@ pub(crate) fn split_ctes(
             )
         }
     };
-    if let Some(projection) = pass {
-        ctes.push(Cte {
-            name: PASS_CTE.to_string(),
-            query: Query::from_select(base_rows(projection, pass_when)),
-        });
-    }
+    ctes.push(Cte {
+        name: PASS_CTE.to_string(),
+        query: Query::from_select(base_rows(pass, pass_when)),
+    });
     ctes.push(Cte {
         name: REST_CTE.to_string(),
         query: rest,
@@ -396,17 +286,19 @@ pub(crate) fn split_ctes(
     ctes
 }
 
-/// `SELECT DISTINCT conq_b.a AS a, ... FROM <cte> conq_b`: the Candidates,
-/// read off the satisfying rows (`conq_base`, or `conq_rest` for the
-/// Filter's).
-pub(crate) fn distinct_from(cte: &str, aliases: &[String]) -> Select {
-    Select {
-        distinct: true,
-        projection: aliased_columns(BASE_BINDING, aliases),
-        from: vec![TableRef::aliased(cte, BASE_BINDING)],
-        selection: None,
-        group_by: Vec::new(),
-        having: None,
+/// `conq_qg_candidates`, `SELECT DISTINCT conq_b.a AS a, ... FROM
+/// conq_rest conq_b`: the Candidates the Filter reads.
+pub(crate) fn candidates(aliases: &[String]) -> Cte {
+    Cte {
+        name: QG_CANDIDATES.to_string(),
+        query: Query::from_select(Select {
+            distinct: true,
+            projection: aliased_columns(BASE_BINDING, aliases),
+            from: vec![TableRef::aliased(REST_CTE, BASE_BINDING)],
+            selection: None,
+            group_by: Vec::new(),
+            having: None,
+        }),
     }
 }
 
@@ -426,20 +318,15 @@ fn needs_multiplicity_branch(tq: &TreeQuery) -> bool {
     !tq.projection_within_root_key()
 }
 
-/// The Filter CTE `filter_name` over the candidates `cand_name`: the
-/// outer-join branch plus the multiplicity branch, either of which may be
-/// unnecessary, but not both ([`Violated::of`]).
-pub(crate) fn build_filter(
-    tq: &TreeQuery,
-    cand_name: &str,
-    filter_name: &str,
-    key_aliases: &[String],
-) -> Cte {
-    let join_branch = needs_join_branch(tq).then(|| filter_join_branch(tq, cand_name, key_aliases));
+/// The Filter CTE [`QG_FILTER`] over the candidates: the outer-join branch
+/// plus the multiplicity branch, either of which may be unnecessary, but
+/// not both ([`Violated::of`]).
+pub(crate) fn build_filter(tq: &TreeQuery, key_aliases: &[String]) -> Cte {
+    let join_branch = needs_join_branch(tq).then(|| filter_join_branch(tq, key_aliases));
     let multiplicity_branch =
-        needs_multiplicity_branch(tq).then(|| filter_multiplicity_branch(cand_name, key_aliases));
+        needs_multiplicity_branch(tq).then(|| filter_multiplicity_branch(key_aliases));
     Cte {
-        name: filter_name.to_string(),
+        name: QG_FILTER.to_string(),
         query: union_all([join_branch, multiplicity_branch].into_iter().flatten())
             .expect("a query with a Filter needs a branch"),
     }
@@ -479,10 +366,10 @@ fn conflicts_select(tq: &TreeQuery, key: &WitnessKey) -> Select {
 /// First Filter branch: candidates joined back to the relations with the
 /// left-outer join of Figure 6, keeping those that fail a join or satisfy a
 /// negated selection in some repair.
-fn filter_join_branch(tq: &TreeQuery, cand_name: &str, key_aliases: &[String]) -> Select {
+fn filter_join_branch(tq: &TreeQuery, key_aliases: &[String]) -> Select {
     let root = &tq.relations[tq.root];
 
-    // conq_candidates cand JOIN Rroot ON cand.k = root.k AND ...
+    // conq_qg_candidates conq_cand JOIN Rroot ON conq_cand.k = root.k AND ...
     let root_on = Expr::conjoin(root.key.iter().zip(key_aliases).map(|(k, alias)| {
         Expr::eq(
             Expr::col(CAND_BINDING, alias.clone()),
@@ -491,7 +378,7 @@ fn filter_join_branch(tq: &TreeQuery, cand_name: &str, key_aliases: &[String]) -
     }))
     .expect("keys are non-empty");
     let mut from =
-        TableRef::aliased(cand_name, CAND_BINDING).join(relation_ref(tq, tq.root), root_on);
+        TableRef::aliased(QG_CANDIDATES, CAND_BINDING).join(relation_ref(tq, tq.root), root_on);
 
     // Inner joins for key-to-key co-roots (their joins hold in every repair).
     for kj in &tq.kj_joins {
@@ -528,14 +415,14 @@ fn filter_join_branch(tq: &TreeQuery, cand_name: &str, key_aliases: &[String]) -
 
 /// Second Filter branch: keys whose candidates carry more than one value for
 /// the projected attributes (Example 4).
-fn filter_multiplicity_branch(cand_name: &str, key_aliases: &[String]) -> Select {
+fn filter_multiplicity_branch(key_aliases: &[String]) -> Select {
     Select {
         distinct: false,
         projection: key_aliases
             .iter()
             .map(|alias| SelectItem::expr(Expr::bare_col(alias.clone())))
             .collect(),
-        from: vec![TableRef::table(cand_name)],
+        from: vec![TableRef::table(QG_CANDIDATES)],
         selection: None,
         group_by: key_aliases
             .iter()
@@ -543,16 +430,6 @@ fn filter_multiplicity_branch(cand_name: &str, key_aliases: &[String]) -> Select
             .collect(),
         having: Some(Expr::binary(Expr::count_star(), BinaryOp::Gt, Expr::int(1))),
     }
-}
-
-/// `NOT EXISTS (SELECT * FROM <filter> conq_f WHERE conq_cand.k = conq_f.k ...)`.
-fn not_exists_filter(filter_name: &str, key_aliases: &[String]) -> Expr {
-    Expr::not_exists(key_match(
-        CAND_BINDING,
-        filter_name,
-        FILTER_BINDING,
-        key_aliases,
-    ))
 }
 
 /// `SELECT * FROM <cte> <binding> WHERE <outer>.k = <binding>.k AND ...`:

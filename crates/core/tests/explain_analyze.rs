@@ -4,8 +4,8 @@
 //! aggregation).
 
 use conquer_core::{
-    annotate_database, consistent_answers, consistent_answers_annotated, prepare_rewrite, rewrite,
-    rewrite_sql, ConstraintSet, RewriteOptions,
+    annotate_database, consistent_answers, consistent_answers_annotated, prepare_rewrite_on,
+    rewrite, rewrite_sql, ConstraintSet, RewriteOptions,
 };
 use conquer_engine::stats::NodeStats;
 use conquer_engine::{explain_analyze, stats_json, Database, ExecOptions, Value};
@@ -29,7 +29,8 @@ fn sigma() -> ConstraintSet {
 }
 
 /// The representative query: a selection over the inconsistent relation.
-/// Its rewriting builds candidate/filter CTEs and an anti join.
+/// Its rewriting splits the satisfying rows, builds the candidates and the
+/// Filter of the violated keys, and anti-joins those keys' rows with it.
 const QUERY: &str = "select emp.id, emp.dept from emp where emp.salary > 80";
 
 #[test]
@@ -45,9 +46,14 @@ fn explain_analyze_root_cardinality_matches_result() {
         .execute_query_traced(&rewritten, &ExecOptions::default())
         .unwrap();
 
-    // The traced run and the plain rewriting agree.
+    // The traced run and the plain rewriting agree, as bags: the answer
+    // is a union of the passed and the unfiltered keys, in no set order.
+    let sorted = |mut rows: Vec<Vec<Value>>| {
+        rows.sort_by_key(|r| format!("{r:?}"));
+        rows
+    };
     let plain = consistent_answers(&db, QUERY, &sigma()).unwrap();
-    assert_eq!(rows.rows, plain.rows);
+    assert_eq!(sorted(rows.rows.clone()), sorted(plain.rows));
 
     // Root operator's reported output cardinality is the result size.
     assert_eq!(stats.rows_out as usize, rows.rows.len());
@@ -55,7 +61,7 @@ fn explain_analyze_root_cardinality_matches_result() {
     // Keys 1 and 2 are certain ('eng' in every repair); key 3's dept
     // depends on which tuple survives.
     assert_eq!(
-        rows.rows,
+        sorted(rows.rows),
         vec![
             vec![Value::Int(1), Value::str("eng")],
             vec![Value::Int(2), Value::str("eng")],
@@ -140,10 +146,11 @@ fn explain_analyze_lists_the_materialized_ctes() {
         names,
         [
             "conq_base",
-            "conq_candidates",
+            "conq_pass",
             "conq_rest",
-            "conq_rest_candidates",
-            "conq_filter"
+            "conq_qg_candidates",
+            "conq_qg_filter",
+            "conq_unfiltered"
         ]
     );
     for header in &headers {
@@ -152,9 +159,11 @@ fn explain_analyze_lists_the_materialized_ctes() {
             "{header}"
         );
     }
-    assert!(headers[1].contains("(rows=4 "), "{text}"); // (1,eng) (2,eng) (3,ops) (3,sales)
-    assert!(headers[2].contains("(rows=4 "), "{text}"); // keys 1 and 3 are violated
+    assert!(headers[1].contains("(rows=1 "), "{text}"); // key 2 is not violated
+    assert!(headers[2].contains("(rows=4 "), "{text}"); // keys 1 and 3 are
     assert!(headers[3].contains("(rows=3 "), "{text}"); // (1,eng) (3,ops) (3,sales)
+    assert!(headers[4].contains("(rows=1 "), "{text}"); // key 3: two depts
+    assert!(headers[5].contains("(rows=1 "), "{text}"); // (1,eng)
     assert!(text.contains("access=index(id conflicts)"), "{text}");
     // CTE blocks are indented under their header; the body follows, its
     // root flush left.
@@ -178,10 +187,10 @@ fn explain_analyze_lists_the_materialized_ctes() {
         panic!("not an array: {}", json.render())
     };
     assert_eq!(
-        entries[1].get("rows_out"),
+        entries[2].get("rows_out"),
         Some(&conquer_obs::Json::UInt(4))
     );
-    assert!(entries[1].get("plan").is_some() && entries[1].get("est_cost").is_some());
+    assert!(entries[2].get("plan").is_some() && entries[2].get("est_cost").is_some());
     // Asked for nothing, the planner records nothing — and the body is the
     // same plan either way.
     let (_, plain_plan, plain_stats) = db.execute_query_traced(&rewritten, &options).unwrap();
@@ -203,11 +212,11 @@ fn explain_lists_the_rewritten_plan_without_running_it() {
     let text = db
         .explain_with(&rewritten.to_string(), &ExecOptions::default())
         .unwrap();
-    // The rewriting planner turns the NOT EXISTS filter into an anti join.
-    assert!(
-        text.contains("Anti") || text.contains("Filter"),
-        "expected filtering machinery in:\n{text}"
-    );
+    // The body is the union of the keys that passed and the unfiltered
+    // ones; the Filter's anti join is inside `conq_unfiltered`.
+    for piece in ["UnionAll", "Scan conq_pass", "Scan conq_unfiltered"] {
+        assert!(text.contains(piece), "missing {piece:?} in:\n{text}");
+    }
     // Plain EXPLAIN carries planner estimates but no measurements.
     assert!(
         text.contains("est_rows="),
@@ -236,10 +245,10 @@ fn entry_points_declare_the_keys_their_query_reads() {
             annotate_database(db, &sigma()).unwrap();
             consistent_answers_annotated(db, QUERY, &sigma()).unwrap();
         }),
-        ("PreparedRewrite::execute_on", |db| {
-            prepare_rewrite(QUERY, &sigma(), &RewriteOptions::default())
-                .unwrap()
-                .execute_on(db, &ExecOptions::default())
+        ("prepare_rewrite_on", |db| {
+            let prepared =
+                prepare_rewrite_on(db, QUERY, &sigma(), &RewriteOptions::default()).unwrap();
+            db.execute_query_with(&prepared.rewritten, &ExecOptions::default())
                 .unwrap();
         }),
     ];

@@ -123,10 +123,13 @@ fn example3_rewriting_structure_matches_figure3() {
     )
     .unwrap();
     // Candidates and Filter, a left outer join, the IS NULL check, the
-    // (NULL-safe) negated selection, and NOT EXISTS — and, since only the root key is
-    // projected, no multiplicity (count(*) > 1) branch.
-    assert!(sql.contains("conq_candidates AS (SELECT DISTINCT"), "{sql}");
-    assert!(sql.contains("conq_filter AS ("), "{sql}");
+    // (NULL-safe) negated selection, and NOT EXISTS — and, since only the
+    // root key is projected, no multiplicity (count(*) > 1) branch.
+    assert!(
+        sql.contains("conq_qg_candidates AS (SELECT DISTINCT"),
+        "{sql}"
+    );
+    assert!(sql.contains("conq_qg_filter AS ("), "{sql}");
     assert!(
         sql.contains("LEFT OUTER JOIN customer c ON o.custfk = c.custkey"),
         "{sql}"
@@ -262,9 +265,10 @@ fn example9_annotated_rewriting_structure() {
     )
     .unwrap();
     // Section 5's annotations say which keys are violated: each satisfying
-    // row carries its tuples' `cons = 'n'` disjunction, and the rows with
-    // the flag set are `conq_rest`, whose candidates are the suspects. From
-    // there on the Filter is the plain rewriting's (Figure 5 over them).
+    // row carries its tuples' `cons = 'n'` disjunction, the rows with the
+    // flag clear pass straight to the answer, and those with it set are
+    // `conq_rest`, whose candidates the Filter reads. From there on the
+    // template is the plain rewriting's.
     let ctes = ctes(&sql);
     assert_eq!(
         ctes[..4],
@@ -272,22 +276,28 @@ fn example9_annotated_rewriting_structure() {
             "conq_base AS (SELECT o.orderkey AS conq_k1, o.orderkey AS orderkey, \
              CASE WHEN c.cons = 'n' OR o.cons = 'n' THEN 1 ELSE 0 END AS conq_viol \
              FROM customer c, orders o WHERE o.custfk = c.custkey AND c.acctbal > 1000)",
-            "conq_candidates AS (SELECT DISTINCT conq_b.conq_k1 AS conq_k1, \
-             conq_b.orderkey AS orderkey FROM conq_base conq_b)",
+            "conq_pass AS (SELECT conq_b.conq_k1 AS conq_k1, conq_b.orderkey AS orderkey \
+             FROM conq_base conq_b WHERE conq_b.conq_viol = 0)",
             "conq_rest AS (SELECT * FROM conq_base conq_b WHERE conq_b.conq_viol = 1)",
-            "conq_rest_candidates AS (SELECT DISTINCT conq_b.conq_k1 AS conq_k1, \
+            "conq_qg_candidates AS (SELECT DISTINCT conq_b.conq_k1 AS conq_k1, \
              conq_b.orderkey AS orderkey FROM conq_rest conq_b)",
         ]
     );
-    assert_eq!(ctes.len(), 5, "{sql}");
+    assert_eq!(ctes.len(), 6, "{sql}");
     assert!(
         ctes[4].starts_with(
-            "conq_filter AS (SELECT conq_cand.conq_k1 AS conq_k1 \
-             FROM conq_rest_candidates conq_cand JOIN orders o ON"
+            "conq_qg_filter AS (SELECT conq_cand.conq_k1 AS conq_k1 \
+             FROM conq_qg_candidates conq_cand JOIN orders o ON"
         ),
         "{sql}"
     );
-    for absent in ["conq_conflicts", "conq_conscand", "conq_r0k1", "conq_pass"] {
+    assert!(ctes[5].starts_with("conq_unfiltered AS ("), "{sql}");
+    for absent in [
+        "conq_conflicts",
+        "conq_conscand",
+        "conq_r0k1",
+        "conq_filtered",
+    ] {
         assert!(!sql.contains(absent), "{absent} in:\n{sql}");
     }
 }
@@ -344,10 +354,16 @@ fn distinct_input_query_gets_distinct_output() {
 
 #[test]
 fn key_only_projection_needs_no_filter_at_all() {
+    // No Filter, no split: one row per key, whatever its tuples.
     let sigma = ConstraintSet::new().with_key("t", ["k"]);
     let sql = rewrite_sql("select k from t", &sigma, &RewriteOptions::default()).unwrap();
-    assert!(!sql.contains("conq_filter"), "{sql}");
-    assert!(sql.contains("SELECT DISTINCT"), "{sql}");
+    assert_eq!(
+        sql,
+        "WITH conq_base AS (SELECT t.k AS conq_k1, k AS k FROM t), \
+         conq_unfiltered AS (SELECT conq_b.conq_k1 AS conq_k1, conq_b.k AS k \
+         FROM conq_base conq_b GROUP BY conq_b.conq_k1, conq_b.k) \
+         SELECT conq_u.k AS k FROM (SELECT * FROM conq_unfiltered) conq_u"
+    );
 }
 
 // --- single relation: the Filter reads only the violated keys -------------------
@@ -371,11 +387,11 @@ fn single_relation_filter_reads_the_suspects() {
         "conq_rest AS (SELECT * FROM conq_base conq_b \
          WHERE EXISTS (SELECT * FROM conq_conflicts conq_v \
          WHERE conq_b.conq_k1 = conq_v.conq_k1))",
-        "conq_rest_candidates AS (SELECT DISTINCT conq_b.conq_k1 AS conq_k1, \
+        "conq_qg_candidates AS (SELECT DISTINCT conq_b.conq_k1 AS conq_k1, \
          conq_b.acctbal AS acctbal FROM conq_rest conq_b)",
-        "FROM conq_rest_candidates conq_cand JOIN customer c ON conq_cand.conq_k1 = c.custkey",
-        "UNION ALL SELECT conq_k1 FROM conq_rest_candidates GROUP BY conq_k1 HAVING count(*) > 1",
-        "NOT EXISTS (SELECT * FROM conq_filter",
+        "FROM conq_qg_candidates conq_cand JOIN customer c ON conq_cand.conq_k1 = c.custkey",
+        "UNION ALL SELECT conq_k1 FROM conq_qg_candidates GROUP BY conq_k1 HAVING count(*) > 1",
+        "FROM conq_rest conq_b WHERE NOT EXISTS (SELECT * FROM conq_qg_filter",
     ] {
         assert!(sql.contains(piece), "missing {piece:?} in:\n{sql}");
     }
@@ -405,10 +421,10 @@ fn single_relation_filter_reads_the_suspects() {
         }
     }
 
-    // Nothing to filter, nothing to precompute, under either strategy.
+    // Nothing to filter, nothing to split, under either strategy.
     for opts in [plain, annotated] {
         let sql = rewrite_sql("select custkey from customer", &sigma, &opts).unwrap();
-        for absent in ["conq_conflicts", "conq_rest", "conq_base", "conq_viol"] {
+        for absent in ["conq_conflicts", "conq_pass", "conq_rest", "conq_viol"] {
             assert!(!sql.contains(absent), "{absent} in:\n{sql}");
         }
     }
@@ -425,14 +441,15 @@ fn single_relation_filter_reads_the_suspects() {
     for piece in [
         "CASE WHEN customer.cons = 'n' THEN 1 ELSE 0 END AS conq_viol FROM customer",
         "conq_rest AS (SELECT * FROM conq_base conq_b WHERE conq_b.conq_viol = 1)",
-        "FROM conq_rest_candidates conq_cand JOIN customer \
+        "FROM conq_qg_candidates conq_cand JOIN customer \
          ON conq_cand.conq_k1 = customer.custkey",
-        "UNION ALL SELECT conq_k1 FROM conq_rest_candidates GROUP BY conq_k1 HAVING count(*) > 1",
+        "UNION ALL SELECT conq_k1 FROM conq_qg_candidates GROUP BY conq_k1 HAVING count(*) > 1",
     ] {
         assert!(sql.contains(piece), "missing {piece:?} in:\n{sql}");
     }
 
-    // One relation is the one-member case of `conq_rest`'s union.
+    // One relation is the one-member case of `conq_rest`'s union, and the
+    // answer is Figure 5's over the violated keys, beside the passed ones.
     let sql = rewrite_sql(
         "select custkey from customer where acctbal > 1000",
         &sigma,
@@ -443,22 +460,25 @@ fn single_relation_filter_reads_the_suspects() {
         sql,
         "WITH conq_base AS (SELECT customer.custkey AS conq_k1, custkey AS custkey \
          FROM customer WHERE acctbal > 1000), \
-         conq_candidates AS (SELECT DISTINCT conq_b.conq_k1 AS conq_k1, \
-         conq_b.custkey AS custkey FROM conq_base conq_b), \
          conq_conflicts AS (SELECT customer.custkey AS conq_k1 FROM customer \
          GROUP BY customer.custkey HAVING count(*) > 1), \
+         conq_pass AS (SELECT conq_b.conq_k1 AS conq_k1, conq_b.custkey AS custkey \
+         FROM conq_base conq_b WHERE NOT EXISTS (SELECT * FROM conq_conflicts conq_v \
+         WHERE conq_b.conq_k1 = conq_v.conq_k1)), \
          conq_rest AS (SELECT * FROM conq_base conq_b \
          WHERE EXISTS (SELECT * FROM conq_conflicts conq_v \
          WHERE conq_b.conq_k1 = conq_v.conq_k1)), \
-         conq_rest_candidates AS (SELECT DISTINCT conq_b.conq_k1 AS conq_k1, \
+         conq_qg_candidates AS (SELECT DISTINCT conq_b.conq_k1 AS conq_k1, \
          conq_b.custkey AS custkey FROM conq_rest conq_b), \
-         conq_filter AS (SELECT conq_cand.conq_k1 AS conq_k1 \
-         FROM conq_rest_candidates conq_cand \
+         conq_qg_filter AS (SELECT conq_cand.conq_k1 AS conq_k1 \
+         FROM conq_qg_candidates conq_cand \
          JOIN customer ON conq_cand.conq_k1 = customer.custkey \
-         WHERE NOT coalesce(acctbal > 1000, FALSE)) \
-         SELECT conq_cand.custkey AS custkey FROM conq_candidates conq_cand \
-         WHERE NOT EXISTS (SELECT * FROM conq_filter conq_f \
-         WHERE conq_cand.conq_k1 = conq_f.conq_k1)"
+         WHERE NOT coalesce(acctbal > 1000, FALSE)), \
+         conq_unfiltered AS (SELECT conq_b.conq_k1 AS conq_k1, conq_b.custkey AS custkey \
+         FROM conq_rest conq_b WHERE NOT EXISTS (SELECT * FROM conq_qg_filter conq_f \
+         WHERE conq_b.conq_k1 = conq_f.conq_k1) GROUP BY conq_b.conq_k1, conq_b.custkey) \
+         SELECT conq_u.custkey AS custkey \
+         FROM (SELECT * FROM conq_pass UNION ALL SELECT * FROM conq_unfiltered) conq_u"
     );
 }
 
@@ -479,7 +499,7 @@ fn two_relation_filter_reads_the_suspects_of_both_relations() {
     // Example 4's query: `conq_base` keeps each satisfying row's customer
     // key beside the Candidates' columns; a row is in `conq_rest` when its
     // order key is violated or it holds a violated customer, once per
-    // violated key.
+    // violated key, and in `conq_pass` otherwise.
     let sql = rewrite_sql(
         "select o.clerk from customer c, orders o
          where c.acctbal > 1000 and o.custfk = c.custkey",
@@ -493,35 +513,41 @@ fn two_relation_filter_reads_the_suspects_of_both_relations() {
             "conq_base AS (SELECT o.orderkey AS conq_k1, o.clerk AS clerk, \
              c.custkey AS conq_r0k1 FROM customer c, orders o \
              WHERE o.custfk = c.custkey AND c.acctbal > 1000)",
-            "conq_candidates AS (SELECT DISTINCT conq_b.conq_k1 AS conq_k1, \
-             conq_b.clerk AS clerk FROM conq_base conq_b)",
             "conq_conflicts AS (SELECT o.orderkey AS conq_k1 FROM orders o \
              GROUP BY o.orderkey HAVING count(*) > 1)",
             "conq_conflicts_0 AS (SELECT c.custkey AS conq_r0k1 FROM customer c \
              GROUP BY c.custkey HAVING count(*) > 1)",
+            "conq_pass AS (SELECT conq_b.conq_k1 AS conq_k1, conq_b.clerk AS clerk \
+             FROM conq_base conq_b WHERE NOT EXISTS (SELECT * FROM conq_conflicts conq_v \
+             WHERE conq_b.conq_k1 = conq_v.conq_k1) \
+             AND NOT EXISTS (SELECT * FROM conq_conflicts_0 conq_v \
+             WHERE conq_b.conq_r0k1 = conq_v.conq_r0k1))",
             "conq_rest AS (SELECT * FROM conq_base conq_b \
              WHERE EXISTS (SELECT * FROM conq_conflicts conq_v \
              WHERE conq_b.conq_k1 = conq_v.conq_k1) \
              UNION ALL SELECT * FROM conq_base conq_b \
              WHERE EXISTS (SELECT * FROM conq_conflicts_0 conq_v \
              WHERE conq_b.conq_r0k1 = conq_v.conq_r0k1))",
-            "conq_rest_candidates AS (SELECT DISTINCT conq_b.conq_k1 AS conq_k1, \
+            "conq_qg_candidates AS (SELECT DISTINCT conq_b.conq_k1 AS conq_k1, \
              conq_b.clerk AS clerk FROM conq_rest conq_b)",
-            "conq_filter AS (SELECT conq_cand.conq_k1 AS conq_k1 \
-             FROM conq_rest_candidates conq_cand \
+            "conq_qg_filter AS (SELECT conq_cand.conq_k1 AS conq_k1 \
+             FROM conq_qg_candidates conq_cand \
              JOIN orders o ON conq_cand.conq_k1 = o.orderkey \
              LEFT OUTER JOIN customer c ON o.custfk = c.custkey \
              WHERE c.custkey IS NULL OR NOT coalesce(c.acctbal > 1000, FALSE) \
-             UNION ALL SELECT conq_k1 FROM conq_rest_candidates \
+             UNION ALL SELECT conq_k1 FROM conq_qg_candidates \
              GROUP BY conq_k1 HAVING count(*) > 1)",
+            "conq_unfiltered AS (SELECT conq_b.conq_k1 AS conq_k1, conq_b.clerk AS clerk \
+             FROM conq_rest conq_b WHERE NOT EXISTS (SELECT * FROM conq_qg_filter conq_f \
+             WHERE conq_b.conq_k1 = conq_f.conq_k1) GROUP BY conq_b.conq_k1, conq_b.clerk)",
         ]
     );
-    // The answers are Example 4's (checked above); the body is Figure 5's.
+    // The answers are Example 4's (checked above): a bag of one clerk per
+    // consistent order, with no GROUP BY to fold it.
     assert!(
         sql.ends_with(
-            "SELECT conq_cand.clerk AS clerk FROM conq_candidates conq_cand \
-             WHERE NOT EXISTS (SELECT * FROM conq_filter conq_f \
-             WHERE conq_cand.conq_k1 = conq_f.conq_k1)"
+            "SELECT conq_u.clerk AS clerk \
+             FROM (SELECT * FROM conq_pass UNION ALL SELECT * FROM conq_unfiltered) conq_u"
         ),
         "{sql}"
     );

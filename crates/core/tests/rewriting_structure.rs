@@ -87,8 +87,8 @@ fn paper_style_vs_null_safe_negation() {
 #[test]
 fn annotated_filter_reads_the_flagged_suspects() {
     // Build a tiny annotated database, plan the annotated rewriting, and
-    // run it: its Filter joins the suspects — the candidates of the rows
-    // a `cons = 'n'` tuple is in, `conq_rest` — back to the root relation.
+    // run it: its Filter joins the candidates of the rows a `cons = 'n'`
+    // tuple is in, `conq_rest`, back to the root relation.
     let db = Database::new();
     db.run_script(
         "create table orders (orderkey text, custfk text, total float);
@@ -107,16 +107,16 @@ fn annotated_filter_reads_the_flagged_suspects() {
     .unwrap();
     assert!(
         sql.contains("conq_rest AS (SELECT * FROM conq_base conq_b WHERE conq_b.conq_viol = 1)")
-            && sql.contains("FROM conq_rest_candidates conq_cand JOIN orders o"),
+            && sql.contains("FROM conq_qg_candidates conq_cand JOIN orders o"),
         "{sql}"
     );
     let query = parse_query(&sql).unwrap();
     let plan = db.plan(&query, &ExecOptions::default()).unwrap();
     let shape = format!("{plan:?}");
-    // The final plan is the anti-join of candidates against the filter; the
-    // filter CTE was already materialized during planning, so here we only
+    // The final plan is the union of the passed and the unfiltered keys;
+    // the CTEs were already materialized during planning, so here we only
     // assert the whole thing planned and runs.
-    assert!(shape.contains("HashJoin"), "{shape}");
+    assert!(shape.contains("UnionAll"), "{shape}");
     let rows = db.execute_query(&query).unwrap();
     let mut vals: Vec<String> = rows.rows.iter().map(|r| r[0].to_string()).collect();
     vals.sort();
@@ -218,7 +218,7 @@ fn non_key_projection_adds_multiplicity_branch() {
     )
     .unwrap();
     assert!(
-        sql.contains("FROM conq_rest_candidates GROUP BY conq_k1 HAVING count(*) > 1"),
+        sql.contains("FROM conq_qg_candidates GROUP BY conq_k1 HAVING count(*) > 1"),
         "{sql}"
     );
 }
@@ -238,7 +238,7 @@ fn composite_root_keys_emit_multiple_key_aliases() {
     assert!(sql.contains("conq_k1"), "{sql}");
     assert!(sql.contains("conq_k2"), "{sql}");
     assert!(
-        sql.contains("conq_cand.conq_k1 = conq_f.conq_k1 AND conq_cand.conq_k2 = conq_f.conq_k2"),
+        sql.contains("conq_b.conq_k1 = conq_f.conq_k1 AND conq_b.conq_k2 = conq_f.conq_k2"),
         "{sql}"
     );
 }

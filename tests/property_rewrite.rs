@@ -353,11 +353,11 @@ fn keyed(rows: &conquer::Rows, width: usize) -> Vec<(Vec<String>, Vec<String>)> 
 /// * every key of `conq_rest` has a violated key on a witness — a row of
 ///   the query's join whose tuple of some relation shares its key with
 ///   another tuple (counted here, not by the rewriting's SQL);
-/// * every other key is certain with exact bounds: in every repair the
+/// * `conq_pass` holds each key at most once, no key of `conq_rest`, and
+///   each of its keys is certain with exact bounds: in every repair the
 ///   query's rows of that key, projected to the key and the answer columns
-///   (RewriteJoin's candidates) or to the key, the groups and SUM's
-///   argument (`conq_pass`, whose two bounds must agree), are exactly the
-///   rewriting's rows of it;
+///   or to the key, the groups and SUM's argument (whose two bounds must
+///   agree), are exactly its row;
 /// * renaming `conq_rest` to `conq_base` in the Filter's candidates leaves
 ///   the Filter's rows unchanged, and those candidates are then every
 ///   candidate of the keys `conq_rest` holds: the split is by whole keys.
@@ -451,11 +451,7 @@ fn check_split(db: &Database, sigma: &ConstraintSet, q: &str, case: u64) {
         })
         .unwrap();
 
-    let (candidates, filter) = if tq.has_aggregates() {
-        ("conq_qg_candidates", "conq_qg_filter")
-    } else {
-        ("conq_rest_candidates", "conq_filter")
-    };
+    let (candidates, filter) = ("conq_qg_candidates", "conq_qg_filter");
     for annotated in [false, true] {
         let what = format!("{q} (case {case}, annotated={annotated})");
         let rewritten =
@@ -473,28 +469,24 @@ fn check_split(db: &Database, sigma: &ConstraintSet, q: &str, case: u64) {
             );
         }
 
-        let passed: Vec<(Vec<String>, Vec<String>)> = if tq.has_aggregates() {
+        let passed: Vec<(Vec<String>, Vec<String>)> =
             keyed(&cte_rows(db, &rewritten, "conq_pass", |sql| sql), key_len)
                 .into_iter()
                 .map(|(key, mut row)| {
-                    let hi = row.pop().unwrap();
-                    assert_eq!(
-                        row.last(),
-                        Some(&hi),
-                        "{what}: {key:?} passes with two bounds"
-                    );
+                    if tq.has_aggregates() {
+                        let hi = row.pop().unwrap();
+                        assert_eq!(
+                            row.last(),
+                            Some(&hi),
+                            "{what}: {key:?} passes with two bounds"
+                        );
+                    }
                     (key, row)
                 })
-                .collect()
-        } else {
-            keyed(
-                &cte_rows(db, &rewritten, "conq_candidates", |sql| sql),
-                key_len,
-            )
-            .into_iter()
-            .filter(|(key, _)| !rest_keys.contains(key))
-            .collect()
-        };
+                .collect();
+        for pair in passed.windows(2) {
+            assert_ne!(pair[0].0, pair[1].0, "{what}: a key passes twice");
+        }
         for (key, row) in &passed {
             assert!(
                 !rest_keys.contains(key),
