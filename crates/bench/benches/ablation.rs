@@ -2,8 +2,6 @@
 //!
 //! * CTE materialization on/off — the paper found materializing the
 //!   `Candidates`/`Filter` subexpressions essential (Section 6.1);
-//! * decorrelated hash anti-join vs per-row nested-loop `NOT EXISTS` —
-//!   the optimization a production engine applies to the rewriting;
 //! * optimizer on/off — join order, filter pushdown and access paths (key
 //!   index scans and conflict reads); both strategies' Filters read only
 //!   the suspects whichever way, so this measures the plan, not which
@@ -17,24 +15,18 @@
 
 use conquer::tpch::{Q12, Q6};
 use conquer::ExecOptions;
-use conquer_bench::{median_sample, sample, workload, Strategy};
+use conquer_bench::{median_sample, sample, workload};
+use conquer_serve::Strategy;
 
 fn main() {
     let w = workload(0.01, 0.05, 2);
 
-    let configs: [(&str, ExecOptions); 4] = [
+    let configs: [(&str, ExecOptions); 3] = [
         ("all-optimizations", ExecOptions::default()),
         (
             "inline-ctes",
             ExecOptions {
                 materialize_ctes: false,
-                ..ExecOptions::default()
-            },
-        ),
-        (
-            "nested-loop-exists",
-            ExecOptions {
-                decorrelate_exists: false,
                 ..ExecOptions::default()
             },
         ),
@@ -55,12 +47,6 @@ fn main() {
                 _ => "plain",
             };
             for (label, options) in &configs {
-                // The nested-loop fallback on the larger Q12 rewriting is
-                // quadratic; skip the pathological combination to keep the
-                // bench finishing in reasonable time.
-                if *label == "nested-loop-exists" && q.number == 12 {
-                    continue;
-                }
                 let run = || sample(&w, q, strategy, options);
                 run().expect("warm-up");
                 let (median, ()) = median_sample(10, run, |_| ()).expect("ablation sample");

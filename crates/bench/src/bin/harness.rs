@@ -33,8 +33,8 @@
 //! - `serve`: a closed loop of `--concurrency` connections over every
 //!   query × strategy, `--rounds` times, at each `--connections` point
 //!   (the extra connections idle), optionally beside a writer inserting
-//!   into an unrelated table every `--churn-ms`; `--serve-port` targets a
-//!   running server.
+//!   into an unrelated table every `--churn-ms`, against an in-process
+//!   server over the standard annotated workload.
 //! - `trace "<sql>"`: one traced run (`--strategy`), printed as a span tree
 //!   and written as a Chrome trace-viewer document.
 //! - `all`: records every tracked report at the parameters each is
@@ -62,9 +62,10 @@ use conquer::{analyze, parse_query, Database, ExecOptions, ResourceLimits};
 use conquer_bench::report::RECORDED;
 use conquer_bench::{
     index_blind_twin, median_sample, run_status, sample, sample_sql, span_wall, speedup, traced,
-    workload, Strategy, BASE_SF,
+    workload, BASE_SF,
 };
 use conquer_obs::Json;
+use conquer_serve::Strategy;
 
 /// Set when any query fails or trips a limit; the harness still completes
 /// the sweep and writes every report before exiting nonzero.
@@ -84,9 +85,6 @@ struct Args {
     timeout_ms: Option<u64>,
     mem_limit: Option<u64>,
     threads: usize,
-    /// `serve` mode: target an already-running server on this loopback port
-    /// instead of starting one in-process.
-    serve_port: Option<u16>,
     /// `serve` mode: number of closed-loop worker connections.
     concurrency: usize,
     /// `serve` mode: total-open-connection points for the trajectory sweep
@@ -139,7 +137,6 @@ fn parse_args(tokens: impl IntoIterator<Item = String>) -> Args {
         timeout_ms: None,
         mem_limit: None,
         threads: ExecOptions::default().threads,
-        serve_port: None,
         concurrency: 16,
         connections: Vec::new(),
         rounds: 3,
@@ -160,7 +157,6 @@ fn parse_args(tokens: impl IntoIterator<Item = String>) -> Args {
             "--timeout-ms" => args.timeout_ms = Some(value(it.next(), flag, "an integer")),
             "--mem-limit" => args.mem_limit = Some(value(it.next(), flag, "a byte count")),
             "--threads" => args.threads = positive(it.next(), flag),
-            "--serve-port" => args.serve_port = Some(value(it.next(), flag, "a port number")),
             "--concurrency" => args.concurrency = positive(it.next(), flag),
             "--connections" => {
                 let spec: String = value(it.next(), flag, "a comma list of counts");
@@ -177,12 +173,10 @@ fn parse_args(tokens: impl IntoIterator<Item = String>) -> Args {
             }
             "--before" => args.before = Some(value(it.next(), flag, "a path")),
             "--strategy" => {
-                args.strategy = match it.next().as_deref() {
-                    Some("original") => Strategy::Original,
-                    Some("rewritten") => Strategy::Rewritten,
-                    Some("annotated") => Strategy::Annotated,
-                    _ => die("--strategy requires original|rewritten|annotated"),
-                };
+                args.strategy = it
+                    .next()
+                    .and_then(|s| Strategy::parse(&s))
+                    .unwrap_or_else(|| die("--strategy requires original|rewritten|annotated"));
             }
             "--quiet" => args.quiet = true,
             tok if !tok.starts_with('-') => {
@@ -222,7 +216,7 @@ fn die(msg: &str) -> ! {
         "usage: harness [fig10|fig11|fig12|fig13|fig14|baseline|serve|plancost|opbench|idxbench|recover|load|all] \
          [--sf F] [--runs N] [--json PATH] [--quiet] \
          [--timeout-ms N] [--mem-limit BYTES] [--threads N] \
-         [--serve-port P] [--concurrency N] [--connections N,M,...] [--rounds R] \
+         [--concurrency N] [--connections N,M,...] [--rounds R] \
          [--churn-ms N] [--cost-threshold-file PATH] [--before PATH]\n       \
          harness trace \"<sql>\" [--strategy original|rewritten|annotated] \
          [--sf F] [--threads N] [--json PATH]\n       \
@@ -1096,14 +1090,6 @@ fn trace_cmd(args: &Args) -> Json {
     ])
 }
 
-fn wire_strategy(s: Strategy) -> conquer_serve::Strategy {
-    match s {
-        Strategy::Original => conquer_serve::Strategy::Original,
-        Strategy::Rewritten => conquer_serve::Strategy::Rewritten,
-        Strategy::Annotated => conquer_serve::Strategy::Annotated,
-    }
-}
-
 /// Read `stats.cache.{hits,misses}` from a server stats snapshot.
 fn cache_counters(stats: &Json) -> (f64, f64) {
     let read = |name: &str| {
@@ -1116,15 +1102,14 @@ fn cache_counters(stats: &Json) -> (f64, f64) {
     (read("hits"), read("misses"))
 }
 
-/// `serve` — closed-loop load generation against a `conquer-serve` server.
+/// `serve` — closed-loop load generation against an in-process
+/// `conquer-serve` server over the standard annotated workload.
 ///
 /// Each of `--concurrency` worker connections runs the full benchmark
 /// query × strategy grid `--rounds` times, timing every round trip
 /// client-side; `busy` rejections are retried (and counted), anything else
 /// is an error. A single warmup pass populates the server's rewrite/plan
-/// cache and discovers which strategies the target actually supports (an
-/// external unannotated server rejects `annotated`), so the closed loop
-/// only measures what the server can answer.
+/// cache; a pair it cannot answer stops the run.
 fn serve_cmd(args: &Args) -> Json {
     use conquer_serve::{serve, Client, ServerConfig};
 
@@ -1140,53 +1125,32 @@ fn serve_cmd(args: &Args) -> Json {
     };
     let max_point = points.iter().copied().max().unwrap_or(args.concurrency);
 
-    // Target: an external server via --serve-port, or an in-process one
-    // over the standard annotated workload.
-    let (addr, server) = match args.serve_port {
-        Some(port) => {
-            let addr = std::net::SocketAddr::from(([127, 0, 0, 1], port));
-            (addr, None)
-        }
-        None => {
-            let w = workload(args.sf, 0.05, 2);
-            let handle = serve(
-                std::sync::Arc::new(w.db),
-                w.sigma,
-                ServerConfig {
-                    max_sessions: max_point.max(args.concurrency) + 8,
-                    max_concurrent: args.concurrency,
-                    ..ServerConfig::default()
-                },
-            )
-            .unwrap_or_else(|e| die(&format!("cannot start in-process server: {e}")));
-            (handle.addr(), Some(handle))
-        }
-    };
+    let w = workload(args.sf, 0.05, 2);
+    let server = serve(
+        std::sync::Arc::new(w.db),
+        w.sigma,
+        ServerConfig {
+            max_sessions: max_point.max(args.concurrency) + 8,
+            max_concurrent: args.concurrency,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap_or_else(|e| die(&format!("cannot start in-process server: {e}")));
+    let addr = server.addr();
 
     let queries = all_queries();
     let mut warm =
         Client::connect(addr).unwrap_or_else(|e| die(&format!("cannot connect to {addr}: {e}")));
 
-    // Warmup: populate the cache, drop unsupported (query, strategy) pairs.
+    // Warmup: populate the cache.
     let mut pairs: Vec<(&BenchmarkQuery, Strategy)> = Vec::new();
-    let mut skipped = Vec::new();
     for strategy in Strategy::ALL {
         for q in &queries {
-            match warm.query_with(q.sql, Some(wire_strategy(strategy))) {
-                Ok(_) => pairs.push((q, strategy)),
-                Err(e) => {
-                    eprintln!("harness: skipping {} [{}]: {e}", q.name(), strategy.label());
-                    skipped.push(Json::obj([
-                        ("query", Json::from(q.name())),
-                        ("strategy", Json::from(strategy.label())),
-                        ("error", Json::from(e.to_string())),
-                    ]));
-                }
+            if let Err(e) = warm.query_with(q.sql, Some(strategy)) {
+                die(&format!("warm-up {} [{}]: {e}", q.name(), strategy.label()));
             }
+            pairs.push((q, strategy));
         }
-    }
-    if pairs.is_empty() {
-        die("the server answered no benchmark query under any strategy");
     }
     // One sweep step per connection point: open the idle connections, run
     // the closed loop (quiet, then beside the churn writer when asked),
@@ -1317,13 +1281,10 @@ fn serve_cmd(args: &Args) -> Json {
     }
 
     let _ = warm.quit();
-    if let Some(handle) = server {
-        handle.shutdown();
-    }
+    server.shutdown();
 
     let mut report = report_header("serve", args, []);
     report.push("addr", Json::from(addr.to_string()));
-    report.push("in_process", Json::Bool(args.serve_port.is_none()));
     report.push("concurrency", Json::UInt(args.concurrency as u64));
     report.push("rounds", Json::UInt(args.rounds as u64));
     if let Some(ms) = args.churn_ms {
@@ -1334,9 +1295,6 @@ fn serve_cmd(args: &Args) -> Json {
         Json::Arr(points.iter().map(|&n| Json::UInt(n as u64)).collect()),
     );
     report.push("trajectory", Json::Arr(trajectory));
-    if !skipped.is_empty() {
-        report.push("skipped", Json::Arr(skipped));
-    }
     report
 }
 
@@ -1371,7 +1329,7 @@ fn wire_floor(client: &mut conquer_serve::Client, pairs: &[(&BenchmarkQuery, Str
     // The cheapest statement by the server's own clock, one cached run each.
     let mut cheapest: Option<(u64, &BenchmarkQuery, Strategy)> = None;
     for &(q, strategy) in pairs {
-        match client.query_with(q.sql, Some(wire_strategy(strategy))) {
+        match client.query_with(q.sql, Some(strategy)) {
             Ok(outcome) => match cheapest {
                 Some((us, ..)) if us <= outcome.elapsed_us => {}
                 _ => cheapest = Some((outcome.elapsed_us, q, strategy)),
@@ -1389,7 +1347,7 @@ fn wire_floor(client: &mut conquer_serve::Client, pairs: &[(&BenchmarkQuery, Str
     };
     let (mut rtt, mut server) = (Vec::with_capacity(SAMPLES), Vec::with_capacity(SAMPLES));
     for _ in 0..SAMPLES {
-        match round_trip(|| client.query_with(q.sql, Some(wire_strategy(strategy)))) {
+        match round_trip(|| client.query_with(q.sql, Some(strategy))) {
             (Ok(outcome), ns) => {
                 rtt.push(ns);
                 server.push(outcome.elapsed_us * 1_000);
@@ -1513,7 +1471,7 @@ fn serve_point(
                         let (q, strategy) = pairs[(i + wid) % pairs.len()];
                         let mut attempts = 0u32;
                         loop {
-                            let asked = || client.query_with(q.sql, Some(wire_strategy(strategy)));
+                            let asked = || client.query_with(q.sql, Some(strategy));
                             match round_trip(asked) {
                                 (Ok(outcome), ns) => {
                                     std::hint::black_box(outcome.rows.rows.len());

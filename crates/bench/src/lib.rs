@@ -1,6 +1,7 @@
 //! Shared infrastructure for the benchmark harness and the ablation bench:
-//! workload construction, the three execution strategies of the paper's
-//! evaluation, and the one unit of measurement — a traced [`Sample`].
+//! workload construction, running a query under each of the paper's three
+//! strategies ([`conquer_serve::Strategy`]), and the one unit of
+//! measurement — a traced [`Sample`].
 //!
 //! The paper's hardware (a 2.8 GHz Pentium 4 running DB2 on 1 GB–2 GB
 //! databases) is replaced by this repository's in-memory engine at reduced
@@ -24,6 +25,7 @@ use conquer::{
     ConstraintSet, Database, EngineError, ExecOptions, RewriteError, RewriteOptions, Rows,
 };
 use conquer_obs::{Json, SpanRecord};
+use conquer_serve::Strategy;
 
 pub mod report;
 
@@ -31,30 +33,6 @@ pub mod report;
 /// paper's 100 MB / 500 MB / 1 GB / 2 GB series keeps the same ×0.1 / ×0.5
 /// / ×1 / ×2 ratios against this value.
 pub const BASE_SF: f64 = 0.05;
-
-/// How each query is executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Strategy {
-    /// The original (non-rewritten) query: possible-answer semantics.
-    Original,
-    /// ConQuer's rewriting on the unannotated database.
-    Rewritten,
-    /// The annotation-aware rewriting of Section 5.
-    Annotated,
-}
-
-impl Strategy {
-    /// Every strategy, in the order reports list them.
-    pub const ALL: [Strategy; 3] = [Strategy::Original, Strategy::Rewritten, Strategy::Annotated];
-
-    pub fn label(self) -> &'static str {
-        match self {
-            Strategy::Original => "original",
-            Strategy::Rewritten => "rewritten",
-            Strategy::Annotated => "annotated",
-        }
-    }
-}
 
 /// Build the standard workload for one benchmark configuration.
 pub fn workload(scale_factor: f64, p: f64, n: usize) -> Workload {

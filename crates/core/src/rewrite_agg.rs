@@ -91,7 +91,6 @@ pub fn rewrite_agg(tq: &TreeQuery, opts: &RewriteOptions) -> Result<Query> {
     };
     let key_aliases = root_key_aliases(tq);
     let g_aliases = choose_item_aliases(&qg);
-    check_unique(&g_aliases)?;
 
     // --- conq_base: the original query's satisfying rows, scanned once ------
     let violated = Violated::of(&qg, opts);
@@ -162,13 +161,9 @@ pub fn rewrite_agg(tq: &TreeQuery, opts: &RewriteOptions) -> Result<Query> {
             name: QG_CONS.to_string(),
             query: Query::from_select(Select {
                 distinct: false,
-                projection: qg
-                    .projection
+                projection: g_aliases
                     .iter()
-                    .zip(&g_aliases)
-                    .map(|(item, alias)| {
-                        SelectItem::aliased(Expr::col(CAND_BINDING, alias.clone()), item.name())
-                    })
+                    .map(|a| SelectItem::aliased(Expr::col(CAND_BINDING, a.clone()), a.clone()))
                     .collect(),
                 from: vec![union_of(&[PASS, UNFILTERED], CAND_BINDING)],
                 selection: None,
@@ -179,7 +174,7 @@ pub fn rewrite_agg(tq: &TreeQuery, opts: &RewriteOptions) -> Result<Query> {
                 having: None,
             }),
         });
-        in_filter.push(group_cons_exists(&qg, &g_aliases));
+        in_filter.push(group_cons_exists(&g_aliases));
     }
     ctes.push(Cte {
         name: FILTERED.to_string(),
@@ -278,17 +273,6 @@ fn build_qg(tq: &TreeQuery) -> TreeQuery {
     qg.order_by = Vec::new();
     qg.limit = None;
     qg
-}
-
-fn check_unique(aliases: &[String]) -> Result<()> {
-    for (i, a) in aliases.iter().enumerate() {
-        if aliases[..i].contains(a) {
-            return Err(RewriteError::Unsupported(format!(
-                "two grouped attributes share the output name `{a}`; alias one of them"
-            )));
-        }
-    }
-    Ok(())
 }
 
 /// The shared base CTE: root keys, q_G's items, per-aggregate effective
@@ -399,12 +383,12 @@ fn key_filter_exists(key_aliases: &[String], positive: bool) -> Expr {
     }
 }
 
-/// `EXISTS (SELECT * FROM conq_qg_cons g WHERE g.<name> = b.<galias> ...)`:
+/// `EXISTS (SELECT * FROM conq_qg_cons g WHERE g.<alias> = b.<alias> ...)`:
 /// only groups that are consistent answers of `q_G` receive ranges.
-fn group_cons_exists(qg: &TreeQuery, g_aliases: &[String]) -> Expr {
-    let on = Expr::conjoin(qg.projection.iter().zip(g_aliases).map(|(item, alias)| {
+fn group_cons_exists(g_aliases: &[String]) -> Expr {
+    let on = Expr::conjoin(g_aliases.iter().map(|alias| {
         Expr::eq(
-            Expr::col(CONS_BINDING, item.name().to_string()),
+            Expr::col(CONS_BINDING, alias.clone()),
             Expr::col(BASE_BINDING, alias.clone()),
         )
     }))

@@ -3,13 +3,13 @@
 //! CTEs are materialized at plan time (the paper materializes its
 //! `Candidates`/`Filter` subexpressions explicitly, Section 6.1); an
 //! [`ExecOptions`] flag re-inlines them instead, for the ablation study.
-//! Equality-correlated `EXISTS`/`NOT EXISTS` predicates are decorrelated
-//! into hash semi/anti joins; a second flag disables that and falls back to
-//! per-row nested-loop evaluation. A third, [`ExecOptions::optimize`],
-//! turns the optimizer off as a whole — join order as written, no
-//! [`crate::opt`] pass over query or CTE bodies (`Planner::optimize` is
-//! the one place it runs), no CTE pruning — which is the reference plan the
-//! planner differential compares production against.
+//! Equality-correlated `EXISTS`/`NOT EXISTS` and `IN` predicates are
+//! decorrelated into hash semi/anti joins; any other shape is evaluated
+//! per row. A second flag, [`ExecOptions::optimize`], turns the optimizer
+//! off as a whole — join order as written, no [`crate::opt`] pass over
+//! query or CTE bodies (`Planner::optimize` is the one place it runs) —
+//! which is the reference plan the planner differential compares
+//! production against.
 //!
 //! This module is also the one place that knows the layout of a [`Plan`]
 //! node: [`Plan::children`] / [`Plan::children_mut`] /
@@ -47,16 +47,12 @@ pub struct ExecOptions {
     /// paper found this essential for the rewritings). When `false`, each
     /// CTE reference re-plans and re-executes the CTE body.
     pub materialize_ctes: bool,
-    /// Rewrite equality-correlated `EXISTS`/`NOT EXISTS` into hash
-    /// semi/anti joins. When `false`, they run as per-row nested loops.
-    pub decorrelate_exists: bool,
     /// Run the optimizer: cost-based greedy join ordering, then filter
     /// pushdown below joins and access-path selection over every query and
-    /// CTE body, and
-    /// projection pruning of materialized CTEs. When `false` the plan runs
-    /// as written — first-connected join order, every post-join predicate
-    /// above its join, sequential scans — which is the reference the
-    /// planner differential and the ablation study compare against.
+    /// CTE body. When `false` the plan runs as written — first-connected
+    /// join order, every post-join predicate above its join, sequential
+    /// scans — which is the reference the planner differential and the
+    /// ablation study compare against.
     pub optimize: bool,
     /// Resource budget for the query (unlimited by default). Covers plan
     /// time too: CTE materialization runs under the same governor.
@@ -85,7 +81,6 @@ impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
             materialize_ctes: true,
-            decorrelate_exists: true,
             optimize: true,
             limits: ResourceLimits::default(),
             cancellation: None,
@@ -602,26 +597,8 @@ impl<'a> Planner<'a> {
         outer: Option<&BindScope<'_>>,
     ) -> Result<Plan> {
         let mut env = env.clone();
-        for (i, cte) in query.ctes.iter().enumerate() {
-            // Projection pruning: a materialized CTE only needs to carry
-            // the columns the rest of the query (later CTEs, body, ORDER
-            // BY) can reference. Matching is by column name, which is
-            // conservative — any name mentioned anywhere downstream keeps
-            // the column — and a wildcard anywhere keeps everything.
-            let prune = if self.options.optimize && self.options.materialize_ctes {
-                let mut scan = ColRefScan::default();
-                for later in &query.ctes[i + 1..] {
-                    scan.query(&later.query);
-                }
-                scan.set_expr(&query.body);
-                for item in &query.order_by {
-                    scan.expr(&item.expr);
-                }
-                (!scan.wildcard).then_some(scan.names)
-            } else {
-                None
-            };
-            self.register_cte(cte, &mut env, prune.as_ref())?;
+        for cte in &query.ctes {
+            self.register_cte(cte, &mut env)?;
         }
         let mut plan = self.plan_set_expr(&query.body, &env, outer)?;
         if !query.order_by.is_empty() {
@@ -646,19 +623,11 @@ impl<'a> Planner<'a> {
         Ok(plan)
     }
 
-    fn register_cte(
-        &self,
-        cte: &Cte,
-        env: &mut CteEnv,
-        keep: Option<&std::collections::HashSet<String>>,
-    ) -> Result<()> {
+    fn register_cte(&self, cte: &Cte, env: &mut CteEnv) -> Result<()> {
         if self.options.materialize_ctes {
             faults::trip("cte.materialize")?;
             // CTEs cannot be correlated: plan and run with no outer scope.
             let mut plan = self.optimize(self.plan_query_in(&cte.query, env, None)?);
-            if let Some(keep) = keep {
-                plan = prune_projection(plan, keep);
-            }
             let conflict_scan = matches!(
                 plan,
                 Plan::IndexScan {
@@ -1237,21 +1206,19 @@ impl<'a> Planner<'a> {
         env: &CteEnv,
         outer: Option<&BindScope<'_>>,
     ) -> Result<Plan> {
-        if self.options.decorrelate_exists {
-            if let Expr::Exists { subquery, negated } = conjunct {
-                if let Some(plan) = self.try_decorrelate_exists(&input, subquery, *negated, env)? {
-                    return Ok(plan);
-                }
+        if let Expr::Exists { subquery, negated } = conjunct {
+            if let Some(plan) = self.try_decorrelate_exists(&input, subquery, *negated, env)? {
+                return Ok(plan);
             }
-            if let Expr::InSubquery {
-                expr,
-                subquery,
-                negated: false,
-            } = conjunct
-            {
-                if let Some(plan) = self.try_decorrelate_in(&input, expr, subquery, env)? {
-                    return Ok(plan);
-                }
+        }
+        if let Expr::InSubquery {
+            expr,
+            subquery,
+            negated: false,
+        } = conjunct
+        {
+            if let Some(plan) = self.try_decorrelate_in(&input, expr, subquery, env)? {
+                return Ok(plan);
             }
         }
         // Fallback: evaluate the subquery per row.
@@ -1473,7 +1440,6 @@ impl<'a> Planner<'a> {
         // parallelism, which would cost more than the insert.
         let options = ExecOptions {
             materialize_ctes: true,
-            decorrelate_exists: true,
             optimize: true,
             limits: ResourceLimits::default(),
             cancellation: None,
@@ -1641,115 +1607,6 @@ impl<'a> Planner<'a> {
                 ))
             }
         })
-    }
-}
-
-/// Deep column-name scan over an AST fragment, descending into subqueries
-/// (unlike `Expr::column_refs`). Drives CTE projection pruning: any
-/// column *name* seen anywhere downstream of a CTE keeps the same-named CTE
-/// column; any `*` / `t.*` in a projection keeps everything. `COUNT(*)`'s
-/// bare `Expr::Wildcard` is ignored — it needs rows, not columns, and
-/// pruning always keeps at least one column.
-#[derive(Default)]
-struct ColRefScan {
-    names: std::collections::HashSet<String>,
-    wildcard: bool,
-}
-
-impl ColRefScan {
-    fn query(&mut self, q: &Query) {
-        for cte in &q.ctes {
-            self.query(&cte.query);
-        }
-        self.set_expr(&q.body);
-        for item in &q.order_by {
-            self.expr(&item.expr);
-        }
-    }
-
-    fn set_expr(&mut self, s: &SetExpr) {
-        for sel in s.selects() {
-            self.select(sel);
-        }
-    }
-
-    fn select(&mut self, sel: &Select) {
-        for item in &sel.projection {
-            match item {
-                SelectItem::Expr { expr, .. } => self.expr(expr),
-                SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => {
-                    self.wildcard = true;
-                }
-            }
-        }
-        for factor in &sel.from {
-            self.table_ref(factor);
-        }
-        if let Some(w) = &sel.selection {
-            self.expr(w);
-        }
-        for g in &sel.group_by {
-            self.expr(g);
-        }
-        if let Some(h) = &sel.having {
-            self.expr(h);
-        }
-    }
-
-    fn table_ref(&mut self, t: &TableRef) {
-        match t {
-            TableRef::Table { .. } => {}
-            TableRef::Subquery { query, .. } => self.query(query),
-            TableRef::Join {
-                left, right, on, ..
-            } => {
-                self.table_ref(left);
-                self.table_ref(right);
-                if let Some(on) = on {
-                    self.expr(on);
-                }
-            }
-        }
-    }
-
-    fn expr(&mut self, e: &Expr) {
-        match e {
-            Expr::Column(c) => {
-                self.names.insert(c.name.clone());
-            }
-            Expr::Exists { subquery, .. }
-            | Expr::InSubquery { subquery, .. }
-            | Expr::ScalarSubquery(subquery) => self.query(subquery),
-            _ => {}
-        }
-        for child in e.children() {
-            self.expr(child);
-        }
-    }
-}
-
-/// Narrow a materialized CTE plan to the columns named in `keep`: the
-/// stored rows then only carry what the rest of the query can reference.
-/// Keeps column order, and always at least one column so row counts
-/// (`COUNT(*)` over the CTE) survive.
-fn prune_projection(plan: Plan, keep: &std::collections::HashSet<String>) -> Plan {
-    let schema = plan.schema();
-    let mut kept: Vec<usize> = (0..schema.len())
-        .filter(|&i| keep.contains(&schema.columns[i].name))
-        .collect();
-    if kept.len() == schema.len() {
-        return plan;
-    }
-    if kept.is_empty() {
-        kept.push(0);
-    }
-    let columns = kept.iter().map(|&i| schema.columns[i].clone()).collect();
-    let exprs = kept.iter().map(|&i| BoundExpr::column(i)).collect();
-    let schema = Schema::new(columns);
-    Plan::Project {
-        input: Box::new(plan),
-        exprs,
-        schema,
     }
 }
 

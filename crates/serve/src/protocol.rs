@@ -160,6 +160,9 @@ pub enum Strategy {
 }
 
 impl Strategy {
+    /// Every strategy, in the order reports list them.
+    pub const ALL: [Strategy; 3] = [Strategy::Original, Strategy::Rewritten, Strategy::Annotated];
+
     pub fn label(self) -> &'static str {
         match self {
             Strategy::Original => "original",

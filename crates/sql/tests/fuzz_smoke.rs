@@ -177,7 +177,7 @@ fn sorted_rows(rows: &conquer_engine::Rows) -> Vec<Vec<String>> {
 /// repair-oracle pattern from `tests/oracle_equivalence.rs` applied to the
 /// optimizer: the plan as written is the oracle, everything the optimizer
 /// does (join reordering, filter pushdown to either side, build-side
-/// swaps, access paths, CTE pruning) is under test.
+/// swaps, access paths) is under test.
 #[test]
 fn fuzz_cases_agree_with_and_without_cost_based_planning() {
     let db = fixture();

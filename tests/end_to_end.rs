@@ -1,6 +1,7 @@
 //! End-to-end tests over the TPC-H workload: every benchmark query
-//! rewrites, executes, and agrees across the plain, annotated, and
-//! engine-ablation configurations.
+//! rewrites, executes, and agrees across the plain and annotated
+//! rewritings, the engine's ablation configurations and the reference
+//! evaluator.
 
 use conquer::tpch::{all_queries, build_workload, WorkloadConfig};
 use conquer::{
@@ -106,16 +107,14 @@ fn annotated_and_plain_rewritings_agree_on_every_query() {
 fn engine_ablations_do_not_change_answers() {
     let w = small_workload(false);
     let configs = [
+        ExecOptions::default(),
         ExecOptions {
             materialize_ctes: false,
             ..ExecOptions::default()
         },
-        ExecOptions {
-            decorrelate_exists: false,
-            ..ExecOptions::default()
-        },
     ];
-    // The nested-loop fallback is slow; a couple of queries suffice.
+    // The reference evaluator runs every `EXISTS` per row; a couple of
+    // queries suffice.
     for q in [conquer::tpch::Q6, conquer::tpch::Q12] {
         let rewritten = rewrite(
             &parse_query(q.sql).unwrap(),
@@ -123,7 +122,7 @@ fn engine_ablations_do_not_change_answers() {
             &RewriteOptions::default(),
         )
         .unwrap();
-        let reference = w.db.execute_query(&rewritten).unwrap();
+        let reference = conquer_reference::evaluate(&w.db, &rewritten).unwrap();
         for options in &configs {
             let got = w.db.execute_query_with(&rewritten, options).unwrap();
             assert_agree(

@@ -46,19 +46,18 @@ fn assert_null_key_refused(db: &Database, annotated_db: &Database, q: &str, sigm
     assert_eq!(annotated, refused, "annotated, query: {q}");
 }
 
-/// A query grouped by its first column with one aggregate: the rewriting's
-/// `(group, min, max)` rows are the range oracle's.
-fn assert_matches_range_oracle(db: &Database, q: &str, sigma: &ConstraintSet) {
+/// A query grouped by its first `groups` columns with one aggregate: the
+/// rewriting's `(group.., min, max)` rows are the range oracle's.
+fn assert_matches_range_oracle(db: &Database, q: &str, sigma: &ConstraintSet, groups: usize) {
     let rewritten = consistent_answers(db, q, sigma).unwrap();
-    let oracle = range_consistent_oracle(db, q, sigma, 1).unwrap();
+    let oracle = range_consistent_oracle(db, q, sigma, groups).unwrap();
     let mut ranges: Vec<Vec<String>> = oracle
         .iter()
         .map(|a| {
-            vec![
-                a.group[0].to_string(),
-                a.ranges[0].0.to_string(),
-                a.ranges[0].1.to_string(),
-            ]
+            let mut row: Vec<String> = a.group.iter().map(ToString::to_string).collect();
+            row.push(a.ranges[0].0.to_string());
+            row.push(a.ranges[0].1.to_string());
+            row
         })
         .collect();
     ranges.sort();
@@ -147,7 +146,7 @@ fn single_relation_filter_over_violated_keys_only() {
         assert_strategies_agree(&db, &annotated_db, q, &sigma);
     }
     assert_strategies_agree(&db, &annotated_db, range, &sigma);
-    assert_matches_range_oracle(&db, range, &sigma);
+    assert_matches_range_oracle(&db, range, &sigma, 1);
 
     let data = format!("{DATA}{NULL_KEY}");
     let db = load(&data);
@@ -210,7 +209,7 @@ fn single_relation_split_matches_every_oracle() {
         for q in queries {
             let what = format!("{q} ({case})");
             assert_strategies_agree(&db, &annotated_db, q, &sigma);
-            assert_matches_range_oracle(&db, q, &sigma);
+            assert_matches_range_oracle(&db, q, &sigma, 1);
             let sql = rewrite_sql(q, &sigma, &RewriteOptions::default()).unwrap();
             assert!(sql.contains("conq_pass AS ("), "{what}: {sql}");
         }
@@ -279,7 +278,7 @@ fn multi_relation_filter_over_suspects_only() {
     }
     let q = format!("select c.seg, sum(l.qty) as total {FROM} and l.qty > 2 group by c.seg");
     assert_strategies_agree(&db, &annotated_db, &q, &sigma);
-    assert_matches_range_oracle(&db, &q, &sigma);
+    assert_matches_range_oracle(&db, &q, &sigma, 1);
     // Every segment is a consistent group; `a` and `c` hold filtered keys.
     assert_eq!(
         sorted(&consistent_answers(&db, &q, &sigma).unwrap()),
@@ -341,7 +340,7 @@ fn sum_ranges_with_negative_values_match_oracle() {
     .unwrap();
     let sigma = ConstraintSet::new().with_key("t", ["k"]);
     let q = "select t.g, sum(t.v) as s from t group by t.g";
-    assert_matches_range_oracle(&db, q, &sigma);
+    assert_matches_range_oracle(&db, q, &sigma, 1);
 }
 
 #[test]
@@ -355,7 +354,7 @@ fn count_ranges_match_oracle() {
     .unwrap();
     let sigma = ConstraintSet::new().with_key("t", ["k"]);
     let q = "select t.g, count(*) as n from t where t.flag = 1 group by t.g";
-    assert_matches_range_oracle(&db, q, &sigma);
+    assert_matches_range_oracle(&db, q, &sigma, 1);
 }
 
 #[test]
@@ -373,7 +372,7 @@ fn min_max_ranges_match_oracle() {
         "select t.g, min(t.v) as m from t group by t.g",
         "select t.g, max(t.v) as m from t group by t.g",
     ] {
-        assert_matches_range_oracle(&db, q, &sigma);
+        assert_matches_range_oracle(&db, q, &sigma, 1);
     }
 }
 
@@ -390,7 +389,7 @@ fn min_with_selection_filtering_matches_oracle() {
     .unwrap();
     let sigma = ConstraintSet::new().with_key("t", ["k"]);
     let q = "select t.g, min(t.v) as m from t where t.w = 1 group by t.g";
-    assert_matches_range_oracle(&db, q, &sigma);
+    assert_matches_range_oracle(&db, q, &sigma, 1);
 }
 
 #[test]
@@ -457,5 +456,34 @@ fn three_way_chain_with_aggregation_matches_oracle() {
         .with_key("o", ["ok"]);
     let q = "select o.pri, sum(l.qty) as total from l, o where l.ofk = o.ok group by o.pri";
     // Consistent groups and their ranges must coincide, in any order.
-    assert_matches_range_oracle(&db, q, &sigma);
+    assert_matches_range_oracle(&db, q, &sigma, 1);
+
+    // Two grouped attributes of one name, from two relations: each keeps a
+    // column of its own through the rewriting's CTEs.
+    const SAME_NAME: &str = "create table l (ok integer, ln integer, a text, q integer);
+         insert into l values (1, 1, 'x', 5), (1, 2, 'y', 7), (2, 1, 'x', 3), (2, 1, 'x', 9);
+         create table o (ok integer, a text);
+         insert into o values (1, 'p'), (2, 'q');";
+    let load = || {
+        let db = Database::new();
+        db.run_script(SAME_NAME).unwrap();
+        db
+    };
+    let sigma = ConstraintSet::new()
+        .with_key("l", ["ok", "ln"])
+        .with_key("o", ["ok"]);
+    let (db, annotated_db) = (load(), load());
+    annotate_database(&annotated_db, &sigma).unwrap();
+    let q = "select l.a, o.a, sum(l.q) as s from l, o where l.ok = o.ok and l.q > 1 \
+             group by l.a, o.a";
+    assert_matches_range_oracle(&db, q, &sigma, 2);
+    assert_strategies_agree(&db, &annotated_db, q, &sigma);
+    assert_eq!(
+        sorted(&consistent_answers(&db, q, &sigma).unwrap()),
+        [
+            ["x", "p", "5", "5"],
+            ["x", "q", "3", "9"],
+            ["y", "p", "7", "7"]
+        ]
+    );
 }
