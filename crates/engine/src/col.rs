@@ -11,10 +11,15 @@
 //! which stores exact `Value`s and opts the column out of vectorized
 //! kernels — fidelity first, speed where the data allows it.
 //!
-//! Operators that still work row-at-a-time pivot a batch into `Vec<Row>`
-//! through [`ColBatch::rows`]; the pivot is computed once per batch and
-//! cached, so repeated row-side consumers (sort after filter, join
-//! residuals) don't re-materialize.
+//! Operators that still work row-at-a-time — a hash inner / left join's
+//! probe side, a nested loop join, a projection or an aggregate the kernels
+//! do not compile —
+//! pivot a batch into `Vec<Row>` through [`ColBatch::rows`]; the pivot is
+//! computed once per batch and cached for as long as the batch lives, so a
+//! pivot of a stored table's batch is a row copy of the table kept until
+//! its version dies. An interpreted predicate does not pivot: it reads a
+//! row in place ([`crate::expr::RowRef::At`], cell by cell through
+//! [`ColumnChunk::value_at`]).
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -746,8 +751,8 @@ impl ColBatch {
         self.gather(&sel)
     }
 
-    /// Approximate heap bytes (column data; the pivot cache, when
-    /// populated, is accounted separately by callers that trigger it).
+    /// Approximate heap bytes of the column data. The pivot cache, when
+    /// populated, is not counted, here or anywhere else.
     pub fn byte_size(&self) -> usize {
         self.cols.iter().map(|c| c.byte_size()).sum()
     }

@@ -69,7 +69,7 @@ use std::time::Instant;
 
 use crate::col::{self, Bitmap, ColBatch, ColumnChunk, ColumnData};
 use crate::error::{EngineError, Result};
-use crate::expr::{BoundExpr, Env};
+use crate::expr::{BoundExpr, Env, RowRef};
 use crate::faults;
 use crate::fsum::ExactSum;
 use crate::governor::Governor;
@@ -80,7 +80,7 @@ use crate::index::{Index, IndexAccess};
 use crate::kernels;
 use crate::plan::{AggFunc, AggSpec, JoinType, Plan};
 use crate::schema::Schema;
-use crate::stats::{GroupPlan, JoinSide, NodeStats};
+use crate::stats::{GroupPlan, JoinSide, NodeStats, PredEval};
 use crate::table::{Row, Rows};
 use crate::value::{Key, KeyValue, Value};
 use conquer_obs::Counter;
@@ -509,6 +509,18 @@ fn note_grouping<T>(stats: &mut Option<&mut NodeStats>, g: &Grouped<T>, rows: us
     }
 }
 
+/// Record how a Filter evaluated its predicate: by the compiled kernel
+/// `pred`, or interpreted when there is none.
+fn note_pred(stats: &mut Option<&mut NodeStats>, pred: Option<&kernels::Pred<'_>>) {
+    if let Some(s) = stats.as_deref_mut() {
+        let way = match pred {
+            Some(_) => PredEval::Kernel,
+            None => PredEval::Interpreted,
+        };
+        s.pred = s.pred.max(Some(way));
+    }
+}
+
 /// Record the fan-out an operator ran with.
 fn note_threads(stats: &mut Option<&mut NodeStats>, workers: usize) {
     if let Some(s) = stats.as_deref_mut() {
@@ -576,52 +588,67 @@ fn exec_node(
         Plan::Filter { input, predicate } => {
             faults::trip("filter")?;
             let child = execute_ctx(input, outer, child_stats(stats, 0), ctx)?;
-            // Kernel path: compile the predicate against the child's column
-            // layout, evaluate it morsel-at-a-time into selection vectors,
-            // and gather the passing rows into a fresh columnar batch — the
-            // output stays columnar for the operators above. Predicates the
-            // compiler rejects (subqueries, outer references, arithmetic,
-            // demoted columns) fall through to the row loop below.
-            if let Batch::Col { cols, schema } = &child {
-                if let Some(pred) = kernels::compile_predicate(predicate, cols) {
+            match child {
+                // A columnar input stays columnar: each morsel yields a
+                // selection vector — from the kernel when the predicate
+                // compiles against the child's column layout, otherwise
+                // from the interpreter reading the batch in place — and the
+                // passing rows are gathered into a fresh batch. Nothing is
+                // pivoted, so no row copy of a stored table is left cached
+                // in its batch.
+                Batch::Col { cols, schema } => {
+                    let pred = kernels::compile_predicate(predicate, &cols);
+                    note_pred(stats, pred.as_ref());
                     let n = cols.len();
                     let workers = par_workers(n, ctx.threads);
                     note_threads(stats, workers);
                     let sel: Vec<u32> = concat(for_morsels(n, workers, |range| {
-                        ticks(gov, range.len() as u64, "filter")?;
                         let mut sel = Vec::new();
-                        pred.select_into(cols, range, &mut sel)?;
+                        match &pred {
+                            Some(pred) => {
+                                ticks(gov, range.len() as u64, "filter")?;
+                                pred.select_into(&cols, range, &mut sel)?;
+                            }
+                            None => {
+                                for i in range {
+                                    tick(gov, "filter")?;
+                                    let row = RowRef::At(&cols, i);
+                                    if eval_predicate_on_row(predicate, row, outer, ctx)?
+                                        == Some(true)
+                                    {
+                                        sel.push(i as u32);
+                                    }
+                                }
+                            }
+                        }
                         Ok(sel)
                     })?);
                     // A predicate every row passes keeps the child's batch.
                     let cols = if sel.len() == n {
-                        Arc::clone(cols)
+                        cols
                     } else {
                         Arc::new(cols.gather(&sel))
                     };
-                    return Ok(Batch::Col {
-                        cols,
-                        schema: schema.clone(),
-                    });
+                    Ok(Batch::Col { cols, schema })
+                }
+                Batch::Owned(Rows { schema, rows }) => {
+                    note_pred(stats, None);
+                    let workers = par_workers(rows.len(), ctx.threads);
+                    note_threads(stats, workers);
+                    let out = concat(for_morsels(rows.len(), workers, |range| {
+                        let mut out = Vec::new();
+                        for row in &rows[range] {
+                            tick(gov, "filter")?;
+                            let at = RowRef::Values(row);
+                            if eval_predicate_on_row(predicate, at, outer, ctx)? == Some(true) {
+                                out.push(row.clone());
+                            }
+                        }
+                        Ok(out)
+                    })?);
+                    Ok(Batch::Owned(Rows { schema, rows: out }))
                 }
             }
-            let rows = child.rows();
-            let workers = par_workers(rows.len(), ctx.threads);
-            note_threads(stats, workers);
-            let out = concat(for_morsels(rows.len(), workers, |range| {
-                let mut out = Vec::new();
-                for row in &rows[range] {
-                    tick(gov, "filter")?;
-                    if eval_predicate_on_row(predicate, row, outer, ctx)? == Some(true) {
-                        out.push(row.clone());
-                    }
-                }
-                Ok(out)
-            })?);
-            Ok(Batch::Owned(Rows {
-                schema: child.schema().clone(),
-                rows: out,
-            }))
         }
         Plan::Project {
             input,
@@ -850,15 +877,18 @@ fn eval_on_row(
     outer: Option<&Env<'_>>,
     ctx: ExecCtx<'_>,
 ) -> Result<Value> {
+    let row = RowRef::Values(row);
     match outer {
         Some(parent) => expr.eval(&Env::push(row, parent)),
         None => expr.eval(&Env::governed(row, ctx.gov)),
     }
 }
 
+/// [`eval_on_row`] for a predicate, over a row of values or a batch row
+/// read in place.
 fn eval_predicate_on_row(
     expr: &BoundExpr,
-    row: &[Value],
+    row: RowRef<'_>,
     outer: Option<&Env<'_>>,
     ctx: ExecCtx<'_>,
 ) -> Result<Option<bool>> {
@@ -1218,7 +1248,9 @@ fn exec_hash_join(
                 // Residual conditions are part of the ON clause: they
                 // decide whether this candidate pair is a match.
                 if let Some(res) = residual {
-                    if eval_predicate_on_row(res, &combined, outer, ctx)? != Some(true) {
+                    if eval_predicate_on_row(res, RowRef::Values(&combined), outer, ctx)?
+                        != Some(true)
+                    {
                         continue;
                     }
                 }
@@ -1377,7 +1409,10 @@ fn exec_nested_loop_join(
                 combined.extend(rrow.iter().cloned());
                 let pass = match on {
                     None => true,
-                    Some(cond) => eval_predicate_on_row(cond, &combined, outer, ctx)? == Some(true),
+                    Some(cond) => {
+                        let row = RowRef::Values(&combined);
+                        eval_predicate_on_row(cond, row, outer, ctx)? == Some(true)
+                    }
                 };
                 if !pass {
                     continue;

@@ -96,6 +96,9 @@ fn walk(plan: &Plan, stats: Option<&NodeStats>, analyze: bool, depth: usize, out
             if let Some(plan) = s.group_plan {
                 out.push_str(&format!(" groups={} way={}", s.groups, plan.label()));
             }
+            if let Some(way) = s.pred {
+                out.push_str(&format!(" pred={}", way.label()));
+            }
             if let Some(n) = s.top_n {
                 out.push_str(&format!(" top={n}"));
             }
@@ -257,6 +260,9 @@ pub fn stats_json(plan: &Plan, stats: &NodeStats) -> Json {
     if let Some(plan) = stats.group_plan {
         obj.push("group_plan", Json::from(plan.label()));
         obj.push("groups", Json::UInt(stats.groups));
+    }
+    if let Some(way) = stats.pred {
+        obj.push("pred", Json::from(way.label()));
     }
     if let Some(n) = stats.top_n {
         obj.push("top", Json::UInt(n));

@@ -12,6 +12,7 @@
 
 use conquer_sql::ast;
 
+use crate::col::ColBatch;
 use crate::error::{EngineError, Result};
 use crate::exec;
 use crate::governor::Governor;
@@ -261,23 +262,33 @@ impl BoundExpr {
     }
 }
 
+/// The current row of a scope: a row of values, or row `i` of a column
+/// batch read in place. A batch row is read cell by cell
+/// ([`ColumnChunk::value_at`](crate::col::ColumnChunk::value_at)), which
+/// gives the value a pivot of the batch would hold, without pivoting it.
+#[derive(Debug, Clone, Copy)]
+pub enum RowRef<'a> {
+    Values(&'a [Value]),
+    At(&'a ColBatch, usize),
+}
+
 /// Runtime scope chain: the current row plus enclosing query rows. Carries
 /// the enclosing query's resource [`Governor`] so correlated subqueries
 /// executed per row stay governed.
 #[derive(Debug, Clone, Copy)]
 pub struct Env<'a> {
-    pub row: &'a [Value],
+    pub row: RowRef<'a>,
     pub parent: Option<&'a Env<'a>>,
     pub gov: Option<&'a Governor>,
 }
 
 impl<'a> Env<'a> {
     pub fn root(row: &'a [Value]) -> Env<'a> {
-        Env::governed(row, None)
+        Env::governed(RowRef::Values(row), None)
     }
 
     /// A root scope governed by `gov`.
-    pub fn governed(row: &'a [Value], gov: Option<&'a Governor>) -> Env<'a> {
+    pub fn governed(row: RowRef<'a>, gov: Option<&'a Governor>) -> Env<'a> {
         Env {
             row,
             parent: None,
@@ -285,7 +296,7 @@ impl<'a> Env<'a> {
         }
     }
 
-    pub fn push(row: &'a [Value], parent: &'a Env<'a>) -> Env<'a> {
+    pub fn push(row: RowRef<'a>, parent: &'a Env<'a>) -> Env<'a> {
         Env {
             row,
             parent: Some(parent),
@@ -293,16 +304,23 @@ impl<'a> Env<'a> {
         }
     }
 
-    fn lookup(&self, depth: usize, index: usize) -> Result<&Value> {
+    fn lookup(&self, depth: usize, index: usize) -> Result<Value> {
         let mut env = self;
         for _ in 0..depth {
             env = env
                 .parent
                 .ok_or_else(|| EngineError::Execution("scope depth exceeds environment".into()))?;
         }
-        env.row
-            .get(index)
-            .ok_or_else(|| EngineError::Execution(format!("column index {index} out of bounds")))
+        let out_of_bounds =
+            || EngineError::Execution(format!("column index {index} out of bounds"));
+        match env.row {
+            RowRef::Values(row) => row.get(index).cloned().ok_or_else(out_of_bounds),
+            RowRef::At(batch, i) => Ok(batch
+                .cols()
+                .get(index)
+                .ok_or_else(out_of_bounds)?
+                .value_at(i)),
+        }
     }
 }
 
@@ -340,7 +358,7 @@ impl BoundExpr {
     /// Evaluate to a value in the given environment.
     pub fn eval(&self, env: &Env<'_>) -> Result<Value> {
         match self {
-            BoundExpr::Column { depth, index } => Ok(env.lookup(*depth, *index)?.clone()),
+            BoundExpr::Column { depth, index } => env.lookup(*depth, *index),
             BoundExpr::Literal(v) => Ok(v.clone()),
             BoundExpr::Binary { op, left, right } => eval_binary(*op, left, right, env),
             BoundExpr::Not(e) => Ok(bool_value(not3(e.eval(env)?.as_bool()?))),
@@ -675,12 +693,37 @@ mod tests {
         let outer_row = vec![Value::Int(42)];
         let inner_row = vec![Value::Int(7)];
         let outer = Env::root(&outer_row);
-        let inner = Env::push(&inner_row, &outer);
+        let inner = Env::push(RowRef::Values(&inner_row), &outer);
         let e0 = BoundExpr::Column { depth: 0, index: 0 };
         let e1 = BoundExpr::Column { depth: 1, index: 0 };
         assert_eq!(e0.eval(&inner).unwrap(), Value::Int(7));
         assert_eq!(e1.eval(&inner).unwrap(), Value::Int(42));
         assert!(e1.eval(&outer).is_err());
+    }
+
+    #[test]
+    fn a_batch_row_reads_in_place_what_its_pivot_holds() {
+        use crate::schema::{Column, DataType, Schema};
+        let schema = Schema::new(vec![
+            Column::new(None, "i", DataType::Integer),
+            Column::new(None, "s", DataType::Text),
+        ]);
+        let rows = vec![
+            vec![Value::Int(1), Value::str("a")],
+            vec![Value::Null, Value::Null],
+        ];
+        let batch = ColBatch::from_rows(&schema, rows);
+        let outer_row = vec![Value::Int(42)];
+        let outer = Env::root(&outer_row);
+        for i in 0..batch.len() {
+            let env = Env::push(RowRef::At(&batch, i), &outer);
+            for (c, want) in batch.row_at(i).into_iter().enumerate() {
+                assert_eq!(BoundExpr::column(c).eval(&env).unwrap(), want);
+            }
+            let e1 = BoundExpr::Column { depth: 1, index: 0 };
+            assert_eq!(e1.eval(&env).unwrap(), Value::Int(42));
+            assert!(BoundExpr::column(2).eval(&env).is_err());
+        }
     }
 
     #[test]

@@ -43,7 +43,7 @@ use conquer_sql::ast::BinaryOp;
 
 use crate::col::{Bitmap, ColBatch, ColumnChunk, ColumnData, TextDict};
 use crate::error::{EngineError, Result};
-use crate::expr::{like_match, BoundExpr, Env, ScalarFunc};
+use crate::expr::{like_match, BoundExpr, Env, RowRef, ScalarFunc};
 use crate::value::{cmp_i64_f64, ArithOp, Value};
 
 /// Extract plain current-row column indices from expressions, or `None`
@@ -738,10 +738,11 @@ impl<'a> Pred<'a> {
     ) -> Result<()> {
         let start = range.start;
         let Some(m) = self.root.eval(batch, range.clone()) else {
-            // Layout mismatch (defensive): exact row-at-a-time fallback.
+            // Layout mismatch (defensive): exact row-at-a-time fallback,
+            // reading each row in place.
             for i in range {
-                let row = batch.row_at(i);
-                if self.expr.eval_predicate(&Env::root(&row))? == Some(true) {
+                let env = Env::governed(RowRef::At(batch, i), None);
+                if self.expr.eval_predicate(&env)? == Some(true) {
                     out.push(i as u32);
                 }
             }
@@ -759,10 +760,9 @@ impl<'a> Pred<'a> {
     }
 
     /// Reproduce the row path's error for row `i` by evaluating the
-    /// original expression on the pivoted row.
+    /// original expression on that row, read in place.
     fn row_error(&self, batch: &ColBatch, i: usize) -> EngineError {
-        let row = batch.row_at(i);
-        let env = Env::root(&row);
+        let env = Env::governed(RowRef::At(batch, i), None);
         match self.expr.eval_predicate(&env) {
             Err(e) => e,
             Ok(_) => EngineError::Execution(

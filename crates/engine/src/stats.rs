@@ -68,6 +68,9 @@ pub struct NodeStats {
     /// Groups the group-key kernel formed, summed over invocations (over
     /// `UNION ALL` branches, the groups after matching them up).
     pub groups: u64,
+    /// How a Filter evaluated its predicate — interpreted if any
+    /// invocation did; `None` for other operators.
+    pub pred: Option<PredEval>,
     /// The rows a LIMIT right above a Sort asked it for: the Sort kept and
     /// sorted only those (a top-N). `None` for a full sort.
     pub top_n: Option<u64>,
@@ -113,6 +116,26 @@ impl GroupPlan {
         match self {
             GroupPlan::OneWorker => "one_worker",
             GroupPlan::Partials => "partials",
+        }
+    }
+}
+
+/// How a Filter evaluated its predicate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum PredEval {
+    /// Compiled against the input's column layout and run as a kernel over
+    /// each morsel.
+    Kernel,
+    /// The bound expression, evaluated row by row: on a columnar input it
+    /// reads each row in place, on a row-shaped one the row itself.
+    Interpreted,
+}
+
+impl PredEval {
+    pub fn label(self) -> &'static str {
+        match self {
+            PredEval::Kernel => "kernel",
+            PredEval::Interpreted => "interpreted",
         }
     }
 }
@@ -201,7 +224,8 @@ impl TableStats {
     /// nothing is hashed) or from the group-key kernel (numbers and dates,
     /// which stops reading once [`NDV_CAP`] is passed). Only an `Any`
     /// column is read `Value` by `Value`. Nothing is pivoted: a row copy
-    /// of a stored table would stay cached in it.
+    /// of a stored table would stay cached in its batch (as one still does
+    /// where a hash join probes the table as rows).
     pub fn collect(batch: &ColBatch) -> TableStats {
         TableStats {
             row_count: batch.len() as u64,

@@ -57,6 +57,12 @@
 //! each candidate is its own group, merged partials where a few groups
 //! remain — is pinned too (`exec.agg.one_worker` / `exec.agg.partials`).
 //!
+//! The originals are held to it too where a Filter is concerned: a Filter
+//! never pivots its input, so the first run of Q4's original — its
+//! column-against-column predicate interpreted over `lineitem`'s batch in
+//! place — pivots only its hash join's probe side and build rows, and no
+//! row copy of `lineitem` is left cached in the stored batch.
+//!
 //! Storing a table pivots nothing at all: statistics are collected column
 //! by column and an `INSERT`'s WAL record is built from the appended rows,
 //! so neither `register`, `CREATE TABLE`, `INSERT` nor recovery leaves a
@@ -552,7 +558,8 @@ fn since(before: [u64; 3]) -> [u64; 3] {
 /// Every hash join counts which way it went. A side that is a CTE carries
 /// no index, so an inner join over one builds its postings; every existence
 /// join runs the kernel — over a CTE, with an expression key, or with a
-/// probe side that a filter the kernels do not compile left row-shaped; a
+/// probe side that a projection the kernels do not compile left row-shaped
+/// (a Filter keeps a columnar input columnar); a
 /// CTE probing `orders` on its key borrows the key index's postings.
 #[test]
 fn each_hash_join_counts_the_way_it_went() {
@@ -594,8 +601,9 @@ fn each_hash_join_counts_the_way_it_went() {
         ),
         (
             format!(
-                "{cte}select l.l_orderkey from lineitem l where l.l_quantity * 2 > 10 \
-                 and exists (select f.k from f where f.k = l.l_orderkey)"
+                "{cte}select l.l_orderkey from \
+                 (select l_orderkey, l_quantity / 2 as q from lineitem) l \
+                 where exists (select f.k from f where f.k = l.l_orderkey)"
             ),
             [1, 0, 0],
         ),
@@ -628,6 +636,55 @@ fn rewritten_q6_pivots_only_the_filter_join_and_the_result() {
         assert_eq!(pass.to_rows, probe + pairs + pass.answer, "{pass:?}");
         assert_eq!(pass.to_cols, pass.filtered, "{pass:?}");
         assert!(pairs <= 2 * probe, "{pass:?}");
+    }
+}
+
+/// A Filter never pivots its input, even when its predicate does not
+/// compile: Q4's `l_commitdate < l_receiptdate` compares two columns, so
+/// its Filter over `lineitem` interprets the predicate, reading each row of
+/// the stored batch in place. The first run of Q4's original on a freshly
+/// built workload then crosses to rows only in its hash join — the probe
+/// side, and one build row per candidate pair — and leaves no row copy of
+/// `lineitem` cached in the stored batch. `EXPLAIN ANALYZE` says how each
+/// Filter evaluated: Q4's `pred=interpreted`, Q6's (a conjunction of
+/// column-against-literal ranges) `pred=kernel`, and so does the operator
+/// JSON.
+#[test]
+fn q4_original_pivots_only_its_join() {
+    let _turn = turn();
+    let w = fresh_workload();
+    let to_rows = conquer_obs::registry().counter("exec.pivot.to_rows");
+    let options = ExecOptions::default();
+    let before = to_rows.get();
+    let (_, plan, stats) =
+        w.db.execute_query_traced(&parse_query(Q4.sql).unwrap(), &options)
+            .unwrap();
+    let pivoted = to_rows.get() - before;
+    let mut join = JoinRows::default();
+    join_rows(&plan, &stats, &mut join);
+    let lineitem = w.db.table("lineitem").unwrap().len() as u64;
+    assert!(join.probe < lineitem, "{join:?} of {lineitem} rows");
+    assert_eq!(pivoted, join.probe + join.pairs, "{join:?}");
+
+    for (q, way) in [(Q4, "interpreted"), (Q6, "kernel")] {
+        let (_, plan, stats) =
+            w.db.execute_query_traced(&parse_query(q.sql).unwrap(), &options)
+                .unwrap();
+        let text = explain_analyze(&plan, &stats);
+        let filters: Vec<&str> = text.lines().filter(|l| l.contains("Filter")).collect();
+        assert_eq!(filters.len(), 1, "{}: {text}", q.name());
+        assert!(
+            filters[0].contains(&format!(" pred={way})")),
+            "{}: {}",
+            q.name(),
+            filters[0]
+        );
+        let json = stats_json(&plan, &stats).render();
+        assert!(
+            json.contains(&format!("\"pred\":\"{way}\"")),
+            "{}: {json}",
+            q.name()
+        );
     }
 }
 
